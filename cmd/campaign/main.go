@@ -72,7 +72,7 @@ type options struct {
 	hubPolicy  core.HubPolicy
 	hubWire    codec.Format
 
-	// Fork-point run multiplexing knobs (run and sweep experiments).
+	// Checkpoint-ladder knobs (run and sweep experiments).
 	injectExec  uint64
 	noFork      bool
 	snapCacheMB int64
@@ -164,9 +164,9 @@ func run(args []string, out io.Writer) error {
 	journal := fs.String("journal", "", "checkpoint journal for -experiment run (written as runs complete)")
 	resume := fs.String("resume", "", "resume -experiment run from this journal, skipping completed runs")
 	runTimeout := fs.Duration("run-timeout", 0, "wall-clock watchdog per run (0 = no watchdog)")
-	injectExec := fs.Uint64("inject-exec", 0, "pin every run's injection to this execution count of the targeted ops (0 = random per run; >0 enables fork-point multiplexing for -experiment run)")
-	noFork := fs.Bool("no-fork", false, "disable fork-point run multiplexing (replay the golden prefix in every run)")
-	snapCacheMB := fs.Int64("snap-cache-mb", 0, "world-snapshot cache cap in MiB for fork-point multiplexing (0 = default 256)")
+	injectExec := fs.Uint64("inject-exec", 0, "pin every run's injection to this execution count of the targeted ops (0 = random per run)")
+	noFork := fs.Bool("no-fork", false, "replay the golden prefix in every run instead of forking from the checkpoint ladder (reference path; same output)")
+	snapCacheMB := fs.Int64("snap-cache-mb", 0, "world-snapshot cache cap in MiB (0 = default 256)")
 	hubAddr := fs.String("hub", "", "shared TaintHub server address (default: in-process hub)")
 	hubPolicy := fs.String("hub-policy", "degrade", "on hub failure: degrade (proceed untainted) | fail (fail the run)")
 	hubWire := fs.String("wire", "auto", "hub wire format: auto (binary) | json | binary")

@@ -96,25 +96,20 @@ type Config struct {
 	// InjectExec, when > 0, pins every run's injection point to this dynamic
 	// execution count of the targeted ops instead of drawing one per run —
 	// the paper's single-site methodology ("after it is executed n times"),
-	// where only the flipped bits and seed vary across runs. Single-site
-	// campaigns are where fork-point multiplexing pays off most: the golden
-	// prefix up to the site runs once and every run forks from it.
+	// where only the flipped bits and seed vary across runs. It is the
+	// one-rung case of the checkpoint ladder: the golden prefix up to the
+	// site runs once and every run forks from it.
 	InjectExec uint64
-	// NoFork disables fork-point run multiplexing, replaying the golden
-	// prefix from scratch in every run. Outcomes are bitwise identical either
-	// way — this is the ablation switch for the fork benchmark.
+	// NoFork disables the checkpoint ladder: every run replays the golden
+	// prefix from program entry up to its trigger instead of forking from the
+	// nearest world snapshot. Outcomes are bitwise identical either way —
+	// this is the reference path differential tests and benchmarks compare
+	// against, and the only switch the ladder has.
 	NoFork bool
 	// SnapshotCacheBytes caps the resident bytes of cached world snapshots
 	// (0 = DefaultSnapshotCacheBytes). Least-recently-used snapshots are
 	// evicted when new fork points push the cache over the cap.
 	SnapshotCacheBytes int64
-	// forkShared marks a campaign whose injection sites recur across sibling
-	// campaigns sharing one baseline (BitSweep entries draw identical task
-	// lists), making cached snapshots profitable even without InjectExec.
-	// With unique random sites, a prefix run costs as much as the full run
-	// it would save, so plain campaigns only fork when InjectExec pins the
-	// site.
-	forkShared bool
 	// Obs, when non-nil, receives campaign telemetry and is threaded through
 	// every run's layers (vm, mpi, injector). Nil disables it.
 	Obs *obs.Registry
@@ -204,8 +199,8 @@ type baseline struct {
 	// injection points are drawn from them.
 	totals []uint64
 	world  int
-	// snaps caches world snapshots by fork point for run multiplexing. Owned
-	// by the baseline so BitSweep entries share it.
+	// snaps holds the resident rungs of the checkpoint ladder. Owned by the
+	// baseline so BitSweep entries share it.
 	snaps *snapCache
 }
 
@@ -306,13 +301,55 @@ func (cfg Config) bounds() (lo, hi int, err error) {
 // of a targeted instruction (chosen from the golden run's execution counts,
 // like the paper's "after it is executed n times" methodology). Every run
 // shares the base translation cache warmed by the golden run, so after
-// warm-up only the blocks an injector instruments are ever retranslated.
+// warm-up only the blocks an injector instruments are ever retranslated,
+// and every run forks from a world snapshot taken at its own injection site
+// (see ladder) instead of replaying the golden prefix.
 func Run(cfg Config) (*Summary, error) {
 	base, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return runPrepared(cfg, base)
+}
+
+// task is one injection run: fault the n-th execution of the targeted ops on
+// rank, with the injector seeded by seed. The list is a pure function of
+// cfg.Seed and the golden baseline.
+type task struct {
+	idx  int
+	rank int
+	n    uint64
+	seed int64
+}
+
+// planTasks derives the campaign's full task list from its seed and the
+// golden execution counts of the targeted ops on each rank.
+func planTasks(cfg Config, totals []uint64) ([]task, error) {
+	tasks := make([]task, cfg.Runs)
+	seedRng := rand.New(rand.NewSource(cfg.Seed))
+	for i := range tasks {
+		rank := cfg.TargetRank
+		if rank < 0 {
+			rank = seedRng.Intn(len(totals))
+			for totals[rank] == 0 { // skip ranks that never run the ops
+				rank = seedRng.Intn(len(totals))
+			}
+		}
+		n := cfg.InjectExec
+		if n == 0 {
+			n = 1 + uint64(seedRng.Int63n(int64(totals[rank])))
+		} else if n > totals[rank] {
+			return nil, fmt.Errorf("campaign: InjectExec %d exceeds rank %d's %d golden executions of %v",
+				n, rank, totals[rank], cfg.Ops)
+		}
+		tasks[i] = task{
+			idx:  i,
+			rank: rank,
+			n:    n,
+			seed: cfg.Seed + int64(i)*7919,
+		}
+	}
+	return tasks, nil
 }
 
 // runPrepared executes the injection runs of a campaign against a prepared
@@ -336,35 +373,9 @@ func runPrepared(cfg Config, base *baseline) (*Summary, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	type task struct {
-		idx  int
-		rank int
-		n    uint64
-		seed int64
-	}
-	tasks := make([]task, cfg.Runs)
-	seedRng := rand.New(rand.NewSource(cfg.Seed))
-	for i := range tasks {
-		rank := cfg.TargetRank
-		if rank < 0 {
-			rank = seedRng.Intn(world)
-			for totals[rank] == 0 { // skip ranks that never run the ops
-				rank = seedRng.Intn(world)
-			}
-		}
-		n := cfg.InjectExec
-		if n == 0 {
-			n = 1 + uint64(seedRng.Int63n(int64(totals[rank])))
-		} else if n > totals[rank] {
-			return nil, fmt.Errorf("campaign: InjectExec %d exceeds rank %d's %d golden executions of %v",
-				n, rank, totals[rank], cfg.Ops)
-		}
-		tasks[i] = task{
-			idx:  i,
-			rank: rank,
-			n:    n,
-			seed: cfg.Seed + int64(i)*7919,
-		}
+	tasks, err := planTasks(cfg, totals)
+	if err != nil {
+		return nil, err
 	}
 
 	// Checkpoint/resume: every run's task above is a pure function of
@@ -436,39 +447,14 @@ func runPrepared(cfg Config, base *baseline) (*Summary, error) {
 		}
 	}
 
-	// Fork-point multiplexing pays only when injection sites repeat: a
-	// prefix run costs as much as the full run it replaces, so it must be
-	// amortized across forks. Sites repeat when InjectExec pins one site for
-	// the whole campaign, or across BitSweep entries (forkShared), whose
-	// task lists — derived from seed and baseline alone — are identical for
-	// every bit count and hit the shared baseline cache.
-	useFork := !cfg.NoFork && (cfg.InjectExec > 0 || cfg.forkShared)
-
-	// runOne executes and classifies one injection run. A panic anywhere
-	// below (the vm, the translator, the taint engine, a hook — including
-	// panics captured inside rank goroutines and re-raised by World.Run) is
-	// recovered here and isolated as OutcomeSimCrash: one lost data point,
-	// not a lost campaign.
-	runOne := func(tk task) (out RunOutcome, res *core.RunResult, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				msg := fmt.Sprintf("%v", r)
-				if i := strings.IndexByte(msg, '\n'); i >= 0 {
-					msg = msg[:i]
-				}
-				out = RunOutcome{Outcome: OutcomeSimCrash, RootRank: -1, PanicMsg: msg}
-				res = nil
-				err = nil
-				if cfg.Obs != nil {
-					cfg.Obs.Counter("campaign_runs_panic_total").Inc()
-				}
-			}
-		}()
+	// runConfig is the supervised run of one task; the ladder's prefix runs
+	// share it (they ignore the spec's condition, bits and seed).
+	runConfig := func(tk task) core.RunConfig {
 		var hub tainthub.Hub
 		if cfg.Hub != nil {
 			hub = tainthub.WithNamespace(cfg.Hub, cfg.HubNamespaceBase+tk.idx)
 		}
-		rc := core.RunConfig{
+		return core.RunConfig{
 			Prog:            cfg.Prog,
 			WorldSize:       world,
 			BaseCache:       base.cache,
@@ -489,22 +475,45 @@ func runPrepared(cfg Config, base *baseline) (*Summary, error) {
 				Trace:      cfg.Trace,
 			},
 		}
-		if useFork {
-			// The snapshot depends only on the fork site (injector RNGs draw
-			// nothing before the trigger), so the first task to reach a site
-			// builds it and every later task forks from it. Any failure —
-			// unpausable site, stale snapshot, resume mismatch — falls back
-			// to a from-scratch run, which is bitwise identical.
-			ws, ferr := base.snaps.get(snapKey{rank: tk.rank, n: tk.n}, func() (*core.WorldSnapshot, error) {
-				cfg.Obs.Counter("campaign_prefix_runs_total").Inc()
-				return core.PrefixRun(rc, core.ForkSite{Rank: tk.rank, N: tk.n})
-			})
-			if ferr == nil {
-				if res, err = core.RunForked(rc, ws); err == nil {
-					cfg.Obs.Counter("campaign_forked_runs_total").Inc()
-					return Classify(res, golden.Outputs, tk.rank), res, nil
+	}
+
+	// runOne executes and classifies one injection run. A panic anywhere
+	// below (the vm, the translator, the taint engine, a hook — including
+	// panics captured inside rank goroutines and re-raised by World.Run) is
+	// recovered here and isolated as OutcomeSimCrash: one lost data point,
+	// not a lost campaign.
+	//
+	// ws is the rung the ladder planned for the task (nil: none, or NoFork).
+	// campaign_fork_fallbacks_total counts the runs that did not fork at
+	// their own site: from an earlier rung (the site would not pause), or —
+	// no rung below it, a stale snapshot — from scratch. Every path is
+	// bitwise identical.
+	runOne := func(tk task, ws *core.WorldSnapshot) (out RunOutcome, res *core.RunResult, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg := fmt.Sprintf("%v", r)
+				if i := strings.IndexByte(msg, '\n'); i >= 0 {
+					msg = msg[:i]
+				}
+				out = RunOutcome{Outcome: OutcomeSimCrash, RootRank: -1, PanicMsg: msg}
+				res = nil
+				err = nil
+				if cfg.Obs != nil {
+					cfg.Obs.Counter("campaign_runs_panic_total").Inc()
 				}
 			}
+		}()
+		rc := runConfig(tk)
+		if ws != nil {
+			if res, err = core.RunForked(rc, ws); err == nil {
+				cfg.Obs.Counter("campaign_forked_runs_total").Inc()
+				if ws.Site().N != tk.n {
+					cfg.Obs.Counter("campaign_fork_fallbacks_total").Inc()
+				}
+				return Classify(res, golden.Outputs, tk.rank), res, nil
+			}
+		}
+		if !cfg.NoFork {
 			cfg.Obs.Counter("campaign_fork_fallbacks_total").Inc()
 		}
 		res, err = core.Run(rc)
@@ -514,8 +523,12 @@ func runPrepared(cfg Config, base *baseline) (*Summary, error) {
 		return Classify(res, golden.Outputs, tk.rank), res, nil
 	}
 
+	type job struct {
+		task
+		ws *core.WorldSnapshot
+	}
 	var wg sync.WaitGroup
-	ch := make(chan task)
+	ch := make(chan job)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
@@ -525,7 +538,7 @@ func runPrepared(cfg Config, base *baseline) (*Summary, error) {
 					cfg.Obs.Counter("campaign_runs_started_total").Inc()
 				}
 				rsp := cfg.Tracer.StartSpanTID("campaign.run", worker)
-				out, res, err := runOne(tk)
+				out, res, err := runOne(tk.task, tk.ws)
 				if err != nil {
 					rsp.SetArg("error", err.Error())
 					rsp.End()
@@ -552,14 +565,25 @@ func runPrepared(cfg Config, base *baseline) (*Summary, error) {
 			}
 		}(w)
 	}
+	// The window's runs still to execute: not another shard's, and not
+	// already journaled (their outcomes were loaded above).
+	var pending []task
+	for _, tk := range tasks[shardLo:shardHi] {
+		if _, ok := resumed[tk.idx]; !ok {
+			pending = append(pending, tk)
+		}
+	}
+	var rungs *ladder
+	if !cfg.NoFork {
+		sortBySite(pending)
+		rungs = newLadder(base.snaps, cfg.Obs, runConfig)
+	}
 	interrupted := false
 feed:
-	for _, tk := range tasks {
-		if tk.idx < shardLo || tk.idx >= shardHi {
-			continue // another shard's run
-		}
-		if _, ok := resumed[tk.idx]; ok {
-			continue // already journaled; outcome loaded above
+	for _, tk := range pending {
+		j := job{task: tk}
+		if rungs != nil {
+			j.ws = rungs.rung(tk)
 		}
 		// A nil Stop channel never receives, so the select degenerates to a
 		// plain send.
@@ -567,7 +591,7 @@ feed:
 		case <-cfg.Stop:
 			interrupted = true
 			break feed
-		case ch <- tk:
+		case ch <- j:
 		}
 	}
 	close(ch)

@@ -114,9 +114,9 @@ func TestCampaignForkMatchesScratchMPI(t *testing.T) {
 	}
 }
 
-// TestCampaignForkConcurrent exercises the snapshot cache's singleflight
-// under a worker pool racing to the same fork point: exactly one prefix run,
-// and the summary still matches scratch.
+// TestCampaignForkConcurrent forks a worker pool's runs from one pinned site
+// concurrently: exactly one prefix run, and the summary still matches
+// scratch.
 func TestCampaignForkConcurrent(t *testing.T) {
 	cfg := kmeansConfig(t)
 	cfg.InjectExec = siteFor(t, cfg)
@@ -142,51 +142,71 @@ func TestCampaignForkConcurrent(t *testing.T) {
 	}
 }
 
-// TestBitSweepForkShared: sweep entries draw identical task lists, so the
-// snapshots built for the first entry are cache hits for every later one —
-// and the sweep's results must be identical to a no-fork sweep's.
+// TestBitSweepForkShared: sweep entries share one baseline and with it the
+// snapshot cache. A pinned site is one rung for the whole sweep — built by
+// the first entry, found resident by every later one; a random-site sweep
+// walks one ladder per entry. Either way the results must be identical to a
+// no-fork sweep's.
 func TestBitSweepForkShared(t *testing.T) {
 	cfg := kmeansConfig(t)
 	cfg.Runs = 6
 	bitCounts := []int{1, 2, 4}
 
-	scfg := cfg
-	scfg.NoFork = true
-	scratch, err := BitSweep(scfg, bitCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	fcfg := cfg
-	fcfg.Obs = reg
-	forked, err := BitSweep(fcfg, bitCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scratch) != len(forked) {
-		t.Fatalf("sweep lengths differ: %d vs %d", len(scratch), len(forked))
-	}
-	for i := range scratch {
-		if scratch[i].Bits != forked[i].Bits {
-			t.Fatalf("entry %d: bits %d vs %d", i, scratch[i].Bits, forked[i].Bits)
+	for _, pinned := range []bool{false, true} {
+		if pinned {
+			cfg.InjectExec = siteFor(t, cfg)
 		}
-		summariesEqual(t, scratch[i].Summary, forked[i].Summary)
-	}
-	// Each distinct site costs one prefix run; all later lookups (across
-	// entries, and within one when sites collide) must hit the cache.
-	prefixes := reg.Counter("campaign_prefix_runs_total").Value()
-	if prefixes > uint64(cfg.Runs) {
-		t.Errorf("%d prefix runs for at most %d distinct sites", prefixes, cfg.Runs)
-	}
-	if hits := reg.Counter("campaign_snapshot_cache_hits_total").Value(); hits == 0 {
-		t.Error("no snapshot cache hits across sweep entries")
+		scfg := cfg
+		scfg.NoFork = true
+		scratch, err := BitSweep(scfg, bitCounts)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		reg := obs.NewRegistry()
+		fcfg := cfg
+		fcfg.Obs = reg
+		forked, err := BitSweep(fcfg, bitCounts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(scratch) != len(forked) {
+			t.Fatalf("sweep lengths differ: %d vs %d", len(scratch), len(forked))
+		}
+		for i := range scratch {
+			if scratch[i].Bits != forked[i].Bits {
+				t.Fatalf("entry %d: bits %d vs %d", i, scratch[i].Bits, forked[i].Bits)
+			}
+			summariesEqual(t, scratch[i].Summary, forked[i].Summary)
+		}
+		// Each distinct site of an entry costs one prefix run; a pinned site
+		// costs one for the whole sweep.
+		wantMax := uint64(cfg.Runs * len(bitCounts))
+		if pinned {
+			wantMax = 1
+		}
+		if prefixes := reg.Counter("campaign_prefix_runs_total").Value(); prefixes == 0 || prefixes > wantMax {
+			t.Errorf("pinned=%v: %d prefix runs, want 1..%d", pinned, prefixes, wantMax)
+		}
+		if got, want := reg.Counter("campaign_forked_runs_total").Value(), uint64(cfg.Runs*len(bitCounts)); got != want {
+			t.Errorf("pinned=%v: %d forked runs, want %d", pinned, got, want)
+		}
+		// Only the first rung of each walk starts from program entry; with a
+		// pinned site only the sweep's first.
+		wantMisses := uint64(len(bitCounts))
+		if pinned {
+			wantMisses = 1
+		}
+		if misses := reg.Counter("campaign_snapshot_cache_misses_total").Value(); misses != wantMisses {
+			t.Errorf("pinned=%v: %d snapshot cache misses, want %d", pinned, misses, wantMisses)
+		}
 	}
 }
 
 // TestCampaignForkCacheEviction squeezes the snapshot cache to one byte: the
 // LRU must evict down to a single resident snapshot while every run still
-// classifies identically (evicted snapshots are rebuilt or runs fall back).
+// classifies identically (forks hold their rung themselves; eviction only
+// drops the cache's reference).
 func TestCampaignForkCacheEviction(t *testing.T) {
 	cfg := kmeansConfig(t)
 	cfg.Runs = 6

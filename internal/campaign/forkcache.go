@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"container/list"
-	"sync"
 
 	"chaser/internal/core"
 	"chaser/internal/obs"
@@ -12,41 +11,38 @@ import (
 // config leaves SnapshotCacheBytes zero.
 const DefaultSnapshotCacheBytes = 256 << 20
 
-// snapKey identifies one fork point: the injected rank and the dynamic
-// execution count of the targeted ops at which the world pauses.
-type snapKey struct {
-	rank int
-	n    uint64
-}
-
-// snapEntry is one cache slot. ready is closed once the build completes;
-// waiters block on it (singleflight: concurrent workers needing the same
-// fork point run the prefix once). A failed build is cached negatively
+// snapEntry is one cache slot. A failed build is cached negatively
 // (ws == nil, err != nil) so a site that cannot pause — e.g. one that lands
 // mid-MPI-progress — is not retried by every task that shares it.
 type snapEntry struct {
-	ready chan struct{}
 	ws    *core.WorldSnapshot
 	err   error
 	bytes int64
 	elem  *list.Element
 }
 
-// snapCache is a byte-capped LRU of world snapshots keyed by fork point. It
-// is owned by the campaign baseline, so BitSweep entries — which share the
-// task list and therefore the fork points — reuse snapshots across the whole
-// sweep.
+// snapCache holds the resident rungs of the checkpoint ladder: a byte-capped
+// LRU of world snapshots keyed by fork site. It is owned by the campaign
+// baseline, so BitSweep entries — which share the task list and therefore
+// the fork points — find the rungs an earlier entry left behind. Only the
+// goroutine feeding a campaign's workers touches it (campaigns on one
+// baseline run one after the other), so it carries no lock.
+//
+// A rung is charged what it adds beside the rung it was advanced from
+// (WorldSnapshot.FreshBytes): consecutive rungs share every page the guest
+// did not write in between, and charging each for the whole world would make
+// a ladder evict itself. The charge is fixed at insertion, so once a
+// predecessor is dropped the pages its successor shared with it stay resident
+// uncharged — exact while a chain is resident whole, a lower bound otherwise.
 type snapCache struct {
-	mu      sync.Mutex
-	cap     int64
-	bytes   int64
-	entries map[snapKey]*snapEntry
-	lru     *list.List // front = most recently used; values are snapKey
+	cap      int64
+	bytes    int64
+	resident int // positive entries
+	entries  map[core.ForkSite]*snapEntry
+	lru      *list.List // front = most recently used; values are core.ForkSite
 
 	gaugeBytes *obs.Gauge
 	gaugeHigh  *obs.Gauge
-	hits       *obs.Counter
-	misses     *obs.Counter
 	evictions  *obs.Counter
 }
 
@@ -56,94 +52,70 @@ func newSnapCache(capBytes int64, reg *obs.Registry) *snapCache {
 	}
 	return &snapCache{
 		cap:        capBytes,
-		entries:    make(map[snapKey]*snapEntry),
+		entries:    make(map[core.ForkSite]*snapEntry),
 		lru:        list.New(),
 		gaugeBytes: reg.Gauge("campaign_snapshot_cache_bytes"),
 		gaugeHigh:  reg.Gauge("campaign_snapshot_cache_bytes_high_water"),
-		hits:       reg.Counter("campaign_snapshot_cache_hits_total"),
-		misses:     reg.Counter("campaign_snapshot_cache_misses_total"),
 		evictions:  reg.Counter("campaign_snapshot_evictions_total"),
 	}
 }
 
-// get returns the snapshot for key, building it at most once per residency
-// via build. The returned snapshot stays valid even if evicted afterwards
+// get returns the snapshot for key, building it via build unless an earlier
+// result — a snapshot, or the error that says the site cannot pause — is
+// resident. The returned snapshot stays valid even if evicted afterwards
 // (snapshots are immutable; eviction only drops the cache's reference).
-func (c *snapCache) get(key snapKey, build func() (*core.WorldSnapshot, error)) (*core.WorldSnapshot, error) {
-	c.mu.Lock()
+func (c *snapCache) get(key core.ForkSite, build func() (*core.WorldSnapshot, error)) (*core.WorldSnapshot, error) {
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)
-		c.mu.Unlock()
-		c.hits.Inc()
-		<-e.ready
 		return e.ws, e.err
 	}
-	e := &snapEntry{ready: make(chan struct{})}
-	e.elem = c.lru.PushFront(key)
-	c.entries[key] = e
-	c.mu.Unlock()
-	c.misses.Inc()
-
 	ws, err := build()
-	c.mu.Lock()
-	e.ws, e.err = ws, err
+	e := &snapEntry{ws: ws, err: err, elem: c.lru.PushFront(key)}
+	c.entries[key] = e
 	if ws != nil {
-		e.bytes = ws.Bytes()
+		e.bytes = ws.FreshBytes()
 		c.bytes += e.bytes
+		c.resident++
 		c.evict()
+		c.publish()
 	}
-	c.gaugeBytes.Set(float64(c.bytes))
-	c.gaugeHigh.SetMax(float64(c.bytes))
-	c.mu.Unlock()
-	close(e.ready)
 	return ws, err
 }
 
-// evict drops least-recently-used completed entries until the cache fits its
-// cap, sparing in-flight builds (their size is unknown) and always keeping
-// at least one completed snapshot resident so a single oversized world still
-// multiplexes. Callers hold c.mu.
+// release drops key's snapshot ahead of the LRU: the ladder calls it for a
+// rung no pending task can fork from any more, so a campaign over many sites
+// keeps a few rungs resident, not all it ever built. Negative entries stay —
+// they cost nothing and spare later campaigns on this baseline the retry.
+func (c *snapCache) release(key core.ForkSite) {
+	if e, ok := c.entries[key]; ok && e.ws != nil {
+		c.remove(key, e)
+		c.publish()
+	}
+}
+
+// evict drops least-recently-used snapshots until the cache fits its cap,
+// always keeping at least one resident so a single oversized world still
+// multiplexes.
 func (c *snapCache) evict() {
-	for c.bytes > c.cap {
-		evicted := false
-		for el := c.lru.Back(); el != nil; el = el.Prev() {
-			key := el.Value.(snapKey)
-			e := c.entries[key]
-			select {
-			case <-e.ready:
-			default:
-				continue // still building
-			}
-			if e.bytes == 0 {
-				continue // negative entry, nothing to reclaim
-			}
-			if c.lruResident() <= 1 {
-				return
-			}
-			c.lru.Remove(el)
-			delete(c.entries, key)
-			c.bytes -= e.bytes
+	for el := c.lru.Back(); el != nil && c.bytes > c.cap && c.resident > 1; {
+		key := el.Value.(core.ForkSite)
+		el = el.Prev()
+		if e := c.entries[key]; e.ws != nil { // a negative entry frees nothing
+			c.remove(key, e)
 			c.evictions.Inc()
-			evicted = true
-			break
-		}
-		if !evicted {
-			return
 		}
 	}
 }
 
-// lruResident counts completed positive entries. Callers hold c.mu.
-func (c *snapCache) lruResident() int {
-	n := 0
-	for _, e := range c.entries {
-		select {
-		case <-e.ready:
-			if e.bytes > 0 {
-				n++
-			}
-		default:
-		}
-	}
-	return n
+// remove deletes a positive entry.
+func (c *snapCache) remove(key core.ForkSite, e *snapEntry) {
+	c.lru.Remove(e.elem)
+	delete(c.entries, key)
+	c.bytes -= e.bytes
+	c.resident--
+}
+
+func (c *snapCache) publish() {
+	c.gaugeBytes.Set(float64(c.bytes))
+	c.gaugeHigh.SetMax(float64(c.bytes))
 }

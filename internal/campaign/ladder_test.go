@@ -1,0 +1,379 @@
+package campaign
+
+import (
+	"errors"
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"chaser/internal/apps"
+	"chaser/internal/core"
+	"chaser/internal/isa"
+	"chaser/internal/obs"
+)
+
+// appConfig is a small random-site campaign against a bundled application.
+func appConfig(t *testing.T, name string) Config {
+	t.Helper()
+	app, err := apps.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{
+		Name: app.Name, Prog: app.Prog, WorldSize: app.WorldSize,
+		Ops: app.DefaultOps, TargetRank: max(app.TargetRank, 0),
+		Runs: 12, Bits: 1, Seed: 1207, Trace: true, Parallel: 2,
+		KeepRunOutcomes: true,
+	}
+}
+
+// sameReport demands that two summaries of one campaign agree bitwise in
+// everything a campaign reports: the exported JSON and every rendered text.
+func sameReport(t *testing.T, want, got *Summary) {
+	t.Helper()
+	summariesEqual(t, want, got)
+	for _, render := range []func(*Summary) string{
+		(*Summary).Report, (*Summary).PerOpReport, (*Summary).TerminationTable, (*Summary).MemOpsReport,
+	} {
+		if w, g := render(want), render(got); w != g {
+			t.Errorf("report text diverges:\n%s\n%s", w, g)
+		}
+	}
+}
+
+// sameCampaign is sameReport plus every per-run outcome, field for field
+// (two executions; outcomes read back from a journal drop unserialized
+// fields).
+func sameCampaign(t *testing.T, want, got *Summary) {
+	t.Helper()
+	sameReport(t, want, got)
+	if !reflect.DeepEqual(want.Outcomes, got.Outcomes) {
+		for i := range want.Outcomes {
+			if i < len(got.Outcomes) && !reflect.DeepEqual(want.Outcomes[i], got.Outcomes[i]) {
+				t.Errorf("run %d diverges:\n scratch %+v\n ladder  %+v", i, want.Outcomes[i], got.Outcomes[i])
+			}
+		}
+		t.Errorf("per-run outcomes diverge (%d vs %d runs)", len(want.Outcomes), len(got.Outcomes))
+	}
+}
+
+// ladderCounts reads the fork telemetry of one campaign.
+type ladderCounts struct {
+	prefix, forked, fallbacks, hits, misses, evictions uint64
+	highWater                                          float64
+}
+
+func countsOf(reg *obs.Registry) ladderCounts {
+	return ladderCounts{
+		prefix:    reg.Counter("campaign_prefix_runs_total").Value(),
+		forked:    reg.Counter("campaign_forked_runs_total").Value(),
+		fallbacks: reg.Counter("campaign_fork_fallbacks_total").Value(),
+		hits:      reg.Counter("campaign_snapshot_cache_hits_total").Value(),
+		misses:    reg.Counter("campaign_snapshot_cache_misses_total").Value(),
+		evictions: reg.Counter("campaign_snapshot_evictions_total").Value(),
+		highWater: reg.Gauge("campaign_snapshot_cache_bytes_high_water").Value(),
+	}
+}
+
+// TestLadderMatchesNoFork is the campaign-level ladder differential: a
+// random-site campaign forked from the checkpoint ladder must be bitwise its
+// NoFork twin — over serial and MPI guests, a fixed and a drawn target rank,
+// tracing on and off, and the ways a ladder can be cut short or squeezed.
+func TestLadderMatchesNoFork(t *testing.T) {
+	type variant struct {
+		name string
+		edit func(*Config)
+		// check inspects the ladder's telemetry (nil: the default, every run
+		// forked).
+		check func(t *testing.T, cfg Config, c ladderCounts)
+	}
+	allForked := func(t *testing.T, cfg Config, c ladderCounts) {
+		t.Helper()
+		lo, hi, _ := cfg.bounds()
+		if c.forked+c.fallbacks < uint64(hi-lo) || c.forked == 0 {
+			t.Errorf("forked %d + fallbacks %d over %d runs", c.forked, c.fallbacks, hi-lo)
+		}
+		if cfg.WorldSize <= 1 && c.fallbacks != 0 {
+			t.Errorf("%d fallbacks on a serial guest, whose every site can pause", c.fallbacks)
+		}
+		if c.highWater <= 0 {
+			t.Errorf("snapshot cache high water = %v, want > 0", c.highWater)
+		}
+	}
+	base := []variant{
+		{name: "rank0"},
+		{name: "any-rank", edit: func(c *Config) { c.TargetRank = -1 }},
+		{name: "untraced", edit: func(c *Config) { c.Trace = false }},
+	}
+	extra := []variant{
+		{name: "mid-shard", edit: func(c *Config) { c.Runs = 30; c.Shard = &ShardRange{Lo: 9, Hi: 21} }},
+		{name: "one-byte-cache", edit: func(c *Config) { c.SnapshotCacheBytes = 1 },
+			check: func(t *testing.T, cfg Config, c ladderCounts) {
+				allForked(t, cfg, c)
+				if c.evictions == 0 {
+					t.Error("a 1-byte cache evicted nothing")
+				}
+			}},
+		{name: "serial-workers", edit: func(c *Config) { c.Parallel = 1 }},
+	}
+	cases := map[string][]variant{
+		"lud":       base,
+		"kmeans":    append(append([]variant(nil), base...), extra...),
+		"bfs":       base,
+		"matvec":    append(append([]variant(nil), base...), extra...),
+		"clamr_mpi": base,
+	}
+	// Two tasks on one site: fewer golden executions of the targeted op than
+	// runs, so the pigeonhole forces shared rungs (mov: 10 on kmeans; fld: 24
+	// on matvec's master).
+	shared := func(op isa.Op, runs int) variant {
+		return variant{name: "shared-sites", edit: func(c *Config) { c.Ops = []isa.Op{op}; c.Runs = runs },
+			check: func(t *testing.T, cfg Config, c ladderCounts) {
+				allForked(t, cfg, c)
+				if c.prefix >= uint64(cfg.Runs) {
+					t.Errorf("%d prefix runs for %d runs over fewer sites", c.prefix, cfg.Runs)
+				}
+			}}
+	}
+	cases["kmeans"] = append(cases["kmeans"], shared(isa.OpMov, 15))
+	cases["matvec"] = append(cases["matvec"], shared(isa.OpFLd, 30))
+
+	for _, name := range []string{"lud", "kmeans", "bfs", "matvec", "clamr_mpi"} {
+		for _, v := range cases[name] {
+			t.Run(name+"/"+v.name, func(t *testing.T) {
+				cfg := appConfig(t, name)
+				if v.edit != nil {
+					v.edit(&cfg)
+				}
+				scfg := cfg
+				scfg.NoFork = true
+				scratch, err := Run(scfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reg := obs.NewRegistry()
+				cfg.Obs = reg
+				ladder, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if name == "clamr_mpi" {
+					// A fault that breaks conservation trips every rank's
+					// check after the same allreduce, and which rank's assert
+					// lands first — RunOutcome.RootRank — is a race between
+					// two from-scratch runs already (3 campaigns in 20 with a
+					// drawn rank). No report carries it.
+					sameReport(t, scratch, ladder)
+				} else {
+					sameCampaign(t, scratch, ladder)
+				}
+				check := v.check
+				if check == nil {
+					check = allForked
+				}
+				check(t, cfg, countsOf(reg))
+			})
+		}
+	}
+}
+
+// TestLadderChainsOnePassPerRank pins the ladder's shape on a serial guest
+// with distinct sites: one prefix execution per site, only the first of them
+// from program entry (the one cache miss), every run forked at its own site,
+// and the resident set far below what the rungs would hold unshared.
+func TestLadderChainsOnePassPerRank(t *testing.T) {
+	cfg := appConfig(t, "lud")
+	cfg.Runs = 24
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	c := countsOf(reg)
+	if c.prefix != 24 || c.forked != 24 || c.fallbacks != 0 {
+		t.Errorf("prefix %d forked %d fallbacks %d, want 24/24/0", c.prefix, c.forked, c.fallbacks)
+	}
+	if c.misses != 1 || c.hits != 23 {
+		t.Errorf("cache misses %d hits %d, want 1 and 23: only the first rung starts from program entry", c.misses, c.hits)
+	}
+	// A from-scratch run's instructions are the golden run's up to the
+	// trigger; the whole ladder must cost about one golden run, not one per
+	// rung. Forks publish only what they executed themselves, so the sum is
+	// the work actually done.
+	g, err := core.Golden(cfg.Prog, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := g.Counters[0].Instructions
+	sreg := obs.NewRegistry()
+	scfg := cfg
+	scfg.NoFork, scfg.Obs = true, sreg
+	if _, err := Run(scfg); err != nil {
+		t.Fatal(err)
+	}
+	scratchInstrs := sreg.Counter("vm_instructions_total").Value()
+	ladderInstrs := reg.Counter("vm_instructions_total").Value()
+	if saved := scratchInstrs - ladderInstrs; ladderInstrs >= scratchInstrs || saved < 8*golden {
+		t.Errorf("ladder executed %d instructions, scratch %d (golden run %d): 24 replayed prefixes should save about 12 golden runs",
+			ladderInstrs, scratchInstrs, golden)
+	}
+	// Early release: the cache never held more than a rung and what its
+	// successor adds — not 24 times the guest's memory.
+	base, err := prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := core.PrefixRun(coreConfig(cfg), core.ForkSite{Rank: 0, N: base.totals[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.highWater > float64(2*last.Bytes()) {
+		t.Errorf("snapshot cache high water %v bytes with early release; the guest's whole memory is %d", c.highWater, last.Bytes())
+	}
+}
+
+// coreConfig is the core configuration of a campaign's runs, for building a
+// reference snapshot by hand.
+func coreConfig(cfg Config) core.RunConfig {
+	return core.RunConfig{Prog: cfg.Prog, WorldSize: cfg.WorldSize, Spec: &core.Spec{
+		Target: cfg.Prog.Name, Ops: cfg.Ops, TargetRank: 0, Trace: cfg.Trace,
+	}}
+}
+
+// TestLadderUnpausableSiteFallsBack: a site whose pause cannot be used (the
+// negative entry a pause-dirty MPI call leaves in the cache) must not break
+// the chain — its runs fork from the previous rung, or run from scratch when
+// there is none — and is counted, with the campaign still bitwise its NoFork
+// twin.
+func TestLadderUnpausableSiteFallsBack(t *testing.T) {
+	cfg := appConfig(t, "matvec")
+	scfg := cfg
+	scfg.NoFork = true
+	scratch, err := Run(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	base, err := prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Poison the campaign's lowest site (nothing below it: its run goes from
+	// scratch) and one in the middle (the previous rung serves).
+	tasks, err := planTasks(cfg, base.totals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortBySite(tasks)
+	dirty := errors.New("core: fork site paused mid-MPI-progress")
+	for _, tk := range []task{tasks[0], tasks[len(tasks)/2]} {
+		if _, err := base.snaps.get(core.ForkSite{Rank: 0, N: tk.n}, func() (*core.WorldSnapshot, error) {
+			return nil, dirty
+		}); !errors.Is(err, dirty) {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	ladder, err := runPrepared(cfg, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCampaign(t, scratch, ladder)
+	c := countsOf(reg)
+	if c.fallbacks < 2 {
+		t.Errorf("fallbacks = %d, want at least the two poisoned sites' runs", c.fallbacks)
+	}
+	if c.forked < uint64(cfg.Runs)-2 {
+		t.Errorf("forked = %d of %d runs: an unpausable site must not stop the ladder", c.forked, cfg.Runs)
+	}
+}
+
+// TestLadderInterruptAndResume interrupts a random-site campaign mid-ladder
+// and resumes it from its journal: the resumed campaign plans a new ladder
+// over the runs still missing and must reproduce the uninterrupted summary
+// bitwise.
+func TestLadderInterruptAndResume(t *testing.T) {
+	cfg := kmeansConfig(t)
+	cfg.Runs = 40
+	cfg.Parallel = 2
+	full, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	interrupted := false
+	for attempt := 0; attempt < 5 && !interrupted; attempt++ {
+		stop := make(chan struct{})
+		var once sync.Once
+		icfg := cfg
+		icfg.Journal = path
+		icfg.Stop = stop
+		icfg.ProgressInterval = time.Millisecond
+		icfg.Progress = func(p ProgressInfo) {
+			if p.Done >= 5 {
+				once.Do(func() { close(stop) })
+			}
+		}
+		_, err := Run(icfg)
+		switch {
+		case errors.Is(err, ErrInterrupted):
+			interrupted = true
+		case err == nil:
+			// The whole campaign outran the interrupt; try again.
+		default:
+			t.Fatal(err)
+		}
+	}
+	if !interrupted {
+		t.Fatal("campaign never interrupted across 5 attempts")
+	}
+
+	reg := obs.NewRegistry()
+	rcfg := cfg
+	rcfg.Resume = path
+	rcfg.Obs = reg
+	res, err := Run(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameReport(t, full, res)
+	c := countsOf(reg)
+	resumed := reg.Counter("campaign_resumed_runs_total").Value()
+	if resumed == 0 || c.forked+resumed != uint64(cfg.Runs) {
+		t.Errorf("resumed %d + forked %d != %d runs", resumed, c.forked, cfg.Runs)
+	}
+}
+
+// TestLadderShardJournalsMerge: shards execute their windows in site order,
+// so their journals list runs out of index order; merged, they must still
+// reproduce the uninterrupted campaign's summary bitwise.
+func TestLadderShardJournalsMerge(t *testing.T) {
+	cfg := appConfig(t, "matvec")
+	cfg.Runs = 24
+	cfg.TargetRank = -1
+	full, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var paths []string
+	for lo := 0; lo < cfg.Runs; lo += 8 {
+		scfg := cfg
+		scfg.Shard = &ShardRange{Lo: lo, Hi: lo + 8}
+		scfg.Journal = filepath.Join(dir, fmt.Sprintf("shard-%02d.jsonl", lo))
+		if _, err := Run(scfg); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, scfg.Journal)
+	}
+	merged, err := MergeJournals(cfg, nil, paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameReport(t, full, merged)
+}

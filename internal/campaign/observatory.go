@@ -320,25 +320,26 @@ type Snapshot struct {
 	Heatmap      []HeatEntry `json:"heatmap"`
 	RetainedRuns int         `json:"retained_runs"`
 
-	// Fork reports fork-point run multiplexing activity (zero-valued when
-	// the campaign runs with NoFork or unshareable sites).
+	// Fork reports the checkpoint ladder's activity (zero-valued when the
+	// campaign runs with NoFork).
 	Fork ForkStats `json:"fork"`
 }
 
-// ForkStats is the fork-point multiplexing section of /progress, read from
-// the metrics registry.
+// ForkStats is the checkpoint-ladder section of /progress, read from the
+// metrics registry.
 type ForkStats struct {
-	// PrefixRuns counts golden prefixes executed (one per distinct fork
-	// site that entered the snapshot cache).
+	// PrefixRuns counts prefix executions: one per rung, each from the rung
+	// before it (or from program entry for the first of a rank).
 	PrefixRuns uint64 `json:"prefix_runs"`
-	// ForkedRuns counts injection runs resumed from a cached snapshot
-	// instead of replaying the prefix.
+	// ForkedRuns counts injection runs resumed from a snapshot instead of
+	// replaying the prefix.
 	ForkedRuns uint64 `json:"forked_runs"`
-	// Fallbacks counts runs that fell back to from-scratch execution after
-	// a failed prefix or fork.
+	// Fallbacks counts runs that did not fork at their own site: from an
+	// earlier rung (the site would not pause) or from scratch.
 	Fallbacks uint64 `json:"fallbacks"`
-	// CacheHits/CacheMisses count snapshot-cache lookups; hits measure
-	// fork-point reuse across runs (and across BitSweep entries).
+	// CacheHits/CacheMisses count the tasks' lookups: a hit found a resident
+	// snapshot at or below the task's site, a miss had the golden prefix
+	// replayed from program entry.
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
 	// CacheBytes is the resident snapshot-cache size; CacheHighWater its

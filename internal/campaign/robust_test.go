@@ -521,3 +521,32 @@ func TestCampaignSurvivesHubCrashDurable(t *testing.T) {
 		t.Error("tainthub_dedup_hits_total = 0: reply cache never used")
 	}
 }
+
+// TestCorruptedMPICountClassifies replays the run PR 11's benchmark met as a
+// simulator crash: matvec, seed 20200430, run 20 flips a bit that turns an
+// MPI count into one whose byte length wraps past the hooks' size guard, and
+// the taint scan of the "buffer" then walked gigabytes a byte at a time for
+// 5.5 s before an allocation of the same size panicked. With the guard
+// comparing by division the hooks leave the call to the MPI runtime, which
+// rejects it: the run is a guest outcome, and a quick one.
+func TestCorruptedMPICountClassifies(t *testing.T) {
+	cfg := appConfig(t, "matvec")
+	cfg.Seed, cfg.Runs, cfg.Parallel = 20200430, 40, 1
+	cfg.Shard = &ShardRange{Lo: 20, Hi: 21}
+	for _, noFork := range []bool{false, true} {
+		cfg.NoFork = noFork
+		start := time.Now()
+		sum, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		took := time.Since(start)
+		out := sum.Outcomes[0]
+		if out.Outcome != OutcomeTerminated || out.Term != TermMPI || sum.SimCrash != 0 {
+			t.Errorf("NoFork=%v: outcome %s/%s (%q), want terminated/mpi-error", noFork, out.Outcome, out.Term, out.PanicMsg)
+		}
+		if took > time.Second {
+			t.Errorf("NoFork=%v: the run took %v", noFork, took)
+		}
+	}
+}

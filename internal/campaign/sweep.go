@@ -35,10 +35,6 @@ func BitSweep(cfg Config, bitCounts []int) ([]SweepResult, error) {
 		// path cannot checkpoint them all, so journaling is per-campaign
 		// only.
 		c.Journal, c.Resume = "", ""
-		// Sweep entries draw identical task lists (tasks depend on seed and
-		// baseline, not bits), so fork-point snapshots cached in the shared
-		// baseline are hit by every entry after the first.
-		c.forkShared = true
 		sum, err := runPrepared(c, base)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: sweep bits=%d: %w", bits, err)

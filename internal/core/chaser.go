@@ -435,8 +435,12 @@ func (st *armState) faultInjector(m *vm.Machine, op *tcg.Op) {
 	st.ch.obsBits.Add(uint64(bits.OnesCount64(rec.Mask)))
 	st.injected++
 	if st.injected >= st.spec.MaxInjections {
-		// fi_clean_cb: stop screening and detach the injector.
+		// fi_clean_cb: stop screening and detach the injector. The flush
+		// drops the instrumented translations (Fig. 4), so the rest of the
+		// run executes the clean shared blocks and never calls the helper
+		// again; the hook answers nil once detached.
 		st.detached = true
+		m.Trans.Flush()
 	}
 }
 

@@ -552,6 +552,91 @@ loop:
 	}
 }
 
+// TestDetachFlushesInstrumentation is fi_clean_cb (Fig. 4): once the last
+// fault of a spec has fired, the injector detaches and flushes the
+// instrumented translations, so no later block carries its helper. Specs that
+// still have faults to deliver — a second injection pending, the group model
+// that never runs out — keep every targeted block instrumented.
+func TestDetachFlushesInstrumentation(t *testing.T) {
+	prog, err := asm.Assemble("t", `
+main:
+    movi r1, 0
+    movi r2, 20
+loop:
+    add r1, r1, r2
+    addi r2, r2, -1
+    cmpi r2, 0
+    jg loop
+    hlt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// helperOpsAfterFirstFault single-steps a run of spec and counts the
+	// helper micro-ops in every block executed after the block that delivered
+	// the first fault.
+	helperOpsAfterFirstFault := func(spec *Spec) (after int, records int) {
+		t.Helper()
+		platform := decaf.NewPlatform()
+		ch := New(Options{})
+		if err := platform.LoadPlugin(ch); err != nil {
+			t.Fatal(err)
+		}
+		ch.Arm(spec)
+		m := vm.New(prog, vm.Config{})
+		platform.CreateProcess(m)
+		for m.Terminated() == nil {
+			fired := len(ch.Records()) > 0
+			tb, err := m.Trans.Block(m.PC())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fired {
+				for _, op := range tb.Ops {
+					if op.Kind == tcg.KHelper {
+						after++
+					}
+				}
+			}
+			m.Step()
+		}
+		if term := m.Terminated(); term.Reason != vm.ReasonExited {
+			t.Fatalf("term = %v", term)
+		}
+		// The identity injector leaves values alone: 20+19+...+1.
+		if got := m.GPR(isa.R1); got != 210 {
+			t.Fatalf("sum = %d, want 210", got)
+		}
+		return after, len(ch.Records())
+	}
+	spec := func(cond Condition, maxInj int) *Spec {
+		return &Spec{
+			Target: "t", Ops: []isa.Op{isa.OpAdd}, Cond: cond,
+			Inj: IdentityInjector{Bits: 1}, MaxInjections: maxInj, Seed: 3,
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		spec      *Spec
+		wantAfter int
+		wantRecs  int
+	}{
+		// The fault fires in iteration 5; iterations 6-20 run clean blocks.
+		{"single fault", spec(Deterministic{N: 5}, 1), 0, 1},
+		// Faults in iterations 1, 2 and 3: the two blocks after the first
+		// still screen, then the injector detaches.
+		{"three faults", spec(Group{Start: 1, Every: 1}, 3), 2, 3},
+		// The group model never detaches: all 19 later iterations screen.
+		{"group", spec(Group{Start: 1, Every: 1}, 1<<30), 19, 20},
+	} {
+		after, recs := helperOpsAfterFirstFault(tc.spec)
+		if after != tc.wantAfter || recs != tc.wantRecs {
+			t.Errorf("%s: %d helper ops after the first fault, %d faults; want %d and %d",
+				tc.name, after, recs, tc.wantAfter, tc.wantRecs)
+		}
+	}
+}
+
 func TestRegionAwareTraceEvents(t *testing.T) {
 	res, err := Run(RunConfig{
 		Prog: fpProg(t),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"chaser/internal/isa"
@@ -184,5 +185,36 @@ func TestUntraceedRunSkipsHub(t *testing.T) {
 	}
 	if res.Trace.TotalReads()+res.Trace.TotalWrites() != 0 {
 		t.Error("taint events recorded without tracing")
+	}
+}
+
+// TestHookedMessageBytesRejectsWrappedCounts: the MPI hooks size their taint
+// scans from guest registers a fault may have corrupted. A count near 2^61
+// times an 8-byte datatype wraps to a small product; the guard must compare
+// by division and refuse it, or the scan walks (and allocates) gigabytes.
+func TestHookedMessageBytesRejectsWrappedCounts(t *testing.T) {
+	const cap8 = maxHookedMessageBytes / 8
+	for _, tc := range []struct {
+		count int64
+		dtype isa.Datatype
+		n     uint64
+		ok    bool
+	}{
+		{0, isa.TypeFloat64, 0, true},
+		{24, isa.TypeFloat64, 192, true},
+		{cap8, isa.TypeInt64, maxHookedMessageBytes, true},
+		{cap8 + 1, isa.TypeInt64, 0, false},
+		{maxHookedMessageBytes, isa.TypeByte, maxHookedMessageBytes, true},
+		{maxHookedMessageBytes + 1, isa.TypeByte, 0, false},
+		{-1, isa.TypeByte, 0, false},
+		{8, isa.Datatype(99), 0, false},
+		{1<<61 + 3, isa.TypeFloat64, 0, false}, // 8*count wraps to 24
+		{1 << 62, isa.TypeInt64, 0, false},     // 8*count wraps to 0
+		{math.MaxInt64, isa.TypeFloat64, 0, false},
+	} {
+		n, ok := hookedMessageBytes(tc.count, tc.dtype)
+		if n != tc.n || ok != tc.ok {
+			t.Errorf("hookedMessageBytes(%d, %s) = %d, %v; want %d, %v", tc.count, tc.dtype, n, ok, tc.n, tc.ok)
+		}
 	}
 }

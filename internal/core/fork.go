@@ -11,12 +11,16 @@ import (
 	"chaser/internal/vm"
 )
 
-// Fork-point run multiplexing: every run of a fault-injection sweep executes
-// the same golden prefix up to its injection trigger, then diverges. Instead
+// Fork-point run multiplexing: every run of a fault-injection campaign
+// executes the golden run up to its injection trigger, then diverges. Instead
 // of replaying that prefix per run, PrefixRun executes it once — pausing the
-// whole world at the trigger — and captures a WorldSnapshot; RunForked then
+// whole world at a fork site — and captures a WorldSnapshot; RunForked then
 // resumes any number of injected continuations from it via copy-on-write
-// machine snapshots. A forked run is bitwise equivalent to a from-scratch
+// machine snapshots, for any trigger at or after the site. PrefixRunFrom
+// advances an existing snapshot to a later site, so a ladder of snapshots
+// over many sites costs one pass over the golden run, consecutive rungs
+// sharing every page the guest did not write in between (checkpoint-restore
+// as in CHAOS). A forked run is bitwise equivalent to a from-scratch
 // run (registers, memory, counters, outputs, taint) except for translation-
 // block cache statistics (TBsExecuted/ChainedTBs/FastPathTBs), which depend
 // on block boundaries and chain-table warmth and appear in no outcome
@@ -61,6 +65,7 @@ type WorldSnapshot struct {
 	resume    *resumeState
 	samples   []trace.TimelinePoint
 	bytes     int64
+	fresh     int64
 }
 
 // Site returns the fork site the snapshot was captured at.
@@ -70,6 +75,11 @@ func (ws *WorldSnapshot) Site() ForkSite { return ws.site }
 // console/output copies, queued message payloads), the quantity snapshot
 // caches account against their memory cap.
 func (ws *WorldSnapshot) Bytes() int64 { return ws.bytes }
+
+// FreshBytes returns the part of Bytes the snapshot does not share with the
+// snapshot it was advanced from (all of it for a snapshot built from program
+// entry): what keeping it resident beside its predecessor costs.
+func (ws *WorldSnapshot) FreshBytes() int64 { return ws.fresh }
 
 // errPaused is returned by the pause injector so the Chaser records nothing
 // and detaches nothing: the pause is infrastructure, not an injection.
@@ -86,17 +96,28 @@ func (pauseInjector) Inject(ctx *Context) (InjectionRecord, error) {
 	return InjectionRecord{}, errPaused
 }
 
-// PrefixRun executes the golden prefix of cfg up to the fork site and
-// captures the paused world. cfg.Spec supplies the target application, the
-// targeted opcodes and the Trace flag; its condition, injector and seed are
-// ignored (the prefix is uninjected, and injector RNGs draw nothing before
-// the trigger, so one snapshot serves tasks with any seed).
-//
-// PrefixRun fails — and the caller falls back to from-scratch execution —
-// when the site never fires, a rank terminates abnormally before it, the
-// wall-clock deadline expires, or the pause lands inside an MPI call that
-// had already made externally visible progress (World.PauseDirty).
+// PrefixRun executes the golden prefix of cfg from program entry up to the
+// fork site and captures the paused world; see PrefixRunFrom.
 func PrefixRun(cfg RunConfig, site ForkSite) (*WorldSnapshot, error) {
+	return PrefixRunFrom(cfg, nil, site)
+}
+
+// PrefixRunFrom executes the golden run of cfg up to the fork site and
+// captures the paused world, starting from the snapshot `from` (an earlier
+// site on the same rank) or, when from is nil, from program entry. cfg.Spec
+// supplies the target application, the targeted opcodes and the Trace flag;
+// its condition, injector and seed are ignored (the prefix is uninjected,
+// and injector RNGs draw nothing before the trigger, so one snapshot serves
+// tasks with any seed). The new snapshot shares with `from` every page the
+// guest did not write in between.
+//
+// PrefixRunFrom fails — and the caller falls back to an earlier snapshot or
+// to from-scratch execution — when the site never fires, a rank terminates
+// abnormally before it, the wall-clock deadline expires, or the pause lands
+// inside an MPI call that had already made externally visible progress
+// (World.PauseDirty). `from` is never modified, so it stays usable after a
+// failure.
+func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSnapshot, error) {
 	if cfg.Prog == nil {
 		return nil, fmt.Errorf("core: prefix run has no program")
 	}
@@ -112,6 +133,18 @@ func PrefixRun(cfg RunConfig, site ForkSite) (*WorldSnapshot, error) {
 	}
 	if site.N == 0 {
 		return nil, fmt.Errorf("core: fork site N must be >= 1")
+	}
+	if from != nil {
+		if err := from.compatible(cfg.Prog, size); err != nil {
+			return nil, err
+		}
+		if from.site.Rank != site.Rank || from.site.N > site.N {
+			return nil, fmt.Errorf("core: fork site (rank %d, n %d) is not downstream of snapshot (rank %d, n %d)",
+				site.Rank, site.N, from.site.Rank, from.site.N)
+		}
+		if from.site.N == site.N {
+			return from, nil
+		}
 	}
 
 	prefix := cfg
@@ -136,8 +169,14 @@ func PrefixRun(cfg RunConfig, site ForkSite) (*WorldSnapshot, error) {
 	if err := platform.LoadPlugin(ch); err != nil {
 		return nil, err
 	}
+	if from != nil {
+		prefix.Spec.resume = from.resume
+		for _, p := range from.samples {
+			ch.collector.AddSample(p)
+		}
+	}
 	ch.Arm(prefix.Spec)
-	world, err := newSessionWorld(prefix, size, platform, nil)
+	world, err := newSessionWorld(prefix, size, platform, from)
 	if err != nil {
 		return nil, err
 	}
@@ -182,6 +221,7 @@ func PrefixRun(cfg RunConfig, site ForkSite) (*WorldSnapshot, error) {
 		}
 		ws.machines[r] = snap
 		ws.bytes += snap.Bytes()
+		ws.fresh += snap.FreshBytes()
 
 		rst := ch.armed[m]
 		ws.resume.execCount[r] = rst.execCount
@@ -200,7 +240,7 @@ func PrefixRun(cfg RunConfig, site ForkSite) (*WorldSnapshot, error) {
 		if cfg.Spec.Trace && snap.PausedIn() == isa.SysMPISend {
 			count := int64(snap.GPR(isa.R2))
 			dtype := isa.Datatype(snap.GPR(isa.R3))
-			if count >= 0 && dtype.Valid() && count*dtype.Size() <= maxHookedMessageBytes {
+			if _, ok := hookedMessageBytes(count, dtype); ok {
 				key := tainthub.Key{
 					Src: r,
 					Dst: int(int64(snap.GPR(isa.R4))),
@@ -212,11 +252,14 @@ func PrefixRun(cfg RunConfig, site ForkSite) (*WorldSnapshot, error) {
 	}
 	ws.mailboxes, ws.pendings = world.QueueSnapshot()
 	for r := range ws.mailboxes {
-		for _, msg := range ws.mailboxes[r] {
-			ws.bytes += int64(len(msg.Data))
-		}
-		for _, msg := range ws.pendings[r] {
-			ws.bytes += int64(len(msg.Data))
+		// Queued payloads are charged to every snapshot that holds them: a
+		// few messages, and a rung may well outlive the one it shares them
+		// with.
+		for _, q := range [][]mpi.Message{ws.mailboxes[r], ws.pendings[r]} {
+			for _, msg := range q {
+				ws.bytes += int64(len(msg.Data))
+				ws.fresh += int64(len(msg.Data))
+			}
 		}
 	}
 	// Keep only timeline points the restored counters have already passed:
@@ -238,23 +281,35 @@ func stateCount(st *armState) interface{} {
 	return st.execCount
 }
 
+// compatible reports whether the snapshot can seed a world of prog at the
+// given size.
+func (ws *WorldSnapshot) compatible(prog *isa.Program, size int) error {
+	if prog != ws.prog {
+		return fmt.Errorf("core: snapshot belongs to a different program")
+	}
+	if size != ws.worldSize {
+		return fmt.Errorf("core: world size %d != snapshot world %d", size, ws.worldSize)
+	}
+	return nil
+}
+
 // RunForked executes one injected continuation from a world snapshot. The
-// spec must trigger at the snapshot's fork site (same target rank, a
-// deterministic condition with the same N); everything else — injector,
-// bits, seed, tracing — varies freely across forks of one snapshot.
+// spec must trigger at or after the snapshot's fork site (same target rank,
+// a deterministic condition with N no smaller than the site's): the restored
+// execution count makes the trigger fire at the same global count a
+// from-scratch run would see, after replaying only the executions between
+// the site and N. Everything else — injector, bits, seed, tracing — varies
+// freely across forks of one snapshot.
 func RunForked(cfg RunConfig, ws *WorldSnapshot) (*RunResult, error) {
 	if ws == nil {
 		return nil, fmt.Errorf("core: nil world snapshot")
-	}
-	if cfg.Prog != ws.prog {
-		return nil, fmt.Errorf("core: snapshot belongs to a different program")
 	}
 	size := cfg.WorldSize
 	if size == 0 {
 		size = 1
 	}
-	if size != ws.worldSize {
-		return nil, fmt.Errorf("core: world size %d != snapshot world %d", size, ws.worldSize)
+	if err := ws.compatible(cfg.Prog, size); err != nil {
+		return nil, err
 	}
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("core: forked run has no spec")
@@ -263,8 +318,8 @@ func RunForked(cfg RunConfig, ws *WorldSnapshot) (*RunResult, error) {
 		return nil, fmt.Errorf("core: spec targets rank %d, snapshot paused rank %d",
 			cfg.Spec.TargetRank, ws.site.Rank)
 	}
-	if d, ok := cfg.Spec.Cond.(Deterministic); !ok || d.N != ws.site.N {
-		return nil, fmt.Errorf("core: spec condition %v does not match fork site n=%d",
+	if d, ok := cfg.Spec.Cond.(Deterministic); !ok || d.N < ws.site.N {
+		return nil, fmt.Errorf("core: spec condition %v cannot fire after fork site n=%d",
 			cfg.Spec.Cond, ws.site.N)
 	}
 	spec := *cfg.Spec

@@ -130,6 +130,58 @@ func TestForkedRunMatchesScratch(t *testing.T) {
 	}
 }
 
+// TestLadderForkMatchesScratch chains snapshots over rising sites — each rung
+// advanced from the one before — and forks every trigger from the nearest
+// rung at or below it: the rung at the trigger itself, and every earlier one,
+// which replays the executions in between. All of them must be bitwise a
+// from-scratch run, and using a rung (forking from it, advancing it) must
+// leave it intact for the next user.
+func TestLadderForkMatchesScratch(t *testing.T) {
+	prog := crossProg(t)
+	mkCfg := func(n uint64, trace bool, seed int64) RunConfig {
+		return RunConfig{Prog: prog, WorldSize: 2, Spec: &Spec{
+			Target: "cross_app", Ops: []isa.Op{isa.OpFAdd},
+			TargetRank: 0, Cond: Deterministic{N: n},
+			Bits: 2, Trace: trace, Seed: seed,
+		}}
+	}
+	for _, trace := range []bool{false, true} {
+		var rungs []*WorldSnapshot
+		var prev *WorldSnapshot
+		for _, n := range []uint64{1, 2, 5, 8} {
+			ws, err := PrefixRunFrom(mkCfg(n, trace, 0), prev, ForkSite{Rank: 0, N: n})
+			if err != nil {
+				t.Fatalf("trace=%v: rung n=%d: %v", trace, n, err)
+			}
+			if ws.FreshBytes() <= 0 || ws.FreshBytes() > ws.Bytes() {
+				t.Errorf("trace=%v: rung n=%d: fresh %d of %d bytes", trace, n, ws.FreshBytes(), ws.Bytes())
+			}
+			rungs = append(rungs, ws)
+			prev = ws
+		}
+		if first := rungs[0]; first.FreshBytes() != first.Bytes() {
+			t.Errorf("trace=%v: first rung fresh %d != total %d bytes", trace, first.FreshBytes(), first.Bytes())
+		}
+		for n := uint64(1); n <= 8; n++ {
+			cfg := mkCfg(n, trace, int64(100+n))
+			scratch, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ws := range rungs {
+				if ws.Site().N > n {
+					continue
+				}
+				forked, err := RunForked(cfg, ws)
+				if err != nil {
+					t.Fatalf("trace=%v n=%d from rung %d: %v", trace, n, ws.Site().N, err)
+				}
+				compareRuns(t, fmt.Sprintf("trace=%v n=%d rung=%d", trace, n, ws.Site().N), scratch, forked)
+			}
+		}
+	}
+}
+
 // TestForkedRunsShareOneSnapshot forks many differently seeded runs from a
 // single snapshot concurrently: copy-on-write pages and cloned injector
 // state must keep every fork independent, and each must still match its own
@@ -199,10 +251,37 @@ func TestPrefixRunRejectsInvalidSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := *spec
-	bad.Cond = Deterministic{N: 3}
-	if _, err := RunForked(RunConfig{Prog: prog, WorldSize: 2, Spec: &bad}, ws); err == nil {
-		t.Error("mismatched condition accepted")
+	// A trigger below the snapshot's site has already executed: refused. At
+	// or above it the fork replays the executions in between: accepted.
+	below := *spec
+	below.Cond = Deterministic{N: 1}
+	if _, err := RunForked(RunConfig{Prog: prog, WorldSize: 2, Spec: &below}, ws); err == nil {
+		t.Error("trigger below the snapshot's site accepted")
+	}
+	above := *spec
+	above.Cond = Deterministic{N: 3}
+	if res, err := RunForked(RunConfig{Prog: prog, WorldSize: 2, Spec: &above}, ws); err != nil {
+		t.Errorf("trigger above the snapshot's site refused: %v", err)
+	} else if !res.Injected() {
+		t.Error("trigger above the snapshot's site never fired")
+	}
+	prob := *spec
+	prob.Cond = Probabilistic{P: 0.5}
+	if _, err := RunForked(RunConfig{Prog: prog, WorldSize: 2, Spec: &prob}, ws); err == nil {
+		t.Error("non-deterministic condition accepted")
+	}
+	// The same holds for advancing a snapshot: only downstream, same rank.
+	if _, err := PrefixRunFrom(cfg, ws, ForkSite{Rank: 0, N: 1}); err == nil {
+		t.Error("snapshot advanced to an earlier site")
+	}
+	if _, err := PrefixRunFrom(cfg, ws, ForkSite{Rank: 1, N: 5}); err == nil {
+		t.Error("snapshot advanced on another rank")
+	}
+	if same, err := PrefixRunFrom(cfg, ws, ForkSite{Rank: 0, N: 2}); err != nil || same != ws {
+		t.Errorf("advancing to the snapshot's own site = %p, %v; want the snapshot itself", same, err)
+	}
+	if _, err := PrefixRunFrom(cfg, ws, ForkSite{Rank: 0, N: 99999}); err == nil {
+		t.Error("unreachable site accepted from a snapshot")
 	}
 	bad2 := *spec
 	bad2.TargetRank = 1

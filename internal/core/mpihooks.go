@@ -28,6 +28,18 @@ import (
 // (or allocating masks for) it would only burn memory.
 const maxHookedMessageBytes = 64 << 20
 
+// hookedMessageBytes returns the byte length of an MPI buffer of count
+// elements, and false when the hooks must leave the call alone: a negative
+// count, an unknown datatype, or a length over maxHookedMessageBytes. The
+// bound is checked by division — a fault-corrupted count near 2^61 would wrap
+// the product back under it.
+func hookedMessageBytes(count int64, dtype isa.Datatype) (uint64, bool) {
+	if count < 0 || !dtype.Valid() || count > maxHookedMessageBytes/dtype.Size() {
+		return 0, false
+	}
+	return uint64(count * dtype.Size()), true
+}
+
 // HubPolicy selects how a run treats TaintHub failures (an unreachable or
 // erroring hub after the client's own retries are exhausted).
 type HubPolicy int
@@ -74,14 +86,14 @@ func (c *Chaser) preSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
 	dtype := isa.Datatype(m.GPR(isa.R3))
 	dest := int(int64(m.GPR(isa.R4)))
 	tag := int(int64(m.GPR(isa.R5)))
-	if count < 0 || !dtype.Valid() || count*dtype.Size() > maxHookedMessageBytes {
+	n, ok := hookedMessageBytes(count, dtype)
+	if !ok {
 		return // the runtime will reject this send
 	}
 	key := tainthub.Key{Src: m.Rank, Dst: dest, Tag: tag}
 	seq := st.sendSeq[key]
 	st.sendSeq[key]++
 
-	n := uint64(count) * uint64(dtype.Size())
 	if m.Shadow.TaintedBytes() == 0 || !m.Shadow.MemRangeTainted(buf, n) {
 		// Not tainted: simply return without any hub traffic.
 		return
@@ -142,7 +154,7 @@ func (c *Chaser) postSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
 	dtype := isa.Datatype(m.GPR(isa.R3))
 	source := int(int64(m.GPR(isa.R4)))
 	tag := int(int64(m.GPR(isa.R5)))
-	if count < 0 || !dtype.Valid() || count*dtype.Size() > maxHookedMessageBytes {
+	if _, ok := hookedMessageBytes(count, dtype); !ok {
 		return
 	}
 	key := tainthub.Key{Src: source, Dst: m.Rank, Tag: tag}

@@ -96,7 +96,10 @@ func TestCampaignSurvivesWorkerDeathAndServerRestart(t *testing.T) {
 	}
 
 	// (2) A live worker re-claims the abandoned shard and resumes it from
-	// the doomed worker's journal (same stable path).
+	// the doomed worker's journal (same stable path). The requeue carries a
+	// backoff (BackoffBase, 1ms here): a claim inside it would be handed the
+	// next shard instead, so wait it out.
+	time.Sleep(20 * time.Millisecond)
 	second, err := cl.Claim("second")
 	if err != nil || second == nil {
 		t.Fatalf("second claim: %v, %v", second, err)

@@ -10,6 +10,7 @@
 package taint
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"chaser/internal/tcg"
@@ -220,24 +221,61 @@ func (s *Shadow) SetMemMask64(addr uint64, mask uint64) {
 	if mask == 0 && s.taintedBytes == 0 {
 		return
 	}
-	for i := uint64(0); i < 8; i++ {
-		s.SetMemMask8(addr+i, uint8(mask>>(8*i)))
+	var b [8]uint8
+	binary.LittleEndian.PutUint64(b[:], mask)
+	s.SetMemRangeMasks(addr, b[:])
+}
+
+// The range operations below work one shadow page at a time: a page lookup
+// per 4 KiB instead of per byte, and an absent page — the common case, taint
+// being sparse — costs that lookup and nothing else. MPI hooks hand them
+// buffers of up to 64 MiB.
+
+// inPage returns the length of the part of [addr, addr+n) inside addr's page.
+func inPage(addr, n uint64) uint64 {
+	if room := PageSize - addr&(PageSize-1); n > room {
+		return room
 	}
+	return n
 }
 
 // ClearMemRange removes taint from [addr, addr+n).
 func (s *Shadow) ClearMemRange(addr, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		s.SetMemMask8(addr+i, 0)
+	for n > 0 && s.taintedBytes > 0 {
+		chunk := inPage(addr, n)
+		if p, off := s.page(addr); p != nil {
+			for i := off; i < off+chunk; i++ {
+				if p.masks[i] != 0 {
+					p.masks[i] = 0
+					p.count--
+					s.taintedBytes--
+				}
+			}
+			if p.count == 0 {
+				delete(s.pages, addr&^(PageSize-1))
+			}
+		}
+		addr += chunk
+		n -= chunk
 	}
 }
 
 // MemRangeTainted reports whether any byte in [addr, addr+n) is tainted.
 func (s *Shadow) MemRangeTainted(addr, n uint64) bool {
-	for i := uint64(0); i < n; i++ {
-		if s.MemMask8(addr+i) != 0 {
-			return true
+	if s.taintedBytes == 0 {
+		return false
+	}
+	for n > 0 {
+		chunk := inPage(addr, n)
+		if p, off := s.page(addr); p != nil {
+			for _, m := range p.masks[off : off+chunk] {
+				if m != 0 {
+					return true
+				}
+			}
 		}
+		addr += chunk
+		n -= chunk
 	}
 	return false
 }
@@ -247,8 +285,12 @@ func (s *Shadow) MemRangeTainted(addr, n uint64) bool {
 // outgoing MPI message buffer.
 func (s *Shadow) MemRangeMasks(addr, n uint64) []uint8 {
 	out := make([]uint8, n)
-	for i := uint64(0); i < n; i++ {
-		out[i] = s.MemMask8(addr + i)
+	for done := uint64(0); done < n; {
+		chunk := inPage(addr+done, n-done)
+		if p, off := s.page(addr + done); p != nil {
+			copy(out[done:done+chunk], p.masks[off:])
+		}
+		done += chunk
 	}
 	return out
 }
@@ -256,8 +298,48 @@ func (s *Shadow) MemRangeMasks(addr, n uint64) []uint8 {
 // SetMemRangeMasks applies per-byte shadow masks to [addr, addr+len(masks)).
 // This is how a receiving rank re-marks taint retrieved from the TaintHub.
 func (s *Shadow) SetMemRangeMasks(addr uint64, masks []uint8) {
-	for i, m := range masks {
-		s.SetMemMask8(addr+uint64(i), m)
+	for len(masks) > 0 {
+		chunk := inPage(addr, uint64(len(masks)))
+		s.setPageMasks(addr, masks[:chunk])
+		addr += chunk
+		masks = masks[chunk:]
+	}
+}
+
+// setPageMasks is SetMemMask8 over a run of bytes inside one page, with the
+// same bookkeeping byte for byte: no page is allocated to store zeros, and a
+// page left without taint is dropped.
+func (s *Shadow) setPageMasks(addr uint64, masks []uint8) {
+	base := addr &^ (PageSize - 1)
+	off := addr - base
+	p := s.pages[base]
+	for i, mask := range masks {
+		switch {
+		case p == nil && mask == 0:
+			continue
+		case p == nil:
+			p = &shadowPage{}
+			s.pages[base] = p
+		}
+		was := p.masks[off+uint64(i)]
+		switch {
+		case was == 0 && mask != 0:
+			p.count++
+			s.taintedBytes++
+			if s.taintedBytes == 1 && s.liveRegs == 0 && s.onFirstTaint != nil {
+				s.onFirstTaint()
+			}
+			if s.taintedBytes > s.highWater {
+				s.highWater = s.taintedBytes
+			}
+		case was != 0 && mask == 0:
+			p.count--
+			s.taintedBytes--
+		}
+		p.masks[off+uint64(i)] = mask
+	}
+	if p != nil && p.count == 0 {
+		delete(s.pages, base)
 	}
 }
 

@@ -1,8 +1,12 @@
 package taint
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"chaser/internal/tcg"
 )
@@ -261,5 +265,119 @@ func TestNoTaintFromCleanQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// byteShadow is the reference the page-at-a-time range operations are held
+// to: the same operations spelled one SetMemMask8/MemMask8 per byte.
+type byteShadow struct{ *Shadow }
+
+func (b byteShadow) setRange(addr uint64, masks []uint8) {
+	for i, m := range masks {
+		b.SetMemMask8(addr+uint64(i), m)
+	}
+}
+
+func sameShadow(t *testing.T, label string, got, want *Shadow) {
+	t.Helper()
+	if got.TaintedBytes() != want.TaintedBytes() || got.HighWater() != want.HighWater() || got.Live() != want.Live() {
+		t.Fatalf("%s: tainted %d high %d live %v, want %d %d %v", label,
+			got.TaintedBytes(), got.HighWater(), got.Live(),
+			want.TaintedBytes(), want.HighWater(), want.Live())
+	}
+	if len(got.pages) != len(want.pages) {
+		t.Fatalf("%s: %d shadow pages, want %d", label, len(got.pages), len(want.pages))
+	}
+	for base, wp := range want.pages {
+		gp := got.pages[base]
+		if gp == nil || *gp != *wp {
+			t.Fatalf("%s: shadow page %#x differs", label, base)
+		}
+	}
+}
+
+// TestRangeOpsMatchBytewise drives the page-at-a-time range operations and
+// their per-byte spelling through the same random schedule over a few
+// neighbouring pages — ranges that straddle pages, start mid-page, clear
+// what they set — and demands identical shadows, counts and high-water marks
+// after every step, and identical first-taint notifications.
+func TestRangeOpsMatchBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	got, want := NewShadow(), byteShadow{NewShadow()}
+	var gotBirths, wantBirths int
+	got.OnFirstTaint(func() { gotBirths++ })
+	want.OnFirstTaint(func() { wantBirths++ })
+	const lo = 0x2000_0000 - PageSize/2 // ranges cross three page boundaries
+	for step := 0; step < 4000; step++ {
+		addr := lo + uint64(rng.Intn(3*PageSize))
+		n := uint64(rng.Intn(2*PageSize + 1))
+		if rng.Intn(4) == 0 {
+			n = uint64(rng.Intn(17))
+		}
+		switch op := rng.Intn(5); op {
+		case 0, 1: // sparse masks, as a tainted message carries
+			masks := make([]uint8, n)
+			for i := range masks {
+				if rng.Intn(8) == 0 {
+					masks[i] = uint8(rng.Intn(256))
+				}
+			}
+			got.SetMemRangeMasks(addr, masks)
+			want.setRange(addr, masks)
+		case 2:
+			got.ClearMemRange(addr, n)
+			want.setRange(addr, make([]uint8, n))
+		case 3:
+			mask := rng.Uint64() & rng.Uint64()
+			if rng.Intn(3) == 0 {
+				mask = 0
+			}
+			got.SetMemMask64(addr, mask)
+			var b [8]uint8
+			binary.LittleEndian.PutUint64(b[:], mask)
+			want.setRange(addr, b[:])
+		case 4:
+			masks := got.MemRangeMasks(addr, n)
+			any := false
+			for i, m := range masks {
+				if w := want.MemMask8(addr + uint64(i)); m != w {
+					t.Fatalf("step %d: MemRangeMasks[%d] = %#x, want %#x", step, i, m, w)
+				}
+				any = any || m != 0
+			}
+			if tainted := got.MemRangeTainted(addr, n); tainted != any {
+				t.Fatalf("step %d: MemRangeTainted(%#x, %d) = %v, want %v", step, addr, n, tainted, any)
+			}
+		}
+		sameShadow(t, fmt.Sprintf("step %d", step), got, want.Shadow)
+		if gotBirths != wantBirths {
+			t.Fatalf("step %d: %d first-taint notifications, want %d", step, gotBirths, wantBirths)
+		}
+	}
+	if gotBirths == 0 {
+		t.Error("the schedule never cleaned the shadow and tainted it again")
+	}
+}
+
+// TestRangeOpsSkipAbsentPages: a fault-corrupted MPI count hands the hooks a
+// buffer of tens of megabytes over a shadow holding a byte or two. Scanning
+// it must cost a page lookup per 4 KiB, not a map lookup per byte.
+func TestRangeOpsSkipAbsentPages(t *testing.T) {
+	s := NewShadow()
+	const base, n = 0x1000_0000, 64 << 20
+	s.SetMemMask8(base+n-1, 0x10)
+	start := time.Now()
+	if !s.MemRangeTainted(base, n) || s.MemRangeTainted(base, n-1) {
+		t.Error("MemRangeTainted missed or invented the last byte")
+	}
+	if masks := s.MemRangeMasks(base, n); masks[n-1] != 0x10 || masks[0] != 0 {
+		t.Error("MemRangeMasks lost the last byte")
+	}
+	s.ClearMemRange(base, n)
+	if s.Live() {
+		t.Error("ClearMemRange left taint behind")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("64 MiB of range operations over one tainted byte took %v", d)
 	}
 }

@@ -36,10 +36,49 @@ type cachedReply struct {
 	found bool
 }
 
+// clientCache is one client's remembered replies: two FIFOs, oldest first,
+// each bounded by Limits.ReplyCache and searched newest-first (a retry
+// re-sends a recent request). A publish ack carries nothing, so remembering
+// one costs its 8-byte request number; a consumed poll keeps its masks. They
+// are slices, not a map with an order list: a hub serving campaigns tracks
+// one cache per injection run, thousands at a time, and a run that spreads
+// taint remembers a hundred of each.
 type clientCache struct {
 	lastUse int64
-	replies map[uint64]cachedReply
-	order   []uint64 // req IDs in arrival order, for bounded FIFO eviction
+	acks    []uint64
+	polls   []polledReply
+}
+
+type polledReply struct {
+	seq   uint64
+	masks []uint8
+}
+
+// find returns seq's remembered reply.
+func (c *clientCache) find(seq uint64) (cachedReply, bool) {
+	for i := len(c.acks) - 1; i >= 0; i-- {
+		if c.acks[i] == seq {
+			return cachedReply{}, true
+		}
+	}
+	for i := len(c.polls) - 1; i >= 0; i-- {
+		if c.polls[i].seq == seq {
+			return cachedReply{masks: c.polls[i].masks, found: true}, true
+		}
+	}
+	return cachedReply{}, false
+}
+
+// dropOldest trims a FIFO to limit entries by shifting down, not by
+// re-slicing: a dropped reply's masks must not stay reachable through the
+// backing array.
+func dropOldest[T any](fifo []T, limit int) []T {
+	if over := len(fifo) - limit; over > 0 {
+		n := copy(fifo, fifo[over:])
+		clear(fifo[n:])
+		fifo = fifo[:n]
+	}
+	return fifo
 }
 
 // hubObs bundles the state machine's instruments; nil disables them.
@@ -88,7 +127,7 @@ func (s *store) dedup(id ReqID, now int64) (cachedReply, bool) {
 		return cachedReply{}, false
 	}
 	c.lastUse = now
-	rep, ok := c.replies[id.Seq]
+	rep, ok := c.find(id.Seq)
 	if ok {
 		s.stats.DedupHits++
 		if s.o != nil {
@@ -106,20 +145,20 @@ func (s *store) remember(id ReqID, rep cachedReply, now int64) {
 	}
 	c := s.clients[id.Client]
 	if c == nil {
-		c = &clientCache{replies: make(map[uint64]cachedReply)}
+		c = &clientCache{}
 		s.clients[id.Client] = c
 		if len(s.clients) > s.lim.MaxClients {
 			s.evictOldestClient()
 		}
 	}
 	c.lastUse = now
-	if _, ok := c.replies[id.Seq]; !ok {
-		c.order = append(c.order, id.Seq)
+	if _, ok := c.find(id.Seq); ok {
+		return // a request ID names one operation: its reply cannot change
 	}
-	c.replies[id.Seq] = rep
-	for len(c.order) > s.lim.ReplyCache {
-		delete(c.replies, c.order[0])
-		c.order = c.order[1:]
+	if rep.found {
+		c.polls = dropOldest(append(c.polls, polledReply{seq: id.Seq, masks: rep.masks}), s.lim.ReplyCache)
+	} else {
+		c.acks = dropOldest(append(c.acks, id.Seq), s.lim.ReplyCache)
 	}
 }
 
@@ -269,9 +308,11 @@ func (s *store) export(gen uint64) *snapshotRec {
 	snap.Clients = make([]snapClientRec, 0, len(s.clients))
 	for id, c := range s.clients {
 		cr := snapClientRec{ID: id, LastUse: c.lastUse}
-		for _, req := range c.order {
-			rep := c.replies[req]
-			cr.Reqs = append(cr.Reqs, snapReplyRec{Req: req, Masks: rep.masks, Found: rep.found})
+		for _, seq := range c.acks {
+			cr.Reqs = append(cr.Reqs, snapReplyRec{Req: seq})
+		}
+		for _, rep := range c.polls {
+			cr.Reqs = append(cr.Reqs, snapReplyRec{Req: rep.seq, Masks: rep.masks, Found: true})
 		}
 		snap.Clients = append(snap.Clients, cr)
 	}
@@ -289,10 +330,13 @@ func (s *store) restore(snap *snapshotRec) {
 	// counters already include them.
 	s.stats.Published = snap.Stats.Published
 	for _, cr := range snap.Clients {
-		c := &clientCache{lastUse: cr.LastUse, replies: make(map[uint64]cachedReply, len(cr.Reqs))}
+		c := &clientCache{lastUse: cr.LastUse}
 		for _, rr := range cr.Reqs {
-			c.replies[rr.Req] = cachedReply{masks: rr.Masks, found: rr.Found}
-			c.order = append(c.order, rr.Req)
+			if rr.Found {
+				c.polls = append(c.polls, polledReply{seq: rr.Req, masks: rr.Masks})
+			} else {
+				c.acks = append(c.acks, rr.Req)
+			}
 		}
 		s.clients[cr.ID] = c
 	}

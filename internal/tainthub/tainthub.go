@@ -137,8 +137,9 @@ type Limits struct {
 	TTL time.Duration
 	// RetryAfter is the backoff hint in BusyError (default 50ms).
 	RetryAfter time.Duration
-	// ReplyCache is the number of replies remembered per client for replay
-	// protection (default 256).
+	// ReplyCache is the number of replies of each kind (publish acks,
+	// consumed polls) remembered per client for replay protection (default
+	// 256).
 	ReplyCache int
 	// MaxClients caps tracked reply caches; the least recently active
 	// client is evicted past it (default 4096).

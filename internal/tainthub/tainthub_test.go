@@ -415,7 +415,7 @@ func TestLocalReplyCacheBounded(t *testing.T) {
 		_ = h.Publish(ReqID{Client: 1, Seq: uint64(i + 1)}, Key{Tag: i}, 0, []uint8{1})
 	}
 	h.mu.Lock()
-	n := len(h.st.clients[1].replies)
+	n := len(h.st.clients[1].acks)
 	h.mu.Unlock()
 	if n != 4 {
 		t.Errorf("reply cache holds %d entries, want 4", n)

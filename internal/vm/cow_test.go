@@ -46,6 +46,59 @@ func TestMemoryCOWIsolation(t *testing.T) {
 	}
 }
 
+// TestMemoryChainedImagesShareUnwrittenPages: an image taken from a fork of an
+// earlier image shares every page the fork did not write, and FreshBytes
+// counts exactly the others — what a chain of snapshots costs per link.
+func TestMemoryChainedImagesShareUnwrittenPages(t *testing.T) {
+	m := NewMemory()
+	m.Map("r", 0, 8*PageSize)
+	for i := uint64(0); i < 4; i++ {
+		if err := m.Write64(i*PageSize, 100+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := m.Snapshot()
+	if first.FreshBytes() != first.Bytes() || first.Bytes() != 4*PageSize {
+		t.Fatalf("first image: fresh %d, total %d bytes; want both %d", first.FreshBytes(), first.Bytes(), 4*PageSize)
+	}
+
+	f := NewMemoryFromImage(first)
+	if err := f.Write64(0, 7); err != nil { // privatizes page 0
+		t.Fatal(err)
+	}
+	if err := f.Write64(8, 8); err != nil { // same page: no second copy
+		t.Fatal(err)
+	}
+	if err := f.Write64(5*PageSize, 9); err != nil { // a new page
+		t.Fatal(err)
+	}
+	if _, err := f.Read64(PageSize); err != nil { // reads share
+		t.Fatal(err)
+	}
+	second := f.Snapshot()
+	if got, want := second.Bytes(), int64(5*PageSize); got != want {
+		t.Errorf("second image: %d bytes, want %d", got, want)
+	}
+	if got, want := second.FreshBytes(), int64(2*PageSize); got != want {
+		t.Errorf("second image: %d fresh bytes, want %d (one copied page, one new)", got, want)
+	}
+	for base, p := range second.pages {
+		if shared := first.pages[base] == p; shared != (base >= PageSize && base < 4*PageSize) {
+			t.Errorf("page %#x shared with the first image: %v", base, shared)
+		}
+	}
+
+	// The first image is untouched, and a second snapshot of the same memory
+	// with nothing written in between adds nothing.
+	g := NewMemoryFromImage(first)
+	if v, _ := g.Read64(0); v != 100 {
+		t.Errorf("first image page 0 = %d after its fork wrote, want 100", v)
+	}
+	if third := f.Snapshot(); third.FreshBytes() != 0 {
+		t.Errorf("unwritten memory's next image: %d fresh bytes, want 0", third.FreshBytes())
+	}
+}
+
 // TestMemoryTranslateStableAcrossFork: physical addresses assigned before a
 // snapshot survive the snapshot, the fork, and the fork's COW copies — the
 // invariant that keeps forked propagation-log records bitwise identical to a

@@ -189,6 +189,10 @@ type Machine struct {
 	mpi     MPIEnv
 
 	counters Counters
+	// forkBase is the counters a machine resumed from a snapshot started
+	// with (nil for a machine started at program entry): telemetry publishes
+	// only what this machine executed itself.
+	forkBase *Counters
 	term     *Termination
 	// pausedIn records the syscall a ReasonPaused termination interrupted
 	// (0 when the pause landed at a block boundary); Snapshot uses it to

@@ -73,6 +73,10 @@ type Memory struct {
 	// cowCopies counts pages privatized by copy-on-write since creation
 	// (telemetry: vm_cow_page_copies_total).
 	cowCopies uint64
+	// fresh counts pages first touched or privatized since creation or the
+	// last Snapshot: the pages the next image will not share with the one
+	// this Memory was forked from.
+	fresh uint64
 }
 
 // NewMemory creates an empty address space with no mapped regions.
@@ -130,6 +134,7 @@ func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
 		}
 		p = &memPage{frame: m.nextFrame}
 		m.nextFrame++
+		m.fresh++
 		m.pages[base] = p
 	case p.sealed:
 		if !write {
@@ -142,6 +147,7 @@ func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
 		cp := &memPage{data: p.data, frame: p.frame}
 		m.pages[base] = cp
 		m.cowCopies++
+		m.fresh++
 		p = cp
 	}
 	m.tlb[(base/PageSize)%tlbSize] = tlbEntry{base: base, page: p}
@@ -155,11 +161,16 @@ type MemImage struct {
 	pages     map[uint64]*memPage
 	regions   []region
 	nextFrame uint64
+	fresh     uint64
 }
 
-// Bytes returns the resident size of the image (page data only), the
-// quantity snapshot caches account against their memory cap.
+// Bytes returns the resident size of the image (page data only).
 func (img *MemImage) Bytes() int64 { return int64(len(img.pages)) * PageSize }
+
+// FreshBytes returns the part of Bytes held by pages the image does not
+// share with the image its Memory was forked from (or with that Memory's
+// previous image): what a chain of images costs per link.
+func (img *MemImage) FreshBytes() int64 { return int64(img.fresh) * PageSize }
 
 // Snapshot freezes the current page set into an immutable image. Every page
 // becomes sealed — including in this Memory, whose next write to any of them
@@ -168,15 +179,23 @@ func (img *MemImage) Bytes() int64 { return int64(len(img.pages)) * PageSize }
 func (m *Memory) Snapshot() *MemImage {
 	pages := make(map[uint64]*memPage, len(m.pages))
 	for base, p := range m.pages {
-		p.sealed = true
+		// Pages inherited from an earlier image are already sealed, and
+		// forks of that image may be reading them right now: never write
+		// the flag again.
+		if !p.sealed {
+			p.sealed = true
+		}
 		pages[base] = p
 	}
 	m.tlb = [tlbSize]tlbEntry{}
-	return &MemImage{
+	img := &MemImage{
 		pages:     pages,
 		regions:   append([]region(nil), m.regions...),
 		nextFrame: m.nextFrame,
+		fresh:     m.fresh,
 	}
+	m.fresh = 0
+	return img
 }
 
 // NewMemoryFromImage creates a forked address space sharing the image's

@@ -31,6 +31,20 @@ func (m *Machine) flushObs() {
 
 	m.flushPerOp()
 	c := m.counters
+	if b := m.forkBase; b != nil {
+		// A forked machine inherited the prefix's counts, and the machine
+		// that executed the prefix has published them already.
+		c.Instructions -= b.Instructions
+		c.TBsExecuted -= b.TBsExecuted
+		c.ChainedTBs -= b.ChainedTBs
+		c.FastPathTBs -= b.FastPathTBs
+		c.Syscalls -= b.Syscalls
+		c.TaintedMemReads -= b.TaintedMemReads
+		c.TaintedMemWrites -= b.TaintedMemWrites
+		for op := 1; op < isa.NumOps; op++ {
+			c.PerOp[op] -= b.PerOp[op]
+		}
+	}
 	reg.Counter("vm_instructions_total").Add(c.Instructions)
 	reg.Counter("vm_tb_executed_total").Add(c.TBsExecuted)
 	reg.Counter("vm_tb_chained_total").Add(c.ChainedTBs)

@@ -112,12 +112,18 @@ func (s *Snapshot) Counters() Counters { return s.counters }
 // for a paused one.
 func (s *Snapshot) Terminated() *Termination { return s.term }
 
-// Bytes returns the resident size of the snapshot: shared page data plus
-// the private console/output copies. Forks share the pages, so a cache
-// holding N snapshots of the same world does not pay N times the page cost —
-// but accounting conservatively per snapshot keeps cache caps simple.
+// Bytes returns the resident size of the snapshot: page data plus the
+// private console/output copies.
 func (s *Snapshot) Bytes() int64 {
 	return s.mem.Bytes() + int64(len(s.console)) + int64(len(s.output))
+}
+
+// FreshBytes returns the part of Bytes the snapshot does not share with the
+// snapshot its machine was forked from: the pages written since, plus the
+// console/output copies. A cache holding a chain of snapshots pays Bytes for
+// the first and FreshBytes for each later one.
+func (s *Snapshot) FreshBytes() int64 {
+	return s.mem.FreshBytes() + int64(len(s.console)) + int64(len(s.output))
 }
 
 // NewFromSnapshot constructs a forked machine resuming from snap. The
@@ -145,6 +151,7 @@ func NewFromSnapshot(prog *isa.Program, snap *Snapshot, cfg Config) *Machine {
 		console:      append([]byte(nil), snap.console...),
 		output:       append([]byte(nil), snap.output...),
 		counters:     snap.counters,
+		forkBase:     &snap.counters,
 		mpi:          cfg.MPI,
 		obsReg:       cfg.Obs,
 		events:       cfg.Events,

@@ -24,7 +24,9 @@ trap 'for p in $pids; do kill "$p" 2>/dev/null || true; done; rm -rf "$work"' EX
 go build -o "$work/campaign" ./cmd/campaign
 go build -o "$work/chaserd" ./cmd/chaserd
 
-app=kmeans runs=60 seed=4242 shards=6
+# 1,000 runs a shard: a shard forked from the checkpoint ladder lasts about a
+# second, so the kill below lands mid-shard, not after the campaign.
+app=kmeans runs=6000 seed=4242 shards=6
 
 echo "chaserd_crash_smoke: uninterrupted standalone baseline"
 "$work/campaign" -experiment run -app $app -runs $runs -seed $seed \

@@ -35,7 +35,9 @@ trap 'for p in $pids; do kill "$p" 2>/dev/null || true; done; rm -rf "$work"' EX
 go build -o "$work/campaign" ./cmd/campaign
 go build -o "$work/chaserd" ./cmd/chaserd
 
-app=kmeans runs=60 seed=4242 shards=6
+# 1,000 runs a shard: a shard forked from the checkpoint ladder lasts about a
+# second, so the kill below lands mid-shard, not after the campaign.
+app=kmeans runs=6000 seed=4242 shards=6
 
 # wait_log FILE PATTERN DESC: poll until PATTERN appears in FILE.
 wait_log() {
