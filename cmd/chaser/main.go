@@ -27,6 +27,7 @@ import (
 	"chaser/internal/obs"
 	"chaser/internal/tainthub"
 	"chaser/internal/tainthub/codec"
+	"chaser/internal/trace"
 )
 
 // progName derives a process name from a source path (base without ext).
@@ -198,7 +199,8 @@ func run(args []string, out io.Writer) error {
 	if *traceOn {
 		if n := res.Trace.Dropped(); n > 0 {
 			fmt.Fprintf(os.Stderr,
-				"chaser: warning: %d propagation events exceeded the in-memory cap and were dropped (counts remain exact; raise MaxTraceEvents to keep more)\n", n)
+				"chaser: warning: %d propagation events exceeded the in-memory cap of %d and were not stored; the read, write and region counts below are exact, and -trace-out holds each rank's stored prefix\n",
+				n, trace.DefaultMaxEvents)
 		}
 		fmt.Fprintf(out, "propagation: %d tainted reads, %d tainted writes, cross-rank=%v\n",
 			res.Trace.TotalReads(), res.Trace.TotalWrites(), res.Trace.Propagated())
@@ -224,7 +226,7 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(out, "propagation log written to %s (%d events)\n",
-				*traceOut, len(res.Trace.Events()))
+				*traceOut, res.Trace.Stored())
 		}
 	}
 	return nil

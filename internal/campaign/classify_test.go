@@ -199,9 +199,9 @@ func TestClassifySlaveBreakdownFlags(t *testing.T) {
 
 func TestClassifyCountsTaintOps(t *testing.T) {
 	res := mkRes([]vm.Termination{exited()}, [][]byte{{1}}, injected())
-	res.Trace.AddEvent(trace.Event{Rank: 0, Write: false})
-	res.Trace.AddEvent(trace.Event{Rank: 0, Write: true})
-	res.Trace.AddEvent(trace.Event{Rank: 1, Write: false})
+	res.Trace.AddEvent(&trace.Event{Rank: 0, Write: false})
+	res.Trace.AddEvent(&trace.Event{Rank: 0, Write: true})
+	res.Trace.AddEvent(&trace.Event{Rank: 1, Write: false})
 	got := Classify(res, [][]byte{{1}}, 0)
 	if got.TaintedReads != 2 || got.TaintedWrites != 1 {
 		t.Errorf("taint ops = %d/%d", got.TaintedReads, got.TaintedWrites)

@@ -1,9 +1,13 @@
 package campaign
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"chaser/internal/apps"
+	"chaser/internal/core"
+	"chaser/internal/trace"
 	"chaser/internal/vm"
 )
 
@@ -115,6 +119,54 @@ func TestTimelineTargetRankOutOfWorld(t *testing.T) {
 		if p.TaintedBytes != 0 {
 			t.Errorf("unarmed world reports %d tainted bytes at %d instrs",
 				p.TaintedBytes, p.Instrs)
+		}
+	}
+}
+
+// TestCampaignTimelinesSameUnderAblations runs one random-site LUD campaign
+// three ways — the ladder with the fast loop (the default), every block on
+// the full loop, and every run from program entry — and demands the same
+// tainted-bytes timeline for every run: the sampler's next boundary is right
+// whichever loop reaches it and whichever rung the run was forked from.
+func TestCampaignTimelinesSameUnderAblations(t *testing.T) {
+	timelines := func(mutate func(*Config)) map[int][]trace.TimelinePoint {
+		t.Helper()
+		cfg := appConfig(t, "lud")
+		var mu sync.Mutex
+		out := make(map[int][]trace.TimelinePoint)
+		cfg.RunObserver = func(idx, _ int, _ RunOutcome, res *core.RunResult) {
+			if res != nil {
+				mu.Lock()
+				out[idx] = res.Trace.Timeline()
+				mu.Unlock()
+			}
+		}
+		mutate(&cfg)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := timelines(func(*Config) {})
+	sampled := 0
+	for _, tl := range want {
+		if len(tl) > 0 && tl[len(tl)-1].TaintedBytes > 0 {
+			sampled++
+		}
+	}
+	if len(want) != 12 || sampled == 0 {
+		t.Fatalf("%d runs observed, %d with a tainted sample", len(want), sampled)
+	}
+	for name, mutate := range map[string]func(*Config){
+		"NoFastPath": func(c *Config) { c.NoFastPath = true },
+		"NoFork":     func(c *Config) { c.NoFork = true },
+	} {
+		if got := timelines(mutate); !reflect.DeepEqual(got, want) {
+			for idx := range want {
+				if !reflect.DeepEqual(got[idx], want[idx]) {
+					t.Errorf("%s: run %d timeline differs:\n got  %+v\n want %+v", name, idx, got[idx], want[idx])
+				}
+			}
 		}
 	}
 }

@@ -150,8 +150,6 @@ type Options struct {
 	// Hub coordinates cross-rank message taint; nil creates a private
 	// in-process hub.
 	Hub tainthub.Hub
-	// MaxTraceEvents caps the in-memory propagation log (0 = default).
-	MaxTraceEvents int
 	// Obs, when non-nil, receives injection telemetry (injectors armed,
 	// faults fired, bits flipped).
 	Obs *obs.Registry
@@ -169,14 +167,10 @@ func New(opts Options) *Chaser {
 	// The wrapper turns every logical Publish/Poll into a structured event;
 	// with a nil sink WithEvents returns the hub unchanged.
 	hub = tainthub.WithEvents(hub, opts.Events)
-	maxEv := opts.MaxTraceEvents
-	if maxEv == 0 {
-		maxEv = trace.DefaultMaxEvents
-	}
 	return &Chaser{
 		hub:         hub,
 		hubClient:   tainthub.NewClientID(),
-		collector:   trace.NewCollectorCap(maxEv),
+		collector:   trace.NewCollector(),
 		events:      opts.Events,
 		obsArmed:    opts.Obs.Counter("core_injectors_armed_total"),
 		obsFired:    opts.Obs.Counter("core_faults_fired_total"),
@@ -193,12 +187,12 @@ func New(opts Options) *Chaser {
 func (c *Chaser) Init(p *decaf.Platform) (*decaf.Interface, error) {
 	c.platform = p
 	p.RegisterProcCreateCB(c.creationCB)
-	p.RegisterReadTaintCB(func(info decaf.ProcInfo, ev vm.MemTaintEvent) {
-		c.collector.AddEvent(memEvent(info, ev, false))
-	})
-	p.RegisterWriteTaintCB(func(info decaf.ProcInfo, ev vm.MemTaintEvent) {
-		c.collector.AddEvent(memEvent(info, ev, true))
-	})
+	// The machine's record has trace.Event's layout: the log packs it as is.
+	logAccess := func(_ decaf.ProcInfo, ev *vm.MemTaintEvent) {
+		c.collector.AddEvent((*trace.Event)(ev))
+	}
+	p.RegisterReadTaintCB(logAccess)
+	p.RegisterWriteTaintCB(logAccess)
 	p.RegisterPreSyscallCB(c.preSyscall)
 	p.RegisterPostSyscallCB(c.postSyscall)
 	return &decaf.Interface{
@@ -252,21 +246,6 @@ func (c *Chaser) statusCmd(_ []string) (string, error) {
 
 // Cleanup implements decaf.Plugin.
 func (c *Chaser) Cleanup() error { return nil }
-
-func memEvent(info decaf.ProcInfo, ev vm.MemTaintEvent, write bool) trace.Event {
-	return trace.Event{
-		Rank:     info.Rank,
-		Write:    write,
-		EIP:      ev.EIP,
-		VAddr:    ev.VAddr,
-		PAddr:    ev.PAddr,
-		Value:    ev.Value,
-		Mask:     ev.Mask,
-		InstrNum: ev.InstrNum,
-		Size:     ev.Size,
-		Region:   ev.Region,
-	}
-}
 
 // Arm installs a spec. Processes created afterwards whose name matches
 // spec.Target are instrumented.
@@ -340,6 +319,7 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 		// keep propagating (the "incoming errors behave like injected
 		// errors and manifest locally again" requirement).
 		m.TaintEnabled = true
+		c.collector.ShareAmong(m.WorldSize)
 		rank := info.Rank
 		m.Hooks.Sample = func(instrs uint64, taintedBytes int64) {
 			c.collector.AddSample(trace.TimelinePoint{

@@ -36,7 +36,9 @@ type ProcInfo struct {
 type ProcCreateCB func(info ProcInfo)
 
 // MemTaintCB observes tainted memory reads/writes in any supervised guest.
-type MemTaintCB func(info ProcInfo, ev vm.MemTaintEvent)
+// The event is the machine's own record (see vm.Hooks): valid during the
+// call, copied by a callback that keeps it.
+type MemTaintCB func(info ProcInfo, ev *vm.MemTaintEvent)
 
 // SyscallCB observes guest syscalls in any supervised guest.
 type SyscallCB func(info ProcInfo, m *vm.Machine, sys isa.Sys)
@@ -226,14 +228,14 @@ func (p *Platform) CreateProcess(m *vm.Machine) ProcInfo {
 	p.mu.Unlock()
 
 	if len(readCBs) > 0 {
-		m.Hooks.TaintedMemRead = func(ev vm.MemTaintEvent) {
+		m.Hooks.TaintedMemRead = func(ev *vm.MemTaintEvent) {
 			for _, cb := range readCBs {
 				cb(info, ev)
 			}
 		}
 	}
 	if len(writeCBs) > 0 {
-		m.Hooks.TaintedMemWrite = func(ev vm.MemTaintEvent) {
+		m.Hooks.TaintedMemWrite = func(ev *vm.MemTaintEvent) {
 			for _, cb := range writeCBs {
 				cb(info, ev)
 			}

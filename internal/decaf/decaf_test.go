@@ -135,13 +135,13 @@ func TestTaintCallbacksFanOut(t *testing.T) {
 	// Callbacks registered from within the proc-create callback must apply
 	// (the fi_creation_cb pattern).
 	p.RegisterProcCreateCB(func(info ProcInfo) {
-		p.RegisterReadTaintCB(func(pi ProcInfo, ev vm.MemTaintEvent) {
+		p.RegisterReadTaintCB(func(pi ProcInfo, ev *vm.MemTaintEvent) {
 			if pi.Name != "t" {
 				t.Errorf("read cb proc = %+v", pi)
 			}
 			reads++
 		})
-		p.RegisterWriteTaintCB(func(pi ProcInfo, ev vm.MemTaintEvent) { writes++ })
+		p.RegisterWriteTaintCB(func(pi ProcInfo, ev *vm.MemTaintEvent) { writes++ })
 	})
 
 	prog, err := asm.Assemble("t", `

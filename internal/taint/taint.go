@@ -11,6 +11,7 @@ package taint
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sort"
 
 	"chaser/internal/tcg"
@@ -34,6 +35,13 @@ type shadowPage struct {
 type Shadow struct {
 	regs  [tcg.NumMRegs]uint64
 	pages map[uint64]*shadowPage
+	// cache is a direct-mapped cache over pages, as the vm's TLB is over
+	// guest pages: once taint is live every guest load and store asks for a
+	// shadow page, and most are told there is none. An entry therefore also
+	// remembers that a page is absent (page == nil). Entries are corrected
+	// when their page is allocated or dropped, and the cache starts empty
+	// after Reset and in a Clone.
+	cache [cacheSize]cacheEntry
 	// liveRegs counts micro-registers with a non-zero mask, maintained
 	// incrementally by SetRegMask so Live is O(1) — it gates the execution
 	// engine's fast path at every TB entry.
@@ -49,6 +57,17 @@ type Shadow struct {
 	onFirstTaint func()
 }
 
+// cacheSize is the number of shadow-page cache entries. A guest in its
+// tainted phase interleaves stack, data and a few heap pages.
+const cacheSize = 8
+
+// cacheEntry says what pages holds for one page base. tag is the base with
+// bit 0 set, so the zero entry matches no page.
+type cacheEntry struct {
+	tag  uint64
+	page *shadowPage
+}
+
 // NewShadow creates an empty taint state.
 func NewShadow() *Shadow {
 	return &Shadow{pages: make(map[uint64]*shadowPage)}
@@ -58,6 +77,7 @@ func NewShadow() *Shadow {
 func (s *Shadow) Reset() {
 	s.regs = [tcg.NumMRegs]uint64{}
 	s.pages = make(map[uint64]*shadowPage)
+	s.cache = [cacheSize]cacheEntry{}
 	s.liveRegs = 0
 	s.taintedBytes = 0
 	s.highWater = 0
@@ -132,19 +152,37 @@ func (s *Shadow) TaintedBytes() int64 { return s.taintedBytes }
 // the last Reset) — the fault's maximum memory footprint.
 func (s *Shadow) HighWater() int64 { return s.highWater }
 
+// page returns the shadow page covering addr (nil when none exists) and
+// addr's offset in it.
 func (s *Shadow) page(addr uint64) (*shadowPage, uint64) {
 	base := addr &^ (PageSize - 1)
-	return s.pages[base], addr - base
+	e := &s.cache[(base/PageSize)%cacheSize]
+	if e.tag != base|1 {
+		*e = cacheEntry{tag: base | 1, page: s.pages[base]}
+	}
+	return e.page, addr - base
+}
+
+// setPage installs (or, with nil, drops) the shadow page at base, keeping
+// the cache entry for base in step.
+func (s *Shadow) setPage(base uint64, p *shadowPage) {
+	if p == nil {
+		delete(s.pages, base)
+	} else {
+		s.pages[base] = p
+	}
+	if e := &s.cache[(base/PageSize)%cacheSize]; e.tag == base|1 {
+		e.page = p
+	}
 }
 
 func (s *Shadow) pageAlloc(addr uint64) (*shadowPage, uint64) {
-	base := addr &^ (PageSize - 1)
-	p := s.pages[base]
+	p, off := s.page(addr)
 	if p == nil {
 		p = &shadowPage{}
-		s.pages[base] = p
+		s.setPage(addr-off, p)
 	}
-	return p, addr - base
+	return p, off
 }
 
 // MemMask8 returns the shadow mask of one guest byte.
@@ -169,7 +207,7 @@ func (s *Shadow) SetMemMask8(addr uint64, mask uint8) {
 			p.count--
 			s.taintedBytes--
 			if p.count == 0 {
-				delete(s.pages, addr&^(PageSize-1))
+				s.setPage(addr-off, nil)
 			}
 		}
 		return
@@ -200,11 +238,7 @@ func (s *Shadow) MemMask64(addr uint64) uint64 {
 		if p == nil {
 			return 0
 		}
-		var mask uint64
-		for i := uint64(0); i < 8; i++ {
-			mask |= uint64(p.masks[off+i]) << (8 * i)
-		}
-		return mask
+		return binary.LittleEndian.Uint64(p.masks[off : off+8])
 	}
 	var mask uint64
 	for i := uint64(0); i < 8; i++ {
@@ -221,9 +255,49 @@ func (s *Shadow) SetMemMask64(addr uint64, mask uint64) {
 	if mask == 0 && s.taintedBytes == 0 {
 		return
 	}
+	if off := addr & (PageSize - 1); off <= PageSize-8 {
+		p, _ := s.page(addr)
+		var old uint64
+		if p != nil {
+			old = binary.LittleEndian.Uint64(p.masks[off : off+8])
+		}
+		if old == mask {
+			return
+		}
+		// The word moves in one store when the byte-at-a-time bookkeeping
+		// would only have counted in one direction: the tainted-byte count
+		// then passes through no value the totals do not end at, so the
+		// high-water mark comes out the same. The first taint of a clean
+		// shadow (whose callback sees the count at one) and a word that both
+		// gains and loses tainted bytes take the byte path below.
+		was, now := nonZeroBytes(old), nonZeroBytes(mask)
+		gained, lost := bits.OnesCount64(now&^was), bits.OnesCount64(was&^now)
+		if (gained == 0 || lost == 0) && s.Live() {
+			if p == nil {
+				p, _ = s.pageAlloc(addr)
+			}
+			binary.LittleEndian.PutUint64(p.masks[off:off+8], mask)
+			p.count += gained - lost
+			s.taintedBytes += int64(gained - lost)
+			if s.taintedBytes > s.highWater {
+				s.highWater = s.taintedBytes
+			}
+			if p.count == 0 {
+				s.setPage(addr-off, nil)
+			}
+			return
+		}
+	}
 	var b [8]uint8
 	binary.LittleEndian.PutUint64(b[:], mask)
 	s.SetMemRangeMasks(addr, b[:])
+}
+
+// nonZeroBytes returns a word with bit 7 of each byte set where that byte of
+// x is non-zero.
+func nonZeroBytes(x uint64) uint64 {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	return ((x&low7 + low7) | x) &^ low7
 }
 
 // The range operations below work one shadow page at a time: a page lookup
@@ -252,7 +326,7 @@ func (s *Shadow) ClearMemRange(addr, n uint64) {
 				}
 			}
 			if p.count == 0 {
-				delete(s.pages, addr&^(PageSize-1))
+				s.setPage(addr-off, nil)
 			}
 		}
 		addr += chunk
@@ -310,16 +384,15 @@ func (s *Shadow) SetMemRangeMasks(addr uint64, masks []uint8) {
 // same bookkeeping byte for byte: no page is allocated to store zeros, and a
 // page left without taint is dropped.
 func (s *Shadow) setPageMasks(addr uint64, masks []uint8) {
-	base := addr &^ (PageSize - 1)
-	off := addr - base
-	p := s.pages[base]
+	p, off := s.page(addr)
+	base := addr - off
 	for i, mask := range masks {
 		switch {
 		case p == nil && mask == 0:
 			continue
 		case p == nil:
 			p = &shadowPage{}
-			s.pages[base] = p
+			s.setPage(base, p)
 		}
 		was := p.masks[off+uint64(i)]
 		switch {
@@ -339,7 +412,7 @@ func (s *Shadow) setPageMasks(addr uint64, masks []uint8) {
 		p.masks[off+uint64(i)] = mask
 	}
 	if p != nil && p.count == 0 {
-		delete(s.pages, base)
+		s.setPage(base, nil)
 	}
 }
 

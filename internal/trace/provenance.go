@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -129,7 +130,7 @@ func BuildGraph(c *Collector, sites []InjectionSite) *Graph {
 type item struct {
 	instr uint64
 	kind  NodeKind
-	idx   int // index into the per-kind source slice
+	idx   int // index into the per-kind source slice (memory accesses: into the rank's log)
 }
 
 type sendKey struct {
@@ -145,7 +146,7 @@ func BuildGraphCap(c *Collector, sites []InjectionSite, maxNodes int) *Graph {
 	if c == nil {
 		return g
 	}
-	events := c.Events()
+	views := c.views()
 	sends := c.Sends()
 	crosses := c.CrossRank()
 	outputs := c.Outputs()
@@ -154,18 +155,27 @@ func BuildGraphCap(c *Collector, sites []InjectionSite, maxNodes int) *Graph {
 	}
 
 	// Group the streams by rank, preserving per-rank order (collectors
-	// append per rank in execution order; the slices interleave ranks).
+	// append per rank in execution order; the record slices interleave
+	// ranks). Memory accesses are read where the log stores them.
 	perRank := map[int][]item{}
 	push := func(rank int, it item) { perRank[rank] = append(perRank[rank], it) }
 	for i := range sites {
 		push(sites[i].Rank, item{instr: sites[i].InstrNum, kind: KindInjection, idx: i})
 	}
-	for i := range events {
-		k := KindRead
-		if events[i].Write {
-			k = KindWrite
+	logs := make(map[int]*rankView, len(views))
+	for i := range views {
+		v := &views[i]
+		logs[v.rank] = v
+		items := slices.Grow(perRank[v.rank], v.stored)
+		for j := 0; j < v.stored; j++ {
+			p := v.at(j)
+			k := KindRead
+			if p.write {
+				k = KindWrite
+			}
+			items = append(items, item{instr: p.instr, kind: k, idx: j})
 		}
-		push(events[i].Rank, item{instr: events[i].InstrNum, kind: k, idx: i})
+		perRank[v.rank] = items
 	}
 	for i := range sends {
 		push(sends[i].Src, item{instr: sends[i].InstrNum, kind: KindSend, idx: i})
@@ -210,6 +220,7 @@ func BuildGraphCap(c *Collector, sites []InjectionSite, maxNodes int) *Graph {
 	recvNodes := map[sendKey]int{} // pending message-edge endpoints
 	for _, rank := range ranks {
 		items := perRank[rank]
+		log := logs[rank]
 		// Stable sort by (instr, causal kind priority): per-rank append
 		// order already agrees with execution order, the sort only
 		// interleaves the different record streams correctly.
@@ -226,10 +237,8 @@ func BuildGraphCap(c *Collector, sites []InjectionSite, maxNodes int) *Graph {
 		// byteParents collects the deduped writer nodes of a byte range.
 		byteParents := func(addr uint64, size int) []int {
 			var out []int
-			seen := map[int]bool{}
 			for b := uint64(0); b < uint64(size); b++ {
-				if id, ok := byteWriter[addr+b]; ok && !seen[id] {
-					seen[id] = true
+				if id, ok := byteWriter[addr+b]; ok && !slices.Contains(out, id) {
 					out = append(out, id)
 				}
 			}
@@ -260,7 +269,7 @@ func BuildGraphCap(c *Collector, sites []InjectionSite, maxNodes int) *Graph {
 				}
 
 			case KindRead:
-				ev := events[it.idx]
+				ev := log.event(it.idx)
 				id := addNode(Node{
 					kind: KindRead, Kind: KindRead.String(),
 					Rank: rank, EIP: ev.EIP, InstrNum: ev.InstrNum,
@@ -280,7 +289,7 @@ func BuildGraphCap(c *Collector, sites []InjectionSite, maxNodes int) *Graph {
 				cursor = id
 
 			case KindWrite:
-				ev := events[it.idx]
+				ev := log.event(it.idx)
 				id := addNode(Node{
 					kind: KindWrite, Kind: KindWrite.String(),
 					Rank: rank, EIP: ev.EIP, InstrNum: ev.InstrNum,

@@ -17,16 +17,16 @@ func twoRankCollector() (*Collector, []InjectionSite) {
 		Op: "fadd", Mask: 1 << 12, Target: "reg f2",
 	}}
 	// Rank 0: the corrupted register is spilled, reloaded, and sent.
-	c.AddEvent(Event{Rank: 0, Write: true, EIP: 0x400104, VAddr: 0x2000, Size: 8, Mask: 1 << 12, InstrNum: 51, Region: "stack"})
-	c.AddEvent(Event{Rank: 0, Write: false, EIP: 0x400120, VAddr: 0x2000, Size: 8, Mask: 1 << 12, InstrNum: 60, Region: "stack"})
-	c.AddEvent(Event{Rank: 0, Write: true, EIP: 0x400124, VAddr: 0x3000, Size: 8, Mask: 1 << 12, InstrNum: 61, Region: "heap"})
+	c.AddEvent(&Event{Rank: 0, Write: true, EIP: 0x400104, VAddr: 0x2000, Size: 8, Mask: 1 << 12, InstrNum: 51, Region: "stack"})
+	c.AddEvent(&Event{Rank: 0, Write: false, EIP: 0x400120, VAddr: 0x2000, Size: 8, Mask: 1 << 12, InstrNum: 60, Region: "stack"})
+	c.AddEvent(&Event{Rank: 0, Write: true, EIP: 0x400124, VAddr: 0x3000, Size: 8, Mask: 1 << 12, InstrNum: 61, Region: "heap"})
 	c.AddSend(SendRecord{Src: 0, Dst: 1, Tag: 3, Seq: 0, Buf: 0x3000, Len: 8,
 		TaintedBytes: 8, EIP: 0x400130, InstrNum: 70})
 	// Rank 1: receive, compute, emit output bytes 8..16 of its file.
 	c.AddCrossRank(CrossRankRecord{Src: 0, Dst: 1, Tag: 3, Seq: 0, TaintedBytes: 8,
 		EIP: 0x400200, InstrNum: 40, Buf: 0x5000, Len: 8})
-	c.AddEvent(Event{Rank: 1, Write: false, EIP: 0x400210, VAddr: 0x5000, Size: 8, Mask: 1 << 12, InstrNum: 45, Region: "heap"})
-	c.AddEvent(Event{Rank: 1, Write: true, EIP: 0x400214, VAddr: 0x5008, Size: 8, Mask: 1 << 12, InstrNum: 46, Region: "heap"})
+	c.AddEvent(&Event{Rank: 1, Write: false, EIP: 0x400210, VAddr: 0x5000, Size: 8, Mask: 1 << 12, InstrNum: 45, Region: "heap"})
+	c.AddEvent(&Event{Rank: 1, Write: true, EIP: 0x400214, VAddr: 0x5008, Size: 8, Mask: 1 << 12, InstrNum: 46, Region: "heap"})
 	c.AddOutput(OutputRecord{Rank: 1, Offset: 8, Len: 8, Buf: 0x5008,
 		Masks: []uint8{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
 		EIP:   0x400220, InstrNum: 50})
@@ -156,8 +156,8 @@ func TestBuildGraphNodeCap(t *testing.T) {
 
 func TestBuildGraphTruncatedCollector(t *testing.T) {
 	c := NewCollectorCap(1)
-	c.AddEvent(Event{Rank: 0, Write: true, VAddr: 0x100, Size: 4, InstrNum: 1})
-	c.AddEvent(Event{Rank: 0, Write: true, VAddr: 0x200, Size: 4, InstrNum: 2}) // dropped
+	c.AddEvent(&Event{Rank: 0, Write: true, VAddr: 0x100, Size: 4, InstrNum: 1})
+	c.AddEvent(&Event{Rank: 0, Write: true, VAddr: 0x200, Size: 4, InstrNum: 2}) // dropped
 	g := BuildGraph(c, nil)
 	if !g.Truncated {
 		t.Error("graph from a collector with drops must be marked truncated")
@@ -170,7 +170,7 @@ func TestBuildGraphMetaSend(t *testing.T) {
 	// pair to stitch).
 	c := NewCollector()
 	sites := []InjectionSite{{Rank: 0, PC: 0x400000, InstrNum: 5, Op: "add", Target: "reg r3"}}
-	c.AddEvent(Event{Rank: 0, Write: false, EIP: 0x400010, VAddr: 0x100, Size: 4, InstrNum: 8})
+	c.AddEvent(&Event{Rank: 0, Write: false, EIP: 0x400010, VAddr: 0x100, Size: 4, InstrNum: 8})
 	c.AddCrossRank(CrossRankRecord{Src: 0, Dst: 2, Tag: 1, Seq: 0, Meta: true, EIP: 0x400020, InstrNum: 9})
 	g := BuildGraph(c, sites)
 	var send *Node
@@ -211,7 +211,7 @@ func TestMemoryInjectionSeedsByteWriters(t *testing.T) {
 	c := NewCollector()
 	sites := []InjectionSite{{Rank: 0, PC: 0x400000, InstrNum: 10,
 		Op: "load", Target: "mem 0x2000", MemAddr: 0x2000, Mask: 0xff}}
-	c.AddEvent(Event{Rank: 0, Write: false, EIP: 0x400050, VAddr: 0x2000, Size: 8, InstrNum: 20})
+	c.AddEvent(&Event{Rank: 0, Write: false, EIP: 0x400050, VAddr: 0x2000, Size: 8, InstrNum: 20})
 	c.AddOutput(OutputRecord{Rank: 0, Offset: 0, Len: 8, Masks: []uint8{1, 1, 1, 1, 1, 1, 1, 1},
 		EIP: 0x400060, InstrNum: 30})
 	g := BuildGraph(c, sites)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // Event is one tainted-memory access.
@@ -38,17 +39,60 @@ type TimelinePoint struct {
 // are counted but not stored.
 const DefaultMaxEvents = 1 << 16
 
+// chunkEvents is how many records one log chunk holds. A log grows by whole
+// chunks and never moves a stored record, so appending costs no copying and
+// a reader may walk the stored prefix while the rank keeps appending.
+const chunkEvents = 256
+
+// maxRanks bounds the rank of a logged access; the per-rank table is indexed
+// by it.
+const maxRanks = 1 << 16
+
+// packedEvent is the stored form of an Event. It holds no pointers, so the
+// garbage collector neither scans nor traces a log: the region name is
+// interned to an index into the owning log's name table, the rank is the
+// log's own, and the access width is narrowed.
+type packedEvent struct {
+	eip, vaddr, paddr, value, mask, instr uint64
+	size                                  uint16
+	region                                uint8
+	write                                 bool
+}
+
+type chunk [chunkEvents]packedEvent
+
+// rankLog is one rank's access log and tallies. Only the rank's own
+// goroutine appends, so its mutex is uncontended during a run; it is there
+// for readers that look at a live collector.
+type rankLog struct {
+	mu      sync.Mutex
+	share   int // stored-event cap of this rank
+	chunks  []*chunk
+	stored  int
+	dropped uint64
+	// names[i] is the region name interned as i, counts[i] the tally of the
+	// rank's accesses to it, stored or not. names[0] is "": accesses outside
+	// every region are tallied there, so the counts sum to the rank's totals.
+	names  []string
+	counts []RegionCounts
+}
+
 // Collector accumulates propagation data for one run. It is safe for
-// concurrent use by multiple rank goroutines.
+// concurrent use by multiple rank goroutines, provided the accesses of one
+// rank are added by one goroutine at a time.
 type Collector struct {
-	mu        sync.Mutex
 	maxEvents int
-	events    []Event
-	dropped   uint64
+	// logs is the per-rank table, indexed by rank (nil where a rank has
+	// logged nothing). It is replaced, never modified, under mu, so the
+	// append path reads it without locking.
+	logs atomic.Pointer[[]*rankLog]
+
+	mu sync.Mutex
+	// ranks is how many ranks share maxEvents (0 = not declared).
+	ranks int
+	// declared counts drops a log read back says its writer incurred.
+	declared  uint64
 	timeline  []TimelinePoint
-	reads     map[int]uint64
-	writes    map[int]uint64
-	regions   map[string]*RegionCounts
 	crossRank []CrossRankRecord
 	sends     []SendRecord
 	outputs   []OutputRecord
@@ -126,40 +170,162 @@ func NewCollector() *Collector { return NewCollectorCap(DefaultMaxEvents) }
 
 // NewCollectorCap creates a collector storing at most maxEvents events.
 func NewCollectorCap(maxEvents int) *Collector {
-	return &Collector{
-		maxEvents: maxEvents,
-		reads:     make(map[int]uint64),
-		writes:    make(map[int]uint64),
-		regions:   make(map[string]*RegionCounts),
+	return &Collector{maxEvents: maxEvents}
+}
+
+// ShareAmong declares how many ranks log into the collector. Each rank then
+// stores at most its share of the cap, so which events survive a truncated
+// run depends on the run alone and not on how the rank goroutines
+// interleaved. It must be called before the first event of the run; a
+// collector never told shares nothing and lets every rank fill the cap.
+func (c *Collector) ShareAmong(ranks int) {
+	c.mu.Lock()
+	c.ranks = ranks
+	c.mu.Unlock()
+}
+
+// log returns rank's log, creating it at the rank's first access.
+func (c *Collector) log(rank int) (*rankLog, error) {
+	if t := c.logs.Load(); t != nil && uint(rank) < uint(len(*t)) {
+		if l := (*t)[rank]; l != nil {
+			return l, nil
+		}
+	}
+	if rank < 0 || rank >= maxRanks {
+		return nil, fmt.Errorf("trace: rank %d out of range [0,%d)", rank, maxRanks)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var table []*rankLog
+	if t := c.logs.Load(); t != nil {
+		table = *t
+	}
+	if rank < len(table) && table[rank] != nil {
+		return table[rank], nil
+	}
+	grown := make([]*rankLog, max(len(table), rank+1))
+	copy(grown, table)
+	l := &rankLog{share: c.maxEvents, names: []string{""}, counts: make([]RegionCounts, 1)}
+	if c.ranks > 1 {
+		l.share = c.maxEvents / c.ranks
+	}
+	grown[rank] = l
+	c.logs.Store(&grown)
+	return l, nil
+}
+
+// table returns the current per-rank table.
+func (c *Collector) table() []*rankLog {
+	if t := c.logs.Load(); t != nil {
+		return *t
+	}
+	return nil
+}
+
+// AddEvent records one tainted-memory access. The event is read during the
+// call only; the caller may reuse it. A rank or width outside [0,65536) and
+// more region names on one rank than maxRegions are bugs in the caller and
+// panic; Read reports them as errors.
+func (c *Collector) AddEvent(ev *Event) {
+	if err := c.addEvent(ev); err != nil {
+		panic(err)
 	}
 }
 
-// AddEvent records one tainted-memory access.
-func (c *Collector) AddEvent(ev Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Collector) addEvent(ev *Event) error {
+	l, err := c.log(ev.Rank)
+	if err != nil {
+		return err
+	}
+	if ev.Size < 0 || ev.Size > 0xffff {
+		return fmt.Errorf("trace: access width %d out of range", ev.Size)
+	}
+	l.mu.Lock()
+	region := l.intern(ev.Region)
+	if region < 0 {
+		l.mu.Unlock()
+		return fmt.Errorf("trace: rank %d logs more than %d distinct regions", ev.Rank, maxRegions)
+	}
 	if ev.Write {
-		c.writes[ev.Rank]++
+		l.counts[region].Writes++
 	} else {
-		c.reads[ev.Rank]++
+		l.counts[region].Reads++
 	}
-	if ev.Region != "" {
-		rc := c.regions[ev.Region]
-		if rc == nil {
-			rc = &RegionCounts{}
-			c.regions[ev.Region] = rc
+	if l.stored >= l.share {
+		l.dropped++
+		l.mu.Unlock()
+		return nil
+	}
+	slot := l.stored % chunkEvents
+	if slot == 0 {
+		l.chunks = append(l.chunks, new(chunk))
+	}
+	l.chunks[len(l.chunks)-1][slot] = packedEvent{
+		eip: ev.EIP, vaddr: ev.VAddr, paddr: ev.PAddr, value: ev.Value, mask: ev.Mask, instr: ev.InstrNum,
+		size: uint16(ev.Size), region: uint8(region), write: ev.Write,
+	}
+	l.stored++
+	l.mu.Unlock()
+	return nil
+}
+
+// maxRegions is how many distinct region names, "" among them, one rank's
+// log can intern: a packed record has a byte for the index.
+const maxRegions = 256
+
+// intern returns the index of name in the log's table, adding it if there is
+// room and returning -1 if not. Guests have three regions, so the scan beats
+// a map.
+func (l *rankLog) intern(name string) int {
+	for i, n := range l.names {
+		if n == name {
+			return i
 		}
-		if ev.Write {
-			rc.Writes++
-		} else {
-			rc.Reads++
+	}
+	if len(l.names) == maxRegions {
+		return -1
+	}
+	l.names = append(l.names, name)
+	l.counts = append(l.counts, RegionCounts{})
+	return len(l.names) - 1
+}
+
+// rankView is a stable prefix of one rank's log, taken under the log's lock:
+// stored records and interned names are never rewritten, so the view can be
+// read without holding it.
+type rankView struct {
+	rank    int
+	chunks  []*chunk
+	stored  int
+	dropped uint64
+	names   []string
+}
+
+// views snapshots every rank's log, in rank order.
+func (c *Collector) views() []rankView {
+	var out []rankView
+	for rank, l := range c.table() {
+		if l == nil {
+			continue
 		}
+		l.mu.Lock()
+		out = append(out, rankView{rank: rank, chunks: l.chunks, stored: l.stored, dropped: l.dropped, names: l.names})
+		l.mu.Unlock()
 	}
-	if len(c.events) >= c.maxEvents {
-		c.dropped++
-		return
+	return out
+}
+
+// at returns the i-th stored record.
+func (v *rankView) at(i int) *packedEvent { return &v.chunks[i/chunkEvents][i%chunkEvents] }
+
+// event unpacks the i-th stored record.
+func (v *rankView) event(i int) Event {
+	p := v.at(i)
+	return Event{
+		Rank: v.rank, Write: p.write, EIP: p.eip, VAddr: p.vaddr, PAddr: p.paddr,
+		Value: p.value, Mask: p.mask, InstrNum: p.instr, Size: int(p.size),
+		Region: v.names[p.region],
 	}
-	c.events = append(c.events, ev)
 }
 
 // AddSample records one tainted-bytes timeline point.
@@ -190,18 +356,44 @@ func (c *Collector) AddOutput(r OutputRecord) {
 	c.outputs = append(c.outputs, r)
 }
 
-// Events returns a copy of the stored events.
+// Events returns a copy of the stored events: rank by rank, each rank's in
+// the order it executed them.
 func (c *Collector) Events() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Event(nil), c.events...)
+	views := c.views()
+	total := 0
+	for i := range views {
+		total += views[i].stored
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]Event, 0, total)
+	for i := range views {
+		for j := 0; j < views[i].stored; j++ {
+			out = append(out, views[i].event(j))
+		}
+	}
+	return out
+}
+
+// Stored returns how many events the log holds, without copying it.
+func (c *Collector) Stored() int {
+	n := 0
+	for _, v := range c.views() {
+		n += v.stored
+	}
+	return n
 }
 
 // Dropped returns how many events exceeded the cap.
 func (c *Collector) Dropped() uint64 {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
+	n := c.declared
+	c.mu.Unlock()
+	for _, v := range c.views() {
+		n += v.dropped
+	}
+	return n
 }
 
 // Timeline returns a copy of the tainted-bytes samples.
@@ -235,49 +427,68 @@ func (c *Collector) Outputs() []OutputRecord {
 // Regions returns a copy of the per-region tainted access counts: where in
 // guest memory (heap / stack / data) the fault footprint lives.
 func (c *Collector) Regions() map[string]RegionCounts {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]RegionCounts, len(c.regions))
-	for k, v := range c.regions {
-		out[k] = *v
+	out := make(map[string]RegionCounts)
+	for _, l := range c.table() {
+		if l == nil {
+			continue
+		}
+		l.mu.Lock()
+		for i, name := range l.names[1:] {
+			rc := out[name]
+			rc.Reads += l.counts[i+1].Reads
+			rc.Writes += l.counts[i+1].Writes
+			out[name] = rc
+		}
+		l.mu.Unlock()
 	}
 	return out
 }
 
+// tallies returns the tainted read and write counts of the ranks in table.
+func tallies(table []*rankLog) (reads, writes uint64) {
+	for _, l := range table {
+		if l != nil {
+			l.mu.Lock()
+			for _, rc := range l.counts {
+				reads += rc.Reads
+				writes += rc.Writes
+			}
+			l.mu.Unlock()
+		}
+	}
+	return reads, writes
+}
+
+// one returns the part of the table holding rank alone.
+func (c *Collector) one(rank int) []*rankLog {
+	if t := c.table(); rank >= 0 && rank < len(t) {
+		return t[rank : rank+1]
+	}
+	return nil
+}
+
 // Reads returns the total tainted-read count of one rank.
 func (c *Collector) Reads(rank int) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reads[rank]
+	reads, _ := tallies(c.one(rank))
+	return reads
 }
 
 // Writes returns the total tainted-write count of one rank.
 func (c *Collector) Writes(rank int) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writes[rank]
+	_, writes := tallies(c.one(rank))
+	return writes
 }
 
 // TotalReads sums tainted reads across all ranks.
 func (c *Collector) TotalReads() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n uint64
-	for _, v := range c.reads {
-		n += v
-	}
-	return n
+	reads, _ := tallies(c.table())
+	return reads
 }
 
 // TotalWrites sums tainted writes across all ranks.
 func (c *Collector) TotalWrites() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n uint64
-	for _, v := range c.writes {
-		n += v
-	}
-	return n
+	_, writes := tallies(c.table())
+	return writes
 }
 
 // Propagated reports whether any taint crossed a rank boundary.
@@ -316,51 +527,77 @@ type record struct {
 	Output *OutputRecord     `json:"output,omitempty"`
 }
 
+// countingWriter counts the bytes its writer accepted.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (cw *countingWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.n += int64(n)
+	return n, err
+}
+
 // WriteTo serializes the collected data as JSON lines, starting with a meta
-// record carrying the stored/dropped event counts. When events were dropped
-// at the in-memory cap, an explicit truncation marker follows the last
-// stored event.
+// record carrying the stored/dropped event counts. Events follow rank by
+// rank. When events were dropped at the in-memory cap, an explicit
+// truncation marker follows the last stored event. It returns the number of
+// bytes written to w.
 func (c *Collector) WriteTo(w io.Writer) (int64, error) {
+	views := c.views()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	bw := bufio.NewWriter(w)
-	var n int64
+	dropped := c.declared
+	timeline, crossRank, sends, outputs := c.timeline, c.crossRank, c.sends, c.outputs
+	c.mu.Unlock()
+	stored := 0
+	for i := range views {
+		stored += views[i].stored
+		dropped += views[i].dropped
+	}
+
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriter(cw)
 	enc := json.NewEncoder(bw)
 	write := func(r record) error { return enc.Encode(r) }
-	if err := write(record{Kind: "meta", Meta: &MetaRecord{Stored: len(c.events), Dropped: c.dropped}}); err != nil {
-		return n, err
+	if err := write(record{Kind: "meta", Meta: &MetaRecord{Stored: stored, Dropped: dropped}}); err != nil {
+		return cw.n, err
 	}
-	for i := range c.events {
-		if err := write(record{Kind: "event", Event: &c.events[i]}); err != nil {
-			return n, err
+	for i := range views {
+		for j := 0; j < views[i].stored; j++ {
+			ev := views[i].event(j)
+			if err := write(record{Kind: "event", Event: &ev}); err != nil {
+				return cw.n, err
+			}
 		}
 	}
-	if c.dropped > 0 {
-		if err := write(record{Kind: "trunc", Trunc: &TruncationRecord{Dropped: c.dropped}}); err != nil {
-			return n, err
+	if dropped > 0 {
+		if err := write(record{Kind: "trunc", Trunc: &TruncationRecord{Dropped: dropped}}); err != nil {
+			return cw.n, err
 		}
 	}
-	for i := range c.timeline {
-		if err := write(record{Kind: "sample", Sample: &c.timeline[i]}); err != nil {
-			return n, err
+	for i := range timeline {
+		if err := write(record{Kind: "sample", Sample: &timeline[i]}); err != nil {
+			return cw.n, err
 		}
 	}
-	for i := range c.crossRank {
-		if err := write(record{Kind: "cross", Cross: &c.crossRank[i]}); err != nil {
-			return n, err
+	for i := range crossRank {
+		if err := write(record{Kind: "cross", Cross: &crossRank[i]}); err != nil {
+			return cw.n, err
 		}
 	}
-	for i := range c.sends {
-		if err := write(record{Kind: "send", Send: &c.sends[i]}); err != nil {
-			return n, err
+	for i := range sends {
+		if err := write(record{Kind: "send", Send: &sends[i]}); err != nil {
+			return cw.n, err
 		}
 	}
-	for i := range c.outputs {
-		if err := write(record{Kind: "output", Output: &c.outputs[i]}); err != nil {
-			return n, err
+	for i := range outputs {
+		if err := write(record{Kind: "output", Output: &outputs[i]}); err != nil {
+			return cw.n, err
 		}
 	}
-	return n, bw.Flush()
+	err := bw.Flush()
+	return cw.n, err
 }
 
 // Read parses a JSON-lines propagation log back into a collector. The
@@ -376,9 +613,7 @@ func Read(r io.Reader) (*Collector, error) {
 		err := dec.Decode(&rec)
 		if err == io.EOF {
 			c.mu.Lock()
-			if declared > 0 {
-				c.dropped += declared
-			}
+			c.declared += declared
 			c.mu.Unlock()
 			return c, nil
 		}
@@ -396,7 +631,9 @@ func Read(r io.Reader) (*Collector, error) {
 			}
 		case "event":
 			if rec.Event != nil {
-				c.AddEvent(*rec.Event)
+				if err := c.addEvent(rec.Event); err != nil {
+					return nil, err
+				}
 			}
 		case "sample":
 			if rec.Sample != nil {

@@ -3,6 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -10,9 +13,9 @@ import (
 
 func TestCollectorCounts(t *testing.T) {
 	c := NewCollector()
-	c.AddEvent(Event{Rank: 0, Write: false, EIP: 1, Mask: 1})
-	c.AddEvent(Event{Rank: 0, Write: true, EIP: 2, Mask: 2})
-	c.AddEvent(Event{Rank: 1, Write: false, EIP: 3, Mask: 4})
+	c.AddEvent(&Event{Rank: 0, Write: false, EIP: 1, Mask: 1})
+	c.AddEvent(&Event{Rank: 0, Write: true, EIP: 2, Mask: 2})
+	c.AddEvent(&Event{Rank: 1, Write: false, EIP: 3, Mask: 4})
 	if c.Reads(0) != 1 || c.Writes(0) != 1 || c.Reads(1) != 1 || c.Writes(1) != 0 {
 		t.Errorf("per-rank counts wrong: r0=%d/%d r1=%d/%d",
 			c.Reads(0), c.Writes(0), c.Reads(1), c.Writes(1))
@@ -28,7 +31,7 @@ func TestCollectorCounts(t *testing.T) {
 func TestCollectorCap(t *testing.T) {
 	c := NewCollectorCap(2)
 	for i := 0; i < 5; i++ {
-		c.AddEvent(Event{Rank: 0, EIP: uint64(i)})
+		c.AddEvent(&Event{Rank: 0, EIP: uint64(i)})
 	}
 	if len(c.Events()) != 2 {
 		t.Errorf("stored = %d, want 2", len(c.Events()))
@@ -63,9 +66,9 @@ func TestCollectorTimelineAndCrossRank(t *testing.T) {
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	c := NewCollector()
-	c.AddEvent(Event{Rank: 1, Write: true, EIP: 0x400010, VAddr: 0x2000_0000,
+	c.AddEvent(&Event{Rank: 1, Write: true, EIP: 0x400010, VAddr: 0x2000_0000,
 		PAddr: 0x5000, Value: 42, Mask: 0xff, InstrNum: 1234, Size: 8})
-	c.AddEvent(Event{Rank: 0, Write: false, EIP: 0x400020, Mask: 1, Size: 1})
+	c.AddEvent(&Event{Rank: 0, Write: false, EIP: 0x400020, Mask: 1, Size: 1})
 	c.AddSample(TimelinePoint{Rank: 1, Instrs: 100000, TaintedBytes: 77})
 	c.AddCrossRank(CrossRankRecord{Src: 0, Dst: 1, Tag: 5, Seq: 3, TaintedBytes: 24})
 
@@ -77,9 +80,15 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Events come back rank by rank: rank 0's read, then rank 1's write.
 	evs := back.Events()
-	if len(evs) != 2 || evs[0].VAddr != 0x2000_0000 || evs[0].PAddr != 0x5000 {
-		t.Errorf("events = %+v", evs)
+	want := []Event{
+		{Rank: 0, Write: false, EIP: 0x400020, Mask: 1, Size: 1},
+		{Rank: 1, Write: true, EIP: 0x400010, VAddr: 0x2000_0000,
+			PAddr: 0x5000, Value: 42, Mask: 0xff, InstrNum: 1234, Size: 8},
+	}
+	if len(evs) != 2 || evs[0] != want[0] || evs[1] != want[1] {
+		t.Errorf("events = %+v, want %+v", evs, want)
 	}
 	if tl := back.Timeline(); len(tl) != 1 || tl[0].TaintedBytes != 77 {
 		t.Errorf("timeline = %+v", tl)
@@ -98,7 +107,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 func TestWriteReadPreservesDropped(t *testing.T) {
 	c := NewCollectorCap(2)
 	for i := 0; i < 5; i++ {
-		c.AddEvent(Event{Rank: 0, EIP: uint64(i)})
+		c.AddEvent(&Event{Rank: 0, EIP: uint64(i)})
 	}
 	var buf bytes.Buffer
 	if _, err := c.WriteTo(&buf); err != nil {
@@ -127,7 +136,7 @@ func TestWriteReadPreservesDropped(t *testing.T) {
 func TestTruncationMarker(t *testing.T) {
 	c := NewCollectorCap(2)
 	for i := 0; i < 7; i++ {
-		c.AddEvent(Event{Rank: 0, EIP: uint64(i)})
+		c.AddEvent(&Event{Rank: 0, EIP: uint64(i)})
 	}
 	var buf bytes.Buffer
 	if _, err := c.WriteTo(&buf); err != nil {
@@ -152,7 +161,7 @@ func TestTruncationMarker(t *testing.T) {
 	// A complete log must not carry the marker.
 	var clean bytes.Buffer
 	c2 := NewCollector()
-	c2.AddEvent(Event{Rank: 0})
+	c2.AddEvent(&Event{Rank: 0})
 	if _, err := c2.WriteTo(&clean); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +176,7 @@ func TestTruncationMarker(t *testing.T) {
 func TestReadAccumulatesReaderDrops(t *testing.T) {
 	c := NewCollectorCap(3)
 	for i := 0; i < 5; i++ { // 3 stored, 2 dropped at the writer
-		c.AddEvent(Event{Rank: 0, EIP: uint64(i)})
+		c.AddEvent(&Event{Rank: 0, EIP: uint64(i)})
 	}
 	var buf bytes.Buffer
 	if _, err := c.WriteTo(&buf); err != nil {
@@ -185,10 +194,10 @@ func TestReadAccumulatesReaderDrops(t *testing.T) {
 			}
 			switch rec.Kind {
 			case "event":
-				back.AddEvent(*rec.Event)
+				back.AddEvent(rec.Event)
 			case "meta":
 				back.mu.Lock()
-				back.dropped += rec.Meta.Dropped
+				back.declared += rec.Meta.Dropped
 				back.mu.Unlock()
 			}
 		}
@@ -244,7 +253,7 @@ func TestCollectorConcurrency(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.AddEvent(Event{Rank: r, Write: i%2 == 0})
+				c.AddEvent(&Event{Rank: r, Write: i%2 == 0})
 				if i%100 == 0 {
 					c.AddSample(TimelinePoint{Rank: r, Instrs: uint64(i)})
 				}
@@ -259,10 +268,10 @@ func TestCollectorConcurrency(t *testing.T) {
 
 func TestRegionCounts(t *testing.T) {
 	c := NewCollector()
-	c.AddEvent(Event{Rank: 0, Write: false, Region: "heap"})
-	c.AddEvent(Event{Rank: 0, Write: true, Region: "heap"})
-	c.AddEvent(Event{Rank: 0, Write: false, Region: "stack"})
-	c.AddEvent(Event{Rank: 0, Write: false}) // regionless events are allowed
+	c.AddEvent(&Event{Rank: 0, Write: false, Region: "heap"})
+	c.AddEvent(&Event{Rank: 0, Write: true, Region: "heap"})
+	c.AddEvent(&Event{Rank: 0, Write: false, Region: "stack"})
+	c.AddEvent(&Event{Rank: 0, Write: false}) // regionless events are allowed
 	regions := c.Regions()
 	if regions["heap"].Reads != 1 || regions["heap"].Writes != 1 {
 		t.Errorf("heap = %+v", regions["heap"])
@@ -277,5 +286,133 @@ func TestRegionCounts(t *testing.T) {
 	regions["heap"] = RegionCounts{Reads: 99}
 	if c.Regions()["heap"].Reads == 99 {
 		t.Error("Regions() aliases internal state")
+	}
+}
+
+// TestWriteToRoundTripPastCap writes a two-rank log one rank of which ran
+// past its share of the cap: WriteTo must report the bytes it wrote
+// (io.WriterTo), the counts must account for every access, and Read must
+// give back every stored event, sample, cross, send and output record and
+// the drop count.
+func TestWriteToRoundTripPastCap(t *testing.T) {
+	var _ io.WriterTo = (*Collector)(nil)
+	c := NewCollectorCap(600) // 300 a rank: each log ends inside its second chunk
+	c.ShareAmong(2)
+	for i := 0; i < 700; i++ {
+		c.AddEvent(&Event{Rank: 0, Write: i%3 == 0, EIP: 0x400000 + uint64(i), VAddr: 0x2000_0000 + uint64(8*i),
+			PAddr: 0x5000 + uint64(8*i), Value: uint64(i) << 40, Mask: 1 << (i % 64), InstrNum: uint64(i), Size: 8, Region: "heap"})
+	}
+	for i := 0; i < 100; i++ {
+		c.AddEvent(&Event{Rank: 1, EIP: uint64(i), Mask: 0xff, InstrNum: uint64(2 * i), Size: 1, Region: "stack"})
+	}
+	c.AddSample(TimelinePoint{Rank: 0, Instrs: 100000, TaintedBytes: 77})
+	c.AddCrossRank(CrossRankRecord{Src: 0, Dst: 1, Tag: 5, Seq: 3, TaintedBytes: 24, EIP: 0x400100, InstrNum: 50, Buf: 0x7000, Len: 32})
+	c.AddSend(SendRecord{Src: 0, Dst: 1, Tag: 5, Seq: 3, Buf: 0x6000, Len: 32, TaintedBytes: 24, EIP: 0x4000f0, InstrNum: 40})
+	c.AddOutput(OutputRecord{Rank: 1, Offset: 8, Len: 2, Buf: 0x8000, Masks: []uint8{0, 0x80}, EIP: 0x400200, InstrNum: 190})
+
+	if c.Stored() != 400 || c.Dropped() != 400 || c.TotalReads()+c.TotalWrites() != 800 {
+		t.Fatalf("stored %d + dropped %d, counted %d; want 400 + 400 of 800",
+			c.Stored(), c.Dropped(), c.TotalReads()+c.TotalWrites())
+	}
+	evs := c.Events()
+	if len(evs) != 400 || evs[299].InstrNum != 299 || evs[300].Rank != 1 {
+		t.Fatalf("rank 0 did not keep exactly its first 300 events: %d stored, [299]=%+v [300]=%+v", len(evs), evs[299], evs[300])
+	}
+
+	var buf bytes.Buffer
+	n, err := c.WriteTo(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(buf.Len()) || n == 0 {
+		t.Errorf("WriteTo returned %d, wrote %d bytes", n, buf.Len())
+	}
+	back, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Events(), evs) {
+		t.Error("events did not round-trip")
+	}
+	if back.Dropped() != 400 || back.Stored() != 400 {
+		t.Errorf("read back %d stored, %d dropped; want 400, 400", back.Stored(), back.Dropped())
+	}
+	if !reflect.DeepEqual(back.Timeline(), c.Timeline()) || !reflect.DeepEqual(back.CrossRank(), c.CrossRank()) ||
+		!reflect.DeepEqual(back.Sends(), c.Sends()) || !reflect.DeepEqual(back.Outputs(), c.Outputs()) {
+		t.Error("sample, cross, send or output records did not round-trip")
+	}
+	if got, want := back.Regions(), (map[string]RegionCounts{"heap": {Reads: 200, Writes: 100}, "stack": {Reads: 100}}); !reflect.DeepEqual(got, want) {
+		t.Errorf("regions of the stored prefix = %+v, want %+v", got, want)
+	}
+
+	// A failing writer still reports what it took.
+	n, err = c.WriteTo(&failAfter{left: 1000})
+	if err == nil || n != 1000 {
+		t.Errorf("WriteTo into a writer that fails after 1000 bytes returned %d, %v", n, err)
+	}
+}
+
+type failAfter struct{ left int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.left {
+		n := w.left
+		w.left = 0
+		return n, io.ErrShortWrite
+	}
+	w.left -= len(p)
+	return len(p), nil
+}
+
+// TestCapShareIgnoresInterleaving runs four ranks past a shared cap from
+// four goroutines: whatever the schedule, each rank keeps exactly the first
+// quarter-cap accesses it made.
+func TestCapShareIgnoresInterleaving(t *testing.T) {
+	c := NewCollectorCap(400)
+	c.ShareAmong(4)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < 50+100*r; i++ {
+				c.AddEvent(&Event{Rank: r, InstrNum: uint64(i)})
+			}
+		}(r)
+	}
+	wg.Wait()
+	var want []Event
+	for r := 0; r < 4; r++ {
+		for i := 0; i < min(50+100*r, 100); i++ {
+			want = append(want, Event{Rank: r, InstrNum: uint64(i)})
+		}
+	}
+	if got := c.Events(); !reflect.DeepEqual(got, want) {
+		t.Errorf("stored %d events, want each rank's first min(n, 100): %d", len(got), len(want))
+	}
+	if c.Dropped() != 50+150+250 {
+		t.Errorf("dropped = %d, want 450", c.Dropped())
+	}
+}
+
+// TestReadRejectsUnstorableEvents checks that a log from outside cannot make
+// the collector index by a bad rank or silently narrow a width.
+func TestReadRejectsUnstorableEvents(t *testing.T) {
+	for _, line := range []string{
+		`{"kind":"event","event":{"rank":-1}}`,
+		`{"kind":"event","event":{"rank":65536}}`,
+		`{"kind":"event","event":{"rank":0,"size":65536}}`,
+		`{"kind":"event","event":{"rank":0,"size":-1}}`,
+	} {
+		if _, err := Read(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("accepted %s", line)
+		}
+	}
+	var sb strings.Builder
+	for i := 0; i < maxRegions; i++ {
+		fmt.Fprintf(&sb, `{"kind":"event","event":{"rank":0,"region":"r%d"}}`+"\n", i)
+	}
+	if _, err := Read(strings.NewReader(sb.String())); err == nil {
+		t.Errorf("accepted %d named regions on one rank", maxRegions)
 	}
 }

@@ -187,10 +187,20 @@ func (m *Machine) retireFused(op *tcg.Op) bool {
 		m.term = &Termination{Reason: ReasonBudget, PC: m.pc}
 		return false
 	}
-	if m.TaintEnabled && m.Hooks.Sample != nil && m.counters.Instructions%m.sampleIv == 0 {
-		m.Hooks.Sample(m.counters.Instructions, m.Shadow.TaintedBytes())
+	if m.counters.Instructions == m.nextSample {
+		m.sampleBoundary()
 	}
 	return true
+}
+
+// sampleBoundary runs when the retired-instruction count reaches nextSample:
+// it moves the boundary one interval on and, while taint tracking is enabled
+// and a sampler installed, reports the tainted-byte count.
+func (m *Machine) sampleBoundary() {
+	m.nextSample += m.sampleIv
+	if m.TaintEnabled && m.Hooks.Sample != nil {
+		m.Hooks.Sample(m.counters.Instructions, m.Shadow.TaintedBytes())
+	}
 }
 
 //nolint:gocyclo // the micro-op interpreter is one hot switch by design.
@@ -212,8 +222,8 @@ func (m *Machine) execTBFull(tb *tcg.TB, start int) {
 				m.term = &Termination{Reason: ReasonBudget, PC: m.pc}
 				return
 			}
-			if taintOn && m.Hooks.Sample != nil && m.counters.Instructions%m.sampleIv == 0 {
-				m.Hooks.Sample(m.counters.Instructions, sh.TaintedBytes())
+			if m.counters.Instructions == m.nextSample {
+				m.sampleBoundary()
 			}
 		}
 
@@ -645,34 +655,26 @@ func (m *Machine) binTaint(op *tcg.Op) {
 	sh.SetRegMask(op.A0, taint.BinaryMask(op.Kind, sh.RegMask(op.A1), sh.RegMask(op.A2), m.regs[op.A2]))
 }
 
+// memTaintEvent counts one tainted access the guest has just made and, when
+// a hook is installed, describes it in the machine's own record — physical
+// address and region both read off the page the access touched.
 func (m *Machine) memTaintEvent(op *tcg.Op, addr, value, mask uint64, size int, write bool) {
-	if write {
-		m.counters.TaintedMemWrites++
-	} else {
-		m.counters.TaintedMemReads++
-	}
 	cb := m.Hooks.TaintedMemRead
 	if write {
+		m.counters.TaintedMemWrites++
 		cb = m.Hooks.TaintedMemWrite
+	} else {
+		m.counters.TaintedMemReads++
 	}
 	if cb == nil {
 		return
 	}
-	paddr, err := m.Mem.Translate(addr)
-	if err != nil {
-		paddr = 0
+	paddr, region := m.Mem.locate(addr)
+	m.taintEv = MemTaintEvent{
+		Rank: m.Rank, Write: write, EIP: op.GuestPC, VAddr: addr, PAddr: paddr,
+		Value: value, Mask: mask, InstrNum: m.counters.Instructions, Size: size, Region: region,
 	}
-	cb(MemTaintEvent{
-		EIP:      op.GuestPC,
-		VAddr:    addr,
-		PAddr:    paddr,
-		Value:    value,
-		Mask:     mask,
-		Rank:     m.Rank,
-		Size:     size,
-		InstrNum: m.counters.Instructions,
-		Region:   m.Mem.RegionName(addr),
-	})
+	cb(&m.taintEv)
 }
 
 func condHolds(cond isa.Op, flags int64) bool {

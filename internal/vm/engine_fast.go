@@ -43,8 +43,7 @@ func (m *Machine) execTBFast(node *chainNode, chain bool) *chainNode {
 	instrs := m.counters.Instructions
 	maxInstr := m.maxInstr
 	trace := m.execTrace
-	sampleIv := m.sampleIv
-	sampleOn := m.TaintEnabled && m.Hooks.Sample != nil
+	nextSample := m.nextSample
 
 nextBlock:
 	tb := node.tb
@@ -68,9 +67,10 @@ nextBlock:
 				m.term = &Termination{Reason: ReasonBudget, PC: m.pc}
 				return node
 			}
-			if sampleOn && instrs%sampleIv == 0 {
+			if instrs == nextSample {
 				m.counters.Instructions = instrs
-				m.Hooks.Sample(instrs, m.Shadow.TaintedBytes())
+				m.sampleBoundary()
+				nextSample = m.nextSample
 			}
 		}
 
@@ -522,10 +522,11 @@ chainTry:
 			m.counters.ChainedTBs++
 			m.counters.TBsExecuted++
 			m.counters.FastPathTBs++
-			// Re-read the per-block cached hooks exactly where a fresh
-			// execTBFast call would.
+			// Re-read the per-block cached state exactly where a fresh
+			// execTBFast call would (retireFused may have passed a sample
+			// boundary).
 			trace = m.execTrace
-			sampleOn = m.TaintEnabled && m.Hooks.Sample != nil
+			nextSample = m.nextSample
 			goto nextBlock
 		}
 	}

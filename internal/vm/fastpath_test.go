@@ -220,8 +220,8 @@ func runDiff(t *testing.T, noFast bool) diffState {
 	m := New(p, Config{NoFastPath: noFast, SampleInterval: 256})
 	m.TaintEnabled = true
 	var st diffState
-	m.Hooks.TaintedMemRead = func(ev MemTaintEvent) { st.Reads = append(st.Reads, ev) }
-	m.Hooks.TaintedMemWrite = func(ev MemTaintEvent) { st.Writes = append(st.Writes, ev) }
+	m.Hooks.TaintedMemRead = func(ev *MemTaintEvent) { st.Reads = append(st.Reads, *ev) }
+	m.Hooks.TaintedMemWrite = func(ev *MemTaintEvent) { st.Writes = append(st.Writes, *ev) }
 	m.Hooks.Sample = func(instrs uint64, tainted int64) { st.Samples = append(st.Samples, tainted) }
 	fires := 0
 	id := m.RegisterHelper(func(mm *Machine, op *tcg.Op) {
@@ -375,5 +375,53 @@ main:
 	// call above must have registered.
 	if c := m.counters; c.FastPathTBs < 200 {
 		t.Errorf("FastPathTBs = %d, want every direct execTB counted", c.FastPathTBs)
+	}
+}
+
+// TestTaintedAccessNoAlloc is the full loop's twin of TestFastPathNoAlloc: a
+// block whose load and store are both tainted, with both hooks installed,
+// must not allocate — the event handed to a hook is the machine's own record,
+// not a fresh one per access.
+func TestTaintedAccessNoAlloc(t *testing.T) {
+	p, err := asm.Assemble("test", `
+main:
+    ld r2, [r1+0]
+    st [r1+8], r2
+    jmp main
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(p, Config{})
+	m.TaintEnabled = true
+	addr := uint64(isa.StackTop - 256)
+	m.SetGPR(isa.R1, addr)
+	m.Shadow.SetMemMask64(addr, 0xff)
+	var reads, writes int
+	var last MemTaintEvent
+	m.Hooks.TaintedMemRead = func(ev *MemTaintEvent) { reads++; last = *ev }
+	m.Hooks.TaintedMemWrite = func(ev *MemTaintEvent) { writes++; last = *ev }
+	tb, err := m.Trans.Block(m.pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := &chainNode{tb: tb}
+	m.execTB(node, false) // warm: maps the stack page and the shadow page
+	allocs := testing.AllocsPerRun(200, func() {
+		m.execTB(node, false)
+	})
+	if allocs != 0 {
+		t.Errorf("a tainted load and store allocate %.1f per block, want 0", allocs)
+	}
+	if m.term != nil {
+		t.Fatalf("unexpected termination: %v", m.term)
+	}
+	if reads < 200 || writes < 200 {
+		t.Fatalf("hooks saw %d reads and %d writes, want one of each per block", reads, writes)
+	}
+	want := MemTaintEvent{Write: true, EIP: isa.CodeBase + isa.InstrSize, VAddr: addr + 8, PAddr: last.PAddr,
+		Mask: 0xff, InstrNum: last.InstrNum, Size: 8, Region: "stack"}
+	if last != want || last.PAddr%PageSize != (addr+8)%PageSize {
+		t.Errorf("last event %+v, want %+v", last, want)
 	}
 }

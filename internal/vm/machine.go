@@ -34,16 +34,19 @@ type Helper func(m *Machine, op *tcg.Op)
 
 // MemTaintEvent describes one tainted-memory access, carrying exactly the
 // fields Chaser logs: instruction pointer, virtual and physical address,
-// the taint mask and the current value at that location.
+// the taint mask and the current value at that location. Its fields are, in
+// order and type, those of trace.Event, so the propagation log takes the
+// record the machine filled in without a copy.
 type MemTaintEvent struct {
+	Rank     int
+	Write    bool
 	EIP      uint64
 	VAddr    uint64
 	PAddr    uint64
 	Value    uint64
 	Mask     uint64
-	Rank     int
-	Size     int // access width in bytes (1 or 8)
 	InstrNum uint64
+	Size     int // access width in bytes (1 or 8)
 	// Region names the memory region of VAddr ("heap", "stack", "data"),
 	// supporting region-level propagation analysis.
 	Region string
@@ -53,11 +56,13 @@ type MemTaintEvent struct {
 // on a machine. Nil members are skipped.
 type Hooks struct {
 	// TaintedMemRead fires when a load reads tainted bytes
-	// (DECAF_READ_TAINTMEM_CB).
-	TaintedMemRead func(ev MemTaintEvent)
+	// (DECAF_READ_TAINTMEM_CB). The event is the machine's own record,
+	// rewritten by the next tainted access: a callback that keeps it copies
+	// it.
+	TaintedMemRead func(ev *MemTaintEvent)
 	// TaintedMemWrite fires when a store writes tainted bytes
-	// (DECAF_WRITE_TAINTMEM_CB).
-	TaintedMemWrite func(ev MemTaintEvent)
+	// (DECAF_WRITE_TAINTMEM_CB), on the same terms.
+	TaintedMemWrite func(ev *MemTaintEvent)
 	// PreSyscall fires before a syscall dispatches; Chaser uses it to hook
 	// MPI sends (publish taint to the hub).
 	PreSyscall func(m *Machine, sys isa.Sys)
@@ -177,10 +182,17 @@ type Machine struct {
 	pc    uint64
 	flags int64 // last comparison result: -1, 0, +1
 
-	heapBrk    uint64
-	maxInstr   uint64
-	sampleIv   uint64
+	heapBrk  uint64
+	maxInstr uint64
+	sampleIv uint64
+	// nextSample is the retired-instruction count of the next sample
+	// boundary: the smallest multiple of sampleIv above counters.Instructions.
+	// Both interpreter loops and retireFused compare against it instead of
+	// dividing per instruction; sampleBoundary alone advances it.
+	nextSample uint64
 	noFastPath bool
+	// taintEv is the record handed to the tainted-memory hooks.
+	taintEv MemTaintEvent
 
 	console []byte
 	output  []byte
@@ -241,6 +253,7 @@ func New(prog *isa.Program, cfg Config) *Machine {
 	if m.sampleIv == 0 {
 		m.sampleIv = DefaultSampleInterval
 	}
+	m.nextSample = m.sampleIv
 	if m.WorldSize == 0 {
 		m.WorldSize = 1
 	}

@@ -34,6 +34,13 @@ type memPage struct {
 	data   [PageSize]byte
 	frame  uint64 // physical frame number, assigned at first touch
 	sealed bool
+	// region is the name RegionName gives every address of the page, found
+	// once at first touch; mixed marks the rare page it cannot speak for (the
+	// partly mapped page above the heap break), whose addresses are looked up
+	// one by one. Both are copied, never rewritten, so sealed pages stay
+	// read-only.
+	region string
+	mixed  bool
 }
 
 type region struct {
@@ -121,6 +128,42 @@ func (m *Memory) RegionName(addr uint64) string {
 	return ""
 }
 
+// pageRegion reports what RegionName answers inside the page at base. When
+// the first mapped region touching the page covers all of it, that region is
+// also the first to contain any address of the page, now and after later
+// Maps (which append); otherwise the page is mixed.
+func (m *Memory) pageRegion(base uint64) (name string, mixed bool) {
+	last := base + PageSize - 1
+	for _, r := range m.regions {
+		lo, hi := r.contains(base), r.contains(last)
+		if lo && hi {
+			return r.name, false
+		}
+		if lo || hi || (r.base > base && r.base <= last) {
+			return "", true
+		}
+	}
+	return "", true
+}
+
+// locate returns the physical address of addr and the name of its region,
+// for an address the guest has just accessed: its page exists, and is in the
+// TLB unless it is a sealed page the access only read.
+func (m *Memory) locate(addr uint64) (paddr uint64, region string) {
+	base := addr &^ (PageSize - 1)
+	p := m.lookup(base)
+	if p == nil {
+		if p = m.pages[base]; p == nil {
+			return 0, m.RegionName(addr)
+		}
+	}
+	region = p.region
+	if p.mixed {
+		region = m.RegionName(addr)
+	}
+	return p.frame*PageSize + addr - base, region
+}
+
 func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
 	base := addr &^ (PageSize - 1)
 	if p := m.lookup(base); p != nil {
@@ -133,6 +176,7 @@ func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
 			return nil, 0, &SegFaultError{Addr: addr, Write: write}
 		}
 		p = &memPage{frame: m.nextFrame}
+		p.region, p.mixed = m.pageRegion(base)
 		m.nextFrame++
 		m.fresh++
 		m.pages[base] = p
@@ -144,7 +188,7 @@ func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
 		}
 		// Copy-on-write: privatize the page, keeping its frame so physical
 		// addresses stay stable across snapshot/fork.
-		cp := &memPage{data: p.data, frame: p.frame}
+		cp := &memPage{data: p.data, frame: p.frame, region: p.region, mixed: p.mixed}
 		m.pages[base] = cp
 		m.cowCopies++
 		m.fresh++

@@ -138,3 +138,64 @@ func TestMemoryRoundTripQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLocateMatchesTranslateAndRegionName holds the per-page answer the
+// tainted-access path reads (locate) to the two lookups it replaced, on every
+// kind of page a guest can touch: data, stack, a heap grown by many small
+// allocations the way SysAlloc maps them (each region one page past the
+// break), the partly mapped page above the break — whose upper addresses are
+// in no region — pages under overlapping regions of different names, and the
+// same pages sealed by a snapshot and read or copied through a fork.
+func TestLocateMatchesTranslateAndRegionName(t *testing.T) {
+	m := NewMemory()
+	m.Map("data", 0x10000, 2*PageSize)
+	m.Map("stack", 0x7f000, 4*PageSize)
+	const heap = 0x200000
+	brk := uint64(heap)
+	for _, size := range []uint64{24, 4000, 8, 9000, 120} {
+		base := brk
+		brk += size
+		m.Map("heap", base, brk-base+PageSize)
+	}
+	m.Map("low", 0x400000, PageSize+100) // overlapped from mid-page by a later name
+	m.Map("high", 0x400000+PageSize, 2*PageSize)
+
+	var addrs []uint64
+	for _, a := range []uint64{
+		0x10000, 0x10000 + 2*PageSize - 8, 0x7f000 + 3*PageSize + 17,
+		heap, heap + 4095, brk - 1, brk, brk + PageSize - 1,
+		0x400000 + PageSize + 50, 0x400000 + PageSize + 200, 0x400000 + 2*PageSize,
+	} {
+		if err := m.Write8(a, 1); err != nil {
+			t.Fatalf("write %#x: %v", a, err)
+		}
+		page := a &^ (PageSize - 1)
+		addrs = append(addrs, a, page, page+PageSize-1, page+PageSize/2)
+	}
+	check := func(mem *Memory, when string) {
+		t.Helper()
+		for _, a := range addrs {
+			wantP, err := mem.Translate(a)
+			if err != nil {
+				t.Fatalf("%s: translate %#x: %v", when, a, err)
+			}
+			if gotP, gotR := mem.locate(a); gotP != wantP || gotR != mem.RegionName(a) {
+				t.Errorf("%s: locate(%#x) = %#x %q, want %#x %q", when, a, gotP, gotR, wantP, mem.RegionName(a))
+			}
+		}
+	}
+	check(m, "fresh")
+	if got := m.RegionName(brk + PageSize + 8); got != "" {
+		t.Fatalf("the page above the break should run out of region mid-page, got %q", got)
+	}
+
+	fork := NewMemoryFromImage(m.Snapshot())
+	check(fork, "fork reading sealed pages")
+	check(m, "original after sealing")
+	for _, a := range addrs[:len(addrs)/2] {
+		if err := fork.Write8(a, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(fork, "fork after copy-on-write")
+}

@@ -163,6 +163,8 @@ func NewFromSnapshot(prog *isa.Program, snap *Snapshot, cfg Config) *Machine {
 	if m.sampleIv == 0 {
 		m.sampleIv = DefaultSampleInterval
 	}
+	// The restored count need not sit on the sampling grid.
+	m.nextSample = (m.counters.Instructions/m.sampleIv + 1) * m.sampleIv
 	if m.WorldSize == 0 {
 		m.WorldSize = 1
 	}

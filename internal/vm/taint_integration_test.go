@@ -21,8 +21,8 @@ func taintedRun(t *testing.T, src string, seed func(m *Machine)) (*Machine, Term
 	m := New(p, Config{})
 	m.TaintEnabled = true
 	var reads, writes []MemTaintEvent
-	m.Hooks.TaintedMemRead = func(ev MemTaintEvent) { reads = append(reads, ev) }
-	m.Hooks.TaintedMemWrite = func(ev MemTaintEvent) { writes = append(writes, ev) }
+	m.Hooks.TaintedMemRead = func(ev *MemTaintEvent) { reads = append(reads, *ev) }
+	m.Hooks.TaintedMemWrite = func(ev *MemTaintEvent) { writes = append(writes, *ev) }
 	if seed != nil {
 		seed(m)
 	}
