@@ -603,7 +603,8 @@ feed:
 	}
 	live.flushObs(cfg.Obs, time.Since(start))
 	if cfg.Obs != nil && base.cache != nil {
-		cfg.Obs.Gauge("campaign_base_cache_blocks").Set(float64(base.cache.Len()))
+		st := base.cache.Stats()
+		cfg.Obs.Gauge("campaign_base_cache_blocks").Set(float64(st.Blocks + st.Probed))
 	}
 	for _, err := range errs {
 		if err != nil {

@@ -88,15 +88,6 @@ func (s *Spec) withDefaults() *Spec {
 	return &out
 }
 
-func (s *Spec) targetsOp(op isa.Op) bool {
-	for _, o := range s.Ops {
-		if o == op {
-			return true
-		}
-	}
-	return false
-}
-
 // Chaser is the fault-injection plugin. Load it into a decaf.Platform, arm
 // it with a Spec (programmatically via Arm or through the inject_fault
 // terminal command), then create the target processes.
@@ -336,7 +327,6 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 		ch:      c,
 		m:       m,
 		spec:    spec,
-		rng:     rand.New(rand.NewSource(spec.Seed*1000003 + int64(info.Rank))),
 		sendSeq: make(map[tainthub.Key]uint64),
 		recvSeq: make(map[tainthub.Key]uint64),
 	}
@@ -345,8 +335,8 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 		// counters so the trigger fires at the same global execution count a
 		// from-scratch run would see. The RNG needs no restoration — a
 		// deterministic condition draws nothing before the trigger, so the
-		// fresh stream above is positioned exactly as in a full run. Maps are
-		// cloned: concurrent forks share one snapshot.
+		// fresh stream seeded below is positioned exactly as in a full run.
+		// Maps are cloned: concurrent forks share one snapshot.
 		st.execCount = rs.execCount[info.Rank]
 		st.sendSeq = cloneSeqMap(rs.sendSeq[info.Rank])
 		st.recvSeq = cloneSeqMap(rs.recvSeq[info.Rank])
@@ -363,15 +353,11 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 	}
 
 	// Register the fault_injector helper and instrument only the targeted
-	// instructions (just-in-time fault injection, Fig. 3).
+	// instructions (just-in-time fault injection, Fig. 3). Only the helper
+	// draws from the rank's random stream, so only target ranks seed one.
 	c.obsArmed.Inc()
-	helperID := m.RegisterHelper(st.faultInjector)
-	m.Trans.AddHook(func(ins isa.Instr, pc uint64) []tcg.Op {
-		if st.detached || !spec.targetsOp(ins.Op) {
-			return nil
-		}
-		return []tcg.Op{{Kind: tcg.KHelper, Helper: helperID}}
-	})
+	st.rng = rand.New(rand.NewSource(spec.Seed*1000003 + int64(info.Rank)))
+	m.Trans.SetProbe(tcg.Probe{Ops: tcg.OpSetOf(spec.Ops...), Helper: m.RegisterHelper(st.faultInjector)})
 	// Flush the code translation cache to trigger the next round of binary
 	// code translation with the injector in place.
 	m.Trans.Flush()
@@ -418,8 +404,10 @@ func (st *armState) faultInjector(m *vm.Machine, op *tcg.Op) {
 		// fi_clean_cb: stop screening and detach the injector. The flush
 		// drops the instrumented translations (Fig. 4), so the rest of the
 		// run executes the clean shared blocks and never calls the helper
-		// again; the hook answers nil once detached.
+		// again. Only the injector's own probe is disarmed: hooks other
+		// plugins placed on the machine stay.
 		st.detached = true
+		m.Trans.SetProbe(tcg.Probe{})
 		m.Trans.Flush()
 	}
 }

@@ -637,6 +637,55 @@ loop:
 	}
 }
 
+// TestDetachLeavesForeignHooks: fi_clean_cb disarms the injector's own probe
+// and nothing else. A hook somebody else placed on the machine's translator
+// keeps instrumenting after the last fault has fired.
+func TestDetachLeavesForeignHooks(t *testing.T) {
+	prog, err := asm.Assemble("t", `
+main:
+    movi r1, 0
+    movi r2, 20
+loop:
+    add r1, r1, r2
+    addi r2, r2, -1
+    cmpi r2, 0
+    jg loop
+    hlt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform := decaf.NewPlatform()
+	ch := New(Options{})
+	if err := platform.LoadPlugin(ch); err != nil {
+		t.Fatal(err)
+	}
+	ch.Arm(&Spec{
+		Target: "t", Ops: []isa.Op{isa.OpAdd}, Cond: Deterministic{N: 5},
+		Inj: IdentityInjector{Bits: 1}, MaxInjections: 1, Seed: 3,
+	})
+	m := vm.New(prog, vm.Config{})
+	foreign := 0
+	id := m.RegisterHelper(func(*vm.Machine, *tcg.Op) { foreign++ })
+	m.Trans.AddHook(func(ins isa.Instr, _ uint64) []tcg.Op {
+		if ins.Op == isa.OpAddI {
+			return []tcg.Op{{Kind: tcg.KHelper, Helper: id}}
+		}
+		return nil
+	})
+	platform.CreateProcess(m)
+	if term := m.Run(); term.Reason != vm.ReasonExited {
+		t.Fatalf("term = %v", term)
+	}
+	if got := len(ch.Records()); got != 1 {
+		t.Fatalf("%d faults delivered, want 1", got)
+	}
+	// One addi an iteration, 15 of them after the injector detached.
+	if foreign != 20 {
+		t.Errorf("foreign hook ran %d times, want 20: detach removed it", foreign)
+	}
+}
+
 func TestRegionAwareTraceEvents(t *testing.T) {
 	res, err := Run(RunConfig{
 		Prog: fpProg(t),

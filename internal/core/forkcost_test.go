@@ -1,0 +1,223 @@
+package core
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+
+	"chaser/internal/apps"
+	"chaser/internal/decaf"
+	"chaser/internal/isa"
+	"chaser/internal/lang"
+	"chaser/internal/mpi"
+	"chaser/internal/obs"
+	"chaser/internal/tcg"
+)
+
+// sweepFork builds what one run of the benchmark's lud_site_sweep workload
+// starts from: LUD at order 48, the rung at the 730,000th execution of lud's
+// default ops on rank 0, and the traced run configuration a campaign hands
+// RunForked for that site (the seed is the run's own).
+func sweepFork(tb testing.TB) (func(seed int64) RunConfig, *WorldSnapshot) {
+	tb.Helper()
+	app, err := apps.ByName("lud")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := lang.Compile(apps.LUDProgram(48))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cache := tcg.NewBaseCache(prog)
+	conf := func(seed int64) RunConfig {
+		return RunConfig{
+			Prog: prog, WorldSize: 1, BaseCache: cache,
+			Spec: &Spec{
+				Target: prog.Name, Ops: app.DefaultOps, TargetRank: 0,
+				Cond: Deterministic{N: 730_000}, Bits: 1, Seed: seed, Trace: true,
+			},
+		}
+	}
+	ws, err := PrefixRun(conf(0), ForkSite{Rank: 0, N: 730_000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return conf, ws
+}
+
+// TestForkedRunAllocBudget is the guard on what a run costs before it
+// executes. Most faults at the sweep's site kill the guest within thirteen
+// instructions, so the median forked run is the fixed cost alone: world,
+// machine, injector, collector. It allocated 119 KB when every rank's mailbox
+// was buffered for 1,024 messages and every fork retranslated the block at
+// its site; a tail that runs on allocates with its length (log chunks, output
+// file) on top. No fork after the campaign's first translates anything.
+func TestForkedRunAllocBudget(t *testing.T) {
+	const budget = 40 << 10
+	conf, ws := sweepFork(t)
+	if _, err := RunForked(conf(0), ws); err != nil { // the campaign's first fork fills the cache
+		t.Fatal(err)
+	}
+	var sizes []uint64
+	for seed := int64(1); seed <= 31; seed++ {
+		cfg := conf(seed)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RunForked(cfg, ws)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, after.TotalAlloc-before.TotalAlloc)
+	}
+	slices.Sort(sizes)
+	t.Logf("a forked run allocates %d B (median of %d seeds, %d to %d)", sizes[len(sizes)/2], len(sizes), sizes[0], sizes[len(sizes)-1])
+	if got := sizes[len(sizes)/2]; got > budget {
+		t.Errorf("the median forked run allocates %d B, budget %d", got, budget)
+	}
+
+	reg := obs.NewRegistry()
+	for seed := int64(1); seed <= 31; seed++ {
+		cfg := conf(seed)
+		cfg.Obs = reg
+		if _, err := RunForked(cfg, ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := reg.Counter("tcg_translations_total").Value(); n != 0 {
+		t.Errorf("31 forks translated %d blocks, want 0", n)
+	}
+	if n := reg.Counter("tcg_base_misses_total").Value(); n != 0 {
+		t.Errorf("31 forks missed the base cache %d times, want 0", n)
+	}
+}
+
+// armedWorld builds the world of a run the way execute does, stopping short
+// of running it, so a test can look at the armed machines.
+func armedWorld(t *testing.T, cfg RunConfig, ws *WorldSnapshot) (*Chaser, *mpi.World) {
+	t.Helper()
+	platform := decaf.NewPlatform()
+	ch := New(Options{})
+	if err := platform.LoadPlugin(ch); err != nil {
+		t.Fatal(err)
+	}
+	spec := *cfg.Spec
+	if ws != nil {
+		spec.resume = ws.resume
+	}
+	ch.Arm(&spec)
+	world, err := newSessionWorld(cfg, max(cfg.WorldSize, 1), platform, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch, world
+}
+
+// TestInstrumentedBlocksShared: the instrumented block at a fork's site is a
+// function of the clean block and the probe, so forks of one BaseCache
+// execute the same *TB; a different op set, and the detached injector
+// (fi_clean_cb), get other blocks.
+func TestInstrumentedBlocksShared(t *testing.T) {
+	conf, ws := sweepFork(t)
+	siteBlock := func(cfg RunConfig) *tcg.TB {
+		t.Helper()
+		_, world := armedWorld(t, cfg, ws)
+		m := world.Machine(0) // resumes at the site
+		tb, err := m.Trans.Block(m.PC())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb
+	}
+	helpers := func(tb *tcg.TB) (n int) {
+		for i := range tb.Ops {
+			if tb.Ops[i].Kind == tcg.KHelper {
+				n++
+			}
+		}
+		return n
+	}
+
+	first, second := siteBlock(conf(1)), siteBlock(conf(2))
+	if first != second {
+		t.Error("two forks of one BaseCache translated the site block separately")
+	}
+	if helpers(first) == 0 {
+		t.Fatal("the site block carries no injector call")
+	}
+
+	narrow := conf(3)
+	spec := *narrow.Spec
+	spec.Ops = []isa.Op{isa.OpFDiv, isa.OpLd}
+	narrow.Spec = &spec
+	if tb := siteBlock(narrow); tb == first {
+		t.Error("a fork with a different op set got the same instrumented block")
+	}
+
+	// After the injection the injector detaches: the machine's next lookup of
+	// the site must be a clean block.
+	ch, world := armedWorld(t, conf(4), ws)
+	m := world.Machine(0)
+	site := m.PC()
+	if tb, _ := m.Trans.Block(site); tb != first {
+		t.Error("the fork that will run did not get the shared block")
+	}
+	world.Run()
+	if len(ch.Records()) != 1 || !ch.armed[m].detached {
+		t.Fatalf("the run injected %d faults (detached=%v)", len(ch.Records()), ch.armed[m].detached)
+	}
+	after, err := m.Trans.Block(site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after == first || helpers(after) != 0 {
+		t.Errorf("after fi_clean_cb the site block still has %d injector calls", helpers(after))
+	}
+}
+
+// TestInjectorRNGOnlyOnTargets: only ranks the spec targets draw from an
+// injector random stream, so only they seed one, with the formula every
+// earlier build used: the injection records below were printed by the commit
+// that still seeded all four ranks.
+func TestInjectorRNGOnlyOnTargets(t *testing.T) {
+	app, err := apps.ByName("matvec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		rank int
+		want string
+	}{
+		{0, "rank 0: ld @ 0x400720 exec#300 mem 0x7ffeff60 mask=0x4000000080000002 0xe9acbbf8579229b0 -> 0xa9acbbf8d79229b2"},
+		{2, "rank 2: ld @ 0x401420 exec#300 reg r14 mask=0x400000042000000 0x7ffeffb0 -> 0x40000003dfeffb0"},
+	} {
+		cfg := RunConfig{Prog: app.Prog, WorldSize: 4, Spec: &Spec{
+			Target: app.Name, Ops: app.DefaultOps, TargetRank: tc.rank,
+			Cond: Deterministic{N: 300}, Bits: 3, Seed: 41, Trace: true,
+		}}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Records) != 1 || res.Records[0].String() != tc.want {
+			t.Errorf("target rank %d injected\n %v\nwant\n %s", tc.rank, res.Records, tc.want)
+		}
+		ch, world := armedWorld(t, cfg, nil)
+		for r := 0; r < 4; r++ {
+			if has := ch.armed[world.Machine(r)].rng != nil; has != (r == tc.rank) {
+				t.Errorf("target rank %d: rank %d holds an rng: %v", tc.rank, r, has)
+			}
+		}
+	}
+}
+
+func BenchmarkForkedRun(b *testing.B) {
+	conf, ws := sweepFork(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunForked(conf(int64(i)), ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -33,9 +33,6 @@ const (
 	tagAllreduce = MaxTag + 3
 )
 
-// mailboxCap bounds per-rank in-flight messages (eager-send buffering).
-const mailboxCap = 1024
-
 // Message is one in-flight MPI message.
 type Message struct {
 	Src, Dst, Tag int
@@ -47,16 +44,29 @@ type Message struct {
 // World is a set of ranks executing the same guest program (SPMD).
 type World struct {
 	size  int
-	ranks []*rankState
+	ranks []rankState
 
 	// delivered counts messages handed to mailboxes; the deadlock watchdog
 	// uses it as a progress indicator.
 	delivered atomic.Uint64
 
-	barrier *barrier
+	barrier barrier
 
+	// abortCh is closed when the world stops early (abort, interrupt, pause):
+	// barrier waits watch it; mailbox waits are released by mailbox.stop.
+	abortCh   chan struct{}
 	abortOnce sync.Once
 	aborted   atomic.Bool
+
+	// watching is set once the deadlock watchdog runs; stopWatch stops it. It
+	// starts at the world's first blocked MPI wait (env.block), so a world
+	// whose ranks never wait runs without one.
+	watching  atomic.Bool
+	stopWatch chan struct{}
+
+	// panicMsg is the first simulator panic a rank raised, re-raised by Run.
+	panicMu  sync.Mutex
+	panicMsg string
 
 	// pausing is set when the abort in flight is a fork-point pause rather
 	// than a failure; pauseDirty is raised by any rank whose in-progress MPI
@@ -75,12 +85,12 @@ type World struct {
 type rankState struct {
 	id      int
 	m       *vm.Machine
-	mailbox chan Message
+	env     env
+	mailbox mailbox
 	pending []Message // received but not yet matched
 	blocked atomic.Bool
 	done    atomic.Bool
 	term    vm.Termination
-	abortCh chan struct{}
 }
 
 // Config parameterizes world construction.
@@ -121,24 +131,25 @@ func NewWorld(prog *isa.Program, cfg Config) (*World, error) {
 	}
 	w := &World{
 		size:    cfg.Size,
-		barrier: newBarrier(cfg.Size),
+		ranks:   make([]rankState, cfg.Size),
+		barrier: barrier{n: cfg.Size},
+		abortCh: make(chan struct{}),
 		obs:     newWorldObs(cfg.Obs),
 		tracer:  cfg.Tracer,
 		events:  cfg.Events,
 	}
-	for r := 0; r < cfg.Size; r++ {
+	for r := range w.ranks {
 		var mc vm.Config
 		if cfg.Machine != nil {
 			mc = cfg.Machine(r)
 		}
 		mc.Rank = r
 		mc.WorldSize = cfg.Size
-		rs := &rankState{
-			id:      r,
-			mailbox: make(chan Message, mailboxCap),
-			abortCh: make(chan struct{}),
-		}
-		mc.MPI = &env{w: w, rs: rs}
+		rs := &w.ranks[r]
+		rs.id = r
+		rs.env = env{w: w, rs: rs}
+		rs.mailbox.init()
+		mc.MPI = &rs.env
 		if cfg.NewMachine != nil {
 			rs.m = cfg.NewMachine(r, mc)
 		} else {
@@ -146,18 +157,15 @@ func NewWorld(prog *isa.Program, cfg Config) (*World, error) {
 		}
 		rs.m.PID = 1000 + r
 		if cfg.Mailboxes != nil {
-			for _, msg := range cfg.Mailboxes[r] {
-				rs.mailbox <- msg
-			}
+			rs.mailbox.load(cfg.Mailboxes[r])
 		}
 		if cfg.Pendings != nil {
 			rs.pending = append([]Message(nil), cfg.Pendings[r]...)
 		}
-		w.ranks = append(w.ranks, rs)
 	}
 	if cfg.Setup != nil {
-		for _, rs := range w.ranks {
-			cfg.Setup(rs.id, rs.m)
+		for r := range w.ranks {
+			cfg.Setup(r, w.ranks[r].m)
 		}
 	}
 	return w, nil
@@ -173,69 +181,87 @@ func (w *World) Machine(rank int) *vm.Machine { return w.ranks[rank].m }
 // indexed by rank. If any rank terminates abnormally the remaining ranks
 // are aborted, as mpirun does.
 //
-// A panic inside a rank goroutine (a simulator bug, not a guest fault) is
-// captured, the remaining ranks are aborted so nothing blocks forever, and
-// the panic is re-raised on the caller's goroutine once every rank has
-// drained — campaign workers isolate it there without losing the process.
+// Each rank runs on a goroutine of its own, except that a world with one
+// rank left to run (a serial guest, or a snapshot whose other ranks had
+// already exited) runs it on the caller's. A panic inside a rank (a simulator
+// bug, not a guest fault) is captured, the remaining ranks are aborted so
+// nothing blocks forever, and the panic is re-raised on the caller's
+// goroutine once every rank has drained — campaign workers isolate it there
+// without losing the process.
 func (w *World) Run() []vm.Termination {
-	var wg sync.WaitGroup
-	stopWatch := make(chan struct{})
-	var panicMu sync.Mutex
-	var panicMsg string
-	for _, rs := range w.ranks {
+	var only *rankState
+	runnable := 0
+	for r := range w.ranks {
+		rs := &w.ranks[r]
 		// A rank restored from a snapshot may already have terminated in the
-		// prefix (clean exit before the fork point): record it and skip the
-		// goroutine entirely.
+		// prefix (clean exit before the fork point): record it and run nothing.
 		if t := rs.m.Terminated(); t != nil {
 			rs.term = *t
 			rs.done.Store(true)
 			continue
 		}
-		wg.Add(1)
-		go func(rs *rankState) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicMsg == "" {
-						panicMsg = fmt.Sprintf("rank %d: %v\n%s", rs.id, r, debug.Stack())
-					}
-					panicMu.Unlock()
-					rs.done.Store(true)
-					w.abortPeers(rs.id, vm.Termination{
-						Reason: vm.ReasonMPIError,
-						Msg:    fmt.Sprintf("peer rank %d terminated: simulator panic", rs.id),
-					})
-				}
-			}()
-			sp := w.tracer.StartSpanTID("rank.run", rs.id)
-			term := rs.m.Run()
-			sp.SetArg("reason", term.Reason.String())
-			sp.End()
-			rs.term = term
-			rs.done.Store(true)
-			switch {
-			case term.Reason == vm.ReasonPaused:
-				// A fork-point pause initiated by this rank: suspend the
-				// whole world at this quiescent boundary instead of treating
-				// the stop as a failure.
-				w.Pause(term)
-			case term.Abnormal():
-				w.abortPeers(rs.id, term)
-			}
-		}(rs)
+		runnable++
+		only = rs
 	}
-	go w.watchdog(stopWatch)
-	wg.Wait()
-	close(stopWatch)
-	if panicMsg != "" {
-		panic("mpi: " + panicMsg)
+	if runnable == 1 {
+		w.runRank(only)
+	} else if runnable > 1 {
+		var wg sync.WaitGroup
+		for r := range w.ranks {
+			if rs := &w.ranks[r]; !rs.done.Load() {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					w.runRank(rs)
+				}()
+			}
+		}
+		wg.Wait()
+	}
+	if w.stopWatch != nil {
+		close(w.stopWatch)
+	}
+	if w.panicMsg != "" {
+		panic("mpi: " + w.panicMsg)
 	}
 	out := make([]vm.Termination, w.size)
-	for i, rs := range w.ranks {
-		out[i] = rs.term
+	for r := range w.ranks {
+		out[r] = w.ranks[r].term
 	}
 	return out
+}
+
+// runRank executes one rank to its termination and stops the rest of the
+// world if that termination calls for it.
+func (w *World) runRank(rs *rankState) {
+	defer func() {
+		if r := recover(); r != nil {
+			w.panicMu.Lock()
+			if w.panicMsg == "" {
+				w.panicMsg = fmt.Sprintf("rank %d: %v\n%s", rs.id, r, debug.Stack())
+			}
+			w.panicMu.Unlock()
+			rs.done.Store(true)
+			w.abortPeers(rs.id, vm.Termination{
+				Reason: vm.ReasonMPIError,
+				Msg:    fmt.Sprintf("peer rank %d terminated: simulator panic", rs.id),
+			})
+		}
+	}()
+	sp := w.tracer.StartSpanTID("rank.run", rs.id)
+	term := rs.m.Run()
+	sp.SetArg("reason", term.Reason.String())
+	sp.End()
+	rs.term = term
+	rs.done.Store(true)
+	switch {
+	case term.Reason == vm.ReasonPaused:
+		// A fork-point pause initiated by this rank: suspend the whole world
+		// at this quiescent boundary instead of treating the stop as a failure.
+		w.Pause(term)
+	case term.Abnormal():
+		w.abortPeers(rs.id, term)
+	}
 }
 
 // Interrupt force-terminates every rank with the given termination. The
@@ -250,11 +276,7 @@ func (w *World) Interrupt(t vm.Termination) {
 		}
 		w.tracer.Instant("mpi.interrupt", 0)
 		w.events.Emit("world_interrupt", -1, -1, uint64(t.Reason), 0, t.Msg)
-		for _, rs := range w.ranks {
-			rs.m.Abort(t)
-			close(rs.abortCh)
-		}
-		w.barrier.abort()
+		w.stop(-1, t)
 	})
 }
 
@@ -269,11 +291,7 @@ func (w *World) Pause(t vm.Termination) {
 	w.abortOnce.Do(func() {
 		w.tracer.Instant("mpi.pause", 0)
 		w.events.Emit("world_pause", -1, -1, uint64(t.Reason), 0, t.Msg)
-		for _, rs := range w.ranks {
-			rs.m.Abort(t)
-			close(rs.abortCh)
-		}
-		w.barrier.abort()
+		w.stop(-1, t)
 	})
 }
 
@@ -288,22 +306,30 @@ func (w *World) PauseDirty() bool { return w.pauseDirty.Load() }
 func (w *World) QueueSnapshot() (mailboxes, pendings [][]Message) {
 	mailboxes = make([][]Message, w.size)
 	pendings = make([][]Message, w.size)
-	for i, rs := range w.ranks {
-	drain:
-		for {
-			select {
-			case msg := <-rs.mailbox:
-				mailboxes[i] = append(mailboxes[i], msg)
-			default:
-				break drain
-			}
-		}
-		pendings[i] = append([]Message(nil), rs.pending...)
+	for r := range w.ranks {
+		mailboxes[r] = w.ranks[r].mailbox.drain()
+		pendings[r] = append([]Message(nil), w.ranks[r].pending...)
 	}
 	return mailboxes, pendings
 }
 
-// abortPeers kills all other ranks after rank `from` failed.
+// stop aborts every rank but skip (-1: none) with t and releases every
+// blocked MPI wait. It runs under abortOnce: a world stops early once.
+func (w *World) stop(skip int, t vm.Termination) {
+	for r := range w.ranks {
+		if r != skip {
+			w.ranks[r].m.Abort(t)
+		}
+	}
+	close(w.abortCh)
+	w.barrier.abort()
+	for r := range w.ranks {
+		w.ranks[r].mailbox.stop()
+	}
+}
+
+// abortPeers kills all other ranks after rank `from` failed. The failed rank
+// keeps its own termination; it has stopped and waits on nothing.
 func (w *World) abortPeers(from int, cause vm.Termination) {
 	w.abortOnce.Do(func() {
 		w.aborted.Store(true)
@@ -312,17 +338,10 @@ func (w *World) abortPeers(from int, cause vm.Termination) {
 		}
 		w.tracer.Instant("mpi.abort_peers", from)
 		w.events.Emit("world_abort", -1, from, uint64(cause.Reason), 0, cause.Msg)
-		for _, rs := range w.ranks {
-			if rs.id == from {
-				continue
-			}
-			rs.m.Abort(vm.Termination{
-				Reason: vm.ReasonMPIError,
-				Msg:    fmt.Sprintf("peer rank %d terminated: %s", from, cause),
-			})
-			close(rs.abortCh)
-		}
-		w.barrier.abort()
+		w.stop(from, vm.Termination{
+			Reason: vm.ReasonMPIError,
+			Msg:    fmt.Sprintf("peer rank %d terminated: %s", from, cause),
+		})
 	})
 }
 
@@ -334,12 +353,18 @@ func (w *World) abortAll(msg string) {
 			w.obs.aborts.Inc()
 		}
 		w.events.Emit("world_deadlock", -1, -1, 0, 0, msg)
-		for _, rs := range w.ranks {
-			rs.m.Abort(vm.Termination{Reason: vm.ReasonMPIError, Msg: msg})
-			close(rs.abortCh)
-		}
-		w.barrier.abort()
+		w.stop(-1, vm.Termination{Reason: vm.ReasonMPIError, Msg: msg})
 	})
+}
+
+// startWatchdog starts the deadlock watchdog unless it already runs. Ranks
+// call it as they enter a blocked MPI wait, the only state the watchdog acts
+// on, so Run reads stopWatch after every rank has finished.
+func (w *World) startWatchdog() {
+	if w.watching.CompareAndSwap(false, true) {
+		w.stopWatch = make(chan struct{})
+		go w.watchdog(w.stopWatch)
+	}
 }
 
 // watchdog aborts the world when every live rank is blocked in MPI and no
@@ -371,7 +396,8 @@ func (w *World) watchdog(stop <-chan struct{}) {
 		allIdle := true
 		anyBlocked := false
 		mailboxesEmpty := true
-		for _, rs := range w.ranks {
+		for r := range w.ranks {
+			rs := &w.ranks[r]
 			if rs.done.Load() {
 				continue
 			}
@@ -380,7 +406,7 @@ func (w *World) watchdog(stop <-chan struct{}) {
 			} else {
 				allIdle = false
 			}
-			if len(rs.mailbox) > 0 {
+			if rs.mailbox.len() > 0 {
 				mailboxesEmpty = false
 			}
 		}
@@ -402,7 +428,8 @@ func (w *World) watchdog(stop <-chan struct{}) {
 	}
 }
 
-// barrier is an abortable N-party barrier usable repeatedly.
+// barrier is an abortable N-party barrier usable repeatedly. The release
+// channel of a generation exists only while a party waits in it.
 type barrier struct {
 	mu      sync.Mutex
 	n       int
@@ -410,10 +437,6 @@ type barrier struct {
 	gen     int
 	release chan struct{}
 	broken  bool
-}
-
-func newBarrier(n int) *barrier {
-	return &barrier{n: n, release: make(chan struct{})}
 }
 
 // wait blocks until all n parties arrive or the barrier is aborted; it
@@ -428,10 +451,12 @@ func (b *barrier) wait(abortCh <-chan struct{}) bool {
 	if b.arrived == b.n {
 		b.arrived = 0
 		b.gen++
-		close(b.release)
-		b.release = make(chan struct{})
+		b.releaseWaiters()
 		b.mu.Unlock()
 		return true
+	}
+	if b.release == nil {
+		b.release = make(chan struct{})
 	}
 	release := b.release
 	myGen := b.gen
@@ -452,11 +477,20 @@ func (b *barrier) wait(abortCh <-chan struct{}) bool {
 	}
 }
 
+// releaseWaiters wakes the parties waiting in the current generation. The
+// caller holds mu.
+func (b *barrier) releaseWaiters() {
+	if b.release != nil {
+		close(b.release)
+		b.release = nil
+	}
+}
+
+// abort breaks the barrier: waiters return false and later arrivals do not
+// block.
 func (b *barrier) abort() {
 	b.mu.Lock()
 	b.broken = true
-	close(b.release)
-	b.release = make(chan struct{})
-	// Keep future waiters from blocking.
+	b.releaseWaiters()
 	b.mu.Unlock()
 }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -230,6 +231,28 @@ func TestInvalidArgsAreMPIErrors(t *testing.T) {
 				t.Errorf("msg %q missing %q", terms[0].Msg, tt.sub)
 			}
 		})
+	}
+}
+
+// TestCountLimitBoundary pins the message-count bound that separates "MPI
+// error detected" from whatever a huge copy would do: 4 Mi elements pass
+// validation, one more is an MPI runtime error. The bound is its own
+// constant, not a multiple of the mailbox capacity.
+func TestCountLimitBoundary(t *testing.T) {
+	if maxCount != 4<<20 {
+		t.Fatalf("maxCount = %d, want 4 Mi", maxCount)
+	}
+	e := &env{w: &World{size: 2}}
+	if err := e.validate("MPI_Send", maxCount, isa.TypeInt64, 1, 0, false); err != nil {
+		t.Errorf("count == limit rejected: %v", err)
+	}
+	err := e.validate("MPI_Send", maxCount+1, isa.TypeInt64, 1, 0, false)
+	var mpiErr *vm.MPIRuntimeError
+	if !errors.As(err, &mpiErr) || !strings.Contains(mpiErr.Msg, "invalid count") {
+		t.Errorf("count == limit+1: %v, want an invalid-count MPIRuntimeError", err)
+	}
+	if err := e.validate("MPI_Send", -1, isa.TypeInt64, 1, 0, false); err == nil {
+		t.Error("negative count accepted")
 	}
 }
 

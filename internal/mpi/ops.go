@@ -52,7 +52,7 @@ func (e *env) Call(m *vm.Machine, sys isa.Sys) error {
 		if e.w.obs != nil {
 			t0 = time.Now()
 		}
-		ok := e.w.barrier.wait(e.rs.abortCh)
+		ok := e.w.barrier.wait(e.w.abortCh)
 		if e.w.obs != nil {
 			e.w.obs.barrierWait.Observe(time.Since(t0).Seconds())
 		}
@@ -92,11 +92,16 @@ func (e *env) abortErr(op string) error {
 	return &vm.MPIRuntimeError{Op: op, Msg: "aborted"}
 }
 
+// maxCount is the largest element count of one message the runtime accepts
+// (4 Mi elements); a fault that pushes a count past it is an MPI error, not
+// a multi-gigabyte copy.
+const maxCount = 4 << 20
+
 // validate checks the common (count, dtype, peer, tag) argument tuple; a
 // fault that corrupted any of them is detected here, producing the paper's
 // "MPI error detected" termination class.
 func (e *env) validate(op string, count int64, dtype isa.Datatype, peer, tag int, internalTag bool) error {
-	if count < 0 || count > mailboxCap*4096 {
+	if count < 0 || count > maxCount {
 		return &vm.MPIRuntimeError{Op: op, Msg: fmt.Sprintf("invalid count %d", count)}
 	}
 	if !dtype.Valid() {
@@ -128,35 +133,34 @@ func (e *env) sendTag(m *vm.Machine, buf uint64, count int64, dtype isa.Datatype
 		return err // SegFault: the runtime touched a corrupted user buffer
 	}
 	msg := Message{Src: e.rs.id, Dst: dest, Tag: tag, Dtype: dtype, Count: count, Data: data}
-	dst := e.w.ranks[dest]
+	dst := &e.w.ranks[dest].mailbox
 	// Fast path: eager-buffered delivery without entering the blocked state
 	// (keeps the deadlock watchdog free of false positives).
-	select {
-	case dst.mailbox <- msg:
-		e.w.delivered.Add(1)
-		e.progress++
-		e.w.obs.sent(len(data))
-		return nil
-	default:
-	}
-	e.rs.blocked.Store(true)
-	defer e.rs.blocked.Store(false)
-	var t0 time.Time
-	if e.w.obs != nil {
-		t0 = time.Now()
-	}
-	select {
-	case dst.mailbox <- msg:
-		e.w.delivered.Add(1)
-		e.progress++
+	if !dst.tryPut(&msg) {
+		e.block()
+		defer e.rs.blocked.Store(false)
+		var t0 time.Time
+		if e.w.obs != nil {
+			t0 = time.Now()
+		}
+		if !dst.put(&msg) {
+			return e.abortErr("MPI_Send")
+		}
 		if e.w.obs != nil {
 			e.w.obs.sendWait.Observe(time.Since(t0).Seconds())
 		}
-		e.w.obs.sent(len(data))
-		return nil
-	case <-e.rs.abortCh:
-		return e.abortErr("MPI_Send")
 	}
+	e.w.delivered.Add(1)
+	e.progress++
+	e.w.obs.sent(len(data))
+	return nil
+}
+
+// block marks the rank blocked in an MPI wait, the state the deadlock
+// watchdog looks for, and makes sure the watchdog runs.
+func (e *env) block() {
+	e.rs.blocked.Store(true)
+	e.w.startWatchdog()
 }
 
 func (e *env) recv(m *vm.Machine, buf uint64, count int64, dtype isa.Datatype, source, tag int) error {
@@ -195,38 +199,35 @@ func (e *env) match(source, tag int) (Message, error) {
 	// Fast path: drain already-delivered messages without entering the
 	// blocked state.
 	for {
-		select {
-		case msg := <-e.rs.mailbox:
-			if msg.Src == source && msg.Tag == tag {
-				e.progress++
-				return msg, nil
-			}
-			e.rs.pending = append(e.rs.pending, msg)
-			continue
-		default:
+		msg, ok := e.rs.mailbox.tryTake()
+		if !ok {
+			break
 		}
-		break
+		if msg.Src == source && msg.Tag == tag {
+			e.progress++
+			return msg, nil
+		}
+		e.rs.pending = append(e.rs.pending, msg)
 	}
-	e.rs.blocked.Store(true)
+	e.block()
 	defer e.rs.blocked.Store(false)
 	var t0 time.Time
 	if e.w.obs != nil {
 		t0 = time.Now()
 	}
 	for {
-		select {
-		case msg := <-e.rs.mailbox:
-			if msg.Src == source && msg.Tag == tag {
-				e.progress++
-				if e.w.obs != nil {
-					e.w.obs.recvWait.Observe(time.Since(t0).Seconds())
-				}
-				return msg, nil
-			}
-			e.rs.pending = append(e.rs.pending, msg)
-		case <-e.rs.abortCh:
+		msg, ok := e.rs.mailbox.take()
+		if !ok {
 			return Message{}, e.abortErr("MPI_Recv")
 		}
+		if msg.Src == source && msg.Tag == tag {
+			e.progress++
+			if e.w.obs != nil {
+				e.w.obs.recvWait.Observe(time.Since(t0).Seconds())
+			}
+			return msg, nil
+		}
+		e.rs.pending = append(e.rs.pending, msg)
 	}
 }
 

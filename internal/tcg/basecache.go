@@ -17,13 +17,20 @@ import (
 // Blocks stored in a BaseCache are immutable after publication: the engine
 // keeps its block-chaining state in per-machine tables (see internal/vm), so
 // a published *TB is never written again and may be executed by any number of
-// machines concurrently. Instrumented blocks never enter the base cache —
-// they live in each Translator's private overlay, which is the only state
-// AddHook/Flush invalidate.
+// machines concurrently. Blocks a hook instrumented never enter the base
+// cache — they live in each Translator's private overlay, which is the only
+// state AddHook/SetProbe/Flush invalidate. Blocks a Probe instrumented are
+// kept beside the clean ones, keyed by the probe: every run of a campaign
+// arms the same probe, so the block at its injection site is translated once
+// per campaign too. Nothing is evicted: a cache lives as long as its campaign,
+// which arms one probe, so it holds at most one instrumented copy of each
+// block that probe targets. A cache shared by runs that arm different op sets
+// or helper numbers holds one such set of copies per distinct probe;
+// BaseStats.Probed counts them.
 //
-// The cache fills lazily: any translator that produces a clean translation
-// publishes it, so a campaign's golden run warms the cache for every
-// injection run that follows.
+// The cache fills lazily: any translator that produces a clean or probed
+// translation publishes it, so a campaign's golden run warms the cache for
+// every injection run that follows.
 type BaseCache struct {
 	prog   *isa.Program
 	noOpt  bool
@@ -31,21 +38,29 @@ type BaseCache struct {
 
 	mu     sync.RWMutex
 	blocks map[uint64]*TB
+	probed map[probedKey]*TB
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
+// probedKey names the block at pc as instrumented by probe.
+type probedKey struct {
+	pc    uint64
+	probe Probe
+}
+
 // BaseStats is a snapshot of shared-cache activity.
 type BaseStats struct {
-	Hits   uint64 // lookups served from the shared cache
-	Misses uint64 // lookups that fell through to translation
+	Hits   uint64 // lookups that found their block, clean or probed
+	Misses uint64 // lookups that found nothing
 	Blocks uint64 // clean blocks currently published
+	Probed uint64 // probe-instrumented blocks currently published, over all probes
 }
 
 // NewBaseCache creates an empty shared cache for prog.
 func NewBaseCache(prog *isa.Program) *BaseCache {
-	return &BaseCache{prog: prog, blocks: make(map[uint64]*TB)}
+	return &BaseCache{prog: prog, blocks: make(map[uint64]*TB), probed: make(map[probedKey]*TB)}
 }
 
 // SetOptimizer toggles the peephole optimizer for translations published
@@ -61,7 +76,7 @@ func (c *BaseCache) SetFusion(on bool) { c.noFuse = !on }
 // Prog returns the program this cache translates.
 func (c *BaseCache) Prog() *isa.Program { return c.prog }
 
-// Len returns the number of published blocks.
+// Len returns the number of published clean blocks.
 func (c *BaseCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -70,23 +85,32 @@ func (c *BaseCache) Len() int {
 
 // Stats returns a snapshot of cache activity.
 func (c *BaseCache) Stats() BaseStats {
+	c.mu.RLock()
+	blocks, probed := len(c.blocks), len(c.probed)
+	c.mu.RUnlock()
 	return BaseStats{
 		Hits:   c.hits.Load(),
 		Misses: c.misses.Load(),
-		Blocks: uint64(c.Len()),
+		Blocks: uint64(blocks),
+		Probed: uint64(probed),
 	}
 }
 
-// lookup returns the published block at pc, if any, counting a hit or miss.
+// lookup returns the published clean block at pc, if any. Translators count
+// the hit or miss (Translator.countBase) once they know whether a probed
+// block served the lookup instead.
 func (c *BaseCache) lookup(pc uint64) (*TB, bool) {
 	c.mu.RLock()
 	tb, ok := c.blocks[pc]
 	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
+	return tb, ok
+}
+
+// lookupProbed returns the published block at pc as instrumented by probe.
+func (c *BaseCache) lookupProbed(pc uint64, probe Probe) (*TB, bool) {
+	c.mu.RLock()
+	tb, ok := c.probed[probedKey{pc, probe}]
+	c.mu.RUnlock()
 	return tb, ok
 }
 
@@ -100,5 +124,18 @@ func (c *BaseCache) insert(pc uint64, tb *TB) *TB {
 		return prev
 	}
 	c.blocks[pc] = tb
+	return tb
+}
+
+// insertProbed publishes a probe's translation of the block at pc, first
+// writer winning as in insert.
+func (c *BaseCache) insertProbed(pc uint64, probe Probe, tb *TB) *TB {
+	key := probedKey{pc, probe}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prev, ok := c.probed[key]; ok {
+		return prev
+	}
+	c.probed[key] = tb
 	return tb
 }

@@ -12,18 +12,45 @@ import (
 const MaxTBInstrs = 32
 
 // InstrumentHook runs at translation time for every guest instruction and
-// returns micro-ops to prepend in front of the instruction's own translation.
-// This is the mechanism Chaser uses for just-in-time fault injection: only
-// instructions the hook chooses to instrument pay any runtime cost.
+// returns micro-ops to prepend in front of the instruction's own translation:
+// only instructions the hook chooses to instrument pay any runtime cost.
+// Chaser's just-in-time fault injector states its instrumentation as a Probe
+// instead, which a hook cannot be shared as.
 type InstrumentHook func(ins isa.Instr, pc uint64) []Op
+
+// OpSet is a set of guest opcodes, one bit per isa.Op value.
+type OpSet [4]uint64
+
+// OpSetOf returns the set holding ops.
+func OpSetOf(ops ...isa.Op) OpSet {
+	var s OpSet
+	for _, op := range ops {
+		s[op>>6] |= 1 << (op & 63)
+	}
+	return s
+}
+
+// Has reports whether op is in the set.
+func (s *OpSet) Has(op isa.Op) bool { return s[op>>6]&(1<<(op&63)) != 0 }
+
+// Probe is instrumentation stated as data instead of as an InstrumentHook: a
+// call of helper number Helper in front of every guest instruction whose
+// opcode is in Ops. What a probe makes of a block depends on the block and
+// the probe alone, so translators that share a BaseCache share the
+// instrumented block as well (the overlay of a translator that also carries
+// hooks stays private). The zero Probe instruments nothing.
+type Probe struct {
+	Ops    OpSet
+	Helper int
+}
 
 // Stats counts translator activity.
 type Stats struct {
 	Translations uint64 // blocks translated by this translator
 	CacheHits    uint64 // overlay hits (includes pass-through base blocks)
 	CacheMisses  uint64 // overlay misses
-	BaseHits     uint64 // overlay misses served by the shared base cache
-	BaseMisses   uint64 // overlay misses that fell through to translation
+	BaseHits     uint64 // overlay misses that found their block, clean or probed, in the shared base cache
+	BaseMisses   uint64 // overlay misses that found nothing there
 	Flushes      uint64
 	HelperOps    uint64 // instrumentation micro-ops inserted
 	OptRewrites  uint64 // peephole rewrites applied
@@ -43,17 +70,19 @@ type Stats struct {
 // of clean translations, typically one per campaign; the overlay is this
 // translator's private view, holding instrumented blocks plus pass-through
 // references to base blocks. Block consults the overlay first, then the base;
-// AddHook and Flush invalidate only the overlay, so arming an injector on one
-// machine never throws away (or races with) the translations its peers share.
+// AddHook, SetProbe and Flush invalidate only the overlay, so arming an
+// injector on one machine never throws away (or races with) the translations
+// its peers share.
 type Translator struct {
 	prog    *isa.Program
 	base    *BaseCache
 	overlay map[uint64]*TB
-	// instrumented counts overlay blocks that were privately translated
-	// because an armed hook placed micro-ops in them — the O(targeted
-	// blocks) work that remains per run once the base cache is warm.
+	// instrumented counts overlay blocks that carry instrumentation micro-ops:
+	// translated privately because a hook placed them, or the probe's, which
+	// are translated once per base cache.
 	instrumented uint64
 	hooks        []InstrumentHook
+	probe        Probe // the zero Probe, whose op set is empty, is no probe
 	stats        Stats
 	noOpt        bool
 	noFuse       bool
@@ -109,11 +138,23 @@ func (t *Translator) AddHook(h InstrumentHook) {
 	t.hooks = append(t.hooks, h)
 }
 
-// ClearHooks removes all instrumentation hooks (the fi_clean_cb path: after
-// injection completes, the injector detaches).
+// SetProbe arms p, replacing any earlier probe. Like AddHook it applies to
+// blocks translated afterwards; call Flush to re-decide cached ones.
+func (t *Translator) SetProbe(p Probe) {
+	t.probe = p
+}
+
+// ClearHooks removes all instrumentation, every hook and the probe. A plugin
+// that detaches while others may still be attached disarms only what it
+// armed: Chaser's fi_clean_cb calls SetProbe(Probe{}).
 func (t *Translator) ClearHooks() {
 	t.hooks = nil
+	t.probe = Probe{}
 }
+
+// shares reports whether the translator's instrumented blocks are the
+// probe's alone, and so the same for every translator with that probe.
+func (t *Translator) shares() bool { return t.probe.Ops != OpSet{} && len(t.hooks) == 0 }
 
 // Flush empties the translation overlay, forcing the next lookup of every
 // block to re-decide instrumentation — invoked when the target process
@@ -122,7 +163,7 @@ func (t *Translator) ClearHooks() {
 // armed hook actually instruments are translated again. Bumping the
 // generation invalidates every chained block edge.
 func (t *Translator) Flush() {
-	t.overlay = make(map[uint64]*TB)
+	clear(t.overlay)
 	t.instrumented = 0
 	t.stats.Flushes++
 	t.gen++
@@ -151,26 +192,34 @@ func (t *Translator) AttachObs(reg *obs.Registry) {
 // Block returns the translation block starting at guest address pc.
 //
 // Lookup order: the private overlay first, then the shared base cache. A
-// base block is admitted into the overlay as a pass-through reference when no
-// armed hook wants to instrument it, so the instrumentation decision is made
-// once per block, not once per execution. Only on a full miss (or when a hook
-// claims the block) does the translator do translation work; clean results
-// are published to the shared base so peers and later runs skip them.
+// base block is admitted into the overlay as a pass-through reference when
+// the armed instrumentation leaves it alone, and a block the probe alone
+// instruments is taken from the base cache's probed blocks, so the
+// instrumentation decision is made once per block, not once per execution.
+// Only on a full miss (or when a hook claims the block) does the translator
+// do translation work; clean and probed results are published to the shared
+// base so peers and later runs skip them.
 func (t *Translator) Block(pc uint64) (*TB, error) {
 	if tb, ok := t.overlay[pc]; ok {
 		t.stats.CacheHits++
 		return tb, nil
 	}
 	t.stats.CacheMisses++
-	if tb, ok := t.base.lookup(pc); ok {
-		t.stats.BaseHits++
-		if !t.hooksWant(tb) {
+	clean, found := t.base.lookup(pc)
+	if found && !t.wants(clean) {
+		t.countBase(true)
+		t.overlay[pc] = clean
+		return clean, nil
+	}
+	if t.shares() {
+		if tb, ok := t.base.lookupProbed(pc, t.probe); ok {
+			t.countBase(true)
+			t.instrumented++
 			t.overlay[pc] = tb
 			return tb, nil
 		}
-	} else {
-		t.stats.BaseMisses++
 	}
+	t.countBase(found)
 	var tStart time.Time
 	if t.obsLat != nil {
 		tStart = time.Now()
@@ -194,22 +243,37 @@ func (t *Translator) Block(pc uint64) (*TB, error) {
 	}
 	tb.OpCounts = countOps(tb.Ops)
 	t.stats.Translations++
-	if inserted == 0 {
-		// Clean translation: publish it. The base returns the canonical
-		// block, so machines that raced on the same miss share one *TB.
+	// Publish what does not depend on this translator. The base returns the
+	// canonical block, so machines that raced on the same miss share one *TB.
+	switch {
+	case inserted == 0:
 		tb = t.base.insert(pc, tb)
-	} else {
+	case t.shares():
+		t.instrumented++
+		tb = t.base.insertProbed(pc, t.probe, tb)
+	default:
 		t.instrumented++
 	}
 	t.overlay[pc] = tb
 	return tb, nil
 }
 
-// hooksWant reports whether any armed hook would place micro-ops in front of
-// an instruction of the (clean) block tb. It is called once per block per
-// overlay admission, never on the execution hot path.
-func (t *Translator) hooksWant(tb *TB) bool {
-	if len(t.hooks) == 0 {
+// countBase counts one overlay miss as found or not in the base cache.
+func (t *Translator) countBase(hit bool) {
+	if hit {
+		t.stats.BaseHits++
+		t.base.hits.Add(1)
+	} else {
+		t.stats.BaseMisses++
+		t.base.misses.Add(1)
+	}
+}
+
+// wants reports whether the armed instrumentation would place micro-ops in
+// front of an instruction of the (clean) block tb. It is called once per
+// block per overlay admission, never on the execution hot path.
+func (t *Translator) wants(tb *TB) bool {
+	if t.probe.Ops == (OpSet{}) && len(t.hooks) == 0 {
 		return false
 	}
 	for i := range tb.Ops {
@@ -217,27 +281,33 @@ func (t *Translator) hooksWant(tb *TB) bool {
 		if !op.First {
 			continue
 		}
-		ins, ok := t.prog.InstrAt(op.GuestPC)
-		if !ok {
-			continue
-		}
-		for _, h := range t.hooks {
-			if len(h(ins, op.GuestPC)) > 0 {
-				return true
-			}
-		}
 		// A fused compare-and-branch covers a second guest instruction whose
-		// First boundary was folded away; probe it too so hooks targeting
-		// branch opcodes still claim the block (retranslation then inserts
+		// First boundary was folded away; probe it too so instrumentation of
+		// branch opcodes still claims the block (retranslation then inserts
 		// the helper between cmp and jcc, which blocks the fusion).
-		if op.Kind == KCmpBr || op.Kind == KCmpBrI {
-			if ins2, ok := t.prog.InstrAt(op.GuestPC2); ok {
-				for _, h := range t.hooks {
-					if len(h(ins2, op.GuestPC2)) > 0 {
-						return true
-					}
-				}
-			}
+		fused := op.Kind == KCmpBr || op.Kind == KCmpBrI
+		if t.probe.Ops.Has(op.GuestOp) || fused && t.probe.Ops.Has(op.GuestOp2) {
+			return true
+		}
+		if t.hooksWant(op.GuestPC) || fused && t.hooksWant(op.GuestPC2) {
+			return true
+		}
+	}
+	return false
+}
+
+// hooksWant reports whether a hook instruments the guest instruction at pc.
+func (t *Translator) hooksWant(pc uint64) bool {
+	if len(t.hooks) == 0 {
+		return false
+	}
+	ins, ok := t.prog.InstrAt(pc)
+	if !ok {
+		return false
+	}
+	for _, h := range t.hooks {
+		if len(h(ins, pc)) > 0 {
+			return true
 		}
 	}
 	return false
@@ -258,6 +328,11 @@ func (t *Translator) translate(pc uint64) (*TB, int, error) {
 				break
 			}
 			return nil, 0, &isa.BadOpcodeError{PC: cur, Opcode: 0}
+		}
+		if t.probe.Ops.Has(ins.Op) {
+			tb.Ops = append(tb.Ops, Op{Kind: KHelper, Helper: t.probe.Helper, GuestPC: cur, GuestOp: ins.Op})
+			t.stats.HelperOps++
+			inserted++
 		}
 		for _, h := range t.hooks {
 			pre := h(ins, cur)

@@ -40,9 +40,15 @@ type TimelinePoint struct {
 const DefaultMaxEvents = 1 << 16
 
 // chunkEvents is how many records one log chunk holds. A log grows by whole
-// chunks and never moves a stored record, so appending costs no copying and
-// a reader may walk the stored prefix while the rank keeps appending.
-const chunkEvents = 256
+// chunks and never rewrites a stored record, so a reader may walk the stored
+// prefix while the rank keeps appending. Only the first chunk starts smaller,
+// at firstChunkEvents, and is copied to four times the size as it fills —
+// most injection runs crash within a few accesses of the fault and should
+// not pay for 256 records — so beyond 256 records appending copies nothing.
+const (
+	chunkEvents      = 256
+	firstChunkEvents = 16
+)
 
 // maxRanks bounds the rank of a logged access; the per-rank table is indexed
 // by it.
@@ -59,15 +65,13 @@ type packedEvent struct {
 	write                                 bool
 }
 
-type chunk [chunkEvents]packedEvent
-
 // rankLog is one rank's access log and tallies. Only the rank's own
 // goroutine appends, so its mutex is uncontended during a run; it is there
 // for readers that look at a live collector.
 type rankLog struct {
 	mu      sync.Mutex
 	share   int // stored-event cap of this rank
-	chunks  []*chunk
+	chunks  [][]packedEvent
 	stored  int
 	dropped uint64
 	// names[i] is the region name interned as i, counts[i] the tally of the
@@ -256,17 +260,33 @@ func (c *Collector) addEvent(ev *Event) error {
 		l.mu.Unlock()
 		return nil
 	}
-	slot := l.stored % chunkEvents
-	if slot == 0 {
-		l.chunks = append(l.chunks, new(chunk))
-	}
-	l.chunks[len(l.chunks)-1][slot] = packedEvent{
+	l.slot()[l.stored%chunkEvents] = packedEvent{
 		eip: ev.EIP, vaddr: ev.VAddr, paddr: ev.PAddr, value: ev.Value, mask: ev.Mask, instr: ev.InstrNum,
 		size: uint16(ev.Size), region: uint8(region), write: ev.Write,
 	}
 	l.stored++
 	l.mu.Unlock()
 	return nil
+}
+
+// slot returns the chunk the next record goes into, making room for it.
+func (l *rankLog) slot() []packedEvent {
+	at := l.stored % chunkEvents
+	switch {
+	case at == 0:
+		size := chunkEvents
+		if l.stored == 0 {
+			size = firstChunkEvents
+		}
+		l.chunks = append(l.chunks, make([]packedEvent, size))
+	case len(l.chunks) == 1 && at == len(l.chunks[0]):
+		// The first chunk is full below chunkEvents. A view may still be
+		// reading it, so it is replaced, table and all, not extended.
+		grown := make([]packedEvent, min(4*at, chunkEvents))
+		copy(grown, l.chunks[0])
+		l.chunks = [][]packedEvent{grown}
+	}
+	return l.chunks[len(l.chunks)-1]
 }
 
 // maxRegions is how many distinct region names, "" among them, one rank's
@@ -295,7 +315,7 @@ func (l *rankLog) intern(name string) int {
 // read without holding it.
 type rankView struct {
 	rank    int
-	chunks  []*chunk
+	chunks  [][]packedEvent
 	stored  int
 	dropped uint64
 	names   []string

@@ -416,3 +416,44 @@ func TestReadRejectsUnstorableEvents(t *testing.T) {
 		t.Errorf("accepted %d named regions on one rank", maxRegions)
 	}
 }
+
+// TestFirstChunkGrows: a log's first chunk starts small and is regrown to the
+// full chunk size; every record must read back in order at every length, a
+// view taken before a regrowth must keep reading its prefix, and a short log
+// must not have paid for a full chunk.
+func TestFirstChunkGrows(t *testing.T) {
+	c := NewCollector()
+	var early []rankView
+	for i := 0; i < 3*chunkEvents; i++ {
+		c.AddEvent(&Event{Rank: 0, EIP: uint64(i), InstrNum: uint64(i), Size: 8, Region: "heap"})
+		if n := i + 1; n == firstChunkEvents-1 || n == firstChunkEvents+1 || n == chunkEvents-1 {
+			early = append(early, c.views()[0])
+		}
+		if i == firstChunkEvents/2 {
+			if got := cap(c.table()[0].chunks[0]); got != firstChunkEvents {
+				t.Fatalf("a log of %d events holds a chunk of %d records, want %d", i+1, got, firstChunkEvents)
+			}
+		}
+	}
+	evs := c.Events()
+	if len(evs) != 3*chunkEvents {
+		t.Fatalf("stored %d events, want %d", len(evs), 3*chunkEvents)
+	}
+	for i, ev := range evs {
+		if ev.InstrNum != uint64(i) || ev.Region != "heap" {
+			t.Fatalf("event %d reads back as %+v", i, ev)
+		}
+	}
+	for _, v := range early {
+		for i := 0; i < v.stored; i++ {
+			if got := v.event(i).InstrNum; got != uint64(i) {
+				t.Fatalf("a view of %d events reads event %d as %d after the log grew", v.stored, i, got)
+			}
+		}
+	}
+	for i, ch := range c.table()[0].chunks {
+		if len(ch) != chunkEvents {
+			t.Errorf("chunk %d of the grown log holds %d records, want %d", i, len(ch), chunkEvents)
+		}
+	}
+}

@@ -689,3 +689,60 @@ loop:
 		t.Errorf("late-armed hook ran %d times; stale chains suspected", hookCalls)
 	}
 }
+
+// TestForksShareConsoleAndOutput: a fork starts on the snapshot's console
+// and output bytes without copying them and copies at its first append, so
+// forks that print diverge from each other and never write the snapshot.
+func TestForksShareConsoleAndOutput(t *testing.T) {
+	p, err := asm.Assemble("t", `
+main:
+    movi r1, 7
+    syscall print_int
+    syscall out_int
+    nop
+    addi r1, r1, 1
+    syscall print_int
+    syscall out_int
+    movi r1, 0
+    syscall exit
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(p, Config{})
+	m.Trans.SetProbe(tcg.Probe{Ops: tcg.OpSetOf(isa.OpNop), Helper: m.RegisterHelper(func(mm *Machine, op *tcg.Op) {
+		mm.PauseAt(op.GuestPC)
+	})})
+	if term := m.Run(); term.Reason != ReasonPaused {
+		t.Fatalf("prefix: %v", term)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	console, output := string(snap.console), string(snap.output)
+	if console == "" || len(output) != 8 {
+		t.Fatalf("prefix printed %q and wrote %d bytes", console, len(output))
+	}
+
+	a, b := NewFromSnapshot(p, snap, Config{}), NewFromSnapshot(p, snap, Config{})
+	if &a.output[0] != &snap.output[0] || &a.console[0] != &snap.console[0] {
+		t.Error("a fork copied the snapshot's console or output before appending")
+	}
+	b.SetGPR(isa.R1, 40) // b diverges: prints and writes 41 where a has 8
+	for name, f := range map[string]*Machine{"a": a, "b": b} {
+		if term := f.Run(); term.Reason != ReasonExited {
+			t.Fatalf("fork %s: %v", name, term)
+		}
+	}
+	if string(snap.console) != console || string(snap.output) != output {
+		t.Error("a fork wrote the snapshot's console or output")
+	}
+	if a.Console() == b.Console() || !strings.HasPrefix(a.Console(), console) || !strings.HasPrefix(b.Console(), console) {
+		t.Errorf("fork consoles %q and %q from prefix %q", a.Console(), b.Console(), console)
+	}
+	ao, bo := a.Output(), b.Output()
+	if len(ao) != 16 || len(bo) != 16 || ao[8] != 8 || bo[8] != 41 || string(ao[:8]) != output || string(bo[:8]) != output {
+		t.Errorf("fork outputs %v and %v from prefix %v", ao, bo, []byte(output))
+	}
+}

@@ -126,6 +126,11 @@ func (s *Snapshot) FreshBytes() int64 {
 	return s.mem.FreshBytes() + int64(len(s.console)) + int64(len(s.output))
 }
 
+// sealed returns b with no spare capacity: the machine only ever appends to
+// its console and output, so its first append copies the bytes and the
+// snapshot's are never written.
+func sealed(b []byte) []byte { return b[:len(b):len(b)] }
+
 // NewFromSnapshot constructs a forked machine resuming from snap. The
 // config supplies the same knobs New does (budget, sampling, caches,
 // telemetry, MPI plumbing); prog must be the program the snapshot was
@@ -148,8 +153,8 @@ func NewFromSnapshot(prog *isa.Program, snap *Snapshot, cfg Config) *Machine {
 		maxInstr:     cfg.MaxInstructions,
 		sampleIv:     cfg.SampleInterval,
 		noFastPath:   cfg.NoFastPath,
-		console:      append([]byte(nil), snap.console...),
-		output:       append([]byte(nil), snap.output...),
+		console:      sealed(snap.console),
+		output:       sealed(snap.output),
 		counters:     snap.counters,
 		forkBase:     &snap.counters,
 		mpi:          cfg.MPI,
