@@ -81,7 +81,6 @@ func run(args []string) error {
 	role := fs.String("role", "", "startup role bias: leader contends immediately, follower yields one TTL first")
 	leaderTTL := fs.Duration("leader-ttl", 3*time.Second, "fence lease duration; a leader silent this long is deposed")
 	fsync := fs.Bool("fsync", false, "fsync the WAL on every append")
-	walSegment := fs.Int64("wal-segment", 0, "WAL segment rotation threshold in bytes (0 = 1 MiB default)")
 	chaosSpec := fs.String("chaos", os.Getenv("CHASERD_CHAOS"), "self-chaos spec, e.g. seed=42,rate=0.05,sites=wal.short_write+repl.drop_frame (default $CHASERD_CHAOS)")
 	// Worker mode.
 	worker := fs.Bool("worker", false, "run as a worker instead of a server")
@@ -106,7 +105,6 @@ func run(args []string) error {
 		maxActive: *maxActive, ratePerSec: *ratePerSec, burst: *burst,
 		dataDir: *dataDir, fenceFile: *fenceFile, peer: *peer, advertise: *advertise,
 		role: *role, leaderTTL: *leaderTTL, fsync: *fsync, chaos: *chaosSpec,
-		walSegment: *walSegment,
 	}, sigc)
 }
 
@@ -121,7 +119,6 @@ type serverOpts struct {
 	dataDir, fenceFile, peer string
 	advertise, role, chaos   string
 	leaderTTL                time.Duration
-	walSegment               int64
 	fsync                    bool
 }
 
@@ -157,14 +154,13 @@ func runServer(o serverOpts, sigc <-chan os.Signal) error {
 			RatePerSec: o.ratePerSec,
 			Burst:      o.burst,
 		},
-		FenceFile:       o.fenceFile,
-		Peer:            o.peer,
-		AdvertiseURL:    o.advertise,
-		LeaderTTL:       o.leaderTTL,
-		RolePreference:  o.role,
-		WALSegmentBytes: o.walSegment,
-		Fsync:           o.fsync,
-		Chaos:           chaos,
+		FenceFile:      o.fenceFile,
+		Peer:           o.peer,
+		AdvertiseURL:   o.advertise,
+		LeaderTTL:      o.leaderTTL,
+		RolePreference: o.role,
+		Fsync:          o.fsync,
+		Chaos:          chaos,
 	})
 	if err != nil {
 		return err

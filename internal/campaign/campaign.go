@@ -53,7 +53,7 @@ type Config struct {
 	// HubPolicy selects how runs treat TaintHub failures after the
 	// client's retries are exhausted (default core.HubDegrade).
 	HubPolicy core.HubPolicy
-	// Journal, when non-empty, writes an append-only JSONL checkpoint of
+	// Journal, when non-empty, writes an append-only checkpoint log of
 	// completed run outcomes to this path (see journal.go); a killed
 	// campaign can then be resumed.
 	Journal string

@@ -1,29 +1,31 @@
 package campaign
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
+
+	"chaser/internal/wal"
 )
 
-// Checkpoint/resume. A campaign journal is an append-only JSONL file: one
-// header line describing the campaign, then one line per completed run in
-// completion order. Workers append entries as runs finish, so a campaign
-// killed at any moment (SIGINT, OOM, power loss) loses at most the runs
-// that were still in flight; resuming re-executes only those. Because every
+// Checkpoint/resume. A campaign journal is an internal/wal Log of JSON
+// records: one header describing the campaign, then one record per
+// completed run in completion order. Every record is checksummed, so a
+// flipped byte that would still parse as JSON (an index or outcome digit)
+// ends the read like a torn tail does instead of being merged into the
+// report. Workers append entries as runs finish, so a campaign killed at
+// any moment (SIGINT, OOM, power loss) loses at most the runs that were
+// still in flight; resuming re-executes only those. Because every
 // run's injection point and seed are derived deterministically from
 // Config.Seed, the re-executed runs produce the same outcomes they would
 // have, and a resumed campaign's summary is identical to an uninterrupted
 // one.
 
-// journalVersion is bumped when the line format changes incompatibly.
+// journalVersion is bumped when the record schema changes incompatibly.
 const journalVersion = 1
 
-// journalHeader is the first line of a journal. It pins the campaign
+// journalHeader is the first record of a journal. It pins the campaign
 // parameters that determine per-run outcomes, so a resume with a different
 // configuration is rejected instead of silently producing a lying summary.
 type journalHeader struct {
@@ -68,91 +70,88 @@ type journalEntry struct {
 	Outcome RunOutcome `json:"outcome"`
 }
 
+// maxJournalRecord bounds one record (an outcome with a panic message and
+// its stack is the largest).
+const maxJournalRecord = 1 << 24
+
+var journalOptions = wal.Options{MaxPayload: maxJournalRecord}
+
 // Journal is the open, append side of a campaign journal. Append is safe
 // for concurrent use by campaign workers.
 type Journal struct {
-	mu sync.Mutex
-	f  *os.File
+	mu   sync.Mutex
+	log  *wal.Log
+	path string
 }
 
-// CreateJournal starts a fresh journal at path (truncating any existing
-// file) and writes the header.
+// CreateJournal starts a fresh journal at path (replacing any existing
+// file) holding the header.
 func CreateJournal(path string, cfg Config) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	hdr, err := json.Marshal(headerFor(cfg))
+	if err != nil {
+		return nil, err
+	}
+	log, err := wal.Create(path, journalOptions, false, [][]byte{hdr})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: create journal: %w", err)
 	}
-	line, err := json.Marshal(headerFor(cfg))
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("campaign: write journal header: %w", err)
-	}
-	return &Journal{f: f}, nil
+	return &Journal{log: log, path: path}, nil
 }
 
-// readJournal reads one journal file: the header, the valid entries in file
-// order with duplicate indices dropped deterministically (first occurrence
-// wins — every occurrence of an index describes the same deterministic run,
-// so the earliest append is the canonical one), and the number of duplicate
-// entries dropped. A torn final line from a crash mid-append is tolerated:
-// reading stops there and the torn run simply counts as incomplete.
+// readJournal reads one journal file without touching it: the header, the
+// valid entries in file order with duplicate indices dropped
+// deterministically (first occurrence wins — every occurrence of an index
+// describes the same deterministic run, so the earliest append is the
+// canonical one), and the number of duplicate entries dropped. Damage — a
+// tail torn by a crash mid-append, a record whose checksum or JSON does not
+// hold — is tolerated: reading stops there and the runs behind it simply
+// count as incomplete.
 func readJournal(path string) (journalHeader, []journalEntry, int, error) {
 	var hdr journalHeader
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return hdr, nil, 0, fmt.Errorf("campaign: read journal: %w", err)
-	}
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	if !sc.Scan() {
-		return hdr, nil, 0, fmt.Errorf("campaign: journal %s: empty file", path)
-	}
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return hdr, nil, 0, fmt.Errorf("campaign: journal %s: bad header: %w", path, err)
-	}
-	seen := make(map[int]bool)
+	var seen map[int]bool
 	var valid []journalEntry
 	dupes := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	err := wal.Replay(path, maxJournalRecord, func(p []byte) error {
+		if seen == nil {
+			if err := json.Unmarshal(p, &hdr); err != nil {
+				return fmt.Errorf("bad header: %w", err)
+			}
+			seen = make(map[int]bool)
+			return nil
 		}
 		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			// A torn tail from a crash mid-append. Entries are written with
-			// a single O_APPEND write each, so only the final line can be
-			// incomplete; stop here and let the caller re-run the rest.
-			break
+		if json.Unmarshal(p, &e) != nil {
+			return wal.ErrCorrupt
 		}
 		if e.Idx < 0 || e.Idx >= hdr.Runs {
-			return hdr, nil, 0, fmt.Errorf("campaign: journal %s: entry index %d out of range [0,%d)", path, e.Idx, hdr.Runs)
+			return fmt.Errorf("entry index %d out of range [0,%d)", e.Idx, hdr.Runs)
 		}
 		if seen[e.Idx] {
 			dupes++
-			continue
+			return nil
 		}
 		seen[e.Idx] = true
 		valid = append(valid, e)
+		return nil
+	})
+	if err == nil && seen == nil {
+		err = fmt.Errorf("no intact header")
 	}
-	if err := sc.Err(); err != nil {
-		return hdr, nil, 0, fmt.Errorf("campaign: journal %s: %w", path, err)
+	if err != nil {
+		return hdr, nil, 0, fmt.Errorf("campaign: read journal %s: %w", path, err)
 	}
 	return hdr, valid, dupes, nil
 }
 
 // ResumeJournal reopens an existing journal for a resumed campaign. It
 // validates the header against cfg (same campaign parameters, or the
-// resumed summary would lie), reads the completed entries — tolerating a
-// torn final line from a crash mid-append and deduplicating re-journaled
-// runs (counted as campaign_runs_deduped_total on cfg.Obs) — compacts the
-// file so the torn tail cannot corrupt later reads, and reopens it for
-// appending. The returned map holds the outcomes of already-finished runs
-// by index.
+// resumed summary would lie) and reads the completed entries, before
+// anything is written: a file that is not this campaign's journal is left
+// as it was. Re-journaled runs are dropped (counted as
+// campaign_runs_deduped_total on cfg.Obs) and the file rewritten without
+// them; otherwise the log is opened in place, which truncates a tail torn by
+// a crash mid-append so that later entries never land behind damage. The
+// returned map holds the outcomes of already-finished runs by index.
 func ResumeJournal(path string, cfg Config) (*Journal, map[int]RunOutcome, error) {
 	hdr, valid, dupes, err := readJournal(path)
 	if err != nil {
@@ -163,90 +162,76 @@ func ResumeJournal(path string, cfg Config) (*Journal, map[int]RunOutcome, error
 			"campaign: journal %s was written by a different campaign (journal %+v, config %+v)",
 			path, hdr, want)
 	}
-	if dupes > 0 && cfg.Obs != nil {
-		cfg.Obs.Counter("campaign_runs_deduped_total").Add(uint64(dupes))
-	}
 	done := make(map[int]RunOutcome, len(valid))
 	for _, e := range valid {
 		done[e.Idx] = e.Outcome
 	}
-
-	// Compact before appending: rewrite header + valid entries to a temp
-	// file and rename it over the journal, so a torn tail never sits in the
-	// middle of the file once new entries land after it.
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: compact journal: %w", err)
+	var log *wal.Log
+	if dupes > 0 {
+		cfg.Obs.Counter("campaign_runs_deduped_total").Add(uint64(dupes))
+		log, err = compactJournal(path, hdr, valid)
+	} else {
+		log, err = wal.Open(path, journalOptions, nil)
 	}
-	w := bufio.NewWriter(tf)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(hdr); err == nil {
-		for _, e := range valid {
-			if err = enc.Encode(e); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if cerr := tf.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return nil, nil, fmt.Errorf("campaign: compact journal: %w", err)
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("campaign: reopen journal: %w", err)
 	}
-	return &Journal{f: f}, done, nil
+	return &Journal{log: log, path: path}, done, nil
 }
 
-// Append records one completed run. The whole line is issued as a single
-// write on an O_APPEND descriptor, so concurrent appends never interleave
-// and a crash can only tear the final line.
+// compactJournal atomically replaces the journal with its header and valid
+// entries.
+func compactJournal(path string, hdr journalHeader, valid []journalEntry) (*wal.Log, error) {
+	payloads := make([][]byte, 1+len(valid))
+	var err error
+	if payloads[0], err = json.Marshal(hdr); err != nil {
+		return nil, err
+	}
+	for i, e := range valid {
+		if payloads[1+i], err = json.Marshal(e); err != nil {
+			return nil, err
+		}
+	}
+	return wal.Create(path, journalOptions, false, payloads)
+}
+
+// Append records one completed run as one frame of the log. A failed
+// append is repaired by the log (the partial frame is cut off), so the
+// entries other workers append afterwards stay readable.
 func (j *Journal) Append(idx int, o RunOutcome) error {
-	line, err := json.Marshal(journalEntry{Idx: idx, Outcome: o})
+	payload, err := json.Marshal(journalEntry{Idx: idx, Outcome: o})
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return fmt.Errorf("campaign: journal closed")
 	}
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.log.Append(payload); err != nil {
 		return fmt.Errorf("campaign: journal append: %w", err)
 	}
 	return nil
 }
 
-// Path returns the journal's file path.
+// Path returns the journal's file path ("" once closed).
 func (j *Journal) Path() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return ""
 	}
-	return filepath.Clean(j.f.Name())
+	return filepath.Clean(j.path)
 }
 
-// Close flushes and closes the journal file. Idempotent.
+// Close closes the journal file. Idempotent.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return nil
 	}
-	err := j.f.Close()
-	j.f = nil
+	err := j.log.Close()
+	j.log = nil
 	return err
 }

@@ -29,8 +29,8 @@ func Summarize(cfg Config, outcomes []RunOutcome) *Summary {
 // (the same validation a resume performs). Overlapping run indices — within
 // one journal or across journals — are deduplicated deterministically: paths
 // are processed in sorted order and the first occurrence of an index wins;
-// each duplicate increments campaign_runs_deduped_total on reg. Torn final
-// lines are tolerated per journal. An index no journal covers makes the
+// each duplicate increments campaign_runs_deduped_total on reg. A torn or
+// damaged tail is tolerated per journal. An index no journal covers makes the
 // merge fail: a summary over a partial campaign would lie.
 func MergeJournals(cfg Config, reg *obs.Registry, paths ...string) (*Summary, error) {
 	if len(paths) == 0 {

@@ -2,12 +2,31 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"chaser/internal/obs"
+	"chaser/internal/wal"
 )
+
+// journalFrames splits a journal file into its frames (header record first),
+// each with its 8-byte frame header.
+func journalFrames(t *testing.T, path string) [][]byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	for len(raw) > 0 {
+		n := wal.HeaderSize + int(binary.LittleEndian.Uint32(raw))
+		frames = append(frames, raw[:n])
+		raw = raw[n:]
+	}
+	return frames
+}
 
 // runShard executes one shard window of cfg, journaling to path.
 func runShard(t *testing.T, cfg Config, lo, hi int, path string) {
@@ -111,21 +130,14 @@ func TestResumeDedupesDuplicateEntries(t *testing.T) {
 	}
 	path := filepath.Join(dir, "run.jsonl")
 	runShard(t, cfg, 0, 15, path)
-	// Re-append the journal's last three entry lines verbatim.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
-	dupe := lines[len(lines)-3:]
+	// Re-append the journal's last three entry records verbatim.
+	frames := journalFrames(t, path)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range dupe {
-		if _, err := f.Write(append(bytes.TrimSuffix(l, []byte("\n")), '\n')); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := f.Write(bytes.Join(frames[len(frames)-3:], nil)); err != nil {
+		t.Fatal(err)
 	}
 	f.Close()
 	reg := obs.NewRegistry()

@@ -1,10 +1,13 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +17,7 @@ import (
 	"chaser/internal/core"
 	"chaser/internal/obs"
 	"chaser/internal/tainthub"
+	"chaser/internal/wal"
 )
 
 // summariesEqual compares two summaries through their canonical JSON form
@@ -87,9 +91,9 @@ func TestJournalResumeSkipsCompletedRuns(t *testing.T) {
 }
 
 // TestJournalTornTail simulates a crash mid-append: the journal loses half
-// of its final line. Resume must tolerate it, re-run only the torn run,
-// and reproduce the uninterrupted summary; afterwards the compacted file
-// must parse cleanly end to end.
+// of its final record. Resume must tolerate it, re-run only the torn run,
+// and reproduce the uninterrupted summary; afterwards the file must read
+// cleanly end to end.
 func TestJournalTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	cfg := kmeansConfig(t)
@@ -121,13 +125,95 @@ func TestJournalTornTail(t *testing.T) {
 		t.Errorf("resumed %d runs, want %d (one torn)", got, cfg.Runs-1)
 	}
 
-	// The compaction + append must leave a fully parseable file.
+	// The truncation + append must leave a fully readable file.
 	_, done, err := readBackJournal(t, path, cfg)
 	if err != nil {
 		t.Fatalf("journal unreadable after resume: %v", err)
 	}
 	if len(done) != cfg.Runs {
 		t.Errorf("journal holds %d runs after resume, want %d", len(done), cfg.Runs)
+	}
+}
+
+// TestJournalBitFlipNotMerged flips one byte inside a mid-file record so
+// that it still parses as JSON (a digit of its run index). The checksum must
+// turn that into the torn-tail path: the merge reports runs missing instead
+// of folding a wrong index into the report, and a resume re-runs everything
+// from the damage on and reproduces the uninterrupted summary.
+func TestJournalBitFlipNotMerged(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	cfg := kmeansConfig(t)
+	cfg.Journal = path
+	full, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := journalFrames(t, path)
+	const hit = 8 // frames[0] is the header, so 7 entries precede the damage
+	at := bytes.Index(frames[hit], []byte(`"idx":`))
+	if at < 0 {
+		t.Fatalf("no idx field in %q", frames[hit])
+	}
+	frames[hit][at+len(`"idx":`)] ^= 1 // '4' <-> '5': still a digit
+	if err := os.WriteFile(path, bytes.Join(frames, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	mcfg := cfg
+	mcfg.Journal = ""
+	if _, err := MergeJournals(mcfg, nil, path); err == nil || !strings.Contains(err.Error(), "runs missing") {
+		t.Fatalf("merge over a flipped record = %v, want runs reported missing", err)
+	}
+	rcfg := mcfg
+	rcfg.Resume = path
+	reg := obs.NewRegistry()
+	rcfg.Obs = reg
+	res, err := Run(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	summariesEqual(t, full, res)
+	if got := reg.Counter("campaign_resumed_runs_total").Value(); got != hit-1 {
+		t.Errorf("resumed %d runs, want the %d before the damage", got, hit-1)
+	}
+}
+
+// TestJournalAppendFailureRepaired: one failed append (a short write) must
+// cost that entry only. The campaign records the error and its other
+// workers keep appending; those entries must not end up behind a torn frame
+// that hides them from every later read.
+func TestJournalAppendFailureRepaired(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	cfg := kmeansConfig(t)
+	j, err := CreateJournal(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	fail := false
+	opts := journalOptions
+	opts.Fault = func(site string) bool { return fail && site == wal.FaultShortWrite }
+	j.log.Close()
+	if j.log, err = wal.Open(path, opts, nil); err != nil {
+		t.Fatal(err)
+	}
+	for idx := 0; idx < 5; idx++ {
+		fail = idx == 1
+		err := j.Append(idx, RunOutcome{Outcome: OutcomeBenign})
+		if fail != (err != nil) {
+			t.Fatalf("append %d: err = %v with the fault armed = %v", idx, err, fail)
+		}
+	}
+	_, entries, _, err := readJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, e := range entries {
+		got = append(got, e.Idx)
+	}
+	if want := []int{0, 2, 3, 4}; !reflect.DeepEqual(got, want) {
+		t.Errorf("journal holds runs %v after one failed append, want %v", got, want)
 	}
 }
 

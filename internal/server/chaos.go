@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"chaser/internal/obs"
+	"chaser/internal/wal"
 )
 
 // Self-chaos: Chaser injecting faults into Chaser. The control plane's
@@ -27,11 +27,11 @@ import (
 
 // Chaos site names. The catalog is documented in docs/ROBUSTNESS.md.
 const (
-	// ChaosWALShortWrite makes a WAL append write only half its line and
-	// report an error (a torn write(2); the store repairs by truncating).
-	ChaosWALShortWrite = "wal.short_write"
+	// ChaosWALShortWrite makes a WAL append write only half its frame and
+	// report an error (a torn write(2); the log repairs by truncating).
+	ChaosWALShortWrite = wal.FaultShortWrite
 	// ChaosWALFsync fails the fsync after an append (Fsync mode only).
-	ChaosWALFsync = "wal.fsync"
+	ChaosWALFsync = wal.FaultSync
 	// ChaosReplDropFrame makes the leader drop a replication frame and
 	// sever the stream (the follower re-pulls from its cursor).
 	ChaosReplDropFrame = "repl.drop_frame"
@@ -46,11 +46,6 @@ const (
 var chaosSites = []string{
 	ChaosWALShortWrite, ChaosWALFsync, ChaosReplDropFrame, ChaosReplTearFrame, ChaosClockFreeze,
 }
-
-var (
-	errChaosShortWrite = errors.New("chaos: injected short write")
-	errChaosFsync      = errors.New("chaos: injected fsync error")
-)
 
 // clockFreezeReads is how many consecutive clock reads a single
 // clock.freeze hit pins to the frozen instant.

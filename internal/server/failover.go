@@ -1,23 +1,24 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
 	"syscall"
 	"time"
+
+	"chaser/internal/wal"
 )
 
 // Leader election and fencing. HA chaserd pairs share a tiny fence file —
-// a lease: {epoch, holder, expires} — CRC-framed like every other durable
-// byte in this tree. Whoever holds the live lease is leader; epochs are
-// strictly monotonic, bumped on every acquisition, and every durable write
-// the leader makes is stamped with its epoch. The fencing rules:
+// a lease: {epoch, holder, expires} — one internal/wal frame, like every
+// other durable byte in this tree. Whoever holds the live lease is leader;
+// epochs are strictly monotonic, bumped on every acquisition, and every
+// durable write the leader makes is stamped with its epoch. The fencing
+// rules:
 //
 //  1. To lead, acquire the lease: allowed only when the current lease is
 //     expired (or held by you). The new epoch is max(file, everything this
@@ -101,13 +102,19 @@ func (f *Fencer) withFence(fn func(cur fenceDoc) (*fenceDoc, error)) error {
 		return fmt.Errorf("server: fence lock: %w", err)
 	}
 	defer syscall.Flock(int(fd.Fd()), syscall.LOCK_UN)
-	raw, err := io.ReadAll(io.LimitReader(fd, 4096))
-	if err != nil {
-		return fmt.Errorf("server: fence read: %w", err)
-	}
 	// A damaged fence (torn write, bit rot) reads as the zero doc: the
 	// lease is up for grabs, and epoch monotonicity survives via maxSeen.
-	cur := parseFenceLine(raw)
+	var cur fenceDoc
+	payload, err := wal.ReadFrame(fd, maxFenceDoc)
+	switch {
+	case err == nil:
+		if json.Unmarshal(payload, &cur) != nil {
+			cur = fenceDoc{}
+		}
+	case err == io.EOF, errors.Is(err, wal.ErrTorn), errors.Is(err, wal.ErrCorrupt):
+	default:
+		return fmt.Errorf("server: fence read: %w", err)
+	}
 	next, err := fn(cur)
 	if err != nil {
 		return err
@@ -115,14 +122,14 @@ func (f *Fencer) withFence(fn func(cur fenceDoc) (*fenceDoc, error)) error {
 	if next == nil {
 		return nil
 	}
-	line, err := frameFenceDoc(*next)
+	payload, err = json.Marshal(*next)
 	if err != nil {
 		return err
 	}
 	if err := fd.Truncate(0); err != nil {
 		return fmt.Errorf("server: fence truncate: %w", err)
 	}
-	if _, err := fd.WriteAt(line, 0); err != nil {
+	if _, err := fd.WriteAt(wal.AppendFrame(nil, payload), 0); err != nil {
 		return fmt.Errorf("server: fence write: %w", err)
 	}
 	if err := fd.Sync(); err != nil {
@@ -131,36 +138,8 @@ func (f *Fencer) withFence(fn func(cur fenceDoc) (*fenceDoc, error)) error {
 	return nil
 }
 
-// frameFenceDoc encodes a fence doc with the store's CRC line framing.
-func frameFenceDoc(doc fenceDoc) ([]byte, error) {
-	payload, err := json.Marshal(doc)
-	if err != nil {
-		return nil, err
-	}
-	return []byte(fmt.Sprintf("%08x %s\n", crc32.Checksum(payload, crcTable), payload)), nil
-}
-
-// parseFenceLine decodes a fence file's contents; damage yields the zero
-// doc (lease up for grabs; see maxSeen for epoch safety).
-func parseFenceLine(raw []byte) fenceDoc {
-	line := bytes.TrimRight(raw, "\n")
-	if len(line) < 10 || line[8] != ' ' {
-		return fenceDoc{}
-	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-		return fenceDoc{}
-	}
-	payload := line[9:]
-	if crc32.Checksum(payload, crcTable) != want {
-		return fenceDoc{}
-	}
-	var doc fenceDoc
-	if err := json.Unmarshal(payload, &doc); err != nil {
-		return fenceDoc{}
-	}
-	return doc
-}
+// maxFenceDoc bounds the fence file's one record.
+const maxFenceDoc = 4096
 
 // TryAcquire attempts to take the lease. It returns (epoch, true, prev) on
 // success — the caller is now leader at that epoch, prev being the lease it

@@ -2,11 +2,11 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"testing"
+
+	"chaser/internal/wal"
 )
 
 // FuzzDecodeSpec drives arbitrary bytes through the submission decoder.
@@ -80,9 +80,9 @@ func FuzzDecodeSpec(f *testing.F) {
 // FuzzReplicaFrame drives arbitrary bytes through the replication frame
 // decoder. Frames arrive over the network from whatever claims to be a
 // leader, so the invariant mirrors decodeFrame's contract: clean boundary
-// io.EOF, torn stream io.ErrUnexpectedEOF, structural damage
-// *ReplFrameError — never a panic, never an untyped error, never an
-// allocation driven by an unvalidated length. Every accepted frame must
+// io.EOF, torn stream wal.ErrTorn, structural damage wal.ErrCorrupt — never
+// a panic, never an untyped error, never an allocation driven by an
+// unvalidated length. Every accepted frame must
 // survive an encode/decode round trip.
 func FuzzReplicaFrame(f *testing.F) {
 	frame := func(fr replFrame) []byte {
@@ -107,22 +107,17 @@ func FuzzReplicaFrame(f *testing.F) {
 	corrupted[len(corrupted)-1] ^= 0x01
 	f.Add(corrupted)
 	// Valid CRC over a non-JSON payload.
-	junk := []byte("not json at all")
-	hdr := make([]byte, 8)
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(junk)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(junk, crcTable))
-	f.Add(append(hdr, junk...))
+	f.Add(wal.AppendFrame(nil, []byte("not json at all")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
 			fr, err := decodeFrame(r)
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
+			if err == io.EOF || errors.Is(err, wal.ErrTorn) {
 				return
 			}
 			if err != nil {
-				var fe *ReplFrameError
-				if !errors.As(err, &fe) {
+				if !errors.Is(err, wal.ErrCorrupt) {
 					t.Fatalf("untyped frame error: %v", err)
 				}
 				return

@@ -18,15 +18,15 @@ import (
 	"chaser/internal/apps"
 	"chaser/internal/campaign"
 	"chaser/internal/obs"
+	"chaser/internal/wal"
 )
 
-// TestStoreRotationAndStartupCompaction: a tiny segment threshold forces
-// rotation mid-stream; reopening compacts the finished campaign down to its
-// campaign + terminal records, folds the log back into one segment, and the
-// active campaign's history survives untouched.
-func TestStoreRotationAndStartupCompaction(t *testing.T) {
+// TestStoreStartupCompaction: reopening compacts the finished campaign down
+// to its campaign + terminal records, and the active campaign's history
+// survives untouched.
+func TestStoreStartupCompaction(t *testing.T) {
 	dir := t.TempDir()
-	store, _, err := OpenStore(dir, StoreOptions{SegmentBytes: 64})
+	store, _, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +44,13 @@ func TestStoreRotationAndStartupCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if store.SegmentIndex() == 0 {
-		t.Fatal("no rotation despite 64-byte segment threshold")
-	}
 	store.Close()
+	before, err := os.Stat(store.walPath())
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	store2, recs, err := OpenStore(dir, StoreOptions{SegmentBytes: 64})
+	store2, recs, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,29 +68,28 @@ func TestStoreRotationAndStartupCompaction(t *testing.T) {
 			t.Errorf("compacted record %d = %+v, want %+v", i, recs[i], want[i])
 		}
 	}
-	idx, err := segIndices(filepath.Join(dir, "wal"))
-	if err != nil {
+	if after, err := os.Stat(store.walPath()); err != nil || after.Size() >= before.Size() {
+		t.Errorf("compaction did not shrink the log: %d -> %v (%v)", before.Size(), after, err)
+	}
+	// The compacted log takes appends, and replays identically on the next
+	// open (compaction is idempotent).
+	if err := store2.Append(walRecord{T: "done", C: "c000002", Shard: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if len(idx) != 1 || idx[0] != 0 {
-		t.Errorf("compaction left segments %v, want just [0]", idx)
-	}
 	store2.Close()
-
-	// The compacted log replays identically on the next open (idempotent).
-	store3, recs3, err := OpenStore(dir, StoreOptions{SegmentBytes: 64})
+	store3, recs3, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store3.Close()
-	if len(recs3) != len(want) {
-		t.Errorf("re-replay of compacted log: %d records, want %d", len(recs3), len(want))
+	if len(recs3) != len(want)+1 || recs3[len(want)].Shard != 1 {
+		t.Errorf("re-replay of compacted log: %+v, want the %d compacted records and the append", recs3, len(want))
 	}
 }
 
-// TestCompactionCrashRecovery: a crash between parking the old WAL and
-// installing the rewritten one leaves only wal.tmp; the next open must
-// finish the rename and lose nothing.
+// TestCompactionCrashRecovery: a crash before the rewritten log is renamed
+// into place leaves it as a temp file beside the intact old log; the next
+// open must replay the old log, lose nothing, and remove the debris.
 func TestCompactionCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	store, _, err := OpenStore(dir, StoreOptions{})
@@ -102,9 +102,8 @@ func TestCompactionCrashRecovery(t *testing.T) {
 		}
 	}
 	store.Close()
-	// Simulate the crash window: the finished rewrite sits in wal.tmp and
-	// the wal directory itself is gone.
-	if err := os.Rename(filepath.Join(dir, "wal"), filepath.Join(dir, "wal.tmp")); err != nil {
+	tmp := store.walPath() + ".tmp"
+	if err := os.WriteFile(tmp, []byte("half a rewritten log"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	store2, recs, err := OpenStore(dir, StoreOptions{})
@@ -113,7 +112,10 @@ func TestCompactionCrashRecovery(t *testing.T) {
 	}
 	defer store2.Close()
 	if len(recs) != 2 || recs[0].T != "campaign" || recs[1].T != "done" {
-		t.Fatalf("recovered %+v, want the 2 parked records", recs)
+		t.Fatalf("recovered %+v, want the 2 records of the old log", recs)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("leftover temp file survived the open: %v", err)
 	}
 }
 
@@ -230,8 +232,8 @@ func TestDeposedLeaderWritesAllFenced(t *testing.T) {
 }
 
 // TestReplicationTornFrameDetected: a frame cut mid-payload must decode as
-// io.ErrUnexpectedEOF (the follower severs and re-pulls), a bit-flipped
-// payload as *ReplFrameError, and an intact stream ends in clean io.EOF.
+// wal.ErrTorn (the follower severs and re-pulls), a bit-flipped payload as
+// wal.ErrCorrupt, and an intact stream ends in clean io.EOF.
 func TestReplicationTornFrameDetected(t *testing.T) {
 	rec := walRecord{T: "done", C: "c000001", Shard: 1, Epoch: 3}
 	var first, both bytes.Buffer
@@ -262,16 +264,15 @@ func TestReplicationTornFrameDetected(t *testing.T) {
 	if _, err := decodeFrame(r); err != nil {
 		t.Fatalf("frame before the tear: %v", err)
 	}
-	if _, err := decodeFrame(r); err != io.ErrUnexpectedEOF {
-		t.Fatalf("torn frame: %v, want io.ErrUnexpectedEOF", err)
+	if _, err := decodeFrame(r); !errors.Is(err, wal.ErrTorn) {
+		t.Fatalf("torn frame: %v, want wal.ErrTorn", err)
 	}
 
 	// Bit rot inside the payload: CRC catches it as structural damage.
 	bad := append([]byte(nil), full...)
 	bad[10] ^= 0x20
-	var fe *ReplFrameError
-	if _, err := decodeFrame(bytes.NewReader(bad)); !errors.As(err, &fe) {
-		t.Fatalf("corrupt frame: %v, want *ReplFrameError", err)
+	if _, err := decodeFrame(bytes.NewReader(bad)); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("corrupt frame: %v, want wal.ErrCorrupt", err)
 	}
 }
 

@@ -1,11 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/rand"
 	"net/http"
@@ -14,22 +13,19 @@ import (
 	"time"
 
 	"chaser/internal/obs"
+	"chaser/internal/wal"
 )
 
-// WAL shipping. The leader exposes its logical log as a length-prefixed
-// binary stream at /api/v1/replicate: the follower long-polls with its
-// shipping cursor (logID, seq) and the leader answers with every record
+// WAL shipping. The leader exposes its logical log as a stream of
+// internal/wal frames at /api/v1/replicate: the follower long-polls with
+// its shipping cursor (logID, seq) and the leader answers with every record
 // from that seq on, then holds the connection open, flushing new records
-// as they are appended and keepalive frames while idle. Each frame is
-//
-//	u32 big-endian payload length | u32 big-endian IEEE CRC32 | payload
-//
-// where the payload is the JSON replFrame. The CRC makes a torn or
-// bit-flipped frame detectable mid-stream (the follower drops the
-// connection and re-pulls from its cursor — frames are idempotent to
-// re-receive because the cursor only advances on apply), and the length
-// prefix is bounded before any allocation, mirroring the TaintHub's
-// FrameError contract.
+// as they are appended and keepalive frames while idle. Each frame's
+// payload is the JSON replFrame. The CRC makes a torn or bit-flipped frame
+// detectable mid-stream (the follower drops the connection and re-pulls
+// from its cursor — frames are idempotent to re-receive because the cursor
+// only advances on apply), and the length prefix is bounded before any
+// allocation.
 //
 // The stream carries the serving leader's current fencing epoch on every
 // frame, and each record payload carries its writer's epoch. A follower
@@ -52,61 +48,34 @@ type replFrame struct {
 	Rec *walRecord `json:"rec,omitempty"`
 }
 
-// ReplFrameError reports a structurally damaged replication frame: bad
-// length, CRC mismatch, or undecodable payload.
-type ReplFrameError struct{ Reason string }
-
-func (e *ReplFrameError) Error() string {
-	return "server: replication frame: " + e.Reason
-}
-
-// encodeFrame writes one frame.
+// encodeFrame writes one frame with a single Write.
 func encodeFrame(w io.Writer, fr replFrame) error {
 	payload, err := json.Marshal(fr)
 	if err != nil {
 		return err
 	}
 	if len(payload) > maxReplFrame {
-		return &ReplFrameError{Reason: fmt.Sprintf("payload %d over %d", len(payload), maxReplFrame)}
+		return fmt.Errorf("server: replication frame: payload %d over %d", len(payload), maxReplFrame)
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
+	_, err = w.Write(wal.AppendFrame(nil, payload))
 	return err
 }
 
-// decodeFrame reads one frame. io.EOF means a clean stream end at a frame
-// boundary; io.ErrUnexpectedEOF a torn frame; *ReplFrameError structural
-// damage. The length is validated before any payload allocation.
+// decodeFrame reads one frame under wal.ReadFrame's contract: io.EOF is a
+// clean stream end at a frame boundary, wal.ErrTorn a torn frame,
+// wal.ErrCorrupt structural damage — which here includes a payload that is
+// not a replFrame.
 func decodeFrame(r io.Reader) (replFrame, error) {
 	var fr replFrame
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return fr, io.EOF
-		}
-		return fr, io.ErrUnexpectedEOF
-	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	if n == 0 || n > maxReplFrame {
-		return fr, &ReplFrameError{Reason: fmt.Sprintf("length %d out of (0, %d]", n, maxReplFrame)}
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return fr, io.ErrUnexpectedEOF
-	}
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(hdr[4:8]) {
-		return fr, &ReplFrameError{Reason: "crc mismatch"}
+	payload, err := wal.ReadFrame(r, maxReplFrame)
+	if err != nil {
+		return fr, err
 	}
 	if err := json.Unmarshal(payload, &fr); err != nil {
-		return fr, &ReplFrameError{Reason: "bad payload: " + err.Error()}
+		return fr, fmt.Errorf("%w: bad payload: %v", wal.ErrCorrupt, err)
 	}
 	if fr.Seq < 0 {
-		return fr, &ReplFrameError{Reason: "negative seq"}
+		return fr, fmt.Errorf("%w: negative seq", wal.ErrCorrupt)
 	}
 	return fr, nil
 }
@@ -174,10 +143,9 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			if s.chaos.Hit(ChaosReplTearFrame) {
 				// Send a torn prefix and sever: the follower must detect the
 				// damage and recover by reconnecting from its cursor.
-				var buf []byte
-				bw := &sliceWriter{buf: &buf}
-				if err := encodeFrame(bw, fr); err == nil && len(buf) > 1 {
-					w.Write(buf[:len(buf)/2])
+				var buf bytes.Buffer
+				if err := encodeFrame(&buf, fr); err == nil {
+					w.Write(buf.Bytes()[:buf.Len()/2])
 					fl.Flush()
 				}
 				s.logf("chaserd: chaos: tearing replication frame seq %d", from)
@@ -191,14 +159,6 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		}
 		fl.Flush()
 	}
-}
-
-// sliceWriter collects writes into a byte slice (chaos frame tearing).
-type sliceWriter struct{ buf *[]byte }
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	*s.buf = append(*s.buf, p...)
-	return len(p), nil
 }
 
 // replicator is the follower half: it pulls the leader's stream and

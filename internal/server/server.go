@@ -51,8 +51,6 @@ type ServerConfig struct {
 	// immediately, "follower" waits one LeaderTTL first so a designated
 	// leader wins the initial race. "" = contend immediately.
 	RolePreference string
-	// WALSegmentBytes overrides the WAL rotation threshold (0 = default).
-	WALSegmentBytes int64
 	// Fsync syncs the WAL on every append.
 	Fsync bool
 	// Chaos arms the self-chaos harness (nil = off).
@@ -119,10 +117,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	cfg.Chaos.SetObs(reg)
 	store, recs, err := OpenStore(cfg.StoreDir, StoreOptions{
-		DataDir:      cfg.DataDir,
-		SegmentBytes: cfg.WALSegmentBytes,
-		Fsync:        cfg.Fsync,
-		Chaos:        cfg.Chaos,
+		DataDir: cfg.DataDir,
+		Fsync:   cfg.Fsync,
+		Chaos:   cfg.Chaos,
 	})
 	if err != nil {
 		return nil, err

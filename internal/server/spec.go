@@ -1,6 +1,6 @@
 // Package server implements chaserd, the crash-tolerant campaign control
 // plane: an HTTP API that accepts experiment specs, splits each campaign
-// into shards, persists every state transition in a CRC-framed JSONL
+// into shards, persists every state transition in a checksummed
 // write-ahead log, and schedules the shards across worker processes under
 // expiring leases. Worker death, wedged workers, and chaserd restarts are
 // routine, recoverable events: shards are re-enqueued with bounded retry

@@ -1,40 +1,37 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
+
+	"chaser/internal/wal"
 )
 
-// The control plane's durable state is a CRC-framed JSONL write-ahead log:
-// one record per line, each line `%08x <json>\n` where the hex prefix is
-// the IEEE CRC32 of the JSON payload. This combines the two idioms the rest
-// of the tree already proved out — the campaign journal's append-only JSONL
-// with torn-tail tolerance (PR 3) and the TaintHub WAL's CRC framing that
-// distinguishes a torn tail from silent bit rot (PR 4). Every state
-// transition (submit, shard done, requeue, quarantine, complete, fail) is
-// one unbuffered O_APPEND write, so a chaserd killed at any instant loses
-// at most the record being written; replaying the log on startup rebuilds
-// the scheduler exactly, and shards that were mid-flight simply return to
-// the pending queue (their run journals make the re-execution incremental).
+// The control plane's durable state is one internal/wal Log of JSON
+// records. Every state transition (submit, shard done, requeue, quarantine,
+// complete, fail) is one unbuffered O_APPEND write, so a chaserd killed at
+// any instant loses at most the record being written; replaying the log on
+// startup rebuilds the scheduler exactly, and shards that were mid-flight
+// simply return to the pending queue (their run journals make the
+// re-execution incremental).
 //
-// The log is segmented: appends rotate to a fresh `wal/seg-NNNNNN.jsonl`
-// once the active segment passes SegmentBytes, and startup compaction
-// rewrites the log keeping only the `campaign` + terminal record of every
-// finished campaign, so a long-lived chaserd's WAL stays proportional to
-// its *active* state, not its history. Each open also assigns the log a
-// fresh random identity and numbers the replayed+appended records 0..n —
-// the (logID, seq) pair is the shipping cursor a hot-standby follower
-// replicates from (see replica.go): any cursor bearing a different logID
-// forces a full resync, which is always possible because the store keeps
-// the whole logical log in memory (control-plane records are tiny).
+// Startup compaction rewrites the log keeping only the `campaign` +
+// terminal record of every finished campaign, so a long-lived chaserd's
+// WAL stays proportional to its *active* state, not its history. That
+// rewrite of everything is the only compaction there is, which is why the
+// log is one file: segments would never be deleted one at a time. Each open
+// also assigns the log a fresh random identity and numbers the
+// replayed+appended records 0..n — the (logID, seq) pair is the shipping
+// cursor a hot-standby follower replicates from (see replica.go): any cursor
+// bearing a different logID forces a full resync, which is always possible
+// because the store keeps the whole logical log in memory (control-plane
+// records are tiny).
 //
 // Leases are deliberately NOT in the WAL: a restarted chaserd voids every
 // lease by construction. Surviving workers notice at their next heartbeat
@@ -77,9 +74,7 @@ type StoreOptions struct {
 	// (workers write journals there and the merge reads them back, on
 	// whichever node is leader at the time). Empty = the WAL dir itself.
 	DataDir string
-	// SegmentBytes is the WAL rotation threshold (default 1 MiB).
-	SegmentBytes int64
-	// Fsync syncs the active segment after every append. Off by default —
+	// Fsync syncs the log after every append. Off by default —
 	// the WAL's loss unit is "records after the last flushed one", and every
 	// record is re-derivable from worker journals — but HA deployments that
 	// want the replication stream to never run ahead of the leader's disk
@@ -91,8 +86,8 @@ type StoreOptions struct {
 
 // Store owns one node's durable control-plane state:
 //
-//	<dir>/wal/seg-NNNNNN.jsonl               the segmented WAL
-//	<data>/journals/<cid>-shard<N>.jsonl     per-shard run journals
+//	<dir>/wal/control.log                    the WAL
+//	<data>/journals/<cid>-shard<N>.journal   per-shard run journals
 //	<data>/summaries/<cid>.json              merged campaign summaries
 //
 // All methods are safe for concurrent use.
@@ -101,60 +96,19 @@ type Store struct {
 	dataDir string
 	opts    StoreOptions
 
-	mu      sync.Mutex
-	seg     *os.File
-	segIdx  int
-	segSize int64
-	recs    []walRecord // the full logical log; a record's seq is its index
-	logID   string
-	epoch   uint64       // stamped on every local append
-	guard   func() error // leadership check before local appends (nil = none)
-	notify  chan struct{}
-	closed  bool
+	mu     sync.Mutex
+	log    *wal.Log
+	recs   []walRecord // the full logical log; a record's seq is its index
+	logID  string
+	epoch  uint64       // stamped on every local append
+	guard  func() error // leadership check before local appends (nil = none)
+	notify chan struct{}
+	closed bool
 }
 
-var crcTable = crc32.IEEETable
-
-// frameRecord encodes one WAL line.
-func frameRecord(rec walRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	line := make([]byte, 0, len(payload)+10)
-	line = fmt.Appendf(line, "%08x ", crc32.Checksum(payload, crcTable))
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
-}
-
-// parseLine decodes one WAL line, reporting ok=false for any damage (bad
-// frame shape, CRC mismatch, undecodable JSON).
-func parseLine(line []byte) (walRecord, bool) {
-	var rec walRecord
-	if len(line) < 10 || line[8] != ' ' {
-		return rec, false
-	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-		return rec, false
-	}
-	payload := line[9:]
-	if crc32.Checksum(payload, crcTable) != want {
-		return rec, false
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, false
-	}
-	return rec, true
-}
-
-const (
-	defaultSegmentBytes = 1 << 20
-	segPattern          = "seg-%06d.jsonl"
-)
-
-func segName(i int) string { return fmt.Sprintf(segPattern, i) }
+// maxWALRecord bounds one control-plane record (a spec is a few hundred
+// bytes).
+const maxWALRecord = 1 << 24
 
 // newLogID derives a fresh log identity for this open. It only has to be
 // unique across opens of stores a follower might ship from, so nanoseconds
@@ -164,139 +118,70 @@ func newLogID() string {
 }
 
 // OpenStore opens (creating if necessary) the store at dir, replays the
-// WAL segments, truncates any torn or corrupt tail so later appends land
-// after valid records only, compacts fully-terminal campaigns, and reopens
-// the newest segment for appending. The returned records are the valid
-// (compacted) log in append order.
+// WAL, truncates any torn or corrupt tail so later appends land after valid
+// records only, and compacts fully-terminal campaigns. The returned records
+// are the valid (compacted) log in append order.
 func OpenStore(dir string, opts StoreOptions) (*Store, []walRecord, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
-	}
 	dataDir := opts.DataDir
 	if dataDir == "" {
 		dataDir = dir
 	}
-	walDir := filepath.Join(dir, "wal")
-	for _, d := range []string{dir, dataDir, filepath.Join(dataDir, "journals"), filepath.Join(dataDir, "summaries")} {
+	for _, d := range []string{filepath.Join(dir, "wal"), filepath.Join(dataDir, "journals"), filepath.Join(dataDir, "summaries")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, nil, fmt.Errorf("server: store dir: %w", err)
 		}
-	}
-	if err := recoverCompaction(dir); err != nil {
-		return nil, nil, err
-	}
-	if err := os.MkdirAll(walDir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("server: store dir: %w", err)
-	}
-	// Migrate the pre-segmentation layout: a single <dir>/state.jsonl
-	// becomes the first segment.
-	if old := filepath.Join(dir, "state.jsonl"); fileExists(old) {
-		if err := os.Rename(old, filepath.Join(walDir, segName(0))); err != nil {
-			return nil, nil, fmt.Errorf("server: migrate legacy wal: %w", err)
-		}
-	}
-
-	recs, lastIdx, err := replaySegments(walDir)
-	if err != nil {
-		return nil, nil, err
 	}
 	s := &Store{
 		dir:     dir,
 		dataDir: dataDir,
 		opts:    opts,
-		segIdx:  lastIdx,
-		recs:    recs,
 		logID:   newLogID(),
 		notify:  make(chan struct{}),
 	}
-	if compacted, ok := compactRecords(recs); ok {
-		if err := s.rewrite(compacted); err != nil {
-			return nil, nil, err
+	var err error
+	s.log, err = wal.Open(s.walPath(), s.walOptions(), func(p []byte) error {
+		var rec walRecord
+		if json.Unmarshal(p, &rec) != nil {
+			return wal.ErrCorrupt
 		}
-		s.recs = compacted
+		s.recs = append(s.recs, rec)
+		return nil
+	})
+	switch compacted, shrunk := compactRecords(s.recs); {
+	case errors.Is(err, fs.ErrNotExist):
+		err = s.replaceLog(nil, false)
+	case err == nil && shrunk:
+		s.log.Close()
+		err = s.replaceLog(compacted, true)
 	}
-	if err := s.openActive(); err != nil {
-		return nil, nil, err
+	if err != nil {
+		return nil, nil, fmt.Errorf("server: open wal: %w", err)
 	}
 	return s, append([]walRecord(nil), s.recs...), nil
 }
 
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
+func (s *Store) walPath() string { return filepath.Join(s.dir, "wal", "control.log") }
+
+func (s *Store) walOptions() wal.Options {
+	return wal.Options{MaxPayload: maxWALRecord, Sync: s.opts.Fsync, Fault: s.opts.Chaos.Hit}
 }
 
-// segIndices lists the segment indices present in walDir, sorted.
-func segIndices(walDir string) ([]int, error) {
-	ents, err := os.ReadDir(walDir)
+// replaceLog atomically replaces the WAL and the logical log with exactly
+// recs: one file rename, so a crash leaves either log whole.
+func (s *Store) replaceLog(recs []walRecord, durable bool) error {
+	payloads := make([][]byte, len(recs))
+	for i, rec := range recs {
+		var err error
+		if payloads[i], err = json.Marshal(rec); err != nil {
+			return err
+		}
+	}
+	log, err := wal.Create(s.walPath(), s.walOptions(), durable, payloads)
 	if err != nil {
-		return nil, fmt.Errorf("server: read wal dir: %w", err)
+		return err
 	}
-	var idx []int
-	for _, e := range ents {
-		var i int
-		if _, err := fmt.Sscanf(e.Name(), segPattern, &i); err == nil {
-			idx = append(idx, i)
-		}
-	}
-	sort.Ints(idx)
-	return idx, nil
-}
-
-// replaySegments replays every segment in order. The first damaged line
-// anywhere ends the replay: the damaged segment is truncated at the damage
-// and every later segment is deleted — records are single writes, so only
-// the true tail can legitimately be torn; anything else is bit rot and
-// nothing after it can be trusted. Returns the valid records and the index
-// of the segment appends should continue in.
-func replaySegments(walDir string) ([]walRecord, int, error) {
-	idx, err := segIndices(walDir)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(idx) == 0 {
-		return nil, 0, nil
-	}
-	var recs []walRecord
-	for pos, i := range idx {
-		path := filepath.Join(walDir, segName(i))
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return nil, 0, fmt.Errorf("server: read wal segment: %w", err)
-		}
-		valid := 0 // byte offset of the end of the last valid record
-		damaged := false
-		sc := bufio.NewScanner(bytes.NewReader(raw))
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-		for sc.Scan() {
-			line := sc.Bytes()
-			rec, ok := parseLine(line)
-			if !ok {
-				damaged = true
-				break
-			}
-			recs = append(recs, rec)
-			valid += len(line) + 1
-		}
-		if valid > len(raw) { // file did not end in '\n'
-			valid = len(raw)
-		}
-		if valid < len(raw) {
-			damaged = true
-			if err := os.Truncate(path, int64(valid)); err != nil {
-				return nil, 0, fmt.Errorf("server: truncate torn wal tail: %w", err)
-			}
-		}
-		if damaged {
-			for _, j := range idx[pos+1:] {
-				if err := os.Remove(filepath.Join(walDir, segName(j))); err != nil {
-					return nil, 0, fmt.Errorf("server: drop post-damage segment: %w", err)
-				}
-			}
-			return recs, i, nil
-		}
-	}
-	return recs, idx[len(idx)-1], nil
+	s.log, s.recs = log, recs
+	return nil
 }
 
 // compactRecords drops the history of fully-terminal campaigns, keeping
@@ -325,102 +210,6 @@ func compactRecords(recs []walRecord) ([]walRecord, bool) {
 		out = append(out, rec)
 	}
 	return out, len(out) < len(recs)
-}
-
-// rewrite atomically replaces the WAL with exactly recs, crash-safely:
-// the new log is fully written and synced into wal.tmp, the old wal is
-// parked at wal.old, wal.tmp renamed into place, wal.old removed. A crash
-// in any window is repaired by recoverCompaction on the next open.
-func (s *Store) rewrite(recs []walRecord) error {
-	walDir := filepath.Join(s.dir, "wal")
-	tmpDir := filepath.Join(s.dir, "wal.tmp")
-	oldDir := filepath.Join(s.dir, "wal.old")
-	if err := os.RemoveAll(tmpDir); err != nil {
-		return fmt.Errorf("server: compact: %w", err)
-	}
-	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return fmt.Errorf("server: compact: %w", err)
-	}
-	f, err := os.OpenFile(filepath.Join(tmpDir, segName(0)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: compact: %w", err)
-	}
-	for _, rec := range recs {
-		line, err := frameRecord(rec)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("server: compact: %w", err)
-		}
-		if _, err := f.Write(line); err != nil {
-			f.Close()
-			return fmt.Errorf("server: compact: %w", err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("server: compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("server: compact: %w", err)
-	}
-	if err := os.Rename(walDir, oldDir); err != nil {
-		return fmt.Errorf("server: compact: %w", err)
-	}
-	if err := os.Rename(tmpDir, walDir); err != nil {
-		return fmt.Errorf("server: compact: %w", err)
-	}
-	if err := os.RemoveAll(oldDir); err != nil {
-		return fmt.Errorf("server: compact: %w", err)
-	}
-	s.segIdx = 0
-	return nil
-}
-
-// recoverCompaction repairs a crash inside rewrite. Invariant: wal.tmp is
-// only renamed to wal after it is complete, and wal is only renamed to
-// wal.old after wal.tmp is complete — so whichever of the two survives
-// intact wins.
-func recoverCompaction(dir string) error {
-	walDir := filepath.Join(dir, "wal")
-	tmpDir := filepath.Join(dir, "wal.tmp")
-	oldDir := filepath.Join(dir, "wal.old")
-	switch {
-	case fileExists(walDir):
-		// wal is authoritative; any leftovers are pre-rename (tmp) or
-		// post-rename (old) debris.
-		os.RemoveAll(tmpDir)
-		os.RemoveAll(oldDir)
-	case fileExists(tmpDir):
-		// Crashed between parking wal and installing wal.tmp: finish.
-		if err := os.Rename(tmpDir, walDir); err != nil {
-			return fmt.Errorf("server: finish interrupted compaction: %w", err)
-		}
-		os.RemoveAll(oldDir)
-	case fileExists(oldDir):
-		// wal.tmp vanished but wal.old remains — should be impossible with
-		// the ordering above; restore the parked log rather than lose it.
-		if err := os.Rename(oldDir, walDir); err != nil {
-			return fmt.Errorf("server: restore parked wal: %w", err)
-		}
-	}
-	return nil
-}
-
-// openActive opens the active segment for appending.
-func (s *Store) openActive() error {
-	path := filepath.Join(s.dir, "wal", segName(s.segIdx))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: open wal segment: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("server: stat wal segment: %w", err)
-	}
-	s.seg = f
-	s.segSize = st.Size()
-	return nil
 }
 
 // LogID identifies this open of the store; it changes on every OpenStore
@@ -462,11 +251,9 @@ func (s *Store) SetGuard(g func() error) {
 	s.guard = g
 }
 
-// Append durably records one state transition: a single write(2) of one
-// CRC-framed line on an O_APPEND descriptor, so concurrent appends never
-// interleave and a crash can only tear the final line. Appends pass the
-// leadership guard first — a deposed leader's writes fail here, with no
-// bytes on disk — and rotate to a fresh segment past the size threshold.
+// Append durably records one state transition as one frame of the log.
+// Appends pass the leadership guard first — a deposed leader's writes fail
+// here, with no bytes on disk.
 func (s *Store) Append(rec walRecord) error {
 	s.mu.Lock()
 	guard := s.guard
@@ -491,7 +278,7 @@ func (s *Store) ApplyReplicated(rec walRecord) error {
 }
 
 func (s *Store) append(rec walRecord) error {
-	line, err := frameRecord(rec)
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
@@ -500,67 +287,16 @@ func (s *Store) append(rec walRecord) error {
 	if s.closed {
 		return fmt.Errorf("server: store closed")
 	}
-	if s.segSize >= s.opts.SegmentBytes {
-		if err := s.rotateLocked(); err != nil {
-			return err
-		}
+	// A failed append (write or fsync) does not admit the record to the
+	// logical log: callers retry or surface the error, and every record type
+	// is idempotent to replay should a crash find its bytes on disk after all.
+	if _, err := s.log.Append(payload); err != nil {
+		return fmt.Errorf("server: %w", err)
 	}
-	off := s.segSize
-	var n int
-	if s.opts.Chaos.Hit(ChaosWALShortWrite) {
-		// Injected short write(2): half the line lands, then the "error".
-		n, _ = s.seg.Write(line[:len(line)/2])
-		err = fmt.Errorf("server: wal append: %w", errChaosShortWrite)
-	} else {
-		n, err = s.seg.Write(line)
-	}
-	if err == nil && n < len(line) {
-		err = fmt.Errorf("server: wal append: short write (%d of %d bytes)", n, len(line))
-	}
-	if err != nil {
-		// Repair the torn line so later appends don't land after damage
-		// (replay stops at the first damaged line, which would silently
-		// discard them). O_APPEND writes at EOF, so truncating back to the
-		// pre-write offset restores the segment exactly.
-		if terr := s.seg.Truncate(off); terr != nil {
-			return fmt.Errorf("server: wal append failed (%v) and segment unrepaired: %w", err, terr)
-		}
-		return err
-	}
-	if s.opts.Fsync {
-		serr := s.seg.Sync()
-		if s.opts.Chaos.Hit(ChaosWALFsync) {
-			serr = errChaosFsync
-		}
-		if serr != nil {
-			// The bytes are written; only durability is in doubt. Fail the
-			// append (callers retry or surface the error) without admitting
-			// the record to the logical log — replay after a real crash may
-			// still see it, and every record type is idempotent to replay.
-			return fmt.Errorf("server: wal fsync: %w", serr)
-		}
-	}
-	s.segSize += int64(len(line))
 	s.recs = append(s.recs, rec)
 	close(s.notify)
 	s.notify = make(chan struct{})
 	return nil
-}
-
-// rotateLocked closes the active segment and starts the next one.
-func (s *Store) rotateLocked() error {
-	if err := s.seg.Close(); err != nil {
-		return fmt.Errorf("server: rotate wal: %w", err)
-	}
-	s.segIdx++
-	return s.openActive()
-}
-
-// SegmentIndex returns the active segment's index (observability, tests).
-func (s *Store) SegmentIndex() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.segIdx
 }
 
 // WaitRecords returns the records from seq `from` on, blocking up to
@@ -607,23 +343,14 @@ func (s *Store) Reset() error {
 	if s.closed {
 		return fmt.Errorf("server: store closed")
 	}
-	if s.seg != nil {
-		s.seg.Close()
-		s.seg = nil
-	}
-	walDir := filepath.Join(s.dir, "wal")
-	if err := os.RemoveAll(walDir); err != nil {
+	s.log.Close()
+	if err := s.replaceLog(nil, false); err != nil {
 		return fmt.Errorf("server: reset wal: %w", err)
 	}
-	if err := os.MkdirAll(walDir, 0o755); err != nil {
-		return fmt.Errorf("server: reset wal: %w", err)
-	}
-	s.recs = nil
-	s.segIdx = 0
 	s.logID = newLogID()
 	close(s.notify)
 	s.notify = make(chan struct{})
-	return s.openActive()
+	return nil
 }
 
 // JournalPath returns the run journal path for one shard of one campaign.
@@ -631,7 +358,7 @@ func (s *Store) Reset() error {
 // that stability is what lets a re-leased shard resume instead of
 // re-executing (in HA mode, DataDir is shared between the peers).
 func (s *Store) JournalPath(cid string, shard int) string {
-	return filepath.Join(s.dataDir, "journals", fmt.Sprintf("%s-shard%04d.jsonl", cid, shard))
+	return filepath.Join(s.dataDir, "journals", fmt.Sprintf("%s-shard%04d.journal", cid, shard))
 }
 
 // SummaryPath returns the merged summary path for one campaign.
@@ -639,16 +366,10 @@ func (s *Store) SummaryPath(cid string) string {
 	return filepath.Join(s.dataDir, "summaries", cid+".json")
 }
 
-// WriteSummary persists a campaign's merged summary with the
-// temp+rename idiom: readers never observe a half-written file.
+// WriteSummary persists a campaign's merged summary atomically: readers
+// never observe a half-written file.
 func (s *Store) WriteSummary(cid string, data []byte) error {
-	path := s.SummaryPath(cid)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("server: write summary: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := wal.WriteFile(s.SummaryPath(cid), data, false); err != nil {
 		return fmt.Errorf("server: write summary: %w", err)
 	}
 	return nil
@@ -673,10 +394,5 @@ func (s *Store) Close() error {
 	s.closed = true
 	close(s.notify)
 	s.notify = make(chan struct{})
-	if s.seg == nil {
-		return nil
-	}
-	err := s.seg.Close()
-	s.seg = nil
-	return err
+	return s.log.Close()
 }

@@ -1,12 +1,15 @@
 package server
 
 import (
+	"errors"
 	"os"
-	"path/filepath"
 	"testing"
+
+	"chaser/internal/obs"
+	"chaser/internal/wal"
 )
 
-// TestStoreTornTailTruncated: a crash mid-append leaves a torn final line;
+// TestStoreTornTailTruncated: a crash mid-append leaves a torn final frame;
 // reopening must recover every complete record, truncate the tail, and
 // keep accepting appends that a further reopen also recovers.
 func TestStoreTornTailTruncated(t *testing.T) {
@@ -25,13 +28,13 @@ func TestStoreTornTailTruncated(t *testing.T) {
 	}
 	store.Close()
 
-	// Tear the tail the way a crash does: a partial line at EOF.
-	path := filepath.Join(dir, "wal", "seg-000000.jsonl")
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	// Tear the tail the way a crash does: a partial frame at EOF.
+	f, err := os.OpenFile(store.walPath(), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`0123abcd {"t":"done","c":"c0000`); err != nil {
+	torn := wal.AppendFrame(nil, []byte(`{"t":"done","c":"c000000","s":3}`))
+	if _, err := f.Write(torn[:len(torn)-9]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -65,7 +68,7 @@ func TestStoreTornTailTruncated(t *testing.T) {
 }
 
 // TestStoreCorruptMiddleStopsReplay: silent bit rot inside the file (CRC
-// mismatch on a non-final line) must stop replay at the damage rather than
+// mismatch on a non-final record) must stop replay at the damage rather than
 // trust anything after it.
 func TestStoreCorruptMiddleStopsReplay(t *testing.T) {
 	dir := t.TempDir()
@@ -79,7 +82,7 @@ func TestStoreCorruptMiddleStopsReplay(t *testing.T) {
 		}
 	}
 	store.Close()
-	path := filepath.Join(dir, "wal", "seg-000000.jsonl")
+	path := store.walPath()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +106,48 @@ func TestStoreCorruptMiddleStopsReplay(t *testing.T) {
 	}
 }
 
-// TestStoreSummaryRoundTrip exercises the temp+rename summary store.
+// TestStoreChaosSitesFireInTheLog: the wal.short_write and wal.fsync chaos
+// sites are consulted from inside the log's append. An injected failure
+// fails the append, admits nothing to the logical log, counts into the
+// chaos metrics, and leaves a log the next append and open can use.
+func TestStoreChaosSitesFireInTheLog(t *testing.T) {
+	for _, site := range []string{ChaosWALShortWrite, ChaosWALFsync} {
+		chaos, err := ParseChaos("seed=1,rate=1,sites=" + site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		chaos.SetObs(reg)
+		dir := t.TempDir()
+		store, _, err := OpenStore(dir, StoreOptions{Fsync: true, Chaos: chaos})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = store.Append(walRecord{T: "campaign", C: "c000001"})
+		if !errors.Is(err, wal.ErrInjected) {
+			t.Fatalf("%s: append = %v, want the injected failure", site, err)
+		}
+		if store.Seq() != 0 {
+			t.Errorf("%s: failed append admitted to the logical log", site)
+		}
+		if got := reg.Counter("server_chaos_injected_total").Value(); got != 1 {
+			t.Errorf("%s: server_chaos_injected_total = %d, want 1", site, got)
+		}
+		store.Close()
+		store2, recs, err := OpenStore(dir, StoreOptions{})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", site, err)
+		}
+		// The short write left nothing; the record whose fsync failed is
+		// whole on disk and replays (records are idempotent to replay).
+		if want := map[string]int{ChaosWALShortWrite: 0, ChaosWALFsync: 1}[site]; len(recs) != want {
+			t.Errorf("%s: reopen replayed %d records, want %d", site, len(recs), want)
+		}
+		store2.Close()
+	}
+}
+
+// TestStoreSummaryRoundTrip exercises the atomic summary store.
 func TestStoreSummaryRoundTrip(t *testing.T) {
 	store, _, err := OpenStore(t.TempDir(), StoreOptions{})
 	if err != nil {

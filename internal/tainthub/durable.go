@@ -2,18 +2,16 @@ package tainthub
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+	"io/fs"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"chaser/internal/obs"
 	"chaser/internal/tainthub/codec"
+	"chaser/internal/wal"
 )
 
 // Durable is a Local hub whose every mutation is written ahead to a log,
@@ -29,14 +27,14 @@ import (
 //
 //	W == S+1 → normal: restore snapshot, replay WAL, truncate its torn tail
 //	W <= S   → stale WAL from before the latest snapshot survived a crash
-//	           between rename(snap) and truncate(wal): ignore it
+//	           between rename(snap) and the log's replacement: ignore it
 //	W >  S+1 → the snapshot pairing this WAL was lost: refuse (CorruptError)
 //	no WAL / torn header → restore snapshot alone, start WAL fresh at S+1
 type Durable struct {
 	mu     sync.Mutex
 	st     store
 	path   string // WAL path; snapshot lives at path+".snap"
-	w      walWriter
+	log    *wal.Log
 	gen    uint64 // generation of the current WAL
 	closed bool
 
@@ -59,9 +57,7 @@ type DurableConfig struct {
 	Obs *obs.Registry
 }
 
-// snapshot records. Field names are part of the legacy gob on-disk format;
-// the current format encodes them with the codec package's varint/RLE
-// primitives.
+// snapshot records, encoded with the codec package's varint/RLE primitives.
 type snapshotRec struct {
 	Gen     uint64
 	Stats   Stats
@@ -89,16 +85,18 @@ type snapReplyRec struct {
 }
 
 const (
-	snapMagicGob = 0x50414e43 // "CNAP" little-endian: legacy gob payload
-	snapMagic    = 0x32504e43 // "CNP2" little-endian: versioned binary payload
-	snapVersion  = 1          // of the binary payload layout
+	snapMagic   = 0x32504e43 // "CNP2" little-endian
+	snapVersion = 1          // of the binary payload layout
+	snapPrefix  = 5          // magic + version byte, ahead of the packed fields
 )
 
-// encodeSnapshotPayload packs a snapshot with the codec primitives:
-// varint-packed fields, run-length-encoded masks — the same encoding the
-// wire and the WAL use.
-func encodeSnapshotPayload(snap *snapshotRec) []byte {
-	b := codec.AppendUvarint(nil, snap.Gen)
+// encodeSnapshot packs a snapshot record: magic, version byte, then the
+// fields with the codec primitives — varints and run-length-encoded masks,
+// the same encoding the wire and the WAL use.
+func encodeSnapshot(snap *snapshotRec) []byte {
+	b := le.AppendUint32(nil, snapMagic)
+	b = append(b, snapVersion)
+	b = codec.AppendUvarint(b, snap.Gen)
 	st := snap.Stats
 	for _, v := range []uint64{st.Published, st.Polls, st.Hits, uint64(st.Pending), st.Evicted, st.DedupHits, st.Replayed} {
 		b = codec.AppendUvarint(b, v)
@@ -226,100 +224,49 @@ func orCorrupt(err error) error {
 	return errors.New("over limit")
 }
 
-// writeSnapshot atomically replaces path with the encoded snapshot:
-// magic + version + u32 length + u32 CRC + binary payload, written to a
-// temp file, fsynced, and renamed over the target. The version byte is the
-// refusal hook: a future layout change bumps it, and old code refuses the
-// file with *CorruptError instead of silently misdecoding it.
+// writeSnapshot atomically replaces path with the snapshot as one frame,
+// fsynced before the rename. The version byte is the refusal hook: a future
+// layout change bumps it, and old code refuses the file with *CorruptError
+// instead of silently misdecoding it.
 func writeSnapshot(path string, snap *snapshotRec) error {
-	payload := encodeSnapshotPayload(snap)
-	hdr := make([]byte, 13)
-	le.PutUint32(hdr[0:4], snapMagic)
-	hdr[4] = snapVersion
-	le.PutUint32(hdr[5:9], uint32(len(payload)))
-	le.PutUint32(hdr[9:13], crc32.ChecksumIEEE(payload))
-
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(hdr); err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return wal.WriteFile(path, wal.AppendFrame(nil, encodeSnapshot(snap)), true)
 }
 
 // loadSnapshot reads a snapshot; a missing file returns (nil, nil). Any
 // structural damage is a *CorruptError — a half-written snapshot cannot
 // exist (writes go through rename), so damage means real corruption and
-// silently starting empty would resurrect consumed taint. Both the current
-// versioned binary format and the legacy gob format are readable; an
-// unknown version byte is refused.
+// silently starting empty would resurrect consumed taint. An unknown
+// version byte is refused.
 func loadSnapshot(path string) (*snapshotRec, error) {
 	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) >= 4 && le.Uint32(raw[0:4]) == snapMagicGob {
-		return loadSnapshotGob(path, raw)
+	corrupt := func(reason string) (*snapshotRec, error) {
+		return nil, &CorruptError{File: path, Reason: reason}
 	}
-	if len(raw) < 13 || le.Uint32(raw[0:4]) != snapMagic {
-		return nil, &CorruptError{File: path, Reason: "bad snapshot magic"}
-	}
-	if v := raw[4]; v != snapVersion {
-		return nil, &CorruptError{File: path, Reason: fmt.Sprintf("unsupported snapshot version %d (have %d)", v, snapVersion)}
-	}
-	n := le.Uint32(raw[5:9])
-	if int(n) != len(raw)-13 {
-		return nil, &CorruptError{File: path, Reason: fmt.Sprintf("snapshot length %d != payload %d", n, len(raw)-13)}
-	}
-	payload := raw[13:]
-	if crc32.ChecksumIEEE(payload) != le.Uint32(raw[9:13]) {
-		return nil, &CorruptError{File: path, Reason: "snapshot checksum mismatch"}
-	}
-	snap, err := decodeSnapshotPayload(payload)
+	r := bytes.NewReader(raw)
+	rec, err := wal.ReadFrame(r, len(raw))
 	if err != nil {
-		return nil, &CorruptError{File: path, Reason: "snapshot decode: " + err.Error()}
+		return corrupt("snapshot frame: " + err.Error())
+	}
+	if r.Len() != 0 {
+		return corrupt(fmt.Sprintf("%d trailing bytes after snapshot frame", r.Len()))
+	}
+	if len(rec) < snapPrefix || le.Uint32(rec[0:4]) != snapMagic {
+		return corrupt("bad snapshot magic")
+	}
+	if v := rec[4]; v != snapVersion {
+		return corrupt(fmt.Sprintf("unsupported snapshot version %d (have %d)", v, snapVersion))
+	}
+	snap, err := decodeSnapshotPayload(rec[snapPrefix:])
+	if err != nil {
+		return corrupt("snapshot decode: " + err.Error())
 	}
 	return snap, nil
-}
-
-// loadSnapshotGob reads the pre-codec format: gob payload behind a
-// magic + u32 length + u32 CRC header, with no version byte — the gap
-// that motivated the versioned format.
-func loadSnapshotGob(path string, raw []byte) (*snapshotRec, error) {
-	if len(raw) < 12 {
-		return nil, &CorruptError{File: path, Reason: "truncated snapshot header"}
-	}
-	n := le.Uint32(raw[4:8])
-	if int(n) != len(raw)-12 {
-		return nil, &CorruptError{File: path, Reason: fmt.Sprintf("snapshot length %d != payload %d", n, len(raw)-12)}
-	}
-	payload := raw[12:]
-	if crc32.ChecksumIEEE(payload) != le.Uint32(raw[8:12]) {
-		return nil, &CorruptError{File: path, Reason: "snapshot checksum mismatch"}
-	}
-	var snap snapshotRec
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return nil, &CorruptError{File: path, Reason: "snapshot decode: " + err.Error()}
-	}
-	return &snap, nil
 }
 
 // OpenDurable opens (or creates) a durable hub persisted at path (the
@@ -347,87 +294,67 @@ func OpenDurable(path string, cfg DurableConfig) (*Durable, error) {
 		snapGen = snap.Gen
 	}
 
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	// First pass: header + offsets only, so a stale WAL is never applied.
-	walGen, walVer, hasHeader, goodOff, err := scanWAL(f, nil)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	switch {
-	case !hasHeader:
-		// Empty or torn-before-header WAL: nothing to replay.
-		goodOff = 0
-	case walGen == snapGen+1:
-		// Normal pairing: replay the log on top of the snapshot. Entries
-		// keep their original publish stamps (so orphans re-evict after
-		// recovery), but reply caches are touched at recovery time so an
-		// in-flight client's retries still dedup.
-		now := time.Now().UnixNano()
-		var replayed int
-		if _, _, _, _, err := scanWAL(f, func(m walMutation) {
-			replayed++
-			switch m.kind {
-			case walRecPublish:
-				d.st.applyPublish(m.k, m.seq, m.masks, m.stamp)
-				d.st.remember(m.id, cachedReply{}, now)
-			case walRecConsume:
-				masks, _ := d.st.applyConsume(m.k, m.seq)
-				d.st.remember(m.id, cachedReply{masks: masks, found: true}, now)
+	// One pass over the log. The header record decides what happens to the
+	// rest: replayed on top of the snapshot (W == S+1), skipped as stale
+	// (W <= S), or the open refused (W > S+1). Entries keep their original
+	// publish stamps (so orphans re-evict after recovery), but reply caches
+	// are touched at recovery time so an in-flight client's retries still
+	// dedup.
+	now := time.Now().UnixNano()
+	var walGen uint64
+	hasHeader := false
+	log, err := wal.Open(path, walOptions, func(p []byte) error {
+		if !hasHeader {
+			g, err := decodeWALHeader(p)
+			if err != nil {
+				return &CorruptError{File: path, Reason: "wal header: " + err.Error()}
 			}
-		}); err != nil {
-			f.Close()
-			return nil, err
+			if g > snapGen+1 {
+				return &CorruptError{
+					File:   path,
+					Reason: fmt.Sprintf("wal generation %d but snapshot generation %d: missing snapshot", g, snapGen),
+				}
+			}
+			walGen, hasHeader = g, true
+			return nil
 		}
-		d.recoveredRecords = replayed
-		d.st.stats.Replayed += uint64(replayed)
-		if d.st.o != nil && replayed > 0 {
-			d.st.o.replayed.Add(uint64(replayed))
+		if walGen <= snapGen {
+			return nil
 		}
-	case walGen <= snapGen:
-		// Stale log from before the snapshot: drop it entirely.
-		goodOff = 0
-	default: // walGen > snapGen+1
-		f.Close()
-		return nil, &CorruptError{
-			File:   path,
-			Reason: fmt.Sprintf("wal generation %d but snapshot generation %d: missing snapshot", walGen, snapGen),
+		m, err := decodeWALMutation(p)
+		if err != nil {
+			return wal.ErrCorrupt // undecodable record: stop, truncate
 		}
-	}
-
-	// Truncate any torn/stale tail and position for appends.
-	if err := f.Truncate(goodOff); err != nil {
-		f.Close()
+		switch m.kind {
+		case walRecPublish:
+			d.st.applyPublish(m.k, m.seq, m.masks, m.stamp)
+			d.st.remember(m.id, cachedReply{}, now)
+		case walRecConsume:
+			masks, _ := d.st.applyConsume(m.k, m.seq)
+			d.st.remember(m.id, cachedReply{masks: masks, found: true}, now)
+		}
+		d.recoveredRecords++
+		return nil
+	})
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	if _, err := f.Seek(goodOff, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
+	d.st.stats.Replayed += uint64(d.recoveredRecords)
+	if d.st.o != nil && d.recoveredRecords > 0 {
+		d.st.o.replayed.Add(uint64(d.recoveredRecords))
 	}
-	d.w = walWriter{f: f, off: goodOff}
 	d.gen = snapGen + 1
-	if goodOff == 0 {
-		if _, err := d.w.append(encodeWALHeader(d.gen)); err != nil {
-			f.Close()
-			return nil, err
+	if !hasHeader || walGen <= snapGen {
+		// No log, one torn before its header, or a stale one: start
+		// generation S+1 on a fresh log.
+		if log != nil {
+			log.Close()
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	} else if walVer != walVersion {
-		// The recovered log speaks an older record layout. Appends use the
-		// current one, and a log must never mix versions — so fold the
-		// replayed state into a fresh snapshot and rotate to a new log with
-		// a current-version header.
-		if err := d.snapshotLocked(); err != nil {
-			f.Close()
+		if log, err = wal.Create(path, walOptions, true, [][]byte{encodeWALHeader(d.gen)}); err != nil {
 			return nil, err
 		}
 	}
+	d.log = log
 	return d, nil
 }
 
@@ -438,7 +365,7 @@ func (d *Durable) RecoveredRecords() int { return d.recoveredRecords }
 var errHubClosed = errors.New("tainthub: durable hub is closed")
 
 func (d *Durable) logMutation(payload []byte) error {
-	n, err := d.w.append(payload)
+	n, err := d.log.Append(payload)
 	if err != nil {
 		return err
 	}
@@ -520,14 +447,14 @@ func (d *Durable) Sweep() int {
 func (d *Durable) WALSize() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.w.off
+	return d.log.Size()
 }
 
-// Snapshot persists the full state to path+".snap" and truncates the WAL,
+// Snapshot persists the full state to path+".snap" and restarts the WAL,
 // bounding recovery time. The lock is held across the entire sequence —
-// encode, rename, truncate, new header — so a crash at any point leaves
-// either the old (snapshot, log) pair or the new one, never a mix the
-// generation check can't classify.
+// encode, rename, new log — so a crash at any point leaves either the old
+// (snapshot, log) pair or the new one, never a mix the generation check
+// can't classify.
 func (d *Durable) Snapshot() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -543,22 +470,15 @@ func (d *Durable) snapshotLocked() error {
 		return err
 	}
 	// The snapshot at generation d.gen covers everything in the log; a
-	// crash before the truncate leaves a WAL with gen <= snapshot gen,
-	// which recovery ignores as stale.
-	if err := d.w.f.Truncate(0); err != nil {
+	// crash before the log is replaced leaves a WAL with gen <= snapshot
+	// gen, which recovery ignores as stale.
+	log, err := wal.Create(d.path, walOptions, true, [][]byte{encodeWALHeader(d.gen + 1)})
+	if err != nil {
 		return err
 	}
-	if _, err := d.w.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	d.w.off = 0
+	d.log.Close()
+	d.log = log
 	d.gen++
-	if _, err := d.w.append(encodeWALHeader(d.gen)); err != nil {
-		return err
-	}
-	if err := d.w.f.Sync(); err != nil {
-		return err
-	}
 	if d.snapshots != nil {
 		d.snapshots.Inc()
 	}
@@ -575,7 +495,7 @@ func (d *Durable) Close() error {
 	}
 	err := d.snapshotLocked()
 	d.closed = true
-	if cerr := d.w.f.Close(); err == nil {
+	if cerr := d.log.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -591,5 +511,5 @@ func (d *Durable) Abandon() error {
 		return nil
 	}
 	d.closed = true
-	return d.w.f.Close()
+	return d.log.Close()
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"chaser/internal/obs"
+	"chaser/internal/wal"
 )
 
 func durablePath(t *testing.T) string {
@@ -190,6 +191,49 @@ func TestDurableTornTail(t *testing.T) {
 	defer h2.Close()
 	if h2.RecoveredRecords() != 4 {
 		t.Errorf("recovered %d records, want 4 (last torn)", h2.RecoveredRecords())
+	}
+}
+
+// TestDurablePublishFailureRepaired: a publish whose WAL append fails half
+// written (a transient ENOSPC) returns its error and the hub keeps serving.
+// Every publish acknowledged afterwards must survive a crash: left in the
+// log, the torn frame would end the next replay in front of them all.
+func TestDurablePublishFailureRepaired(t *testing.T) {
+	path := durablePath(t)
+	h, err := OpenDurable(path, DurableConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := false
+	opts := walOptions
+	opts.Fault = func(site string) bool { return fail && site == wal.FaultShortWrite }
+	h.log.Close()
+	if h.log, err = wal.Open(path, opts, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 5; i++ {
+		fail = i == 2
+		err := h.Publish(ReqID{Client: 1, Seq: uint64(i)}, Key{Src: 0, Dst: 1, Tag: i}, 0, []uint8{uint8(i)})
+		if fail != (err != nil) {
+			t.Fatalf("publish %d: err = %v with the fault armed = %v", i, err, fail)
+		}
+	}
+	if err := h.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := OpenDurable(path, DurableConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Close()
+	if h2.RecoveredRecords() != 4 {
+		t.Errorf("recovered %d records, want the 4 acknowledged publishes", h2.RecoveredRecords())
+	}
+	for i := 1; i <= 5; i++ {
+		masks, ok, err := h2.Poll(ReqID{Client: 2, Seq: uint64(i)}, Key{Src: 0, Dst: 1, Tag: i}, 0)
+		if err != nil || ok != (i != 2) || (ok && masks[0] != uint8(i)) {
+			t.Errorf("publish %d after recovery: masks=%v ok=%v err=%v", i, masks, ok, err)
+		}
 	}
 }
 

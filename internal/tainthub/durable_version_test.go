@@ -2,14 +2,13 @@ package tainthub
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
+
+	"chaser/internal/wal"
 )
 
 // TestSnapshotUnknownVersionRefused is the satellite-3 regression test:
@@ -35,11 +34,15 @@ func TestSnapshotUnknownVersionRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw[4] != snapVersion {
-		t.Fatalf("snapshot version byte = %d, want %d", raw[4], snapVersion)
+	rec, err := wal.ReadFrame(bytes.NewReader(raw), len(raw))
+	if err != nil {
+		t.Fatal(err)
 	}
-	raw[4] = 99 // a future format this build has never heard of
-	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
+	if rec[4] != snapVersion {
+		t.Fatalf("snapshot version byte = %d, want %d", rec[4], snapVersion)
+	}
+	rec[4] = 99 // a future format this build has never heard of
+	if err := os.WriteFile(snapPath, wal.AppendFrame(nil, rec), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = OpenDurable(path, DurableConfig{})
@@ -52,132 +55,27 @@ func TestSnapshotUnknownVersionRefused(t *testing.T) {
 	}
 }
 
-// TestLegacyGobSnapshotReadable: a snapshot written by the pre-codec gob
-// format (magic "CNAP", no version byte) must still restore, so upgrading
-// the binary does not orphan persisted campaign state.
-func TestLegacyGobSnapshotReadable(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "hub.wal")
-
-	now := time.Now().UnixNano()
-	snap := &snapshotRec{
-		Gen:   3,
-		Stats: Stats{Published: 2, Polls: 1, Hits: 1, Pending: 1},
-		Entries: []snapEntryRec{
-			{K: Key{Src: 0, Dst: 1, Tag: 2}, Seq: 5, Masks: []uint8{0xaa, 0x55}, Stamp: now},
-		},
-		Clients: []snapClientRec{
-			{ID: 7, LastUse: now, Reqs: []snapReplyRec{{Req: 4, Masks: []uint8{0xaa, 0x55}, Found: true}}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	payload := buf.Bytes()
-	hdr := make([]byte, 12)
-	le.PutUint32(hdr[0:4], snapMagicGob)
-	le.PutUint32(hdr[4:8], uint32(len(payload)))
-	le.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	if err := os.WriteFile(path+".snap", append(hdr, payload...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := OpenDurable(path, DurableConfig{})
-	if err != nil {
-		t.Fatalf("open over legacy gob snapshot: %v", err)
-	}
-	defer d.Close()
-	// The restored entry must be pollable…
-	masks, ok, err := d.Poll(ReqID{Client: 9, Seq: 1}, Key{Src: 0, Dst: 1, Tag: 2}, 5)
-	if err != nil || !ok || len(masks) != 2 || masks[0] != 0xaa {
-		t.Fatalf("poll restored entry = %v, %v, %v", masks, ok, err)
-	}
-	// …and the restored reply cache must still dedup the old client's retry.
-	cached, found, err := d.Poll(ReqID{Client: 7, Seq: 4}, Key{Src: 99, Dst: 99, Tag: 99}, 0)
-	if err != nil || !found || len(cached) != 2 {
-		t.Fatalf("dedup from restored reply cache = %v, %v, %v", cached, found, err)
-	}
-}
-
-// TestWALv1ReplayAndRotation: a version-1 WAL (fixed 8-byte field layout,
-// pre-codec) must replay, and recovery must then rotate it — fold the
-// state into a snapshot and restart the log with a current-version header —
-// so current-version appends never land in an old-format log.
-func TestWALv1ReplayAndRotation(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "hub.wal")
-
-	frame := func(payload []byte) []byte {
-		b := make([]byte, 8+len(payload))
-		le.PutUint32(b[0:4], uint32(len(payload)))
-		le.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
-		copy(b[8:], payload)
-		return b
-	}
-	// v1 header: kind, magic, version=1, gen=1 (no snapshot → first gen).
-	hdr := make([]byte, 14)
-	hdr[0] = walRecHeader
-	le.PutUint32(hdr[1:5], walMagic)
+// TestWALOldVersionRefused: a log whose header names a record layout this
+// build does not write (the fixed-field version 1) must be refused with
+// *CorruptError and left untouched — replaying it through the current
+// decoder, or starting an empty hub over it, would resurrect or drop taint.
+func TestWALOldVersionRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hub.wal")
+	hdr := encodeWALHeader(1)
 	hdr[5] = 1
-	le.PutUint64(hdr[6:14], 1)
-	// v1 publish: fixed prefix, u64 stamp, raw masks.
-	pub := make([]byte, walMutFixedV1+8, walMutFixedV1+8+2)
-	pub[0] = walRecPublish
-	le.PutUint64(pub[1:], 11)                                        // client
-	le.PutUint64(pub[9:], 1)                                         // req
-	le.PutUint64(pub[17:], 3)                                        // src
-	le.PutUint64(pub[25:], 4)                                        // dst
-	le.PutUint64(pub[33:], 5)                                        // tag
-	le.PutUint64(pub[41:], 0)                                        // ns
-	le.PutUint64(pub[49:], 6)                                        // seq
-	le.PutUint64(pub[walMutFixedV1:], uint64(time.Now().UnixNano())) // stamp
-	pub = append(pub, 0xde, 0xad)
-
-	var log []byte
-	log = append(log, frame(hdr)...)
-	log = append(log, frame(pub)...)
-	if err := os.WriteFile(path, log, 0o644); err != nil {
+	old := wal.AppendFrame(nil, hdr)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	d, err := OpenDurable(path, DurableConfig{})
-	if err != nil {
-		t.Fatalf("open over v1 WAL: %v", err)
+	_, err := OpenDurable(path, DurableConfig{})
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("open over a version-1 WAL = %v, want *CorruptError", err)
 	}
-	if d.RecoveredRecords() != 1 {
-		t.Errorf("replayed %d records, want 1", d.RecoveredRecords())
+	if !strings.Contains(ce.Reason, "version 1") {
+		t.Errorf("refusal reason %q does not name the offending version", ce.Reason)
 	}
-	// Rotation must have produced a current-version snapshot + fresh log.
-	if _, err := os.Stat(path + ".snap"); err != nil {
-		t.Fatalf("no snapshot after v1 rotation: %v", err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, ver, hasHeader, _, err := scanWAL(f, nil)
-	f.Close()
-	if err != nil || !hasHeader {
-		t.Fatalf("scan rotated WAL: hasHeader=%v err=%v", hasHeader, err)
-	}
-	if ver != walVersion {
-		t.Errorf("rotated WAL version = %d, want %d", ver, walVersion)
-	}
-	if gen < 2 {
-		t.Errorf("rotated WAL generation = %d, want >= 2", gen)
-	}
-	// The replayed entry survives through the rotation and a reopen.
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := OpenDurable(path, DurableConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	masks, ok, err := d2.Poll(ReqID{Client: 20, Seq: 1}, Key{Src: 3, Dst: 4, Tag: 5}, 6)
-	if err != nil || !ok || len(masks) != 2 || masks[0] != 0xde || masks[1] != 0xad {
-		t.Fatalf("poll after v1 migration = %v, %v, %v", masks, ok, err)
+	if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, old) {
+		t.Errorf("refused WAL was modified: %x (%v)", raw, err)
 	}
 }

@@ -4,31 +4,22 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 
 	"chaser/internal/tainthub/codec"
+	"chaser/internal/wal"
 )
 
 // Write-ahead log: every mutation of a Durable hub (publish, consumed
-// poll) is appended as one CRC-framed record before it is applied, so a
-// hard crash (kill -9) loses nothing that was acknowledged. The frame is
-//
-//	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
-//
-// written with a single write(2), so a crash can only tear the final
-// record; replay stops at the first frame whose length or checksum does
-// not hold and truncates the tail. The first record is always a header
+// poll) is appended to an internal/wal Log before it is applied, so a hard
+// crash (kill -9) loses nothing that was acknowledged. Each append is a
+// single unbuffered write, so acknowledged records survive process death
+// without fsync (fsync happens at snapshots and close, bounding loss on
+// power failure, not on kill -9). The first record is always a header
 // carrying the WAL generation, which pairs the file with the snapshot it
-// extends (see durable.go for the recovery protocol).
-//
-// Record payloads are versioned by the header. Version 1 used fixed
-// 8-byte-field layouts; version 2 (current) packs fields with the codec
-// package's varints and run-length-encodes masks — the same primitives the
-// wire protocol uses, so one codec owns every persisted byte. Version-1
-// logs are still replayed; recovery then rotates them to a fresh
-// version-2 log via a snapshot, so appends never mix versions.
+// extends (see durable.go for the recovery protocol), and the version of
+// the record payloads: fields packed with the codec package's varints and
+// run-length-encoded masks — the same primitives the wire protocol uses, so
+// one codec owns every persisted byte.
 
 const (
 	walMagic   = 0x4c415743 // "CWAL" little-endian
@@ -59,28 +50,8 @@ func (e *CorruptError) Error() string {
 
 var le = binary.LittleEndian
 
-// walWriter appends framed records to an open WAL file. Each append is a
-// single unbuffered write, so acknowledged records survive process death
-// without fsync (fsync happens at snapshots and close, bounding loss on
-// power failure, not on kill -9).
-type walWriter struct {
-	f   *os.File
-	off int64
-}
-
-// append frames and writes one payload, returning the bytes written.
-func (w *walWriter) append(payload []byte) (int, error) {
-	frame := make([]byte, 8+len(payload))
-	le.PutUint32(frame[0:4], uint32(len(payload)))
-	le.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
-	n, err := w.f.Write(frame)
-	w.off += int64(n)
-	if err != nil {
-		return n, fmt.Errorf("tainthub: wal append: %w", err)
-	}
-	return len(frame), nil
-}
+// walOptions is how the hub opens its log.
+var walOptions = wal.Options{MaxPayload: maxWALPayload}
 
 func encodeWALHeader(gen uint64) []byte {
 	b := make([]byte, 1+4+1+8)
@@ -91,21 +62,20 @@ func encodeWALHeader(gen uint64) []byte {
 	return b
 }
 
-// decodeWALHeader validates the header record and returns the generation
-// and payload version. Unknown versions are refused — silently misreading
-// a future layout would resurrect or drop taint.
-func decodeWALHeader(p []byte) (gen uint64, version byte, err error) {
+// decodeWALHeader validates the header record and returns the generation.
+// Any version but the current one is refused — silently misreading another
+// layout would resurrect or drop taint.
+func decodeWALHeader(p []byte) (gen uint64, err error) {
 	if len(p) != 14 || p[0] != walRecHeader {
-		return 0, 0, errors.New("bad header record")
+		return 0, errors.New("bad header record")
 	}
 	if le.Uint32(p[1:5]) != walMagic {
-		return 0, 0, errors.New("bad magic")
+		return 0, errors.New("bad magic")
 	}
-	version = p[5]
-	if version == 0 || version > walVersion {
-		return 0, 0, fmt.Errorf("unsupported WAL version %d", version)
+	if p[5] != walVersion {
+		return 0, fmt.Errorf("unsupported WAL version %d (have %d)", p[5], walVersion)
 	}
-	return le.Uint64(p[6:14]), version, nil
+	return le.Uint64(p[6:14]), nil
 }
 
 // walMutation is one replayable publish or consume record.
@@ -117,9 +87,6 @@ type walMutation struct {
 	stamp int64   // publish only
 	masks []uint8 // publish only
 }
-
-// walMutFixedV1 is the version-1 fixed prefix: kind, client, req, key, seq.
-const walMutFixedV1 = 1 + 8 + 8 + 4*8 + 8
 
 func encodeWALPublish(id ReqID, k Key, seq uint64, stamp int64, masks []uint8) []byte {
 	b := appendWALCommon(make([]byte, 0, 48+len(masks)/4), walRecPublish, id, k, seq)
@@ -142,12 +109,8 @@ func appendWALCommon(b []byte, kind byte, id ReqID, k Key, seq uint64) []byte {
 	return codec.AppendUvarint(b, seq)
 }
 
-// decodeWALMutation decodes one mutation record in the given payload
-// version (from the WAL header).
-func decodeWALMutation(p []byte, version byte) (walMutation, error) {
-	if version == 1 {
-		return decodeWALMutationV1(p)
-	}
+// decodeWALMutation decodes one mutation record.
+func decodeWALMutation(p []byte) (walMutation, error) {
 	var m walMutation
 	if len(p) < 1 {
 		return m, errors.New("empty mutation record")
@@ -188,85 +151,4 @@ func decodeWALMutation(p []byte, version byte) (walMutation, error) {
 		return m, errors.New("trailing bytes in mutation record")
 	}
 	return m, nil
-}
-
-// decodeWALMutationV1 reads the legacy fixed-field layout, kept so a log
-// written before the codec migration still replays.
-func decodeWALMutationV1(p []byte) (walMutation, error) {
-	var m walMutation
-	if len(p) < walMutFixedV1 {
-		return m, errors.New("short mutation record")
-	}
-	m.kind = p[0]
-	m.id = ReqID{Client: le.Uint64(p[1:]), Seq: le.Uint64(p[9:])}
-	m.k = Key{
-		Src: int(int64(le.Uint64(p[17:]))),
-		Dst: int(int64(le.Uint64(p[25:]))),
-		Tag: int(int64(le.Uint64(p[33:]))),
-		NS:  int(int64(le.Uint64(p[41:]))),
-	}
-	m.seq = le.Uint64(p[49:])
-	switch m.kind {
-	case walRecPublish:
-		if len(p) < walMutFixedV1+8 {
-			return m, errors.New("short publish record")
-		}
-		m.stamp = int64(le.Uint64(p[walMutFixedV1:]))
-		m.masks = append([]uint8(nil), p[walMutFixedV1+8:]...)
-	case walRecConsume:
-		if len(p) != walMutFixedV1 {
-			return m, errors.New("oversized consume record")
-		}
-	default:
-		return m, fmt.Errorf("unknown record kind %d", m.kind)
-	}
-	return m, nil
-}
-
-// scanWAL reads the log from the start: the header record (if any), then
-// every intact mutation, calling apply for each. It returns the header
-// generation and payload version, whether a header was present, and the
-// offset just past the last intact record — the caller truncates there, so
-// a torn or bit-flipped tail can never be replayed or appended after.
-func scanWAL(f *os.File, apply func(walMutation)) (gen uint64, version byte, hasHeader bool, goodOff int64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, false, 0, err
-	}
-	var off int64
-	hdr := make([]byte, 8)
-	first := true
-	for {
-		if _, rerr := io.ReadFull(f, hdr); rerr != nil {
-			return gen, version, hasHeader, off, nil // clean EOF or torn frame header
-		}
-		n := le.Uint32(hdr[0:4])
-		if n == 0 || n > maxWALPayload {
-			return gen, version, hasHeader, off, nil // corrupt length: stop, truncate
-		}
-		payload := make([]byte, n)
-		if _, rerr := io.ReadFull(f, payload); rerr != nil {
-			return gen, version, hasHeader, off, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != le.Uint32(hdr[4:8]) {
-			return gen, version, hasHeader, off, nil // bit flip: stop, truncate
-		}
-		if first {
-			first = false
-			g, v, herr := decodeWALHeader(payload)
-			if herr != nil {
-				return 0, 0, false, 0, &CorruptError{File: f.Name(), Reason: "wal header: " + herr.Error()}
-			}
-			gen, version, hasHeader = g, v, true
-			off += int64(8 + n)
-			continue
-		}
-		m, merr := decodeWALMutation(payload, version)
-		if merr != nil {
-			return gen, version, hasHeader, off, nil // undecodable record: stop, truncate
-		}
-		if apply != nil {
-			apply(m)
-		}
-		off += int64(8 + n)
-	}
 }

@@ -51,12 +51,12 @@ done
 echo "hub_crash_smoke: hub on $addr"
 
 "$work/campaign" $common -hub "$addr" -hub-policy fail \
-    -journal "$work/run.jsonl" >"$work/crashed.txt" 2>&1 &
+    -journal "$work/run.journal" >"$work/crashed.txt" 2>&1 &
 cpid=$!
-# Wait until a few runs are journaled (hub traffic has flowed), then crash
-# the hub the hard way.
+# Wait until a few runs are journaled (hub traffic has flowed: a run's
+# journal record is 200-400 bytes), then crash the hub the hard way.
 i=0
-while [ "$({ wc -l <"$work/run.jsonl"; } 2>/dev/null || echo 0)" -le 5 ]; do
+while [ "$({ wc -c <"$work/run.journal"; } 2>/dev/null || echo 0)" -le 1536 ]; do
     i=$((i + 1))
     if [ $i -gt 200 ]; then
         echo "hub_crash_smoke: no runs journaled within 20s" >&2

@@ -24,13 +24,14 @@ echo "resume_smoke: uninterrupted baseline"
 "$work/campaign" $common >"$work/full.txt"
 
 echo "resume_smoke: interrupting mid-flight"
-"$work/campaign" $common -journal "$work/run.jsonl" -progress \
+"$work/campaign" $common -journal "$work/run.journal" -progress \
     >"$work/interrupted.txt" 2>"$work/progress.txt" &
 pid=$!
 # Wait for the first completed runs to hit the journal, then interrupt.
-# The journal's first line is the header, so >1 line means >=1 run done.
+# The journal's header record is under 128 bytes and a run's record over
+# 200, so a file past 256 bytes holds at least one completed run.
 i=0
-while [ "$({ wc -l <"$work/run.jsonl"; } 2>/dev/null || echo 0)" -le 1 ]; do
+while [ "$({ wc -c <"$work/run.journal"; } 2>/dev/null || echo 0)" -le 256 ]; do
     i=$((i + 1))
     if [ $i -gt 200 ]; then
         echo "resume_smoke: no runs journaled within 20s" >&2
@@ -49,7 +50,7 @@ if ! grep -q "campaign interrupted" "$work/interrupted.txt"; then
 fi
 
 echo "resume_smoke: resuming"
-"$work/campaign" $common -resume "$work/run.jsonl" >"$work/resumed.txt"
+"$work/campaign" $common -resume "$work/run.journal" >"$work/resumed.txt"
 
 if ! cmp -s "$work/full.txt" "$work/resumed.txt"; then
     echo "resume_smoke: FAIL — resumed summary differs from uninterrupted run" >&2
