@@ -427,10 +427,13 @@ func BenchmarkEngine_RawExecution(b *testing.B) {
 // BenchmarkFastPathVsFull is the dual-loop ablation: the same guest run on
 // the specialized taint-free fast loop with micro-op fusion (the default
 // engine) versus the pre-dual-loop configuration — every block forced
-// through the full taint-aware loop with fusion disabled. The gap is the
-// engine speedup this optimization pass delivers on untainted execution,
-// which is the state virtually every instruction of every campaign run
-// executes in (taint exists only downstream of an injected fault).
+// through the taint-aware loop with fusion disabled and taint tracking off.
+// The gap is what the dual loop and fusion deliver on untainted execution,
+// the state every instruction before a fault executes in. The third arm is
+// the state after one: tracking on and a register tainted for the whole run,
+// so that every block takes the taint-aware loop with its propagation arms
+// live — most of them finding nothing to do.
+//
 // benchLUDN sizes the engine benchmarks' guest workload. The campaign apps
 // use DefaultLUDN for fast suites; the engine comparison wants runs long
 // enough (~2M guest instructions) that per-run machine construction is noise.
@@ -439,12 +442,14 @@ const benchLUDN = 48
 func BenchmarkFastPathVsFull(b *testing.B) {
 	prog := lang.MustCompile(apps.LUDProgram(benchLUDN))
 	configs := []struct {
-		name   string
-		noFast bool
-		fusion bool
+		name    string
+		noFast  bool
+		fusion  bool
+		tainted bool
 	}{
-		{"fast+fusion", false, true},
-		{"full-nofusion", true, false},
+		{"fast+fusion", false, true, false},
+		{"full-nofusion", true, false, false},
+		{"tainted+fusion", false, true, true},
 	}
 	for _, c := range configs {
 		b.Run(c.name, func(b *testing.B) {
@@ -453,29 +458,31 @@ func BenchmarkFastPathVsFull(b *testing.B) {
 			// cost would otherwise dilute the engine comparison.
 			base := tcg.NewBaseCache(prog)
 			base.SetFusion(c.fusion)
-			warm := vm.New(prog, vm.Config{NoFastPath: c.noFast, BaseCache: base})
-			if term := warm.Run(); term.Abnormal() {
-				b.Fatal(term)
-			}
-			b.ResetTimer()
-			var instrs, fastTBs, totalTBs uint64
-			for i := 0; i < b.N; i++ {
+			run := func() vm.Counters {
 				m := vm.New(prog, vm.Config{NoFastPath: c.noFast, BaseCache: base})
+				if c.tainted {
+					// The guest never writes the frame pointer's float twin,
+					// so the shadow stays live from entry to exit.
+					m.TaintEnabled = true
+					m.Shadow.SetRegMask(tcg.FPR(isa.FP), 1)
+				}
 				if term := m.Run(); term.Abnormal() {
 					b.Fatal(term)
 				}
-				cnt := m.Counters()
-				instrs = cnt.Instructions
-				fastTBs = cnt.FastPathTBs
-				totalTBs = cnt.TBsExecuted
+				return m.Counters()
 			}
-			if c.noFast && fastTBs != 0 {
-				b.Fatalf("NoFastPath run counted %d fast-path TBs", fastTBs)
+			run()
+			b.ResetTimer()
+			var cnt vm.Counters
+			for i := 0; i < b.N; i++ {
+				cnt = run()
 			}
-			if !c.noFast && fastTBs != totalTBs {
-				b.Fatalf("fast config ran %d of %d TBs on the fast loop", fastTBs, totalTBs)
+			if onFast := !c.noFast && !c.tainted; onFast && cnt.FastPathTBs != cnt.TBsExecuted {
+				b.Fatalf("fast config ran %d of %d TBs on the fast loop", cnt.FastPathTBs, cnt.TBsExecuted)
+			} else if !onFast && cnt.FastPathTBs != 0 {
+				b.Fatalf("%s counted %d fast-path TBs", c.name, cnt.FastPathTBs)
 			}
-			b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+			b.ReportMetric(float64(cnt.Instructions)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 		})
 	}
 }

@@ -9,6 +9,7 @@
 package chaser
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"chaser/internal/apps"
 	"chaser/internal/core"
 	"chaser/internal/isa"
 	"chaser/internal/lang"
@@ -158,5 +160,66 @@ func TestFastFullDifferentialGuestPrograms(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPostFaultTwins is the differential at the propagation log's level of
+// detail, on the two runs the repository benchmark prices tracing with: a
+// traced LUD injection (`chaser -app lud -n 14000 -seed 7 -trace`) and the
+// 4-rank CLAMR identity fault (`-app clamr_mpi -n 1000`, eight identity
+// bits). Almost every block of either runs on the taint-aware loop — entered
+// from the fast loop mid-block at the fault, chained from then on — and the
+// NoFastPath twin runs it from program entry. What a user sees must agree:
+// terminations, outputs, counters, injection records, every rank's event
+// stream record for record, and for the serial guest the log file byte for
+// byte.
+func TestPostFaultTwins(t *testing.T) {
+	for _, tc := range []struct {
+		app      string
+		n        uint64
+		seed     int64
+		identity bool
+	}{
+		{"lud", 14000, 7, false},
+		{"clamr_mpi", 1000, 5, true},
+	} {
+		t.Run(tc.app, func(t *testing.T) {
+			app, err := apps.ByName(tc.app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := &core.Spec{
+				Target: app.Name, Ops: app.DefaultOps, TargetRank: max(app.TargetRank, 0),
+				Cond: core.Deterministic{N: tc.n}, Bits: 1, Seed: tc.seed, Trace: true, MaxInjections: 1,
+			}
+			if tc.identity {
+				spec.Inj = core.IdentityInjector{Bits: 8}
+			}
+			run := func(noFast bool) (*core.RunResult, []byte) {
+				res, err := core.Run(core.RunConfig{Prog: app.Prog, WorldSize: app.WorldSize, Spec: spec, NoFastPath: noFast})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var log bytes.Buffer
+				if _, err := res.Trace.WriteTo(&log); err != nil {
+					t.Fatal(err)
+				}
+				return res, log.Bytes()
+			}
+			def, defLog := run(false)
+			twin, twinLog := run(true)
+			if !def.Injected() || def.Trace.Stored() < 10_000 {
+				t.Fatalf("injected=%v, %d events stored: the twins have too little to disagree about", def.Injected(), def.Trace.Stored())
+			}
+			if a, b := comparable(def, app.WorldSize), comparable(twin, app.WorldSize); !reflect.DeepEqual(a, b) {
+				t.Errorf("results diverged:\ndefault:    %+v\nNoFastPath: %+v", a, b)
+			}
+			if !reflect.DeepEqual(def.Trace.Events(), twin.Trace.Events()) {
+				t.Error("the ranks' event streams differ")
+			}
+			if app.WorldSize == 1 && !bytes.Equal(defLog, twinLog) {
+				t.Error("the propagation logs differ")
+			}
+		})
 	}
 }

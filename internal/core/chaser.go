@@ -179,7 +179,7 @@ func (c *Chaser) Init(p *decaf.Platform) (*decaf.Interface, error) {
 	c.platform = p
 	p.RegisterProcCreateCB(c.creationCB)
 	// The machine's record has trace.Event's layout: the log packs it as is.
-	logAccess := func(_ decaf.ProcInfo, ev *vm.MemTaintEvent) {
+	logAccess := func(ev *vm.MemTaintEvent) {
 		c.collector.AddEvent((*trace.Event)(ev))
 	}
 	p.RegisterReadTaintCB(logAccess)

@@ -267,7 +267,7 @@ func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSna
 	// retirement would otherwise appear twice.
 	for _, p := range ch.collector.Timeline() {
 		if p.Rank >= 0 && p.Rank < size &&
-			p.Instrs <= ws.machines[p.Rank].Counters().Instructions {
+			p.Instrs <= ws.machines[p.Rank].Instructions() {
 			ws.samples = append(ws.samples, p)
 		}
 	}

@@ -177,7 +177,7 @@ func (o OperandInjector) Inject(ctx *Context) (InjectionRecord, error) {
 		GuestOp:   ctx.Instr.Op,
 		GuestOpS:  ctx.Instr.Op.String(),
 		ExecCount: ctx.ExecCount,
-		InstrNum:  ctx.Machine.Counters().Instructions,
+		InstrNum:  ctx.Machine.Instructions(),
 		Mask:      mask,
 	}
 
@@ -248,7 +248,7 @@ func (o IdentityInjector) Inject(ctx *Context) (InjectionRecord, error) {
 		GuestOp:   ctx.Instr.Op,
 		GuestOpS:  ctx.Instr.Op.String(),
 		ExecCount: ctx.ExecCount,
-		InstrNum:  ctx.Machine.Counters().Instructions,
+		InstrNum:  ctx.Machine.Instructions(),
 		Target:    "reg " + reg.String() + " (identity)",
 		Mask:      mask,
 		Before:    before,

@@ -116,7 +116,7 @@ func (c *Chaser) preSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
 	c.collector.AddSend(trace.SendRecord{
 		Src: m.Rank, Dst: dest, Tag: tag, Seq: seq,
 		Buf: buf, Len: int(n), TaintedBytes: tainted,
-		EIP: m.PC(), InstrNum: m.Counters().Instructions,
+		EIP: m.PC(), InstrNum: m.Instructions(),
 	})
 }
 
@@ -137,7 +137,7 @@ func (c *Chaser) postSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
 				Dst:  int(int64(m.GPR(isa.R4))),
 				Tag:  int(int64(m.GPR(isa.R5))),
 				Meta: true,
-				EIP:  m.PC(), InstrNum: m.Counters().Instructions,
+				EIP:  m.PC(), InstrNum: m.Instructions(),
 			})
 		}
 		return
@@ -178,7 +178,7 @@ func (c *Chaser) postSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
 	}
 	c.collector.AddCrossRank(trace.CrossRankRecord{
 		Src: source, Dst: m.Rank, Tag: tag, Seq: seq, TaintedBytes: tainted,
-		EIP: m.PC(), InstrNum: m.Counters().Instructions,
+		EIP: m.PC(), InstrNum: m.Instructions(),
 		Buf: buf, Len: len(masks),
 	})
 }
@@ -231,7 +231,7 @@ func (c *Chaser) outputTaint(m *vm.Machine, sys isa.Sys) {
 	}
 	rec := trace.OutputRecord{
 		Rank: m.Rank, Offset: offset, Len: n, Buf: buf, Masks: masks,
-		EIP: m.PC(), InstrNum: m.Counters().Instructions,
+		EIP: m.PC(), InstrNum: m.Instructions(),
 	}
 	c.collector.AddOutput(rec)
 	c.events.Emit("output_tainted", -1, m.Rank, uint64(offset), uint64(rec.TaintedBytes()), "")

@@ -62,7 +62,7 @@ func (r RegisterFileInjector) Inject(ctx *Context) (InjectionRecord, error) {
 		GuestOp:   ctx.Instr.Op,
 		GuestOpS:  ctx.Instr.Op.String(),
 		ExecCount: ctx.ExecCount,
-		InstrNum:  ctx.Machine.Counters().Instructions,
+		InstrNum:  ctx.Machine.Instructions(),
 		Target:    "regfile " + reg.String(),
 		Mask:      mask,
 		Before:    before,

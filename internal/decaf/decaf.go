@@ -35,10 +35,12 @@ type ProcInfo struct {
 // ProcCreateCB observes process creation (VMI_CREATEPROC_CB).
 type ProcCreateCB func(info ProcInfo)
 
-// MemTaintCB observes tainted memory reads/writes in any supervised guest.
-// The event is the machine's own record (see vm.Hooks): valid during the
-// call, copied by a callback that keeps it.
-type MemTaintCB func(info ProcInfo, ev *vm.MemTaintEvent)
+// MemTaintCB observes tainted memory reads/writes in any supervised guest;
+// the event names the rank. It is the machine's own record (see vm.Hooks):
+// valid during the call, copied by a callback that keeps it. The type is the
+// hook's, so that a lone callback — Chaser's log — is installed as the hook
+// itself and a tainted access reaches it in one call.
+type MemTaintCB = func(ev *vm.MemTaintEvent)
 
 // SyscallCB observes guest syscalls in any supervised guest.
 type SyscallCB func(info ProcInfo, m *vm.Machine, sys isa.Sys)
@@ -227,20 +229,8 @@ func (p *Platform) CreateProcess(m *vm.Machine) ProcInfo {
 	postCBs := append([]SyscallCB(nil), p.postCBs...)
 	p.mu.Unlock()
 
-	if len(readCBs) > 0 {
-		m.Hooks.TaintedMemRead = func(ev *vm.MemTaintEvent) {
-			for _, cb := range readCBs {
-				cb(info, ev)
-			}
-		}
-	}
-	if len(writeCBs) > 0 {
-		m.Hooks.TaintedMemWrite = func(ev *vm.MemTaintEvent) {
-			for _, cb := range writeCBs {
-				cb(info, ev)
-			}
-		}
-	}
+	m.Hooks.TaintedMemRead = fanOut(readCBs)
+	m.Hooks.TaintedMemWrite = fanOut(writeCBs)
 	if len(preCBs) > 0 {
 		m.Hooks.PreSyscall = func(mm *vm.Machine, sys isa.Sys) {
 			for _, cb := range preCBs {
@@ -256,6 +246,22 @@ func (p *Platform) CreateProcess(m *vm.Machine) ProcInfo {
 		}
 	}
 	return info
+}
+
+// fanOut returns the hook that calls cbs in order: nil for none, the callback
+// itself for one.
+func fanOut(cbs []MemTaintCB) MemTaintCB {
+	switch len(cbs) {
+	case 0:
+		return nil
+	case 1:
+		return cbs[0]
+	}
+	return func(ev *vm.MemTaintEvent) {
+		for _, cb := range cbs {
+			cb(ev)
+		}
+	}
 }
 
 // Processes returns the processes created so far.

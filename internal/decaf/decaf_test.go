@@ -133,15 +133,18 @@ func TestTaintCallbacksFanOut(t *testing.T) {
 	p := NewPlatform()
 	var reads, writes int
 	// Callbacks registered from within the proc-create callback must apply
-	// (the fi_creation_cb pattern).
+	// (the fi_creation_cb pattern). Two read callbacks fan out; the lone
+	// write callback is the machine's hook itself.
 	p.RegisterProcCreateCB(func(info ProcInfo) {
-		p.RegisterReadTaintCB(func(pi ProcInfo, ev *vm.MemTaintEvent) {
-			if pi.Name != "t" {
-				t.Errorf("read cb proc = %+v", pi)
-			}
-			reads++
-		})
-		p.RegisterWriteTaintCB(func(pi ProcInfo, ev *vm.MemTaintEvent) { writes++ })
+		for i := 0; i < 2; i++ {
+			p.RegisterReadTaintCB(func(ev *vm.MemTaintEvent) {
+				if ev.Rank != info.Rank || ev.Write {
+					t.Errorf("read cb event = %+v", ev)
+				}
+				reads++
+			})
+		}
+		p.RegisterWriteTaintCB(func(ev *vm.MemTaintEvent) { writes++ })
 	})
 
 	prog, err := asm.Assemble("t", `
@@ -173,8 +176,8 @@ main:
 	if term := m.Run(); term.Reason != vm.ReasonExited {
 		t.Fatalf("term = %v", term)
 	}
-	if reads != 1 || writes != 1 {
-		t.Errorf("reads = %d, writes = %d; want 1, 1", reads, writes)
+	if reads != 2 || writes != 1 {
+		t.Errorf("reads = %d, writes = %d; want 2 (one load, two callbacks), 1", reads, writes)
 	}
 }
 

@@ -42,10 +42,19 @@ type Shadow struct {
 	// when their page is allocated or dropped, and the cache starts empty
 	// after Reset and in a Clone.
 	cache [cacheSize]cacheEntry
-	// liveRegs counts micro-registers with a non-zero mask, maintained
-	// incrementally by SetRegMask so Live is O(1) — it gates the execution
-	// engine's fast path at every TB entry.
-	liveRegs int
+	// free keeps the last few pages dropPage removed, for newPage to hand
+	// out again: a word that is tainted, cleaned and tainted again (a spill
+	// slot, a loop's accumulator) would otherwise cost a 4 KiB allocation
+	// each time round. A page is dropped when its count reaches zero, so its
+	// masks are already all zero and reuse needs no clearing. The list starts
+	// empty after Reset and in a Clone.
+	free  [maxFreePages]*shadowPage
+	nfree int
+	// taintedRegs has bit r set while micro-register r has a non-zero mask,
+	// maintained by SetRegMask: Live is O(1) — it gates the execution engine's
+	// fast path at every TB entry — and so is RegsTainted, the test the
+	// taint-aware loop makes in front of every propagation arm.
+	taintedRegs uint64
 	// taintedBytes is the global count of guest memory bytes whose shadow
 	// mask is non-zero; highWater is its per-run peak (telemetry).
 	taintedBytes int64
@@ -60,6 +69,10 @@ type Shadow struct {
 // cacheSize is the number of shadow-page cache entries. A guest in its
 // tainted phase interleaves stack, data and a few heap pages.
 const cacheSize = 8
+
+// maxFreePages bounds the free list, and with it what a Shadow keeps beyond
+// its tainted pages, to 16 KiB.
+const maxFreePages = 4
 
 // cacheEntry says what pages holds for one page base. tag is the base with
 // bit 0 set, so the zero entry matches no page.
@@ -78,7 +91,8 @@ func (s *Shadow) Reset() {
 	s.regs = [tcg.NumMRegs]uint64{}
 	s.pages = make(map[uint64]*shadowPage)
 	s.cache = [cacheSize]cacheEntry{}
-	s.liveRegs = 0
+	s.free, s.nfree = [maxFreePages]*shadowPage{}, 0
+	s.taintedRegs = 0
 	s.taintedBytes = 0
 	s.highWater = 0
 }
@@ -92,7 +106,7 @@ func (s *Shadow) Clone() *Shadow {
 	cp := &Shadow{
 		regs:         s.regs,
 		pages:        make(map[uint64]*shadowPage, len(s.pages)),
-		liveRegs:     s.liveRegs,
+		taintedRegs:  s.taintedRegs,
 		taintedBytes: s.taintedBytes,
 		highWater:    s.highWater,
 	}
@@ -113,35 +127,34 @@ func (s *Shadow) RegMask(r tcg.MReg) uint64 { return s.regs[r] }
 
 // SetRegMask replaces the shadow mask of a micro-register.
 func (s *Shadow) SetRegMask(r tcg.MReg, mask uint64) {
-	switch prev := s.regs[r]; {
-	case prev == 0 && mask != 0:
-		s.liveRegs++
-		if s.liveRegs == 1 && s.taintedBytes == 0 && s.onFirstTaint != nil {
+	bit := uint64(1) << (r & 63)
+	switch {
+	case mask == 0:
+		s.taintedRegs &^= bit
+	case s.taintedRegs&bit == 0:
+		first := !s.Live()
+		s.taintedRegs |= bit
+		if first && s.onFirstTaint != nil {
 			s.onFirstTaint()
 		}
-	case prev != 0 && mask == 0:
-		s.liveRegs--
 	}
 	s.regs[r] = mask
 }
+
+// RegsTainted reports whether any micro-register of set (bit r stands for
+// register r, as in tcg.Op.Regs) carries taint.
+func (s *Shadow) RegsTainted(set uint64) bool { return s.taintedRegs&set != 0 }
 
 // Live reports whether any taint exists anywhere — registers or memory. It
 // is the O(1) emptiness check the execution engine performs at TB entry to
 // select its taint-free fast loop (DECAF++-style elastic tainting: a run with
 // taint enabled but nothing yet tainted pays nothing for the machinery).
 func (s *Shadow) Live() bool {
-	return s.liveRegs > 0 || s.taintedBytes > 0
+	return s.taintedRegs != 0 || s.taintedBytes > 0
 }
 
 // AnyRegTainted reports whether any guest-visible register carries taint.
-func (s *Shadow) AnyRegTainted() bool {
-	for _, m := range s.regs {
-		if m != 0 {
-			return true
-		}
-	}
-	return false
-}
+func (s *Shadow) AnyRegTainted() bool { return s.taintedRegs != 0 }
 
 // TaintedBytes returns the number of guest memory bytes currently tainted.
 // This is the quantity sampled every 100K instructions for the paper's
@@ -163,8 +176,8 @@ func (s *Shadow) page(addr uint64) (*shadowPage, uint64) {
 	return e.page, addr - base
 }
 
-// setPage installs (or, with nil, drops) the shadow page at base, keeping
-// the cache entry for base in step.
+// setPage puts p (nil: no page) at base in the page table, keeping the cache
+// entry for base in step.
 func (s *Shadow) setPage(base uint64, p *shadowPage) {
 	if p == nil {
 		delete(s.pages, base)
@@ -176,11 +189,34 @@ func (s *Shadow) setPage(base uint64, p *shadowPage) {
 	}
 }
 
+// newPage installs an all-zero page at base: one off the free list if there
+// is one.
+func (s *Shadow) newPage(base uint64) *shadowPage {
+	var p *shadowPage
+	if s.nfree > 0 {
+		s.nfree--
+		p, s.free[s.nfree] = s.free[s.nfree], nil
+	} else {
+		p = &shadowPage{}
+	}
+	s.setPage(base, p)
+	return p
+}
+
+// dropPage removes p, whose last tainted byte has just been cleaned, from
+// base and keeps it for newPage if there is room.
+func (s *Shadow) dropPage(base uint64, p *shadowPage) {
+	s.setPage(base, nil)
+	if s.nfree < maxFreePages {
+		s.free[s.nfree] = p
+		s.nfree++
+	}
+}
+
 func (s *Shadow) pageAlloc(addr uint64) (*shadowPage, uint64) {
 	p, off := s.page(addr)
 	if p == nil {
-		p = &shadowPage{}
-		s.setPage(addr-off, p)
+		p = s.newPage(addr - off)
 	}
 	return p, off
 }
@@ -207,7 +243,7 @@ func (s *Shadow) SetMemMask8(addr uint64, mask uint8) {
 			p.count--
 			s.taintedBytes--
 			if p.count == 0 {
-				s.setPage(addr-off, nil)
+				s.dropPage(addr-off, p)
 			}
 		}
 		return
@@ -216,7 +252,7 @@ func (s *Shadow) SetMemMask8(addr uint64, mask uint8) {
 	if p.masks[off] == 0 {
 		p.count++
 		s.taintedBytes++
-		if s.taintedBytes == 1 && s.liveRegs == 0 && s.onFirstTaint != nil {
+		if s.taintedBytes == 1 && s.taintedRegs == 0 && s.onFirstTaint != nil {
 			s.onFirstTaint()
 		}
 		if s.taintedBytes > s.highWater {
@@ -283,7 +319,7 @@ func (s *Shadow) SetMemMask64(addr uint64, mask uint64) {
 				s.highWater = s.taintedBytes
 			}
 			if p.count == 0 {
-				s.setPage(addr-off, nil)
+				s.dropPage(addr-off, p)
 			}
 			return
 		}
@@ -326,7 +362,7 @@ func (s *Shadow) ClearMemRange(addr, n uint64) {
 				}
 			}
 			if p.count == 0 {
-				s.setPage(addr-off, nil)
+				s.dropPage(addr-off, p)
 			}
 		}
 		addr += chunk
@@ -391,15 +427,14 @@ func (s *Shadow) setPageMasks(addr uint64, masks []uint8) {
 		case p == nil && mask == 0:
 			continue
 		case p == nil:
-			p = &shadowPage{}
-			s.setPage(base, p)
+			p = s.newPage(base)
 		}
 		was := p.masks[off+uint64(i)]
 		switch {
 		case was == 0 && mask != 0:
 			p.count++
 			s.taintedBytes++
-			if s.taintedBytes == 1 && s.liveRegs == 0 && s.onFirstTaint != nil {
+			if s.taintedBytes == 1 && s.taintedRegs == 0 && s.onFirstTaint != nil {
 				s.onFirstTaint()
 			}
 			if s.taintedBytes > s.highWater {
@@ -412,7 +447,7 @@ func (s *Shadow) setPageMasks(addr uint64, masks []uint8) {
 		p.masks[off+uint64(i)] = mask
 	}
 	if p != nil && p.count == 0 {
-		s.setPage(base, nil)
+		s.dropPage(base, p)
 	}
 }
 

@@ -381,3 +381,78 @@ func TestRangeOpsSkipAbsentPages(t *testing.T) {
 		t.Errorf("64 MiB of range operations over one tainted byte took %v", d)
 	}
 }
+
+// TestShadowPageReuse pins the page free list: a word that is tainted and
+// cleaned over and over (a spill slot, an accumulator) costs one page, not
+// one per round, through every entry point that can drop a page; a reused
+// page reads all-zero, wherever it is installed next; and neither a Clone nor
+// a Reset shadow inherits the list.
+func TestShadowPageReuse(t *testing.T) {
+	const addr, other = 0x2000_0128, 0x7ffe_0f00
+	s := NewShadow()
+	s.SetRegMask(tcg.GPR0, 1) // live, so that SetMemMask64 takes its word path
+	rounds := []struct {
+		name  string
+		round func()
+	}{
+		{"SetMemMask64", func() { s.SetMemMask64(addr, 0xff00ff); s.SetMemMask64(addr, 0) }},
+		{"SetMemMask8", func() { s.SetMemMask8(addr, 0x81); s.SetMemMask8(addr, 0) }},
+		{"SetMemRangeMasks+ClearMemRange", func() {
+			s.SetMemRangeMasks(addr, []uint8{1, 0, 3})
+			s.ClearMemRange(addr-8, 64)
+		}},
+	}
+	for _, r := range rounds {
+		r.round() // the first round may allocate the page the others reuse
+		if allocs := testing.AllocsPerRun(1000, r.round); allocs != 0 {
+			t.Errorf("%s: tainting and cleaning one word allocates %.2f times a round, want 0", r.name, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			rounds[i%len(rounds)].round()
+		}
+	}); allocs > 1 {
+		t.Errorf("1,000 rounds allocated %.0f pages, want at most one", allocs)
+	}
+
+	// Dirty the page all over, drop it, and look at it at another address.
+	masks := make([]uint8, PageSize)
+	for i := range masks {
+		masks[i] = uint8(i) | 1
+	}
+	s.SetMemRangeMasks(addr&^(PageSize-1), masks)
+	s.ClearMemRange(addr&^(PageSize-1), PageSize)
+	if s.TaintedBytes() != 0 || len(s.pages) != 0 || s.nfree == 0 {
+		t.Fatalf("after the clear: %d tainted bytes, %d pages, %d free", s.TaintedBytes(), len(s.pages), s.nfree)
+	}
+	s.SetMemMask8(other+9, 0x40)
+	if got := s.MemMask64(other + 8); got != 0x40<<8 {
+		t.Errorf("MemMask64 through a reused page = %#x, want %#x", got, 0x40<<8)
+	}
+	base := uint64(other) &^ (PageSize - 1)
+	for i, m := range s.MemRangeMasks(base, PageSize) {
+		if m != 0 && base+uint64(i) != other+9 {
+			t.Fatalf("reused page reads %#x at offset %d, want 0", m, i)
+		}
+	}
+	if got := s.TaintedAddrs(0); len(got) != 1 || got[0] != other+9 {
+		t.Errorf("TaintedAddrs = %#x, want the one byte tainted since the reuse", got)
+	}
+
+	// The list is bounded, and private.
+	for p := uint64(0); p < 2*maxFreePages; p++ {
+		s.SetMemMask8(0x3000_0000+p*PageSize, 1)
+	}
+	s.ClearMemRange(0x3000_0000, 2*maxFreePages*PageSize)
+	if s.nfree != maxFreePages {
+		t.Errorf("free list holds %d pages, want the cap of %d", s.nfree, maxFreePages)
+	}
+	if c := s.Clone(); c.nfree != 0 {
+		t.Errorf("a clone starts with %d free pages, want 0", c.nfree)
+	}
+	s.Reset()
+	if s.nfree != 0 || s.free != ([maxFreePages]*shadowPage{}) {
+		t.Errorf("Reset left %d pages on the free list", s.nfree)
+	}
+}

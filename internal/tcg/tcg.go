@@ -215,6 +215,57 @@ type Op struct {
 	// other kind.
 	GuestPC2 uint64
 	GuestOp2 isa.Op
+
+	// Regs is the op's register footprint: bit r is set for every
+	// micro-register r the op reads or writes, the flags register included.
+	// The translator fills it in on a block's final schedule; the taint-aware
+	// loop asks the shadow about the whole set in one test.
+	Regs uint64
+}
+
+// Operand roles of a kind, for setRegs.
+const (
+	usesA0 = 1 << iota
+	usesA1
+	usesA2
+	usesFlags
+
+	usesA0A1   = usesA0 | usesA1
+	usesA0A1A2 = usesA0 | usesA1 | usesA2
+)
+
+// kindOperands says which operand fields each kind reads or writes (see the
+// kind list: A0 <- A1 op A2). Control, syscall and helper kinds touch
+// registers only outside the operand fields and have no entry.
+var kindOperands = [kindMax]uint8{
+	KMovI: usesA0,
+	KMov:  usesA0A1, KAddI: usesA0A1, KMulI: usesA0A1, KNot: usesA0A1,
+	KFNeg: usesA0A1, KCvtIF: usesA0A1, KCvtFI: usesA0A1,
+	KAdd: usesA0A1A2, KSub: usesA0A1A2, KMul: usesA0A1A2, KDiv: usesA0A1A2, KMod: usesA0A1A2,
+	KAnd: usesA0A1A2, KOr: usesA0A1A2, KXor: usesA0A1A2, KShl: usesA0A1A2, KShr: usesA0A1A2,
+	KFAdd: usesA0A1A2, KFSub: usesA0A1A2, KFMul: usesA0A1A2, KFDiv: usesA0A1A2,
+	KLd64: usesA0A1, KLd8: usesA0A1,
+	KSt64: usesA1 | usesA2, KSt8: usesA1 | usesA2,
+	KLdD: usesA0A1A2, KStD: usesA0A1A2,
+	KSetc: usesA1 | usesA2 | usesFlags, KFSetc: usesA1 | usesA2 | usesFlags, KCmpBr: usesA1 | usesA2 | usesFlags,
+	KSetcI: usesA1 | usesFlags, KCmpBrI: usesA1 | usesFlags,
+	KBrCond: usesFlags,
+}
+
+// setRegs fills in the Regs of every op of a final schedule.
+func setRegs(ops []Op) {
+	for i := range ops {
+		op := &ops[i]
+		op.Regs = 0
+		if op.Kind >= kindMax {
+			continue // a hook's op the engine will refuse
+		}
+		for j, r := range [...]MReg{op.A0, op.A1, op.A2, FlagsReg} {
+			if kindOperands[op.Kind]&(1<<j) != 0 {
+				op.Regs |= 1 << r
+			}
+		}
+	}
 }
 
 // String renders the micro-op for debugging and TB dumps.

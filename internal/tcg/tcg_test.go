@@ -648,3 +648,87 @@ func TestExpandAllOpcodes(t *testing.T) {
 		t.Error("unknown kind/mreg names empty")
 	}
 }
+
+// TestRegsFootprint pins Op.Regs, which the taint-aware loop trusts: a
+// register missing from an op's footprint is taint silently not propagated.
+// Each instruction is translated alone, fused and unfused, and the footprints
+// of its micro-ops are compared with the registers it is known to touch.
+func TestRegsFootprint(t *testing.T) {
+	set := func(regs ...MReg) uint64 {
+		var s uint64
+		for _, r := range regs {
+			s |= 1 << r
+		}
+		return s
+	}
+	r1, r2, r3, f1, f2, f3 := GPR(isa.R1), GPR(isa.R2), GPR(isa.R3), FPR(isa.F1), FPR(isa.F2), FPR(isa.F3)
+	cases := []struct {
+		ins     isa.Instr
+		fused   []uint64 // footprint of each micro-op with fusion on
+		unfused []uint64 // nil: the same
+	}{
+		{ins: isa.Instr{Op: isa.OpMovI, Rd: isa.R1, Imm: 1}, fused: []uint64{set(r1)}},
+		{ins: isa.Instr{Op: isa.OpFMovI, Rd: isa.F1}, fused: []uint64{set(f1)}},
+		{ins: isa.Instr{Op: isa.OpMov, Rd: isa.R2, Rs1: isa.R1}, fused: []uint64{set(r1, r2)}},
+		{ins: isa.Instr{Op: isa.OpAdd, Rd: isa.R3, Rs1: isa.R1, Rs2: isa.R2}, fused: []uint64{set(r1, r2, r3)}},
+		{ins: isa.Instr{Op: isa.OpShl, Rd: isa.R3, Rs1: isa.R1, Rs2: isa.R2}, fused: []uint64{set(r1, r2, r3)}},
+		{ins: isa.Instr{Op: isa.OpMod, Rd: isa.R3, Rs1: isa.R1, Rs2: isa.R2}, fused: []uint64{set(r1, r2, r3)}},
+		{ins: isa.Instr{Op: isa.OpAddI, Rd: isa.R3, Rs1: isa.R1, Imm: 4}, fused: []uint64{set(r1, r3)}},
+		{ins: isa.Instr{Op: isa.OpNot, Rd: isa.R3, Rs1: isa.R1}, fused: []uint64{set(r1, r3)}},
+		{ins: isa.Instr{Op: isa.OpFDiv, Rd: isa.F3, Rs1: isa.F1, Rs2: isa.F2}, fused: []uint64{set(f1, f2, f3)}},
+		{ins: isa.Instr{Op: isa.OpFNeg, Rd: isa.F3, Rs1: isa.F1}, fused: []uint64{set(f1, f3)}},
+		{ins: isa.Instr{Op: isa.OpCvtIF, Rd: isa.F1, Rs1: isa.R1}, fused: []uint64{set(f1, r1)}},
+		{ins: isa.Instr{Op: isa.OpCvtFI, Rd: isa.R1, Rs1: isa.F1}, fused: []uint64{set(f1, r1)}},
+		{ins: isa.Instr{Op: isa.OpLd, Rd: isa.R1, Rs1: isa.R2, Imm: 8},
+			fused: []uint64{set(r1, r2, T0)}, unfused: []uint64{set(r2, T0), set(r1, T0)}},
+		{ins: isa.Instr{Op: isa.OpFSt, Rs1: isa.R2, Rs2: isa.F1, Imm: 8},
+			fused: []uint64{set(f1, r2, T0)}, unfused: []uint64{set(r2, T0), set(f1, T0)}},
+		{ins: isa.Instr{Op: isa.OpLdB, Rd: isa.R1, Rs1: isa.R2, Imm: 8}, fused: []uint64{set(r2, T0), set(r1, T0)}},
+		{ins: isa.Instr{Op: isa.OpStB, Rs1: isa.R2, Rs2: isa.R1, Imm: 8}, fused: []uint64{set(r2, T0), set(r1, T0)}},
+		{ins: isa.Instr{Op: isa.OpPush, Rs1: isa.R1},
+			fused: []uint64{set(SPReg, r1)}, unfused: []uint64{set(SPReg), set(SPReg, r1)}},
+		{ins: isa.Instr{Op: isa.OpCmp, Rs1: isa.R1, Rs2: isa.R2}, fused: []uint64{set(r1, r2, FlagsReg)}},
+		{ins: isa.Instr{Op: isa.OpCmpI, Rs1: isa.R1, Imm: 3}, fused: []uint64{set(r1, FlagsReg)}},
+		{ins: isa.Instr{Op: isa.OpFCmp, Rs1: isa.F1, Rs2: isa.F2}, fused: []uint64{set(f1, f2, FlagsReg)}},
+		{ins: isa.Instr{Op: isa.OpJg, Imm: int64(isa.CodeBase)}, fused: []uint64{set(FlagsReg)}},
+		{ins: isa.Instr{Op: isa.OpCall, Imm: int64(isa.CodeBase)}, fused: []uint64{0}},
+		{ins: isa.Instr{Op: isa.OpSyscall, Imm: 1}, fused: []uint64{0}},
+	}
+	for _, tc := range cases {
+		for _, fusion := range []bool{true, false} {
+			want := tc.fused
+			if !fusion && tc.unfused != nil {
+				want = tc.unfused
+			}
+			tr := NewTranslator(prog(tc.ins, isa.Instr{Op: isa.OpHlt}))
+			tr.SetFusion(fusion)
+			tb, err := tr.Block(isa.CodeBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range want {
+				if i >= len(tb.Ops) || tb.Ops[i].Regs != w {
+					t.Errorf("%v (fusion %v): op %d footprint wrong, want %#x\n%s", tc.ins, fusion, i, w, tb.Dump())
+				}
+			}
+		}
+	}
+
+	// A compare fused with its branch keeps the compare's footprint, and a
+	// hook's helper op has none.
+	tr := NewTranslator(prog(
+		isa.Instr{Op: isa.OpCmpI, Rs1: isa.R1, Imm: 3},
+		isa.Instr{Op: isa.OpJg, Imm: int64(isa.CodeBase)},
+	))
+	tr.AddHook(func(isa.Instr, uint64) []Op { return []Op{{Kind: KHelper}} })
+	tb, err := tr.Block(isa.CodeBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range tb.Ops {
+		want := map[Kind]uint64{KHelper: 0, KCmpBrI: set(r1, FlagsReg), KSetcI: set(r1, FlagsReg), KBrCond: set(FlagsReg)}[op.Kind]
+		if op.Regs != want {
+			t.Errorf("%s: footprint %#x, want %#x", op, op.Regs, want)
+		}
+	}
+}

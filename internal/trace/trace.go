@@ -66,19 +66,31 @@ type packedEvent struct {
 }
 
 // rankLog is one rank's access log and tallies. Only the rank's own
-// goroutine appends, so its mutex is uncontended during a run; it is there
-// for readers that look at a live collector.
+// goroutine appends, and it publishes single-writer, as the per-rank table
+// is: it writes a record into its slot and then counts the access in
+// counts, atomically. The tallies are the published length — every access is
+// counted once and the first share of them are stored, so a reader that sums
+// counts to n may read the first min(n, share) records, each of which was
+// complete before the count that covers it. The mutex is for what a reader
+// could not otherwise follow — a new chunk, the first chunk's replacement, a
+// new region name — and readers hold it while they take their view; an
+// append inside a chunk, to a known region, takes no lock.
 type rankLog struct {
-	mu      sync.Mutex
-	share   int // stored-event cap of this rank
-	chunks  [][]packedEvent
-	stored  int
-	dropped uint64
+	mu     sync.Mutex
+	share  int // stored-event cap of this rank
+	chunks [][]packedEvent
+	// next is the appender's own count of stored records.
+	next int
 	// names[i] is the region name interned as i, counts[i] the tally of the
 	// rank's accesses to it, stored or not. names[0] is "": accesses outside
 	// every region are tallied there, so the counts sum to the rank's totals.
 	names  []string
-	counts []RegionCounts
+	counts []regionTally
+}
+
+// regionTally is RegionCounts as the appender publishes it.
+type regionTally struct {
+	reads, writes atomic.Uint64
 }
 
 // Collector accumulates propagation data for one run. It is safe for
@@ -209,7 +221,8 @@ func (c *Collector) log(rank int) (*rankLog, error) {
 	}
 	grown := make([]*rankLog, max(len(table), rank+1))
 	copy(grown, table)
-	l := &rankLog{share: c.maxEvents, names: []string{""}, counts: make([]RegionCounts, 1)}
+	// Room for "" and a guest's three regions, so interning seldom regrows.
+	l := &rankLog{share: c.maxEvents, names: append(make([]string, 0, 4), ""), counts: make([]regionTally, 1, 4)}
 	if c.ranks > 1 {
 		l.share = c.maxEvents / c.ranks
 	}
@@ -244,49 +257,48 @@ func (c *Collector) addEvent(ev *Event) error {
 	if ev.Size < 0 || ev.Size > 0xffff {
 		return fmt.Errorf("trace: access width %d out of range", ev.Size)
 	}
-	l.mu.Lock()
 	region := l.intern(ev.Region)
 	if region < 0 {
-		l.mu.Unlock()
 		return fmt.Errorf("trace: rank %d logs more than %d distinct regions", ev.Rank, maxRegions)
 	}
+	if l.next < l.share {
+		// The record is filled in place, in a slot no reader looks at until
+		// the count below covers it.
+		p := l.slot()
+		p.eip, p.vaddr, p.paddr, p.value, p.mask, p.instr = ev.EIP, ev.VAddr, ev.PAddr, ev.Value, ev.Mask, ev.InstrNum
+		p.size, p.region, p.write = uint16(ev.Size), uint8(region), ev.Write
+		l.next++
+	}
 	if ev.Write {
-		l.counts[region].Writes++
+		l.counts[region].writes.Add(1)
 	} else {
-		l.counts[region].Reads++
+		l.counts[region].reads.Add(1)
 	}
-	if l.stored >= l.share {
-		l.dropped++
-		l.mu.Unlock()
-		return nil
-	}
-	l.slot()[l.stored%chunkEvents] = packedEvent{
-		eip: ev.EIP, vaddr: ev.VAddr, paddr: ev.PAddr, value: ev.Value, mask: ev.Mask, instr: ev.InstrNum,
-		size: uint16(ev.Size), region: uint8(region), write: ev.Write,
-	}
-	l.stored++
-	l.mu.Unlock()
 	return nil
 }
 
-// slot returns the chunk the next record goes into, making room for it.
-func (l *rankLog) slot() []packedEvent {
-	at := l.stored % chunkEvents
-	switch {
-	case at == 0:
+// slot returns the slot of the next record, making room for it.
+func (l *rankLog) slot() *packedEvent {
+	at := l.next % chunkEvents
+	if n := len(l.chunks); n > 0 && at != 0 && at < len(l.chunks[n-1]) {
+		return &l.chunks[n-1][at]
+	}
+	l.mu.Lock()
+	if at == 0 {
 		size := chunkEvents
-		if l.stored == 0 {
+		if l.next == 0 {
 			size = firstChunkEvents
 		}
 		l.chunks = append(l.chunks, make([]packedEvent, size))
-	case len(l.chunks) == 1 && at == len(l.chunks[0]):
+	} else {
 		// The first chunk is full below chunkEvents. A view may still be
 		// reading it, so it is replaced, table and all, not extended.
 		grown := make([]packedEvent, min(4*at, chunkEvents))
 		copy(grown, l.chunks[0])
 		l.chunks = [][]packedEvent{grown}
 	}
-	return l.chunks[len(l.chunks)-1]
+	l.mu.Unlock()
+	return &l.chunks[len(l.chunks)-1][at]
 }
 
 // maxRegions is how many distinct region names, "" among them, one rank's
@@ -305,9 +317,22 @@ func (l *rankLog) intern(name string) int {
 	if len(l.names) == maxRegions {
 		return -1
 	}
+	l.mu.Lock()
 	l.names = append(l.names, name)
-	l.counts = append(l.counts, RegionCounts{})
+	l.counts = append(l.counts, regionTally{})
+	l.mu.Unlock()
 	return len(l.names) - 1
+}
+
+// published returns how many records a reader may read and how many accesses
+// the cap dropped, both from the sum of the tallies. The caller holds l.mu.
+func (l *rankLog) published() (stored int, dropped uint64) {
+	var total uint64
+	for i := range l.counts {
+		total += l.counts[i].reads.Load() + l.counts[i].writes.Load()
+	}
+	stored = int(min(total, uint64(l.share)))
+	return stored, total - uint64(stored)
 }
 
 // rankView is a stable prefix of one rank's log, taken under the log's lock:
@@ -329,7 +354,8 @@ func (c *Collector) views() []rankView {
 			continue
 		}
 		l.mu.Lock()
-		out = append(out, rankView{rank: rank, chunks: l.chunks, stored: l.stored, dropped: l.dropped, names: l.names})
+		stored, dropped := l.published()
+		out = append(out, rankView{rank: rank, chunks: l.chunks, stored: stored, dropped: dropped, names: l.names})
 		l.mu.Unlock()
 	}
 	return out
@@ -455,8 +481,8 @@ func (c *Collector) Regions() map[string]RegionCounts {
 		l.mu.Lock()
 		for i, name := range l.names[1:] {
 			rc := out[name]
-			rc.Reads += l.counts[i+1].Reads
-			rc.Writes += l.counts[i+1].Writes
+			rc.Reads += l.counts[i+1].reads.Load()
+			rc.Writes += l.counts[i+1].writes.Load()
 			out[name] = rc
 		}
 		l.mu.Unlock()
@@ -469,9 +495,9 @@ func tallies(table []*rankLog) (reads, writes uint64) {
 	for _, l := range table {
 		if l != nil {
 			l.mu.Lock()
-			for _, rc := range l.counts {
-				reads += rc.Reads
-				writes += rc.Writes
+			for i := range l.counts {
+				reads += l.counts[i].reads.Load()
+				writes += l.counts[i].writes.Load()
 			}
 			l.mu.Unlock()
 		}

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"sync/atomic"
@@ -36,7 +37,7 @@ type chainNode struct {
 	// the other slot (pseudo-LRU), so an alternating pattern over three
 	// successors keeps the recurring edge cached instead of cycling it out.
 	lastHit int
-	// execs counts complete fast-loop executions of tb whose per-opcode
+	// execs counts complete executions of tb, on either loop, whose per-opcode
 	// statistics have not yet been folded into Counters.PerOp; flushPerOp
 	// applies tb's histogram execs-fold and zeroes it.
 	execs uint64
@@ -160,16 +161,16 @@ func (m *Machine) kill(sig Signal, msg string) {
 // execTB dispatches a block to one of two specialized interpreter loops:
 // the taint-free fast loop when taint is disabled or the shadow is provably
 // empty (the campaign golden run and the pre-injection prefix of every
-// injected run), or the full loop otherwise. Both loops are observationally
-// identical — terminations, counters, traces, and taint summaries match
-// bitwise; the fast loop merely skips work that is provably a no-op.
+// injected run), or the taint-aware loop otherwise. Both loops are
+// observationally identical — terminations, counters, traces, and taint
+// summaries match bitwise; the fast loop merely skips work that is provably a
+// no-op.
 func (m *Machine) execTB(node *chainNode, chain bool) *chainNode {
 	if !m.noFastPath && (!m.TaintEnabled || !m.Shadow.Live()) {
 		m.counters.FastPathTBs++
 		return m.execTBFast(node, chain)
 	}
-	m.execTBFull(node.tb, 0)
-	return node
+	return m.execTBTaint(node, 0, chain)
 }
 
 // retireFused performs the First-boundary bookkeeping for the second guest
@@ -203,27 +204,69 @@ func (m *Machine) sampleBoundary() {
 	}
 }
 
+// execTBTaint is the taint-aware interpreter loop. execTB selects it once any
+// taint is live (every block after a fault) and for every block under
+// NoFastPath; execTBFast hands it the rest of a block, from op index start,
+// when a helper seeds taint mid-block.
+//
+// It is execTBFast's skeleton — instruction counter, sample boundary, exec
+// trace and memory in locals, the TLB-hit path of the memory ops spelled out,
+// per-opcode statistics credited per block, chained edges followed in place —
+// plus the propagation arms. Every arm sits behind a test of the shadow masks
+// it would read and write — for registers, op.Regs (the op's footprint)
+// against the shadow's tainted-register bits; for memory, the tainted-byte
+// count, then the mask itself. The rules map clean operands to a clean result,
+// so when those masks are all zero the arm could only store zero over zero,
+// and the op makes no Shadow call at all. Taint after a fault is sparse; most
+// ops of a tainted run are clean.
+//
+// The instruction counter is written back before anything that reads
+// m.counters: helpers, syscalls, the sampler and every tainted-access event
+// (the propagation log records InstrNum). Per-opcode statistics are exact at
+// helper, syscall and block boundaries, as on the fast loop.
+//
+// Chaining mirrors the fast loop's: cached edges are followed in place while
+// the dispatch condition still selects this loop (taint live, or NoFastPath),
+// with step()'s bookkeeping per transition, so TBsExecuted and ChainedTBs are
+// those of the unchained engine; when taint has decayed the loop returns to
+// step(), which resumes the fast loop.
+//
 //nolint:gocyclo // the micro-op interpreter is one hot switch by design.
-func (m *Machine) execTBFull(tb *tcg.TB, start int) {
-	taintOn := m.TaintEnabled
-	sh := m.Shadow
+func (m *Machine) execTBTaint(node *chainNode, start int, chain bool) *chainNode {
 	regs := &m.regs
+	mem := m.Mem
+	sh := m.propagating()
+	instrs := m.counters.Instructions
+	maxInstr := m.maxInstr
+	trace := m.execTrace
+	nextSample := m.nextSample
 
-	for i := start; i < len(tb.Ops); i++ {
-		op := &tb.Ops[i]
+nextBlock:
+	tb := node.tb
+	ops := tb.Ops
+	// credited is the index after the last op whose First has been applied to
+	// m.counters.PerOp; a mid-block entry starts past what the fast loop
+	// credited before its helper.
+	credited := start
+
+	for i := start; i < len(ops); i++ {
+		op := &ops[i]
 		if op.First {
-			m.counters.Instructions++
-			m.counters.PerOp[op.GuestOp]++
-			if m.execTrace != nil {
-				m.execTrace.record(op.GuestPC, op.GuestOp, m.counters.Instructions)
+			instrs++
+			if trace != nil {
+				trace.record(op.GuestPC, op.GuestOp, instrs)
 			}
-			if m.counters.Instructions > m.maxInstr {
+			if instrs > maxInstr {
+				m.counters.Instructions = instrs
+				m.creditPerOp(tb, credited, i)
 				m.pc = op.GuestPC
 				m.term = &Termination{Reason: ReasonBudget, PC: m.pc}
-				return
+				return node
 			}
-			if m.counters.Instructions == m.nextSample {
+			if instrs == nextSample {
+				m.counters.Instructions = instrs
 				m.sampleBoundary()
+				nextSample = m.nextSample
 			}
 		}
 
@@ -233,85 +276,82 @@ func (m *Machine) execTBFull(tb *tcg.TB, start int) {
 
 		case tcg.KMovI:
 			regs[op.A0] = uint64(op.Imm)
-			if taintOn {
+			if sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(op.A0, 0)
 			}
-
 		case tcg.KMov:
 			regs[op.A0] = regs[op.A1]
-			if taintOn {
+			if sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(op.A0, sh.RegMask(op.A1))
 			}
 
 		case tcg.KAdd:
 			regs[op.A0] = regs[op.A1] + regs[op.A2]
-			if taintOn {
-				m.binTaint(op)
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, 0)
 			}
 		case tcg.KSub:
 			regs[op.A0] = regs[op.A1] - regs[op.A2]
-			if taintOn {
-				m.binTaint(op)
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, 0)
 			}
 		case tcg.KMul:
 			regs[op.A0] = regs[op.A1] * regs[op.A2]
-			if taintOn {
-				m.binTaint(op)
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, 0)
 			}
 		case tcg.KDiv:
 			a, b := int64(regs[op.A1]), int64(regs[op.A2])
 			if b == 0 {
-				m.pc = op.GuestPC
-				m.kill(SIGFPE, "integer divide by zero")
-				return
+				m.fault(tb, credited, i, instrs, SIGFPE, "integer divide by zero")
+				return node
 			}
 			if a == math.MinInt64 && b == -1 {
 				regs[op.A0] = uint64(a) // wrap like two's-complement hardware
 			} else {
 				regs[op.A0] = uint64(a / b)
 			}
-			if taintOn {
-				m.binTaint(op)
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, 0)
 			}
 		case tcg.KMod:
 			a, b := int64(regs[op.A1]), int64(regs[op.A2])
 			if b == 0 {
-				m.pc = op.GuestPC
-				m.kill(SIGFPE, "integer modulo by zero")
-				return
+				m.fault(tb, credited, i, instrs, SIGFPE, "integer modulo by zero")
+				return node
 			}
 			if a == math.MinInt64 && b == -1 {
 				regs[op.A0] = 0
 			} else {
 				regs[op.A0] = uint64(a % b)
 			}
-			if taintOn {
-				m.binTaint(op)
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, 0)
 			}
 		case tcg.KAddI:
 			regs[op.A0] = regs[op.A1] + uint64(op.Imm)
-			if taintOn {
+			if sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(op.A0, taint.ImmBinaryMask(tcg.KAddI, sh.RegMask(op.A1), op.Imm))
 			}
 		case tcg.KMulI:
 			regs[op.A0] = regs[op.A1] * uint64(op.Imm)
-			if taintOn {
+			if sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(op.A0, taint.ImmBinaryMask(tcg.KMulI, sh.RegMask(op.A1), op.Imm))
 			}
 		case tcg.KAnd:
 			regs[op.A0] = regs[op.A1] & regs[op.A2]
-			if taintOn {
-				m.binTaint(op)
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, 0)
 			}
 		case tcg.KOr:
 			regs[op.A0] = regs[op.A1] | regs[op.A2]
-			if taintOn {
-				m.binTaint(op)
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, 0)
 			}
 		case tcg.KXor:
 			regs[op.A0] = regs[op.A1] ^ regs[op.A2]
-			if taintOn {
-				m.binTaint(op)
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, 0)
 			}
 		case tcg.KShl:
 			sa := regs[op.A2]
@@ -320,8 +360,8 @@ func (m *Machine) execTBFull(tb *tcg.TB, start int) {
 			} else {
 				regs[op.A0] = regs[op.A1] << sa
 			}
-			if taintOn {
-				sh.SetRegMask(op.A0, taint.BinaryMask(tcg.KShl, sh.RegMask(op.A1), sh.RegMask(op.A2), sa))
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, sa)
 			}
 		case tcg.KShr:
 			sa := regs[op.A2]
@@ -330,44 +370,44 @@ func (m *Machine) execTBFull(tb *tcg.TB, start int) {
 			} else {
 				regs[op.A0] = regs[op.A1] >> sa
 			}
-			if taintOn {
-				sh.SetRegMask(op.A0, taint.BinaryMask(tcg.KShr, sh.RegMask(op.A1), sh.RegMask(op.A2), sa))
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, sa)
 			}
 		case tcg.KNot:
 			regs[op.A0] = ^regs[op.A1]
-			if taintOn {
-				sh.SetRegMask(op.A0, taint.UnaryMask(tcg.KNot, sh.RegMask(op.A1)))
+			if sh.RegsTainted(op.Regs) {
+				unaryTaint(sh, op)
 			}
 
 		case tcg.KFAdd:
 			regs[op.A0] = math.Float64bits(math.Float64frombits(regs[op.A1]) + math.Float64frombits(regs[op.A2]))
-			if taintOn {
-				m.binTaint(op)
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, 0)
 			}
 		case tcg.KFSub:
 			regs[op.A0] = math.Float64bits(math.Float64frombits(regs[op.A1]) - math.Float64frombits(regs[op.A2]))
-			if taintOn {
-				m.binTaint(op)
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, 0)
 			}
 		case tcg.KFMul:
 			regs[op.A0] = math.Float64bits(math.Float64frombits(regs[op.A1]) * math.Float64frombits(regs[op.A2]))
-			if taintOn {
-				m.binTaint(op)
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, 0)
 			}
 		case tcg.KFDiv:
 			regs[op.A0] = math.Float64bits(math.Float64frombits(regs[op.A1]) / math.Float64frombits(regs[op.A2]))
-			if taintOn {
-				m.binTaint(op)
+			if sh.RegsTainted(op.Regs) {
+				binTaint(sh, op, 0)
 			}
 		case tcg.KFNeg:
 			regs[op.A0] = math.Float64bits(-math.Float64frombits(regs[op.A1]))
-			if taintOn {
-				sh.SetRegMask(op.A0, taint.UnaryMask(tcg.KFNeg, sh.RegMask(op.A1)))
+			if sh.RegsTainted(op.Regs) {
+				unaryTaint(sh, op)
 			}
 		case tcg.KCvtIF:
 			regs[op.A0] = math.Float64bits(float64(int64(regs[op.A1])))
-			if taintOn {
-				sh.SetRegMask(op.A0, taint.UnaryMask(tcg.KCvtIF, sh.RegMask(op.A1)))
+			if sh.RegsTainted(op.Regs) {
+				unaryTaint(sh, op)
 			}
 		case tcg.KCvtFI:
 			f := math.Float64frombits(regs[op.A1])
@@ -381,119 +421,120 @@ func (m *Machine) execTBFull(tb *tcg.TB, start int) {
 			default:
 				regs[op.A0] = uint64(int64(f))
 			}
-			if taintOn {
-				sh.SetRegMask(op.A0, taint.UnaryMask(tcg.KCvtFI, sh.RegMask(op.A1)))
+			if sh.RegsTainted(op.Regs) {
+				unaryTaint(sh, op)
 			}
 
-		case tcg.KLd64:
+		case tcg.KLd64, tcg.KLdD:
+			// KLdD is the fused KAddI+KLd64: the address temporary (A2) is
+			// still written — value and taint — so machine state matches the
+			// unfused pair.
 			addr := regs[op.A1]
-			v, err := m.Mem.Read64(addr)
-			if err != nil {
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
-				return
+			if op.Kind == tcg.KLdD {
+				addr += uint64(op.Imm)
+				if m1 := sh.RegMask(op.A1); m1|sh.RegMask(op.A2) != 0 {
+					sh.SetRegMask(op.A2, taint.ImmBinaryMask(tcg.KLdD, m1, op.Imm))
+				}
+				regs[op.A2] = addr
 			}
-			regs[op.A0] = v
-			if taintOn {
-				mask := sh.MemMask64(addr)
-				sh.SetRegMask(op.A0, mask)
-				if mask != 0 {
-					m.memTaintEvent(op, addr, v, mask, 8, false)
+			v, hit := uint64(0), false
+			if base := addr &^ (PageSize - 1); addr-base <= PageSize-8 {
+				if p := mem.lookup(base); p != nil {
+					v, hit = binary.LittleEndian.Uint64(p.data[addr-base:addr-base+8]), true
 				}
 			}
-		case tcg.KSt64:
-			addr := regs[op.A1]
-			v := regs[op.A2]
-			if err := m.Mem.Write64(addr, v); err != nil {
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
-				return
+			if !hit {
+				var err error
+				if v, err = mem.Read64(addr); err != nil {
+					m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
+					return node
+				}
 			}
-			if taintOn {
-				mask := sh.RegMask(op.A2)
+			regs[op.A0] = v
+			var mask uint64
+			if sh.TaintedBytes() != 0 {
+				mask = sh.MemMask64(addr)
+			}
+			if mask|sh.RegMask(op.A0) != 0 {
+				sh.SetRegMask(op.A0, mask)
+				if mask != 0 {
+					m.memTaintEvent(op, instrs, addr, v, mask, 8, false)
+				}
+			}
+		case tcg.KSt64, tcg.KStD:
+			// KStD is the fused KAddI+KSt64. The temp (A0) must be written
+			// before the source (A2) is read: for push they are both SP and
+			// the unfused sequence stores the decremented value.
+			addr := regs[op.A1]
+			if op.Kind == tcg.KStD {
+				addr += uint64(op.Imm)
+				if m1 := sh.RegMask(op.A1); m1|sh.RegMask(op.A0) != 0 {
+					sh.SetRegMask(op.A0, taint.ImmBinaryMask(tcg.KStD, m1, op.Imm))
+				}
+				regs[op.A0] = addr
+			}
+			v, hit := regs[op.A2], false
+			if base := addr &^ (PageSize - 1); addr-base <= PageSize-8 {
+				if p := mem.lookup(base); p != nil {
+					binary.LittleEndian.PutUint64(p.data[addr-base:addr-base+8], v)
+					hit = true
+				}
+			}
+			if !hit {
+				if err := mem.Write64(addr, v); err != nil {
+					m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
+					return node
+				}
+			}
+			if mask := sh.RegMask(op.A2); mask != 0 || sh.TaintedBytes() != 0 {
 				sh.SetMemMask64(addr, mask)
 				if mask != 0 {
-					m.memTaintEvent(op, addr, v, mask, 8, true)
+					m.memTaintEvent(op, instrs, addr, v, mask, 8, true)
 				}
 			}
 		case tcg.KLd8:
 			addr := regs[op.A1]
-			v, err := m.Mem.Read8(addr)
-			if err != nil {
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
-				return
+			var v uint8
+			if p := mem.lookup(addr &^ (PageSize - 1)); p != nil {
+				v = p.data[addr&(PageSize-1)]
+			} else {
+				var err error
+				if v, err = mem.Read8(addr); err != nil {
+					m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
+					return node
+				}
 			}
 			regs[op.A0] = uint64(v)
-			if taintOn {
-				mask := uint64(sh.MemMask8(addr))
+			var mask uint64
+			if sh.TaintedBytes() != 0 {
+				mask = uint64(sh.MemMask8(addr))
+			}
+			if mask|sh.RegMask(op.A0) != 0 {
 				sh.SetRegMask(op.A0, mask)
 				if mask != 0 {
-					m.memTaintEvent(op, addr, uint64(v), mask, 1, false)
+					m.memTaintEvent(op, instrs, addr, uint64(v), mask, 1, false)
 				}
 			}
 		case tcg.KSt8:
 			addr := regs[op.A1]
 			v := uint8(regs[op.A2])
-			if err := m.Mem.Write8(addr, v); err != nil {
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
-				return
+			if p := mem.lookup(addr &^ (PageSize - 1)); p != nil {
+				p.data[addr&(PageSize-1)] = v
+			} else if err := mem.Write8(addr, v); err != nil {
+				m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
+				return node
 			}
-			if taintOn {
-				mask := uint8(sh.RegMask(op.A2))
+			if mask := uint8(sh.RegMask(op.A2)); mask != 0 || sh.TaintedBytes() != 0 {
 				sh.SetMemMask8(addr, mask)
 				if mask != 0 {
-					m.memTaintEvent(op, addr, uint64(v), uint64(mask), 1, true)
+					m.memTaintEvent(op, instrs, addr, uint64(v), uint64(mask), 1, true)
 				}
 			}
 
-		case tcg.KLdD:
-			// Fused KAddI+KLd64: the address temporary (A2) is still written
-			// — value and taint — so machine state matches the unfused pair.
-			addr := regs[op.A1] + uint64(op.Imm)
-			if taintOn {
-				sh.SetRegMask(op.A2, taint.ImmBinaryMask(tcg.KLdD, sh.RegMask(op.A1), op.Imm))
-			}
-			regs[op.A2] = addr
-			v, err := m.Mem.Read64(addr)
-			if err != nil {
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
-				return
-			}
-			regs[op.A0] = v
-			if taintOn {
-				mask := sh.MemMask64(addr)
-				sh.SetRegMask(op.A0, mask)
-				if mask != 0 {
-					m.memTaintEvent(op, addr, v, mask, 8, false)
-				}
-			}
-		case tcg.KStD:
-			// Fused KAddI+KSt64. The temp (A0) must be written before the
-			// source (A2) is read: for push they are both SP and the unfused
-			// sequence stores the decremented value.
-			addr := regs[op.A1] + uint64(op.Imm)
-			if taintOn {
-				sh.SetRegMask(op.A0, taint.ImmBinaryMask(tcg.KStD, sh.RegMask(op.A1), op.Imm))
-			}
-			regs[op.A0] = addr
-			v := regs[op.A2]
-			if err := m.Mem.Write64(addr, v); err != nil {
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
-				return
-			}
-			if taintOn {
-				mask := sh.RegMask(op.A2)
-				sh.SetMemMask64(addr, mask)
-				if mask != 0 {
-					m.memTaintEvent(op, addr, v, mask, 8, true)
-				}
-			}
-
-		case tcg.KSetc:
+		case tcg.KSetc, tcg.KCmpBr:
+			// KCmpBr is the fused KSetc+KBrCond across two guest
+			// instructions: compare, retire the branch instruction, then
+			// branch — the schedule the unfused pair executed.
 			a, b := int64(regs[op.A1]), int64(regs[op.A2])
 			switch {
 			case a < b:
@@ -503,10 +544,26 @@ func (m *Machine) execTBFull(tb *tcg.TB, start int) {
 			default:
 				m.flags = 0
 			}
-			if taintOn {
+			if sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(tcg.FlagsReg, taint.CompareMask(sh.RegMask(op.A1), sh.RegMask(op.A2)))
 			}
-		case tcg.KSetcI:
+			if op.Kind == tcg.KCmpBr {
+				m.counters.Instructions = instrs
+				m.creditBlock(node, credited, i)
+				if !m.retireFused(op) {
+					return node
+				}
+				instrs = m.counters.Instructions
+				if condHolds(op.Cond, m.flags) {
+					m.pc = uint64(op.Imm)
+				} else {
+					m.pc = uint64(op.Imm2)
+				}
+				goto chainTry
+			}
+		case tcg.KSetcI, tcg.KCmpBrI:
+			// KCmpBrI: Imm is the compare operand, Imm2 the taken target; the
+			// fall-through is the instruction after the branch.
 			a := int64(regs[op.A1])
 			switch {
 			case a < op.Imm:
@@ -516,8 +573,22 @@ func (m *Machine) execTBFull(tb *tcg.TB, start int) {
 			default:
 				m.flags = 0
 			}
-			if taintOn {
+			if sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(tcg.FlagsReg, taint.CompareMask(sh.RegMask(op.A1), 0))
+			}
+			if op.Kind == tcg.KCmpBrI {
+				m.counters.Instructions = instrs
+				m.creditBlock(node, credited, i)
+				if !m.retireFused(op) {
+					return node
+				}
+				instrs = m.counters.Instructions
+				if condHolds(op.Cond, m.flags) {
+					m.pc = uint64(op.Imm2)
+				} else {
+					m.pc = op.GuestPC2 + isa.InstrSize
+				}
+				goto chainTry
 			}
 		case tcg.KFSetc:
 			a := math.Float64frombits(regs[op.A1])
@@ -532,133 +603,170 @@ func (m *Machine) execTBFull(tb *tcg.TB, start int) {
 			default:
 				m.flags = 0
 			}
-			if taintOn {
+			if sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(tcg.FlagsReg, taint.CompareMask(sh.RegMask(op.A1), sh.RegMask(op.A2)))
 			}
 
 		case tcg.KBr:
+			m.counters.Instructions = instrs
+			m.creditBlock(node, credited, i)
 			m.pc = uint64(op.Imm)
-			return
+			goto chainTry
 		case tcg.KBrCond:
+			m.counters.Instructions = instrs
+			m.creditBlock(node, credited, i)
 			if condHolds(op.Cond, m.flags) {
 				m.pc = uint64(op.Imm)
 			} else {
 				m.pc = uint64(op.Imm2)
 			}
-			return
-		case tcg.KCmpBr:
-			// Fused KSetc+KBrCond across two guest instructions: compare,
-			// retire the branch instruction, then branch — the same schedule
-			// the unfused pair executed.
-			a, b := int64(regs[op.A1]), int64(regs[op.A2])
-			switch {
-			case a < b:
-				m.flags = -1
-			case a > b:
-				m.flags = 1
-			default:
-				m.flags = 0
-			}
-			if taintOn {
-				sh.SetRegMask(tcg.FlagsReg, taint.CompareMask(sh.RegMask(op.A1), sh.RegMask(op.A2)))
-			}
-			if !m.retireFused(op) {
-				return
-			}
-			if condHolds(op.Cond, m.flags) {
-				m.pc = uint64(op.Imm)
-			} else {
-				m.pc = uint64(op.Imm2)
-			}
-			return
-		case tcg.KCmpBrI:
-			// Immediate form: Imm is the compare operand, Imm2 the taken
-			// target; the fall-through is the instruction after the branch.
-			a := int64(regs[op.A1])
-			switch {
-			case a < op.Imm:
-				m.flags = -1
-			case a > op.Imm:
-				m.flags = 1
-			default:
-				m.flags = 0
-			}
-			if taintOn {
-				sh.SetRegMask(tcg.FlagsReg, taint.CompareMask(sh.RegMask(op.A1), 0))
-			}
-			if !m.retireFused(op) {
-				return
-			}
-			if condHolds(op.Cond, m.flags) {
-				m.pc = uint64(op.Imm2)
-			} else {
-				m.pc = op.GuestPC2 + isa.InstrSize
-			}
-			return
+			goto chainTry
 		case tcg.KCall:
+			m.counters.Instructions = instrs
+			m.creditBlock(node, credited, i)
 			sp := regs[tcg.SPReg] - 8
-			if err := m.Mem.Write64(sp, uint64(op.Imm2)); err != nil {
+			if err := mem.Write64(sp, uint64(op.Imm2)); err != nil {
 				m.pc = op.GuestPC
 				m.kill(SIGSEGV, err.Error())
-				return
+				return node
 			}
 			regs[tcg.SPReg] = sp
-			if taintOn {
+			if sh.TaintedBytes() != 0 {
 				sh.SetMemMask64(sp, 0)
 			}
 			m.pc = uint64(op.Imm)
-			return
+			goto chainTry
 		case tcg.KRet:
+			m.counters.Instructions = instrs
+			m.creditBlock(node, credited, i)
 			sp := regs[tcg.SPReg]
-			ret, err := m.Mem.Read64(sp)
+			ret, err := mem.Read64(sp)
 			if err != nil {
 				m.pc = op.GuestPC
 				m.kill(SIGSEGV, err.Error())
-				return
+				return node
 			}
 			regs[tcg.SPReg] = sp + 8
 			m.pc = ret
-			return
+			goto chainTry
 
 		case tcg.KSyscall:
+			m.counters.Instructions = instrs
+			m.creditBlock(node, credited, i)
 			m.pc = uint64(op.Imm2)
 			m.doSyscall(isa.Sys(op.Imm), op.GuestPC)
-			if m.term != nil {
-				return
-			}
-			return // KSyscall always ends the TB
+			return node // KSyscall always ends the TB
 
 		case tcg.KHlt:
+			m.counters.Instructions = instrs
+			m.creditBlock(node, credited, i)
 			m.pc = op.GuestPC
 			m.term = &Termination{Reason: ReasonExited, Code: int64(regs[tcg.GPR0]), PC: m.pc}
-			return
+			return node
 
 		case tcg.KHelper:
 			if op.Helper >= 0 && op.Helper < len(m.helpers) {
+				m.counters.Instructions = instrs
+				m.creditPerOp(tb, credited, i)
+				credited = i + 1
 				m.helpers[op.Helper](m, op)
+				instrs = m.counters.Instructions
 				if m.term != nil {
-					return
+					return node
 				}
+				// The helper may have enabled tracking (the fast loop's
+				// handoff re-reads it too).
+				sh = m.propagating()
 			}
 
 		default:
-			m.pc = op.GuestPC
-			m.kill(SIGILL, "unimplemented micro-op "+op.Kind.String())
-			return
+			m.fault(tb, credited, i, instrs, SIGILL, "unimplemented micro-op "+op.Kind.String())
+			return node
 		}
 	}
+	m.counters.Instructions = instrs
+	m.creditBlock(node, credited, len(ops)-1)
 	m.pc = tb.NextPC
+
+chainTry:
+	// The guard order matches step(): pending aborts, then the overlay
+	// generation, then the dispatch condition execTB would apply.
+	if !chain || m.abort.p.Load() != nil || m.Trans.Gen() != m.chains.gen ||
+		!(m.noFastPath || (m.TaintEnabled && m.Shadow.Live())) {
+		return node
+	}
+	for k := range node.out {
+		if e := node.out[k]; e.to != nil && e.pc == m.pc {
+			node.lastHit = k
+			node = e.to
+			m.counters.ChainedTBs++
+			m.counters.TBsExecuted++
+			// Re-read what a fresh call would (retireFused may have passed a
+			// sample boundary).
+			sh = m.propagating()
+			trace = m.execTrace
+			nextSample = m.nextSample
+			start = 0
+			goto nextBlock
+		}
+	}
+	return node
 }
 
-func (m *Machine) binTaint(op *tcg.Op) {
-	sh := m.Shadow
-	sh.SetRegMask(op.A0, taint.BinaryMask(op.Kind, sh.RegMask(op.A1), sh.RegMask(op.A2), m.regs[op.A2]))
+// noTaint is the shadow the taint-aware loop consults while tracking is off
+// (NoFastPath without tracing): nothing in it is ever tainted, so no arm runs
+// and nothing writes it.
+var noTaint taint.Shadow
+
+// propagating returns the shadow execTBTaint's arms test and update: the
+// machine's own while taint tracking is enabled, noTaint otherwise.
+func (m *Machine) propagating() *taint.Shadow {
+	if m.TaintEnabled {
+		return m.Shadow
+	}
+	return &noTaint
 }
 
-// memTaintEvent counts one tainted access the guest has just made and, when
-// a hook is installed, describes it in the machine's own record — physical
-// address and region both read off the page the access touched.
-func (m *Machine) memTaintEvent(op *tcg.Op, addr, value, mask uint64, size int, write bool) {
+func binTaint(sh *taint.Shadow, op *tcg.Op, shift uint64) {
+	sh.SetRegMask(op.A0, taint.BinaryMask(op.Kind, sh.RegMask(op.A1), sh.RegMask(op.A2), shift))
+}
+
+func unaryTaint(sh *taint.Shadow, op *tcg.Op) {
+	sh.SetRegMask(op.A0, taint.UnaryMask(op.Kind, sh.RegMask(op.A1)))
+}
+
+// creditBlock credits per-opcode statistics for ops[from..last] of node's
+// block at a block exit. A block executed from its top through its final op
+// costs one increment on the node (flushPerOp applies the histogram
+// execs-fold); anything else goes through creditPerOp.
+func (m *Machine) creditBlock(node *chainNode, from, last int) {
+	tb := node.tb
+	if from == 0 && last == len(tb.Ops)-1 && tb.OpCounts != nil {
+		if node.execs == 0 {
+			m.dirtyPerOp = append(m.dirtyPerOp, node)
+		}
+		node.execs++
+		return
+	}
+	m.creditPerOp(tb, from, last)
+}
+
+// fault ends a block at op i with a guest signal, after the write-back and
+// the per-opcode credit every exit from execTBTaint makes.
+func (m *Machine) fault(tb *tcg.TB, credited, i int, instrs uint64, sig Signal, msg string) {
+	m.counters.Instructions = instrs
+	m.creditPerOp(tb, credited, i)
+	m.pc = tb.Ops[i].GuestPC
+	m.kill(sig, msg)
+}
+
+// memTaintEvent counts one tainted access the guest has just made at
+// retired-instruction count instrs (written back here: hooks date the event
+// by it) and, when a hook is installed, describes it in the machine's own
+// record, field by field — physical address and region both read off the page
+// the access touched.
+func (m *Machine) memTaintEvent(op *tcg.Op, instrs, addr, value, mask uint64, size int, write bool) {
+	m.counters.Instructions = instrs
 	cb := m.Hooks.TaintedMemRead
 	if write {
 		m.counters.TaintedMemWrites++
@@ -669,12 +777,11 @@ func (m *Machine) memTaintEvent(op *tcg.Op, addr, value, mask uint64, size int, 
 	if cb == nil {
 		return
 	}
-	paddr, region := m.Mem.locate(addr)
-	m.taintEv = MemTaintEvent{
-		Rank: m.Rank, Write: write, EIP: op.GuestPC, VAddr: addr, PAddr: paddr,
-		Value: value, Mask: mask, InstrNum: m.counters.Instructions, Size: size, Region: region,
-	}
-	cb(&m.taintEv)
+	ev := &m.taintEv
+	ev.Rank, ev.Write, ev.EIP, ev.VAddr = m.Rank, write, op.GuestPC, addr
+	ev.PAddr, ev.Region = m.Mem.locate(addr)
+	ev.Value, ev.Mask, ev.InstrNum, ev.Size = value, mask, instrs, size
+	cb(ev)
 }
 
 func condHolds(cond isa.Op, flags int64) bool {

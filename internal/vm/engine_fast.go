@@ -10,7 +10,7 @@ import (
 
 // execTBFast is the taint-free specialization of the interpreter loop,
 // selected by execTB when taint is disabled or the shadow is provably empty.
-// It is execTBFull with every `if taintOn` arm deleted: on an empty shadow
+// It is execTBTaint with every propagation arm deleted: on an empty shadow
 // those arms only ever write zeros over zeros, so skipping them cannot be
 // observed — except by the clock. The one taint-aware piece that remains is
 // the sampler, which must keep firing (with zero tainted bytes) during the
@@ -18,8 +18,8 @@ import (
 //
 // A KHelper may seed taint mid-block (Chaser's fault_injector corrupting a
 // register); the loop re-checks Shadow.Live after every helper and hands the
-// rest of the block to the full loop, so the first tainted micro-op already
-// propagates.
+// rest of the block to the taint-aware loop, so the first tainted micro-op
+// already propagates.
 //
 // When chain is true (Run, never Step), the loop follows cached chain edges
 // itself — QEMU's goto_tb: a resolved successor block continues executing
@@ -482,8 +482,7 @@ nextBlock:
 				// The helper may have seeded taint (fault injection) or
 				// enabled tracking; the rest of the block must propagate it.
 				if m.TaintEnabled && m.Shadow.Live() {
-					m.execTBFull(tb, i+1)
-					return node
+					return m.execTBTaint(node, i+1, chain)
 				}
 			}
 
@@ -533,11 +532,11 @@ chainTry:
 	return node
 }
 
-// creditPerOp applies the fast loop's deferred per-opcode counts for
-// ops[from..last] of tb. The common case — a block executed from its top
-// through its final op — takes the precomputed histogram; partial executions
-// (kills, budget stops, helper sites) walk the retired prefix, reproducing
-// the full loop's per-instruction attribution exactly.
+// creditPerOp applies a loop's deferred per-opcode counts for ops[from..last]
+// of tb. The common case — a block executed from its top through its final
+// op — takes the precomputed histogram; partial executions (kills, budget
+// stops, helper sites) walk the retired prefix, which attributes exactly what
+// counting at every instruction would.
 func (m *Machine) creditPerOp(tb *tcg.TB, from, last int) {
 	if from == 0 && last == len(tb.Ops)-1 && tb.OpCounts != nil {
 		for _, oc := range tb.OpCounts {
@@ -553,8 +552,8 @@ func (m *Machine) creditPerOp(tb *tcg.TB, from, last int) {
 }
 
 // flushPerOp folds every dirty chain node's batched block credit into PerOp:
-// each complete fast-loop execution of a block costs one counter increment
-// on its node, and the histogram is applied execs-fold here. Partial credits
+// each complete execution of a block, on either loop, costs one counter
+// increment on its node, and the histogram is applied execs-fold here. Partial credits
 // increment PerOp directly and so commute with the batch; only a read needs
 // the flush (Counters() is the sole read path, so observed values are exact).
 func (m *Machine) flushPerOp() {

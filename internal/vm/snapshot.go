@@ -108,6 +108,10 @@ func (s *Snapshot) GPR(r isa.Reg) uint64 { return s.regs[tcg.GPR(r)] }
 // point.
 func (s *Snapshot) Counters() Counters { return s.counters }
 
+// Instructions returns the (compensated) retired-instruction count at the
+// snapshot point.
+func (s *Snapshot) Instructions() uint64 { return s.counters.Instructions }
+
 // Terminated returns the clean termination of an already-exited rank, nil
 // for a paused one.
 func (s *Snapshot) Terminated() *Termination { return s.term }
