@@ -168,7 +168,7 @@ func run(args []string, out io.Writer) error {
 	noFork := fs.Bool("no-fork", false, "replay the golden prefix in every run instead of forking from the checkpoint ladder (reference path; same output)")
 	snapCacheMB := fs.Int64("snap-cache-mb", 0, "world-snapshot cache cap in MiB (0 = default 256)")
 	hubAddr := fs.String("hub", "", "shared TaintHub server address (default: in-process hub)")
-	hubPolicy := fs.String("hub-policy", "degrade", "on hub failure: degrade (proceed untainted) | fail (fail the run)")
+	hubPolicy := fs.String("hub-policy", "degrade", "on hub failure or a lost taint: degrade (proceed untainted) | fail (fail the run)")
 	hubWire := fs.String("wire", "auto", "hub wire format: auto (binary) | json | binary")
 	chaserdAddr := fs.String("chaserd", "", "chaserd control-plane URL for -experiment submit/watch (comma-separated peers for an HA pair; the client fails over)")
 	campaignID := fs.String("campaign", "", "campaign ID for -experiment watch")

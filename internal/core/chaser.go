@@ -93,7 +93,10 @@ func (s *Spec) withDefaults() *Spec {
 // terminal command), then create the target processes.
 type Chaser struct {
 	platform *decaf.Platform
-	hub      tainthub.Hub
+	// hub is what the MPI hooks call: the events decorator over view, the
+	// worldHub that keeps clean receives off the hub given at construction.
+	hub  tainthub.Hub
+	view *worldHub
 
 	// hubClient identifies this Chaser to the hub; hubReq mints one request
 	// ID per logical Publish/Poll. Together they let the hub dedup transport
@@ -114,6 +117,8 @@ type Chaser struct {
 	obsFired    *obs.Counter
 	obsBits     *obs.Counter
 	obsHubFails *obs.Counter
+	// obsTaintLost counts the acknowledged publishes whose poll found nothing.
+	obsTaintLost *obs.Counter
 
 	// armed maps machines to their per-rank injection state. It is written
 	// only during process creation (before guests run) and read without
@@ -155,20 +160,23 @@ func New(opts Options) *Chaser {
 	if hub == nil {
 		hub = tainthub.NewLocal()
 	}
-	// The wrapper turns every logical Publish/Poll into a structured event;
-	// with a nil sink WithEvents returns the hub unchanged.
-	hub = tainthub.WithEvents(hub, opts.Events)
-	return &Chaser{
-		hub:         hub,
-		hubClient:   tainthub.NewClientID(),
-		collector:   trace.NewCollector(),
-		events:      opts.Events,
-		obsArmed:    opts.Obs.Counter("core_injectors_armed_total"),
-		obsFired:    opts.Obs.Counter("core_faults_fired_total"),
-		obsBits:     opts.Obs.Counter("core_bits_flipped_total"),
-		obsHubFails: opts.Obs.Counter("core_hub_degraded_total"),
-		armed:       make(map[*vm.Machine]*armState),
+	c := &Chaser{
+		hubClient:    tainthub.NewClientID(),
+		collector:    trace.NewCollector(),
+		events:       opts.Events,
+		obsArmed:     opts.Obs.Counter("core_injectors_armed_total"),
+		obsFired:     opts.Obs.Counter("core_faults_fired_total"),
+		obsBits:      opts.Obs.Counter("core_bits_flipped_total"),
+		obsHubFails:  opts.Obs.Counter("core_hub_degraded_total"),
+		obsTaintLost: opts.Obs.Counter("core_hub_taint_lost_total"),
+		armed:        make(map[*vm.Machine]*armState),
 	}
+	c.view = &worldHub{c: c, hub: hub, obsLocal: opts.Obs.Counter("core_hub_polls_local_total")}
+	// The decorator turns every logical Publish/Poll into a structured event,
+	// the ones the view answers itself included; with a nil sink WithEvents
+	// returns the view unchanged.
+	c.hub = tainthub.WithEvents(c.view, opts.Events)
+	return c
 }
 
 // Init implements decaf.Plugin (plugin_init): it exports the inject_fault
@@ -230,8 +238,8 @@ func (c *Chaser) statusCmd(_ []string) (string, error) {
 	fmt.Fprintf(&sb, "propagation: %d tainted reads, %d tainted writes, %d cross-rank messages\n",
 		c.collector.TotalReads(), c.collector.TotalWrites(), len(c.collector.CrossRank()))
 	hs := c.hub.Stats()
-	fmt.Fprintf(&sb, "tainthub: published=%d polls=%d hits=%d pending=%d\n",
-		hs.Published, hs.Polls, hs.Hits, hs.Pending)
+	fmt.Fprintf(&sb, "tainthub: published=%d polls=%d hits=%d pending=%d (clean receives answered without the hub: %d)\n",
+		hs.Published, hs.Polls, hs.Hits, hs.Pending, c.view.pollsLocal.Load())
 	return sb.String(), nil
 }
 
@@ -280,11 +288,29 @@ func (c *Chaser) HubErr() error {
 // for the HubFailRun policy.
 func (c *Chaser) hubFailure(op string, err error) {
 	c.obsHubFails.Inc()
+	c.retainHubErr(fmt.Errorf("%s: %w", op, err))
+}
+
+// retainHubErr keeps the first error the HubFailRun policy should fail the
+// run with.
+func (c *Chaser) retainHubErr(err error) {
 	c.mu.Lock()
 	if c.hubErr == nil {
-		c.hubErr = fmt.Errorf("%s: %w", op, err)
+		c.hubErr = err
 	}
 	c.mu.Unlock()
+}
+
+// taintLost records a cross-rank taint the hub dropped: the publish of the
+// flow-sequence was acknowledged, and its poll reached the hub and found
+// nothing. The receiver runs on untainted, as after any degradation, but the
+// loss is counted apart from RPC failures (no call failed) and, like them,
+// retained for the HubFailRun policy.
+func (c *Chaser) taintLost(k tainthub.Key, seq uint64) {
+	c.obsTaintLost.Inc()
+	label := tainthub.FlowLabel(k, seq)
+	c.events.Emit("hub_taint_lost", -1, k.Dst, seq, 0, label)
+	c.retainHubErr(fmt.Errorf("poll: hub lost the published taint of message %s", label))
 }
 
 // hubReqID mints the ReqID for one logical hub operation. The MPI hooks

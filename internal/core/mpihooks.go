@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"chaser/internal/decaf"
 	"chaser/internal/isa"
+	"chaser/internal/obs"
 	"chaser/internal/tainthub"
 	"chaser/internal/tcg"
 	"chaser/internal/trace"
@@ -22,6 +25,10 @@ import (
 // Receiver side (after MPI_Recv returns): extract (buf, count, datatype,
 // source, tag), poll the hub; when a status exists, mark the received bytes
 // tainted so propagation continues in this rank.
+//
+// Both sides of a world go through one worldHub, so only the receives of
+// messages the world published cost a hub call: a clean message costs none on
+// either side.
 
 // maxHookedMessageBytes bounds the taint scan of MPI buffers: anything
 // larger is a fault-corrupted count the runtime will reject, so scanning
@@ -52,7 +59,8 @@ const (
 	HubDegrade HubPolicy = iota
 	// HubFailRun fails the whole run with an error once it completes, so a
 	// campaign (or its operator) can tell degraded tracing from sound
-	// tracing.
+	// tracing. A taint the hub acknowledged and then could not produce
+	// (core_hub_taint_lost_total) fails the run the same way.
 	HubFailRun
 )
 
@@ -66,6 +74,82 @@ func (p HubPolicy) String() string {
 	}
 	return fmt.Sprintf("hubpolicy(%d)", int(p))
 }
+
+// flowSeq names one message: the seq-th of its flow, the unit the hub stores.
+type flowSeq struct {
+	key tainthub.Key
+	seq uint64
+}
+
+// worldHub is the view of the TaintHub one Chaser's hooks talk through. The
+// Chaser supervises every rank of its world and mints every (flow, seq) it
+// publishes, so it knows which polls can possibly hit: Publish records the
+// flow-sequence before the hub sees it, and Poll answers "clean" itself, with
+// no hub call, for any flow-sequence that was never recorded. The record is
+// kept when the publish fails — the hub may have applied it before the error
+// — so the set is a superset of what the hub can hold for this world, and the
+// hub stays authoritative for every message in it.
+//
+// The contract this rests on is one publisher per flow: nothing but this
+// Chaser publishes into the keys its world polls. A stale entry another
+// attempt at the same run left in the namespace is therefore never consumed
+// before this world's own publish of that flow-sequence overwrites it.
+type worldHub struct {
+	c   *Chaser
+	hub tainthub.Hub
+
+	mu sync.Mutex
+	// published holds every flow-sequence whose Publish was attempted; the
+	// value turns true once the hub acknowledged it.
+	published map[flowSeq]bool
+
+	// pollsLocal counts the receives answered without the hub, for
+	// chaser_status; obsLocal is the same count on the run's registry.
+	pollsLocal atomic.Uint64
+	obsLocal   *obs.Counter
+}
+
+var _ tainthub.Hub = (*worldHub)(nil)
+
+// Publish implements tainthub.Hub.
+func (w *worldHub) Publish(id tainthub.ReqID, k tainthub.Key, seq uint64, masks []uint8) error {
+	fs := flowSeq{key: k, seq: seq}
+	w.mu.Lock()
+	if w.published == nil {
+		w.published = make(map[flowSeq]bool)
+	}
+	w.published[fs] = false
+	w.mu.Unlock()
+	err := w.hub.Publish(id, k, seq, masks)
+	if err == nil {
+		w.mu.Lock()
+		w.published[fs] = true
+		w.mu.Unlock()
+	}
+	return err
+}
+
+// Poll implements tainthub.Hub. A poll that reaches the hub for an
+// acknowledged publish and finds nothing is a cross-rank taint the hub
+// dropped: it is reported through Chaser.taintLost.
+func (w *worldHub) Poll(id tainthub.ReqID, k tainthub.Key, seq uint64) ([]uint8, bool, error) {
+	w.mu.Lock()
+	acked, attempted := w.published[flowSeq{key: k, seq: seq}]
+	w.mu.Unlock()
+	if !attempted {
+		w.pollsLocal.Add(1)
+		w.obsLocal.Inc()
+		return nil, false, nil
+	}
+	masks, found, err := w.hub.Poll(id, k, seq)
+	if err == nil && !found && acked {
+		w.c.taintLost(k, seq)
+	}
+	return masks, found, err
+}
+
+// Stats implements tainthub.Hub.
+func (w *worldHub) Stats() tainthub.Stats { return w.hub.Stats() }
 
 func (c *Chaser) state(m *vm.Machine) *armState {
 	// armed is fully populated before guests start running; reads here are
@@ -95,7 +179,8 @@ func (c *Chaser) preSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
 	st.sendSeq[key]++
 
 	if m.Shadow.TaintedBytes() == 0 || !m.Shadow.MemRangeTainted(buf, n) {
-		// Not tainted: simply return without any hub traffic.
+		// Not tainted: simply return without any hub traffic. The receiver's
+		// poll finds the flow-sequence unrecorded and makes none either.
 		return
 	}
 	masks := m.Shadow.MemRangeMasks(buf, n)

@@ -70,9 +70,10 @@ func (errHub) Poll(tainthub.ReqID, tainthub.Key, uint64) ([]uint8, bool, error) 
 }
 func (errHub) Stats() tainthub.Stats { return tainthub.Stats{} }
 
-// tracedRecvConfig builds a run whose target rank performs an MPI recv
-// with tracing on, forcing a hub Poll from inside the syscall hook.
-func tracedRecvConfig(t *testing.T, hub tainthub.Hub, policy HubPolicy, reg *obs.Registry) RunConfig {
+// tracedCrossConfig builds a run whose target rank sends a tainted message
+// with tracing on, forcing a hub Publish from the send hook and the matching
+// Poll from the receive hook (a clean message would cost no hub call).
+func tracedCrossConfig(t *testing.T, hub tainthub.Hub, policy HubPolicy, reg *obs.Registry) RunConfig {
 	t.Helper()
 	return RunConfig{
 		Prog:      crossProg(t),
@@ -81,9 +82,9 @@ func tracedRecvConfig(t *testing.T, hub tainthub.Hub, policy HubPolicy, reg *obs
 		HubPolicy: policy,
 		Obs:       reg,
 		Spec: &Spec{
-			Target: "cross_app", Ops: []isa.Op{isa.OpFMul},
-			TargetRank: 1,
-			Cond:       Deterministic{N: 1},
+			Target: "cross_app", Ops: []isa.Op{isa.OpFAdd},
+			TargetRank: 0,
+			Cond:       Deterministic{N: 4},
 			Bits:       1, Trace: true, Seed: 7,
 		},
 	}
@@ -93,7 +94,7 @@ func tracedRecvConfig(t *testing.T, hub tainthub.Hub, policy HubPolicy, reg *obs
 // tracing (counted) but the run itself succeeds.
 func TestHubPolicyDegrade(t *testing.T) {
 	reg := obs.NewRegistry()
-	res, err := Run(tracedRecvConfig(t, errHub{}, HubDegrade, reg))
+	res, err := Run(tracedCrossConfig(t, errHub{}, HubDegrade, reg))
 	if err != nil {
 		t.Fatalf("degrade policy failed the run: %v", err)
 	}
@@ -110,7 +111,7 @@ func TestHubPolicyDegrade(t *testing.T) {
 // TestHubPolicyFailRun: the strict policy must surface the degradation as
 // a run error so campaigns can tell unsound tracing from sound tracing.
 func TestHubPolicyFailRun(t *testing.T) {
-	_, err := Run(tracedRecvConfig(t, errHub{}, HubFailRun, obs.NewRegistry()))
+	_, err := Run(tracedCrossConfig(t, errHub{}, HubFailRun, obs.NewRegistry()))
 	if err == nil {
 		t.Fatal("HubFailRun swallowed a hub failure")
 	}

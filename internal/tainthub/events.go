@@ -25,7 +25,8 @@ func WithEvents(h Hub, sink *obs.Sink) Hub {
 	return &eventsHub{h: h, sink: sink}
 }
 
-func flowLabel(k Key, seq uint64) string {
+// FlowLabel renders one message of a flow the way hub events name it.
+func FlowLabel(k Key, seq uint64) string {
 	return fmt.Sprintf("%d->%d tag %d seq %d", k.Src, k.Dst, k.Tag, seq)
 }
 
@@ -46,7 +47,7 @@ func (e *eventsHub) Publish(id ReqID, k Key, seq uint64, masks []uint8) error {
 	if err != nil {
 		typ = "hub_publish_error"
 	}
-	e.sink.Emit(typ, -1, k.Src, seq, taintedCount(masks), flowLabel(k, seq))
+	e.sink.Emit(typ, -1, k.Src, seq, taintedCount(masks), FlowLabel(k, seq))
 	return err
 }
 
@@ -60,7 +61,7 @@ func (e *eventsHub) Poll(id ReqID, k Key, seq uint64) ([]uint8, bool, error) {
 	case ok:
 		typ = "hub_poll_hit"
 	}
-	e.sink.Emit(typ, -1, k.Dst, seq, taintedCount(masks), flowLabel(k, seq))
+	e.sink.Emit(typ, -1, k.Dst, seq, taintedCount(masks), FlowLabel(k, seq))
 	return masks, ok, err
 }
 

@@ -7,8 +7,14 @@
 // per-key sequence number; when the matching MPI_Recv completes on the
 // receiving rank, Chaser polls the hub and re-marks the taint locally so
 // propagation continues across the process boundary. Clean messages are
-// never published — the receiver's poll simply comes back empty, which is
-// what keeps the tracing overhead low.
+// never published and never polled, which is what keeps the tracing overhead
+// low: the contract is one publisher per flow — the Chaser supervising the
+// world, which mints every (source, dest, tag, sequence) it publishes — so
+// that Chaser knows which receives can possibly hit and asks the hub about
+// those alone (core's per-run hub view). A hub therefore sees two calls per
+// tainted message and none per clean one; Poll still answers ok=false for a
+// message nobody published, but for campaign traffic a miss now means an
+// entry was lost, and core counts it as one.
 //
 // Because Poll is destructive (it consumes the stored status), every RPC
 // carries a ReqID: a (client, sequence) stamp minted once per logical
