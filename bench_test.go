@@ -19,7 +19,6 @@ import (
 	"chaser/internal/core"
 	"chaser/internal/injectors"
 	"chaser/internal/isa"
-	"chaser/internal/lang"
 	"chaser/internal/obs"
 	"chaser/internal/tcg"
 	"chaser/internal/vm"
@@ -332,52 +331,6 @@ func BenchmarkAblation_Instrumentation(b *testing.B) {
 	})
 }
 
-// BenchmarkSharedVsPrivateCache is the shared-translation-cache ablation: a
-// 100-run CLAMR campaign with the campaign-wide base cache (default) versus
-// per-machine private translator caches (the pre-shared-cache behaviour).
-// Identical seeds produce identical Summary outcomes in both modes; the
-// difference is translation work, reported as translated blocks and emitted
-// micro-ops per campaign. The acceptance bar is a >= 5x reduction with the
-// shared cache.
-func BenchmarkSharedVsPrivateCache(b *testing.B) {
-	app := mustApp(b, "clamr")
-	var summaries [2]*campaign.Summary
-	for mode, private := range map[string]bool{"shared": false, "private": true} {
-		b.Run(mode, func(b *testing.B) {
-			var translated, opsEmitted, baseHits float64
-			for i := 0; i < b.N; i++ {
-				reg := obs.NewRegistry()
-				sum, err := campaign.Run(campaign.Config{
-					Name: app.Name, Prog: app.Prog, WorldSize: app.WorldSize,
-					Ops: app.DefaultOps, TargetRank: 0,
-					Runs: 100, Bits: 1, Seed: 20200355,
-					NoSharedCache: private,
-					Obs:           reg,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				idx := 0
-				if private {
-					idx = 1
-				}
-				summaries[idx] = sum
-				translated = float64(reg.Counter("tcg_translations_total").Value())
-				opsEmitted = float64(reg.Counter("tcg_ops_emitted_total").Value())
-				baseHits = float64(reg.Counter("tcg_base_hits_total").Value())
-			}
-			b.ReportMetric(translated, "translated_tbs")
-			b.ReportMetric(opsEmitted, "emitted_ops")
-			b.ReportMetric(baseHits, "base_hits")
-		})
-	}
-	if s, p := summaries[0], summaries[1]; s != nil && p != nil {
-		if s.Benign != p.Benign || s.SDC != p.SDC || s.Detected != p.Detected || s.Terminated != p.Terminated {
-			b.Fatalf("shared/private outcome mismatch: %+v vs %+v", s, p)
-		}
-	}
-}
-
 // BenchmarkAblation_ElasticTaint measures the raw engine cost of taint
 // tracking (DECAF++-style elastic analysis: pay only when tracing).
 func BenchmarkAblation_ElasticTaint(b *testing.B) {
@@ -420,164 +373,6 @@ func BenchmarkEngine_RawExecution(b *testing.B) {
 				instrs += m.Counters().Instructions
 			}
 			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-		})
-	}
-}
-
-// BenchmarkFastPathVsFull is the dual-loop ablation: the same guest run on
-// the specialized taint-free fast loop with micro-op fusion (the default
-// engine) versus the pre-dual-loop configuration — every block forced
-// through the taint-aware loop with fusion disabled and taint tracking off.
-// The gap is what the dual loop and fusion deliver on untainted execution,
-// the state every instruction before a fault executes in. The third arm is
-// the state after one: tracking on and a register tainted for the whole run,
-// so that every block takes the taint-aware loop with its propagation arms
-// live — most of them finding nothing to do.
-//
-// benchLUDN sizes the engine benchmarks' guest workload. The campaign apps
-// use DefaultLUDN for fast suites; the engine comparison wants runs long
-// enough (~2M guest instructions) that per-run machine construction is noise.
-const benchLUDN = 48
-
-func BenchmarkFastPathVsFull(b *testing.B) {
-	prog := lang.MustCompile(apps.LUDProgram(benchLUDN))
-	configs := []struct {
-		name    string
-		noFast  bool
-		fusion  bool
-		tainted bool
-	}{
-		{"fast+fusion", false, true, false},
-		{"full-nofusion", true, false, false},
-		{"tainted+fusion", false, true, true},
-	}
-	for _, c := range configs {
-		b.Run(c.name, func(b *testing.B) {
-			// Campaign runs share one translation cache (golden run warms it,
-			// injected runs reuse it), so the benchmark does too: translation
-			// cost would otherwise dilute the engine comparison.
-			base := tcg.NewBaseCache(prog)
-			base.SetFusion(c.fusion)
-			run := func() vm.Counters {
-				m := vm.New(prog, vm.Config{NoFastPath: c.noFast, BaseCache: base})
-				if c.tainted {
-					// The guest never writes the frame pointer's float twin,
-					// so the shadow stays live from entry to exit.
-					m.TaintEnabled = true
-					m.Shadow.SetRegMask(tcg.FPR(isa.FP), 1)
-				}
-				if term := m.Run(); term.Abnormal() {
-					b.Fatal(term)
-				}
-				return m.Counters()
-			}
-			run()
-			b.ResetTimer()
-			var cnt vm.Counters
-			for i := 0; i < b.N; i++ {
-				cnt = run()
-			}
-			if onFast := !c.noFast && !c.tainted; onFast && cnt.FastPathTBs != cnt.TBsExecuted {
-				b.Fatalf("fast config ran %d of %d TBs on the fast loop", cnt.FastPathTBs, cnt.TBsExecuted)
-			} else if !onFast && cnt.FastPathTBs != 0 {
-				b.Fatalf("%s counted %d fast-path TBs", c.name, cnt.FastPathTBs)
-			}
-			b.ReportMetric(float64(cnt.Instructions)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-		})
-	}
-}
-
-// BenchmarkFusion isolates the micro-op fusion pass: fast loop in both arms,
-// fusion on vs off, with the fused-op count reported so the coverage of the
-// two peephole patterns (compare+branch, address+memory) is visible.
-func BenchmarkFusion(b *testing.B) {
-	prog := lang.MustCompile(apps.LUDProgram(benchLUDN))
-	for _, on := range []bool{true, false} {
-		name := "fusion-on"
-		if !on {
-			name = "fusion-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			base := tcg.NewBaseCache(prog)
-			base.SetFusion(on)
-			warm := vm.New(prog, vm.Config{BaseCache: base})
-			if term := warm.Run(); term.Abnormal() {
-				b.Fatal(term)
-			}
-			// Iteration machines serve every block from the shared base, so the
-			// fusion count comes from the warming translator.
-			fused := warm.Trans.Stats().FusedOps
-			if on && fused == 0 {
-				b.Fatal("fusion enabled but no ops fused")
-			}
-			b.ResetTimer()
-			var instrs uint64
-			for i := 0; i < b.N; i++ {
-				m := vm.New(prog, vm.Config{BaseCache: base})
-				if term := m.Run(); term.Abnormal() {
-					b.Fatal(term)
-				}
-				instrs = m.Counters().Instructions
-			}
-			b.ReportMetric(float64(fused), "fused_ops")
-			b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-		})
-	}
-}
-
-// BenchmarkForkVsScratch measures fork-point run multiplexing on a pinned
-// late injection site: a single-site LUD campaign (the paper's "after it is
-// executed n times" methodology, with n at 90% of the golden execution
-// count) run once with copy-on-write world snapshots and once replaying the
-// golden prefix from scratch in every run. The forked arm pays the prefix
-// once and each run re-executes only the post-injection tail, so the
-// throughput gap approaches 1/(1-site_fraction); snap_bytes reports the
-// snapshot cache's high-water mark.
-func BenchmarkForkVsScratch(b *testing.B) {
-	prog := lang.MustCompile(apps.LUDProgram(benchLUDN))
-	ops := []isa.Op{isa.OpFAdd, isa.OpFMul, isa.OpFSub}
-	golden, err := core.Golden(prog, 1, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var total uint64
-	for _, op := range ops {
-		total += golden.Counters[0].PerOp[op]
-	}
-	site := total * 9 / 10
-	if site == 0 {
-		b.Fatal("no targeted ops in golden run")
-	}
-	const runsPer = 40
-	for _, noFork := range []bool{false, true} {
-		name := "forked"
-		if noFork {
-			name = "scratch"
-		}
-		b.Run(name, func(b *testing.B) {
-			reg := obs.NewRegistry()
-			for i := 0; i < b.N; i++ {
-				sum, err := campaign.Run(campaign.Config{
-					Name: "lud", Prog: prog, WorldSize: 1,
-					Ops: ops, TargetRank: 0,
-					Runs: runsPer, Bits: 2, Seed: 99,
-					InjectExec: site, NoFork: noFork,
-					Obs: reg,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sum.Injected == 0 {
-					b.Fatal("campaign injected nothing")
-				}
-			}
-			b.ReportMetric(float64(runsPer*b.N)/b.Elapsed().Seconds(), "runs/sec")
-			if !noFork {
-				if fb := reg.Counter("campaign_fork_fallbacks_total").Value(); fb > 0 {
-					b.ReportMetric(float64(fb), "fallbacks")
-				}
-				b.ReportMetric(reg.Gauge("campaign_snapshot_cache_bytes_high_water").Value(), "snap_bytes")
-			}
 		})
 	}
 }

@@ -73,9 +73,8 @@ type options struct {
 	hubWire    codec.Format
 
 	// Checkpoint-ladder knobs (run and sweep experiments).
-	injectExec  uint64
-	noFork      bool
-	snapCacheMB int64
+	injectExec uint64
+	noFork     bool
 
 	// Control-plane client fields (submit and watch experiments).
 	chaserd    string
@@ -166,7 +165,6 @@ func run(args []string, out io.Writer) error {
 	runTimeout := fs.Duration("run-timeout", 0, "wall-clock watchdog per run (0 = no watchdog)")
 	injectExec := fs.Uint64("inject-exec", 0, "pin every run's injection to this execution count of the targeted ops (0 = random per run)")
 	noFork := fs.Bool("no-fork", false, "replay the golden prefix in every run instead of forking from the checkpoint ladder (reference path; same output)")
-	snapCacheMB := fs.Int64("snap-cache-mb", 0, "world-snapshot cache cap in MiB (0 = default 256)")
 	hubAddr := fs.String("hub", "", "shared TaintHub server address (default: in-process hub)")
 	hubPolicy := fs.String("hub-policy", "degrade", "on hub failure or a lost taint: degrade (proceed untainted) | fail (fail the run)")
 	hubWire := fs.String("wire", "auto", "hub wire format: auto (binary) | json | binary")
@@ -219,7 +217,7 @@ func run(args []string, out io.Writer) error {
 		progress: *progress,
 		app:      *appName, journal: *journal, resume: *resume,
 		runTimeout: *runTimeout, hubAddr: *hubAddr, hubPolicy: policy, hubWire: wireFmt,
-		injectExec: *injectExec, noFork: *noFork, snapCacheMB: *snapCacheMB,
+		injectExec: *injectExec, noFork: *noFork,
 		chaserd: *chaserdAddr, campaignID: *campaignID, shards: *shards, tenant: *tenant,
 	}
 	if *metricsOut != "" || *metricsAddr != "" {
@@ -516,7 +514,6 @@ func sweep(out io.Writer, o options) error {
 		Ops: app.DefaultOps, TargetRank: 0,
 		Runs: o.runs, Seed: o.seed, Parallel: o.parallel,
 		InjectExec: o.injectExec, NoFork: o.noFork,
-		SnapshotCacheBytes: o.snapCacheMB << 20,
 	}), []int{1, 2, 4, 8, 16})
 	if err != nil {
 		return err
@@ -543,7 +540,6 @@ func runResumable(out io.Writer, o options) error {
 		RunTimeout: o.runTimeout, HubPolicy: o.hubPolicy,
 		Journal: o.journal, Resume: o.resume,
 		InjectExec: o.injectExec, NoFork: o.noFork,
-		SnapshotCacheBytes: o.snapCacheMB << 20,
 	}
 	if o.hubAddr != "" {
 		// Generous retry budget: a durable hub restarting from its WAL

@@ -120,6 +120,13 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer client.Close()
+		// The run publishes into namespace 0 and is its only reader: retire
+		// it on the way out so the hub holds nothing of a finished run.
+		defer func() {
+			if err := client.Retire(0, 1); err != nil {
+				fmt.Fprintln(os.Stderr, "chaser: retiring hub namespace:", err)
+			}
+		}()
 		cfg.Hub = client
 	}
 

@@ -6,11 +6,17 @@
 //
 //	tainthub [-addr host:port] [-metrics-addr host:port] [-wal path] [-wire auto|json|binary]
 //
-// With -wal, every mutation is written ahead to a crash-safe log and the
-// process periodically snapshots its state; a restarted tainthub recovers
-// the exact pending taint and reply caches a kill -9 interrupted, so
-// in-flight campaigns ride out the outage through their clients' retries.
-// SIGTERM/SIGINT take a final snapshot before exiting.
+// With -wal, every mutation (a publish, a retire) is written ahead to a
+// crash-safe log and the process periodically snapshots its state; a
+// restarted tainthub recovers exactly the entries a kill -9 interrupted, and
+// because a poll only reads, in-flight campaigns ride out the outage through
+// their clients' retries. SIGTERM/SIGINT take a final snapshot before
+// exiting.
+//
+// Entries stay stored until their namespace is retired (campaign shards and
+// cmd/chaser retire theirs when they finish) or -ttl evicts them, so
+// -max-pending and -max-pending-bytes bound what one run may publish in
+// total, not what it has in flight.
 //
 // With -metrics-addr, the process also serves Prometheus text-format metrics
 // on http://<metrics-addr>/metrics: request/publish/poll counters, RPC
@@ -56,7 +62,6 @@ func metricsHandler(reg *obs.Registry, hub statsHub, walSize func() int64) http.
 		reg.Gauge("tainthub_status_polls").Set(float64(st.Polls))
 		reg.Gauge("tainthub_status_poll_hits").Set(float64(st.Hits))
 		reg.Gauge("tainthub_statuses_pending").Set(float64(st.Pending))
-		reg.Gauge("tainthub_dedup_hits").Set(float64(st.DedupHits))
 		reg.Gauge("tainthub_evicted").Set(float64(st.Evicted))
 		if walSize != nil {
 			reg.Gauge("tainthub_wal_size_bytes").Set(float64(walSize()))
@@ -73,10 +78,10 @@ func run(args []string) error {
 	idleTimeout := fs.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = never)")
 	wal := fs.String("wal", "", "write-ahead log path; enables crash-safe durability (empty = in-memory only)")
 	snapInterval := fs.Duration("snapshot-interval", 30*time.Second, "periodic snapshot+WAL-truncation interval (needs -wal; 0 = only at shutdown)")
-	maxPending := fs.Int("max-pending", 0, "max stored entries per namespace; publishes over it get a retryable busy response (0 = unlimited)")
-	maxPendingBytes := fs.Int64("max-pending-bytes", 0, "max stored mask bytes per namespace (0 = unlimited)")
+	maxPending := fs.Int("max-pending", 0, "max entries a namespace stores until it is retired; publishes over it get a retryable busy response (0 = unlimited)")
+	maxPendingBytes := fs.Int64("max-pending-bytes", 0, "max mask bytes a namespace stores until it is retired (0 = unlimited)")
 	maxPayload := fs.Int("max-payload", 0, "max mask bytes in one publish; larger ones are rejected (0 = unlimited)")
-	ttl := fs.Duration("ttl", 0, "evict entries older than this (orphans of crashed ranks; 0 = never)")
+	ttl := fs.Duration("ttl", 0, "evict entries older than this (namespaces a crashed owner never retired; 0 = never)")
 	wire := fs.String("wire", "auto", "accepted wire format: auto (per-connection autodetect) | json | binary")
 	if err := fs.Parse(args); err != nil {
 		return err

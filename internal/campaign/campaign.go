@@ -80,8 +80,9 @@ type Config struct {
 	// KeepRunOutcomes retains each run's classified outcome in the summary.
 	KeepRunOutcomes bool
 	// Hub, when set, is shared by every run (e.g. a TCP client to a
-	// head-node TaintHub); each run gets its own namespace on it. Nil runs
-	// use private in-process hubs.
+	// head-node TaintHub); each run gets its own namespace on it, and Run
+	// retires the window's namespaces once it has completed them (when Hub
+	// is a tainthub.Retirer). Nil runs use private in-process hubs.
 	Hub tainthub.Hub
 	// NoSharedCache disables the campaign-wide translation base cache,
 	// reverting to a private translator per machine per run (the behaviour
@@ -106,10 +107,6 @@ type Config struct {
 	// this is the reference path differential tests and benchmarks compare
 	// against, and the only switch the ladder has.
 	NoFork bool
-	// SnapshotCacheBytes caps the resident bytes of cached world snapshots
-	// (0 = DefaultSnapshotCacheBytes). Least-recently-used snapshots are
-	// evicted when new fork points push the cache over the cap.
-	SnapshotCacheBytes int64
 	// Obs, when non-nil, receives campaign telemetry and is threaded through
 	// every run's layers (vm, mpi, injector). Nil disables it.
 	Obs *obs.Registry
@@ -270,7 +267,7 @@ func prepare(cfg Config) (*baseline, error) {
 		maxInstr: maxInstr,
 		totals:   totals,
 		world:    world,
-		snaps:    newSnapCache(cfg.SnapshotCacheBytes, cfg.Obs),
+		snaps:    newSnapCache(cfg.Obs),
 	}, nil
 }
 
@@ -614,7 +611,30 @@ feed:
 	if interrupted {
 		return nil, ErrInterrupted
 	}
+	retireWindow(cfg, shardLo, shardHi)
 	return summarize(cfg, outcomes[shardLo:shardHi]), nil
+}
+
+// retireWindow drops the hub entries of a completed window: its namespaces
+// were minted here and none of them will be polled again. It is not called
+// for an interrupted or failed window — a worker that lost its lease must not
+// drop the entries of the attempt that replaced it; the re-execution (or the
+// hub's TTL) collects those — nor once Stop has closed, for the same reason.
+// A retire that fails, or a hub that cannot retire, costs hub memory until
+// that TTL and never a result, so it is counted and the campaign goes on.
+func retireWindow(cfg Config, lo, hi int) {
+	if cfg.Hub == nil {
+		return
+	}
+	select {
+	case <-cfg.Stop:
+		return
+	default:
+	}
+	r, ok := cfg.Hub.(tainthub.Retirer)
+	if !ok || r.Retire(cfg.HubNamespaceBase+lo, cfg.HubNamespaceBase+hi) != nil {
+		cfg.Obs.Counter("campaign_hub_retire_failed_total").Inc()
+	}
 }
 
 func summarize(cfg Config, outcomes []RunOutcome) *Summary {

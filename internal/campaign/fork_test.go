@@ -203,36 +203,6 @@ func TestBitSweepForkShared(t *testing.T) {
 	}
 }
 
-// TestCampaignForkCacheEviction squeezes the snapshot cache to one byte: the
-// LRU must evict down to a single resident snapshot while every run still
-// classifies identically (forks hold their rung themselves; eviction only
-// drops the cache's reference).
-func TestCampaignForkCacheEviction(t *testing.T) {
-	cfg := kmeansConfig(t)
-	cfg.Runs = 6
-	cfg.SnapshotCacheBytes = 1
-
-	scfg := cfg
-	scfg.NoFork = true
-	scratch, err := BitSweep(scfg, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	fcfg := cfg
-	fcfg.Obs = reg
-	forked, err := BitSweep(fcfg, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range scratch {
-		summariesEqual(t, scratch[i].Summary, forked[i].Summary)
-	}
-	if ev := reg.Counter("campaign_snapshot_evictions_total").Value(); ev == 0 {
-		t.Error("a 1-byte cache evicted nothing")
-	}
-}
-
 // TestCampaignForkInterruptAndResume is the forked flavor of the checkpoint
 // acceptance test: a pinned-site (forking) campaign interrupted mid-flight
 // and resumed from its journal must reproduce the uninterrupted summary

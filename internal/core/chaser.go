@@ -99,8 +99,8 @@ type Chaser struct {
 	view *worldHub
 
 	// hubClient identifies this Chaser to the hub; hubReq mints one request
-	// ID per logical Publish/Poll. Together they let the hub dedup transport
-	// retries of destructive operations (exactly-once semantics).
+	// ID per logical Publish/Poll. The hub echoes the pair so the pipelined
+	// client can check which call a response answers.
 	hubClient uint64
 	hubReq    atomic.Uint64
 
@@ -315,7 +315,7 @@ func (c *Chaser) taintLost(k tainthub.Key, seq uint64) {
 
 // hubReqID mints the ReqID for one logical hub operation. The MPI hooks
 // stamp it once per Publish/Poll; the TCP client re-sends it verbatim on
-// every transport retry, which is what lets the hub dedup.
+// every transport retry and verifies the server's echo of it.
 func (c *Chaser) hubReqID() tainthub.ReqID {
 	return tainthub.ReqID{Client: c.hubClient, Seq: c.hubReq.Add(1)}
 }

@@ -146,7 +146,12 @@ func TestHubTrafficForkedTwinOnSharedHub(t *testing.T) {
 			t.Errorf("%s: %d polls from scratch, %d forked, want 1 each", label, scratchPolls, forkedPolls)
 		}
 	}
-	if st := hub.Stats(); st.Polls != st.Hits || st.Pending != 0 {
+	// Every poll hit, and a poll leaves its entry for whoever minted the
+	// namespaces to retire.
+	if st := hub.Stats(); st.Polls != st.Hits || st.Pending != 6 {
 		t.Errorf("shared hub: %+v", st)
+	}
+	if err := hub.Retire(0, 6); err != nil || hub.Stats().Pending != 0 {
+		t.Errorf("retire: %v, %+v", err, hub.Stats())
 	}
 }

@@ -92,8 +92,10 @@ type flowSeq struct {
 //
 // The contract this rests on is one publisher per flow: nothing but this
 // Chaser publishes into the keys its world polls. A stale entry another
-// attempt at the same run left in the namespace is therefore never consumed
-// before this world's own publish of that flow-sequence overwrites it.
+// attempt at the same run left in the namespace is therefore never read
+// before this world's own publish of that flow-sequence overwrites it — and
+// since a poll only reads, two live attempts at one run cannot take each
+// other's entries either: each overwrites with the bytes the other wrote.
 type worldHub struct {
 	c   *Chaser
 	hub tainthub.Hub

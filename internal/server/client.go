@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,8 +18,9 @@ import (
 )
 
 // Client talks to a chaserd over HTTP. It implements Control (for workers)
-// and the submit/watch surface (for cmd/campaign). A zero HTTPClient uses a
-// modest default timeout; long-poll calls override per-request.
+// and the submit/watch surface (for cmd/campaign). Every request carries its
+// own deadline (requestTimeout; the summary long-poll a longer one), whatever
+// HTTP client sends it.
 //
 // In HA deployments a client is built with the full peer list
 // ("host:port,host:port"); it remembers which peer last served it (sticky),
@@ -31,7 +33,7 @@ type Client struct {
 	Base string
 	// Peers lists every known server (failover candidates, includes Base).
 	Peers []string
-	// HTTPClient overrides the transport (nil = 30s-timeout default).
+	// HTTPClient overrides the transport (nil = http.DefaultClient).
 	HTTPClient *http.Client
 	// FailoverWait caps the total time spent cycling peers and sleeping on
 	// Retry-After before a request fails with *FailoverError (default 30s).
@@ -66,8 +68,11 @@ func (c *Client) http() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
-	return &http.Client{Timeout: 30 * time.Second}
+	return http.DefaultClient
 }
+
+// requestTimeout bounds one attempt of an ordinary request.
+const requestTimeout = 30 * time.Second
 
 func (c *Client) failoverWait() time.Duration {
 	if c.FailoverWait > 0 {
@@ -182,15 +187,23 @@ func retryDelay(err error) time.Duration {
 // do issues one request with failover and decodes a JSON body into out
 // (when non-nil).
 func (c *Client) do(method, path string, body, out any) error {
-	return c.doClient(c.http(), method, path, body, out)
+	_, err := c.doClient(method, path, body, out, requestTimeout, nil)
+	return err
 }
 
-func (c *Client) doClient(hc *http.Client, method, path string, body, out any) error {
+// doClient is the one failover loop: it sends the request to the sticky peer
+// and, while the failure is one another peer might not repeat
+// (retryableAcross), rotates, sleeps the server's Retry-After (or a default)
+// and tries again until the failover budget is spent. samePeer, when non-nil,
+// names further errors worth waiting out at the same peer under the same
+// budget. timeout bounds each attempt. It returns the status of the response
+// that ended the loop.
+func (c *Client) doClient(method, path string, body, out any, timeout time.Duration, samePeer func(error) bool) (int, error) {
 	var payload []byte
 	if body != nil {
 		raw, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		payload = raw
 	}
@@ -198,42 +211,51 @@ func (c *Client) doClient(hc *http.Client, method, path string, body, out any) e
 	var waited time.Duration
 	for {
 		peer := c.currentPeer()
-		err := c.doOnce(hc, peer, method, path, payload, out)
-		if err == nil || !retryableAcross(err, idempotent) {
-			return err
+		status, err := c.doOnce(peer, method, path, payload, out, timeout)
+		if err == nil {
+			return status, nil
+		}
+		across := retryableAcross(err, idempotent)
+		if !across && (samePeer == nil || !samePeer(err)) {
+			return status, err
 		}
 		wait := retryDelay(err)
 		if waited+wait > c.failoverWait() {
-			return &FailoverError{Peers: append([]string(nil), c.Peers...), Waited: waited, Last: err}
+			return status, &FailoverError{Peers: append([]string(nil), c.Peers...), Waited: waited, Last: err}
 		}
-		c.rotate(peer)
+		if across {
+			c.rotate(peer)
+		}
 		time.Sleep(wait)
 		waited += wait
 	}
 }
 
 // doOnce issues one request against one peer. Transport failures surface
-// as *url.Error, HTTP failures as *RemoteError (or ErrLeaseUnknown).
-func (c *Client) doOnce(hc *http.Client, base, method, path string, payload []byte, out any) error {
+// as *url.Error, HTTP failures as *RemoteError (or ErrLeaseUnknown). A 2xx
+// body is decoded into out, except 202 and 204, which carry no result.
+func (c *Client) doOnce(base, method, path string, payload []byte, out any, timeout time.Duration) (int, error) {
 	var rd io.Reader
 	if payload != nil {
 		rd = bytes.NewReader(payload)
 	}
-	req, err := http.NewRequest(method, base+path, rd)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := hc.Do(req)
+	resp, err := c.http().Do(req)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return err
+		return resp.StatusCode, err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		re := &RemoteError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(raw))}
@@ -245,15 +267,15 @@ func (c *Client) doOnce(hc *http.Client, base, method, path string, payload []by
 			re.RetryAfter = time.Duration(ra) * time.Second
 		}
 		if resp.StatusCode == http.StatusNotFound && strings.Contains(re.Msg, "lease") {
-			return fmt.Errorf("%w (%s)", ErrLeaseUnknown, re.Msg)
+			return resp.StatusCode, fmt.Errorf("%w (%s)", ErrLeaseUnknown, re.Msg)
 		}
-		return re
+		return resp.StatusCode, re
 	}
 	c.noteServed(resp)
-	if resp.StatusCode == http.StatusNoContent || out == nil {
-		return nil
+	if resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusAccepted || out == nil {
+		return resp.StatusCode, nil
 	}
-	return json.Unmarshal(raw, out)
+	return resp.StatusCode, json.Unmarshal(raw, out)
 }
 
 // Submit posts a spec, honoring 429 + Retry-After with bounded waiting
@@ -303,76 +325,27 @@ type SummaryDoc struct {
 
 // WaitSummary long-polls until the campaign completes and returns its
 // summary document. It re-polls indefinitely while the campaign is active
-// and rides out failovers: the budget only counts consecutive failures, so
-// a leader crash mid-watch costs one promotion, not the watch.
+// and rides out failovers: each poll has the failover budget to itself, so
+// a leader crash mid-watch costs one promotion, not the watch. A 404 is
+// waited out under that budget too: the new leader may not have replayed far
+// enough to know the campaign yet (async replication lag), which is
+// indistinguishable from a bad ID.
 func (c *Client) WaitSummary(id string) (*SummaryDoc, error) {
-	// Per-request timeout must exceed the server's long-poll cap (60s).
-	hc := &http.Client{Timeout: 90 * time.Second}
-	path := "/api/v1/campaigns/" + id + "/summary?wait=30s"
-	var waited time.Duration
+	unknown := func(err error) bool {
+		var re *RemoteError
+		return errors.As(err, &re) && re.Status == http.StatusNotFound
+	}
 	for {
-		peer := c.currentPeer()
-		req, err := http.NewRequest(http.MethodGet, peer+path, nil)
+		var doc SummaryDoc
+		// The per-attempt deadline must exceed the server's long-poll cap (60s).
+		status, err := c.doClient(http.MethodGet, "/api/v1/campaigns/"+id+"/summary?wait=30s", nil, &doc, 90*time.Second, unknown)
 		if err != nil {
 			return nil, err
 		}
-		resp, err := hc.Do(req)
-		if err != nil {
-			wait := retryDelay(err)
-			if waited+wait > c.failoverWait() {
-				return nil, &FailoverError{Peers: append([]string(nil), c.Peers...), Waited: waited, Last: err}
-			}
-			c.rotate(peer)
-			time.Sleep(wait)
-			waited += wait
-			continue
-		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		switch resp.StatusCode {
-		case http.StatusOK:
-			c.noteServed(resp)
-			var doc SummaryDoc
-			if err := json.Unmarshal(raw, &doc); err != nil {
-				return nil, fmt.Errorf("chaserd: bad summary document: %v", err)
-			}
+		if status == http.StatusOK {
 			return &doc, nil
-		case http.StatusAccepted:
-			c.noteServed(resp)
-			waited = 0 // the campaign is alive and being served
-			continue
-		case http.StatusServiceUnavailable, http.StatusNotFound:
-			// 503: leaderless interregnum. 404: the new leader has not yet
-			// replayed far enough to know the campaign (async replication
-			// lag) — indistinguishable from a bad ID, so bound the retries.
-			re := &RemoteError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(raw))}
-			var he httpError
-			if json.Unmarshal(raw, &he) == nil && he.Error != "" {
-				re.Msg = he.Error
-			}
-			if ra, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil {
-				re.RetryAfter = time.Duration(ra) * time.Second
-			}
-			wait := retryDelay(re)
-			if waited+wait > c.failoverWait() {
-				return nil, &FailoverError{Peers: append([]string(nil), c.Peers...), Waited: waited, Last: re}
-			}
-			if resp.StatusCode == http.StatusServiceUnavailable {
-				c.rotate(peer)
-			}
-			time.Sleep(wait)
-			waited += wait
-		default:
-			re := &RemoteError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(raw))}
-			var he httpError
-			if json.Unmarshal(raw, &he) == nil && he.Error != "" {
-				re.Msg = he.Error
-			}
-			return nil, re
 		}
+		// 202: the campaign is alive and being served; poll again.
 	}
 }
 

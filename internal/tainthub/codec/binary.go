@@ -26,6 +26,7 @@ const (
 	binOpPoll    = 2
 	binOpStats   = 3
 	binOpBatch   = 4
+	binOpRetire  = 5
 )
 
 // Response flag bits (first payload byte of a single response; a batch
@@ -157,6 +158,16 @@ func decodeRequestPayload(b []byte, maxMasks int, allowBatch bool) (Request, []b
 			req.Batch = append(req.Batch, sub)
 		}
 		return req, b, nil
+	case binOpRetire:
+		req.Op = OpRetire
+		for _, bound := range []*int{&req.NS, &req.NSEnd} {
+			v, rest, err := ConsumeSvarint(b)
+			if err != nil {
+				return req, b, &MalformedError{Reason: "retire range", err: err}
+			}
+			*bound, b = int(v), rest
+		}
+		return req, b, nil
 	case binOpPublish, binOpPoll:
 		if op == binOpPublish {
 			req.Op = OpPublish
@@ -240,7 +251,7 @@ func decodeResponsePayload(b []byte, maxMasks int, allowBatch bool) (Response, [
 	if flags&binFlagStats != 0 {
 		var st Stats
 		var pending uint64
-		fields := []*uint64{&st.Published, &st.Polls, &st.Hits, &pending, &st.Evicted, &st.DedupHits, &st.Replayed}
+		fields := []*uint64{&st.Published, &st.Polls, &st.Hits, &pending, &st.Evicted, &st.Replayed}
 		for _, f := range fields {
 			if *f, b, err = ConsumeUvarint(b); err != nil {
 				return resp, b, &MalformedError{Reason: "stats", err: err}
@@ -350,6 +361,10 @@ func appendRequestPayload(b []byte, req Request, allowBatch bool) ([]byte, error
 			}
 		}
 		return b, nil
+	case OpRetire:
+		b = append(b, binOpRetire)
+		b = AppendSvarint(b, int64(req.NS))
+		return AppendSvarint(b, int64(req.NSEnd)), nil
 	case OpPublish, OpPoll:
 		if req.Op == OpPublish {
 			b = append(b, binOpPublish)
@@ -416,7 +431,7 @@ func appendResponsePayload(b []byte, resp Response, allowBatch bool) ([]byte, er
 	}
 	if resp.Stats != nil {
 		st := resp.Stats
-		for _, v := range []uint64{st.Published, st.Polls, st.Hits, uint64(st.Pending), st.Evicted, st.DedupHits, st.Replayed} {
+		for _, v := range []uint64{st.Published, st.Polls, st.Hits, uint64(st.Pending), st.Evicted, st.Replayed} {
 			b = AppendUvarint(b, v)
 		}
 	}

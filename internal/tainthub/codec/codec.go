@@ -66,6 +66,8 @@ const (
 	OpPublish = "publish"
 	OpPoll    = "poll"
 	OpStats   = "stats"
+	// OpRetire drops every entry whose namespace is in [NS, NSEnd).
+	OpRetire = "retire"
 	// OpBatch carries many single-op requests in one frame; the response is
 	// a batch of the same length in the same order. Batches do not nest.
 	OpBatch = "batch"
@@ -84,6 +86,7 @@ type Request struct {
 	NS     int       `json:"ns,omitempty"`
 	Seq    uint64    `json:"seq"`
 	Masks  []byte    `json:"masks,omitempty"`
+	NSEnd  int       `json:"ns_end,omitempty"` // retire only: NS is the range's start
 	Batch  []Request `json:"batch,omitempty"`
 }
 
@@ -116,12 +119,11 @@ const (
 // Stats counts hub activity. It is aliased as tainthub.Stats; the field
 // names are part of the JSON wire format.
 type Stats struct {
-	Published uint64 // tainted message statuses stored
-	Polls     uint64 // total poll requests
-	Hits      uint64 // polls that found a tainted status
+	Published uint64 // statuses first stored (a repeated publish of one is not counted again)
+	Polls     uint64 // poll requests served, repeats included
+	Hits      uint64 // poll requests served that found a tainted status
 	Pending   int    // statuses currently stored
-	Evicted   uint64 // entries and reply caches dropped by TTL or pressure
-	DedupHits uint64 // RPC replays served from the reply cache
+	Evicted   uint64 // entries dropped by TTL
 	Replayed  uint64 // WAL records replayed at recovery (durable hubs)
 }
 

@@ -47,6 +47,11 @@ var goldenRequests = []struct {
 		json: `{"op":"stats","src":0,"dst":0,"tag":0,"seq":0}`,
 	},
 	{
+		name: "retire",
+		req:  Request{Op: OpRetire, NS: 100, NSEnd: 125},
+		json: `{"op":"retire","src":0,"dst":0,"tag":0,"ns":100,"seq":0,"ns_end":125}`,
+	},
+	{
 		name: "batch",
 		req: Request{Op: OpBatch, Batch: []Request{
 			{Op: OpPublish, Client: 3, Req: 1, Src: 0, Dst: 1, Tag: 2, Seq: 0, Masks: []byte{0xff, 0xff, 0xff, 0xff, 0xff}},
@@ -81,8 +86,8 @@ var goldenResponses = []struct {
 	},
 	{
 		name: "stats",
-		resp: Response{OK: true, Stats: &Stats{Published: 1, Polls: 2, Hits: 3, Pending: 4, Evicted: 5, DedupHits: 6, Replayed: 7}},
-		json: `{"ok":true,"stats":{"Published":1,"Polls":2,"Hits":3,"Pending":4,"Evicted":5,"DedupHits":6,"Replayed":7}}`,
+		resp: Response{OK: true, Stats: &Stats{Published: 1, Polls: 2, Hits: 3, Pending: 4, Evicted: 5, Replayed: 7}},
+		json: `{"ok":true,"stats":{"Published":1,"Polls":2,"Hits":3,"Pending":4,"Evicted":5,"Replayed":7}}`,
 	},
 	{
 		name: "busy",
@@ -208,6 +213,29 @@ func TestBinaryRoundTripMatchesJSON(t *testing.T) {
 				t.Errorf("binary round trip:\n got  %+v\n want %+v", back, g.resp)
 			}
 		})
+	}
+}
+
+// TestGoldenRetireBinary pins the binary frame of the retire op: magic,
+// payload length, op code 5, then the range's two zigzag varints.
+func TestGoldenRetireBinary(t *testing.T) {
+	var buf bytes.Buffer
+	e := NewEmitter(FormatBinary, &buf)
+	if err := e.WriteRequest(Request{Op: OpRetire, NS: 100, NSEnd: 125}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{BinaryMagic, 0x05, 0x05, 0xc8, 0x01, 0xfa, 0x01}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("retire frame = % x, want % x", buf.Bytes(), want)
+	}
+	// A retire cut short is malformed, not a retire of a smaller range.
+	p := NewParser(FormatBinary, bufio.NewReader(bytes.NewReader([]byte{BinaryMagic, 0x03, 0x05, 0xc8, 0x01})), 1<<20)
+	var mal *MalformedError
+	if _, err := p.ReadRequest(); !errors.As(err, &mal) {
+		t.Errorf("truncated retire = %v, want *MalformedError", err)
 	}
 }
 

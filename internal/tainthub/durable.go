@@ -16,10 +16,9 @@ import (
 
 // Durable is a Local hub whose every mutation is written ahead to a log,
 // with periodic snapshots bounding replay time and disk use. A Durable
-// hub killed with SIGKILL and reopened on the same path recovers the
-// exact pending-taint state and reply caches it had, so an in-flight
-// campaign's retried RPCs still dedup correctly against the reborn
-// process.
+// hub killed with SIGKILL and reopened on the same path recovers exactly the
+// entries it held, so an in-flight campaign's retried polls read from the
+// reborn process what they would have read from the dead one.
 //
 // Recovery protocol. The snapshot at path+".snap" carries generation S;
 // the WAL header carries generation W. A snapshot written at generation S
@@ -46,7 +45,10 @@ type Durable struct {
 	recoveredRecords int
 }
 
-var _ Hub = (*Durable)(nil)
+var (
+	_ Hub     = (*Durable)(nil)
+	_ Retirer = (*Durable)(nil)
+)
 
 // DurableConfig configures OpenDurable. The zero value is usable.
 type DurableConfig struct {
@@ -62,7 +64,6 @@ type snapshotRec struct {
 	Gen     uint64
 	Stats   Stats
 	Entries []snapEntryRec
-	Clients []snapClientRec
 }
 
 type snapEntryRec struct {
@@ -72,21 +73,9 @@ type snapEntryRec struct {
 	Stamp int64
 }
 
-type snapClientRec struct {
-	ID      uint64
-	LastUse int64
-	Reqs    []snapReplyRec
-}
-
-type snapReplyRec struct {
-	Req   uint64
-	Masks []uint8
-	Found bool
-}
-
 const (
 	snapMagic   = 0x32504e43 // "CNP2" little-endian
-	snapVersion = 1          // of the binary payload layout
+	snapVersion = 2          // of the binary payload layout (v1 carried reply caches)
 	snapPrefix  = 5          // magic + version byte, ahead of the packed fields
 )
 
@@ -98,7 +87,7 @@ func encodeSnapshot(snap *snapshotRec) []byte {
 	b = append(b, snapVersion)
 	b = codec.AppendUvarint(b, snap.Gen)
 	st := snap.Stats
-	for _, v := range []uint64{st.Published, st.Polls, st.Hits, uint64(st.Pending), st.Evicted, st.DedupHits, st.Replayed} {
+	for _, v := range []uint64{st.Published, st.Polls, st.Hits, uint64(st.Pending), st.Evicted, st.Replayed} {
 		b = codec.AppendUvarint(b, v)
 	}
 	b = codec.AppendUvarint(b, uint64(len(snap.Entries)))
@@ -110,21 +99,6 @@ func encodeSnapshot(snap *snapshotRec) []byte {
 		b = codec.AppendUvarint(b, e.Seq)
 		b = codec.AppendSvarint(b, e.Stamp)
 		b = codec.AppendMasks(b, e.Masks)
-	}
-	b = codec.AppendUvarint(b, uint64(len(snap.Clients)))
-	for _, c := range snap.Clients {
-		b = codec.AppendUvarint(b, c.ID)
-		b = codec.AppendSvarint(b, c.LastUse)
-		b = codec.AppendUvarint(b, uint64(len(c.Reqs)))
-		for _, r := range c.Reqs {
-			b = codec.AppendUvarint(b, r.Req)
-			if r.Found {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
-			}
-			b = codec.AppendMasks(b, r.Masks)
-		}
 	}
 	return b
 }
@@ -138,7 +112,7 @@ func decodeSnapshotPayload(b []byte) (*snapshotRec, error) {
 	var pending uint64
 	stats := []*uint64{
 		&snap.Stats.Published, &snap.Stats.Polls, &snap.Stats.Hits, &pending,
-		&snap.Stats.Evicted, &snap.Stats.DedupHits, &snap.Stats.Replayed,
+		&snap.Stats.Evicted, &snap.Stats.Replayed,
 	}
 	for _, f := range stats {
 		if *f, b, err = codec.ConsumeUvarint(b); err != nil {
@@ -172,40 +146,6 @@ func decodeSnapshotPayload(b []byte) (*snapshotRec, error) {
 		}
 		snap.Entries = append(snap.Entries, e)
 	}
-	if n, b, err = codec.ConsumeUvarint(b); err != nil || n > maxSnapItems {
-		return nil, fmt.Errorf("client count: %w", orCorrupt(err))
-	}
-	snap.Clients = make([]snapClientRec, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var c snapClientRec
-		if c.ID, b, err = codec.ConsumeUvarint(b); err != nil {
-			return nil, err
-		}
-		if c.LastUse, b, err = codec.ConsumeSvarint(b); err != nil {
-			return nil, err
-		}
-		var nr uint64
-		if nr, b, err = codec.ConsumeUvarint(b); err != nil || nr > maxSnapItems {
-			return nil, fmt.Errorf("reply count: %w", orCorrupt(err))
-		}
-		c.Reqs = make([]snapReplyRec, 0, nr)
-		for j := uint64(0); j < nr; j++ {
-			var r snapReplyRec
-			if r.Req, b, err = codec.ConsumeUvarint(b); err != nil {
-				return nil, err
-			}
-			if len(b) < 1 {
-				return nil, errors.New("short reply record")
-			}
-			r.Found = b[0] != 0
-			b = b[1:]
-			if r.Masks, b, err = codec.ConsumeMasks(b, maxWALPayload); err != nil {
-				return nil, err
-			}
-			c.Reqs = append(c.Reqs, r)
-		}
-		snap.Clients = append(snap.Clients, c)
-	}
 	if len(b) != 0 {
 		return nil, errors.New("trailing bytes after snapshot payload")
 	}
@@ -235,8 +175,8 @@ func writeSnapshot(path string, snap *snapshotRec) error {
 // loadSnapshot reads a snapshot; a missing file returns (nil, nil). Any
 // structural damage is a *CorruptError — a half-written snapshot cannot
 // exist (writes go through rename), so damage means real corruption and
-// silently starting empty would resurrect consumed taint. An unknown
-// version byte is refused.
+// silently starting empty would drop taint a receiver has yet to poll. Any
+// version byte but the current one is refused.
 func loadSnapshot(path string) (*snapshotRec, error) {
 	raw, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -297,10 +237,7 @@ func OpenDurable(path string, cfg DurableConfig) (*Durable, error) {
 	// One pass over the log. The header record decides what happens to the
 	// rest: replayed on top of the snapshot (W == S+1), skipped as stale
 	// (W <= S), or the open refused (W > S+1). Entries keep their original
-	// publish stamps (so orphans re-evict after recovery), but reply caches
-	// are touched at recovery time so an in-flight client's retries still
-	// dedup.
-	now := time.Now().UnixNano()
+	// publish stamps, so orphans re-evict after recovery.
 	var walGen uint64
 	hasHeader := false
 	log, err := wal.Open(path, walOptions, func(p []byte) error {
@@ -328,10 +265,8 @@ func OpenDurable(path string, cfg DurableConfig) (*Durable, error) {
 		switch m.kind {
 		case walRecPublish:
 			d.st.applyPublish(m.k, m.seq, m.masks, m.stamp)
-			d.st.remember(m.id, cachedReply{}, now)
-		case walRecConsume:
-			masks, _ := d.st.applyConsume(m.k, m.seq)
-			d.st.remember(m.id, cachedReply{masks: masks, found: true}, now)
+		case walRecRetire:
+			d.st.applyRetire(m.lo, m.hi)
 		}
 		d.recoveredRecords++
 		return nil
@@ -377,7 +312,7 @@ func (d *Durable) logMutation(payload []byte) error {
 }
 
 // Publish implements Hub: the record is in the WAL before the ack.
-func (d *Durable) Publish(id ReqID, k Key, seq uint64, masks []uint8) error {
+func (d *Durable) Publish(_ ReqID, k Key, seq uint64, masks []uint8) error {
 	now := time.Now().UnixNano()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -385,24 +320,18 @@ func (d *Durable) Publish(id ReqID, k Key, seq uint64, masks []uint8) error {
 		return errHubClosed
 	}
 	d.st.maybeSweep(now)
-	if _, dup := d.st.dedup(id, now); dup {
-		return nil
-	}
-	if err := d.st.checkPublish(k, masks); err != nil {
+	if err := d.st.checkPublish(k, seq, masks); err != nil {
 		return err
 	}
-	if err := d.logMutation(encodeWALPublish(id, k, seq, now, masks)); err != nil {
+	if err := d.logMutation(encodeWALPublish(k, seq, now, masks)); err != nil {
 		return err
 	}
 	d.st.applyPublish(k, seq, masks, now)
-	d.st.remember(id, cachedReply{}, now)
 	return nil
 }
 
-// Poll implements Hub: a consuming poll is in the WAL before the masks
-// are returned; misses are not logged (a replayed retry re-polling the
-// then-current state is a valid linearization).
-func (d *Durable) Poll(id ReqID, k Key, seq uint64) ([]uint8, bool, error) {
+// Poll implements Hub. A poll changes nothing, so it writes nothing.
+func (d *Durable) Poll(_ ReqID, k Key, seq uint64) ([]uint8, bool, error) {
 	now := time.Now().UnixNano()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -410,19 +339,23 @@ func (d *Durable) Poll(id ReqID, k Key, seq uint64) ([]uint8, bool, error) {
 		return nil, false, errHubClosed
 	}
 	d.st.maybeSweep(now)
-	if rep, dup := d.st.dedup(id, now); dup {
-		return rep.masks, rep.found, nil
+	masks, ok := d.st.poll(k, seq)
+	return masks, ok, nil
+}
+
+// Retire implements Retirer: the record is in the WAL before the entries
+// go, so a recovered hub does not resurrect what a finished shard retired.
+func (d *Durable) Retire(lo, hi int) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return errHubClosed
 	}
-	if _, present := d.st.entries[entryKey{k, seq}]; !present {
-		d.st.stats.Polls++
-		return nil, false, nil
+	if err := d.logMutation(encodeWALRetire(lo, hi)); err != nil {
+		return err
 	}
-	if err := d.logMutation(encodeWALConsume(id, k, seq)); err != nil {
-		return nil, false, err
-	}
-	masks, _ := d.st.applyConsume(k, seq)
-	d.st.remember(id, cachedReply{masks: masks, found: true}, now)
-	return masks, true, nil
+	d.st.applyRetire(lo, hi)
+	return nil
 }
 
 // Stats implements Hub.
@@ -432,7 +365,7 @@ func (d *Durable) Stats() Stats {
 	return d.st.snapshotStats()
 }
 
-// Sweep evicts entries and reply caches older than the configured TTL.
+// Sweep evicts entries older than the configured TTL.
 func (d *Durable) Sweep() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -36,6 +36,13 @@ func TestDurableRecoversFromWAL(t *testing.T) {
 	if _, ok, _ := h.Poll(ReqID{Client: 2, Seq: 1}, kB, 3); !ok {
 		t.Fatal("poll before crash missed")
 	}
+	kC := Key{Src: 2, Dst: 3, Tag: 2, NS: 9}
+	if err := h.Publish(ReqID{Client: 1, Seq: 3}, kC, 0, []uint8{0x7f}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Retire(9, 10); err != nil {
+		t.Fatal(err)
+	}
 	if err := h.Abandon(); err != nil { // kill -9: no final snapshot
 		t.Fatal(err)
 	}
@@ -46,23 +53,27 @@ func TestDurableRecoversFromWAL(t *testing.T) {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer h2.Close()
-	if h2.RecoveredRecords() != 3 {
-		t.Errorf("recovered %d records, want 3", h2.RecoveredRecords())
+	// Three publishes and one retire; the poll wrote nothing.
+	if h2.RecoveredRecords() != 4 {
+		t.Errorf("recovered %d records, want 4", h2.RecoveredRecords())
 	}
-	if got := reg.Counter("tainthub_replayed_total").Value(); got != 3 {
-		t.Errorf("tainthub_replayed_total = %d, want 3", got)
+	if got := reg.Counter("tainthub_replayed_total").Value(); got != 4 {
+		t.Errorf("tainthub_replayed_total = %d, want 4", got)
 	}
 	st := h2.Stats()
-	if st.Replayed != 3 || st.Pending != 1 {
+	if st.Replayed != 4 || st.Pending != 2 || st.Published != 3 {
 		t.Errorf("stats after recovery = %+v", st)
 	}
-	// kA is still pending; kB was consumed before the crash and must stay
-	// consumed (no resurrected taint).
+	// kA and kB are both still stored — kB was polled before the crash, and a
+	// poll reads — and kC's namespace stays retired (no resurrected taint).
 	if masks, ok, _ := h2.Poll(ReqID{Client: 3, Seq: 1}, kA, 0); !ok || masks[0] != 0xaa || masks[1] != 0x55 {
 		t.Errorf("kA after recovery: masks=%v ok=%v", masks, ok)
 	}
-	if _, ok, _ := h2.Poll(ReqID{Client: 3, Seq: 2}, kB, 3); ok {
-		t.Error("consumed entry resurrected by replay")
+	if masks, ok, _ := h2.Poll(ReqID{Client: 3, Seq: 2}, kB, 3); !ok || masks[0] != 0x01 {
+		t.Errorf("kB after recovery: masks=%v ok=%v", masks, ok)
+	}
+	if _, ok, _ := h2.Poll(ReqID{Client: 3, Seq: 3}, kC, 0); ok {
+		t.Error("retired entry resurrected by replay")
 	}
 }
 
@@ -116,47 +127,6 @@ func TestDurableSnapshotTruncatesWAL(t *testing.T) {
 	}
 	if masks, ok, _ := h2.Poll(ReqID{Client: 2, Seq: 11}, Key{Src: 5, Dst: 6, Tag: 7}, 0); !ok || masks[0] != 0xff {
 		t.Error("post-snapshot entry lost")
-	}
-}
-
-// TestDurableDedupSurvivesRestart: the reply cache is durable state — a
-// client retrying a consumed poll against the *reborn* process must still
-// get the original masks, not ok=false.
-func TestDurableDedupSurvivesRestart(t *testing.T) {
-	path := durablePath(t)
-	h, err := OpenDurable(path, DurableConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := Key{Src: 0, Dst: 1, Tag: 2}
-	id := ReqID{Client: 77, Seq: 5}
-	if err := h.Publish(ReqID{Client: 77, Seq: 4}, k, 0, []uint8{0xbe, 0xef}); err != nil {
-		t.Fatal(err)
-	}
-	if masks, ok, _ := h.Poll(id, k, 0); !ok || masks[0] != 0xbe {
-		t.Fatal("original poll failed")
-	}
-	if err := h.Abandon(); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	h2, err := OpenDurable(path, DurableConfig{Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h2.Close()
-	// The retried poll carries the same ReqID; the entry itself is gone.
-	masks, ok, err := h2.Poll(id, k, 0)
-	if err != nil || !ok || masks[0] != 0xbe || masks[1] != 0xef {
-		t.Fatalf("replayed poll across restart: masks=%v ok=%v err=%v", masks, ok, err)
-	}
-	if got := reg.Counter("tainthub_dedup_hits_total").Value(); got != 1 {
-		t.Errorf("tainthub_dedup_hits_total = %d", got)
-	}
-	// A fresh poll (new ReqID) must still see the entry as consumed.
-	if _, ok, _ := h2.Poll(ReqID{Client: 78, Seq: 1}, k, 0); ok {
-		t.Error("dedup replay duplicated taint for a different request")
 	}
 }
 
@@ -390,9 +360,9 @@ func TestDurableClosedOps(t *testing.T) {
 	}
 }
 
-// TestDurableConcurrentHammer races Publish/Poll/Stats/Snapshot across
+// TestDurableConcurrentHammer races Publish/Poll/Retire/Stats/Snapshot across
 // goroutines (run under -race in CI). Afterwards a recovery must account
-// for every acknowledged publish: consumed or still pending, never lost.
+// for every acknowledged publish: retired or still stored, never lost.
 func TestDurableConcurrentHammer(t *testing.T) {
 	path := durablePath(t)
 	h, err := OpenDurable(path, DurableConfig{})
@@ -408,7 +378,7 @@ func TestDurableConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			client := uint64(w + 1)
 			for i := 0; i < perWorker; i++ {
-				k := Key{Src: w, Dst: (w + 1) % workers, Tag: i}
+				k := Key{Src: w, Dst: (w + 1) % workers, Tag: i, NS: w}
 				if err := h.Publish(ReqID{Client: client, Seq: uint64(2*i + 1)}, k, 0, []uint8{uint8(i)}); err != nil {
 					t.Errorf("publish: %v", err)
 					return
@@ -420,6 +390,11 @@ func TestDurableConcurrentHammer(t *testing.T) {
 					}
 				}
 				_ = h.Stats()
+			}
+			if w%2 == 0 {
+				if err := h.Retire(w, w+1); err != nil {
+					t.Errorf("retire: %v", err)
+				}
 			}
 		}(w)
 	}
@@ -454,7 +429,7 @@ func TestDurableConcurrentHammer(t *testing.T) {
 	}
 	defer h2.Close()
 	st2 := h2.Stats()
-	wantPending := workers * perWorker / 2 // odd i were never polled
+	wantPending := workers * perWorker / 2 // odd workers never retired
 	if st.Pending != wantPending || st2.Pending != wantPending {
 		t.Errorf("pending = %d live / %d recovered, want %d", st.Pending, st2.Pending, wantPending)
 	}

@@ -29,6 +29,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte("\x00\xff\xfe"))
 	f.Add([]byte(""))
 	f.Add([]byte("\xc7\x02\x03\x01")) // binary magic + tiny frame
+	f.Add([]byte(`{"op":"retire","ns":3,"ns_end":9}`))
+	f.Add([]byte("\xc7\x03\x05\x06\x12")) // binary retire [3, 9)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, format := range []codec.Format{codec.FormatJSON, codec.FormatBinary} {
 			s := &Server{hub: NewLocal(), maxFrame: 1 << 16, logf: func(string, ...any) {}}
@@ -80,6 +82,12 @@ func FuzzWALReplay(f *testing.F) {
 	if _, _, err := h.Poll(ReqID{Client: 2, Seq: 1}, Key{Src: 0, Dst: 1, Tag: 2}, 0); err != nil {
 		f.Fatal(err)
 	}
+	if err := h.Publish(ReqID{Client: 1, Seq: 3}, Key{Src: 2, Dst: 3, Tag: 1, NS: 5}, 0, []uint8{7}); err != nil {
+		f.Fatal(err)
+	}
+	if err := h.Retire(5, 6); err != nil {
+		f.Fatal(err)
+	}
 	if err := h.Abandon(); err != nil {
 		f.Fatal(err)
 	}
@@ -97,6 +105,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{}, snap)                          // missing WAL
 	f.Add(wal, []byte{})                           // empty snapshot
 	f.Add([]byte("garbage"), []byte("more trash")) // both corrupt
+	f.Add(wal[:len(wal)-3], snap)                  // torn inside the retire record
 
 	f.Fuzz(func(t *testing.T, walBytes, snapBytes []byte) {
 		dir := t.TempDir()
@@ -124,6 +133,12 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if masks, ok, err := d.Poll(ReqID{Client: 99, Seq: 2}, k, 0); err != nil || !ok || masks[0] != 3 {
 			t.Fatalf("poll on recovered hub: masks=%v ok=%v err=%v", masks, ok, err)
+		}
+		if err := d.Retire(0, 1); err != nil {
+			t.Fatalf("retire on recovered hub: %v", err)
+		}
+		if _, ok, _ := d.Poll(ReqID{Client: 99, Seq: 3}, k, 0); ok {
+			t.Fatal("poll after retire on recovered hub hit")
 		}
 		_ = d.Stats()
 		if err := d.Close(); err != nil {

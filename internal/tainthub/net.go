@@ -152,8 +152,9 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // safe to call concurrently.
 //
 // The drain is graceful on purpose: a request the server has processed
-// always gets its response delivered, so a retrying client never re-issues
-// an RPC whose side effect (a consumed poll) already happened.
+// always gets its response delivered, so a client does not pay a retry for
+// work already done (repeating it would be harmless — every op is
+// idempotent — just wasted).
 func (s *Server) Close() error {
 	s.mu.Lock()
 	wasClosed := s.closed
@@ -175,8 +176,8 @@ func (s *Server) Close() error {
 // Abort stops the server abruptly: connections are hard-closed with
 // responses potentially unsent, exactly as a process crash would leave
 // them. Clients see transport errors and retry against the replacement
-// server, which is what the exactly-once reply cache exists for. Tests
-// and crash drills use it; production shutdown wants Close.
+// server, which is safe because every op is idempotent. Tests and crash
+// drills use it; production shutdown wants Close.
 func (s *Server) Abort() {
 	s.mu.Lock()
 	s.closed = true
@@ -417,6 +418,15 @@ func (s *Server) dispatch(req codec.Request) codec.Response {
 			}
 		}
 		return response{OK: true, Found: found, Masks: masks}
+	case codec.OpRetire:
+		r, ok := s.hub.(Retirer)
+		if !ok {
+			return response{Err: "hub does not retire"}
+		}
+		if err := r.Retire(req.NS, req.NSEnd); err != nil {
+			return s.hubError(err)
+		}
+		return response{OK: true}
 	case codec.OpStats:
 		st := s.hub.Stats()
 		return response{OK: true, Stats: &st}
@@ -692,7 +702,10 @@ type Client struct {
 	connected bool // a session existed before, so the next dial is a reconnect
 }
 
-var _ Hub = (*Client)(nil)
+var (
+	_ Hub     = (*Client)(nil)
+	_ Retirer = (*Client)(nil)
+)
 
 // Dial connects to a hub server with default hardening (see ClientConfig).
 func Dial(addr string) (*Client, error) {
@@ -857,8 +870,8 @@ func (c *Client) attempt(s *session, req codec.Request) (codec.Response, error) 
 	return cl.resp, nil
 }
 
-// Publish implements Hub. The ReqID rides every retry of the same logical
-// publish, so the server's reply cache makes re-sends idempotent.
+// Publish implements Hub. A re-send after a lost ack overwrites the entry
+// with the same bytes.
 func (c *Client) Publish(id ReqID, k Key, seq uint64, masks []uint8) error {
 	_, err := c.roundTrip(codec.Request{
 		Op: codec.OpPublish, Client: id.Client, Req: id.Seq,
@@ -868,9 +881,8 @@ func (c *Client) Publish(id ReqID, k Key, seq uint64, masks []uint8) error {
 	return err
 }
 
-// Poll implements Hub. Because Poll is destructive, the ReqID is what
-// keeps a retry after a lost response from silently dropping taint: the
-// server replays the original masks from its reply cache.
+// Poll implements Hub. A retry after a lost response reads the same entry
+// again.
 func (c *Client) Poll(id ReqID, k Key, seq uint64) ([]uint8, bool, error) {
 	resp, err := c.roundTrip(codec.Request{
 		Op: codec.OpPoll, Client: id.Client, Req: id.Seq,
@@ -883,6 +895,12 @@ func (c *Client) Poll(id ReqID, k Key, seq uint64) ([]uint8, bool, error) {
 		return nil, false, nil
 	}
 	return resp.Masks, true, nil
+}
+
+// Retire implements Retirer.
+func (c *Client) Retire(lo, hi int) error {
+	_, err := c.roundTrip(codec.Request{Op: codec.OpRetire, NS: lo, NSEnd: hi})
+	return err
 }
 
 // Stats implements Hub.

@@ -236,58 +236,6 @@ func TestServerIdleTimeout(t *testing.T) {
 	}
 }
 
-// TestWireDedupAcrossRetry is the heart of the exactly-once guarantee: the
-// server processes a destructive poll but the response is lost (connection
-// severed before delivery); the retry — same ReqID, new connection — must
-// return the original masks from the reply cache instead of ok=false.
-func TestWireDedupAcrossRetry(t *testing.T) {
-	reg := obs.NewRegistry()
-	hub := NewLocalLimits(Limits{}, reg)
-	srv, err := NewServer(hub, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	if err := hub.Publish(ReqID{Client: 1, Seq: 1}, Key{Src: 0, Dst: 1, Tag: 2}, 0, []uint8{0xab}); err != nil {
-		t.Fatal(err)
-	}
-
-	// First delivery: raw connection, send the poll, read the response to
-	// be sure the server consumed the entry, then drop the connection as if
-	// the response had been lost in flight.
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := `{"op":"poll","client":7,"req":1,"src":0,"dst":1,"tag":2,"seq":0}` + "\n"
-	if _, err := conn.Write([]byte(frame)); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 256)
-	if _, err := conn.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	if hub.Stats().Pending != 0 {
-		t.Fatal("server did not consume the entry")
-	}
-
-	// Retry through the real client with the same ReqID.
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	masks, ok, err := c.Poll(ReqID{Client: 7, Seq: 1}, Key{Src: 0, Dst: 1, Tag: 2}, 0)
-	if err != nil || !ok || masks[0] != 0xab {
-		t.Fatalf("retried poll = %v, %v, %v; taint was silently dropped", masks, ok, err)
-	}
-	if got := reg.Counter("tainthub_dedup_hits_total").Value(); got != 1 {
-		t.Errorf("tainthub_dedup_hits_total = %d, want 1", got)
-	}
-}
-
 // TestWireBusyHonored: the client treats a busy response as retryable and
 // waits out the server's retry-after hint; once capacity frees, the RPC
 // succeeds without surfacing an error to the caller.
@@ -316,7 +264,7 @@ func TestWireBusyHonored(t *testing.T) {
 	// retrying against the busy signal.
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		_, _, _ = hub.Poll(ReqID{Client: 9, Seq: 1}, k, 0)
+		_ = hub.Retire(0, 1)
 	}()
 	if err := c.Publish(ReqID{Client: 1, Seq: 2}, k, 1, []uint8{2}); err != nil {
 		t.Fatalf("publish through transient busy: %v", err)

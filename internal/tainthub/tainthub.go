@@ -16,12 +16,16 @@
 // message nobody published, but for campaign traffic a miss now means an
 // entry was lost, and core counts it as one.
 //
-// Because Poll is destructive (it consumes the stored status), every RPC
-// carries a ReqID: a (client, sequence) stamp minted once per logical
-// operation and reused verbatim across transport retries. Each hub keeps a
-// bounded per-client reply cache, so a retried Poll whose original response
-// was lost returns the original masks instead of ok=false — exactly-once
-// semantics over an at-least-once transport.
+// Every operation is idempotent, which is what makes the at-least-once
+// transport safe: Publish overwrites, Poll reads the stored status and leaves
+// it, and Retire drops whole namespaces. A retry whose original response was
+// lost, a second attempt at the same shard, or a poll after a hub crash and
+// WAL replay reads the same bytes the first one did, however many polls came
+// in between. What bounds the hub's memory is retirement: whoever mints
+// namespaces retires them when it is done with them (campaign.Run its shard
+// window, cmd/chaser its one namespace), and Limits.TTL collects what a
+// crashed owner left behind. Every RPC still carries a ReqID, echoed by the
+// server so the pipelined client can verify which call a response answers.
 //
 // Three implementations are provided: Local (in-process, for single-host
 // worlds and tests), Durable (Local plus a write-ahead log and snapshots,
@@ -51,13 +55,13 @@ type Key struct {
 	NS  int
 }
 
-// ReqID identifies one logical hub RPC for exactly-once replay protection.
-// Client is a process-unique caller identity (see NewClientID); Seq
-// increases monotonically per client and is minted once per logical
-// operation — a transport retry of the same operation re-sends the same
-// ReqID, so the hub can serve the original reply instead of re-executing a
-// destructive Poll. The zero ReqID disables replay protection for that
-// call (used by tooling that never retries).
+// ReqID identifies one logical hub RPC. Client is a process-unique caller
+// identity (see NewClientID); Seq increases monotonically per client and is
+// minted once per logical operation — a transport retry re-sends the same
+// ReqID. The hub does not interpret it (every operation is idempotent, so a
+// repeat needs no recognising): the server echoes it and the pipelined client
+// checks the echo against the call it is about to answer. The zero ReqID is
+// accepted and skips that check.
 type ReqID struct {
 	Client uint64
 	Seq    uint64
@@ -86,15 +90,25 @@ func NewClientID() uint64 {
 // Hub is the interface Chaser uses to coordinate message taint.
 type Hub interface {
 	// Publish records the taint masks of the seq-th message (0-based,
-	// counted per key) sent on the given flow. Republishing under the same
-	// ReqID is a no-op (the original ack is replayed).
+	// counted per key) sent on the given flow, replacing any it held.
 	Publish(id ReqID, k Key, seq uint64, masks []uint8) error
-	// Poll retrieves and removes the taint masks of the seq-th message of
-	// the flow. ok is false when that message was never published (clean).
-	// Re-polling under the same ReqID returns the original masks.
+	// Poll reads the taint masks of the seq-th message of the flow and
+	// leaves them stored: polling again returns the same masks until the
+	// namespace is retired. ok is false when that message was never
+	// published (clean). The masks are the hub's own; do not modify them.
 	Poll(id ReqID, k Key, seq uint64) (masks []uint8, ok bool, err error)
 	// Stats returns a snapshot of hub activity.
 	Stats() Stats
+}
+
+// Retirer is the optional fourth operation of a hub: Retire drops every
+// entry whose namespace is in [lo, hi). It is idempotent, and it is how a
+// hub's memory stays proportional to the work in flight — the owner of a
+// range of namespaces calls it once it will poll them no more. Local,
+// Durable and Client implement it; a Hub that does not simply keeps its
+// entries until Limits.TTL (or forever), which costs memory, not results.
+type Retirer interface {
+	Retire(lo, hi int) error
 }
 
 // Stats counts hub activity. It is defined in the codec package (its
@@ -126,41 +140,31 @@ func (e *PayloadError) Error() string {
 }
 
 // Limits bounds a hub's memory. The zero value means "no entry/byte/TTL
-// limits" with default reply-cache sizing — the right call for private
-// in-process hubs; shared head-node deployments should set explicit caps.
+// limits" — the right call for private in-process hubs; shared head-node
+// deployments should set explicit caps.
 type Limits struct {
 	// MaxPending caps stored entries per namespace (0 = unlimited). A
-	// Publish over the cap fails with *BusyError.
+	// Publish over the cap fails with *BusyError. Entries stay stored until
+	// their namespace is retired (a poll does not free them), so this bounds
+	// what one run may publish in total, not what it has in flight.
 	MaxPending int
 	// MaxPendingBytes caps stored mask bytes per namespace (0 = unlimited).
 	MaxPendingBytes int64
 	// MaxPayload caps one Publish's mask bytes (0 = unlimited). Oversized
 	// publishes fail with *PayloadError.
 	MaxPayload int
-	// TTL evicts entries and idle reply caches older than this (0 = never).
-	// Crashed ranks leak orphaned entries; TTL is what stops Stats().Pending
-	// from growing without bound across a long multi-campaign deployment.
+	// TTL evicts entries older than this (0 = never). An owner that died
+	// before retiring its namespaces leaks their entries; TTL is what stops
+	// Stats().Pending from growing without bound across a long
+	// multi-campaign deployment.
 	TTL time.Duration
 	// RetryAfter is the backoff hint in BusyError (default 50ms).
 	RetryAfter time.Duration
-	// ReplyCache is the number of replies of each kind (publish acks,
-	// consumed polls) remembered per client for replay protection (default
-	// 256).
-	ReplyCache int
-	// MaxClients caps tracked reply caches; the least recently active
-	// client is evicted past it (default 4096).
-	MaxClients int
 }
 
 func (l Limits) withDefaults() Limits {
 	if l.RetryAfter <= 0 {
 		l.RetryAfter = 50 * time.Millisecond
-	}
-	if l.ReplyCache <= 0 {
-		l.ReplyCache = 256
-	}
-	if l.MaxClients <= 0 {
-		l.MaxClients = 4096
 	}
 	return l
 }
@@ -176,7 +180,10 @@ type Local struct {
 	st store
 }
 
-var _ Hub = (*Local)(nil)
+var (
+	_ Hub     = (*Local)(nil)
+	_ Retirer = (*Local)(nil)
+)
 
 // NewLocal creates an empty in-process hub with no limits.
 func NewLocal() *Local {
@@ -184,43 +191,40 @@ func NewLocal() *Local {
 }
 
 // NewLocalLimits creates an in-process hub with explicit memory bounds and
-// optional telemetry (tainthub_evicted_total, tainthub_dedup_hits_total).
+// optional telemetry (tainthub_evicted_total, tainthub_retired_total).
 func NewLocalLimits(lim Limits, reg *obs.Registry) *Local {
 	return &Local{st: newStore(lim, newHubObs(reg))}
 }
 
 // Publish implements Hub.
-func (l *Local) Publish(id ReqID, k Key, seq uint64, masks []uint8) error {
+func (l *Local) Publish(_ ReqID, k Key, seq uint64, masks []uint8) error {
 	now := time.Now().UnixNano()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.st.maybeSweep(now)
-	if _, dup := l.st.dedup(id, now); dup {
-		return nil
-	}
-	if err := l.st.checkPublish(k, masks); err != nil {
+	if err := l.st.checkPublish(k, seq, masks); err != nil {
 		return err
 	}
 	l.st.applyPublish(k, seq, masks, now)
-	l.st.remember(id, cachedReply{}, now)
 	return nil
 }
 
 // Poll implements Hub.
-func (l *Local) Poll(id ReqID, k Key, seq uint64) ([]uint8, bool, error) {
+func (l *Local) Poll(_ ReqID, k Key, seq uint64) ([]uint8, bool, error) {
 	now := time.Now().UnixNano()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.st.maybeSweep(now)
-	if rep, dup := l.st.dedup(id, now); dup {
-		return rep.masks, rep.found, nil
-	}
-	masks, ok := l.st.applyConsume(k, seq)
-	if !ok {
-		return nil, false, nil
-	}
-	l.st.remember(id, cachedReply{masks: masks, found: true}, now)
-	return masks, true, nil
+	masks, ok := l.st.poll(k, seq)
+	return masks, ok, nil
+}
+
+// Retire implements Retirer.
+func (l *Local) Retire(lo, hi int) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.st.applyRetire(lo, hi)
+	return nil
 }
 
 // Stats implements Hub.
@@ -230,8 +234,8 @@ func (l *Local) Stats() Stats {
 	return l.st.snapshotStats()
 }
 
-// Sweep evicts entries and reply caches older than the configured TTL and
-// returns how many were dropped. Eviction also happens opportunistically
+// Sweep evicts entries older than the configured TTL and returns how many
+// were dropped. Eviction also happens opportunistically
 // during normal traffic; Sweep exists for idle hubs and tests.
 func (l *Local) Sweep() int {
 	l.mu.Lock()

@@ -1,6 +1,7 @@
 package tainthub
 
 import (
+	"bytes"
 	"errors"
 	"time"
 
@@ -27,9 +28,15 @@ func TestLocalPublishPoll(t *testing.T) {
 			t.Errorf("mask[%d] = %#x, want %#x", i, got[i], masks[i])
 		}
 	}
-	// Poll removes.
+	// Poll reads; retiring the namespace removes.
+	if again, ok, _ := h.Poll(ReqID{}, k, 0); !ok || !bytes.Equal(again, masks) {
+		t.Errorf("second poll = %v, %v; want the same masks", again, ok)
+	}
+	if err := h.Retire(0, 1); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok, _ := h.Poll(ReqID{}, k, 0); ok {
-		t.Error("second poll found the status again")
+		t.Error("poll after retire found the status")
 	}
 }
 
@@ -78,7 +85,7 @@ func TestLocalStatsAndReset(t *testing.T) {
 	_, _, _ = h.Poll(ReqID{}, Key{Src: 0, Dst: 1, Tag: 0}, 0)
 	_, _, _ = h.Poll(ReqID{}, Key{Src: 9, Dst: 9, Tag: 9}, 0)
 	s := h.Stats()
-	if s.Published != 2 || s.Polls != 2 || s.Hits != 1 || s.Pending != 1 {
+	if s.Published != 2 || s.Polls != 2 || s.Hits != 1 || s.Pending != 2 {
 		t.Errorf("stats = %+v", s)
 	}
 	h.Reset()
@@ -150,11 +157,17 @@ func TestTCPServerClient(t *testing.T) {
 			t.Errorf("mask[%d] = %#x, want %#x", i, got[i], masks[i])
 		}
 	}
+	if again, ok, err := c.Poll(ReqID{}, k, 4); !ok || err != nil || !bytes.Equal(again, masks) {
+		t.Errorf("re-poll = %v, %v, %v; want the same masks", again, ok, err)
+	}
+	if err := c.Retire(0, 1); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok, err := c.Poll(ReqID{}, k, 4); ok || err != nil {
-		t.Errorf("re-poll = %v, %v", ok, err)
+		t.Errorf("poll after retire = %v, %v", ok, err)
 	}
 	st := c.Stats()
-	if st.Published != 1 || st.Hits != 1 {
+	if st.Published != 1 || st.Polls != 3 || st.Hits != 2 || st.Pending != 0 {
 		t.Errorf("remote stats = %+v", st)
 	}
 }
@@ -272,55 +285,25 @@ func TestNamespacedOverTCP(t *testing.T) {
 	}
 }
 
-// TestLocalIdempotentPoll: the in-process hub honors ReqID replay the same
-// way the TCP server does — a repeated destructive Poll under one ReqID
-// returns the original masks instead of ok=false.
-func TestLocalIdempotentPoll(t *testing.T) {
-	reg := obs.NewRegistry()
-	h := NewLocalLimits(Limits{}, reg)
-	k := Key{Src: 0, Dst: 1, Tag: 2}
-	if err := h.Publish(ReqID{Client: 1, Seq: 1}, k, 0, []uint8{0xaa}); err != nil {
-		t.Fatal(err)
-	}
-	id := ReqID{Client: 1, Seq: 2}
-	if masks, ok, _ := h.Poll(id, k, 0); !ok || masks[0] != 0xaa {
-		t.Fatal("first poll failed")
-	}
-	masks, ok, err := h.Poll(id, k, 0)
-	if err != nil || !ok || masks[0] != 0xaa {
-		t.Fatalf("retried poll = %v, %v, %v; want original masks", masks, ok, err)
-	}
-	if got := h.Stats().DedupHits; got != 1 {
-		t.Errorf("DedupHits = %d, want 1", got)
-	}
-	if got := reg.Counter("tainthub_dedup_hits_total").Value(); got != 1 {
-		t.Errorf("tainthub_dedup_hits_total = %d", got)
-	}
-	// A different ReqID sees the consumed state.
-	if _, ok, _ := h.Poll(ReqID{Client: 1, Seq: 3}, k, 0); ok {
-		t.Error("fresh poll resurrected consumed taint")
-	}
-}
-
-// TestLocalIdempotentPublish: a replayed publish is acked without storing
-// a duplicate entry.
+// TestLocalIdempotentPublish: a repeated publish overwrites its entry; it is
+// neither a second entry nor a second Published.
 func TestLocalIdempotentPublish(t *testing.T) {
 	h := NewLocal()
-	id := ReqID{Client: 9, Seq: 1}
 	k := Key{Src: 0, Dst: 1}
-	for i := 0; i < 3; i++ {
+	for _, id := range []ReqID{{Client: 9, Seq: 1}, {Client: 9, Seq: 1}, {Client: 9, Seq: 2}, {}} {
 		if err := h.Publish(id, k, 0, []uint8{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := h.Stats(); st.Published != 1 || st.Pending != 1 || st.DedupHits != 2 {
-		t.Errorf("stats after replayed publish = %+v", st)
+	if st := h.Stats(); st.Published != 1 || st.Pending != 1 {
+		t.Errorf("stats after repeated publish = %+v", st)
 	}
 }
 
 // TestLocalBusyLimit: a namespace over MaxPending refuses publishes with a
 // retryable *BusyError carrying the backoff hint; other namespaces are
-// unaffected, and consuming frees capacity.
+// unaffected, repeating an accepted publish is not refused, a poll frees
+// nothing and retiring the namespace frees it all.
 func TestLocalBusyLimit(t *testing.T) {
 	h := NewLocalLimits(Limits{MaxPending: 2, RetryAfter: 7 * time.Millisecond}, nil)
 	k := Key{Src: 0, Dst: 1, NS: 1}
@@ -341,12 +324,22 @@ func TestLocalBusyLimit(t *testing.T) {
 	if err := h.Publish(ReqID{}, Key{Src: 0, Dst: 1, NS: 2}, 0, []uint8{1}); err != nil {
 		t.Errorf("other namespace rejected: %v", err)
 	}
-	// Consuming an entry frees capacity.
+	// An overwrite adds no entry, so a retried publish passes at the cap.
+	if err := h.Publish(ReqID{}, k, 1, []uint8{1}); err != nil {
+		t.Errorf("repeated publish at the cap: %v", err)
+	}
+	// The cap bounds what the namespace stores, not what is in flight.
 	if _, ok, _ := h.Poll(ReqID{}, k, 0); !ok {
 		t.Fatal("poll missed")
 	}
+	if err := h.Publish(ReqID{}, k, 2, []uint8{1}); !errors.As(err, &be) {
+		t.Errorf("publish after a poll = %v, want *BusyError", err)
+	}
+	if err := h.Retire(1, 2); err != nil {
+		t.Fatal(err)
+	}
 	if err := h.Publish(ReqID{}, k, 2, []uint8{1}); err != nil {
-		t.Errorf("publish after freeing capacity: %v", err)
+		t.Errorf("publish after retiring the namespace: %v", err)
 	}
 }
 
@@ -390,9 +383,11 @@ func TestLocalTTLEviction(t *testing.T) {
 	}
 	// Age the entry past the TTL by rewriting its stamp.
 	h.mu.Lock()
-	for ek, e := range h.st.entries {
-		e.stamp -= int64(2 * time.Hour)
-		h.st.entries[ek] = e
+	for _, n := range h.st.ns {
+		for ek, e := range n.entries {
+			e.stamp -= int64(2 * time.Hour)
+			n.entries[ek] = e
+		}
 	}
 	h.mu.Unlock()
 	if n := h.Sweep(); n != 1 {
@@ -404,28 +399,5 @@ func TestLocalTTLEviction(t *testing.T) {
 	}
 	if got := reg.Counter("tainthub_evicted_total").Value(); got != 1 {
 		t.Errorf("tainthub_evicted_total = %d", got)
-	}
-}
-
-// TestLocalReplyCacheBounded: the per-client reply cache is FIFO-bounded,
-// so an immortal client cannot grow hub memory without limit.
-func TestLocalReplyCacheBounded(t *testing.T) {
-	h := NewLocalLimits(Limits{ReplyCache: 4}, nil)
-	for i := 0; i < 10; i++ {
-		_ = h.Publish(ReqID{Client: 1, Seq: uint64(i + 1)}, Key{Tag: i}, 0, []uint8{1})
-	}
-	h.mu.Lock()
-	n := len(h.st.clients[1].acks)
-	h.mu.Unlock()
-	if n != 4 {
-		t.Errorf("reply cache holds %d entries, want 4", n)
-	}
-	// The oldest request ID is forgotten: replaying it re-executes (and the
-	// re-execution is a harmless duplicate-publish overwrite).
-	if err := h.Publish(ReqID{Client: 1, Seq: 1}, Key{Tag: 0}, 0, []uint8{1}); err != nil {
-		t.Fatal(err)
-	}
-	if st := h.Stats(); st.DedupHits != 0 {
-		t.Errorf("evicted request still deduped: %+v", st)
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"chaser/internal/wal"
 )
 
-// Write-ahead log: every mutation of a Durable hub (publish, consumed
-// poll) is appended to an internal/wal Log before it is applied, so a hard
+// Write-ahead log: every mutation of a Durable hub (publish, retire) is
+// appended to an internal/wal Log before it is applied, so a hard
 // crash (kill -9) loses nothing that was acknowledged. Each append is a
 // single unbuffered write, so acknowledged records survive process death
 // without fsync (fsync happens at snapshots and close, bounding loss on
@@ -23,11 +23,11 @@ import (
 
 const (
 	walMagic   = 0x4c415743 // "CWAL" little-endian
-	walVersion = 2
+	walVersion = 3          // v2 logged consumed polls and a ReqID per record
 
 	walRecHeader  = 1
 	walRecPublish = 2
-	walRecConsume = 3
+	walRecRetire  = 3
 
 	// maxWALPayload rejects absurd length fields before allocating: real
 	// payloads are bounded by the MPI hook's 64 MiB message cap plus a few
@@ -78,35 +78,32 @@ func decodeWALHeader(p []byte) (gen uint64, err error) {
 	return le.Uint64(p[6:14]), nil
 }
 
-// walMutation is one replayable publish or consume record.
+// walMutation is one replayable record: a publish of (k, seq, stamp, masks)
+// or a retire of the namespaces [lo, hi).
 type walMutation struct {
-	kind  byte
-	id    ReqID
-	k     Key
-	seq   uint64
-	stamp int64   // publish only
-	masks []uint8 // publish only
+	kind   byte
+	k      Key
+	seq    uint64
+	stamp  int64
+	masks  []uint8
+	lo, hi int
 }
 
-func encodeWALPublish(id ReqID, k Key, seq uint64, stamp int64, masks []uint8) []byte {
-	b := appendWALCommon(make([]byte, 0, 48+len(masks)/4), walRecPublish, id, k, seq)
-	b = codec.AppendSvarint(b, stamp)
-	return codec.AppendMasks(b, masks)
-}
-
-func encodeWALConsume(id ReqID, k Key, seq uint64) []byte {
-	return appendWALCommon(make([]byte, 0, 48), walRecConsume, id, k, seq)
-}
-
-func appendWALCommon(b []byte, kind byte, id ReqID, k Key, seq uint64) []byte {
-	b = append(b, kind)
-	b = codec.AppendUvarint(b, id.Client)
-	b = codec.AppendUvarint(b, id.Seq)
+func encodeWALPublish(k Key, seq uint64, stamp int64, masks []uint8) []byte {
+	b := append(make([]byte, 0, 32+len(masks)/4), walRecPublish)
 	b = codec.AppendSvarint(b, int64(k.Src))
 	b = codec.AppendSvarint(b, int64(k.Dst))
 	b = codec.AppendSvarint(b, int64(k.Tag))
 	b = codec.AppendSvarint(b, int64(k.NS))
-	return codec.AppendUvarint(b, seq)
+	b = codec.AppendUvarint(b, seq)
+	b = codec.AppendSvarint(b, stamp)
+	return codec.AppendMasks(b, masks)
+}
+
+func encodeWALRetire(lo, hi int) []byte {
+	b := append(make([]byte, 0, 16), walRecRetire)
+	b = codec.AppendSvarint(b, int64(lo))
+	return codec.AppendSvarint(b, int64(hi))
 }
 
 // decodeWALMutation decodes one mutation record.
@@ -118,34 +115,32 @@ func decodeWALMutation(p []byte) (walMutation, error) {
 	m.kind = p[0]
 	b := p[1:]
 	var err error
-	if m.id.Client, b, err = codec.ConsumeUvarint(b); err != nil {
-		return m, err
+	var ints []*int
+	switch m.kind {
+	case walRecPublish:
+		ints = []*int{&m.k.Src, &m.k.Dst, &m.k.Tag, &m.k.NS}
+	case walRecRetire:
+		ints = []*int{&m.lo, &m.hi}
+	default:
+		return m, fmt.Errorf("unknown record kind %d", m.kind)
 	}
-	if m.id.Seq, b, err = codec.ConsumeUvarint(b); err != nil {
-		return m, err
-	}
-	key := []*int{&m.k.Src, &m.k.Dst, &m.k.Tag, &m.k.NS}
-	for _, f := range key {
+	for _, f := range ints {
 		var v int64
 		if v, b, err = codec.ConsumeSvarint(b); err != nil {
 			return m, err
 		}
 		*f = int(v)
 	}
-	if m.seq, b, err = codec.ConsumeUvarint(b); err != nil {
-		return m, err
-	}
-	switch m.kind {
-	case walRecPublish:
+	if m.kind == walRecPublish {
+		if m.seq, b, err = codec.ConsumeUvarint(b); err != nil {
+			return m, err
+		}
 		if m.stamp, b, err = codec.ConsumeSvarint(b); err != nil {
 			return m, err
 		}
 		if m.masks, b, err = codec.ConsumeMasks(b, maxWALPayload); err != nil {
 			return m, err
 		}
-	case walRecConsume:
-	default:
-		return m, fmt.Errorf("unknown record kind %d", m.kind)
 	}
 	if len(b) != 0 {
 		return m, errors.New("trailing bytes in mutation record")
