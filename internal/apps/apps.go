@@ -17,7 +17,9 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"chaser/internal/isa"
 	"chaser/internal/lang"
@@ -36,8 +38,10 @@ type App struct {
 	TargetRank int
 }
 
+// registry compiles each guest once per process, on first use: the compiled
+// *isa.Program is read-only everywhere, so every caller of ByName shares it.
 var registry = map[string]func() App{
-	"matvec": func() App {
+	"matvec": sync.OnceValue(func() App {
 		return App{
 			Name:        "matvec",
 			Description: "MPI matrix-vector product b=A*x, master/slave over 4 ranks",
@@ -50,8 +54,8 @@ var registry = map[string]func() App{
 			DefaultOps: []isa.Op{isa.OpMov, isa.OpLd, isa.OpSt, isa.OpFLd, isa.OpFSt},
 			TargetRank: 0,
 		}
-	},
-	"bfs": func() App {
+	}),
+	"bfs": sync.OnceValue(func() App {
 		return App{
 			Name:        "bfs",
 			Description: "breadth-first search over a synthetic graph (cmp faults)",
@@ -63,8 +67,8 @@ var registry = map[string]func() App{
 			DefaultOps: []isa.Op{isa.OpCmp, isa.OpMov, isa.OpLd, isa.OpSt},
 			TargetRank: -1,
 		}
-	},
-	"kmeans": func() App {
+	}),
+	"kmeans": sync.OnceValue(func() App {
 		return App{
 			Name:        "kmeans",
 			Description: "k-means clustering, floating-point distance kernel",
@@ -73,8 +77,8 @@ var registry = map[string]func() App{
 			DefaultOps:  []isa.Op{isa.OpFAdd, isa.OpFMul, isa.OpFSub, isa.OpLd, isa.OpSt},
 			TargetRank:  -1,
 		}
-	},
-	"lud": func() App {
+	}),
+	"lud": sync.OnceValue(func() App {
 		return App{
 			Name:        "lud",
 			Description: "LU decomposition, combined floating-point and cmp faults",
@@ -83,8 +87,8 @@ var registry = map[string]func() App{
 			DefaultOps:  []isa.Op{isa.OpFAdd, isa.OpFMul, isa.OpFSub, isa.OpFDiv, isa.OpCmp, isa.OpLd, isa.OpSt},
 			TargetRank:  -1,
 		}
-	},
-	"clamr_mpi": func() App {
+	}),
+	"clamr_mpi": sync.OnceValue(func() App {
 		return App{
 			Name:        "clamr_mpi",
 			Description: "MPI-parallel CLAMR: block-decomposed mesh, halo exchange, allreduce conservation checks",
@@ -93,8 +97,8 @@ var registry = map[string]func() App{
 			DefaultOps:  []isa.Op{isa.OpFAdd, isa.OpFMul, isa.OpFSub, isa.OpFDiv},
 			TargetRank:  0,
 		}
-	},
-	"clamr": func() App {
+	}),
+	"clamr": sync.OnceValue(func() App {
 		return App{
 			Name:        "clamr",
 			Description: "cell-based AMR shallow-water mini-app with mass-conservation checker",
@@ -103,7 +107,7 @@ var registry = map[string]func() App{
 			DefaultOps:  []isa.Op{isa.OpFAdd, isa.OpFMul, isa.OpFSub, isa.OpFDiv},
 			TargetRank:  -1,
 		}
-	},
+	}),
 }
 
 // Names lists the registered applications in sorted order.
@@ -116,16 +120,20 @@ func Names() []string {
 	return out
 }
 
-// ByName builds the named application with its default parameters.
+// ByName returns the named application with its default parameters. Prog is
+// shared by every caller and must not be written; DefaultOps is the caller's
+// own copy.
 func ByName(name string) (App, error) {
 	mk, ok := registry[name]
 	if !ok {
 		return App{}, fmt.Errorf("apps: unknown application %q (have %v)", name, Names())
 	}
-	return mk(), nil
+	app := mk()
+	app.DefaultOps = slices.Clone(app.DefaultOps)
+	return app, nil
 }
 
-// All builds every registered application.
+// All returns every registered application.
 func All() []App {
 	out := make([]App, 0, len(registry))
 	for _, n := range Names() {

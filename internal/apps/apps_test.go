@@ -3,9 +3,11 @@ package apps
 import (
 	"encoding/binary"
 	"math"
+	"sync"
 	"testing"
 
 	"chaser/internal/core"
+	"chaser/internal/isa"
 	"chaser/internal/lang"
 	"chaser/internal/vm"
 )
@@ -76,6 +78,39 @@ func TestRegistry(t *testing.T) {
 	for _, app := range all {
 		if app.Prog == nil || app.WorldSize < 1 || len(app.DefaultOps) == 0 {
 			t.Errorf("app %q incomplete: %+v", app.Name, app)
+		}
+	}
+}
+
+// TestByNameOnce: a guest is compiled once per process however many callers
+// ask for it at once — they share one read-only Prog — and each gets its own
+// DefaultOps to narrow or reorder.
+func TestByNameOnce(t *testing.T) {
+	for _, name := range Names() {
+		const callers = 8
+		got := make([]App, callers)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				app, err := ByName(name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				app.DefaultOps[0] = isa.OpNop
+				got[i] = app
+			}(i)
+		}
+		wg.Wait()
+		for _, app := range got[1:] {
+			if app.Prog == nil || app.Prog != got[0].Prog {
+				t.Errorf("%s: callers hold different programs", name)
+			}
+		}
+		if app, _ := ByName(name); app.DefaultOps[0] == isa.OpNop {
+			t.Errorf("%s: a caller's write to DefaultOps reached the registry", name)
 		}
 	}
 }

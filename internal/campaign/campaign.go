@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -183,37 +184,42 @@ type OpOutcomes struct {
 	Propagated                        int
 }
 
-// baseline is the injection-independent state of a campaign: the shared
-// translation base cache (warmed by the golden run), the golden result, and
-// the quantities derived from it. It depends on the program, world size,
-// instruction budget and targeted ops — but not on the fault magnitude — so
-// BitSweep computes it once and reuses it for every bit count.
-type baseline struct {
+// Baseline is the injection-independent state of a campaign: the shared
+// translation base cache (warmed by the golden run), the golden outputs, and
+// the quantities derived from the golden run. It is a function of the program,
+// world size, targeted ops, instruction budget and the two ablation switches —
+// not of the seed, the fault magnitude, the run count or the shard — so
+// BitSweep computes it once for every bit count and a chaserd worker keeps one
+// per app for every shard of every campaign. It is immutable once Prepare
+// returns (the base cache synchronises itself), so any number of campaigns
+// may run on one Baseline at the same time.
+type Baseline struct {
+	// What the baseline was prepared for; Run refuses a Config that differs.
+	prog          *isa.Program
+	ops           []isa.Op
+	budget        uint64 // Config.MaxInstructions as given, 0 = derive
+	noFastPath    bool
+	noSharedCache bool
+
 	cache    *tcg.BaseCache
-	golden   *core.RunResult
+	outputs  [][]byte // the golden run's per-rank output files
 	maxInstr uint64
 	// totals are the per-rank golden execution counts of the targeted ops;
 	// injection points are drawn from them.
 	totals []uint64
 	world  int
-	// snaps holds the resident rungs of the checkpoint ladder. Owned by the
-	// baseline so BitSweep entries share it.
-	snaps *snapCache
 }
 
-// prepare executes the golden run (building and warming the shared base
+// Prepare executes the golden run (building and warming the shared base
 // cache unless cfg.NoSharedCache) and derives the campaign baseline.
-func prepare(cfg Config) (*baseline, error) {
+func Prepare(cfg Config) (*Baseline, error) {
 	if cfg.Prog == nil || cfg.Runs <= 0 {
 		return nil, fmt.Errorf("campaign: need a program and a positive run count")
 	}
 	if len(cfg.Ops) == 0 {
 		return nil, fmt.Errorf("campaign: no target opcodes")
 	}
-	world := cfg.WorldSize
-	if world == 0 {
-		world = 1
-	}
+	world := worldSize(cfg)
 	var cache *tcg.BaseCache
 	if !cfg.NoSharedCache {
 		cache = tcg.NewBaseCache(cfg.Prog)
@@ -249,26 +255,74 @@ func prepare(cfg Config) (*baseline, error) {
 		}
 		maxInstr = peak * 64
 	}
-
-	// Injection points are drawn from the golden execution counts of the
-	// targeted ops on each rank.
 	totals := make([]uint64, world)
 	for r := 0; r < world; r++ {
 		for _, op := range cfg.Ops {
 			totals[r] += golden.Counters[r].PerOp[op]
 		}
 	}
-	if cfg.TargetRank >= 0 && totals[cfg.TargetRank] == 0 {
-		return nil, fmt.Errorf("campaign: rank %d never executes %v", cfg.TargetRank, cfg.Ops)
+	base := &Baseline{
+		prog:          cfg.Prog,
+		ops:           slices.Clone(cfg.Ops),
+		budget:        cfg.MaxInstructions,
+		noFastPath:    cfg.NoFastPath,
+		noSharedCache: cfg.NoSharedCache,
+		cache:         cache,
+		outputs:       golden.Outputs,
+		maxInstr:      maxInstr,
+		totals:        totals,
+		world:         world,
 	}
-	return &baseline{
-		cache:    cache,
-		golden:   golden,
-		maxInstr: maxInstr,
-		totals:   totals,
-		world:    world,
-		snaps:    newSnapCache(cfg.Obs),
-	}, nil
+	if err := base.checkTarget(cfg.TargetRank); err != nil {
+		return nil, err
+	}
+	return base, nil
+}
+
+func worldSize(cfg Config) int {
+	if cfg.WorldSize == 0 {
+		return 1
+	}
+	return cfg.WorldSize
+}
+
+// checkTarget refuses a target rank no injection point can be drawn for.
+func (b *Baseline) checkTarget(rank int) error {
+	if rank < -1 || rank >= b.world {
+		return fmt.Errorf("campaign: target rank %d outside [-1, %d)", rank, b.world)
+	}
+	if rank >= 0 {
+		if b.totals[rank] == 0 {
+			return fmt.Errorf("campaign: rank %d never executes %v", rank, b.ops)
+		}
+		return nil
+	}
+	for _, t := range b.totals {
+		if t > 0 {
+			return nil
+		}
+	}
+	return fmt.Errorf("campaign: no rank executes %v", b.ops)
+}
+
+// check refuses a Config the baseline was not prepared for: its golden run
+// and translations describe another program, world, op set, budget or loop.
+func (b *Baseline) check(cfg Config) error {
+	switch {
+	case cfg.Prog != b.prog:
+		return fmt.Errorf("campaign: baseline was prepared for another program")
+	case worldSize(cfg) != b.world:
+		return fmt.Errorf("campaign: baseline was prepared for %d ranks, not %d", b.world, worldSize(cfg))
+	case !slices.Equal(cfg.Ops, b.ops):
+		return fmt.Errorf("campaign: baseline was prepared for ops %v, not %v", b.ops, cfg.Ops)
+	case cfg.MaxInstructions != b.budget:
+		return fmt.Errorf("campaign: baseline was prepared for an instruction budget of %d, not %d", b.budget, cfg.MaxInstructions)
+	case cfg.NoFastPath != b.noFastPath || cfg.NoSharedCache != b.noSharedCache:
+		return fmt.Errorf("campaign: baseline was prepared with NoFastPath=%v NoSharedCache=%v", b.noFastPath, b.noSharedCache)
+	case cfg.Runs <= 0:
+		return fmt.Errorf("campaign: need a positive run count")
+	}
+	return b.checkTarget(cfg.TargetRank)
 }
 
 // ErrInterrupted is returned by Run when cfg.Stop closed before all runs
@@ -302,11 +356,19 @@ func (cfg Config) bounds() (lo, hi int, err error) {
 // and every run forks from a world snapshot taken at its own injection site
 // (see ladder) instead of replaying the golden prefix.
 func Run(cfg Config) (*Summary, error) {
-	base, err := prepare(cfg)
+	base, err := Prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return runPrepared(cfg, base)
+	return base.Run(cfg)
+}
+
+// Run executes cfg's injection runs against the baseline, which must have
+// been prepared for cfg's program, world size, ops, instruction budget and
+// ablation switches; everything else — seed, bits, runs, shard, journal, hub,
+// telemetry — is cfg's own.
+func (b *Baseline) Run(cfg Config) (*Summary, error) {
+	return runPrepared(cfg, b, newSnapCache(cfg.Obs))
 }
 
 // task is one injection run: fault the n-th execution of the targeted ops on
@@ -328,7 +390,7 @@ func planTasks(cfg Config, totals []uint64) ([]task, error) {
 		rank := cfg.TargetRank
 		if rank < 0 {
 			rank = seedRng.Intn(len(totals))
-			for totals[rank] == 0 { // skip ranks that never run the ops
+			for totals[rank] == 0 { // skip ranks that never run the ops; checkTarget saw one that does
 				rank = seedRng.Intn(len(totals))
 			}
 		}
@@ -350,10 +412,14 @@ func planTasks(cfg Config, totals []uint64) ([]task, error) {
 }
 
 // runPrepared executes the injection runs of a campaign against a prepared
-// baseline. cfg must agree with the baseline on program, world size, ops and
-// instruction budget (BitSweep varies only the fault magnitude and name).
-func runPrepared(cfg Config, base *baseline) (*Summary, error) {
-	world, golden, totals, maxInstr := base.world, base.golden, base.totals, base.maxInstr
+// baseline. snaps holds the ladder's resident rungs: it has one feeder, so it
+// belongs to the call, and BitSweep hands the same one to each of its entries
+// in turn.
+func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error) {
+	if err := base.check(cfg); err != nil {
+		return nil, err
+	}
+	world, goldenOut, totals, maxInstr := base.world, base.outputs, base.totals, base.maxInstr
 	bits := cfg.Bits
 	if bits == 0 {
 		bits = 1
@@ -507,7 +573,7 @@ func runPrepared(cfg Config, base *baseline) (*Summary, error) {
 				if ws.Site().N != tk.n {
 					cfg.Obs.Counter("campaign_fork_fallbacks_total").Inc()
 				}
-				return Classify(res, golden.Outputs, tk.rank), res, nil
+				return Classify(res, goldenOut, tk.rank), res, nil
 			}
 		}
 		if !cfg.NoFork {
@@ -517,7 +583,7 @@ func runPrepared(cfg Config, base *baseline) (*Summary, error) {
 		if err != nil {
 			return RunOutcome{}, nil, err
 		}
-		return Classify(res, golden.Outputs, tk.rank), res, nil
+		return Classify(res, goldenOut, tk.rank), res, nil
 	}
 
 	type job struct {
@@ -573,7 +639,7 @@ func runPrepared(cfg Config, base *baseline) (*Summary, error) {
 	var rungs *ladder
 	if !cfg.NoFork {
 		sortBySite(pending)
-		rungs = newLadder(base.snaps, cfg.Obs, runConfig)
+		rungs = newLadder(snaps, cfg.Obs, runConfig)
 	}
 	interrupted := false
 feed:

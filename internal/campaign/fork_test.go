@@ -17,7 +17,7 @@ import (
 // pays off most.
 func siteFor(t *testing.T, cfg Config) uint64 {
 	t.Helper()
-	base, err := prepare(cfg)
+	base, err := Prepare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,13 +15,14 @@ type snapEntry struct {
 }
 
 // snapCache holds the resident rungs of the checkpoint ladder, keyed by fork
-// site. It is owned by the campaign baseline, so BitSweep entries — which
-// share the task list and therefore the fork points — find the rung an
-// earlier entry left behind. It has no cap and no eviction: the ladder
-// releases every rung it walks past, so what is resident is the chain's head,
-// the rung just built from it, and the last rung of an earlier walk. Only the
-// goroutine feeding a campaign's workers touches it (campaigns on one
-// baseline run one after the other), so it carries no lock.
+// site. It belongs to one runPrepared call — a Baseline is shared by
+// concurrent campaigns and this is not — except that BitSweep hands one to
+// each of its entries in turn: they share the task list and therefore the
+// fork points, so an entry finds the rung the one before left behind. It has
+// no cap and no eviction: the ladder releases every rung it walks past, so
+// what is resident is the chain's head, the rung just built from it, and the
+// last rung of an earlier walk. Only the goroutine feeding a campaign's
+// workers touches it, so it carries no lock.
 //
 // The bytes gauge charges a rung what it adds beside the rung it was advanced
 // from (WorldSnapshot.FreshBytes): consecutive rungs share every page the
@@ -64,7 +65,7 @@ func (c *snapCache) get(key core.ForkSite, build func() (*core.WorldSnapshot, er
 // release drops key's snapshot: the ladder calls it for a rung no pending
 // task can fork from any more, so a campaign over many sites keeps a few
 // rungs resident, not all it ever built. Negative entries stay — they cost
-// nothing and spare later campaigns on this baseline the retry.
+// nothing and spare a sweep's later entries the retry.
 func (c *snapCache) release(key core.ForkSite) {
 	if e, ok := c.entries[key]; ok && e.ws != nil {
 		delete(c.entries, key)

@@ -44,10 +44,6 @@ type journalHeader struct {
 }
 
 func headerFor(cfg Config) journalHeader {
-	world := cfg.WorldSize
-	if world == 0 {
-		world = 1
-	}
 	bits := cfg.Bits
 	if bits == 0 {
 		bits = 1
@@ -58,7 +54,7 @@ func headerFor(cfg Config) journalHeader {
 		Runs:  cfg.Runs,
 		Seed:  cfg.Seed,
 		Bits:  bits,
-		World: world,
+		World: worldSize(cfg),
 		Trace: cfg.Trace,
 		Site:  cfg.InjectExec,
 	}

@@ -22,7 +22,7 @@ import (
 // a worker, and releases the rung it leaves behind — no pending task is at
 // or above it and below the new one. At any moment the resident rungs are
 // the chain's head, the ones in-flight forks still hold, and the last rung of
-// an earlier walk over the same baseline (which is the whole ladder of a
+// an earlier walk over the same snapCache (which is the whole ladder of a
 // pinned-site campaign: BitSweep entries find it again). Which rung a task
 // forks from depends on the task list alone, never on worker timing.
 //

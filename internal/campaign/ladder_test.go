@@ -214,7 +214,7 @@ func TestLadderChainsOnePassPerRank(t *testing.T) {
 	}
 	// Early release: the cache never held more than a rung and what its
 	// successor adds — not 24 times the guest's memory.
-	base, err := prepare(cfg)
+	base, err := Prepare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestLadderUnpausableSiteFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base, err := prepare(cfg)
+	base, err := Prepare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,17 +260,18 @@ func TestLadderUnpausableSiteFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sortBySite(tasks)
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	snaps := newSnapCache(reg)
 	dirty := errors.New("core: fork site paused mid-MPI-progress")
 	for _, tk := range []task{tasks[0], tasks[len(tasks)/2]} {
-		if _, err := base.snaps.get(core.ForkSite{Rank: 0, N: tk.n}, func() (*core.WorldSnapshot, error) {
+		if _, err := snaps.get(core.ForkSite{Rank: 0, N: tk.n}, func() (*core.WorldSnapshot, error) {
 			return nil, dirty
 		}); !errors.Is(err, dirty) {
 			t.Fatal(err)
 		}
 	}
-	reg := obs.NewRegistry()
-	cfg.Obs = reg
-	ladder, err := runPrepared(cfg, base)
+	ladder, err := runPrepared(cfg, base, snaps)
 	if err != nil {
 		t.Fatal(err)
 	}

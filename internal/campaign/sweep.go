@@ -22,10 +22,13 @@ type SweepResult struct {
 // — golden execution counts, the derived instruction budget, and the shared
 // translation base cache — is computed once and reused for every entry.
 func BitSweep(cfg Config, bitCounts []int) ([]SweepResult, error) {
-	base, err := prepare(cfg)
+	base, err := Prepare(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: sweep golden run: %w", err)
 	}
+	// Entries share the task list and so the fork points: one rung cache
+	// across them lets each find the rung the one before left behind.
+	snaps := newSnapCache(cfg.Obs)
 	out := make([]SweepResult, 0, len(bitCounts))
 	for _, bits := range bitCounts {
 		c := cfg
@@ -35,7 +38,7 @@ func BitSweep(cfg Config, bitCounts []int) ([]SweepResult, error) {
 		// path cannot checkpoint them all, so journaling is per-campaign
 		// only.
 		c.Journal, c.Resume = "", ""
-		sum, err := runPrepared(c, base)
+		sum, err := runPrepared(c, base, snaps)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: sweep bits=%d: %w", bits, err)
 		}

@@ -380,14 +380,33 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 
 	// Register the fault_injector helper and instrument only the targeted
 	// instructions (just-in-time fault injection, Fig. 3). Only the helper
-	// draws from the rank's random stream, so only target ranks seed one.
+	// draws from the rank's random stream, so only target ranks hold one.
 	c.obsArmed.Inc()
-	st.rng = rand.New(rand.NewSource(spec.Seed*1000003 + int64(info.Rank)))
+	st.rng = rand.New(&lazySource{seed: spec.Seed*1000003 + int64(info.Rank)})
 	m.Trans.SetProbe(tcg.Probe{Ops: tcg.OpSetOf(spec.Ops...), Helper: m.RegisterHelper(st.faultInjector)})
 	// Flush the code translation cache to trigger the next round of binary
 	// code translation with the injector in place.
 	m.Trans.Flush()
 }
+
+// lazySource is rand.NewSource(seed), seeded on the first draw: seeding fills
+// a 607-word table, and a world that never reaches its trigger — every ladder
+// prefix, every run whose fault site is never executed — draws nothing.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) source() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64    { return s.source().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.source().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // faultInjector runs before every targeted instruction: it updates the
 // executed counter, checks the injection condition, and performs the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -208,6 +209,61 @@ func TestInjectorRNGOnlyOnTargets(t *testing.T) {
 				t.Errorf("target rank %d: rank %d holds an rng: %v", tc.rank, r, has)
 			}
 		}
+	}
+}
+
+// TestInjectorRNGSeededOnFirstDraw: the injector's stream is seeded when it
+// is first drawn from, and is the stream an eagerly seeded source gives —
+// same masks, targets and PCs whether the condition draws (Probabilistic) or
+// only the injector does (Deterministic) — while a world that never reaches
+// its trigger seeds nothing.
+func TestInjectorRNGSeededOnFirstDraw(t *testing.T) {
+	app, err := apps.ByName("matvec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cond := range []Condition{Deterministic{N: 300}, Probabilistic{P: 0.01}} {
+		cfg := RunConfig{Prog: app.Prog, WorldSize: 4, Spec: &Spec{
+			Target: app.Name, Ops: app.DefaultOps, TargetRank: 0,
+			Cond: cond, Bits: 3, Seed: 41, MaxInjections: 4,
+		}}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Records) == 0 {
+			t.Fatalf("%v: nothing injected", cond)
+		}
+		ch, world := armedWorld(t, cfg, nil)
+		st := ch.armed[world.Machine(0)]
+		if st.rng == nil {
+			t.Fatalf("%v: target rank holds no rng", cond)
+		}
+		st.rng = rand.New(rand.NewSource(41*1000003 + 0))
+		world.Run()
+		eager := ch.Records()
+		if len(eager) != len(res.Records) {
+			t.Fatalf("%v: %d records seeded lazily, %d eagerly", cond, len(res.Records), len(eager))
+		}
+		for i, want := range eager {
+			if got := res.Records[i]; got.Mask != want.Mask || got.Target != want.Target || got.PC != want.PC {
+				t.Errorf("%v: record %d seeded lazily\n %v\neagerly\n %v", cond, i, got, want)
+			}
+		}
+	}
+
+	// A trigger past the rank's last execution: the stream is never drawn
+	// from, so its table is never filled.
+	cfg := RunConfig{Prog: app.Prog, WorldSize: 4, Spec: &Spec{
+		Target: app.Name, Ops: app.DefaultOps, TargetRank: 0,
+		Cond: Deterministic{N: 1 << 40}, Bits: 1, Seed: 41,
+	}}
+	ch, world := armedWorld(t, cfg, nil)
+	src := &lazySource{seed: 41 * 1000003}
+	ch.armed[world.Machine(0)].rng = rand.New(src)
+	world.Run()
+	if len(ch.Records()) != 0 || src.src != nil {
+		t.Error("a run that never injected seeded its source")
 	}
 }
 

@@ -63,6 +63,8 @@ func validName(name string) bool {
 	return true
 }
 
+// check guards the creation of an instrument; a name that already has one of
+// the asked kind was checked when that was created. Callers hold r.mu.
 func (r *Registry) check(name, kind string) {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
@@ -88,9 +90,9 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.check(name, "counter")
 	c := r.counts[name]
 	if c == nil {
+		r.check(name, "counter")
 		c = &Counter{}
 		r.counts[name] = c
 	}
@@ -105,9 +107,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.check(name, "gauge")
 	g := r.gauges[name]
 	if g == nil {
+		r.check(name, "gauge")
 		g = &Gauge{}
 		r.gauges[name] = g
 	}
@@ -125,9 +127,9 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.check(name, "histogram")
 	h := r.hists[name]
 	if h == nil {
+		r.check(name, "histogram")
 		for i := 1; i < len(bounds); i++ {
 			if bounds[i] <= bounds[i-1] {
 				panic(fmt.Sprintf("obs: histogram %q bounds not ascending", name))

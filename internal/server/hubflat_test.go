@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"chaser/internal/apps"
 	"chaser/internal/obs"
 	"chaser/internal/tainthub"
 )
@@ -20,6 +21,15 @@ import (
 // its heap are the same after the fortieth campaign as after the tenth. (With
 // per-client reply caches each of a campaign's runs left a cache behind in
 // the hub and in every snapshot until 4,096 of them had accumulated.)
+//
+// It is the worker half too: a worker keeps its app's baseline from shard to
+// shard, so the forty campaigns cost one golden run a worker, and what a
+// worker keeps is bounded by the guest's text — a block starts at an
+// instruction, clean or under the one probe the app's campaigns arm. The
+// golden run and the first campaigns fill most of it; after that a block is
+// new only when a fault site falls on a targeted instruction for the first
+// time (a fork resumes at its site, in the middle of a block), so campaigns 11
+// to 40 together translate less than one cold shard did.
 func TestHubFlatAcrossCampaigns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("40 campaigns through the service")
@@ -86,6 +96,14 @@ func TestHubFlatAcrossCampaigns(t *testing.T) {
 	const campaigns = 40
 	var snap10, snap40 int64
 	var heap10, heap40 uint64
+	reg := srv.Registry()
+	// warm reads what the workers' kept baselines cost so far: blocks ever
+	// translated, and the blocks the last shard's cache held.
+	warm := func() (translations uint64, blocks float64) {
+		return reg.Counter("tcg_translations_total").Value(), reg.Gauge("campaign_base_cache_blocks").Value()
+	}
+	var tr10, tr40 uint64
+	var blocks10, blocks40 float64
 	for c := 1; c <= campaigns; c++ {
 		id, err := cl.Submit(Spec{App: "matvec", Runs: 40, Seed: int64(1000 + c), Bits: 1, Shards: 4, Trace: true, Parallel: 2})
 		if err != nil {
@@ -100,8 +118,10 @@ func TestHubFlatAcrossCampaigns(t *testing.T) {
 		switch c {
 		case 10:
 			snap10, heap10 = weigh()
+			tr10, blocks10 = warm()
 		case campaigns:
 			snap40, heap40 = weigh()
+			tr40, blocks40 = warm()
 		}
 	}
 	st := hub.Stats()
@@ -113,6 +133,24 @@ func TestHubFlatAcrossCampaigns(t *testing.T) {
 	}
 	if got := srv.Registry().Counter("campaign_hub_retire_failed_total").Value(); got != 0 {
 		t.Errorf("campaign_hub_retire_failed_total = %d", got)
+	}
+	goldens, misses := reg.Counter("campaign_golden_runs_total").Value(), reg.Counter("worker_baseline_misses_total").Value()
+	if goldens == 0 || goldens > 2 || goldens != misses {
+		t.Errorf("%d golden runs and %d baseline misses over %d campaigns of one app on two workers, want one a worker", goldens, misses, campaigns)
+	}
+	if hits, claimed := reg.Counter("worker_baseline_hits_total").Value(), reg.Counter("worker_shards_claimed_total").Value(); hits+misses != claimed {
+		t.Errorf("baseline hits %d + misses %d, but %d shards claimed", hits, misses, claimed)
+	}
+	t.Logf("translations %d after 10 campaigns, %d after 40; base cache blocks %v, %v", tr10, tr40, blocks10, blocks40)
+	app, err := apps.ByName("matvec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound := float64(2 * len(app.Prog.Code)); blocks10 == 0 || blocks40 > bound {
+		t.Errorf("a kept base cache holds %v blocks (%v after 10 campaigns); the guest's text bounds it at %v", blocks40, blocks10, bound)
+	}
+	if float64(tr40-tr10) >= blocks10 {
+		t.Errorf("campaigns 11 to 40 translated %d blocks on warm workers; a cold shard translates about %v", tr40-tr10, blocks10)
 	}
 	t.Logf("snapshot %d B after 10 campaigns, %d B after 40; heap %d KiB, %d KiB; hub stats %+v",
 		snap10, snap40, heap10>>10, heap40>>10, st)

@@ -63,11 +63,21 @@ type WorkerConfig struct {
 // scheduler can retry elsewhere or quarantine, and a lease the scheduler no
 // longer recognizes makes the worker abandon the shard silently (its
 // journal keeps the completed runs).
+//
+// Between shards the worker keeps each app's campaign baseline — the golden
+// run's outputs and counts and the translation cache it warmed — which depend
+// on Spec.App alone, so a shard pays for them only when it is the first of
+// its app on this worker, whichever campaign it belongs to. The registry
+// bounds the map (six apps, 50–160 KB each when prepared and 0.3–0.5 MB once
+// its campaigns' fault sites have filled the cache in); nothing is evicted.
 type Worker struct {
 	cfg  WorkerConfig
 	stop chan struct{}
 	once sync.Once
 	wg   sync.WaitGroup
+
+	// baselines is touched by the claim-execute loop only.
+	baselines map[string]*campaign.Baseline
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -88,9 +98,10 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	// decorrelated across a fleet, so heartbeats and claim retries never
 	// phase-lock into a thundering herd against a freshly promoted leader.
 	return &Worker{
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		rng:  rand.New(rand.NewSource(int64(siteHash(cfg.Name)))),
+		cfg:       cfg,
+		stop:      make(chan struct{}),
+		baselines: make(map[string]*campaign.Baseline),
+		rng:       rand.New(rand.NewSource(int64(siteHash(cfg.Name)))),
 	}
 }
 
@@ -226,28 +237,51 @@ func (w *Worker) execute(a *Assignment) {
 
 // runShard executes the assignment, converting panics into errors so a
 // poisoned shard (one that crashes the engine deterministically) surfaces
-// as bounded retries and quarantine instead of killing the worker fleet.
+// as bounded retries and quarantine instead of killing the worker fleet. A
+// shard that fails or panics takes its app's baseline with it: whatever the
+// cause, the retry starts from a fresh golden run.
 func (w *Worker) runShard(a *Assignment, lost <-chan struct{}) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
+		if err != nil {
+			delete(w.baselines, a.Spec.App)
+		}
 	}()
 	if w.cfg.RunShard != nil {
 		return w.cfg.RunShard(a)
 	}
-	return ExecuteShard(a, lost, w.cfg.Obs)
+	base := w.baselines[a.Spec.App]
+	if base != nil {
+		w.cfg.Obs.Counter("worker_baseline_hits_total").Inc()
+	} else {
+		w.cfg.Obs.Counter("worker_baseline_misses_total").Inc()
+	}
+	base, err = executeShard(a, lost, w.cfg.Obs, base)
+	if err == nil {
+		w.baselines[a.Spec.App] = base
+	}
+	return err
 }
 
 // ExecuteShard runs one shard of a campaign: build the deterministic
 // campaign config from the assignment, journal to the shard's stable path
 // (resuming if a previous attempt left one — re-enqueued shards pick up
 // where the dead worker stopped), and execute only the assigned run window.
-// stop aborts execution early (lost lease, worker shutdown).
+// stop aborts execution early (lost lease, worker shutdown). It prepares its
+// own baseline; a Worker runs the same function on the one it kept.
 func ExecuteShard(a *Assignment, stop <-chan struct{}, reg *obs.Registry) error {
+	_, err := executeShard(a, stop, reg, nil)
+	return err
+}
+
+// executeShard runs the shard on base, preparing one when base is nil, and
+// returns the baseline it ran on.
+func executeShard(a *Assignment, stop <-chan struct{}, reg *obs.Registry, base *campaign.Baseline) (*campaign.Baseline, error) {
 	app, err := apps.ByName(a.Spec.App)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cfg := campaignConfig(a.Spec, app, a.NSBase)
 	cfg.Shard = &campaign.ShardRange{Lo: a.Lo, Hi: a.Hi}
@@ -261,14 +295,21 @@ func ExecuteShard(a *Assignment, stop <-chan struct{}, reg *obs.Registry) error 
 	if a.Hub != "" {
 		client, err := tainthub.DialConfig(a.Hub, tainthub.ClientConfig{MaxAttempts: 12})
 		if err != nil {
-			return fmt.Errorf("connecting to taint hub: %w", err)
+			return nil, fmt.Errorf("connecting to taint hub: %w", err)
 		}
 		defer client.Close()
 		cfg.Hub = client
 	}
-	_, err = campaign.Run(cfg)
-	if errors.Is(err, campaign.ErrInterrupted) {
-		return fmt.Errorf("shard interrupted: %w", err)
+	if base == nil {
+		if base, err = campaign.Prepare(cfg); err != nil {
+			return nil, err
+		}
 	}
-	return err
+	if _, err := base.Run(cfg); err != nil {
+		if errors.Is(err, campaign.ErrInterrupted) {
+			err = fmt.Errorf("shard interrupted: %w", err)
+		}
+		return nil, err
+	}
+	return base, nil
 }

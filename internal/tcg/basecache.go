@@ -22,11 +22,19 @@ import (
 // state AddHook/SetProbe/Flush invalidate. Blocks a Probe instrumented are
 // kept beside the clean ones, keyed by the probe: every run of a campaign
 // arms the same probe, so the block at its injection site is translated once
-// per campaign too. Nothing is evicted: a cache lives as long as its campaign,
-// which arms one probe, so it holds at most one instrumented copy of each
-// block that probe targets. A cache shared by runs that arm different op sets
-// or helper numbers holds one such set of copies per distinct probe;
-// BaseStats.Probed counts them.
+// too. Nothing is evicted. A cache lives as long as its owner keeps the
+// campaign baseline it belongs to — one campaign, one bit sweep, or a chaserd
+// worker, which keeps an app's for every campaign of that app it serves — and
+// the guest's text bounds it whichever: a block starts at an instruction, and
+// an app's campaigns arm one probe, so there is at most one clean and one
+// instrumented block per instruction. What is actually held is the blocks the
+// golden run entered, the few only a faulty run enters, and an instrumented
+// block per targeted instruction a fault site has ever fallen on (a fork
+// resumes at its site, in the middle of a block): matvec holds 51 blocks after
+// its golden run, 111 after ten 40-run campaigns and 178 after three hundred,
+// of 365 instructions, 175 of them targeted. A cache shared by runs that arm
+// different op sets or helper numbers holds one set of instrumented copies
+// per distinct probe; BaseStats.Probed counts them.
 //
 // The cache fills lazily: any translator that produces a clean or probed
 // translation publishes it, so a campaign's golden run warms the cache for
