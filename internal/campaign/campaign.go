@@ -526,8 +526,12 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 			Timeout:         cfg.RunTimeout,
 			HubPolicy:       cfg.HubPolicy,
 			NoFastPath:      cfg.NoFastPath,
-			Obs:             cfg.Obs,
-			Events:          cfg.Events,
+			// The campaign itself reads a run's outputs, terminations,
+			// counters and cross-rank records (Classify); only an observer
+			// is handed the result, access log and all.
+			NoAccessLog: cfg.RunObserver == nil,
+			Obs:         cfg.Obs,
+			Events:      cfg.Events,
 			Spec: &core.Spec{
 				Target:     cfg.Prog.Name,
 				Ops:        cfg.Ops,

@@ -149,8 +149,12 @@ func Classify(res *core.RunResult, goldenOutputs [][]byte, targetRank int) RunOu
 	out := RunOutcome{RootRank: -1, Records: res.Records}
 	if res.Trace != nil {
 		out.Propagated = res.Trace.Propagated()
-		out.TaintedReads = res.Trace.TotalReads()
-		out.TaintedWrites = res.Trace.TotalWrites()
+	}
+	// The machines count their tainted accesses whether or not the run kept
+	// the access log; where it did, the log's totals are these.
+	for r := range res.Counters {
+		out.TaintedReads += res.Counters[r].TaintedMemReads
+		out.TaintedWrites += res.Counters[r].TaintedMemWrites
 	}
 	if !res.Injected() {
 		out.Outcome = OutcomeNoInjection

@@ -198,10 +198,13 @@ func TestClassifySlaveBreakdownFlags(t *testing.T) {
 }
 
 func TestClassifyCountsTaintOps(t *testing.T) {
+	// The totals are the machines' own counts, summed over the ranks: they
+	// are there whether or not the run kept its access log.
 	res := mkRes([]vm.Termination{exited()}, [][]byte{{1}}, injected())
-	res.Trace.AddEvent(&trace.Event{Rank: 0, Write: false})
-	res.Trace.AddEvent(&trace.Event{Rank: 0, Write: true})
-	res.Trace.AddEvent(&trace.Event{Rank: 1, Write: false})
+	res.Counters = []vm.Counters{
+		{TaintedMemReads: 1, TaintedMemWrites: 1},
+		{TaintedMemReads: 1},
+	}
 	got := Classify(res, [][]byte{{1}}, 0)
 	if got.TaintedReads != 2 || got.TaintedWrites != 1 {
 		t.Errorf("taint ops = %d/%d", got.TaintedReads, got.TaintedWrites)

@@ -16,7 +16,7 @@ import (
 )
 
 // appConfig is a small random-site campaign against a bundled application.
-func appConfig(t *testing.T, name string) Config {
+func appConfig(t testing.TB, name string) Config {
 	t.Helper()
 	app, err := apps.ByName(name)
 	if err != nil {

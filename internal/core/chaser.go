@@ -152,6 +152,8 @@ type Options struct {
 	// Events, when non-nil, receives structured propagation events (faults
 	// fired, taint births, hub publishes/polls). Nil disables them.
 	Events *obs.Sink
+	// NoAccessLog is RunConfig.NoAccessLog.
+	NoAccessLog bool
 }
 
 // New creates an unarmed Chaser.
@@ -160,9 +162,13 @@ func New(opts Options) *Chaser {
 	if hub == nil {
 		hub = tainthub.NewLocal()
 	}
+	collector := trace.NewCollector()
+	if opts.NoAccessLog {
+		collector = trace.NewCollectorNoAccessLog()
+	}
 	c := &Chaser{
 		hubClient:    tainthub.NewClientID(),
-		collector:    trace.NewCollector(),
+		collector:    collector,
 		events:       opts.Events,
 		obsArmed:     opts.Obs.Counter("core_injectors_armed_total"),
 		obsFired:     opts.Obs.Counter("core_faults_fired_total"),
@@ -181,17 +187,12 @@ func New(opts Options) *Chaser {
 
 // Init implements decaf.Plugin (plugin_init): it exports the inject_fault
 // terminal command and registers the process-creation callback that arms
-// target processes, plus the taint and MPI-syscall callbacks used for
-// propagation tracing.
+// target processes — and hands each the tainted-access callback that writes
+// its rank's log, when the log is kept — plus the MPI-syscall callbacks used
+// for propagation tracing.
 func (c *Chaser) Init(p *decaf.Platform) (*decaf.Interface, error) {
 	c.platform = p
 	p.RegisterProcCreateCB(c.creationCB)
-	// The machine's record has trace.Event's layout: the log packs it as is.
-	logAccess := func(ev *vm.MemTaintEvent) {
-		c.collector.AddEvent((*trace.Event)(ev))
-	}
-	p.RegisterReadTaintCB(logAccess)
-	p.RegisterWriteTaintCB(logAccess)
 	p.RegisterPreSyscallCB(c.preSyscall)
 	p.RegisterPostSyscallCB(c.postSyscall)
 	return &decaf.Interface{
@@ -235,8 +236,12 @@ func (c *Chaser) statusCmd(_ []string) (string, error) {
 	for _, r := range recs {
 		fmt.Fprintf(&sb, "  %s\n", r)
 	}
-	fmt.Fprintf(&sb, "propagation: %d tainted reads, %d tainted writes, %d cross-rank messages\n",
-		c.collector.TotalReads(), c.collector.TotalWrites(), len(c.collector.CrossRank()))
+	if c.collector.AccessLogKept() {
+		fmt.Fprintf(&sb, "propagation: %d tainted reads, %d tainted writes, %d cross-rank messages\n",
+			c.collector.TotalReads(), c.collector.TotalWrites(), len(c.collector.CrossRank()))
+	} else {
+		fmt.Fprintf(&sb, "propagation: access log not kept, %d cross-rank messages\n", len(c.collector.CrossRank()))
+	}
 	hs := c.hub.Stats()
 	fmt.Fprintf(&sb, "tainthub: published=%d polls=%d hits=%d pending=%d (clean receives answered without the hub: %d)\n",
 		hs.Published, hs.Polls, hs.Hits, hs.Pending, c.view.pollsLocal.Load())
@@ -326,10 +331,20 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 	c.mu.Lock()
 	spec := c.spec
 	c.mu.Unlock()
+	m := info.Machine
+	if c.collector.AccessLogKept() {
+		// The rank's own tainted-access callbacks (DECAF_READ_TAINTMEM_CB and
+		// DECAF_WRITE_TAINTMEM_CB), writing through an appender bound to the
+		// rank. The machine's record has trace.Event's layout: the log packs
+		// it as is. A run that keeps no log installs none, and its machines
+		// count their tainted accesses without describing them.
+		log := c.collector.Appender(info.Rank)
+		logAccess := func(ev *vm.MemTaintEvent) { log.Add((*trace.Event)(ev)) }
+		m.Hooks.TaintedMemRead, m.Hooks.TaintedMemWrite = logAccess, logAccess
+	}
 	if spec == nil {
 		return
 	}
-	m := info.Machine
 	traceOn := spec.Trace
 	if traceOn {
 		// Tracing must be on for every rank so incoming tainted messages

@@ -98,7 +98,7 @@ func TestForkedRunAllocBudget(t *testing.T) {
 func armedWorld(t *testing.T, cfg RunConfig, ws *WorldSnapshot) (*Chaser, *mpi.World) {
 	t.Helper()
 	platform := decaf.NewPlatform()
-	ch := New(Options{})
+	ch := New(Options{NoAccessLog: cfg.NoAccessLog})
 	if err := platform.LoadPlugin(ch); err != nil {
 		t.Fatal(err)
 	}

@@ -47,6 +47,14 @@ type RunConfig struct {
 	// NoFastPath disables the vm's taint-free fast interpreter loop on every
 	// rank — an ablation switch for benchmarks and differential tests only.
 	NoFastPath bool
+	// NoAccessLog tells a traced run that nobody will read its access log —
+	// RunResult.Trace's events, what Provenance, WriteTo and Regions are made
+	// of. The run then installs no tainted-access callback and stores no
+	// record: taint propagates, the hub is used and the timeline, cross-rank,
+	// send and output records are collected as ever, the tainted reads and
+	// writes are in Counters (they always are), and Trace says that its log
+	// was not kept. False, the default, keeps the log.
+	NoAccessLog bool
 	// Obs, when non-nil, receives telemetry from every layer of the run
 	// (vm, tcg, taint, mpi, injector). Nil disables telemetry.
 	Obs *obs.Registry
@@ -70,7 +78,8 @@ type RunResult struct {
 	Counters []vm.Counters
 	// Records are the injections performed.
 	Records []InjectionRecord
-	// Trace is the propagation log (empty unless Spec.Trace).
+	// Trace is the propagation log (empty unless Spec.Trace; without the
+	// accesses, and saying so, under RunConfig.NoAccessLog).
 	Trace *trace.Collector
 	// ExecTraces are the per-rank instruction-trace tails (empty unless
 	// RunConfig.ExecTraceDepth was set).
@@ -166,7 +175,7 @@ func execute(cfg RunConfig, snap *WorldSnapshot) (*RunResult, error) {
 	sp := cfg.Tracer.StartSpan("core.run")
 	defer sp.End()
 	platform := decaf.NewPlatform()
-	ch := New(Options{Hub: cfg.Hub, Obs: cfg.Obs, Events: cfg.Events})
+	ch := New(Options{Hub: cfg.Hub, Obs: cfg.Obs, Events: cfg.Events, NoAccessLog: cfg.NoAccessLog})
 	if err := platform.LoadPlugin(ch); err != nil {
 		return nil, err
 	}
@@ -175,6 +184,9 @@ func execute(cfg RunConfig, snap *WorldSnapshot) (*RunResult, error) {
 			return nil, err
 		}
 		ch.Arm(cfg.Spec)
+		if cfg.Spec.Trace && !cfg.NoAccessLog {
+			cfg.Obs.Counter("core_runs_access_log_kept_total").Inc()
+		}
 	}
 	if snap != nil {
 		// Seed the propagation timeline with the prefix's samples so the

@@ -38,8 +38,8 @@ type ProcCreateCB func(info ProcInfo)
 // MemTaintCB observes tainted memory reads/writes in any supervised guest;
 // the event names the rank. It is the machine's own record (see vm.Hooks):
 // valid during the call, copied by a callback that keeps it. The type is the
-// hook's, so that a lone callback — Chaser's log — is installed as the hook
-// itself and a tainted access reaches it in one call.
+// hook's, so that a lone callback is installed as the hook itself and a
+// tainted access reaches it in one call.
 type MemTaintCB = func(ev *vm.MemTaintEvent)
 
 // SyscallCB observes guest syscalls in any supervised guest.
@@ -229,8 +229,10 @@ func (p *Platform) CreateProcess(m *vm.Machine) ProcInfo {
 	postCBs := append([]SyscallCB(nil), p.postCBs...)
 	p.mu.Unlock()
 
-	m.Hooks.TaintedMemRead = fanOut(readCBs)
-	m.Hooks.TaintedMemWrite = fanOut(writeCBs)
+	// A hook a creation callback put on this machine alone — Chaser's log,
+	// bound to the rank — stays, in front of the platform-wide ones.
+	m.Hooks.TaintedMemRead = fanOut(m.Hooks.TaintedMemRead, readCBs)
+	m.Hooks.TaintedMemWrite = fanOut(m.Hooks.TaintedMemWrite, writeCBs)
 	if len(preCBs) > 0 {
 		m.Hooks.PreSyscall = func(mm *vm.Machine, sys isa.Sys) {
 			for _, cb := range preCBs {
@@ -248,9 +250,15 @@ func (p *Platform) CreateProcess(m *vm.Machine) ProcInfo {
 	return info
 }
 
-// fanOut returns the hook that calls cbs in order: nil for none, the callback
-// itself for one.
-func fanOut(cbs []MemTaintCB) MemTaintCB {
+// fanOut returns the hook that calls own, the machine's own hook if it has
+// one, and then cbs in order: nil for none, the callback itself for one.
+func fanOut(own MemTaintCB, cbs []MemTaintCB) MemTaintCB {
+	if own != nil {
+		if len(cbs) == 0 {
+			return own
+		}
+		cbs = append([]MemTaintCB{own}, cbs...)
+	}
 	switch len(cbs) {
 	case 0:
 		return nil

@@ -511,25 +511,61 @@ var errClientClosed = errors.New("tainthub: client closed")
 // rescuing itself after the session died — owns the call's outcome. The
 // token is what lets callers abandon a dead session without any drain
 // handshake with its goroutines.
+//
+// An answered call goes back to callPool, its done channel (one slot, filled
+// by the one delivery) and its deadline timer with it, and serves the next
+// RPC. That is sound because an answered call has left the session: the
+// writer takes a call's request out before it hands the call to the reader,
+// and the reader touches a call last when it delivers. A call claimed back is
+// never reused — the dead session's queues may still hold it.
 type call struct {
 	req   codec.Request
 	resp  codec.Response
 	state atomic.Int32 // 0 pending, 1 claimed
 	done  chan struct{}
+	timer *time.Timer // the attempt's RPC deadline, nil until first armed
 }
+
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
 // deliver hands the call its response unless the caller already claimed it
 // back.
 func (c *call) deliver(resp codec.Response) {
 	if c.state.CompareAndSwap(0, 1) {
 		c.resp = resp
-		close(c.done)
+		c.done <- struct{}{}
 	}
 }
 
 // claim returns true when the caller now owns the call: no response was
 // delivered, and none will be.
 func (c *call) claim() bool { return c.state.CompareAndSwap(0, 1) }
+
+// arm starts the call's deadline.
+func (c *call) arm(d time.Duration) {
+	if c.timer == nil {
+		c.timer = time.NewTimer(d)
+	} else {
+		c.timer.Reset(d)
+	}
+}
+
+// disarm stops the deadline and leaves the timer's channel empty for the next
+// arm; fired says the caller already received the expiry.
+func (c *call) disarm(fired bool) {
+	if !c.timer.Stop() && !fired {
+		<-c.timer.C
+	}
+}
+
+// answered returns the delivered response and recycles the call.
+func (c *call) answered(fired bool) codec.Response {
+	resp := c.resp
+	c.disarm(fired)
+	c.req, c.resp = codec.Request{}, codec.Response{}
+	callPool.Put(c)
+	return resp
+}
 
 // session is one pipelined connection: a writer goroutine coalesces queued
 // calls into frames, a reader goroutine correlates response frames back to
@@ -591,6 +627,16 @@ func (s *session) writeLoop(maxBatch, maxBatchBytes int) {
 			group = append(group, next)
 			size += reqSize(next.req)
 		}
+		// The requests are taken out first: once the reader has the group the
+		// writer does not touch its calls again (an answered call is reused).
+		frame := first.req
+		if len(group) > 1 {
+			batch := make([]codec.Request, len(group))
+			for i, c := range group {
+				batch[i] = c.req
+			}
+			frame = codec.Request{Op: codec.OpBatch, Batch: batch}
+		}
 		// Publish the group to the reader before the bytes hit the wire, so
 		// the response can never arrive before its group is known.
 		select {
@@ -598,16 +644,7 @@ func (s *session) writeLoop(maxBatch, maxBatchBytes int) {
 		case <-s.done:
 			return
 		}
-		var err error
-		if len(group) == 1 {
-			err = s.emit.WriteRequest(group[0].req)
-		} else {
-			batch := make([]codec.Request, len(group))
-			for i, c := range group {
-				batch[i] = c.req
-			}
-			err = s.emit.WriteRequest(codec.Request{Op: codec.OpBatch, Batch: batch})
-		}
+		err := s.emit.WriteRequest(frame)
 		if err == nil {
 			err = s.emit.Flush()
 		}
@@ -847,27 +884,31 @@ func (c *Client) roundTrip(req codec.Request) (codec.Response, error) {
 // comes first. On death or timeout the caller claims the call back (unless
 // a response won the race) and the retry loop takes over.
 func (c *Client) attempt(s *session, req codec.Request) (codec.Response, error) {
-	cl := &call{req: req, done: make(chan struct{})}
+	cl := callPool.Get().(*call)
+	cl.req = req
+	cl.state.Store(0)
 	select {
 	case s.sendq <- cl:
 	case <-s.done:
 		return codec.Response{}, s.failure()
 	}
-	timer := time.NewTimer(c.cfg.RPCTimeout)
-	defer timer.Stop()
+	cl.arm(c.cfg.RPCTimeout)
+	fired := false
 	select {
 	case <-cl.done:
-		return cl.resp, nil
-	case <-timer.C:
+		return cl.answered(fired), nil
+	case <-cl.timer.C:
+		fired = true
 		s.fail(fmt.Errorf("tainthub: rpc timed out after %v", c.cfg.RPCTimeout))
 	case <-s.done:
 	}
 	if cl.claim() {
+		cl.disarm(fired)
 		return codec.Response{}, s.failure()
 	}
 	// A response was delivered concurrently with the session dying; take it.
 	<-cl.done
-	return cl.resp, nil
+	return cl.answered(fired), nil
 }
 
 // Publish implements Hub. A re-send after a lost ack overwrites the entry

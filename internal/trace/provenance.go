@@ -110,6 +110,11 @@ type Graph struct {
 	// or the builder hit its node budget: the DAG is a correct prefix, not
 	// the complete propagation history.
 	Truncated bool `json:"truncated,omitempty"`
+	// NoAccessLog is set when the source collector kept no access log (see
+	// NewCollectorNoAccessLog): the graph has the run's injections, sends,
+	// receives and outputs but no read or write between them, so a blame
+	// path stops where the log would have carried it on.
+	NoAccessLog bool `json:"access_log_not_kept,omitempty"`
 	// CrossRankEdges counts the stitched message edges.
 	CrossRankEdges int `json:"cross_rank_edges"`
 
@@ -153,6 +158,7 @@ func BuildGraphCap(c *Collector, sites []InjectionSite, maxNodes int) *Graph {
 	if c.Dropped() > 0 {
 		g.Truncated = true
 	}
+	g.NoAccessLog = c.noLog
 
 	// Group the streams by rank, preserving per-rank order (collectors
 	// append per rank in execution order; the record slices interleave

@@ -8,10 +8,12 @@ package trace
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Event is one tainted-memory access.
@@ -77,6 +79,7 @@ type packedEvent struct {
 // append inside a chunk, to a known region, takes no lock.
 type rankLog struct {
 	mu     sync.Mutex
+	rank   int
 	share  int // stored-event cap of this rank
 	chunks [][]packedEvent
 	// next is the appender's own count of stored records.
@@ -98,6 +101,9 @@ type regionTally struct {
 // rank are added by one goroutine at a time.
 type Collector struct {
 	maxEvents int
+	// noLog marks the collector of a run that was told nobody will read its
+	// access log: no access reaches it, and what it serializes says so.
+	noLog bool
 	// logs is the per-rank table, indexed by rank (nil where a rank has
 	// logged nothing). It is replaced, never modified, under mu, so the
 	// append path reads it without locking.
@@ -189,6 +195,20 @@ func NewCollectorCap(maxEvents int) *Collector {
 	return &Collector{maxEvents: maxEvents}
 }
 
+// NewCollectorNoAccessLog creates the collector of a run that keeps no access
+// log. Nothing calls AddEvent on it: the run's tainted accesses are counted
+// by the machines alone (vm.Counters), so Stored, Dropped, the totals and
+// Regions are all zero, and WriteTo, Read and BuildGraph carry an explicit
+// "access log not kept" marker so that nobody mistakes the empty log for a
+// run without tainted accesses. Samples and cross-rank, send and output
+// records are collected as ever.
+func NewCollectorNoAccessLog() *Collector {
+	return &Collector{noLog: true}
+}
+
+// AccessLogKept reports whether the collector stores the accesses of its run.
+func (c *Collector) AccessLogKept() bool { return !c.noLog }
+
 // ShareAmong declares how many ranks log into the collector. Each rank then
 // stores at most its share of the cap, so which events survive a truncated
 // run depends on the run alone and not on how the rank goroutines
@@ -207,6 +227,9 @@ func (c *Collector) log(rank int) (*rankLog, error) {
 			return l, nil
 		}
 	}
+	if c.noLog {
+		return nil, errors.New("trace: access logged to a collector that keeps no access log")
+	}
 	if rank < 0 || rank >= maxRanks {
 		return nil, fmt.Errorf("trace: rank %d out of range [0,%d)", rank, maxRanks)
 	}
@@ -222,7 +245,7 @@ func (c *Collector) log(rank int) (*rankLog, error) {
 	grown := make([]*rankLog, max(len(table), rank+1))
 	copy(grown, table)
 	// Room for "" and a guest's three regions, so interning seldom regrows.
-	l := &rankLog{share: c.maxEvents, names: append(make([]string, 0, 4), ""), counts: make([]regionTally, 1, 4)}
+	l := &rankLog{rank: rank, share: c.maxEvents, names: append(make([]string, 0, 4), ""), counts: make([]regionTally, 1, 4)}
 	if c.ranks > 1 {
 		l.share = c.maxEvents / c.ranks
 	}
@@ -254,12 +277,45 @@ func (c *Collector) addEvent(ev *Event) error {
 	if err != nil {
 		return err
 	}
+	return l.add(ev)
+}
+
+// Appender is one rank's end of the access log: it looks the rank's log up in
+// the collector's table at the rank's first access and holds on to it, where
+// AddEvent looks it up for every event. One goroutine at a time adds through
+// the appenders of a rank, as with AddEvent.
+type Appender struct {
+	c    *Collector
+	rank int
+	l    *rankLog
+}
+
+// Appender returns an appender for rank. It allocates nothing in the log: a
+// rank that never adds leaves no trace in it, as a rank AddEvent never saw.
+func (c *Collector) Appender(rank int) *Appender { return &Appender{c: c, rank: rank} }
+
+// Add is AddEvent for an access of the appender's rank; ev.Rank is not read.
+func (a *Appender) Add(ev *Event) {
+	if a.l == nil {
+		l, err := a.c.log(a.rank)
+		if err != nil {
+			panic(err)
+		}
+		a.l = l
+	}
+	if err := a.l.add(ev); err != nil {
+		panic(err)
+	}
+}
+
+// add stores and counts one access of the log's rank.
+func (l *rankLog) add(ev *Event) error {
 	if ev.Size < 0 || ev.Size > 0xffff {
 		return fmt.Errorf("trace: access width %d out of range", ev.Size)
 	}
-	region := l.intern(ev.Region)
+	region := l.region(ev.Region)
 	if region < 0 {
-		return fmt.Errorf("trace: rank %d logs more than %d distinct regions", ev.Rank, maxRegions)
+		return fmt.Errorf("trace: rank %d logs more than %d distinct regions", l.rank, maxRegions)
 	}
 	if l.next < l.share {
 		// The record is filled in place, in a slot no reader looks at until
@@ -304,6 +360,26 @@ func (l *rankLog) slot() *packedEvent {
 // maxRegions is how many distinct region names, "" among them, one rank's
 // log can intern: a packed record has a byte for the index.
 const maxRegions = 256
+
+// region returns the index of name in the log's table, as intern does, and
+// finds a name it has seen in the same storage without reading it. A machine
+// names the region of an access with the string its region table holds
+// (vm.Memory.locate), one per region for the whole run, so a name is compared
+// byte by byte when a region is first accessed and recognized by its address
+// from then on; a name that arrives in storage of its own (Read's events, a
+// test's) misses here and is interned by content, as before.
+func (l *rankLog) region(name string) int {
+	if name == "" {
+		return 0
+	}
+	at := unsafe.StringData(name)
+	for i, n := range l.names {
+		if len(n) == len(name) && unsafe.StringData(n) == at {
+			return i
+		}
+	}
+	return l.intern(name)
+}
 
 // intern returns the index of name in the log's table, adding it if there is
 // room and returning -1 if not. Guests have three regions, so the scan beats
@@ -550,6 +626,10 @@ func (c *Collector) Propagated() bool {
 type MetaRecord struct {
 	Stored  int    `json:"stored"`
 	Dropped uint64 `json:"dropped"`
+	// NoAccessLog marks the log of a run that kept no access log (see
+	// NewCollectorNoAccessLog): Stored is zero because nothing was stored,
+	// not because nothing was tainted.
+	NoAccessLog bool `json:"access_log_not_kept,omitempty"`
 }
 
 // TruncationRecord is the explicit truncation marker written at the cap
@@ -586,7 +666,8 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 }
 
 // WriteTo serializes the collected data as JSON lines, starting with a meta
-// record carrying the stored/dropped event counts. Events follow rank by
+// record carrying the stored/dropped event counts — and, from a collector that
+// kept no access log, the mark that says so. Events follow rank by
 // rank. When events were dropped at the in-memory cap, an explicit
 // truncation marker follows the last stored event. It returns the number of
 // bytes written to w.
@@ -606,7 +687,7 @@ func (c *Collector) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(cw)
 	enc := json.NewEncoder(bw)
 	write := func(r record) error { return enc.Encode(r) }
-	if err := write(record{Kind: "meta", Meta: &MetaRecord{Stored: stored, Dropped: dropped}}); err != nil {
+	if err := write(record{Kind: "meta", Meta: &MetaRecord{Stored: stored, Dropped: dropped, NoAccessLog: c.noLog}}); err != nil {
 		return cw.n, err
 	}
 	for i := range views {
@@ -670,6 +751,9 @@ func Read(r io.Reader) (*Collector, error) {
 		case "meta":
 			if rec.Meta != nil && rec.Meta.Dropped > declared {
 				declared = rec.Meta.Dropped
+			}
+			if rec.Meta != nil && rec.Meta.NoAccessLog {
+				c.noLog = true
 			}
 		case "trunc":
 			if rec.Trunc != nil && rec.Trunc.Dropped > declared {

@@ -457,3 +457,114 @@ func TestFirstChunkGrows(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectorWithoutAccessLog: the collector of a run that was told nobody
+// reads its access log stores and tallies nothing, and everything made from
+// it — the serialized log, a collector read back from that, the provenance
+// graph — says the log was not kept instead of passing for a run without a
+// tainted access. The records that do not come from accesses are kept.
+func TestCollectorWithoutAccessLog(t *testing.T) {
+	c := NewCollectorNoAccessLog()
+	if c.AccessLogKept() || !NewCollector().AccessLogKept() {
+		t.Fatal("AccessLogKept is the wrong way round")
+	}
+	c.AddSample(TimelinePoint{Rank: 0, Instrs: 100000, TaintedBytes: 8})
+	c.AddSend(SendRecord{Src: 0, Dst: 1, Tag: 3, Len: 8, TaintedBytes: 8, InstrNum: 40})
+	c.AddCrossRank(CrossRankRecord{Src: 0, Dst: 1, Tag: 3, TaintedBytes: 8, InstrNum: 50})
+	c.AddOutput(OutputRecord{Rank: 1, Len: 8, Masks: []uint8{1, 0, 0, 0, 0, 0, 0, 0}, InstrNum: 60})
+	if err := c.addEvent(&Event{Rank: 0}); err == nil {
+		t.Error("an access was logged to a collector that keeps no log")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("an appender added to a collector that keeps no log")
+			}
+		}()
+		c.Appender(0).Add(&Event{})
+	}()
+	if c.Stored() != 0 || c.Dropped() != 0 || c.TotalReads() != 0 || c.TotalWrites() != 0 || len(c.Regions()) != 0 {
+		t.Errorf("stored %d dropped %d totals %d/%d regions %v, want nothing",
+			c.Stored(), c.Dropped(), c.TotalReads(), c.TotalWrites(), c.Regions())
+	}
+	if !c.Propagated() {
+		t.Error("the cross-rank record was lost")
+	}
+
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := strings.Cut(buf.String(), "\n")
+	if first != `{"kind":"meta","meta":{"stored":0,"dropped":0,"access_log_not_kept":true}}` {
+		t.Errorf("meta line %s does not say the access log was not kept", first)
+	}
+	back, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.AccessLogKept() || len(back.Timeline()) != 1 || len(back.Sends()) != 1 || len(back.CrossRank()) != 1 || len(back.Outputs()) != 1 {
+		t.Errorf("read back: log kept %v, %d samples, %d sends, %d crosses, %d outputs",
+			back.AccessLogKept(), len(back.Timeline()), len(back.Sends()), len(back.CrossRank()), len(back.Outputs()))
+	}
+
+	g := BuildGraph(c, []InjectionSite{{Rank: 0, InstrNum: 10, Op: "fadd"}})
+	if !g.NoAccessLog || g.Truncated {
+		t.Errorf("graph NoAccessLog %v Truncated %v, want true and false", g.NoAccessLog, g.Truncated)
+	}
+	var js bytes.Buffer
+	if err := g.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(js.String(), `"access_log_not_kept": true`) {
+		t.Errorf("graph JSON does not carry the mark:\n%s", js.String())
+	}
+	if kept := BuildGraph(NewCollector(), nil); kept.NoAccessLog {
+		t.Error("the graph of a log-keeping collector is marked")
+	}
+}
+
+// TestAppenderMatchesAddEvent: a rank's appender writes what AddEvent writes
+// — records, tallies, region table — whether a region's name keeps arriving
+// in the storage it first came in (a machine's region table) or in storage
+// of its own each time (a decoded log), and a rank that never adds stays out
+// of the log.
+func TestAppenderMatchesAddEvent(t *testing.T) {
+	regions := []string{"heap", "stack", "", "data", "heap"}
+	events := func(fresh bool) []Event {
+		var evs []Event
+		for i := 0; i < 3*chunkEvents; i++ {
+			name := regions[i%len(regions)]
+			if fresh {
+				name = string([]byte(name))
+			}
+			evs = append(evs, Event{Rank: i % 2, Write: i%3 == 0, EIP: uint64(i), VAddr: uint64(8 * i), Mask: 1, InstrNum: uint64(i), Size: 8, Region: name})
+		}
+		return evs
+	}
+	for _, fresh := range []bool{false, true} {
+		want, got := NewCollector(), NewCollector()
+		want.ShareAmong(2)
+		got.ShareAmong(2)
+		apps := []*Appender{got.Appender(0), got.Appender(1), got.Appender(2)}
+		for _, ev := range events(fresh) {
+			want.AddEvent(&ev)
+			apps[ev.Rank].Add(&ev)
+		}
+		if !reflect.DeepEqual(want.Events(), got.Events()) {
+			t.Errorf("fresh names %v: the appenders' log differs from AddEvent's", fresh)
+		}
+		if !reflect.DeepEqual(want.Regions(), got.Regions()) || want.TotalReads() != got.TotalReads() || want.TotalWrites() != got.TotalWrites() {
+			t.Errorf("fresh names %v: tallies differ: %v %d/%d, want %v %d/%d", fresh,
+				got.Regions(), got.TotalReads(), got.TotalWrites(), want.Regions(), want.TotalReads(), want.TotalWrites())
+		}
+		if n := len(got.views()); n != 2 {
+			t.Errorf("fresh names %v: %d ranks in the log, want the 2 that added", fresh, n)
+		}
+		for _, l := range got.table() {
+			if len(l.names) != 4 {
+				t.Errorf("fresh names %v: region table %q, want each name once", fresh, l.names)
+			}
+		}
+	}
+}

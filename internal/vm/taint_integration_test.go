@@ -264,3 +264,88 @@ main:
 		t.Error("event sizes wrong")
 	}
 }
+
+// TestLogLessTaintedAccessCounters: Counters.TaintedMemReads/Writes are
+// the machine's own, the same with both tainted-access hooks installed and
+// with neither — a run that keeps no access log reads its totals from them —
+// on a machine started at program entry and on one resumed from a snapshot
+// (whose counters carry on from the prefix's).
+func TestLogLessTaintedAccessCounters(t *testing.T) {
+	p, err := asm.Assemble("t", `
+main:
+    movi r3, 6
+warm:
+    ld r2, [r1+0]
+    st [r1+8], r2
+    addi r3, r3, -1
+    cmpi r3, 0
+    jg warm
+    nop
+    movi r3, 9
+loop:
+    ld r2, [r1+0]
+    st [r1+16], r2
+    ldb r4, [r1+1]
+    addi r3, r3, -1
+    cmpi r3, 0
+    jg loop
+    hlt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := uint64(isa.StackTop - 256)
+	hooked := 0
+	prepare := func(m *Machine, hooks bool) {
+		m.TaintEnabled = true
+		if hooks {
+			m.Hooks.TaintedMemRead = func(*MemTaintEvent) { hooked++ }
+			m.Hooks.TaintedMemWrite = func(*MemTaintEvent) { hooked++ }
+		}
+	}
+	scratch := func(hooks bool) *Machine {
+		m := New(p, Config{})
+		prepare(m, hooks)
+		m.SetGPR(isa.R1, addr)
+		m.Shadow.SetMemMask64(addr, 0xff00)
+		return m
+	}
+	// The prefix pauses at the nop with tainted accesses already counted.
+	prefix := scratch(false)
+	prefix.Trans.SetProbe(tcg.Probe{Ops: tcg.OpSetOf(isa.OpNop), Helper: prefix.RegisterHelper(func(mm *Machine, op *tcg.Op) {
+		mm.PauseAt(op.GuestPC)
+	})})
+	if term := prefix.Run(); term.Reason != ReasonPaused {
+		t.Fatalf("prefix: %v", term)
+	}
+	snap, err := prefix.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forked := func(hooks bool) *Machine {
+		m := NewFromSnapshot(p, snap, Config{})
+		prepare(m, hooks)
+		return m
+	}
+	for name, mk := range map[string]func(bool) *Machine{"from scratch": scratch, "from a snapshot": forked} {
+		var got [2]Counters
+		for i, hooks := range []bool{false, true} {
+			hooked = 0
+			m := mk(hooks)
+			if term := m.Run(); term.Reason != ReasonExited {
+				t.Fatalf("%s, hooks %v: %v", name, hooks, term)
+			}
+			got[i] = m.Counters()
+			if hooks && hooked == 0 {
+				t.Fatalf("%s: the hooks saw no tainted access", name)
+			}
+		}
+		if got[0].TaintedMemReads != 6+2*9 || got[0].TaintedMemWrites != 6+9 {
+			t.Errorf("%s, no hooks: %d tainted reads and %d writes, want %d and %d",
+				name, got[0].TaintedMemReads, got[0].TaintedMemWrites, 6+2*9, 6+9)
+		}
+		if got[0] != got[1] {
+			t.Errorf("%s: counters differ with the hooks installed:\n none %+v\n both %+v", name, got[0], got[1])
+		}
+	}
+}
