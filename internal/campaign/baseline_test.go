@@ -97,11 +97,7 @@ func TestBaselineSharedByConcurrentCampaigns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if name == "matvec" {
-					sameReport(t, want, got[i]) // MPI runs are not bit-reproducible run by run
-				} else {
-					sameCampaign(t, want, got[i])
-				}
+				sameCampaign(t, want, got[i])
 			}
 		})
 	}

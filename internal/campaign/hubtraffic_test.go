@@ -53,14 +53,15 @@ func ringConfig(t *testing.T) Config {
 		Name: "ring", Prog: prog, WorldSize: 4,
 		Ops: []isa.Op{isa.OpLd, isa.OpSt}, TargetRank: 0,
 		Runs: 12, Bits: 1, Seed: 1207, Trace: true, Parallel: 2,
+		KeepRunOutcomes: true,
 	}
 }
 
 // TestHubTrafficProportionalToTaint pins what a campaign costs a shared
 // TaintHub: the hub receives every publish, and the only polls that reach it
 // are the receives of published messages, every one of them a hit — a clean
-// receive costs no hub call. The results are those of the same campaign on
-// private hubs, forked or from scratch.
+// receive costs no hub call. The results are, run by run, those of the same
+// campaign on private hubs, forked or from scratch.
 func TestHubTrafficProportionalToTaint(t *testing.T) {
 	configs := map[string]Config{
 		"clamr_mpi": appConfig(t, "clamr_mpi"),
@@ -86,7 +87,7 @@ func TestHubTrafficProportionalToTaint(t *testing.T) {
 				if err != nil {
 					t.Fatalf("NoFork=%v: %v", noFork, err)
 				}
-				sameReport(t, private, shared)
+				sameCampaign(t, private, shared)
 
 				publishes, polls, hits := hub.publishes.Load(), hub.polls.Load(), hub.hits.Load()
 				if publishes == 0 {

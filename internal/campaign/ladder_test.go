@@ -1,10 +1,14 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +17,7 @@ import (
 	"chaser/internal/core"
 	"chaser/internal/isa"
 	"chaser/internal/obs"
+	"chaser/internal/wal"
 )
 
 // appConfig is a small random-site campaign against a bundled application.
@@ -60,6 +65,56 @@ func sameCampaign(t *testing.T, want, got *Summary) {
 	}
 }
 
+// sameFile demands that two files hold the same bytes.
+func sameFile(t *testing.T, want, got string) {
+	t.Helper()
+	a, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("%s (%d bytes) and %s (%d bytes) differ", filepath.Base(want), len(a), filepath.Base(got), len(b))
+	}
+}
+
+// sameJournalRecords demands that two journals hold the same header and, run
+// for run, the same record bytes, whatever order the runs completed in.
+func sameJournalRecords(t *testing.T, want, got string) {
+	t.Helper()
+	records := func(path string) map[int][]byte {
+		out := map[int][]byte{}
+		err := wal.Replay(path, maxJournalRecord, func(p []byte) error {
+			idx := -1 // the header
+			if len(out) > 0 {
+				var e journalEntry
+				if err := json.Unmarshal(p, &e); err != nil {
+					return err
+				}
+				idx = e.Idx
+			}
+			out[idx] = bytes.Clone(p)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	a, b := records(want), records(got)
+	if len(a) != len(b) {
+		t.Errorf("%s holds %d records, %s %d", filepath.Base(want), len(a), filepath.Base(got), len(b))
+	}
+	for idx, rec := range a {
+		if !bytes.Equal(rec, b[idx]) {
+			t.Errorf("run %d (-1: header):\n %s: %s\n %s: %s", idx, filepath.Base(want), rec, filepath.Base(got), b[idx])
+		}
+	}
+}
+
 // ladderCounts reads the fork telemetry of one campaign.
 type ladderCounts struct {
 	prefix, forked, fallbacks, hits, misses uint64
@@ -79,8 +134,11 @@ func countsOf(reg *obs.Registry) ladderCounts {
 
 // TestLadderMatchesNoFork is the campaign-level ladder differential: a
 // random-site campaign forked from the checkpoint ladder must be bitwise its
-// NoFork twin — over serial and MPI guests, a fixed and a drawn target rank,
-// tracing on and off, and the ways a ladder can be cut short.
+// NoFork twin, run by run — over serial and MPI guests, a fixed and a drawn
+// target rank, tracing on and off, and the ways a ladder can be cut short.
+// Both campaigns write a journal, and the two hold the same records byte for
+// byte — in different orders (a journal is in completion order, and a ladder
+// completes its runs in site order), so the records are compared by run.
 func TestLadderMatchesNoFork(t *testing.T) {
 	type variant struct {
 		name string
@@ -107,16 +165,17 @@ func TestLadderMatchesNoFork(t *testing.T) {
 		{name: "any-rank", edit: func(c *Config) { c.TargetRank = -1 }},
 		{name: "untraced", edit: func(c *Config) { c.Trace = false }},
 	}
+	serial := variant{name: "serial-workers", edit: func(c *Config) { c.Parallel = 1 }}
 	extra := []variant{
 		{name: "mid-shard", edit: func(c *Config) { c.Runs = 30; c.Shard = &ShardRange{Lo: 9, Hi: 21} }},
-		{name: "serial-workers", edit: func(c *Config) { c.Parallel = 1 }},
+		serial,
 	}
 	cases := map[string][]variant{
 		"lud":       base,
 		"kmeans":    append(append([]variant(nil), base...), extra...),
 		"bfs":       base,
 		"matvec":    append(append([]variant(nil), base...), extra...),
-		"clamr_mpi": base,
+		"clamr_mpi": append(append([]variant(nil), base...), serial),
 	}
 	// Two tasks on one site: fewer golden executions of the targeted op than
 	// runs, so the pigeonhole forces shared rungs (mov: 10 on kmeans; fld: 24
@@ -140,28 +199,23 @@ func TestLadderMatchesNoFork(t *testing.T) {
 				if v.edit != nil {
 					v.edit(&cfg)
 				}
+				dir := t.TempDir()
 				scfg := cfg
 				scfg.NoFork = true
+				scfg.Journal = filepath.Join(dir, "scratch.journal")
 				scratch, err := Run(scfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				reg := obs.NewRegistry()
 				cfg.Obs = reg
+				cfg.Journal = filepath.Join(dir, "ladder.journal")
 				ladder, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if name == "clamr_mpi" {
-					// A fault that breaks conservation trips every rank's
-					// check after the same allreduce, and which rank's assert
-					// lands first — RunOutcome.RootRank — is a race between
-					// two from-scratch runs already (3 campaigns in 20 with a
-					// drawn rank). No report carries it.
-					sameReport(t, scratch, ladder)
-				} else {
-					sameCampaign(t, scratch, ladder)
-				}
+				sameCampaign(t, scratch, ladder)
+				sameJournalRecords(t, scfg.Journal, cfg.Journal)
 				check := v.check
 				if check == nil {
 					check = allForked
@@ -169,6 +223,49 @@ func TestLadderMatchesNoFork(t *testing.T) {
 				check(t, cfg, countsOf(reg))
 			})
 		}
+	}
+}
+
+// TestForkTelemetryIsAFunctionOfTheSeed: which sites a ladder can pause at is
+// decided by where the other ranks stand when the target reaches them — inside
+// an MPI call that had already delivered or matched a message, the pause is
+// dirty and the run falls back to a from-scratch one. With one rank running at
+// a time that is a property of the guest, so two campaigns of one seed count
+// the same prefixes, forks, fallbacks and cache hits (and agree run by run),
+// whatever the number of cores; the CLAMR campaign is long enough that some
+// of its runs fall back.
+func TestForkTelemetryIsAFunctionOfTheSeed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, name := range []string{"matvec", "clamr_mpi"} {
+		t.Run(name, func(t *testing.T) {
+			var want ladderCounts
+			var first *Summary
+			for i, procs := range []int{1, 4, 2} {
+				runtime.GOMAXPROCS(procs)
+				cfg := appConfig(t, name)
+				cfg.Runs, cfg.TargetRank = 60, -1
+				reg := obs.NewRegistry()
+				cfg.Obs = reg
+				sum, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := countsOf(reg)
+				got.highWater = 0 // depends on which rungs two workers hold at once
+				if i == 0 {
+					want, first = got, sum
+					t.Logf("%d runs: %+v", cfg.Runs, got)
+					continue
+				}
+				if got != want {
+					t.Errorf("GOMAXPROCS=%d: fork telemetry %+v, was %+v", procs, got, want)
+				}
+				sameCampaign(t, first, sum)
+			}
+			if name == "clamr_mpi" && want.fallbacks == 0 {
+				t.Error("no run fell back: the test does not exercise a dirty pause")
+			}
+		})
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 
 // TestCampaignWireDifferential runs the same campaign twice against one
 // TaintHub server — once over the legacy JSON wire, once over the compact
-// binary wire — and requires the rendered campaign summaries to be
-// bitwise identical. The codec must be invisible to every result the tool
-// reports: outcome classification, propagation counts, per-op breakdowns.
+// binary wire — and requires the two campaigns to agree run by run
+// (Summary.Outcomes, field for field) and in every rendered report. The codec
+// must be invisible to every result the tool reports: outcome classification,
+// propagation counts, per-op breakdowns.
 func TestCampaignWireDifferential(t *testing.T) {
 	srv, err := tainthub.NewServer(tainthub.NewLocal(), "127.0.0.1:0")
 	if err != nil {
@@ -28,9 +29,10 @@ func TestCampaignWireDifferential(t *testing.T) {
 		Name: app.Name, Prog: app.Prog, WorldSize: app.WorldSize,
 		Ops: app.DefaultOps, TargetRank: app.TargetRank,
 		Runs: 40, Bits: 1, Seed: 4242, Trace: true, Parallel: 4,
+		KeepRunOutcomes: true,
 	}
 
-	reports := make(map[codec.Format]string)
+	sums := make(map[codec.Format]*Summary)
 	for i, wire := range []codec.Format{codec.FormatJSON, codec.FormatBinary} {
 		client, err := tainthub.DialConfig(srv.Addr(), tainthub.ClientConfig{Wire: wire})
 		if err != nil {
@@ -50,10 +52,7 @@ func TestCampaignWireDifferential(t *testing.T) {
 			t.Errorf("%s-wire campaign never used the hub", wire)
 		}
 		client.Close()
-		reports[wire] = sum.Report() + sum.PerOpReport() + sum.TerminationTable()
+		sums[wire] = sum
 	}
-	if reports[codec.FormatJSON] != reports[codec.FormatBinary] {
-		t.Errorf("wire format changed campaign results:\n-- json --\n%s\n-- binary --\n%s",
-			reports[codec.FormatJSON], reports[codec.FormatBinary])
-	}
+	sameCampaign(t, sums[codec.FormatJSON], sums[codec.FormatBinary])
 }

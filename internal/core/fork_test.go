@@ -25,10 +25,9 @@ func normalizeCounters(cs []vm.Counters) []vm.Counters {
 	return out
 }
 
-// traceSummary collapses a propagation trace to its order-independent
-// aggregates (the parts classification and reporting consume). Event order
-// interleaves nondeterministically across rank goroutines even between two
-// from-scratch runs, so the full event list is not comparable bitwise.
+// traceSummary collapses a propagation trace to the aggregates
+// classification and reporting consume, so that a divergence reads as counts;
+// compareRuns goes on to compare the propagation logs byte for byte.
 type traceSummary struct {
 	Reads, Writes uint64
 	CrossRank     int
@@ -88,13 +87,14 @@ func compareRuns(t *testing.T, label string, scratch, forked *RunResult) {
 	if s, f := summarize(scratch), summarize(forked); s != f {
 		t.Errorf("%s: trace summaries differ:\n scratch %+v\n forked  %+v", label, s, f)
 	}
+	sameLog(t, label, scratch, forked)
 }
 
 // TestForkedRunMatchesScratch is the fork-vs-scratch differential: for a
 // range of fork sites, seeds and trace modes, a run resumed from a world
 // snapshot must be bitwise identical to a from-scratch run of the same spec —
 // terminations, outputs, consoles, injection records, per-rank counters
-// (modulo TB cache statistics) and the taint summary.
+// (modulo TB cache statistics) and the propagation log.
 func TestForkedRunMatchesScratch(t *testing.T) {
 	prog := crossProg(t)
 	for _, trace := range []bool{false, true} {

@@ -1,9 +1,7 @@
 package mpi
 
-import "sync"
-
 // mailboxCap bounds per-rank in-flight messages (eager-send buffering): a
-// send to a rank already holding this many undelivered messages blocks until
+// send to a rank already holding this many undelivered messages waits until
 // the rank receives one.
 const mailboxCap = 1024
 
@@ -14,22 +12,12 @@ const mailboxCap = 1024
 // exchange that keeps a handful of messages in flight settles on a ring of
 // eight and delivers without allocating.
 //
-// Any rank may put; only the owning rank takes. Waiters are woken by the
-// opposite operation and by stop, which the world calls when it stops early.
+// Any rank may put and only the owning rank takes, each while it holds the
+// baton: the ring is plain data.
 type mailbox struct {
-	mu      sync.Mutex
-	ring    []Message // len(ring) is the capacity
-	head    int       // index of the oldest message
-	n       int       // messages queued
-	avail   sync.Cond // the owner waits here for a delivery
-	space   sync.Cond // senders wait here while the ring is full at mailboxCap
-	full    int       // senders waiting on space
-	stopped bool      // the world stopped: nobody waits any more
-}
-
-func (mb *mailbox) init() {
-	mb.avail.L = &mb.mu
-	mb.space.L = &mb.mu
+	ring []Message // len(ring) is the capacity
+	head int       // index of the oldest message
+	n    int       // messages queued
 }
 
 // load preloads the queue, oldest first (restoring a paused world).
@@ -40,9 +28,9 @@ func (mb *mailbox) load(msgs []Message) {
 	}
 }
 
-// push appends msg if there is room, growing the ring when it is full below
-// mailboxCap. The caller holds mu.
-func (mb *mailbox) push(msg *Message) bool {
+// put delivers msg unless the mailbox is full at mailboxCap, growing the ring
+// when it is full below that.
+func (mb *mailbox) put(msg *Message) bool {
 	if mb.n == len(mb.ring) {
 		if mb.n >= mailboxCap {
 			return false
@@ -57,95 +45,23 @@ func (mb *mailbox) push(msg *Message) bool {
 	return true
 }
 
-// tryPut delivers msg unless the mailbox is full.
-func (mb *mailbox) tryPut(msg *Message) bool {
-	mb.mu.Lock()
-	ok := mb.push(msg)
-	mb.mu.Unlock()
-	if ok {
-		mb.avail.Signal()
+// take removes the oldest message, if there is one.
+func (mb *mailbox) take() (Message, bool) {
+	if mb.n == 0 {
+		return Message{}, false
 	}
-	return ok
-}
-
-// put delivers msg, waiting for room while the mailbox is full. It returns
-// false, delivering nothing, if the world stops first.
-func (mb *mailbox) put(msg *Message) bool {
-	mb.mu.Lock()
-	for !mb.push(msg) {
-		if mb.stopped {
-			mb.mu.Unlock()
-			return false
-		}
-		mb.full++
-		mb.space.Wait()
-		mb.full--
-	}
-	mb.mu.Unlock()
-	mb.avail.Signal()
-	return true
-}
-
-// pop removes the oldest message. The caller holds mu and has seen n > 0.
-func (mb *mailbox) pop() Message {
 	msg := mb.ring[mb.head]
 	mb.ring[mb.head] = Message{} // drop the payload reference
 	mb.head = (mb.head + 1) % len(mb.ring)
 	mb.n--
-	if mb.full > 0 {
-		mb.space.Signal()
-	}
-	return msg
-}
-
-// tryTake removes the oldest message, if there is one.
-func (mb *mailbox) tryTake() (Message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.n == 0 {
-		return Message{}, false
-	}
-	return mb.pop(), true
-}
-
-// take removes the oldest message, waiting for a delivery while the mailbox
-// is empty. It returns false if the world stops first.
-func (mb *mailbox) take() (Message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for mb.n == 0 {
-		if mb.stopped {
-			return Message{}, false
-		}
-		mb.avail.Wait()
-	}
-	return mb.pop(), true
-}
-
-// stop releases every waiter, now and from here on: a put that finds no room
-// and a take that finds no message return false instead of waiting.
-func (mb *mailbox) stop() {
-	mb.mu.Lock()
-	mb.stopped = true
-	mb.avail.Broadcast()
-	mb.space.Broadcast()
-	mb.mu.Unlock()
-}
-
-// len returns the number of queued messages.
-func (mb *mailbox) len() int {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return mb.n
+	return msg, true
 }
 
 // drain empties the mailbox and returns its messages, oldest first.
 func (mb *mailbox) drain() []Message {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
 	var out []Message
-	for mb.n > 0 {
-		out = append(out, mb.pop())
+	for msg, ok := mb.take(); ok; msg, ok = mb.take() {
+		out = append(out, msg)
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 
 	"chaser/internal/isa"
 	"chaser/internal/lang"
+	"chaser/internal/obs"
 	"chaser/internal/vm"
 )
 
@@ -20,12 +21,11 @@ func tagged(tag int) *Message { return &Message{Tag: tag} }
 // the ring must stay as small as the most messages ever in flight ask.
 func TestMailboxOrderAcrossGrow(t *testing.T) {
 	var mb mailbox
-	mb.init()
 	next, want := 0, 0
 	take := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			msg, ok := mb.tryTake()
+			msg, ok := mb.take()
 			if !ok || msg.Tag != want {
 				t.Fatalf("took %+v (ok=%v), want tag %d", msg, ok, want)
 			}
@@ -34,18 +34,18 @@ func TestMailboxOrderAcrossGrow(t *testing.T) {
 	}
 	for round := 1; round <= 40; round++ {
 		for i := 0; i < round; i++ { // one more in flight every round
-			if !mb.tryPut(tagged(next)) {
-				t.Fatalf("delivery %d refused with %d queued", next, mb.len())
+			if !mb.put(tagged(next)) {
+				t.Fatalf("delivery %d refused with %d queued", next, mb.n)
 			}
 			next++
 		}
 		take(round - round/3) // leave some behind so head wanders
 	}
-	if got := len(mb.ring); got > 512 || got < mb.len() {
-		t.Errorf("ring of %d slots for %d queued messages", got, mb.len())
+	if got := len(mb.ring); got > 512 || got < mb.n {
+		t.Errorf("ring of %d slots for %d queued messages", got, mb.n)
 	}
-	take(mb.len())
-	if _, ok := mb.tryTake(); ok {
+	take(mb.n)
+	if _, ok := mb.take(); ok {
 		t.Error("empty mailbox yielded a message")
 	}
 	if want != next {
@@ -53,55 +53,88 @@ func TestMailboxOrderAcrossGrow(t *testing.T) {
 	}
 }
 
-// TestMailboxEagerSendBound pins the eager-send bound: mailboxCap messages are
-// buffered, the next send waits, and a receive or a stop ends the wait.
+// call is one syscall a rank issued, as a pre-syscall hook saw it.
+type call struct {
+	rank int
+	sys  isa.Sys
+}
+
+// flood is a guest whose rank 0 sends n one-word messages (0, 1, 2, ...) to
+// rank 1 and then writes a 1; rank 1 runs body.
+func flood(t *testing.T, n int64, body []lang.Stmt) *isa.Program {
+	return compile(t, &lang.Program{Name: "flood", Funcs: []*lang.Func{{
+		Name: "main",
+		Body: B(
+			lang.Let("buf", lang.Alloc(I(1))),
+			lang.Let("s", I(0)),
+			lang.If{
+				Cond: lang.Eq(lang.RankExpr{}, I(0)),
+				Then: B(
+					lang.For{Var: "k", From: I(0), To: I(n), Body: B(
+						lang.SetAt(V("buf"), I(0), V("k")),
+						lang.MPISend{Buf: V("buf"), Count: I(1), Dtype: int64(isa.TypeInt64), Dest: I(1), Tag: I(0)},
+					)},
+					lang.OutInt{E: I(1)},
+				),
+				Else: body,
+			},
+		),
+	}}})
+}
+
+// TestMailboxEagerSendBound pins the eager-send bound at the level of a world:
+// mailboxCap messages are buffered, the next send parks the sender, and the
+// receiver's first receive lets it through — before the receiver goes on.
 func TestMailboxEagerSendBound(t *testing.T) {
-	var mb mailbox
-	mb.init()
-	for i := 0; i < mailboxCap; i++ {
-		if !mb.tryPut(tagged(i)) {
-			t.Fatalf("eager send %d refused", i)
+	prog := flood(t, mailboxCap+1, B(lang.For{Var: "k", From: I(0), To: I(mailboxCap + 1), Body: B(
+		lang.MPIRecv{Buf: V("buf"), Count: I(1), Dtype: int64(isa.TypeInt64), Source: I(0), Tag: I(0)},
+		lang.OutInt{E: lang.At(V("buf"), I(0))},
+	)}))
+	reg := obs.NewRegistry()
+	var w *World
+	var calls []call
+	w, err := NewWorld(prog, Config{Size: 2, Obs: reg, Setup: func(rank int, m *vm.Machine) {
+		m.Hooks.PreSyscall = func(_ *vm.Machine, sys isa.Sys) {
+			if sys == isa.SysMPIRecv && len(calls) > 0 && calls[len(calls)-1].rank == 0 {
+				// Rank 1's first receive: the hook runs on the rank that
+				// holds the baton, so the world's state is its to read.
+				if got := w.ranks[1].mailbox.n; got != mailboxCap {
+					t.Errorf("%d messages buffered when the receiver starts, want %d", got, mailboxCap)
+				}
+				if w.ranks[0].status != waitSend {
+					t.Errorf("sender status %d when the receiver starts, want parked in its send", w.ranks[0].status)
+				}
+			}
+			if sys != isa.SysAlloc && sys != isa.SysMPIRank {
+				calls = append(calls, call{rank, sys})
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, term := range w.Run() {
+		if term.Reason != vm.ReasonExited {
+			t.Fatalf("rank %d: %v", r, term)
 		}
 	}
-	if mb.tryPut(tagged(mailboxCap)) {
-		t.Fatalf("send %d was buffered past the bound", mailboxCap+1)
+	// Rank 0 issues every send before rank 1 runs at all; the first receive
+	// makes room, so rank 0 (the lower rank) finishes before rank 1 goes on.
+	var want []call
+	for i := 0; i < mailboxCap+1; i++ {
+		want = append(want, call{0, isa.SysMPISend})
 	}
-	sent := make(chan bool, 2)
-	blockedPut := func(tag int) {
-		t.Helper()
-		go func() { sent <- mb.put(tagged(tag)) }()
-		select {
-		case <-sent:
-			t.Fatalf("send %d did not wait for room", tag)
-		case <-time.After(2 * time.Millisecond):
-		}
+	want = append(want, call{1, isa.SysMPIRecv}, call{0, isa.SysOutInt}, call{0, isa.SysExit}, call{1, isa.SysOutInt})
+	if len(calls) < len(want) || !reflect.DeepEqual(calls[:len(want)], want) {
+		t.Errorf("schedule around the bound = %v, want %v", calls[mailboxCap-1:min(len(calls), len(want)+2)], want[mailboxCap-1:])
 	}
-
-	blockedPut(mailboxCap)
-	if msg, _ := mb.tryTake(); msg.Tag != 0 {
-		t.Fatalf("first message has tag %d", msg.Tag)
+	if got := reg.Histogram("mpi_send_wait_seconds", obs.LatencyBuckets...).Count(); got != 1 {
+		t.Errorf("%d sends waited for room, want exactly the one past the bound", got)
 	}
-	if ok := <-sent; !ok {
-		t.Fatal("a receive did not let the waiting send through")
-	}
-	if got := mb.len(); got != mailboxCap {
-		t.Fatalf("%d queued after the woken send, want %d", got, mailboxCap)
-	}
-
-	blockedPut(mailboxCap + 1)
-	mb.stop()
-	if ok := <-sent; ok {
-		t.Fatal("a stopped send reported delivery")
-	}
-	if mb.put(tagged(mailboxCap + 2)) {
-		t.Fatal("a send into a full, stopped mailbox reported delivery")
-	}
-	if msg, ok := mb.take(); !ok || msg.Tag != 1 {
-		t.Fatalf("a stopped mailbox withheld its oldest message: %+v ok=%v", msg, ok)
-	}
-	for i := 2; i <= mailboxCap; i++ {
-		if msg, ok := mb.tryTake(); !ok || msg.Tag != i {
-			t.Fatalf("message %d: %+v ok=%v", i, msg, ok)
+	out := w.Machine(1).Output()
+	for i := 0; i < mailboxCap+1; i++ {
+		if got := binary.LittleEndian.Uint64(out[8*i:]); got != uint64(i) {
+			t.Fatalf("receive %d delivered %d", i, got)
 		}
 	}
 }
@@ -122,34 +155,30 @@ func seq(parts ...[]lang.Stmt) (out []lang.Stmt) {
 func unbounded(int) vm.Config { return vm.Config{MaxInstructions: 1 << 40} }
 
 // TestMailboxBlockedSendWokenByInterrupt floods a rank that never receives: the
-// sender stops at the eager bound and Interrupt releases it.
+// sender parks at the eager bound, the other rank spins with the baton, and
+// Interrupt — the one call that reaches a world from outside — ends both.
 func TestMailboxBlockedSendWokenByInterrupt(t *testing.T) {
-	prog := compile(t, &lang.Program{Name: "flood", Funcs: []*lang.Func{{
-		Name: "main",
-		Body: B(
-			lang.Let("buf", lang.Alloc(I(1))),
-			lang.Let("s", I(0)),
-			lang.If{
-				Cond: lang.Eq(lang.RankExpr{}, I(0)),
-				Then: B(lang.For{Var: "k", From: I(0), To: I(mailboxCap + 1), Body: B(
-					lang.MPISend{Buf: V("buf"), Count: I(1), Dtype: int64(isa.TypeInt64), Dest: I(1), Tag: I(0)},
-				)}),
-				Else: B(spin()),
-			},
-		),
-	}}})
-	w, err := NewWorld(prog, Config{Size: 2, Machine: unbounded})
+	prog := flood(t, mailboxCap+1, B(lang.OutInt{E: I(0)}, spin()))
+	parked := make(chan struct{})
+	w, err := NewWorld(prog, Config{Size: 2, Machine: unbounded, Setup: func(rank int, m *vm.Machine) {
+		if rank == 1 {
+			// Rank 1 runs only once rank 0 cannot.
+			m.Hooks.PreSyscall = func(_ *vm.Machine, sys isa.Sys) {
+				if sys == isa.SysOutInt {
+					close(parked)
+				}
+			}
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan []vm.Termination, 1)
 	go func() { done <- w.Run() }()
-	deadline := time.Now().Add(10 * time.Second)
-	for !(w.delivered.Load() == mailboxCap && w.ranks[0].blocked.Load()) {
-		if time.Now().After(deadline) {
-			t.Fatalf("sender never blocked: %d delivered", w.delivered.Load())
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("sender never parked")
 	}
 	w.Interrupt(vm.Termination{Reason: vm.ReasonTimeout, Msg: "test deadline"})
 	select {
@@ -160,9 +189,9 @@ func TestMailboxBlockedSendWokenByInterrupt(t *testing.T) {
 			}
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Interrupt did not release the blocked send")
+		t.Fatal("Interrupt did not release the parked send")
 	}
-	if got := w.ranks[1].mailbox.len(); got != mailboxCap {
+	if got := w.ranks[1].mailbox.n; got != mailboxCap {
 		t.Errorf("%d messages queued, want %d", got, mailboxCap)
 	}
 }
@@ -184,8 +213,9 @@ func TestMailboxQueueSnapshotRoundTrip(t *testing.T) {
 		)
 	}
 	// Rank 0 delivers tags 3 1 2 4 5 before rank 1 receives tag 1: tag 3 is
-	// set aside as pending, 2 4 5 stay queued. The second barrier tells the
-	// test that no MPI call is left to run.
+	// set aside as pending, 2 4 5 stay queued. After the second barrier no
+	// MPI call is left to run, and rank 0's write is where the world is paused
+	// — by a hook on the rank that holds the baton, as a fork-point pause is.
 	fill := compile(t, &lang.Program{Name: "fill", Funcs: []*lang.Func{{
 		Name: "main",
 		Body: B(
@@ -197,33 +227,30 @@ func TestMailboxQueueSnapshotRoundTrip(t *testing.T) {
 				Else: seq(B(lang.Barrier{}), recv(1)),
 			},
 			lang.Barrier{},
+			lang.If{Cond: lang.Eq(lang.RankExpr{}, I(0)), Then: B(lang.OutInt{E: I(7)})},
 			spin(),
 		),
 	}}})
-	w, err := NewWorld(fill, Config{Size: 2, Machine: unbounded})
+	var w *World
+	w, err := NewWorld(fill, Config{Size: 2, Machine: unbounded, Setup: func(rank int, m *vm.Machine) {
+		if rank == 0 {
+			m.Hooks.PreSyscall = func(_ *vm.Machine, sys isa.Sys) {
+				if sys == isa.SysOutInt {
+					w.Pause(vm.Termination{Reason: vm.ReasonPaused, Msg: "test pause"})
+				}
+			}
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan []vm.Termination, 1)
-	go func() { done <- w.Run() }()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		w.barrier.mu.Lock()
-		gen := w.barrier.gen
-		w.barrier.mu.Unlock()
-		if gen == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("world stuck at barrier generation %d", gen)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	w.Pause(vm.Termination{Reason: vm.ReasonPaused, Msg: "test pause"})
-	for r, term := range <-done {
+	for r, term := range w.Run() {
 		if term.Reason != vm.ReasonPaused {
 			t.Fatalf("rank %d: %v, want paused", r, term)
 		}
+	}
+	if w.barrierGen != 2 {
+		t.Fatalf("world paused at barrier generation %d, want 2", w.barrierGen)
 	}
 	if w.PauseDirty() {
 		t.Fatal("pause outside every MPI call reported dirty")
@@ -276,21 +303,10 @@ func TestMailboxQueueSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWorldSerialSelfReceiveDeadlocks: a world of one runs its rank on the
-// caller's goroutine and starts no watchdog until the rank waits; a receive
-// that nothing can satisfy must still be aborted as a deadlock.
+// TestWorldSerialSelfReceiveDeadlocks: a receive that nothing can satisfy
+// must be ended as a deadlock in a world of one too, the moment the rank
+// suspends.
 func TestWorldSerialSelfReceiveDeadlocks(t *testing.T) {
-	quiet := compile(t, &lang.Program{Name: "quiet", Funcs: []*lang.Func{{
-		Name: "main", Body: B(lang.OutInt{E: lang.RankExpr{}}),
-	}}})
-	w, terms := runWorld(t, quiet, 1)
-	if terms[0].Reason != vm.ReasonExited {
-		t.Fatalf("quiet guest: %v", terms[0])
-	}
-	if w.watching.Load() {
-		t.Error("a world that never waited started the deadlock watchdog")
-	}
-
 	self := compile(t, &lang.Program{Name: "self", Funcs: []*lang.Func{{
 		Name: "main",
 		Body: B(
@@ -298,12 +314,9 @@ func TestWorldSerialSelfReceiveDeadlocks(t *testing.T) {
 			lang.MPIRecv{Buf: V("buf"), Count: I(1), Dtype: int64(isa.TypeInt64), Source: I(0), Tag: I(0)},
 		),
 	}}})
-	w, terms = runWorld(t, self, 1)
+	_, terms := runWorld(t, self, 1)
 	if terms[0].Reason != vm.ReasonMPIError || !strings.Contains(terms[0].Msg, "deadlock detected") {
 		t.Fatalf("self-receive: %v, want a deadlock abort", terms[0])
-	}
-	if !w.watching.Load() {
-		t.Error("the blocked receive did not start the watchdog")
 	}
 }
 

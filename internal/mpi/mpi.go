@@ -13,9 +13,6 @@ package mpi
 import (
 	"fmt"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"chaser/internal/isa"
 	"chaser/internal/obs"
@@ -41,41 +38,33 @@ type Message struct {
 	Data          []byte
 }
 
-// World is a set of ranks executing the same guest program (SPMD).
+// World is a set of ranks executing the same guest program (SPMD). One rank
+// runs at a time, on the goroutine that called Run (sched.go), so everything
+// below Interrupt's reach is plain data.
 type World struct {
 	size  int
 	ranks []rankState
 
-	// delivered counts messages handed to mailboxes; the deadlock watchdog
-	// uses it as a progress indicator.
-	delivered atomic.Uint64
+	// stopped is set when the world stops early (abort, deadlock, pause): a
+	// rank that would have to wait fails its MPI call instead.
+	stopped bool
 
-	barrier barrier
-
-	// abortCh is closed when the world stops early (abort, interrupt, pause):
-	// barrier waits watch it; mailbox waits are released by mailbox.stop.
-	abortCh   chan struct{}
-	abortOnce sync.Once
-	aborted   atomic.Bool
-
-	// watching is set once the deadlock watchdog runs; stopWatch stops it. It
-	// starts at the world's first blocked MPI wait (env.block), so a world
-	// whose ranks never wait runs without one.
-	watching  atomic.Bool
-	stopWatch chan struct{}
+	// The barrier: ranks arrived in the current generation, and the number of
+	// generations completed.
+	arrived    int
+	barrierGen int
 
 	// panicMsg is the first simulator panic a rank raised, re-raised by Run.
-	panicMu  sync.Mutex
 	panicMsg string
 
-	// pausing is set when the abort in flight is a fork-point pause rather
+	// pausing is set when the stop in flight is a fork-point pause rather
 	// than a failure; pauseDirty is raised by any rank whose in-progress MPI
 	// call had already made externally visible progress (a delivered message
 	// or a consumed match) when the pause landed — rewinding such a call
 	// would replay the progress, so the snapshot is rejected and the
 	// campaign falls back to a from-scratch run.
-	pausing    atomic.Bool
-	pauseDirty atomic.Bool
+	pausing    bool
+	pauseDirty bool
 
 	obs    *worldObs
 	tracer *obs.Tracer
@@ -88,9 +77,19 @@ type rankState struct {
 	env     env
 	mailbox mailbox
 	pending []Message // received but not yet matched
-	blocked atomic.Bool
-	done    atomic.Bool
 	term    vm.Termination
+
+	// status is the rank's place in the schedule; what a waiting rank waits
+	// for is wantSrc/wantTag (waitRecv: a message to match) or waitDst
+	// (waitSend: room in that rank's mailbox).
+	status           status
+	wantSrc, wantTag int
+	waitDst          int
+	// reentering marks a rank that has yet to re-enter the MPI call its
+	// snapshot was taken in (see next).
+	reentering bool
+	// span covers the rank's execution from its first turn to its end.
+	span *obs.Span
 }
 
 // Config parameterizes world construction.
@@ -130,13 +129,11 @@ func NewWorld(prog *isa.Program, cfg Config) (*World, error) {
 		return nil, fmt.Errorf("mpi: world size %d < 1", cfg.Size)
 	}
 	w := &World{
-		size:    cfg.Size,
-		ranks:   make([]rankState, cfg.Size),
-		barrier: barrier{n: cfg.Size},
-		abortCh: make(chan struct{}),
-		obs:     newWorldObs(cfg.Obs),
-		tracer:  cfg.Tracer,
-		events:  cfg.Events,
+		size:   cfg.Size,
+		ranks:  make([]rankState, cfg.Size),
+		obs:    newWorldObs(cfg.Obs),
+		tracer: cfg.Tracer,
+		events: cfg.Events,
 	}
 	for r := range w.ranks {
 		var mc vm.Config
@@ -148,7 +145,6 @@ func NewWorld(prog *isa.Program, cfg Config) (*World, error) {
 		rs := &w.ranks[r]
 		rs.id = r
 		rs.env = env{w: w, rs: rs}
-		rs.mailbox.init()
 		mc.MPI = &rs.env
 		if cfg.NewMachine != nil {
 			rs.m = cfg.NewMachine(r, mc)
@@ -181,45 +177,27 @@ func (w *World) Machine(rank int) *vm.Machine { return w.ranks[rank].m }
 // indexed by rank. If any rank terminates abnormally the remaining ranks
 // are aborted, as mpirun does.
 //
-// Each rank runs on a goroutine of its own, except that a world with one
-// rank left to run (a serial guest, or a snapshot whose other ranks had
-// already exited) runs it on the caller's. A panic inside a rank (a simulator
-// bug, not a guest fault) is captured, the remaining ranks are aborted so
-// nothing blocks forever, and the panic is re-raised on the caller's
-// goroutine once every rank has drained — campaign workers isolate it there
-// without losing the process.
+// One rank runs at a time, in an order that is a function of the world's
+// state alone, all of them on the caller's goroutine (sched.go). A panic
+// inside a rank (a simulator bug, not a guest fault) is captured, the
+// remaining ranks are aborted so that each ends where it stands, and the
+// panic is re-raised once every rank has drained — campaign workers isolate
+// it there without losing the process.
 func (w *World) Run() []vm.Termination {
-	var only *rankState
-	runnable := 0
 	for r := range w.ranks {
 		rs := &w.ranks[r]
 		// A rank restored from a snapshot may already have terminated in the
 		// prefix (clean exit before the fork point): record it and run nothing.
 		if t := rs.m.Terminated(); t != nil {
 			rs.term = *t
-			rs.done.Store(true)
-			continue
+			rs.status = done
 		}
-		runnable++
-		only = rs
+		// A rank restored from a snapshot taken while it was suspended in an
+		// MPI call goes back into that call before any other rank runs.
+		rs.reentering = rs.m.ResumesIn() != 0
 	}
-	if runnable == 1 {
-		w.runRank(only)
-	} else if runnable > 1 {
-		var wg sync.WaitGroup
-		for r := range w.ranks {
-			if rs := &w.ranks[r]; !rs.done.Load() {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					w.runRank(rs)
-				}()
-			}
-		}
-		wg.Wait()
-	}
-	if w.stopWatch != nil {
-		close(w.stopWatch)
+	for rs := w.next(); rs != nil; rs = w.next() {
+		w.runRank(rs)
 	}
 	if w.panicMsg != "" {
 		panic("mpi: " + w.panicMsg)
@@ -231,73 +209,80 @@ func (w *World) Run() []vm.Termination {
 	return out
 }
 
-// runRank executes one rank to its termination and stops the rest of the
-// world if that termination calls for it.
+// runRank gives rank rs the baton: its machine executes until it ends, which
+// stops the rest of the world if that termination calls for it, or steps
+// aside inside or after an MPI call, which has set its status.
 func (w *World) runRank(rs *rankState) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.panicMu.Lock()
 			if w.panicMsg == "" {
 				w.panicMsg = fmt.Sprintf("rank %d: %v\n%s", rs.id, r, debug.Stack())
 			}
-			w.panicMu.Unlock()
-			rs.done.Store(true)
+			rs.status = done
 			w.abortPeers(rs.id, vm.Termination{
 				Reason: vm.ReasonMPIError,
 				Msg:    fmt.Sprintf("peer rank %d terminated: simulator panic", rs.id),
 			})
 		}
 	}()
-	sp := w.tracer.StartSpanTID("rank.run", rs.id)
-	term := rs.m.Run()
-	sp.SetArg("reason", term.Reason.String())
-	sp.End()
-	rs.term = term
-	rs.done.Store(true)
+	if rs.span == nil {
+		rs.span = w.tracer.StartSpanTID("rank.run", rs.id)
+	}
+	term := rs.m.RunSlice()
+	if term == nil {
+		return
+	}
+	rs.span.SetArg("reason", term.Reason.String())
+	rs.span.End()
+	rs.term = *term
+	rs.status = done
 	switch {
 	case term.Reason == vm.ReasonPaused:
 		// A fork-point pause initiated by this rank: suspend the whole world
 		// at this quiescent boundary instead of treating the stop as a failure.
-		w.Pause(term)
+		w.Pause(*term)
 	case term.Abnormal():
-		w.abortPeers(rs.id, term)
+		w.abortPeers(rs.id, *term)
 	}
 }
 
 // Interrupt force-terminates every rank with the given termination. The
-// per-run wall-clock watchdog uses it to enforce deadlines: like an mpirun
-// kill, running ranks observe the abort at their next block boundary and
-// ranks blocked in MPI waits are woken immediately.
+// per-run wall-clock deadline (core's RunTimeout) is enforced with it, and it
+// is the one call into a running world that may come from another goroutine:
+// it touches nothing but the machines' abort requests. Like an mpirun kill,
+// the running rank observes the abort at its next block boundary and stops
+// the world, and the ranks suspended in MPI waits then fail them.
 func (w *World) Interrupt(t vm.Termination) {
-	w.abortOnce.Do(func() {
-		w.aborted.Store(true)
+	if w.abortMachines(t) {
 		if w.obs != nil {
 			w.obs.aborts.Inc()
 		}
 		w.tracer.Instant("mpi.interrupt", 0)
 		w.events.Emit("world_interrupt", -1, -1, uint64(t.Reason), 0, t.Msg)
-		w.stop(-1, t)
-	})
+	}
 }
 
-// Pause suspends every rank with a ReasonPaused termination for a
-// fork-point snapshot. Running ranks stop at their next block boundary (a
-// resumable pc); ranks blocked in MPI waits are woken and rewound to the
-// blocking syscall instruction (see vm.Machine.Snapshot). Pause shares
-// abortOnce with the failure aborts, so a pause racing a real abort loses
-// cleanly — the prefix run then fails validation and the caller falls back.
+// Pause suspends every rank with a ReasonPaused termination for a fork-point
+// snapshot. It is called for the rank that holds the baton (the fork target,
+// from runRank, or a hook running on a rank), so it lands at a logical
+// instant: every other rank is suspended in or after an MPI call, has not
+// started, or is done. A waiting rank fails its wait and is rewound to the
+// blocking syscall instruction (see vm.Machine.Snapshot); a rank whose wait
+// was already satisfied completes the call and stops at its next block
+// boundary, where one that had stepped aside after a call stops at once. A pause
+// after a real abort loses cleanly — the prefix run then fails validation
+// and the caller falls back.
 func (w *World) Pause(t vm.Termination) {
-	w.pausing.Store(true)
-	w.abortOnce.Do(func() {
+	w.pausing = true
+	if w.stop(t) {
 		w.tracer.Instant("mpi.pause", 0)
 		w.events.Emit("world_pause", -1, -1, uint64(t.Reason), 0, t.Msg)
-		w.stop(-1, t)
-	})
+	}
 }
 
 // PauseDirty reports whether any rank's interrupted MPI call had made
 // externally visible progress, making the pause point non-resumable.
-func (w *World) PauseDirty() bool { return w.pauseDirty.Load() }
+func (w *World) PauseDirty() bool { return w.pauseDirty }
 
 // QueueSnapshot captures every rank's undelivered messages: the mailbox
 // contents (in delivery order) and the received-but-unmatched pending list.
@@ -313,184 +298,64 @@ func (w *World) QueueSnapshot() (mailboxes, pendings [][]Message) {
 	return mailboxes, pendings
 }
 
-// stop aborts every rank but skip (-1: none) with t and releases every
-// blocked MPI wait. It runs under abortOnce: a world stops early once.
-func (w *World) stop(skip int, t vm.Termination) {
+// abortMachines asks every machine to terminate with t (the first request a
+// machine gets is the one it keeps) and reports whether this was the world's
+// first such request — rank 0's machine is the tie-breaker between an
+// Interrupt and a stop.
+func (w *World) abortMachines(t vm.Termination) bool {
+	first := w.ranks[0].m.Abort(t)
+	for r := 1; r < w.size; r++ {
+		w.ranks[r].m.Abort(t)
+	}
+	return first
+}
+
+// stop ends the world early, once: every machine is asked to terminate with
+// t and every waiting rank is made runnable to find that out. It reports
+// whether this call is what stopped the world (not an earlier stop, nor an
+// Interrupt whose abort requests the machines already hold).
+func (w *World) stop(t vm.Termination) bool {
+	if w.stopped {
+		return false
+	}
+	w.stopped = true
 	for r := range w.ranks {
-		if r != skip {
-			w.ranks[r].m.Abort(t)
+		if rs := &w.ranks[r]; rs.status != done {
+			rs.status = runnable
 		}
 	}
-	close(w.abortCh)
-	w.barrier.abort()
-	for r := range w.ranks {
-		w.ranks[r].mailbox.stop()
-	}
+	return w.abortMachines(t)
 }
 
 // abortPeers kills all other ranks after rank `from` failed. The failed rank
 // keeps its own termination; it has stopped and waits on nothing.
 func (w *World) abortPeers(from int, cause vm.Termination) {
-	w.abortOnce.Do(func() {
-		w.aborted.Store(true)
+	if w.stop(vm.Termination{
+		Reason: vm.ReasonMPIError,
+		Msg:    fmt.Sprintf("peer rank %d terminated: %s", from, cause),
+	}) {
 		if w.obs != nil {
 			w.obs.aborts.Inc()
 		}
 		w.tracer.Instant("mpi.abort_peers", from)
 		w.events.Emit("world_abort", -1, from, uint64(cause.Reason), 0, cause.Msg)
-		w.stop(from, vm.Termination{
-			Reason: vm.ReasonMPIError,
-			Msg:    fmt.Sprintf("peer rank %d terminated: %s", from, cause),
-		})
-	})
+	}
 }
 
-// abortAll kills every rank (deadlock detected).
-func (w *World) abortAll(msg string) {
-	w.abortOnce.Do(func() {
-		w.aborted.Store(true)
+// deadlock kills every rank: no rank can run and not all are done, so each
+// live one waits in MPI for something no rank is left to do — typically
+// fault-induced (a sender crashed out of its send, or control flow skipped a
+// matching send).
+func (w *World) deadlock() {
+	const msg = "deadlock detected: all live ranks blocked in MPI"
+	if w.obs != nil {
+		w.obs.deadlocks.Inc()
+	}
+	w.tracer.Instant("mpi.deadlock", 0)
+	if w.stop(vm.Termination{Reason: vm.ReasonMPIError, Msg: msg}) {
 		if w.obs != nil {
 			w.obs.aborts.Inc()
 		}
 		w.events.Emit("world_deadlock", -1, -1, 0, 0, msg)
-		w.stop(-1, vm.Termination{Reason: vm.ReasonMPIError, Msg: msg})
-	})
-}
-
-// startWatchdog starts the deadlock watchdog unless it already runs. Ranks
-// call it as they enter a blocked MPI wait, the only state the watchdog acts
-// on, so Run reads stopWatch after every rank has finished.
-func (w *World) startWatchdog() {
-	if w.watching.CompareAndSwap(false, true) {
-		w.stopWatch = make(chan struct{})
-		go w.watchdog(w.stopWatch)
 	}
-}
-
-// watchdog aborts the world when every live rank is blocked in MPI and no
-// message has been delivered between two consecutive polls — i.e. deadlock,
-// typically fault-induced (a sender crashed out of its send, or control
-// flow skipped a matching send).
-func (w *World) watchdog(stop <-chan struct{}) {
-	// A world is declared deadlocked when, over a sustained window, every
-	// live rank sits in a blocked MPI wait, every mailbox is empty (no
-	// receiver has undrained input), and no message was delivered. The
-	// window is generous because under parallel campaigns whole worlds can
-	// be descheduled for milliseconds; fault-induced deadlocks are
-	// permanent, so detection latency only costs wall-clock, never
-	// correctness.
-	const (
-		poll         = 200 * time.Microsecond
-		stableNeeded = 25 // 5ms of provable no-progress
-	)
-	var lastDelivered uint64
-	stable := 0
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
-		allIdle := true
-		anyBlocked := false
-		mailboxesEmpty := true
-		for r := range w.ranks {
-			rs := &w.ranks[r]
-			if rs.done.Load() {
-				continue
-			}
-			if rs.blocked.Load() {
-				anyBlocked = true
-			} else {
-				allIdle = false
-			}
-			if rs.mailbox.len() > 0 {
-				mailboxesEmpty = false
-			}
-		}
-		d := w.delivered.Load()
-		if allIdle && anyBlocked && mailboxesEmpty && d == lastDelivered {
-			stable++
-			if stable >= stableNeeded {
-				if w.obs != nil {
-					w.obs.deadlocks.Inc()
-				}
-				w.tracer.Instant("mpi.deadlock", 0)
-				w.abortAll("deadlock detected: all live ranks blocked in MPI")
-				return
-			}
-		} else {
-			stable = 0
-		}
-		lastDelivered = d
-	}
-}
-
-// barrier is an abortable N-party barrier usable repeatedly. The release
-// channel of a generation exists only while a party waits in it.
-type barrier struct {
-	mu      sync.Mutex
-	n       int
-	arrived int
-	gen     int
-	release chan struct{}
-	broken  bool
-}
-
-// wait blocks until all n parties arrive or the barrier is aborted; it
-// returns false when aborted.
-func (b *barrier) wait(abortCh <-chan struct{}) bool {
-	b.mu.Lock()
-	if b.broken {
-		b.mu.Unlock()
-		return false
-	}
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.releaseWaiters()
-		b.mu.Unlock()
-		return true
-	}
-	if b.release == nil {
-		b.release = make(chan struct{})
-	}
-	release := b.release
-	myGen := b.gen
-	b.mu.Unlock()
-	select {
-	case <-release:
-		b.mu.Lock()
-		// The generation check distinguishes a completion that raced an
-		// abort from a pure abort: if the generation advanced past ours, all
-		// n parties arrived and this waiter was released legitimately — the
-		// barrier completed even if the world was broken immediately after.
-		completed := b.gen > myGen
-		broken := b.broken
-		b.mu.Unlock()
-		return completed || !broken
-	case <-abortCh:
-		return false
-	}
-}
-
-// releaseWaiters wakes the parties waiting in the current generation. The
-// caller holds mu.
-func (b *barrier) releaseWaiters() {
-	if b.release != nil {
-		close(b.release)
-		b.release = nil
-	}
-}
-
-// abort breaks the barrier: waiters return false and later arrivals do not
-// block.
-func (b *barrier) abort() {
-	b.mu.Lock()
-	b.broken = true
-	b.releaseWaiters()
-	b.mu.Unlock()
 }

@@ -10,11 +10,17 @@ import (
 	"chaser/internal/vm"
 )
 
-// env implements vm.MPIEnv for one rank.
+// env implements vm.MPIEnv for one rank. A call that has to wait for another
+// rank returns vm.ErrWait with the rank's status set to what it waits for, the
+// machine suspends, and when the rank next holds the baton the machine makes
+// the same Call again: the fields below the first two are what the call in
+// progress has done so far, kept from one attempt to the next.
 type env struct {
 	w  *World
 	rs *rankState
-	// progress counts externally visible effects of the current Call — a
+	// waiting is set while the call in progress is suspended.
+	waiting bool
+	// progress counts externally visible effects of the current call — a
 	// message delivered to a peer's mailbox or a match consumed from the
 	// local queues. A fork-point pause that interrupts a call with
 	// progress > 0 cannot rewind it (re-execution would replay the effects),
@@ -22,14 +28,51 @@ type env struct {
 	// pending is NOT progress: pending is part of the snapshot and the
 	// re-executed receive rescans it.
 	progress int
+	// step is how far a collective has got through its peers, acc a
+	// reduction's accumulator, gen the barrier generation the rank arrived in
+	// (step 1), since the time the call first had to wait (telemetry only).
+	step  int
+	acc   []byte
+	gen   int
+	since time.Time
 }
 
 var _ vm.MPIEnv = (*env)(nil)
 
-// Call dispatches one MPI syscall for machine m. Argument registers follow
-// the guest ABI documented in package isa.
+// Call performs one MPI syscall for machine m, which holds the baton, or goes
+// on with the one m was suspended in. If the call let a lower-numbered rank go
+// on, m steps aside once the call is complete.
 func (e *env) Call(m *vm.Machine, sys isa.Sys) error {
-	e.progress = 0
+	if !e.waiting {
+		e.progress, e.step, e.acc, e.since = 0, 0, nil, time.Time{}
+		if e.rs.reentering {
+			// Back inside the call the snapshot was taken in; see World.next.
+			e.rs.reentering = false
+			e.waiting = true
+			return vm.ErrWait
+		}
+	}
+	err := e.dispatch(m, sys)
+	e.waiting = err == vm.ErrWait
+	if err == nil && e.w.lowerRunnable(e.rs.id) {
+		m.Yield()
+	}
+	return err
+}
+
+// wait suspends the call until something changes the rank's status back to
+// runnable: st says what it waits for.
+func (e *env) wait(st status) error {
+	if e.w.obs != nil && e.since.IsZero() {
+		e.since = time.Now()
+	}
+	e.rs.status = st
+	return vm.ErrWait
+}
+
+// dispatch decodes one MPI syscall. Argument registers follow the guest ABI
+// documented in package isa.
+func (e *env) dispatch(m *vm.Machine, sys isa.Sys) error {
 	switch sys {
 	case isa.SysMPIRank:
 		m.SetGPR(isa.R0, uint64(e.rs.id))
@@ -46,20 +89,7 @@ func (e *env) Call(m *vm.Machine, sys isa.Sys) error {
 			m.GPR(isa.R1), int64(m.GPR(isa.R2)), isa.Datatype(m.GPR(isa.R3)),
 			int(int64(m.GPR(isa.R4))), int(int64(m.GPR(isa.R5))))
 	case isa.SysMPIBarrier:
-		// The barrier is an inherent synchronization point, so timing it live
-		// costs nothing measurable relative to the wait itself.
-		var t0 time.Time
-		if e.w.obs != nil {
-			t0 = time.Now()
-		}
-		ok := e.w.barrier.wait(e.w.abortCh)
-		if e.w.obs != nil {
-			e.w.obs.barrierWait.Observe(time.Since(t0).Seconds())
-		}
-		if !ok {
-			return e.abortErr("MPI_Barrier")
-		}
-		return nil
+		return e.barrier()
 	case isa.SysMPIBcast:
 		return e.bcast(m,
 			m.GPR(isa.R1), int64(m.GPR(isa.R2)), isa.Datatype(m.GPR(isa.R3)),
@@ -81,12 +111,12 @@ func (e *env) Call(m *vm.Machine, sys isa.Sys) error {
 // world abort, carrying the root cause (peer failure or deadlock) so outcome
 // classification can distinguish secondary aborts from local errors.
 func (e *env) abortErr(op string) error {
-	if e.w.pausing.Load() && e.progress > 0 {
-		e.w.pauseDirty.Store(true)
+	if e.w.pausing && e.progress > 0 {
+		e.w.pauseDirty = true
 	}
 	if t := e.rs.m.Aborted(); t != nil {
 		// Adopt the abort's own termination: a peer failure stays an MPI
-		// error carrying the root cause, a watchdog kill stays a timeout.
+		// error carrying the root cause, a wall-clock kill stays a timeout.
 		return &vm.AbortedError{Term: *t}
 	}
 	return &vm.MPIRuntimeError{Op: op, Msg: "aborted"}
@@ -133,34 +163,62 @@ func (e *env) sendTag(m *vm.Machine, buf uint64, count int64, dtype isa.Datatype
 		return err // SegFault: the runtime touched a corrupted user buffer
 	}
 	msg := Message{Src: e.rs.id, Dst: dest, Tag: tag, Dtype: dtype, Count: count, Data: data}
-	dst := &e.w.ranks[dest].mailbox
-	// Fast path: eager-buffered delivery without entering the blocked state
-	// (keeps the deadlock watchdog free of false positives).
-	if !dst.tryPut(&msg) {
-		e.block()
-		defer e.rs.blocked.Store(false)
-		var t0 time.Time
-		if e.w.obs != nil {
-			t0 = time.Now()
-		}
-		if !dst.put(&msg) {
+	dst := &e.w.ranks[dest]
+	// Eager-buffered delivery; only a full mailbox makes the sender wait.
+	if !dst.mailbox.put(&msg) {
+		if e.w.stopped {
 			return e.abortErr("MPI_Send")
 		}
-		if e.w.obs != nil {
-			e.w.obs.sendWait.Observe(time.Since(t0).Seconds())
-		}
+		e.rs.waitDst = dest
+		return e.wait(waitSend)
 	}
-	e.w.delivered.Add(1)
+	if !e.since.IsZero() {
+		e.w.obs.sendWait.Observe(time.Since(e.since).Seconds())
+		e.since = time.Time{}
+	}
+	if dst.status == waitRecv && dst.wantSrc == e.rs.id && dst.wantTag == tag {
+		dst.status = runnable
+	}
 	e.progress++
 	e.w.obs.sent(len(data))
 	return nil
 }
 
-// block marks the rank blocked in an MPI wait, the state the deadlock
-// watchdog looks for, and makes sure the watchdog runs.
-func (e *env) block() {
-	e.rs.blocked.Store(true)
-	e.w.startWatchdog()
+// barrier waits until every rank of the world has arrived. The last arrival
+// completes the generation and makes the others runnable; a rank the world's
+// stopping made runnable instead finds its generation incomplete and fails
+// the call.
+func (e *env) barrier() error {
+	w := e.w
+	if e.step == 0 {
+		if w.stopped {
+			return e.abortErr("MPI_Barrier")
+		}
+		// The barrier is an inherent synchronization point, so timing it
+		// live costs nothing measurable relative to the wait itself.
+		if w.obs != nil {
+			e.since = time.Now()
+		}
+		w.arrived++
+		if w.arrived == w.size {
+			w.arrived = 0
+			w.barrierGen++
+			for r := range w.ranks {
+				if rs := &w.ranks[r]; rs.status == waitBarrier {
+					rs.status = runnable
+				}
+			}
+		} else {
+			e.step, e.gen = 1, w.barrierGen
+			return e.wait(waitBarrier)
+		}
+	} else if w.barrierGen == e.gen {
+		return e.abortErr("MPI_Barrier")
+	}
+	if w.obs != nil {
+		w.obs.barrierWait.Observe(time.Since(e.since).Seconds())
+	}
+	return nil
 }
 
 func (e *env) recv(m *vm.Machine, buf uint64, count int64, dtype isa.Datatype, source, tag int) error {
@@ -187,48 +245,53 @@ func (e *env) recvTag(m *vm.Machine, buf uint64, count int64, dtype isa.Datatype
 	return nil
 }
 
-// match blocks until a message with the given source and tag is available.
+// match returns the next message with the given source and tag, or waits for
+// its delivery.
 func (e *env) match(source, tag int) (Message, error) {
 	for i, p := range e.rs.pending {
 		if p.Src == source && p.Tag == tag {
 			e.rs.pending = append(e.rs.pending[:i], e.rs.pending[i+1:]...)
-			e.progress++
-			return p, nil
+			return e.matched(p), nil
 		}
 	}
-	// Fast path: drain already-delivered messages without entering the
-	// blocked state.
-	for {
-		msg, ok := e.rs.mailbox.tryTake()
-		if !ok {
-			break
-		}
+	// Drain what has been delivered, setting aside what does not match.
+	for msg, ok := e.take(); ok; msg, ok = e.take() {
 		if msg.Src == source && msg.Tag == tag {
-			e.progress++
-			return msg, nil
+			return e.matched(msg), nil
 		}
 		e.rs.pending = append(e.rs.pending, msg)
 	}
-	e.block()
-	defer e.rs.blocked.Store(false)
-	var t0 time.Time
-	if e.w.obs != nil {
-		t0 = time.Now()
+	if e.w.stopped {
+		return Message{}, e.abortErr("MPI_Recv")
 	}
-	for {
-		msg, ok := e.rs.mailbox.take()
-		if !ok {
-			return Message{}, e.abortErr("MPI_Recv")
-		}
-		if msg.Src == source && msg.Tag == tag {
-			e.progress++
-			if e.w.obs != nil {
-				e.w.obs.recvWait.Observe(time.Since(t0).Seconds())
+	e.rs.wantSrc, e.rs.wantTag = source, tag
+	return Message{}, e.wait(waitRecv)
+}
+
+// matched consumes msg for the call in progress.
+func (e *env) matched(msg Message) Message {
+	e.progress++
+	if !e.since.IsZero() {
+		e.w.obs.recvWait.Observe(time.Since(e.since).Seconds())
+		e.since = time.Time{}
+	}
+	return msg
+}
+
+// take removes the oldest message from the rank's own mailbox; taking one
+// from a full mailbox makes the senders waiting for room in it runnable.
+func (e *env) take() (Message, bool) {
+	mb := &e.rs.mailbox
+	full := mb.n == mailboxCap
+	msg, ok := mb.take()
+	if full {
+		for r := range e.w.ranks {
+			if rs := &e.w.ranks[r]; rs.status == waitSend && rs.waitDst == e.rs.id {
+				rs.status = runnable
 			}
-			return msg, nil
 		}
-		e.rs.pending = append(e.rs.pending, msg)
 	}
+	return msg, ok
 }
 
 func (e *env) bcast(m *vm.Machine, buf uint64, count int64, dtype isa.Datatype, root int) error {
@@ -236,11 +299,11 @@ func (e *env) bcast(m *vm.Machine, buf uint64, count int64, dtype isa.Datatype, 
 		return err
 	}
 	if e.rs.id == root {
-		for r := 0; r < e.w.size; r++ {
-			if r == root {
+		for ; e.step < e.w.size; e.step++ {
+			if e.step == root {
 				continue
 			}
-			if err := e.sendTag(m, buf, count, dtype, r, tagBcast, true); err != nil {
+			if err := e.sendTag(m, buf, count, dtype, e.step, tagBcast, true); err != nil {
 				return err
 			}
 		}
@@ -262,25 +325,42 @@ func (e *env) reduce(m *vm.Machine, sendBuf, recvBuf uint64, count int64, dtype 
 	if e.rs.id != root {
 		return e.sendTag(m, sendBuf, count, dtype, root, tagReduce, true)
 	}
-	n := uint64(count) * uint64(dtype.Size())
-	acc, err := m.Mem.ReadBytes(sendBuf, n)
+	if err := e.accumulate(m, sendBuf, count, dtype); err != nil {
+		return err
+	}
+	for ; e.step < e.w.size; e.step++ {
+		if e.step == root {
+			continue
+		}
+		if err := e.fold("MPI_Reduce", e.step, tagReduce, count, dtype, op); err != nil {
+			return err
+		}
+	}
+	return m.Mem.WriteBytes(recvBuf, e.acc)
+}
+
+// accumulate starts a reduction at its root: the accumulator is the root's
+// own contribution.
+func (e *env) accumulate(m *vm.Machine, sendBuf uint64, count int64, dtype isa.Datatype) error {
+	if e.acc != nil {
+		return nil // the call is going on after a wait
+	}
+	acc, err := m.Mem.ReadBytes(sendBuf, uint64(count)*uint64(dtype.Size()))
+	e.acc = acc
+	return err
+}
+
+// fold combines rank r's contribution into the accumulator, or waits for it.
+func (e *env) fold(name string, r, tag int, count int64, dtype isa.Datatype, op isa.ReduceOp) error {
+	msg, err := e.match(r, tag)
 	if err != nil {
 		return err
 	}
-	for r := 0; r < e.w.size; r++ {
-		if r == root {
-			continue
-		}
-		msg, err := e.match(r, tagReduce)
-		if err != nil {
-			return err
-		}
-		if msg.Count != count || msg.Dtype != dtype {
-			return &vm.MPIRuntimeError{Op: "MPI_Reduce", Msg: "mismatched contribution"}
-		}
-		combine(acc, msg.Data, dtype, op)
+	if msg.Count != count || msg.Dtype != dtype {
+		return &vm.MPIRuntimeError{Op: name, Msg: "mismatched contribution"}
 	}
-	return m.Mem.WriteBytes(recvBuf, acc)
+	combine(e.acc, msg.Data, dtype, op)
+	return nil
 }
 
 // allreduce reduces into rank 0 and rebroadcasts the result, so every rank
@@ -295,32 +375,33 @@ func (e *env) allreduce(m *vm.Machine, sendBuf, recvBuf uint64, count int64, dty
 	if dtype == isa.TypeByte {
 		return &vm.MPIRuntimeError{Op: "MPI_Allreduce", Msg: "byte reduction unsupported"}
 	}
-	n := uint64(count) * uint64(dtype.Size())
+	size := e.w.size
 	if e.rs.id != 0 {
-		if err := e.sendTag(m, sendBuf, count, dtype, 0, tagAllreduce, true); err != nil {
-			return err
+		if e.step == 0 {
+			if err := e.sendTag(m, sendBuf, count, dtype, 0, tagAllreduce, true); err != nil {
+				return err
+			}
+			e.step = 1
 		}
 		return e.recvTag(m, recvBuf, count, dtype, 0, tagAllreduce, true)
 	}
-	acc, err := m.Mem.ReadBytes(sendBuf, n)
-	if err != nil {
+	// Rank 0 goes through 2(size-1) peers: the contributions of ranks
+	// 1..size-1, then the result back to each.
+	if err := e.accumulate(m, sendBuf, count, dtype); err != nil {
 		return err
 	}
-	for r := 1; r < e.w.size; r++ {
-		msg, err := e.match(r, tagAllreduce)
-		if err != nil {
+	for ; e.step < size-1; e.step++ {
+		if err := e.fold("MPI_Allreduce", e.step+1, tagAllreduce, count, dtype, op); err != nil {
 			return err
 		}
-		if msg.Count != count || msg.Dtype != dtype {
-			return &vm.MPIRuntimeError{Op: "MPI_Allreduce", Msg: "mismatched contribution"}
+	}
+	if e.step == size-1 {
+		if err := m.Mem.WriteBytes(recvBuf, e.acc); err != nil {
+			return err
 		}
-		combine(acc, msg.Data, dtype, op)
 	}
-	if err := m.Mem.WriteBytes(recvBuf, acc); err != nil {
-		return err
-	}
-	for r := 1; r < e.w.size; r++ {
-		if err := e.sendTag(m, recvBuf, count, dtype, r, tagAllreduce, true); err != nil {
+	for ; e.step < 2*(size-1); e.step++ {
+		if err := e.sendTag(m, recvBuf, count, dtype, e.step-size+2, tagAllreduce, true); err != nil {
 			return err
 		}
 	}

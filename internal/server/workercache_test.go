@@ -37,10 +37,9 @@ func quietWorker(reg *obs.Registry) *Worker {
 // TestWorkerCacheDifferential: one worker executes the shards of eight
 // campaigns, two of each of four guests, interleaved so that almost every
 // shard meets a baseline another campaign's shard prepared. A warm shard must
-// be the cold shard: on the serial guests its journal is byte for byte the one
-// cache-less ExecuteShard writes, and on every guest the merged report is the
-// standalone campaign's (the MPI guests are not bit-reproducible run by run;
-// their reports are).
+// be the cold shard: on every guest — the MPI ones through the durable hub —
+// its journal is byte for byte the one cache-less ExecuteShard writes, and the
+// merged report is the standalone campaign's.
 func TestWorkerCacheDifferential(t *testing.T) {
 	hubAddr := testHub(t)
 	type camp struct {
@@ -48,7 +47,6 @@ func TestWorkerCacheDifferential(t *testing.T) {
 		app    apps.App
 		hub    string
 		nsBase int
-		serial bool
 	}
 	var camps []camp
 	nsBase := 0
@@ -59,8 +57,8 @@ func TestWorkerCacheDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			sp := Spec{App: name, Runs: 12, Seed: int64(100*round + 7*i + 3), Bits: 1 + round, Shards: 3, Trace: true, Parallel: 1}.normalize()
-			c := camp{spec: sp, app: app, nsBase: nsBase, serial: app.WorldSize == 1}
-			if !c.serial {
+			c := camp{spec: sp, app: app, nsBase: nsBase}
+			if app.WorldSize > 1 {
 				c.hub = hubAddr
 			}
 			nsBase += sp.Runs
@@ -84,9 +82,6 @@ func TestWorkerCacheDifferential(t *testing.T) {
 				t.Fatalf("campaign %d (%s) shard %d on the worker: %v", ci, c.spec.App, shard, err)
 			}
 			shards++
-			if !c.serial {
-				continue
-			}
 			a.Journal = journal(coldDir, ci, shard)
 			if err := ExecuteShard(&a, nil, nil); err != nil {
 				t.Fatal(err)

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -150,6 +152,69 @@ func TestMPIEnvErrorMapping(t *testing.T) {
 	// nil error -> success.
 	if term := mk(nil); term.Reason != ReasonExited {
 		t.Errorf("success term = %v", term)
+	}
+}
+
+// waitingEnv suspends the machine in its first call twice and asks it to
+// yield after the second call.
+type waitingEnv struct{ calls []isa.Sys }
+
+func (e *waitingEnv) Call(m *Machine, sys isa.Sys) error {
+	e.calls = append(e.calls, sys)
+	switch len(e.calls) {
+	case 1, 2:
+		return ErrWait
+	case 4:
+		m.Yield()
+	}
+	return nil
+}
+
+// TestRunSliceSuspendsInsideTheCall: a machine whose MPI environment returns
+// ErrWait stops inside the syscall, and resuming it makes the same call again
+// — hooks and counters see the syscall once — while a Yield stops it after a
+// completed call. What it has executed when it ends is what a machine that
+// never stepped aside has.
+func TestRunSliceSuspendsInsideTheCall(t *testing.T) {
+	p, err := asm.Assemble("t", "main:\n syscall mpi_barrier\n syscall mpi_rank\n movi r1, 7\n syscall out_int\n hlt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	straight := New(p, Config{MPI: mpiStub{}})
+	if term := straight.Run(); term.Reason != ReasonExited {
+		t.Fatal(term)
+	}
+
+	env := &waitingEnv{}
+	m := New(p, Config{MPI: env})
+	var pre, post []isa.Sys
+	m.Hooks.PreSyscall = func(_ *Machine, sys isa.Sys) { pre = append(pre, sys) }
+	m.Hooks.PostSyscall = func(_ *Machine, sys isa.Sys) { post = append(post, sys) }
+	slices := 0
+	for m.RunSlice() == nil {
+		slices++
+		if slices > 10 {
+			t.Fatal("the machine never ended")
+		}
+	}
+	// Two waits in the barrier and one yield after mpi_rank.
+	if slices != 3 {
+		t.Errorf("machine stepped aside %d times, want 3", slices)
+	}
+	wantCalls := []isa.Sys{isa.SysMPIBarrier, isa.SysMPIBarrier, isa.SysMPIBarrier, isa.SysMPIRank}
+	if !reflect.DeepEqual(env.calls, wantCalls) {
+		t.Errorf("environment saw %v, want %v", env.calls, wantCalls)
+	}
+	wantHooks := []isa.Sys{isa.SysMPIBarrier, isa.SysMPIRank, isa.SysOutInt}
+	if !reflect.DeepEqual(pre, wantHooks) || !reflect.DeepEqual(post, wantHooks) {
+		t.Errorf("pre-syscall hooks %v, post-syscall hooks %v, want %v each", pre, post, wantHooks)
+	}
+	if got, want := m.Counters(), straight.Counters(); got.Instructions != want.Instructions || got.Syscalls != want.Syscalls {
+		t.Errorf("%d instructions and %d syscalls, a machine that never waited %d and %d",
+			got.Instructions, got.Syscalls, want.Instructions, want.Syscalls)
+	}
+	if !bytes.Equal(m.Output(), straight.Output()) {
+		t.Errorf("output %v, want %v", m.Output(), straight.Output())
 	}
 }
 

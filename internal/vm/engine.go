@@ -19,9 +19,11 @@ type abortBox struct {
 
 // Abort requests asynchronous termination of the machine (e.g. mpirun
 // killing the remaining ranks after a peer crash). The machine observes the
-// request at the next translation-block boundary or blocking syscall.
-func (m *Machine) Abort(t Termination) {
-	m.abort.p.CompareAndSwap(nil, &t)
+// request at the next translation-block boundary or blocking syscall. The
+// first request is the one the machine keeps; Abort reports whether this was
+// it.
+func (m *Machine) Abort(t Termination) bool {
+	return m.abort.p.CompareAndSwap(nil, &t)
 }
 
 // Aborted returns the pending asynchronous termination, if any.
@@ -68,6 +70,32 @@ func (m *Machine) Run() Termination {
 	m.flushObs()
 	return *m.term
 }
+
+// RunSlice executes until the machine terminates, and returns the termination,
+// or until it steps aside for another rank of its world, and returns nil: its
+// MPI environment suspended it inside a call (ErrWait) or asked it to stop
+// after one (Yield). The next RunSlice goes on from there — a suspended call
+// is issued again, without its pre-syscall hooks and without counting the
+// instruction or the syscall a second time. A machine outside an MPI world
+// never steps aside: its RunSlice is Run.
+func (m *Machine) RunSlice() *Termination {
+	m.yielded = false
+	if sys := m.waitingIn; sys != 0 {
+		m.waitingIn = 0
+		m.finishSyscall(sys, m.waitPC)
+	}
+	for m.term == nil && m.waitingIn == 0 && !m.yielded {
+		m.step(true)
+	}
+	if m.term != nil {
+		m.flushObs()
+	}
+	return m.term
+}
+
+// Yield makes the RunSlice in progress return after the MPI call Yield is made
+// from (a syscall ends its block) and that call's post-syscall hooks.
+func (m *Machine) Yield() { m.yielded = true }
 
 // step performs one engine iteration: observe pending asynchronous aborts,
 // resolve the next block through the chain table (or the translator on a

@@ -9,6 +9,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -90,12 +91,18 @@ type Counters struct {
 }
 
 // MPIEnv is the interface between a machine and its MPI runtime. Call
-// handles one MPI syscall; it may block until peers arrive. A returned
+// handles one MPI syscall. A call that cannot complete until another rank has
+// run returns ErrWait: the machine suspends inside the syscall (RunSlice
+// returns nil) and the next RunSlice issues the same Call again, so an
+// environment keeps what a waiting call has done so far. A returned
 // MPIRuntimeError terminates the guest with ReasonMPIError; any other error
 // is treated as an OS-level fault.
 type MPIEnv interface {
 	Call(m *Machine, sys isa.Sys) error
 }
+
+// ErrWait is what MPIEnv.Call returns to suspend the machine inside the call.
+var ErrWait = errors.New("vm: MPI call waits for another rank")
 
 // MPIRuntimeError is an error the MPI runtime detected and reported (the
 // "MPI error detected" termination class of Table III).
@@ -223,6 +230,15 @@ type Machine struct {
 	obsReg     *obs.Registry
 	obsFlushed bool
 	events     *obs.Sink
+
+	// resumesIn is the pausedIn of the snapshot this machine was forked from.
+	resumesIn isa.Sys
+	// waitingIn is the MPI syscall the machine is suspended in (its Call
+	// returned ErrWait; 0: none) and waitPC that instruction's address;
+	// yielded is set by Yield. Either makes RunSlice return.
+	waitingIn isa.Sys
+	waitPC    uint64
+	yielded   bool
 }
 
 // New creates a machine for prog with the standard memory layout mapped:

@@ -101,6 +101,11 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 // PausedIn returns the blocking syscall the pause interrupted, or 0.
 func (s *Snapshot) PausedIn() isa.Sys { return s.pausedSys }
 
+// ResumesIn returns the blocking syscall the machine's snapshot was paused in
+// (Snapshot.PausedIn) — the first instruction it executes issues that syscall
+// again — or 0 for a machine that starts anywhere else.
+func (m *Machine) ResumesIn() isa.Sys { return m.resumesIn }
+
 // GPR returns a guest general-purpose register value from the snapshot.
 func (s *Snapshot) GPR(r isa.Reg) uint64 { return s.regs[tcg.GPR(r)] }
 
@@ -164,6 +169,7 @@ func NewFromSnapshot(prog *isa.Program, snap *Snapshot, cfg Config) *Machine {
 		mpi:          cfg.MPI,
 		obsReg:       cfg.Obs,
 		events:       cfg.Events,
+		resumesIn:    snap.pausedSys,
 	}
 	m.Trans.AttachObs(cfg.Obs)
 	if m.maxInstr == 0 {

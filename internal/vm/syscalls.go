@@ -27,8 +27,15 @@ func (m *Machine) doSyscall(sys isa.Sys, eip uint64) {
 			return
 		}
 	}
+	m.finishSyscall(sys, eip)
+}
+
+// finishSyscall performs a system call whose pre-syscall hooks have run —
+// again, for an MPI call the machine was suspended in — and runs the
+// post-syscall hooks once it is complete.
+func (m *Machine) finishSyscall(sys isa.Sys, eip uint64) {
 	m.dispatchSyscall(sys, eip)
-	if m.term == nil && m.Hooks.PostSyscall != nil {
+	if m.term == nil && m.waitingIn == 0 && m.Hooks.PostSyscall != nil {
 		m.Hooks.PostSyscall(m, sys)
 	}
 }
@@ -111,6 +118,10 @@ func (m *Machine) dispatchSyscall(sys isa.Sys, eip uint64) {
 			return
 		}
 		if err := m.mpi.Call(m, sys); err != nil {
+			if err == ErrWait {
+				m.waitingIn, m.waitPC = sys, eip
+				return
+			}
 			var ab *AbortedError
 			if errors.As(err, &ab) {
 				t := ab.Term
