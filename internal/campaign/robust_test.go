@@ -378,6 +378,13 @@ func (o *outageHub) Poll(id tainthub.ReqID, k tainthub.Key, seq uint64) ([]uint8
 	return o.inner.Poll(id, k, seq)
 }
 
+// StartFlight makes the double a FlightStarter, as the client beneath it is:
+// the campaign's messages cross the outage as flights.
+func (o *outageHub) StartFlight(publish, poll tainthub.ReqID, k tainthub.Key, seq uint64, masks []uint8) tainthub.Flight {
+	o.maybeBlast()
+	return o.inner.(tainthub.FlightStarter).StartFlight(publish, poll, k, seq, masks)
+}
+
 func (o *outageHub) Stats() tainthub.Stats {
 	o.maybeBlast()
 	return o.inner.Stats()
@@ -479,6 +486,15 @@ func (h *crashOnPublishHub) Publish(id tainthub.ReqID, k tainthub.Key, seq uint6
 
 func (h *crashOnPublishHub) Poll(id tainthub.ReqID, k tainthub.Key, seq uint64) ([]uint8, bool, error) {
 	return h.inner.Poll(id, k, seq)
+}
+
+// StartFlight counts a flight as its publish: the crash lands with flights of
+// the other workers' runs on the wire.
+func (h *crashOnPublishHub) StartFlight(publish, poll tainthub.ReqID, k tainthub.Key, seq uint64, masks []uint8) tainthub.Flight {
+	if h.pubs.Add(1) == h.at {
+		h.once.Do(h.blast)
+	}
+	return h.inner.(tainthub.FlightStarter).StartFlight(publish, poll, k, seq, masks)
 }
 
 func (h *crashOnPublishHub) Stats() tainthub.Stats { return h.inner.Stats() }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"chaser/internal/decaf"
 	"chaser/internal/isa"
@@ -93,21 +92,28 @@ func (s *Spec) withDefaults() *Spec {
 // terminal command), then create the target processes.
 type Chaser struct {
 	platform *decaf.Platform
-	// hub is what the MPI hooks call: the events decorator over view, the
-	// worldHub that keeps clean receives off the hub given at construction.
-	hub  tainthub.Hub
+	// view is what the MPI hooks reach the TaintHub through.
 	view *worldHub
 
 	// hubClient identifies this Chaser to the hub; hubReq mints one request
-	// ID per logical Publish/Poll. The hub echoes the pair so the pipelined
-	// client can check which call a response answers.
+	// ID per logical Publish/Poll (only the hooks do, on the world's one
+	// goroutine). The hub echoes the pair so the pipelined client can check
+	// which call a response answers.
 	hubClient uint64
-	hubReq    atomic.Uint64
+	hubReq    uint64
 
+	// mu guards what other goroutines read of a live run (chaser_status, the
+	// Observatory) while the world's goroutine writes it; the hooks themselves
+	// need no lock.
 	mu      sync.Mutex
 	spec    *Spec
 	records []InjectionRecord
 	hubErr  error // first hub failure observed by the MPI hooks
+	// hubStats is the world's own count of its hub traffic: publishes the hub
+	// acknowledged, polls that reached it, polls that found a status.
+	// pollsLocal counts the receives answered without the hub.
+	hubStats   tainthub.Stats
+	pollsLocal uint64
 
 	collector *trace.Collector
 	events    *obs.Sink
@@ -177,11 +183,7 @@ func New(opts Options) *Chaser {
 		obsTaintLost: opts.Obs.Counter("core_hub_taint_lost_total"),
 		armed:        make(map[*vm.Machine]*armState),
 	}
-	c.view = &worldHub{c: c, hub: hub, obsLocal: opts.Obs.Counter("core_hub_polls_local_total")}
-	// The decorator turns every logical Publish/Poll into a structured event,
-	// the ones the view answers itself included; with a nil sink WithEvents
-	// returns the view unchanged.
-	c.hub = tainthub.WithEvents(c.view, opts.Events)
+	c.view = newWorldHub(c, hub, opts.Obs)
 	return c
 }
 
@@ -219,6 +221,7 @@ func (c *Chaser) statusCmd(_ []string) (string, error) {
 	spec := c.spec
 	nRec := len(c.records)
 	recs := append([]InjectionRecord(nil), c.records...)
+	hs, local := c.hubStats, c.pollsLocal
 	c.mu.Unlock()
 
 	var sb strings.Builder
@@ -242,9 +245,8 @@ func (c *Chaser) statusCmd(_ []string) (string, error) {
 	} else {
 		fmt.Fprintf(&sb, "propagation: access log not kept, %d cross-rank messages\n", len(c.collector.CrossRank()))
 	}
-	hs := c.hub.Stats()
 	fmt.Fprintf(&sb, "tainthub: published=%d polls=%d hits=%d pending=%d (clean receives answered without the hub: %d)\n",
-		hs.Published, hs.Polls, hs.Hits, hs.Pending, c.view.pollsLocal.Load())
+		hs.Published, hs.Polls, hs.Hits, hs.Pending, local)
 	return sb.String(), nil
 }
 
@@ -276,8 +278,34 @@ func (c *Chaser) Records() []InjectionRecord {
 // Trace returns the propagation-trace collector.
 func (c *Chaser) Trace() *trace.Collector { return c.collector }
 
-// Hub returns the TaintHub in use.
-func (c *Chaser) Hub() tainthub.Hub { return c.hub }
+// HubStats returns the world's own count of its TaintHub traffic — not the
+// hub's, which may serve many worlds: the publishes the hub acknowledged, the
+// polls that reached it and those that found a status. Pending is what was
+// published and not found by a poll.
+func (c *Chaser) HubStats() tainthub.Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hubStats
+}
+
+// countHub adds hub calls the world has learned the outcome of.
+func (c *Chaser) countHub(published, polls uint64, hit bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.hubStats.Published += published
+	c.hubStats.Polls += polls
+	if hit {
+		c.hubStats.Hits++
+	}
+	c.hubStats.Pending = int(c.hubStats.Published - c.hubStats.Hits)
+}
+
+// countLocalPoll counts a receive answered without the hub.
+func (c *Chaser) countLocalPoll() {
+	c.mu.Lock()
+	c.pollsLocal++
+	c.mu.Unlock()
+}
 
 // HubErr returns the first TaintHub failure observed by the MPI hooks, or
 // nil. Under the default HubDegrade policy the failure only degrades
@@ -322,7 +350,8 @@ func (c *Chaser) taintLost(k tainthub.Key, seq uint64) {
 // stamp it once per Publish/Poll; the TCP client re-sends it verbatim on
 // every transport retry and verifies the server's echo of it.
 func (c *Chaser) hubReqID() tainthub.ReqID {
-	return tainthub.ReqID{Client: c.hubClient, Seq: c.hubReq.Add(1)}
+	c.hubReq++
+	return tainthub.ReqID{Client: c.hubClient, Seq: c.hubReq}
 }
 
 // creationCB is fi_creation_cb: called for every created process; arms the

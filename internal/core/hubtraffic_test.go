@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -11,21 +12,44 @@ import (
 	"chaser/internal/tainthub"
 )
 
-// faultyHub is a Local behind two fault modes: publishErr applies every
+// faultyHub is a Local behind its fault modes: publishErr applies every
 // publish and then reports it failed (an ack lost for longer than the client
 // retries), dropPublishes acknowledges every publish and stores nothing (the
-// lost cross-rank taint of ROADMAP's divergence (a)).
+// lost cross-rank taint of ROADMAP's divergence (a)), failPublish refuses the
+// publishes whose 1-based ordinal it holds and applies none of them, and
+// flipPoll answers every poll with one bit of the first mask flipped — not
+// what the sender published, so a receiver that applies it shows whose masks
+// it trusts (lastMasks returns both).
 type faultyHub struct {
 	*tainthub.Local
 	publishErr    bool
 	dropPublishes bool
+	failPublish   map[int64]bool
+	flipPoll      bool
+	publishes     atomic.Int64
 	polls         atomic.Int64
+
+	mu                 sync.Mutex // the hub may sit behind a server's goroutines
+	published, replied []uint8
+}
+
+// lastMasks returns the masks of the last publish and of the last poll reply.
+func (h *faultyHub) lastMasks() (published, replied []uint8) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.published, h.replied
 }
 
 func (h *faultyHub) Publish(id tainthub.ReqID, k tainthub.Key, seq uint64, masks []uint8) error {
+	if n := h.publishes.Add(1); h.failPublish[n] {
+		return fmt.Errorf("publish %d refused", n)
+	}
 	if h.dropPublishes {
 		return nil
 	}
+	h.mu.Lock()
+	h.published = append([]uint8(nil), masks...)
+	h.mu.Unlock()
 	if err := h.Local.Publish(id, k, seq, masks); err != nil {
 		return err
 	}
@@ -37,7 +61,15 @@ func (h *faultyHub) Publish(id tainthub.ReqID, k tainthub.Key, seq uint64, masks
 
 func (h *faultyHub) Poll(id tainthub.ReqID, k tainthub.Key, seq uint64) ([]uint8, bool, error) {
 	h.polls.Add(1)
-	return h.Local.Poll(id, k, seq)
+	masks, ok, err := h.Local.Poll(id, k, seq)
+	if h.flipPoll && ok {
+		masks = append([]uint8(nil), masks...)
+		masks[0] ^= 0x01
+		h.mu.Lock()
+		h.replied = masks
+		h.mu.Unlock()
+	}
+	return masks, ok, err
 }
 
 // TestHubTrafficSupersetRule: a publish the hub applied but reported failed

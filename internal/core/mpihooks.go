@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"chaser/internal/decaf"
 	"chaser/internal/isa"
@@ -19,16 +17,23 @@ import (
 // registers, and shares taint status through the TaintHub.
 //
 // Sender side (before MPI_Send executes): extract (buf, count, datatype,
-// dest, tag); when the buffer is tainted, publish (ID, taint status) to the
-// hub, where ID is (src, dest, tag) plus a per-flow sequence number.
+// dest, tag); when the buffer is tainted, start the message's flight — the
+// publish of (ID, taint status), where ID is (src, dest, tag) plus a per-flow
+// sequence number, and the poll its receiver will make for that ID — and run
+// on without waiting for the hub.
 //
 // Receiver side (after MPI_Recv returns): extract (buf, count, datatype,
-// source, tag), poll the hub; when a status exists, mark the received bytes
-// tainted so propagation continues in this rank.
+// source, tag) and collect the flight; when the hub's poll found a status,
+// mark the received bytes tainted with the masks it returned, so propagation
+// continues in this rank.
 //
-// Both sides of a world go through one worldHub, so only the receives of
-// messages the world published cost a hub call: a clean message costs none on
-// either side.
+// After the world has run, the flights nobody collected — their receiver
+// ended first — are drained.
+//
+// Both sides of a world go through one worldHub, so only the messages the
+// world published cost the hub anything: a clean message costs nothing on
+// either side. The hooks run on the world's one goroutine (internal/mpi runs
+// one rank at a time), so what they keep is plain data.
 
 // maxHookedMessageBytes bounds the taint scan of MPI buffers: anything
 // larger is a fault-corrupted count the runtime will reject, so scanning
@@ -81,14 +86,40 @@ type flowSeq struct {
 	seq uint64
 }
 
+// flight is one tainted message on its way through the hub.
+type flight struct {
+	// send is the publish side of the provenance graph's cross-rank edge, as
+	// the send hook saw it; it is recorded once the publish is known to have
+	// been acknowledged.
+	send trace.SendRecord
+	// inflight is the flight while the hub's answer has not been asked for;
+	// res is the answer afterwards.
+	inflight tainthub.Flight
+	res      tainthub.FlightResult
+}
+
+// msg names the flight's message.
+func (f *flight) msg() flowSeq {
+	return flowSeq{key: tainthub.Key{Src: f.send.Src, Dst: f.send.Dst, Tag: f.send.Tag}, seq: f.send.Seq}
+}
+
 // worldHub is the view of the TaintHub one Chaser's hooks talk through. The
 // Chaser supervises every rank of its world and mints every (flow, seq) it
-// publishes, so it knows which polls can possibly hit: Publish records the
-// flow-sequence before the hub sees it, and Poll answers "clean" itself, with
-// no hub call, for any flow-sequence that was never recorded. The record is
-// kept when the publish fails — the hub may have applied it before the error
-// — so the set is a superset of what the hub can hold for this world, and the
-// hub stays authoritative for every message in it.
+// publishes, so it knows which receives can possibly find a status: start
+// records the flow-sequence as it hands the hub the publish and the poll, and
+// receive answers "clean" itself, at no cost to the hub, for any
+// flow-sequence that was never recorded. The record is kept when the publish
+// fails — the hub may have applied it before the error — so the set is a
+// superset of what the hub can hold for this world, and the hub stays
+// authoritative for every message in it: the masks a receiver applies are the
+// ones the hub's poll returned, never the sender's copy.
+//
+// A hub that can start a flight (a tainthub.Client, namespaced or not) is
+// handed both calls in one frame and answers while the guest runs; any other
+// hub — in process, where a call costs less than the hand-over would — is
+// asked in place, inside start. Either way the publish side is settled in
+// publish order: a flight's send record is appended, or its failure counted,
+// before those of any flight started after it.
 //
 // The contract this rests on is one publisher per flow: nothing but this
 // Chaser publishes into the keys its world polls. A stale entry another
@@ -97,65 +128,132 @@ type flowSeq struct {
 // since a poll only reads, two live attempts at one run cannot take each
 // other's entries either: each overwrites with the bytes the other wrote.
 type worldHub struct {
-	c   *Chaser
-	hub tainthub.Hub
+	c       *Chaser
+	hub     tainthub.Hub
+	starter tainthub.FlightStarter // hub, when it can start a flight
 
-	mu sync.Mutex
-	// published holds every flow-sequence whose Publish was attempted; the
-	// value turns true once the hub acknowledged it.
-	published map[flowSeq]bool
+	// flights holds every message whose publish was attempted; unsettled are
+	// those of them still in flight, in publish order.
+	flights   map[flowSeq]*flight
+	unsettled []*flight
 
-	// pollsLocal counts the receives answered without the hub, for
-	// chaser_status; obsLocal is the same count on the run's registry.
-	pollsLocal atomic.Uint64
-	obsLocal   *obs.Counter
+	// obsLocal counts the receives answered without the hub.
+	obsLocal *obs.Counter
 }
 
-var _ tainthub.Hub = (*worldHub)(nil)
-
-// Publish implements tainthub.Hub.
-func (w *worldHub) Publish(id tainthub.ReqID, k tainthub.Key, seq uint64, masks []uint8) error {
-	fs := flowSeq{key: k, seq: seq}
-	w.mu.Lock()
-	if w.published == nil {
-		w.published = make(map[flowSeq]bool)
-	}
-	w.published[fs] = false
-	w.mu.Unlock()
-	err := w.hub.Publish(id, k, seq, masks)
-	if err == nil {
-		w.mu.Lock()
-		w.published[fs] = true
-		w.mu.Unlock()
-	}
-	return err
+func newWorldHub(c *Chaser, hub tainthub.Hub, reg *obs.Registry) *worldHub {
+	starter, _ := hub.(tainthub.FlightStarter)
+	return &worldHub{c: c, hub: hub, starter: starter, obsLocal: reg.Counter("core_hub_polls_local_total")}
 }
 
-// Poll implements tainthub.Hub. A poll that reaches the hub for an
-// acknowledged publish and finds nothing is a cross-rank taint the hub
-// dropped: it is reported through Chaser.taintLost.
-func (w *worldHub) Poll(id tainthub.ReqID, k tainthub.Key, seq uint64) ([]uint8, bool, error) {
-	w.mu.Lock()
-	acked, attempted := w.published[flowSeq{key: k, seq: seq}]
-	w.mu.Unlock()
-	if !attempted {
-		w.pollsLocal.Add(1)
+// event emits one hub event about a message.
+func (w *worldHub) event(typ string, rank int, msg flowSeq, masks []uint8) {
+	if w.c.events != nil {
+		w.c.events.Emit(typ, -1, rank, msg.seq, uint64(taintedCount(masks)), tainthub.FlowLabel(msg.key, msg.seq))
+	}
+}
+
+// start hands the hub a tainted message — its publish, and the poll the
+// receive hook will want answered — named by the send record.
+func (w *worldHub) start(masks []uint8, send trace.SendRecord) {
+	f := &flight{send: send}
+	msg := f.msg()
+	if w.flights == nil {
+		w.flights = make(map[flowSeq]*flight)
+	}
+	w.flights[msg] = f
+	w.event("hub_publish", send.Src, msg, masks)
+	publish, poll := w.c.hubReqID(), w.c.hubReqID()
+	if w.starter != nil {
+		f.inflight = w.starter.StartFlight(publish, poll, msg.key, msg.seq, masks)
+		w.unsettled = append(w.unsettled, f)
+		return
+	}
+	f.res = tainthub.SettleFlight(w.hub, publish, poll, msg.key, msg.seq, masks)
+	w.published(f)
+}
+
+// settle collects the flights still in flight, in publish order, up to and
+// including the given one (nil: all of them), and records their publish side.
+func (w *worldHub) settle(through *flight) {
+	for len(w.unsettled) > 0 {
+		f := w.unsettled[0]
+		w.unsettled = w.unsettled[1:]
+		f.res, f.inflight = f.inflight.Collect(), nil
+		w.published(f)
+		if f == through {
+			return
+		}
+	}
+}
+
+// published records the publish side of a flight whose answer is in.
+func (w *worldHub) published(f *flight) {
+	if err := f.res.PublishErr; err != nil {
+		// Hub unavailable: tracing degrades, execution continues. The
+		// degradation is counted and retained for the HubFailRun policy.
+		w.event("hub_publish_error", f.send.Src, f.msg(), nil)
+		w.c.hubFailure("publish", err)
+		return
+	}
+	w.c.collector.AddSend(f.send)
+	w.c.countHub(1, 1, f.res.Found)
+}
+
+// drain settles the flights no receive collected.
+func (w *worldHub) drain() { w.settle(nil) }
+
+// receive answers the receive hook: the hub's poll of the seq-th message of
+// the flow, collected from its flight. A poll behind an acknowledged publish
+// that found nothing is a cross-rank taint the hub dropped: it is reported
+// through Chaser.taintLost.
+func (w *worldHub) receive(k tainthub.Key, seq uint64) (masks []uint8, found bool, err error) {
+	msg := flowSeq{key: k, seq: seq}
+	f := w.flights[msg]
+	if f == nil {
 		w.obsLocal.Inc()
+		w.c.countLocalPoll()
+		w.event("hub_poll_miss", k.Dst, msg, nil)
 		return nil, false, nil
 	}
-	masks, found, err := w.hub.Poll(id, k, seq)
-	if err == nil && !found && acked {
-		w.c.taintLost(k, seq)
+	if f.inflight != nil {
+		w.settle(f)
 	}
+	if f.res.PublishErr != nil {
+		// The hub may have applied the publish before it reported the error:
+		// ask it.
+		masks, found, err = w.hub.Poll(w.c.hubReqID(), k, seq)
+		w.c.countHub(0, 1, found)
+	} else {
+		masks, found, err = f.res.Masks, f.res.Found, f.res.PollErr
+		if err == nil && !found {
+			w.c.taintLost(k, seq)
+		}
+	}
+	typ := "hub_poll_miss"
+	switch {
+	case err != nil:
+		typ = "hub_poll_error"
+	case found:
+		typ = "hub_poll_hit"
+	}
+	w.event(typ, k.Dst, msg, masks)
 	return masks, found, err
 }
 
-// Stats implements tainthub.Hub.
-func (w *worldHub) Stats() tainthub.Stats { return w.hub.Stats() }
+func taintedCount(masks []uint8) int {
+	n := 0
+	for _, mk := range masks {
+		if mk != 0 {
+			n++
+		}
+	}
+	return n
+}
 
 func (c *Chaser) state(m *vm.Machine) *armState {
-	// armed is fully populated before guests start running; reads here are
-	// concurrent but the map is no longer written.
+	// armed is fully populated before the world runs, and every hook runs on
+	// the world's one goroutine.
 	return c.armed[m]
 }
 
@@ -186,23 +284,9 @@ func (c *Chaser) preSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
 		return
 	}
 	masks := m.Shadow.MemRangeMasks(buf, n)
-	if err := c.hub.Publish(c.hubReqID(), key, seq, masks); err != nil {
-		// Hub unavailable: tracing degrades, execution continues. The
-		// degradation is counted and retained for the HubFailRun policy.
-		c.hubFailure("publish", err)
-		return
-	}
-	tainted := 0
-	for _, mk := range masks {
-		if mk != 0 {
-			tainted++
-		}
-	}
-	// The publish side of the provenance graph's cross-rank edge: the
-	// matching Poll's CrossRankRecord shares (Src, Dst, Tag, Seq).
-	c.collector.AddSend(trace.SendRecord{
+	c.view.start(masks, trace.SendRecord{
 		Src: m.Rank, Dst: dest, Tag: tag, Seq: seq,
-		Buf: buf, Len: int(n), TaintedBytes: tainted,
+		Buf: buf, Len: int(n), TaintedBytes: taintedCount(masks),
 		EIP: m.PC(), InstrNum: m.Instructions(),
 	})
 }
@@ -248,7 +332,7 @@ func (c *Chaser) postSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
 	seq := st.recvSeq[key]
 	st.recvSeq[key]++
 
-	masks, found, err := c.hub.Poll(c.hubReqID(), key, seq)
+	masks, found, err := c.view.receive(key, seq)
 	if err != nil {
 		c.hubFailure("poll", err)
 		return
@@ -257,14 +341,8 @@ func (c *Chaser) postSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
 		return // clean message
 	}
 	m.Shadow.SetMemRangeMasks(buf, masks)
-	tainted := 0
-	for _, mk := range masks {
-		if mk != 0 {
-			tainted++
-		}
-	}
 	c.collector.AddCrossRank(trace.CrossRankRecord{
-		Src: source, Dst: m.Rank, Tag: tag, Seq: seq, TaintedBytes: tainted,
+		Src: source, Dst: m.Rank, Tag: tag, Seq: seq, TaintedBytes: taintedCount(masks),
 		EIP: m.PC(), InstrNum: m.Instructions(),
 		Buf: buf, Len: len(masks),
 	})

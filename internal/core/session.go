@@ -84,7 +84,8 @@ type RunResult struct {
 	// ExecTraces are the per-rank instruction-trace tails (empty unless
 	// RunConfig.ExecTraceDepth was set).
 	ExecTraces []string
-	// HubStats snapshots TaintHub activity for this run.
+	// HubStats is this run's own TaintHub traffic, counted by the run (see
+	// Chaser.HubStats) — a shared hub's totals are the hub's to report.
 	HubStats tainthub.Stats
 }
 
@@ -205,6 +206,10 @@ func execute(cfg RunConfig, snap *WorldSnapshot) (*RunResult, error) {
 	wsp := cfg.Tracer.StartSpan("world.run")
 	terms := world.Run()
 	wsp.End()
+	// Flights whose receiver ended before it received them are settled here,
+	// before anyone reads the collector, the hub error or, a shard later, the
+	// namespace's retirement.
+	ch.view.drain()
 	if cfg.HubPolicy == HubFailRun {
 		if herr := ch.HubErr(); herr != nil {
 			return nil, fmt.Errorf("core: taint hub failed (HubFailRun policy): %w", herr)
@@ -218,7 +223,7 @@ func execute(cfg RunConfig, snap *WorldSnapshot) (*RunResult, error) {
 		Counters: make([]vm.Counters, size),
 		Records:  ch.Records(),
 		Trace:    ch.Trace(),
-		HubStats: ch.Hub().Stats(),
+		HubStats: ch.HubStats(),
 	}
 	if cfg.ExecTraceDepth > 0 {
 		res.ExecTraces = make([]string, size)

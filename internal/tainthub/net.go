@@ -506,33 +506,42 @@ func (c ClientConfig) withDefaults() ClientConfig {
 
 var errClientClosed = errors.New("tainthub: client closed")
 
-// call is one in-flight RPC. state is a claim token: whoever flips it from
-// 0 to 1 — the session's reader delivering a response, or the caller
-// rescuing itself after the session died — owns the call's outcome. The
-// token is what lets callers abandon a dead session without any drain
-// handshake with its goroutines.
+// call is one in-flight RPC — or a flight's two, its publish (req) and the
+// poll riding the same frame right behind it (then). state is a claim token:
+// whoever flips it from 0 to 1 — the session's reader delivering a response,
+// or the caller rescuing itself after the session died — owns the call's
+// outcome. The token is what lets callers abandon a dead session without any
+// drain handshake with its goroutines.
 //
 // An answered call goes back to callPool, its done channel (one slot, filled
 // by the one delivery) and its deadline timer with it, and serves the next
 // RPC. That is sound because an answered call has left the session: the
-// writer takes a call's request out before it hands the call to the reader,
+// writer takes a call's requests out before it hands the call to the reader,
 // and the reader touches a call last when it delivers. A call claimed back is
 // never reused — the dead session's queues may still hold it.
 type call struct {
-	req   codec.Request
-	resp  codec.Response
-	state atomic.Int32 // 0 pending, 1 claimed
-	done  chan struct{}
-	timer *time.Timer // the attempt's RPC deadline, nil until first armed
+	req, then     codec.Request // then.Op is empty on an ordinary call
+	resp, thenRsp codec.Response
+	state         atomic.Int32 // 0 pending, 1 claimed
+	done          chan struct{}
+	timer         *time.Timer // the wait's RPC deadline, nil until first armed
 }
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
 
-// deliver hands the call its response unless the caller already claimed it
-// back.
-func (c *call) deliver(resp codec.Response) {
+// width is the number of requests the call puts on the wire.
+func (c *call) width() int {
+	if c.then.Op != "" {
+		return 2
+	}
+	return 1
+}
+
+// deliver hands the call its response (and then's, on a flight) unless the
+// caller already claimed it back.
+func (c *call) deliver(resp, then codec.Response) {
 	if c.state.CompareAndSwap(0, 1) {
-		c.resp = resp
+		c.resp, c.thenRsp = resp, then
 		c.done <- struct{}{}
 	}
 }
@@ -558,13 +567,11 @@ func (c *call) disarm(fired bool) {
 	}
 }
 
-// answered returns the delivered response and recycles the call.
-func (c *call) answered(fired bool) codec.Response {
-	resp := c.resp
-	c.disarm(fired)
-	c.req, c.resp = codec.Request{}, codec.Response{}
+// recycle returns an answered call, its responses read, to the pool.
+func (c *call) recycle() {
+	c.req, c.then = codec.Request{}, codec.Request{}
+	c.resp, c.thenRsp = codec.Response{}, codec.Response{}
 	callPool.Put(c)
-	return resp
 }
 
 // session is one pipelined connection: a writer goroutine coalesces queued
@@ -604,7 +611,9 @@ func reqSize(req codec.Request) int { return len(req.Masks) + 64 }
 // writeLoop drains the send queue, opportunistically coalescing whatever
 // calls are already waiting into one batch frame. Under light load every
 // frame carries one call (no added latency); under concurrency one frame
-// (and one syscall) carries up to maxBatch logical RPCs.
+// (and one syscall) carries up to maxBatch logical RPCs. A flight's two
+// requests always share a frame: the server executes a batch's entries in
+// order, so the poll finds what the publish in front of it stored.
 func (s *session) writeLoop(maxBatch, maxBatchBytes int) {
 	for {
 		var first *call
@@ -614,8 +623,8 @@ func (s *session) writeLoop(maxBatch, maxBatchBytes int) {
 		case first = <-s.sendq:
 		}
 		group := []*call{first}
-		size := reqSize(first.req)
-		for len(group) < maxBatch && size < maxBatchBytes {
+		n, size := first.width(), reqSize(first.req)
+		for n < maxBatch && size < maxBatchBytes {
 			var next *call
 			select {
 			case next = <-s.sendq:
@@ -625,15 +634,19 @@ func (s *session) writeLoop(maxBatch, maxBatchBytes int) {
 				break
 			}
 			group = append(group, next)
+			n += next.width()
 			size += reqSize(next.req)
 		}
 		// The requests are taken out first: once the reader has the group the
 		// writer does not touch its calls again (an answered call is reused).
 		frame := first.req
-		if len(group) > 1 {
-			batch := make([]codec.Request, len(group))
-			for i, c := range group {
-				batch[i] = c.req
+		if n > 1 {
+			batch := make([]codec.Request, 0, n)
+			for _, c := range group {
+				batch = append(batch, c.req)
+				if c.width() == 2 {
+					batch = append(batch, c.then)
+				}
 			}
 			frame = codec.Request{Op: codec.OpBatch, Batch: batch}
 		}
@@ -676,34 +689,45 @@ func (s *session) readLoop() {
 	}
 }
 
+// deliverGroup hands the frame's replies to the group's calls, one a request
+// in the order the writer put them aboard.
 func (s *session) deliverGroup(group []*call, resp codec.Response) bool {
-	switch {
-	case len(group) == 1 && resp.Batch == nil:
-		if !echoMatches(group[0].req, resp) {
+	n := 0
+	for _, c := range group {
+		n += c.width()
+	}
+	// One reply for the whole frame: the answer to a lone request, or the
+	// server refusing the frame (oversized, undecodable), which every request
+	// aboard gets.
+	whole := resp.Batch == nil && (n == 1 || resp.Err != "")
+	if !whole && len(resp.Batch) != n {
+		s.fail(fmt.Errorf("tainthub: response shape mismatch (%d requests, %d replies)", n, len(resp.Batch)))
+		return false
+	}
+	reply := func(i int) codec.Response {
+		if whole {
+			return resp
+		}
+		return resp.Batch[i]
+	}
+	i := 0
+	for _, c := range group {
+		if !echoMatches(c.req, reply(i)) || (c.width() == 2 && !echoMatches(c.then, reply(i+1))) {
 			s.fail(errors.New("tainthub: response correlation mismatch"))
 			return false
 		}
-		group[0].deliver(resp)
-	case resp.Batch != nil && len(resp.Batch) == len(group):
-		for i := range group {
-			if !echoMatches(group[i].req, resp.Batch[i]) {
-				s.fail(errors.New("tainthub: response correlation mismatch"))
-				return false
-			}
+		i += c.width()
+	}
+	i = 0
+	for _, c := range group {
+		// The width is read first: a delivered call is its caller's again.
+		if w := c.width(); w == 2 {
+			c.deliver(reply(i), reply(i+1))
+			i += 2
+		} else {
+			c.deliver(reply(i), codec.Response{})
+			i++
 		}
-		for i, c := range group {
-			c.deliver(resp.Batch[i])
-		}
-	case resp.Batch == nil && resp.Err != "":
-		// The server refused the whole frame (oversized, undecodable);
-		// every call aboard gets the refusal.
-		for _, c := range group {
-			c.deliver(resp)
-		}
-	default:
-		s.fail(fmt.Errorf("tainthub: response shape mismatch (%d calls, %d replies)",
-			len(group), len(resp.Batch)))
-		return false
 	}
 	return true
 }
@@ -740,8 +764,9 @@ type Client struct {
 }
 
 var (
-	_ Hub     = (*Client)(nil)
-	_ Retirer = (*Client)(nil)
+	_ Hub           = (*Client)(nil)
+	_ Retirer       = (*Client)(nil)
+	_ FlightStarter = (*Client)(nil)
 )
 
 // Dial connects to a hub server with default hardening (see ClientConfig).
@@ -831,7 +856,23 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
-func (c *Client) roundTrip(req codec.Request) (codec.Response, error) {
+// tried is the outcome of one attempt at an RPC: a transport error, or the
+// server's reply.
+type tried struct {
+	resp codec.Response
+	err  error
+}
+
+// ok reports whether the attempt settled the RPC: the server executed it and
+// reported neither busy nor an error.
+func (t tried) ok() bool { return t.err == nil && !t.resp.Busy && t.resp.Err == "" }
+
+// roundTrip runs one RPC to its end: up to MaxAttempts tries, a transport
+// failure retried after a jittered backoff on a fresh session, a busy hub
+// after its retry-after hint, an application error returned at once. When
+// first is non-nil it is the first try, already made (a flight's), and
+// roundTrip takes it from there.
+func (c *Client) roundTrip(req codec.Request, first *tried) (codec.Response, error) {
 	var lastErr error
 	var retryAfter time.Duration
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -844,16 +885,17 @@ func (c *Client) roundTrip(req codec.Request) (codec.Response, error) {
 			time.Sleep(d)
 			retryAfter = 0
 		}
-		s, err := c.session()
+		var t tried
+		if attempt == 0 && first != nil {
+			t = *first
+		} else {
+			t = c.try(req)
+		}
+		resp, err := t.resp, t.err
 		if err != nil {
 			if errors.Is(err, errClientClosed) {
 				return codec.Response{}, err
 			}
-			lastErr = err
-			continue
-		}
-		resp, err := c.attempt(s, req)
-		if err != nil {
 			lastErr = err
 			continue
 		}
@@ -879,24 +921,55 @@ func (c *Client) roundTrip(req codec.Request) (codec.Response, error) {
 	return codec.Response{}, fmt.Errorf("tainthub: rpc failed after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
 }
 
-// attempt runs one try of the RPC through a session: enqueue the call, wait
-// for its response, the session's death, or the RPC deadline — whichever
-// comes first. On death or timeout the caller claims the call back (unless
-// a response won the race) and the retry loop takes over.
-func (c *Client) attempt(s *session, req codec.Request) (codec.Response, error) {
+// try is one attempt at the RPC through the live session: enqueue the call,
+// wait for its response.
+func (c *Client) try(req codec.Request) tried {
+	s, err := c.session()
+	if err != nil {
+		return tried{err: err}
+	}
+	cl, err := enqueue(s, req, codec.Request{})
+	if err == nil {
+		err = c.await(s, cl)
+	}
+	if err != nil {
+		return tried{err: err}
+	}
+	t := tried{resp: cl.resp}
+	cl.recycle()
+	return t
+}
+
+// enqueue hands the session a call carrying req (and then, a flight's poll,
+// when it has an Op) and returns without waiting for the answer.
+func enqueue(s *session, req, then codec.Request) (*call, error) {
 	cl := callPool.Get().(*call)
-	cl.req = req
+	cl.req, cl.then = req, then
 	cl.state.Store(0)
 	select {
 	case s.sendq <- cl:
+		return cl, nil
 	case <-s.done:
-		return codec.Response{}, s.failure()
+		return nil, s.failure()
+	}
+}
+
+// await waits for the call's response, the session's death, or the RPC
+// deadline — counted from here, where the caller starts to wait — whichever
+// comes first. On death or timeout the caller claims the call back (unless a
+// response won the race) and the error sends the retry loop on.
+func (c *Client) await(s *session, cl *call) error {
+	select {
+	case <-cl.done:
+		return nil // answered before anyone waited for it: no deadline to arm
+	default:
 	}
 	cl.arm(c.cfg.RPCTimeout)
 	fired := false
 	select {
 	case <-cl.done:
-		return cl.answered(fired), nil
+		cl.disarm(fired)
+		return nil
 	case <-cl.timer.C:
 		fired = true
 		s.fail(fmt.Errorf("tainthub: rpc timed out after %v", c.cfg.RPCTimeout))
@@ -904,49 +977,106 @@ func (c *Client) attempt(s *session, req codec.Request) (codec.Response, error) 
 	}
 	if cl.claim() {
 		cl.disarm(fired)
-		return codec.Response{}, s.failure()
+		return s.failure()
 	}
 	// A response was delivered concurrently with the session dying; take it.
 	<-cl.done
-	return cl.answered(fired), nil
+	cl.disarm(fired)
+	return nil
+}
+
+func publishRequest(id ReqID, k Key, seq uint64, masks []uint8) codec.Request {
+	return codec.Request{
+		Op: codec.OpPublish, Client: id.Client, Req: id.Seq,
+		Src: k.Src, Dst: k.Dst, Tag: k.Tag, NS: k.NS, Seq: seq,
+		Masks: masks,
+	}
+}
+
+func pollRequest(id ReqID, k Key, seq uint64) codec.Request {
+	return codec.Request{
+		Op: codec.OpPoll, Client: id.Client, Req: id.Seq,
+		Src: k.Src, Dst: k.Dst, Tag: k.Tag, NS: k.NS, Seq: seq,
+	}
 }
 
 // Publish implements Hub. A re-send after a lost ack overwrites the entry
 // with the same bytes.
 func (c *Client) Publish(id ReqID, k Key, seq uint64, masks []uint8) error {
-	_, err := c.roundTrip(codec.Request{
-		Op: codec.OpPublish, Client: id.Client, Req: id.Seq,
-		Src: k.Src, Dst: k.Dst, Tag: k.Tag, NS: k.NS, Seq: seq,
-		Masks: masks,
-	})
+	_, err := c.roundTrip(publishRequest(id, k, seq, masks), nil)
 	return err
 }
 
 // Poll implements Hub. A retry after a lost response reads the same entry
 // again.
 func (c *Client) Poll(id ReqID, k Key, seq uint64) ([]uint8, bool, error) {
-	resp, err := c.roundTrip(codec.Request{
-		Op: codec.OpPoll, Client: id.Client, Req: id.Seq,
-		Src: k.Src, Dst: k.Dst, Tag: k.Tag, NS: k.NS, Seq: seq,
-	})
-	if err != nil {
+	return polled(c.roundTrip(pollRequest(id, k, seq), nil))
+}
+
+func polled(resp codec.Response, err error) ([]uint8, bool, error) {
+	if err != nil || !resp.Found {
 		return nil, false, err
-	}
-	if !resp.Found {
-		return nil, false, nil
 	}
 	return resp.Masks, true, nil
 }
 
+// clientFlight is a flight on the pipelined session: one call carrying the
+// publish and the poll, enqueued by StartFlight and awaited by Collect.
+type clientFlight struct {
+	c             *Client
+	publish, poll codec.Request
+	s             *session
+	cl            *call // nil when the flight could not be enqueued: err says why
+	err           error
+}
+
+// StartFlight implements FlightStarter: both requests go out in one batch
+// frame and the caller does not wait.
+func (c *Client) StartFlight(publish, poll ReqID, k Key, seq uint64, masks []uint8) Flight {
+	f := &clientFlight{c: c, publish: publishRequest(publish, k, seq, masks), poll: pollRequest(poll, k, seq)}
+	if f.s, f.err = c.session(); f.err == nil {
+		f.cl, f.err = enqueue(f.s, f.publish, f.poll)
+	}
+	return f
+}
+
+// Collect implements Flight. What came back in the flight's frame is each
+// request's first try; whatever that leaves unsettled — the session died, the
+// deadline passed, the hub was busy — roundTrip finishes as it finishes any
+// Publish and Poll. The poll's reply counts only behind a publish the same
+// frame settled: one made before a retried publish landed would miss it.
+func (f *clientFlight) Collect() FlightResult {
+	publish, poll := tried{err: f.err}, tried{err: f.err}
+	if f.cl != nil {
+		if err := f.c.await(f.s, f.cl); err != nil {
+			publish.err, poll.err = err, err
+		} else {
+			publish.resp, poll.resp = f.cl.resp, f.cl.thenRsp
+			f.cl.recycle()
+		}
+		f.cl = nil
+	}
+	if _, err := f.c.roundTrip(f.publish, &publish); err != nil {
+		return FlightResult{PublishErr: err}
+	}
+	first := &poll
+	if !publish.ok() {
+		first = nil
+	}
+	var res FlightResult
+	res.Masks, res.Found, res.PollErr = polled(f.c.roundTrip(f.poll, first))
+	return res
+}
+
 // Retire implements Retirer.
 func (c *Client) Retire(lo, hi int) error {
-	_, err := c.roundTrip(codec.Request{Op: codec.OpRetire, NS: lo, NSEnd: hi})
+	_, err := c.roundTrip(codec.Request{Op: codec.OpRetire, NS: lo, NSEnd: hi}, nil)
 	return err
 }
 
 // Stats implements Hub.
 func (c *Client) Stats() Stats {
-	resp, err := c.roundTrip(codec.Request{Op: codec.OpStats})
+	resp, err := c.roundTrip(codec.Request{Op: codec.OpStats}, nil)
 	if err != nil || resp.Stats == nil {
 		return Stats{}
 	}

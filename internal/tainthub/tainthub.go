@@ -4,17 +4,19 @@
 //
 // When a hooked MPI_Send observes a tainted buffer, Chaser publishes the
 // message's per-byte taint masks keyed by (source, dest, tag) plus a
-// per-key sequence number; when the matching MPI_Recv completes on the
-// receiving rank, Chaser polls the hub and re-marks the taint locally so
-// propagation continues across the process boundary. Clean messages are
-// never published and never polled, which is what keeps the tracing overhead
-// low: the contract is one publisher per flow — the Chaser supervising the
-// world, which mints every (source, dest, tag, sequence) it publishes — so
-// that Chaser knows which receives can possibly hit and asks the hub about
-// those alone (core's per-run hub view). A hub therefore sees two calls per
-// tainted message and none per clean one; Poll still answers ok=false for a
-// message nobody published, but for campaign traffic a miss now means an
-// entry was lost, and core counts it as one.
+// per-key sequence number, and with it the poll the matching MPI_Recv will
+// want answered; when that receive completes on the receiving rank, Chaser
+// re-marks the taint locally with the masks the poll returned, so propagation
+// continues across the process boundary. Clean messages are never published
+// and never polled, which is what keeps the tracing overhead low: the
+// contract is one publisher per flow — the Chaser supervising the world,
+// which mints every (source, dest, tag, sequence) it publishes — so that
+// Chaser knows which receives can possibly hit and asks the hub about those
+// alone (core's per-run hub view). A hub therefore sees two requests per
+// tainted message — over TCP one frame, a flight (FlightStarter) — and none
+// per clean one; Poll still answers ok=false for a message nobody published,
+// but for campaign traffic a miss now means an entry was lost, and core
+// counts it as one.
 //
 // Every operation is idempotent, which is what makes the at-least-once
 // transport safe: Publish overwrites, Poll reads the stored status and leaves
@@ -53,6 +55,11 @@ type Key struct {
 	Dst int
 	Tag int
 	NS  int
+}
+
+// FlowLabel renders one message of a flow the way hub events name it.
+func FlowLabel(k Key, seq uint64) string {
+	return fmt.Sprintf("%d->%d tag %d seq %d", k.Src, k.Dst, k.Tag, seq)
 }
 
 // ReqID identifies one logical hub RPC. Client is a process-unique caller
@@ -109,6 +116,48 @@ type Hub interface {
 // entries until Limits.TTL (or forever), which costs memory, not results.
 type Retirer interface {
 	Retire(lo, hi int) error
+}
+
+// FlightResult is what a tainted message's two hub calls came to: the
+// publish's error and, when there was none, the answer of the poll made
+// behind it for the same flow-sequence.
+type FlightResult struct {
+	PublishErr error
+	// Masks, Found and PollErr are Poll's results; the poll is not made
+	// behind a publish that failed.
+	Masks   []uint8
+	Found   bool
+	PollErr error
+}
+
+// Flight is a publish and the poll its receiver will make, started together
+// and not yet waited for.
+type Flight interface {
+	// Collect waits for whatever of the flight has not come back, retrying as
+	// Publish and Poll do, and returns the result. It is called once.
+	Collect() FlightResult
+}
+
+// FlightStarter is the optional operation of a hub that can put a tainted
+// message's publish and poll on their way without waiting for either: the
+// sender's hook starts the flight and runs on, the receiver's collects it.
+// The poll is executed after the publish, so it reads what the publish
+// stored — the hub, not the caller, still says what the receiver's taint is.
+// Client implements it, and WithNamespace forwards it; a hub that does not is
+// asked in place (SettleFlight).
+type FlightStarter interface {
+	StartFlight(publish, poll ReqID, k Key, seq uint64, masks []uint8) Flight
+}
+
+// SettleFlight makes a flight's two calls on any hub, here and now: Publish,
+// then Poll if it succeeded.
+func SettleFlight(h Hub, publish, poll ReqID, k Key, seq uint64, masks []uint8) FlightResult {
+	if err := h.Publish(publish, k, seq, masks); err != nil {
+		return FlightResult{PublishErr: err}
+	}
+	var res FlightResult
+	res.Masks, res.Found, res.PollErr = h.Poll(poll, k, seq)
+	return res
 }
 
 // Stats counts hub activity. It is defined in the codec package (its
@@ -260,9 +309,26 @@ type namespaced struct {
 
 var _ Hub = namespaced{}
 
-// WithNamespace returns a view of hub whose keys live in namespace ns.
+// WithNamespace returns a view of hub whose keys live in namespace ns. The
+// view starts flights when hub does.
 func WithNamespace(hub Hub, ns int) Hub {
-	return namespaced{hub: hub, ns: ns}
+	n := namespaced{hub: hub, ns: ns}
+	if fs, ok := hub.(FlightStarter); ok {
+		return namespacedFlights{namespaced: n, starter: fs}
+	}
+	return n
+}
+
+// namespacedFlights is the namespaced view of a hub that is a FlightStarter.
+type namespacedFlights struct {
+	namespaced
+	starter FlightStarter
+}
+
+// StartFlight implements FlightStarter.
+func (n namespacedFlights) StartFlight(publish, poll ReqID, k Key, seq uint64, masks []uint8) Flight {
+	k.NS = n.ns
+	return n.starter.StartFlight(publish, poll, k, seq, masks)
 }
 
 // Publish implements Hub.
