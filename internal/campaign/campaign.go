@@ -190,9 +190,12 @@ type OpOutcomes struct {
 // world size, targeted ops, instruction budget and the two ablation switches —
 // not of the seed, the fault magnitude, the run count or the shard — so
 // BitSweep computes it once for every bit count and a chaserd worker keeps one
-// per app for every shard of every campaign. It is immutable once Prepare
-// returns (the base cache synchronises itself), so any number of campaigns
-// may run on one Baseline at the same time.
+// per app for every shard of every campaign. What Prepare derived is immutable
+// once it returns; what grows afterwards synchronises itself — the base cache,
+// and the spines: the checkpoints along the golden run that the campaigns run
+// on a Baseline leave behind for the ones after them (spine.go; append-only
+// under mu, each rung immutable once appended, gone with the Baseline). So any
+// number of campaigns may run on one Baseline at the same time.
 type Baseline struct {
 	// What the baseline was prepared for; Run refuses a Config that differs.
 	prog          *isa.Program
@@ -208,6 +211,9 @@ type Baseline struct {
 	// injection points are drawn from them.
 	totals []uint64
 	world  int
+
+	mu     sync.Mutex
+	spines map[spineKey]*spine
 }
 
 // Prepare executes the golden run (building and warming the shared base
@@ -366,7 +372,8 @@ func Run(cfg Config) (*Summary, error) {
 // Run executes cfg's injection runs against the baseline, which must have
 // been prepared for cfg's program, world size, ops, instruction budget and
 // ablation switches; everything else — seed, bits, runs, shard, journal, hub,
-// telemetry — is cfg's own.
+// telemetry — is cfg's own. The runs fork from the baseline's spine and extend
+// it as far as their sites reach.
 func (b *Baseline) Run(cfg Config) (*Summary, error) {
 	return runPrepared(cfg, b, newSnapCache(cfg.Obs))
 }
@@ -550,12 +557,14 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 	// recovered here and isolated as OutcomeSimCrash: one lost data point,
 	// not a lost campaign.
 	//
-	// ws is the rung the ladder planned for the task (nil: none, or NoFork).
-	// campaign_fork_fallbacks_total counts the runs that did not fork at
-	// their own site: from an earlier rung (the site would not pause), or —
-	// no rung below it, a stale snapshot — from scratch. Every path is
-	// bitwise identical.
-	runOne := func(tk task, ws *core.WorldSnapshot) (out RunOutcome, res *core.RunResult, err error) {
+	// ws is the rung the ladder found for the task (nil: none below its site,
+	// or NoFork) — by plan its own site's, or the nearest resident one below,
+	// the gap replayed in the run's own world. campaign_fork_fallbacks_total
+	// counts the runs that could not have the planned one: fellBack (the site
+	// or the spine position below it would not pause, so the run forks from
+	// further back, or from scratch), and a snapshot RunForked refuses. Every
+	// path is bitwise identical.
+	runOne := func(tk task, ws *core.WorldSnapshot, fellBack bool) (out RunOutcome, res *core.RunResult, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				msg := fmt.Sprintf("%v", r)
@@ -574,13 +583,14 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 		if ws != nil {
 			if res, err = core.RunForked(rc, ws); err == nil {
 				cfg.Obs.Counter("campaign_forked_runs_total").Inc()
-				if ws.Site().N != tk.n {
+				if fellBack {
 					cfg.Obs.Counter("campaign_fork_fallbacks_total").Inc()
 				}
 				return Classify(res, goldenOut, tk.rank), res, nil
 			}
+			fellBack = true
 		}
-		if !cfg.NoFork {
+		if fellBack {
 			cfg.Obs.Counter("campaign_fork_fallbacks_total").Inc()
 		}
 		res, err = core.Run(rc)
@@ -592,7 +602,8 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 
 	type job struct {
 		task
-		ws *core.WorldSnapshot
+		ws       *core.WorldSnapshot
+		fellBack bool
 	}
 	var wg sync.WaitGroup
 	ch := make(chan job)
@@ -605,7 +616,7 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 					cfg.Obs.Counter("campaign_runs_started_total").Inc()
 				}
 				rsp := cfg.Tracer.StartSpanTID("campaign.run", worker)
-				out, res, err := runOne(tk.task, tk.ws)
+				out, res, err := runOne(tk.task, tk.ws, tk.fellBack)
 				if err != nil {
 					rsp.SetArg("error", err.Error())
 					rsp.End()
@@ -643,14 +654,18 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 	var rungs *ladder
 	if !cfg.NoFork {
 		sortBySite(pending)
-		rungs = newLadder(snaps, cfg.Obs, runConfig)
+		rungs = newLadder(snaps, base, cfg.Trace, cfg.Obs, runConfig)
 	}
 	interrupted := false
 feed:
-	for _, tk := range pending {
+	for i, tk := range pending {
 		j := job{task: tk}
 		if rungs != nil {
-			j.ws = rungs.rung(tk)
+			var after *task
+			if i+1 < len(pending) {
+				after = &pending[i+1]
+			}
+			j.ws, j.fellBack = rungs.rung(tk, after)
 		}
 		// A nil Stop channel never receives, so the select degenerates to a
 		// plain send.

@@ -31,8 +31,9 @@ func siteFor(t *testing.T, cfg Config) uint64 {
 // TestCampaignForkMatchesScratch is the campaign-level fork differential: a
 // pinned-site campaign run with fork-point multiplexing must produce exactly
 // the summary and per-run outcomes of the same campaign with forking
-// disabled, while actually forking (one prefix run, every injection run
-// forked).
+// disabled, while actually forking (the pinned site, half way, is the spine's
+// middle position: one prefix run per position up to it, every injection run
+// forked from that kept rung, none built beside it).
 func TestCampaignForkMatchesScratch(t *testing.T) {
 	cfg := kmeansConfig(t)
 	cfg.InjectExec = siteFor(t, cfg)
@@ -55,8 +56,8 @@ func TestCampaignForkMatchesScratch(t *testing.T) {
 	if !reflect.DeepEqual(scratch.Outcomes, forked.Outcomes) {
 		t.Error("per-run outcomes diverge between forked and scratch campaigns")
 	}
-	if got := reg.Counter("campaign_prefix_runs_total").Value(); got != 1 {
-		t.Errorf("campaign_prefix_runs_total = %d, want 1 (single pinned site)", got)
+	if got := reg.Counter("campaign_prefix_runs_total").Value(); got != spineIntervals/2 {
+		t.Errorf("campaign_prefix_runs_total = %d, want %d (the spine up to the pinned site)", got, spineIntervals/2)
 	}
 	fr := reg.Counter("campaign_forked_runs_total").Value()
 	fb := reg.Counter("campaign_fork_fallbacks_total").Value()
@@ -66,8 +67,8 @@ func TestCampaignForkMatchesScratch(t *testing.T) {
 	if fr == 0 {
 		t.Error("no runs actually forked")
 	}
-	if hw := reg.Gauge("campaign_snapshot_cache_bytes_high_water").Value(); hw <= 0 {
-		t.Errorf("snapshot cache high water = %v, want > 0", hw)
+	if hw := reg.Gauge("campaign_snapshot_cache_bytes_high_water").Value(); hw != 0 {
+		t.Errorf("snapshot cache high water = %v, want 0: the rung is the spine's", hw)
 	}
 }
 
@@ -115,8 +116,8 @@ func TestCampaignForkMatchesScratchMPI(t *testing.T) {
 }
 
 // TestCampaignForkConcurrent forks a worker pool's runs from one pinned site
-// concurrently: exactly one prefix run, and the summary still matches
-// scratch.
+// concurrently: one prefix run per spine position up to the site (its middle
+// one) and no more, and the summary still matches scratch.
 func TestCampaignForkConcurrent(t *testing.T) {
 	cfg := kmeansConfig(t)
 	cfg.InjectExec = siteFor(t, cfg)
@@ -137,16 +138,16 @@ func TestCampaignForkConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	summariesEqual(t, scratch, forked)
-	if got := reg.Counter("campaign_prefix_runs_total").Value(); got != 1 {
-		t.Errorf("campaign_prefix_runs_total = %d, want 1 (singleflight)", got)
+	if got := reg.Counter("campaign_prefix_runs_total").Value(); got != spineIntervals/2 {
+		t.Errorf("campaign_prefix_runs_total = %d, want %d (singleflight)", got, spineIntervals/2)
 	}
 }
 
 // TestBitSweepForkShared: sweep entries share one baseline and with it the
-// snapshot cache. A pinned site is one rung for the whole sweep — built by
-// the first entry, found resident by every later one; a random-site sweep
-// walks one ladder per entry. Either way the results must be identical to a
-// no-fork sweep's.
+// spine and the snapshot cache. A pinned site is one rung for the whole sweep
+// — built by the first entry, found resident by every later one; a
+// random-site sweep walks one ladder per entry over the one spine. Either way
+// the results must be identical to a no-fork sweep's.
 func TestBitSweepForkShared(t *testing.T) {
 	cfg := kmeansConfig(t)
 	cfg.Runs = 6
@@ -179,26 +180,37 @@ func TestBitSweepForkShared(t *testing.T) {
 			}
 			summariesEqual(t, scratch[i].Summary, forked[i].Summary)
 		}
-		// Each distinct site of an entry costs one prefix run; a pinned site
-		// costs one for the whole sweep.
-		wantMax := uint64(cfg.Runs * len(bitCounts))
-		if pinned {
-			wantMax = 1
+		// What the ladder's rules give for the planned sites: the spine's
+		// positions cost one prefix run each for the whole sweep; a site a
+		// later task shares a stretch with costs an entry one more, less the
+		// last rung of the entry before, found resident again; a run alone
+		// below the first position has no snapshot and runs from program
+		// entry. The pinned site is the spine's middle position itself: 4
+		// positions, no rung beyond, nothing from entry.
+		base, err := Prepare(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if prefixes := reg.Counter("campaign_prefix_runs_total").Value(); prefixes == 0 || prefixes > wantMax {
-			t.Errorf("pinned=%v: %d prefix runs, want 1..%d", pinned, prefixes, wantMax)
+		tasks, err := planTasks(cfg, base.totals)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got, want := reg.Counter("campaign_forked_runs_total").Value(), uint64(cfg.Runs*len(bitCounts)); got != want {
-			t.Errorf("pinned=%v: %d forked runs, want %d", pinned, got, want)
+		want, entries := expectedWalk(tasks, base.totals), len(bitCounts)
+		wantPrefix := want.spine + entries*want.own
+		if want.own > 0 {
+			wantPrefix -= entries - 1
 		}
-		// Only the first rung of each walk starts from program entry; with a
-		// pinned site only the sweep's first.
-		wantMisses := uint64(len(bitCounts))
-		if pinned {
-			wantMisses = 1
+		if pinned && (want != walkCounts{spine: spineIntervals / 2}) {
+			t.Fatalf("the pinned site is not the middle position: %+v", want)
 		}
-		if misses := reg.Counter("campaign_snapshot_cache_misses_total").Value(); misses != wantMisses {
-			t.Errorf("pinned=%v: %d snapshot cache misses, want %d", pinned, misses, wantMisses)
+		if got := reg.Counter("campaign_prefix_runs_total").Value(); got != uint64(wantPrefix) {
+			t.Errorf("pinned=%v: %d prefix runs, want %d (%+v)", pinned, got, wantPrefix, want)
+		}
+		if got, w := reg.Counter("campaign_forked_runs_total").Value(), uint64(entries*(cfg.Runs-want.entry)); got != w {
+			t.Errorf("pinned=%v: %d forked runs, want %d (%+v)", pinned, got, w, want)
+		}
+		if got, w := reg.Counter("campaign_snapshot_cache_misses_total").Value(), uint64(entries*want.misses); got != w {
+			t.Errorf("pinned=%v: %d snapshot cache misses, want %d (%+v)", pinned, got, w, want)
 		}
 	}
 }

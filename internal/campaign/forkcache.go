@@ -14,8 +14,8 @@ type snapEntry struct {
 	bytes int64
 }
 
-// snapCache holds the resident rungs of the checkpoint ladder, keyed by fork
-// site. It belongs to one runPrepared call — a Baseline is shared by
+// snapCache holds the resident rungs a ladder walk built itself (the chain's;
+// the spine's belong to the Baseline), keyed by fork site. It belongs to one runPrepared call — a Baseline is shared by
 // concurrent campaigns and this is not — except that BitSweep hands one to
 // each of its entries in turn: they share the task list and therefore the
 // fork points, so an entry finds the rung the one before left behind. It has

@@ -144,20 +144,22 @@ func TestLadderMatchesNoFork(t *testing.T) {
 		name string
 		edit func(*Config)
 		// check inspects the ladder's telemetry (nil: the default, every run
-		// forked).
+		// forked but those alone below the first spine position).
 		check func(t *testing.T, cfg Config, c ladderCounts)
 	}
 	allForked := func(t *testing.T, cfg Config, c ladderCounts) {
 		t.Helper()
 		lo, hi, _ := cfg.bounds()
-		if c.forked+c.fallbacks < uint64(hi-lo) || c.forked == 0 {
-			t.Errorf("forked %d + fallbacks %d over %d runs", c.forked, c.fallbacks, hi-lo)
+		// A run forks, by plan or from further back, or — nothing resident
+		// below its site — starts at program entry, which is a cache miss.
+		if c.forked+c.fallbacks+c.misses < uint64(hi-lo) || c.forked == 0 {
+			t.Errorf("forked %d + fallbacks %d + misses %d over %d runs", c.forked, c.fallbacks, c.misses, hi-lo)
 		}
 		if cfg.WorldSize <= 1 && c.fallbacks != 0 {
 			t.Errorf("%d fallbacks on a serial guest, whose every site can pause", c.fallbacks)
 		}
-		if c.highWater <= 0 {
-			t.Errorf("snapshot cache high water = %v, want > 0", c.highWater)
+		if c.prefix == 0 {
+			t.Error("no prefix run: neither a spine position nor a rung")
 		}
 	}
 	base := []variant{
@@ -270,9 +272,11 @@ func TestForkTelemetryIsAFunctionOfTheSeed(t *testing.T) {
 }
 
 // TestLadderChainsOnePassPerRank pins the ladder's shape on a serial guest
-// with distinct sites: one prefix execution per site, only the first of them
-// from program entry (the one cache miss), every run forked at its own site,
-// and the resident set far below what the rungs would hold unshared.
+// with distinct sites: one prefix execution per spine position below the
+// furthest site and one per site a later task shares a stretch of the spine
+// with, only a first stretch's first from program entry (the one cache miss),
+// every run forked but one alone in the first stretch, and the resident set
+// far below what the rungs would hold unshared.
 func TestLadderChainsOnePassPerRank(t *testing.T) {
 	cfg := appConfig(t, "lud")
 	cfg.Runs = 24
@@ -281,12 +285,25 @@ func TestLadderChainsOnePassPerRank(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	c := countsOf(reg)
-	if c.prefix != 24 || c.forked != 24 || c.fallbacks != 0 {
-		t.Errorf("prefix %d forked %d fallbacks %d, want 24/24/0", c.prefix, c.forked, c.fallbacks)
+	base, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.misses != 1 || c.hits != 23 {
-		t.Errorf("cache misses %d hits %d, want 1 and 23: only the first rung starts from program entry", c.misses, c.hits)
+	tasks, err := planTasks(cfg, base.totals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := expectedWalk(tasks, base.totals)
+	t.Logf("24 sites: %+v", want)
+	if want.spine != spineIntervals-1 || want.own < 12 {
+		t.Fatalf("the plan does not cover the spine densely: %+v", want)
+	}
+	c := countsOf(reg)
+	if c.prefix != uint64(want.spine+want.own) || c.forked != uint64(24-want.entry) || c.fallbacks != 0 {
+		t.Errorf("prefix %d forked %d fallbacks %d, want %d/%d/0", c.prefix, c.forked, c.fallbacks, want.spine+want.own, 24-want.entry)
+	}
+	if c.misses != uint64(want.misses) || c.hits != uint64(24-want.misses) {
+		t.Errorf("cache misses %d hits %d, want %d and %d: only the first stretch starts from program entry", c.misses, c.hits, want.misses, 24-want.misses)
 	}
 	// A from-scratch run's instructions are the golden run's up to the
 	// trigger; the whole ladder must cost about one golden run, not one per
@@ -311,10 +328,6 @@ func TestLadderChainsOnePassPerRank(t *testing.T) {
 	}
 	// Early release: the cache never held more than a rung and what its
 	// successor adds — not 24 times the guest's memory.
-	base, err := Prepare(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	last, err := core.PrefixRun(coreConfig(cfg), core.ForkSite{Rank: 0, N: base.totals[0]})
 	if err != nil {
 		t.Fatal(err)
@@ -339,6 +352,7 @@ func coreConfig(cfg Config) core.RunConfig {
 // twin.
 func TestLadderUnpausableSiteFallsBack(t *testing.T) {
 	cfg := appConfig(t, "matvec")
+	cfg.Runs = 40 // dense enough that a later task shares a stretch with either site
 	scfg := cfg
 	scfg.NoFork = true
 	scratch, err := Run(scfg)
@@ -351,17 +365,27 @@ func TestLadderUnpausableSiteFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Poison the campaign's lowest site (nothing below it: its run goes from
-	// scratch) and one in the middle (the previous rung serves).
+	// scratch) and one in the middle (the previous rung serves). The ladder
+	// asks for a site's rung only when a later task shares its stretch.
 	tasks, err := planTasks(cfg, base.totals)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sortBySite(tasks)
+	sp, mid := newSpine(base.totals[0]), len(tasks)/2
+	for _, i := range []int{0, mid} {
+		if tasks[i].n == tasks[i+1].n || stretchOf(sp, tasks[i].n) != stretchOf(sp, tasks[i+1].n) {
+			t.Fatalf("task %d at site %d has no later reader in its stretch", i, tasks[i].n)
+		}
+	}
+	if stretchOf(sp, tasks[0].n) != 0 || stretchOf(sp, tasks[mid].n) == 0 {
+		t.Fatalf("sites %d and %d: want the first below the spine and the second above its first position", tasks[0].n, tasks[mid].n)
+	}
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
 	snaps := newSnapCache(reg)
 	dirty := errors.New("core: fork site paused mid-MPI-progress")
-	for _, tk := range []task{tasks[0], tasks[len(tasks)/2]} {
+	for _, tk := range []task{tasks[0], tasks[mid]} {
 		if _, err := snaps.get(core.ForkSite{Rank: 0, N: tk.n}, func() (*core.WorldSnapshot, error) {
 			return nil, dirty
 		}); !errors.Is(err, dirty) {

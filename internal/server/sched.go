@@ -84,10 +84,9 @@ type campaignState struct {
 	status string
 	errMsg string
 	// done is closed when the campaign reaches a terminal state; summary
-	// long-polls block on it.
-	done    chan struct{}
-	report  string
-	summary *campaign.Summary
+	// long-polls block on it. The merged summary itself lives in the file
+	// Store.WriteSummary wrote — a terminal campaign pins none of it here.
+	done chan struct{}
 }
 
 func (c *campaignState) terminal() bool { return c.status != StatusActive }
@@ -537,12 +536,10 @@ func (s *Scheduler) maybeFinishLocked(c *campaignState) bool {
 	if err != nil {
 		return s.failCampaignLocked(c, fmt.Sprintf("merge: %v", err))
 	}
-	c.summary = sum
-	c.report = sum.Report()
 	if data, err := json.Marshal(struct {
 		Report  string            `json:"report"`
 		Summary *campaign.Summary `json:"summary"`
-	}{c.report, sum}); err == nil {
+	}{sum.Report(), sum}); err == nil {
 		if werr := s.store.WriteSummary(c.id, data); werr != nil {
 			s.cfg.Logf("chaserd: %v", werr)
 		}

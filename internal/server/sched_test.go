@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -306,5 +307,52 @@ func TestSchedulerRestartRecoversState(t *testing.T) {
 	}
 	if n := s2.ActiveByTenant()["default"]; n != 2 {
 		t.Errorf("active campaigns for default tenant = %d, want 2", n)
+	}
+}
+
+// TestSchedulerHeapPerCompletedCampaign pins what a terminal campaign leaves
+// on a running scheduler's heap: its state and its log records (and, in this
+// process, the blocks its fault sites added to the worker's translation
+// cache) — about 1.1 KiB — not its merged summary — two histograms, the per-op map and the report text used to
+// stay pinned per campaign, read by nobody (the summary endpoint serves the
+// file Store.WriteSummary wrote), and made a service's resident set follow
+// the campaigns it had completed.
+func TestSchedulerHeapPerCompletedCampaign(t *testing.T) {
+	sched, _ := testSched(t, func(c *SchedConfig) { c.Logf = func(string, ...any) {} })
+	w := quietWorker(nil)
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	complete := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			id := submitT(t, sched, Spec{App: "matvec", Runs: 16, Seed: int64(i), Shards: 1, Trace: true, Parallel: 1})
+			a, err := sched.Claim("w")
+			if err != nil || a == nil {
+				t.Fatalf("claim: %v %v", a, err)
+			}
+			if err := w.runShard(a, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := sched.Complete(a.Token); err != nil {
+				t.Fatal(err)
+			}
+			if st := sched.Status(id); st == nil || st.Status != StatusComplete {
+				t.Fatalf("campaign %s: %+v", id, st)
+			}
+		}
+	}
+	complete(50) // the worker's baseline, its spine and the caches are warm
+	before := live()
+	const campaigns = 500
+	complete(campaigns)
+	grown := int64(live()) - int64(before)
+	runtime.KeepAlive(w) // or its baseline is collected before the second reading
+	t.Logf("heap grew %d B over %d completed campaigns: %d B each", grown, campaigns, grown/campaigns)
+	if grown > campaigns*2<<10 {
+		t.Errorf("a completed campaign keeps %d B on the scheduler's heap, want at most 2 KiB", grown/campaigns)
 	}
 }

@@ -67,9 +67,13 @@ type WorkerConfig struct {
 // Between shards the worker keeps each app's campaign baseline — the golden
 // run's outputs and counts and the translation cache it warmed — which depend
 // on Spec.App alone, so a shard pays for them only when it is the first of
-// its app on this worker, whichever campaign it belongs to. The registry
-// bounds the map (six apps, 50–160 KB each when prepared and 0.3–0.5 MB once
-// its campaigns' fault sites have filled the cache in); nothing is evicted.
+// its app on this worker, whichever campaign it belongs to — and with it the
+// spine of checkpoints its shards leave along the golden run (at most 7 world
+// snapshots per targeted rank and kind of world; the worker reports what its
+// baselines hold as campaign_spine_rungs and campaign_spine_bytes). The
+// registry bounds the map (six apps, 50–160 KB each when prepared and 0.3–0.5
+// MB once its campaigns' fault sites have filled the cache in, plus the
+// spine); nothing is evicted.
 type Worker struct {
 	cfg  WorkerConfig
 	stop chan struct{}
@@ -241,6 +245,9 @@ func (w *Worker) execute(a *Assignment) {
 // shard that fails or panics takes its app's baseline with it: whatever the
 // cause, the retry starts from a fresh golden run.
 func (w *Worker) runShard(a *Assignment, lost <-chan struct{}) (err error) {
+	// The spine gauges move by what the shard did to this app's baseline:
+	// extended its spine, or lost it (workers share a registry, so a delta).
+	rungs, bytes := w.baselines[a.Spec.App].SpineSize()
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
@@ -248,6 +255,9 @@ func (w *Worker) runShard(a *Assignment, lost <-chan struct{}) (err error) {
 		if err != nil {
 			delete(w.baselines, a.Spec.App)
 		}
+		nowRungs, nowBytes := w.baselines[a.Spec.App].SpineSize()
+		w.cfg.Obs.Gauge("campaign_spine_rungs").Add(float64(nowRungs - rungs))
+		w.cfg.Obs.Gauge("campaign_spine_bytes").Add(float64(nowBytes - bytes))
 	}()
 	if w.cfg.RunShard != nil {
 		return w.cfg.RunShard(a)

@@ -127,9 +127,9 @@ func TestWorkerCacheDifferential(t *testing.T) {
 }
 
 // TestWorkerCacheDropsFailedShard: a shard that returns an error, and one
-// that panics, take their app's baseline with them — the requeued (or
-// poisoned) shard that follows starts from a fresh golden run, as every shard
-// did before workers kept baselines — and an error is never kept.
+// that panics, take their app's baseline with them, spine and all — the
+// requeued (or poisoned) shard that follows starts from a fresh golden run, as
+// every shard did before workers kept baselines — and an error is never kept.
 func TestWorkerCacheDropsFailedShard(t *testing.T) {
 	reg := obs.NewRegistry()
 	w := quietWorker(reg)
@@ -153,9 +153,21 @@ func TestWorkerCacheDropsFailedShard(t *testing.T) {
 			t.Fatalf("baseline kept for %s: %v", a.Spec.App, kept)
 		}
 	}
+	// The spine gauges read what the kept baselines hold between them.
+	spine := func() (rungs, bytes float64) {
+		return reg.Gauge("campaign_spine_rungs").Value(), reg.Gauge("campaign_spine_bytes").Value()
+	}
 	run(shard("kmeans"), 1, true)
 	run(shard("kmeans"), 1, true)
+	kmRungs, kmBytes := spine()
+	if kmRungs == 0 || kmBytes == 0 {
+		t.Fatalf("two kmeans shards left a spine of %v rungs, %v bytes", kmRungs, kmBytes)
+	}
 	run(shard("bfs"), 2, true)
+	allRungs, allBytes := spine()
+	if allRungs <= kmRungs {
+		t.Fatalf("a bfs shard added no spine rung: %v, was %v", allRungs, kmRungs)
+	}
 
 	// An error: the shard's window is outside its campaign.
 	bad := shard("kmeans")
@@ -169,7 +181,16 @@ func TestWorkerCacheDropsFailedShard(t *testing.T) {
 	if _, kept := w.baselines["bfs"]; !kept {
 		t.Fatal("a failed kmeans shard dropped bfs's baseline")
 	}
+	bfsRungs, bfsBytes := allRungs-kmRungs, allBytes-kmBytes
+	if r, b := spine(); r != bfsRungs || b != bfsBytes {
+		t.Fatalf("the spine did not go with the dropped baseline: %v rungs, %v bytes, want bfs's %v and %v", r, b, bfsRungs, bfsBytes)
+	}
+	prefixes := reg.Counter("campaign_prefix_runs_total").Value()
 	run(shard("kmeans"), 3, true)
+	allRungs, allBytes = spine()
+	if allRungs <= bfsRungs || reg.Counter("campaign_prefix_runs_total").Value() == prefixes {
+		t.Fatalf("the fresh kmeans baseline built no spine of its own: %v rungs in all", allRungs)
+	}
 
 	// A panic, from an engine the test replaces for one shard.
 	w.cfg.RunShard = func(*Assignment) error { panic("poisoned") }
@@ -180,7 +201,11 @@ func TestWorkerCacheDropsFailedShard(t *testing.T) {
 	if _, kept := w.baselines["bfs"]; kept {
 		t.Fatal("a panicking shard left its app's baseline behind")
 	}
+	if r, b := spine(); r != allRungs-bfsRungs || b != allBytes-bfsBytes {
+		t.Fatalf("a panicking bfs shard left %v spine rungs, %v bytes, want kmeans's %v and %v", r, b, allRungs-bfsRungs, allBytes-bfsBytes)
+	}
 	run(shard("bfs"), 4, true)
+	allRungs, allBytes = spine()
 
 	// An error before there is a baseline keeps nothing: no such app.
 	if err := w.runShard(shard("nosuchapp"), nil); err == nil {
@@ -199,5 +224,72 @@ func TestWorkerCacheDropsFailedShard(t *testing.T) {
 	}
 	if g := goldens(); g != before+2 {
 		t.Errorf("two ExecuteShard calls ran %d golden runs, want one each", g-before)
+	}
+	if r, b := spine(); r != allRungs || b != allBytes {
+		t.Errorf("two ExecuteShard calls left the spine gauges at %v rungs, %v bytes, were %v and %v", r, b, allRungs, allBytes)
+	}
+	var heldRungs int
+	var heldBytes int64
+	for _, base := range w.baselines {
+		r, b := base.SpineSize()
+		heldRungs, heldBytes = heldRungs+r, heldBytes+b
+	}
+	if r, b := spine(); r != float64(heldRungs) || b != float64(heldBytes) {
+		t.Errorf("the spine gauges read %v rungs, %v bytes; the kept baselines hold %d and %d", r, b, heldRungs, heldBytes)
+	}
+}
+
+// TestWorkerSpineOutlivesTheShard: ten 40-run matvec campaigns, four shards
+// each, through one worker. The parent commit walked the golden run once per
+// shard and paused it at every site — a prefix run per run, 400. A kept
+// baseline keeps its spine: the 7 positions of each targeted rank are built
+// once by whichever shard reaches them first, a shard after that builds a rung
+// only where two of its ten sites share a stretch, and the prefix runs stop
+// tracking the runs.
+func TestWorkerSpineOutlivesTheShard(t *testing.T) {
+	reg := obs.NewRegistry()
+	w := quietWorker(reg)
+	dir := t.TempDir()
+	count := func(name string) uint64 { return reg.Counter(name).Value() }
+	var afterFirst uint64
+	for c := 0; c < 10; c++ {
+		sp := Spec{App: "matvec", Runs: 40, Seed: int64(900 + c), Shards: 4, Trace: true, Parallel: 1}.normalize()
+		for shard := 0; shard < sp.Shards; shard++ {
+			lo, hi := sp.shardRange(shard)
+			a := Assignment{Campaign: fmt.Sprint(c), Shard: shard, Lo: lo, Hi: hi, Spec: sp,
+				Journal: filepath.Join(dir, fmt.Sprintf("c%d-shard%d.journal", c, shard))}
+			if err := w.runShard(&a, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c == 0 {
+			afterFirst = count("campaign_prefix_runs_total")
+		}
+	}
+	runs, prefixes := count("campaign_runs_started_total"), count("campaign_prefix_runs_total")
+	rungs, skipped := reg.Gauge("campaign_spine_rungs").Value(), count("campaign_spine_positions_skipped_total")
+	t.Logf("%d runs, %d prefix runs (%d in the first campaign), spine %v rungs + %d skipped, %d forked, %d fallbacks",
+		runs, prefixes, afterFirst, rungs, skipped, count("campaign_forked_runs_total"), count("campaign_fork_fallbacks_total"))
+	if runs != 400 {
+		t.Fatalf("%d runs started, want 400", runs)
+	}
+	app, err := apps.ByName("matvec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks := 1
+	if app.TargetRank < 0 {
+		ranks = app.WorldSize
+	}
+	if spine := uint64(rungs) + skipped; spine == 0 || spine > uint64(7*ranks) {
+		t.Errorf("the spine decided %d positions over %d targeted ranks, want at most 7 each", spine, ranks)
+	}
+	// Ten sites over eight stretches: a handful share one. Half the runs is
+	// far above that and far below the parent's one a run.
+	if prefixes > runs/2 {
+		t.Errorf("%d prefix runs for %d runs: the ladder is being rebuilt per shard", prefixes, runs)
+	}
+	if g := count("campaign_golden_runs_total"); g != 1 {
+		t.Errorf("campaign_golden_runs_total = %d, want 1", g)
 	}
 }

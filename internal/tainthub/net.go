@@ -86,6 +86,11 @@ type ServerConfig struct {
 // is zero.
 const defaultMaxFrame = 96 << 20
 
+// connReadBuffer is the buffered reader of a connection, server or client
+// side. A frame is some 35 bytes; a payload larger than the buffer is read
+// around it (binary) or accumulated chunk by chunk (JSON).
+const connReadBuffer = 4 << 10
+
 // Server exposes a hub over TCP.
 type Server struct {
 	hub      Hub
@@ -223,7 +228,7 @@ func (s *Server) serve(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := bufio.NewReaderSize(conn, connReadBuffer)
 	if s.idle > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(s.idle))
 	}
@@ -817,7 +822,7 @@ func (c *Client) session() (*session, error) {
 	}
 	s := &session{
 		conn:     conn,
-		parser:   codec.NewParser(c.wire, bufio.NewReaderSize(conn, 64<<10), defaultMaxFrame),
+		parser:   codec.NewParser(c.wire, bufio.NewReaderSize(conn, connReadBuffer), defaultMaxFrame),
 		emit:     codec.NewEmitter(c.wire, conn),
 		sendq:    make(chan *call, c.cfg.MaxBatch),
 		inflight: make(chan []*call, c.cfg.MaxInflight),

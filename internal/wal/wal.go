@@ -90,7 +90,7 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 // does a payload fn rejects with ErrCorrupt. Any other error from fn or from
 // r aborts the scan.
 func scan(r io.Reader, max int, fn func(payload []byte) error) (int64, error) {
-	br := bufio.NewReaderSize(r, 64<<10)
+	br := bufio.NewReaderSize(r, scanBuffer(r))
 	var good int64
 	for {
 		payload, err := ReadFrame(br, max)
@@ -106,6 +106,18 @@ func scan(r io.Reader, max int, fn func(payload []byte) error) (int64, error) {
 			return good, err
 		}
 	}
+}
+
+// scanBuffer is the read size of a scan: 64 KiB, or the whole file when r can
+// say it is smaller — a shard's journal is a few hundred bytes.
+func scanBuffer(r io.Reader) int {
+	size := 64 << 10
+	if f, ok := r.(interface{ Stat() (os.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Size() < int64(size) {
+			size = int(fi.Size())
+		}
+	}
+	return size
 }
 
 // Replay reads the log at path without modifying it, feeding the intact
