@@ -560,10 +560,10 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 	// ws is the rung the ladder found for the task (nil: none below its site,
 	// or NoFork) — by plan its own site's, or the nearest resident one below,
 	// the gap replayed in the run's own world. campaign_fork_fallbacks_total
-	// counts the runs that could not have the planned one: fellBack (the site
-	// or the spine position below it would not pause, so the run forks from
-	// further back, or from scratch), and a snapshot RunForked refuses. Every
-	// path is bitwise identical.
+	// counts the runs that could not have the planned one: fellBack (the
+	// prefix run to the site or to the spine position below it failed, so the
+	// run forks from further back, or from scratch), and a snapshot RunForked
+	// refuses. Every path is bitwise identical.
 	runOne := func(tk task, ws *core.WorldSnapshot, fellBack bool) (out RunOutcome, res *core.RunResult, err error) {
 		defer func() {
 			if r := recover(); r != nil {

@@ -6,8 +6,8 @@ import (
 )
 
 // snapEntry is one cache slot. A failed build is cached negatively
-// (ws == nil, err != nil) so a site that cannot pause — e.g. one that lands
-// mid-MPI-progress — is not retried by every task that shares it.
+// (ws == nil, err != nil) so a site whose prefix run failed — it timed out or
+// panicked — is not retried by every task that shares it.
 type snapEntry struct {
 	ws    *core.WorldSnapshot
 	err   error
@@ -44,7 +44,7 @@ func newSnapCache(reg *obs.Registry) *snapCache {
 }
 
 // get returns the snapshot for key, building it via build unless an earlier
-// result — a snapshot, or the error that says the site cannot pause — is
+// result — a snapshot, or the error its prefix run failed with — is
 // resident. The returned snapshot stays valid after its release (snapshots
 // are immutable; release only drops the cache's reference).
 func (c *snapCache) get(key core.ForkSite, build func() (*core.WorldSnapshot, error)) (*core.WorldSnapshot, error) {

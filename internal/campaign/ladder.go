@@ -40,11 +40,10 @@ import (
 // entries find it again). Which rung a task forks from depends on the task
 // list and the Baseline alone, never on worker timing.
 //
-// A site that cannot pause (pause-dirty MPI progress, a rank already gone,
-// the watchdog) leaves the chain where it was: its tasks fork from the
-// nearest rung below and replay the executions in between, or run from
-// scratch when there is none. Every path is bitwise identical to a
-// from-scratch run.
+// A site whose prefix run fails (the watchdog, a simulator panic) leaves the
+// chain where it was: its tasks fork from the nearest rung below and replay
+// the executions in between, or run from scratch when there is none. Every
+// path is bitwise identical to a from-scratch run.
 type ladder struct {
 	snaps   *snapCache
 	base    *Baseline
@@ -92,8 +91,8 @@ func sortBySite(tasks []task) {
 // replays the prefix from program entry itself — advancing the chain to tk's
 // site first when after, the task that follows tk in the walk (nil at the
 // end), will read the rung too. fellBack reports a run that could not have
-// the snapshot the ladder planned for it: its site, or the spine position
-// below it, would not pause. Tasks must arrive in sortBySite order.
+// the snapshot the ladder planned for it: the prefix run to its site, or to
+// the spine position below it, failed. Tasks must arrive in sortBySite order.
 func (l *ladder) rung(tk task, after *task) (ws *core.WorldSnapshot, fellBack bool) {
 	site := core.ForkSite{Rank: tk.rank, N: tk.n}
 	from := l.head
@@ -118,7 +117,7 @@ func (l *ladder) rung(tk task, after *task) (ws *core.WorldSnapshot, fellBack bo
 			return prefixRun(l.runConf(tk), from, site)
 		})
 		if err != nil {
-			fellBack = true // the site will not pause: the rung below serves, if any
+			fellBack = true // no rung at the site: the one below serves, if any
 		} else {
 			if l.head != nil && l.head.Site() != site {
 				l.snaps.release(l.head.Site())

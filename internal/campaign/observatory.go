@@ -335,7 +335,7 @@ type ForkStats struct {
 	// replaying the prefix.
 	ForkedRuns uint64 `json:"forked_runs"`
 	// Fallbacks counts runs that did not fork at their own site: from an
-	// earlier rung (the site would not pause) or from scratch.
+	// earlier rung (the prefix run to the site failed) or from scratch.
 	Fallbacks uint64 `json:"fallbacks"`
 	// CacheHits/CacheMisses count the tasks' lookups: a hit found a resident
 	// snapshot at or below the task's site, a miss had the golden prefix

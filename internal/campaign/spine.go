@@ -47,7 +47,7 @@ type spineKey struct {
 // spine is the kept checkpoints of one targeted rank: the golden world paused
 // at the sites k·total/8, each advanced from the one before. Positions are
 // decided in order and never again: rungs[i] is the world at pos[i], or nil
-// when the guest cannot pause there (mid-MPI-progress, a peer gone).
+// when the prefix run to it failed.
 type spine struct {
 	pos   []uint64 // ascending; a site of zero and repeats (a total below 8) dropped
 	rungs []*core.WorldSnapshot
@@ -80,7 +80,7 @@ func (sp *spine) last(n int) *core.WorldSnapshot {
 // stay in the first stretch builds nothing — with that position (floor, 0
 // when the site lies below the first) and the first position above the site
 // (next, MaxUint64 past the last). below is nil, or older than floor, when a
-// position would not pause.
+// position could not be reached.
 //
 // A position is built once, under the Baseline's mutex, by the first campaign
 // that reaches it — advanced from the rung before it or from head, the

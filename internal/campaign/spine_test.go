@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -282,12 +281,13 @@ func TestWarmSpineBuildsNothing(t *testing.T) {
 	}
 }
 
-// TestSpineSkipsDirtyPosition: clamr_mpi's rank 0 reaches the third position
-// of its spine while a peer is inside an MPI call that has made progress, so
-// the world cannot pause there. The position is skipped for good — one
-// attempt, however many campaigns follow — and the tasks of its stretch fork
-// from the second rung, count as fallbacks, and are their NoFork twins.
-func TestSpineSkipsDirtyPosition(t *testing.T) {
+// TestSpineSkipsUnpausablePosition: on a Baseline whose instruction budget
+// ends between the second and third positions of clamr_mpi's rank-0 spine, the
+// world cannot pause at the third or any later one. A position is skipped for
+// good — one attempt, however many campaigns follow — and the tasks of its
+// stretch fork from the second rung and are their NoFork twins on the same
+// Baseline.
+func TestSpineSkipsUnpausablePosition(t *testing.T) {
 	cfg := appConfig(t, "clamr_mpi")
 	cfg.Parallel, cfg.KeepRunOutcomes = 1, false
 	reg := obs.NewRegistry()
@@ -296,38 +296,56 @@ func TestSpineSkipsDirtyPosition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty := 3 * base.totals[0] / spineIntervals
-	if _, err := core.PrefixRun(coreConfig(cfg), core.ForkSite{Rank: 0, N: dirty}); err == nil || !strings.Contains(err.Error(), "mid-MPI-progress") {
-		t.Fatalf("PrefixRun at the third position: %v; the test needs a position that pauses dirty", err)
+	sp := newSpine(base.totals[0])
+	// Rank 0's instruction count at a site is its injection record's.
+	instrsAt := func(n uint64) uint64 {
+		rc := coreConfig(cfg)
+		rc.Spec.Cond, rc.Spec.Bits = core.Deterministic{N: n}, 1
+		res, err := core.Run(rc)
+		if err != nil || len(res.Records) != 1 {
+			t.Fatalf("injection at site %d: %v", n, err)
+		}
+		return res.Records[0].InstrNum
 	}
+	base.maxInstr = (instrsAt(sp.pos[1]) + instrsAt(sp.pos[2])) / 2
+	unpausable := sp.pos[2]
 	dir := t.TempDir()
+	twin := func(c Config, name string) {
+		t.Helper()
+		n := c
+		n.NoFork, n.Obs, n.Journal = true, nil, filepath.Join(dir, name+"-nofork.journal")
+		if _, err := base.Run(n); err != nil {
+			t.Fatal(err)
+		}
+		sameJournalRecords(t, n.Journal, c.Journal)
+	}
 	for i := 0; i < 2; i++ {
-		// Inside the skipped position's stretch, and two runs on one site:
-		// the first builds the site's rung from the second spine rung.
+		// Inside the third position's stretch, and two runs on one site:
+		// the first tries the site's rung from the second spine rung, which
+		// the budget defeats too.
 		c := cfg
-		c.Runs, c.Seed, c.InjectExec = 4, cfg.Seed+int64(i), dirty+40
+		c.Runs, c.Seed, c.InjectExec = 4, cfg.Seed+int64(i), unpausable+40
 		c.Journal = filepath.Join(dir, fmt.Sprintf("pinned-%d.journal", i))
 		if _, err := base.Run(c); err != nil {
 			t.Fatal(err)
 		}
-		sameJournalRecords(t, noForkJournal(t, c, filepath.Join(dir, fmt.Sprintf("pinned-nofork-%d.journal", i))), c.Journal)
+		twin(c, fmt.Sprintf("pinned-%d", i))
 	}
 	if s := spineOf(base, reg); s.skipped != 1 || s.rungs != 2 {
-		t.Errorf("two campaigns above the dirty position: %+v, want it skipped once and two rungs", s)
+		t.Errorf("two campaigns above the unpausable position: %+v, want it skipped once and two rungs", s)
 	}
-	// A random-site campaign over the whole run: whoever lands alone in the
-	// skipped stretch forks from further back than planned.
+	// A random-site campaign over the whole run decides every position once.
 	c := cfg
 	c.Runs = 40
 	c.Journal = filepath.Join(dir, "random.journal")
 	if _, err := base.Run(c); err != nil {
 		t.Fatal(err)
 	}
-	sameJournalRecords(t, noForkJournal(t, c, filepath.Join(dir, "random-nofork.journal")), c.Journal)
-	if s := spineOf(base, reg); s.skipped != 1 || s.rungs != spineIntervals-2 {
-		t.Errorf("whole spine: %+v, want 6 rungs and the one skip", s)
+	twin(c, "random")
+	if s := spineOf(base, reg); s.skipped != uint64(len(sp.pos)-2) || s.rungs != 2 {
+		t.Errorf("whole spine: %+v, want 2 rungs and the %d positions past the budget skipped", s, len(sp.pos)-2)
 	}
-	if sp := base.spines[spineKey{0, true}]; len(sp.rungs) != spineIntervals-1 || sp.rungs[2] != nil {
-		t.Errorf("spine decided %d positions, third kept: %v", len(sp.rungs), sp.rungs[2] != nil)
+	if sp := base.spines[spineKey{0, true}]; len(sp.rungs) != len(sp.pos) || sp.rungs[1] == nil || sp.rungs[2] != nil {
+		t.Errorf("spine decided %d of %d positions, second kept %v, third kept %v", len(sp.rungs), len(sp.pos), sp.rungs[1] != nil, sp.rungs[2] != nil)
 	}
 }

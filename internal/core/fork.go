@@ -13,10 +13,11 @@ import (
 
 // Fork-point run multiplexing: every run of a fault-injection campaign
 // executes the golden run up to its injection trigger, then diverges. Instead
-// of replaying that prefix per run, PrefixRun executes it once — pausing the
-// whole world at a fork site — and captures a WorldSnapshot; RunForked then
-// resumes any number of injected continuations from it via copy-on-write
-// machine snapshots, for any trigger at or after the site. PrefixRunFrom
+// of replaying that prefix per run, PrefixRun executes it once — the world
+// stops where the baton is when the target reaches a fork site — and captures
+// a WorldSnapshot; RunForked then resumes any number of injected
+// continuations from it via copy-on-write machine snapshots, for any trigger
+// at or after the site. PrefixRunFrom
 // advances an existing snapshot to a later site, so a ladder of snapshots
 // over many sites costs one pass over the golden run, consecutive rungs
 // sharing every page the guest did not write in between (checkpoint-restore
@@ -52,16 +53,16 @@ func cloneSeqMap(src map[tainthub.Key]uint64) map[tainthub.Key]uint64 {
 }
 
 // WorldSnapshot is a complete MPI world paused at a fork site: one machine
-// snapshot per rank, the in-flight message queues, injector resume state,
-// and the taint timeline accumulated so far. It is immutable and shareable
-// across any number of concurrent RunForked calls.
+// snapshot per rank, the world's own state (queues, schedule, MPI calls in
+// progress), injector resume state, and the taint timeline accumulated so
+// far. It is immutable and shareable across any number of concurrent
+// RunForked calls.
 type WorldSnapshot struct {
 	prog      *isa.Program
 	worldSize int
 	site      ForkSite
 	machines  []*vm.Snapshot
-	mailboxes [][]mpi.Message
-	pendings  [][]mpi.Message
+	world     *mpi.State
 	resume    *resumeState
 	samples   []trace.TimelinePoint
 	bytes     int64
@@ -72,8 +73,7 @@ type WorldSnapshot struct {
 func (ws *WorldSnapshot) Site() ForkSite { return ws.site }
 
 // Bytes returns the approximate resident size of the snapshot (page data,
-// console/output copies, queued message payloads), the quantity snapshot
-// caches account against their memory cap.
+// console/output copies, queued message payloads and reduction accumulators).
 func (ws *WorldSnapshot) Bytes() int64 { return ws.bytes }
 
 // FreshBytes returns the part of Bytes the snapshot does not share with the
@@ -111,12 +111,13 @@ func PrefixRun(cfg RunConfig, site ForkSite) (*WorldSnapshot, error) {
 // tasks with any seed). The new snapshot shares with `from` every page the
 // guest did not write in between.
 //
+// Every site the target reaches pauses: the world is kept as it stands, the
+// other ranks wherever the schedule left them, inside an MPI call or not.
 // PrefixRunFrom fails — and the caller falls back to an earlier snapshot or
-// to from-scratch execution — when the site never fires, a rank terminates
-// abnormally before it, the wall-clock deadline expires, or the pause lands
-// inside an MPI call that had already made externally visible progress
-// (World.PauseDirty). `from` is never modified, so it stays usable after a
-// failure.
+// to from-scratch execution — when the target never reaches the site: the
+// site never fires, or the world ends before it, its instruction budget or
+// wall-clock deadline spent or a rank terminated abnormally. `from` is never
+// modified, so it stays usable after a failure.
 func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSnapshot, error) {
 	if cfg.Prog == nil {
 		return nil, fmt.Errorf("core: prefix run has no program")
@@ -184,17 +185,11 @@ func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSna
 	terms := world.Run()
 	stopWatchdog()
 
-	if world.PauseDirty() {
-		return nil, fmt.Errorf("core: fork site (rank %d, n %d) paused mid-MPI-progress", site.Rank, site.N)
-	}
+	// A pause stops the world before any rank ends abnormally, and any such
+	// end stops the world before the target can pause.
 	if terms[site.Rank].Reason != vm.ReasonPaused {
 		return nil, fmt.Errorf("core: fork site (rank %d, n %d) did not pause: target %s",
 			site.Rank, site.N, terms[site.Rank])
-	}
-	for r, t := range terms {
-		if t.Reason != vm.ReasonPaused && !(t.Reason == vm.ReasonExited && !t.Abnormal()) {
-			return nil, fmt.Errorf("core: rank %d ended abnormally before fork site: %s", r, t)
-		}
 	}
 	st := ch.armed[world.Machine(site.Rank)]
 	if st == nil || st.execCount != site.N {
@@ -232,45 +227,14 @@ func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSna
 		if r == site.Rank {
 			ws.resume.execCount[r]--
 		}
-		// A pause that interrupted a blocked MPI_Send rewinds the syscall, but
-		// its pre-syscall hook already advanced the flow's sequence number
-		// (the hook runs before the send blocks). Undo it — replicating the
-		// hook's own validity guard — so the re-executed send re-numbers the
-		// flow identically to a from-scratch run.
-		if cfg.Spec.Trace && snap.PausedIn() == isa.SysMPISend {
-			count := int64(snap.GPR(isa.R2))
-			dtype := isa.Datatype(snap.GPR(isa.R3))
-			if _, ok := hookedMessageBytes(count, dtype); ok {
-				key := tainthub.Key{
-					Src: r,
-					Dst: int(int64(snap.GPR(isa.R4))),
-					Tag: int(int64(snap.GPR(isa.R5))),
-				}
-				ws.resume.sendSeq[r][key]--
-			}
-		}
 	}
-	ws.mailboxes, ws.pendings = world.QueueSnapshot()
-	for r := range ws.mailboxes {
-		// Queued payloads are charged to every snapshot that holds them: a
-		// few messages, and a rung may well outlive the one it shares them
-		// with.
-		for _, q := range [][]mpi.Message{ws.mailboxes[r], ws.pendings[r]} {
-			for _, msg := range q {
-				ws.bytes += int64(len(msg.Data))
-				ws.fresh += int64(len(msg.Data))
-			}
-		}
-	}
-	// Keep only timeline points the restored counters have already passed:
-	// a sample scheduled between a rewound syscall's first and second
-	// retirement would otherwise appear twice.
-	for _, p := range ch.collector.Timeline() {
-		if p.Rank >= 0 && p.Rank < size &&
-			p.Instrs <= ws.machines[p.Rank].Instructions() {
-			ws.samples = append(ws.samples, p)
-		}
-	}
+	// Queued payloads are charged to every snapshot that holds them: a few
+	// messages, and a rung may well outlive the one it shares them with.
+	var payload int64
+	ws.world, payload = world.State()
+	ws.bytes += payload
+	ws.fresh += payload
+	ws.samples = ch.collector.Timeline()
 	return ws, nil
 }
 

@@ -110,9 +110,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 }
 
 // newSessionWorld builds the MPI world for a run. With a non-nil snapshot
-// the machines are resumed from it (fork-point multiplexing) and the
-// in-flight message queues are preloaded; otherwise the machines start
-// fresh at the program entry.
+// the machines and the world's state are restored from it (fork-point
+// multiplexing); otherwise the machines start fresh at the program entry.
 func newSessionWorld(cfg RunConfig, size int, platform *decaf.Platform, snap *WorldSnapshot) (*mpi.World, error) {
 	mcfg := mpi.Config{
 		Size: size,
@@ -140,10 +139,7 @@ func newSessionWorld(cfg RunConfig, size int, platform *decaf.Platform, snap *Wo
 		mcfg.NewMachine = func(rank int, mc vm.Config) *vm.Machine {
 			return vm.NewFromSnapshot(cfg.Prog, snap.machines[rank], mc)
 		}
-		// Message values are copied into the new world's queues; payload
-		// bytes stay shared read-only with the snapshot.
-		mcfg.Mailboxes = snap.mailboxes
-		mcfg.Pendings = snap.pendings
+		mcfg.State = snap.world
 	}
 	return mpi.NewWorld(cfg.Prog, mcfg)
 }

@@ -57,11 +57,14 @@ func (mb *mailbox) take() (Message, bool) {
 	return msg, true
 }
 
-// drain empties the mailbox and returns its messages, oldest first.
-func (mb *mailbox) drain() []Message {
-	var out []Message
-	for msg, ok := mb.take(); ok; msg, ok = mb.take() {
-		out = append(out, msg)
+// messages returns a copy of the queue, oldest first.
+func (mb *mailbox) messages() []Message {
+	if mb.n == 0 {
+		return nil
+	}
+	out := make([]Message, mb.n)
+	for i := range out {
+		out[i] = mb.ring[(mb.head+i)%len(mb.ring)]
 	}
 	return out
 }

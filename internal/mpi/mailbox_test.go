@@ -11,6 +11,7 @@ import (
 	"chaser/internal/isa"
 	"chaser/internal/lang"
 	"chaser/internal/obs"
+	"chaser/internal/tcg"
 	"chaser/internal/vm"
 )
 
@@ -196,10 +197,14 @@ func TestMailboxBlockedSendWokenByInterrupt(t *testing.T) {
 	}
 }
 
-// TestMailboxQueueSnapshotRoundTrip pauses a world with messages both queued and
-// set aside unmatched, captures its queues, and restores them into a second
-// world whose receives must find every message, in order.
-func TestMailboxQueueSnapshotRoundTrip(t *testing.T) {
+// TestWorldStateRoundTrip pauses a world of three ranks where the schedule
+// leaves rank 0, a reduction's root, holding rank 1's contribution and waiting
+// for rank 2's, rank 1 waiting in a barrier with messages both queued and set
+// aside unmatched, and rank 2 — the one that pauses — at the instruction it
+// paused in front of. Two worlds restored from the one State (and the
+// machines' snapshots) must each run on exactly as the world that never
+// paused: a restored world writes nothing of the State.
+func TestWorldStateRoundTrip(t *testing.T) {
 	send := func(tag int64) []lang.Stmt {
 		return B(
 			lang.SetAt(V("buf"), I(0), I(tag*100)),
@@ -212,94 +217,106 @@ func TestMailboxQueueSnapshotRoundTrip(t *testing.T) {
 			lang.OutInt{E: lang.At(V("buf"), I(0))},
 		)
 	}
-	// Rank 0 delivers tags 3 1 2 4 5 before rank 1 receives tag 1: tag 3 is
-	// set aside as pending, 2 4 5 stay queued. After the second barrier no
-	// MPI call is left to run, and rank 0's write is where the world is paused
-	// — by a hook on the rank that holds the baton, as a fork-point pause is.
-	fill := compile(t, &lang.Program{Name: "fill", Funcs: []*lang.Func{{
+	reduce := B(
+		lang.SetAt(V("contrib"), I(0), lang.Mul(Ad(lang.RankExpr{}, I(1)), I(10))),
+		lang.Reduce{SendBuf: V("contrib"), RecvBuf: V("sum"), Count: I(1),
+			Dtype: int64(isa.TypeInt64), ReduceOp: int64(isa.ReduceSum), Root: I(0)},
+	)
+	rank := func(r int64, body ...[]lang.Stmt) lang.Stmt {
+		return lang.If{Cond: lang.Eq(lang.RankExpr{}, I(r)), Then: seq(body...)}
+	}
+	// Rank 0 delivers tags 3 1 2 4 5 and waits in the reduction for rank 1;
+	// rank 1 receives tag 1 (setting 3 aside), contributes and waits in the
+	// barrier; rank 0 folds that in and waits for rank 2, which pauses in
+	// front of its out_int.
+	prog := compile(t, &lang.Program{Name: "state", Funcs: []*lang.Func{{
 		Name: "main",
 		Body: B(
 			lang.Let("buf", lang.Alloc(I(1))),
-			lang.Let("s", I(0)),
-			lang.If{
-				Cond: lang.Eq(lang.RankExpr{}, I(0)),
-				Then: seq(send(3), send(1), send(2), send(4), send(5), B(lang.Barrier{})),
-				Else: seq(B(lang.Barrier{}), recv(1)),
-			},
-			lang.Barrier{},
-			lang.If{Cond: lang.Eq(lang.RankExpr{}, I(0)), Then: B(lang.OutInt{E: I(7)})},
-			spin(),
+			lang.Let("contrib", lang.Alloc(I(1))),
+			lang.Let("sum", lang.Alloc(I(1))),
+			rank(0, send(3), send(1), send(2), send(4), send(5), reduce,
+				B(lang.OutInt{E: lang.At(V("sum"), I(0))}, lang.Barrier{})),
+			rank(1, recv(1), reduce, B(lang.Barrier{}), recv(3), recv(5), recv(2), recv(4)),
+			rank(2, B(lang.OutInt{E: I(9)}), reduce, B(lang.Barrier{})),
 		),
 	}}})
-	var w *World
-	w, err := NewWorld(fill, Config{Size: 2, Machine: unbounded, Setup: func(rank int, m *vm.Machine) {
-		if rank == 0 {
-			m.Hooks.PreSyscall = func(_ *vm.Machine, sys isa.Sys) {
-				if sys == isa.SysOutInt {
-					w.Pause(vm.Termination{Reason: vm.ReasonPaused, Msg: "test pause"})
-				}
-			}
+	want, err := NewWorld(prog, Config{Size: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTerms := want.Run()
+
+	w, err := NewWorld(prog, Config{Size: 3, Setup: func(rank int, m *vm.Machine) {
+		if rank != 2 {
+			return
 		}
+		pause := m.RegisterHelper(func(m *vm.Machine, op *tcg.Op) { m.PauseAt(op.GuestPC) })
+		m.Trans.AddHook(func(ins isa.Instr, _ uint64) []tcg.Op {
+			if ins.Op != isa.OpSyscall || isa.Sys(ins.Imm) != isa.SysOutInt {
+				return nil
+			}
+			return []tcg.Op{{Kind: tcg.KHelper, Helper: pause}}
+		})
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r, term := range w.Run() {
-		if term.Reason != vm.ReasonPaused {
-			t.Fatalf("rank %d: %v, want paused", r, term)
-		}
+	terms := w.Run()
+	if terms[2].Reason != vm.ReasonPaused || terms[0] != (vm.Termination{}) || terms[1] != (vm.Termination{}) {
+		t.Fatalf("terminations %v, want rank 2 paused and the others live", terms)
 	}
-	if w.barrierGen != 2 {
-		t.Fatalf("world paused at barrier generation %d, want 2", w.barrierGen)
-	}
-	if w.PauseDirty() {
-		t.Fatal("pause outside every MPI call reported dirty")
-	}
-	mailboxes, pendings := w.QueueSnapshot()
+	st, payload := w.State()
 	tags := func(q []Message) (out []int) {
 		for _, m := range q {
 			out = append(out, m.Tag)
 		}
 		return out
 	}
-	if got := tags(mailboxes[1]); !reflect.DeepEqual(got, []int{2, 4, 5}) {
-		t.Fatalf("rank 1 mailbox holds tags %v, want [2 4 5]", got)
+	root, waiter := st.ranks[0], st.ranks[1]
+	if root.status != waitRecv || root.wantSrc != 2 || root.step != 2 || binary.LittleEndian.Uint64(root.acc) != 10+20 {
+		t.Errorf("reduction root: %+v, want it waiting for rank 2 with 10+20 accumulated", root)
 	}
-	if got := tags(pendings[1]); !reflect.DeepEqual(got, []int{3}) {
-		t.Fatalf("rank 1 pending holds tags %v, want [3]", got)
+	if waiter.status != waitBarrier || waiter.step != 1 || st.arrived != 1 || st.barrierGen != 0 {
+		t.Errorf("rank 1 %+v, barrier %d arrived in generation %d: want rank 1 alone in the first", waiter, st.arrived, st.barrierGen)
 	}
-	if len(mailboxes[0])+len(pendings[0]) != 0 {
-		t.Fatalf("rank 0 holds messages: %v %v", mailboxes[0], pendings[0])
+	if got := tags(waiter.mailbox); !reflect.DeepEqual(got, []int{2, 4, 5}) {
+		t.Errorf("rank 1 mailbox holds tags %v, want [2 4 5]", got)
+	}
+	if got := tags(waiter.pending); !reflect.DeepEqual(got, []int{3}) {
+		t.Errorf("rank 1 pending holds tags %v, want [3]", got)
+	}
+	if st.ranks[2].status != runnable {
+		t.Errorf("paused rank %+v, want runnable", st.ranks[2])
+	}
+	if payload != 5*8 {
+		t.Errorf("state holds %d payload bytes, want four queued messages and an accumulator of 8", payload)
 	}
 
-	// The restored world receives pending first, then out of queue order.
-	drain := compile(t, &lang.Program{Name: "drain", Funcs: []*lang.Func{{
-		Name: "main",
-		Body: B(
-			lang.Let("buf", lang.Alloc(I(1))),
-			lang.If{
-				Cond: lang.Eq(lang.RankExpr{}, I(1)),
-				Then: seq(recv(3), recv(5), recv(2), recv(4)),
-			},
-		),
-	}}})
-	restored, err := NewWorld(drain, Config{Size: 2, Mailboxes: mailboxes, Pendings: pendings})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, term := range restored.Run() {
-		if term.Reason != vm.ReasonExited {
-			t.Fatalf("restored rank %d: %v", r, term)
+	snaps := make([]*vm.Snapshot, 3)
+	for r := range snaps {
+		if snaps[r], err = w.Machine(r).Snapshot(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	out := restored.Machine(1).Output()
-	for i, want := range []uint64{300, 500, 200, 400} {
-		if got := binary.LittleEndian.Uint64(out[8*i:]); got != want {
-			t.Errorf("receive %d delivered %d, want %d", i, got, want)
+	for i := 0; i < 2; i++ {
+		restored, err := NewWorld(prog, Config{Size: 3, State: st, NewMachine: func(r int, mc vm.Config) *vm.Machine {
+			return vm.NewFromSnapshot(prog, snaps[r], mc)
+		}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if mb, pd := restored.QueueSnapshot(); len(mb[1])+len(pd[1]) != 0 {
-		t.Errorf("restored world left messages behind: %v %v", mb[1], pd[1])
+		if got := restored.Run(); !reflect.DeepEqual(got, wantTerms) {
+			t.Fatalf("restored world %d: %v, want %v", i, got, wantTerms)
+		}
+		for r := 0; r < 3; r++ {
+			g, w := restored.Machine(r).Counters(), want.Machine(r).Counters()
+			if !reflect.DeepEqual(restored.Machine(r).Output(), want.Machine(r).Output()) ||
+				g.Instructions != w.Instructions || g.Syscalls != w.Syscalls || g.PerOp != w.PerOp {
+				t.Errorf("restored world %d, rank %d: output %v, %d instructions, %d syscalls; want %v, %d, %d", i, r,
+					restored.Machine(r).Output(), g.Instructions, g.Syscalls, want.Machine(r).Output(), w.Instructions, w.Syscalls)
+			}
+		}
 	}
 }
 

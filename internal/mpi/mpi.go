@@ -11,8 +11,10 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 	"runtime/debug"
+	"slices"
 
 	"chaser/internal/isa"
 	"chaser/internal/obs"
@@ -45,9 +47,12 @@ type World struct {
 	size  int
 	ranks []rankState
 
-	// stopped is set when the world stops early (abort, deadlock, pause): a
-	// rank that would have to wait fails its MPI call instead.
+	// stopped is set when the world stops early (abort, deadlock): a rank
+	// that would have to wait fails its MPI call instead.
 	stopped bool
+	// paused is set when the fork target pauses: Run hands out no further
+	// baton.
+	paused bool
 
 	// The barrier: ranks arrived in the current generation, and the number of
 	// generations completed.
@@ -56,15 +61,6 @@ type World struct {
 
 	// panicMsg is the first simulator panic a rank raised, re-raised by Run.
 	panicMsg string
-
-	// pausing is set when the stop in flight is a fork-point pause rather
-	// than a failure; pauseDirty is raised by any rank whose in-progress MPI
-	// call had already made externally visible progress (a delivered message
-	// or a consumed match) when the pause landed — rewinding such a call
-	// would replay the progress, so the snapshot is rejected and the
-	// campaign falls back to a from-scratch run.
-	pausing    bool
-	pauseDirty bool
 
 	obs    *worldObs
 	tracer *obs.Tracer
@@ -78,16 +74,7 @@ type rankState struct {
 	mailbox mailbox
 	pending []Message // received but not yet matched
 	term    vm.Termination
-
-	// status is the rank's place in the schedule; what a waiting rank waits
-	// for is wantSrc/wantTag (waitRecv: a message to match) or waitDst
-	// (waitSend: room in that rank's mailbox).
-	status           status
-	wantSrc, wantTag int
-	waitDst          int
-	// reentering marks a rank that has yet to re-enter the MPI call its
-	// snapshot was taken in (see next).
-	reentering bool
+	place
 	// span covers the rank's execution from its first turn to its end.
 	span *obs.Span
 }
@@ -103,12 +90,10 @@ type Config struct {
 	// vm.New — the fork path uses it to resume machines from snapshots. The
 	// supplied config already has Rank/WorldSize/MPI filled in.
 	NewMachine func(rank int, mc vm.Config) *vm.Machine
-	// Mailboxes and Pendings, when non-nil, preload each rank's undelivered
-	// message queues (restoring a paused world's in-flight state). Indexed
-	// by rank; Message.Data is shared read-only with the snapshot, so
-	// callers pass per-fork copies of the slice headers only.
-	Mailboxes [][]Message
-	Pendings  [][]Message
+	// State, when non-nil, restores the world a fork-point pause left
+	// (World.State) around the machines NewMachine resumes from their
+	// snapshots.
+	State *State
 	// Setup runs after each machine is created and before it starts; Chaser
 	// instruments target ranks here (the VMI process-creation event).
 	Setup func(rank int, m *vm.Machine)
@@ -128,12 +113,18 @@ func NewWorld(prog *isa.Program, cfg Config) (*World, error) {
 	if cfg.Size < 1 {
 		return nil, fmt.Errorf("mpi: world size %d < 1", cfg.Size)
 	}
+	if cfg.State != nil && len(cfg.State.ranks) != cfg.Size {
+		return nil, fmt.Errorf("mpi: state of %d ranks for a world of %d", len(cfg.State.ranks), cfg.Size)
+	}
 	w := &World{
 		size:   cfg.Size,
 		ranks:  make([]rankState, cfg.Size),
 		obs:    newWorldObs(cfg.Obs),
 		tracer: cfg.Tracer,
 		events: cfg.Events,
+	}
+	if st := cfg.State; st != nil {
+		w.arrived, w.barrierGen = st.arrived, st.barrierGen
 	}
 	for r := range w.ranks {
 		var mc vm.Config
@@ -152,11 +143,12 @@ func NewWorld(prog *isa.Program, cfg Config) (*World, error) {
 			rs.m = vm.New(prog, mc)
 		}
 		rs.m.PID = 1000 + r
-		if cfg.Mailboxes != nil {
-			rs.mailbox.load(cfg.Mailboxes[r])
-		}
-		if cfg.Pendings != nil {
-			rs.pending = append([]Message(nil), cfg.Pendings[r]...)
+		if cfg.State != nil {
+			s := &cfg.State.ranks[r]
+			rs.place, rs.env.callState = s.place, s.callState
+			rs.env.acc = bytes.Clone(s.acc) // combine writes to it
+			rs.mailbox.load(s.mailbox)
+			rs.pending = slices.Clone(s.pending)
 		}
 	}
 	if cfg.Setup != nil {
@@ -183,6 +175,11 @@ func (w *World) Machine(rank int) *vm.Machine { return w.ranks[rank].m }
 // remaining ranks are aborted so that each ends where it stands, and the
 // panic is re-raised once every rank has drained — campaign workers isolate
 // it there without losing the process.
+//
+// When the fork target pauses (vm.ReasonPaused), Run returns at once with
+// that termination on the target and a zero one on every rank still live:
+// each stays where the schedule left it — not started, stepped aside after an
+// MPI call, or suspended inside one — and State captures the world.
 func (w *World) Run() []vm.Termination {
 	for r := range w.ranks {
 		rs := &w.ranks[r]
@@ -192,11 +189,8 @@ func (w *World) Run() []vm.Termination {
 			rs.term = *t
 			rs.status = done
 		}
-		// A rank restored from a snapshot taken while it was suspended in an
-		// MPI call goes back into that call before any other rank runs.
-		rs.reentering = rs.m.ResumesIn() != 0
 	}
-	for rs := w.next(); rs != nil; rs = w.next() {
+	for rs := w.next(); rs != nil && !w.paused; rs = w.next() {
 		w.runRank(rs)
 	}
 	if w.panicMsg != "" {
@@ -210,8 +204,8 @@ func (w *World) Run() []vm.Termination {
 }
 
 // runRank gives rank rs the baton: its machine executes until it ends, which
-// stops the rest of the world if that termination calls for it, or steps
-// aside inside or after an MPI call, which has set its status.
+// stops the rest of the world if that termination calls for it, or pauses it,
+// or steps aside inside or after an MPI call, which has set its status.
 func (w *World) runRank(rs *rankState) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -232,16 +226,16 @@ func (w *World) runRank(rs *rankState) {
 	if term == nil {
 		return
 	}
+	rs.term = *term
+	if term.Reason == vm.ReasonPaused {
+		// The rank stays runnable, at the instruction it paused in front of.
+		w.paused = true
+		return
+	}
 	rs.span.SetArg("reason", term.Reason.String())
 	rs.span.End()
-	rs.term = *term
 	rs.status = done
-	switch {
-	case term.Reason == vm.ReasonPaused:
-		// A fork-point pause initiated by this rank: suspend the whole world
-		// at this quiescent boundary instead of treating the stop as a failure.
-		w.Pause(*term)
-	case term.Abnormal():
+	if term.Abnormal() {
 		w.abortPeers(rs.id, *term)
 	}
 }
@@ -262,40 +256,42 @@ func (w *World) Interrupt(t vm.Termination) {
 	}
 }
 
-// Pause suspends every rank with a ReasonPaused termination for a fork-point
-// snapshot. It is called for the rank that holds the baton (the fork target,
-// from runRank, or a hook running on a rank), so it lands at a logical
-// instant: every other rank is suspended in or after an MPI call, has not
-// started, or is done. A waiting rank fails its wait and is rewound to the
-// blocking syscall instruction (see vm.Machine.Snapshot); a rank whose wait
-// was already satisfied completes the call and stops at its next block
-// boundary, where one that had stepped aside after a call stops at once. A pause
-// after a real abort loses cleanly — the prefix run then fails validation
-// and the caller falls back.
-func (w *World) Pause(t vm.Termination) {
-	w.pausing = true
-	if w.stop(t) {
-		w.tracer.Instant("mpi.pause", 0)
-		w.events.Emit("world_pause", -1, -1, uint64(t.Reason), 0, t.Msg)
-	}
+// State is a world stopped by a fork-point pause, as World.State captures it
+// and Config.State restores it: every rank's queues, its place in the schedule
+// and what its MPI call in progress has done so far, and the barrier. The
+// machines are captured apart (vm.Snapshot). A State is immutable: message
+// payloads are shared read-only with every world restored from it, and what a
+// world writes is copied.
+type State struct {
+	ranks               []rankSnap
+	arrived, barrierGen int
 }
 
-// PauseDirty reports whether any rank's interrupted MPI call had made
-// externally visible progress, making the pause point non-resumable.
-func (w *World) PauseDirty() bool { return w.pauseDirty }
+// rankSnap is one rank of a State.
+type rankSnap struct {
+	place
+	callState
+	mailbox, pending []Message
+}
 
-// QueueSnapshot captures every rank's undelivered messages: the mailbox
-// contents (in delivery order) and the received-but-unmatched pending list.
-// It drains the mailboxes destructively, so it is only legal on a world that
-// has fully stopped (after Run returns).
-func (w *World) QueueSnapshot() (mailboxes, pendings [][]Message) {
-	mailboxes = make([][]Message, w.size)
-	pendings = make([][]Message, w.size)
+// State captures the world Run left on a fork-point pause, with the bytes of
+// message payload and reduction accumulators it holds.
+func (w *World) State() (st *State, payload int64) {
+	st = &State{ranks: make([]rankSnap, w.size), arrived: w.arrived, barrierGen: w.barrierGen}
 	for r := range w.ranks {
-		mailboxes[r] = w.ranks[r].mailbox.drain()
-		pendings[r] = append([]Message(nil), w.ranks[r].pending...)
+		rs := &w.ranks[r]
+		s := &st.ranks[r]
+		s.place, s.callState = rs.place, rs.env.callState
+		s.acc = bytes.Clone(s.acc)
+		s.mailbox, s.pending = rs.mailbox.messages(), slices.Clone(rs.pending)
+		payload += int64(len(s.acc))
+		for _, q := range [][]Message{s.mailbox, s.pending} {
+			for _, msg := range q {
+				payload += int64(len(msg.Data))
+			}
+		}
 	}
-	return mailboxes, pendings
+	return st, payload
 }
 
 // abortMachines asks every machine to terminate with t (the first request a

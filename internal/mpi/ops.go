@@ -13,28 +13,24 @@ import (
 // env implements vm.MPIEnv for one rank. A call that has to wait for another
 // rank returns vm.ErrWait with the rank's status set to what it waits for, the
 // machine suspends, and when the rank next holds the baton the machine makes
-// the same Call again: the fields below the first two are what the call in
-// progress has done so far, kept from one attempt to the next.
+// the same Call again, which goes on from its callState.
 type env struct {
 	w  *World
 	rs *rankState
-	// waiting is set while the call in progress is suspended.
-	waiting bool
-	// progress counts externally visible effects of the current call — a
-	// message delivered to a peer's mailbox or a match consumed from the
-	// local queues. A fork-point pause that interrupts a call with
-	// progress > 0 cannot rewind it (re-execution would replay the effects),
-	// so abortErr marks the world's pause dirty. Draining the mailbox into
-	// pending is NOT progress: pending is part of the snapshot and the
-	// re-executed receive rescans it.
-	progress int
-	// step is how far a collective has got through its peers, acc a
-	// reduction's accumulator, gen the barrier generation the rank arrived in
-	// (step 1), since the time the call first had to wait (telemetry only).
-	step  int
-	acc   []byte
-	gen   int
+	callState
+	// since is the time the call in progress first had to wait (telemetry
+	// only).
 	since time.Time
+}
+
+// callState is what the MPI call in progress has done so far, kept from one
+// attempt to the next and zero between calls: step is how far a collective
+// has got through its peers, acc a reduction's accumulator, gen the barrier
+// generation the rank arrived in (step 1).
+type callState struct {
+	step int
+	acc  []byte
+	gen  int
 }
 
 var _ vm.MPIEnv = (*env)(nil)
@@ -43,17 +39,11 @@ var _ vm.MPIEnv = (*env)(nil)
 // on with the one m was suspended in. If the call let a lower-numbered rank go
 // on, m steps aside once the call is complete.
 func (e *env) Call(m *vm.Machine, sys isa.Sys) error {
-	if !e.waiting {
-		e.progress, e.step, e.acc, e.since = 0, 0, nil, time.Time{}
-		if e.rs.reentering {
-			// Back inside the call the snapshot was taken in; see World.next.
-			e.rs.reentering = false
-			e.waiting = true
-			return vm.ErrWait
-		}
-	}
 	err := e.dispatch(m, sys)
-	e.waiting = err == vm.ErrWait
+	if err == vm.ErrWait {
+		return err
+	}
+	e.callState, e.since = callState{}, time.Time{}
 	if err == nil && e.w.lowerRunnable(e.rs.id) {
 		m.Yield()
 	}
@@ -111,9 +101,6 @@ func (e *env) dispatch(m *vm.Machine, sys isa.Sys) error {
 // world abort, carrying the root cause (peer failure or deadlock) so outcome
 // classification can distinguish secondary aborts from local errors.
 func (e *env) abortErr(op string) error {
-	if e.w.pausing && e.progress > 0 {
-		e.w.pauseDirty = true
-	}
 	if t := e.rs.m.Aborted(); t != nil {
 		// Adopt the abort's own termination: a peer failure stays an MPI
 		// error carrying the root cause, a wall-clock kill stays a timeout.
@@ -179,7 +166,6 @@ func (e *env) sendTag(m *vm.Machine, buf uint64, count int64, dtype isa.Datatype
 	if dst.status == waitRecv && dst.wantSrc == e.rs.id && dst.wantTag == tag {
 		dst.status = runnable
 	}
-	e.progress++
 	e.w.obs.sent(len(data))
 	return nil
 }
@@ -215,7 +201,7 @@ func (e *env) barrier() error {
 	} else if w.barrierGen == e.gen {
 		return e.abortErr("MPI_Barrier")
 	}
-	if w.obs != nil {
+	if !e.since.IsZero() { // zero for a rank restored waiting
 		w.obs.barrierWait.Observe(time.Since(e.since).Seconds())
 	}
 	return nil
@@ -270,7 +256,6 @@ func (e *env) match(source, tag int) (Message, error) {
 
 // matched consumes msg for the call in progress.
 func (e *env) matched(msg Message) Message {
-	e.progress++
 	if !e.since.IsZero() {
 		e.w.obs.recvWait.Observe(time.Since(e.since).Seconds())
 		e.since = time.Time{}

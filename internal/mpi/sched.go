@@ -8,8 +8,9 @@ package mpi
 // that can run. Who runs next is therefore a function of the world's state —
 // machines, queues, barrier — and of nothing else: not of time, not of the Go
 // scheduler, and not of who held the baton before, which is why a world
-// restored from a snapshot (every rank back at the instruction it stopped at)
-// goes on exactly as the world it was taken from would have.
+// restored from a snapshot (every rank back where the schedule left it, a
+// suspended one inside its call) goes on exactly as the world it was taken
+// from would have.
 //
 // Holding the baton is being the machine World.Run is executing: a rank that
 // steps aside suspends its machine inside the MPI call (vm.ErrWait) or after
@@ -21,6 +22,12 @@ package mpi
 // matching delivery, the receive that makes room, the last arrival at the
 // barrier) or by the world stopping, so "no rank can run and not all are
 // done" is a deadlock, found the moment it is so.
+//
+// A fork-point pause is where the baton stops: the target's machine pauses,
+// Run hands the baton to no one, and the world is kept as it stands (State).
+// While a rank holds the baton outside an MPI call no lower rank can run — a
+// call that makes one runnable ends its slice — so the lowest runnable rank of
+// the restored world is the target, and it goes on first, as it would have.
 
 // status is a rank's place in the schedule.
 type status uint8
@@ -33,36 +40,33 @@ const (
 	done
 )
 
+// place is a rank's place in the schedule: its status and what a waiting rank
+// waits for, wantSrc/wantTag (waitRecv: a message to match) or waitDst
+// (waitSend: room in that rank's mailbox).
+type place struct {
+	status           status
+	wantSrc, wantTag int
+	waitDst          int
+}
+
 // next returns the rank the baton goes to — the lowest that can run — or nil
 // when every rank is done. If none can run and some are not done the world
 // is deadlocked: that stops it, which makes every waiting rank runnable to
 // fail its call.
-//
-// A restored world first puts back what a snapshot cannot hold: each rank
-// that was suspended inside an MPI call when the snapshot was taken (its
-// machine resumes at that syscall instruction) runs up to the entry of the
-// call — pre-syscall hooks run, the instruction retired, as they had — and
-// suspends there, runnable. Only then is the world the one that was paused,
-// and the lowest rank that can run the one that ran in it; a stop before a
-// rank's next turn finds it inside its call, as it would have.
 func (w *World) next() *rankState {
-	var lowest *rankState
 	live := false
 	for r := range w.ranks {
 		rs := &w.ranks[r]
-		if rs.reentering {
+		if rs.status == runnable {
 			return rs
-		}
-		if lowest == nil && rs.status == runnable {
-			lowest = rs
 		}
 		live = live || rs.status != done
 	}
-	if lowest == nil && live {
+	if live {
 		w.deadlock()
 		return w.next()
 	}
-	return lowest
+	return nil
 }
 
 // lowerRunnable reports whether a rank below id can run: the MPI call rank id

@@ -780,7 +780,7 @@ func (m *Machine) creditBlock(node *chainNode, from, last int) {
 }
 
 // fault ends a block at op i with a guest signal, after the write-back and
-// the per-opcode credit every exit from execTBTaint makes.
+// the per-opcode credit every exit from either loop makes.
 func (m *Machine) fault(tb *tcg.TB, credited, i int, instrs uint64, sig Signal, msg string) {
 	m.counters.Instructions = instrs
 	m.creditPerOp(tb, credited, i)

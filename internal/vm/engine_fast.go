@@ -92,10 +92,7 @@ nextBlock:
 		case tcg.KDiv:
 			a, b := int64(regs[op.A1]), int64(regs[op.A2])
 			if b == 0 {
-				m.counters.Instructions = instrs
-				m.creditPerOp(tb, credited, i)
-				m.pc = op.GuestPC
-				m.kill(SIGFPE, "integer divide by zero")
+				m.fault(tb, credited, i, instrs, SIGFPE, "integer divide by zero")
 				return node
 			}
 			if a == math.MinInt64 && b == -1 {
@@ -106,10 +103,7 @@ nextBlock:
 		case tcg.KMod:
 			a, b := int64(regs[op.A1]), int64(regs[op.A2])
 			if b == 0 {
-				m.counters.Instructions = instrs
-				m.creditPerOp(tb, credited, i)
-				m.pc = op.GuestPC
-				m.kill(SIGFPE, "integer modulo by zero")
+				m.fault(tb, credited, i, instrs, SIGFPE, "integer modulo by zero")
 				return node
 			}
 			if a == math.MinInt64 && b == -1 {
@@ -180,10 +174,7 @@ nextBlock:
 			}
 			v, err := mem.Read64(addr)
 			if err != nil {
-				m.counters.Instructions = instrs
-				m.creditPerOp(tb, credited, i)
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
+				m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
 				return node
 			}
 			regs[op.A0] = v
@@ -196,10 +187,7 @@ nextBlock:
 				}
 			}
 			if err := mem.Write64(addr, regs[op.A2]); err != nil {
-				m.counters.Instructions = instrs
-				m.creditPerOp(tb, credited, i)
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
+				m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
 				return node
 			}
 		case tcg.KLd8:
@@ -210,10 +198,7 @@ nextBlock:
 			}
 			v, err := mem.Read8(addr)
 			if err != nil {
-				m.counters.Instructions = instrs
-				m.creditPerOp(tb, credited, i)
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
+				m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
 				return node
 			}
 			regs[op.A0] = uint64(v)
@@ -224,10 +209,7 @@ nextBlock:
 				break
 			}
 			if err := mem.Write8(addr, uint8(regs[op.A2])); err != nil {
-				m.counters.Instructions = instrs
-				m.creditPerOp(tb, credited, i)
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
+				m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
 				return node
 			}
 
@@ -242,10 +224,7 @@ nextBlock:
 			}
 			v, err := mem.Read64(addr)
 			if err != nil {
-				m.counters.Instructions = instrs
-				m.creditPerOp(tb, credited, i)
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
+				m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
 				return node
 			}
 			regs[op.A0] = v
@@ -259,10 +238,7 @@ nextBlock:
 				}
 			}
 			if err := mem.Write64(addr, regs[op.A2]); err != nil {
-				m.counters.Instructions = instrs
-				m.creditPerOp(tb, credited, i)
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
+				m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
 				return node
 			}
 
@@ -487,10 +463,7 @@ nextBlock:
 			}
 
 		default:
-			m.counters.Instructions = instrs
-			m.creditPerOp(tb, credited, i)
-			m.pc = op.GuestPC
-			m.kill(SIGILL, "unimplemented micro-op "+op.Kind.String())
+			m.fault(tb, credited, i, instrs, SIGILL, "unimplemented micro-op "+op.Kind.String())
 			return node
 		}
 	}

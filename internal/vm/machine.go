@@ -211,13 +211,8 @@ type Machine struct {
 	// forkBase is the counters a machine resumed from a snapshot started
 	// with (nil for a machine started at program entry): telemetry publishes
 	// only what this machine executed itself.
-	forkBase *Counters
-	term     *Termination
-	// pausedIn records the syscall a ReasonPaused termination interrupted
-	// (0 when the pause landed at a block boundary); Snapshot uses it to
-	// rewind the pc to the syscall instruction and uncount its retirement so
-	// a forked continuation re-executes it exactly once.
-	pausedIn  isa.Sys
+	forkBase  *Counters
+	term      *Termination
 	abort     abortBox
 	execTrace *execRing
 	chains    chainTable
@@ -231,8 +226,6 @@ type Machine struct {
 	obsFlushed bool
 	events     *obs.Sink
 
-	// resumesIn is the pausedIn of the snapshot this machine was forked from.
-	resumesIn isa.Sys
 	// waitingIn is the MPI syscall the machine is suspended in (its Call
 	// returned ErrWait; 0: none) and waitPC that instruction's address;
 	// yielded is set by Yield. Either makes RunSlice return.

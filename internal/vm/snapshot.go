@@ -8,12 +8,13 @@ import (
 	"chaser/internal/tcg"
 )
 
-// Fork-point run multiplexing: a paused (or exited) machine is captured into
-// an immutable Snapshot, and any number of forked machines are constructed
-// from it. Memory is shared copy-on-write (see Memory.Snapshot); everything
-// else — registers, flags, counters, console/output, shadow taint — is
-// copied, so a forked continuation is bitwise indistinguishable from a
-// machine that executed the prefix itself.
+// Fork-point run multiplexing: a machine that is not executing — paused,
+// exited, or live where its world's schedule left it — is captured into an
+// immutable Snapshot, and any number of forked machines are constructed from
+// it. Memory is shared copy-on-write (see Memory.Snapshot); everything else —
+// registers, flags, counters, console/output, shadow taint, the MPI call it
+// is suspended in — is copied, so a forked continuation is bitwise
+// indistinguishable from a machine that executed the prefix itself.
 
 // PauseAt suspends the machine at the given guest pc with ReasonPaused. It
 // is called from an instrumentation helper running in front of the target
@@ -40,57 +41,42 @@ type Snapshot struct {
 	// term is non-nil when the rank had already exited cleanly before the
 	// world paused; forks restore it pre-terminated.
 	term *Termination
-	// pausedSys is the blocking syscall a pause interrupted (0 = none); the
-	// snapshot pc then points at the syscall instruction, which re-executes
-	// on resume.
-	pausedSys isa.Sys
+	// waitingIn and waitPC are the MPI call the machine was suspended in and
+	// its instruction (0: none): a fork's first RunSlice goes on with it.
+	waitingIn isa.Sys
+	waitPC    uint64
 }
 
-// Snapshot captures the machine. Legal states: still running at a block
-// boundary is NOT one — the machine must be paused (ReasonPaused) or have
-// terminated cleanly (ReasonExited); anything else errors, because an
+// Snapshot captures the machine, which is not executing. Legal states: paused
+// (ReasonPaused, the fork target), exited cleanly (ReasonExited), or live where
+// its world's schedule left it — not started, stepped aside after an MPI call,
+// or suspended inside one. An abnormally terminated machine errors: an
 // abnormal prefix is not a fork point.
 //
-// A pause that interrupted a blocking MPI syscall rewinds the pc to the
-// syscall instruction and uncounts its retirement (Instructions, PerOp,
-// Syscalls): the fork re-executes the syscall against the snapshotted
-// message queues and re-retires it, reproducing a from-scratch run's
-// counters bitwise.
+// The world a snapshot is taken from runs no further, so a live machine
+// publishes its telemetry here, as it would have on terminating.
 func (m *Machine) Snapshot() (*Snapshot, error) {
-	t := m.term
-	if t == nil {
-		return nil, fmt.Errorf("vm: snapshot of a running machine")
-	}
-	if t.Reason != ReasonPaused && t.Reason != ReasonExited {
+	if t := m.term; t != nil && t.Reason != ReasonPaused && t.Reason != ReasonExited {
 		return nil, fmt.Errorf("vm: snapshot of abnormally terminated machine (%s)", t)
 	}
 	s := &Snapshot{
-		regs:     m.regs,
-		pc:       m.pc,
-		flags:    m.flags,
-		heapBrk:  m.heapBrk,
-		console:  append([]byte(nil), m.console...),
-		output:   append([]byte(nil), m.output...),
-		counters: m.Counters(), // flushes deferred per-op credit first
-		shadow:   m.Shadow.Clone(),
-		taintOn:  m.TaintEnabled,
+		regs:      m.regs,
+		pc:        m.pc,
+		flags:     m.flags,
+		heapBrk:   m.heapBrk,
+		console:   append([]byte(nil), m.console...),
+		output:    append([]byte(nil), m.output...),
+		counters:  m.Counters(), // flushes deferred per-op credit first
+		shadow:    m.Shadow.Clone(),
+		taintOn:   m.TaintEnabled,
+		waitingIn: m.waitingIn,
+		waitPC:    m.waitPC,
 	}
-	switch {
-	case t.Reason == ReasonExited:
+	if t := m.term; t == nil {
+		m.flushObs()
+	} else if t.Reason == ReasonExited {
 		tt := *t
 		s.term = &tt
-	case m.pausedIn != 0:
-		s.pc = t.PC // the blocked syscall instruction
-		s.pausedSys = m.pausedIn
-		s.counters.Syscalls--
-		s.counters.Instructions--
-		if ins, ok := m.Prog.InstrAt(t.PC); ok {
-			s.counters.PerOp[ins.Op]--
-		}
-	default:
-		// Block-boundary pause: m.pc is the next block start, already the
-		// correct resume point.
-		s.pc = m.pc
 	}
 	// Seal pages last: nothing above mutates memory.
 	s.mem = m.Mem.Snapshot()
@@ -98,27 +84,14 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
-// PausedIn returns the blocking syscall the pause interrupted, or 0.
-func (s *Snapshot) PausedIn() isa.Sys { return s.pausedSys }
-
-// ResumesIn returns the blocking syscall the machine's snapshot was paused in
-// (Snapshot.PausedIn) — the first instruction it executes issues that syscall
-// again — or 0 for a machine that starts anywhere else.
-func (m *Machine) ResumesIn() isa.Sys { return m.resumesIn }
-
-// GPR returns a guest general-purpose register value from the snapshot.
-func (s *Snapshot) GPR(r isa.Reg) uint64 { return s.regs[tcg.GPR(r)] }
-
-// Counters returns the (compensated) execution statistics at the snapshot
-// point.
+// Counters returns the execution statistics at the snapshot point.
 func (s *Snapshot) Counters() Counters { return s.counters }
 
-// Instructions returns the (compensated) retired-instruction count at the
-// snapshot point.
+// Instructions returns the retired-instruction count at the snapshot point.
 func (s *Snapshot) Instructions() uint64 { return s.counters.Instructions }
 
 // Terminated returns the clean termination of an already-exited rank, nil
-// for a paused one.
+// for a paused or live one.
 func (s *Snapshot) Terminated() *Termination { return s.term }
 
 // Bytes returns the resident size of the snapshot: page data plus the
@@ -169,7 +142,8 @@ func NewFromSnapshot(prog *isa.Program, snap *Snapshot, cfg Config) *Machine {
 		mpi:          cfg.MPI,
 		obsReg:       cfg.Obs,
 		events:       cfg.Events,
-		resumesIn:    snap.pausedSys,
+		waitingIn:    snap.waitingIn,
+		waitPC:       snap.waitPC,
 	}
 	m.Trans.AttachObs(cfg.Obs)
 	if m.maxInstr == 0 {

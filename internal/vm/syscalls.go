@@ -128,15 +128,6 @@ func (m *Machine) dispatchSyscall(sys isa.Sys, eip uint64) {
 				if t.PC == 0 {
 					t.PC = eip
 				}
-				if t.Reason == ReasonPaused {
-					// A pause interrupted a blocked MPI wait. The rewind
-					// point is the syscall instruction itself: the forked
-					// continuation re-issues the wait against snapshotted
-					// queues. Snapshot compensates the already-counted
-					// retirement (see Machine.Snapshot).
-					t.PC = eip
-					m.pausedIn = sys
-				}
 				m.term = &t
 				return
 			}
