@@ -12,8 +12,8 @@ import (
 // prefix per run each task forks from a world snapshot — a rung — at or just
 // below its site. Rungs come from two places.
 //
-// The spine (spine.go) belongs to the Baseline: the golden world at the seven
-// sites k·total/8 of a targeted rank, built once, as far as its sites reach,
+// The spine (spine.go) belongs to the Baseline: the golden world at the 31
+// sites k·total/32 of a targeted rank, built once, as far as its sites reach,
 // by the first campaign that reaches them and found resident by every shard
 // and sweep entry after it.
 //

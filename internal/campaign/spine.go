@@ -11,14 +11,16 @@ import (
 )
 
 // spineIntervals is how many stretches a rank's golden run is cut into by the
-// spine: a Baseline holds a world snapshot at each of the 7 cuts, and a
-// run whose site shares its stretch with no other pending task forks from the
-// cut below it. Measured at 8, 16 and 32 (docs/PERFORMANCE.md, "Rungs that
-// outlive the shard"): finer cuts shorten the replayed gap and leave fewer
-// tasks sharing a stretch — 9% and 12% less CPU a run on small_campaign_mix —
-// for 2.5 and 6 MB more resident; 8 is where the resident set stays below what
-// it was without a spine.
-const spineIntervals = 8
+// spine: a Baseline holds a world snapshot at each of the 31 cuts, and a run
+// whose site shares its stretch with no other pending task forks from the cut
+// below it. Finer cuts shorten the gap a run replays and leave fewer tasks
+// sharing a stretch; what they cost is memory, a rung per cut. Measured at 8,
+// 16 and 32 (docs/PERFORMANCE.md, "Rungs that outlive the shard" and "One
+// spine per process"): 32 takes 9% off a run's CPU on small_campaign_mix
+// against 8, and holds the resident set where 8 had it because a rung keeps
+// little beyond the pages the guest changed and a process keeps one spine per
+// app, not one per worker.
+const spineIntervals = 32
 
 // errPrefixPanic marks a prefix run the simulator panicked in — a tool
 // failure, not a property of the guest at that site.
@@ -45,11 +47,11 @@ type spineKey struct {
 }
 
 // spine is the kept checkpoints of one targeted rank: the golden world paused
-// at the sites k·total/8, each advanced from the one before. Positions are
-// decided in order and never again: rungs[i] is the world at pos[i], or nil
-// when the prefix run to it failed.
+// at the sites k·total/spineIntervals, each advanced from the one before.
+// Positions are decided in order and never again: rungs[i] is the world at
+// pos[i], or nil when the prefix run to it failed.
 type spine struct {
-	pos   []uint64 // ascending; a site of zero and repeats (a total below 8) dropped
+	pos   []uint64 // ascending; a site of zero and repeats (a total below spineIntervals) dropped
 	rungs []*core.WorldSnapshot
 }
 
@@ -139,10 +141,12 @@ func (b *Baseline) spineRung(site core.ForkSite, trace bool, reg *obs.Registry, 
 	return sp.last(want), floor, next
 }
 
-// SpineSize is what the Baseline's spines hold: their rungs, and the bytes
-// each added beside the rung it was advanced from (WorldSnapshot.FreshBytes).
-// Whoever keeps Baselines reports the sum over them as campaign_spine_rungs
-// and campaign_spine_bytes (a chaserd worker does); a nil Baseline holds none.
+// SpineSize is what the Baseline's spines hold: their rungs, and the heap
+// each keeps beside the rung it was advanced from (WorldSnapshot.FreshBytes:
+// the pages the guest wrote in between and everything but pages). Whoever
+// keeps Baselines reports the sum over them as campaign_spine_rungs and
+// campaign_spine_bytes (chaserd does, once for the process); a nil Baseline
+// holds none.
 func (b *Baseline) SpineSize() (rungs int, bytes int64) {
 	if b == nil {
 		return 0, 0

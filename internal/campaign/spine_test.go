@@ -3,6 +3,7 @@ package campaign
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -173,9 +174,15 @@ func pinnedAt(base *Baseline, cfg Config, num, den uint64) Config {
 	return cfg
 }
 
+// onPosition reports whether site is one of the spine's positions.
+func onPosition(sp *spine, site uint64) bool {
+	st := stretchOf(sp, site)
+	return st > 0 && sp.pos[st-1] == site
+}
+
 // TestSpineIsLazy: a spine reaches as far as the sites asked of it. A campaign
 // whose sites all lie in the first stretch builds no rung; one whose furthest
-// site is at 40% builds the three positions below it and not a fourth.
+// site is at 40% builds the positions below it and not one more.
 func TestSpineIsLazy(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := appConfig(t, "lud")
@@ -184,29 +191,41 @@ func TestSpineIsLazy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := base.Run(pinnedAt(base, cfg, 1, 16)); err != nil {
+	sp := newSpine(base.totals[0])
+	first := pinnedAt(base, cfg, 1, 2*spineIntervals)
+	if stretchOf(sp, first.InjectExec) != 0 {
+		t.Fatalf("site %d is not in the first stretch (first position %d)", first.InjectExec, sp.pos[0])
+	}
+	if _, err := base.Run(first); err != nil {
 		t.Fatal(err)
 	}
 	if s := spineOf(base, reg); s.rungs != 0 || s.bytes != 0 {
 		t.Errorf("a campaign below the first position built %+v", s)
 	}
-	if _, err := base.Run(pinnedAt(base, cfg, 2, 5)); err != nil {
+	at40 := pinnedAt(base, cfg, 2, 5)
+	if _, err := base.Run(at40); err != nil {
 		t.Fatal(err)
 	}
 	s := spineOf(base, reg)
-	if s.rungs != 3 || s.bytes <= 0 || s.skipped != 0 {
-		t.Errorf("a campaign at 40%% built %+v, want 3 rungs", s)
+	if want := stretchOf(sp, at40.InjectExec); s.rungs != want || s.bytes <= 0 || s.skipped != 0 {
+		t.Errorf("a campaign at 40%% built %+v, want the %d positions at or below its site", s, want)
 	}
-	// Coming back below what is built builds nothing more.
+	// Coming back below what is built builds nothing more: the pinned site's
+	// own rung, unless a position sits on it.
 	before := countsOf(reg).prefix
-	if _, err := base.Run(pinnedAt(base, cfg, 3, 10)); err != nil {
+	at30 := pinnedAt(base, cfg, 3, 10)
+	if _, err := base.Run(at30); err != nil {
 		t.Fatal(err)
 	}
 	if spineOf(base, reg) != s {
 		t.Errorf("a campaign at 30%% changed the spine: %+v, was %+v", spineOf(base, reg), s)
 	}
-	if p := countsOf(reg).prefix - before; p != 1 {
-		t.Errorf("%d prefix runs for a pinned site between two rungs, want its own", p)
+	want := uint64(1)
+	if onPosition(sp, at30.InjectExec) {
+		want = 0
+	}
+	if p := countsOf(reg).prefix - before; p != want {
+		t.Errorf("%d prefix runs for a pinned site among the rungs, want %d: its own rung, if no position sits on it", p, want)
 	}
 }
 
@@ -219,26 +238,27 @@ func stretchOf(sp *spine, n uint64) int {
 	return i
 }
 
-// TestWarmSpineBuildsNothing: on a Baseline whose spine is whole, a shard with
-// one site in each of the eight stretches (more sites than that must share
-// one) forks every run from a kept rung — or, below the first, runs it from
-// program entry — and performs no prefix run at all: no rung is built that
-// only one run would fork from. A pinned-site sweep is the other end: every
-// run shares the site, so the sweep builds that one rung beyond the spine.
+// TestWarmSpineBuildsNothing: on a Baseline whose spine is whole, a shard
+// whose sites each lie in a stretch of their own forks every run from a kept
+// rung — or, below the first position, runs it from program entry — and
+// performs no prefix run at all: no rung is built that only one run would
+// fork from. A pinned-site sweep is the other end: every run shares the site,
+// so the sweep builds that one rung beyond the spine.
 func TestWarmSpineBuildsNothing(t *testing.T) {
 	cfg := appConfig(t, "lud")
-	cfg.Runs = spineIntervals
+	cfg.Runs = 8
 	base, err := Prepare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := obs.NewRegistry()
 	base.spineRung(core.ForkSite{Rank: 0, N: base.totals[0]}, cfg.Trace, warm, nil)
-	if s := spineOf(base, warm); s.rungs != spineIntervals-1 {
-		t.Fatalf("warming built %+v", s)
-	}
 	sp := base.spines[spineKey{0, cfg.Trace}]
-	// The task list is a function of the seed: find one that spreads.
+	if s := spineOf(base, warm); s.rungs != len(sp.pos) {
+		t.Fatalf("warming built %+v of %d positions", s, len(sp.pos))
+	}
+	// The task list is a function of the seed: find one that spreads its
+	// sites over as many stretches, one of them the first.
 	spread := false
 	for seed := int64(1); seed < 100_000 && !spread; seed++ {
 		cfg.Seed = seed
@@ -250,10 +270,10 @@ func TestWarmSpineBuildsNothing(t *testing.T) {
 		for _, tk := range tasks {
 			seen[stretchOf(sp, tk.n)] = true
 		}
-		spread = len(seen) == spineIntervals
+		spread = len(seen) == cfg.Runs && seen[0]
 	}
 	if !spread {
-		t.Fatal("no seed spreads eight sites over the eight stretches")
+		t.Fatalf("no seed spreads %d sites over as many stretches", cfg.Runs)
 	}
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
@@ -263,30 +283,34 @@ func TestWarmSpineBuildsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := countsOf(reg)
-	if c.prefix != 0 || c.forked != spineIntervals-1 || c.fallbacks != 0 || c.misses != 1 || c.highWater != 0 {
-		t.Errorf("seed %d on a warm spine: %+v, want no prefix run, 7 forks from kept rungs and the first stretch's run from entry", cfg.Seed, c)
+	if c.prefix != 0 || c.forked != uint64(cfg.Runs-1) || c.fallbacks != 0 || c.misses != 1 || c.highWater != 0 {
+		t.Errorf("seed %d on a warm spine: %+v, want no prefix run, %d forks from kept rungs and the first stretch's run from entry", cfg.Seed, c, cfg.Runs-1)
 	}
 	sameJournalRecords(t, noForkJournal(t, cfg, filepath.Join(dir, "nofork.journal")), cfg.Journal)
 
-	// The sweep: a site between the third and fourth position.
+	// The sweep, on a Baseline of its own: the positions below its site, and
+	// the site's rung unless a position sits on it.
 	sreg := obs.NewRegistry()
 	scfg := pinnedAt(base, appConfig(t, "lud"), 2, 5)
 	scfg.Obs = sreg
 	if _, err := BitSweep(scfg, []int{1, 2, 4}); err != nil {
 		t.Fatal(err)
 	}
-	sc := countsOf(sreg)
-	if sc.prefix != 3+1 || sc.forked != uint64(3*scfg.Runs) || sc.misses != 0 {
-		t.Errorf("pinned sweep: %+v, want the 3 spine positions below the site and one prefix run beyond them", sc)
+	want := uint64(stretchOf(sp, scfg.InjectExec))
+	if !onPosition(sp, scfg.InjectExec) {
+		want++
+	}
+	if sc := countsOf(sreg); sc.prefix != want || sc.forked != uint64(3*scfg.Runs) || sc.misses != 0 {
+		t.Errorf("pinned sweep: %+v, want %d prefix runs: the spine positions below the site and one beyond them", sc, want)
 	}
 }
 
 // TestSpineSkipsUnpausablePosition: on a Baseline whose instruction budget
-// ends between the second and third positions of clamr_mpi's rank-0 spine, the
-// world cannot pause at the third or any later one. A position is skipped for
+// ends between two early positions of clamr_mpi's rank-0 spine, the world
+// cannot pause at the later one or any after it. A position is skipped for
 // good — one attempt, however many campaigns follow — and the tasks of its
-// stretch fork from the second rung and are their NoFork twins on the same
-// Baseline.
+// stretch fork from the last rung that paused and are their NoFork twins on
+// the same Baseline.
 func TestSpineSkipsUnpausablePosition(t *testing.T) {
 	cfg := appConfig(t, "clamr_mpi")
 	cfg.Parallel, cfg.KeepRunOutcomes = 1, false
@@ -307,8 +331,27 @@ func TestSpineSkipsUnpausablePosition(t *testing.T) {
 		}
 		return res.Records[0].InstrNum
 	}
-	base.maxInstr = (instrsAt(sp.pos[1]) + instrsAt(sp.pos[2])) / 2
-	unpausable := sp.pos[2]
+	pauses := func(n, budget uint64) bool {
+		rc := coreConfig(cfg)
+		rc.MaxInstructions = budget
+		_, err := core.PrefixRun(rc, core.ForkSite{Rank: 0, N: n})
+		return err == nil
+	}
+	// The budget ends halfway between rank 0's counts at positions k and
+	// k+1: the first k from 1 on where the other ranks, which the schedule
+	// may have run ahead of rank 0, still fit under it at position k.
+	kept := 0
+	for k := 1; k+2 < len(sp.pos) && kept == 0; k++ {
+		budget := (instrsAt(sp.pos[k]) + instrsAt(sp.pos[k+1])) / 2
+		if pauses(sp.pos[k], budget) && !pauses(sp.pos[k+1], budget) {
+			base.maxInstr, kept = budget, k+1
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no budget separates two positions of the spine")
+	}
+	unpausable := sp.pos[kept]
+	t.Logf("a budget of %d instructions: %d of %d positions pause", base.maxInstr, kept, len(sp.pos))
 	dir := t.TempDir()
 	twin := func(c Config, name string) {
 		t.Helper()
@@ -320,21 +363,22 @@ func TestSpineSkipsUnpausablePosition(t *testing.T) {
 		sameJournalRecords(t, n.Journal, c.Journal)
 	}
 	for i := 0; i < 2; i++ {
-		// Inside the third position's stretch, and two runs on one site:
-		// the first tries the site's rung from the second spine rung, which
-		// the budget defeats too.
+		// Inside the unpausable position's stretch, and four runs on one
+		// site: the first tries the site's rung from the last rung kept,
+		// which the budget defeats too.
 		c := cfg
-		c.Runs, c.Seed, c.InjectExec = 4, cfg.Seed+int64(i), unpausable+40
+		c.Runs, c.Seed, c.InjectExec = 4, cfg.Seed+int64(i), unpausable+(sp.pos[kept+1]-unpausable)/2
 		c.Journal = filepath.Join(dir, fmt.Sprintf("pinned-%d.journal", i))
 		if _, err := base.Run(c); err != nil {
 			t.Fatal(err)
 		}
 		twin(c, fmt.Sprintf("pinned-%d", i))
 	}
-	if s := spineOf(base, reg); s.skipped != 1 || s.rungs != 2 {
-		t.Errorf("two campaigns above the unpausable position: %+v, want it skipped once and two rungs", s)
+	if s := spineOf(base, reg); s.skipped != 1 || s.rungs != kept {
+		t.Errorf("two campaigns above the unpausable position: %+v, want it skipped once and %d rungs", s, kept)
 	}
-	// A random-site campaign over the whole run decides every position once.
+	// A random-site campaign decides every position up to its furthest site
+	// once.
 	c := cfg
 	c.Runs = 40
 	c.Journal = filepath.Join(dir, "random.journal")
@@ -342,10 +386,62 @@ func TestSpineSkipsUnpausablePosition(t *testing.T) {
 		t.Fatal(err)
 	}
 	twin(c, "random")
-	if s := spineOf(base, reg); s.skipped != uint64(len(sp.pos)-2) || s.rungs != 2 {
-		t.Errorf("whole spine: %+v, want 2 rungs and the %d positions past the budget skipped", s, len(sp.pos)-2)
+	tasks, err := planTasks(c, base.totals)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sp := base.spines[spineKey{0, true}]; len(sp.rungs) != len(sp.pos) || sp.rungs[1] == nil || sp.rungs[2] != nil {
-		t.Errorf("spine decided %d of %d positions, second kept %v, third kept %v", len(sp.rungs), len(sp.pos), sp.rungs[1] != nil, sp.rungs[2] != nil)
+	var furthest uint64
+	for _, tk := range tasks {
+		furthest = max(furthest, tk.n)
+	}
+	decided := stretchOf(sp, furthest)
+	if s := spineOf(base, reg); s.skipped != uint64(decided-kept) || s.rungs != kept {
+		t.Errorf("spine to the furthest site: %+v, want %d rungs and the %d positions past the budget skipped", s, kept, decided-kept)
+	}
+	if sp := base.spines[spineKey{0, true}]; len(sp.rungs) != decided || sp.rungs[kept-1] == nil || sp.rungs[kept] != nil {
+		t.Errorf("spine decided %d of %d positions, the last below the budget kept %v, the first above it kept %v",
+			len(sp.rungs), decided, sp.rungs[kept-1] != nil, sp.rungs[kept] != nil)
+	}
+}
+
+// TestSpineSizeIsTheHeapItKeeps: what SpineSize reports — and with it
+// campaign_spine_bytes and the ladder's cache charge — is the heap a spine
+// keeps alive, not just its pages. A whole traced spine of matvec, bfs and
+// clamr_mpi retains, after a collection, within a quarter of what it reports.
+func TestSpineSizeIsTheHeapItKeeps(t *testing.T) {
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, name := range []string{"matvec", "bfs", "clamr_mpi"} {
+		cfg := appConfig(t, name)
+		base, err := Prepare(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole := func(trace bool) {
+			for r, total := range base.totals {
+				if total > 0 && (cfg.TargetRank < 0 || r == cfg.TargetRank) {
+					base.spineRung(core.ForkSite{Rank: r, N: total}, trace, nil, nil)
+				}
+			}
+		}
+		// The untraced spine first: its prefix runs translate the blocks
+		// the pause probe instruments, which the Baseline's cache keeps.
+		whole(false)
+		rungs0, bytes0 := base.SpineSize()
+		before := live()
+		whole(true)
+		after := live()
+		rungs, bytes := base.SpineSize()
+		rungs, bytes = rungs-rungs0, bytes-bytes0
+		kept := after - before
+		t.Logf("%s: a traced spine of %d rungs keeps %d KB of heap and reports %d KB", name, rungs, kept>>10, bytes>>10)
+		if rungs == 0 || float64(kept) > 1.25*float64(bytes) || float64(kept) < 0.75*float64(bytes) {
+			t.Errorf("%s: %d rungs keep %d bytes of heap, SpineSize reports %d", name, rungs, kept, bytes)
+		}
+		runtime.KeepAlive(base)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"chaser/internal/decaf"
 	"chaser/internal/isa"
@@ -72,13 +73,15 @@ type WorldSnapshot struct {
 // Site returns the fork site the snapshot was captured at.
 func (ws *WorldSnapshot) Site() ForkSite { return ws.site }
 
-// Bytes returns the approximate resident size of the snapshot (page data,
-// console/output copies, queued message payloads and reduction accumulators).
+// Bytes returns the heap the snapshot holds: every rank's pages and
+// vm.Snapshot, the world's state with its queued payloads, the injector's
+// resume state and the timeline so far.
 func (ws *WorldSnapshot) Bytes() int64 { return ws.bytes }
 
 // FreshBytes returns the part of Bytes the snapshot does not share with the
 // snapshot it was advanced from (all of it for a snapshot built from program
-// entry): what keeping it resident beside its predecessor costs.
+// entry) — everything but the pages the guest did not write in between: what
+// keeping it resident beside its predecessor costs.
 func (ws *WorldSnapshot) FreshBytes() int64 { return ws.fresh }
 
 // errPaused is returned by the pause injector so the Chaser records nothing
@@ -218,24 +221,56 @@ func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSna
 		ws.bytes += snap.Bytes()
 		ws.fresh += snap.FreshBytes()
 
+		// The world runs no further, so its sequence maps are the
+		// snapshot's to keep; forks clone them.
 		rst := ch.armed[m]
 		ws.resume.execCount[r] = rst.execCount
-		ws.resume.sendSeq[r] = cloneSeqMap(rst.sendSeq)
-		ws.resume.recvSeq[r] = cloneSeqMap(rst.recvSeq)
+		ws.resume.sendSeq[r] = rst.sendSeq
+		ws.resume.recvSeq[r] = rst.recvSeq
 		// The pause rewound the helper's trigger execution on the target: the
 		// re-executed instruction re-counts it.
 		if r == site.Rank {
 			ws.resume.execCount[r]--
 		}
 	}
-	// Queued payloads are charged to every snapshot that holds them: a few
-	// messages, and a rung may well outlive the one it shares them with.
-	var payload int64
-	ws.world, payload = world.State()
-	ws.bytes += payload
-	ws.fresh += payload
+	ws.world = world.State()
 	ws.samples = ch.collector.Timeline()
+	// Everything but the machines' shared pages is the snapshot's own, queued
+	// payloads included: a few messages, and a rung may well outlive the one
+	// it shares them with.
+	own := ws.ownBytes()
+	ws.bytes += own
+	ws.fresh += own
 	return ws, nil
+}
+
+// ownBytes is the heap the snapshot holds beside its machines: its own
+// fields, the world state, the resume state and the timeline so far.
+func (ws *WorldSnapshot) ownBytes() int64 {
+	n := int64(unsafe.Sizeof(*ws)) + int64(cap(ws.machines))*int64(unsafe.Sizeof(ws.machines[0])) +
+		ws.world.Bytes() + int64(cap(ws.samples))*int64(unsafe.Sizeof(trace.TimelinePoint{}))
+	rs := ws.resume
+	n += int64(unsafe.Sizeof(*rs)) + int64(cap(rs.execCount))*8
+	for r := range rs.sendSeq {
+		n += seqMapBytes(rs.sendSeq[r]) + seqMapBytes(rs.recvSeq[r])
+	}
+	return n
+}
+
+// seqMapBytes estimates the heap a sequence map holds, after the layout of
+// Go's maps: slots in groups of eight, each group with a control word, a
+// table at most seven-eighths full, and the map's own header.
+func seqMapBytes(m map[tainthub.Key]uint64) int64 {
+	const header, group = 48, 8
+	if len(m) == 0 {
+		return header
+	}
+	slots := int64(group)
+	for slots*7/8 < int64(len(m)) {
+		slots *= 2
+	}
+	slot := int64(unsafe.Sizeof(tainthub.Key{})) + 8
+	return header + slots/group*(8+group*slot)
 }
 
 func stateCount(st *armState) interface{} {

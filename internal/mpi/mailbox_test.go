@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"chaser/internal/isa"
 	"chaser/internal/lang"
@@ -266,7 +267,7 @@ func TestWorldStateRoundTrip(t *testing.T) {
 	if terms[2].Reason != vm.ReasonPaused || terms[0] != (vm.Termination{}) || terms[1] != (vm.Termination{}) {
 		t.Fatalf("terminations %v, want rank 2 paused and the others live", terms)
 	}
-	st, payload := w.State()
+	st := w.State()
 	tags := func(q []Message) (out []int) {
 		for _, m := range q {
 			out = append(out, m.Tag)
@@ -289,8 +290,9 @@ func TestWorldStateRoundTrip(t *testing.T) {
 	if st.ranks[2].status != runnable {
 		t.Errorf("paused rank %+v, want runnable", st.ranks[2])
 	}
-	if payload != 5*8 {
-		t.Errorf("state holds %d payload bytes, want four queued messages and an accumulator of 8", payload)
+	msg := int64(unsafe.Sizeof(Message{}))
+	if got, want := st.Bytes(), int64(unsafe.Sizeof(*st))+3*int64(unsafe.Sizeof(rankSnap{}))+4*(msg+8)+8; got != want {
+		t.Errorf("state holds %d bytes, want %d: three ranks, four queued messages of 8 bytes and an accumulator of 8", got, want)
 	}
 
 	snaps := make([]*vm.Snapshot, 3)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"slices"
+	"unsafe"
 
 	"chaser/internal/isa"
 	"chaser/internal/obs"
@@ -274,24 +275,34 @@ type rankSnap struct {
 	mailbox, pending []Message
 }
 
-// State captures the world Run left on a fork-point pause, with the bytes of
-// message payload and reduction accumulators it holds.
-func (w *World) State() (st *State, payload int64) {
-	st = &State{ranks: make([]rankSnap, w.size), arrived: w.arrived, barrierGen: w.barrierGen}
+// State captures the world Run left on a fork-point pause.
+func (w *World) State() *State {
+	st := &State{ranks: make([]rankSnap, w.size), arrived: w.arrived, barrierGen: w.barrierGen}
 	for r := range w.ranks {
 		rs := &w.ranks[r]
 		s := &st.ranks[r]
 		s.place, s.callState = rs.place, rs.env.callState
 		s.acc = bytes.Clone(s.acc)
 		s.mailbox, s.pending = rs.mailbox.messages(), slices.Clone(rs.pending)
-		payload += int64(len(s.acc))
+	}
+	return st
+}
+
+// Bytes returns the heap the state holds: its ranks, their queued messages
+// with payloads, and reduction accumulators.
+func (st *State) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*st)) + int64(cap(st.ranks))*int64(unsafe.Sizeof(rankSnap{}))
+	for r := range st.ranks {
+		s := &st.ranks[r]
+		n += int64(cap(s.acc))
 		for _, q := range [][]Message{s.mailbox, s.pending} {
+			n += int64(cap(q)) * int64(unsafe.Sizeof(Message{}))
 			for _, msg := range q {
-				payload += int64(len(msg.Data))
+				n += int64(len(msg.Data))
 			}
 		}
 	}
-	return st, payload
+	return n
 }
 
 // abortMachines asks every machine to terminate with t (the first request a

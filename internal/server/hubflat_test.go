@@ -22,9 +22,9 @@ import (
 // per-client reply caches each of a campaign's runs left a cache behind in
 // the hub and in every snapshot until 4,096 of them had accumulated.)
 //
-// It is the worker half too: a worker keeps its app's baseline from shard to
-// shard, so the forty campaigns cost one golden run a worker, and what a
-// worker keeps is bounded by the guest's text — a block starts at an
+// It is the worker half too: the process keeps its app's baseline from shard
+// to shard for both workers, so the forty campaigns cost one golden run, and
+// what the baseline keeps is bounded by the guest's text — a block starts at an
 // instruction, clean or under the one probe the app's campaigns arm. The
 // golden run and the first campaigns fill most of it; after that a block is
 // new only when a fault site falls on a targeted instruction for the first
@@ -34,6 +34,7 @@ func TestHubFlatAcrossCampaigns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("40 campaigns through the service")
 	}
+	resetBaselines()
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "hub.wal")
 	hubReg := obs.NewRegistry()
@@ -135,8 +136,8 @@ func TestHubFlatAcrossCampaigns(t *testing.T) {
 		t.Errorf("campaign_hub_retire_failed_total = %d", got)
 	}
 	goldens, misses := reg.Counter("campaign_golden_runs_total").Value(), reg.Counter("worker_baseline_misses_total").Value()
-	if goldens == 0 || goldens > 2 || goldens != misses {
-		t.Errorf("%d golden runs and %d baseline misses over %d campaigns of one app on two workers, want one a worker", goldens, misses, campaigns)
+	if goldens != 1 || misses != 1 {
+		t.Errorf("%d golden runs and %d baseline misses over %d campaigns of one app on two workers, want one for the process", goldens, misses, campaigns)
 	}
 	if hits, claimed := reg.Counter("worker_baseline_hits_total").Value(), reg.Counter("worker_shards_claimed_total").Value(); hits+misses != claimed {
 		t.Errorf("baseline hits %d + misses %d, but %d shards claimed", hits, misses, claimed)

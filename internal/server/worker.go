@@ -64,27 +64,99 @@ type WorkerConfig struct {
 // longer recognizes makes the worker abandon the shard silently (its
 // journal keeps the completed runs).
 //
-// Between shards the worker keeps each app's campaign baseline — the golden
-// run's outputs and counts and the translation cache it warmed — which depend
-// on Spec.App alone, so a shard pays for them only when it is the first of
-// its app on this worker, whichever campaign it belongs to — and with it the
-// spine of checkpoints its shards leave along the golden run (at most 7 world
-// snapshots per targeted rank and kind of world; the worker reports what its
-// baselines hold as campaign_spine_rungs and campaign_spine_bytes). The
-// registry bounds the map (six apps, 50–160 KB each when prepared and 0.3–0.5
-// MB once its campaigns' fault sites have filled the cache in, plus the
-// spine); nothing is evicted.
+// Every Worker of a process runs its shards on the process's kept campaign
+// baselines (keptBaselines): one per app — the golden run's outputs and
+// counts, the translation cache it warmed, and the spine of checkpoints the
+// shards leave along the golden run (at most 31 world snapshots per targeted
+// rank and kind of world) — which depend on Spec.App alone. So a golden run
+// happens once per app per process, whichever worker claims the app's first
+// shard and whichever campaign it belongs to, and a pool of workers keeps one
+// spine per app, not one per worker.
 type Worker struct {
 	cfg  WorkerConfig
 	stop chan struct{}
 	once sync.Once
 	wg   sync.WaitGroup
 
-	// baselines is touched by the claim-execute loop only.
-	baselines map[string]*campaign.Baseline
-
 	rngMu sync.Mutex
 	rng   *rand.Rand
+}
+
+// keptBaselines is the process's campaign baselines, keyed by app name as
+// apps.ByName's compiled guests are. The first shard of an app prepares its
+// baseline; shards of the app that arrive meanwhile wait for it, and every
+// shard after them runs on it. A failed shard drops its app's entry — if the
+// registry still holds the one the shard ran on — and the next shard of the
+// app prepares a fresh one, while shards already running on the old one finish
+// there. Campaigns on one Baseline may run concurrently. The registry bounds
+// the map (six apps, 50–160 KB each when prepared and 0.3–0.5 MB once its
+// campaigns' fault sites have filled the cache in, plus the spine: 0.4–1.3
+// MB for a whole traced one); nothing is evicted.
+var keptBaselines = baselineRegistry{byApp: make(map[string]*keptBaseline)}
+
+type baselineRegistry struct {
+	mu    sync.Mutex
+	byApp map[string]*keptBaseline
+}
+
+// keptBaseline is one app's entry. ready is closed once base and err are set.
+type keptBaseline struct {
+	ready chan struct{}
+	base  *campaign.Baseline
+	err   error
+}
+
+// get returns app's entry once it is ready, preparing it with prepare when
+// there is none; prepared reports that this call did. A prepare that panics
+// leaves the entry failed, and the panic goes on to the caller.
+func (r *baselineRegistry) get(app string, prepare func() (*campaign.Baseline, error)) (kb *keptBaseline, prepared bool) {
+	r.mu.Lock()
+	if kb = r.byApp[app]; kb != nil {
+		r.mu.Unlock()
+		<-kb.ready
+		return kb, false
+	}
+	kb = &keptBaseline{ready: make(chan struct{}), err: errors.New("server: preparing the campaign baseline panicked")}
+	r.byApp[app] = kb
+	r.mu.Unlock()
+	defer close(kb.ready)
+	kb.base, kb.err = prepare()
+	return kb, true
+}
+
+// entry returns app's entry, ready or not; nil when there is none.
+func (r *baselineRegistry) entry(app string) *keptBaseline {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.byApp[app]
+}
+
+// drop removes app's entry if it is still kb.
+func (r *baselineRegistry) drop(app string, kb *keptBaseline) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.byApp[app] == kb {
+		delete(r.byApp, app)
+	}
+}
+
+// spineSize sums what the prepared baselines' spines hold.
+func (r *baselineRegistry) spineSize() (rungs int, bytes int64) {
+	r.mu.Lock()
+	var bases []*campaign.Baseline
+	for _, kb := range r.byApp {
+		select {
+		case <-kb.ready:
+			bases = append(bases, kb.base)
+		default:
+		}
+	}
+	r.mu.Unlock()
+	for _, b := range bases {
+		n, sz := b.SpineSize()
+		rungs, bytes = rungs+n, bytes+sz
+	}
+	return rungs, bytes
 }
 
 // NewWorker builds a worker. Call Run (blocking) or Start (background).
@@ -102,10 +174,9 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	// decorrelated across a fleet, so heartbeats and claim retries never
 	// phase-lock into a thundering herd against a freshly promoted leader.
 	return &Worker{
-		cfg:       cfg,
-		stop:      make(chan struct{}),
-		baselines: make(map[string]*campaign.Baseline),
-		rng:       rand.New(rand.NewSource(int64(siteHash(cfg.Name)))),
+		cfg:  cfg,
+		stop: make(chan struct{}),
+		rng:  rand.New(rand.NewSource(int64(siteHash(cfg.Name)))),
 	}
 }
 
@@ -243,36 +314,36 @@ func (w *Worker) execute(a *Assignment) {
 // poisoned shard (one that crashes the engine deterministically) surfaces
 // as bounded retries and quarantine instead of killing the worker fleet. A
 // shard that fails or panics takes its app's baseline with it: whatever the
-// cause, the retry starts from a fresh golden run.
+// cause, the retry starts from a fresh golden run. Afterwards the spine gauges
+// read what the process's baselines hold.
 func (w *Worker) runShard(a *Assignment, lost <-chan struct{}) (err error) {
-	// The spine gauges move by what the shard did to this app's baseline:
-	// extended its spine, or lost it (workers share a registry, so a delta).
-	rungs, bytes := w.baselines[a.Spec.App].SpineSize()
+	// kept is the entry a failure drops: the one the shard ran on, or — for
+	// a shard that never reached one — the app's entry as it started.
+	kept := keptBaselines.entry(a.Spec.App)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
-		if err != nil {
-			delete(w.baselines, a.Spec.App)
+		if err != nil && kept != nil {
+			keptBaselines.drop(a.Spec.App, kept)
 		}
-		nowRungs, nowBytes := w.baselines[a.Spec.App].SpineSize()
-		w.cfg.Obs.Gauge("campaign_spine_rungs").Add(float64(nowRungs - rungs))
-		w.cfg.Obs.Gauge("campaign_spine_bytes").Add(float64(nowBytes - bytes))
+		rungs, bytes := keptBaselines.spineSize()
+		w.cfg.Obs.Gauge("campaign_spine_rungs").Set(float64(rungs))
+		w.cfg.Obs.Gauge("campaign_spine_bytes").Set(float64(bytes))
 	}()
 	if w.cfg.RunShard != nil {
 		return w.cfg.RunShard(a)
 	}
-	base := w.baselines[a.Spec.App]
-	if base != nil {
-		w.cfg.Obs.Counter("worker_baseline_hits_total").Inc()
-	} else {
-		w.cfg.Obs.Counter("worker_baseline_misses_total").Inc()
-	}
-	base, err = executeShard(a, lost, w.cfg.Obs, base)
-	if err == nil {
-		w.baselines[a.Spec.App] = base
-	}
-	return err
+	return executeShard(a, lost, w.cfg.Obs, func(cfg campaign.Config) (*campaign.Baseline, error) {
+		kb, prepared := keptBaselines.get(a.Spec.App, func() (*campaign.Baseline, error) { return campaign.Prepare(cfg) })
+		kept = kb
+		if prepared {
+			w.cfg.Obs.Counter("worker_baseline_misses_total").Inc()
+		} else {
+			w.cfg.Obs.Counter("worker_baseline_hits_total").Inc()
+		}
+		return kb.base, kb.err
+	})
 }
 
 // ExecuteShard runs one shard of a campaign: build the deterministic
@@ -280,18 +351,17 @@ func (w *Worker) runShard(a *Assignment, lost <-chan struct{}) (err error) {
 // (resuming if a previous attempt left one — re-enqueued shards pick up
 // where the dead worker stopped), and execute only the assigned run window.
 // stop aborts execution early (lost lease, worker shutdown). It prepares its
-// own baseline; a Worker runs the same function on the one it kept.
+// own baseline; a Worker runs the same function on its process's kept one.
 func ExecuteShard(a *Assignment, stop <-chan struct{}, reg *obs.Registry) error {
-	_, err := executeShard(a, stop, reg, nil)
-	return err
+	return executeShard(a, stop, reg, campaign.Prepare)
 }
 
-// executeShard runs the shard on base, preparing one when base is nil, and
-// returns the baseline it ran on.
-func executeShard(a *Assignment, stop <-chan struct{}, reg *obs.Registry, base *campaign.Baseline) (*campaign.Baseline, error) {
+// executeShard runs the shard on the baseline baseline returns for the
+// shard's campaign config.
+func executeShard(a *Assignment, stop <-chan struct{}, reg *obs.Registry, baseline func(campaign.Config) (*campaign.Baseline, error)) error {
 	app, err := apps.ByName(a.Spec.App)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cfg := campaignConfig(a.Spec, app, a.NSBase)
 	cfg.Shard = &campaign.ShardRange{Lo: a.Lo, Hi: a.Hi}
@@ -305,21 +375,20 @@ func executeShard(a *Assignment, stop <-chan struct{}, reg *obs.Registry, base *
 	if a.Hub != "" {
 		client, err := tainthub.DialConfig(a.Hub, tainthub.ClientConfig{MaxAttempts: 12})
 		if err != nil {
-			return nil, fmt.Errorf("connecting to taint hub: %w", err)
+			return fmt.Errorf("connecting to taint hub: %w", err)
 		}
 		defer client.Close()
 		cfg.Hub = client
 	}
-	if base == nil {
-		if base, err = campaign.Prepare(cfg); err != nil {
-			return nil, err
-		}
+	base, err := baseline(cfg)
+	if err != nil {
+		return err
 	}
 	if _, err := base.Run(cfg); err != nil {
 		if errors.Is(err, campaign.ErrInterrupted) {
 			err = fmt.Errorf("shard interrupted: %w", err)
 		}
-		return nil, err
+		return err
 	}
-	return base, nil
+	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"sort"
+	"unsafe"
 
 	"chaser/internal/tcg"
 )
@@ -115,6 +116,18 @@ func (s *Shadow) Clone() *Shadow {
 		cp.pages[base] = &pp
 	}
 	return cp
+}
+
+// Pristine reports whether the shadow never held taint since creation or the
+// last Reset: nothing live, no page, a high-water mark of zero. Such a shadow
+// is indistinguishable from NewShadow's, so a snapshot keeps none.
+func (s *Shadow) Pristine() bool {
+	return !s.Live() && len(s.pages) == 0 && s.highWater == 0
+}
+
+// Bytes returns the heap the shadow holds: itself and its pages.
+func (s *Shadow) Bytes() int64 {
+	return int64(unsafe.Sizeof(*s)) + int64(len(s.pages))*int64(unsafe.Sizeof(shadowPage{}))
 }
 
 // OnFirstTaint installs a callback invoked whenever the shadow transitions

@@ -48,7 +48,7 @@ func TestMemoryCOWIsolation(t *testing.T) {
 
 // TestMemoryChainedImagesShareUnwrittenPages: an image taken from a fork of an
 // earlier image shares every page the fork did not write, and FreshBytes
-// counts exactly the others — what a chain of snapshots costs per link.
+// charges exactly the others — what a chain of snapshots costs per link.
 func TestMemoryChainedImagesShareUnwrittenPages(t *testing.T) {
 	m := NewMemory()
 	m.Map("r", 0, 8*PageSize)
@@ -57,9 +57,17 @@ func TestMemoryChainedImagesShareUnwrittenPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// pages counts an image's pages, and the ones it does not share, from
+	// what Bytes and FreshBytes charge beside the image's own fields.
+	pages := func(img *MemImage) (all, fresh int64) {
+		return (img.Bytes() - img.ownBytes()) / pageBytes, (img.FreshBytes() - img.ownBytes()) / pageBytes
+	}
+	if pageBytes < PageSize {
+		t.Fatalf("a page costs %d bytes, less than its data", pageBytes)
+	}
 	first := m.Snapshot()
-	if first.FreshBytes() != first.Bytes() || first.Bytes() != 4*PageSize {
-		t.Fatalf("first image: fresh %d, total %d bytes; want both %d", first.FreshBytes(), first.Bytes(), 4*PageSize)
+	if all, fresh := pages(first); all != 4 || fresh != 4 {
+		t.Fatalf("first image: %d pages, %d fresh; want both 4", all, fresh)
 	}
 
 	f := NewMemoryFromImage(first)
@@ -76,15 +84,16 @@ func TestMemoryChainedImagesShareUnwrittenPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := f.Snapshot()
-	if got, want := second.Bytes(), int64(5*PageSize); got != want {
-		t.Errorf("second image: %d bytes, want %d", got, want)
+	if all, fresh := pages(second); all != 5 || fresh != 2 {
+		t.Errorf("second image: %d pages, %d fresh; want 5, and 2 (one copied page, one new)", all, fresh)
 	}
-	if got, want := second.FreshBytes(), int64(2*PageSize); got != want {
-		t.Errorf("second image: %d fresh bytes, want %d (one copied page, one new)", got, want)
+	firstPages := map[uint64]*memPage{}
+	for _, ip := range first.pages {
+		firstPages[ip.base] = ip.p
 	}
-	for base, p := range second.pages {
-		if shared := first.pages[base] == p; shared != (base >= PageSize && base < 4*PageSize) {
-			t.Errorf("page %#x shared with the first image: %v", base, shared)
+	for _, ip := range second.pages {
+		if shared := firstPages[ip.base] == ip.p; shared != (ip.base >= PageSize && ip.base < 4*PageSize) {
+			t.Errorf("page %#x shared with the first image: %v", ip.base, shared)
 		}
 	}
 
@@ -94,8 +103,8 @@ func TestMemoryChainedImagesShareUnwrittenPages(t *testing.T) {
 	if v, _ := g.Read64(0); v != 100 {
 		t.Errorf("first image page 0 = %d after its fork wrote, want 100", v)
 	}
-	if third := f.Snapshot(); third.FreshBytes() != 0 {
-		t.Errorf("unwritten memory's next image: %d fresh bytes, want 0", third.FreshBytes())
+	if _, fresh := pages(f.Snapshot()); fresh != 0 {
+		t.Errorf("unwritten memory's next image: %d fresh pages, want 0", fresh)
 	}
 }
 

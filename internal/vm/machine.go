@@ -211,7 +211,7 @@ type Machine struct {
 	// forkBase is the counters a machine resumed from a snapshot started
 	// with (nil for a machine started at program entry): telemetry publishes
 	// only what this machine executed itself.
-	forkBase  *Counters
+	forkBase  *snapCounters
 	term      *Termination
 	abort     abortBox
 	execTrace *execRing

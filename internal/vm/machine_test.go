@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -744,5 +745,108 @@ main:
 	ao, bo := a.Output(), b.Output()
 	if len(ao) != 16 || len(bo) != 16 || ao[8] != 8 || bo[8] != 41 || string(ao[:8]) != output || string(bo[:8]) != output {
 		t.Errorf("fork outputs %v and %v from prefix %v", ao, bo, []byte(output))
+	}
+}
+
+// TestSnapshotKeepsWhatTheMachineHas: a snapshot keeps the micro-registers
+// and per-op counts the machine has and no shadow while taint never touched
+// the machine, and a fork restores all of it: the registers, every counter,
+// and a shadow that is empty — or, once taint has come and gone, the one the
+// machine had.
+func TestSnapshotKeepsWhatTheMachineHas(t *testing.T) {
+	// Every Counters field but PerOp is kept under its own name.
+	kept := reflect.TypeOf(snapCounters{})
+	ct := reflect.TypeOf(Counters{})
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if k, ok := kept.FieldByName(f.Name); !ok || (f.Name != "PerOp" && k.Type != f.Type) {
+			t.Errorf("Counters.%s is not kept by a snapshot", f.Name)
+		}
+	}
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Uint64 {
+			f.SetUint(uint64(1000 + i))
+		}
+	}
+	for op := 1; op < isa.NumOps; op++ {
+		c.PerOp[op] = uint64(op)
+	}
+	k := keepCounters(c)
+	if got := k.counters(); got != c {
+		t.Errorf("counters do not survive a snapshot:\n %+v\n %+v", got, c)
+	}
+
+	p, err := asm.Assemble("t", `
+main:
+    movi r1, 7
+    movi r2, 9
+    nop
+    add r1, r1, r2
+    syscall out_int
+    nop
+    movi r1, 0
+    syscall exit
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := func(pauses int, taint func(*Machine)) *Snapshot {
+		t.Helper()
+		m := New(p, Config{})
+		m.TaintEnabled = true
+		taint(m)
+		n := 0
+		m.Trans.SetProbe(tcg.Probe{Ops: tcg.OpSetOf(isa.OpNop), Helper: m.RegisterHelper(func(mm *Machine, op *tcg.Op) {
+			if n++; n == pauses {
+				mm.PauseAt(op.GuestPC)
+			}
+		})})
+		if term := m.Run(); term.Reason != ReasonPaused {
+			t.Fatalf("prefix: %v", term)
+		}
+		snap, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if [tcg.NumMRegs]uint64(m.regs[:tcg.NumMRegs]) != snap.regs {
+			t.Errorf("snapshot registers %v, machine %v", snap.regs, m.regs[:tcg.NumMRegs])
+		}
+		if snap.Counters() != m.Counters() {
+			t.Errorf("snapshot counters differ from the machine's")
+		}
+		return snap
+	}
+
+	clean := prefix(1, func(*Machine) {})
+	if clean.shadow != nil {
+		t.Error("a snapshot of a machine taint never touched keeps a shadow")
+	}
+	a, b := NewFromSnapshot(p, clean, Config{}), NewFromSnapshot(p, clean, Config{})
+	if a.Shadow == nil || !a.Shadow.Pristine() || a.Shadow == b.Shadow {
+		t.Fatal("forks of a clean snapshot do not start from shadows of their own")
+	}
+	a.Shadow.SetMemMask8(isa.StackTop-8, 0xff)
+	if b.Shadow.Live() {
+		t.Error("one fork's taint reached another's shadow")
+	}
+	if a.GPR(isa.R1) != 7 || a.GPR(isa.R2) != 9 || a.Reg(tcg.SPReg) != isa.StackTop-64 {
+		t.Errorf("fork registers r1=%d r2=%d sp=%#x", a.GPR(isa.R1), a.GPR(isa.R2), a.Reg(tcg.SPReg))
+	}
+
+	// Taint that came and went leaves a high-water mark the run reports.
+	decayed := prefix(2, func(m *Machine) {
+		m.Shadow.SetMemMask8(isa.StackTop-8, 0xff)
+		m.Shadow.SetMemMask8(isa.StackTop-8, 0)
+	})
+	if decayed.shadow == nil {
+		t.Fatal("a snapshot dropped a shadow that held taint")
+	}
+	if f := NewFromSnapshot(p, decayed, Config{}); f.Shadow.HighWater() != 1 || f.Shadow.Live() {
+		t.Errorf("fork shadow: high water %d, live %v; want 1 and clean", f.Shadow.HighWater(), f.Shadow.Live())
+	}
+	if decayed.Bytes() <= clean.Bytes() {
+		t.Errorf("a kept shadow costs nothing: %d bytes, %d without", decayed.Bytes(), clean.Bytes())
 	}
 }

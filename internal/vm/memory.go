@@ -3,6 +3,7 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // PageSize is the guest page granularity.
@@ -200,28 +201,46 @@ func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
 
 // MemImage is an immutable snapshot of an address space. All pages it
 // references are sealed: forks created from it share them and privatize
-// pages on first write.
+// pages on first write. Nothing looks a page up in an image, so it lists them
+// rather than mapping them.
 type MemImage struct {
-	pages     map[uint64]*memPage
+	pages     []imagePage
 	regions   []region
 	nextFrame uint64
 	fresh     uint64
 }
 
-// Bytes returns the resident size of the image (page data only).
-func (img *MemImage) Bytes() int64 { return int64(len(img.pages)) * PageSize }
+type imagePage struct {
+	base uint64
+	p    *memPage
+}
 
-// FreshBytes returns the part of Bytes held by pages the image does not
-// share with the image its Memory was forked from (or with that Memory's
-// previous image): what a chain of images costs per link.
-func (img *MemImage) FreshBytes() int64 { return int64(img.fresh) * PageSize }
+// pageBytes is what one page costs on the heap: a memPage's size rounded up
+// to the allocator's size class (append rounds a new slice's capacity the
+// same way) — 4,864 bytes for 4,096 of data.
+var pageBytes = int64(cap(append([]byte(nil), make([]byte, unsafe.Sizeof(memPage{}))...)))
+
+// Bytes returns the heap the image holds: its pages and its own fields.
+func (img *MemImage) Bytes() int64 { return int64(len(img.pages))*pageBytes + img.ownBytes() }
+
+// FreshBytes returns the part of Bytes the image does not share with the
+// image its Memory was forked from (or with that Memory's previous image):
+// the pages privatized or first touched since, and its own fields — what a
+// chain of images costs per link.
+func (img *MemImage) FreshBytes() int64 { return int64(img.fresh)*pageBytes + img.ownBytes() }
+
+func (img *MemImage) ownBytes() int64 {
+	return int64(unsafe.Sizeof(*img)) +
+		int64(cap(img.pages))*int64(unsafe.Sizeof(imagePage{})) +
+		int64(cap(img.regions))*int64(unsafe.Sizeof(region{}))
+}
 
 // Snapshot freezes the current page set into an immutable image. Every page
 // becomes sealed — including in this Memory, whose next write to any of them
 // will privatize a copy — and the TLB is reset so no writable pointer to a
 // now-shared page survives.
 func (m *Memory) Snapshot() *MemImage {
-	pages := make(map[uint64]*memPage, len(m.pages))
+	pages := make([]imagePage, 0, len(m.pages))
 	for base, p := range m.pages {
 		// Pages inherited from an earlier image are already sealed, and
 		// forks of that image may be reading them right now: never write
@@ -229,7 +248,7 @@ func (m *Memory) Snapshot() *MemImage {
 		if !p.sealed {
 			p.sealed = true
 		}
-		pages[base] = p
+		pages = append(pages, imagePage{base, p})
 	}
 	m.tlb = [tlbSize]tlbEntry{}
 	img := &MemImage{
@@ -248,8 +267,8 @@ func (m *Memory) Snapshot() *MemImage {
 // addresses a from-scratch run would assign.
 func NewMemoryFromImage(img *MemImage) *Memory {
 	pages := make(map[uint64]*memPage, len(img.pages))
-	for base, p := range img.pages {
-		pages[base] = p
+	for _, ip := range img.pages {
+		pages[ip.base] = ip.p
 	}
 	return &Memory{
 		pages:     pages,

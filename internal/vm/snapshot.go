@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"unsafe"
 
 	"chaser/internal/isa"
 	"chaser/internal/taint"
@@ -26,18 +27,23 @@ func (m *Machine) PauseAt(pc uint64) {
 }
 
 // Snapshot is an immutable capture of one machine, shareable across any
-// number of forks.
+// number of forks. A checkpoint ladder keeps many, so it holds what the
+// machine has and no more: the micro-registers that exist, per-op counts for
+// the opcodes that exist, and no shadow at all while taint never touched the
+// machine.
 type Snapshot struct {
 	mem      *MemImage
-	regs     [256]uint64
+	regs     [tcg.NumMRegs]uint64
 	pc       uint64
 	flags    int64
 	heapBrk  uint64
 	console  []byte
 	output   []byte
-	counters Counters
-	shadow   *taint.Shadow
-	taintOn  bool
+	counters snapCounters
+	// shadow is nil for a machine whose shadow never held taint (Pristine):
+	// a fork starts from an empty one.
+	shadow  *taint.Shadow
+	taintOn bool
 	// term is non-nil when the rank had already exited cleanly before the
 	// world paused; forks restore it pre-terminated.
 	term *Termination
@@ -60,17 +66,19 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("vm: snapshot of abnormally terminated machine (%s)", t)
 	}
 	s := &Snapshot{
-		regs:      m.regs,
 		pc:        m.pc,
 		flags:     m.flags,
 		heapBrk:   m.heapBrk,
 		console:   append([]byte(nil), m.console...),
 		output:    append([]byte(nil), m.output...),
-		counters:  m.Counters(), // flushes deferred per-op credit first
-		shadow:    m.Shadow.Clone(),
+		counters:  keepCounters(m.Counters()), // flushes deferred per-op credit first
 		taintOn:   m.TaintEnabled,
 		waitingIn: m.waitingIn,
 		waitPC:    m.waitPC,
+	}
+	copy(s.regs[:], m.regs[:])
+	if !m.Shadow.Pristine() {
+		s.shadow = m.Shadow.Clone()
 	}
 	if t := m.term; t == nil {
 		m.flushObs()
@@ -84,8 +92,50 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
+// snapCounters is Counters with PerOp cut to the opcodes the ISA has: what a
+// snapshot keeps (456 bytes instead of 2,104). The fields carry Counters'
+// names, so the snapshot serves as a forked machine's forkBase as it is.
+type snapCounters struct {
+	Instructions     uint64
+	PerOp            [isa.NumOps]uint64
+	TBsExecuted      uint64
+	ChainedTBs       uint64
+	FastPathTBs      uint64
+	TaintedMemReads  uint64
+	TaintedMemWrites uint64
+	Syscalls         uint64
+}
+
+func keepCounters(c Counters) snapCounters {
+	k := snapCounters{
+		Instructions:     c.Instructions,
+		TBsExecuted:      c.TBsExecuted,
+		ChainedTBs:       c.ChainedTBs,
+		FastPathTBs:      c.FastPathTBs,
+		TaintedMemReads:  c.TaintedMemReads,
+		TaintedMemWrites: c.TaintedMemWrites,
+		Syscalls:         c.Syscalls,
+	}
+	copy(k.PerOp[:], c.PerOp[:])
+	return k
+}
+
+func (k *snapCounters) counters() Counters {
+	c := Counters{
+		Instructions:     k.Instructions,
+		TBsExecuted:      k.TBsExecuted,
+		ChainedTBs:       k.ChainedTBs,
+		FastPathTBs:      k.FastPathTBs,
+		TaintedMemReads:  k.TaintedMemReads,
+		TaintedMemWrites: k.TaintedMemWrites,
+		Syscalls:         k.Syscalls,
+	}
+	copy(c.PerOp[:], k.PerOp[:])
+	return c
+}
+
 // Counters returns the execution statistics at the snapshot point.
-func (s *Snapshot) Counters() Counters { return s.counters }
+func (s *Snapshot) Counters() Counters { return s.counters.counters() }
 
 // Instructions returns the retired-instruction count at the snapshot point.
 func (s *Snapshot) Instructions() uint64 { return s.counters.Instructions }
@@ -94,18 +144,23 @@ func (s *Snapshot) Instructions() uint64 { return s.counters.Instructions }
 // for a paused or live one.
 func (s *Snapshot) Terminated() *Termination { return s.term }
 
-// Bytes returns the resident size of the snapshot: page data plus the
-// private console/output copies.
-func (s *Snapshot) Bytes() int64 {
-	return s.mem.Bytes() + int64(len(s.console)) + int64(len(s.output))
-}
+// Bytes returns the heap the snapshot holds: its pages and page index, and
+// what it keeps beside them (Snapshot's own fields, the console/output copies,
+// a shadow that held taint).
+func (s *Snapshot) Bytes() int64 { return s.mem.Bytes() + s.ownBytes() }
 
 // FreshBytes returns the part of Bytes the snapshot does not share with the
-// snapshot its machine was forked from: the pages written since, plus the
-// console/output copies. A cache holding a chain of snapshots pays Bytes for
-// the first and FreshBytes for each later one.
-func (s *Snapshot) FreshBytes() int64 {
-	return s.mem.FreshBytes() + int64(len(s.console)) + int64(len(s.output))
+// snapshot its machine was forked from: the pages written since and
+// everything but the pages. A cache holding a chain of snapshots pays Bytes
+// for the first and FreshBytes for each later one.
+func (s *Snapshot) FreshBytes() int64 { return s.mem.FreshBytes() + s.ownBytes() }
+
+func (s *Snapshot) ownBytes() int64 {
+	n := int64(unsafe.Sizeof(*s)) + int64(cap(s.console)+cap(s.output))
+	if s.shadow != nil {
+		n += s.shadow.Bytes()
+	}
+	return n
 }
 
 // sealed returns b with no spare capacity: the machine only ever appends to
@@ -126,9 +181,7 @@ func NewFromSnapshot(prog *isa.Program, snap *Snapshot, cfg Config) *Machine {
 		Prog:         prog,
 		Mem:          NewMemoryFromImage(snap.mem),
 		Trans:        tcg.NewSharedTranslator(prog, cfg.BaseCache),
-		Shadow:       snap.shadow.Clone(),
 		TaintEnabled: snap.taintOn,
-		regs:         snap.regs,
 		pc:           snap.pc,
 		flags:        snap.flags,
 		heapBrk:      snap.heapBrk,
@@ -137,13 +190,19 @@ func NewFromSnapshot(prog *isa.Program, snap *Snapshot, cfg Config) *Machine {
 		noFastPath:   cfg.NoFastPath,
 		console:      sealed(snap.console),
 		output:       sealed(snap.output),
-		counters:     snap.counters,
+		counters:     snap.counters.counters(),
 		forkBase:     &snap.counters,
 		mpi:          cfg.MPI,
 		obsReg:       cfg.Obs,
 		events:       cfg.Events,
 		waitingIn:    snap.waitingIn,
 		waitPC:       snap.waitPC,
+	}
+	copy(m.regs[:], snap.regs[:])
+	if snap.shadow != nil {
+		m.Shadow = snap.shadow.Clone()
+	} else {
+		m.Shadow = taint.NewShadow()
 	}
 	m.Trans.AttachObs(cfg.Obs)
 	if m.maxInstr == 0 {
