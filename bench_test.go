@@ -354,50 +354,3 @@ func BenchmarkAblation_ElasticTaint(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkEngine_RawExecution reports the interpreter's raw speed on the
-// app mix, the denominator behind every campaign-scale estimate.
-func BenchmarkEngine_RawExecution(b *testing.B) {
-	for _, name := range apps.Names() {
-		app := mustApp(b, name)
-		if app.WorldSize != 1 {
-			continue
-		}
-		b.Run(name, func(b *testing.B) {
-			var instrs uint64
-			for i := 0; i < b.N; i++ {
-				m := vm.New(app.Prog, vm.Config{})
-				if term := m.Run(); term.Abnormal() {
-					b.Fatal(term)
-				}
-				instrs += m.Counters().Instructions
-			}
-			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-		})
-	}
-}
-
-// BenchmarkAblation_PeepholeOptimizer measures the TCG peephole optimizer's
-// effect on raw execution speed (zero-displacement address arithmetic is
-// the dominant rewrite in array-heavy guests).
-func BenchmarkAblation_PeepholeOptimizer(b *testing.B) {
-	app := mustApp(b, "lud")
-	for _, on := range []bool{true, false} {
-		name := "optimizer-on"
-		if !on {
-			name = "optimizer-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			var rewrites uint64
-			for i := 0; i < b.N; i++ {
-				m := vm.New(app.Prog, vm.Config{})
-				m.Trans.SetOptimizer(on)
-				if term := m.Run(); term.Abnormal() {
-					b.Fatal(term)
-				}
-				rewrites = m.Trans.Stats().OptRewrites
-			}
-			b.ReportMetric(float64(rewrites), "rewrites")
-		})
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"chaser/internal/apps"
+	"chaser/internal/core"
 	"chaser/internal/isa"
 	"chaser/internal/obs"
 )
@@ -51,9 +52,37 @@ func TestBaselineRejectsUntargetableRank(t *testing.T) {
 	}
 }
 
+// TestPrepareRejectsBudgetBelowGolden: a Config.MaxInstructions that cuts
+// the golden run short fails in Prepare, on a serial and an MPI guest, so no
+// Baseline exists whose prefix runs — which replay the golden run under the
+// same budget — could run out of it. The golden run's own peak is enough.
+func TestPrepareRejectsBudgetBelowGolden(t *testing.T) {
+	for _, name := range []string{"lud", "clamr_mpi"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := appConfig(t, name)
+			g, err := core.Golden(cfg.Prog, cfg.WorldSize, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var peak uint64
+			for _, c := range g.Counters {
+				peak = max(peak, c.Instructions)
+			}
+			cfg.MaxInstructions = peak - 1
+			if _, err := Prepare(cfg); err == nil || !strings.Contains(err.Error(), "golden run") {
+				t.Errorf("a budget of %d below the golden run's %d: Prepare = %v, want a golden-run error", cfg.MaxInstructions, peak, err)
+			}
+			cfg.MaxInstructions = peak
+			if _, err := Prepare(cfg); err != nil {
+				t.Errorf("a budget of the golden run's %d instructions: %v", peak, err)
+			}
+		})
+	}
+}
+
 // TestBaselineSharedByConcurrentCampaigns runs two campaigns' shards on one
 // Baseline from two goroutines at once — what two workers' shards would do to
-// a shared one, and the reason the ladder's unlocked rung cache belongs to the
+// a shared one, and the reason the ladder, which has no lock, belongs to the
 // run — and holds each to its standalone twin. One golden run serves all.
 func TestBaselineSharedByConcurrentCampaigns(t *testing.T) {
 	for _, name := range []string{"kmeans", "matvec"} {

@@ -375,7 +375,8 @@ func Run(cfg Config) (*Summary, error) {
 // telemetry — is cfg's own. The runs fork from the baseline's spine and extend
 // it as far as their sites reach.
 func (b *Baseline) Run(cfg Config) (*Summary, error) {
-	return runPrepared(cfg, b, newSnapCache(cfg.Obs))
+	sum, _, err := runPrepared(cfg, b, nil)
+	return sum, err
 }
 
 // task is one injection run: fault the n-th execution of the targeted ops on
@@ -419,12 +420,12 @@ func planTasks(cfg Config, totals []uint64) ([]task, error) {
 }
 
 // runPrepared executes the injection runs of a campaign against a prepared
-// baseline. snaps holds the ladder's resident rungs: it has one feeder, so it
-// belongs to the call, and BitSweep hands the same one to each of its entries
-// in turn.
-func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error) {
+// baseline. carried is the last rung of an earlier walk over the same task
+// list (nil: none) and last the rung this walk ended on: BitSweep hands one
+// entry's to the next.
+func runPrepared(cfg Config, base *Baseline, carried *core.WorldSnapshot) (sum *Summary, last *core.WorldSnapshot, err error) {
 	if err := base.check(cfg); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	world, goldenOut, totals, maxInstr := base.world, base.outputs, base.totals, base.maxInstr
 	bits := cfg.Bits
@@ -433,7 +434,7 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 	}
 	shardLo, shardHi, err := cfg.bounds()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	shardRuns := shardHi - shardLo
 
@@ -445,7 +446,7 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 
 	tasks, err := planTasks(cfg, totals)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Checkpoint/resume: every run's task above is a pure function of
@@ -459,13 +460,13 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 		var err error
 		journal, resumed, err = ResumeJournal(cfg.Resume, cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	case cfg.Journal != "":
 		var err error
 		journal, err = CreateJournal(cfg.Journal, cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if journal != nil {
@@ -512,13 +513,10 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 		}
 		outcomes[idx] = o
 		live.record(o.Outcome)
-		if cfg.Obs != nil {
-			cfg.Obs.Counter("campaign_resumed_runs_total").Inc()
-		}
+		cfg.Obs.Counter("campaign_resumed_runs_total").Inc()
 	}
 
-	// runConfig is the supervised run of one task; the ladder's prefix runs
-	// share it (they ignore the spec's condition, bits and seed).
+	// runConfig is the supervised run of one task.
 	runConfig := func(tk task) core.RunConfig {
 		var hub tainthub.Hub
 		if cfg.Hub != nil {
@@ -558,13 +556,9 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 	// not a lost campaign.
 	//
 	// ws is the rung the ladder found for the task (nil: none below its site,
-	// or NoFork) — by plan its own site's, or the nearest resident one below,
-	// the gap replayed in the run's own world. campaign_fork_fallbacks_total
-	// counts the runs that could not have the planned one: fellBack (the
-	// prefix run to the site or to the spine position below it failed, so the
-	// run forks from further back, or from scratch), and a snapshot RunForked
-	// refuses. Every path is bitwise identical.
-	runOne := func(tk task, ws *core.WorldSnapshot, fellBack bool) (out RunOutcome, res *core.RunResult, err error) {
+	// or NoFork): its own site's, or the nearest resident one below, the gap
+	// replayed in the run's own world. Both paths are bitwise identical.
+	runOne := func(tk task, ws *core.WorldSnapshot) (out RunOutcome, res *core.RunResult, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				msg := fmt.Sprintf("%v", r)
@@ -574,26 +568,15 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 				out = RunOutcome{Outcome: OutcomeSimCrash, RootRank: -1, PanicMsg: msg}
 				res = nil
 				err = nil
-				if cfg.Obs != nil {
-					cfg.Obs.Counter("campaign_runs_panic_total").Inc()
-				}
+				cfg.Obs.Counter("campaign_runs_panic_total").Inc()
 			}
 		}()
 		rc := runConfig(tk)
-		if ws != nil {
-			if res, err = core.RunForked(rc, ws); err == nil {
-				cfg.Obs.Counter("campaign_forked_runs_total").Inc()
-				if fellBack {
-					cfg.Obs.Counter("campaign_fork_fallbacks_total").Inc()
-				}
-				return Classify(res, goldenOut, tk.rank), res, nil
-			}
-			fellBack = true
+		if ws == nil {
+			res, err = core.Run(rc)
+		} else if res, err = core.RunForked(rc, ws); err == nil {
+			cfg.Obs.Counter("campaign_forked_runs_total").Inc()
 		}
-		if fellBack {
-			cfg.Obs.Counter("campaign_fork_fallbacks_total").Inc()
-		}
-		res, err = core.Run(rc)
 		if err != nil {
 			return RunOutcome{}, nil, err
 		}
@@ -602,8 +585,7 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 
 	type job struct {
 		task
-		ws       *core.WorldSnapshot
-		fellBack bool
+		ws *core.WorldSnapshot
 	}
 	var wg sync.WaitGroup
 	ch := make(chan job)
@@ -612,11 +594,9 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 		go func(worker int) {
 			defer wg.Done()
 			for tk := range ch {
-				if cfg.Obs != nil {
-					cfg.Obs.Counter("campaign_runs_started_total").Inc()
-				}
+				cfg.Obs.Counter("campaign_runs_started_total").Inc()
 				rsp := cfg.Tracer.StartSpanTID("campaign.run", worker)
-				out, res, err := runOne(tk.task, tk.ws, tk.fellBack)
+				out, res, err := runOne(tk.task, tk.ws)
 				if err != nil {
 					rsp.SetArg("error", err.Error())
 					rsp.End()
@@ -630,7 +610,7 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 				if cfg.RunObserver != nil {
 					cfg.RunObserver(tk.idx, tk.rank, out, res)
 				}
-				if cfg.Obs != nil && out.Term == TermTimeout {
+				if out.Term == TermTimeout {
 					cfg.Obs.Counter("campaign_runs_timeout_total").Inc()
 				}
 				if journal != nil {
@@ -654,33 +634,38 @@ func runPrepared(cfg Config, base *Baseline, snaps *snapCache) (*Summary, error)
 	var rungs *ladder
 	if !cfg.NoFork {
 		sortBySite(pending)
-		rungs = newLadder(snaps, base, cfg.Trace, cfg.Obs, runConfig)
+		rungs = newLadder(base, cfg.Trace, cfg.Obs, carried)
 	}
+	// The feed stops at Stop or at a failed prefix run. However it ends — a
+	// panic in a prefix run too, which goes on to the caller — the pool drains
+	// the runs in flight and exits, and so does the progress reporter.
 	interrupted := false
-feed:
-	for i, tk := range pending {
-		j := job{task: tk}
-		if rungs != nil {
-			var after *task
-			if i+1 < len(pending) {
-				after = &pending[i+1]
+	var prefixErr error
+	func() {
+		defer func() {
+			close(ch)
+			wg.Wait()
+			close(reportStop)
+			reportWG.Wait()
+		}()
+		for i, tk := range pending {
+			j := job{task: tk}
+			if rungs != nil {
+				if j.ws, prefixErr = rungs.rung(tk, pending[i+1:]); prefixErr != nil {
+					return
+				}
 			}
-			j.ws, j.fellBack = rungs.rung(tk, after)
+			// A nil Stop channel never receives, so the select degenerates
+			// to a plain send.
+			select {
+			case <-cfg.Stop:
+				interrupted = true
+				return
+			case ch <- j:
+			}
 		}
-		// A nil Stop channel never receives, so the select degenerates to a
-		// plain send.
-		select {
-		case <-cfg.Stop:
-			interrupted = true
-			break feed
-		case ch <- j:
-		}
-	}
-	close(ch)
-	wg.Wait()
+	}()
 	if cfg.Progress != nil {
-		close(reportStop)
-		reportWG.Wait()
 		cfg.Progress(live.snapshot(shardRuns, time.Since(start)))
 	}
 	live.flushObs(cfg.Obs, time.Since(start))
@@ -688,16 +673,22 @@ feed:
 		st := base.cache.Stats()
 		cfg.Obs.Gauge("campaign_base_cache_blocks").Set(float64(st.Blocks + st.Probed))
 	}
+	if prefixErr != nil {
+		return nil, nil, prefixErr
+	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("campaign: run failed: %w", err)
+			return nil, nil, fmt.Errorf("campaign: run failed: %w", err)
 		}
 	}
 	if interrupted {
-		return nil, ErrInterrupted
+		return nil, nil, ErrInterrupted
 	}
 	retireWindow(cfg, shardLo, shardHi)
-	return summarize(cfg, outcomes[shardLo:shardHi]), nil
+	if rungs != nil {
+		last = rungs.head
+	}
+	return summarize(cfg, outcomes[shardLo:shardHi]), last, nil
 }
 
 // retireWindow drops the hub entries of a completed window: its namespaces

@@ -60,9 +60,9 @@ func TestCampaignForkMatchesScratch(t *testing.T) {
 		t.Errorf("campaign_prefix_runs_total = %d, want %d (the spine up to the pinned site)", got, spineIntervals/2)
 	}
 	fr := reg.Counter("campaign_forked_runs_total").Value()
-	fb := reg.Counter("campaign_fork_fallbacks_total").Value()
-	if fr+fb != uint64(cfg.Runs) {
-		t.Errorf("forked (%d) + fallbacks (%d) != runs (%d)", fr, fb, cfg.Runs)
+	misses := reg.Counter("campaign_snapshot_cache_misses_total").Value()
+	if fr+misses != uint64(cfg.Runs) {
+		t.Errorf("forked (%d) + misses (%d) != runs (%d)", fr, misses, cfg.Runs)
 	}
 	if fr == 0 {
 		t.Error("no runs actually forked")
@@ -106,9 +106,9 @@ func TestCampaignForkMatchesScratchMPI(t *testing.T) {
 		t.Error("per-run outcomes diverge between forked and scratch MPI campaigns")
 	}
 	fr := reg.Counter("campaign_forked_runs_total").Value()
-	fb := reg.Counter("campaign_fork_fallbacks_total").Value()
-	if fr+fb != uint64(cfg.Runs) {
-		t.Errorf("forked (%d) + fallbacks (%d) != runs (%d)", fr, fb, cfg.Runs)
+	misses := reg.Counter("campaign_snapshot_cache_misses_total").Value()
+	if fr+misses != uint64(cfg.Runs) {
+		t.Errorf("forked (%d) + misses (%d) != runs (%d)", fr, misses, cfg.Runs)
 	}
 	if fr == 0 {
 		t.Error("no MPI runs actually forked")

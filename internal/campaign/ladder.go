@@ -35,45 +35,53 @@ import (
 // stretch of the spine builds nothing at all.
 //
 // At any moment the resident rungs are the spine, the chain's head, the ones
-// in-flight forks still hold, and the last rung of an earlier walk over the
-// same snapCache (which is the whole chain of a pinned-site campaign: BitSweep
-// entries find it again). Which rung a task forks from depends on the task
-// list and the Baseline alone, never on worker timing.
+// in-flight forks still hold, and the last rung of the walk before, which
+// BitSweep hands to the next entry's ladder (every entry shares the task list,
+// so it finds that rung again at its site). Which rung a task forks from
+// depends on the task list and the Baseline alone, never on worker timing. A
+// prefix run cannot fail but on a simulator bug (Baseline.rungAt); one that
+// does stops the walk and fails the campaign.
 //
-// A site whose prefix run fails (the watchdog, a simulator panic) leaves the
-// chain where it was: its tasks fork from the nearest rung below and replay
-// the executions in between, or run from scratch when there is none. Every
-// path is bitwise identical to a from-scratch run.
+// campaign_snapshot_cache_bytes is what the walk's own resident rungs add
+// beside the rungs they were advanced from (WorldSnapshot.FreshBytes); the
+// spine is the Baseline's and not in it. Only the goroutine feeding a
+// campaign's workers touches a ladder, so it carries no lock.
 type ladder struct {
-	snaps   *snapCache
-	base    *Baseline
-	trace   bool // which of the Baseline's spines: Config.Trace
-	reg     *obs.Registry
-	runConf func(task) core.RunConfig
+	base  *Baseline
+	trace bool // which of the Baseline's spines: Config.Trace
+	reg   *obs.Registry
 	// head is the chain's latest rung: the walk's own nearest snapshot at or
 	// below the site of every task still to come on its rank. Nil before the
 	// first.
 	head *core.WorldSnapshot
+	// carried is the last rung of the walk before (BitSweep's previous entry),
+	// resident until a task on its site takes it up as the head.
+	carried *core.WorldSnapshot
+	bytes   int64
 
 	// hits and misses count the tasks' lookups: a hit found a resident
 	// snapshot at or below the task's site — the site's own rung, the chain's
 	// head or a spine rung — and a miss found none, so the golden prefix had
-	// to be replayed from program entry. prefix counts the prefix executions
-	// themselves, the chain's here and the spine's in Baseline.spineRung.
-	hits, misses, prefix *obs.Counter
+	// to be replayed from program entry. Prefix executions count in
+	// campaign_prefix_runs_total (Baseline.rungAt).
+	hits, misses *obs.Counter
 }
 
-func newLadder(snaps *snapCache, base *Baseline, trace bool, reg *obs.Registry, runConf func(task) core.RunConfig) *ladder {
-	return &ladder{
-		snaps:   snaps,
+// newLadder starts a walk on base; carried is the last rung of the walk
+// before over the same task list (nil: none), still charged to reg's gauge.
+func newLadder(base *Baseline, trace bool, reg *obs.Registry, carried *core.WorldSnapshot) *ladder {
+	l := &ladder{
 		base:    base,
 		trace:   trace,
 		reg:     reg,
-		runConf: runConf,
+		carried: carried,
 		hits:    reg.Counter("campaign_snapshot_cache_hits_total"),
 		misses:  reg.Counter("campaign_snapshot_cache_misses_total"),
-		prefix:  reg.Counter("campaign_prefix_runs_total"),
 	}
+	if carried != nil {
+		l.bytes = carried.FreshBytes()
+	}
+	return l
 }
 
 // sortBySite orders tasks for the ladder's walk: by rank, then site, ties in
@@ -89,47 +97,51 @@ func sortBySite(tasks []task) {
 
 // rung returns the snapshot tk forks from — nil: none below its site, the run
 // replays the prefix from program entry itself — advancing the chain to tk's
-// site first when after, the task that follows tk in the walk (nil at the
-// end), will read the rung too. fellBack reports a run that could not have
-// the snapshot the ladder planned for it: the prefix run to its site, or to
-// the spine position below it, failed. Tasks must arrive in sortBySite order.
-func (l *ladder) rung(tk task, after *task) (ws *core.WorldSnapshot, fellBack bool) {
+// site first when the next of rest, the tasks that follow tk in the walk,
+// will read the rung too. An error is a prefix run's, to the site or to the
+// spine position below it. Tasks must arrive in sortBySite order.
+func (l *ladder) rung(tk task, rest []task) (*core.WorldSnapshot, error) {
 	site := core.ForkSite{Rank: tk.rank, N: tk.n}
 	from := l.head
 	if from != nil && from.Site().Rank != tk.rank {
 		from = nil // the walk moved on to the next rank: a new chain
 	}
-	below, floor, next := l.base.spineRung(site, l.trace, l.reg, from)
+	below, next, err := l.base.spineRung(site, l.trace, l.reg, from)
+	if err != nil {
+		return nil, err
+	}
 	if below != nil && (from == nil || from.Site().N < below.Site().N) {
 		from = below
 	}
-	ws = from
+	ws := from
 	// fromEntry: nothing resident below the site, so the golden prefix is
 	// replayed from program entry — by the prefix run below, or by the run.
 	fromEntry := from == nil
-	fellBack = floor > 0 && (from == nil || from.Site().N < floor)
-	shared := after != nil && after.rank == tk.rank && after.n < next
+	shared := len(rest) > 0 && rest[0].rank == tk.rank && rest[0].n < next
 	if shared && (from == nil || from.Site() != site) {
-		built := false
-		own, err := l.snaps.get(site, func() (*core.WorldSnapshot, error) {
-			built = true
-			l.prefix.Inc()
-			return prefixRun(l.runConf(tk), from, site)
-		})
-		if err != nil {
-			fellBack = true // no rung at the site: the one below serves, if any
+		if l.carried != nil && l.carried.Site() == site {
+			ws, l.carried, fromEntry = l.carried, nil, false
 		} else {
-			if l.head != nil && l.head.Site() != site {
-				l.snaps.release(l.head.Site())
+			if ws, err = l.base.rungAt(from, site, l.trace, l.reg); err != nil {
+				return nil, err
 			}
-			l.head, ws, fellBack = own, own, false
-			fromEntry = fromEntry && built
+			l.charge(ws.FreshBytes())
 		}
+		if l.head != nil {
+			l.charge(-l.head.FreshBytes())
+		}
+		l.head = ws
 	}
 	if ws != nil && !fromEntry {
 		l.hits.Inc()
 	} else {
 		l.misses.Inc()
 	}
-	return ws, fellBack
+	return ws, nil
+}
+
+func (l *ladder) charge(n int64) {
+	l.bytes += n
+	l.reg.Gauge("campaign_snapshot_cache_bytes").Set(float64(l.bytes))
+	l.reg.Gauge("campaign_snapshot_cache_bytes_high_water").SetMax(float64(l.bytes))
 }

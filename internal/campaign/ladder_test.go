@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -117,15 +118,14 @@ func sameJournalRecords(t *testing.T, want, got string) {
 
 // ladderCounts reads the fork telemetry of one campaign.
 type ladderCounts struct {
-	prefix, forked, fallbacks, hits, misses uint64
-	highWater                               float64
+	prefix, forked, hits, misses uint64
+	highWater                    float64
 }
 
 func countsOf(reg *obs.Registry) ladderCounts {
 	return ladderCounts{
 		prefix:    reg.Counter("campaign_prefix_runs_total").Value(),
 		forked:    reg.Counter("campaign_forked_runs_total").Value(),
-		fallbacks: reg.Counter("campaign_fork_fallbacks_total").Value(),
 		hits:      reg.Counter("campaign_snapshot_cache_hits_total").Value(),
 		misses:    reg.Counter("campaign_snapshot_cache_misses_total").Value(),
 		highWater: reg.Gauge("campaign_snapshot_cache_bytes_high_water").Value(),
@@ -150,13 +150,10 @@ func TestLadderMatchesNoFork(t *testing.T) {
 	allForked := func(t *testing.T, cfg Config, c ladderCounts) {
 		t.Helper()
 		lo, hi, _ := cfg.bounds()
-		// A run forks, by plan or from further back, or — nothing resident
-		// below its site — starts at program entry, which is a cache miss.
-		if c.forked+c.fallbacks+c.misses < uint64(hi-lo) || c.forked == 0 {
-			t.Errorf("forked %d + fallbacks %d + misses %d over %d runs", c.forked, c.fallbacks, c.misses, hi-lo)
-		}
-		if cfg.WorldSize <= 1 && c.fallbacks != 0 {
-			t.Errorf("%d fallbacks on a serial guest, whose every site can pause", c.fallbacks)
+		// A run forks or — nothing resident below its site — starts at
+		// program entry, which is a cache miss.
+		if c.forked+c.misses < uint64(hi-lo) || c.forked == 0 {
+			t.Errorf("forked %d + misses %d over %d runs", c.forked, c.misses, hi-lo)
 		}
 		if c.prefix == 0 {
 			t.Error("no prefix run: neither a spine position nor a rung")
@@ -230,11 +227,9 @@ func TestLadderMatchesNoFork(t *testing.T) {
 
 // TestForkTelemetryIsAFunctionOfTheSeed: with one rank running at a time a
 // campaign's ladder is a property of the guest and the seed, so two campaigns
-// of one seed count the same prefixes, forks, fallbacks and cache hits (and
-// agree run by run), whatever the number of cores. Every site pauses, the
-// world kept wherever the baton left the other ranks, so the CLAMR campaign —
-// long enough that ranks stand inside MPI calls at many of its sites — has no
-// run fall back.
+// of one seed count the same prefixes, forks and cache hits (and agree run by
+// run), whatever the number of cores — the CLAMR campaign too, long enough
+// that ranks stand inside MPI calls at many of its sites.
 func TestForkTelemetryIsAFunctionOfTheSeed(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, name := range []string{"matvec", "clamr_mpi"} {
@@ -262,9 +257,6 @@ func TestForkTelemetryIsAFunctionOfTheSeed(t *testing.T) {
 					t.Errorf("GOMAXPROCS=%d: fork telemetry %+v, was %+v", procs, got, want)
 				}
 				sameCampaign(t, first, sum)
-			}
-			if want.fallbacks != 0 {
-				t.Errorf("%d runs fell back: every site of a golden run pauses", want.fallbacks)
 			}
 		})
 	}
@@ -298,8 +290,8 @@ func TestLadderChainsOnePassPerRank(t *testing.T) {
 		t.Fatalf("the plan neither reaches half the spine nor chains a rung: %+v", want)
 	}
 	c := countsOf(reg)
-	if c.prefix != uint64(want.spine+want.own) || c.forked != uint64(24-want.entry) || c.fallbacks != 0 {
-		t.Errorf("prefix %d forked %d fallbacks %d, want %d/%d/0", c.prefix, c.forked, c.fallbacks, want.spine+want.own, 24-want.entry)
+	if c.prefix != uint64(want.spine+want.own) || c.forked != uint64(24-want.entry) {
+		t.Errorf("prefix %d forked %d, want %d/%d", c.prefix, c.forked, want.spine+want.own, 24-want.entry)
 	}
 	if c.misses != uint64(want.misses) || c.hits != uint64(24-want.misses) {
 		t.Errorf("cache misses %d hits %d, want %d and %d: only the first stretch starts from program entry", c.misses, c.hits, want.misses, 24-want.misses)
@@ -344,75 +336,52 @@ func coreConfig(cfg Config) core.RunConfig {
 	}}
 }
 
-// TestLadderUnpausableSiteFallsBack: a site whose prefix run failed (the
-// negative entry a prefix that timed out or panicked leaves in the cache) must
-// not break the chain — its runs fork from the previous rung, or run from
-// scratch when there is none — and is counted, with the campaign still bitwise
-// its NoFork twin.
-func TestLadderUnpausableSiteFallsBack(t *testing.T) {
-	cfg := appConfig(t, "matvec")
-	cfg.Runs = 40
+// TestPrefixFailureFailsTheShard: a prefix run replays a golden run that
+// finished within the Baseline's budget, so one that fails is a simulator bug
+// and fails the campaign, loudly, whichever builds the rung — the spine at a
+// position below the site, or the chain at a site two tasks share — and the
+// campaign's pool and progress reporter exit with it. A budget lowered behind
+// Prepare's back is the failure no Config can produce. The worker's half —
+// the shard reported failed, the app's Baseline dropped — is the test of the
+// same name in internal/server.
+func TestPrefixFailureFailsTheShard(t *testing.T) {
+	cfg := appConfig(t, "clamr_mpi")
+	cfg.Parallel = 4
+	cfg.ProgressInterval, cfg.Progress = time.Millisecond, func(ProgressInfo) {}
 	base, err := Prepare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Poison the campaign's lowest site (nothing below it: its run goes from
-	// scratch) and one above the first spine position (the previous rung
-	// serves). The ladder asks for a site's rung only when a later task
-	// shares its stretch, so the task list — a function of the seed — must
-	// have a later reader in the stretch of both.
+	base.maxInstr = 1
 	sp := newSpine(base.totals[0])
-	shared := func(tasks []task, i int) bool {
-		return i+1 < len(tasks) && tasks[i].n != tasks[i+1].n && stretchOf(sp, tasks[i].n) == stretchOf(sp, tasks[i+1].n)
-	}
-	var tasks []task
-	mid := -1
-	for seed := cfg.Seed; seed < cfg.Seed+10_000 && mid < 0; seed++ {
-		cfg.Seed = seed
-		if tasks, err = planTasks(cfg, base.totals); err != nil {
-			t.Fatal(err)
-		}
-		sortBySite(tasks)
-		if !shared(tasks, 0) || stretchOf(sp, tasks[0].n) != 0 {
-			continue
-		}
-		for i := len(tasks) / 2; i < len(tasks) && mid < 0; i++ {
-			if shared(tasks, i) && stretchOf(sp, tasks[i].n) > 0 {
-				mid = i
+	for _, tc := range []struct {
+		name     string
+		num, den uint64
+		site     uint64
+	}{
+		{"spine position", 1, 2, sp.pos[0]},
+		{"chain rung", 1, 4 * spineIntervals, base.totals[0] / (4 * spineIntervals)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := pinnedAt(base, cfg, tc.num, tc.den)
+			c.Journal = filepath.Join(t.TempDir(), "j.journal")
+			before := runtime.NumGoroutine()
+			_, err := base.Run(c)
+			want := fmt.Sprintf("campaign: prefix run to (rank 0, n %d)", tc.site)
+			if err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("Run = %v, want an error starting %q", err, want)
 			}
-		}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%d goroutines after the failed campaign, %d before", n, before)
+			}
+		})
 	}
-	if mid < 0 {
-		t.Fatal("no seed puts a shared site in the first stretch and another above it")
-	}
-	scfg := cfg
-	scfg.NoFork = true
-	scratch, err := Run(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	cfg.Obs = reg
-	snaps := newSnapCache(reg)
-	failed := errors.New("core: fork site (rank 0) did not pause: target wall-clock timeout")
-	for _, tk := range []task{tasks[0], tasks[mid]} {
-		if _, err := snaps.get(core.ForkSite{Rank: 0, N: tk.n}, func() (*core.WorldSnapshot, error) {
-			return nil, failed
-		}); !errors.Is(err, failed) {
-			t.Fatal(err)
-		}
-	}
-	ladder, err := runPrepared(cfg, base, snaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCampaign(t, scratch, ladder)
-	c := countsOf(reg)
-	if c.fallbacks < 2 {
-		t.Errorf("fallbacks = %d, want at least the two poisoned sites' runs", c.fallbacks)
-	}
-	if c.forked < uint64(cfg.Runs)-2 {
-		t.Errorf("forked = %d of %d runs: an unpausable site must not stop the ladder", c.forked, cfg.Runs)
+	if rungs, _ := base.SpineSize(); rungs != 0 {
+		t.Errorf("the failed prefix runs left %d spine rungs", rungs)
 	}
 }
 

@@ -334,9 +334,6 @@ type ForkStats struct {
 	// ForkedRuns counts injection runs resumed from a snapshot instead of
 	// replaying the prefix.
 	ForkedRuns uint64 `json:"forked_runs"`
-	// Fallbacks counts runs that did not fork at their own site: from an
-	// earlier rung (the prefix run to the site failed) or from scratch.
-	Fallbacks uint64 `json:"fallbacks"`
 	// CacheHits/CacheMisses count the tasks' lookups: a hit found a resident
 	// snapshot at or below the task's site, a miss had the golden prefix
 	// replayed from program entry.
@@ -380,7 +377,6 @@ func (o *Observatory) Snapshot() Snapshot {
 		Fork: ForkStats{
 			PrefixRuns:     o.reg.Counter("campaign_prefix_runs_total").Value(),
 			ForkedRuns:     o.reg.Counter("campaign_forked_runs_total").Value(),
-			Fallbacks:      o.reg.Counter("campaign_fork_fallbacks_total").Value(),
 			CacheHits:      o.reg.Counter("campaign_snapshot_cache_hits_total").Value(),
 			CacheMisses:    o.reg.Counter("campaign_snapshot_cache_misses_total").Value(),
 			CacheBytes:     int64(o.reg.Gauge("campaign_snapshot_cache_bytes").Value()),

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -22,22 +21,6 @@ import (
 // app, not one per worker.
 const spineIntervals = 32
 
-// errPrefixPanic marks a prefix run the simulator panicked in — a tool
-// failure, not a property of the guest at that site.
-var errPrefixPanic = errors.New("campaign: prefix run panicked")
-
-// prefixRun is core.PrefixRunFrom with a simulator panic isolated as an error:
-// the prefix replays a stretch of the golden run, which completed, and a panic
-// here is as isolated as one inside an injection run.
-func prefixRun(rc core.RunConfig, from *core.WorldSnapshot, site core.ForkSite) (ws *core.WorldSnapshot, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			ws, err = nil, fmt.Errorf("%w: %v", errPrefixPanic, r)
-		}
-	}()
-	return core.PrefixRunFrom(rc, from, site)
-}
-
 // spineKey names one spine of a Baseline. A traced world carries timeline
 // samples and flow-sequence numbers an untraced one does not, so a Baseline
 // serving both kinds of campaign keeps two.
@@ -47,9 +30,8 @@ type spineKey struct {
 }
 
 // spine is the kept checkpoints of one targeted rank: the golden world paused
-// at the sites k·total/spineIntervals, each advanced from the one before.
-// Positions are decided in order and never again: rungs[i] is the world at
-// pos[i], or nil when the prefix run to it failed.
+// at the sites k·total/spineIntervals, each advanced from the one before, and
+// built in order: rungs[i] is the world at pos[i].
 type spine struct {
 	pos   []uint64 // ascending; a site of zero and repeats (a total below spineIntervals) dropped
 	rungs []*core.WorldSnapshot
@@ -66,35 +48,42 @@ func newSpine(total uint64) *spine {
 	return sp
 }
 
-// last returns the latest rung among the first n positions, nil when none of
-// them could pause.
-func (sp *spine) last(n int) *core.WorldSnapshot {
-	for i := min(n, len(sp.rungs)) - 1; i >= 0; i-- {
-		if sp.rungs[i] != nil {
-			return sp.rungs[i]
-		}
+// rungAt advances from to site: the prefix run of the spine and of the chain
+// alike. It replays the golden run under its budget, with no watchdog, hub or
+// events — the golden run had none — and reads of the spec only the target,
+// ops and trace flag. The golden run finished within that budget and every
+// site it reaches pauses, so only a simulator bug fails it: the campaign's
+// failure.
+func (b *Baseline) rungAt(from *core.WorldSnapshot, site core.ForkSite, trace bool, reg *obs.Registry) (*core.WorldSnapshot, error) {
+	reg.Counter("campaign_prefix_runs_total").Inc()
+	ws, err := core.PrefixRunFrom(core.RunConfig{
+		Prog:            b.prog,
+		WorldSize:       b.world,
+		BaseCache:       b.cache,
+		MaxInstructions: b.maxInstr,
+		NoFastPath:      b.noFastPath,
+		Obs:             reg,
+		Spec:            &core.Spec{Target: b.prog.Name, Ops: b.ops, Trace: trace},
+	}, from, site)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: prefix run to (rank %d, n %d): %w", site.Rank, site.N, err)
 	}
-	return nil
+	return ws, nil
 }
 
-// spineRung returns the kept rung nearest below site — extending the spine to
-// the last position at or below the site first, so a Baseline whose campaigns
-// stay in the first stretch builds nothing — with that position (floor, 0
-// when the site lies below the first) and the first position above the site
-// (next, MaxUint64 past the last). below is nil, or older than floor, when a
-// position could not be reached.
+// spineRung returns the kept rung nearest below site (nil when the site lies
+// below the first position) — extending the spine to the last position at or
+// below the site first, so a Baseline whose campaigns stay in the first
+// stretch builds nothing — and the first position above the site (next,
+// MaxUint64 past the last).
 //
 // A position is built once, under the Baseline's mutex, by the first campaign
 // that reaches it — advanced from the rung before it or from head, the
 // caller's own latest snapshot on the rank (nil: none), whichever is nearer,
 // so a dense walk that has just executed a stretch does not replay it for the
-// spine; its prefix run counts in reg's campaign_prefix_runs_total.
-// It runs without the campaign's RunTimeout — it replays the golden run,
-// which is never subject to one, and what it decides holds for every campaign
-// after this one — so a failure is a function of the guest and the position is
-// skipped for good. Only a simulator panic is not remembered: the position
-// stays undecided and the next campaign tries again.
-func (b *Baseline) spineRung(site core.ForkSite, trace bool, reg *obs.Registry, head *core.WorldSnapshot) (below *core.WorldSnapshot, floor, next uint64) {
+// spine. A prefix run that fails leaves the spine as it was and fails the
+// caller's campaign; a panic in one goes on to the caller.
+func (b *Baseline) spineRung(site core.ForkSite, trace bool, reg *obs.Registry, head *core.WorldSnapshot) (below *core.WorldSnapshot, next uint64, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	key := spineKey{site.Rank, trace}
@@ -109,36 +98,27 @@ func (b *Baseline) spineRung(site core.ForkSite, trace bool, reg *obs.Registry, 
 	want := sort.Search(len(sp.pos), func(i int) bool { return sp.pos[i] > site.N })
 	for len(sp.rungs) < want {
 		at := core.ForkSite{Rank: site.Rank, N: sp.pos[len(sp.rungs)]}
-		from := sp.last(len(sp.rungs))
+		var from *core.WorldSnapshot
+		if n := len(sp.rungs); n > 0 {
+			from = sp.rungs[n-1]
+		}
 		if head != nil && head.Site().N <= at.N && (from == nil || from.Site().N < head.Site().N) {
 			from = head
 		}
-		reg.Counter("campaign_prefix_runs_total").Inc()
-		ws, err := prefixRun(core.RunConfig{
-			Prog:            b.prog,
-			WorldSize:       b.world,
-			BaseCache:       b.cache,
-			MaxInstructions: b.maxInstr,
-			NoFastPath:      b.noFastPath,
-			Obs:             reg,
-			Spec:            &core.Spec{Target: b.prog.Name, Ops: b.ops, Trace: trace},
-		}, from, at)
-		if errors.Is(err, errPrefixPanic) {
-			break
+		ws, err := b.rungAt(from, at, trace, reg)
+		if err != nil {
+			return nil, 0, err
 		}
 		sp.rungs = append(sp.rungs, ws)
-		if ws == nil {
-			reg.Counter("campaign_spine_positions_skipped_total").Inc()
-		}
 	}
 	next = math.MaxUint64
 	if want < len(sp.pos) {
 		next = sp.pos[want]
 	}
 	if want > 0 {
-		floor = sp.pos[want-1]
+		below = sp.rungs[want-1]
 	}
-	return sp.last(want), floor, next
+	return below, next, nil
 }
 
 // SpineSize is what the Baseline's spines hold: their rungs, and the heap
@@ -154,11 +134,9 @@ func (b *Baseline) SpineSize() (rungs int, bytes int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, sp := range b.spines {
+		rungs += len(sp.rungs)
 		for _, ws := range sp.rungs {
-			if ws != nil {
-				rungs++
-				bytes += ws.FreshBytes()
-			}
+			bytes += ws.FreshBytes()
 		}
 	}
 	return rungs, bytes

@@ -12,17 +12,15 @@ import (
 	"chaser/internal/obs"
 )
 
-// spineCounts is what a Baseline's spines hold, and the positions reg saw
-// skipped.
+// spineCounts is what a Baseline's spines hold.
 type spineCounts struct {
-	rungs   int
-	bytes   int64
-	skipped uint64
+	rungs int
+	bytes int64
 }
 
-func spineOf(base *Baseline, reg *obs.Registry) spineCounts {
+func spineOf(base *Baseline) spineCounts {
 	rungs, bytes := base.SpineSize()
-	return spineCounts{rungs, bytes, reg.Counter("campaign_spine_positions_skipped_total").Value()}
+	return spineCounts{rungs, bytes}
 }
 
 // walkCounts is what the ladder's two rules say one walk over a task list
@@ -199,15 +197,15 @@ func TestSpineIsLazy(t *testing.T) {
 	if _, err := base.Run(first); err != nil {
 		t.Fatal(err)
 	}
-	if s := spineOf(base, reg); s.rungs != 0 || s.bytes != 0 {
+	if s := spineOf(base); s.rungs != 0 || s.bytes != 0 {
 		t.Errorf("a campaign below the first position built %+v", s)
 	}
 	at40 := pinnedAt(base, cfg, 2, 5)
 	if _, err := base.Run(at40); err != nil {
 		t.Fatal(err)
 	}
-	s := spineOf(base, reg)
-	if want := stretchOf(sp, at40.InjectExec); s.rungs != want || s.bytes <= 0 || s.skipped != 0 {
+	s := spineOf(base)
+	if want := stretchOf(sp, at40.InjectExec); s.rungs != want || s.bytes <= 0 {
 		t.Errorf("a campaign at 40%% built %+v, want the %d positions at or below its site", s, want)
 	}
 	// Coming back below what is built builds nothing more: the pinned site's
@@ -217,8 +215,8 @@ func TestSpineIsLazy(t *testing.T) {
 	if _, err := base.Run(at30); err != nil {
 		t.Fatal(err)
 	}
-	if spineOf(base, reg) != s {
-		t.Errorf("a campaign at 30%% changed the spine: %+v, was %+v", spineOf(base, reg), s)
+	if spineOf(base) != s {
+		t.Errorf("a campaign at 30%% changed the spine: %+v, was %+v", spineOf(base), s)
 	}
 	want := uint64(1)
 	if onPosition(sp, at30.InjectExec) {
@@ -254,7 +252,7 @@ func TestWarmSpineBuildsNothing(t *testing.T) {
 	warm := obs.NewRegistry()
 	base.spineRung(core.ForkSite{Rank: 0, N: base.totals[0]}, cfg.Trace, warm, nil)
 	sp := base.spines[spineKey{0, cfg.Trace}]
-	if s := spineOf(base, warm); s.rungs != len(sp.pos) {
+	if s := spineOf(base); s.rungs != len(sp.pos) {
 		t.Fatalf("warming built %+v of %d positions", s, len(sp.pos))
 	}
 	// The task list is a function of the seed: find one that spreads its
@@ -283,7 +281,7 @@ func TestWarmSpineBuildsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := countsOf(reg)
-	if c.prefix != 0 || c.forked != uint64(cfg.Runs-1) || c.fallbacks != 0 || c.misses != 1 || c.highWater != 0 {
+	if c.prefix != 0 || c.forked != uint64(cfg.Runs-1) || c.misses != 1 || c.highWater != 0 {
 		t.Errorf("seed %d on a warm spine: %+v, want no prefix run, %d forks from kept rungs and the first stretch's run from entry", cfg.Seed, c, cfg.Runs-1)
 	}
 	sameJournalRecords(t, noForkJournal(t, cfg, filepath.Join(dir, "nofork.journal")), cfg.Journal)
@@ -302,105 +300,6 @@ func TestWarmSpineBuildsNothing(t *testing.T) {
 	}
 	if sc := countsOf(sreg); sc.prefix != want || sc.forked != uint64(3*scfg.Runs) || sc.misses != 0 {
 		t.Errorf("pinned sweep: %+v, want %d prefix runs: the spine positions below the site and one beyond them", sc, want)
-	}
-}
-
-// TestSpineSkipsUnpausablePosition: on a Baseline whose instruction budget
-// ends between two early positions of clamr_mpi's rank-0 spine, the world
-// cannot pause at the later one or any after it. A position is skipped for
-// good — one attempt, however many campaigns follow — and the tasks of its
-// stretch fork from the last rung that paused and are their NoFork twins on
-// the same Baseline.
-func TestSpineSkipsUnpausablePosition(t *testing.T) {
-	cfg := appConfig(t, "clamr_mpi")
-	cfg.Parallel, cfg.KeepRunOutcomes = 1, false
-	reg := obs.NewRegistry()
-	cfg.Obs = reg
-	base, err := Prepare(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := newSpine(base.totals[0])
-	// Rank 0's instruction count at a site is its injection record's.
-	instrsAt := func(n uint64) uint64 {
-		rc := coreConfig(cfg)
-		rc.Spec.Cond, rc.Spec.Bits = core.Deterministic{N: n}, 1
-		res, err := core.Run(rc)
-		if err != nil || len(res.Records) != 1 {
-			t.Fatalf("injection at site %d: %v", n, err)
-		}
-		return res.Records[0].InstrNum
-	}
-	pauses := func(n, budget uint64) bool {
-		rc := coreConfig(cfg)
-		rc.MaxInstructions = budget
-		_, err := core.PrefixRun(rc, core.ForkSite{Rank: 0, N: n})
-		return err == nil
-	}
-	// The budget ends halfway between rank 0's counts at positions k and
-	// k+1: the first k from 1 on where the other ranks, which the schedule
-	// may have run ahead of rank 0, still fit under it at position k.
-	kept := 0
-	for k := 1; k+2 < len(sp.pos) && kept == 0; k++ {
-		budget := (instrsAt(sp.pos[k]) + instrsAt(sp.pos[k+1])) / 2
-		if pauses(sp.pos[k], budget) && !pauses(sp.pos[k+1], budget) {
-			base.maxInstr, kept = budget, k+1
-		}
-	}
-	if kept == 0 {
-		t.Fatal("no budget separates two positions of the spine")
-	}
-	unpausable := sp.pos[kept]
-	t.Logf("a budget of %d instructions: %d of %d positions pause", base.maxInstr, kept, len(sp.pos))
-	dir := t.TempDir()
-	twin := func(c Config, name string) {
-		t.Helper()
-		n := c
-		n.NoFork, n.Obs, n.Journal = true, nil, filepath.Join(dir, name+"-nofork.journal")
-		if _, err := base.Run(n); err != nil {
-			t.Fatal(err)
-		}
-		sameJournalRecords(t, n.Journal, c.Journal)
-	}
-	for i := 0; i < 2; i++ {
-		// Inside the unpausable position's stretch, and four runs on one
-		// site: the first tries the site's rung from the last rung kept,
-		// which the budget defeats too.
-		c := cfg
-		c.Runs, c.Seed, c.InjectExec = 4, cfg.Seed+int64(i), unpausable+(sp.pos[kept+1]-unpausable)/2
-		c.Journal = filepath.Join(dir, fmt.Sprintf("pinned-%d.journal", i))
-		if _, err := base.Run(c); err != nil {
-			t.Fatal(err)
-		}
-		twin(c, fmt.Sprintf("pinned-%d", i))
-	}
-	if s := spineOf(base, reg); s.skipped != 1 || s.rungs != kept {
-		t.Errorf("two campaigns above the unpausable position: %+v, want it skipped once and %d rungs", s, kept)
-	}
-	// A random-site campaign decides every position up to its furthest site
-	// once.
-	c := cfg
-	c.Runs = 40
-	c.Journal = filepath.Join(dir, "random.journal")
-	if _, err := base.Run(c); err != nil {
-		t.Fatal(err)
-	}
-	twin(c, "random")
-	tasks, err := planTasks(c, base.totals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var furthest uint64
-	for _, tk := range tasks {
-		furthest = max(furthest, tk.n)
-	}
-	decided := stretchOf(sp, furthest)
-	if s := spineOf(base, reg); s.skipped != uint64(decided-kept) || s.rungs != kept {
-		t.Errorf("spine to the furthest site: %+v, want %d rungs and the %d positions past the budget skipped", s, kept, decided-kept)
-	}
-	if sp := base.spines[spineKey{0, true}]; len(sp.rungs) != decided || sp.rungs[kept-1] == nil || sp.rungs[kept] != nil {
-		t.Errorf("spine decided %d of %d positions, the last below the budget kept %v, the first above it kept %v",
-			len(sp.rungs), decided, sp.rungs[kept-1] != nil, sp.rungs[kept] != nil)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"chaser/internal/core"
 	"chaser/internal/stats"
 )
 
@@ -26,9 +27,9 @@ func BitSweep(cfg Config, bitCounts []int) ([]SweepResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: sweep golden run: %w", err)
 	}
-	// Entries share the task list and so the fork points: one rung cache
-	// across them lets each find the rung the one before left behind.
-	snaps := newSnapCache(cfg.Obs)
+	// Entries share the task list and so the fork points: each is handed the
+	// rung the one before ended on, and finds it again at its site.
+	var last *core.WorldSnapshot
 	out := make([]SweepResult, 0, len(bitCounts))
 	for _, bits := range bitCounts {
 		c := cfg
@@ -38,7 +39,8 @@ func BitSweep(cfg Config, bitCounts []int) ([]SweepResult, error) {
 		// path cannot checkpoint them all, so journaling is per-campaign
 		// only.
 		c.Journal, c.Resume = "", ""
-		sum, err := runPrepared(c, base, snaps)
+		var sum *Summary
+		sum, last, err = runPrepared(c, base, last)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: sweep bits=%d: %w", bits, err)
 		}

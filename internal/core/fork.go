@@ -116,11 +116,12 @@ func PrefixRun(cfg RunConfig, site ForkSite) (*WorldSnapshot, error) {
 //
 // Every site the target reaches pauses: the world is kept as it stands, the
 // other ranks wherever the schedule left them, inside an MPI call or not.
-// PrefixRunFrom fails — and the caller falls back to an earlier snapshot or
-// to from-scratch execution — when the target never reaches the site: the
-// site never fires, or the world ends before it, its instruction budget or
-// wall-clock deadline spent or a rank terminated abnormally. `from` is never
-// modified, so it stays usable after a failure.
+// PrefixRunFrom fails only when the target never reaches the site: the site
+// never fires, or the world ends before it, its instruction budget or
+// wall-clock deadline spent or a rank terminated abnormally. A caller that
+// replays a golden run which reached the site under the same budget and no
+// deadline — a campaign's ladder — therefore sees a failure only on a
+// simulator bug. `from` is never modified.
 func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSnapshot, error) {
 	if cfg.Prog == nil {
 		return nil, fmt.Errorf("core: prefix run has no program")

@@ -225,8 +225,9 @@ func TestForkedRunsShareOneSnapshot(t *testing.T) {
 	}
 }
 
-// TestPrefixRunRejectsInvalidSites covers the fallback conditions: sites out
-// of range, sites that never fire, and mismatched fork specs.
+// TestPrefixRunRejectsInvalidSites covers the errors a prefix or forked run
+// returns instead of a world: sites out of range, sites that never fire, and
+// mismatched fork specs.
 func TestPrefixRunRejectsInvalidSites(t *testing.T) {
 	prog := crossProg(t)
 	spec := &Spec{

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"chaser/internal/apps"
 	"chaser/internal/campaign"
@@ -307,15 +310,15 @@ func TestWorkerSpineOutlivesTheShard(t *testing.T) {
 		}
 	}
 	runs, prefixes := count("campaign_runs_started_total"), count("campaign_prefix_runs_total")
-	rungs, skipped := reg.Gauge("campaign_spine_rungs").Value(), count("campaign_spine_positions_skipped_total")
-	t.Logf("%d runs, %d prefix runs (%d in the first campaign), spine %v rungs + %d skipped, %d forked, %d fallbacks",
-		runs, prefixes, afterFirst, rungs, skipped, count("campaign_forked_runs_total"), count("campaign_fork_fallbacks_total"))
+	rungs := reg.Gauge("campaign_spine_rungs").Value()
+	t.Logf("%d runs, %d prefix runs (%d in the first campaign), spine %v rungs, %d forked",
+		runs, prefixes, afterFirst, rungs, count("campaign_forked_runs_total"))
 	if runs != 400 {
 		t.Fatalf("%d runs started, want 400", runs)
 	}
 	// A spine position costs a prefix run once, and only once.
-	if held, _ := keptBase("matvec").SpineSize(); rungs == 0 || float64(held) != rungs || uint64(rungs)+skipped > prefixes {
-		t.Errorf("the spine gauge reads %v rungs (+%d skipped), the baseline holds %d, over %d prefix runs", rungs, skipped, held, prefixes)
+	if held, _ := keptBase("matvec").SpineSize(); rungs == 0 || float64(held) != rungs || uint64(rungs) > prefixes {
+		t.Errorf("the spine gauge reads %v rungs, the baseline holds %d, over %d prefix runs", rungs, held, prefixes)
 	}
 	// Ten sites a shard over the spine's stretches: a handful share one.
 	// Half the runs is far above that and far below one a run.
@@ -324,6 +327,70 @@ func TestWorkerSpineOutlivesTheShard(t *testing.T) {
 	}
 	if g := count("campaign_golden_runs_total"); g != 1 {
 		t.Errorf("campaign_golden_runs_total = %d, want 1", g)
+	}
+}
+
+// failControl is a Control that hands out nothing and records what a worker
+// reports.
+type failControl struct {
+	mu                sync.Mutex
+	failed, completed []string
+}
+
+func (c *failControl) Claim(string) (*Assignment, error) { return nil, nil }
+func (c *failControl) Heartbeat(string) error            { return nil }
+
+func (c *failControl) Complete(token string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.completed = append(c.completed, token)
+	return nil
+}
+
+func (c *failControl) Fail(_, reason string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.failed = append(c.failed, reason)
+	return nil
+}
+
+// TestPrefixFailureFailsTheShard is the worker's half of the campaign test of
+// the same name: a prefix run that fails on the process's kept Baseline —
+// whose instruction budget is lowered behind Prepare's back, which no Config
+// can do — fails the shard through the Worker's own path: the reason names
+// the prefix site, and the app's Baseline leaves the process, so the retry
+// starts from a fresh golden run.
+func TestPrefixFailureFailsTheShard(t *testing.T) {
+	resetBaselines()
+	reg := obs.NewRegistry()
+	ctl := &failControl{}
+	w := NewWorker(WorkerConfig{Name: "w", Control: ctl, Obs: reg, Logf: func(string, ...any) {}})
+	app, err := apps.ByName("matvec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := Spec{App: "matvec", Runs: 8, Seed: 5, Shards: 1, Trace: true, Parallel: 2}.normalize()
+	keptBaselines.get("matvec", func() (*campaign.Baseline, error) {
+		base, err := campaign.Prepare(campaignConfig(sp, app, 0))
+		if err == nil {
+			f := reflect.ValueOf(base).Elem().FieldByName("maxInstr")
+			reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().SetUint(1)
+		}
+		return base, err
+	})
+	if keptBase("matvec") == nil {
+		t.Fatal("no matvec baseline kept")
+	}
+	w.execute(&Assignment{Token: "t", Spec: sp, Lo: 0, Hi: sp.Runs, TTLMs: 60_000,
+		Journal: filepath.Join(t.TempDir(), "shard.journal")})
+	if len(ctl.failed) != 1 || len(ctl.completed) != 0 || !strings.Contains(ctl.failed[0], "campaign: prefix run to (rank 0, n ") {
+		t.Fatalf("shard reported failed %q, completed %q; want one failure naming a prefix site", ctl.failed, ctl.completed)
+	}
+	if n := reg.Counter("worker_shards_failed_total").Value(); n != 1 {
+		t.Errorf("worker_shards_failed_total = %d, want 1", n)
+	}
+	if keptBase("matvec") != nil {
+		t.Error("the failed shard left matvec's baseline in the process")
 	}
 }
 

@@ -63,10 +63,10 @@ type DurableConfig struct {
 type snapshotRec struct {
 	Gen     uint64
 	Stats   Stats
-	Entries []snapEntryRec
+	Entries []snapshotEntryRec
 }
 
-type snapEntryRec struct {
+type snapshotEntryRec struct {
 	K     Key
 	Seq   uint64
 	Masks []uint8
@@ -124,9 +124,9 @@ func decodeSnapshotPayload(b []byte) (*snapshotRec, error) {
 	if err != nil || n > maxSnapItems {
 		return nil, fmt.Errorf("entry count: %w", orCorrupt(err))
 	}
-	snap.Entries = make([]snapEntryRec, 0, n)
+	snap.Entries = make([]snapshotEntryRec, 0, n)
 	for i := uint64(0); i < n; i++ {
-		var e snapEntryRec
+		var e snapshotEntryRec
 		key := []*int{&e.K.Src, &e.K.Dst, &e.K.Tag, &e.K.NS}
 		for _, f := range key {
 			var v int64

@@ -188,10 +188,10 @@ func (s *store) snapshotStats() Stats {
 // gen.
 func (s *store) export(gen uint64) *snapshotRec {
 	snap := &snapshotRec{Gen: gen, Stats: s.stats}
-	snap.Entries = make([]snapEntryRec, 0, s.pending)
+	snap.Entries = make([]snapshotEntryRec, 0, s.pending)
 	for _, n := range s.ns {
 		for ek, e := range n.entries {
-			snap.Entries = append(snap.Entries, snapEntryRec{
+			snap.Entries = append(snap.Entries, snapshotEntryRec{
 				K: ek.k, Seq: ek.seq, Masks: e.masks, Stamp: e.stamp,
 			})
 		}
