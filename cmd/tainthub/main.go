@@ -7,11 +7,14 @@
 //	tainthub [-addr host:port] [-metrics-addr host:port] [-wal path] [-wire auto|json|binary]
 //
 // With -wal, every mutation (a publish, a retire) is written ahead to a
-// crash-safe log and the process periodically snapshots its state; a
+// crash-safe log, and every -snapshot-interval the process compacts that log
+// in place: its head is rewritten to hold exactly the stored entries and the
+// counters, and the records appended since go. The log is the only file; a
 // restarted tainthub recovers exactly the entries a kill -9 interrupted, and
 // because a poll only reads, in-flight campaigns ride out the outage through
-// their clients' retries. SIGTERM/SIGINT take a final snapshot before
-// exiting.
+// their clients' retries. SIGTERM/SIGINT compact the log a final time before
+// exiting. A log whose compacted head is damaged, or that an older build
+// wrote, is refused and left as it was.
 //
 // Entries stay stored until their namespace is retired (campaign shards and
 // cmd/chaser retire theirs when they finish) or -ttl evicts them, so
@@ -77,7 +80,7 @@ func run(args []string) error {
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus metrics on http://<addr>/metrics (empty = disabled)")
 	idleTimeout := fs.Duration("idle-timeout", 0, "drop connections idle longer than this (0 = never)")
 	wal := fs.String("wal", "", "write-ahead log path; enables crash-safe durability (empty = in-memory only)")
-	snapInterval := fs.Duration("snapshot-interval", 30*time.Second, "periodic snapshot+WAL-truncation interval (needs -wal; 0 = only at shutdown)")
+	snapInterval := fs.Duration("snapshot-interval", 30*time.Second, "interval between compactions of the log (needs -wal; 0 = only at shutdown)")
 	maxPending := fs.Int("max-pending", 0, "max entries a namespace stores until it is retired; publishes over it get a retryable busy response (0 = unlimited)")
 	maxPendingBytes := fs.Int64("max-pending-bytes", 0, "max mask bytes a namespace stores until it is retired (0 = unlimited)")
 	maxPayload := fs.Int("max-payload", 0, "max mask bytes in one publish; larger ones are rejected (0 = unlimited)")
@@ -148,7 +151,7 @@ func run(args []string) error {
 		fmt.Printf("tainthub metrics on http://%s/metrics\n", mlis.Addr())
 	}
 
-	// Periodic snapshots bound recovery time and WAL growth.
+	// Periodic compactions bound recovery time and the log's growth.
 	stopSnap := make(chan struct{})
 	if durable != nil && *snapInterval > 0 {
 		go func() {
@@ -173,7 +176,7 @@ func run(args []string) error {
 	close(stopSnap)
 	fmt.Println("tainthub: shutting down")
 	// Drain connections first so in-flight mutations land in the final
-	// snapshot, then close the hub (deferred Close snapshots and fsyncs).
+	// compaction, then close the hub (Close compacts and fsyncs).
 	if err := srv.Close(); err != nil {
 		return err
 	}

@@ -62,10 +62,12 @@ func TestEndToEndAgainstPackageServer(t *testing.T) {
 }
 
 // TestDurableShutdownSnapshot runs the command with -wal, feeds it state
-// over TCP, SIGTERMs it, and verifies a fresh instance recovers that state
-// from the final snapshot — the operator-facing durability contract.
+// over TCP, SIGTERMs it, and verifies that the log is the only file it left
+// and that a fresh instance recovers that state from it — the
+// operator-facing durability contract.
 func TestDurableShutdownSnapshot(t *testing.T) {
-	walPath := filepath.Join(t.TempDir(), "hub.wal")
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, "hub.wal")
 
 	// Reserve an address so the test can reach the ephemeral server.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -108,8 +110,16 @@ func TestDurableShutdownSnapshot(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("server did not shut down on SIGTERM")
 	}
-	if _, err := os.Stat(walPath + ".snap"); err != nil {
-		t.Fatalf("no final snapshot: %v", err)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "hub.wal" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("after shutdown the directory holds %v, want only the log", names)
 	}
 
 	// A fresh process recovers the published entry.
@@ -128,10 +138,10 @@ func TestDurableShutdownSnapshot(t *testing.T) {
 func TestCorruptWALRefused(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "hub.wal")
-	if err := os.WriteFile(walPath+".snap", []byte("definitely not a snapshot"), 0o644); err != nil {
+	if err := os.WriteFile(walPath, []byte("definitely not a log"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-addr", "127.0.0.1:0", "-wal", walPath}); err == nil {
-		t.Error("corrupt snapshot accepted")
+		t.Error("corrupt log accepted")
 	}
 }

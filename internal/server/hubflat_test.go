@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -17,7 +16,7 @@ import (
 // that runs for days": campaign after campaign through one durable hub over
 // TCP, sharded over chaserd's in-process workers, leaves the hub holding
 // nothing — every shard retires its namespaces when it completes — so what
-// the hub stores, what a snapshot of it weighs and what the process keeps on
+// the hub stores, what its compacted log weighs and what the process keeps on
 // its heap are the same after the fortieth campaign as after the tenth. (With
 // per-client reply caches each of a campaign's runs left a cache behind in
 // the hub and in every snapshot until 4,096 of them had accumulated.)
@@ -77,20 +76,18 @@ func TestHubFlatAcrossCampaigns(t *testing.T) {
 		defer w.Stop()
 	}
 
-	// weigh returns the size of a snapshot taken now and the live heap.
+	// weigh returns the size of the hub's log compacted now and the live
+	// heap.
 	weigh := func() (snap int64, heap uint64) {
 		t.Helper()
 		if err := hub.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
-		fi, err := os.Stat(walPath + ".snap")
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap = hub.WALSize()
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return fi.Size(), ms.HeapAlloc
+		return snap, ms.HeapAlloc
 	}
 
 	cl := NewClient(srv.Addr())
@@ -155,7 +152,7 @@ func TestHubFlatAcrossCampaigns(t *testing.T) {
 	}
 	t.Logf("snapshot %d B after 10 campaigns, %d B after 40; heap %d KiB, %d KiB; hub stats %+v",
 		snap10, snap40, heap10>>10, heap40>>10, st)
-	// The counters in a snapshot are varints, so thirty more campaigns of
+	// The counters in the checkpoint are varints, so thirty more campaigns of
 	// traffic may lengthen them by a byte or two each; the entries and
 	// everything per client are gone.
 	if snap40 > snap10+8 {

@@ -1,6 +1,7 @@
 package tainthub
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -90,6 +91,11 @@ func TestDurableSnapshotTruncatesWAL(t *testing.T) {
 		if err := h.Publish(ReqID{Client: 1, Seq: uint64(i + 1)}, Key{Src: 0, Dst: 1, Tag: i}, 0, []uint8{uint8(i)}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A retire of namespaces that hold nothing: a record the compaction
+	// drops. (A log whose every record is live compacts to its own size.)
+	if err := h.Retire(1, 2); err != nil {
+		t.Fatal(err)
 	}
 	before := h.WALSize()
 	if err := h.Snapshot(); err != nil {
@@ -241,8 +247,9 @@ func TestDurableBitFlip(t *testing.T) {
 	}
 }
 
-// TestDurableCorruptSnapshotTyped: structural snapshot damage must surface
-// as *CorruptError, not as a silent empty hub or an untyped failure.
+// TestDurableCorruptSnapshotTyped: damage to the log's compacted head must
+// surface as *CorruptError, not as a silent empty hub or an untyped failure,
+// and leave the file as it was.
 func TestDurableCorruptSnapshotTyped(t *testing.T) {
 	path := durablePath(t)
 	h, err := OpenDurable(path, DurableConfig{})
@@ -252,49 +259,54 @@ func TestDurableCorruptSnapshotTyped(t *testing.T) {
 	if err := h.Publish(ReqID{Client: 1, Seq: 1}, Key{Src: 0, Dst: 1}, 0, []uint8{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Close(); err != nil { // writes a final snapshot
+	if err := h.Close(); err != nil { // compacts: header, the publish, checkpoint
 		t.Fatal(err)
 	}
-	snap, err := os.ReadFile(path + ".snap")
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap[len(snap)/2] ^= 0xff
-	if err := os.WriteFile(path+".snap", snap, 0o644); err != nil {
+	raw[len(raw)/2] ^= 0xff // inside the publish record
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err = OpenDurable(path, DurableConfig{})
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
-		t.Fatalf("corrupt snapshot error = %v, want *CorruptError", err)
+		t.Fatalf("corrupt head error = %v, want *CorruptError", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, raw) {
+		t.Errorf("refused log was modified: %x (%v)", after, err)
 	}
 }
 
-// TestDurableStaleWALIgnored: a crash between snapshot rename and WAL
-// truncation leaves a log whose generation predates the snapshot; replay
-// must skip it or it would double-apply every record.
-func TestDurableStaleWALIgnored(t *testing.T) {
+// TestDurableAckAfterFailedSnapshotSurvives: a compaction that cannot write
+// its new log fails, and the old log stays the one the hub appends to and
+// recovers from, so a publish acknowledged after the failure survives.
+func TestDurableAckAfterFailedSnapshotSurvives(t *testing.T) {
 	path := durablePath(t)
 	h, err := OpenDurable(path, DurableConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Publish(ReqID{Client: 1, Seq: 1}, Key{Src: 0, Dst: 1}, 0, []uint8{7}); err != nil {
+	k := Key{Src: 0, Dst: 1, Tag: 2}
+	if err := h.Publish(ReqID{Client: 1, Seq: 1}, k, 0, []uint8{0xa0}); err != nil {
 		t.Fatal(err)
 	}
-	// Save the generation-1 WAL, snapshot (which starts generation 2), then
-	// put the old WAL back — exactly the state a crash mid-snapshot leaves.
-	preSnap, err := os.ReadFile(path)
-	if err != nil {
+	// A directory where the compaction's temp file goes.
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Snapshot(); err != nil {
-		t.Fatal(err)
+	if err := h.Snapshot(); err == nil {
+		t.Fatal("snapshot succeeded with its temp file blocked")
+	}
+	if err := h.Publish(ReqID{Client: 1, Seq: 2}, k, 1, []uint8{0xa1}); err != nil {
+		t.Fatalf("publish after a failed snapshot: %v", err)
 	}
 	if err := h.Abandon(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, preSnap, 0o644); err != nil {
+	if err := os.RemoveAll(path + ".tmp"); err != nil {
 		t.Fatal(err)
 	}
 	h2, err := OpenDurable(path, DurableConfig{})
@@ -302,39 +314,10 @@ func TestDurableStaleWALIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h2.Close()
-	if h2.RecoveredRecords() != 0 {
-		t.Errorf("stale WAL replayed %d records over its own snapshot", h2.RecoveredRecords())
-	}
-	if st := h2.Stats(); st.Pending != 1 || st.Published != 1 {
-		t.Errorf("stats after stale-WAL recovery = %+v (double-applied?)", st)
-	}
-}
-
-// TestDurableMissingSnapshotRefused: a WAL generations ahead of the
-// snapshot means the pairing snapshot was lost; recovery must refuse
-// rather than replay a suffix of history onto the wrong base.
-func TestDurableMissingSnapshotRefused(t *testing.T) {
-	path := durablePath(t)
-	h, err := OpenDurable(path, DurableConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Publish(ReqID{Client: 1, Seq: 1}, Key{Src: 0, Dst: 1}, 0, []uint8{7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Snapshot(); err != nil { // WAL is now generation 2
-		t.Fatal(err)
-	}
-	if err := h.Abandon(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(path + ".snap"); err != nil {
-		t.Fatal(err)
-	}
-	_, err = OpenDurable(path, DurableConfig{})
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("missing snapshot error = %v, want *CorruptError", err)
+	for seq := uint64(0); seq < 2; seq++ {
+		if masks, ok, _ := h2.Poll(ReqID{Client: 2, Seq: seq + 1}, k, seq); !ok || masks[0] != 0xa0+uint8(seq) {
+			t.Errorf("acknowledged publish (seq %d) lost after recovery; recovered records %d", seq, h2.RecoveredRecords())
+		}
 	}
 }
 

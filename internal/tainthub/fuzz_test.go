@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"chaser/internal/tainthub/codec"
+	"chaser/internal/wal"
 )
 
 // FuzzDecodeRequest drives arbitrary bytes through the wire-protocol
@@ -56,15 +57,14 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzWALReplay opens a durable hub over arbitrary WAL and snapshot bytes.
-// Crash recovery reads whatever a dead process left on disk, so the
-// invariant is: torn tails, bit flips, and truncated snapshots may surface
-// as *CorruptError or recover a prefix of the state — never panic, and
-// never leave the reopened hub unusable when recovery claims success.
+// FuzzWALReplay opens a durable hub over arbitrary log bytes. Crash
+// recovery reads whatever a dead process left on disk, so the invariant is:
+// torn tails and bit flips either recover a prefix of the state or surface
+// as *CorruptError with the file left as it was — never panic, and never
+// leave the reopened hub unusable when recovery claims success.
 func FuzzWALReplay(f *testing.F) {
-	// Seed with a well-formed pair produced by a real hub.
-	seedDir := f.TempDir()
-	seedPath := filepath.Join(seedDir, "seed.wal")
+	// Seed with a log produced by a real hub: a compacted head, then a tail.
+	seedPath := filepath.Join(f.TempDir(), "seed.wal")
 	h, err := OpenDurable(seedPath, DurableConfig{})
 	if err != nil {
 		f.Fatal(err)
@@ -76,6 +76,7 @@ func FuzzWALReplay(f *testing.F) {
 	if err := h.Snapshot(); err != nil {
 		f.Fatal(err)
 	}
+	head := int(h.WALSize())
 	if err := h.Publish(ReqID{Client: 1, Seq: 2}, Key{Src: 1, Dst: 0, Tag: 3}, 4, []uint8{1}); err != nil {
 		f.Fatal(err)
 	}
@@ -91,38 +92,36 @@ func FuzzWALReplay(f *testing.F) {
 	if err := h.Abandon(); err != nil {
 		f.Fatal(err)
 	}
-	wal, err := os.ReadFile(seedPath)
+	log, err := os.ReadFile(seedPath)
 	if err != nil {
 		f.Fatal(err)
 	}
-	snap, err := os.ReadFile(seedPath + ".snap")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(wal, snap)
-	f.Add(wal[:len(wal)/2], snap)                  // torn WAL tail
-	f.Add(wal, snap[:len(snap)/2])                 // truncated snapshot
-	f.Add([]byte{}, snap)                          // missing WAL
-	f.Add(wal, []byte{})                           // empty snapshot
-	f.Add([]byte("garbage"), []byte("more trash")) // both corrupt
-	f.Add(wal[:len(wal)-3], snap)                  // torn inside the retire record
+	flipped := append([]byte(nil), log...)
+	flipped[head/2] ^= 0x10
+	// Version 3's header carried a generation after the version byte.
+	v3 := wal.AppendFrame(nil, le.AppendUint64(append(le.AppendUint32([]byte{walRecHeader}, walMagic), 3), 2))
+	v3 = append(v3, log[wal.HeaderSize+len(encodeWALHeader()):]...)
+	f.Add(log)                          // compacted head plus a tail
+	f.Add(log[:head+(len(log)-head)/2]) // torn tail
+	f.Add(log[:len(log)-3])             // torn inside the retire record
+	f.Add(flipped)                      // a byte flipped in the head
+	f.Add(v3)                           // another version
+	f.Add([]byte("garbage"))
+	f.Add([]byte{})
 
-	f.Fuzz(func(t *testing.T, walBytes, snapBytes []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "hub.wal")
-		if err := os.WriteFile(path, walBytes, 0o644); err != nil {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "hub.wal")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
-		}
-		if len(snapBytes) > 0 {
-			if err := os.WriteFile(path+".snap", snapBytes, 0o644); err != nil {
-				t.Fatal(err)
-			}
 		}
 		d, err := OpenDurable(path, DurableConfig{})
 		if err != nil {
 			var ce *CorruptError
 			if !errors.As(err, &ce) {
 				t.Fatalf("recovery failed with untyped error: %v", err)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, raw) {
+				t.Fatalf("refused log was modified: %x (%v)", after, err)
 			}
 			return
 		}

@@ -183,28 +183,3 @@ func (s *store) snapshotStats() Stats {
 	st.Pending = s.pending
 	return st
 }
-
-// export serializes the full state for a snapshot covering WAL generation
-// gen.
-func (s *store) export(gen uint64) *snapshotRec {
-	snap := &snapshotRec{Gen: gen, Stats: s.stats}
-	snap.Entries = make([]snapshotEntryRec, 0, s.pending)
-	for _, n := range s.ns {
-		for ek, e := range n.entries {
-			snap.Entries = append(snap.Entries, snapshotEntryRec{
-				K: ek.k, Seq: ek.seq, Masks: e.masks, Stamp: e.stamp,
-			})
-		}
-	}
-	return snap
-}
-
-// restore replaces the state with a decoded snapshot. The snapshot's own
-// counters already include its entries.
-func (s *store) restore(snap *snapshotRec) {
-	s.reset()
-	s.stats = snap.Stats
-	for _, er := range snap.Entries {
-		s.put(er.K, er.Seq, er.Masks, er.Stamp)
-	}
-}

@@ -9,25 +9,32 @@ import (
 	"chaser/internal/wal"
 )
 
-// Write-ahead log: every mutation of a Durable hub (publish, retire) is
-// appended to an internal/wal Log before it is applied, so a hard
-// crash (kill -9) loses nothing that was acknowledged. Each append is a
-// single unbuffered write, so acknowledged records survive process death
-// without fsync (fsync happens at snapshots and close, bounding loss on
-// power failure, not on kill -9). The first record is always a header
-// carrying the WAL generation, which pairs the file with the snapshot it
-// extends (see durable.go for the recovery protocol), and the version of
-// the record payloads: fields packed with the codec package's varints and
-// run-length-encoded masks — the same primitives the wire protocol uses, so
-// one codec owns every persisted byte.
+// Write-ahead log: a Durable hub is one internal/wal Log, laid out as
+//
+//	header      magic and record-layout version
+//	publish ×N  one per entry the hub held when the log was last compacted
+//	checkpoint  the counters at that moment
+//	publish / retire ...  every mutation since, appended before it is applied
+//
+// Everything up to the checkpoint is the compacted head, written whole by
+// wal.Create (temp file, fsync, rename); everything after it is appended, so
+// a hard crash (kill -9) loses nothing that was acknowledged. Each append is
+// a single unbuffered write, so acknowledged records survive process death
+// without fsync (fsync happens at compaction and close, bounding loss on
+// power failure, not on kill -9). Payloads are fields packed with the codec
+// package's varints and run-length-encoded masks — the same primitives the
+// wire protocol uses, so one codec owns every persisted byte.
 
 const (
-	walMagic   = 0x4c415743 // "CWAL" little-endian
-	walVersion = 3          // v2 logged consumed polls and a ReqID per record
+	walMagic = 0x4c415743 // "CWAL" little-endian
+	// walVersion 4: one file. v3 paired a generation-numbered log with a
+	// separate snapshot file; v2 logged consumed polls and a ReqID per record.
+	walVersion = 4
 
-	walRecHeader  = 1
-	walRecPublish = 2
-	walRecRetire  = 3
+	walRecHeader     = 1
+	walRecPublish    = 2
+	walRecRetire     = 3
+	walRecCheckpoint = 4
 
 	// maxWALPayload rejects absurd length fields before allocating: real
 	// payloads are bounded by the MPI hook's 64 MiB message cap plus a few
@@ -35,10 +42,11 @@ const (
 	maxWALPayload = 80 << 20
 )
 
-// CorruptError reports an unrecoverable WAL or snapshot file: not a torn
-// tail (those are silently truncated) but structural damage — a bad magic,
-// a checksum failure in a snapshot, or a WAL generation with no matching
-// snapshot. Recovery refuses to guess at state.
+// CorruptError reports an unrecoverable log: not a torn tail (those are
+// silently truncated) but damage to its compacted head — a bad magic, a
+// version this build does not write, or a replay that ends before the
+// checkpoint. Recovery refuses to guess at state and leaves the file as it
+// was.
 type CorruptError struct {
 	File   string
 	Reason string
@@ -53,29 +61,62 @@ var le = binary.LittleEndian
 // walOptions is how the hub opens its log.
 var walOptions = wal.Options{MaxPayload: maxWALPayload}
 
-func encodeWALHeader(gen uint64) []byte {
-	b := make([]byte, 1+4+1+8)
-	b[0] = walRecHeader
-	le.PutUint32(b[1:5], walMagic)
-	b[5] = walVersion
-	le.PutUint64(b[6:14], gen)
-	return b
+func encodeWALHeader() []byte {
+	return append(le.AppendUint32([]byte{walRecHeader}, walMagic), walVersion)
 }
 
-// decodeWALHeader validates the header record and returns the generation.
-// Any version but the current one is refused — silently misreading another
-// layout would resurrect or drop taint.
-func decodeWALHeader(p []byte) (gen uint64, err error) {
-	if len(p) != 14 || p[0] != walRecHeader {
-		return 0, errors.New("bad header record")
-	}
-	if le.Uint32(p[1:5]) != walMagic {
-		return 0, errors.New("bad magic")
+// checkWALHeader validates the header record. Any version but the current
+// one is refused — silently misreading another layout would resurrect or
+// drop taint.
+func checkWALHeader(p []byte) error {
+	if len(p) < 6 || p[0] != walRecHeader || le.Uint32(p[1:5]) != walMagic {
+		return errors.New("bad header record")
 	}
 	if p[5] != walVersion {
-		return 0, fmt.Errorf("unsupported WAL version %d (have %d)", p[5], walVersion)
+		return fmt.Errorf("unsupported WAL version %d (have %d)", p[5], walVersion)
 	}
-	return le.Uint64(p[6:14]), nil
+	if len(p) != 6 {
+		return errors.New("bad header record")
+	}
+	return nil
+}
+
+// checkpointStats are the counters a checkpoint record carries, in order.
+func checkpointStats(st *Stats) []*uint64 {
+	return []*uint64{&st.Published, &st.Polls, &st.Hits, &st.Evicted, &st.Replayed}
+}
+
+// encodeWALHead is the compacted head of a log holding s: the header, one
+// publish record per entry, and the checkpoint.
+func encodeWALHead(s *store) [][]byte {
+	recs := make([][]byte, 0, 2+s.pending)
+	recs = append(recs, encodeWALHeader())
+	for _, n := range s.ns {
+		for ek, e := range n.entries {
+			recs = append(recs, encodeWALPublish(ek.k, ek.seq, e.stamp, e.masks))
+		}
+	}
+	ckpt := []byte{walRecCheckpoint}
+	for _, v := range checkpointStats(&s.stats) {
+		ckpt = codec.AppendUvarint(ckpt, *v)
+	}
+	return append(recs, ckpt)
+}
+
+// decodeWALCheckpoint decodes the counters of the checkpoint record p into
+// st.
+func decodeWALCheckpoint(p []byte, st *Stats) error {
+	b := p[1:]
+	var err error
+	for _, f := range checkpointStats(st) {
+		if *f, b, err = codec.ConsumeUvarint(b); err != nil {
+			return err
+		}
+	}
+	if len(b) != 0 {
+		return errors.New("trailing bytes in checkpoint record")
+	}
+	return nil
 }
 
 // walMutation is one replayable record: a publish of (k, seq, stamp, masks)

@@ -10,6 +10,8 @@
 # 3. Restart tainthub cold from the WAL on the same address; the campaign's
 #    retries must ride out the outage and the final summary must match
 #    step 1 exactly, with the restart reporting recovered records.
+# 4. Stop the restarted hub with SIGTERM: its directory must hold the log and
+#    nothing else.
 #
 # Usage: scripts/hub_crash_smoke.sh
 set -eu
@@ -17,8 +19,8 @@ set -eu
 cd "$(dirname "$0")/.."
 work="$(mktemp -d)"
 hubpid=""
-# Wait for the hub after killing it: SIGTERM makes it write a final
-# snapshot, which would race the rm -rf.
+# Wait for the hub after killing it: SIGTERM makes it compact its log a
+# final time, which would race the rm -rf.
 trap 'kill "$hubpid" 2>/dev/null || true; wait "$hubpid" 2>/dev/null || true; rm -rf "$work"' EXIT
 
 go build -o "$work/campaign" ./cmd/campaign
@@ -33,9 +35,10 @@ echo "hub_crash_smoke: uninterrupted baseline (private hub)"
 "$work/campaign" $common >"$work/full.txt"
 
 echo "hub_crash_smoke: starting durable tainthub"
-# Shutdown-only snapshots (-snapshot-interval 0): kill -9 preempts the
-# final snapshot, so the restart must rebuild state from the WAL alone.
-"$work/tainthub" -addr 127.0.0.1:0 -wal "$work/hub.wal" \
+# Compaction only at shutdown (-snapshot-interval 0): kill -9 preempts it,
+# so the restart must rebuild state from the appended records.
+mkdir "$work/hub"
+"$work/tainthub" -addr 127.0.0.1:0 -wal "$work/hub/hub.wal" \
     -snapshot-interval 0 >"$work/hub1.txt" 2>&1 &
 hubpid=$!
 i=0
@@ -71,7 +74,7 @@ kill -9 "$hubpid"
 wait "$hubpid" 2>/dev/null || true
 
 echo "hub_crash_smoke: restarting cold from the WAL"
-"$work/tainthub" -addr "$addr" -wal "$work/hub.wal" \
+"$work/tainthub" -addr "$addr" -wal "$work/hub/hub.wal" \
     -snapshot-interval 2s >"$work/hub2.txt" 2>&1 &
 hubpid=$!
 
@@ -98,4 +101,19 @@ if ! cmp -s "$work/full.txt" "$work/crashed.txt"; then
     diff "$work/full.txt" "$work/crashed.txt" >&2 || true
     exit 1
 fi
-echo "hub_crash_smoke: OK — summary identical across hub kill -9 + WAL recovery"
+echo "hub_crash_smoke: summary identical across hub kill -9 + WAL recovery"
+
+echo "hub_crash_smoke: stopping the hub with SIGTERM"
+kill -TERM "$hubpid"
+if ! wait "$hubpid"; then
+    echo "hub_crash_smoke: FAIL — hub exited non-zero on SIGTERM" >&2
+    cat "$work/hub2.txt" >&2
+    exit 1
+fi
+hubpid=""
+left="$(ls -A "$work/hub")"
+if [ "$left" != "hub.wal" ]; then
+    echo "hub_crash_smoke: FAIL — after shutdown the hub's directory holds:" $left >&2
+    exit 1
+fi
+echo "hub_crash_smoke: OK — the log is the hub's only file"
