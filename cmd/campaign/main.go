@@ -39,7 +39,6 @@ import (
 	"chaser/internal/lang"
 	"chaser/internal/obs"
 	"chaser/internal/server"
-	"chaser/internal/stats"
 	"chaser/internal/tainthub"
 	"chaser/internal/tainthub/codec"
 )
@@ -680,6 +679,5 @@ func fig10(out io.Writer, o options) error {
 			norm(float64(res.InjectAndTrace), base), res.TraceOverheadPct())
 	}
 	fmt.Fprintln(out, "(paper: CLAMR tracing overhead ~15.7%, injection ~0-2.2%)")
-	_ = stats.Pct // keep the dependency explicit for report helpers
 	return nil
 }

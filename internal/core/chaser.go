@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"chaser/internal/decaf"
 	"chaser/internal/isa"
@@ -111,9 +113,11 @@ type Chaser struct {
 	hubErr  error // first hub failure observed by the MPI hooks
 	// hubStats is the world's own count of its hub traffic: publishes the hub
 	// acknowledged, polls that reached it, polls that found a status.
-	// pollsLocal counts the receives answered without the hub.
-	hubStats   tainthub.Stats
-	pollsLocal uint64
+	hubStats tainthub.Stats
+
+	// pollsLocal counts the receives answered without the hub: every clean
+	// receive, so it is counted without mu.
+	pollsLocal atomic.Uint64
 
 	collector *trace.Collector
 	events    *obs.Sink
@@ -126,10 +130,10 @@ type Chaser struct {
 	// obsTaintLost counts the acknowledged publishes whose poll found nothing.
 	obsTaintLost *obs.Counter
 
-	// armed maps machines to their per-rank injection state. It is written
-	// only during process creation (before guests run) and read without
-	// locking afterwards.
-	armed map[*vm.Machine]*armState
+	// armed is each rank's injection state, indexed by rank (nil for a rank
+	// no process was created for). It is written only during process
+	// creation (before guests run) and read without locking afterwards.
+	armed []*armState
 }
 
 type armState struct {
@@ -141,8 +145,28 @@ type armState struct {
 	injected  int
 	detached  bool
 
-	sendSeq map[tainthub.Key]uint64
-	recvSeq map[tainthub.Key]uint64
+	sendSeq flowSeqs
+	recvSeq flowSeqs
+}
+
+// flowSeqs numbers the messages of one rank's flows on one side: for every
+// flow the rank has sent (or received) on, in the order of first use, the
+// message it numbers next. A rank has a few flows, so a scan beats a map, and
+// a fork copies the slice.
+type flowSeqs []flowSeq
+
+// take returns the sequence number of the next message of flow k, and
+// counts it.
+func (f *flowSeqs) take(k tainthub.Key) uint64 {
+	s := *f
+	for i := range s {
+		if s[i].key == k {
+			s[i].seq++
+			return s[i].seq - 1
+		}
+	}
+	*f = append(s, flowSeq{key: k, seq: 1})
+	return 0
 }
 
 var _ decaf.Plugin = (*Chaser)(nil)
@@ -181,7 +205,6 @@ func New(opts Options) *Chaser {
 		obsBits:      opts.Obs.Counter("core_bits_flipped_total"),
 		obsHubFails:  opts.Obs.Counter("core_hub_degraded_total"),
 		obsTaintLost: opts.Obs.Counter("core_hub_taint_lost_total"),
-		armed:        make(map[*vm.Machine]*armState),
 	}
 	c.view = newWorldHub(c, hub, opts.Obs)
 	return c
@@ -221,8 +244,9 @@ func (c *Chaser) statusCmd(_ []string) (string, error) {
 	spec := c.spec
 	nRec := len(c.records)
 	recs := append([]InjectionRecord(nil), c.records...)
-	hs, local := c.hubStats, c.pollsLocal
+	hs := c.hubStats
 	c.mu.Unlock()
+	local := c.pollsLocal.Load()
 
 	var sb strings.Builder
 	if spec == nil {
@@ -300,13 +324,6 @@ func (c *Chaser) countHub(published, polls uint64, hit bool) {
 	c.hubStats.Pending = int(c.hubStats.Published - c.hubStats.Hits)
 }
 
-// countLocalPoll counts a receive answered without the hub.
-func (c *Chaser) countLocalPoll() {
-	c.mu.Lock()
-	c.pollsLocal++
-	c.mu.Unlock()
-}
-
 // HubErr returns the first TaintHub failure observed by the MPI hooks, or
 // nil. Under the default HubDegrade policy the failure only degrades
 // tracing; under HubFailRun the session turns it into a run error.
@@ -363,13 +380,13 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 	m := info.Machine
 	if c.collector.AccessLogKept() {
 		// The rank's own tainted-access callbacks (DECAF_READ_TAINTMEM_CB and
-		// DECAF_WRITE_TAINTMEM_CB), writing through an appender bound to the
-		// rank. The machine's record has trace.Event's layout: the log packs
-		// it as is. A run that keeps no log installs none, and its machines
-		// count their tainted accesses without describing them.
-		log := c.collector.Appender(info.Rank)
-		logAccess := func(ev *vm.MemTaintEvent) { log.Add((*trace.Event)(ev)) }
-		m.Hooks.TaintedMemRead, m.Hooks.TaintedMemWrite = logAccess, logAccess
+		// DECAF_WRITE_TAINTMEM_CB): an appender bound to the rank, which packs
+		// the machine's record, a trace.Event, as is, and publishes what it
+		// holds whenever the machine stops running. A run that keeps no log
+		// installs none, and its machines count their tainted accesses
+		// without describing them.
+		add, publish := c.collector.Appender(info.Rank)
+		m.Hooks.TaintedMemRead, m.Hooks.TaintedMemWrite, m.Hooks.Stopped = add, add, publish
 	}
 	if spec == nil {
 		return
@@ -393,26 +410,24 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 			})
 		}
 	}
-	st := &armState{
-		ch:      c,
-		m:       m,
-		spec:    spec,
-		sendSeq: make(map[tainthub.Key]uint64),
-		recvSeq: make(map[tainthub.Key]uint64),
-	}
+	st := &armState{ch: c, m: m, spec: spec}
 	if rs := spec.resume; rs != nil && info.Rank < len(rs.execCount) {
 		// A forked run resumes mid-execution: restore the injector's dynamic
 		// counters so the trigger fires at the same global execution count a
 		// from-scratch run would see. The RNG needs no restoration — a
 		// deterministic condition draws nothing before the trigger, so the
 		// fresh stream seeded below is positioned exactly as in a full run.
-		// Maps are cloned: concurrent forks share one snapshot.
+		// The sequence numbers are copied: concurrent forks share one
+		// snapshot.
 		st.execCount = rs.execCount[info.Rank]
-		st.sendSeq = cloneSeqMap(rs.sendSeq[info.Rank])
-		st.recvSeq = cloneSeqMap(rs.recvSeq[info.Rank])
+		st.sendSeq = slices.Clone(rs.sendSeq[info.Rank])
+		st.recvSeq = slices.Clone(rs.recvSeq[info.Rank])
 	}
 	c.mu.Lock()
-	c.armed[m] = st
+	if info.Rank >= len(c.armed) {
+		c.armed = append(c.armed, make([]*armState, info.Rank+1-len(c.armed))...)
+	}
+	c.armed[info.Rank] = st
 	c.mu.Unlock()
 
 	if m.Name != spec.Target {

@@ -7,7 +7,6 @@ import (
 	"chaser/internal/decaf"
 	"chaser/internal/isa"
 	"chaser/internal/mpi"
-	"chaser/internal/tainthub"
 	"chaser/internal/trace"
 	"chaser/internal/vm"
 )
@@ -37,20 +36,12 @@ type ForkSite struct {
 
 // resumeState carries the per-rank injector bookkeeping captured at a fork
 // point into forked runs: the target's dynamic execution count and every
-// rank's per-flow MPI sequence numbers. Maps are cloned per fork at process
-// creation (concurrent forks must not share them).
+// rank's per-flow MPI sequence numbers. The sequence numbers are copied per
+// fork at process creation (concurrent forks must not share them).
 type resumeState struct {
 	execCount []uint64
-	sendSeq   []map[tainthub.Key]uint64
-	recvSeq   []map[tainthub.Key]uint64
-}
-
-func cloneSeqMap(src map[tainthub.Key]uint64) map[tainthub.Key]uint64 {
-	out := make(map[tainthub.Key]uint64, len(src))
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
+	sendSeq   []flowSeqs
+	recvSeq   []flowSeqs
 }
 
 // WorldSnapshot is a complete MPI world paused at a fork site: one machine
@@ -195,7 +186,7 @@ func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSna
 		return nil, fmt.Errorf("core: fork site (rank %d, n %d) did not pause: target %s",
 			site.Rank, site.N, terms[site.Rank])
 	}
-	st := ch.armed[world.Machine(site.Rank)]
+	st := ch.state(world.Machine(site.Rank))
 	if st == nil || st.execCount != site.N {
 		return nil, fmt.Errorf("core: fork site trigger mismatch (helper count %v, want %d)",
 			stateCount(st), site.N)
@@ -208,8 +199,8 @@ func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSna
 		machines:  make([]*vm.Snapshot, size),
 		resume: &resumeState{
 			execCount: make([]uint64, size),
-			sendSeq:   make([]map[tainthub.Key]uint64, size),
-			recvSeq:   make([]map[tainthub.Key]uint64, size),
+			sendSeq:   make([]flowSeqs, size),
+			recvSeq:   make([]flowSeqs, size),
 		},
 	}
 	for r := 0; r < size; r++ {
@@ -222,9 +213,9 @@ func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSna
 		ws.bytes += snap.Bytes()
 		ws.fresh += snap.FreshBytes()
 
-		// The world runs no further, so its sequence maps are the
-		// snapshot's to keep; forks clone them.
-		rst := ch.armed[m]
+		// The world runs no further, so its sequence numbers are the
+		// snapshot's to keep; forks copy them.
+		rst := ch.state(m)
 		ws.resume.execCount[r] = rst.execCount
 		ws.resume.sendSeq[r] = rst.sendSeq
 		ws.resume.recvSeq[r] = rst.recvSeq
@@ -251,27 +242,12 @@ func (ws *WorldSnapshot) ownBytes() int64 {
 	n := int64(unsafe.Sizeof(*ws)) + int64(cap(ws.machines))*int64(unsafe.Sizeof(ws.machines[0])) +
 		ws.world.Bytes() + int64(cap(ws.samples))*int64(unsafe.Sizeof(trace.TimelinePoint{}))
 	rs := ws.resume
-	n += int64(unsafe.Sizeof(*rs)) + int64(cap(rs.execCount))*8
+	n += int64(unsafe.Sizeof(*rs)) + int64(cap(rs.execCount))*8 +
+		int64(cap(rs.sendSeq)+cap(rs.recvSeq))*int64(unsafe.Sizeof(flowSeqs(nil)))
 	for r := range rs.sendSeq {
-		n += seqMapBytes(rs.sendSeq[r]) + seqMapBytes(rs.recvSeq[r])
+		n += int64(cap(rs.sendSeq[r])+cap(rs.recvSeq[r])) * int64(unsafe.Sizeof(flowSeq{}))
 	}
 	return n
-}
-
-// seqMapBytes estimates the heap a sequence map holds, after the layout of
-// Go's maps: slots in groups of eight, each group with a control word, a
-// table at most seven-eighths full, and the map's own header.
-func seqMapBytes(m map[tainthub.Key]uint64) int64 {
-	const header, group = 48, 8
-	if len(m) == 0 {
-		return header
-	}
-	slots := int64(group)
-	for slots*7/8 < int64(len(m)) {
-		slots *= 2
-	}
-	slot := int64(unsafe.Sizeof(tainthub.Key{})) + 8
-	return header + slots/group*(8+group*slot)
 }
 
 func stateCount(st *armState) interface{} {

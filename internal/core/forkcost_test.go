@@ -164,8 +164,8 @@ func TestInstrumentedBlocksShared(t *testing.T) {
 		t.Error("the fork that will run did not get the shared block")
 	}
 	world.Run()
-	if len(ch.Records()) != 1 || !ch.armed[m].detached {
-		t.Fatalf("the run injected %d faults (detached=%v)", len(ch.Records()), ch.armed[m].detached)
+	if len(ch.Records()) != 1 || !ch.state(m).detached {
+		t.Fatalf("the run injected %d faults (detached=%v)", len(ch.Records()), ch.state(m).detached)
 	}
 	after, err := m.Trans.Block(site)
 	if err != nil {
@@ -205,7 +205,7 @@ func TestInjectorRNGOnlyOnTargets(t *testing.T) {
 		}
 		ch, world := armedWorld(t, cfg, nil)
 		for r := 0; r < 4; r++ {
-			if has := ch.armed[world.Machine(r)].rng != nil; has != (r == tc.rank) {
+			if has := ch.state(world.Machine(r)).rng != nil; has != (r == tc.rank) {
 				t.Errorf("target rank %d: rank %d holds an rng: %v", tc.rank, r, has)
 			}
 		}
@@ -235,7 +235,7 @@ func TestInjectorRNGSeededOnFirstDraw(t *testing.T) {
 			t.Fatalf("%v: nothing injected", cond)
 		}
 		ch, world := armedWorld(t, cfg, nil)
-		st := ch.armed[world.Machine(0)]
+		st := ch.state(world.Machine(0))
 		if st.rng == nil {
 			t.Fatalf("%v: target rank holds no rng", cond)
 		}
@@ -260,7 +260,7 @@ func TestInjectorRNGSeededOnFirstDraw(t *testing.T) {
 	}}
 	ch, world := armedWorld(t, cfg, nil)
 	src := &lazySource{seed: 41 * 1000003}
-	ch.armed[world.Machine(0)].rng = rand.New(src)
+	ch.state(world.Machine(0)).rng = rand.New(src)
 	world.Run()
 	if len(ch.Records()) != 0 || src.src != nil {
 		t.Error("a run that never injected seeded its source")

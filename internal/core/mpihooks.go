@@ -212,7 +212,7 @@ func (w *worldHub) receive(k tainthub.Key, seq uint64) (masks []uint8, found boo
 	f := w.flights[msg]
 	if f == nil {
 		w.obsLocal.Inc()
-		w.c.countLocalPoll()
+		w.c.pollsLocal.Add(1)
 		w.event("hub_poll_miss", k.Dst, msg, nil)
 		return nil, false, nil
 	}
@@ -251,10 +251,16 @@ func taintedCount(masks []uint8) int {
 	return n
 }
 
+// state returns the machine's injection state, or nil if it has none.
 func (c *Chaser) state(m *vm.Machine) *armState {
 	// armed is fully populated before the world runs, and every hook runs on
 	// the world's one goroutine.
-	return c.armed[m]
+	if m.Rank < len(c.armed) {
+		if st := c.armed[m.Rank]; st != nil && st.m == m {
+			return st
+		}
+	}
+	return nil
 }
 
 func (c *Chaser) preSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
@@ -274,9 +280,7 @@ func (c *Chaser) preSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
 	if !ok {
 		return // the runtime will reject this send
 	}
-	key := tainthub.Key{Src: m.Rank, Dst: dest, Tag: tag}
-	seq := st.sendSeq[key]
-	st.sendSeq[key]++
+	seq := st.sendSeq.take(tainthub.Key{Src: m.Rank, Dst: dest, Tag: tag})
 
 	if m.Shadow.TaintedBytes() == 0 || !m.Shadow.MemRangeTainted(buf, n) {
 		// Not tainted: simply return without any hub traffic. The receiver's
@@ -329,8 +333,7 @@ func (c *Chaser) postSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
 		return
 	}
 	key := tainthub.Key{Src: source, Dst: m.Rank, Tag: tag}
-	seq := st.recvSeq[key]
-	st.recvSeq[key]++
+	seq := st.recvSeq.take(key)
 
 	masks, found, err := c.view.receive(key, seq)
 	if err != nil {

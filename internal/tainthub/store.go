@@ -1,6 +1,10 @@
 package tainthub
 
-import "chaser/internal/obs"
+import (
+	"time"
+
+	"chaser/internal/obs"
+)
 
 // store is the hub state machine shared by Local (in-memory) and Durable
 // (write-ahead logged): the stored taint entries, grouped by namespace so a
@@ -135,6 +139,16 @@ func (s *store) applyRetire(lo, hi int) {
 	if s.o != nil {
 		s.o.retired.Add(uint64(retired))
 	}
+}
+
+// clock returns the time to stamp an entry with and sweep by: now, on a hub
+// with a TTL, and 0 on one without, whose stamps nothing reads. The limits
+// never change, so it needs no lock.
+func (s *store) clock() int64 {
+	if s.lim.TTL <= 0 {
+		return 0
+	}
+	return time.Now().UnixNano()
 }
 
 // maybeSweep runs a TTL sweep at most once per TTL/4 of traffic.

@@ -247,7 +247,7 @@ func NewLocalLimits(lim Limits, reg *obs.Registry) *Local {
 
 // Publish implements Hub.
 func (l *Local) Publish(_ ReqID, k Key, seq uint64, masks []uint8) error {
-	now := time.Now().UnixNano()
+	now := l.st.clock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.st.maybeSweep(now)
@@ -260,7 +260,7 @@ func (l *Local) Publish(_ ReqID, k Key, seq uint64, masks []uint8) error {
 
 // Poll implements Hub.
 func (l *Local) Poll(_ ReqID, k Key, seq uint64) ([]uint8, bool, error) {
-	now := time.Now().UnixNano()
+	now := l.st.clock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.st.maybeSweep(now)

@@ -68,32 +68,36 @@ type packedEvent struct {
 }
 
 // rankLog is one rank's access log and tallies. Only the rank's own
-// goroutine appends, and it publishes single-writer, as the per-rank table
-// is: it writes a record into its slot and then counts the access in
-// counts, atomically. The tallies are the published length — every access is
-// counted once and the first share of them are stored, so a reader that sums
-// counts to n may read the first min(n, share) records, each of which was
-// complete before the count that covers it. The mutex is for what a reader
-// could not otherwise follow — a new chunk, the first chunk's replacement, a
-// new region name — and readers hold it while they take their view; an
-// append inside a chunk, to a known region, takes no lock.
+// goroutine appends. It keeps its tallies to itself and publishes them, under
+// the mutex, only where a reader could next look: at a chunk boundary, where
+// it takes the mutex anyway — past the share, at every chunk's worth of
+// accesses — and when the rank's machine stops running (Appender's publish).
+// The published tallies are the log's length — every access is counted once
+// and the first share of them are stored, so a reader that sums counts to n
+// may read the first min(n, share) records, each of which was complete before
+// the publication that covers it. A reader holds the mutex while it takes its
+// view; an append inside a chunk, to a region the rank has seen, takes no
+// lock and publishes nothing.
 type rankLog struct {
 	mu     sync.Mutex
 	rank   int
 	share  int // stored-event cap of this rank
 	chunks [][]packedEvent
-	// next is the appender's own count of stored records.
-	next int
-	// names[i] is the region name interned as i, counts[i] the tally of the
-	// rank's accesses to it, stored or not. names[0] is "": accesses outside
-	// every region are tallied there, so the counts sum to the rank's totals.
+	// names[i] is the region name interned as i, counts[i] the published
+	// tally of the rank's accesses to it, stored or not. names[0] is "":
+	// accesses outside every region are tallied there, so the counts sum to
+	// the rank's totals.
 	names  []string
-	counts []regionTally
-}
+	counts []RegionCounts
 
-// regionTally is RegionCounts as the appender publishes it.
-type regionTally struct {
-	reads, writes atomic.Uint64
+	// The appender's side, which only the appending goroutine touches: n
+	// accesses so far, stored or not; cur, the chunk being filled, cut at the
+	// share, and at, the slot of the next record in it; own, the tallies as
+	// of the last access, and pub, the n they were last published at.
+	n, pub int
+	cur    []packedEvent
+	at     int
+	own    []RegionCounts
 }
 
 // Collector accumulates propagation data for one run. It is safe for
@@ -245,7 +249,8 @@ func (c *Collector) log(rank int) (*rankLog, error) {
 	grown := make([]*rankLog, max(len(table), rank+1))
 	copy(grown, table)
 	// Room for "" and a guest's three regions, so interning seldom regrows.
-	l := &rankLog{rank: rank, share: c.maxEvents, names: append(make([]string, 0, 4), ""), counts: make([]regionTally, 1, 4)}
+	l := &rankLog{rank: rank, share: c.maxEvents, names: append(make([]string, 0, 4), ""),
+		counts: make([]RegionCounts, 1, 4), own: make([]RegionCounts, 1, 4)}
 	if c.ranks > 1 {
 		l.share = c.maxEvents / c.ranks
 	}
@@ -262,10 +267,11 @@ func (c *Collector) table() []*rankLog {
 	return nil
 }
 
-// AddEvent records one tainted-memory access. The event is read during the
-// call only; the caller may reuse it. A rank or width outside [0,65536) and
-// more region names on one rank than maxRegions are bugs in the caller and
-// panic; Read reports them as errors.
+// AddEvent records one tainted-memory access and publishes it: readers see
+// it when AddEvent returns. The event is read during the call only; the
+// caller may reuse it. A rank or width outside [0,65536) and more region
+// names on one rank than maxRegions are bugs in the caller and panic; Read
+// reports them as errors.
 func (c *Collector) AddEvent(ev *Event) {
 	if err := c.addEvent(ev); err != nil {
 		panic(err)
@@ -277,25 +283,74 @@ func (c *Collector) addEvent(ev *Event) error {
 	if err != nil {
 		return err
 	}
-	return l.add(ev)
+	if err := l.add(ev); err != nil {
+		return err
+	}
+	l.publish()
+	return nil
 }
 
-// Appender is one rank's end of the access log: it looks the rank's log up in
-// the collector's table at the rank's first access and holds on to it, where
-// AddEvent looks it up for every event. One goroutine at a time adds through
-// the appenders of a rank, as with AddEvent.
-type Appender struct {
+// Appender returns rank's end of the access log, as the two callbacks a
+// traced run hands the rank's machine. add stores and counts an access of the
+// rank, as AddEvent does, but leaves it to the log's next publication point:
+// the end of a chunk, or publish. publish makes every access added so far
+// visible; a traced run calls it whenever the rank's machine stops running —
+// it steps aside for another rank or its run ends. So a reader of a running
+// rank sees a prefix at most one chunk behind, and one of a rank that waits
+// or has ended sees it whole.
+//
+// The appender looks the rank's log up at the rank's first access and holds
+// on to it, where AddEvent looks it up for every event; it allocates nothing
+// in the log before, so a rank that never adds leaves no trace in it. ev.Rank
+// is not read. An access inside the current chunk, to a region the rank has
+// accessed before, is the whole of add's fast path: a few compares, the
+// record and the tally — no lock, no call, no publication. One goroutine at a
+// time adds through the appenders of a rank, as with AddEvent.
+func (c *Collector) Appender(rank int) (add func(ev *Event), publish func()) {
+	a := &appender{c: c, rank: rank}
+	add = func(ev *Event) {
+		// The fast path: the region found by the storage its name came in,
+		// then put, spelled out — Appender may be inlined into its caller,
+		// and a call in the body of a closure inlined with it stays a call.
+		if l := a.l; l != nil && l.at < len(l.cur) && uint(ev.Size) <= 0xffff {
+			name := unsafe.StringData(ev.Region)
+			for i := 1; i < len(l.names); i++ {
+				if unsafe.StringData(l.names[i]) != name || len(l.names[i]) != len(ev.Region) {
+					continue
+				}
+				p := &l.cur[l.at]
+				p.eip, p.vaddr, p.paddr, p.value, p.mask, p.instr = ev.EIP, ev.VAddr, ev.PAddr, ev.Value, ev.Mask, ev.InstrNum
+				p.size, p.region, p.write = uint16(ev.Size), uint8(i), ev.Write
+				l.at++
+				l.n++
+				if ev.Write {
+					l.own[i].Writes++
+				} else {
+					l.own[i].Reads++
+				}
+				return
+			}
+		}
+		a.add(ev)
+	}
+	publish = func() {
+		if a.l != nil {
+			a.l.publish()
+		}
+	}
+	return add, publish
+}
+
+// appender is the state of an Appender's callbacks: the rank, and its log
+// once it has one.
+type appender struct {
 	c    *Collector
 	rank int
 	l    *rankLog
 }
 
-// Appender returns an appender for rank. It allocates nothing in the log: a
-// rank that never adds leaves no trace in it, as a rank AddEvent never saw.
-func (c *Collector) Appender(rank int) *Appender { return &Appender{c: c, rank: rank} }
-
-// Add is AddEvent for an access of the appender's rank; ev.Rank is not read.
-func (a *Appender) Add(ev *Event) {
+// add is the add callback off its fast path.
+func (a *appender) add(ev *Event) {
 	if a.l == nil {
 		l, err := a.c.log(a.rank)
 		if err != nil {
@@ -308,7 +363,31 @@ func (a *Appender) Add(ev *Event) {
 	}
 }
 
-// add stores and counts one access of the log's rank.
+// put stores an access to the region interned as region in the next slot of
+// the current chunk, which a reader does not look at until a publication
+// covers it, and counts it.
+func (l *rankLog) put(ev *Event, region uint8) {
+	p := &l.cur[l.at]
+	p.eip, p.vaddr, p.paddr, p.value, p.mask, p.instr = ev.EIP, ev.VAddr, ev.PAddr, ev.Value, ev.Mask, ev.InstrNum
+	p.size, p.region, p.write = uint16(ev.Size), region, ev.Write
+	l.at++
+	l.count(ev.Write, region)
+}
+
+// count tallies one access to the region interned as region.
+func (l *rankLog) count(write bool, region uint8) {
+	l.n++
+	if write {
+		l.own[region].Writes++
+	} else {
+		l.own[region].Reads++
+	}
+}
+
+// add stores and counts one access of the log's rank, whatever its region
+// and wherever the log stands: it checks the width, looks the region up,
+// makes room at the end of a chunk and counts without storing past the
+// share.
 func (l *rankLog) add(ev *Event) error {
 	if ev.Size < 0 || ev.Size > 0xffff {
 		return fmt.Errorf("trace: access width %d out of range", ev.Size)
@@ -317,44 +396,61 @@ func (l *rankLog) add(ev *Event) error {
 	if region < 0 {
 		return fmt.Errorf("trace: rank %d logs more than %d distinct regions", l.rank, maxRegions)
 	}
-	if l.next < l.share {
-		// The record is filled in place, in a slot no reader looks at until
-		// the count below covers it.
-		p := l.slot()
-		p.eip, p.vaddr, p.paddr, p.value, p.mask, p.instr = ev.EIP, ev.VAddr, ev.PAddr, ev.Value, ev.Mask, ev.InstrNum
-		p.size, p.region, p.write = uint16(ev.Size), uint8(region), ev.Write
-		l.next++
+	if l.at == len(l.cur) {
+		if l.n >= l.share {
+			// Past the share the access is counted, not stored, and the
+			// tallies are published as often as a chunk's worth of stores
+			// would publish them.
+			if l.n%chunkEvents == 0 {
+				l.publish()
+			}
+			l.count(ev.Write, uint8(region))
+			return nil
+		}
+		l.grow()
 	}
-	if ev.Write {
-		l.counts[region].writes.Add(1)
-	} else {
-		l.counts[region].reads.Add(1)
-	}
+	l.put(ev, uint8(region))
 	return nil
 }
 
-// slot returns the slot of the next record, making room for it.
-func (l *rankLog) slot() *packedEvent {
-	at := l.next % chunkEvents
-	if n := len(l.chunks); n > 0 && at != 0 && at < len(l.chunks[n-1]) {
-		return &l.chunks[n-1][at]
-	}
+// grow makes room for the next record — a new chunk, or the first chunk
+// replaced by one four times its size — and, every record before it being
+// complete, publishes the tallies.
+func (l *rankLog) grow() {
 	l.mu.Lock()
-	if at == 0 {
+	defer l.mu.Unlock()
+	if l.n%chunkEvents == 0 {
 		size := chunkEvents
-		if l.next == 0 {
+		if l.n == 0 {
 			size = firstChunkEvents
 		}
 		l.chunks = append(l.chunks, make([]packedEvent, size))
 	} else {
 		// The first chunk is full below chunkEvents. A view may still be
 		// reading it, so it is replaced, table and all, not extended.
-		grown := make([]packedEvent, min(4*at, chunkEvents))
+		grown := make([]packedEvent, min(4*l.n, chunkEvents))
 		copy(grown, l.chunks[0])
 		l.chunks = [][]packedEvent{grown}
 	}
-	l.mu.Unlock()
-	return &l.chunks[len(l.chunks)-1][at]
+	start := (len(l.chunks) - 1) * chunkEvents
+	chunk := l.chunks[len(l.chunks)-1]
+	l.cur, l.at = chunk[:min(len(chunk), l.share-start)], l.n-start
+	l.publishLocked()
+}
+
+// publish publishes the tallies, if anything was added since they last were.
+func (l *rankLog) publish() {
+	if l.n != l.pub {
+		l.mu.Lock()
+		l.publishLocked()
+		l.mu.Unlock()
+	}
+}
+
+// publishLocked publishes the tallies; the caller holds l.mu.
+func (l *rankLog) publishLocked() {
+	copy(l.counts, l.own)
+	l.pub = l.n
 }
 
 // maxRegions is how many distinct region names, "" among them, one rank's
@@ -362,11 +458,12 @@ func (l *rankLog) slot() *packedEvent {
 const maxRegions = 256
 
 // region returns the index of name in the log's table, as intern does, and
-// finds a name it has seen in the same storage without reading it. A machine
-// names the region of an access with the string its region table holds
-// (vm.Memory.locate), one per region for the whole run, so a name is compared
-// byte by byte when a region is first accessed and recognized by its address
-// from then on; a name that arrives in storage of its own (Read's events, a
+// finds a name it has seen in the same storage without reading it, as the
+// appender's fast path does. A machine names the region of an access with
+// the string its memory's region table holds, one per region for the whole
+// run, read off the page the access touched, so a name is compared byte by
+// byte when a region is first accessed and recognized by its address from
+// then on; a name that arrives in storage of its own (Read's events, a
 // test's) misses here and is interned by content, as before.
 func (l *rankLog) region(name string) int {
 	if name == "" {
@@ -395,17 +492,19 @@ func (l *rankLog) intern(name string) int {
 	}
 	l.mu.Lock()
 	l.names = append(l.names, name)
-	l.counts = append(l.counts, regionTally{})
+	l.counts = append(l.counts, RegionCounts{})
 	l.mu.Unlock()
+	l.own = append(l.own, RegionCounts{})
 	return len(l.names) - 1
 }
 
 // published returns how many records a reader may read and how many accesses
-// the cap dropped, both from the sum of the tallies. The caller holds l.mu.
+// the cap dropped, both from the sum of the published tallies. The caller
+// holds l.mu.
 func (l *rankLog) published() (stored int, dropped uint64) {
 	var total uint64
-	for i := range l.counts {
-		total += l.counts[i].reads.Load() + l.counts[i].writes.Load()
+	for _, rc := range l.counts {
+		total += rc.Reads + rc.Writes
 	}
 	stored = int(min(total, uint64(l.share)))
 	return stored, total - uint64(stored)
@@ -557,8 +656,8 @@ func (c *Collector) Regions() map[string]RegionCounts {
 		l.mu.Lock()
 		for i, name := range l.names[1:] {
 			rc := out[name]
-			rc.Reads += l.counts[i+1].reads.Load()
-			rc.Writes += l.counts[i+1].writes.Load()
+			rc.Reads += l.counts[i+1].Reads
+			rc.Writes += l.counts[i+1].Writes
 			out[name] = rc
 		}
 		l.mu.Unlock()
@@ -571,9 +670,9 @@ func tallies(table []*rankLog) (reads, writes uint64) {
 	for _, l := range table {
 		if l != nil {
 			l.mu.Lock()
-			for i := range l.counts {
-				reads += l.counts[i].reads.Load()
-				writes += l.counts[i].writes.Load()
+			for _, rc := range l.counts {
+				reads += rc.Reads
+				writes += rc.Writes
 			}
 			l.mu.Unlock()
 		}

@@ -481,7 +481,8 @@ func TestCollectorWithoutAccessLog(t *testing.T) {
 				t.Error("an appender added to a collector that keeps no log")
 			}
 		}()
-		c.Appender(0).Add(&Event{})
+		add, _ := c.Appender(0)
+		add(&Event{})
 	}()
 	if c.Stored() != 0 || c.Dropped() != 0 || c.TotalReads() != 0 || c.TotalWrites() != 0 || len(c.Regions()) != 0 {
 		t.Errorf("stored %d dropped %d totals %d/%d regions %v, want nothing",
@@ -528,7 +529,8 @@ func TestCollectorWithoutAccessLog(t *testing.T) {
 // — records, tallies, region table — whether a region's name keeps arriving
 // in the storage it first came in (a machine's region table) or in storage
 // of its own each time (a decoded log), and a rank that never adds stays out
-// of the log.
+// of the log. Until its publish, readers see each rank as of its last chunk
+// boundary.
 func TestAppenderMatchesAddEvent(t *testing.T) {
 	regions := []string{"heap", "stack", "", "data", "heap"}
 	events := func(fresh bool) []Event {
@@ -546,10 +548,23 @@ func TestAppenderMatchesAddEvent(t *testing.T) {
 		want, got := NewCollector(), NewCollector()
 		want.ShareAmong(2)
 		got.ShareAmong(2)
-		apps := []*Appender{got.Appender(0), got.Appender(1), got.Appender(2)}
+		var adds []func(*Event)
+		var publishes []func()
+		for rank := 0; rank < 3; rank++ {
+			add, publish := got.Appender(rank)
+			adds, publishes = append(adds, add), append(publishes, publish)
+		}
 		for _, ev := range events(fresh) {
 			want.AddEvent(&ev)
-			apps[ev.Rank].Add(&ev)
+			adds[ev.Rank](&ev)
+		}
+		// Each rank added 384 accesses and last crossed a chunk boundary at
+		// its 256th.
+		if n, evs := got.TotalReads()+got.TotalWrites(), got.Events(); n != 2*chunkEvents || !reflect.DeepEqual(evs, append(want.Events()[:chunkEvents:chunkEvents], want.Events()[3*chunkEvents/2:5*chunkEvents/2]...)) {
+			t.Errorf("fresh names %v: before publish readers see %d accesses and %d records, want each rank's first %d", fresh, n, len(evs), chunkEvents)
+		}
+		for _, publish := range publishes {
+			publish()
 		}
 		if !reflect.DeepEqual(want.Events(), got.Events()) {
 			t.Errorf("fresh names %v: the appenders' log differs from AddEvent's", fresh)

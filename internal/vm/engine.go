@@ -68,6 +68,7 @@ func (m *Machine) Run() Termination {
 		m.step(true)
 	}
 	m.flushObs()
+	m.stopped()
 	return *m.term
 }
 
@@ -90,12 +91,20 @@ func (m *Machine) RunSlice() *Termination {
 	if m.term != nil {
 		m.flushObs()
 	}
+	m.stopped()
 	return m.term
 }
 
 // Yield makes the RunSlice in progress return after the MPI call Yield is made
 // from (a syscall ends its block) and that call's post-syscall hooks.
 func (m *Machine) Yield() { m.yielded = true }
+
+// stopped fires the Stopped hook.
+func (m *Machine) stopped() {
+	if m.Hooks.Stopped != nil {
+		m.Hooks.Stopped()
+	}
+}
 
 // step performs one engine iteration: observe pending asynchronous aborts,
 // resolve the next block through the chain table (or the translator on a
@@ -179,6 +188,7 @@ func (m *Machine) Step() *Termination {
 	if m.term == nil {
 		m.step(false)
 	}
+	m.stopped()
 	return m.term
 }
 
@@ -465,13 +475,14 @@ nextBlock:
 				}
 				regs[op.A2] = addr
 			}
-			v, hit := uint64(0), false
+			var v uint64
+			var p *memPage
 			if base := addr &^ (PageSize - 1); addr-base <= PageSize-8 {
-				if p := mem.lookup(base); p != nil {
-					v, hit = binary.LittleEndian.Uint64(p.data[addr-base:addr-base+8]), true
+				if p = mem.lookup(base); p != nil {
+					v = binary.LittleEndian.Uint64(p.data[addr-base : addr-base+8])
 				}
 			}
-			if !hit {
+			if p == nil {
 				var err error
 				if v, err = mem.Read64(addr); err != nil {
 					m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
@@ -486,7 +497,7 @@ nextBlock:
 			if mask|sh.RegMask(op.A0) != 0 {
 				sh.SetRegMask(op.A0, mask)
 				if mask != 0 {
-					m.memTaintEvent(op, instrs, addr, v, mask, 8, false)
+					m.memTaintEvent(op, instrs, addr, v, mask, 8, false, p)
 				}
 			}
 		case tcg.KSt64, tcg.KStD:
@@ -501,14 +512,14 @@ nextBlock:
 				}
 				regs[op.A0] = addr
 			}
-			v, hit := regs[op.A2], false
+			v := regs[op.A2]
+			var p *memPage
 			if base := addr &^ (PageSize - 1); addr-base <= PageSize-8 {
-				if p := mem.lookup(base); p != nil {
+				if p = mem.lookup(base); p != nil {
 					binary.LittleEndian.PutUint64(p.data[addr-base:addr-base+8], v)
-					hit = true
 				}
 			}
-			if !hit {
+			if p == nil {
 				if err := mem.Write64(addr, v); err != nil {
 					m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
 					return node
@@ -517,13 +528,14 @@ nextBlock:
 			if mask := sh.RegMask(op.A2); mask != 0 || sh.TaintedBytes() != 0 {
 				sh.SetMemMask64(addr, mask)
 				if mask != 0 {
-					m.memTaintEvent(op, instrs, addr, v, mask, 8, true)
+					m.memTaintEvent(op, instrs, addr, v, mask, 8, true, p)
 				}
 			}
 		case tcg.KLd8:
 			addr := regs[op.A1]
 			var v uint8
-			if p := mem.lookup(addr &^ (PageSize - 1)); p != nil {
+			p := mem.lookup(addr &^ (PageSize - 1))
+			if p != nil {
 				v = p.data[addr&(PageSize-1)]
 			} else {
 				var err error
@@ -540,13 +552,14 @@ nextBlock:
 			if mask|sh.RegMask(op.A0) != 0 {
 				sh.SetRegMask(op.A0, mask)
 				if mask != 0 {
-					m.memTaintEvent(op, instrs, addr, uint64(v), mask, 1, false)
+					m.memTaintEvent(op, instrs, addr, uint64(v), mask, 1, false, p)
 				}
 			}
 		case tcg.KSt8:
 			addr := regs[op.A1]
 			v := uint8(regs[op.A2])
-			if p := mem.lookup(addr &^ (PageSize - 1)); p != nil {
+			p := mem.lookup(addr &^ (PageSize - 1))
+			if p != nil {
 				p.data[addr&(PageSize-1)] = v
 			} else if err := mem.Write8(addr, v); err != nil {
 				m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
@@ -555,7 +568,7 @@ nextBlock:
 			if mask := uint8(sh.RegMask(op.A2)); mask != 0 || sh.TaintedBytes() != 0 {
 				sh.SetMemMask8(addr, mask)
 				if mask != 0 {
-					m.memTaintEvent(op, instrs, addr, uint64(v), uint64(mask), 1, true)
+					m.memTaintEvent(op, instrs, addr, uint64(v), uint64(mask), 1, true, p)
 				}
 			}
 
@@ -792,8 +805,9 @@ func (m *Machine) fault(tb *tcg.TB, credited, i int, instrs uint64, sig Signal, 
 // retired-instruction count instrs (written back here: hooks date the event
 // by it) and, when a hook is installed, describes it in the machine's own
 // record, field by field — physical address and region both read off the page
-// the access touched.
-func (m *Machine) memTaintEvent(op *tcg.Op, instrs, addr, value, mask uint64, size int, write bool) {
+// the access touched: p, when the interpreter found it in the TLB, and
+// otherwise the one Memory.locate finds.
+func (m *Machine) memTaintEvent(op *tcg.Op, instrs, addr, value, mask uint64, size int, write bool, p *memPage) {
 	m.counters.Instructions = instrs
 	cb := m.Hooks.TaintedMemRead
 	if write {
@@ -807,7 +821,11 @@ func (m *Machine) memTaintEvent(op *tcg.Op, instrs, addr, value, mask uint64, si
 	}
 	ev := &m.taintEv
 	ev.Rank, ev.Write, ev.EIP, ev.VAddr = m.Rank, write, op.GuestPC, addr
-	ev.PAddr, ev.Region = m.Mem.locate(addr)
+	if p != nil && !p.mixed {
+		ev.PAddr, ev.Region = p.frame*PageSize+addr&(PageSize-1), p.region
+	} else {
+		ev.PAddr, ev.Region = m.Mem.locate(addr)
+	}
 	ev.Value, ev.Mask, ev.InstrNum, ev.Size = value, mask, instrs, size
 	cb(ev)
 }

@@ -17,6 +17,7 @@ import (
 	"chaser/internal/obs"
 	"chaser/internal/taint"
 	"chaser/internal/tcg"
+	"chaser/internal/trace"
 )
 
 // DefaultMaxInstructions bounds runaway guests (fault-induced infinite
@@ -35,23 +36,11 @@ type Helper func(m *Machine, op *tcg.Op)
 
 // MemTaintEvent describes one tainted-memory access, carrying exactly the
 // fields Chaser logs: instruction pointer, virtual and physical address,
-// the taint mask and the current value at that location. Its fields are, in
-// order and type, those of trace.Event, so the propagation log takes the
-// record the machine filled in without a copy.
-type MemTaintEvent struct {
-	Rank     int
-	Write    bool
-	EIP      uint64
-	VAddr    uint64
-	PAddr    uint64
-	Value    uint64
-	Mask     uint64
-	InstrNum uint64
-	Size     int // access width in bytes (1 or 8)
-	// Region names the memory region of VAddr ("heap", "stack", "data"),
-	// supporting region-level propagation analysis.
-	Region string
-}
+// the taint mask and the current value at that location, its width in bytes
+// (1 or 8) and the name of the memory region of VAddr ("heap", "stack",
+// "data"), for region-level propagation analysis. It is the propagation
+// log's own record, so the log takes the one the machine filled in as is.
+type MemTaintEvent = trace.Event
 
 // Hooks collects the optional callbacks a platform (DECAF/Chaser) installs
 // on a machine. Nil members are skipped.
@@ -64,6 +53,11 @@ type Hooks struct {
 	// TaintedMemWrite fires when a store writes tainted bytes
 	// (DECAF_WRITE_TAINTMEM_CB), on the same terms.
 	TaintedMemWrite func(ev *MemTaintEvent)
+	// Stopped fires whenever the machine stops running: Run, RunSlice or
+	// Step is about to return, because the guest ended or the machine steps
+	// aside for another rank. It is where a callback that batches what the
+	// machine hands it makes that visible.
+	Stopped func()
 	// PreSyscall fires before a syscall dispatches; Chaser uses it to hook
 	// MPI sends (publish taint to the hub).
 	PreSyscall func(m *Machine, sys isa.Sys)
@@ -178,16 +172,19 @@ type Machine struct {
 	Shadow *taint.Shadow
 	Hooks  Hooks
 
-	// TaintEnabled toggles taint propagation (DECAF++-style elastic
-	// tainting: off for plain fault-injection runs, on for tracing runs).
-	TaintEnabled bool
-
 	// regs is sized to the full uint8 MReg index space (only the first
 	// NumMRegs entries are live) so the interpreter's register accesses
-	// compile without bounds checks.
+	// compile without bounds checks. The loops are sensitive to where it
+	// sits: at offset 120 each access encodes the offset in one byte, and a
+	// hook added above it (offset 128) measured 4–8% slower taint-loop runs
+	// on bfs, matvec and lud. Add fields below it.
 	regs  [256]uint64
 	pc    uint64
 	flags int64 // last comparison result: -1, 0, +1
+
+	// TaintEnabled toggles taint propagation (DECAF++-style elastic
+	// tainting: off for plain fault-injection runs, on for tracing runs).
+	TaintEnabled bool
 
 	heapBrk  uint64
 	maxInstr uint64
