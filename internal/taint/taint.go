@@ -54,7 +54,7 @@ type Shadow struct {
 	// taintedRegs has bit r set while micro-register r has a non-zero mask,
 	// maintained by SetRegMask: Live is O(1) — it gates the execution engine's
 	// fast path at every TB entry — and so is RegsTainted, the test the
-	// taint-aware loop makes in front of every propagation arm.
+	// interpreter's taint copy makes in front of every propagation arm.
 	taintedRegs uint64
 	// taintedBytes is the global count of guest memory bytes whose shadow
 	// mask is non-zero; highWater is its per-run peak (telemetry).
@@ -160,7 +160,7 @@ func (s *Shadow) RegsTainted(set uint64) bool { return s.taintedRegs&set != 0 }
 
 // Live reports whether any taint exists anywhere — registers or memory. It
 // is the O(1) emptiness check the execution engine performs at TB entry to
-// select its taint-free fast loop (DECAF++-style elastic tainting: a run with
+// select its taint-free copy (DECAF++-style elastic tainting: a run with
 // taint enabled but nothing yet tainted pays nothing for the machinery).
 func (s *Shadow) Live() bool {
 	return s.taintedRegs != 0 || s.taintedBytes > 0

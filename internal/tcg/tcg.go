@@ -327,7 +327,7 @@ type TB struct {
 	// OpCounts is the block's guest-opcode histogram over First micro-ops
 	// (fused-away second instructions excluded — the engine retires those
 	// explicitly). A complete execution of the block retires exactly these
-	// counts, letting the fast loop credit per-opcode statistics once per
+	// counts, letting the interpreter credit per-opcode statistics once per
 	// block instead of once per instruction.
 	OpCounts []OpCount
 }

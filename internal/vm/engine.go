@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sync/atomic"
+	"unsafe"
 
 	"chaser/internal/isa"
 	"chaser/internal/taint"
@@ -39,10 +40,12 @@ type chainNode struct {
 	// the other slot (pseudo-LRU), so an alternating pattern over three
 	// successors keeps the recurring edge cached instead of cycling it out.
 	lastHit int
-	// execs counts complete executions of tb, on either loop, whose per-opcode
-	// statistics have not yet been folded into Counters.PerOp; flushPerOp
-	// applies tb's histogram execs-fold and zeroes it.
-	execs uint64
+	// execs counts complete executions of tb whose per-opcode statistics have
+	// not yet been folded into Counters.PerOp; flushPerOp applies tb's
+	// histogram execs-fold and zeroes it. A node with execs != 0 is on the
+	// machine's dirtyPerOp list, linked through nextDirty.
+	execs     uint64
+	nextDirty *chainNode
 }
 
 // chainEdge is one cached control-flow edge: continuation pc -> successor.
@@ -196,116 +199,92 @@ func (m *Machine) kill(sig Signal, msg string) {
 	m.term = &Termination{Reason: ReasonSignal, Signal: sig, PC: m.pc, Msg: msg}
 }
 
-// execTB dispatches a block to one of two specialized interpreter loops:
-// the taint-free fast loop when taint is disabled or the shadow is provably
-// empty (the campaign golden run and the pre-injection prefix of every
-// injected run), or the taint-aware loop otherwise. Both loops are
-// observationally identical — terminations, counters, traces, and taint
-// summaries match bitwise; the fast loop merely skips work that is provably a
-// no-op.
+// execTB runs a block on one of execLoop's two copies: the taint-free one
+// while taint tracking is off or the shadow is provably empty (golden runs
+// and every injected run's pre-fault prefix), the taint copy otherwise and
+// under NoFastPath. The copies are observationally identical; the taint-free
+// one merely skips work that is provably a no-op.
 func (m *Machine) execTB(node *chainNode, chain bool) *chainNode {
-	if !m.noFastPath && (!m.TaintEnabled || !m.Shadow.Live()) {
+	if !m.tainting() {
 		m.counters.FastPathTBs++
-		return m.execTBFast(node, chain)
+		return execLoop[fastLoop](m, node, 0, chain)
 	}
-	return m.execTBTaint(node, 0, chain)
+	return execLoop[taintLoop](m, node, 0, chain)
 }
 
-// retireFused performs the First-boundary bookkeeping for the second guest
-// instruction covered by a cross-instruction fused op (KCmpBr), replicating
-// exactly what the unfused schedule did between the pair. It returns false
-// when the instruction budget terminates the run.
-func (m *Machine) retireFused(op *tcg.Op) bool {
-	m.counters.Instructions++
-	m.counters.PerOp[op.GuestOp2]++
-	if m.execTrace != nil {
-		m.execTrace.record(op.GuestPC2, op.GuestOp2, m.counters.Instructions)
-	}
-	if m.counters.Instructions > m.maxInstr {
-		m.pc = op.GuestPC2
-		m.term = &Termination{Reason: ReasonBudget, PC: m.pc}
-		return false
-	}
-	if m.counters.Instructions == m.nextSample {
-		m.sampleBoundary()
-	}
-	return true
+// tainting reports whether the next block runs on the taint copy of the loop.
+func (m *Machine) tainting() bool {
+	return m.noFastPath || (m.TaintEnabled && m.Shadow.Live())
 }
 
-// sampleBoundary runs when the retired-instruction count reaches nextSample:
-// it moves the boundary one interval on and, while taint tracking is enabled
-// and a sampler installed, reports the tainted-byte count.
-func (m *Machine) sampleBoundary() {
-	m.nextSample += m.sampleIv
-	if m.TaintEnabled && m.Hooks.Sample != nil {
-		m.Hooks.Sample(m.counters.Instructions, m.Shadow.TaintedBytes())
-	}
-}
+// loopMode selects a copy of execLoop. Go compiles one body per GC shape and
+// the modes differ in size, so each copy is its own machine code in which
+// unsafe.Sizeof(mode) is a constant: the taint-free copy has no propagation
+// code at all. (A method on the mode would cost a dictionary call per op.)
+type loopMode interface{ fastLoop | taintLoop }
 
-// execTBTaint is the taint-aware interpreter loop. execTB selects it once any
-// taint is live (every block after a fault) and for every block under
-// NoFastPath; execTBFast hands it the rest of a block, from op index start,
-// when a helper seeds taint mid-block.
+// fastLoop instantiates the taint-free copy: zero size, no propagation.
+type fastLoop struct{}
+
+// taintLoop instantiates the taint copy.
+type taintLoop struct{ _ byte }
+
+// execLoop is the micro-op interpreter. It runs node's block from op index
+// start and, when chain is true (Run, never Step), follows cached chain edges
+// itself — QEMU's goto_tb — with exactly the bookkeeping step() would do per
+// transition (abort poll, generation check, edge scan and LRU update,
+// counters), so block counts are those of the unchained engine. An edge miss,
+// or a block the other copy must run, returns the last node to step().
 //
-// It is execTBFast's skeleton — instruction counter, sample boundary, exec
-// trace and memory in locals, the TLB-hit path of the memory ops spelled out,
-// per-opcode statistics credited per block, chained edges followed in place —
-// plus the propagation arms. Every arm sits behind a test of the shadow masks
-// it would read and write — for registers, op.Regs (the op's footprint)
-// against the shadow's tainted-register bits; for memory, the tainted-byte
-// count, then the mask itself. The rules map clean operands to a clean result,
-// so when those masks are all zero the arm could only store zero over zero,
-// and the op makes no Shadow call at all. Taint after a fault is sparse; most
-// ops of a tainted run are clean.
+// Each op is one case, and its propagation arm sits behind tainting, a
+// constant in each copy. Every arm also tests the shadow masks it would read
+// and write — for registers, op.Regs (the op's footprint) against the
+// shadow's tainted-register bits; for memory, the tainted-byte count, then
+// the mask itself. The rules map clean operands to a clean result, so when
+// those masks are all zero the op makes no Shadow call at all: taint after a
+// fault is sparse. The taint-free copy keeps the sampler, which fires with
+// zero tainted bytes before the fault so sample timelines stay identical, and
+// hands the rest of a block to the taint copy when a helper seeds taint
+// (Chaser's fault_injector), so the first tainted micro-op already
+// propagates.
 //
-// The instruction counter is written back before anything that reads
-// m.counters: helpers, syscalls, the sampler and every tainted-access event
-// (the propagation log records InstrNum). Per-opcode statistics are exact at
-// helper, syscall and block boundaries, as on the fast loop.
-//
-// Chaining mirrors the fast loop's: cached edges are followed in place while
-// the dispatch condition still selects this loop (taint live, or NoFastPath),
-// with step()'s bookkeeping per transition, so TBsExecuted and ChainedTBs are
-// those of the unchained engine; when taint has decayed the loop returns to
-// step(), which resumes the fast loop.
+// Hot state lives in locals (stores through regs alias m for all the compiler
+// knows). The instruction counter is written back before anything that reads
+// m.counters: helpers, syscalls, the sampler, retireFused and every
+// tainted-access event (the propagation log records InstrNum).
 //
 //nolint:gocyclo // the micro-op interpreter is one hot switch by design.
-func (m *Machine) execTBTaint(node *chainNode, start int, chain bool) *chainNode {
+func execLoop[M loopMode](m *Machine, node *chainNode, start int, chain bool) *chainNode {
+	var mode M
+	tainting := unsafe.Sizeof(mode) != 0
+	var sh *taint.Shadow
+	if tainting {
+		sh = m.propagating()
+	}
 	regs := &m.regs
 	mem := m.Mem
-	sh := m.propagating()
 	instrs := m.counters.Instructions
-	maxInstr := m.maxInstr
-	trace := m.execTrace
-	nextSample := m.nextSample
+	stop := m.stopAt()
 
 nextBlock:
 	tb := node.tb
 	ops := tb.Ops
 	// credited is the index after the last op whose First has been applied to
-	// m.counters.PerOp; a mid-block entry starts past what the fast loop
+	// m.counters.PerOp; a mid-block entry starts past what the taint-free copy
 	// credited before its helper.
 	credited := start
+	_ = ops[start:] // 0 <= start: ops[i] below needs no bounds check
 
 	for i := start; i < len(ops); i++ {
 		op := &ops[i]
-		if op.First {
-			instrs++
-			if trace != nil {
-				trace.record(op.GuestPC, op.GuestOp, instrs)
-			}
-			if instrs > maxInstr {
-				m.counters.Instructions = instrs
-				m.creditPerOp(tb, credited, i)
-				m.pc = op.GuestPC
-				m.term = &Termination{Reason: ReasonBudget, PC: m.pc}
+		// First is added, not branched on: that branch mispredicts, while
+		// the stop test almost never fires.
+		if instrs += b2u(op.First); instrs >= stop && op.First {
+			if !m.retire(instrs, op.GuestPC, op.GuestOp) {
+				m.creditBlock(node, credited, i, instrs)
 				return node
 			}
-			if instrs == nextSample {
-				m.counters.Instructions = instrs
-				m.sampleBoundary()
-				nextSample = m.nextSample
-			}
+			stop = m.stopAt()
 		}
 
 		switch op.Kind {
@@ -314,34 +293,34 @@ nextBlock:
 
 		case tcg.KMovI:
 			regs[op.A0] = uint64(op.Imm)
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(op.A0, 0)
 			}
 		case tcg.KMov:
 			regs[op.A0] = regs[op.A1]
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(op.A0, sh.RegMask(op.A1))
 			}
 
 		case tcg.KAdd:
 			regs[op.A0] = regs[op.A1] + regs[op.A2]
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, 0)
 			}
 		case tcg.KSub:
 			regs[op.A0] = regs[op.A1] - regs[op.A2]
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, 0)
 			}
 		case tcg.KMul:
 			regs[op.A0] = regs[op.A1] * regs[op.A2]
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, 0)
 			}
 		case tcg.KDiv:
 			a, b := int64(regs[op.A1]), int64(regs[op.A2])
 			if b == 0 {
-				m.fault(tb, credited, i, instrs, SIGFPE, "integer divide by zero")
+				m.fault(node, credited, i, instrs, SIGFPE, "integer divide by zero")
 				return node
 			}
 			if a == math.MinInt64 && b == -1 {
@@ -349,13 +328,13 @@ nextBlock:
 			} else {
 				regs[op.A0] = uint64(a / b)
 			}
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, 0)
 			}
 		case tcg.KMod:
 			a, b := int64(regs[op.A1]), int64(regs[op.A2])
 			if b == 0 {
-				m.fault(tb, credited, i, instrs, SIGFPE, "integer modulo by zero")
+				m.fault(node, credited, i, instrs, SIGFPE, "integer modulo by zero")
 				return node
 			}
 			if a == math.MinInt64 && b == -1 {
@@ -363,32 +342,32 @@ nextBlock:
 			} else {
 				regs[op.A0] = uint64(a % b)
 			}
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, 0)
 			}
 		case tcg.KAddI:
 			regs[op.A0] = regs[op.A1] + uint64(op.Imm)
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(op.A0, taint.ImmBinaryMask(tcg.KAddI, sh.RegMask(op.A1), op.Imm))
 			}
 		case tcg.KMulI:
 			regs[op.A0] = regs[op.A1] * uint64(op.Imm)
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(op.A0, taint.ImmBinaryMask(tcg.KMulI, sh.RegMask(op.A1), op.Imm))
 			}
 		case tcg.KAnd:
 			regs[op.A0] = regs[op.A1] & regs[op.A2]
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, 0)
 			}
 		case tcg.KOr:
 			regs[op.A0] = regs[op.A1] | regs[op.A2]
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, 0)
 			}
 		case tcg.KXor:
 			regs[op.A0] = regs[op.A1] ^ regs[op.A2]
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, 0)
 			}
 		case tcg.KShl:
@@ -398,7 +377,7 @@ nextBlock:
 			} else {
 				regs[op.A0] = regs[op.A1] << sa
 			}
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, sa)
 			}
 		case tcg.KShr:
@@ -408,43 +387,43 @@ nextBlock:
 			} else {
 				regs[op.A0] = regs[op.A1] >> sa
 			}
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, sa)
 			}
 		case tcg.KNot:
 			regs[op.A0] = ^regs[op.A1]
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				unaryTaint(sh, op)
 			}
 
 		case tcg.KFAdd:
 			regs[op.A0] = math.Float64bits(math.Float64frombits(regs[op.A1]) + math.Float64frombits(regs[op.A2]))
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, 0)
 			}
 		case tcg.KFSub:
 			regs[op.A0] = math.Float64bits(math.Float64frombits(regs[op.A1]) - math.Float64frombits(regs[op.A2]))
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, 0)
 			}
 		case tcg.KFMul:
 			regs[op.A0] = math.Float64bits(math.Float64frombits(regs[op.A1]) * math.Float64frombits(regs[op.A2]))
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, 0)
 			}
 		case tcg.KFDiv:
 			regs[op.A0] = math.Float64bits(math.Float64frombits(regs[op.A1]) / math.Float64frombits(regs[op.A2]))
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				binTaint(sh, op, 0)
 			}
 		case tcg.KFNeg:
 			regs[op.A0] = math.Float64bits(-math.Float64frombits(regs[op.A1]))
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				unaryTaint(sh, op)
 			}
 		case tcg.KCvtIF:
 			regs[op.A0] = math.Float64bits(float64(int64(regs[op.A1])))
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				unaryTaint(sh, op)
 			}
 		case tcg.KCvtFI:
@@ -459,177 +438,144 @@ nextBlock:
 			default:
 				regs[op.A0] = uint64(int64(f))
 			}
-			if sh.RegsTainted(op.Regs) {
+			if tainting && sh.RegsTainted(op.Regs) {
 				unaryTaint(sh, op)
 			}
 
-		case tcg.KLd64, tcg.KLdD:
+		case tcg.KLd64:
+			// The TLB hit path is spelled out here (and in the other memory
+			// cases) to keep the hot loop free of calls; misses and
+			// page-straddling accesses take the accessors.
+			addr := regs[op.A1]
+			if base := addr &^ (PageSize - 1); addr-base <= PageSize-8 {
+				if p := mem.lookup(base); p != nil {
+					v := binary.LittleEndian.Uint64(p.data[addr-base : addr-base+8])
+					regs[op.A0] = v
+					if tainting {
+						if mask := memMask64(sh, addr); mask|sh.RegMask(op.A0) != 0 {
+							m.loadTaint(sh, op, instrs, addr, v, mask, 8, p)
+						}
+					}
+					break
+				}
+			}
+			if err := m.loadMiss(sh, op, instrs, addr, 8); err != nil {
+				m.fault(node, credited, i, instrs, SIGSEGV, err.Error())
+				return node
+			}
+		case tcg.KLdD:
 			// KLdD is the fused KAddI+KLd64: the address temporary (A2) is
 			// still written — value and taint — so machine state matches the
 			// unfused pair.
-			addr := regs[op.A1]
-			if op.Kind == tcg.KLdD {
-				addr += uint64(op.Imm)
-				if m1 := sh.RegMask(op.A1); m1|sh.RegMask(op.A2) != 0 {
-					sh.SetRegMask(op.A2, taint.ImmBinaryMask(tcg.KLdD, m1, op.Imm))
-				}
-				regs[op.A2] = addr
+			addr := regs[op.A1] + uint64(op.Imm)
+			if tainting && sh.RegsTainted(op.Regs) {
+				sh.SetRegMask(op.A2, taint.ImmBinaryMask(tcg.KLdD, sh.RegMask(op.A1), op.Imm))
 			}
-			var v uint64
-			var p *memPage
+			regs[op.A2] = addr
 			if base := addr &^ (PageSize - 1); addr-base <= PageSize-8 {
-				if p = mem.lookup(base); p != nil {
-					v = binary.LittleEndian.Uint64(p.data[addr-base : addr-base+8])
+				if p := mem.lookup(base); p != nil {
+					v := binary.LittleEndian.Uint64(p.data[addr-base : addr-base+8])
+					regs[op.A0] = v
+					if tainting {
+						if mask := memMask64(sh, addr); mask|sh.RegMask(op.A0) != 0 {
+							m.loadTaint(sh, op, instrs, addr, v, mask, 8, p)
+						}
+					}
+					break
 				}
 			}
-			if p == nil {
-				var err error
-				if v, err = mem.Read64(addr); err != nil {
-					m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
-					return node
+			if err := m.loadMiss(sh, op, instrs, addr, 8); err != nil {
+				m.fault(node, credited, i, instrs, SIGSEGV, err.Error())
+				return node
+			}
+		case tcg.KSt64:
+			addr := regs[op.A1]
+			if base := addr &^ (PageSize - 1); addr-base <= PageSize-8 {
+				if p := mem.lookup(base); p != nil {
+					v := regs[op.A2]
+					binary.LittleEndian.PutUint64(p.data[addr-base:addr-base+8], v)
+					if tainting {
+						if mask := sh.RegMask(op.A2); mask != 0 || sh.TaintedBytes() != 0 {
+							sh.SetMemMask64(addr, mask)
+							m.storeTaint(op, instrs, addr, v, mask, 8, p)
+						}
+					}
+					break
 				}
 			}
-			regs[op.A0] = v
-			var mask uint64
-			if sh.TaintedBytes() != 0 {
-				mask = sh.MemMask64(addr)
+			if err := m.storeMiss(sh, op, instrs, addr, 8); err != nil {
+				m.fault(node, credited, i, instrs, SIGSEGV, err.Error())
+				return node
 			}
-			if mask|sh.RegMask(op.A0) != 0 {
-				sh.SetRegMask(op.A0, mask)
-				if mask != 0 {
-					m.memTaintEvent(op, instrs, addr, v, mask, 8, false, p)
-				}
-			}
-		case tcg.KSt64, tcg.KStD:
+		case tcg.KStD:
 			// KStD is the fused KAddI+KSt64. The temp (A0) must be written
 			// before the source (A2) is read: for push they are both SP and
 			// the unfused sequence stores the decremented value.
-			addr := regs[op.A1]
-			if op.Kind == tcg.KStD {
-				addr += uint64(op.Imm)
-				if m1 := sh.RegMask(op.A1); m1|sh.RegMask(op.A0) != 0 {
-					sh.SetRegMask(op.A0, taint.ImmBinaryMask(tcg.KStD, m1, op.Imm))
-				}
-				regs[op.A0] = addr
+			addr := regs[op.A1] + uint64(op.Imm)
+			if tainting && sh.RegsTainted(op.Regs) {
+				sh.SetRegMask(op.A0, taint.ImmBinaryMask(tcg.KStD, sh.RegMask(op.A1), op.Imm))
 			}
-			v := regs[op.A2]
-			var p *memPage
+			regs[op.A0] = addr
 			if base := addr &^ (PageSize - 1); addr-base <= PageSize-8 {
-				if p = mem.lookup(base); p != nil {
+				if p := mem.lookup(base); p != nil {
+					v := regs[op.A2]
 					binary.LittleEndian.PutUint64(p.data[addr-base:addr-base+8], v)
+					if tainting {
+						if mask := sh.RegMask(op.A2); mask != 0 || sh.TaintedBytes() != 0 {
+							sh.SetMemMask64(addr, mask)
+							m.storeTaint(op, instrs, addr, v, mask, 8, p)
+						}
+					}
+					break
 				}
 			}
-			if p == nil {
-				if err := mem.Write64(addr, v); err != nil {
-					m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
-					return node
-				}
-			}
-			if mask := sh.RegMask(op.A2); mask != 0 || sh.TaintedBytes() != 0 {
-				sh.SetMemMask64(addr, mask)
-				if mask != 0 {
-					m.memTaintEvent(op, instrs, addr, v, mask, 8, true, p)
-				}
+			if err := m.storeMiss(sh, op, instrs, addr, 8); err != nil {
+				m.fault(node, credited, i, instrs, SIGSEGV, err.Error())
+				return node
 			}
 		case tcg.KLd8:
 			addr := regs[op.A1]
-			var v uint8
-			p := mem.lookup(addr &^ (PageSize - 1))
-			if p != nil {
-				v = p.data[addr&(PageSize-1)]
-			} else {
-				var err error
-				if v, err = mem.Read8(addr); err != nil {
-					m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
-					return node
+			if p := mem.lookup(addr &^ (PageSize - 1)); p != nil {
+				v := uint64(p.data[addr&(PageSize-1)])
+				regs[op.A0] = v
+				if tainting {
+					if mask := uint64(sh.MemMask8(addr)); mask|sh.RegMask(op.A0) != 0 {
+						m.loadTaint(sh, op, instrs, addr, v, mask, 1, p)
+					}
 				}
+				break
 			}
-			regs[op.A0] = uint64(v)
-			var mask uint64
-			if sh.TaintedBytes() != 0 {
-				mask = uint64(sh.MemMask8(addr))
-			}
-			if mask|sh.RegMask(op.A0) != 0 {
-				sh.SetRegMask(op.A0, mask)
-				if mask != 0 {
-					m.memTaintEvent(op, instrs, addr, uint64(v), mask, 1, false, p)
-				}
+			if err := m.loadMiss(sh, op, instrs, addr, 1); err != nil {
+				m.fault(node, credited, i, instrs, SIGSEGV, err.Error())
+				return node
 			}
 		case tcg.KSt8:
 			addr := regs[op.A1]
-			v := uint8(regs[op.A2])
-			p := mem.lookup(addr &^ (PageSize - 1))
-			if p != nil {
-				p.data[addr&(PageSize-1)] = v
-			} else if err := mem.Write8(addr, v); err != nil {
-				m.fault(tb, credited, i, instrs, SIGSEGV, err.Error())
+			if p := mem.lookup(addr &^ (PageSize - 1)); p != nil {
+				v := regs[op.A2] & 0xff
+				p.data[addr&(PageSize-1)] = uint8(v)
+				if tainting {
+					if mask := sh.RegMask(op.A2) & 0xff; mask != 0 || sh.TaintedBytes() != 0 {
+						sh.SetMemMask8(addr, uint8(mask))
+						m.storeTaint(op, instrs, addr, v, mask, 1, p)
+					}
+				}
+				break
+			}
+			if err := m.storeMiss(sh, op, instrs, addr, 1); err != nil {
+				m.fault(node, credited, i, instrs, SIGSEGV, err.Error())
 				return node
 			}
-			if mask := uint8(sh.RegMask(op.A2)); mask != 0 || sh.TaintedBytes() != 0 {
-				sh.SetMemMask8(addr, mask)
-				if mask != 0 {
-					m.memTaintEvent(op, instrs, addr, uint64(v), uint64(mask), 1, true, p)
-				}
-			}
 
-		case tcg.KSetc, tcg.KCmpBr:
-			// KCmpBr is the fused KSetc+KBrCond across two guest
-			// instructions: compare, retire the branch instruction, then
-			// branch — the schedule the unfused pair executed.
-			a, b := int64(regs[op.A1]), int64(regs[op.A2])
-			switch {
-			case a < b:
-				m.flags = -1
-			case a > b:
-				m.flags = 1
-			default:
-				m.flags = 0
+		case tcg.KSetc:
+			m.flags = cmpFlags(int64(regs[op.A1]), int64(regs[op.A2]))
+			if tainting && sh.RegsTainted(op.Regs) {
+				cmpTaint(sh, op)
 			}
-			if sh.RegsTainted(op.Regs) {
-				sh.SetRegMask(tcg.FlagsReg, taint.CompareMask(sh.RegMask(op.A1), sh.RegMask(op.A2)))
-			}
-			if op.Kind == tcg.KCmpBr {
-				m.counters.Instructions = instrs
-				m.creditBlock(node, credited, i)
-				if !m.retireFused(op) {
-					return node
-				}
-				instrs = m.counters.Instructions
-				if condHolds(op.Cond, m.flags) {
-					m.pc = uint64(op.Imm)
-				} else {
-					m.pc = uint64(op.Imm2)
-				}
-				goto chainTry
-			}
-		case tcg.KSetcI, tcg.KCmpBrI:
-			// KCmpBrI: Imm is the compare operand, Imm2 the taken target; the
-			// fall-through is the instruction after the branch.
-			a := int64(regs[op.A1])
-			switch {
-			case a < op.Imm:
-				m.flags = -1
-			case a > op.Imm:
-				m.flags = 1
-			default:
-				m.flags = 0
-			}
-			if sh.RegsTainted(op.Regs) {
+		case tcg.KSetcI:
+			m.flags = cmpFlags(int64(regs[op.A1]), op.Imm)
+			if tainting && sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(tcg.FlagsReg, taint.CompareMask(sh.RegMask(op.A1), 0))
-			}
-			if op.Kind == tcg.KCmpBrI {
-				m.counters.Instructions = instrs
-				m.creditBlock(node, credited, i)
-				if !m.retireFused(op) {
-					return node
-				}
-				instrs = m.counters.Instructions
-				if condHolds(op.Cond, m.flags) {
-					m.pc = uint64(op.Imm2)
-				} else {
-					m.pc = op.GuestPC2 + isa.InstrSize
-				}
-				goto chainTry
 			}
 		case tcg.KFSetc:
 			a := math.Float64frombits(regs[op.A1])
@@ -644,18 +590,54 @@ nextBlock:
 			default:
 				m.flags = 0
 			}
-			if sh.RegsTainted(op.Regs) {
-				sh.SetRegMask(tcg.FlagsReg, taint.CompareMask(sh.RegMask(op.A1), sh.RegMask(op.A2)))
+			if tainting && sh.RegsTainted(op.Regs) {
+				cmpTaint(sh, op)
 			}
 
+		case tcg.KCmpBr:
+			// KCmpBr is the fused KSetc+KBrCond across two guest
+			// instructions: compare, retire the branch instruction, then
+			// branch — the schedule the unfused pair executed.
+			m.flags = cmpFlags(int64(regs[op.A1]), int64(regs[op.A2]))
+			if tainting && sh.RegsTainted(op.Regs) {
+				cmpTaint(sh, op)
+			}
+			m.creditBlock(node, credited, i, instrs)
+			if !m.retireFused(op, stop) {
+				return node
+			}
+			instrs = m.counters.Instructions
+			if condHolds(op.Cond, m.flags) {
+				m.pc = uint64(op.Imm)
+			} else {
+				m.pc = uint64(op.Imm2)
+			}
+			goto chainTry
+		case tcg.KCmpBrI:
+			// KCmpBrI is KSetcI+KBrCond: Imm is the compare operand, Imm2 the
+			// taken target; the fall-through is the instruction after the
+			// branch.
+			m.flags = cmpFlags(int64(regs[op.A1]), op.Imm)
+			if tainting && sh.RegsTainted(op.Regs) {
+				sh.SetRegMask(tcg.FlagsReg, taint.CompareMask(sh.RegMask(op.A1), 0))
+			}
+			m.creditBlock(node, credited, i, instrs)
+			if !m.retireFused(op, stop) {
+				return node
+			}
+			instrs = m.counters.Instructions
+			if condHolds(op.Cond, m.flags) {
+				m.pc = uint64(op.Imm2)
+			} else {
+				m.pc = op.GuestPC2 + isa.InstrSize
+			}
+			goto chainTry
 		case tcg.KBr:
-			m.counters.Instructions = instrs
-			m.creditBlock(node, credited, i)
+			m.creditBlock(node, credited, i, instrs)
 			m.pc = uint64(op.Imm)
 			goto chainTry
 		case tcg.KBrCond:
-			m.counters.Instructions = instrs
-			m.creditBlock(node, credited, i)
+			m.creditBlock(node, credited, i, instrs)
 			if condHolds(op.Cond, m.flags) {
 				m.pc = uint64(op.Imm)
 			} else {
@@ -663,77 +645,91 @@ nextBlock:
 			}
 			goto chainTry
 		case tcg.KCall:
-			m.counters.Instructions = instrs
-			m.creditBlock(node, credited, i)
+			m.creditBlock(node, credited, i, instrs)
 			sp := regs[tcg.SPReg] - 8
-			if err := mem.Write64(sp, uint64(op.Imm2)); err != nil {
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
-				return node
+			var p *memPage
+			if base := sp &^ (PageSize - 1); sp-base <= PageSize-8 {
+				if p = mem.lookup(base); p != nil {
+					binary.LittleEndian.PutUint64(p.data[sp-base:sp-base+8], uint64(op.Imm2))
+				}
+			}
+			if p == nil {
+				if err := mem.Write64(sp, uint64(op.Imm2)); err != nil {
+					m.pc = op.GuestPC
+					m.kill(SIGSEGV, err.Error())
+					return node
+				}
 			}
 			regs[tcg.SPReg] = sp
-			if sh.TaintedBytes() != 0 {
+			if tainting && sh.TaintedBytes() != 0 {
 				sh.SetMemMask64(sp, 0)
 			}
 			m.pc = uint64(op.Imm)
 			goto chainTry
 		case tcg.KRet:
-			m.counters.Instructions = instrs
-			m.creditBlock(node, credited, i)
+			m.creditBlock(node, credited, i, instrs)
 			sp := regs[tcg.SPReg]
-			ret, err := mem.Read64(sp)
-			if err != nil {
-				m.pc = op.GuestPC
-				m.kill(SIGSEGV, err.Error())
-				return node
+			var p *memPage
+			if base := sp &^ (PageSize - 1); sp-base <= PageSize-8 {
+				if p = mem.lookup(base); p != nil {
+					m.pc = binary.LittleEndian.Uint64(p.data[sp-base : sp-base+8])
+				}
+			}
+			if p == nil {
+				ret, err := mem.Read64(sp)
+				if err != nil {
+					m.pc = op.GuestPC
+					m.kill(SIGSEGV, err.Error())
+					return node
+				}
+				m.pc = ret
 			}
 			regs[tcg.SPReg] = sp + 8
-			m.pc = ret
 			goto chainTry
 
 		case tcg.KSyscall:
-			m.counters.Instructions = instrs
-			m.creditBlock(node, credited, i)
+			m.creditBlock(node, credited, i, instrs)
 			m.pc = uint64(op.Imm2)
 			m.doSyscall(isa.Sys(op.Imm), op.GuestPC)
 			return node // KSyscall always ends the TB
 
 		case tcg.KHlt:
-			m.counters.Instructions = instrs
-			m.creditBlock(node, credited, i)
+			m.creditBlock(node, credited, i, instrs)
 			m.pc = op.GuestPC
 			m.term = &Termination{Reason: ReasonExited, Code: int64(regs[tcg.GPR0]), PC: m.pc}
 			return node
 
 		case tcg.KHelper:
 			if op.Helper >= 0 && op.Helper < len(m.helpers) {
-				m.counters.Instructions = instrs
-				m.creditPerOp(tb, credited, i)
+				m.creditBlock(node, credited, i, instrs)
 				credited = i + 1
 				m.helpers[op.Helper](m, op)
 				instrs = m.counters.Instructions
 				if m.term != nil {
 					return node
 				}
-				// The helper may have enabled tracking (the fast loop's
-				// handoff re-reads it too).
-				sh = m.propagating()
+				// The helper may have seeded taint (fault injection) or
+				// enabled tracking; the rest of the block must propagate it.
+				if tainting {
+					sh = m.propagating()
+				} else if m.TaintEnabled && m.Shadow.Live() {
+					return execLoop[taintLoop](m, node, i+1, chain)
+				}
 			}
 
 		default:
-			m.fault(tb, credited, i, instrs, SIGILL, "unimplemented micro-op "+op.Kind.String())
+			m.fault(node, credited, i, instrs, SIGILL, "unimplemented micro-op "+op.Kind.String())
 			return node
 		}
 	}
-	m.counters.Instructions = instrs
-	m.creditBlock(node, credited, len(ops)-1)
+	m.creditBlock(node, credited, len(ops)-1, instrs)
 	m.pc = tb.NextPC
 
 chainTry:
-	// The guard order matches step(): pending aborts, then the overlay
-	// generation, then the dispatch condition execTB would apply.
-	if !chain || m.abort.p.Load() != nil || m.Trans.Gen() != m.chains.gen ||
-		!(m.noFastPath || (m.TaintEnabled && m.Shadow.Live())) {
+	// The guard order matches step(): pending aborts first, then the overlay
+	// generation (a helper may have flushed translations mid-block, severing
+	// every chain), then the dispatch condition execTB would apply.
+	if !chain || m.abort.p.Load() != nil || m.Trans.Gen() != m.chains.gen || m.tainting() != tainting {
 		return node
 	}
 	for k := range node.out {
@@ -742,11 +738,9 @@ chainTry:
 			node = e.to
 			m.counters.ChainedTBs++
 			m.counters.TBsExecuted++
-			// Re-read what a fresh call would (retireFused may have passed a
-			// sample boundary).
-			sh = m.propagating()
-			trace = m.execTrace
-			nextSample = m.nextSample
+			if !tainting {
+				m.counters.FastPathTBs++
+			}
 			start = 0
 			goto nextBlock
 		}
@@ -754,12 +748,11 @@ chainTry:
 	return node
 }
 
-// noTaint is the shadow the taint-aware loop consults while tracking is off
-// (NoFastPath without tracing): nothing in it is ever tainted, so no arm runs
-// and nothing writes it.
+// noTaint is the shadow the taint copy consults while tracking is off
+// (NoFastPath without tracing): nothing in it is ever tainted.
 var noTaint taint.Shadow
 
-// propagating returns the shadow execTBTaint's arms test and update: the
+// propagating returns the shadow the taint copy's arms test and update: the
 // machine's own while taint tracking is enabled, noTaint otherwise.
 func (m *Machine) propagating() *taint.Shadow {
 	if m.TaintEnabled {
@@ -776,28 +769,208 @@ func unaryTaint(sh *taint.Shadow, op *tcg.Op) {
 	sh.SetRegMask(op.A0, taint.UnaryMask(op.Kind, sh.RegMask(op.A1)))
 }
 
-// creditBlock credits per-opcode statistics for ops[from..last] of node's
-// block at a block exit. A block executed from its top through its final op
-// costs one increment on the node (flushPerOp applies the histogram
-// execs-fold); anything else goes through creditPerOp.
-func (m *Machine) creditBlock(node *chainNode, from, last int) {
-	tb := node.tb
-	if from == 0 && last == len(tb.Ops)-1 && tb.OpCounts != nil {
-		if node.execs == 0 {
-			m.dirtyPerOp = append(m.dirtyPerOp, node)
+func cmpTaint(sh *taint.Shadow, op *tcg.Op) {
+	sh.SetRegMask(tcg.FlagsReg, taint.CompareMask(sh.RegMask(op.A1), sh.RegMask(op.A2)))
+}
+
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// cmpFlags is the flags value of an integer compare: -1, 0 or +1.
+func cmpFlags(a, b int64) int64 {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// memMask64 is the taint of the 8 bytes at addr: zero, with no lookup, while
+// no memory is tainted.
+func memMask64(sh *taint.Shadow, addr uint64) uint64 {
+	if sh.TaintedBytes() == 0 {
+		return 0
+	}
+	return sh.MemMask64(addr)
+}
+
+// loadTaint finishes a load's propagation arm once the loaded bytes or the
+// destination carry taint: the destination takes the bytes' mask, and a
+// tainted read is an event. p is the page read through, nil on a TLB miss.
+func (m *Machine) loadTaint(sh *taint.Shadow, op *tcg.Op, instrs, addr, v, mask uint64, size int, p *memPage) {
+	sh.SetRegMask(op.A0, mask)
+	if mask != 0 {
+		m.memTaintEvent(op, instrs, addr, v, mask, size, false, p)
+	}
+}
+
+// storeTaint reports a store of tainted bytes, whose mask the caller has
+// just written to the shadow, as an event.
+func (m *Machine) storeTaint(op *tcg.Op, instrs, addr, v, mask uint64, size int, p *memPage) {
+	if mask != 0 {
+		m.memTaintEvent(op, instrs, addr, v, mask, size, true, p)
+	}
+}
+
+// loadMiss is a load's path past the TLB: the accessor reads size bytes at
+// addr into A0, then the propagation arm runs given a shadow (the taint copy).
+func (m *Machine) loadMiss(sh *taint.Shadow, op *tcg.Op, instrs, addr uint64, size int) (err error) {
+	var v, mask uint64
+	if size == 8 {
+		v, err = m.Mem.Read64(addr)
+	} else {
+		var b uint8
+		b, err = m.Mem.Read8(addr)
+		v = uint64(b)
+	}
+	if err != nil {
+		return err
+	}
+	m.regs[op.A0] = v
+	switch {
+	case sh == nil:
+		return nil
+	case size == 8:
+		mask = memMask64(sh, addr)
+	default:
+		mask = uint64(sh.MemMask8(addr))
+	}
+	if mask|sh.RegMask(op.A0) != 0 {
+		m.loadTaint(sh, op, instrs, addr, v, mask, size, nil)
+	}
+	return nil
+}
+
+// storeMiss is a store's path past the TLB: the accessor writes A2's low size
+// bytes at addr, then the propagation arm runs given a shadow.
+func (m *Machine) storeMiss(sh *taint.Shadow, op *tcg.Op, instrs, addr uint64, size int) (err error) {
+	v, mask := m.regs[op.A2], uint64(0)
+	if sh != nil {
+		mask = sh.RegMask(op.A2)
+	}
+	if size == 8 {
+		err = m.Mem.Write64(addr, v)
+	} else {
+		v, mask = v&0xff, mask&0xff
+		err = m.Mem.Write8(addr, uint8(v))
+	}
+	if err != nil || sh == nil || (mask == 0 && sh.TaintedBytes() == 0) {
+		return err
+	}
+	if size == 8 {
+		sh.SetMemMask64(addr, mask)
+	} else {
+		sh.SetMemMask8(addr, uint8(mask))
+	}
+	m.storeTaint(op, instrs, addr, v, mask, size, nil)
+	return nil
+}
+
+// stopAt is the retired-instruction count at which the loop leaves its
+// per-instruction fast path: the next sample boundary or the first count past
+// the budget, whichever comes first, and every instruction while an exec
+// trace records. A stop the loop keeps after retireFused passed a boundary is
+// low, which costs one more call to retire, whose tests are exact.
+func (m *Machine) stopAt() uint64 {
+	switch {
+	case m.execTrace != nil:
+		return 0
+	case m.maxInstr < m.nextSample:
+		return m.maxInstr + 1
+	}
+	return m.nextSample
+}
+
+// retire is what retiring guest instruction number n, at pc, takes once n
+// reaches stopAt: the exec-trace record, the budget stop (it returns false)
+// and, at nextSample, the sample boundary — the boundary moves one interval
+// on and, while tracking is enabled, the sampler gets the tainted-byte count.
+func (m *Machine) retire(n, pc uint64, gop isa.Op) bool {
+	if m.execTrace != nil {
+		m.execTrace.record(pc, gop, n)
+	}
+	if n > m.maxInstr {
+		m.pc = pc
+		m.term = &Termination{Reason: ReasonBudget, PC: pc}
+		return false
+	}
+	if n == m.nextSample {
+		m.counters.Instructions = n
+		m.nextSample += m.sampleIv
+		if m.TaintEnabled && m.Hooks.Sample != nil {
+			m.Hooks.Sample(n, m.Shadow.TaintedBytes())
 		}
-		node.execs++
+	}
+	return true
+}
+
+// retireFused retires the second guest instruction of a cross-instruction
+// fused op (KCmpBr), as the unfused schedule did between the pair, given the
+// loop's stop. It returns false when the instruction budget terminates the
+// run.
+func (m *Machine) retireFused(op *tcg.Op, stop uint64) bool {
+	m.counters.Instructions++
+	m.counters.PerOp[op.GuestOp2]++
+	n := m.counters.Instructions
+	return n < stop || m.retire(n, op.GuestPC2, op.GuestOp2)
+}
+
+// creditBlock writes the retired-instruction count back and credits the
+// per-opcode statistics of ops[from..last] of node's block, wherever the loop
+// leaves the block or calls out of it. A block executed from its top through
+// its final op costs one increment on the node (flushPerOp applies the
+// histogram execs-fold); anything else goes through creditPerOp. It is small
+// enough to inline into every exit of the loop.
+func (m *Machine) creditBlock(node *chainNode, from, last int, instrs uint64) {
+	m.counters.Instructions = instrs
+	if from != 0 || last != len(node.tb.Ops)-1 {
+		m.creditPerOp(node.tb, from, last)
 		return
 	}
-	m.creditPerOp(tb, from, last)
+	if node.execs == 0 {
+		node.nextDirty, m.dirtyPerOp = m.dirtyPerOp, node
+	}
+	node.execs++
+}
+
+// creditPerOp applies per-opcode counts for ops[from..last] of tb directly:
+// the partial executions (kills, budget stops, helper sites) walk the retired
+// prefix, which attributes exactly what counting at every instruction would.
+func (m *Machine) creditPerOp(tb *tcg.TB, from, last int) {
+	for i := from; i <= last; i++ {
+		if tb.Ops[i].First {
+			m.counters.PerOp[tb.Ops[i].GuestOp]++
+		}
+	}
+}
+
+// flushPerOp folds every dirty chain node's batched block credit into PerOp:
+// each complete execution of a block costs one counter increment on its node,
+// and the histogram is applied execs-fold here. Partial credits increment
+// PerOp directly and so commute with the batch; only a read needs the flush
+// (Counters() is the sole read path, so observed values are exact).
+func (m *Machine) flushPerOp() {
+	for n := m.dirtyPerOp; n != nil; n = n.nextDirty {
+		for _, oc := range n.tb.OpCounts {
+			m.counters.PerOp[oc.Op] += oc.N * n.execs
+		}
+		n.execs = 0
+	}
+	m.dirtyPerOp = nil
 }
 
 // fault ends a block at op i with a guest signal, after the write-back and
-// the per-opcode credit every exit from either loop makes.
-func (m *Machine) fault(tb *tcg.TB, credited, i int, instrs uint64, sig Signal, msg string) {
-	m.counters.Instructions = instrs
-	m.creditPerOp(tb, credited, i)
-	m.pc = tb.Ops[i].GuestPC
+// the per-opcode credit every exit of the loop makes.
+func (m *Machine) fault(node *chainNode, credited, i int, instrs uint64, sig Signal, msg string) {
+	m.creditBlock(node, credited, i, instrs)
+	m.pc = node.tb.Ops[i].GuestPC
 	m.kill(sig, msg)
 }
 

@@ -78,7 +78,7 @@ type Counters struct {
 	PerOp            [256]uint64
 	TBsExecuted      uint64
 	ChainedTBs       uint64 // blocks reached through chained edges
-	FastPathTBs      uint64 // blocks executed on the taint-free fast loop
+	FastPathTBs      uint64 // blocks executed on the interpreter's taint-free copy
 	TaintedMemReads  uint64
 	TaintedMemWrites uint64
 	Syscalls         uint64
@@ -145,13 +145,13 @@ type Config struct {
 	// never instrumented live), and the translator's latency histogram is
 	// attached. Nil disables all telemetry at zero cost.
 	Obs *obs.Registry
-	// NoFastPath forces every block through the full taint-aware interpreter
-	// loop even when taint is off or the shadow is empty. The specialized
-	// fast loop is observationally identical, so this exists only for the
-	// ablation benchmarks and differential tests that prove it.
+	// NoFastPath runs every block on the interpreter's taint copy even when
+	// taint is off or the shadow is empty. The taint-free copy is
+	// observationally identical, so this exists only for the ablation
+	// benchmarks and differential tests that prove it.
 	NoFastPath bool
 	// Events, when non-nil, receives structured run-lifecycle events (rank
-	// termination). The interpreter loops never emit — only run-edge code
+	// termination). The interpreter never emits — only run-edge code
 	// does — so a nil sink costs nothing and an enabled one costs one Emit
 	// per rank per run.
 	Events *obs.Sink
@@ -174,9 +174,9 @@ type Machine struct {
 
 	// regs is sized to the full uint8 MReg index space (only the first
 	// NumMRegs entries are live) so the interpreter's register accesses
-	// compile without bounds checks. The loops are sensitive to where it
+	// compile without bounds checks. The interpreter is sensitive to where it
 	// sits: at offset 120 each access encodes the offset in one byte, and a
-	// hook added above it (offset 128) measured 4–8% slower taint-loop runs
+	// hook added above it (offset 128) measured 4–8% slower taint-copy runs
 	// on bfs, matvec and lud. Add fields below it.
 	regs  [256]uint64
 	pc    uint64
@@ -191,8 +191,8 @@ type Machine struct {
 	sampleIv uint64
 	// nextSample is the retired-instruction count of the next sample
 	// boundary: the smallest multiple of sampleIv above counters.Instructions.
-	// Both interpreter loops and retireFused compare against it instead of
-	// dividing per instruction; sampleBoundary alone advances it.
+	// The interpreter compares against it (through stopAt) instead of
+	// dividing per instruction; retire alone advances it.
 	nextSample uint64
 	noFastPath bool
 	// taintEv is the record handed to the tainted-memory hooks.
@@ -214,10 +214,10 @@ type Machine struct {
 	execTrace *execRing
 	chains    chainTable
 	prevTB    *chainNode
-	// dirtyPerOp lists chain nodes holding unflushed per-opcode execution
-	// credit (chainNode.execs != 0); flushPerOp folds them into
+	// dirtyPerOp heads the list of chain nodes holding unflushed per-opcode
+	// execution credit (chainNode.execs != 0); flushPerOp folds them into
 	// counters.PerOp before any reader sees the snapshot.
-	dirtyPerOp []*chainNode
+	dirtyPerOp *chainNode
 
 	obsReg     *obs.Registry
 	obsFlushed bool
