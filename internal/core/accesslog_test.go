@@ -100,7 +100,7 @@ func checkAccessLogTallies(t *testing.T, cfg RunConfig, from *WorldSnapshot, max
 	}
 	platform.RegisterReadTaintCB(check)
 	platform.RegisterWriteTaintCB(check)
-	world, err := newSessionWorld(cfg, cfg.WorldSize, platform, from)
+	world, err := newSessionWorld(cfg, cfg.WorldSize, platform, from, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

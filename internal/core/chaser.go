@@ -448,25 +448,6 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 	m.Trans.Flush()
 }
 
-// lazySource is rand.NewSource(seed), seeded on the first draw: seeding fills
-// a 607-word table, and a world that never reaches its trigger — every ladder
-// prefix, every run whose fault site is never executed — draws nothing.
-type lazySource struct {
-	seed int64
-	src  rand.Source64
-}
-
-func (s *lazySource) source() rand.Source64 {
-	if s.src == nil {
-		s.src = rand.NewSource(s.seed).(rand.Source64)
-	}
-	return s.src
-}
-
-func (s *lazySource) Int63() int64    { return s.source().Int63() }
-func (s *lazySource) Uint64() uint64  { return s.source().Uint64() }
-func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
-
 // faultInjector runs before every targeted instruction: it updates the
 // executed counter, checks the injection condition, and performs the
 // injection when the condition is met.

@@ -283,7 +283,7 @@ func TestReceiverAppliesTheHubsMasks(t *testing.T) {
 				}
 			})
 			ch.Arm(cfg.Spec)
-			world, err := newSessionWorld(cfg, cfg.WorldSize, platform, nil)
+			world, err := newSessionWorld(cfg, cfg.WorldSize, platform, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

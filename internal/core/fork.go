@@ -172,7 +172,7 @@ func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSna
 		}
 	}
 	ch.Arm(prefix.Spec)
-	world, err := newSessionWorld(prefix, size, platform, from)
+	world, err := newSessionWorld(prefix, size, platform, from, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func TestLiveReadersOfATracedWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch.Arm(cfg.Spec)
-	world, err := newSessionWorld(cfg, cfg.WorldSize, platform, nil)
+	world, err := newSessionWorld(cfg, cfg.WorldSize, platform, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

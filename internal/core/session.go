@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"chaser/internal/decaf"
@@ -112,7 +113,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 // newSessionWorld builds the MPI world for a run. With a non-nil snapshot
 // the machines and the world's state are restored from it (fork-point
 // multiplexing); otherwise the machines start fresh at the program entry.
-func newSessionWorld(cfg RunConfig, size int, platform *decaf.Platform, snap *WorldSnapshot) (*mpi.World, error) {
+// The machines are built on what arena recycled (nil: on nothing).
+func newSessionWorld(cfg RunConfig, size int, platform *decaf.Platform, snap *WorldSnapshot, arena *vm.Arena) (*mpi.World, error) {
 	mcfg := mpi.Config{
 		Size: size,
 		Machine: func(rank int) vm.Config {
@@ -131,26 +133,43 @@ func newSessionWorld(cfg RunConfig, size int, platform *decaf.Platform, snap *Wo
 			}
 			platform.CreateProcess(m)
 		},
+		NewMachine: func(rank int, mc vm.Config) *vm.Machine {
+			if snap != nil {
+				return arena.NewFromSnapshot(cfg.Prog, snap.machines[rank], mc)
+			}
+			return arena.New(cfg.Prog, mc)
+		},
 		Obs:    cfg.Obs,
 		Tracer: cfg.Tracer,
 		Events: cfg.Events,
 	}
 	if snap != nil {
-		mcfg.NewMachine = func(rank int, mc vm.Config) *vm.Machine {
-			return vm.NewFromSnapshot(cfg.Prog, snap.machines[rank], mc)
-		}
 		mcfg.State = snap.world
 	}
 	return mpi.NewWorld(cfg.Prog, mcfg)
 }
 
+// arenas holds the vm.Arenas of finished runs. A run takes one for the
+// machines of its world and puts it back with them only once nothing can
+// reach them but the arena: its RunResult is assembled from copies
+// (Machine.Output, Console and Counters; the collector, injection records and
+// hub stats never point into a machine, and a record's region name is an
+// immutable string), its hub flights are drained, and no watchdog callback is
+// running or left to run. A run that panics, fails or whose watchdog fired
+// drops its arena to the garbage collector instead. PrefixRunFrom uses none:
+// its worlds become rungs, whose pages are sealed and shared by every fork.
+var arenas = sync.Pool{New: func() any { return new(vm.Arena) }}
+
 // armTimeout installs the wall-clock watchdog; the returned stop function is
-// safe to call whether or not the deadline fired. The watchdog fires at most
-// once per world (Interrupt is once-guarded), so a run that crashes or
-// completes first wins.
-func armTimeout(world *mpi.World, deadline time.Duration) func() {
+// safe to call whether or not the deadline fired, and reports whether the
+// watchdog's callback never ran and never will (true without a deadline).
+// Stop does not wait for a callback already running, so when it reports
+// false the world's machines may still be aborted from another goroutine.
+// The watchdog fires at most once per world (Interrupt is once-guarded), so a
+// run that crashes or completes first wins.
+func armTimeout(world *mpi.World, deadline time.Duration) func() bool {
 	if deadline <= 0 {
-		return func() {}
+		return func() bool { return true }
 	}
 	watchdog := time.AfterFunc(deadline, func() {
 		world.Interrupt(vm.Termination{
@@ -158,7 +177,7 @@ func armTimeout(world *mpi.World, deadline time.Duration) func() {
 			Msg:    fmt.Sprintf("wall-clock deadline %s exceeded", deadline),
 		})
 	})
-	return func() { watchdog.Stop() }
+	return watchdog.Stop
 }
 
 func execute(cfg RunConfig, snap *WorldSnapshot) (*RunResult, error) {
@@ -193,15 +212,16 @@ func execute(cfg RunConfig, snap *WorldSnapshot) (*RunResult, error) {
 			ch.collector.AddSample(p)
 		}
 	}
-	world, err := newSessionWorld(cfg, size, platform, snap)
+	arena := arenas.Get().(*vm.Arena)
+	world, err := newSessionWorld(cfg, size, platform, snap, arena)
 	if err != nil {
 		return nil, err
 	}
 	stopWatchdog := armTimeout(world, cfg.Timeout)
-	defer stopWatchdog()
 	wsp := cfg.Tracer.StartSpan("world.run")
 	terms := world.Run()
 	wsp.End()
+	quiet := stopWatchdog()
 	// Flights whose receiver ended before it received them are settled here,
 	// before anyone reads the collector, the hub error or, a shard later, the
 	// namespace's retirement.
@@ -232,6 +252,12 @@ func execute(cfg RunConfig, snap *WorldSnapshot) (*RunResult, error) {
 		if cfg.ExecTraceDepth > 0 {
 			res.ExecTraces[r] = m.FormatExecTrace()
 		}
+	}
+	if quiet {
+		for r := 0; r < size; r++ {
+			arena.Release(world.Machine(r))
+		}
+		arenas.Put(arena)
 	}
 	return res, nil
 }

@@ -98,6 +98,33 @@ func (s *Shadow) Reset() {
 	s.highWater = 0
 }
 
+// Recycle empties the shadow for the machine it is handed to next: it is
+// then Pristine, as after NewShadow. Unlike Reset it keeps its page table
+// (unless that grew past maxRecycledPages) and, zeroed, as many of its pages
+// as the free list holds. The first-taint callback is dropped with the
+// machine it closed over.
+func (s *Shadow) Recycle() {
+	for _, p := range s.pages {
+		if s.nfree == maxFreePages {
+			break
+		}
+		*p = shadowPage{}
+		s.free[s.nfree] = p
+		s.nfree++
+	}
+	pages := s.pages
+	if len(pages) > maxRecycledPages {
+		pages = make(map[uint64]*shadowPage)
+	} else {
+		clear(pages)
+	}
+	*s = Shadow{pages: pages, free: s.free, nfree: s.nfree}
+}
+
+// maxRecycledPages bounds the page table Recycle keeps: a map never shrinks,
+// so one that held many pages is let go.
+const maxRecycledPages = 64
+
 // Clone returns a deep copy of the taint state: shadow registers, shadow
 // pages, and the incrementally maintained counts. The onFirstTaint callback
 // is NOT copied — it closes over the originating machine, and a forked

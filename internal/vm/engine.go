@@ -127,7 +127,12 @@ func (m *Machine) step(chain bool) {
 		// The outgoing table's nodes carry unflushed per-opcode credit;
 		// fold it in before they become unreachable.
 		m.flushPerOp()
-		m.chains = chainTable{gen: gen, nodes: make(map[*tcg.TB]*chainNode)}
+		if m.chains.nodes == nil {
+			m.chains.nodes = make(map[*tcg.TB]*chainNode)
+		} else {
+			clear(m.chains.nodes)
+		}
+		m.chains.gen = gen
 		m.prevTB = nil
 	}
 	var node *chainNode

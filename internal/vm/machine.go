@@ -69,13 +69,15 @@ type Hooks struct {
 	Sample func(instrs uint64, taintedBytes int64)
 }
 
-// Counters aggregates execution statistics for one run.
+// Counters aggregates execution statistics for one run. A machine keeps one,
+// a snapshot keeps one and a run's result keeps one per rank, so it holds the
+// opcodes the ISA has and no more.
 type Counters struct {
 	Instructions uint64
-	// PerOp is indexed by opcode; it spans the full uint8 opcode space (only
-	// the first isa.NumOps entries are ever non-zero) so the interpreter's
-	// per-instruction increment compiles without a bounds check.
-	PerOp            [256]uint64
+	// PerOp is indexed by opcode. The interpreter credits it per block
+	// (creditBlock, flushPerOp), not per instruction, so its bounds checks
+	// are off the hot path.
+	PerOp            [isa.NumOps]uint64
 	TBsExecuted      uint64
 	ChainedTBs       uint64 // blocks reached through chained edges
 	FastPathTBs      uint64 // blocks executed on the interpreter's taint-free copy
@@ -208,7 +210,7 @@ type Machine struct {
 	// forkBase is the counters a machine resumed from a snapshot started
 	// with (nil for a machine started at program entry): telemetry publishes
 	// only what this machine executed itself.
-	forkBase  *snapCounters
+	forkBase  *Counters
 	term      *Termination
 	abort     abortBox
 	execTrace *execRing
@@ -235,44 +237,8 @@ type Machine struct {
 // data segment, heap, and stack. The code segment is fetched through the
 // translator, not data memory.
 func New(prog *isa.Program, cfg Config) *Machine {
-	m := &Machine{
-		Name:       prog.Name,
-		PID:        cfg.PID,
-		Rank:       cfg.Rank,
-		WorldSize:  cfg.WorldSize,
-		Prog:       prog,
-		Mem:        NewMemory(),
-		Trans:      tcg.NewSharedTranslator(prog, cfg.BaseCache),
-		Shadow:     taint.NewShadow(),
-		heapBrk:    isa.HeapBase,
-		maxInstr:   cfg.MaxInstructions,
-		sampleIv:   cfg.SampleInterval,
-		noFastPath: cfg.NoFastPath,
-		mpi:        cfg.MPI,
-		obsReg:     cfg.Obs,
-		events:     cfg.Events,
-	}
-	m.Trans.AttachObs(cfg.Obs)
-	if m.maxInstr == 0 {
-		m.maxInstr = DefaultMaxInstructions
-	}
-	if m.sampleIv == 0 {
-		m.sampleIv = DefaultSampleInterval
-	}
-	m.nextSample = m.sampleIv
-	if m.WorldSize == 0 {
-		m.WorldSize = 1
-	}
-	dataSize := uint64(len(prog.Data))
-	if dataSize > 0 {
-		m.Mem.Map("data", isa.DataBase, (dataSize+PageSize-1)&^uint64(PageSize-1))
-		// Initialization faults are impossible: the region was just mapped.
-		_ = m.Mem.WriteBytes(isa.DataBase, prog.Data)
-	}
-	m.Mem.Map("stack", isa.StackTop-isa.StackSize, isa.StackSize)
-	m.pc = prog.Entry
-	m.regs[tcg.SPReg] = isa.StackTop - 64 // small red zone below the top
-	return m
+	var fresh *Arena
+	return fresh.New(prog, cfg)
 }
 
 // Reg returns the value of a micro-register.
@@ -326,7 +292,7 @@ func (m *Machine) Counters() Counters {
 }
 
 // Instructions returns the retired-instruction count alone: what a hook that
-// dates an event wants, without the flush and 2 KiB copy of Counters.
+// dates an event wants, without the flush and copy of Counters.
 func (m *Machine) Instructions() uint64 { return m.counters.Instructions }
 
 // Terminated returns the final status, or nil while running.

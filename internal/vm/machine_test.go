@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -754,30 +753,6 @@ main:
 // and a shadow that is empty — or, once taint has come and gone, the one the
 // machine had.
 func TestSnapshotKeepsWhatTheMachineHas(t *testing.T) {
-	// Every Counters field but PerOp is kept under its own name.
-	kept := reflect.TypeOf(snapCounters{})
-	ct := reflect.TypeOf(Counters{})
-	for i := 0; i < ct.NumField(); i++ {
-		f := ct.Field(i)
-		if k, ok := kept.FieldByName(f.Name); !ok || (f.Name != "PerOp" && k.Type != f.Type) {
-			t.Errorf("Counters.%s is not kept by a snapshot", f.Name)
-		}
-	}
-	var c Counters
-	v := reflect.ValueOf(&c).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); f.Kind() == reflect.Uint64 {
-			f.SetUint(uint64(1000 + i))
-		}
-	}
-	for op := 1; op < isa.NumOps; op++ {
-		c.PerOp[op] = uint64(op)
-	}
-	k := keepCounters(c)
-	if got := k.counters(); got != c {
-		t.Errorf("counters do not survive a snapshot:\n %+v\n %+v", got, c)
-	}
-
 	p, err := asm.Assemble("t", `
 main:
     movi r1, 7

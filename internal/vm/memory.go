@@ -81,15 +81,40 @@ type Memory struct {
 	// cowCopies counts pages privatized by copy-on-write since creation
 	// (telemetry: vm_cow_page_copies_total).
 	cowCopies uint64
-	// fresh counts pages first touched or privatized since creation or the
-	// last Snapshot: the pages the next image will not share with the one
-	// this Memory was forked from.
-	fresh uint64
+	// private lists the pages first touched or privatized since creation or
+	// the last Snapshot: the pages the next image will not share with the one
+	// this Memory was forked from, and the ones its machine's Arena may keep.
+	// Snapshot, which seals pages, empties it, so it never holds a sealed one.
+	private []*memPage
+	// arena hands out the pages the machines of earlier runs left (nil: none).
+	arena *Arena
 }
 
 // NewMemory creates an empty address space with no mapped regions.
 func NewMemory() *Memory {
 	return &Memory{pages: make(map[uint64]*memPage), nextFrame: 1}
+}
+
+// blankPage returns an all-zero private page: one the arena kept, cleared,
+// or a new one.
+func (m *Memory) blankPage() *memPage {
+	if p := m.arena.page(); p != nil {
+		clear(p.data[:])
+		return p
+	}
+	return new(memPage)
+}
+
+// copyPage returns a private copy of the sealed page p, in a page the arena
+// kept (every byte of it overwritten) or a new one.
+func (m *Memory) copyPage(p *memPage) *memPage {
+	cp := m.arena.page()
+	if cp == nil {
+		cp = new(memPage)
+	}
+	cp.data = p.data
+	cp.frame, cp.region, cp.mixed = p.frame, p.region, p.mixed
+	return cp
 }
 
 // lookup returns the cached page for an aligned page base, or nil on a TLB
@@ -176,10 +201,11 @@ func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
 		if !m.Mapped(addr) {
 			return nil, 0, &SegFaultError{Addr: addr, Write: write}
 		}
-		p = &memPage{frame: m.nextFrame}
+		p = m.blankPage()
+		p.frame = m.nextFrame
 		p.region, p.mixed = m.pageRegion(base)
 		m.nextFrame++
-		m.fresh++
+		m.private = append(m.private, p)
 		m.pages[base] = p
 	case p.sealed:
 		if !write {
@@ -189,11 +215,10 @@ func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
 		}
 		// Copy-on-write: privatize the page, keeping its frame so physical
 		// addresses stay stable across snapshot/fork.
-		cp := &memPage{data: p.data, frame: p.frame, region: p.region, mixed: p.mixed}
-		m.pages[base] = cp
+		p = m.copyPage(p)
+		m.pages[base] = p
 		m.cowCopies++
-		m.fresh++
-		p = cp
+		m.private = append(m.private, p)
 	}
 	m.tlb[(base/PageSize)%tlbSize] = tlbEntry{base: base, page: p}
 	return p, addr - base, nil
@@ -255,9 +280,10 @@ func (m *Memory) Snapshot() *MemImage {
 		pages:     pages,
 		regions:   append([]region(nil), m.regions...),
 		nextFrame: m.nextFrame,
-		fresh:     m.fresh,
+		fresh:     uint64(len(m.private)),
 	}
-	m.fresh = 0
+	clear(m.private)
+	m.private = m.private[:0]
 	return img
 }
 
@@ -266,15 +292,32 @@ func (m *Memory) Snapshot() *MemImage {
 // the image's frame numbering, so first-touch order yields the same physical
 // addresses a from-scratch run would assign.
 func NewMemoryFromImage(img *MemImage) *Memory {
-	pages := make(map[uint64]*memPage, len(img.pages))
+	m := &Memory{pages: make(map[uint64]*memPage, len(img.pages))}
+	m.load(img)
+	return m
+}
+
+// load makes the empty Memory m a fork of img.
+func (m *Memory) load(img *MemImage) {
 	for _, ip := range img.pages {
-		pages[ip.base] = ip.p
+		m.pages[ip.base] = ip.p
 	}
-	return &Memory{
-		pages:     pages,
-		regions:   append([]region(nil), img.regions...),
-		nextFrame: img.nextFrame,
+	m.regions = append(m.regions, img.regions...)
+	m.nextFrame = img.nextFrame
+}
+
+// empty returns m to a NewMemory's state for the machine it is handed to
+// next, keeping its page table (unless that grew past maxRecycledPages) and
+// the backing arrays of its region and private-page lists.
+func (m *Memory) empty() {
+	pages := m.pages
+	if len(pages) > maxRecycledPages {
+		pages = make(map[uint64]*memPage)
+	} else {
+		clear(pages)
 	}
+	clear(m.private)
+	*m = Memory{pages: pages, regions: m.regions[:0], private: m.private[:0], nextFrame: 1}
 }
 
 // CowCopies returns the number of pages this Memory privatized via

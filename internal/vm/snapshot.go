@@ -39,7 +39,7 @@ type Snapshot struct {
 	heapBrk  uint64
 	console  []byte
 	output   []byte
-	counters snapCounters
+	counters Counters
 	// shadow is nil for a machine whose shadow never held taint (Pristine):
 	// a fork starts from an empty one.
 	shadow  *taint.Shadow
@@ -71,7 +71,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		heapBrk:   m.heapBrk,
 		console:   append([]byte(nil), m.console...),
 		output:    append([]byte(nil), m.output...),
-		counters:  keepCounters(m.Counters()), // flushes deferred per-op credit first
+		counters:  m.Counters(), // flushes deferred per-op credit first
 		taintOn:   m.TaintEnabled,
 		waitingIn: m.waitingIn,
 		waitPC:    m.waitPC,
@@ -92,50 +92,8 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
-// snapCounters is Counters with PerOp cut to the opcodes the ISA has: what a
-// snapshot keeps (456 bytes instead of 2,104). The fields carry Counters'
-// names, so the snapshot serves as a forked machine's forkBase as it is.
-type snapCounters struct {
-	Instructions     uint64
-	PerOp            [isa.NumOps]uint64
-	TBsExecuted      uint64
-	ChainedTBs       uint64
-	FastPathTBs      uint64
-	TaintedMemReads  uint64
-	TaintedMemWrites uint64
-	Syscalls         uint64
-}
-
-func keepCounters(c Counters) snapCounters {
-	k := snapCounters{
-		Instructions:     c.Instructions,
-		TBsExecuted:      c.TBsExecuted,
-		ChainedTBs:       c.ChainedTBs,
-		FastPathTBs:      c.FastPathTBs,
-		TaintedMemReads:  c.TaintedMemReads,
-		TaintedMemWrites: c.TaintedMemWrites,
-		Syscalls:         c.Syscalls,
-	}
-	copy(k.PerOp[:], c.PerOp[:])
-	return k
-}
-
-func (k *snapCounters) counters() Counters {
-	c := Counters{
-		Instructions:     k.Instructions,
-		TBsExecuted:      k.TBsExecuted,
-		ChainedTBs:       k.ChainedTBs,
-		FastPathTBs:      k.FastPathTBs,
-		TaintedMemReads:  k.TaintedMemReads,
-		TaintedMemWrites: k.TaintedMemWrites,
-		Syscalls:         k.Syscalls,
-	}
-	copy(c.PerOp[:], k.PerOp[:])
-	return c
-}
-
 // Counters returns the execution statistics at the snapshot point.
-func (s *Snapshot) Counters() Counters { return s.counters.counters() }
+func (s *Snapshot) Counters() Counters { return s.counters }
 
 // Instructions returns the retired-instruction count at the snapshot point.
 func (s *Snapshot) Instructions() uint64 { return s.counters.Instructions }
@@ -173,52 +131,6 @@ func sealed(b []byte) []byte { return b[:len(b):len(b)] }
 // telemetry, MPI plumbing); prog must be the program the snapshot was
 // captured from.
 func NewFromSnapshot(prog *isa.Program, snap *Snapshot, cfg Config) *Machine {
-	m := &Machine{
-		Name:         prog.Name,
-		PID:          cfg.PID,
-		Rank:         cfg.Rank,
-		WorldSize:    cfg.WorldSize,
-		Prog:         prog,
-		Mem:          NewMemoryFromImage(snap.mem),
-		Trans:        tcg.NewSharedTranslator(prog, cfg.BaseCache),
-		TaintEnabled: snap.taintOn,
-		pc:           snap.pc,
-		flags:        snap.flags,
-		heapBrk:      snap.heapBrk,
-		maxInstr:     cfg.MaxInstructions,
-		sampleIv:     cfg.SampleInterval,
-		noFastPath:   cfg.NoFastPath,
-		console:      sealed(snap.console),
-		output:       sealed(snap.output),
-		counters:     snap.counters.counters(),
-		forkBase:     &snap.counters,
-		mpi:          cfg.MPI,
-		obsReg:       cfg.Obs,
-		events:       cfg.Events,
-		waitingIn:    snap.waitingIn,
-		waitPC:       snap.waitPC,
-	}
-	copy(m.regs[:], snap.regs[:])
-	if snap.shadow != nil {
-		m.Shadow = snap.shadow.Clone()
-	} else {
-		m.Shadow = taint.NewShadow()
-	}
-	m.Trans.AttachObs(cfg.Obs)
-	if m.maxInstr == 0 {
-		m.maxInstr = DefaultMaxInstructions
-	}
-	if m.sampleIv == 0 {
-		m.sampleIv = DefaultSampleInterval
-	}
-	// The restored count need not sit on the sampling grid.
-	m.nextSample = (m.counters.Instructions/m.sampleIv + 1) * m.sampleIv
-	if m.WorldSize == 0 {
-		m.WorldSize = 1
-	}
-	if snap.term != nil {
-		tt := *snap.term
-		m.term = &tt
-	}
-	return m
+	var fresh *Arena
+	return fresh.NewFromSnapshot(prog, snap, cfg)
 }
