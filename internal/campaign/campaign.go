@@ -419,6 +419,16 @@ func planTasks(cfg Config, totals []uint64) ([]task, error) {
 	return tasks, nil
 }
 
+// job is one task handed to the worker pool: ws is the rung it forks from
+// (nil: none), first its fault's first run at its site (nil: it has no key;
+// see repeat.go) and repeat whether that is an earlier task's.
+type job struct {
+	task
+	ws     *core.WorldSnapshot
+	first  *firstRun
+	repeat bool
+}
+
 // runPrepared executes the injection runs of a campaign against a prepared
 // baseline. carried is the last rung of an earlier walk over the same task
 // list (nil: none) and last the rung this walk ended on: BitSweep hands one
@@ -583,9 +593,52 @@ func runPrepared(cfg Config, base *Baseline, carried *core.WorldSnapshot) (sum *
 		return Classify(res, goldenOut, tk.rank), res, nil
 	}
 
-	type job struct {
-		task
-		ws *core.WorldSnapshot
+	// finish records one run's outcome: its slot, the live tally, the
+	// run_done event, the observer (res is nil for a repeat, which a campaign
+	// with an observer never has) and the journal.
+	finish := func(tk task, out RunOutcome, res *core.RunResult) {
+		outcomes[tk.idx] = out
+		live.record(out.Outcome)
+		cfg.Events.Emit("run_done", tk.idx, tk.rank,
+			uint64(out.Outcome), uint64(out.Term), out.Outcome.String())
+		if cfg.RunObserver != nil {
+			cfg.RunObserver(tk.idx, tk.rank, out, res)
+		}
+		if out.Term == TermTimeout {
+			cfg.Obs.Counter("campaign_runs_timeout_total").Inc()
+		}
+		if journal != nil {
+			if jerr := journal.Append(tk.idx, out); jerr != nil {
+				errs[tk.idx] = jerr
+			}
+		}
+	}
+	// execute runs and records one task, and reports whether the tasks
+	// repeating its fault may take its outcome (see repeat.go).
+	execute := func(worker int, j job) bool {
+		cfg.Obs.Counter("campaign_runs_started_total").Inc()
+		rsp := cfg.Tracer.StartSpanTID("campaign.run", worker)
+		defer rsp.End()
+		out, res, err := runOne(j.task, j.ws)
+		if err != nil {
+			rsp.SetArg("error", err.Error())
+			errs[j.idx] = err
+			return false
+		}
+		finish(j.task, out, res)
+		rsp.SetArg("outcome", out.Outcome.String())
+		return reusable(res)
+	}
+	repeated := cfg.Obs.Counter("campaign_runs_repeated_total")
+	// settle finishes a repeat whose first run is done: it takes the first
+	// run's outcome, or executes when it may not.
+	settle := func(worker int, rp job, reuse bool) {
+		if !reuse {
+			execute(worker, rp)
+			return
+		}
+		repeated.Inc()
+		finish(rp.task, outcomes[rp.first.idx], nil)
 	}
 	var wg sync.WaitGroup
 	ch := make(chan job)
@@ -593,33 +646,19 @@ func runPrepared(cfg Config, base *Baseline, carried *core.WorldSnapshot) (sum *
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			for tk := range ch {
-				cfg.Obs.Counter("campaign_runs_started_total").Inc()
-				rsp := cfg.Tracer.StartSpanTID("campaign.run", worker)
-				out, res, err := runOne(tk.task, tk.ws)
-				if err != nil {
-					rsp.SetArg("error", err.Error())
-					rsp.End()
-					errs[tk.idx] = err
+			for j := range ch {
+				if j.repeat {
+					if reuse, queued := j.first.join(j); !queued {
+						settle(worker, j, reuse)
+					}
 					continue
 				}
-				outcomes[tk.idx] = out
-				live.record(out.Outcome)
-				cfg.Events.Emit("run_done", tk.idx, tk.rank,
-					uint64(out.Outcome), uint64(out.Term), out.Outcome.String())
-				if cfg.RunObserver != nil {
-					cfg.RunObserver(tk.idx, tk.rank, out, res)
-				}
-				if out.Term == TermTimeout {
-					cfg.Obs.Counter("campaign_runs_timeout_total").Inc()
-				}
-				if journal != nil {
-					if jerr := journal.Append(tk.idx, out); jerr != nil {
-						errs[tk.idx] = jerr
+				reuse := execute(worker, j)
+				if j.first != nil {
+					for _, rp := range j.first.finish(reuse) {
+						settle(worker, rp, reuse)
 					}
 				}
-				rsp.SetArg("outcome", out.Outcome.String())
-				rsp.End()
 			}
 		}(w)
 	}
@@ -632,9 +671,13 @@ func runPrepared(cfg Config, base *Baseline, carried *core.WorldSnapshot) (sum *
 		}
 	}
 	var rungs *ladder
+	var reps *repeats
 	if !cfg.NoFork {
 		sortBySite(pending)
 		rungs = newLadder(base, cfg.Trace, cfg.Obs, carried)
+		if cfg.RunObserver == nil {
+			reps = newRepeats(cfg.Prog, bits)
+		}
 	}
 	// The feed stops at Stop or at a failed prefix run. However it ends — a
 	// panic in a prefix run too, which goes on to the caller — the pool drains
@@ -653,6 +696,9 @@ func runPrepared(cfg Config, base *Baseline, carried *core.WorldSnapshot) (sum *
 			if rungs != nil {
 				if j.ws, prefixErr = rungs.rung(tk, pending[i+1:]); prefixErr != nil {
 					return
+				}
+				if reps != nil {
+					j.first, j.repeat = reps.of(tk, j.ws)
 				}
 			}
 			// A nil Stop channel never receives, so the select degenerates

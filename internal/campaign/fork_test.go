@@ -60,9 +60,10 @@ func TestCampaignForkMatchesScratch(t *testing.T) {
 		t.Errorf("campaign_prefix_runs_total = %d, want %d (the spine up to the pinned site)", got, spineIntervals/2)
 	}
 	fr := reg.Counter("campaign_forked_runs_total").Value()
+	rep := reg.Counter("campaign_runs_repeated_total").Value()
 	misses := reg.Counter("campaign_snapshot_cache_misses_total").Value()
-	if fr+misses != uint64(cfg.Runs) {
-		t.Errorf("forked (%d) + misses (%d) != runs (%d)", fr, misses, cfg.Runs)
+	if fr+rep+misses != uint64(cfg.Runs) {
+		t.Errorf("forked (%d) + repeated (%d) + misses (%d) != runs (%d)", fr, rep, misses, cfg.Runs)
 	}
 	if fr == 0 {
 		t.Error("no runs actually forked")

@@ -118,14 +118,15 @@ func sameJournalRecords(t *testing.T, want, got string) {
 
 // ladderCounts reads the fork telemetry of one campaign.
 type ladderCounts struct {
-	prefix, forked, hits, misses uint64
-	highWater                    float64
+	prefix, forked, repeated, hits, misses uint64
+	highWater                              float64
 }
 
 func countsOf(reg *obs.Registry) ladderCounts {
 	return ladderCounts{
 		prefix:    reg.Counter("campaign_prefix_runs_total").Value(),
 		forked:    reg.Counter("campaign_forked_runs_total").Value(),
+		repeated:  reg.Counter("campaign_runs_repeated_total").Value(),
 		hits:      reg.Counter("campaign_snapshot_cache_hits_total").Value(),
 		misses:    reg.Counter("campaign_snapshot_cache_misses_total").Value(),
 		highWater: reg.Gauge("campaign_snapshot_cache_bytes_high_water").Value(),
@@ -150,10 +151,11 @@ func TestLadderMatchesNoFork(t *testing.T) {
 	allForked := func(t *testing.T, cfg Config, c ladderCounts) {
 		t.Helper()
 		lo, hi, _ := cfg.bounds()
-		// A run forks or — nothing resident below its site — starts at
-		// program entry, which is a cache miss.
-		if c.forked+c.misses < uint64(hi-lo) || c.forked == 0 {
-			t.Errorf("forked %d + misses %d over %d runs", c.forked, c.misses, hi-lo)
+		// A run forks, repeats an earlier run's fault at its site or —
+		// nothing resident below its site — starts at program entry, which
+		// is a cache miss.
+		if c.forked+c.repeated+c.misses < uint64(hi-lo) || c.forked == 0 {
+			t.Errorf("forked %d + repeated %d + misses %d over %d runs", c.forked, c.repeated, c.misses, hi-lo)
 		}
 		if c.prefix == 0 {
 			t.Error("no prefix run: neither a spine position nor a rung")

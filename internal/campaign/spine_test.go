@@ -298,7 +298,7 @@ func TestWarmSpineBuildsNothing(t *testing.T) {
 	if !onPosition(sp, scfg.InjectExec) {
 		want++
 	}
-	if sc := countsOf(sreg); sc.prefix != want || sc.forked != uint64(3*scfg.Runs) || sc.misses != 0 {
+	if sc := countsOf(sreg); sc.prefix != want || sc.forked+sc.repeated != uint64(3*scfg.Runs) || sc.misses != 0 {
 		t.Errorf("pinned sweep: %+v, want %d prefix runs: the spine positions below the site and one beyond them", sc, want)
 	}
 }

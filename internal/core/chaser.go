@@ -441,7 +441,7 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 	// instructions (just-in-time fault injection, Fig. 3). Only the helper
 	// draws from the rank's random stream, so only target ranks hold one.
 	c.obsArmed.Inc()
-	st.rng = rand.New(&lazySource{seed: spec.Seed*1000003 + int64(info.Rank)})
+	st.rng = rankStream(spec.Seed, info.Rank)
 	m.Trans.SetProbe(tcg.Probe{Ops: tcg.OpSetOf(spec.Ops...), Helper: m.RegisterHelper(st.faultInjector)})
 	// Flush the code translation cache to trigger the next round of binary
 	// code translation with the injector in place.

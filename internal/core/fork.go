@@ -64,6 +64,11 @@ type WorldSnapshot struct {
 // Site returns the fork site the snapshot was captured at.
 func (ws *WorldSnapshot) Site() ForkSite { return ws.site }
 
+// PC returns rank's guest pc in the snapshot. The site's rank is paused in
+// front of the targeted instruction its site counts, so at that rank this is
+// the instruction a run forked with the site's own N injects at.
+func (ws *WorldSnapshot) PC(rank int) uint64 { return ws.machines[rank].PC() }
+
 // Bytes returns the heap the snapshot holds: every rank's pages and
 // vm.Snapshot, the world's state with its queued payloads, the injector's
 // resume state and the timeline so far.

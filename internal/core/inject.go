@@ -166,49 +166,82 @@ var _ Injector = OperandInjector{}
 
 // Inject implements Injector.
 func (o OperandInjector) Inject(ctx *Context) (InjectionRecord, error) {
-	bits := o.Bits
+	m, ins := ctx.Machine, ctx.Instr
+	rec := InjectionRecord{
+		Rank:      m.Rank,
+		PC:        ctx.Op.GuestPC,
+		GuestOp:   ins.Op,
+		GuestOpS:  ins.Op.String(),
+		ExecCount: ctx.ExecCount,
+		InstrNum:  m.Instructions(),
+	}
+	var addr uint64
+	inMem := false
+	f := drawOperandFault(ctx.Rng, o.Bits, ins, func(mask uint64) bool {
+		addr = m.GPR(ins.Rs1) + uint64(ins.Imm)
+		var err error
+		rec.Before, rec.After, err = CorruptMemory(m, addr, mask, ctx.Trace)
+		inMem = err == nil
+		return inMem
+	})
+	rec.Mask = f.Mask
+	if inMem {
+		rec.Target = fmt.Sprintf("mem %#x", addr)
+		return rec, nil
+	}
+	rec.Before, rec.After = CorruptRegister(m, f.Reg, f.Mask, ctx.Trace)
+	rec.Target = "reg " + f.Reg.String()
+	return rec, nil
+}
+
+// OperandFault is OperandInjector's decision for one injection: the bits it
+// flips, and where. Mem is set when a load's memory word is to take them; Reg
+// takes them otherwise, and when that word turns out to be unmapped.
+type OperandFault struct {
+	Mask uint64
+	Mem  bool
+	Reg  tcg.MReg
+}
+
+// PlanOperandFault returns the decision OperandInjector{Bits: bits} makes at
+// instruction ins on rank of a run whose spec seed is seed, without a
+// machine: it draws the rank's stream (rankStream) as the injector does.
+// Where the injector corrupts a load's memory word it draws no register, but
+// the plan draws the one it would fall back to, so the plan may be finer than
+// the fault, never coarser: at one paused instruction of one world, two runs
+// whose plans are equal inject the same fault.
+func PlanOperandFault(seed int64, rank, bits int, ins isa.Instr) OperandFault {
+	return drawOperandFault(rankStream(seed, rank), bits, ins, nil)
+}
+
+// drawOperandFault draws OperandInjector's decision from rng: the mask, then
+// for a load a coin between its memory word and a register, then the
+// register — unless the coin chose the word and memory, handed the mask,
+// reports that the word took it. A nil memory never takes it. This is the
+// injector's one sequence of draws, shared with the plan.
+func drawOperandFault(rng *rand.Rand, bits int, ins isa.Instr, memory func(mask uint64) bool) OperandFault {
 	if bits == 0 {
 		bits = 1
 	}
-	mask := RandomBitMask(bits, ctx.Rng)
-	rec := InjectionRecord{
-		Rank:      ctx.Machine.Rank,
-		PC:        ctx.Op.GuestPC,
-		GuestOp:   ctx.Instr.Op,
-		GuestOpS:  ctx.Instr.Op.String(),
-		ExecCount: ctx.ExecCount,
-		InstrNum:  ctx.Machine.Instructions(),
-		Mask:      mask,
-	}
-
+	f := OperandFault{Mask: RandomBitMask(bits, rng)}
 	// Loads read a memory operand: corrupt the in-memory source word half
-	// the time, the address register otherwise.
-	ins := ctx.Instr
-	isLoad := ins.Op == isa.OpLd || ins.Op == isa.OpFLd || ins.Op == isa.OpLdB
-	if isLoad && ctx.Rng.Intn(2) == 0 {
-		addr := ctx.Machine.GPR(ins.Rs1) + uint64(ins.Imm)
-		if before, after, err := CorruptMemory(ctx.Machine, addr, mask, ctx.Trace); err == nil {
-			rec.Target = fmt.Sprintf("mem %#x", addr)
-			rec.Before, rec.After = before, after
-			return rec, nil
+	// the time, the address register otherwise. An unmapped effective
+	// address (e.g. the base register was wild already) falls through to
+	// register corruption.
+	if (ins.Op == isa.OpLd || ins.Op == isa.OpFLd || ins.Op == isa.OpLdB) && rng.Intn(2) == 0 {
+		f.Mem = true
+		if memory != nil && memory(f.Mask) {
+			return f
 		}
-		// The effective address is unmapped (e.g. the base register was
-		// wild already); fall through to register corruption.
 	}
-
-	srcs := sourceRegs(ins)
-	var reg tcg.MReg
-	if len(srcs) > 0 {
-		reg = srcs[ctx.Rng.Intn(len(srcs))]
+	if srcs := sourceRegs(ins); len(srcs) > 0 {
+		f.Reg = srcs[rng.Intn(len(srcs))]
 	} else {
 		// Instructions without register sources (movi, branches): corrupt a
 		// random general-purpose register, modelling a datapath upset.
-		reg = tcg.GPR(isa.Reg(ctx.Rng.Intn(isa.NumRegs)))
+		f.Reg = tcg.GPR(isa.Reg(rng.Intn(isa.NumRegs)))
 	}
-	before, after := CorruptRegister(ctx.Machine, reg, mask, ctx.Trace)
-	rec.Target = "reg " + reg.String()
-	rec.Before, rec.After = before, after
-	return rec, nil
+	return f
 }
 
 // IdentityInjector is the overhead-measurement injector of Section IV-D: it

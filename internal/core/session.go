@@ -88,6 +88,9 @@ type RunResult struct {
 	// HubStats is this run's own TaintHub traffic, counted by the run (see
 	// Chaser.HubStats) — a shared hub's totals are the hub's to report.
 	HubStats tainthub.Stats
+	// HubErr is the first TaintHub failure the run observed (Chaser.HubErr),
+	// nil when its hub interaction never degraded.
+	HubErr error
 }
 
 // Injected reports whether at least one fault was injected.
@@ -226,10 +229,9 @@ func execute(cfg RunConfig, snap *WorldSnapshot) (*RunResult, error) {
 	// before anyone reads the collector, the hub error or, a shard later, the
 	// namespace's retirement.
 	ch.view.drain()
-	if cfg.HubPolicy == HubFailRun {
-		if herr := ch.HubErr(); herr != nil {
-			return nil, fmt.Errorf("core: taint hub failed (HubFailRun policy): %w", herr)
-		}
+	herr := ch.HubErr()
+	if herr != nil && cfg.HubPolicy == HubFailRun {
+		return nil, fmt.Errorf("core: taint hub failed (HubFailRun policy): %w", herr)
 	}
 
 	res := &RunResult{
@@ -240,6 +242,7 @@ func execute(cfg RunConfig, snap *WorldSnapshot) (*RunResult, error) {
 		Records:  ch.Records(),
 		Trace:    ch.Trace(),
 		HubStats: ch.HubStats(),
+		HubErr:   herr,
 	}
 	if cfg.ExecTraceDepth > 0 {
 		res.ExecTraces = make([]string, size)

@@ -35,6 +35,12 @@ var lehmerPow = func() (p [rngLen]uint64) {
 	return p
 }()
 
+// rankStream is the random stream of rank's injector in a run whose spec
+// seed is seed.
+func rankStream(seed int64, rank int) *rand.Rand {
+	return rand.New(&lazySource{seed: seed*1000003 + int64(rank)})
+}
+
 // lazySource is rand.NewSource(seed), value for value, that fills no table
 // while it is drawn from at most rngTap times: a world that never reaches its
 // trigger — every ladder prefix, every run whose fault site is never executed

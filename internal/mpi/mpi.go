@@ -335,9 +335,15 @@ func (w *World) stop(t vm.Termination) bool {
 }
 
 // abortPeers kills all other ranks after rank `from` failed. The failed rank
-// keeps its own termination; it has stopped and waits on nothing.
+// keeps its own termination; it has stopped and waits on nothing. With no
+// live peer — a world of one, or every other rank done — there is nothing to
+// abort: nothing is stopped, counted or emitted.
 func (w *World) abortPeers(from int, cause vm.Termination) {
-	if w.stop(vm.Termination{
+	live := false
+	for r := range w.ranks {
+		live = live || (r != from && w.ranks[r].status != done)
+	}
+	if live && w.stop(vm.Termination{
 		Reason: vm.ReasonMPIError,
 		Msg:    fmt.Sprintf("peer rank %d terminated: %s", from, cause),
 	}) {

@@ -10,6 +10,7 @@ import (
 
 	"chaser/internal/isa"
 	"chaser/internal/lang"
+	"chaser/internal/obs"
 	"chaser/internal/vm"
 )
 
@@ -590,6 +591,56 @@ func TestWorldInterrupt(t *testing.T) {
 		}
 		if !term.Abnormal() {
 			t.Errorf("rank %d: timeout not abnormal", r)
+		}
+	}
+}
+
+// TestAbortCountsOnlyLivePeers: a rank that fails aborts its peers, once —
+// and a rank with no live peer aborts nothing: a one-rank world that crashes
+// counts no abort and emits no world_abort, a four-rank world whose rank 2
+// faults while the others wait on it counts one.
+func TestAbortCountsOnlyLivePeers(t *testing.T) {
+	prog := compile(t, &lang.Program{Name: "fault", Funcs: []*lang.Func{{
+		Name: "main",
+		Body: B(
+			lang.Let("buf", lang.Alloc(I(1))),
+			lang.If{
+				Cond: lang.Eq(lang.RankExpr{}, lang.Div(lang.SizeExpr{}, I(2))), // rank 2 of 4, 0 of 1
+				Then: B(lang.OutInt{E: lang.At(I(0x50), I(0))}),                 // a wild load: SIGSEGV
+				Else: B(lang.MPIRecv{Buf: V("buf"), Count: I(1), Dtype: 1, Source: I(2), Tag: I(0)}),
+			},
+		),
+	}}})
+	for _, tc := range []struct {
+		size, aborts int
+	}{{1, 0}, {4, 1}} {
+		reg, sink := obs.NewRegistry(), obs.NewSink(0)
+		w, err := NewWorld(prog, Config{Size: tc.size, Obs: reg, Events: sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		terms := w.Run()
+		faulted := tc.size / 2
+		if terms[faulted].Reason != vm.ReasonSignal {
+			t.Fatalf("size %d: rank %d %v, want SIGSEGV", tc.size, faulted, terms[faulted])
+		}
+		for r, term := range terms {
+			if r != faulted && (term.Reason != vm.ReasonMPIError || !strings.Contains(term.Msg, "peer rank 2")) {
+				t.Errorf("size %d: rank %d %v, want the peer abort", tc.size, r, term)
+			}
+		}
+		if got := reg.Counter("mpi_aborts_total").Value(); got != uint64(tc.aborts) {
+			t.Errorf("size %d: mpi_aborts_total = %d, want %d", tc.size, got, tc.aborts)
+		}
+		evs, _ := sink.Since(0, 100)
+		n := 0
+		for _, ev := range evs {
+			if ev.Type == "world_abort" {
+				n++
+			}
+		}
+		if n != tc.aborts {
+			t.Errorf("size %d: %d world_abort events, want %d", tc.size, n, tc.aborts)
 		}
 	}
 }

@@ -95,6 +95,10 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 // Counters returns the execution statistics at the snapshot point.
 func (s *Snapshot) Counters() Counters { return s.counters }
 
+// PC returns the guest pc at the snapshot point: for a paused machine, the
+// instruction it paused in front of.
+func (s *Snapshot) PC() uint64 { return s.pc }
+
 // Instructions returns the retired-instruction count at the snapshot point.
 func (s *Snapshot) Instructions() uint64 { return s.counters.Instructions }
 
