@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"chaser/internal/apps"
-	"chaser/internal/decaf"
 	"chaser/internal/trace"
 	"chaser/internal/vm"
 )
@@ -65,12 +64,12 @@ func TestAccessLogTalliesMatchCounters(t *testing.T) {
 }
 
 func checkAccessLogTallies(t *testing.T, cfg RunConfig, from *WorldSnapshot, maxEvents int, chunk uint64) {
-	platform := decaf.NewPlatform()
-	ch := New(Options{})
-	ch.collector = trace.NewCollectorCap(maxEvents)
-	if err := platform.LoadPlugin(ch); err != nil {
+	s := new(session)
+	ch, err := s.open(cfg, cfg.WorldSize)
+	if err != nil {
 		t.Fatal(err)
 	}
+	ch.collector = trace.NewCollectorCap(maxEvents)
 	spec := *cfg.Spec
 	if from != nil {
 		spec.resume = from.resume
@@ -98,9 +97,9 @@ func checkAccessLogTallies(t *testing.T, cfg RunConfig, from *WorldSnapshot, max
 			}
 		}
 	}
-	platform.RegisterReadTaintCB(check)
-	platform.RegisterWriteTaintCB(check)
-	world, err := newSessionWorld(cfg, cfg.WorldSize, platform, from, nil)
+	s.platform.RegisterReadTaintCB(check)
+	s.platform.RegisterWriteTaintCB(check)
+	world, err := s.newWorld(cfg, cfg.WorldSize, from)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,7 +178,7 @@ func countNewArenas(t *testing.T) *atomic.Int64 {
 	prev := arenas.New
 	arenas.New = func() any {
 		n.Add(1)
-		return new(vm.Arena)
+		return &session{arena: new(vm.Arena)}
 	}
 	t.Cleanup(func() { arenas.New = prev })
 	return &n
@@ -218,6 +218,13 @@ type resultCopy struct {
 	log     []byte
 	summary traceSummary
 	hub     tainthub.Stats
+	// The collector's other sections: its timeline (a forked run's starts
+	// with its rung's samples, shared) and its cross-rank, send and output
+	// records.
+	timeline  []trace.TimelinePoint
+	crossRank []trace.CrossRankRecord
+	sends     []trace.SendRecord
+	outputRec []trace.OutputRecord
 }
 
 func copyResult(t *testing.T, r *RunResult) resultCopy {
@@ -230,6 +237,11 @@ func copyResult(t *testing.T, r *RunResult) resultCopy {
 		events:   r.Trace.Events(),
 		summary:  summarize(r),
 		hub:      r.HubStats,
+
+		timeline:  r.Trace.Timeline(),
+		crossRank: r.Trace.CrossRank(),
+		sends:     r.Trace.Sends(),
+		outputRec: r.Trace.Outputs(),
 	}
 	for _, o := range r.Outputs {
 		c.outputs = append(c.outputs, bytes.Clone(o))
@@ -243,8 +255,11 @@ func copyResult(t *testing.T, r *RunResult) resultCopy {
 }
 
 // TestRetainedResultSurvivesReuse: a result holds copies, never a recycled
-// machine's memory. Results kept while 100 later runs recycle the arenas
-// their machines went back to read as they did when they were returned.
+// machine's memory, and its collector is its run's own, never the one a
+// recycled session hands the next run. Results kept while 200 later runs
+// recycle the sessions they were made on — their machines, platform, Chaser
+// and world — read as they did when they were returned: the access log, the
+// timeline and every other section of the collector.
 func TestRetainedResultSurvivesReuse(t *testing.T) {
 	cases := arenaCases(t)
 	kept := make([]*RunResult, len(cases))
@@ -253,7 +268,7 @@ func TestRetainedResultSurvivesReuse(t *testing.T) {
 		kept[i] = c.run(t)
 		copies[i] = copyResult(t, kept[i])
 	}
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 200; i++ {
 		cases[i%len(cases)].other(i).run(t)
 	}
 	for i, c := range cases {

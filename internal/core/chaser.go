@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -130,14 +129,16 @@ type Chaser struct {
 	// obsTaintLost counts the acknowledged publishes whose poll found nothing.
 	obsTaintLost *obs.Counter
 
-	// armed is each rank's injection state, indexed by rank (nil for a rank
-	// no process was created for). It is written only during process
-	// creation (before guests run) and read without locking afterwards.
+	// armed is each rank's injection state, indexed by rank: nil, or idle
+	// (no machine), for a rank no process was created for. It is written
+	// only during process creation (before guests run) and read without
+	// locking afterwards; reset idles the states for the next run.
 	armed []*armState
 }
 
 type armState struct {
 	ch        *Chaser
+	rank      int
 	m         *vm.Machine
 	spec      *Spec
 	rng       *rand.Rand
@@ -147,6 +148,42 @@ type armState struct {
 
 	sendSeq flowSeqs
 	recvSeq flowSeqs
+
+	// sampleHook and injectHook are the state's sample and faultInjector,
+	// bound once: a rank's state serves every run of its Chaser.
+	sampleHook func(instrs uint64, taintedBytes int64)
+	injectHook func(m *vm.Machine, op *tcg.Op)
+}
+
+// rankState returns rank's injection state, idle: the one the rank had in an
+// earlier run of the Chaser, or a new one. It is called with mu held.
+func (c *Chaser) rankState(rank int) *armState {
+	if rank >= len(c.armed) {
+		c.armed = append(c.armed, make([]*armState, rank+1-len(c.armed))...)
+	}
+	st := c.armed[rank]
+	if st == nil {
+		st = &armState{ch: c, rank: rank}
+		st.sampleHook, st.injectHook = st.sample, st.faultInjector
+		c.armed[rank] = st
+	}
+	return st
+}
+
+// idle returns the state to the one rankState makes, keeping the storage of
+// its flow sequences and its bound hooks. No machine of the run it served
+// may call a hook again.
+func (st *armState) idle() {
+	*st = armState{
+		ch: st.ch, rank: st.rank,
+		sendSeq: st.sendSeq[:0], recvSeq: st.recvSeq[:0],
+		sampleHook: st.sampleHook, injectHook: st.injectHook,
+	}
+}
+
+// sample records one timeline point of the rank's tainted bytes.
+func (st *armState) sample(instrs uint64, taintedBytes int64) {
+	st.ch.collector.AddSample(trace.TimelinePoint{Rank: st.rank, Instrs: instrs, TaintedBytes: taintedBytes})
 }
 
 // flowSeqs numbers the messages of one rank's flows on one side: for every
@@ -188,17 +225,9 @@ type Options struct {
 
 // New creates an unarmed Chaser.
 func New(opts Options) *Chaser {
-	hub := opts.Hub
-	if hub == nil {
-		hub = tainthub.NewLocal()
-	}
-	collector := trace.NewCollector()
-	if opts.NoAccessLog {
-		collector = trace.NewCollectorNoAccessLog()
-	}
 	c := &Chaser{
 		hubClient:    tainthub.NewClientID(),
-		collector:    collector,
+		collector:    newCollector(opts.NoAccessLog),
 		events:       opts.Events,
 		obsArmed:     opts.Obs.Counter("core_injectors_armed_total"),
 		obsFired:     opts.Obs.Counter("core_faults_fired_total"),
@@ -206,8 +235,48 @@ func New(opts Options) *Chaser {
 		obsHubFails:  opts.Obs.Counter("core_hub_degraded_total"),
 		obsTaintLost: opts.Obs.Counter("core_hub_taint_lost_total"),
 	}
-	c.view = newWorldHub(c, hub, opts.Obs)
+	c.view = newWorldHub(c, opts.Hub, opts.Obs)
 	return c
+}
+
+// newCollector returns the collector of one run: one that keeps the access
+// log, or, under noLog, one that says it was not kept.
+func newCollector(noLog bool) *trace.Collector {
+	if noLog {
+		return trace.NewCollectorNoAccessLog()
+	}
+	return trace.NewCollector()
+}
+
+// reset makes c, whose world has run, been drained and stopped for good, the
+// Chaser New builds from the options c was built with, loaded into the same
+// platform: unarmed, with no record, hub error or hub count, a new collector
+// and a hub client ID of its own, for the next run of its session. It keeps
+// its rank states, idle, and the storage of its records and flight table.
+// The collector and records a result of the finished run holds are not
+// touched: the run has a new collector, and RunResult.Records is a copy.
+func (c *Chaser) reset() {
+	clear(c.records)
+	for _, st := range c.armed {
+		if st != nil {
+			st.idle()
+		}
+	}
+	c.view.reset()
+	*c = Chaser{
+		platform:     c.platform,
+		view:         c.view,
+		hubClient:    tainthub.NewClientID(),
+		records:      c.records[:0],
+		collector:    newCollector(!c.collector.AccessLogKept()),
+		events:       c.events,
+		obsArmed:     c.obsArmed,
+		obsFired:     c.obsFired,
+		obsBits:      c.obsBits,
+		obsHubFails:  c.obsHubFails,
+		obsTaintLost: c.obsTaintLost,
+		armed:        c.armed,
+	}
 }
 
 // Init implements decaf.Plugin (plugin_init): it exports the inject_fault
@@ -391,44 +460,36 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 	if spec == nil {
 		return
 	}
-	traceOn := spec.Trace
-	if traceOn {
+	c.mu.Lock()
+	st := c.rankState(info.Rank)
+	c.mu.Unlock()
+	st.m, st.spec = m, spec
+	if spec.Trace {
 		// Tracing must be on for every rank so incoming tainted messages
 		// keep propagating (the "incoming errors behave like injected
 		// errors and manifest locally again" requirement).
 		m.TaintEnabled = true
 		c.collector.ShareAmong(m.WorldSize)
-		rank := info.Rank
-		m.Hooks.Sample = func(instrs uint64, taintedBytes int64) {
-			c.collector.AddSample(trace.TimelinePoint{
-				Rank: rank, Instrs: instrs, TaintedBytes: taintedBytes,
-			})
-		}
+		m.Hooks.Sample = st.sampleHook
 		if c.events != nil {
+			rank := info.Rank
 			m.Shadow.OnFirstTaint(func() {
 				c.events.Emit("taint_seed", -1, rank, m.PC(), 0, "")
 			})
 		}
 	}
-	st := &armState{ch: c, m: m, spec: spec}
 	if rs := spec.resume; rs != nil && info.Rank < len(rs.execCount) {
 		// A forked run resumes mid-execution: restore the injector's dynamic
 		// counters so the trigger fires at the same global execution count a
 		// from-scratch run would see. The RNG needs no restoration — a
 		// deterministic condition draws nothing before the trigger, so the
 		// fresh stream seeded below is positioned exactly as in a full run.
-		// The sequence numbers are copied: concurrent forks share one
-		// snapshot.
+		// The sequence numbers are copied into the rank's own: concurrent
+		// forks share one snapshot.
 		st.execCount = rs.execCount[info.Rank]
-		st.sendSeq = slices.Clone(rs.sendSeq[info.Rank])
-		st.recvSeq = slices.Clone(rs.recvSeq[info.Rank])
+		st.sendSeq = append(st.sendSeq, rs.sendSeq[info.Rank]...)
+		st.recvSeq = append(st.recvSeq, rs.recvSeq[info.Rank]...)
 	}
-	c.mu.Lock()
-	if info.Rank >= len(c.armed) {
-		c.armed = append(c.armed, make([]*armState, info.Rank+1-len(c.armed))...)
-	}
-	c.armed[info.Rank] = st
-	c.mu.Unlock()
 
 	if m.Name != spec.Target {
 		return
@@ -442,7 +503,7 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 	// draws from the rank's random stream, so only target ranks hold one.
 	c.obsArmed.Inc()
 	st.rng = rankStream(spec.Seed, info.Rank)
-	m.Trans.SetProbe(tcg.Probe{Ops: tcg.OpSetOf(spec.Ops...), Helper: m.RegisterHelper(st.faultInjector)})
+	m.Trans.SetProbe(tcg.Probe{Ops: tcg.OpSetOf(spec.Ops...), Helper: m.RegisterHelper(st.injectHook)})
 	// Flush the code translation cache to trigger the next round of binary
 	// code translation with the injector in place.
 	m.Trans.Flush()

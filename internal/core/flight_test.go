@@ -269,21 +269,21 @@ func TestReceiverAppliesTheHubsMasks(t *testing.T) {
 				hub, _ = servedHub(t, faulty, tainthub.ClientConfig{})
 			}
 			cfg := tracedCrossConfig(t, hub, HubFailRun, nil)
-			platform := decaf.NewPlatform()
-			ch := New(Options{Hub: hub})
-			if err := platform.LoadPlugin(ch); err != nil {
+			s := new(session)
+			ch, err := s.open(cfg, cfg.WorldSize)
+			if err != nil {
 				t.Fatal(err)
 			}
 			// The receiver's shadow is read right behind its receive hook,
 			// before the guest overwrites the buffer.
 			var received []uint8
-			platform.RegisterPostSyscallCB(func(_ decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
+			s.platform.RegisterPostSyscallCB(func(_ decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
 				if sys == isa.SysMPIRecv {
 					received = m.Shadow.MemRangeMasks(m.GPR(isa.R1), 8)
 				}
 			})
 			ch.Arm(cfg.Spec)
-			world, err := newSessionWorld(cfg, cfg.WorldSize, platform, nil, nil)
+			world, err := s.newWorld(cfg, cfg.WorldSize, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

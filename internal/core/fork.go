@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"unsafe"
 
-	"chaser/internal/decaf"
 	"chaser/internal/isa"
 	"chaser/internal/mpi"
 	"chaser/internal/trace"
@@ -165,19 +164,17 @@ func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSna
 	prefix.Tracer = nil
 	prefix.ExecTraceDepth = 0
 
-	platform := decaf.NewPlatform()
-	ch := New(Options{Obs: prefix.Obs})
-	if err := platform.LoadPlugin(ch); err != nil {
+	s := new(session) // no arena, never pooled
+	ch, err := s.open(prefix, size)
+	if err != nil {
 		return nil, err
 	}
 	if from != nil {
 		prefix.Spec.resume = from.resume
-		for _, p := range from.samples {
-			ch.collector.AddSample(p)
-		}
+		ch.collector.SeedTimeline(from.samples)
 	}
 	ch.Arm(prefix.Spec)
-	world, err := newSessionWorld(prefix, size, platform, from, nil)
+	world, err := s.newWorld(prefix, size, from)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"chaser/internal/apps"
-	"chaser/internal/decaf"
 	"chaser/internal/trace"
 )
 
@@ -35,13 +34,13 @@ func TestLiveReadersOfATracedWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	platform := decaf.NewPlatform()
-	ch := New(Options{})
-	if err := platform.LoadPlugin(ch); err != nil {
+	s := new(session)
+	ch, err := s.open(cfg, cfg.WorldSize)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ch.Arm(cfg.Spec)
-	world, err := newSessionWorld(cfg, cfg.WorldSize, platform, nil, nil)
+	world, err := s.newWorld(cfg, cfg.WorldSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestLiveReadersOfATracedWorld(t *testing.T) {
 				return
 			default:
 			}
-			status, err := platform.Exec("chaser_status")
+			status, err := s.platform.Exec("chaser_status")
 			if err != nil || !strings.Contains(status, "propagation:") {
 				t.Errorf("chaser_status: %q, %v", status, err)
 				return

@@ -107,3 +107,28 @@ func TestLogLessRunMatchesLoggedRun(t *testing.T) {
 		}
 	}
 }
+
+// TestLogLessChaserBuildsOneCollector: a Chaser for a run that keeps no log
+// builds the collector that says so, and no other: New costs what it costs
+// for a run that keeps its log, and so does a session's reset.
+func TestLogLessChaserBuildsOneCollector(t *testing.T) {
+	build := func(noLog bool) float64 {
+		return testing.AllocsPerRun(50, func() { New(Options{NoAccessLog: noLog}) })
+	}
+	if logged, logless := build(false), build(true); logless != logged {
+		t.Errorf("New makes %v allocations for a log-less run, %v for a logged one", logless, logged)
+	}
+	for _, noLog := range []bool{false, true} {
+		ch := New(Options{NoAccessLog: noLog})
+		if ch.Trace().AccessLogKept() == noLog {
+			t.Fatalf("NoAccessLog %v: the collector keeps the log: %v", noLog, ch.Trace().AccessLogKept())
+		}
+		ch.reset()
+		if ch.Trace().AccessLogKept() == noLog {
+			t.Errorf("NoAccessLog %v: after a reset the collector keeps the log: %v", noLog, ch.Trace().AccessLogKept())
+		}
+		if n := testing.AllocsPerRun(50, ch.reset); n != 1 {
+			t.Errorf("NoAccessLog %v: a reset makes %v allocations, want 1 (the collector)", noLog, n)
+		}
+	}
+}

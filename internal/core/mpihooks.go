@@ -131,6 +131,9 @@ type worldHub struct {
 	c       *Chaser
 	hub     tainthub.Hub
 	starter tainthub.FlightStarter // hub, when it can start a flight
+	// own is hub when it is the world's private in-process hub (no hub was
+	// given).
+	own *tainthub.Local
 
 	// flights holds every message whose publish was attempted; unsettled are
 	// those of them still in flight, in publish order.
@@ -141,9 +144,37 @@ type worldHub struct {
 	obsLocal *obs.Counter
 }
 
+// newWorldHub returns the view through hub, or through a private in-process
+// hub when hub is nil.
 func newWorldHub(c *Chaser, hub tainthub.Hub, reg *obs.Registry) *worldHub {
-	starter, _ := hub.(tainthub.FlightStarter)
-	return &worldHub{c: c, hub: hub, starter: starter, obsLocal: reg.Counter("core_hub_polls_local_total")}
+	w := &worldHub{c: c, hub: hub, obsLocal: reg.Counter("core_hub_polls_local_total")}
+	if hub == nil {
+		w.own = tainthub.NewLocal()
+		w.hub = w.own
+	}
+	w.starter, _ = w.hub.(tainthub.FlightStarter)
+	return w
+}
+
+// maxKeptFlights bounds the flight table a reset view keeps: a Go map never
+// shrinks.
+const maxKeptFlights = 256
+
+// reset empties the view of a drained world for the next world of its
+// Chaser. A private hub the world published to is replaced by a new one; one
+// it never called is kept as it is, empty.
+func (w *worldHub) reset() {
+	if len(w.flights) > 0 && w.own != nil {
+		w.own = tainthub.NewLocal()
+		w.hub = w.own
+	}
+	flights := w.flights
+	if len(flights) > maxKeptFlights {
+		flights = nil
+	}
+	clear(flights)
+	clear(w.unsettled)
+	*w = worldHub{c: w.c, hub: w.hub, starter: w.starter, own: w.own, flights: flights, unsettled: w.unsettled[:0], obsLocal: w.obsLocal}
 }
 
 // event emits one hub event about a message.

@@ -106,62 +106,163 @@ func (r *RunResult) FirstAbnormal() int {
 	return -1
 }
 
-// Run executes one supervised run: it builds a decaf platform, loads a
-// Chaser armed with cfg.Spec, creates the world (firing VMI events that arm
-// the injector on target ranks), runs all ranks, and gathers results.
+// Run executes one supervised run: on a decaf platform with a Chaser loaded
+// (a session's, reset, when an earlier run of the same shape left one), it
+// arms the Chaser with cfg.Spec, creates the world (firing VMI events that
+// arm the injector on target ranks), runs all ranks, and gathers results.
 func Run(cfg RunConfig) (*RunResult, error) {
 	return execute(cfg, nil)
 }
 
-// newSessionWorld builds the MPI world for a run. With a non-nil snapshot
-// the machines and the world's state are restored from it (fork-point
-// multiplexing); otherwise the machines start fresh at the program entry.
-// The machines are built on what arena recycled (nil: on nothing).
-func newSessionWorld(cfg RunConfig, size int, platform *decaf.Platform, snap *WorldSnapshot, arena *vm.Arena) (*mpi.World, error) {
-	mcfg := mpi.Config{
-		Size: size,
-		Machine: func(rank int) vm.Config {
-			return vm.Config{
-				MaxInstructions: cfg.MaxInstructions,
-				SampleInterval:  cfg.SampleInterval,
-				BaseCache:       cfg.BaseCache,
-				Obs:             cfg.Obs,
-				NoFastPath:      cfg.NoFastPath,
-				Events:          cfg.Events,
-			}
-		},
-		Setup: func(rank int, m *vm.Machine) {
-			if cfg.ExecTraceDepth > 0 {
-				m.EnableExecTrace(cfg.ExecTraceDepth)
-			}
-			platform.CreateProcess(m)
-		},
-		NewMachine: func(rank int, mc vm.Config) *vm.Machine {
-			if snap != nil {
-				return arena.NewFromSnapshot(cfg.Prog, snap.machines[rank], mc)
-			}
-			return arena.New(cfg.Prog, mc)
-		},
-		Obs:    cfg.Obs,
-		Tracer: cfg.Tracer,
-		Events: cfg.Events,
+// worldBuilder makes the machines of a run's world, as mpi.Config's Machine,
+// NewMachine and Setup: restored from the run's snapshot (fork-point
+// multiplexing) or fresh at the program entry, built on what the arena
+// recycled (nil: on nothing), each handed to the platform.
+type worldBuilder struct {
+	cfg      RunConfig
+	snap     *WorldSnapshot
+	platform *decaf.Platform
+	arena    *vm.Arena
+	// hooks is the mpi.Config of b's three methods, bound once.
+	hooks mpi.Config
+}
+
+// config returns the mpi.Config of the run's world: size ranks, restored
+// from snap when it is not nil.
+func (b *worldBuilder) config(cfg RunConfig, size int, snap *WorldSnapshot) mpi.Config {
+	if b.hooks.Machine == nil {
+		b.hooks = mpi.Config{Machine: b.machine, NewMachine: b.newMachine, Setup: b.setup}
 	}
+	b.cfg, b.snap = cfg, snap
+	mcfg := b.hooks
+	mcfg.Size, mcfg.Obs, mcfg.Tracer, mcfg.Events = size, cfg.Obs, cfg.Tracer, cfg.Events
 	if snap != nil {
 		mcfg.State = snap.world
 	}
-	return mpi.NewWorld(cfg.Prog, mcfg)
+	return mcfg
 }
 
-// arenas holds the vm.Arenas of finished runs. A run takes one for the
-// machines of its world and puts it back with them only once nothing can
-// reach them but the arena: its RunResult is assembled from copies
-// (Machine.Output, Console and Counters; the collector, injection records and
-// hub stats never point into a machine, and a record's region name is an
-// immutable string), its hub flights are drained, and no watchdog callback is
-// running or left to run. A run that panics, fails or whose watchdog fired
-// drops its arena to the garbage collector instead. PrefixRunFrom uses none:
-// its worlds become rungs, whose pages are sealed and shared by every fork.
-var arenas = sync.Pool{New: func() any { return new(vm.Arena) }}
+func (b *worldBuilder) machine(rank int) vm.Config {
+	return vm.Config{
+		MaxInstructions: b.cfg.MaxInstructions,
+		SampleInterval:  b.cfg.SampleInterval,
+		BaseCache:       b.cfg.BaseCache,
+		Obs:             b.cfg.Obs,
+		NoFastPath:      b.cfg.NoFastPath,
+		Events:          b.cfg.Events,
+	}
+}
+
+func (b *worldBuilder) newMachine(rank int, mc vm.Config) *vm.Machine {
+	if b.snap != nil {
+		return b.arena.NewFromSnapshot(b.cfg.Prog, b.snap.machines[rank], mc)
+	}
+	return b.arena.New(b.cfg.Prog, mc)
+}
+
+func (b *worldBuilder) setup(rank int, m *vm.Machine) {
+	if b.cfg.ExecTraceDepth > 0 {
+		m.EnableExecTrace(b.cfg.ExecTraceDepth)
+	}
+	b.platform.CreateProcess(m)
+}
+
+// session is everything execute builds around a run's guest — the machines'
+// vm.Arena, a decaf.Platform with a Chaser loaded, and the mpi.World shell —
+// kept from one run to the next, so that a run resets its world rather than
+// allocating it. Sessions live in arenas.
+//
+// The platform, the Chaser and the world shell serve runs of one shape: the
+// same Hub value, Obs registry, Events sink, Tracer, NoAccessLog and world
+// size. A run of another shape builds them afresh, as a run that found the
+// pool empty does; the arena serves any run.
+type session struct {
+	// arena is nil in a session of PrefixRunFrom's, whose worlds become
+	// rungs: their pages are sealed and shared by every fork.
+	arena    *vm.Arena
+	shape    sessionShape
+	platform *decaf.Platform
+	ch       *Chaser
+	world    *mpi.World
+	build    worldBuilder
+}
+
+// sessionShape is what a session's platform, Chaser and world were built
+// for.
+type sessionShape struct {
+	hub    tainthub.Hub
+	obs    *obs.Registry
+	events *obs.Sink
+	tracer *obs.Tracer
+	noLog  bool
+	size   int
+}
+
+// same reports whether two shapes are one. Hubs are compared as values; a
+// hub whose dynamic type cannot be compared is no other hub's equal.
+func (a sessionShape) same(b sessionShape) (same bool) {
+	defer func() {
+		if recover() != nil {
+			same = false
+		}
+	}()
+	return a == b
+}
+
+// arenas holds the sessions of finished runs. A run takes one and puts it
+// back only once nothing can reach what it recycles but the session: the
+// run's RunResult is assembled from copies (Machine.Output, Console and
+// Counters; the collector, injection records and hub stats never point into
+// a machine, and a record's region name is an immutable string), and the
+// collector it points to is the run's own — the next run of the session gets
+// a new one. Its hub flights are drained, and no watchdog callback is running
+// or left to run. A run that panics, fails or whose watchdog fired drops its
+// session to the garbage collector instead. PrefixRunFrom takes none: it
+// runs on a session of its own with no arena, never pooled, because its
+// worlds become rungs, whose pages are sealed and shared by every fork.
+var arenas = sync.Pool{New: func() any { return &session{arena: new(vm.Arena)} }}
+
+// open readies the session's platform and Chaser for a run of cfg in a
+// world of size: reset when the session served a run of that shape last,
+// built afresh otherwise. The Chaser is not yet armed and no process exists.
+func (s *session) open(cfg RunConfig, size int) (*Chaser, error) {
+	shape := sessionShape{hub: cfg.Hub, obs: cfg.Obs, events: cfg.Events, tracer: cfg.Tracer, noLog: cfg.NoAccessLog, size: size}
+	if s.ch != nil && s.shape.same(shape) {
+		s.platform.Reset()
+		s.ch.reset()
+		return s.ch, nil
+	}
+	platform := decaf.NewPlatform()
+	ch := New(Options{Hub: cfg.Hub, Obs: cfg.Obs, Events: cfg.Events, NoAccessLog: cfg.NoAccessLog})
+	if err := platform.LoadPlugin(ch); err != nil {
+		return nil, err
+	}
+	s.shape, s.platform, s.ch, s.world = shape, platform, ch, new(mpi.World)
+	s.build.platform, s.build.arena = platform, s.arena
+	return ch, nil
+}
+
+// newWorld resets the session's world shell into the run's world, restored
+// from snap when it is not nil, its machines built on the arena and handed to
+// the platform.
+func (s *session) newWorld(cfg RunConfig, size int, snap *WorldSnapshot) (*mpi.World, error) {
+	if err := s.world.Reset(cfg.Prog, s.build.config(cfg, size, snap)); err != nil {
+		return nil, err
+	}
+	return s.world, nil
+}
+
+// release hands the arena the machines of the session's finished run and
+// puts the session back in the pool. Nothing may reach the machines but the
+// arena, and nothing may run, abort or call back into the world (see
+// arenas).
+func (s *session) release() {
+	for r := 0; r < s.world.Size(); r++ {
+		s.arena.Release(s.world.Machine(r))
+	}
+	s.build.cfg, s.build.snap = RunConfig{}, nil
+	arenas.Put(s)
+}
 
 // armTimeout installs the wall-clock watchdog; the returned stop function is
 // safe to call whether or not the deadline fired, and reports whether the
@@ -187,21 +288,33 @@ func execute(cfg RunConfig, snap *WorldSnapshot) (*RunResult, error) {
 	if cfg.Prog == nil {
 		return nil, fmt.Errorf("core: no program")
 	}
-	size := cfg.WorldSize
-	if size == 0 {
-		size = 1
-	}
-	sp := cfg.Tracer.StartSpan("core.run")
-	defer sp.End()
-	platform := decaf.NewPlatform()
-	ch := New(Options{Hub: cfg.Hub, Obs: cfg.Obs, Events: cfg.Events, NoAccessLog: cfg.NoAccessLog})
-	if err := platform.LoadPlugin(ch); err != nil {
-		return nil, err
-	}
 	if cfg.Spec != nil {
 		if err := cfg.Spec.Validate(); err != nil {
 			return nil, err
 		}
+	}
+	sp := cfg.Tracer.StartSpan("core.run")
+	defer sp.End()
+	s := arenas.Get().(*session)
+	res, quiet, err := s.run(cfg, snap)
+	if err == nil && quiet {
+		s.release()
+	}
+	return res, err
+}
+
+// run executes one run of cfg on the session, restored from snap when it is
+// not nil, and reports whether its watchdog never fired (see armTimeout).
+func (s *session) run(cfg RunConfig, snap *WorldSnapshot) (res *RunResult, quiet bool, err error) {
+	size := cfg.WorldSize
+	if size == 0 {
+		size = 1
+	}
+	ch, err := s.open(cfg, size)
+	if err != nil {
+		return nil, false, err
+	}
+	if cfg.Spec != nil {
 		ch.Arm(cfg.Spec)
 		if cfg.Spec.Trace && !cfg.NoAccessLog {
 			cfg.Obs.Counter("core_runs_access_log_kept_total").Inc()
@@ -211,30 +324,27 @@ func execute(cfg RunConfig, snap *WorldSnapshot) (*RunResult, error) {
 		// Seed the propagation timeline with the prefix's samples so the
 		// forked run's curve spans the whole execution, as a from-scratch
 		// run's would.
-		for _, p := range snap.samples {
-			ch.collector.AddSample(p)
-		}
+		ch.collector.SeedTimeline(snap.samples)
 	}
-	arena := arenas.Get().(*vm.Arena)
-	world, err := newSessionWorld(cfg, size, platform, snap, arena)
+	world, err := s.newWorld(cfg, size, snap)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	stopWatchdog := armTimeout(world, cfg.Timeout)
 	wsp := cfg.Tracer.StartSpan("world.run")
 	terms := world.Run()
 	wsp.End()
-	quiet := stopWatchdog()
+	quiet = stopWatchdog()
 	// Flights whose receiver ended before it received them are settled here,
 	// before anyone reads the collector, the hub error or, a shard later, the
 	// namespace's retirement.
 	ch.view.drain()
 	herr := ch.HubErr()
 	if herr != nil && cfg.HubPolicy == HubFailRun {
-		return nil, fmt.Errorf("core: taint hub failed (HubFailRun policy): %w", herr)
+		return nil, false, fmt.Errorf("core: taint hub failed (HubFailRun policy): %w", herr)
 	}
 
-	res := &RunResult{
+	res = &RunResult{
 		Terms:    terms,
 		Outputs:  make([][]byte, size),
 		Consoles: make([]string, size),
@@ -256,13 +366,7 @@ func execute(cfg RunConfig, snap *WorldSnapshot) (*RunResult, error) {
 			res.ExecTraces[r] = m.FormatExecTrace()
 		}
 	}
-	if quiet {
-		for r := 0; r < size; r++ {
-			arena.Release(world.Machine(r))
-		}
-		arenas.Put(arena)
-	}
-	return res, nil
+	return res, quiet, nil
 }
 
 // Golden runs the program uninstrumented and returns the result; campaigns

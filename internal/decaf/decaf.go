@@ -16,7 +16,7 @@ package decaf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -69,11 +69,12 @@ type Plugin interface {
 
 // Platform is the DECAF-like host: it owns plugins, the command terminal,
 // and the global callback registries, and it wires callbacks into guests as
-// they are created.
+// they are created. Plugins and commands are few, so they are kept in load
+// order and found by a scan.
 type Platform struct {
 	mu       sync.Mutex
-	plugins  map[string]Plugin
-	commands map[string]Command
+	plugins  []loadedPlugin
+	commands []Command
 
 	procCBs  []ProcCreateCB
 	readCBs  []MemTaintCB
@@ -82,16 +83,78 @@ type Platform struct {
 	postCBs  []SyscallCB
 
 	nextPID int
-	procs   []ProcInfo
+	// procs are the processes created since the platform was made or last
+	// Reset; the slice's spare capacity holds the processes of earlier sets,
+	// for CreateProcess to reuse.
+	procs []*process
 }
+
+// loadedPlugin is a plugin under the name its interface gave.
+type loadedPlugin struct {
+	name string
+	pl   Plugin
+}
+
+// process is a created process: its ProcInfo and the syscall hooks
+// CreateProcess put on its machine, which fan the platform's syscall
+// callbacks out with the info. The hooks are method values made once per
+// process struct, which a Reset platform reuses for its next set.
+type process struct {
+	info      ProcInfo
+	pre, post []SyscallCB
+	preHook   func(*vm.Machine, isa.Sys)
+	postHook  func(*vm.Machine, isa.Sys)
+}
+
+func (pr *process) preSyscall(m *vm.Machine, sys isa.Sys) {
+	for _, cb := range pr.pre {
+		cb(pr.info, m, sys)
+	}
+}
+
+func (pr *process) postSyscall(m *vm.Machine, sys isa.Sys) {
+	for _, cb := range pr.post {
+		cb(pr.info, m, sys)
+	}
+}
+
+// firstPID is the PID CreateProcess gives the first machine that has none.
+const firstPID = 100
 
 // NewPlatform creates an empty platform.
 func NewPlatform() *Platform {
-	return &Platform{
-		plugins:  make(map[string]Plugin),
-		commands: make(map[string]Command),
-		nextPID:  100,
+	return &Platform{nextPID: firstPID}
+}
+
+// Reset forgets the processes created so far, so that the platform can
+// supervise a new set: every machine it was handed has stopped running and
+// nothing will call its hooks again. Plugins, commands and callback
+// registries stay as they are, and PIDs start over.
+func (p *Platform) Reset() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.procs = p.procs[:0]
+	p.nextPID = firstPID
+}
+
+// plugin returns the loaded plugin of that name, or nil.
+func (p *Platform) plugin(name string) Plugin {
+	for _, lp := range p.plugins {
+		if lp.name == name {
+			return lp.pl
+		}
 	}
+	return nil
+}
+
+// command returns the registered command of that name.
+func (p *Platform) command(name string) (Command, bool) {
+	for _, cmd := range p.commands {
+		if cmd.Name == name {
+			return cmd, true
+		}
+	}
+	return Command{}, false
 }
 
 // LoadPlugin initializes a plugin and registers its terminal commands.
@@ -105,29 +168,29 @@ func (p *Platform) LoadPlugin(pl Plugin) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, dup := p.plugins[iface.Name]; dup {
+	if p.plugin(iface.Name) != nil {
 		return fmt.Errorf("decaf: plugin %q already loaded", iface.Name)
 	}
-	p.plugins[iface.Name] = pl
+	p.plugins = append(p.plugins, loadedPlugin{name: iface.Name, pl: pl})
 	for _, cmd := range iface.Commands {
-		if _, dup := p.commands[cmd.Name]; dup {
+		if _, dup := p.command(cmd.Name); dup {
 			return fmt.Errorf("decaf: command %q already registered", cmd.Name)
 		}
-		p.commands[cmd.Name] = cmd
+		p.commands = append(p.commands, cmd)
 	}
 	return nil
 }
 
-// UnloadPlugin runs a plugin's cleanup and removes it. Its commands remain
-// unregistered.
+// UnloadPlugin runs a plugin's cleanup and removes it. Its commands stay
+// registered.
 func (p *Platform) UnloadPlugin(name string) error {
 	p.mu.Lock()
-	pl, ok := p.plugins[name]
-	if ok {
-		delete(p.plugins, name)
+	pl := p.plugin(name)
+	if pl != nil {
+		p.plugins = slices.DeleteFunc(p.plugins, func(lp loadedPlugin) bool { return lp.name == name })
 	}
 	p.mu.Unlock()
-	if !ok {
+	if pl == nil {
 		return fmt.Errorf("decaf: plugin %q not loaded", name)
 	}
 	return pl.Cleanup()
@@ -140,7 +203,7 @@ func (p *Platform) Exec(line string) (string, error) {
 		return "", fmt.Errorf("decaf: empty command")
 	}
 	p.mu.Lock()
-	cmd, ok := p.commands[fields[0]]
+	cmd, ok := p.command(fields[0])
 	p.mu.Unlock()
 	if !ok {
 		return "", fmt.Errorf("decaf: unknown command %q", fields[0])
@@ -153,10 +216,10 @@ func (p *Platform) Commands() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	names := make([]string, 0, len(p.commands))
-	for n := range p.commands {
-		names = append(names, n)
+	for _, cmd := range p.commands {
+		names = append(names, cmd.Name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -207,47 +270,55 @@ func (p *Platform) CreateProcess(m *vm.Machine) ProcInfo {
 		m.PID = p.nextPID
 		p.nextPID++
 	}
-	info := ProcInfo{PID: m.PID, Name: m.Name, Rank: m.Rank, Machine: m}
-	p.procs = append(p.procs, info)
-	procCBs := append([]ProcCreateCB(nil), p.procCBs...)
+	pr := p.newProcess()
+	pr.info = ProcInfo{PID: m.PID, Name: m.Name, Rank: m.Rank, Machine: m}
+	procCBs := p.procCBs
 	p.mu.Unlock()
 
 	// Fire the VMI event first: plugins typically register their taint and
 	// syscall callbacks from fi_creation_cb, and those must apply to this
 	// process.
 	for _, cb := range procCBs {
-		cb(info)
+		cb(pr.info)
 	}
 
-	// Snapshot the callback registries into the machine's hooks. The hot
-	// paths (tainted loads/stores) then run lock- and allocation-free.
-	// Callbacks registered after a process starts do not apply to it.
+	// Bind the registries as they stand into the machine's hooks. The hot
+	// paths (tainted loads/stores) then run lock- and allocation-free. A
+	// registry is only ever appended to, so the slices taken here are not
+	// copied: callbacks registered after a process starts lie past their
+	// length and do not apply to it.
 	p.mu.Lock()
-	readCBs := append([]MemTaintCB(nil), p.readCBs...)
-	writeCBs := append([]MemTaintCB(nil), p.writeCBs...)
-	preCBs := append([]SyscallCB(nil), p.preCBs...)
-	postCBs := append([]SyscallCB(nil), p.postCBs...)
+	readCBs, writeCBs := p.readCBs, p.writeCBs
+	pr.pre, pr.post = p.preCBs, p.postCBs
 	p.mu.Unlock()
 
 	// A hook a creation callback put on this machine alone — Chaser's log,
 	// bound to the rank — stays, in front of the platform-wide ones.
 	m.Hooks.TaintedMemRead = fanOut(m.Hooks.TaintedMemRead, readCBs)
 	m.Hooks.TaintedMemWrite = fanOut(m.Hooks.TaintedMemWrite, writeCBs)
-	if len(preCBs) > 0 {
-		m.Hooks.PreSyscall = func(mm *vm.Machine, sys isa.Sys) {
-			for _, cb := range preCBs {
-				cb(info, mm, sys)
-			}
+	if len(pr.pre) > 0 {
+		m.Hooks.PreSyscall = pr.preHook
+	}
+	if len(pr.post) > 0 {
+		m.Hooks.PostSyscall = pr.postHook
+	}
+	return pr.info
+}
+
+// newProcess appends a process to procs, reusing one an earlier set left in
+// the spare capacity. It is called with mu held.
+func (p *Platform) newProcess() *process {
+	n := len(p.procs)
+	if n < cap(p.procs) {
+		if pr := p.procs[:n+1][n]; pr != nil {
+			p.procs = p.procs[:n+1]
+			return pr
 		}
 	}
-	if len(postCBs) > 0 {
-		m.Hooks.PostSyscall = func(mm *vm.Machine, sys isa.Sys) {
-			for _, cb := range postCBs {
-				cb(info, mm, sys)
-			}
-		}
-	}
-	return info
+	pr := new(process)
+	pr.preHook, pr.postHook = pr.preSyscall, pr.postSyscall
+	p.procs = append(p.procs, pr)
+	return pr
 }
 
 // fanOut returns the hook that calls own, the machine's own hook if it has
@@ -276,5 +347,9 @@ func fanOut(own MemTaintCB, cbs []MemTaintCB) MemTaintCB {
 func (p *Platform) Processes() []ProcInfo {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]ProcInfo(nil), p.procs...)
+	out := make([]ProcInfo, len(p.procs))
+	for i, pr := range p.procs {
+		out[i] = pr.info
+	}
+	return out
 }

@@ -210,3 +210,56 @@ main:
 		t.Errorf("post = %v", post)
 	}
 }
+
+// TestPlatformReset: a Reset platform forgets its processes and starts its
+// PIDs over, keeps its plugins, commands and callbacks, and a process it
+// creates afterwards — on a process struct the earlier set left — reports
+// its own info to the syscall callbacks. A callback registered after a
+// process was created does not apply to it, though the registries are not
+// copied per process.
+func TestPlatformReset(t *testing.T) {
+	p := NewPlatform()
+	if err := p.LoadPlugin(&fakePlugin{name: "fi"}); err != nil {
+		t.Fatal(err)
+	}
+	var seen []ProcInfo
+	p.RegisterPreSyscallCB(func(info ProcInfo, m *vm.Machine, sys isa.Sys) { seen = append(seen, info) })
+	prog := func(name string) *isa.Program {
+		t.Helper()
+		p, err := asm.Assemble(name, "main:\n movi r1, 0\n syscall exit\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	first := []*vm.Machine{vm.New(prog("a"), vm.Config{}), vm.New(prog("b"), vm.Config{Rank: 1})}
+	for _, m := range first {
+		p.CreateProcess(m)
+	}
+	late := 0
+	p.RegisterPreSyscallCB(func(ProcInfo, *vm.Machine, isa.Sys) { late++ })
+	for _, m := range first {
+		m.Run()
+	}
+	if late != 0 || len(seen) != 2 || seen[0].PID != 100 || seen[1].PID != 101 || seen[1].Name != "b" {
+		t.Fatalf("first set: late callback ran %d times, seen %+v", late, seen)
+	}
+
+	p.Reset()
+	if got := p.Processes(); len(got) != 0 {
+		t.Fatalf("a reset platform lists %d processes", len(got))
+	}
+	seen = nil
+	m := vm.New(prog("c"), vm.Config{Rank: 3})
+	info := p.CreateProcess(m)
+	m.Run()
+	if info.PID != 100 || len(seen) != 1 || seen[0] != info || late != 1 {
+		t.Errorf("after reset: created %+v, callbacks saw %+v, late callback ran %d times", info, seen, late)
+	}
+	if got := p.Processes(); len(got) != 1 || got[0] != info {
+		t.Errorf("after reset: processes %+v", got)
+	}
+	if out, err := p.Exec("fi_cmd x"); err != nil || out != "ok:x" {
+		t.Errorf("after reset the plugin's command answers %q, %v", out, err)
+	}
+}

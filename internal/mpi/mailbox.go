@@ -20,12 +20,26 @@ type mailbox struct {
 	n    int       // messages queued
 }
 
-// load preloads the queue, oldest first (restoring a paused world).
+// load preloads the empty queue, oldest first (restoring a paused world).
 func (mb *mailbox) load(msgs []Message) {
-	if len(msgs) > 0 {
-		mb.ring = append([]Message(nil), msgs...)
-		mb.n = len(msgs)
+	if len(msgs) > len(mb.ring) {
+		mb.ring = make([]Message, len(msgs))
 	}
+	mb.n = copy(mb.ring, msgs)
+}
+
+// keptRing bounds the ring an emptied mailbox keeps for the world it is
+// reset into: a halo exchange's eight slots, with room to spare.
+const keptRing = 64
+
+// emptied returns the mailbox with no message queued, keeping its ring
+// (cleared, so it holds no payload) unless that grew past keptRing.
+func (mb *mailbox) emptied() mailbox {
+	if len(mb.ring) > keptRing {
+		return mailbox{}
+	}
+	clear(mb.ring)
+	return mailbox{ring: mb.ring}
 }
 
 // put delivers msg unless the mailbox is full at mailboxCap, growing the ring

@@ -204,7 +204,8 @@ func TestMailboxBlockedSendWokenByInterrupt(t *testing.T) {
 // aside unmatched, and rank 2 — the one that pauses — at the instruction it
 // paused in front of. Two worlds restored from the one State (and the
 // machines' snapshots) must each run on exactly as the world that never
-// paused: a restored world writes nothing of the State.
+// paused: a restored world writes nothing of the State, and a world reset
+// into the shell of another keeps nothing of it.
 func TestWorldStateRoundTrip(t *testing.T) {
 	send := func(tag int64) []lang.Stmt {
 		return B(
@@ -301,12 +302,28 @@ func TestWorldStateRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 2; i++ {
-		restored, err := NewWorld(prog, Config{Size: 3, State: st, NewMachine: func(r int, mc vm.Config) *vm.Machine {
+	// Worlds 0 and 1 are new; 2 and 3 are reset into the shell of the paused
+	// world w — queues, suspended calls, barrier and all — which world 2 then
+	// leaves as it ends.
+	for i := 0; i < 4; i++ {
+		cfg := Config{Size: 3, State: st, NewMachine: func(r int, mc vm.Config) *vm.Machine {
 			return vm.NewFromSnapshot(prog, snaps[r], mc)
-		}})
+		}}
+		restored := w
+		if i < 2 {
+			restored, err = NewWorld(prog, cfg)
+		} else {
+			err = w.Reset(prog, cfg)
+		}
 		if err != nil {
 			t.Fatal(err)
+		}
+		for r := range st.ranks {
+			rs, s := &restored.ranks[r], &st.ranks[r]
+			if !reflect.DeepEqual(tags(rs.pending), tags(s.pending)) || !reflect.DeepEqual(tags(rs.mailbox.messages()), tags(s.mailbox)) {
+				t.Errorf("restored world %d, rank %d: pending tags %v and queued %v, want %v and %v", i, r,
+					tags(rs.pending), tags(rs.mailbox.messages()), tags(s.pending), tags(s.mailbox))
+			}
 		}
 		if got := restored.Run(); !reflect.DeepEqual(got, wantTerms) {
 			t.Fatalf("restored world %d: %v, want %v", i, got, wantTerms)

@@ -63,7 +63,9 @@ type World struct {
 	// panicMsg is the first simulator panic a rank raised, re-raised by Run.
 	panicMsg string
 
+	// obs are the instruments of reg, the registry they came from.
 	obs    *worldObs
+	reg    *obs.Registry
 	tracer *obs.Tracer
 	events *obs.Sink
 }
@@ -111,16 +113,44 @@ type Config struct {
 
 // NewWorld creates a world of cfg.Size ranks all running prog.
 func NewWorld(prog *isa.Program, cfg Config) (*World, error) {
+	w := new(World)
+	if err := w.Reset(prog, cfg); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// Reset makes w the world NewWorld(prog, cfg) creates, in the shell of the
+// world w was: its rank table, pending queues and mailbox rings are emptied
+// and reused, and so are its instruments when cfg.Obs is the registry they
+// came from. Every machine of the world w was must have stopped, with nothing
+// left to run, abort or interrupt it: the ranks' machines are replaced (a
+// recycled one may be the very struct a rank had). The zero World is an
+// empty shell.
+func (w *World) Reset(prog *isa.Program, cfg Config) error {
 	if cfg.Size < 1 {
-		return nil, fmt.Errorf("mpi: world size %d < 1", cfg.Size)
+		return fmt.Errorf("mpi: world size %d < 1", cfg.Size)
 	}
 	if cfg.State != nil && len(cfg.State.ranks) != cfg.Size {
-		return nil, fmt.Errorf("mpi: state of %d ranks for a world of %d", len(cfg.State.ranks), cfg.Size)
+		return fmt.Errorf("mpi: state of %d ranks for a world of %d", len(cfg.State.ranks), cfg.Size)
 	}
-	w := &World{
+	ranks := w.ranks
+	if cap(ranks) < cfg.Size {
+		ranks = make([]rankState, cfg.Size)
+	}
+	ranks = ranks[:cfg.Size]
+	for r := range ranks {
+		ranks[r].empty()
+	}
+	wobs, reg := w.obs, w.reg
+	if reg != cfg.Obs {
+		wobs, reg = newWorldObs(cfg.Obs), cfg.Obs
+	}
+	*w = World{
 		size:   cfg.Size,
-		ranks:  make([]rankState, cfg.Size),
-		obs:    newWorldObs(cfg.Obs),
+		ranks:  ranks,
+		obs:    wobs,
+		reg:    reg,
 		tracer: cfg.Tracer,
 		events: cfg.Events,
 	}
@@ -149,7 +179,7 @@ func NewWorld(prog *isa.Program, cfg Config) (*World, error) {
 			rs.place, rs.env.callState = s.place, s.callState
 			rs.env.acc = bytes.Clone(s.acc) // combine writes to it
 			rs.mailbox.load(s.mailbox)
-			rs.pending = slices.Clone(s.pending)
+			rs.pending = append(rs.pending, s.pending...)
 		}
 	}
 	if cfg.Setup != nil {
@@ -157,7 +187,14 @@ func NewWorld(prog *isa.Program, cfg Config) (*World, error) {
 			cfg.Setup(r, w.ranks[r].m)
 		}
 	}
-	return w, nil
+	return nil
+}
+
+// empty returns a rank to the zero rankState, keeping the storage of its
+// pending queue and mailbox ring emptied.
+func (rs *rankState) empty() {
+	clear(rs.pending)
+	*rs = rankState{pending: rs.pending[:0], mailbox: rs.mailbox.emptied()}
 }
 
 // Size returns the number of ranks.

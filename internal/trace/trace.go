@@ -556,6 +556,16 @@ func (c *Collector) AddSample(p TimelinePoint) {
 	c.timeline = append(c.timeline, p)
 }
 
+// SeedTimeline puts the samples of the execution a run resumes — a fork
+// point's prefix — in front of the timeline, in one step. The collector
+// shares ps rather than copying it, and never writes to it: the run's own
+// samples go to storage of their own. ps must not change afterwards.
+func (c *Collector) SeedTimeline(ps []TimelinePoint) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.timeline = append(ps[:len(ps):len(ps)], c.timeline...)
+}
+
 // AddCrossRank records a tainted message crossing rank boundaries.
 func (c *Collector) AddCrossRank(r CrossRankRecord) {
 	c.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -61,6 +62,33 @@ func TestCollectorTimelineAndCrossRank(t *testing.T) {
 	}
 	if got := c.CrossRank(); len(got) != 1 || got[0].Dst != 3 {
 		t.Errorf("cross = %+v", got)
+	}
+}
+
+// TestSeedTimelineShares: a seeded timeline starts with the prefix's samples
+// and goes on with the run's own, while the prefix's slice — shared by every
+// run resumed from it — is never written, even with spare capacity.
+func TestSeedTimelineShares(t *testing.T) {
+	prefix := make([]TimelinePoint, 2, 8)
+	prefix[0] = TimelinePoint{Rank: 0, Instrs: 100000, TaintedBytes: 0}
+	prefix[1] = TimelinePoint{Rank: 0, Instrs: 200000, TaintedBytes: 0}
+	want := slices.Clone(prefix)
+	runs := []*Collector{NewCollector(), NewCollectorNoAccessLog()}
+	for i, c := range runs {
+		c.SeedTimeline(prefix)
+		c.AddSample(TimelinePoint{Rank: 0, Instrs: 300000, TaintedBytes: int64(8 + i)})
+	}
+	if got := prefix[:3][2]; got != (TimelinePoint{}) {
+		t.Errorf("a run wrote %+v past the prefix's samples", got)
+	}
+	if !reflect.DeepEqual(prefix, want) {
+		t.Errorf("the prefix's samples changed: %+v", prefix)
+	}
+	for i, c := range runs {
+		tl := c.Timeline()
+		if len(tl) != 3 || tl[1] != want[1] || tl[2].TaintedBytes != int64(8+i) {
+			t.Errorf("run %d: timeline %+v", i, tl)
+		}
 	}
 }
 

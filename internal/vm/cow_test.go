@@ -1,9 +1,13 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
+
+	"chaser/internal/asm"
+	"chaser/internal/isa"
 )
 
 // TestMemoryCOWIsolation: after a snapshot, the original and any number of
@@ -160,8 +164,8 @@ func TestMemoryTranslateStableAcrossFork(t *testing.T) {
 	}
 }
 
-// TestMemoryTLBAfterCOW: a read of a sealed page must not install a TLB entry
-// (cached pages are written through directly), and after the COW copy the
+// TestMemoryTLBAfterCOW: a read of a sealed page caches it for reads only
+// (a write hit is written through directly), and after the COW copy the
 // refreshed entry must serve the private page.
 func TestMemoryTLBAfterCOW(t *testing.T) {
 	m := NewMemory()
@@ -172,8 +176,8 @@ func TestMemoryTLBAfterCOW(t *testing.T) {
 	img := m.Snapshot()
 	f := NewMemoryFromImage(img)
 
-	// Read first: shares the sealed page. If this cached the page, the
-	// following write would scribble on the snapshot.
+	// Read first: shares the sealed page. If this cached the page for
+	// writes, the following write would scribble on the snapshot.
 	if v, _ := f.Read64(0); v != 7 {
 		t.Fatalf("fork read = %d, want 7", v)
 	}
@@ -197,6 +201,100 @@ func TestMemoryTLBAfterCOW(t *testing.T) {
 	}
 	if f.CowCopies() != 1 {
 		t.Errorf("CowCopies = %d after second write, want 1", f.CowCopies())
+	}
+}
+
+// TestSealedPageReadThroughTLB: a fork reads a sealed page of its rung
+// through the TLB and then writes it — by a fused store, an unfused one, a
+// byte store, and a call's push onto the sealed stack page: the fork
+// privatizes the page, and the rung, whose TLB still caches its sealed pages
+// for reads, and a sibling fork read the old bytes, through the TLB and
+// through Read8 and Read64.
+func TestSealedPageReadThroughTLB(t *testing.T) {
+	for _, v := range []struct {
+		name, read, write string
+		stack, unfused    bool
+	}{
+		{"std", "ld r3, [r5+0]", "st [r5+0], r4", false, false},
+		{"st64", "ld r3, [r5+0]", "st [r5+0], r4", false, true},
+		{"st8", "ldb r3, [r5+0]", "stb [r5+0], r4", false, false},
+		{"call", "ld r3, [sp-8]", "call f", true, false},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			word := "[r5+0]"
+			if v.stack {
+				word = "[sp-8]"
+			}
+			prog, err := asm.Assemble("sealed", `
+main:
+    movi r1, 4096
+    syscall alloc
+    mov r5, r0
+    movi r2, 1111
+    st [r5+0], r2
+    call f
+    nop
+    `+v.read+`
+    add r4, r3, r6
+    `+v.write+`
+    ld r1, `+word+`
+    syscall out_int
+    movi r1, 0
+    syscall exit
+f:
+    ret
+`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rung, snap := pausedAtNop(t, nil, prog)
+			addr := rung.GPR(isa.R5)
+			if v.stack {
+				addr = rung.GPR(isa.SP) - 8 // the prefix's call pushed its return address there
+			}
+			old, err := rung.Mem.Read64(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			read := func(name string, m *Memory, want uint64) {
+				t.Helper()
+				if v, err := m.Read64(addr); err != nil || v != want {
+					t.Errorf("%s: Read64 = %d (%v), want %d", name, v, err, want)
+				}
+				if v, err := m.Read8(addr); err != nil || v != uint8(want) {
+					t.Errorf("%s: Read8 = %d (%v), want %d", name, v, err, uint8(want))
+				}
+			}
+			base := addr &^ (PageSize - 1)
+			if rung.Mem.lookup(base) == nil || rung.Mem.lookupWrite(base) != nil {
+				t.Error("Snapshot did not keep the rung's read tag and clear its write tag")
+			}
+
+			a, b := NewFromSnapshot(prog, snap, Config{}), NewFromSnapshot(prog, snap, Config{})
+			read("fork b before it runs", b.Mem, old)
+			if b.Mem.lookup(base) == nil || b.Mem.lookupWrite(base) != nil {
+				t.Error("a read of a sealed page did not cache it for reads alone")
+			}
+			for i, f := range []*Machine{a, b} {
+				f.SetGPR(isa.R6, uint64(1+i))
+				f.Trans.SetFusion(!v.unfused)
+			}
+			_, out := runOut(t, a)
+			wrote := binary.LittleEndian.Uint64(out)
+			if wrote == old || (!v.stack && wrote != old+1) {
+				t.Errorf("fork a wrote %d over %d", wrote, old)
+			}
+			if got := a.Mem.CowCopies(); got != 1 {
+				t.Errorf("fork a copied %d pages on write, want 1", got)
+			}
+			read("the rung after fork a wrote", rung.Mem, old)
+			read("fork b after fork a wrote", b.Mem, old)
+			if _, out := runOut(t, b); !v.stack && binary.LittleEndian.Uint64(out) != old+2 {
+				t.Errorf("fork b wrote %d over %d", binary.LittleEndian.Uint64(out), old)
+			}
+			read("fork a after fork b wrote", a.Mem, wrote)
+			read("the rung after both forks wrote", rung.Mem, old)
+		})
 	}
 }
 

@@ -496,7 +496,7 @@ nextBlock:
 		case tcg.KSt64:
 			addr := regs[op.A1]
 			if base := addr &^ (PageSize - 1); addr-base <= PageSize-8 {
-				if p := mem.lookup(base); p != nil {
+				if p := mem.lookupWrite(base); p != nil {
 					v := regs[op.A2]
 					binary.LittleEndian.PutUint64(p.data[addr-base:addr-base+8], v)
 					if tainting {
@@ -522,7 +522,7 @@ nextBlock:
 			}
 			regs[op.A0] = addr
 			if base := addr &^ (PageSize - 1); addr-base <= PageSize-8 {
-				if p := mem.lookup(base); p != nil {
+				if p := mem.lookupWrite(base); p != nil {
 					v := regs[op.A2]
 					binary.LittleEndian.PutUint64(p.data[addr-base:addr-base+8], v)
 					if tainting {
@@ -556,7 +556,7 @@ nextBlock:
 			}
 		case tcg.KSt8:
 			addr := regs[op.A1]
-			if p := mem.lookup(addr &^ (PageSize - 1)); p != nil {
+			if p := mem.lookupWrite(addr &^ (PageSize - 1)); p != nil {
 				v := regs[op.A2] & 0xff
 				p.data[addr&(PageSize-1)] = uint8(v)
 				if tainting {
@@ -654,7 +654,7 @@ nextBlock:
 			sp := regs[tcg.SPReg] - 8
 			var p *memPage
 			if base := sp &^ (PageSize - 1); sp-base <= PageSize-8 {
-				if p = mem.lookup(base); p != nil {
+				if p = mem.lookupWrite(base); p != nil {
 					binary.LittleEndian.PutUint64(p.data[sp-base:sp-base+8], uint64(op.Imm2))
 				}
 			}

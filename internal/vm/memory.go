@@ -63,20 +63,28 @@ func (r region) contains(addr uint64) bool {
 // merely to beat a single-entry cache.
 const tlbSize = 8
 
+// tlbEntry caches one page under two tags, each the page's base with the low
+// bit set (0 matches no base): read, which loads probe, and write, which
+// stores probe. A private page is cached under both. A sealed page is cached
+// under its read tag only, so a store to it misses and copies it on write.
 type tlbEntry struct {
-	base uint64
-	page *memPage
+	read, write uint64
+	page        *memPage
 }
+
+// tlbTag is the tag of the page at base.
+func tlbTag(base uint64) uint64 { return base | 1 }
 
 type Memory struct {
 	pages     map[uint64]*memPage
 	regions   []region
 	nextFrame uint64
 	// tlb is a direct-mapped translation cache over the page map: the map
-	// lookup dominates the interpreter's memory cost without it. Only private
-	// (unsealed) pages are ever cached, so a TLB hit is always safe to write
-	// through — the interpreter's inlined store paths rely on this. Snapshot
-	// seals every page and resets the TLB; a COW copy refreshes the entry.
+	// lookup dominates the interpreter's memory cost without it. A hit on a
+	// write tag is always a private page, safe to write through — the
+	// interpreter's inlined store paths rely on this; a hit on a read tag
+	// may be a sealed page, whose bytes never change. Snapshot seals every
+	// page and clears the write tags; a COW copy refreshes the entry.
 	tlb [tlbSize]tlbEntry
 	// cowCopies counts pages privatized by copy-on-write since creation
 	// (telemetry: vm_cow_page_copies_total).
@@ -117,12 +125,22 @@ func (m *Memory) copyPage(p *memPage) *memPage {
 	return cp
 }
 
-// lookup returns the cached page for an aligned page base, or nil on a TLB
-// miss. Small enough to inline into every memory accessor. Cached pages are
-// always private to this Memory, so a hit may be read or written directly.
+// lookup returns the cached page for an aligned page base, to be read, or
+// nil on a TLB miss. Small enough to inline into every memory accessor. The
+// page may be sealed: a hit must not be written through.
 func (m *Memory) lookup(base uint64) *memPage {
 	e := &m.tlb[(base/PageSize)%tlbSize]
-	if e.page != nil && e.base == base {
+	if e.read == tlbTag(base) {
+		return e.page
+	}
+	return nil
+}
+
+// lookupWrite returns the cached page for an aligned page base, to be
+// written, or nil on a TLB miss: only a page private to this Memory hits.
+func (m *Memory) lookupWrite(base uint64) *memPage {
+	e := &m.tlb[(base/PageSize)%tlbSize]
+	if e.write == tlbTag(base) {
 		return e.page
 	}
 	return nil
@@ -173,8 +191,8 @@ func (m *Memory) pageRegion(base uint64) (name string, mixed bool) {
 }
 
 // locate returns the physical address of addr and the name of its region,
-// for an address the guest has just accessed: its page exists, and is in the
-// TLB unless it is a sealed page the access only read.
+// for an address the guest has just accessed: its page exists, and is
+// usually still in the TLB.
 func (m *Memory) locate(addr uint64) (paddr uint64, region string) {
 	base := addr &^ (PageSize - 1)
 	p := m.lookup(base)
@@ -192,8 +210,9 @@ func (m *Memory) locate(addr uint64) (paddr uint64, region string) {
 
 func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
 	base := addr &^ (PageSize - 1)
-	if p := m.lookup(base); p != nil {
-		return p, addr - base, nil
+	e := &m.tlb[(base/PageSize)%tlbSize]
+	if tag := tlbTag(base); e.write == tag || (!write && e.read == tag) {
+		return e.page, addr - base, nil
 	}
 	p, ok := m.pages[base]
 	switch {
@@ -209,8 +228,9 @@ func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
 		m.pages[base] = p
 	case p.sealed:
 		if !write {
-			// Reads may share the sealed page, but it must never enter the
-			// TLB: cached pages are written through directly.
+			// Reads share the sealed page: it enters the TLB under its read
+			// tag alone, so a store still misses and copies it.
+			*e = tlbEntry{read: tlbTag(base), page: p}
 			return p, addr - base, nil
 		}
 		// Copy-on-write: privatize the page, keeping its frame so physical
@@ -220,7 +240,7 @@ func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
 		m.cowCopies++
 		m.private = append(m.private, p)
 	}
-	m.tlb[(base/PageSize)%tlbSize] = tlbEntry{base: base, page: p}
+	*e = tlbEntry{read: tlbTag(base), write: tlbTag(base), page: p}
 	return p, addr - base, nil
 }
 
@@ -262,8 +282,9 @@ func (img *MemImage) ownBytes() int64 {
 
 // Snapshot freezes the current page set into an immutable image. Every page
 // becomes sealed — including in this Memory, whose next write to any of them
-// will privatize a copy — and the TLB is reset so no writable pointer to a
-// now-shared page survives.
+// will privatize a copy — and the TLB's write tags are cleared so no writable
+// pointer to a now-shared page survives. Its read tags stay: a sealed page's
+// bytes never change.
 func (m *Memory) Snapshot() *MemImage {
 	pages := make([]imagePage, 0, len(m.pages))
 	for base, p := range m.pages {
@@ -275,7 +296,9 @@ func (m *Memory) Snapshot() *MemImage {
 		}
 		pages = append(pages, imagePage{base, p})
 	}
-	m.tlb = [tlbSize]tlbEntry{}
+	for i := range m.tlb {
+		m.tlb[i].write = 0
+	}
 	img := &MemImage{
 		pages:     pages,
 		regions:   append([]region(nil), m.regions...),
@@ -351,7 +374,7 @@ func (m *Memory) Read8(addr uint64) (uint8, error) {
 // Write8 stores one byte.
 func (m *Memory) Write8(addr uint64, v uint8) error {
 	base := addr &^ (PageSize - 1)
-	if p := m.lookup(base); p != nil {
+	if p := m.lookupWrite(base); p != nil {
 		p.data[addr-base] = v
 		return nil
 	}
@@ -391,7 +414,7 @@ func (m *Memory) Read64(addr uint64) (uint64, error) {
 // Write64 stores a 64-bit little-endian word. No alignment is required.
 func (m *Memory) Write64(addr uint64, v uint64) error {
 	base := addr &^ (PageSize - 1)
-	if p := m.lookup(base); p != nil && addr-base <= PageSize-8 {
+	if p := m.lookupWrite(base); p != nil && addr-base <= PageSize-8 {
 		binary.LittleEndian.PutUint64(p.data[addr-base:addr-base+8], v)
 		return nil
 	}
