@@ -15,23 +15,22 @@
 //
 //	chaserd -worker -connect http://127.0.0.1:7070 -name w1
 //
-// HA mode pairs two servers over a shared fence file and data directory:
-// whichever holds the fence lease leads, the other replicates the leader's
-// WAL as a hot standby and promotes within about one -leader-ttl of the
-// leader going silent. Workers and clients take the full peer list and
-// fail over automatically:
+// HA mode pairs two servers over one shared store directory and fence
+// file: whichever holds the fence lease opens the store and leads, the
+// other is a standby that redirects to it and, within about one
+// -leader-ttl of the leader going silent, opens the same store and takes
+// over. Workers and clients take the full peer list and fail over
+// automatically:
 //
-//	chaserd -store ./a -data ./shared -fence-file ./shared/fence \
-//	    -advertise http://127.0.0.1:7070 -addr 127.0.0.1:7070 \
-//	    -peer http://127.0.0.1:7071 -role leader
-//	chaserd -store ./b -data ./shared -fence-file ./shared/fence \
-//	    -advertise http://127.0.0.1:7071 -addr 127.0.0.1:7071 \
-//	    -peer http://127.0.0.1:7070 -role follower
+//	chaserd -store ./shared -fence-file ./shared/fence \
+//	    -advertise http://127.0.0.1:7070 -addr 127.0.0.1:7070 -role leader
+//	chaserd -store ./shared -fence-file ./shared/fence \
+//	    -advertise http://127.0.0.1:7071 -addr 127.0.0.1:7071 -role follower
 //	chaserd -worker -connect http://127.0.0.1:7070,http://127.0.0.1:7071
 //
 // The -chaos flag (or CHASERD_CHAOS) arms the deterministic self-chaos
-// harness: seeded fault injection at named sites inside the WAL, the
-// replication stream and the fencer clock (see docs/ROBUSTNESS.md).
+// harness: seeded fault injection at named sites inside the WAL and the
+// fencer clock (see docs/ROBUSTNESS.md).
 //
 // SIGTERM/SIGINT shut either mode down gracefully: the server drains HTTP
 // and closes its store (campaign state is durable); a worker finishes its
@@ -64,7 +63,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("chaserd", flag.ContinueOnError)
 	// Server mode.
 	addr := fs.String("addr", "127.0.0.1:7070", "listen address (server mode)")
-	storeDir := fs.String("store", "", "durable state directory (server mode; required)")
+	storeDir := fs.String("store", "", "durable state directory, shared by an HA pair (server mode; required)")
 	pool := fs.Int("pool", 0, "in-process workers to run alongside the server (single-binary mode)")
 	hubs := fs.String("hubs", "", "comma-separated TaintHub addresses; campaigns are hashed across them (empty = private in-process hubs)")
 	leaseTTL := fs.Duration("lease-ttl", 15*time.Second, "shard lease duration; a worker silent this long loses its shard")
@@ -74,14 +73,12 @@ func run(args []string) error {
 	ratePerSec := fs.Float64("tenant-rate", 0, "sustained submissions/s per tenant (0 = default)")
 	burst := fs.Int("tenant-burst", 0, "submission burst per tenant (0 = default)")
 	// HA mode.
-	dataDir := fs.String("data", "", "journals + summaries directory, shared between HA peers (empty = -store)")
 	fenceFile := fs.String("fence-file", "", "shared fencing file; setting it enables HA leader election")
-	peer := fs.String("peer", "", "the other HA node's base URL (replication source and redirect fallback)")
 	advertise := fs.String("advertise", "", "this node's externally reachable base URL (default http://<addr>)")
 	role := fs.String("role", "", "startup role bias: leader contends immediately, follower yields one TTL first")
 	leaderTTL := fs.Duration("leader-ttl", 3*time.Second, "fence lease duration; a leader silent this long is deposed")
 	fsync := fs.Bool("fsync", false, "fsync the WAL on every append")
-	chaosSpec := fs.String("chaos", os.Getenv("CHASERD_CHAOS"), "self-chaos spec, e.g. seed=42,rate=0.05,sites=wal.short_write+repl.drop_frame (default $CHASERD_CHAOS)")
+	chaosSpec := fs.String("chaos", os.Getenv("CHASERD_CHAOS"), "self-chaos spec, e.g. seed=42,rate=0.05,sites=wal.short_write+clock.freeze (default $CHASERD_CHAOS)")
 	// Worker mode.
 	worker := fs.Bool("worker", false, "run as a worker instead of a server")
 	connect := fs.String("connect", "", "chaserd URL to claim shards from (worker mode)")
@@ -103,7 +100,7 @@ func run(args []string) error {
 		addr: *addr, storeDir: *storeDir, pool: *pool, hubs: *hubs,
 		leaseTTL: *leaseTTL, maxRetries: *maxRetries, defaultShards: *defaultShards,
 		maxActive: *maxActive, ratePerSec: *ratePerSec, burst: *burst,
-		dataDir: *dataDir, fenceFile: *fenceFile, peer: *peer, advertise: *advertise,
+		fenceFile: *fenceFile, advertise: *advertise,
 		role: *role, leaderTTL: *leaderTTL, fsync: *fsync, chaos: *chaosSpec,
 	}, sigc)
 }
@@ -116,10 +113,10 @@ type serverOpts struct {
 	ratePerSec               float64
 	leaseTTL                 time.Duration
 
-	dataDir, fenceFile, peer string
-	advertise, role, chaos   string
-	leaderTTL                time.Duration
-	fsync                    bool
+	fenceFile, advertise string
+	role, chaos          string
+	leaderTTL            time.Duration
+	fsync                bool
 }
 
 func runServer(o serverOpts, sigc <-chan os.Signal) error {
@@ -141,7 +138,6 @@ func runServer(o serverOpts, sigc <-chan os.Signal) error {
 	srv, err := server.NewServer(server.ServerConfig{
 		Addr:     o.addr,
 		StoreDir: o.storeDir,
-		DataDir:  o.dataDir,
 		Obs:      obs.NewRegistry(),
 		Sched: server.SchedConfig{
 			LeaseTTL:        o.leaseTTL,
@@ -155,7 +151,6 @@ func runServer(o serverOpts, sigc <-chan os.Signal) error {
 			Burst:      o.burst,
 		},
 		FenceFile:      o.fenceFile,
-		Peer:           o.peer,
 		AdvertiseURL:   o.advertise,
 		LeaderTTL:      o.leaderTTL,
 		RolePreference: o.role,
@@ -176,11 +171,7 @@ func runServer(o serverOpts, sigc <-chan os.Signal) error {
 		// being an HA follower and follow redirects to the leader.
 		control := server.Control(server.LocalControl{Sched: srv.Scheduler()})
 		if o.fenceFile != "" {
-			peers := srv.Advertise()
-			if o.peer != "" {
-				peers += "," + o.peer
-			}
-			control = server.NewClient(peers)
+			control = server.NewClient(srv.Advertise())
 		}
 		workers[i] = server.NewWorker(server.WorkerConfig{
 			Name:    fmt.Sprintf("pool-%d", i),

@@ -14,11 +14,11 @@ import (
 // Self-chaos: Chaser injecting faults into Chaser. The control plane's
 // whole job is surviving the fault classes the injectors study, so it gets
 // the same treatment the guest programs do — a deterministic, seeded
-// fault-point layer with named sites threaded through the store, the
-// replication stream and the fencer. Armed via the -chaos flag or the
-// CHASERD_CHAOS environment variable:
+// fault-point layer with named sites threaded through the store and the
+// fencer. Armed via the -chaos flag or the CHASERD_CHAOS environment
+// variable:
 //
-//	CHASERD_CHAOS="seed=42,rate=0.05,sites=wal.short_write+repl.drop_frame"
+//	CHASERD_CHAOS="seed=42,rate=0.05,sites=wal.short_write+clock.freeze"
 //
 // Each site draws from its own deterministic sequence (seed ⊕ site hash ⊕
 // per-site counter through a splitmix64 mix), so two runs with the same
@@ -32,19 +32,13 @@ const (
 	ChaosWALShortWrite = wal.FaultShortWrite
 	// ChaosWALFsync fails the fsync after an append (Fsync mode only).
 	ChaosWALFsync = wal.FaultSync
-	// ChaosReplDropFrame makes the leader drop a replication frame and
-	// sever the stream (the follower re-pulls from its cursor).
-	ChaosReplDropFrame = "repl.drop_frame"
-	// ChaosReplTearFrame makes the leader send a prefix of a frame and
-	// sever the stream (the follower sees a torn frame mid-stream).
-	ChaosReplTearFrame = "repl.tear_frame"
 	// ChaosClockFreeze freezes the fencer's clock for several reads, so a
 	// live leader misses renewals and gets deposed while still running.
 	ChaosClockFreeze = "clock.freeze"
 )
 
 var chaosSites = []string{
-	ChaosWALShortWrite, ChaosWALFsync, ChaosReplDropFrame, ChaosReplTearFrame, ChaosClockFreeze,
+	ChaosWALShortWrite, ChaosWALFsync, ChaosClockFreeze,
 }
 
 // clockFreezeReads is how many consecutive clock reads a single

@@ -32,9 +32,11 @@ import (
 //     no dual-leader writes, ever. Control-plane appends are rare, so the
 //     extra fence read per append costs microseconds and buys the strict
 //     "zero accepted writes from a deposed epoch" guarantee.
-//  4. Replication consumers reject frames whose epoch is below the highest
-//     epoch they have observed (replica.go) — the network-facing half of
-//     the same rule.
+//  4. Every promotion opens the shared store, which renames a rewritten
+//     log over the old one (store.go). An append the deposed leader
+//     validated just before losing the lease still reaches only the file
+//     it had open, which is no longer the log — and so does the truncate
+//     that repairs its own short write.
 //
 // Mutual exclusion on the fence file itself is flock(2): read-modify-write
 // cycles are serialized, so two candidates racing to acquire cannot both

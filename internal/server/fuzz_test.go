@@ -3,10 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
-
-	"chaser/internal/wal"
 )
 
 // FuzzDecodeSpec drives arbitrary bytes through the submission decoder.
@@ -73,66 +70,6 @@ func FuzzDecodeSpec(f *testing.F) {
 		}
 		if prev != n.Runs {
 			t.Fatalf("shards cover [0,%d), want [0,%d)", prev, n.Runs)
-		}
-	})
-}
-
-// FuzzReplicaFrame drives arbitrary bytes through the replication frame
-// decoder. Frames arrive over the network from whatever claims to be a
-// leader, so the invariant mirrors decodeFrame's contract: clean boundary
-// io.EOF, torn stream wal.ErrTorn, structural damage wal.ErrCorrupt — never
-// a panic, never an untyped error, never an allocation driven by an
-// unvalidated length. Every accepted frame must
-// survive an encode/decode round trip.
-func FuzzReplicaFrame(f *testing.F) {
-	frame := func(fr replFrame) []byte {
-		var buf bytes.Buffer
-		if err := encodeFrame(&buf, fr); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	rec := walRecord{T: "done", C: "c000001", Shard: 2, Epoch: 7}
-	valid := frame(replFrame{Seq: 5, Epoch: 7, Rec: &rec})
-	f.Add(valid)
-	f.Add(append(append([]byte(nil), valid...), frame(replFrame{Seq: 6, Epoch: 7})...))
-	f.Add(valid[:len(valid)/2]) // torn mid-payload
-	f.Add(valid[:6])            // torn mid-header
-	f.Add([]byte{})
-	// Zero-length and oversized length prefixes.
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
-	// Valid header, corrupted payload (CRC mismatch).
-	corrupted := append([]byte(nil), valid...)
-	corrupted[len(corrupted)-1] ^= 0x01
-	f.Add(corrupted)
-	// Valid CRC over a non-JSON payload.
-	f.Add(wal.AppendFrame(nil, []byte("not json at all")))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for {
-			fr, err := decodeFrame(r)
-			if err == io.EOF || errors.Is(err, wal.ErrTorn) {
-				return
-			}
-			if err != nil {
-				if !errors.Is(err, wal.ErrCorrupt) {
-					t.Fatalf("untyped frame error: %v", err)
-				}
-				return
-			}
-			if fr.Seq < 0 {
-				t.Fatalf("accepted frame with negative seq: %+v", fr)
-			}
-			var buf bytes.Buffer
-			if err := encodeFrame(&buf, fr); err != nil {
-				t.Fatalf("re-encode of accepted frame: %v", err)
-			}
-			fr2, err := decodeFrame(&buf)
-			if err != nil || fr2.Seq != fr.Seq || fr2.Epoch != fr.Epoch || (fr2.Rec == nil) != (fr.Rec == nil) {
-				t.Fatalf("round trip diverged: %+v -> %+v (%v)", fr, fr2, err)
-			}
 		}
 	})
 }

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -231,93 +229,177 @@ func TestDeposedLeaderWritesAllFenced(t *testing.T) {
 	}
 }
 
-// TestReplicationTornFrameDetected: a frame cut mid-payload must decode as
-// wal.ErrTorn (the follower severs and re-pulls), a bit-flipped payload as
-// wal.ErrCorrupt, and an intact stream ends in clean io.EOF.
-func TestReplicationTornFrameDetected(t *testing.T) {
-	rec := walRecord{T: "done", C: "c000001", Shard: 1, Epoch: 3}
-	var first, both bytes.Buffer
-	if err := encodeFrame(&first, replFrame{Seq: 0, Epoch: 3, Rec: &rec}); err != nil {
+// TestDeposedLeaderCannotReachSharedLog: an HA pair shares one store
+// directory, and the fence on the log itself is the rename every open
+// makes. Leader A, stalled past its lease, still holds a descriptor on the
+// log it opened. After B acquires the fence and opens the same directory,
+// neither A's late append nor the truncate that repairs A's own short
+// write may reach B's log: a fresh open replays exactly B's records.
+func TestDeposedLeaderCannotReachSharedLog(t *testing.T) {
+	dir := t.TempDir()
+	fencePath := filepath.Join(dir, "fence")
+	storeDir := filepath.Join(dir, "store")
+	const ttl = 50 * time.Millisecond
+	a := NewFencer(fencePath, "A", ttl, nil)
+	epochA, ok, _, err := a.TryAcquire()
+	if err != nil || !ok {
+		t.Fatalf("A acquire: ok=%v err=%v", ok, err)
+	}
+	// Armed at rate 0; A's short write below raises it to 1 for one append.
+	chaos, err := ParseChaos("seed=1,rate=0,sites=" + ChaosWALShortWrite)
+	if err != nil {
 		t.Fatal(err)
 	}
-	both.Write(first.Bytes())
-	if err := encodeFrame(&both, replFrame{Seq: 1, Epoch: 3, Rec: &rec}); err != nil {
+	storeA, _, err := OpenStore(storeDir, StoreOptions{Chaos: chaos})
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := both.Bytes()
-
-	// Intact stream: two frames, then clean EOF.
-	r := bytes.NewReader(full)
-	for i := 0; i < 2; i++ {
-		fr, err := decodeFrame(r)
-		if err != nil || fr.Seq != i {
-			t.Fatalf("intact frame %d: seq=%d err=%v", i, fr.Seq, err)
-		}
-	}
-	if _, err := decodeFrame(r); err != io.EOF {
-		t.Fatalf("stream end: %v, want io.EOF", err)
+	defer storeA.Close()
+	storeA.SetEpoch(epochA)
+	storeA.SetGuard(a.Validate)
+	if err := storeA.Append(walRecord{T: "done", C: "c000001", Shard: 0}); err != nil {
+		t.Fatalf("append under a live lease: %v", err)
 	}
 
-	// Torn mid-second-frame: first decodes, the tear is unmistakable.
-	cut := len(first.Bytes()) + (len(full)-len(first.Bytes()))/2
-	r = bytes.NewReader(full[:cut])
-	if _, err := decodeFrame(r); err != nil {
-		t.Fatalf("frame before the tear: %v", err)
+	time.Sleep(ttl + 20*time.Millisecond)
+	b := NewFencer(fencePath, "B", ttl, nil)
+	epochB, ok, _, err := b.TryAcquire()
+	if err != nil || !ok {
+		t.Fatalf("B acquire: ok=%v err=%v", ok, err)
 	}
-	if _, err := decodeFrame(r); !errors.Is(err, wal.ErrTorn) {
-		t.Fatalf("torn frame: %v, want wal.ErrTorn", err)
+	storeB, recsB, err := OpenStore(storeDir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer storeB.Close()
+	storeB.SetEpoch(epochB)
+	storeB.SetGuard(b.Validate)
+	if len(recsB) != 1 || recsB[0].Epoch != epochA {
+		t.Fatalf("B's open replayed %+v, want A's one record", recsB)
+	}
+	want := append(recsB, walRecord{T: "done", C: "c000001", Shard: 1, Epoch: epochB})
+	if err := storeB.Append(want[1]); err != nil {
+		t.Fatal(err)
 	}
 
-	// Bit rot inside the payload: CRC catches it as structural damage.
-	bad := append([]byte(nil), full...)
-	bad[10] ^= 0x20
-	if _, err := decodeFrame(bytes.NewReader(bad)); !errors.Is(err, wal.ErrCorrupt) {
-		t.Fatalf("corrupt frame: %v, want wal.ErrCorrupt", err)
+	// A validated before B took over and appends late, past its guard:
+	// first a short write that A repairs by truncating to its own end of
+	// the log, then a whole record.
+	chaos.rate = 1
+	if err := storeA.append(walRecord{T: "done", C: "c000001", Shard: 2, Epoch: epochA}); !errors.Is(err, wal.ErrInjected) {
+		t.Fatalf("A's short write: %v, want the injected failure", err)
 	}
-}
+	chaos.rate = 0
+	if err := storeA.append(walRecord{T: "done", C: "c000001", Shard: 3, Epoch: epochA}); err != nil {
+		t.Fatalf("A's late append: %v", err)
+	}
 
-// TestFollowerRejectsStaleLeaderFrames: a follower that has observed epoch
-// N refuses every frame from a stream claiming epoch < N — the deposed
-// leader cannot ship one byte of state, and the refusal is counted in
-// server_fenced_appends_total.
-func TestFollowerRejectsStaleLeaderFrames(t *testing.T) {
-	rec := walRecord{T: "campaign", C: "c000001", Epoch: 1}
-	stale := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("X-Chaser-Log-Id", "stale-log")
-		w.WriteHeader(http.StatusOK)
-		encodeFrame(w, replFrame{Seq: 0, Epoch: 1, Rec: &rec})
-	}))
-	defer stale.Close()
-
-	store, _, err := OpenStore(t.TempDir(), StoreOptions{})
+	want = append(want, walRecord{T: "done", C: "c000001", Shard: 4, Epoch: epochB})
+	if err := storeB.Append(want[2]); err != nil {
+		t.Fatal(err)
+	}
+	storeA.Close()
+	storeB.Close()
+	store, got, err := OpenStore(storeDir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	reg := obs.NewRegistry()
-	fence := NewFencer(filepath.Join(t.TempDir(), "fence"), "B", time.Second, nil)
-	fence.noteEpoch(2) // the follower has already seen the new leader's epoch
-	repl := newReplicator(store, fence, reg, t.Logf, "http://self", func() string { return stale.URL })
+	if len(got) != len(want) {
+		t.Fatalf("reopened log holds %+v, want exactly B's records %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
 
-	err = repl.streamOnce(stale.URL)
-	if err == nil || !strings.Contains(err.Error(), "stale leader") {
-		t.Fatalf("streamOnce from a deposed leader: %v, want a stale-leader severance", err)
+// TestStandbyLeavesLeaderLogAlone: an HA standby beside a live leader on
+// the same store directory holds no store and no scheduler, knows the
+// leader from the fence before its first request, and leaves the leader's
+// control.log untouched — same file, same size — until it promotes, when
+// its own open replaces the file.
+func TestStandbyLeavesLeaderLogAlone(t *testing.T) {
+	base := t.TempDir()
+	storeDir := filepath.Join(base, "store")
+	const ttl = 200 * time.Millisecond
+	mk := func(name, role string) *Server {
+		srv, err := NewServer(ServerConfig{
+			Addr:           "127.0.0.1:0",
+			StoreDir:       storeDir,
+			FenceFile:      filepath.Join(base, "fence"),
+			LeaderTTL:      ttl,
+			RolePreference: role,
+			Obs:            obs.NewRegistry(),
+			Logf:           func(f string, a ...any) { t.Logf("["+name+"] "+f, a...) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		return srv
 	}
-	if store.Seq() != 0 {
-		t.Errorf("stale frame was applied: log has %d records", store.Seq())
+	leader := mk("A", "leader")
+	defer leader.Abort()
+	waitUntil(t, 5*time.Second, "initial leader election", leader.IsLeader)
+	id, err := leader.Scheduler().Submit(acceptanceSpec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := reg.Counter("server_fenced_appends_total").Value(); got != 1 {
-		t.Errorf("server_fenced_appends_total = %d, want 1", got)
+	walPath := filepath.Join(storeDir, "wal", "control.log")
+	before, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	standby := mk("B", "follower")
+	defer standby.Abort()
+	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	resp, err := noFollow.Get(standby.Advertise() + "/api/v1/campaigns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if loc := resp.Header.Get("Location"); resp.StatusCode != http.StatusTemporaryRedirect || !strings.HasPrefix(loc, leader.Advertise()) {
+		t.Errorf("standby's first answer: %d to %q, want a 307 to %s", resp.StatusCode, loc, leader.Advertise())
+	}
+	// The standby yields one TTL, then polls the fence every quarter TTL.
+	time.Sleep(3 * ttl)
+	if standby.IsLeader() || standby.Store() != nil || standby.Scheduler() != nil {
+		t.Fatalf("standby beside a live leader: leader=%v store=%v scheduler=%v", standby.IsLeader(), standby.Store(), standby.Scheduler())
+	}
+	after, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || after.Size() != before.Size() {
+		t.Fatalf("standby touched the leader's log: %d bytes -> %d bytes, same file %v", before.Size(), after.Size(), os.SameFile(before, after))
+	}
+
+	leader.Abort()
+	waitUntil(t, 10*time.Second, "standby promotion", standby.IsLeader)
+	promoted, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(before, promoted) {
+		t.Errorf("promotion kept the deposed leader's log file")
+	}
+	if standby.Scheduler().Status(id) == nil {
+		t.Errorf("promoted standby does not know campaign %s from the leader's log", id)
 	}
 }
 
 // TestHAFailoverCompletesCampaign is the HA acceptance test: a leader +
-// hot-standby pair over a shared fence file and data dir, workers and
-// client talking through the failover-aware Client, replication chaos
-// armed on the leader. The leader is killed (no drain, no fence release)
-// mid-campaign; the follower must promote within a few TTLs, finish the
-// campaign, and produce a merged summary bitwise identical to an
-// uninterrupted single-process run.
+// standby pair over a shared fence file and store directory, workers and
+// client talking through the failover-aware Client. The leader is killed
+// (no drain, no fence release) mid-campaign; the follower must promote
+// within a few TTLs, finish the campaign from the leader's own log, and
+// produce a merged summary bitwise identical to an uninterrupted
+// single-process run.
 func TestHAFailoverCompletesCampaign(t *testing.T) {
 	app, err := apps.ByName(acceptanceSpec.App)
 	if err != nil {
@@ -329,24 +411,17 @@ func TestHAFailoverCompletesCampaign(t *testing.T) {
 	}
 
 	base := t.TempDir()
-	shared := filepath.Join(base, "data")
+	shared := filepath.Join(base, "store")
 	fencePath := filepath.Join(base, "fence")
 	const ttl = 500 * time.Millisecond
-	chaos, err := ParseChaos("seed=11,rate=0.05,sites=repl.drop_frame+repl.tear_frame")
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	mk := func(name, storeDir, role, peer string, chaos *Chaos) *Server {
+	mk := func(name, role string) *Server {
 		srv, err := NewServer(ServerConfig{
 			Addr:           "127.0.0.1:0",
-			StoreDir:       storeDir,
-			DataDir:        shared,
+			StoreDir:       shared,
 			FenceFile:      fencePath,
-			Peer:           peer,
 			LeaderTTL:      ttl,
 			RolePreference: role,
-			Chaos:          chaos,
 			Obs:            obs.NewRegistry(),
 			Sched: SchedConfig{
 				LeaseTTL:       150 * time.Millisecond,
@@ -365,10 +440,10 @@ func TestHAFailoverCompletesCampaign(t *testing.T) {
 		return srv
 	}
 
-	leader := mk("A", filepath.Join(base, "a"), "leader", "", chaos)
+	leader := mk("A", "leader")
 	defer leader.Abort()
 	waitUntil(t, 5*time.Second, "initial leader election", leader.IsLeader)
-	follower := mk("B", filepath.Join(base, "b"), "follower", leader.Advertise(), nil)
+	follower := mk("B", "follower")
 	defer follower.Abort()
 
 	peers := leader.Addr() + "," + follower.Addr()

@@ -20,7 +20,6 @@ import (
 //	POST /api/v1/leases/{token}/heartbeat      extend the lease
 //	POST /api/v1/leases/{token}/complete       report success
 //	POST /api/v1/leases/{token}/fail           report failure   {"reason": ...}
-//	GET  /api/v1/replicate?from=N&logid=L      WAL shipping stream (leader only)
 //	GET  /metrics                              Prometheus text
 //	GET  /healthz                              liveness + role + epoch
 //
@@ -29,11 +28,11 @@ import (
 // distinguish "abandon the shard" from transient transport errors.
 //
 // In HA mode only the leader serves the API. A follower answers every
-// /api/v1/* call (except the replication stream, which it 503s) with a
-// 307 redirect to the leader plus Retry-After, so clients and workers
-// rediscover the leader without configuration; when no leader is known
-// yet, it answers 503 + Retry-After and the client's failover retry does
-// the rest. Every response carries X-Chaser-Epoch.
+// /api/v1/* call with a 307 redirect to the leader the fence names, plus
+// Retry-After, so clients and workers rediscover the leader without
+// configuration; when no leader is known, it answers 503 + Retry-After and
+// the client's failover retry does the rest. Every response carries
+// X-Chaser-Epoch.
 
 // httpError is the JSON error envelope.
 type httpError struct {
@@ -70,7 +69,6 @@ func (s *Server) handler() http.Handler {
 	mux.HandleFunc("/api/v1/campaigns/", s.handleCampaign)
 	mux.HandleFunc("/api/v1/leases", s.handleLeases)
 	mux.HandleFunc("/api/v1/leases/", s.handleLease)
-	mux.HandleFunc("/api/v1/replicate", s.handleReplicate)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		s.reg.WritePrometheus(w)
@@ -93,14 +91,7 @@ func (s *Server) handler() http.Handler {
 			mux.ServeHTTP(w, r)
 			return
 		}
-		// Follower: never serve state. The replication stream must come
-		// from the leader (a follower relaying a follower could serve a
-		// deposed line of history); everything else redirects.
-		if r.URL.Path == "/api/v1/replicate" {
-			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, errNotLeader)
-			return
-		}
+		// Follower: never serve state; redirect to the leader.
 		leader := s.leaderHint()
 		if leader == "" || leader == s.Advertise() {
 			w.Header().Set("Retry-After", "1")
@@ -243,7 +234,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request, id string
 	case StatusFailed:
 		writeJSON(w, http.StatusConflict, httpError{Error: "campaign failed: " + st.Err})
 	case StatusComplete:
-		raw, err := s.store.ReadSummary(id)
+		raw, err := sched.store.ReadSummary(id)
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return

@@ -18,12 +18,10 @@ import (
 type ServerConfig struct {
 	// Addr is the listen address (e.g. "127.0.0.1:7070"; ":0" for tests).
 	Addr string
-	// StoreDir is this node's private durable state directory (the WAL).
+	// StoreDir is the durable state directory: the WAL, run journals and
+	// merged summaries. An HA pair shares it; only the fence-lease holder
+	// opens it.
 	StoreDir string
-	// DataDir holds run journals and merged summaries. HA pairs must share
-	// it (workers write journals there; whichever node is leader merges
-	// them). Empty = StoreDir.
-	DataDir string
 	// Sched tunes the scheduler (Obs and OnTerminal are overwritten by the
 	// server's own wiring).
 	Sched SchedConfig
@@ -35,11 +33,8 @@ type ServerConfig struct {
 	Logf func(format string, args ...any)
 
 	// FenceFile enables HA mode: the node contends for the lease in this
-	// shared fencing file and serves as leader or hot-standby follower.
+	// shared fencing file and serves as leader or standby follower.
 	FenceFile string
-	// Peer is the other node's base URL — the follower's replication source
-	// until the fence names a leader, and the redirect fallback.
-	Peer string
 	// AdvertiseURL is this node's externally reachable base URL, used as
 	// its fence-holder identity and in redirects (default http://<Addr>).
 	AdvertiseURL string
@@ -61,19 +56,17 @@ type ServerConfig struct {
 // the HTTP API. Construct with NewServer, serve with Start (or use
 // Handler with a test server), stop with Shutdown.
 //
-// In HA mode the server is a role machine. As leader it owns a live
-// scheduler and serves the full API plus the replication stream; as
-// follower it owns no scheduler, continuously replays the leader's WAL
-// into its own store, and answers API calls with 307 redirects to the
-// leader. Promotion (fence lease acquired) builds a scheduler from the
-// replicated store — semantically identical to a restart, so every lease
-// of the dead leader is implicitly expired. Demotion (a renewal that finds
-// a newer epoch) tears the scheduler down; the append guard has already
-// fenced every write since the lease was lost.
+// In HA mode the server is a role machine. As leader it owns the store
+// and a live scheduler and serves the full API; as follower it owns
+// neither and answers API calls with 307 redirects to the leader.
+// Promotion (fence lease acquired) opens the shared store and builds a
+// scheduler from it — exactly a restart, so every lease of the dead leader
+// is implicitly expired. Demotion (a renewal that finds a newer epoch)
+// tears the scheduler down and closes the store; the append guard has
+// already fenced every write since the lease was lost.
 type Server struct {
 	cfg     ServerConfig
 	reg     *obs.Registry
-	store   *Store
 	tenants *Tenants
 	logf    func(format string, args ...any)
 	chaos   *Chaos
@@ -85,9 +78,9 @@ type Server struct {
 
 	roleMu    sync.RWMutex
 	leader    bool
-	sched     *Scheduler  // non-nil iff leader (or standalone)
-	repl      *replicator // non-nil iff HA follower
-	leaderURL string      // best-known leader base URL
+	store     *Store     // non-nil iff leader (or standalone)
+	sched     *Scheduler // non-nil iff leader (or standalone)
+	leaderURL string     // best-known leader base URL
 	advertise string
 
 	haStop chan struct{}
@@ -98,8 +91,8 @@ type Server struct {
 // NewServer opens the store, replays the WAL, and wires the scheduler and
 // tenant table. Tenant active-campaign counts are recovered from the
 // replayed state so a restart cannot be used to dodge quotas. In HA mode
-// the scheduler is not built yet: the node starts as a candidate and the
-// role machine (Start) decides.
+// neither the store nor the scheduler is opened yet: the node starts as a
+// candidate and the role machine (Start) decides.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.StoreDir == "" {
 		return nil, fmt.Errorf("server: StoreDir required")
@@ -116,18 +109,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.LeaderTTL = 3 * time.Second
 	}
 	cfg.Chaos.SetObs(reg)
-	store, recs, err := OpenStore(cfg.StoreDir, StoreOptions{
-		DataDir: cfg.DataDir,
-		Fsync:   cfg.Fsync,
-		Chaos:   cfg.Chaos,
-	})
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
-		store:   store,
 		tenants: NewTenants(cfg.Tenants),
 		logf:    logf,
 		chaos:   cfg.Chaos,
@@ -135,28 +119,56 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.FenceFile == "" {
 		// Standalone: leader forever at epoch 0, exactly the pre-HA chaserd.
-		sched, err := s.buildScheduler(recs)
-		if err != nil {
-			store.Close()
+		if err := s.lead(0, nil); err != nil {
 			return nil, err
 		}
-		s.leader = true
-		s.sched = sched
-		s.tenants.Restore(sched.ActiveByTenant())
 	}
 	return s, nil
 }
 
-// buildScheduler wires a scheduler over the store with the server's
-// telemetry and tenant hooks.
-func (s *Server) buildScheduler(recs []walRecord) (*Scheduler, error) {
+// lead opens the store and builds a scheduler over it, with the server's
+// telemetry and tenant hooks: what a standalone chaserd does at startup
+// and an HA node on promotion. Every append is stamped with epoch and
+// must pass guard (nil = none).
+func (s *Server) lead(epoch uint64, guard func() error) error {
+	store, recs, err := OpenStore(s.cfg.StoreDir, StoreOptions{Fsync: s.cfg.Fsync, Chaos: s.chaos})
+	if err != nil {
+		return err
+	}
+	store.SetEpoch(epoch)
+	store.SetGuard(guard)
 	scfg := s.cfg.Sched
 	scfg.Obs = s.reg
 	if scfg.Logf == nil {
 		scfg.Logf = s.logf
 	}
 	scfg.OnTerminal = s.tenants.Release
-	return NewScheduler(s.store, recs, scfg)
+	sched, err := NewScheduler(store, recs, scfg)
+	if err != nil {
+		store.Close()
+		return err
+	}
+	s.tenants.Restore(sched.ActiveByTenant())
+	s.roleMu.Lock()
+	s.leader, s.store, s.sched = true, store, sched
+	s.roleMu.Unlock()
+	return nil
+}
+
+// stepDown stops the scheduler and closes the store, reporting whether the
+// node was leading and the store's close error.
+func (s *Server) stepDown() (bool, error) {
+	s.roleMu.Lock()
+	led, sched, store := s.leader, s.sched, s.store
+	s.leader, s.sched, s.store, s.leaderURL = false, nil, nil, ""
+	s.roleMu.Unlock()
+	if sched != nil {
+		sched.Stop()
+	}
+	if store == nil {
+		return led, nil
+	}
+	return led, store.Close()
 }
 
 // Handler returns the API handler (for tests via httptest.Server).
@@ -169,8 +181,13 @@ func (s *Server) Scheduler() *Scheduler { return s.currentSched() }
 // Registry exposes the metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Store exposes the store (tests).
-func (s *Server) Store() *Store { return s.store }
+// Store exposes the store (tests). It is nil while the node is an HA
+// follower.
+func (s *Server) Store() *Store {
+	s.roleMu.RLock()
+	defer s.roleMu.RUnlock()
+	return s.store
+}
 
 func (s *Server) currentSched() *Scheduler {
 	s.roleMu.RLock()
@@ -197,10 +214,7 @@ func (s *Server) currentEpoch() uint64 {
 func (s *Server) leaderHint() string {
 	s.roleMu.RLock()
 	defer s.roleMu.RUnlock()
-	if s.leaderURL != "" {
-		return s.leaderURL
-	}
-	return s.cfg.Peer
+	return s.leaderURL
 }
 
 // Advertise returns this node's advertise URL ("" before Start).
@@ -212,8 +226,9 @@ func (s *Server) Advertise() string {
 
 // Start listens on cfg.Addr and serves the API in the background. It
 // returns once the listener is bound, so the caller can print the
-// resolved address before any request arrives. In HA mode it also starts
-// the role machine (fence contention, replication).
+// resolved address before any request arrives. In HA mode it reads the
+// fence first, so a standby redirects to the leader from its first
+// request, and starts the role machine.
 func (s *Server) Start() error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
@@ -226,10 +241,19 @@ func (s *Server) Start() error {
 	}
 	s.roleMu.Lock()
 	s.advertise = adv
-	if s.cfg.FenceFile == "" {
-		s.leaderURL = adv
-	}
 	s.roleMu.Unlock()
+	if s.cfg.FenceFile != "" {
+		s.fencer = NewFencer(s.cfg.FenceFile, adv, s.cfg.LeaderTTL, s.chaos.Clock(time.Now))
+		s.reg.Gauge("server_role").Set(0)
+		cur, err := s.fencer.Observe()
+		if err != nil {
+			ln.Close()
+			return err
+		}
+		s.roleMu.Lock()
+		s.leaderURL = cur.Holder
+		s.roleMu.Unlock()
+	}
 	s.hsrv = &http.Server{
 		Handler:           s.handler(),
 		ReadHeaderTimeout: 10 * time.Second,
@@ -239,24 +263,11 @@ func (s *Server) Start() error {
 			s.logf("chaserd: serve: %v", err)
 		}
 	}()
-	if s.cfg.FenceFile != "" {
-		s.fencer = NewFencer(s.cfg.FenceFile, adv, s.cfg.LeaderTTL, s.chaos.Clock(time.Now))
-		s.reg.Gauge("server_role").Set(0)
-		s.startReplicatorLocked()
+	if s.fencer != nil {
 		s.haWG.Add(1)
 		go s.haLoop()
 	}
 	return nil
-}
-
-// startReplicatorLocked launches the follower's replication loop. Callers
-// must not hold roleMu... it takes it itself.
-func (s *Server) startReplicatorLocked() {
-	repl := newReplicator(s.store, s.fencer, s.reg, s.logf, s.Advertise(), s.leaderHint)
-	s.roleMu.Lock()
-	s.repl = repl
-	s.roleMu.Unlock()
-	repl.start()
 }
 
 // haLoop is the role machine: contend for the fence while follower, renew
@@ -323,31 +334,17 @@ func (s *Server) haSleep(d time.Duration) bool {
 	}
 }
 
-// promote turns the node into the leader at the given epoch: stop
-// replicating, stamp and guard the store, and build a scheduler from the
-// replicated log. No leases survive — a promotion is a restart, so every
-// outstanding lease of the previous leader is implicitly expired and its
-// shards re-enqueue (workers discover via 404 heartbeats and re-claim).
+// promote turns the node into the leader at the given epoch: open the
+// shared store, which rewrites the log to a new file (the fence against
+// the previous leader's descriptor), stamp and guard its appends, and
+// build a scheduler from it. No leases survive — a promotion is a restart,
+// so every outstanding lease of the previous leader is implicitly expired
+// and its shards re-enqueue (workers discover via 404 heartbeats and
+// re-claim).
 func (s *Server) promote(epoch uint64, prev fenceDoc) error {
-	s.roleMu.Lock()
-	repl := s.repl
-	s.repl = nil
-	s.roleMu.Unlock()
-	if repl != nil {
-		repl.halt()
-	}
-	s.store.SetEpoch(epoch)
-	s.store.SetGuard(s.appendGuard)
-	sched, err := s.buildScheduler(s.store.Records())
-	if err != nil {
+	if err := s.lead(epoch, s.appendGuard); err != nil {
 		return err
 	}
-	s.tenants.Restore(sched.ActiveByTenant())
-	s.roleMu.Lock()
-	s.leader = true
-	s.sched = sched
-	s.leaderURL = s.advertise
-	s.roleMu.Unlock()
 	s.reg.Gauge("server_role").Set(1)
 	if prev.Epoch > 0 && prev.Holder != s.Advertise() {
 		s.reg.Counter("server_failovers_total").Inc()
@@ -359,26 +356,19 @@ func (s *Server) promote(epoch uint64, prev fenceDoc) error {
 }
 
 // demote turns a deposed leader back into a follower: the scheduler (and
-// with it every in-memory lease) is dropped, and the replicator resyncs
-// the store from the new leader. The append guard has fenced all writes
-// since the lease was lost, so nothing divergent is on disk.
+// with it every in-memory lease) is dropped and the store closed. The
+// append guard has fenced all writes since the lease was lost, and the new
+// leader's open replaced the file this node was appending to.
 func (s *Server) demote() {
-	s.roleMu.Lock()
-	if !s.leader {
-		s.roleMu.Unlock()
+	led, err := s.stepDown()
+	if !led {
 		return
 	}
-	s.leader = false
-	sched := s.sched
-	s.sched = nil
-	s.leaderURL = ""
-	s.roleMu.Unlock()
-	if sched != nil {
-		sched.Stop()
+	if err != nil {
+		s.logf("chaserd: closing the store: %v", err)
 	}
 	s.reg.Gauge("server_role").Set(0)
 	s.reg.Counter("server_demotions_total").Inc()
-	s.startReplicatorLocked()
 	s.logf("chaserd: demoted to follower")
 }
 
@@ -414,9 +404,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.hsrv != nil {
 		err = s.hsrv.Shutdown(ctx)
 	}
-	s.stopRole(true)
-	if cerr := s.store.Close(); err == nil {
-		err = cerr
+	if serr := s.stopRole(true); err == nil {
+		err = serr
 	}
 	return err
 }
@@ -429,30 +418,21 @@ func (s *Server) Abort() {
 		s.hsrv.Close()
 	}
 	s.stopRole(false)
-	s.store.Close()
 }
 
-// stopRole halts the role machine, scheduler and replicator. release also
-// gives up the fence lease (graceful shutdown only).
-func (s *Server) stopRole(release bool) {
+// stopRole halts the role machine and scheduler and closes the store,
+// returning the close error. release also gives up the fence lease
+// (graceful shutdown only).
+func (s *Server) stopRole(release bool) error {
 	s.haOnce.Do(func() { close(s.haStop) })
 	s.haWG.Wait()
-	s.roleMu.Lock()
-	sched, repl := s.sched, s.repl
-	s.sched, s.repl = nil, nil
-	s.leader = false
-	s.roleMu.Unlock()
-	if sched != nil {
-		sched.Stop()
-	}
-	if repl != nil {
-		repl.halt()
-	}
+	_, err := s.stepDown()
 	if release && s.fencer != nil {
-		if err := s.fencer.Release(); err != nil {
-			s.logf("chaserd: fence release: %v", err)
+		if ferr := s.fencer.Release(); ferr != nil {
+			s.logf("chaserd: fence release: %v", ferr)
 		}
 	}
+	return err
 }
 
 // errNotLeader surfaces API calls that landed on a follower with no known

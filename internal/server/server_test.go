@@ -91,9 +91,10 @@ func TestCampaignSurvivesWorkerDeathAndServerRestart(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := reg1.Counter("server_shards_requeued_total").Value(); got == 0 {
-		t.Error("server_shards_requeued_total = 0 after lease expiry")
-	}
+	// The expiry loop counts the expiry before it requeues the shard.
+	waitUntil(t, time.Second, "server_shards_requeued_total > 0 after lease expiry", func() bool {
+		return reg1.Counter("server_shards_requeued_total").Value() > 0
+	})
 
 	// (2) A live worker re-claims the abandoned shard and resumes it from
 	// the doomed worker's journal (same stable path). The requeue carries a

@@ -4,8 +4,8 @@
 //	u32 LE payload length | u32 LE CRC-32 (IEEE) of payload | payload
 //
 // The TaintHub WAL, chaserd's control-plane log, the campaign
-// journals, the replication stream and the fence file all use it; what a
-// payload means is the caller's business. On top of the frame sit a
+// journals and the fence file all use it; what a payload means is the
+// caller's business. On top of the frame sit a
 // single-file append-only Log (replay the intact prefix, truncate the
 // damaged tail, append with one write) and an atomic whole-file write.
 package wal

@@ -2,18 +2,19 @@
 # chaserd_ha_smoke.sh — end-to-end HA failover + fencing smoke test against
 # the real binaries and a real SIGKILL (the in-process equivalent lives in
 # internal/server/ha_test.go; this exercises cmd/chaserd's HA flags, the
-# cross-process fence file, WAL shipping between two processes, and the
-# failover-aware client in cmd/campaign).
+# cross-process fence file, two processes sharing one store directory, and
+# the failover-aware client in cmd/campaign).
 #
-# Phase 1 — failover under chaos:
+# Phase 1 — failover over a torn log:
 #   1. Run an uninterrupted standalone campaign, capture its report.
-#   2. Start a leader + hot-standby follower pair (shared fence file and
-#      data dir, private WALs) with replication chaos armed on the leader
-#      (dropped and torn shipping frames), plus 2 worker processes pointed
-#      at both peers.
-#   3. Submit the same campaign sharded; kill -9 the leader mid-shard.
-#   4. The follower must promote (server_failovers_total >= 1) and the
-#      watched report must match the baseline bit for bit.
+#   2. Start a leader + standby pair sharing one -store directory (the
+#      fence file lives beside it), plus 2 worker processes pointed at
+#      both peers.
+#   3. Submit the same campaign sharded; kill -9 the leader mid-shard and
+#      tear the tail of its log the way a kill mid-append does.
+#   4. The standby must promote (server_failovers_total >= 1) from the
+#      leader's own log and the watched report must match the baseline bit
+#      for bit.
 #
 # Phase 2 — fencing a deposed-but-alive leader:
 #   5. Start a fresh pair whose leader runs under clock.freeze chaos: its
@@ -82,12 +83,11 @@ echo "chaserd_ha_smoke: uninterrupted standalone baseline"
 "$work/campaign" -experiment run -app $app -runs $runs -seed $seed \
     -parallel 2 >"$work/baseline.txt"
 
-# ---- Phase 1: kill -9 the leader mid-campaign under replication chaos ----
+# ---- Phase 1: kill -9 the leader mid-campaign, tear its log's tail ----
 
-echo "chaserd_ha_smoke: starting HA pair (replication chaos on the leader)"
-"$work/chaserd" -addr 127.0.0.1:0 -store "$work/a" -data "$work/shared" \
+echo "chaserd_ha_smoke: starting HA pair on one shared store"
+"$work/chaserd" -addr 127.0.0.1:0 -store "$work/shared" \
     -fence-file "$work/fence" -role leader -leader-ttl 2s -lease-ttl 2s \
-    -chaos "seed=7,rate=0.04,sites=repl.drop_frame+repl.tear_frame" \
     >"$work/a.log" 2>&1 &
 apid=$!
 pids="$apid"
@@ -95,8 +95,8 @@ wait_log "$work/a.log" "^chaserd listening on " "leader startup"
 addra="$(sed -n 's/^chaserd listening on //p' "$work/a.log")"
 wait_log "$work/a.log" "leading at epoch" "initial leader election"
 
-"$work/chaserd" -addr 127.0.0.1:0 -store "$work/b" -data "$work/shared" \
-    -fence-file "$work/fence" -role follower -peer "http://$addra" \
+"$work/chaserd" -addr 127.0.0.1:0 -store "$work/shared" \
+    -fence-file "$work/fence" -role follower \
     -leader-ttl 2s -lease-ttl 2s >"$work/b.log" 2>&1 &
 bpid=$!
 pids="$apid $bpid"
@@ -117,18 +117,17 @@ id="$("$work/campaign" -experiment submit -chaserd "$peers" \
     -app $app -runs $runs -seed $seed -shards $shards 2>/dev/null)"
 echo "chaserd_ha_smoke: submitted $id"
 
-# Kill the leader with a shard mid-flight and the hot standby demonstrably
-# caught up past the campaign record (a torn or dropped frame severs the
-# stream, so the counter also proves recovery under chaos). No drain, no
-# fence release — the follower must wait out the fence TTL like after a
-# power cut.
+# Kill the leader with a shard mid-flight. No drain, no fence release — the
+# standby must wait out the fence TTL like after a power cut — and a torn
+# frame at the end of the log: an 8-byte header claiming 64 payload bytes,
+# of which 8 follow. The standby's open must drop it and keep every record
+# before it.
 wait_log "$work/w1.log" "claimed campaign" "first shard claim"
-wait_metric "$addrb" server_repl_frames_applied_total 4 \
-    "standby caught up under replication chaos"
 echo "chaserd_ha_smoke: SIGKILLing the leader mid-shard"
 kill -9 "$apid"
 wait "$apid" 2>/dev/null || true
 pids="$bpid $w1pid $w2pid"
+printf '\100\000\000\000\000\000\000\000{"t":"do' >>"$work/shared/wal/control.log"
 
 wait_metric "$addrb" server_failovers_total 1 "follower promoted over the dead leader"
 
@@ -144,7 +143,7 @@ if ! cmp -s "$work/baseline.txt" "$work/watched.txt"; then
     diff "$work/baseline.txt" "$work/watched.txt" >&2 || true
     exit 1
 fi
-echo "chaserd_ha_smoke: phase 1 OK — report identical across leader kill -9"
+echo "chaserd_ha_smoke: phase 1 OK — report identical across leader kill -9 and a torn log"
 
 for p in $w1pid $w2pid $bpid; do kill "$p" 2>/dev/null || true; done
 wait "$w1pid" "$w2pid" "$bpid" 2>/dev/null || true
@@ -157,7 +156,7 @@ echo "chaserd_ha_smoke: starting pair 2 (clock.freeze chaos on the leader)"
 # deposes it there is a window of up to 2s before it notices. Raised tenant
 # limits keep the submit loop from dying at the rate limiter before it can
 # reach the append guard inside that window.
-"$work/chaserd" -addr 127.0.0.1:0 -store "$work/a2" -data "$work/shared2" \
+"$work/chaserd" -addr 127.0.0.1:0 -store "$work/shared2" \
     -fence-file "$work/fence2" -role leader -leader-ttl 6s \
     -tenant-max-active 100000 -tenant-rate 1000 -tenant-burst 1000 \
     -chaos "seed=3,rate=1,sites=clock.freeze" >"$work/a2.log" 2>&1 &
@@ -167,8 +166,8 @@ wait_log "$work/a2.log" "^chaserd listening on " "frozen leader startup"
 addra2="$(sed -n 's/^chaserd listening on //p' "$work/a2.log")"
 wait_log "$work/a2.log" "leading at epoch" "frozen leader election"
 
-"$work/chaserd" -addr 127.0.0.1:0 -store "$work/b2" -data "$work/shared2" \
-    -fence-file "$work/fence2" -role follower -peer "http://$addra2" \
+"$work/chaserd" -addr 127.0.0.1:0 -store "$work/shared2" \
+    -fence-file "$work/fence2" -role follower \
     -leader-ttl 3s >"$work/b2.log" 2>&1 &
 b2pid=$!
 pids="$a2pid $b2pid"
