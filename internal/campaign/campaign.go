@@ -113,7 +113,8 @@ type Config struct {
 	Obs *obs.Registry
 	// Events, when non-nil, receives structured lifecycle events from every
 	// run's layers (injections, taint births, hub traffic, terminations) plus
-	// the campaign's own run_done markers. Nil disables them.
+	// the campaign's own run_done markers — the golden run's only when the
+	// campaign prepares its Baseline. Nil disables them.
 	Events *obs.Sink
 	// RunObserver, when non-nil, is called from the worker goroutine after
 	// each freshly executed run is classified, with the run's task index, the
@@ -122,8 +123,9 @@ type Config struct {
 	// not re-observed — their results no longer exist. The Observatory uses
 	// this hook to retain provenance graphs and build its heatmap.
 	RunObserver func(idx, rank int, out RunOutcome, res *core.RunResult)
-	// Tracer, when non-nil, records spans: campaign.golden, then one
-	// campaign.run span per injection run (thread id = worker).
+	// Tracer, when non-nil, records spans: campaign.golden when the campaign
+	// prepares its Baseline, then one campaign.run span per injection run
+	// (thread id = worker).
 	Tracer *obs.Tracer
 	// Progress, when non-nil, is called every ProgressInterval with a live
 	// snapshot, and once more on completion.
@@ -188,9 +190,10 @@ type OpOutcomes struct {
 // translation base cache (warmed by the golden run), the golden outputs, and
 // the quantities derived from the golden run. It is a function of the program,
 // world size, targeted ops, instruction budget and the two ablation switches —
-// not of the seed, the fault magnitude, the run count or the shard — so
-// BitSweep computes it once for every bit count and a chaserd worker keeps one
-// per app for every shard of every campaign. What Prepare derived is immutable
+// not of the seed, the fault magnitude, the run count or the shard — so the
+// process keeps one for every campaign that agrees on those (resident.go):
+// every bit count of a sweep, every shard a chaserd worker runs, every
+// campaign of cmd/campaign's experiments. What Prepare derived is immutable
 // once it returns; what grows afterwards synchronises itself — the base cache,
 // and the spines: the checkpoints along the golden run that the campaigns run
 // on a Baseline leave behind for the ones after them (spine.go; append-only
@@ -217,14 +220,36 @@ type Baseline struct {
 }
 
 // Prepare executes the golden run (building and warming the shared base
-// cache unless cfg.NoSharedCache) and derives the campaign baseline.
+// cache unless cfg.NoSharedCache) and derives a campaign baseline of the
+// caller's own. It caches nothing: it is how the process's resident Baselines
+// (resident.go), which Run and BitSweep take theirs from, are built.
 func Prepare(cfg Config) (*Baseline, error) {
+	if err := validate(cfg); err != nil {
+		return nil, err
+	}
+	base, err := prepare(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := base.checkTarget(cfg.TargetRank); err != nil {
+		return nil, err
+	}
+	return base, nil
+}
+
+// validate refuses a Config no baseline can be prepared for.
+func validate(cfg Config) error {
 	if cfg.Prog == nil || cfg.Runs <= 0 {
-		return nil, fmt.Errorf("campaign: need a program and a positive run count")
+		return fmt.Errorf("campaign: need a program and a positive run count")
 	}
 	if len(cfg.Ops) == 0 {
-		return nil, fmt.Errorf("campaign: no target opcodes")
+		return fmt.Errorf("campaign: no target opcodes")
 	}
+	return nil
+}
+
+// prepare is Prepare on a validated Config, for any target rank.
+func prepare(cfg Config) (*Baseline, error) {
 	world := worldSize(cfg)
 	var cache *tcg.BaseCache
 	if !cfg.NoSharedCache {
@@ -267,7 +292,7 @@ func Prepare(cfg Config) (*Baseline, error) {
 			totals[r] += golden.Counters[r].PerOp[op]
 		}
 	}
-	base := &Baseline{
+	return &Baseline{
 		prog:          cfg.Prog,
 		ops:           slices.Clone(cfg.Ops),
 		budget:        cfg.MaxInstructions,
@@ -278,11 +303,7 @@ func Prepare(cfg Config) (*Baseline, error) {
 		maxInstr:      maxInstr,
 		totals:        totals,
 		world:         world,
-	}
-	if err := base.checkTarget(cfg.TargetRank); err != nil {
-		return nil, err
-	}
-	return base, nil
+	}, nil
 }
 
 func worldSize(cfg Config) int {
@@ -353,20 +374,30 @@ func (cfg Config) bounds() (lo, hi int, err error) {
 	return s.Lo, s.Hi, nil
 }
 
-// Run executes the campaign: one golden run, then cfg.Runs injection runs
-// in parallel, each flipping cfg.Bits bits at a uniformly random execution
-// of a targeted instruction (chosen from the golden run's execution counts,
-// like the paper's "after it is executed n times" methodology). Every run
-// shares the base translation cache warmed by the golden run, so after
-// warm-up only the blocks an injector instruments are ever retranslated,
-// and every run forks from a world snapshot taken at its own injection site
-// (see ladder) instead of replaying the golden prefix.
+// Run executes the campaign: cfg.Runs injection runs in parallel, each
+// flipping cfg.Bits bits at a uniformly random execution of a targeted
+// instruction (chosen from the golden run's execution counts, like the
+// paper's "after it is executed n times" methodology). The golden run is the
+// process's resident Baseline's (resident.go): the first campaign on cfg's
+// program, world size, ops, budget and ablation switches executes it, and
+// every campaign after it reuses it — its outputs, its counts, the base
+// translation cache it warmed (so after warm-up only the blocks an injector
+// instruments are ever retranslated) and the spine earlier campaigns left.
+// Every run forks from a world snapshot at or below its own injection site
+// (see ladder) instead of replaying the golden prefix. Outcomes are bitwise
+// those of the same campaign on a fresh Prepare; a campaign that fails drops
+// the Baseline it ran on.
 func Run(cfg Config) (*Summary, error) {
-	base, err := Prepare(cfg)
+	e, err := residents.acquire(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return base.Run(cfg)
+	var sum *Summary
+	err = residents.run(e, cfg.Obs, func(base *Baseline) (err error) {
+		sum, _, err = runPrepared(cfg, base, nil)
+		return err
+	})
+	return sum, err
 }
 
 // Run executes cfg's injection runs against the baseline, which must have

@@ -48,6 +48,7 @@ func TestCampaignForkMatchesScratch(t *testing.T) {
 	reg := obs.NewRegistry()
 	fcfg := cfg
 	fcfg.Obs = reg
+	emptyResidents()
 	forked, err := Run(fcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +135,7 @@ func TestCampaignForkConcurrent(t *testing.T) {
 	reg := obs.NewRegistry()
 	fcfg := cfg
 	fcfg.Obs = reg
+	emptyResidents()
 	forked, err := Run(fcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +170,7 @@ func TestBitSweepForkShared(t *testing.T) {
 		reg := obs.NewRegistry()
 		fcfg := cfg
 		fcfg.Obs = reg
+		emptyResidents()
 		forked, err := BitSweep(fcfg, bitCounts)
 		if err != nil {
 			t.Fatal(err)

@@ -211,6 +211,7 @@ func TestLadderMatchesNoFork(t *testing.T) {
 				reg := obs.NewRegistry()
 				cfg.Obs = reg
 				cfg.Journal = filepath.Join(dir, "ladder.journal")
+				emptyResidents()
 				ladder, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -244,6 +245,7 @@ func TestForkTelemetryIsAFunctionOfTheSeed(t *testing.T) {
 				cfg.Runs, cfg.TargetRank = 60, -1
 				reg := obs.NewRegistry()
 				cfg.Obs = reg
+				emptyResidents()
 				sum, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -275,6 +277,7 @@ func TestLadderChainsOnePassPerRank(t *testing.T) {
 	cfg.Runs = 24
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
+	emptyResidents()
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -343,9 +346,10 @@ func coreConfig(cfg Config) core.RunConfig {
 // and fails the campaign, loudly, whichever builds the rung — the spine at a
 // position below the site, or the chain at a site two tasks share — and the
 // campaign's pool and progress reporter exit with it. A budget lowered behind
-// Prepare's back is the failure no Config can produce. The worker's half —
-// the shard reported failed, the app's Baseline dropped — is the test of the
-// same name in internal/server.
+// Prepare's back is the failure no Config can produce. A resident Baseline
+// that fails so leaves the registry (TestResidentBaselineDroppedOnFailure);
+// the worker's half — the shard reported failed — is the test of the same
+// name in internal/server.
 func TestPrefixFailureFailsTheShard(t *testing.T) {
 	cfg := appConfig(t, "clamr_mpi")
 	cfg.Parallel = 4

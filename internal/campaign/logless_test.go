@@ -3,11 +3,11 @@ package campaign
 import (
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"chaser/internal/apps"
 	"chaser/internal/core"
+	"chaser/internal/memtest"
 	"chaser/internal/obs"
 )
 
@@ -106,18 +106,16 @@ func observeNothing(int, int, RunOutcome, *core.RunResult) {}
 // not, and returns the bytes the process allocated meanwhile.
 func runShards(tb testing.TB, base *Baseline, shards []Config, observed bool) uint64 {
 	tb.Helper()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, cfg := range shards {
-		if observed {
-			cfg.RunObserver = observeNothing
+	return memtest.Allocated(func() {
+		for _, cfg := range shards {
+			if observed {
+				cfg.RunObserver = observeNothing
+			}
+			if _, err := base.Run(cfg); err != nil {
+				tb.Fatal(err)
+			}
 		}
-		if _, err := base.Run(cfg); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	})
 }
 
 // TestCampaignRunAllocBudget is the guard on what a campaign run allocates

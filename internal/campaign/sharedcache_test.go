@@ -19,6 +19,7 @@ func TestSharedCacheIdenticalOutcomes(t *testing.T) {
 	}
 	runMode := func(private bool) (*Summary, *obs.Registry) {
 		reg := obs.NewRegistry()
+		emptyResidents()
 		sum, err := Run(Config{
 			Name: app.Name, Prog: app.Prog, WorldSize: app.WorldSize,
 			// The paper's overhead methodology targets FP arithmetic; those
@@ -72,6 +73,7 @@ func TestBitSweepGoldenRunsOnce(t *testing.T) {
 		Obs: reg,
 	}
 	bitCounts := []int{1, 4, 16}
+	emptyResidents()
 	results, err := BitSweep(cfg, bitCounts)
 	if err != nil {
 		t.Fatal(err)

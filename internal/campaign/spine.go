@@ -123,10 +123,9 @@ func (b *Baseline) spineRung(site core.ForkSite, trace bool, reg *obs.Registry, 
 
 // SpineSize is what the Baseline's spines hold: their rungs, and the heap
 // each keeps beside the rung it was advanced from (WorldSnapshot.FreshBytes:
-// the pages the guest wrote in between and everything but pages). Whoever
-// keeps Baselines reports the sum over them as campaign_spine_rungs and
-// campaign_spine_bytes (chaserd does, once for the process); a nil Baseline
-// holds none.
+// the pages the guest wrote in between and everything but pages). The
+// process's registry reports the sum over its resident Baselines as
+// campaign_spine_rungs and campaign_spine_bytes; a nil Baseline holds none.
 func (b *Baseline) SpineSize() (rungs int, bytes int64) {
 	if b == nil {
 		return 0, 0

@@ -9,6 +9,7 @@ import (
 
 	"chaser/internal/apps"
 	"chaser/internal/core"
+	"chaser/internal/memtest"
 	"chaser/internal/obs"
 )
 
@@ -70,7 +71,11 @@ func expectedWalk(tasks []task, totals []uint64) walkCounts {
 func noForkJournal(t *testing.T, cfg Config, path string) string {
 	t.Helper()
 	cfg.NoFork, cfg.Obs, cfg.Journal = true, nil, path
-	if _, err := Run(cfg); err != nil {
+	base, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := base.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -291,6 +296,7 @@ func TestWarmSpineBuildsNothing(t *testing.T) {
 	sreg := obs.NewRegistry()
 	scfg := pinnedAt(base, appConfig(t, "lud"), 2, 5)
 	scfg.Obs = sreg
+	emptyResidents()
 	if _, err := BitSweep(scfg, []int{1, 2, 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -308,12 +314,7 @@ func TestWarmSpineBuildsNothing(t *testing.T) {
 // keeps alive, not just its pages. A whole traced spine of matvec, bfs and
 // clamr_mpi retains, after a collection, within a quarter of what it reports.
 func TestSpineSizeIsTheHeapItKeeps(t *testing.T) {
-	live := func() int64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
+	live := func() int64 { return int64(memtest.Live()) }
 	for _, name := range []string{"matvec", "bfs", "clamr_mpi"} {
 		cfg := appConfig(t, name)
 		base, err := Prepare(cfg)

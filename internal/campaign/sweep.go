@@ -19,32 +19,40 @@ type SweepResult struct {
 // — quantifying how fault magnitude shifts the outcome distribution
 // (single-bit flips are often benign; multi-bit flips crash or corrupt).
 //
-// The golden run is identical for every bit count, so the campaign baseline
-// — golden execution counts, the derived instruction budget, and the shared
-// translation base cache — is computed once and reused for every entry.
+// The golden run is identical for every bit count, so every entry runs on one
+// campaign baseline — golden execution counts, the derived instruction
+// budget, the shared translation base cache and the spine — the process's
+// resident one for cfg, as Run's campaigns do: a sweep after another campaign
+// on the same program executes no golden run. A sweep that fails drops it.
 func BitSweep(cfg Config, bitCounts []int) ([]SweepResult, error) {
-	base, err := Prepare(cfg)
+	e, err := residents.acquire(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: sweep golden run: %w", err)
 	}
-	// Entries share the task list and so the fork points: each is handed the
-	// rung the one before ended on, and finds it again at its site.
-	var last *core.WorldSnapshot
 	out := make([]SweepResult, 0, len(bitCounts))
-	for _, bits := range bitCounts {
-		c := cfg
-		c.Bits = bits
-		c.Name = fmt.Sprintf("%s/bits=%d", cfg.Name, bits)
-		// A sweep reuses one Config for several campaigns; a single journal
-		// path cannot checkpoint them all, so journaling is per-campaign
-		// only.
-		c.Journal, c.Resume = "", ""
-		var sum *Summary
-		sum, last, err = runPrepared(c, base, last)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: sweep bits=%d: %w", bits, err)
+	err = residents.run(e, cfg.Obs, func(base *Baseline) error {
+		// Entries share the task list and so the fork points: each is handed
+		// the rung the one before ended on, and finds it again at its site.
+		var last *core.WorldSnapshot
+		for _, bits := range bitCounts {
+			c := cfg
+			c.Bits = bits
+			c.Name = fmt.Sprintf("%s/bits=%d", cfg.Name, bits)
+			// A sweep reuses one Config for several campaigns; a single
+			// journal path cannot checkpoint them all, so journaling is
+			// per-campaign only.
+			c.Journal, c.Resume = "", ""
+			sum, l, err := runPrepared(c, base, last)
+			if err != nil {
+				return fmt.Errorf("campaign: sweep bits=%d: %w", bits, err)
+			}
+			last = l
+			out = append(out, SweepResult{Bits: bits, Summary: sum})
 		}
-		out = append(out, SweepResult{Bits: bits, Summary: sum})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -9,6 +8,7 @@ import (
 	"chaser/internal/asm"
 	"chaser/internal/decaf"
 	"chaser/internal/isa"
+	"chaser/internal/memtest"
 	"chaser/internal/tcg"
 	"chaser/internal/vm"
 )
@@ -38,14 +38,13 @@ func TestTracedRunAllocBudget(t *testing.T) {
 				Cond: Deterministic{N: 1000}, Inj: IdentityInjector{Bits: 8}, Seed: 3, Trace: traced,
 			},
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := Run(cfg)
-		runtime.ReadMemStats(&after)
+		var res *RunResult
+		var err error
+		bytes = memtest.Allocated(func() { res, err = Run(cfg) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		return after.TotalAlloc - before.TotalAlloc, res.Trace.TotalReads() + res.Trace.TotalWrites()
+		return bytes, res.Trace.TotalReads() + res.Trace.TotalWrites()
 	}
 	allocated(true) // fill the translation cache
 	best := ^uint64(0)

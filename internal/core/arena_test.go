@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +12,7 @@ import (
 	"chaser/internal/apps"
 	"chaser/internal/asm"
 	"chaser/internal/isa"
+	"chaser/internal/memtest"
 	"chaser/internal/tainthub"
 	"chaser/internal/tcg"
 	"chaser/internal/trace"
@@ -104,13 +104,6 @@ func arenaCases(t testing.TB) []arenaCase {
 	return cases
 }
 
-// emptyArenaPool drops every arena the pool holds: a sync.Pool keeps what it
-// holds through one collection and drops it in the next.
-func emptyArenaPool() {
-	runtime.GC()
-	runtime.GC()
-}
-
 // sameResult fails unless two results of one configuration agree on
 // everything a run reports, exactly: terminations, outputs, consoles,
 // counters (translation-block statistics included: a recycled chain table
@@ -142,7 +135,7 @@ func coldRuns(t *testing.T, cases []arenaCase) []*RunResult {
 	t.Helper()
 	cold := make([]*RunResult, len(cases))
 	for i, c := range cases {
-		emptyArenaPool()
+		memtest.Drain()
 		cold[i] = c.run(t)
 	}
 	return cold
@@ -173,7 +166,7 @@ func churn(t *testing.T, cases []arenaCase, n int) {
 // arenas it has to make because none was put back.
 func countNewArenas(t *testing.T) *atomic.Int64 {
 	t.Helper()
-	emptyArenaPool()
+	memtest.Drain()
 	var n atomic.Int64
 	prev := arenas.New
 	arenas.New = func() any {

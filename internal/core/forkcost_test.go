@@ -9,6 +9,7 @@ import (
 	"chaser/internal/apps"
 	"chaser/internal/isa"
 	"chaser/internal/lang"
+	"chaser/internal/memtest"
 	"chaser/internal/mpi"
 	"chaser/internal/obs"
 	"chaser/internal/tcg"
@@ -84,10 +85,8 @@ func TestForkedRunAllocBudget(t *testing.T) {
 	for seed := int64(1); seed <= 31; seed++ {
 		cfg := conf(seed)
 		sessions := made.Load()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := RunForked(cfg, ws)
-		runtime.ReadMemStats(&after)
+		var err error
+		size := memtest.Allocated(func() { _, err = RunForked(cfg, ws) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +97,7 @@ func TestForkedRunAllocBudget(t *testing.T) {
 			fresh++
 			continue
 		}
-		sizes = append(sizes, after.TotalAlloc-before.TotalAlloc)
+		sizes = append(sizes, size)
 	}
 	if len(sizes) < 16 {
 		t.Fatalf("%d of 31 runs built a session afresh", fresh)

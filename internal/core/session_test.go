@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"chaser/internal/decaf"
+	"chaser/internal/memtest"
 	"chaser/internal/obs"
 	"chaser/internal/tainthub"
 )
@@ -74,7 +75,7 @@ func TestSessionRunsMatchColdRuns(t *testing.T) {
 	cold := make([]*RunResult, len(cases))
 	coldHubs := newHubs()
 	for i, c := range cases {
-		emptyArenaPool()
+		memtest.Drain()
 		cold[i] = c.on(coldHubs).run(t)
 	}
 	// order interleaves the cases: each twice, shuffled.

@@ -3,7 +3,6 @@ package mpi
 import (
 	"encoding/binary"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +10,7 @@ import (
 
 	"chaser/internal/isa"
 	"chaser/internal/lang"
+	"chaser/internal/memtest"
 	"chaser/internal/obs"
 	"chaser/internal/tcg"
 	"chaser/internal/vm"
@@ -389,11 +389,7 @@ func TestWorldSetupAllocBudget(t *testing.T) {
 	allocated := func(f func()) uint64 {
 		best := ^uint64(0)
 		for i := 0; i < 5; i++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			f()
-			runtime.ReadMemStats(&after)
-			best = min(best, after.TotalAlloc-before.TotalAlloc)
+			best = min(best, memtest.Allocated(f))
 		}
 		return best
 	}

@@ -3,11 +3,11 @@ package server
 import (
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 
 	"chaser/internal/apps"
+	"chaser/internal/memtest"
 	"chaser/internal/obs"
 	"chaser/internal/tainthub"
 )
@@ -33,7 +33,6 @@ func TestHubFlatAcrossCampaigns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("40 campaigns through the service")
 	}
-	resetBaselines()
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "hub.wal")
 	hubReg := obs.NewRegistry()
@@ -83,14 +82,7 @@ func TestHubFlatAcrossCampaigns(t *testing.T) {
 		if err := hub.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
-		snap = hub.WALSize()
-		// Two collections: the first only moves pooled run sessions to the
-		// pool's victim cache, where they still count as live heap.
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return snap, ms.HeapAlloc
+		return hub.WALSize(), memtest.Live()
 	}
 
 	cl := NewClient(srv.Addr())
@@ -135,12 +127,13 @@ func TestHubFlatAcrossCampaigns(t *testing.T) {
 	if got := srv.Registry().Counter("campaign_hub_retire_failed_total").Value(); got != 0 {
 		t.Errorf("campaign_hub_retire_failed_total = %d", got)
 	}
-	goldens, misses := reg.Counter("campaign_golden_runs_total").Value(), reg.Counter("worker_baseline_misses_total").Value()
-	if goldens != 1 || misses != 1 {
-		t.Errorf("%d golden runs and %d baseline misses over %d campaigns of one app on two workers, want one for the process", goldens, misses, campaigns)
+	// Another test may have left matvec's baseline resident: then none.
+	goldens := reg.Counter("campaign_golden_runs_total").Value()
+	if goldens > 1 {
+		t.Errorf("%d golden runs over %d campaigns of one app on two workers, want at most one for the process", goldens, campaigns)
 	}
-	if hits, claimed := reg.Counter("worker_baseline_hits_total").Value(), reg.Counter("worker_shards_claimed_total").Value(); hits+misses != claimed {
-		t.Errorf("baseline hits %d + misses %d, but %d shards claimed", hits, misses, claimed)
+	if hits, claimed := reg.Counter("campaign_baseline_hits_total").Value(), reg.Counter("worker_shards_claimed_total").Value(); hits+goldens != claimed {
+		t.Errorf("baseline hits %d + golden runs %d, but %d shards claimed", hits, goldens, claimed)
 	}
 	t.Logf("translations %d after 10 campaigns, %d after 40; base cache blocks %v, %v", tr10, tr40, blocks10, blocks40)
 	app, err := apps.ByName("matvec")

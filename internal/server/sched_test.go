@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"chaser/internal/memtest"
 	"chaser/internal/obs"
 )
 
@@ -320,12 +321,7 @@ func TestSchedulerRestartRecoversState(t *testing.T) {
 func TestSchedulerHeapPerCompletedCampaign(t *testing.T) {
 	sched, _ := testSched(t, func(c *SchedConfig) { c.Logf = func(string, ...any) {} })
 	w := quietWorker(nil)
-	live := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
+	live := memtest.Live
 	complete := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {

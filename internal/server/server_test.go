@@ -109,7 +109,25 @@ func TestCampaignSurvivesWorkerDeathAndServerRestart(t *testing.T) {
 		t.Fatalf("re-claim got shard %d (%s), want the abandoned shard %d (%s)",
 			second.Shard, second.Journal, doomed.Shard, doomed.Journal)
 	}
-	if err := ExecuteShard(second, nil, nil); err != nil {
+	// A live worker heartbeats while it executes: under the race detector
+	// the shard can take as long as the 150 ms lease.
+	beating := make(chan struct{})
+	beats := make(chan struct{})
+	go func() {
+		defer close(beats)
+		for {
+			select {
+			case <-beating:
+				return
+			case <-time.After(30 * time.Millisecond):
+				cl.Heartbeat(second.Token)
+			}
+		}
+	}()
+	err = ExecuteShard(second, nil, nil)
+	close(beating)
+	<-beats
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Complete(second.Token); err != nil {

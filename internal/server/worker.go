@@ -64,14 +64,13 @@ type WorkerConfig struct {
 // longer recognizes makes the worker abandon the shard silently (its
 // journal keeps the completed runs).
 //
-// Every Worker of a process runs its shards on the process's kept campaign
-// baselines (keptBaselines): one per app — the golden run's outputs and
-// counts, the translation cache it warmed, and the spine of checkpoints the
-// shards leave along the golden run (at most 31 world snapshots per targeted
-// rank and kind of world) — which depend on Spec.App alone. So a golden run
-// happens once per app per process, whichever worker claims the app's first
-// shard and whichever campaign it belongs to, and a pool of workers keeps one
-// spine per app, not one per worker.
+// A shard is a campaign.Run, so every Worker of a process runs its shards on
+// the process's resident campaign Baselines: one per app — the golden run's
+// outputs and counts, the translation cache it warmed, and the spine of
+// checkpoints the shards leave along the golden run. A golden run happens
+// once per app per process, whichever worker claims the app's first shard
+// and whichever campaign it belongs to, and a shard that fails takes its
+// app's Baseline with it, so the retry starts from a fresh golden run.
 type Worker struct {
 	cfg  WorkerConfig
 	stop chan struct{}
@@ -80,83 +79,6 @@ type Worker struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-}
-
-// keptBaselines is the process's campaign baselines, keyed by app name as
-// apps.ByName's compiled guests are. The first shard of an app prepares its
-// baseline; shards of the app that arrive meanwhile wait for it, and every
-// shard after them runs on it. A failed shard drops its app's entry — if the
-// registry still holds the one the shard ran on — and the next shard of the
-// app prepares a fresh one, while shards already running on the old one finish
-// there. Campaigns on one Baseline may run concurrently. The registry bounds
-// the map (six apps, 50–160 KB each when prepared and 0.3–0.5 MB once its
-// campaigns' fault sites have filled the cache in, plus the spine: 0.4–1.3
-// MB for a whole traced one); nothing is evicted.
-var keptBaselines = baselineRegistry{byApp: make(map[string]*keptBaseline)}
-
-type baselineRegistry struct {
-	mu    sync.Mutex
-	byApp map[string]*keptBaseline
-}
-
-// keptBaseline is one app's entry. ready is closed once base and err are set.
-type keptBaseline struct {
-	ready chan struct{}
-	base  *campaign.Baseline
-	err   error
-}
-
-// get returns app's entry once it is ready, preparing it with prepare when
-// there is none; prepared reports that this call did. A prepare that panics
-// leaves the entry failed, and the panic goes on to the caller.
-func (r *baselineRegistry) get(app string, prepare func() (*campaign.Baseline, error)) (kb *keptBaseline, prepared bool) {
-	r.mu.Lock()
-	if kb = r.byApp[app]; kb != nil {
-		r.mu.Unlock()
-		<-kb.ready
-		return kb, false
-	}
-	kb = &keptBaseline{ready: make(chan struct{}), err: errors.New("server: preparing the campaign baseline panicked")}
-	r.byApp[app] = kb
-	r.mu.Unlock()
-	defer close(kb.ready)
-	kb.base, kb.err = prepare()
-	return kb, true
-}
-
-// entry returns app's entry, ready or not; nil when there is none.
-func (r *baselineRegistry) entry(app string) *keptBaseline {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.byApp[app]
-}
-
-// drop removes app's entry if it is still kb.
-func (r *baselineRegistry) drop(app string, kb *keptBaseline) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.byApp[app] == kb {
-		delete(r.byApp, app)
-	}
-}
-
-// spineSize sums what the prepared baselines' spines hold.
-func (r *baselineRegistry) spineSize() (rungs int, bytes int64) {
-	r.mu.Lock()
-	var bases []*campaign.Baseline
-	for _, kb := range r.byApp {
-		select {
-		case <-kb.ready:
-			bases = append(bases, kb.base)
-		default:
-		}
-	}
-	r.mu.Unlock()
-	for _, b := range bases {
-		n, sz := b.SpineSize()
-		rungs, bytes = rungs+n, bytes+sz
-	}
-	return rungs, bytes
 }
 
 // NewWorker builds a worker. Call Run (blocking) or Start (background).
@@ -310,55 +232,41 @@ func (w *Worker) execute(a *Assignment) {
 	w.cfg.Obs.Counter("worker_shards_completed_total").Inc()
 }
 
-// runShard executes the assignment, converting panics into errors so a
-// poisoned shard (one that crashes the engine deterministically) surfaces
-// as bounded retries and quarantine instead of killing the worker fleet. A
-// shard that fails or panics takes its app's baseline with it: whatever the
-// cause, the retry starts from a fresh golden run. Afterwards the spine gauges
-// read what the process's baselines hold.
+// runShard executes the assignment on the process's resident Baseline for
+// its app, converting panics into errors so a poisoned shard (one that
+// crashes the engine deterministically) surfaces as bounded retries and
+// quarantine instead of killing the worker fleet.
 func (w *Worker) runShard(a *Assignment, lost <-chan struct{}) (err error) {
-	// kept is the entry a failure drops: the one the shard ran on, or — for
-	// a shard that never reached one — the app's entry as it started.
-	kept := keptBaselines.entry(a.Spec.App)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
-		if err != nil && kept != nil {
-			keptBaselines.drop(a.Spec.App, kept)
-		}
-		rungs, bytes := keptBaselines.spineSize()
-		w.cfg.Obs.Gauge("campaign_spine_rungs").Set(float64(rungs))
-		w.cfg.Obs.Gauge("campaign_spine_bytes").Set(float64(bytes))
 	}()
 	if w.cfg.RunShard != nil {
 		return w.cfg.RunShard(a)
 	}
-	return executeShard(a, lost, w.cfg.Obs, func(cfg campaign.Config) (*campaign.Baseline, error) {
-		kb, prepared := keptBaselines.get(a.Spec.App, func() (*campaign.Baseline, error) { return campaign.Prepare(cfg) })
-		kept = kb
-		if prepared {
-			w.cfg.Obs.Counter("worker_baseline_misses_total").Inc()
-		} else {
-			w.cfg.Obs.Counter("worker_baseline_hits_total").Inc()
-		}
-		return kb.base, kb.err
-	})
+	return executeShard(a, lost, w.cfg.Obs, campaign.Run)
 }
 
 // ExecuteShard runs one shard of a campaign: build the deterministic
 // campaign config from the assignment, journal to the shard's stable path
 // (resuming if a previous attempt left one — re-enqueued shards pick up
 // where the dead worker stopped), and execute only the assigned run window.
-// stop aborts execution early (lost lease, worker shutdown). It prepares its
-// own baseline; a Worker runs the same function on its process's kept one.
+// stop aborts execution early (lost lease, worker shutdown). It is a cold
+// shard: it prepares a Baseline of its own, whatever the process keeps; a
+// Worker runs the same shard on the process's resident one.
 func ExecuteShard(a *Assignment, stop <-chan struct{}, reg *obs.Registry) error {
-	return executeShard(a, stop, reg, campaign.Prepare)
+	return executeShard(a, stop, reg, func(cfg campaign.Config) (*campaign.Summary, error) {
+		base, err := campaign.Prepare(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return base.Run(cfg)
+	})
 }
 
-// executeShard runs the shard on the baseline baseline returns for the
-// shard's campaign config.
-func executeShard(a *Assignment, stop <-chan struct{}, reg *obs.Registry, baseline func(campaign.Config) (*campaign.Baseline, error)) error {
+// executeShard runs the shard's campaign config through run.
+func executeShard(a *Assignment, stop <-chan struct{}, reg *obs.Registry, run func(campaign.Config) (*campaign.Summary, error)) error {
 	app, err := apps.ByName(a.Spec.App)
 	if err != nil {
 		return err
@@ -380,11 +288,7 @@ func executeShard(a *Assignment, stop <-chan struct{}, reg *obs.Registry, baseli
 		defer client.Close()
 		cfg.Hub = client
 	}
-	base, err := baseline(cfg)
-	if err != nil {
-		return err
-	}
-	if _, err := base.Run(cfg); err != nil {
+	if _, err := run(cfg); err != nil {
 		if errors.Is(err, campaign.ErrInterrupted) {
 			err = fmt.Errorf("shard interrupted: %w", err)
 		}

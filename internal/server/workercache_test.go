@@ -39,28 +39,18 @@ func quietWorker(reg *obs.Registry) *Worker {
 	return NewWorker(WorkerConfig{Name: "w", Obs: reg, Logf: func(string, ...any) {}})
 }
 
-// resetBaselines empties the process's kept baselines, so a test that counts
-// golden runs, baselines or spine rungs starts from none, whatever ran before
-// it in the process.
-func resetBaselines() {
-	keptBaselines.mu.Lock()
-	defer keptBaselines.mu.Unlock()
-	keptBaselines.byApp = make(map[string]*keptBaseline)
-}
-
-// keptBase returns the baseline the process keeps for app, nil when none is
-// ready.
-func keptBase(app string) *campaign.Baseline {
-	kb := keptBaselines.entry(app)
-	if kb == nil {
-		return nil
+// freshCampaign is cfg's whole campaign on a Baseline of its own.
+func freshCampaign(t *testing.T, cfg campaign.Config) *campaign.Summary {
+	t.Helper()
+	base, err := campaign.Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	select {
-	case <-kb.ready:
-		return kb.base
-	default:
-		return nil
+	sum, err := base.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return sum
 }
 
 // TestWorkerCacheDifferential: one worker executes the shards of eight
@@ -68,10 +58,9 @@ func keptBase(app string) *campaign.Baseline {
 // shard meets a baseline another campaign's shard prepared — the process
 // keeps one per app. A warm shard must be the cold shard: on every guest —
 // the MPI ones through the durable hub — its journal is byte for byte the one
-// cache-less ExecuteShard writes, and the merged report is the standalone
-// campaign's.
+// ExecuteShard writes on a Baseline of its own, and the merged report is the
+// standalone campaign's.
 func TestWorkerCacheDifferential(t *testing.T) {
-	resetBaselines()
 	hubAddr := testHub(t)
 	type camp struct {
 		spec   Spec
@@ -139,32 +128,26 @@ func TestWorkerCacheDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alone, err := campaign.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if merged.Report() != alone.Report() {
+		if alone := freshCampaign(t, cfg); merged.Report() != alone.Report() {
 			t.Errorf("campaign %d (%s): merged report of the worker's shards\n%s\nstandalone\n%s", ci, c.spec.App, merged.Report(), alone.Report())
 		}
 	}
 
+	// A guest another test left resident costs this one no golden run.
 	counter := func(name string) int { return int(reg.Counter(name).Value()) }
-	if g := counter("campaign_golden_runs_total"); g != 4 {
-		t.Errorf("campaign_golden_runs_total = %d over four guests, want 4", g)
-	}
-	if h, m := counter("worker_baseline_hits_total"), counter("worker_baseline_misses_total"); m != 4 || h != shards-4 {
-		t.Errorf("worker baseline hits %d misses %d over %d shards of four guests", h, m, shards)
+	if g, h := counter("campaign_golden_runs_total"), counter("campaign_baseline_hits_total"); g > 4 || g+h != shards {
+		t.Errorf("%d golden runs and %d baseline hits over %d shards of four guests", g, h, shards)
 	}
 }
 
-// TestWorkerCacheDropsFailedShard: a shard that returns an error, and one
-// that panics, take their app's baseline out of the process, spine and all —
-// the requeued (or poisoned) shard that follows starts from a fresh golden
-// run, as every shard did before baselines were kept — and an error is never
-// kept. The spine gauges read what the process's baselines hold after every
-// shard.
+// TestWorkerCacheDropsFailedShard: a shard that returns an error takes its
+// app's baseline out of the process, spine and all — the requeued shard that
+// follows starts from a fresh golden run, as every shard did before baselines
+// were kept — while a shard that succeeds leaves it for the next; a panic in
+// the engine is a failed shard, not a dead worker. (The registry's own rules
+// — every kind of failure, a late one on a replaced Baseline, the gauges — are
+// TestResidentBaselineDroppedOnFailure in internal/campaign.)
 func TestWorkerCacheDropsFailedShard(t *testing.T) {
-	resetBaselines()
 	reg := obs.NewRegistry()
 	w := quietWorker(reg)
 	dir := t.TempDir()
@@ -175,47 +158,28 @@ func TestWorkerCacheDropsFailedShard(t *testing.T) {
 		return &Assignment{Spec: sp, Lo: 0, Hi: 4, Journal: filepath.Join(dir, fmt.Sprintf("%d.journal", n))}
 	}
 	goldens := func() uint64 { return reg.Counter("campaign_golden_runs_total").Value() }
-	run := func(a *Assignment, wantGoldens uint64) {
+	rungs := func() float64 { return reg.Gauge("campaign_spine_rungs").Value() }
+	// run executes a shard and demands that it ran at most (first) or
+	// exactly (not first) want golden runs: the first shard of an app finds
+	// it resident when another test left it so.
+	run := func(a *Assignment, want uint64, first bool) {
 		t.Helper()
+		g := goldens()
 		if err := w.runShard(a, nil); err != nil {
 			t.Fatal(err)
 		}
-		if g := goldens(); g != wantGoldens {
-			t.Fatalf("%d golden runs, want %d", g, wantGoldens)
-		}
-		if keptBase(a.Spec.App) == nil {
-			t.Fatalf("no baseline kept for %s", a.Spec.App)
+		if got := goldens() - g; got > want || !first && got != want {
+			t.Fatalf("a %s shard ran %d golden runs, want %d", a.Spec.App, got, want)
 		}
 	}
-	spine := func() (rungs, bytes float64) {
-		return reg.Gauge("campaign_spine_rungs").Value(), reg.Gauge("campaign_spine_bytes").Value()
+	run(shard("kmeans"), 1, true)
+	run(shard("kmeans"), 0, false)
+	run(shard("bfs"), 1, true)
+	run(shard("bfs"), 0, false)
+	held := rungs()
+	if held == 0 {
+		t.Fatal("kmeans and bfs shards left no spine rung in the process")
 	}
-	// gaugesRead demands that the gauges read what the process's baselines
-	// hold between them (a dropped one holds nothing).
-	gaugesRead := func(what string) {
-		t.Helper()
-		var rungs, bytes float64
-		for _, app := range []string{"kmeans", "bfs"} {
-			r, b := keptBase(app).SpineSize()
-			rungs, bytes = rungs+float64(r), bytes+float64(b)
-		}
-		if r, b := spine(); r != rungs || b != bytes {
-			t.Fatalf("%s: the spine gauges read %v rungs, %v bytes; the kept baselines hold %v and %v", what, r, b, rungs, bytes)
-		}
-	}
-	run(shard("kmeans"), 1)
-	run(shard("kmeans"), 1)
-	kmRungs, kmBytes := spine()
-	if kmRungs == 0 || kmBytes == 0 {
-		t.Fatalf("two kmeans shards left a spine of %v rungs, %v bytes", kmRungs, kmBytes)
-	}
-	gaugesRead("two kmeans shards")
-	run(shard("bfs"), 2)
-	allRungs, _ := spine()
-	if allRungs <= kmRungs {
-		t.Fatalf("a bfs shard added no spine rung: %v, was %v", allRungs, kmRungs)
-	}
-	gaugesRead("a bfs shard")
 
 	// An error: the shard's window is outside its campaign.
 	bad := shard("kmeans")
@@ -223,22 +187,11 @@ func TestWorkerCacheDropsFailedShard(t *testing.T) {
 	if err := w.runShard(bad, nil); err == nil {
 		t.Fatal("a shard past its campaign's runs succeeded")
 	}
-	if keptBase("kmeans") != nil {
-		t.Fatal("a failed shard left its app's baseline behind")
+	if r := rungs(); r >= held {
+		t.Errorf("the spine gauge reads %v rungs after the failed kmeans shard, %v before: its spine stayed", r, held)
 	}
-	if keptBase("bfs") == nil {
-		t.Fatal("a failed kmeans shard dropped bfs's baseline")
-	}
-	if r, _ := spine(); r != allRungs-kmRungs {
-		t.Fatalf("the spine did not go with the dropped baseline: %v rungs, want bfs's %v", r, allRungs-kmRungs)
-	}
-	gaugesRead("a failed kmeans shard")
-	prefixes := reg.Counter("campaign_prefix_runs_total").Value()
-	run(shard("kmeans"), 3)
-	if r, _ := spine(); r <= allRungs-kmRungs || reg.Counter("campaign_prefix_runs_total").Value() == prefixes {
-		t.Fatalf("the fresh kmeans baseline built no spine of its own: %v rungs in all", r)
-	}
-	gaugesRead("a fresh kmeans baseline")
+	run(shard("kmeans"), 1, false)
+	run(shard("bfs"), 0, false)
 
 	// A panic, from an engine the test replaces for one shard.
 	w.cfg.RunShard = func(*Assignment) error { panic("poisoned") }
@@ -246,26 +199,16 @@ func TestWorkerCacheDropsFailedShard(t *testing.T) {
 		t.Fatalf("a panicking shard returned %v", err)
 	}
 	w.cfg.RunShard = nil
-	if keptBase("bfs") != nil {
-		t.Fatal("a panicking shard left its app's baseline behind")
-	}
-	gaugesRead("a panicking bfs shard")
-	km := keptBase("kmeans")
-	run(shard("bfs"), 4)
-	gaugesRead("a fresh bfs baseline")
 
-	// An error before there is a baseline keeps nothing: no such app.
+	// An error before there is a baseline: no such app.
 	if err := w.runShard(shard("nosuchapp"), nil); err == nil {
 		t.Fatal("an unknown app ran")
 	}
-	keptBaselines.mu.Lock()
-	apps := len(keptBaselines.byApp)
-	keptBaselines.mu.Unlock()
-	if apps != 2 {
-		t.Fatalf("%d baselines kept, want kmeans and bfs", apps)
-	}
+	run(shard("kmeans"), 0, false)
+	run(shard("bfs"), 0, false)
 
-	// The exported, cache-less call keeps nothing either.
+	// The exported call runs a cold shard: a golden run each, and the
+	// process's kmeans baseline stays as it was.
 	before := goldens()
 	for i := 0; i < 2; i++ {
 		if err := ExecuteShard(shard("kmeans"), nil, reg); err != nil {
@@ -275,10 +218,7 @@ func TestWorkerCacheDropsFailedShard(t *testing.T) {
 	if g := goldens(); g != before+2 {
 		t.Errorf("two ExecuteShard calls ran %d golden runs, want one each", g-before)
 	}
-	if keptBase("kmeans") != km {
-		t.Error("ExecuteShard replaced the process's kmeans baseline")
-	}
-	gaugesRead("two ExecuteShard calls")
+	run(shard("kmeans"), 0, false)
 }
 
 // TestWorkerSpineOutlivesTheShard: ten 40-run matvec campaigns, four shards
@@ -289,7 +229,6 @@ func TestWorkerCacheDropsFailedShard(t *testing.T) {
 // rung only where two of its ten sites share a stretch, and the prefix runs
 // stop tracking the runs.
 func TestWorkerSpineOutlivesTheShard(t *testing.T) {
-	resetBaselines()
 	reg := obs.NewRegistry()
 	w := quietWorker(reg)
 	dir := t.TempDir()
@@ -316,17 +255,16 @@ func TestWorkerSpineOutlivesTheShard(t *testing.T) {
 	if runs != 400 {
 		t.Fatalf("%d runs started, want 400", runs)
 	}
-	// A spine position costs a prefix run once, and only once.
-	if held, _ := keptBase("matvec").SpineSize(); rungs == 0 || float64(held) != rungs || uint64(rungs) > prefixes {
-		t.Errorf("the spine gauge reads %v rungs, the baseline holds %d, over %d prefix runs", rungs, held, prefixes)
+	if rungs == 0 {
+		t.Error("the spine gauge reads no rung")
 	}
 	// Ten sites a shard over the spine's stretches: a handful share one.
 	// Half the runs is far above that and far below one a run.
 	if prefixes > runs/2 {
 		t.Errorf("%d prefix runs for %d runs: the ladder is being rebuilt per shard", prefixes, runs)
 	}
-	if g := count("campaign_golden_runs_total"); g != 1 {
-		t.Errorf("campaign_golden_runs_total = %d, want 1", g)
+	if g, h := count("campaign_golden_runs_total"), count("campaign_baseline_hits_total"); g > 1 || g+h != 40 {
+		t.Errorf("%d golden runs and %d baseline hits over 40 shards of one app, want at most one golden run", g, h)
 	}
 }
 
@@ -355,13 +293,12 @@ func (c *failControl) Fail(_, reason string) error {
 }
 
 // TestPrefixFailureFailsTheShard is the worker's half of the campaign test of
-// the same name: a prefix run that fails on the process's kept Baseline —
-// whose instruction budget is lowered behind Prepare's back, which no Config
-// can do — fails the shard through the Worker's own path: the reason names
-// the prefix site, and the app's Baseline leaves the process, so the retry
-// starts from a fresh golden run.
+// the same name: a prefix run that fails on a Baseline — whose instruction
+// budget is lowered behind Prepare's back, which no Config can do — fails the
+// shard through the Worker's own path, and the reason names the prefix site.
+// (That such a Baseline leaves the process's resident ones is
+// TestResidentBaselineDroppedOnFailure in internal/campaign.)
 func TestPrefixFailureFailsTheShard(t *testing.T) {
-	resetBaselines()
 	reg := obs.NewRegistry()
 	ctl := &failControl{}
 	w := NewWorker(WorkerConfig{Name: "w", Control: ctl, Obs: reg, Logf: func(string, ...any) {}})
@@ -370,16 +307,18 @@ func TestPrefixFailureFailsTheShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := Spec{App: "matvec", Runs: 8, Seed: 5, Shards: 1, Trace: true, Parallel: 2}.normalize()
-	keptBaselines.get("matvec", func() (*campaign.Baseline, error) {
-		base, err := campaign.Prepare(campaignConfig(sp, app, 0))
-		if err == nil {
-			f := reflect.ValueOf(base).Elem().FieldByName("maxInstr")
-			reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().SetUint(1)
-		}
-		return base, err
-	})
-	if keptBase("matvec") == nil {
-		t.Fatal("no matvec baseline kept")
+	base, err := campaign.Prepare(campaignConfig(sp, app, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := reflect.ValueOf(base).Elem().FieldByName("maxInstr")
+	reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().SetUint(1)
+	w.cfg.RunShard = func(a *Assignment) error {
+		cfg := campaignConfig(a.Spec, app, a.NSBase)
+		cfg.Shard = &campaign.ShardRange{Lo: a.Lo, Hi: a.Hi}
+		cfg.Journal = a.Journal
+		_, err := base.Run(cfg)
+		return err
 	}
 	w.execute(&Assignment{Token: "t", Spec: sp, Lo: 0, Hi: sp.Runs, TTLMs: 60_000,
 		Journal: filepath.Join(t.TempDir(), "shard.journal")})
@@ -389,20 +328,18 @@ func TestPrefixFailureFailsTheShard(t *testing.T) {
 	if n := reg.Counter("worker_shards_failed_total").Value(); n != 1 {
 		t.Errorf("worker_shards_failed_total = %d, want 1", n)
 	}
-	if keptBase("matvec") != nil {
-		t.Error("the failed shard left matvec's baseline in the process")
-	}
 }
 
 // TestWorkerCachePoolSharesBaselines: two workers of one process execute the
 // shards of interleaved matvec and bfs campaigns at once. The process
-// prepares one baseline per app — whichever worker claims its first shard,
-// the other waiting for it — and builds each app's spine once: the two
-// workers perform exactly the prefix runs one worker performs on the same
-// shards. Every merged report is the standalone campaign's. Then a shard that
-// fails on one worker drops its app's baseline once, while the other worker
-// finishes the shard it is running on the old one, and a failure on the old
-// one does not drop the new.
+// prepares at most one baseline per app — whichever worker claims its first
+// shard, the other waiting for it — and every other shard finds it resident.
+// Every merged report is the standalone campaign's. Then a shard that fails
+// on one worker drops its app's baseline, while the other worker finishes the
+// shard it is running on the old one, as a cold shard would. (That the pool
+// builds a spine once, and that a late failure on the old baseline does not
+// drop the new, are TestResidentBaselineColdKeyRace and
+// TestResidentBaselineDroppedOnFailure in internal/campaign.)
 func TestWorkerCachePoolSharesBaselines(t *testing.T) {
 	dir := t.TempDir()
 	var specs []Spec
@@ -413,53 +350,39 @@ func TestWorkerCachePoolSharesBaselines(t *testing.T) {
 	journal := func(pass string, c, shard int) string {
 		return filepath.Join(dir, fmt.Sprintf("%s-c%d-shard%d.journal", pass, c, shard))
 	}
-	// execute runs every shard of every campaign, shard by shard across the
-	// campaigns, on the given workers, and returns their registry.
-	execute := func(pass string, workers int) *obs.Registry {
-		resetBaselines()
-		reg := obs.NewRegistry()
-		queue := make(chan Assignment)
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			w := quietWorker(reg)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for a := range queue {
-					if err := w.runShard(&a, nil); err != nil {
-						t.Errorf("%s: campaign %s shard %d: %v", pass, a.Campaign, a.Shard, err)
-					}
+	reg := obs.NewRegistry()
+	queue := make(chan Assignment)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		w := quietWorker(reg)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for a := range queue {
+				if err := w.runShard(&a, nil); err != nil {
+					t.Errorf("campaign %s shard %d: %v", a.Campaign, a.Shard, err)
 				}
-			}()
-		}
-		for shard := 0; shard < 4; shard++ {
-			for c, sp := range specs {
-				lo, hi := sp.shardRange(shard)
-				queue <- Assignment{Campaign: fmt.Sprint(c), Shard: shard, Lo: lo, Hi: hi, Spec: sp, Journal: journal(pass, c, shard)}
 			}
-		}
-		close(queue)
-		wg.Wait()
-		return reg
+		}()
 	}
-	alone := execute("alone", 1)
-	pool := execute("pool", 2)
+	for shard := 0; shard < 4; shard++ {
+		for c, sp := range specs {
+			lo, hi := sp.shardRange(shard)
+			queue <- Assignment{Campaign: fmt.Sprint(c), Shard: shard, Lo: lo, Hi: hi, Spec: sp, Journal: journal("pool", c, shard)}
+		}
+	}
+	close(queue)
+	wg.Wait()
 	if t.Failed() {
 		return
 	}
-	count := func(reg *obs.Registry, name string) uint64 { return reg.Counter(name).Value() }
-	if g, m := count(pool, "campaign_golden_runs_total"), count(pool, "worker_baseline_misses_total"); g != 2 || m != 2 {
-		t.Errorf("two workers over two apps: %d golden runs, %d baseline misses; want one of each an app", g, m)
+	count := func(name string) uint64 { return reg.Counter(name).Value() }
+	shards := uint64(4 * len(specs))
+	if g, h := count("campaign_golden_runs_total"), count("campaign_baseline_hits_total"); g > 2 || g+h != shards {
+		t.Errorf("two workers over two apps: %d golden runs, %d baseline hits over %d shards; want at most one golden run an app", g, h, shards)
 	}
-	if h := count(pool, "worker_baseline_hits_total"); h != uint64(4*len(specs)-2) {
-		t.Errorf("%d baseline hits over %d shards, want all but the two that prepared", h, 4*len(specs))
-	}
-	if p, want := count(pool, "campaign_prefix_runs_total"), count(alone, "campaign_prefix_runs_total"); p != want {
-		t.Errorf("two workers ran %d prefix runs, one worker %d: a spine was built twice", p, want)
-	}
-	poolRungs := pool.Gauge("campaign_spine_rungs").Value()
-	if want := alone.Gauge("campaign_spine_rungs").Value(); poolRungs != want || poolRungs == 0 {
-		t.Errorf("two workers keep %v spine rungs, one worker %v", poolRungs, want)
+	if reg.Gauge("campaign_spine_rungs").Value() == 0 {
+		t.Error("the pool left no spine rung")
 	}
 	for c, sp := range specs {
 		app, err := apps.ByName(sp.App)
@@ -471,25 +394,19 @@ func TestWorkerCachePoolSharesBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := campaign.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if merged.Report() != want.Report() {
+		if want := freshCampaign(t, cfg); merged.Report() != want.Report() {
 			t.Errorf("campaign %d (%s): merged report of the pool's shards\n%s\nstandalone\n%s", c, sp.App, merged.Report(), want.Report())
 		}
 	}
 
 	// A long matvec shard runs on one worker while a matvec shard fails on
 	// the other.
-	reg := pool
 	long := Spec{App: "matvec", Runs: 120, Seed: 77, Shards: 1, Trace: true, Parallel: 1}.normalize()
 	longShard := Assignment{Campaign: "long", Lo: 0, Hi: long.Runs, Spec: long, Journal: journal("long", 0, 0)}
-	old := keptBaselines.entry("matvec")
-	hits := count(reg, "worker_baseline_hits_total")
+	hits := count("campaign_baseline_hits_total")
 	done := make(chan error, 1)
 	go func() { done <- quietWorker(reg).runShard(&longShard, nil) }()
-	for count(reg, "worker_baseline_hits_total") == hits { // until the long shard holds the old baseline
+	for count("campaign_baseline_hits_total") == hits { // until the long shard holds the old baseline
 		select {
 		case err := <-done:
 			t.Fatalf("the long shard ended before it held a baseline: %v", err)
@@ -501,9 +418,7 @@ func TestWorkerCachePoolSharesBaselines(t *testing.T) {
 	if err := other.runShard(&bad, nil); err == nil {
 		t.Fatal("a shard past its campaign's runs succeeded")
 	}
-	if keptBase("matvec") != nil {
-		t.Fatal("the failed shard left matvec's baseline in the process")
-	}
+	goldens := count("campaign_golden_runs_total")
 	next := Assignment{Campaign: "next", Lo: 0, Hi: 6, Spec: specs[0], Journal: journal("next", 0, 0)}
 	if err := other.runShard(&next, nil); err != nil {
 		t.Fatal(err)
@@ -511,16 +426,8 @@ func TestWorkerCachePoolSharesBaselines(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("the long shard on the old baseline: %v", err)
 	}
-	if g := count(reg, "campaign_golden_runs_total"); g != 3 {
-		t.Errorf("%d golden runs, want the two apps' and one after the failure", g)
-	}
-	fresh := keptBase("matvec")
-	if fresh == nil || fresh == old.base {
-		t.Fatal("the shard after the failure did not prepare a baseline of its own")
-	}
-	keptBaselines.drop("matvec", old) // a late failure on the old baseline
-	if keptBase("matvec") != fresh {
-		t.Error("dropping the old baseline dropped the one that replaced it")
+	if g := count("campaign_golden_runs_total") - goldens; g != 1 {
+		t.Errorf("the shard after the failure ran %d golden runs, want a fresh baseline's one", g)
 	}
 	cold := longShard
 	cold.Journal = journal("cold", 0, 0)

@@ -7,6 +7,7 @@ import (
 
 	"chaser/internal/asm"
 	"chaser/internal/isa"
+	"chaser/internal/memtest"
 	"chaser/internal/tcg"
 )
 
@@ -171,12 +172,7 @@ func TestArenaPagesAsNew(t *testing.T) {
 func TestArenaIdleRetentionBounded(t *testing.T) {
 	budget := arenaPages*pageBytes + 64<<10
 	prog := dirtyPages(t, 500)
-	heap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
+	heap := memtest.Live
 	a := new(Arena)
 	m := a.New(prog, Config{})
 	runOut(t, m)
