@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"chaser/internal/core"
@@ -394,7 +395,7 @@ func Run(cfg Config) (*Summary, error) {
 	}
 	var sum *Summary
 	err = residents.run(e, cfg.Obs, func(base *Baseline) (err error) {
-		sum, _, err = runPrepared(cfg, base, nil)
+		sum, err = runPrepared(cfg, base)
 		return err
 	})
 	return sum, err
@@ -406,8 +407,7 @@ func Run(cfg Config) (*Summary, error) {
 // telemetry — is cfg's own. The runs fork from the baseline's spine and extend
 // it as far as their sites reach.
 func (b *Baseline) Run(cfg Config) (*Summary, error) {
-	sum, _, err := runPrepared(cfg, b, nil)
-	return sum, err
+	return runPrepared(cfg, b)
 }
 
 // task is one injection run: fault the n-th execution of the targeted ops on
@@ -450,322 +450,562 @@ func planTasks(cfg Config, totals []uint64) ([]task, error) {
 	return tasks, nil
 }
 
-// job is one task handed to the worker pool: ws is the rung it forks from
-// (nil: none), first its fault's first run at its site (nil: it has no key;
-// see repeat.go) and repeat whether that is an earlier task's.
+// job is one task queued for the worker pool: w is the walk it belongs to, ws
+// the rung it forks from (nil: none), first its fault's first run at its site
+// (nil: it has no key; see repeat.go) and repeat whether that is an earlier
+// task's.
 type job struct {
 	task
+	w      *walk
 	ws     *core.WorldSnapshot
 	first  *firstRun
 	repeat bool
 }
 
-// runPrepared executes the injection runs of a campaign against a prepared
-// baseline. carried is the last rung of an earlier walk over the same task
-// list (nil: none) and last the rung this walk ended on: BitSweep hands one
-// entry's to the next.
-func runPrepared(cfg Config, base *Baseline, carried *core.WorldSnapshot) (sum *Summary, last *core.WorldSnapshot, err error) {
+// feedDepth is how many prepared jobs the feeder keeps queued ahead of a
+// campaign's workers. Handed over unbuffered, a job made its worker the next
+// goroutine on the feeder's P, and a worker's receive made the feeder the next
+// on the worker's (runtime/trace: 3,520 of 3,979 wake-ups of a worker by the
+// feeder), so feeder and worker took turns on one core: in-process LUD bit
+// sweeps (5 × 1,500 runs at one site, two workers, two cores) kept 0.77–0.80
+// of both cores busy at depth 0, 0.83–0.87 at 16, 0.90–0.94 at 64 and
+// 0.95–0.97 at 256, where lud_site_sweep's runs_per_s read the same as at 64.
+// A job is a few words; the rungs queued jobs hold are bounded by the
+// throttle (pool.room), not by the depth.
+const feedDepth = 64
+
+// walk is one campaign window on a pool: its task list and the state its runs
+// record into. The feeder hands its tasks out (pool.feed), workers run them,
+// and whichever goroutine lets go of the walk last — the worker finishing its
+// last job, or the feeder when no job is left — completes it.
+type walk struct {
+	cfg      Config
+	base     *Baseline
+	bits     int
+	lo, hi   int
+	pending  []task // the window's runs still to execute, in plan order
+	outcomes []RunOutcome
+	errs     []error
+	journal  *Journal
+	live     tally
+	start    time.Time
+
+	reportStop chan struct{}
+	reportWG   sync.WaitGroup
+
+	started, forked, repeated, panics, timeouts *obs.Counter
+
+	// left is the walk's jobs queued or running, plus one while its feed
+	// runs; the goroutine that takes it to zero completes the walk.
+	left atomic.Int64
+	// dropped: a worker dropped one of its jobs after Stop or a failed prefix
+	// run, so some task did not run.
+	dropped atomic.Bool
+	// fed: the feed handed out every task; prefixErr: a prefix run ended it.
+	// The feeder writes both before it lets go of left.
+	fed       bool
+	prefixErr error
+
+	// What complete leaves: the window's summary, or why there is none.
+	sum *Summary
+	err error
+}
+
+// newWalk checks cfg against the baseline, plans its tasks, opens its journal
+// — loading the runs a resumed one completed — and starts its progress
+// reporter.
+func newWalk(cfg Config, base *Baseline) (*walk, error) {
 	if err := base.check(cfg); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	world, goldenOut, totals, maxInstr := base.world, base.outputs, base.totals, base.maxInstr
-	bits := cfg.Bits
-	if bits == 0 {
-		bits = 1
-	}
-	shardLo, shardHi, err := cfg.bounds()
+	lo, hi, err := cfg.bounds()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	shardRuns := shardHi - shardLo
-
-	start := time.Now()
-	workers := cfg.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	w := &walk{cfg: cfg, base: base, bits: cfg.Bits, lo: lo, hi: hi, start: time.Now()}
+	if w.bits == 0 {
+		w.bits = 1
 	}
-
-	tasks, err := planTasks(cfg, totals)
+	tasks, err := planTasks(cfg, base.totals)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Checkpoint/resume: every run's task above is a pure function of
 	// cfg.Seed and the golden baseline, so skipping journaled runs and
 	// re-executing only the missing ones reproduces the uninterrupted
 	// campaign exactly.
-	var journal *Journal
 	resumed := map[int]RunOutcome{}
 	switch {
 	case cfg.Resume != "":
-		var err error
-		journal, resumed, err = ResumeJournal(cfg.Resume, cfg)
-		if err != nil {
-			return nil, nil, err
+		if w.journal, resumed, err = ResumeJournal(cfg.Resume, cfg); err != nil {
+			return nil, err
 		}
 	case cfg.Journal != "":
-		var err error
-		journal, err = CreateJournal(cfg.Journal, cfg)
-		if err != nil {
-			return nil, nil, err
+		if w.journal, err = CreateJournal(cfg.Journal, cfg); err != nil {
+			return nil, err
 		}
 	}
-	if journal != nil {
-		defer journal.Close()
-	}
 
-	var live tally
-	reportStop := make(chan struct{})
-	var reportWG sync.WaitGroup
-	if cfg.Progress != nil {
-		interval := cfg.ProgressInterval
-		if interval <= 0 {
-			interval = time.Second
-		}
-		reportWG.Add(1)
-		go func() {
-			defer reportWG.Done()
-			ticker := time.NewTicker(interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-reportStop:
-					return
-				case <-ticker.C:
-					cfg.Progress(live.snapshot(shardRuns, time.Since(start)))
-					if cfg.Obs != nil {
-						cfg.Obs.Gauge("campaign_runs_per_second").
-							Set(live.snapshot(shardRuns, time.Since(start)).RunsPerSec)
-					}
-				}
-			}
-		}()
-	}
-
-	outcomes := make([]RunOutcome, cfg.Runs)
-	errs := make([]error, cfg.Runs)
+	w.outcomes = make([]RunOutcome, cfg.Runs)
+	w.errs = make([]error, cfg.Runs)
 	for idx, o := range resumed {
-		if idx < shardLo || idx >= shardHi {
+		if idx < lo || idx >= hi {
 			// A re-enqueued shard can inherit a journal holding entries from
 			// outside its window (another shard appended to the same file, or
 			// the window changed); they merge later, but this shard neither
 			// re-executes nor summarizes them.
 			continue
 		}
-		outcomes[idx] = o
-		live.record(o.Outcome)
+		w.outcomes[idx] = o
+		w.live.record(o.Outcome)
 		cfg.Obs.Counter("campaign_resumed_runs_total").Inc()
-	}
-
-	// runConfig is the supervised run of one task.
-	runConfig := func(tk task) core.RunConfig {
-		var hub tainthub.Hub
-		if cfg.Hub != nil {
-			hub = tainthub.WithNamespace(cfg.Hub, cfg.HubNamespaceBase+tk.idx)
-		}
-		return core.RunConfig{
-			Prog:            cfg.Prog,
-			WorldSize:       world,
-			BaseCache:       base.cache,
-			Hub:             hub,
-			MaxInstructions: maxInstr,
-			Timeout:         cfg.RunTimeout,
-			HubPolicy:       cfg.HubPolicy,
-			NoFastPath:      cfg.NoFastPath,
-			// The campaign itself reads a run's outputs, terminations,
-			// counters and cross-rank records (Classify); only an observer
-			// is handed the result, access log and all.
-			NoAccessLog: cfg.RunObserver == nil,
-			Obs:         cfg.Obs,
-			Events:      cfg.Events,
-			Spec: &core.Spec{
-				Target:     cfg.Prog.Name,
-				Ops:        cfg.Ops,
-				TargetRank: tk.rank,
-				Cond:       core.Deterministic{N: tk.n},
-				Bits:       bits,
-				Seed:       tk.seed,
-				Trace:      cfg.Trace,
-			},
-		}
-	}
-
-	// runOne executes and classifies one injection run. A panic anywhere
-	// below (the vm, the translator, the taint engine, a hook — including
-	// panics captured inside rank goroutines and re-raised by World.Run) is
-	// recovered here and isolated as OutcomeSimCrash: one lost data point,
-	// not a lost campaign.
-	//
-	// ws is the rung the ladder found for the task (nil: none below its site,
-	// or NoFork): its own site's, or the nearest resident one below, the gap
-	// replayed in the run's own world. Both paths are bitwise identical.
-	runOne := func(tk task, ws *core.WorldSnapshot) (out RunOutcome, res *core.RunResult, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				msg := fmt.Sprintf("%v", r)
-				if i := strings.IndexByte(msg, '\n'); i >= 0 {
-					msg = msg[:i]
-				}
-				out = RunOutcome{Outcome: OutcomeSimCrash, RootRank: -1, PanicMsg: msg}
-				res = nil
-				err = nil
-				cfg.Obs.Counter("campaign_runs_panic_total").Inc()
-			}
-		}()
-		rc := runConfig(tk)
-		if ws == nil {
-			res, err = core.Run(rc)
-		} else if res, err = core.RunForked(rc, ws); err == nil {
-			cfg.Obs.Counter("campaign_forked_runs_total").Inc()
-		}
-		if err != nil {
-			return RunOutcome{}, nil, err
-		}
-		return Classify(res, goldenOut, tk.rank), res, nil
-	}
-
-	// finish records one run's outcome: its slot, the live tally, the
-	// run_done event, the observer (res is nil for a repeat, which a campaign
-	// with an observer never has) and the journal.
-	finish := func(tk task, out RunOutcome, res *core.RunResult) {
-		outcomes[tk.idx] = out
-		live.record(out.Outcome)
-		cfg.Events.Emit("run_done", tk.idx, tk.rank,
-			uint64(out.Outcome), uint64(out.Term), out.Outcome.String())
-		if cfg.RunObserver != nil {
-			cfg.RunObserver(tk.idx, tk.rank, out, res)
-		}
-		if out.Term == TermTimeout {
-			cfg.Obs.Counter("campaign_runs_timeout_total").Inc()
-		}
-		if journal != nil {
-			if jerr := journal.Append(tk.idx, out); jerr != nil {
-				errs[tk.idx] = jerr
-			}
-		}
-	}
-	// execute runs and records one task, and reports whether the tasks
-	// repeating its fault may take its outcome (see repeat.go).
-	execute := func(worker int, j job) bool {
-		cfg.Obs.Counter("campaign_runs_started_total").Inc()
-		rsp := cfg.Tracer.StartSpanTID("campaign.run", worker)
-		defer rsp.End()
-		out, res, err := runOne(j.task, j.ws)
-		if err != nil {
-			rsp.SetArg("error", err.Error())
-			errs[j.idx] = err
-			return false
-		}
-		finish(j.task, out, res)
-		rsp.SetArg("outcome", out.Outcome.String())
-		return reusable(res)
-	}
-	repeated := cfg.Obs.Counter("campaign_runs_repeated_total")
-	// settle finishes a repeat whose first run is done: it takes the first
-	// run's outcome, or executes when it may not.
-	settle := func(worker int, rp job, reuse bool) {
-		if !reuse {
-			execute(worker, rp)
-			return
-		}
-		repeated.Inc()
-		finish(rp.task, outcomes[rp.first.idx], nil)
-	}
-	var wg sync.WaitGroup
-	ch := make(chan job)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for j := range ch {
-				if j.repeat {
-					if reuse, queued := j.first.join(j); !queued {
-						settle(worker, j, reuse)
-					}
-					continue
-				}
-				reuse := execute(worker, j)
-				if j.first != nil {
-					for _, rp := range j.first.finish(reuse) {
-						settle(worker, rp, reuse)
-					}
-				}
-			}
-		}(w)
 	}
 	// The window's runs still to execute: not another shard's, and not
 	// already journaled (their outcomes were loaded above).
-	var pending []task
-	for _, tk := range tasks[shardLo:shardHi] {
+	for _, tk := range tasks[lo:hi] {
 		if _, ok := resumed[tk.idx]; !ok {
-			pending = append(pending, tk)
+			w.pending = append(w.pending, tk)
 		}
 	}
-	var rungs *ladder
-	var reps *repeats
-	if !cfg.NoFork {
-		sortBySite(pending)
-		rungs = newLadder(base, cfg.Trace, cfg.Obs, carried)
-		if cfg.RunObserver == nil {
-			reps = newRepeats(cfg.Prog, bits)
+	w.started = cfg.Obs.Counter("campaign_runs_started_total")
+	w.forked = cfg.Obs.Counter("campaign_forked_runs_total")
+	w.repeated = cfg.Obs.Counter("campaign_runs_repeated_total")
+	w.panics = cfg.Obs.Counter("campaign_runs_panic_total")
+	w.timeouts = cfg.Obs.Counter("campaign_runs_timeout_total")
+	w.left.Store(1)
+
+	w.reportStop = make(chan struct{})
+	if cfg.Progress != nil {
+		interval := cfg.ProgressInterval
+		if interval <= 0 {
+			interval = time.Second
 		}
-	}
-	// The feed stops at Stop or at a failed prefix run. However it ends — a
-	// panic in a prefix run too, which goes on to the caller — the pool drains
-	// the runs in flight and exits, and so does the progress reporter.
-	interrupted := false
-	var prefixErr error
-	func() {
-		defer func() {
-			close(ch)
-			wg.Wait()
-			close(reportStop)
-			reportWG.Wait()
-		}()
-		for i, tk := range pending {
-			j := job{task: tk}
-			if rungs != nil {
-				if j.ws, prefixErr = rungs.rung(tk, pending[i+1:]); prefixErr != nil {
+		w.reportWG.Add(1)
+		go func() {
+			defer w.reportWG.Done()
+			ticker := time.NewTicker(interval)
+			defer ticker.Stop()
+			for {
+				select {
+				case <-w.reportStop:
 					return
-				}
-				if reps != nil {
-					j.first, j.repeat = reps.of(tk, j.ws)
+				case <-ticker.C:
+					p := w.live.snapshot(hi-lo, time.Since(w.start))
+					cfg.Progress(p)
+					cfg.Obs.Gauge("campaign_runs_per_second").Set(p.RunsPerSec)
 				}
 			}
-			// A nil Stop channel never receives, so the select degenerates
-			// to a plain send.
-			select {
-			case <-cfg.Stop:
-				interrupted = true
-				return
-			case ch <- j:
+		}()
+	}
+	return w, nil
+}
+
+// runConfig is the supervised run of one task.
+func (w *walk) runConfig(tk task) core.RunConfig {
+	cfg := w.cfg
+	var hub tainthub.Hub
+	if cfg.Hub != nil {
+		hub = tainthub.WithNamespace(cfg.Hub, cfg.HubNamespaceBase+tk.idx)
+	}
+	return core.RunConfig{
+		Prog:            cfg.Prog,
+		WorldSize:       w.base.world,
+		BaseCache:       w.base.cache,
+		Hub:             hub,
+		MaxInstructions: w.base.maxInstr,
+		Timeout:         cfg.RunTimeout,
+		HubPolicy:       cfg.HubPolicy,
+		NoFastPath:      cfg.NoFastPath,
+		// The campaign itself reads a run's outputs, terminations,
+		// counters and cross-rank records (Classify); only an observer
+		// is handed the result, access log and all.
+		NoAccessLog: cfg.RunObserver == nil,
+		Obs:         cfg.Obs,
+		Events:      cfg.Events,
+		Spec: &core.Spec{
+			Target:     cfg.Prog.Name,
+			Ops:        cfg.Ops,
+			TargetRank: tk.rank,
+			Cond:       core.Deterministic{N: tk.n},
+			Bits:       w.bits,
+			Seed:       tk.seed,
+			Trace:      cfg.Trace,
+		},
+	}
+}
+
+// runOne executes and classifies one injection run. A panic anywhere below
+// (the vm, the translator, the taint engine, a hook — including panics
+// captured inside rank goroutines and re-raised by World.Run) is recovered
+// here and isolated as OutcomeSimCrash: one lost data point, not a lost
+// campaign.
+//
+// ws is the rung the ladder found for the task (nil: none below its site, or
+// NoFork): its own site's, or the nearest resident one below, the gap
+// replayed in the run's own world. Both paths are bitwise identical.
+func (w *walk) runOne(tk task, ws *core.WorldSnapshot) (out RunOutcome, res *core.RunResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg := fmt.Sprintf("%v", r)
+			if i := strings.IndexByte(msg, '\n'); i >= 0 {
+				msg = msg[:i]
 			}
+			out = RunOutcome{Outcome: OutcomeSimCrash, RootRank: -1, PanicMsg: msg}
+			res = nil
+			err = nil
+			w.panics.Inc()
 		}
 	}()
-	if cfg.Progress != nil {
-		cfg.Progress(live.snapshot(shardRuns, time.Since(start)))
+	rc := w.runConfig(tk)
+	if ws == nil {
+		res, err = core.Run(rc)
+	} else if res, err = core.RunForked(rc, ws); err == nil {
+		w.forked.Inc()
 	}
-	live.flushObs(cfg.Obs, time.Since(start))
-	if cfg.Obs != nil && base.cache != nil {
-		st := base.cache.Stats()
-		cfg.Obs.Gauge("campaign_base_cache_blocks").Set(float64(st.Blocks + st.Probed))
+	if err != nil {
+		return RunOutcome{}, nil, err
 	}
-	if prefixErr != nil {
-		return nil, nil, prefixErr
+	return Classify(res, w.base.outputs, tk.rank), res, nil
+}
+
+// finish records one run's outcome: its slot, the live tally, the run_done
+// event, the observer (res is nil for a repeat, which a campaign with an
+// observer never has) and the journal.
+func (w *walk) finish(tk task, out RunOutcome, res *core.RunResult) {
+	w.outcomes[tk.idx] = out
+	w.live.record(out.Outcome)
+	w.cfg.Events.Emit("run_done", tk.idx, tk.rank,
+		uint64(out.Outcome), uint64(out.Term), out.Outcome.String())
+	if w.cfg.RunObserver != nil {
+		w.cfg.RunObserver(tk.idx, tk.rank, out, res)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("campaign: run failed: %w", err)
+	if out.Term == TermTimeout {
+		w.timeouts.Inc()
+	}
+	if w.journal != nil {
+		if jerr := w.journal.Append(tk.idx, out); jerr != nil {
+			w.errs[tk.idx] = jerr
 		}
 	}
-	if interrupted {
-		return nil, nil, ErrInterrupted
+}
+
+// execute runs and records one task, and reports whether the tasks repeating
+// its fault may take its outcome (see repeat.go).
+func (w *walk) execute(worker int, j job) bool {
+	w.started.Inc()
+	rsp := w.cfg.Tracer.StartSpanTID("campaign.run", worker)
+	defer rsp.End()
+	out, res, err := w.runOne(j.task, j.ws)
+	if err != nil {
+		rsp.SetArg("error", err.Error())
+		w.errs[j.idx] = err
+		return false
 	}
-	retireWindow(cfg, shardLo, shardHi)
-	if rungs != nil {
-		last = rungs.head
+	w.finish(j.task, out, res)
+	rsp.SetArg("outcome", out.Outcome.String())
+	return reusable(res)
+}
+
+// leave lets go of one hold on the walk — a job finished or dropped, or the
+// feed's own — and completes the walk if it was the last.
+func (w *walk) leave() {
+	if w.left.Add(-1) == 0 {
+		w.complete()
 	}
-	return summarize(cfg, outcomes[shardLo:shardHi]), last, nil
+}
+
+// complete ends the walk once nothing of it is queued, running or still to
+// be fed: it stops the progress reporter, closes the journal and, if every
+// task ran, summarizes the window. What calls back into the caller's code —
+// the last progress report, the hub's retire — is finalize's, on the caller's
+// goroutine, so a panic there goes on to the caller.
+func (w *walk) complete() {
+	close(w.reportStop)
+	w.reportWG.Wait()
+	if w.journal != nil {
+		w.journal.Close()
+	}
+	if w.err = w.failure(); w.err == nil {
+		w.sum = summarize(w.cfg, w.outcomes[w.lo:w.hi])
+	}
+}
+
+// finalize reports a completed walk: the last progress report and the final
+// tallies, and a summarized window's hub entries retired.
+func (w *walk) finalize() {
+	cfg := w.cfg
+	if cfg.Progress != nil {
+		cfg.Progress(w.live.snapshot(w.hi-w.lo, time.Since(w.start)))
+	}
+	w.live.flushObs(cfg.Obs, time.Since(w.start))
+	if cfg.Obs != nil && w.base.cache != nil {
+		st := w.base.cache.Stats()
+		cfg.Obs.Gauge("campaign_base_cache_blocks").Set(float64(st.Blocks + st.Probed))
+	}
+	if w.err == nil {
+		retireWindow(cfg, w.lo, w.hi)
+	}
+}
+
+// failure says why a completed walk has no summary: a failed prefix run, a
+// failed run, or a task that never ran (Stop); nil when it has one.
+func (w *walk) failure() error {
+	if w.prefixErr != nil {
+		return w.prefixErr
+	}
+	for _, err := range w.errs {
+		if err != nil {
+			return fmt.Errorf("campaign: run failed: %w", err)
+		}
+	}
+	if !w.fed || w.dropped.Load() {
+		return ErrInterrupted
+	}
+	return nil
+}
+
+// pool is a campaign's workers and the queue its feeder keeps ahead of them.
+// Run feeds one walk through it and BitSweep every entry's, one after the
+// other: an entry's feed starts once the one before has handed out its last
+// task, so an entry's planning, first rung, drain and summary overlap the
+// runs of the entries beside it.
+//
+// The feeder is the only goroutine that touches a walk's ladder and repeats
+// index. The queue is FIFO, so a repeat reaches a worker after its first run.
+// Once Stop closes or a prefix run fails, workers drop what is queued and
+// only the runs in flight finish and journal: a worker that lost its lease
+// must not write a journal another worker may own by now.
+type pool struct {
+	q       chan job
+	workers int
+	stop    <-chan struct{}
+	// failed: a prefix run failed, or the feed panicked.
+	failed atomic.Bool
+	// roomy is signalled by a worker whose receive left at most one job per
+	// worker queued: the throttle's wake-up (room).
+	roomy chan struct{}
+	// sent counts the jobs queued so far, so it is the feed sequence number
+	// of the next. Feeder only.
+	sent int
+	res  residency
+	// wait is campaign_worker_wait_seconds: a worker's receives that found
+	// the queue empty.
+	wait *obs.Histogram
+	wg   sync.WaitGroup
+}
+
+// newPool makes the pool of cfg's workers for at most jobs jobs: a shard of
+// ten runs gets a queue of ten.
+func newPool(cfg Config, jobs int) *pool {
+	workers := cfg.Parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	p := &pool{
+		q:       make(chan job, min(jobs, feedDepth)),
+		workers: workers,
+		stop:    cfg.Stop,
+		roomy:   make(chan struct{}, 1),
+		wait:    cfg.Obs.Histogram("campaign_worker_wait_seconds", obs.LatencyBuckets...),
+	}
+	p.res = residency{reg: cfg.Obs, queued: func(seq int) bool { return seq >= p.sent-len(p.q) }}
+	return p
+}
+
+// drive starts the workers and runs feed, the feeder, on the calling
+// goroutine. Once feed returns — or panics, which goes on to the caller — the
+// queue closes and drive waits for the workers to finish or drop what is
+// queued, so every walk fed has completed when it returns.
+func (p *pool) drive(feed func()) {
+	p.wg.Add(p.workers)
+	for i := 0; i < p.workers; i++ {
+		go p.work(i)
+	}
+	fed := false
+	defer func() {
+		if !fed {
+			p.failed.Store(true)
+		}
+		close(p.q)
+		p.wg.Wait()
+		p.res.settle()
+	}()
+	feed()
+	fed = true
+}
+
+// halted reports whether the workers drop what is queued.
+func (p *pool) halted() bool {
+	if p.failed.Load() {
+		return true
+	}
+	// A nil Stop channel never receives.
+	select {
+	case <-p.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+func (p *pool) work(worker int) {
+	defer p.wg.Done()
+	for {
+		j, ok := p.next()
+		if !ok {
+			return
+		}
+		switch w := j.w; {
+		case p.halted():
+			drop(j)
+		case j.repeat:
+			if reuse, queued := j.first.join(j); !queued {
+				p.settle(worker, j, reuse)
+			}
+		default:
+			reuse := w.execute(worker, j)
+			if j.first != nil {
+				for _, rp := range j.first.finish(reuse) {
+					p.settle(worker, rp, reuse)
+				}
+			}
+			w.leave()
+		}
+	}
+}
+
+// next receives a worker's next job. Only a receive that finds the queue
+// empty is timed, so a worker the feeder keeps ahead of pays nothing.
+func (p *pool) next() (j job, ok bool) {
+	select {
+	case j, ok = <-p.q:
+	default:
+		if p.wait == nil {
+			j, ok = <-p.q
+			break
+		}
+		t := time.Now()
+		j, ok = <-p.q
+		p.wait.Observe(time.Since(t).Seconds())
+	}
+	if ok && len(p.q) <= p.workers {
+		select {
+		case p.roomy <- struct{}{}:
+		default:
+		}
+	}
+	return j, ok
+}
+
+// settle finishes a repeat whose first run is done: it takes the first run's
+// outcome, or executes when it may not, or is dropped once the pool halted.
+func (p *pool) settle(worker int, rp job, reuse bool) {
+	w := rp.w
+	switch {
+	case p.halted():
+		drop(rp)
+		return
+	case !reuse:
+		w.execute(worker, rp)
+	default:
+		w.repeated.Inc()
+		w.finish(rp.task, w.outcomes[rp.first.idx], nil)
+	}
+	w.leave()
+}
+
+// drop lets go of a job the halted pool does not run. A first run's repeats
+// that another worker queued on it before the pool halted go with it, and a
+// repeat that joins it later finds it done and is dropped in settle.
+func drop(j job) {
+	if j.first != nil && !j.repeat {
+		for _, rp := range j.first.finish(false) {
+			drop(rp)
+		}
+	}
+	j.w.dropped.Store(true)
+	j.w.leave()
+}
+
+// room is the throttle the ladder calls before it builds a rung: it waits
+// until at most one job per worker is queued, so queued jobs hold at most
+// that many chain rungs the head has moved past; repeats and tasks on the
+// head or a spine rung flow at full depth. False if Stop closed meanwhile.
+func (p *pool) room() bool {
+	for len(p.q) > p.workers {
+		select {
+		case <-p.roomy:
+		case <-p.stop:
+			return false
+		}
+	}
+	return true
+}
+
+// feed queues w's tasks for the workers in walk order, each with the rung it
+// forks from and its fault's first run, and returns the rung the walk ended
+// on, which the next walk over the same task list carries. It stops at Stop
+// and at a failed prefix run, which halts the pool.
+func (p *pool) feed(w *walk, carried heldRung) heldRung {
+	defer w.leave() // the feed's own hold on the walk
+	pending := w.pending
+	var rungs *ladder
+	var reps *repeats
+	if !w.cfg.NoFork {
+		sortBySite(pending)
+		rungs = newLadder(w.base, w.cfg.Trace, w.cfg.Obs, &p.res, p.room, carried)
+		if w.cfg.RunObserver == nil {
+			reps = newRepeats(w.cfg.Prog, w.bits)
+		}
+	}
+	for i, tk := range pending {
+		if p.halted() {
+			return heldRung{}
+		}
+		j := job{task: tk, w: w}
+		if rungs != nil {
+			var err error
+			if j.ws, err = rungs.rung(tk, pending[i+1:], p.sent); err == errStopped {
+				return heldRung{}
+			} else if err != nil {
+				w.prefixErr = err
+				p.failed.Store(true)
+				return heldRung{}
+			}
+			if reps != nil {
+				j.first, j.repeat = reps.of(tk, j.ws)
+			}
+		}
+		// Held before the send: a worker may finish the job before the
+		// send returns.
+		w.left.Add(1)
+		select {
+		case <-p.stop:
+			w.left.Add(-1)
+			return heldRung{}
+		case p.q <- j:
+			p.sent++
+		}
+	}
+	w.fed = true
+	if rungs == nil {
+		return heldRung{}
+	}
+	return rungs.end()
+}
+
+// runPrepared executes the injection runs of a campaign against a prepared
+// baseline, on a pool of its own.
+func runPrepared(cfg Config, base *Baseline) (*Summary, error) {
+	w, err := newWalk(cfg, base)
+	if err != nil {
+		return nil, err
+	}
+	p := newPool(cfg, len(w.pending))
+	p.drive(func() { p.feed(w, heldRung{}) })
+	w.finalize()
+	return w.sum, w.err
 }
 
 // retireWindow drops the hub entries of a completed window: its namespaces

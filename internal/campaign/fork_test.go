@@ -2,13 +2,15 @@ package campaign
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
-	"sync"
+	"runtime"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"chaser/internal/apps"
+	"chaser/internal/core"
 	"chaser/internal/obs"
 )
 
@@ -150,72 +152,108 @@ func TestCampaignForkConcurrent(t *testing.T) {
 // spine and the snapshot cache. A pinned site is one rung for the whole sweep
 // — built by the first entry, found resident by every later one; a
 // random-site sweep walks one ladder per entry over the one spine. Either way
-// the results must be identical to a no-fork sweep's.
+// the results must be identical to a no-fork sweep's — entries share one
+// pool, and each is summarized when its last run finishes, whatever is
+// queued behind it: with more workers than the feed queues jobs ahead of
+// them, more tasks than it queues on one worker, and every goroutine on one
+// P.
 func TestBitSweepForkShared(t *testing.T) {
-	cfg := kmeansConfig(t)
-	cfg.Runs = 6
 	bitCounts := []int{1, 2, 4}
+	for _, shape := range []struct {
+		name                  string
+		runs, parallel, procs int
+	}{
+		{name: "small", runs: 6},
+		{name: "wide-pool", runs: 6, parallel: feedDepth + 1},
+		{name: "deep-queue", runs: feedDepth + 8, parallel: 1},
+		{name: "one-proc", runs: 6, procs: 1},
+	} {
+		for _, pinned := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/pinned=%v", shape.name, pinned), func(t *testing.T) {
+				if shape.procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shape.procs))
+				}
+				cfg := kmeansConfig(t)
+				cfg.Runs = shape.runs
+				if shape.parallel > 0 {
+					cfg.Parallel = shape.parallel
+				}
+				if pinned {
+					cfg.InjectExec = siteFor(t, cfg)
+				}
+				sweepMatchesNoFork(t, cfg, bitCounts, pinned)
+			})
+		}
+	}
+}
 
-	for _, pinned := range []bool{false, true} {
-		if pinned {
-			cfg.InjectExec = siteFor(t, cfg)
-		}
-		scfg := cfg
-		scfg.NoFork = true
-		scratch, err := BitSweep(scfg, bitCounts)
-		if err != nil {
-			t.Fatal(err)
-		}
+// sweepMatchesNoFork runs cfg's sweep forked and NoFork, demands the same
+// summaries, and the prefix runs, forks and cache misses the ladder's rules
+// give for the planned sites.
+func sweepMatchesNoFork(t *testing.T, cfg Config, bitCounts []int, pinned bool) {
+	t.Helper()
+	scfg := cfg
+	scfg.NoFork = true
+	scratch, err := BitSweep(scfg, bitCounts)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		reg := obs.NewRegistry()
-		fcfg := cfg
-		fcfg.Obs = reg
-		emptyResidents()
-		forked, err := BitSweep(fcfg, bitCounts)
-		if err != nil {
-			t.Fatal(err)
+	reg := obs.NewRegistry()
+	fcfg := cfg
+	fcfg.Obs = reg
+	emptyResidents()
+	forked, err := BitSweep(fcfg, bitCounts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scratch) != len(forked) {
+		t.Fatalf("sweep lengths differ: %d vs %d", len(scratch), len(forked))
+	}
+	for i := range scratch {
+		if scratch[i].Bits != forked[i].Bits {
+			t.Fatalf("entry %d: bits %d vs %d", i, scratch[i].Bits, forked[i].Bits)
 		}
-		if len(scratch) != len(forked) {
-			t.Fatalf("sweep lengths differ: %d vs %d", len(scratch), len(forked))
-		}
-		for i := range scratch {
-			if scratch[i].Bits != forked[i].Bits {
-				t.Fatalf("entry %d: bits %d vs %d", i, scratch[i].Bits, forked[i].Bits)
-			}
-			summariesEqual(t, scratch[i].Summary, forked[i].Summary)
-		}
-		// What the ladder's rules give for the planned sites: the spine's
-		// positions cost one prefix run each for the whole sweep; a site a
-		// later task shares a stretch with costs an entry one more, less the
-		// last rung of the entry before, found resident again; a run alone
-		// below the first position has no snapshot and runs from program
-		// entry. The pinned site is the spine's middle position itself: 4
-		// positions, no rung beyond, nothing from entry.
-		base, err := Prepare(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tasks, err := planTasks(cfg, base.totals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, entries := expectedWalk(tasks, base.totals), len(bitCounts)
-		wantPrefix := want.spine + entries*want.own
-		if want.own > 0 {
-			wantPrefix -= entries - 1
-		}
-		if pinned && (want != walkCounts{spine: spineIntervals / 2}) {
-			t.Fatalf("the pinned site is not the middle position: %+v", want)
-		}
-		if got := reg.Counter("campaign_prefix_runs_total").Value(); got != uint64(wantPrefix) {
-			t.Errorf("pinned=%v: %d prefix runs, want %d (%+v)", pinned, got, wantPrefix, want)
-		}
-		if got, w := reg.Counter("campaign_forked_runs_total").Value(), uint64(entries*(cfg.Runs-want.entry)); got != w {
-			t.Errorf("pinned=%v: %d forked runs, want %d (%+v)", pinned, got, w, want)
-		}
-		if got, w := reg.Counter("campaign_snapshot_cache_misses_total").Value(), uint64(entries*want.misses); got != w {
-			t.Errorf("pinned=%v: %d snapshot cache misses, want %d (%+v)", pinned, got, w, want)
-		}
+		summariesEqual(t, scratch[i].Summary, forked[i].Summary)
+	}
+	if a, b := SweepTable(scratch), SweepTable(forked); a != b {
+		t.Errorf("sweep tables differ:\n%s\n%s", a, b)
+	}
+	// What the ladder's rules give for the planned sites: the spine's
+	// positions cost one prefix run each for the whole sweep; a site a later
+	// task shares a stretch with costs an entry one more, less the last rung
+	// of the entry before, found resident again; a run alone below the first
+	// position has no snapshot and runs from program entry. The pinned site
+	// is the spine's middle position itself: 4 positions, no rung beyond,
+	// nothing from entry.
+	base, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := planTasks(cfg, base.totals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, entries := expectedWalk(tasks, base.totals), len(bitCounts)
+	wantPrefix := want.spine + entries*want.own
+	if want.own > 0 {
+		wantPrefix -= entries - 1
+	}
+	if pinned && (want != walkCounts{spine: spineIntervals / 2}) {
+		t.Fatalf("the pinned site is not the middle position: %+v", want)
+	}
+	if got := reg.Counter("campaign_prefix_runs_total").Value(); got != uint64(wantPrefix) {
+		t.Errorf("%d prefix runs, want %d (%+v)", got, wantPrefix, want)
+	}
+	// A run forks, repeats an earlier run's fault at its site or, nothing
+	// resident below its site, starts at program entry; a handful of runs
+	// repeats nothing.
+	fr, rep := reg.Counter("campaign_forked_runs_total").Value(), reg.Counter("campaign_runs_repeated_total").Value()
+	if w := uint64(entries * (cfg.Runs - want.entry)); fr+rep != w || cfg.Runs <= 6 && rep != 0 {
+		t.Errorf("%d forked + %d repeated runs, want %d (%+v)", fr, rep, w, want)
+	}
+	if got, w := reg.Counter("campaign_snapshot_cache_misses_total").Value(), uint64(entries*want.misses); got != w {
+		t.Errorf("%d snapshot cache misses, want %d (%+v)", got, w, want)
 	}
 }
 
@@ -233,32 +271,22 @@ func TestCampaignForkInterruptAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Stop closes as the second run finishes, with the rest of the runs
+	// queued ahead of the workers, which drop them: the campaign cannot outrun
+	// the interrupt.
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	interrupted := false
-	for attempt := 0; attempt < 5 && !interrupted; attempt++ {
-		stop := make(chan struct{})
-		var once sync.Once
-		icfg := cfg
-		icfg.Journal = path
-		icfg.Stop = stop
-		icfg.ProgressInterval = time.Millisecond
-		icfg.Progress = func(p ProgressInfo) {
-			if p.Done >= 2 {
-				once.Do(func() { close(stop) })
-			}
-		}
-		_, err := Run(icfg)
-		switch {
-		case errors.Is(err, ErrInterrupted):
-			interrupted = true
-		case err == nil:
-			// The whole campaign outran the interrupt; try again.
-		default:
-			t.Fatal(err)
+	stop := make(chan struct{})
+	var finished atomic.Int32
+	icfg := cfg
+	icfg.Journal = path
+	icfg.Stop = stop
+	icfg.RunObserver = func(int, int, RunOutcome, *core.RunResult) {
+		if finished.Add(1) == 2 {
+			close(stop)
 		}
 	}
-	if !interrupted {
-		t.Fatal("campaign never interrupted across 5 attempts")
+	if _, err := Run(icfg); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("Run after Stop: %v, want ErrInterrupted", err)
 	}
 
 	rcfg := cfg

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"errors"
 	"sort"
 
 	"chaser/internal/core"
@@ -19,10 +20,11 @@ import (
 //
 // The chain belongs to the walk: tasks execute in (rank, site) order, and the
 // feeder advances a rung of the walk's own to a task's site just before
-// handing the task to a worker (core.PrefixRunFrom) — from the later of the
-// chain's head and the spine rung below the site, never from program entry
-// once the spine reaches that far — and releases the rung it leaves behind.
-// Consecutive rungs share every page the guest did not write between them.
+// queueing the task for the workers (core.PrefixRunFrom) — from the later of
+// the chain's head and the spine rung below the site, never from program
+// entry once the spine reaches that far — and releases the rung it leaves
+// behind. Consecutive rungs share every page the guest did not write between
+// them.
 //
 // The reuse rule decides which: a site gets a rung of its own only when a
 // later pending task on its rank lands before the next spine position.
@@ -35,29 +37,36 @@ import (
 // stretch of the spine builds nothing at all.
 //
 // At any moment the resident rungs are the spine, the chain's head, the ones
-// in-flight forks still hold, and the last rung of the walk before, which
-// BitSweep hands to the next entry's ladder (every entry shares the task list,
-// so it finds that rung again at its site). Which rung a task forks from
-// depends on the task list and the Baseline alone, never on worker timing. A
-// prefix run cannot fail but on a simulator bug (Baseline.rungAt); one that
-// does stops the walk and fails the campaign.
+// in-flight forks still hold, the ones jobs still queued for the workers hold
+// (the feeder runs up to feedDepth jobs ahead of them), and the last rung of
+// the walk before, which BitSweep hands to the next entry's ladder (every
+// entry shares the task list, so it finds that rung again at its site). The
+// ladder builds a rung only once at most one job per worker is queued (room,
+// the pool's throttle), so queued jobs hold at most that many chain rungs the
+// head has moved past. Which rung a task forks from depends on the task list
+// and the Baseline alone, never on worker timing or on how far the feeder
+// runs ahead. A prefix run cannot fail but on a simulator bug
+// (Baseline.rungAt); one that does stops the walk and fails the campaign.
 //
-// campaign_snapshot_cache_bytes is what the walk's own resident rungs add
-// beside the rungs they were advanced from (WorldSnapshot.FreshBytes); the
-// spine is the Baseline's and not in it. Only the goroutine feeding a
-// campaign's workers touches a ladder, so it carries no lock.
+// campaign_snapshot_cache_bytes is what the walk's own resident rungs — the
+// head, the carried rung and the rungs queued jobs hold — add beside the
+// rungs they were advanced from (WorldSnapshot.FreshBytes); the spine is the
+// Baseline's and not in it. Only the goroutine feeding a campaign's workers
+// touches a ladder and its residency, so they carry no lock.
 type ladder struct {
 	base  *Baseline
 	trace bool // which of the Baseline's spines: Config.Trace
 	reg   *obs.Registry
+	res   *residency
+	// room waits until the feeder may build a rung; false: the feed stopped.
+	room func() bool
 	// head is the chain's latest rung: the walk's own nearest snapshot at or
 	// below the site of every task still to come on its rank. Nil before the
 	// first.
-	head *core.WorldSnapshot
+	head heldRung
 	// carried is the last rung of the walk before (BitSweep's previous entry),
 	// resident until a task on its site takes it up as the head.
-	carried *core.WorldSnapshot
-	bytes   int64
+	carried heldRung
 
 	// hits and misses count the tasks' lookups: a hit found a resident
 	// snapshot at or below the task's site — the site's own rung, the chain's
@@ -67,21 +76,29 @@ type ladder struct {
 	hits, misses *obs.Counter
 }
 
+// heldRung is a chain rung (nil: none) and the feed sequence number of the
+// last job handed it, which says whether a queued job still holds it.
+type heldRung struct {
+	ws   *core.WorldSnapshot
+	last int
+}
+
+// errStopped is rung's when room reports the feed stopped.
+var errStopped = errors.New("campaign: feed stopped")
+
 // newLadder starts a walk on base; carried is the last rung of the walk
-// before over the same task list (nil: none), still charged to reg's gauge.
-func newLadder(base *Baseline, trace bool, reg *obs.Registry, carried *core.WorldSnapshot) *ladder {
-	l := &ladder{
+// before over the same task list (ws nil: none), already charged to res.
+func newLadder(base *Baseline, trace bool, reg *obs.Registry, res *residency, room func() bool, carried heldRung) *ladder {
+	return &ladder{
 		base:    base,
 		trace:   trace,
 		reg:     reg,
+		res:     res,
+		room:    room,
 		carried: carried,
 		hits:    reg.Counter("campaign_snapshot_cache_hits_total"),
 		misses:  reg.Counter("campaign_snapshot_cache_misses_total"),
 	}
-	if carried != nil {
-		l.bytes = carried.FreshBytes()
-	}
-	return l
 }
 
 // sortBySite orders tasks for the ladder's walk: by rank, then site, ties in
@@ -95,17 +112,24 @@ func sortBySite(tasks []task) {
 	})
 }
 
+// headOn is the chain's head if it is on rank (nil: none, or the walk moved on
+// to rank and starts a new chain).
+func (l *ladder) headOn(rank int) *core.WorldSnapshot {
+	if l.head.ws != nil && l.head.ws.Site().Rank == rank {
+		return l.head.ws
+	}
+	return nil
+}
+
 // rung returns the snapshot tk forks from — nil: none below its site, the run
 // replays the prefix from program entry itself — advancing the chain to tk's
 // site first when the next of rest, the tasks that follow tk in the walk,
-// will read the rung too. An error is a prefix run's, to the site or to the
-// spine position below it. Tasks must arrive in sortBySite order.
-func (l *ladder) rung(tk task, rest []task) (*core.WorldSnapshot, error) {
+// will read the rung too. seq is the feed sequence number of tk's job. An
+// error is a prefix run's, to the site or to the spine position below it, or
+// errStopped. Tasks must arrive in sortBySite order.
+func (l *ladder) rung(tk task, rest []task, seq int) (*core.WorldSnapshot, error) {
 	site := core.ForkSite{Rank: tk.rank, N: tk.n}
-	from := l.head
-	if from != nil && from.Site().Rank != tk.rank {
-		from = nil // the walk moved on to the next rank: a new chain
-	}
+	from := l.headOn(tk.rank)
 	below, next, err := l.base.spineRung(site, l.trace, l.reg, from)
 	if err != nil {
 		return nil, err
@@ -119,18 +143,26 @@ func (l *ladder) rung(tk task, rest []task) (*core.WorldSnapshot, error) {
 	fromEntry := from == nil
 	shared := len(rest) > 0 && rest[0].rank == tk.rank && rest[0].n < next
 	if shared && (from == nil || from.Site() != site) {
-		if l.carried != nil && l.carried.Site() == site {
-			ws, l.carried, fromEntry = l.carried, nil, false
+		var own heldRung
+		if c := l.carried; c.ws != nil && c.ws.Site() == site {
+			own, l.carried, fromEntry = c, heldRung{}, false
 		} else {
-			if ws, err = l.base.rungAt(from, site, l.trace, l.reg); err != nil {
+			if !l.room() {
+				return nil, errStopped
+			}
+			l.res.settle()
+			if own.ws, err = l.base.rungAt(from, site, l.trace, l.reg); err != nil {
 				return nil, err
 			}
-			l.charge(ws.FreshBytes())
+			l.res.charge(own.ws.FreshBytes())
 		}
-		if l.head != nil {
-			l.charge(-l.head.FreshBytes())
+		if l.head.ws != nil {
+			l.res.release(l.head)
 		}
-		l.head = ws
+		l.head, ws = own, own.ws
+	}
+	if ws != nil && ws == l.head.ws {
+		l.head.last = seq
 	}
 	if ws != nil && !fromEntry {
 		l.hits.Inc()
@@ -140,8 +172,56 @@ func (l *ladder) rung(tk task, rest []task) (*core.WorldSnapshot, error) {
 	return ws, nil
 }
 
-func (l *ladder) charge(n int64) {
-	l.bytes += n
-	l.reg.Gauge("campaign_snapshot_cache_bytes").Set(float64(l.bytes))
-	l.reg.Gauge("campaign_snapshot_cache_bytes_high_water").SetMax(float64(l.bytes))
+// end closes the walk: it returns the chain's head, which the next walk over
+// the same task list carries, and releases the carried rung if no task took
+// it up.
+func (l *ladder) end() heldRung {
+	if l.carried.ws != nil {
+		l.res.release(l.carried)
+	}
+	return l.head
+}
+
+// residency is the heap the walks of one pool keep in rungs of their own: the
+// chains' heads, a carried rung, and the rungs a head has moved past that
+// jobs still queued for the workers fork from. Only the feeder touches it.
+type residency struct {
+	reg   *obs.Registry
+	bytes int64
+	// held are released rungs whose last job is still queued, in feed order.
+	held []heldRung
+	// queued reports whether the job of a feed sequence number has not
+	// reached a worker yet.
+	queued func(seq int) bool
+}
+
+func (r *residency) charge(n int64) {
+	r.bytes += n
+	r.reg.Gauge("campaign_snapshot_cache_bytes").Set(float64(r.bytes))
+	r.reg.Gauge("campaign_snapshot_cache_bytes_high_water").SetMax(float64(r.bytes))
+}
+
+// release drops a rung the walk has moved past, or keeps it charged while a
+// queued job holds it.
+func (r *residency) release(h heldRung) {
+	if r.queued(h.last) {
+		r.held = append(r.held, h)
+		return
+	}
+	r.charge(-h.ws.FreshBytes())
+}
+
+// settle drops the held rungs whose last job has reached a worker.
+func (r *residency) settle() {
+	n := 0
+	for _, h := range r.held {
+		if r.queued(h.last) {
+			r.held[n] = h
+			n++
+		} else {
+			r.charge(-h.ws.FreshBytes())
+		}
+	}
+	clear(r.held[n:])
+	r.held = r.held[:n]
 }

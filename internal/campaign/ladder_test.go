@@ -11,12 +11,14 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"chaser/internal/apps"
 	"chaser/internal/core"
 	"chaser/internal/isa"
+	"chaser/internal/lang"
 	"chaser/internal/obs"
 	"chaser/internal/wal"
 )
@@ -147,6 +149,8 @@ func TestLadderMatchesNoFork(t *testing.T) {
 		// check inspects the ladder's telemetry (nil: the default, every run
 		// forked but those alone below the first spine position).
 		check func(t *testing.T, cfg Config, c ladderCounts)
+		// procs, when set, is GOMAXPROCS for the campaigns.
+		procs int
 	}
 	allForked := func(t *testing.T, cfg Config, c ladderCounts) {
 		t.Helper()
@@ -171,12 +175,26 @@ func TestLadderMatchesNoFork(t *testing.T) {
 		{name: "mid-shard", edit: func(c *Config) { c.Runs = 30; c.Shard = &ShardRange{Lo: 9, Hi: 21} }},
 		serial,
 	}
+	// The feed: more workers than it queues jobs ahead of them, more tasks
+	// than it queues on one worker, and every goroutine on one P.
+	feed := []variant{
+		{name: "wide-pool", edit: func(c *Config) { c.Parallel = feedDepth + 1 }},
+		{name: "deep-queue", edit: func(c *Config) { c.Parallel, c.Runs = 1, feedDepth+8 }},
+		{name: "one-proc", procs: 1},
+	}
+	with := func(vs ...[]variant) []variant {
+		var out []variant
+		for _, v := range vs {
+			out = append(out, v...)
+		}
+		return out
+	}
 	cases := map[string][]variant{
-		"lud":       base,
-		"kmeans":    append(append([]variant(nil), base...), extra...),
+		"lud":       with(base, feed),
+		"kmeans":    with(base, extra, feed),
 		"bfs":       base,
-		"matvec":    append(append([]variant(nil), base...), extra...),
-		"clamr_mpi": append(append([]variant(nil), base...), serial),
+		"matvec":    with(base, extra, feed),
+		"clamr_mpi": with(base, []variant{serial}, feed),
 	}
 	// Two tasks on one site: fewer golden executions of the targeted op than
 	// runs, so the pigeonhole forces shared rungs (mov: 10 on kmeans; fld: 24
@@ -196,6 +214,9 @@ func TestLadderMatchesNoFork(t *testing.T) {
 	for _, name := range []string{"lud", "kmeans", "bfs", "matvec", "clamr_mpi"} {
 		for _, v := range cases[name] {
 			t.Run(name+"/"+v.name, func(t *testing.T) {
+				if v.procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(v.procs))
+				}
 				cfg := appConfig(t, name)
 				if v.edit != nil {
 					v.edit(&cfg)
@@ -446,6 +467,96 @@ func TestLadderInterruptAndResume(t *testing.T) {
 	if resumed == 0 || c.forked+resumed != uint64(cfg.Runs) {
 		t.Errorf("resumed %d + forked %d != %d runs", resumed, c.forked, cfg.Runs)
 	}
+
+	// Stop closed as the k-th run finishes, with the queue full: ten sites
+	// of mov on kmeans, all but one a spine position, and twenty runs each.
+	for _, parallel := range []int{1, 2} {
+		t.Run(fmt.Sprintf("queued/parallel=%d", parallel), func(t *testing.T) {
+			qcfg := cfg
+			qcfg.Ops, qcfg.Runs, qcfg.Parallel = []isa.Op{isa.OpMov}, 200, parallel
+			const k = 7
+			interruptQueued(t, qcfg, k, func(c *Config, stop func()) {
+				var finished atomic.Int32
+				c.RunObserver = func(int, int, RunOutcome, *core.RunResult) {
+					if finished.Add(1) == k {
+						stop()
+					}
+				}
+			})
+		})
+	}
+}
+
+// interruptQueued interrupts cfg with the feed's queue full ahead of the
+// workers: arm wires the campaign to call stop once k of its runs have
+// finished (k: 0, arm does not know). After stop, only the runs in flight
+// finish: at most k + one per worker start (and at most one per worker after
+// stop), the rest of the queue is dropped. Resumed from its journal, the
+// campaign must give the uninterrupted one's summary and its journal byte for
+// byte at one worker (both in dispatch order), record for record at more.
+func interruptQueued(t *testing.T, cfg Config, k int, arm func(c *Config, stop func())) {
+	t.Helper()
+	dir := t.TempDir()
+	fcfg := cfg
+	fcfg.Journal = filepath.Join(dir, "full.journal")
+	full, err := Run(fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var started *obs.Counter
+	var atStop uint64
+	icfg := cfg
+	icfg.Journal = filepath.Join(dir, "run.journal")
+	for attempt := 0; ; attempt++ {
+		reg := obs.NewRegistry()
+		started = reg.Counter("campaign_runs_started_total")
+		icfg.Obs = reg
+		ch := make(chan struct{})
+		icfg.Stop = ch
+		var once sync.Once
+		arm(&icfg, func() {
+			once.Do(func() {
+				atStop = started.Value()
+				close(ch)
+			})
+		})
+		sum, err := Run(icfg)
+		if errors.Is(err, ErrInterrupted) {
+			break
+		}
+		if err == nil && sum == nil {
+			t.Fatal("Run after Stop returned neither a summary nor an error")
+		}
+		if err != nil || attempt == 4 {
+			t.Fatalf("Run after Stop: %v, want ErrInterrupted (attempt %d)", err, attempt)
+		}
+		// The whole campaign outran a progress report; try again.
+		if err := os.Remove(icfg.Journal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, workers := started.Value(), uint64(cfg.Parallel)
+	t.Logf("%d of %d runs started, %d when Stop closed", n, cfg.Runs, atStop)
+	if n > atStop+workers || k > 0 && n > uint64(k)+workers {
+		t.Errorf("%d runs started, %d when Stop closed after %d finished, %d workers: queued runs executed after Stop", n, atStop, k, workers)
+	}
+	if n >= uint64(cfg.Runs) {
+		t.Fatalf("every run started: the queue was empty when Stop closed")
+	}
+
+	rcfg := cfg
+	rcfg.Resume = icfg.Journal
+	res, err := Run(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameReport(t, full, res)
+	if cfg.Parallel == 1 {
+		sameFile(t, fcfg.Journal, icfg.Journal)
+	} else {
+		sameJournalRecords(t, fcfg.Journal, icfg.Journal)
+	}
 }
 
 // TestLadderShardJournalsMerge: shards execute their windows in site order,
@@ -475,4 +586,61 @@ func TestLadderShardJournalsMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameReport(t, full, merged)
+}
+
+// TestFeedHoldsFewRungs is the residency check of the feed running ahead of
+// the workers, on lud_sampling's shape: LUD at order 48, 150 random sites on
+// rank 0, traced, two workers. A queued job holds the rung it forks from, and
+// the feeder builds a rung only while at most one job per worker is queued
+// (pool.room), so campaign_snapshot_cache_bytes_high_water may exceed what
+// the walk alone keeps — the same walk with nothing queued — by at most one
+// of its largest chain rungs per worker.
+func TestFeedHoldsFewRungs(t *testing.T) {
+	app, err := apps.ByName("lud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lang.Compile(apps.LUDProgram(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Name: "lud", Prog: prog, WorldSize: app.WorldSize, Ops: app.DefaultOps,
+		Runs: 150, Bits: 1, Seed: 711, Trace: true, Parallel: 2,
+	}
+	base, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := planTasks(cfg, base.totals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortBySite(tasks)
+	walk := obs.NewRegistry()
+	l := newLadder(base, cfg.Trace, walk, &residency{reg: walk, queued: func(int) bool { return false }}, func() bool { return true }, heldRung{})
+	var largest int64
+	for i, tk := range tasks {
+		if _, err := l.rung(tk, tasks[i+1:], i); err != nil {
+			t.Fatal(err)
+		}
+		if h := l.head.ws; h != nil && h.FreshBytes() > largest {
+			largest = h.FreshBytes()
+		}
+	}
+	alone := walk.Gauge("campaign_snapshot_cache_bytes_high_water").Value()
+
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	if _, err := base.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	got := reg.Gauge("campaign_snapshot_cache_bytes_high_water").Value()
+	rungs := reg.Counter("campaign_prefix_runs_total").Value()
+	bound := alone + float64(cfg.Parallel)*float64(largest)
+	t.Logf("high water %.0f B, the walk alone %.0f B; largest of %d chain rungs %d B; bound %.0f B", got, alone, rungs, largest, bound)
+	if got > bound {
+		t.Errorf("queued jobs held %.0f B of rungs beyond the walk's own %.0f B, more than %d rungs of %d B",
+			got-alone, alone, cfg.Parallel, largest)
+	}
 }

@@ -109,8 +109,8 @@ func (f *firstRun) join(rp job) (reuse, queued bool) {
 	return f.reuse, false
 }
 
-// finish marks the first run done, its outcome in its slot, and returns the
-// repeats that queued before it.
+// finish marks the first run done — its outcome in its slot, or dropped
+// (reuse false) — and returns the repeats that queued before it.
 func (f *firstRun) finish(reuse bool) []job {
 	f.mu.Lock()
 	defer f.mu.Unlock()

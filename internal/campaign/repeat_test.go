@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -87,12 +88,14 @@ func repeatsAt(t *testing.T, cfg Config, base *Baseline, ins isa.Instr) int {
 
 // TestRepeatsMatchNoFork is the differential of repeats: pinned-site
 // campaigns on lud and on 4-rank matvec, 1 and 2 bits, traced and untraced,
-// at one worker and four, are run for run their NoFork twins (which execute
-// every run), summary JSON and journal records included; a repeat is counted
-// for each run whose injection an earlier run already made; and at one worker
-// the journal is the twin's byte for byte — a repeat is recorded where its
-// run was dispatched.
+// at one worker (more tasks than the feed queues ahead of it), four, more
+// than the feed queues, and two on one P, are run for run their NoFork twins
+// (which execute every run), summary JSON and journal records included; a
+// repeat is counted for each run whose injection an earlier run already made;
+// and at one worker the journal is the twin's byte for byte — a repeat is
+// recorded where its run was dispatched.
 func TestRepeatsMatchNoFork(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
 	for _, name := range []string{"lud", "matvec"} {
 		for _, bits := range []int{1, 2} {
 			for _, trace := range []bool{true, false} {
@@ -113,12 +116,17 @@ func TestRepeatsMatchNoFork(t *testing.T) {
 					if p := plannedRepeats(t, cfg); uint64(p) != want {
 						t.Errorf("the plan finds %d repeats, the runs %d", p, want)
 					}
-					for _, parallel := range []int{1, 4} {
+					for _, pool := range []struct{ parallel, procs int }{{1, 0}, {4, 0}, {feedDepth + 1, 0}, {2, 1}} {
+						parallel := pool.parallel
 						reg := obs.NewRegistry()
 						c := cfg
 						c.Parallel, c.Obs = parallel, reg
-						c.Journal = filepath.Join(dir, fmt.Sprintf("p%d.journal", parallel))
+						c.Journal = filepath.Join(dir, fmt.Sprintf("p%d-%d.journal", parallel, pool.procs))
+						if pool.procs > 0 {
+							runtime.GOMAXPROCS(pool.procs)
+						}
 						sum, err := Run(c)
+						runtime.GOMAXPROCS(procs)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -297,10 +305,12 @@ func TestRepeatsInterruptAndResume(t *testing.T) {
 				once.Do(func() { close(stop) })
 			}
 		}
-		_, err := Run(icfg)
+		sum, err := Run(icfg)
 		switch {
 		case errors.Is(err, ErrInterrupted):
 			interrupted = true
+		case err == nil && sum == nil:
+			t.Fatal("Run after Stop returned neither a summary nor an error")
 		case err == nil:
 			// The whole campaign outran the interrupt; try again.
 		default:
@@ -323,5 +333,71 @@ func TestRepeatsInterruptAndResume(t *testing.T) {
 	c := countsOf(reg)
 	if resumed == 0 || resumed+c.forked+c.repeated != uint64(cfg.Runs) || c.repeated == 0 {
 		t.Errorf("resumed %d + forked %d + repeated %d over %d runs", resumed, c.forked, c.repeated, cfg.Runs)
+	}
+
+	// Stop closed after the twentieth run, with the queue full: every task
+	// is on the site's rung, none waits for the throttle, and the feeder has
+	// a core of its own beside the one worker. An observer would turn
+	// repeats off, so the progress report closes it.
+	t.Run("queued", func(t *testing.T) {
+		qcfg := cfg
+		qcfg.Parallel = 1
+		interruptQueued(t, qcfg, 0, func(c *Config, stop func()) {
+			c.ProgressInterval = time.Millisecond
+			c.Progress = func(p ProgressInfo) {
+				if p.Done >= 20 {
+					stop()
+				}
+			}
+		})
+	})
+}
+
+// TestDropFirstRunWithQueuedRepeat: one worker took a repeat and queued it on
+// its first run while the pool ran; the first run's own worker then finds the
+// pool halted by Stop and drops it. The repeat is dropped with it, so the walk
+// completes, interrupted, instead of waiting for the repeat forever.
+func TestDropFirstRunWithQueuedRepeat(t *testing.T) {
+	cfg := appConfig(t, "matvec")
+	cfg.Runs = 2
+	base, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	cfg.Stop = stop
+	w, err := newWalk(cfg, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := &firstRun{idx: w.pending[0].idx}
+	p := newPool(cfg, cfg.Runs)
+	p.q = make(chan job) // a send returns once the worker holds the job
+	w.left.Add(2)
+	p.wg.Add(1)
+	go p.work(0)
+	p.q <- job{task: w.pending[1], w: w, first: first, repeat: true}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		first.mu.Lock()
+		queued := len(first.waiting)
+		first.mu.Unlock()
+		if queued == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the repeat never queued on its first run")
+		}
+	}
+	close(stop)
+	p.q <- job{task: w.pending[0], w: w, first: first}
+	close(p.q)
+	p.wg.Wait()
+	w.leave() // the feed's hold
+	if left := w.left.Load(); left != 0 {
+		t.Fatalf("%d holds on the walk left after the pool halted: a queued repeat was never dropped", left)
+	}
+	w.finalize()
+	if w.sum != nil || !errors.Is(w.err, ErrInterrupted) {
+		t.Fatalf("walk ended with summary %v, error %v; want ErrInterrupted", w.sum != nil, w.err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"chaser/internal/core"
 	"chaser/internal/stats"
 )
 
@@ -31,25 +30,50 @@ func BitSweep(cfg Config, bitCounts []int) ([]SweepResult, error) {
 	}
 	out := make([]SweepResult, 0, len(bitCounts))
 	err = residents.run(e, cfg.Obs, func(base *Baseline) error {
-		// Entries share the task list and so the fork points: each is handed
-		// the rung the one before ended on, and finds it again at its site.
-		var last *core.WorldSnapshot
-		for _, bits := range bitCounts {
-			c := cfg
-			c.Bits = bits
-			c.Name = fmt.Sprintf("%s/bits=%d", cfg.Name, bits)
-			// A sweep reuses one Config for several campaigns; a single
-			// journal path cannot checkpoint them all, so journaling is
-			// per-campaign only.
-			c.Journal, c.Resume = "", ""
-			sum, l, err := runPrepared(c, base, last)
-			if err != nil {
-				return fmt.Errorf("campaign: sweep bits=%d: %w", bits, err)
+		// One pool runs every entry: an entry's feed starts as soon as the
+		// one before has handed out its last task, and each entry is
+		// summarized by the worker that finishes its last run. Entries share
+		// the task list and so the fork points: each is handed the rung the
+		// one before ended on, and finds it again at its site.
+		var walks []*walk
+		var setupErr error
+		p := newPool(cfg, cfg.Runs*len(bitCounts))
+		p.drive(func() {
+			var carried heldRung
+			for _, bits := range bitCounts {
+				c := cfg
+				c.Bits = bits
+				c.Name = fmt.Sprintf("%s/bits=%d", cfg.Name, bits)
+				// A sweep reuses one Config for several campaigns; a single
+				// journal path cannot checkpoint them all, so journaling is
+				// per-campaign only.
+				c.Journal, c.Resume = "", ""
+				w, err := newWalk(c, base)
+				if err != nil {
+					setupErr = fmt.Errorf("campaign: sweep bits=%d: %w", bits, err)
+					return
+				}
+				walks = append(walks, w)
+				if carried = p.feed(w, carried); !w.fed {
+					return
+				}
 			}
-			last = l
-			out = append(out, SweepResult{Bits: bits, Summary: sum})
+		})
+		for _, w := range walks {
+			w.finalize()
 		}
-		return nil
+		for _, w := range walks {
+			if w.err != nil {
+				// A failed prefix run ends the sweep at the entry it fed and
+				// drops the runs of the entries before it still queued.
+				if last := walks[len(walks)-1]; last.prefixErr != nil {
+					w = last
+				}
+				return fmt.Errorf("campaign: sweep bits=%d: %w", w.cfg.Bits, w.err)
+			}
+			out = append(out, SweepResult{Bits: w.cfg.Bits, Summary: w.sum})
+		}
+		return setupErr
 	})
 	if err != nil {
 		return nil, err

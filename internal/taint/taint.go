@@ -65,6 +65,8 @@ type Shadow struct {
 	// transition branches of SetRegMask/SetMemMask8, so the propagation hot
 	// paths pay nothing for it while taint is already live.
 	onFirstTaint func()
+	// pagesWear decides whether Recycle clears pages or makes it anew.
+	pagesWear MapWear
 }
 
 // cacheSize is the number of shadow-page cache entries. A guest in its
@@ -90,7 +92,7 @@ func NewShadow() *Shadow {
 // Reset clears all taint.
 func (s *Shadow) Reset() {
 	s.regs = [tcg.NumMRegs]uint64{}
-	s.pages = make(map[uint64]*shadowPage)
+	s.pages, s.pagesWear = make(map[uint64]*shadowPage), MapWear{}
 	s.cache = [cacheSize]cacheEntry{}
 	s.free, s.nfree = [maxFreePages]*shadowPage{}, 0
 	s.taintedRegs = 0
@@ -100,7 +102,8 @@ func (s *Shadow) Reset() {
 
 // Recycle empties the shadow for the machine it is handed to next: it is
 // then Pristine, as after NewShadow. Unlike Reset it keeps its page table
-// (unless that grew past maxRecycledPages) and, zeroed, as many of its pages
+// (unless that grew past maxRecycledPages, or runs far shorter than an
+// earlier one kept recycling it: MapWear) and, zeroed, as many of its pages
 // as the free list holds. The first-taint callback is dropped with the
 // machine it closed over.
 func (s *Shadow) Recycle() {
@@ -112,18 +115,59 @@ func (s *Shadow) Recycle() {
 		s.free[s.nfree] = p
 		s.nfree++
 	}
-	pages := s.pages
-	if len(pages) > maxRecycledPages {
-		pages = make(map[uint64]*shadowPage)
+	pages, wear := s.pages, s.pagesWear
+	if len(pages) > maxRecycledPages || wear.Remake(len(pages)) {
+		pages, wear = make(map[uint64]*shadowPage), MapWear{}
 	} else {
 		clear(pages)
 	}
-	*s = Shadow{pages: pages, free: s.free, nfree: s.nfree}
+	*s = Shadow{pages: pages, free: s.free, nfree: s.nfree, pagesWear: wear}
 }
 
 // maxRecycledPages bounds the page table Recycle keeps: a map never shrinks,
 // so one that held many pages is let go.
 const maxRecycledPages = 64
+
+// MapWear is what a recycled Go map remembers to decide whether clearing it
+// still pays: the most entries it held since it was made, and how many
+// releases in a row have left it oversized. The shadow's page table keeps
+// one, and so do vm.Arena's page and chain tables.
+//
+// A map whose high water is more than MapWearSlack times what each of
+// MapWearStreak releases in a row left in it is made anew. Clearing a Go map
+// costs the capacity the longest run since it was made grew it to: after one
+// long fault tail, the thousands of short forked runs of an in-process LUD
+// sweep each cleared chain tables sized for it (runtime.mapclear 1.7% of the
+// sweep's CPU; 0.8% with this rule). A new map costs the next long run the
+// growth back, so one short run is not enough: made anew at the first, the
+// tables of 40-run matvec and bfs shards, whose run lengths alternate,
+// allocated 4% more per shard; after sixteen in a row, nothing more.
+type MapWear struct{ high, short int }
+
+// MapWearSlack is MapWear's factor and MapWearStreak its streak.
+const (
+	MapWearSlack  = 8
+	MapWearStreak = 16
+)
+
+// Saw records that the map held n entries.
+func (w *MapWear) Saw(n int) { w.high = max(w.high, n) }
+
+// Remake reports whether a map that a run left use entries in is made anew
+// instead of cleared. A map that never held more than eight entries is a
+// single group, as cheap to clear as a new one.
+func (w *MapWear) Remake(use int) bool {
+	w.Saw(use)
+	if w.high <= max(8, MapWearSlack*use) {
+		w.short = 0
+		return false
+	}
+	if w.short++; w.short < MapWearStreak {
+		return false
+	}
+	*w = MapWear{}
+	return true
+}
 
 // Clone returns a deep copy of the taint state: shadow registers, shadow
 // pages, and the incrementally maintained counts. The onFirstTaint callback

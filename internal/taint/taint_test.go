@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -454,5 +455,39 @@ func TestShadowPageReuse(t *testing.T) {
 	s.Reset()
 	if s.nfree != 0 || s.free != ([maxFreePages]*shadowPage{}) {
 		t.Errorf("Reset left %d pages on the free list", s.nfree)
+	}
+}
+
+// TestShadowRecycleRemakesOutgrownTable: a page table that one long run grew
+// is kept while runs of its size recycle the shadow, and while fewer than
+// MapWearStreak short runs in a row do; the streak's last makes it anew,
+// once: the short runs after it keep the table sized for them. Clearing a
+// map costs what it ever grew to.
+func TestShadowRecycleRemakesOutgrownTable(t *testing.T) {
+	s := NewShadow()
+	id := func() uintptr { return reflect.ValueOf(s.pages).Pointer() }
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			s.pages[uint64(i)*PageSize] = &shadowPage{}
+		}
+		s.Recycle()
+	}
+	kept := id()
+	for _, n := range []int{60, 1, 1, 64, 1} {
+		run(n)
+	}
+	if id() != kept {
+		t.Fatal("a table long runs grew was made anew before a streak of short runs")
+	}
+	var at []int
+	for i := 2; i <= 3*MapWearStreak; i++ {
+		before := id()
+		run(1)
+		if id() != before {
+			at = append(at, i)
+		}
+	}
+	if len(at) != 1 || at[0] != MapWearStreak {
+		t.Errorf("short runs in a row made the table anew at %v, want only at %d", at, MapWearStreak)
 	}
 }

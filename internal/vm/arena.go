@@ -88,7 +88,7 @@ func (a *Arena) NewFromSnapshot(prog *isa.Program, snap *Snapshot, cfg Config) *
 // pristine Shadow, and whatever chain table and buffers the arena recycled.
 func (a *Arena) build(prog *isa.Program, cfg Config, pages int) *Machine {
 	m := a.machine()
-	mem, sh, nodes, console, output := m.Mem, m.Shadow, m.chains.nodes, m.console, m.output
+	mem, sh, chains, console, output := m.Mem, m.Shadow, m.chains, m.console, m.output
 	if mem == nil {
 		mem = &Memory{pages: make(map[uint64]*memPage, pages), nextFrame: 1}
 	}
@@ -113,7 +113,7 @@ func (a *Arena) build(prog *isa.Program, cfg Config, pages int) *Machine {
 		mpi:        cfg.MPI,
 		obsReg:     cfg.Obs,
 		events:     cfg.Events,
-		chains:     chainTable{nodes: nodes},
+		chains:     chainTable{nodes: chains.nodes, wear: chains.wear},
 	}
 	m.Trans.AttachObs(cfg.Obs)
 	if m.maxInstr == 0 {
@@ -175,16 +175,16 @@ func (a *Arena) Release(m *Machine) {
 	}
 	mem.empty()
 	m.Shadow.Recycle()
-	nodes := m.chains.nodes
-	if len(nodes) > maxRecycledBlocks {
-		nodes = nil
+	nodes, wear := m.chains.nodes, m.chains.wear
+	if len(nodes) > maxRecycledBlocks || wear.Remake(len(nodes)) {
+		nodes, wear = make(map[*tcg.TB]*chainNode), taint.MapWear{}
 	} else {
 		clear(nodes)
 	}
 	*m = Machine{
 		Mem:     mem,
 		Shadow:  m.Shadow,
-		chains:  chainTable{nodes: nodes},
+		chains:  chainTable{nodes: nodes, wear: wear},
 		console: ownedBuf(m.console),
 		output:  ownedBuf(m.output),
 	}

@@ -2,12 +2,14 @@ package vm
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"chaser/internal/asm"
 	"chaser/internal/isa"
 	"chaser/internal/memtest"
+	"chaser/internal/taint"
 	"chaser/internal/tcg"
 )
 
@@ -187,4 +189,61 @@ func TestArenaIdleRetentionBounded(t *testing.T) {
 	if retained > budget {
 		t.Errorf("an idle arena retains %d B, budget %d", retained, budget)
 	}
+}
+
+// TestArenaRemakesOutgrownTables: a page table or chain table that one long
+// run grew is kept while runs of its size release it, and while fewer than
+// taint.MapWearStreak short runs in a row do; the streak's last makes it anew,
+// once: the short runs after it keep the table sized for them. Clearing a
+// map costs what it ever grew to.
+func TestArenaRemakesOutgrownTables(t *testing.T) {
+	id := func(m any) uintptr { return reflect.ValueOf(m).Pointer() }
+	// remade releases two long runs with short runs between them, then
+	// 3·taint.MapWearStreak short runs, and checks which releases made the table
+	// anew.
+	remade := func(t *testing.T, table func() any, run func(n int)) {
+		t.Helper()
+		kept := id(table())
+		for _, n := range []int{500, 3, 3, 600, 3} {
+			run(n)
+		}
+		if id(table()) != kept {
+			t.Fatal("a table long runs grew was made anew before a streak of short runs")
+		}
+		var at []int
+		for i := 2; i <= 3*taint.MapWearStreak; i++ {
+			before := id(table())
+			run(3)
+			if id(table()) != before {
+				at = append(at, i)
+			}
+		}
+		if len(at) != 1 || at[0] != taint.MapWearStreak {
+			t.Errorf("short runs in a row made the table anew at %v, want only at %d", at, taint.MapWearStreak)
+		}
+	}
+	t.Run("pages", func(t *testing.T) {
+		mem := NewMemory()
+		remade(t, func() any { return mem.pages }, func(n int) {
+			for i := 0; i < min(n, maxRecycledPages); i++ {
+				mem.pages[uint64(i)*PageSize] = &memPage{}
+			}
+			mem.empty()
+		})
+	})
+	t.Run("chains", func(t *testing.T) {
+		prog := dirtyPages(t, 1)
+		a := new(Arena)
+		m := a.New(prog, Config{})
+		m.chains.nodes = make(map[*tcg.TB]*chainNode)
+		remade(t, func() any { return m.chains.nodes }, func(n int) {
+			for i := 0; i < n; i++ {
+				m.chains.nodes[&tcg.TB{}] = &chainNode{}
+			}
+			a.Release(m)
+			if m = a.New(prog, Config{}); len(a.machines) != 0 {
+				t.Fatal("the arena did not hand the released machine back")
+			}
+		})
+	})
 }

@@ -59,6 +59,8 @@ type chainEdge struct {
 type chainTable struct {
 	gen   uint64
 	nodes map[*tcg.TB]*chainNode
+	// wear decides whether Arena.Release clears nodes or makes it anew.
+	wear taint.MapWear
 }
 
 // Run executes the guest until it terminates and returns its final status.
@@ -130,6 +132,7 @@ func (m *Machine) step(chain bool) {
 		if m.chains.nodes == nil {
 			m.chains.nodes = make(map[*tcg.TB]*chainNode)
 		} else {
+			m.chains.wear.Saw(len(m.chains.nodes))
 			clear(m.chains.nodes)
 		}
 		m.chains.gen = gen

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"unsafe"
+
+	"chaser/internal/taint"
 )
 
 // PageSize is the guest page granularity.
@@ -96,6 +98,8 @@ type Memory struct {
 	private []*memPage
 	// arena hands out the pages the machines of earlier runs left (nil: none).
 	arena *Arena
+	// pagesWear decides whether empty clears pages or makes it anew.
+	pagesWear taint.MapWear
 }
 
 // NewMemory creates an empty address space with no mapped regions.
@@ -330,17 +334,18 @@ func (m *Memory) load(img *MemImage) {
 }
 
 // empty returns m to a NewMemory's state for the machine it is handed to
-// next, keeping its page table (unless that grew past maxRecycledPages) and
-// the backing arrays of its region and private-page lists.
+// next, keeping its page table (unless that grew past maxRecycledPages, or
+// runs far shorter than an earlier one kept emptying it: taint.MapWear) and the
+// backing arrays of its region and private-page lists.
 func (m *Memory) empty() {
-	pages := m.pages
-	if len(pages) > maxRecycledPages {
-		pages = make(map[uint64]*memPage)
+	pages, wear := m.pages, m.pagesWear
+	if len(pages) > maxRecycledPages || wear.Remake(len(pages)) {
+		pages, wear = make(map[uint64]*memPage), taint.MapWear{}
 	} else {
 		clear(pages)
 	}
 	clear(m.private)
-	*m = Memory{pages: pages, regions: m.regions[:0], private: m.private[:0], nextFrame: 1}
+	*m = Memory{pages: pages, regions: m.regions[:0], private: m.private[:0], nextFrame: 1, pagesWear: wear}
 }
 
 // CowCopies returns the number of pages this Memory privatized via
