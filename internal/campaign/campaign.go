@@ -644,34 +644,40 @@ func (w *walk) runConfig(tk task) core.RunConfig {
 // ws is the rung the ladder found for the task (nil: none below its site, or
 // NoFork): its own site's, or the nearest resident one below, the gap
 // replayed in the run's own world. Both paths are bitwise identical.
-func (w *walk) runOne(tk task, ws *core.WorldSnapshot) (out RunOutcome, res *core.RunResult, err error) {
+//
+// The result is lent by the run's session (core.Lend): the caller reads it
+// to finish the task and then returns the loan, and nothing of it outlives
+// the task — the outcome holds copies. A campaign with an observer, which is
+// handed the result to keep, gets one it owns, and a zero loan.
+func (w *walk) runOne(tk task, ws *core.WorldSnapshot) (out RunOutcome, res *core.RunResult, l core.Loan, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			msg := fmt.Sprintf("%v", r)
 			if i := strings.IndexByte(msg, '\n'); i >= 0 {
 				msg = msg[:i]
 			}
+			// Whatever was lent stays with the session the panic dropped.
 			out = RunOutcome{Outcome: OutcomeSimCrash, RootRank: -1, PanicMsg: msg}
-			res = nil
-			err = nil
+			res, l, err = nil, core.Loan{}, nil
 			w.panics.Inc()
 		}
 	}()
-	rc := w.runConfig(tk)
-	if ws == nil {
-		res, err = core.Run(rc)
-	} else if res, err = core.RunForked(rc, ws); err == nil {
+	if l, err = core.Lend(w.runConfig(tk), ws); err != nil {
+		return RunOutcome{}, nil, core.Loan{}, err
+	}
+	if ws != nil {
 		w.forked.Inc()
 	}
-	if err != nil {
-		return RunOutcome{}, nil, err
+	res = l.Result()
+	if w.cfg.RunObserver != nil {
+		res, l = l.Own(), core.Loan{}
 	}
-	return Classify(res, w.base.outputs, tk.rank), res, nil
+	return Classify(res, w.base.outputs, tk.rank), res, l, nil
 }
 
 // finish records one run's outcome: its slot, the live tally, the run_done
 // event, the observer (res is nil for a repeat, which a campaign with an
-// observer never has) and the journal.
+// observer never has) and the journal. Nothing it records keeps res.
 func (w *walk) finish(tk task, out RunOutcome, res *core.RunResult) {
 	w.outcomes[tk.idx] = out
 	w.live.record(out.Outcome)
@@ -696,7 +702,7 @@ func (w *walk) execute(worker int, j job) bool {
 	w.started.Inc()
 	rsp := w.cfg.Tracer.StartSpanTID("campaign.run", worker)
 	defer rsp.End()
-	out, res, err := w.runOne(j.task, j.ws)
+	out, res, l, err := w.runOne(j.task, j.ws)
 	if err != nil {
 		rsp.SetArg("error", err.Error())
 		w.errs[j.idx] = err
@@ -704,7 +710,9 @@ func (w *walk) execute(worker int, j job) bool {
 	}
 	w.finish(j.task, out, res)
 	rsp.SetArg("outcome", out.Outcome.String())
-	return reusable(res)
+	reuse := reusable(res)
+	l.Return()
+	return reuse
 }
 
 // leave lets go of one hold on the walk — a job finished or dropped, or the

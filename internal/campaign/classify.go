@@ -144,9 +144,10 @@ func isPeerAbort(t vm.Termination) bool {
 
 // Classify reduces a run result to the paper's outcome taxonomy. targetRank
 // is the rank that was injected into; goldenOutputs are the per-rank output
-// files of the golden run.
+// files of the golden run. The outcome keeps nothing of res: its records are
+// a copy, so a lent result (core.Lend) may be returned once it is classified.
 func Classify(res *core.RunResult, goldenOutputs [][]byte, targetRank int) RunOutcome {
-	out := RunOutcome{RootRank: -1, Records: res.Records}
+	out := RunOutcome{RootRank: -1, Records: append([]core.InjectionRecord(nil), res.Records...)}
 	if res.Trace != nil {
 		out.Propagated = res.Trace.Propagated()
 	}

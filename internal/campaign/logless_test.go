@@ -121,13 +121,17 @@ func runShards(tb testing.TB, base *Baseline, shards []Config, observed bool) ui
 // TestCampaignRunAllocBudget is the guard on what a campaign run allocates
 // when nobody reads its access log: the traced clamr_mpi campaign of the
 // service path measured 504 KB a run while every run built the log (45% of it
-// log chunks) and measures about 277 KB without. An observed campaign still
-// builds it, and must not cost more than it did.
+// log chunks), about 277 KB without, 70 KB while every run built its world,
+// Chaser, translators and result, and measures about 35 KB on a lent result
+// (core.Lend). An observed campaign still builds the log and gets a result of
+// its own, and measures about 300 KB.
 func TestCampaignRunAllocBudget(t *testing.T) {
-	const (
-		budget         = 320 << 10
-		observedBudget = 530 << 10
-	)
+	budget, observedBudget := uint64(48<<10), uint64(320<<10)
+	if raceEnabled {
+		// The race detector's sync.Pool drops a quarter of the sessions it is
+		// given, and every run that finds none builds one.
+		budget, observedBudget = 128<<10, 400<<10
+	}
 	base, shards := clamrShards(t)
 	runShards(t, base, shards[:1], false) // the campaign's first forks fill the translation cache
 	perRun := func(observed bool) uint64 {

@@ -74,18 +74,17 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-func (s *Spec) withDefaults() *Spec {
-	out := *s
-	if out.Cond == nil {
-		out.Cond = Deterministic{N: 1}
+// setDefaults fills in the fields a spec leaves to their defaults.
+func (s *Spec) setDefaults() {
+	if s.Cond == nil {
+		s.Cond = Deterministic{N: 1}
 	}
-	if out.Inj == nil {
-		out.Inj = OperandInjector{Bits: out.Bits}
+	if s.Inj == nil {
+		s.Inj = OperandInjector{Bits: s.Bits}
 	}
-	if out.MaxInjections == 0 {
-		out.MaxInjections = 1
+	if s.MaxInjections == 0 {
+		s.MaxInjections = 1
 	}
-	return &out
 }
 
 // Chaser is the fault-injection plugin. Load it into a decaf.Platform, arm
@@ -118,7 +117,10 @@ type Chaser struct {
 	// receive, so it is counted without mu.
 	pollsLocal atomic.Uint64
 
+	// collector is the run's; reset empties it for the next run unless a
+	// result took it (nil).
 	collector *trace.Collector
+	noLog     bool
 	events    *obs.Sink
 
 	// Injection telemetry (nil without a registry; all uses are nil-safe).
@@ -130,7 +132,8 @@ type Chaser struct {
 	obsTaintLost *obs.Counter
 
 	// armed is each rank's injection state, indexed by rank: nil, or idle
-	// (no machine), for a rank no process was created for. It is written
+	// (no machine), for a rank no process was created for or whose process
+	// was created with no spec armed. It is written
 	// only during process creation (before guests run) and read without
 	// locking afterwards; reset idles the states for the next run.
 	armed []*armState
@@ -149,10 +152,18 @@ type armState struct {
 	sendSeq flowSeqs
 	recvSeq flowSeqs
 
-	// sampleHook and injectHook are the state's sample and faultInjector,
-	// bound once: a rank's state serves every run of its Chaser.
+	// A rank's state serves every run of its Chaser, and keeps what each run
+	// would otherwise make anew: sampleHook and injectHook, its sample and
+	// faultInjector bound once; stream, the storage of the rng a target rank
+	// draws from — empty, or one of rankStream's, reseeded for each run
+	// (seedStream); log, the storage of its end of the access log — empty,
+	// or one trace.Appender, attached to each run's collector (appender);
+	// and ctx, what the injector is handed.
 	sampleHook func(instrs uint64, taintedBytes int64)
 	injectHook func(m *vm.Machine, op *tcg.Op)
+	stream     []rand.Rand
+	log        []trace.Appender
+	ctx        Context
 }
 
 // rankState returns rank's injection state, idle: the one the rank had in an
@@ -177,8 +188,31 @@ func (st *armState) idle() {
 	*st = armState{
 		ch: st.ch, rank: st.rank,
 		sendSeq: st.sendSeq[:0], recvSeq: st.recvSeq[:0],
-		sampleHook: st.sampleHook, injectHook: st.injectHook,
+		sampleHook: st.sampleHook, injectHook: st.injectHook, stream: st.stream[:0], log: st.log[:0],
 	}
+}
+
+// appender returns the rank's end of the run's access log: the appender the
+// state keeps, attached to the Chaser's collector.
+func (st *armState) appender() *trace.Appender {
+	if cap(st.log) == 0 {
+		st.log = make([]trace.Appender, 1)
+	}
+	st.log = st.log[:1]
+	st.log[0].Attach(st.ch.collector, st.rank)
+	return &st.log[0]
+}
+
+// seedStream returns the rank's injector stream for a run whose spec seed is
+// seed: rankStream's, reseeded in the storage the state keeps.
+func (st *armState) seedStream(seed int64) *rand.Rand {
+	if cap(st.stream) == 0 {
+		st.stream = []rand.Rand{*rankStream(seed, st.rank)}
+	} else {
+		st.stream = st.stream[:1]
+		st.stream[0].Seed(streamSeed(seed, st.rank))
+	}
+	return &st.stream[0]
 }
 
 // sample records one timeline point of the rank's tainted bytes.
@@ -228,6 +262,7 @@ func New(opts Options) *Chaser {
 	c := &Chaser{
 		hubClient:    tainthub.NewClientID(),
 		collector:    newCollector(opts.NoAccessLog),
+		noLog:        opts.NoAccessLog,
 		events:       opts.Events,
 		obsArmed:     opts.Obs.Counter("core_injectors_armed_total"),
 		obsFired:     opts.Obs.Counter("core_faults_fired_total"),
@@ -249,26 +284,35 @@ func newCollector(noLog bool) *trace.Collector {
 }
 
 // reset makes c, whose world has run, been drained and stopped for good, the
-// Chaser New builds from the options c was built with, loaded into the same
-// platform: unarmed, with no record, hub error or hub count, a new collector
-// and a hub client ID of its own, for the next run of its session. It keeps
-// its rank states, idle, and the storage of its records and flight table.
-// The collector and records a result of the finished run holds are not
-// touched: the run has a new collector, and RunResult.Records is a copy.
-func (c *Chaser) reset() {
+// Chaser New builds from the options c was built with — but for the hub,
+// which is hub, of the same base as c's (see worldHub.reset) — loaded into
+// the same platform: unarmed, with no record, hub error or hub count, an
+// empty collector and a hub client ID of its own, for the next run of its
+// session. It keeps its rank states, idle, and the storage of its records,
+// flight table and collector. Nothing may hold what the finished run left in
+// them: a result that outlives the run holds copies, and its own collector,
+// which it took from c (Loan.Own).
+func (c *Chaser) reset(hub tainthub.Hub) {
 	clear(c.records)
 	for _, st := range c.armed {
 		if st != nil {
 			st.idle()
 		}
 	}
-	c.view.reset()
+	c.view.reset(hub)
+	col := c.collector
+	if col == nil {
+		col = newCollector(c.noLog)
+	} else {
+		col.Reset()
+	}
 	*c = Chaser{
 		platform:     c.platform,
 		view:         c.view,
 		hubClient:    tainthub.NewClientID(),
 		records:      c.records[:0],
-		collector:    newCollector(!c.collector.AccessLogKept()),
+		collector:    col,
+		noLog:        c.noLog,
 		events:       c.events,
 		obsArmed:     c.obsArmed,
 		obsFired:     c.obsFired,
@@ -310,7 +354,11 @@ func (c *Chaser) Init(p *decaf.Platform) (*decaf.Interface, error) {
 // counters, and hub activity.
 func (c *Chaser) statusCmd(_ []string) (string, error) {
 	c.mu.Lock()
-	spec := c.spec
+	var spec *Spec
+	if c.spec != nil {
+		armed := *c.spec
+		spec = &armed
+	}
 	nRec := len(c.records)
 	recs := append([]InjectionRecord(nil), c.records...)
 	hs := c.hubStats
@@ -349,9 +397,17 @@ func (c *Chaser) Cleanup() error { return nil }
 // Arm installs a spec. Processes created afterwards whose name matches
 // spec.Target are instrumented.
 func (c *Chaser) Arm(spec *Spec) {
+	armed := *spec
+	armed.setDefaults()
+	c.arm(&armed)
+}
+
+// arm installs spec, whose defaults are filled in, as it is: the caller keeps
+// it unchanged while processes created since may use it.
+func (c *Chaser) arm(spec *Spec) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.spec = spec.withDefaults()
+	c.spec = spec
 }
 
 // Spec returns the armed spec, or nil.
@@ -445,24 +501,22 @@ func (c *Chaser) hubReqID() tainthub.ReqID {
 func (c *Chaser) creationCB(info decaf.ProcInfo) {
 	c.mu.Lock()
 	spec := c.spec
+	st := c.rankState(info.Rank)
 	c.mu.Unlock()
 	m := info.Machine
 	if c.collector.AccessLogKept() {
 		// The rank's own tainted-access callbacks (DECAF_READ_TAINTMEM_CB and
-		// DECAF_WRITE_TAINTMEM_CB): an appender bound to the rank, which packs
-		// the machine's record, a trace.Event, as is, and publishes what it
-		// holds whenever the machine stops running. A run that keeps no log
+		// DECAF_WRITE_TAINTMEM_CB): the rank's appender, which packs the
+		// machine's record, a trace.Event, as is, and publishes what it holds
+		// whenever the machine stops running. A run that keeps no log
 		// installs none, and its machines count their tainted accesses
 		// without describing them.
-		add, publish := c.collector.Appender(info.Rank)
-		m.Hooks.TaintedMemRead, m.Hooks.TaintedMemWrite, m.Hooks.Stopped = add, add, publish
+		log := st.appender()
+		m.Hooks.TaintedMemRead, m.Hooks.TaintedMemWrite, m.Hooks.Stopped = log.Add, log.Add, log.Publish
 	}
 	if spec == nil {
 		return
 	}
-	c.mu.Lock()
-	st := c.rankState(info.Rank)
-	c.mu.Unlock()
 	st.m, st.spec = m, spec
 	if spec.Trace {
 		// Tracing must be on for every rank so incoming tainted messages
@@ -502,7 +556,7 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 	// instructions (just-in-time fault injection, Fig. 3). Only the helper
 	// draws from the rank's random stream, so only target ranks hold one.
 	c.obsArmed.Inc()
-	st.rng = rankStream(spec.Seed, info.Rank)
+	st.rng = st.seedStream(spec.Seed)
 	m.Trans.SetProbe(tcg.Probe{Ops: tcg.OpSetOf(spec.Ops...), Helper: m.RegisterHelper(st.injectHook)})
 	// Flush the code translation cache to trigger the next round of binary
 	// code translation with the injector in place.
@@ -524,7 +578,7 @@ func (st *armState) faultInjector(m *vm.Machine, op *tcg.Op) {
 	if !ok {
 		return
 	}
-	ctx := &Context{
+	st.ctx = Context{
 		Machine:   m,
 		Op:        op,
 		Instr:     ins,
@@ -532,7 +586,7 @@ func (st *armState) faultInjector(m *vm.Machine, op *tcg.Op) {
 		Rng:       st.rng,
 		Trace:     st.spec.Trace,
 	}
-	rec, err := st.spec.Inj.Inject(ctx)
+	rec, err := st.spec.Inj.Inject(&st.ctx)
 	if err != nil {
 		// The injection itself failed (e.g. corrupting unmapped memory);
 		// record nothing and keep running.
@@ -541,8 +595,9 @@ func (st *armState) faultInjector(m *vm.Machine, op *tcg.Op) {
 	st.ch.mu.Lock()
 	st.ch.records = append(st.ch.records, rec)
 	st.ch.mu.Unlock()
-	st.ch.events.Emit("inject", -1, rec.Rank, rec.PC, rec.Mask,
-		rec.GuestOpS+" "+rec.Target)
+	if st.ch.events != nil {
+		st.ch.events.Emit("inject", -1, rec.Rank, rec.PC, rec.Mask, rec.GuestOpS+" "+rec.Target)
+	}
 	st.ch.obsFired.Inc()
 	st.ch.obsBits.Add(uint64(bits.OnesCount64(rec.Mask)))
 	st.injected++

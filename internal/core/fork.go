@@ -282,26 +282,33 @@ func RunForked(cfg RunConfig, ws *WorldSnapshot) (*RunResult, error) {
 	if ws == nil {
 		return nil, fmt.Errorf("core: nil world snapshot")
 	}
+	l, err := Lend(cfg, ws)
+	if err != nil {
+		return nil, err
+	}
+	return l.Own(), nil
+}
+
+// forkable refuses a run of cfg that cannot continue from the snapshot (see
+// RunForked).
+func (ws *WorldSnapshot) forkable(cfg RunConfig) error {
 	size := cfg.WorldSize
 	if size == 0 {
 		size = 1
 	}
 	if err := ws.compatible(cfg.Prog, size); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Spec == nil {
-		return nil, fmt.Errorf("core: forked run has no spec")
+		return fmt.Errorf("core: forked run has no spec")
 	}
 	if cfg.Spec.TargetRank != ws.site.Rank {
-		return nil, fmt.Errorf("core: spec targets rank %d, snapshot paused rank %d",
+		return fmt.Errorf("core: spec targets rank %d, snapshot paused rank %d",
 			cfg.Spec.TargetRank, ws.site.Rank)
 	}
 	if d, ok := cfg.Spec.Cond.(Deterministic); !ok || d.N < ws.site.N {
-		return nil, fmt.Errorf("core: spec condition %v cannot fire after fork site n=%d",
+		return fmt.Errorf("core: spec condition %v cannot fire after fork site n=%d",
 			cfg.Spec.Cond, ws.site.N)
 	}
-	spec := *cfg.Spec
-	spec.resume = ws.resume
-	cfg.Spec = &spec
-	return execute(cfg, ws)
+	return nil
 }

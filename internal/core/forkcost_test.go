@@ -48,77 +48,41 @@ func sweepFork(tb testing.TB) (func(seed int64) RunConfig, *WorldSnapshot) {
 
 // TestForkedRunAllocBudget is the guard on what a run costs before it
 // executes. Most faults at the sweep's site kill the guest within thirteen
-// instructions, so the median forked run is the fixed cost alone: the result,
-// the collector, the injector's stream and spec, the translator — the
-// machine, its pages and shadow, the platform, the Chaser and the world shell
-// come from the run's recycled session. It allocated 119 KB when every rank's
-// mailbox was buffered for 1,024 messages and every fork retranslated the
-// block at its site, 19,664 B while every run built its machine afresh and
-// seeded math/rand's 607-word table, and 5,904 B while every run built its
-// platform, Chaser and world; a tail that runs on allocates with its length
-// (log chunks, the result's copy of the output) on top. No fork after the
-// campaign's first translates anything.
+// instructions, so the median forked run is the fixed cost alone: what the
+// caller keeps — the result, which RunForked copies out of the session's,
+// and the collector. The machine, its pages, shadow, translator and helpers,
+// the platform, the Chaser with its injector streams and access-log
+// appenders, the world shell, the spec copy and the result the session lends
+// come from the run's recycled session, and a crash's text is formatted only
+// when it is read. It allocated 119 KB when every rank's mailbox was buffered
+// for 1,024 messages and every fork retranslated the block at its site,
+// 19,664 B while every run built its machine afresh and seeded math/rand's
+// 607-word table, 5,904 B while every run built its platform, Chaser and
+// world, and 2,152 B (29 allocations) while every run built its result,
+// translator, injector stream and spec copy; a tail that runs on allocates
+// with its length (log chunks, the result's copy of the output) on top. No
+// fork after the campaign's first translates anything.
 func TestForkedRunAllocBudget(t *testing.T) {
-	budget := uint64(3 << 10)
+	budget := uint64(1056)
 	// maxAllocs bounds the allocations of a forked run that ends at its
-	// first instruction (seed 1's): 69 while every run built its platform,
-	// Chaser and world.
-	const maxAllocs = 32
+	// first instruction (seed 1's): the result's six and the collector.
+	const maxAllocs = 7
 	if raceEnabled {
 		// Under the race detector a quarter of the runs build their session
 		// and are left out below, at random, so the median of the others can
 		// land among the runs that logged a tainted access (about 3.5 KB).
 		budget = 6 << 10
 	}
-	// Each ReadMemStats stops the world, after which the test goroutine may
-	// resume on another P, whose share of the session pool is empty: on one P
-	// every run takes back the session the run before it put back, as a
-	// campaign worker mostly does.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	conf, ws := sweepFork(t)
-	made := countNewArenas(t)
-	if _, err := RunForked(conf(0), ws); err != nil { // the campaign's first fork fills the cache
-		t.Fatal(err)
+	size, allocs := forkedRunCost(t, conf, func(cfg RunConfig) error {
+		_, err := RunForked(cfg, ws)
+		return err
+	})
+	if size > budget {
+		t.Errorf("the median forked run allocates %d B, budget %d", size, budget)
 	}
-	var sizes []uint64
-	fresh := 0
-	for seed := int64(1); seed <= 31; seed++ {
-		cfg := conf(seed)
-		sessions := made.Load()
-		var err error
-		size := memtest.Allocated(func() { _, err = RunForked(cfg, ws) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if made.Load() != sessions {
-			// The race detector's sync.Pool drops a quarter of what it is
-			// given, at random: this run found no session and built one
-			// (about 10 KB more), which is not what the budget is about.
-			fresh++
-			continue
-		}
-		sizes = append(sizes, size)
-	}
-	if len(sizes) < 16 {
-		t.Fatalf("%d of 31 runs built a session afresh", fresh)
-	}
-	slices.Sort(sizes)
-	t.Logf("a forked run on a recycled session allocates %d B (median of %d seeds, %d to %d; %d runs built their session)",
-		sizes[len(sizes)/2], len(sizes), sizes[0], sizes[len(sizes)-1], fresh)
-	if got := sizes[len(sizes)/2]; got > budget {
-		t.Errorf("the median forked run allocates %d B, budget %d", got, budget)
-	}
-	if !raceEnabled {
-		cfg := conf(1)
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := RunForked(cfg, ws); err != nil {
-				t.Fatal(err)
-			}
-		})
-		t.Logf("a forked run that ends at its first instruction makes %.0f allocations", allocs)
-		if allocs > maxAllocs {
-			t.Errorf("a forked run that ends at its first instruction makes %.0f allocations, budget %d", allocs, maxAllocs)
-		}
+	if allocs > maxAllocs {
+		t.Errorf("a forked run that ends at its first instruction makes %.0f allocations, budget %d", allocs, maxAllocs)
 	}
 
 	reg := obs.NewRegistry()
@@ -135,6 +99,91 @@ func TestForkedRunAllocBudget(t *testing.T) {
 	if n := reg.Counter("tcg_base_misses_total").Value(); n != 0 {
 		t.Errorf("31 forks missed the base cache %d times, want 0", n)
 	}
+}
+
+// TestLentForkedRunAllocBudget is that guard in a campaign's shape: the run
+// keeps no access log, and its result is lent (Lend), read and returned, as a
+// campaign worker's is. The caller keeps nothing of such a run, and its
+// session keeps everything it uses, so the median run allocates nothing: what
+// is left is what a tail that runs on allocates (pages, shadow, output).
+func TestLentForkedRunAllocBudget(t *testing.T) {
+	budget := uint64(0)
+	const maxAllocs = 0
+	if raceEnabled {
+		budget = 4 << 10
+	}
+	conf, ws := sweepFork(t)
+	logless := func(seed int64) RunConfig {
+		cfg := conf(seed)
+		cfg.NoAccessLog = true
+		return cfg
+	}
+	size, allocs := forkedRunCost(t, logless, func(cfg RunConfig) error {
+		l, err := Lend(cfg, ws)
+		if err == nil {
+			l.Return()
+		}
+		return err
+	})
+	if size > budget {
+		t.Errorf("the median lent forked run allocates %d B, budget %d", size, budget)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("a lent forked run that ends at its first instruction makes %.0f allocations, budget %d", allocs, maxAllocs)
+	}
+}
+
+// forkedRunCost measures run, a forked run of the sweep's configuration conf,
+// on a recycled session: the median bytes of seeds 1 to 31, leaving out the
+// runs that built their session, and the allocations of seed 1's, which ends
+// at its first instruction (not measured under the race detector).
+func forkedRunCost(t *testing.T, conf func(seed int64) RunConfig, run func(RunConfig) error) (median uint64, allocs float64) {
+	t.Helper()
+	// Each ReadMemStats stops the world, after which the test goroutine may
+	// resume on another P, whose share of the session pool is empty: on one P
+	// every run takes back the session the run before it put back, as a
+	// campaign worker mostly does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	made := countNewArenas(t)
+	if err := run(conf(0)); err != nil { // the campaign's first fork fills the cache
+		t.Fatal(err)
+	}
+	var sizes []uint64
+	fresh := 0
+	for seed := int64(1); seed <= 31; seed++ {
+		cfg := conf(seed)
+		sessions := made.Load()
+		var err error
+		size := memtest.Allocated(func() { err = run(cfg) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if made.Load() != sessions {
+			// The race detector's sync.Pool drops a quarter of what it is
+			// given, at random: this run found no session and built one
+			// (about 10 KB more), which is not what the budget is about.
+			fresh++
+			continue
+		}
+		sizes = append(sizes, size)
+	}
+	if len(sizes) < 16 {
+		t.Fatalf("%d of 31 runs built a session afresh", fresh)
+	}
+	slices.Sort(sizes)
+	median = sizes[len(sizes)/2]
+	t.Logf("a forked run on a recycled session allocates %d B (median of %d seeds, %d to %d; %d runs built their session)",
+		median, len(sizes), sizes[0], sizes[len(sizes)-1], fresh)
+	if !raceEnabled {
+		cfg := conf(1)
+		allocs = testing.AllocsPerRun(100, func() {
+			if err := run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("a forked run that ends at its first instruction makes %.0f allocations", allocs)
+	}
+	return median, allocs
 }
 
 // armedWorld builds the world of a run the way execute does, stopping short

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"chaser/internal/isa"
 	"chaser/internal/tcg"
@@ -12,7 +13,8 @@ import (
 
 // Context is handed to an Injector when its condition fires: the machine,
 // the targeted instruction (both its micro-op and decoded guest form), the
-// execution count that triggered, and a deterministic per-rank RNG.
+// execution count that triggered, and a deterministic per-rank RNG. It is the
+// injector's for the call only: the rank reuses it.
 type Context struct {
 	Machine   *vm.Machine
 	Op        *tcg.Op
@@ -112,44 +114,57 @@ func CorruptMemory(m *vm.Machine, addr uint64, mask uint64, trace bool) (before,
 
 // OperandRegs returns the micro-registers holding the source operands of a
 // guest instruction — the candidates operand-level injectors corrupt.
-func OperandRegs(ins isa.Instr) []tcg.MReg { return sourceRegs(ins) }
+func OperandRegs(ins isa.Instr) []tcg.MReg {
+	regs := sourceRegs(ins)
+	return append([]tcg.MReg(nil), regs.regs[:regs.n]...)
+}
+
+// operands is a guest instruction's source micro-registers: the first n of
+// regs.
+type operands struct {
+	regs [2]tcg.MReg
+	n    int
+}
+
+func one(r tcg.MReg) operands    { return operands{regs: [2]tcg.MReg{r}, n: 1} }
+func two(r, s tcg.MReg) operands { return operands{regs: [2]tcg.MReg{r, s}, n: 2} }
 
 // sourceRegs returns the micro-registers holding the source operands of a
 // guest instruction — the candidates the default injector corrupts.
-func sourceRegs(ins isa.Instr) []tcg.MReg {
+func sourceRegs(ins isa.Instr) operands {
 	g, f := tcg.GPR, tcg.FPR
 	switch ins.Op {
 	case isa.OpMov, isa.OpNot, isa.OpAddI, isa.OpMulI:
-		return []tcg.MReg{g(ins.Rs1)}
+		return one(g(ins.Rs1))
 	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpMod,
 		isa.OpAnd, isa.OpOr, isa.OpXor, isa.OpShl, isa.OpShr:
-		return []tcg.MReg{g(ins.Rs1), g(ins.Rs2)}
+		return two(g(ins.Rs1), g(ins.Rs2))
 	case isa.OpFMov, isa.OpFNeg:
-		return []tcg.MReg{f(ins.Rs1)}
+		return one(f(ins.Rs1))
 	case isa.OpFAdd, isa.OpFSub, isa.OpFMul, isa.OpFDiv:
-		return []tcg.MReg{f(ins.Rs1), f(ins.Rs2)}
+		return two(f(ins.Rs1), f(ins.Rs2))
 	case isa.OpCvtIF:
-		return []tcg.MReg{g(ins.Rs1)}
+		return one(g(ins.Rs1))
 	case isa.OpCvtFI:
-		return []tcg.MReg{f(ins.Rs1)}
+		return one(f(ins.Rs1))
 	case isa.OpLd, isa.OpLdB, isa.OpFLd:
-		return []tcg.MReg{g(ins.Rs1)} // base address register
+		return one(g(ins.Rs1)) // base address register
 	case isa.OpSt, isa.OpStB:
-		return []tcg.MReg{g(ins.Rs1), g(ins.Rs2)} // base and value
+		return two(g(ins.Rs1), g(ins.Rs2)) // base and value
 	case isa.OpFSt:
-		return []tcg.MReg{g(ins.Rs1), f(ins.Rs2)}
+		return two(g(ins.Rs1), f(ins.Rs2))
 	case isa.OpCmp:
-		return []tcg.MReg{g(ins.Rs1), g(ins.Rs2)}
+		return two(g(ins.Rs1), g(ins.Rs2))
 	case isa.OpCmpI:
-		return []tcg.MReg{g(ins.Rs1)}
+		return one(g(ins.Rs1))
 	case isa.OpFCmp:
-		return []tcg.MReg{f(ins.Rs1), f(ins.Rs2)}
+		return two(f(ins.Rs1), f(ins.Rs2))
 	case isa.OpPush:
-		return []tcg.MReg{g(ins.Rs1)}
+		return one(g(ins.Rs1))
 	case isa.OpFPush:
-		return []tcg.MReg{f(ins.Rs1)}
+		return one(f(ins.Rs1))
 	}
-	return nil
+	return operands{}
 }
 
 // OperandInjector is the default fault injector: it flips Bits random bits
@@ -186,12 +201,27 @@ func (o OperandInjector) Inject(ctx *Context) (InjectionRecord, error) {
 	})
 	rec.Mask = f.Mask
 	if inMem {
-		rec.Target = fmt.Sprintf("mem %#x", addr)
+		rec.Target = memTarget(addr)
 		return rec, nil
 	}
 	rec.Before, rec.After = CorruptRegister(m, f.Reg, f.Mask, ctx.Trace)
-	rec.Target = "reg " + f.Reg.String()
+	rec.Target = regTargets[f.Reg]
 	return rec, nil
+}
+
+// regTargets are a record's Target for each micro-register, made once.
+var regTargets = func() (t [tcg.NumMRegs]string) {
+	for r := range t {
+		t[r] = "reg " + tcg.MReg(r).String()
+	}
+	return t
+}()
+
+// memTarget is a record's Target for the corrupted word at addr:
+// fmt.Sprintf("mem %#x", addr), in one allocation.
+func memTarget(addr uint64) string {
+	var buf [24]byte
+	return string(strconv.AppendUint(append(buf[:0], "mem 0x"...), addr, 16))
 }
 
 // OperandFault is OperandInjector's decision for one injection: the bits it
@@ -234,8 +264,8 @@ func drawOperandFault(rng *rand.Rand, bits int, ins isa.Instr, memory func(mask 
 			return f
 		}
 	}
-	if srcs := sourceRegs(ins); len(srcs) > 0 {
-		f.Reg = srcs[rng.Intn(len(srcs))]
+	if srcs := sourceRegs(ins); srcs.n > 0 {
+		f.Reg = srcs.regs[rng.Intn(srcs.n)]
 	} else {
 		// Instructions without register sources (movi, branches): corrupt a
 		// random general-purpose register, modelling a datapath upset.
@@ -263,8 +293,8 @@ func (o IdentityInjector) Inject(ctx *Context) (InjectionRecord, error) {
 	}
 	srcs := sourceRegs(ctx.Instr)
 	var reg tcg.MReg
-	if len(srcs) > 0 {
-		reg = srcs[ctx.Rng.Intn(len(srcs))]
+	if srcs.n > 0 {
+		reg = srcs.regs[ctx.Rng.Intn(srcs.n)]
 	} else {
 		reg = tcg.GPR(isa.Reg(ctx.Rng.Intn(isa.NumRegs)))
 	}

@@ -110,7 +110,8 @@ func TestLogLessRunMatchesLoggedRun(t *testing.T) {
 
 // TestLogLessChaserBuildsOneCollector: a Chaser for a run that keeps no log
 // builds the collector that says so, and no other: New costs what it costs
-// for a run that keeps its log, and so does a session's reset.
+// for a run that keeps its log, and so does a session's reset — nothing when
+// it empties the collector it has, one collector when a result took it.
 func TestLogLessChaserBuildsOneCollector(t *testing.T) {
 	build := func(noLog bool) float64 {
 		return testing.AllocsPerRun(50, func() { New(Options{NoAccessLog: noLog}) })
@@ -123,12 +124,21 @@ func TestLogLessChaserBuildsOneCollector(t *testing.T) {
 		if ch.Trace().AccessLogKept() == noLog {
 			t.Fatalf("NoAccessLog %v: the collector keeps the log: %v", noLog, ch.Trace().AccessLogKept())
 		}
-		ch.reset()
-		if ch.Trace().AccessLogKept() == noLog {
-			t.Errorf("NoAccessLog %v: after a reset the collector keeps the log: %v", noLog, ch.Trace().AccessLogKept())
+		for _, taken := range []bool{false, true} {
+			if taken {
+				ch.collector = nil
+			}
+			ch.reset(nil)
+			if ch.Trace().AccessLogKept() == noLog {
+				t.Errorf("NoAccessLog %v, collector taken %v: after a reset the collector keeps the log: %v",
+					noLog, taken, ch.Trace().AccessLogKept())
+			}
 		}
-		if n := testing.AllocsPerRun(50, ch.reset); n != 1 {
-			t.Errorf("NoAccessLog %v: a reset makes %v allocations, want 1 (the collector)", noLog, n)
+		if n := testing.AllocsPerRun(50, func() { ch.reset(nil) }); n != 0 {
+			t.Errorf("NoAccessLog %v: a reset makes %v allocations, want 0", noLog, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { ch.collector = nil; ch.reset(nil) }); n != 1 {
+			t.Errorf("NoAccessLog %v: a reset after a result took the collector makes %v allocations, want 1 (the collector)", noLog, n)
 		}
 	}
 }

@@ -161,12 +161,19 @@ func newWorldHub(c *Chaser, hub tainthub.Hub, reg *obs.Registry) *worldHub {
 const maxKeptFlights = 256
 
 // reset empties the view of a drained world for the next world of its
-// Chaser. A private hub the world published to is replaced by a new one; one
-// it never called is kept as it is, empty.
-func (w *worldHub) reset() {
+// Chaser, which goes through hub: a view of the same base hub as the last
+// world's (tainthub.Base; the next run's namespace of it), or nil for the
+// private hub. A private hub the world published to is replaced by a new one;
+// one it never called is kept as it is, empty.
+func (w *worldHub) reset(hub tainthub.Hub) {
 	if len(w.flights) > 0 && w.own != nil {
 		w.own = tainthub.NewLocal()
 		w.hub = w.own
+	}
+	starter := w.starter
+	if hub != nil {
+		w.hub = hub
+		starter, _ = hub.(tainthub.FlightStarter)
 	}
 	flights := w.flights
 	if len(flights) > maxKeptFlights {
@@ -174,7 +181,7 @@ func (w *worldHub) reset() {
 	}
 	clear(flights)
 	clear(w.unsettled)
-	*w = worldHub{c: w.c, hub: w.hub, starter: w.starter, own: w.own, flights: flights, unsettled: w.unsettled[:0], obsLocal: w.obsLocal}
+	*w = worldHub{c: w.c, hub: w.hub, starter: starter, own: w.own, flights: flights, unsettled: w.unsettled[:0], obsLocal: w.obsLocal}
 }
 
 // event emits one hub event about a message.

@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"chaser/internal/decaf"
 	"chaser/internal/isa"
@@ -111,7 +114,82 @@ func (r *RunResult) FirstAbnormal() int {
 // arms the Chaser with cfg.Spec, creates the world (firing VMI events that
 // arm the injector on target ranks), runs all ranks, and gathers results.
 func Run(cfg RunConfig) (*RunResult, error) {
-	return execute(cfg, nil)
+	l, err := execute(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return l.Own(), nil
+}
+
+// Loan is the result of a run that its session lends rather than gives (see
+// Lend): the result's slices, records and collector are the session's, read
+// in place, and the session waits for them before it serves another run.
+type Loan struct {
+	res *RunResult
+	// s is the session to hand back, nil when the run dropped it (its
+	// watchdog fired): then nothing reuses what res holds.
+	s *session
+}
+
+// Lend executes one run — Run's when ws is nil, RunForked's from ws
+// otherwise, refused as they refuse it — and lends its result. The result is
+// valid until Return, which hands it back, and must not be reached after:
+// the session's next run writes over all of it. A caller that keeps anything
+// of it keeps a copy. Return it exactly once; a Loan that is never returned
+// costs its session, not a result.
+//
+// A run that errors lends nothing, and one whose watchdog fired lends a
+// result its session is dropped with. Run and RunForked are Lend, and a copy
+// of the result made before it is returned.
+func Lend(cfg RunConfig, ws *WorldSnapshot) (Loan, error) {
+	if ws != nil {
+		if err := ws.forkable(cfg); err != nil {
+			return Loan{}, err
+		}
+	}
+	return execute(cfg, ws)
+}
+
+// Result returns the lent result.
+func (l Loan) Result() *RunResult { return l.res }
+
+// Return hands the result back to its session, which may then serve another
+// run.
+func (l Loan) Return() {
+	if l.s != nil {
+		l.s.release()
+	}
+}
+
+// Own returns a copy of the lent result that the caller owns — it reaches
+// nothing the session keeps — and hands the loan back, as Return does. The
+// copy takes the run's collector, so the session's next run makes a new one.
+func (l Loan) Own() *RunResult {
+	r := l.res
+	res := &RunResult{
+		Terms:    slices.Clone(r.Terms),
+		Outputs:  make([][]byte, len(r.Outputs)),
+		Consoles: make([]string, len(r.Consoles)),
+		Counters: slices.Clone(r.Counters),
+		Records:  append([]InjectionRecord(nil), r.Records...),
+		Trace:    r.Trace,
+		HubStats: r.HubStats,
+		HubErr:   r.HubErr,
+	}
+	for i, out := range r.Outputs {
+		res.Outputs[i] = append(make([]byte, 0, len(out)), out...)
+	}
+	for i, c := range r.Consoles {
+		res.Consoles[i] = strings.Clone(c)
+	}
+	if r.ExecTraces != nil {
+		res.ExecTraces = slices.Clone(r.ExecTraces)
+	}
+	if l.s != nil {
+		l.s.ch.collector = nil
+		l.s.release()
+	}
+	return res
 }
 
 // worldBuilder makes the machines of a run's world, as mpi.Config's Machine,
@@ -169,13 +247,15 @@ func (b *worldBuilder) setup(rank int, m *vm.Machine) {
 
 // session is everything execute builds around a run's guest — the machines'
 // vm.Arena, a decaf.Platform with a Chaser loaded, and the mpi.World shell —
-// kept from one run to the next, so that a run resets its world rather than
-// allocating it. Sessions live in arenas.
+// and what the run hands its caller — the armed spec and the result — kept
+// from one run to the next, so that a run resets its world and refills its
+// result rather than allocating them. Sessions live in arenas.
 //
 // The platform, the Chaser and the world shell serve runs of one shape: the
-// same Hub value, Obs registry, Events sink, Tracer, NoAccessLog and world
-// size. A run of another shape builds them afresh, as a run that found the
-// pool empty does; the arena serves any run.
+// same base hub (two namespaces of one hub are one shape, the Chaser's view
+// pointed at each run's), Obs registry, Events sink, Tracer, NoAccessLog and
+// world size. A run of another shape builds them afresh, as a run that found
+// the pool empty does; the arena, the spec and the result serve any run.
 type session struct {
 	// arena is nil in a session of PrefixRunFrom's, whose worlds become
 	// rungs: their pages are sealed and shared by every fork.
@@ -185,10 +265,15 @@ type session struct {
 	ch       *Chaser
 	world    *mpi.World
 	build    worldBuilder
+	// spec is the Chaser's armed copy of the run's spec: its defaults filled
+	// in, and the resume state of the snapshot a forked run starts from.
+	spec Spec
+	// res is the result the session lends (Loan), refilled by every run.
+	res RunResult
 }
 
 // sessionShape is what a session's platform, Chaser and world were built
-// for.
+// for. hub is the base of the run's hub (tainthub.Base).
 type sessionShape struct {
 	hub    tainthub.Hub
 	obs    *obs.Registry
@@ -211,27 +296,26 @@ func (a sessionShape) same(b sessionShape) (same bool) {
 
 // arenas holds the sessions of finished runs. A run takes one and puts it
 // back only once nothing can reach what it recycles but the session: the
-// run's RunResult is assembled from copies (Machine.Output, Console and
-// Counters; the collector, injection records and hub stats never point into
-// a machine, and a record's region name is an immutable string), and the
-// collector it points to is the run's own — the next run of the session gets
-// a new one. Its hub flights are drained, and no watchdog callback is running
-// or left to run. A run that panics, fails or whose watchdog fired drops its
-// session to the garbage collector instead. PrefixRunFrom takes none: it
-// runs on a session of its own with no arena, never pooled, because its
-// worlds become rungs, whose pages are sealed and shared by every fork.
+// run's lent result has been returned (Loan.Return) — and an owned one is a
+// copy, which took the run's collector with it (Loan.own) — its hub flights
+// are drained, and no watchdog callback is running or left to run. A run
+// that panics, fails or whose watchdog fired drops its session to the garbage
+// collector instead. PrefixRunFrom takes none: it runs on a session of its
+// own with no arena, never pooled, because its worlds become rungs, whose
+// pages are sealed and shared by every fork.
 var arenas = sync.Pool{New: func() any { return &session{arena: new(vm.Arena)} }}
 
 // open readies the session's platform and Chaser for a run of cfg in a
 // world of size: reset when the session served a run of that shape last,
 // built afresh otherwise. The Chaser is not yet armed and no process exists.
 func (s *session) open(cfg RunConfig, size int) (*Chaser, error) {
-	shape := sessionShape{hub: cfg.Hub, obs: cfg.Obs, events: cfg.Events, tracer: cfg.Tracer, noLog: cfg.NoAccessLog, size: size}
+	shape := sessionShape{hub: tainthub.Base(cfg.Hub), obs: cfg.Obs, events: cfg.Events, tracer: cfg.Tracer, noLog: cfg.NoAccessLog, size: size}
 	if s.ch != nil && s.shape.same(shape) {
 		s.platform.Reset()
-		s.ch.reset()
+		s.ch.reset(cfg.Hub)
 		return s.ch, nil
 	}
+	cfg.Obs.Counter("core_sessions_built_total").Inc()
 	platform := decaf.NewPlatform()
 	ch := New(Options{Hub: cfg.Hub, Obs: cfg.Obs, Events: cfg.Events, NoAccessLog: cfg.NoAccessLog})
 	if err := platform.LoadPlugin(ch); err != nil {
@@ -252,16 +336,20 @@ func (s *session) newWorld(cfg RunConfig, size int, snap *WorldSnapshot) (*mpi.W
 	return s.world, nil
 }
 
-// release hands the arena the machines of the session's finished run and
-// puts the session back in the pool. Nothing may reach the machines but the
-// arena, and nothing may run, abort or call back into the world (see
-// arenas).
+// release recycles the session and puts it back in the pool.
 func (s *session) release() {
+	s.recycle()
+	arenas.Put(s)
+}
+
+// recycle hands the arena the machines of the session's finished run. Nothing
+// may reach the machines but the arena, and nothing may run, abort or call
+// back into the world (see arenas).
+func (s *session) recycle() {
 	for r := 0; r < s.world.Size(); r++ {
 		s.arena.Release(s.world.Machine(r))
 	}
 	s.build.cfg, s.build.snap = RunConfig{}, nil
-	arenas.Put(s)
 }
 
 // armTimeout installs the wall-clock watchdog; the returned stop function is
@@ -284,27 +372,34 @@ func armTimeout(world *mpi.World, deadline time.Duration) func() bool {
 	return watchdog.Stop
 }
 
-func execute(cfg RunConfig, snap *WorldSnapshot) (*RunResult, error) {
+// execute is every run's one path: it runs cfg on a pooled session, restored
+// from snap when it is not nil, and lends the result.
+func execute(cfg RunConfig, snap *WorldSnapshot) (Loan, error) {
 	if cfg.Prog == nil {
-		return nil, fmt.Errorf("core: no program")
+		return Loan{}, fmt.Errorf("core: no program")
 	}
 	if cfg.Spec != nil {
 		if err := cfg.Spec.Validate(); err != nil {
-			return nil, err
+			return Loan{}, err
 		}
 	}
 	sp := cfg.Tracer.StartSpan("core.run")
 	defer sp.End()
 	s := arenas.Get().(*session)
 	res, quiet, err := s.run(cfg, snap)
-	if err == nil && quiet {
-		s.release()
+	if err != nil {
+		return Loan{}, err
 	}
-	return res, err
+	l := Loan{res: res}
+	if quiet {
+		l.s = s
+	}
+	return l, nil
 }
 
 // run executes one run of cfg on the session, restored from snap when it is
-// not nil, and reports whether its watchdog never fired (see armTimeout).
+// not nil, and reports whether its watchdog never fired (see armTimeout). The
+// result is the session's own.
 func (s *session) run(cfg RunConfig, snap *WorldSnapshot) (res *RunResult, quiet bool, err error) {
 	size := cfg.WorldSize
 	if size == 0 {
@@ -315,7 +410,12 @@ func (s *session) run(cfg RunConfig, snap *WorldSnapshot) (res *RunResult, quiet
 		return nil, false, err
 	}
 	if cfg.Spec != nil {
-		ch.Arm(cfg.Spec)
+		s.spec = *cfg.Spec
+		s.spec.setDefaults()
+		if snap != nil {
+			s.spec.resume = snap.resume
+		}
+		ch.arm(&s.spec)
 		if cfg.Spec.Trace && !cfg.NoAccessLog {
 			cfg.Obs.Counter("core_runs_access_log_kept_total").Inc()
 		}
@@ -344,26 +444,28 @@ func (s *session) run(cfg RunConfig, snap *WorldSnapshot) (res *RunResult, quiet
 		return nil, false, fmt.Errorf("core: taint hub failed (HubFailRun policy): %w", herr)
 	}
 
-	res = &RunResult{
+	// The result reads the machines' buffers and the Chaser's records in
+	// place; the world has stopped for good, so nothing writes them before
+	// the session's next run.
+	res = &s.res
+	*res = RunResult{
 		Terms:    terms,
-		Outputs:  make([][]byte, size),
-		Consoles: make([]string, size),
-		Counters: make([]vm.Counters, size),
-		Records:  ch.Records(),
-		Trace:    ch.Trace(),
+		Outputs:  res.Outputs[:0],
+		Consoles: res.Consoles[:0],
+		Counters: res.Counters[:0],
+		Records:  ch.records,
+		Trace:    ch.collector,
 		HubStats: ch.HubStats(),
 		HubErr:   herr,
 	}
-	if cfg.ExecTraceDepth > 0 {
-		res.ExecTraces = make([]string, size)
-	}
 	for r := 0; r < size; r++ {
 		m := world.Machine(r)
-		res.Outputs[r] = m.Output()
-		res.Consoles[r] = m.Console()
-		res.Counters[r] = m.Counters()
+		console, output := m.Buffers()
+		res.Outputs = append(res.Outputs, output)
+		res.Consoles = append(res.Consoles, unsafe.String(unsafe.SliceData(console), len(console)))
+		res.Counters = append(res.Counters, m.Counters())
 		if cfg.ExecTraceDepth > 0 {
-			res.ExecTraces[r] = m.FormatExecTrace()
+			res.ExecTraces = append(res.ExecTraces, m.FormatExecTrace())
 		}
 	}
 	return res, quiet, nil

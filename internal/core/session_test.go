@@ -11,6 +11,7 @@ import (
 	"chaser/internal/memtest"
 	"chaser/internal/obs"
 	"chaser/internal/tainthub"
+	"chaser/internal/vm"
 )
 
 // sessionCase is an arenaCase in one of the shapes sessions tell apart: its
@@ -111,6 +112,68 @@ func TestSessionRunsMatchColdRuns(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+
+	namespacesAlternate(t)
+}
+
+// namespacesAlternate: two namespaces of one hub, as a campaign's runs get
+// them (tainthub.WithNamespace), alternate on one session. The session's
+// platform and Chaser are reset for each run, not rebuilt; the run publishes
+// into its own namespace; and it is the run a fresh session makes in that
+// namespace of a fresh hub.
+func namespacesAlternate(t *testing.T) {
+	var cases []arenaCase
+	for _, c := range arenaCases(t) {
+		if c.label == "clamr_mpi/traced/scratch" || c.label == "clamr_mpi/traced/forked" {
+			cases = append(cases, c)
+		}
+	}
+	in := func(c arenaCase, hub tainthub.Hub, ns int) arenaCase {
+		c.cfg.Hub = tainthub.WithNamespace(hub, ns)
+		c.label = fmt.Sprintf("%s, namespace %d", c.label, ns)
+		return c
+	}
+	hub := tainthub.NewLocal()
+	s := &session{arena: new(vm.Arena)}
+	var ch *Chaser
+	first := true
+	for round := 0; round < 2; round++ {
+		for _, c := range cases {
+			for _, ns := range []int{1, 2} {
+				c := in(c, hub, ns)
+				res, quiet, err := s.run(c.cfg, c.ws)
+				if err != nil || !quiet {
+					t.Fatalf("%s: %v (quiet %v)", c.label, err, quiet)
+				}
+				if ch == nil {
+					ch = s.ch
+				} else if s.ch != ch {
+					t.Errorf("%s: the session built its Chaser afresh", c.label)
+				}
+				sends := res.Trace.Sends()
+				if len(sends) == 0 {
+					t.Fatalf("%s: the run published nothing", c.label)
+				}
+				snd := sends[0]
+				holds := func(ns int) bool {
+					_, found, _ := hub.Poll(tainthub.ReqID{}, tainthub.Key{Src: snd.Src, Dst: snd.Dst, Tag: snd.Tag, NS: ns}, snd.Seq)
+					return found
+				}
+				if !holds(ns) {
+					t.Errorf("%s: the run's namespace does not hold its first message", c.label)
+				}
+				if first && holds(2) {
+					t.Errorf("%s: namespace 2 holds a message before any run in it", c.label)
+				}
+				first = false
+				got := Loan{res: res}.Own()
+				s.ch.collector = nil
+				s.recycle()
+				memtest.Drain()
+				sameResult(t, c.label, in(c, tainthub.NewLocal(), ns).run(t), got)
+			}
+		}
+	}
 }
 
 // TestChaserResetIsNew: a Chaser reset after a run — a traced clamr_mpi fork

@@ -38,8 +38,12 @@ var lehmerPow = func() (p [rngLen]uint64) {
 // rankStream is the random stream of rank's injector in a run whose spec
 // seed is seed.
 func rankStream(seed int64, rank int) *rand.Rand {
-	return rand.New(&lazySource{seed: seed*1000003 + int64(rank)})
+	return rand.New(&lazySource{seed: streamSeed(seed, rank)})
 }
+
+// streamSeed is the seed of that stream's source. Reseeding a rand.Rand of
+// rankStream's with it gives the same stream as a new one.
+func streamSeed(seed int64, rank int) int64 { return seed*1000003 + int64(rank) }
 
 // lazySource is rand.NewSource(seed), value for value, that fills no table
 // while it is drawn from at most rngTap times: a world that never reaches its

@@ -47,6 +47,8 @@ type Message struct {
 type World struct {
 	size  int
 	ranks []rankState
+	// terms is what Run returns, kept by Reset.
+	terms []vm.Termination
 
 	// stopped is set when the world stops early (abort, deadlock): a rank
 	// that would have to wait fails its MPI call instead.
@@ -149,6 +151,7 @@ func (w *World) Reset(prog *isa.Program, cfg Config) error {
 	*w = World{
 		size:   cfg.Size,
 		ranks:  ranks,
+		terms:  w.terms,
 		obs:    wobs,
 		reg:    reg,
 		tracer: cfg.Tracer,
@@ -218,6 +221,8 @@ func (w *World) Machine(rank int) *vm.Machine { return w.ranks[rank].m }
 // that termination on the target and a zero one on every rank still live:
 // each stays where the schedule left it — not started, stepped aside after an
 // MPI call, or suspended inside one — and State captures the world.
+//
+// The slice is the world's own: the Run after its next Reset writes over it.
 func (w *World) Run() []vm.Termination {
 	for r := range w.ranks {
 		rs := &w.ranks[r]
@@ -234,11 +239,11 @@ func (w *World) Run() []vm.Termination {
 	if w.panicMsg != "" {
 		panic("mpi: " + w.panicMsg)
 	}
-	out := make([]vm.Termination, w.size)
+	w.terms = w.terms[:0]
 	for r := range w.ranks {
-		out[r] = w.ranks[r].term
+		w.terms = append(w.terms, w.ranks[r].term)
 	}
-	return out
+	return w.terms
 }
 
 // runRank gives rank rs the baton: its machine executes until it ends, which
@@ -290,7 +295,7 @@ func (w *World) Interrupt(t vm.Termination) {
 			w.obs.aborts.Inc()
 		}
 		w.tracer.Instant("mpi.interrupt", 0)
-		w.events.Emit("world_interrupt", -1, -1, uint64(t.Reason), 0, t.Msg)
+		w.events.Emit("world_interrupt", -1, -1, uint64(t.Reason), 0, t.Message())
 	}
 }
 
@@ -388,7 +393,9 @@ func (w *World) abortPeers(from int, cause vm.Termination) {
 			w.obs.aborts.Inc()
 		}
 		w.tracer.Instant("mpi.abort_peers", from)
-		w.events.Emit("world_abort", -1, from, uint64(cause.Reason), 0, cause.Msg)
+		if w.events != nil {
+			w.events.Emit("world_abort", -1, from, uint64(cause.Reason), 0, cause.Message())
+		}
 	}
 }
 

@@ -319,6 +319,18 @@ func WithNamespace(hub Hub, ns int) Hub {
 	return n
 }
 
+// Base returns the hub a WithNamespace view is a view of, and hub itself when
+// it is no such view: two namespaces of one hub have one base.
+func Base(hub Hub) Hub {
+	switch n := hub.(type) {
+	case namespaced:
+		return n.hub
+	case namespacedFlights:
+		return n.hub
+	}
+	return hub
+}
+
 // namespacedFlights is the namespaced view of a hub that is a FlightStarter.
 type namespacedFlights struct {
 	namespaced

@@ -105,16 +105,36 @@ func NewTranslator(prog *isa.Program) *Translator {
 // served from (and published into) the shared base cache. A nil base, or one
 // built for a different program, falls back to a private cache.
 func NewSharedTranslator(prog *isa.Program, base *BaseCache) *Translator {
+	t := new(Translator)
+	t.Reset(prog, base)
+	return t
+}
+
+// maxKeptOverlay bounds the overlay a reset translator keeps: a Go map never
+// shrinks.
+const maxKeptOverlay = 1024
+
+// Reset makes t the translator NewSharedTranslator(prog, base) returns,
+// keeping the storage of its overlay and its hook list. A nil prog empties it
+// instead: it then holds no program, base cache, block or hook, and serves
+// nothing until the next Reset. A machine's translator is reset, not made
+// anew, when its machine is recycled.
+func (t *Translator) Reset(prog *isa.Program, base *BaseCache) {
+	overlay := t.overlay
+	if overlay == nil || len(overlay) > maxKeptOverlay {
+		overlay = make(map[uint64]*TB)
+	} else if len(overlay) > 0 {
+		clear(overlay)
+	}
+	clear(t.hooks)
+	*t = Translator{overlay: overlay, hooks: t.hooks[:0]}
+	if prog == nil {
+		return
+	}
 	if base == nil || base.prog != prog {
 		base = NewBaseCache(prog)
 	}
-	return &Translator{
-		prog:    prog,
-		base:    base,
-		overlay: make(map[uint64]*TB),
-		noOpt:   base.noOpt,
-		noFuse:  base.noFuse,
-	}
+	t.prog, t.base, t.noOpt, t.noFuse = prog, base, base.noOpt, base.noFuse
 }
 
 // SetOptimizer toggles the peephole optimizer (on by default); campaigns

@@ -210,6 +210,21 @@ func NewCollectorNoAccessLog() *Collector {
 	return &Collector{noLog: true}
 }
 
+// Reset empties the collector for another run: it then holds what the
+// constructor that made it returns, and keeps the storage of its cross-rank,
+// send and output records. Nothing may read or add to it meanwhile; what its
+// accessors returned before are copies, and stay as they were.
+func (c *Collector) Reset() {
+	clear(c.outputs) // their masks
+	*c = Collector{
+		maxEvents: c.maxEvents,
+		noLog:     c.noLog,
+		crossRank: c.crossRank[:0],
+		sends:     c.sends[:0],
+		outputs:   c.outputs[:0],
+	}
+}
+
 // AccessLogKept reports whether the collector stores the accesses of its run.
 func (c *Collector) AccessLogKept() bool { return !c.noLog }
 
@@ -307,11 +322,35 @@ func (c *Collector) addEvent(ev *Event) error {
 // record and the tally — no lock, no call, no publication. One goroutine at a
 // time adds through the appenders of a rank, as with AddEvent.
 func (c *Collector) Appender(rank int) (add func(ev *Event), publish func()) {
-	a := &appender{c: c, rank: rank}
-	add = func(ev *Event) {
+	x := new(Appender)
+	x.Attach(c, rank)
+	return x.Add, x.Publish
+}
+
+// Appender is a rank's end of an access log, as Collector.Appender hands it
+// out, that can be moved from one collector to another: a rank that logs into
+// a new collector every run keeps one Appender, and its callbacks, across
+// runs. The zero Appender is attached to nothing.
+type Appender struct {
+	// Add and Publish are Collector.Appender's add and publish. Attach binds
+	// them, once.
+	Add     func(ev *Event)
+	Publish func()
+	a       appender
+}
+
+// Attach points the appender at rank's log in c, which it looks up at the
+// rank's first access. Nothing may add through it meanwhile.
+func (x *Appender) Attach(c *Collector, rank int) {
+	x.a = appender{c: c, rank: rank}
+	if x.Add != nil {
+		return
+	}
+	a := &x.a
+	x.Add = func(ev *Event) {
 		// The fast path: the region found by the storage its name came in,
-		// then put, spelled out — Appender may be inlined into its caller,
-		// and a call in the body of a closure inlined with it stays a call.
+		// then put, spelled out — a call in the body of a closure stays a
+		// call.
 		if l := a.l; l != nil && l.at < len(l.cur) && uint(ev.Size) <= 0xffff {
 			name := unsafe.StringData(ev.Region)
 			for i := 1; i < len(l.names); i++ {
@@ -333,12 +372,11 @@ func (c *Collector) Appender(rank int) (add func(ev *Event), publish func()) {
 		}
 		a.add(ev)
 	}
-	publish = func() {
+	x.Publish = func() {
 		if a.l != nil {
 			a.l.publish()
 		}
 	}
-	return add, publish
 }
 
 // appender is the state of an Appender's callbacks: the rank, and its log

@@ -77,15 +77,15 @@ func (a *Arena) NewFromSnapshot(prog *isa.Program, snap *Snapshot, cfg Config) *
 	// The restored count need not sit on the sampling grid.
 	m.nextSample = (m.counters.Instructions/m.sampleIv + 1) * m.sampleIv
 	if snap.term != nil {
-		tt := *snap.term
-		m.term = &tt
+		m.end(*snap.term)
 	}
 	return m
 }
 
 // build returns a machine for prog under cfg with its identity, knobs and a
 // translator set, an empty Memory (with a page table sized for pages), a
-// pristine Shadow, and whatever chain table and buffers the arena recycled.
+// pristine Shadow, and whatever translator, helper table, chain table and
+// buffers the arena recycled.
 func (a *Arena) build(prog *isa.Program, cfg Config, pages int) *Machine {
 	m := a.machine()
 	mem, sh, chains, console, output := m.Mem, m.Shadow, m.chains, m.console, m.output
@@ -95,6 +95,12 @@ func (a *Arena) build(prog *isa.Program, cfg Config, pages int) *Machine {
 	if sh == nil {
 		sh = taint.NewShadow()
 	}
+	trans := m.Trans
+	if trans == nil {
+		trans = tcg.NewSharedTranslator(prog, cfg.BaseCache)
+	} else {
+		trans.Reset(prog, cfg.BaseCache)
+	}
 	mem.arena = a
 	*m = Machine{
 		Name:       prog.Name,
@@ -103,17 +109,18 @@ func (a *Arena) build(prog *isa.Program, cfg Config, pages int) *Machine {
 		WorldSize:  cfg.WorldSize,
 		Prog:       prog,
 		Mem:        mem,
-		Trans:      tcg.NewSharedTranslator(prog, cfg.BaseCache),
+		Trans:      trans,
 		Shadow:     sh,
 		maxInstr:   cfg.MaxInstructions,
 		sampleIv:   cfg.SampleInterval,
 		noFastPath: cfg.NoFastPath,
 		console:    console,
 		output:     output,
+		helpers:    m.helpers,
 		mpi:        cfg.MPI,
 		obsReg:     cfg.Obs,
 		events:     cfg.Events,
-		chains:     chainTable{nodes: chains.nodes, wear: chains.wear},
+		chains:     chainTable{nodes: chains.nodes, wear: chains.wear, slab: chains.slab},
 	}
 	m.Trans.AttachObs(cfg.Obs)
 	if m.maxInstr == 0 {
@@ -155,13 +162,14 @@ func (a *Arena) page() *memPage {
 
 // Release hands the arena a machine of a finished run that nothing will
 // touch again: no world will run or abort it, no callback of a watchdog or a
-// hub is left to fire on it, and no result shares its memory — results hold
-// copies (Output, Console, Counters). The arena keeps the machine's private
+// hub is left to fire on it, and no result shares its memory — a result that
+// read its buffers in place (Buffers) is done with them, and one that
+// outlives it holds copies (Output, Console, Counters). The arena keeps the machine's private
 // pages (never a sealed one: those belong to snapshots), and the machine
-// itself with its page table, its shadow, its chain table and the console and
-// output buffers it owns, all emptied; it drops everything else the machine
-// referred to — program, translator, hooks, helpers — so a kept machine holds
-// nothing of its run alive.
+// itself with its page table, its shadow, its translator, its helper table,
+// its chain table and the console and output buffers it owns, all emptied; it
+// drops everything else the machine referred to — program, base cache, hooks,
+// the helpers in its table — so a kept machine holds nothing of its run alive.
 func (a *Arena) Release(m *Machine) {
 	mem := m.Mem
 	for _, p := range mem.private {
@@ -181,10 +189,14 @@ func (a *Arena) Release(m *Machine) {
 	} else {
 		clear(nodes)
 	}
+	m.Trans.Reset(nil, nil)
+	clear(m.helpers)
 	*m = Machine{
 		Mem:     mem,
 		Shadow:  m.Shadow,
-		chains:  chainTable{nodes: nodes, wear: wear},
+		Trans:   m.Trans,
+		helpers: m.helpers[:0],
+		chains:  chainTable{nodes: nodes, wear: wear, slab: m.chains.reuse()},
 		console: ownedBuf(m.console),
 		output:  ownedBuf(m.output),
 	}

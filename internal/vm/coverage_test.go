@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -274,5 +275,36 @@ func TestWrite64CrossPageFault(t *testing.T) {
 	}
 	if _, err := m.Read64(PageSize - 4); err == nil {
 		t.Error("cross-boundary read succeeded")
+	}
+}
+
+// TestSegfaultTextFormattedWhenRead: a guest access outside every mapped
+// region ends the machine without formatting its text — Msg stays empty —
+// and Message and String read as they did when the kill formatted it: the
+// text of the SegFaultError of that access.
+func TestSegfaultTextFormattedWhenRead(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want SegFaultError
+	}{
+		{"main:\n movi r1, 16\n ld r2, [r1+0]\n hlt\n", SegFaultError{Addr: 16}},
+		{"main:\n movi r1, 32\n st [r1+8], r2\n hlt\n", SegFaultError{Addr: 40, Write: true}},
+		{"main:\n movi r1, 16\n ldb r2, [r1+0]\n hlt\n", SegFaultError{Addr: 16}},
+	} {
+		p, err := asm.Assemble("t", tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		term := New(p, Config{}).Run()
+		want := tc.want.Error()
+		if term.Reason != ReasonSignal || term.Signal != SIGSEGV || term.Msg != "" || term.Message() != want {
+			t.Errorf("%q: %+v, message %q, want SIGSEGV %q", tc.src, term, term.Message(), want)
+		}
+		if s := term.String(); s != fmt.Sprintf("killed(SIGSEGV) at %#x: %s", term.PC, want) {
+			t.Errorf("%q: %s", tc.src, s)
+		}
+		if ab := (&AbortedError{Term: term}); ab.Error() != want {
+			t.Errorf("%q: an abort carrying it reads %q", tc.src, ab.Error())
+		}
 	}
 }

@@ -61,6 +61,32 @@ type chainTable struct {
 	nodes map[*tcg.TB]*chainNode
 	// wear decides whether Arena.Release clears nodes or makes it anew.
 	wear taint.MapWear
+	// slab is where new nodes are carved from, in order. A table's nodes
+	// live as long as its machine's run, so a recycled machine's table
+	// carves its next run's nodes from the slab its last run filled.
+	slab []chainNode
+}
+
+// Slabs of chain nodes start at firstSlab nodes and double, up to
+// maxRecycledBlocks, which bounds the slab a recycled machine keeps.
+const firstSlab = 32
+
+// node returns a new node for tb, carved from the slab.
+func (c *chainTable) node(tb *tcg.TB) *chainNode {
+	if len(c.slab) == cap(c.slab) {
+		c.slab = make([]chainNode, 0, min(max(2*cap(c.slab), firstSlab), maxRecycledBlocks))
+	}
+	c.slab = c.slab[:len(c.slab)+1]
+	n := &c.slab[len(c.slab)-1]
+	n.tb = tb
+	return n
+}
+
+// reuse returns the slab emptied for the table's next run, which must be the
+// only one to reach its nodes: the machine's last run is over.
+func (c *chainTable) reuse() []chainNode {
+	clear(c.slab)
+	return c.slab[:0]
 }
 
 // Run executes the guest until it terminates and returns its final status.
@@ -164,7 +190,7 @@ func (m *Machine) step(chain bool) {
 		}
 		node = m.chains.nodes[tb]
 		if node == nil {
-			node = &chainNode{tb: tb}
+			node = m.chains.node(tb)
 			m.chains.nodes[tb] = node
 		}
 		if prev := m.prevTB; prev != nil {
@@ -204,7 +230,13 @@ func (m *Machine) Step() *Termination {
 }
 
 func (m *Machine) kill(sig Signal, msg string) {
-	m.term = &Termination{Reason: ReasonSignal, Signal: sig, PC: m.pc, Msg: msg}
+	m.end(Termination{Reason: ReasonSignal, Signal: sig, PC: m.pc, Msg: msg})
+}
+
+// killSegv kills the machine with the SIGSEGV of an access to unmapped addr,
+// its text left for Termination.Message to format.
+func (m *Machine) killSegv(addr uint64, write bool) {
+	m.end(Termination{Reason: ReasonSignal, Signal: SIGSEGV, PC: m.pc, segv: true, segvWrite: write, segvAddr: addr})
 }
 
 // execTB runs a block on one of execLoop's two copies: the taint-free one
@@ -467,8 +499,8 @@ nextBlock:
 					break
 				}
 			}
-			if err := m.loadMiss(sh, op, instrs, addr, 8); err != nil {
-				m.fault(node, credited, i, instrs, SIGSEGV, err.Error())
+			if bad, ok := m.loadMiss(sh, op, instrs, addr, 8); !ok {
+				m.segfault(node, credited, i, instrs, bad, false)
 				return node
 			}
 		case tcg.KLdD:
@@ -492,8 +524,8 @@ nextBlock:
 					break
 				}
 			}
-			if err := m.loadMiss(sh, op, instrs, addr, 8); err != nil {
-				m.fault(node, credited, i, instrs, SIGSEGV, err.Error())
+			if bad, ok := m.loadMiss(sh, op, instrs, addr, 8); !ok {
+				m.segfault(node, credited, i, instrs, bad, false)
 				return node
 			}
 		case tcg.KSt64:
@@ -511,8 +543,8 @@ nextBlock:
 					break
 				}
 			}
-			if err := m.storeMiss(sh, op, instrs, addr, 8); err != nil {
-				m.fault(node, credited, i, instrs, SIGSEGV, err.Error())
+			if bad, ok := m.storeMiss(sh, op, instrs, addr, 8); !ok {
+				m.segfault(node, credited, i, instrs, bad, true)
 				return node
 			}
 		case tcg.KStD:
@@ -537,8 +569,8 @@ nextBlock:
 					break
 				}
 			}
-			if err := m.storeMiss(sh, op, instrs, addr, 8); err != nil {
-				m.fault(node, credited, i, instrs, SIGSEGV, err.Error())
+			if bad, ok := m.storeMiss(sh, op, instrs, addr, 8); !ok {
+				m.segfault(node, credited, i, instrs, bad, true)
 				return node
 			}
 		case tcg.KLd8:
@@ -553,8 +585,8 @@ nextBlock:
 				}
 				break
 			}
-			if err := m.loadMiss(sh, op, instrs, addr, 1); err != nil {
-				m.fault(node, credited, i, instrs, SIGSEGV, err.Error())
+			if bad, ok := m.loadMiss(sh, op, instrs, addr, 1); !ok {
+				m.segfault(node, credited, i, instrs, bad, false)
 				return node
 			}
 		case tcg.KSt8:
@@ -570,8 +602,8 @@ nextBlock:
 				}
 				break
 			}
-			if err := m.storeMiss(sh, op, instrs, addr, 1); err != nil {
-				m.fault(node, credited, i, instrs, SIGSEGV, err.Error())
+			if bad, ok := m.storeMiss(sh, op, instrs, addr, 1); !ok {
+				m.segfault(node, credited, i, instrs, bad, true)
 				return node
 			}
 
@@ -662,9 +694,9 @@ nextBlock:
 				}
 			}
 			if p == nil {
-				if err := mem.Write64(sp, uint64(op.Imm2)); err != nil {
+				if bad, ok := mem.write64(sp, uint64(op.Imm2)); !ok {
 					m.pc = op.GuestPC
-					m.kill(SIGSEGV, err.Error())
+					m.killSegv(bad, true)
 					return node
 				}
 			}
@@ -684,10 +716,10 @@ nextBlock:
 				}
 			}
 			if p == nil {
-				ret, err := mem.Read64(sp)
-				if err != nil {
+				ret, bad, ok := mem.read64(sp)
+				if !ok {
 					m.pc = op.GuestPC
-					m.kill(SIGSEGV, err.Error())
+					m.killSegv(bad, false)
 					return node
 				}
 				m.pc = ret
@@ -704,7 +736,7 @@ nextBlock:
 		case tcg.KHlt:
 			m.creditBlock(node, credited, i, instrs)
 			m.pc = op.GuestPC
-			m.term = &Termination{Reason: ReasonExited, Code: int64(regs[tcg.GPR0]), PC: m.pc}
+			m.end(Termination{Reason: ReasonExited, Code: int64(regs[tcg.GPR0]), PC: m.pc})
 			return node
 
 		case tcg.KHelper:
@@ -829,22 +861,23 @@ func (m *Machine) storeTaint(op *tcg.Op, instrs, addr, v, mask uint64, size int,
 
 // loadMiss is a load's path past the TLB: the accessor reads size bytes at
 // addr into A0, then the propagation arm runs given a shadow (the taint copy).
-func (m *Machine) loadMiss(sh *taint.Shadow, op *tcg.Op, instrs, addr uint64, size int) (err error) {
+// It reports false, and the unmapped address, when the access faults.
+func (m *Machine) loadMiss(sh *taint.Shadow, op *tcg.Op, instrs, addr uint64, size int) (bad uint64, ok bool) {
 	var v, mask uint64
 	if size == 8 {
-		v, err = m.Mem.Read64(addr)
+		v, bad, ok = m.Mem.read64(addr)
 	} else {
 		var b uint8
-		b, err = m.Mem.Read8(addr)
-		v = uint64(b)
+		b, ok = m.Mem.read8(addr)
+		v, bad = uint64(b), addr
 	}
-	if err != nil {
-		return err
+	if !ok {
+		return bad, false
 	}
 	m.regs[op.A0] = v
 	switch {
 	case sh == nil:
-		return nil
+		return 0, true
 	case size == 8:
 		mask = memMask64(sh, addr)
 	default:
@@ -853,24 +886,25 @@ func (m *Machine) loadMiss(sh *taint.Shadow, op *tcg.Op, instrs, addr uint64, si
 	if mask|sh.RegMask(op.A0) != 0 {
 		m.loadTaint(sh, op, instrs, addr, v, mask, size, nil)
 	}
-	return nil
+	return 0, true
 }
 
 // storeMiss is a store's path past the TLB: the accessor writes A2's low size
-// bytes at addr, then the propagation arm runs given a shadow.
-func (m *Machine) storeMiss(sh *taint.Shadow, op *tcg.Op, instrs, addr uint64, size int) (err error) {
+// bytes at addr, then the propagation arm runs given a shadow. It reports
+// false, and the unmapped address, when the access faults.
+func (m *Machine) storeMiss(sh *taint.Shadow, op *tcg.Op, instrs, addr uint64, size int) (bad uint64, ok bool) {
 	v, mask := m.regs[op.A2], uint64(0)
 	if sh != nil {
 		mask = sh.RegMask(op.A2)
 	}
 	if size == 8 {
-		err = m.Mem.Write64(addr, v)
+		bad, ok = m.Mem.write64(addr, v)
 	} else {
 		v, mask = v&0xff, mask&0xff
-		err = m.Mem.Write8(addr, uint8(v))
+		bad, ok = addr, m.Mem.write8(addr, uint8(v))
 	}
-	if err != nil || sh == nil || (mask == 0 && sh.TaintedBytes() == 0) {
-		return err
+	if !ok || sh == nil || (mask == 0 && sh.TaintedBytes() == 0) {
+		return bad, ok
 	}
 	if size == 8 {
 		sh.SetMemMask64(addr, mask)
@@ -878,7 +912,7 @@ func (m *Machine) storeMiss(sh *taint.Shadow, op *tcg.Op, instrs, addr uint64, s
 		sh.SetMemMask8(addr, uint8(mask))
 	}
 	m.storeTaint(op, instrs, addr, v, mask, size, nil)
-	return nil
+	return 0, true
 }
 
 // stopAt is the retired-instruction count at which the loop leaves its
@@ -906,7 +940,7 @@ func (m *Machine) retire(n, pc uint64, gop isa.Op) bool {
 	}
 	if n > m.maxInstr {
 		m.pc = pc
-		m.term = &Termination{Reason: ReasonBudget, PC: pc}
+		m.end(Termination{Reason: ReasonBudget, PC: pc})
 		return false
 	}
 	if n == m.nextSample {
@@ -980,6 +1014,13 @@ func (m *Machine) fault(node *chainNode, credited, i int, instrs uint64, sig Sig
 	m.creditBlock(node, credited, i, instrs)
 	m.pc = node.tb.Ops[i].GuestPC
 	m.kill(sig, msg)
+}
+
+// segfault is fault for an access to unmapped addr (killSegv).
+func (m *Machine) segfault(node *chainNode, credited, i int, instrs uint64, addr uint64, write bool) {
+	m.creditBlock(node, credited, i, instrs)
+	m.pc = node.tb.Ops[i].GuestPC
+	m.killSegv(addr, write)
 }
 
 // memTaintEvent counts one tainted access the guest has just made at

@@ -118,7 +118,7 @@ func (e *MPIRuntimeError) Error() string {
 // error on the ones that happened to be blocked.
 type AbortedError struct{ Term Termination }
 
-func (e *AbortedError) Error() string { return e.Term.Msg }
+func (e *AbortedError) Error() string { return e.Term.Message() }
 
 // Config parameterizes machine construction.
 type Config struct {
@@ -210,8 +210,10 @@ type Machine struct {
 	// forkBase is the counters a machine resumed from a snapshot started
 	// with (nil for a machine started at program entry): telemetry publishes
 	// only what this machine executed itself.
-	forkBase  *Counters
+	forkBase *Counters
+	// term is the final status, nil while running: &ended, or an abort's.
 	term      *Termination
+	ended     Termination
 	abort     abortBox
 	execTrace *execRing
 	chains    chainTable
@@ -280,6 +282,11 @@ func (m *Machine) Output() []byte {
 	return out
 }
 
+// Buffers returns the guest's console and output file as the machine holds
+// them, without copying: the bytes are the machine's, valid until it runs
+// again or is released to an arena. Console and Output copy them.
+func (m *Machine) Buffers() (console, output []byte) { return m.console, m.output }
+
 // OutputLen returns the current length of the guest's output file without
 // copying it. Syscall hooks use it to compute the file offset of the bytes
 // an output syscall just appended.
@@ -309,6 +316,12 @@ func (m *Machine) RegisterHelper(h Helper) int {
 // world supervisor to abort peers of a crashed rank.
 func (m *Machine) Terminate(t Termination) {
 	if m.term == nil {
-		m.term = &t
+		m.end(t)
 	}
+}
+
+// end terminates the machine with t, kept in the machine's own storage.
+func (m *Machine) end(t Termination) {
+	m.ended = t
+	m.term = &m.ended
 }

@@ -212,17 +212,20 @@ func (m *Memory) locate(addr uint64) (paddr uint64, region string) {
 	return p.frame*PageSize + addr - base, region
 }
 
-func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
+// page returns the page holding addr, and addr's offset in it, paging it in
+// (or copying it, for a write to a sealed page) as needed; nil outside every
+// mapped region.
+func (m *Memory) page(addr uint64, write bool) (*memPage, uint64) {
 	base := addr &^ (PageSize - 1)
 	e := &m.tlb[(base/PageSize)%tlbSize]
 	if tag := tlbTag(base); e.write == tag || (!write && e.read == tag) {
-		return e.page, addr - base, nil
+		return e.page, addr - base
 	}
 	p, ok := m.pages[base]
 	switch {
 	case !ok:
 		if !m.Mapped(addr) {
-			return nil, 0, &SegFaultError{Addr: addr, Write: write}
+			return nil, 0
 		}
 		p = m.blankPage()
 		p.frame = m.nextFrame
@@ -235,7 +238,7 @@ func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
 			// Reads share the sealed page: it enters the TLB under its read
 			// tag alone, so a store still misses and copies it.
 			*e = tlbEntry{read: tlbTag(base), page: p}
-			return p, addr - base, nil
+			return p, addr - base
 		}
 		// Copy-on-write: privatize the page, keeping its frame so physical
 		// addresses stay stable across snapshot/fork.
@@ -245,7 +248,7 @@ func (m *Memory) page(addr uint64, write bool) (*memPage, uint64, error) {
 		m.private = append(m.private, p)
 	}
 	*e = tlbEntry{read: tlbTag(base), write: tlbTag(base), page: p}
-	return p, addr - base, nil
+	return p, addr - base
 }
 
 // MemImage is an immutable snapshot of an address space. All pages it
@@ -356,100 +359,135 @@ func (m *Memory) CowCopies() uint64 { return m.cowCopies }
 // the page in if needed. It fails with a SegFaultError outside mapped
 // regions.
 func (m *Memory) Translate(addr uint64) (uint64, error) {
-	p, off, err := m.page(addr, false)
-	if err != nil {
-		return 0, err
+	p, off := m.page(addr, false)
+	if p == nil {
+		return 0, &SegFaultError{Addr: addr}
 	}
 	return p.frame*PageSize + off, nil
 }
 
 // Read8 loads one byte.
 func (m *Memory) Read8(addr uint64) (uint8, error) {
-	base := addr &^ (PageSize - 1)
-	if p := m.lookup(base); p != nil {
-		return p.data[addr-base], nil
+	v, ok := m.read8(addr)
+	if !ok {
+		return 0, &SegFaultError{Addr: addr}
 	}
-	p, off, err := m.page(addr, false)
-	if err != nil {
-		return 0, err
-	}
-	return p.data[off], nil
+	return v, nil
 }
 
 // Write8 stores one byte.
 func (m *Memory) Write8(addr uint64, v uint8) error {
-	base := addr &^ (PageSize - 1)
-	if p := m.lookupWrite(base); p != nil {
-		p.data[addr-base] = v
-		return nil
+	if !m.write8(addr, v) {
+		return &SegFaultError{Addr: addr, Write: true}
 	}
-	p, off, err := m.page(addr, true)
-	if err != nil {
-		return err
-	}
-	p.data[off] = v
 	return nil
 }
 
 // Read64 loads a 64-bit little-endian word. No alignment is required.
 func (m *Memory) Read64(addr uint64) (uint64, error) {
-	base := addr &^ (PageSize - 1)
-	if p := m.lookup(base); p != nil && addr-base <= PageSize-8 {
-		return binary.LittleEndian.Uint64(p.data[addr-base : addr-base+8]), nil
+	v, bad, ok := m.read64(addr)
+	if !ok {
+		return 0, &SegFaultError{Addr: bad}
 	}
-	p, off, err := m.page(addr, false)
-	if err != nil {
-		return 0, err
-	}
-	if off <= PageSize-8 {
-		return binary.LittleEndian.Uint64(p.data[off : off+8]), nil
-	}
-	// Page-straddling load: resolve the second page once and stitch the two
-	// fragments instead of eight per-byte lookups.
-	p2, _, err := m.page(base+PageSize, false)
-	if err != nil {
-		return 0, err
-	}
-	var buf [8]byte
-	k := copy(buf[:], p.data[off:])
-	copy(buf[k:], p2.data[:])
-	return binary.LittleEndian.Uint64(buf[:]), nil
+	return v, nil
 }
 
 // Write64 stores a 64-bit little-endian word. No alignment is required.
 func (m *Memory) Write64(addr uint64, v uint64) error {
+	if bad, ok := m.write64(addr, v); !ok {
+		return &SegFaultError{Addr: bad, Write: true}
+	}
+	return nil
+}
+
+// The accessors below are the exported ones without the error, which the
+// interpreter turns into a termination that formats its text only when read:
+// false for an access outside every mapped region, the word-sized ones with
+// the unmapped address it hit.
+
+func (m *Memory) read8(addr uint64) (uint8, bool) {
+	base := addr &^ (PageSize - 1)
+	if p := m.lookup(base); p != nil {
+		return p.data[addr-base], true
+	}
+	p, off := m.page(addr, false)
+	if p == nil {
+		return 0, false
+	}
+	return p.data[off], true
+}
+
+func (m *Memory) write8(addr uint64, v uint8) bool {
+	base := addr &^ (PageSize - 1)
+	if p := m.lookupWrite(base); p != nil {
+		p.data[addr-base] = v
+		return true
+	}
+	p, off := m.page(addr, true)
+	if p == nil {
+		return false
+	}
+	p.data[off] = v
+	return true
+}
+
+func (m *Memory) read64(addr uint64) (v, bad uint64, ok bool) {
+	base := addr &^ (PageSize - 1)
+	if p := m.lookup(base); p != nil && addr-base <= PageSize-8 {
+		return binary.LittleEndian.Uint64(p.data[addr-base : addr-base+8]), 0, true
+	}
+	p, off := m.page(addr, false)
+	if p == nil {
+		return 0, addr, false
+	}
+	if off <= PageSize-8 {
+		return binary.LittleEndian.Uint64(p.data[off : off+8]), 0, true
+	}
+	// Page-straddling load: resolve the second page once and stitch the two
+	// fragments instead of eight per-byte lookups.
+	p2, _ := m.page(base+PageSize, false)
+	if p2 == nil {
+		return 0, base + PageSize, false
+	}
+	var buf [8]byte
+	k := copy(buf[:], p.data[off:])
+	copy(buf[k:], p2.data[:])
+	return binary.LittleEndian.Uint64(buf[:]), 0, true
+}
+
+func (m *Memory) write64(addr uint64, v uint64) (bad uint64, ok bool) {
 	base := addr &^ (PageSize - 1)
 	if p := m.lookupWrite(base); p != nil && addr-base <= PageSize-8 {
 		binary.LittleEndian.PutUint64(p.data[addr-base:addr-base+8], v)
-		return nil
+		return 0, true
 	}
-	p, off, err := m.page(addr, true)
-	if err != nil {
-		return err
+	p, off := m.page(addr, true)
+	if p == nil {
+		return addr, false
 	}
 	if off <= PageSize-8 {
 		binary.LittleEndian.PutUint64(p.data[off:off+8], v)
-		return nil
+		return 0, true
 	}
 	// Page-straddling store: resolve both pages once and split the copy.
-	p2, _, err := m.page(base+PageSize, true)
-	if err != nil {
-		return err
+	p2, _ := m.page(base+PageSize, true)
+	if p2 == nil {
+		return base + PageSize, false
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	k := copy(p.data[off:], buf[:])
 	copy(p2.data[:8-k], buf[k:])
-	return nil
+	return 0, true
 }
 
 // ReadBytes copies n bytes starting at addr, chunked per page.
 func (m *Memory) ReadBytes(addr, n uint64) ([]byte, error) {
 	out := make([]byte, n)
 	for done := uint64(0); done < n; {
-		p, off, err := m.page(addr+done, false)
-		if err != nil {
-			return nil, err
+		p, off := m.page(addr+done, false)
+		if p == nil {
+			return nil, &SegFaultError{Addr: addr + done}
 		}
 		done += uint64(copy(out[done:], p.data[off:]))
 	}
@@ -459,9 +497,9 @@ func (m *Memory) ReadBytes(addr, n uint64) ([]byte, error) {
 // WriteBytes copies data into guest memory at addr, chunked per page.
 func (m *Memory) WriteBytes(addr uint64, data []byte) error {
 	for done := 0; done < len(data); {
-		p, off, err := m.page(addr+uint64(done), true)
-		if err != nil {
-			return err
+		p, off := m.page(addr+uint64(done), true)
+		if p == nil {
+			return &SegFaultError{Addr: addr + uint64(done), Write: true}
 		}
 		done += copy(p.data[off:], data[done:])
 	}

@@ -23,7 +23,7 @@ import (
 // re-executes it exactly once and no counter compensation is needed.
 func (m *Machine) PauseAt(pc uint64) {
 	m.pc = pc
-	m.term = &Termination{Reason: ReasonPaused, PC: pc, Msg: "fork-point pause"}
+	m.end(Termination{Reason: ReasonPaused, PC: pc, Msg: "fork-point pause"})
 }
 
 // Snapshot is an immutable capture of one machine, shareable across any

@@ -43,7 +43,7 @@ func (m *Machine) finishSyscall(sys isa.Sys, eip uint64) {
 func (m *Machine) dispatchSyscall(sys isa.Sys, eip uint64) {
 	switch sys {
 	case isa.SysExit:
-		m.term = &Termination{Reason: ReasonExited, Code: int64(m.GPR(isa.R1)), PC: eip}
+		m.end(Termination{Reason: ReasonExited, Code: int64(m.GPR(isa.R1)), PC: eip})
 
 	case isa.SysPrintInt:
 		m.appendConsole(strconv.FormatInt(int64(m.GPR(isa.R1)), 10) + "\n")
@@ -105,16 +105,16 @@ func (m *Machine) dispatchSyscall(sys isa.Sys, eip uint64) {
 
 	case isa.SysAssert:
 		if m.GPR(isa.R1) == 0 {
-			m.term = &Termination{Reason: ReasonAssert, Code: int64(m.GPR(isa.R2)), PC: eip}
+			m.end(Termination{Reason: ReasonAssert, Code: int64(m.GPR(isa.R2)), PC: eip})
 		}
 
 	case isa.SysMPIRank, isa.SysMPISize, isa.SysMPISend, isa.SysMPIRecv,
 		isa.SysMPIBarrier, isa.SysMPIBcast, isa.SysMPIReduce, isa.SysMPIAllreduce:
 		if m.mpi == nil {
-			m.term = &Termination{
+			m.end(Termination{
 				Reason: ReasonMPIError, PC: eip,
 				Msg: fmt.Sprintf("%s called without an MPI environment", sys),
-			}
+			})
 			return
 		}
 		if err := m.mpi.Call(m, sys); err != nil {
@@ -128,12 +128,12 @@ func (m *Machine) dispatchSyscall(sys isa.Sys, eip uint64) {
 				if t.PC == 0 {
 					t.PC = eip
 				}
-				m.term = &t
+				m.end(t)
 				return
 			}
 			var mpiErr *MPIRuntimeError
 			if errors.As(err, &mpiErr) {
-				m.term = &Termination{Reason: ReasonMPIError, PC: eip, Msg: err.Error()}
+				m.end(Termination{Reason: ReasonMPIError, PC: eip, Msg: err.Error()})
 				return
 			}
 			var seg *SegFaultError
@@ -142,7 +142,7 @@ func (m *Machine) dispatchSyscall(sys isa.Sys, eip uint64) {
 				m.killAt(eip, SIGSEGV, err.Error())
 				return
 			}
-			m.term = &Termination{Reason: ReasonMPIError, PC: eip, Msg: err.Error()}
+			m.end(Termination{Reason: ReasonMPIError, PC: eip, Msg: err.Error()})
 		}
 
 	default:
@@ -157,7 +157,7 @@ func (m *Machine) dispatchSyscall(sys isa.Sys, eip uint64) {
 const fprBitsIndex = 16 + 1
 
 func (m *Machine) killAt(eip uint64, sig Signal, msg string) {
-	m.term = &Termination{Reason: ReasonSignal, Signal: sig, PC: eip, Msg: msg}
+	m.end(Termination{Reason: ReasonSignal, Signal: sig, PC: eip, Msg: msg})
 }
 
 func (m *Machine) appendConsole(s string) {

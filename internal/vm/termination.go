@@ -3,7 +3,7 @@ package vm
 import "fmt"
 
 // Signal models the guest-visible OS signals a fault can raise.
-type Signal int
+type Signal uint8
 
 // Guest signals.
 const (
@@ -32,7 +32,7 @@ func (s Signal) String() string {
 }
 
 // Reason classifies how a guest process ended.
-type Reason int
+type Reason uint8
 
 // Termination reasons.
 const (
@@ -86,9 +86,26 @@ func (r Reason) String() string {
 type Termination struct {
 	Reason Reason
 	Signal Signal // set when Reason == ReasonSignal
-	Code   int64  // exit code or assertion code
-	PC     uint64 // guest pc at termination
-	Msg    string // human-readable detail
+	// segv marks a SIGSEGV whose text is SegFaultError's for the access to
+	// segvAddr, a write when segvWrite is set. Reason and Signal are a byte
+	// each and the flags sit beside them: a Termination is 48 bytes.
+	segv, segvWrite bool
+	Code            int64  // exit code or assertion code
+	PC              uint64 // guest pc at termination
+	// Msg is the human-readable detail as given. Read Message instead: the
+	// detail of a guest access outside every mapped region is left out of
+	// Msg and formatted only when it is read.
+	Msg      string
+	segvAddr uint64
+}
+
+// Message returns the human-readable detail: Msg, or the text of the
+// segmentation fault that ended the process.
+func (t Termination) Message() string {
+	if t.segv {
+		return (&SegFaultError{Addr: t.segvAddr, Write: t.segvWrite}).Error()
+	}
+	return t.Msg
 }
 
 // OK reports a clean exit with code zero.
@@ -108,15 +125,15 @@ func (t Termination) String() string {
 	case ReasonExited:
 		return fmt.Sprintf("exited(%d)", t.Code)
 	case ReasonSignal:
-		return fmt.Sprintf("killed(%s) at %#x: %s", t.Signal, t.PC, t.Msg)
+		return fmt.Sprintf("killed(%s) at %#x: %s", t.Signal, t.PC, t.Message())
 	case ReasonAssert:
 		return fmt.Sprintf("assert-failed(code=%d) at %#x", t.Code, t.PC)
 	case ReasonMPIError:
-		return fmt.Sprintf("mpi-error at %#x: %s", t.PC, t.Msg)
+		return fmt.Sprintf("mpi-error at %#x: %s", t.PC, t.Message())
 	case ReasonBudget:
 		return fmt.Sprintf("budget-exhausted at %#x", t.PC)
 	case ReasonTimeout:
-		return fmt.Sprintf("wall-clock timeout at %#x: %s", t.PC, t.Msg)
+		return fmt.Sprintf("wall-clock timeout at %#x: %s", t.PC, t.Message())
 	case ReasonPaused:
 		return fmt.Sprintf("paused at %#x", t.PC)
 	}
