@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log"
+	"slices"
 	"sync"
 	"time"
 
@@ -179,7 +180,11 @@ type Scheduler struct {
 
 	mu        sync.Mutex
 	campaigns map[string]*campaignState
-	order     []string // submission order, for fair claim scanning
+	order     []string // submission order, for List
+	// open lists the campaigns that are not terminal, in submission order:
+	// what Claim scans. A campaign leaves it when it completes or fails, so
+	// a claim costs the open campaigns, not every campaign ever submitted.
+	open      []*campaignState
 	leases    map[string]*lease
 	nextID    int
 	nextToken int
@@ -237,20 +242,18 @@ func (s *Scheduler) replay(recs []walRecord) error {
 			}
 		case "complete":
 			if c := s.campaigns[rec.C]; c != nil {
-				c.status = StatusComplete
 				// Startup compaction folds a terminal campaign down to its
 				// campaign + terminal records, so the per-shard done records
 				// may be gone: the terminal record implies all of them.
 				for _, sh := range c.shards {
 					sh.state = shardDone
 				}
-				close(c.done)
+				s.settleLocked(c, StatusComplete)
 			}
 		case "failed":
 			if c := s.campaigns[rec.C]; c != nil {
-				c.status = StatusFailed
 				c.errMsg = rec.Err
-				close(c.done)
+				s.settleLocked(c, StatusFailed)
 			}
 		default:
 			// Unknown record types are skipped, not fatal: a newer chaserd
@@ -300,6 +303,7 @@ func (s *Scheduler) addCampaignLocked(id string, sp Spec, hub string, nsBase int
 	}
 	s.campaigns[id] = c
 	s.order = append(s.order, id)
+	s.open = append(s.open, c)
 	// Track ID and namespace high-water marks so new submissions never
 	// collide with recovered ones.
 	var n int
@@ -354,11 +358,7 @@ func (s *Scheduler) Claim(worker string) (*Assignment, error) {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range s.order {
-		c := s.campaigns[id]
-		if c.terminal() {
-			continue
-		}
+	for _, c := range s.open {
 		for _, sh := range c.shards {
 			if sh.state != shardPending || now.Before(sh.notBefore) {
 				continue
@@ -500,13 +500,20 @@ func (s *Scheduler) failCampaignLocked(c *campaignState, msg string) bool {
 	if c.terminal() {
 		return false
 	}
-	c.status = StatusFailed
 	c.errMsg = msg
 	if err := s.store.Append(walRecord{T: "failed", C: c.id, Err: msg}); err != nil {
 		s.cfg.Logf("chaserd: wal: %v", err)
 	}
-	close(c.done)
+	s.settleLocked(c, StatusFailed)
 	return true
+}
+
+// settleLocked gives c its terminal status, wakes its waiters and takes it
+// out of the claim scan. Callers hold s.mu.
+func (s *Scheduler) settleLocked(c *campaignState, status string) {
+	c.status = status
+	close(c.done)
+	s.open = slices.DeleteFunc(s.open, func(o *campaignState) bool { return o == c })
 }
 
 // maybeFinishLocked merges a campaign whose shards are all done. Returns
@@ -547,8 +554,7 @@ func (s *Scheduler) maybeFinishLocked(c *campaignState) bool {
 	if err := s.store.Append(walRecord{T: "complete", C: c.id}); err != nil {
 		s.cfg.Logf("chaserd: wal: %v", err)
 	}
-	c.status = StatusComplete
-	close(c.done)
+	s.settleLocked(c, StatusComplete)
 	s.cfg.Obs.Counter("server_campaigns_completed_total").Inc()
 	s.cfg.Logf("chaserd: campaign %s complete (%d runs over %d shards)", c.id, c.spec.Runs, len(c.shards))
 	return true
@@ -700,10 +706,8 @@ func (s *Scheduler) ActiveByTenant() map[string]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string]int)
-	for _, c := range s.campaigns {
-		if !c.terminal() {
-			out[c.tenant]++
-		}
+	for _, c := range s.open {
+		out[c.tenant]++
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -350,5 +351,61 @@ func TestSchedulerHeapPerCompletedCampaign(t *testing.T) {
 	t.Logf("heap grew %d B over %d completed campaigns: %d B each", grown, campaigns, grown/campaigns)
 	if grown > campaigns*2<<10 {
 		t.Errorf("a completed campaign keeps %d B on the scheduler's heap, want at most 2 KiB", grown/campaigns)
+	}
+}
+
+// TestClaimScansOnlyOpenCampaigns completes 2,000 campaigns: a claim then
+// visits none of them — the scan holds only campaigns that are not terminal
+// — while List still returns every campaign in submission order.
+func TestClaimScansOnlyOpenCampaigns(t *testing.T) {
+	sched, _ := testSched(t, func(c *SchedConfig) { c.Logf = func(string, ...any) {} })
+	w := quietWorker(nil)
+	const completed = 2000
+	ids := make([]string, 0, completed+1)
+	for i := 0; i < completed; i++ {
+		ids = append(ids, submitT(t, sched, Spec{App: "matvec", Runs: 1, Seed: int64(i), Shards: 1, Parallel: 1}))
+		a, err := sched.Claim("w")
+		if err != nil || a == nil {
+			t.Fatalf("claim %d: %v %v", i, a, err)
+		}
+		if err := w.runShard(a, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := sched.Complete(a.Token); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := submitT(t, sched, Spec{App: "matvec", Runs: 2, Seed: 1, Shards: 2, Parallel: 1})
+	ids = append(ids, last)
+
+	sched.mu.Lock()
+	open := slices.Clone(sched.open)
+	sched.mu.Unlock()
+	if len(open) != 1 || open[0].id != last {
+		names := make([]string, len(open))
+		for i, c := range open {
+			names[i] = c.id + "/" + c.status
+		}
+		t.Fatalf("after %d completed campaigns a claim scans %v, want only %s", completed, names, last)
+	}
+	for shard := 0; shard < 2; shard++ {
+		if a, err := sched.Claim("w"); err != nil || a == nil || a.Campaign != last || a.Shard != shard {
+			t.Fatalf("claim: %+v %v, want %s shard %d", a, err, last, shard)
+		}
+	}
+	if a, err := sched.Claim("w"); err != nil || a != nil {
+		t.Fatalf("claim with every shard leased: %+v %v", a, err)
+	}
+	list := sched.List("")
+	if len(list) != len(ids) {
+		t.Fatalf("List returned %d campaigns, want %d", len(list), len(ids))
+	}
+	for i, st := range list {
+		if st.ID != ids[i] {
+			t.Fatalf("List[%d] = %s, want %s (submission order)", i, st.ID, ids[i])
+		}
+	}
+	if got := sched.ActiveByTenant(); got[list[completed].Tenant] != 1 || len(got) != 1 {
+		t.Errorf("ActiveByTenant = %v, want one active campaign", got)
 	}
 }

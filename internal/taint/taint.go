@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"sort"
+	"sync/atomic"
 	"unsafe"
 
 	"chaser/internal/tcg"
@@ -21,7 +22,9 @@ import (
 // PageSize is the granularity of shadow-memory allocation.
 const PageSize = 4096
 
-type shadowPage struct {
+// Page is the shadow of one guest page: a mask per byte. A Shadow holds a
+// page only while some byte of it is tainted.
+type Page struct {
 	masks [PageSize]uint8
 	// count is the number of bytes in this page with a non-zero mask,
 	// maintained incrementally so tainted-byte sampling (paper Fig. 7) is
@@ -29,27 +32,33 @@ type shadowPage struct {
 	count int
 }
 
+// Mask64 returns the masks of the eight bytes at offset off, which must be
+// at most PageSize-8, as MemMask64 assembles them.
+func (p *Page) Mask64(off uint64) uint64 { return binary.LittleEndian.Uint64(p.masks[off : off+8]) }
+
+// Mask8 returns the mask of the byte at offset off.
+func (p *Page) Mask8(off uint64) uint8 { return p.masks[off] }
+
 // Shadow holds the complete taint state of one guest process: shadow
 // registers and shadow memory.
 //
 // The zero value is not ready for use; call NewShadow.
 type Shadow struct {
 	regs  [tcg.NumMRegs]uint64
-	pages map[uint64]*shadowPage
-	// cache is a direct-mapped cache over pages, as the vm's TLB is over
-	// guest pages: once taint is live every guest load and store asks for a
-	// shadow page, and most are told there is none. An entry therefore also
-	// remembers that a page is absent (page == nil). Entries are corrected
-	// when their page is allocated or dropped, and the cache starts empty
-	// after Reset and in a Clone.
-	cache [cacheSize]cacheEntry
+	pages map[uint64]*Page
+	// stamp names the present state of pages, for callers that keep what
+	// PageAt returned (the vm's TLB): it changes whenever a page is added or
+	// dropped, and no two shadows ever show the same stamp (stamps). A kept
+	// page is what PageAt would return as long as Stamp is what it was when
+	// PageAt returned it.
+	stamp uint64
 	// free keeps the last few pages dropPage removed, for newPage to hand
 	// out again: a word that is tainted, cleaned and tainted again (a spill
 	// slot, a loop's accumulator) would otherwise cost a 4 KiB allocation
 	// each time round. A page is dropped when its count reaches zero, so its
 	// masks are already all zero and reuse needs no clearing. The list starts
 	// empty after Reset and in a Clone.
-	free  [maxFreePages]*shadowPage
+	free  [maxFreePages]*Page
 	nfree int
 	// taintedRegs has bit r set while micro-register r has a non-zero mask,
 	// maintained by SetRegMask: Live is O(1) — it gates the execution engine's
@@ -69,32 +78,40 @@ type Shadow struct {
 	pagesWear MapWear
 }
 
-// cacheSize is the number of shadow-page cache entries. A guest in its
-// tainted phase interleaves stack, data and a few heap pages.
-const cacheSize = 8
-
 // maxFreePages bounds the free list, and with it what a Shadow keeps beyond
 // its tainted pages, to 16 KiB.
 const maxFreePages = 4
 
-// cacheEntry says what pages holds for one page base. tag is the base with
-// bit 0 set, so the zero entry matches no page.
-type cacheEntry struct {
-	tag  uint64
-	page *shadowPage
+// stamps hands out blocks of stampBlock stamps, one to each new shadow and
+// another to a shadow that used its block up: a shadow's stamps only grow,
+// and no other shadow draws from its block, so a stamp is never shown twice.
+// The first block starts at stampBlock: zero is the stamp of the zero Shadow
+// alone, which holds no page.
+var stamps atomic.Uint64
+
+const stampBlock = 1 << 20
+
+// freshStamp returns the first stamp of a new block.
+func freshStamp() uint64 { return stamps.Add(stampBlock) }
+
+// restamp moves the stamp on, to a new block when this one is used up.
+func (s *Shadow) restamp() {
+	if s.stamp++; s.stamp%stampBlock == 0 {
+		s.stamp = freshStamp()
+	}
 }
 
 // NewShadow creates an empty taint state.
 func NewShadow() *Shadow {
-	return &Shadow{pages: make(map[uint64]*shadowPage)}
+	return &Shadow{pages: make(map[uint64]*Page), stamp: freshStamp()}
 }
 
 // Reset clears all taint.
 func (s *Shadow) Reset() {
 	s.regs = [tcg.NumMRegs]uint64{}
-	s.pages, s.pagesWear = make(map[uint64]*shadowPage), MapWear{}
-	s.cache = [cacheSize]cacheEntry{}
-	s.free, s.nfree = [maxFreePages]*shadowPage{}, 0
+	s.pages, s.pagesWear = make(map[uint64]*Page), MapWear{}
+	s.restamp()
+	s.free, s.nfree = [maxFreePages]*Page{}, 0
 	s.taintedRegs = 0
 	s.taintedBytes = 0
 	s.highWater = 0
@@ -111,17 +128,18 @@ func (s *Shadow) Recycle() {
 		if s.nfree == maxFreePages {
 			break
 		}
-		*p = shadowPage{}
+		*p = Page{}
 		s.free[s.nfree] = p
 		s.nfree++
 	}
 	pages, wear := s.pages, s.pagesWear
 	if len(pages) > maxRecycledPages || wear.Remake(len(pages)) {
-		pages, wear = make(map[uint64]*shadowPage), MapWear{}
+		pages, wear = make(map[uint64]*Page), MapWear{}
 	} else {
 		clear(pages)
 	}
-	*s = Shadow{pages: pages, free: s.free, nfree: s.nfree, pagesWear: wear}
+	s.restamp()
+	*s = Shadow{pages: pages, stamp: s.stamp, free: s.free, nfree: s.nfree, pagesWear: wear}
 }
 
 // maxRecycledPages bounds the page table Recycle keeps: a map never shrinks,
@@ -177,7 +195,8 @@ func (w *MapWear) Remake(use int) bool {
 func (s *Shadow) Clone() *Shadow {
 	cp := &Shadow{
 		regs:         s.regs,
-		pages:        make(map[uint64]*shadowPage, len(s.pages)),
+		pages:        make(map[uint64]*Page, len(s.pages)),
+		stamp:        freshStamp(),
 		taintedRegs:  s.taintedRegs,
 		taintedBytes: s.taintedBytes,
 		highWater:    s.highWater,
@@ -198,7 +217,7 @@ func (s *Shadow) Pristine() bool {
 
 // Bytes returns the heap the shadow holds: itself and its pages.
 func (s *Shadow) Bytes() int64 {
-	return int64(unsafe.Sizeof(*s)) + int64(len(s.pages))*int64(unsafe.Sizeof(shadowPage{}))
+	return int64(unsafe.Sizeof(*s)) + int64(len(s.pages))*int64(unsafe.Sizeof(Page{}))
 }
 
 // OnFirstTaint installs a callback invoked whenever the shadow transitions
@@ -249,39 +268,42 @@ func (s *Shadow) TaintedBytes() int64 { return s.taintedBytes }
 // the last Reset) — the fault's maximum memory footprint.
 func (s *Shadow) HighWater() int64 { return s.highWater }
 
+// Stamp returns the shadow's stamp (see PageAt).
+func (s *Shadow) Stamp() uint64 { return s.stamp }
+
+// PageAt returns the shadow page of the guest page at base, nil when no byte
+// of it is tainted. The page's masks are the shadow's own, so they follow
+// every later write; which page (if any) is at base stays the same until
+// Stamp changes.
+func (s *Shadow) PageAt(base uint64) *Page { return s.pages[base] }
+
 // page returns the shadow page covering addr (nil when none exists) and
 // addr's offset in it.
-func (s *Shadow) page(addr uint64) (*shadowPage, uint64) {
+func (s *Shadow) page(addr uint64) (*Page, uint64) {
 	base := addr &^ (PageSize - 1)
-	e := &s.cache[(base/PageSize)%cacheSize]
-	if e.tag != base|1 {
-		*e = cacheEntry{tag: base | 1, page: s.pages[base]}
-	}
-	return e.page, addr - base
+	return s.pages[base], addr - base
 }
 
-// setPage puts p (nil: no page) at base in the page table, keeping the cache
-// entry for base in step.
-func (s *Shadow) setPage(base uint64, p *shadowPage) {
+// setPage puts p (nil: no page) at base in the page table and moves the
+// stamp on.
+func (s *Shadow) setPage(base uint64, p *Page) {
 	if p == nil {
 		delete(s.pages, base)
 	} else {
 		s.pages[base] = p
 	}
-	if e := &s.cache[(base/PageSize)%cacheSize]; e.tag == base|1 {
-		e.page = p
-	}
+	s.restamp()
 }
 
 // newPage installs an all-zero page at base: one off the free list if there
 // is one.
-func (s *Shadow) newPage(base uint64) *shadowPage {
-	var p *shadowPage
+func (s *Shadow) newPage(base uint64) *Page {
+	var p *Page
 	if s.nfree > 0 {
 		s.nfree--
 		p, s.free[s.nfree] = s.free[s.nfree], nil
 	} else {
-		p = &shadowPage{}
+		p = &Page{}
 	}
 	s.setPage(base, p)
 	return p
@@ -289,20 +311,12 @@ func (s *Shadow) newPage(base uint64) *shadowPage {
 
 // dropPage removes p, whose last tainted byte has just been cleaned, from
 // base and keeps it for newPage if there is room.
-func (s *Shadow) dropPage(base uint64, p *shadowPage) {
+func (s *Shadow) dropPage(base uint64, p *Page) {
 	s.setPage(base, nil)
 	if s.nfree < maxFreePages {
 		s.free[s.nfree] = p
 		s.nfree++
 	}
-}
-
-func (s *Shadow) pageAlloc(addr uint64) (*shadowPage, uint64) {
-	p, off := s.page(addr)
-	if p == nil {
-		p = s.newPage(addr - off)
-	}
-	return p, off
 }
 
 // MemMask8 returns the shadow mask of one guest byte.
@@ -316,23 +330,29 @@ func (s *Shadow) MemMask8(addr uint64) uint8 {
 
 // SetMemMask8 replaces the shadow mask of one guest byte.
 func (s *Shadow) SetMemMask8(addr uint64, mask uint8) {
+	p, _ := s.page(addr)
+	s.SetMemMask8In(p, addr, mask)
+}
+
+// SetMemMask8In is SetMemMask8 given p, what PageAt returns for addr's page.
+func (s *Shadow) SetMemMask8In(p *Page, addr uint64, mask uint8) {
+	off := addr & (PageSize - 1)
 	if mask == 0 {
 		// Avoid allocating a page just to store zeros.
-		p, off := s.page(addr)
-		if p == nil {
+		if p == nil || p.masks[off] == 0 {
 			return
 		}
-		if p.masks[off] != 0 {
-			p.masks[off] = 0
-			p.count--
-			s.taintedBytes--
-			if p.count == 0 {
-				s.dropPage(addr-off, p)
-			}
+		p.masks[off] = 0
+		p.count--
+		s.taintedBytes--
+		if p.count == 0 {
+			s.dropPage(addr-off, p)
 		}
 		return
 	}
-	p, off := s.pageAlloc(addr)
+	if p == nil {
+		p = s.newPage(addr - off)
+	}
 	if p.masks[off] == 0 {
 		p.count++
 		s.taintedBytes++
@@ -358,7 +378,7 @@ func (s *Shadow) MemMask64(addr uint64) uint64 {
 		if p == nil {
 			return 0
 		}
-		return binary.LittleEndian.Uint64(p.masks[off : off+8])
+		return p.Mask64(off)
 	}
 	var mask uint64
 	for i := uint64(0); i < 8; i++ {
@@ -377,40 +397,52 @@ func (s *Shadow) SetMemMask64(addr uint64, mask uint64) {
 	}
 	if off := addr & (PageSize - 1); off <= PageSize-8 {
 		p, _ := s.page(addr)
-		var old uint64
-		if p != nil {
-			old = binary.LittleEndian.Uint64(p.masks[off : off+8])
-		}
-		if old == mask {
-			return
-		}
-		// The word moves in one store when the byte-at-a-time bookkeeping
-		// would only have counted in one direction: the tainted-byte count
-		// then passes through no value the totals do not end at, so the
-		// high-water mark comes out the same. The first taint of a clean
-		// shadow (whose callback sees the count at one) and a word that both
-		// gains and loses tainted bytes take the byte path below.
-		was, now := nonZeroBytes(old), nonZeroBytes(mask)
-		gained, lost := bits.OnesCount64(now&^was), bits.OnesCount64(was&^now)
-		if (gained == 0 || lost == 0) && s.Live() {
-			if p == nil {
-				p, _ = s.pageAlloc(addr)
-			}
-			binary.LittleEndian.PutUint64(p.masks[off:off+8], mask)
-			p.count += gained - lost
-			s.taintedBytes += int64(gained - lost)
-			if s.taintedBytes > s.highWater {
-				s.highWater = s.taintedBytes
-			}
-			if p.count == 0 {
-				s.dropPage(addr-off, p)
-			}
-			return
-		}
+		s.SetMemMask64In(p, addr, mask)
+		return
 	}
 	var b [8]uint8
 	binary.LittleEndian.PutUint64(b[:], mask)
 	s.SetMemRangeMasks(addr, b[:])
+}
+
+// SetMemMask64In is SetMemMask64 for eight bytes inside one guest page
+// (addr's offset in it at most PageSize-8), given p, what PageAt returns for
+// that page.
+func (s *Shadow) SetMemMask64In(p *Page, addr uint64, mask uint64) {
+	off := addr & (PageSize - 1)
+	var old uint64
+	if p != nil {
+		old = p.Mask64(off)
+	}
+	if old == mask {
+		return
+	}
+	// The word moves in one store when the byte-at-a-time bookkeeping would
+	// only have counted in one direction: the tainted-byte count then passes
+	// through no value the totals do not end at, so the high-water mark
+	// comes out the same. The first taint of a clean shadow (whose callback
+	// sees the count at one) and a word that both gains and loses tainted
+	// bytes take the byte path below.
+	was, now := nonZeroBytes(old), nonZeroBytes(mask)
+	gained, lost := bits.OnesCount64(now&^was), bits.OnesCount64(was&^now)
+	if (gained == 0 || lost == 0) && s.Live() {
+		if p == nil {
+			p = s.newPage(addr - off)
+		}
+		binary.LittleEndian.PutUint64(p.masks[off:off+8], mask)
+		p.count += gained - lost
+		s.taintedBytes += int64(gained - lost)
+		if s.taintedBytes > s.highWater {
+			s.highWater = s.taintedBytes
+		}
+		if p.count == 0 {
+			s.dropPage(addr-off, p)
+		}
+		return
+	}
+	var b [8]uint8
+	binary.LittleEndian.PutUint64(b[:], mask)
+	s.setPageMasks(p, addr, b[:])
 }
 
 // nonZeroBytes returns a word with bit 7 of each byte set where that byte of
@@ -494,7 +526,7 @@ func (s *Shadow) MemRangeMasks(addr, n uint64) []uint8 {
 func (s *Shadow) SetMemRangeMasks(addr uint64, masks []uint8) {
 	for len(masks) > 0 {
 		chunk := inPage(addr, uint64(len(masks)))
-		s.setPageMasks(addr, masks[:chunk])
+		s.setPageMasks(s.pages[addr&^(PageSize-1)], addr, masks[:chunk])
 		addr += chunk
 		masks = masks[chunk:]
 	}
@@ -502,9 +534,9 @@ func (s *Shadow) SetMemRangeMasks(addr uint64, masks []uint8) {
 
 // setPageMasks is SetMemMask8 over a run of bytes inside one page, with the
 // same bookkeeping byte for byte: no page is allocated to store zeros, and a
-// page left without taint is dropped.
-func (s *Shadow) setPageMasks(addr uint64, masks []uint8) {
-	p, off := s.page(addr)
+// page left without taint is dropped. p is what PageAt returns for the page.
+func (s *Shadow) setPageMasks(p *Page, addr uint64, masks []uint8) {
+	off := addr & (PageSize - 1)
 	base := addr - off
 	for i, mask := range masks {
 		switch {

@@ -453,7 +453,7 @@ func TestShadowPageReuse(t *testing.T) {
 		t.Errorf("a clone starts with %d free pages, want 0", c.nfree)
 	}
 	s.Reset()
-	if s.nfree != 0 || s.free != ([maxFreePages]*shadowPage{}) {
+	if s.nfree != 0 || s.free != ([maxFreePages]*Page{}) {
 		t.Errorf("Reset left %d pages on the free list", s.nfree)
 	}
 }
@@ -468,7 +468,7 @@ func TestShadowRecycleRemakesOutgrownTable(t *testing.T) {
 	id := func() uintptr { return reflect.ValueOf(s.pages).Pointer() }
 	run := func(n int) {
 		for i := 0; i < n; i++ {
-			s.pages[uint64(i)*PageSize] = &shadowPage{}
+			s.pages[uint64(i)*PageSize] = &Page{}
 		}
 		s.Recycle()
 	}

@@ -279,14 +279,16 @@ type taintLoop struct{ _ byte }
 // Each op is one case, and its propagation arm sits behind tainting, a
 // constant in each copy. Every arm also tests the shadow masks it would read
 // and write — for registers, op.Regs (the op's footprint) against the
-// shadow's tainted-register bits; for memory, the tainted-byte count, then
-// the mask itself. The rules map clean operands to a clean result, so when
-// those masks are all zero the op makes no Shadow call at all: taint after a
-// fault is sparse. The taint-free copy keeps the sampler, which fires with
-// zero tainted bytes before the fault so sample timelines stay identical, and
-// hands the rest of a block to the taint copy when a helper seeds taint
-// (Chaser's fault_injector), so the first tainted micro-op already
-// propagates.
+// shadow's tainted-register bits; for memory, on a TLB hit, the shadow page
+// the entry holds (Memory.shadowPage: nil when no byte of the page is
+// tainted), then the mask itself. The rules map clean operands to a clean
+// result, so when those masks are all zero the op makes no Shadow call at
+// all: taint after a fault is sparse. A tainted store hands the shadow the
+// page it read the old mask from; misses take the shadow's own accessors.
+// The taint-free copy keeps the sampler, which fires with zero tainted bytes
+// before the fault so sample timelines stay identical, and hands the rest of
+// a block to the taint copy when a helper seeds taint (Chaser's
+// fault_injector), so the first tainted micro-op already propagates.
 //
 // Hot state lives in locals (stores through regs alias m for all the compiler
 // knows). The instruction counter is written back before anything that reads
@@ -492,7 +494,11 @@ nextBlock:
 					v := binary.LittleEndian.Uint64(p.data[addr-base : addr-base+8])
 					regs[op.A0] = v
 					if tainting {
-						if mask := memMask64(sh, addr); mask|sh.RegMask(op.A0) != 0 {
+						var mask uint64
+						if tp := mem.shadowPage(base, sh); tp != nil {
+							mask = tp.Mask64(addr - base)
+						}
+						if mask|sh.RegMask(op.A0) != 0 {
 							m.loadTaint(sh, op, instrs, addr, v, mask, 8, p)
 						}
 					}
@@ -517,7 +523,11 @@ nextBlock:
 					v := binary.LittleEndian.Uint64(p.data[addr-base : addr-base+8])
 					regs[op.A0] = v
 					if tainting {
-						if mask := memMask64(sh, addr); mask|sh.RegMask(op.A0) != 0 {
+						var mask uint64
+						if tp := mem.shadowPage(base, sh); tp != nil {
+							mask = tp.Mask64(addr - base)
+						}
+						if mask|sh.RegMask(op.A0) != 0 {
 							m.loadTaint(sh, op, instrs, addr, v, mask, 8, p)
 						}
 					}
@@ -535,8 +545,9 @@ nextBlock:
 					v := regs[op.A2]
 					binary.LittleEndian.PutUint64(p.data[addr-base:addr-base+8], v)
 					if tainting {
-						if mask := sh.RegMask(op.A2); mask != 0 || sh.TaintedBytes() != 0 {
-							sh.SetMemMask64(addr, mask)
+						mask, tp := sh.RegMask(op.A2), mem.shadowPage(base, sh)
+						if mask != 0 || tp != nil && tp.Mask64(addr-base) != 0 {
+							sh.SetMemMask64In(tp, addr, mask)
 							m.storeTaint(op, instrs, addr, v, mask, 8, p)
 						}
 					}
@@ -561,8 +572,9 @@ nextBlock:
 					v := regs[op.A2]
 					binary.LittleEndian.PutUint64(p.data[addr-base:addr-base+8], v)
 					if tainting {
-						if mask := sh.RegMask(op.A2); mask != 0 || sh.TaintedBytes() != 0 {
-							sh.SetMemMask64(addr, mask)
+						mask, tp := sh.RegMask(op.A2), mem.shadowPage(base, sh)
+						if mask != 0 || tp != nil && tp.Mask64(addr-base) != 0 {
+							sh.SetMemMask64In(tp, addr, mask)
 							m.storeTaint(op, instrs, addr, v, mask, 8, p)
 						}
 					}
@@ -579,7 +591,11 @@ nextBlock:
 				v := uint64(p.data[addr&(PageSize-1)])
 				regs[op.A0] = v
 				if tainting {
-					if mask := uint64(sh.MemMask8(addr)); mask|sh.RegMask(op.A0) != 0 {
+					var mask uint64
+					if tp := mem.shadowPage(addr&^(PageSize-1), sh); tp != nil {
+						mask = uint64(tp.Mask8(addr & (PageSize - 1)))
+					}
+					if mask|sh.RegMask(op.A0) != 0 {
 						m.loadTaint(sh, op, instrs, addr, v, mask, 1, p)
 					}
 				}
@@ -595,8 +611,9 @@ nextBlock:
 				v := regs[op.A2] & 0xff
 				p.data[addr&(PageSize-1)] = uint8(v)
 				if tainting {
-					if mask := sh.RegMask(op.A2) & 0xff; mask != 0 || sh.TaintedBytes() != 0 {
-						sh.SetMemMask8(addr, uint8(mask))
+					mask, tp := sh.RegMask(op.A2)&0xff, mem.shadowPage(addr&^(PageSize-1), sh)
+					if mask != 0 || tp != nil && tp.Mask8(addr&(PageSize-1)) != 0 {
+						sh.SetMemMask8In(tp, addr, uint8(mask))
 						m.storeTaint(op, instrs, addr, v, mask, 1, p)
 					}
 				}
@@ -691,6 +708,11 @@ nextBlock:
 			if base := sp &^ (PageSize - 1); sp-base <= PageSize-8 {
 				if p = mem.lookupWrite(base); p != nil {
 					binary.LittleEndian.PutUint64(p.data[sp-base:sp-base+8], uint64(op.Imm2))
+					if tainting {
+						if tp := mem.shadowPage(base, sh); tp != nil && tp.Mask64(sp-base) != 0 {
+							sh.SetMemMask64In(tp, sp, 0)
+						}
+					}
 				}
 			}
 			if p == nil {
@@ -699,11 +721,11 @@ nextBlock:
 					m.killSegv(bad, true)
 					return node
 				}
+				if tainting {
+					sh.SetMemMask64(sp, 0)
+				}
 			}
 			regs[tcg.SPReg] = sp
-			if tainting && sh.TaintedBytes() != 0 {
-				sh.SetMemMask64(sp, 0)
-			}
 			m.pc = uint64(op.Imm)
 			goto chainTry
 		case tcg.KRet:
@@ -832,15 +854,6 @@ func cmpFlags(a, b int64) int64 {
 	return 0
 }
 
-// memMask64 is the taint of the 8 bytes at addr: zero, with no lookup, while
-// no memory is tainted.
-func memMask64(sh *taint.Shadow, addr uint64) uint64 {
-	if sh.TaintedBytes() == 0 {
-		return 0
-	}
-	return sh.MemMask64(addr)
-}
-
 // loadTaint finishes a load's propagation arm once the loaded bytes or the
 // destination carry taint: the destination takes the bytes' mask, and a
 // tainted read is an event. p is the page read through, nil on a TLB miss.
@@ -879,7 +892,7 @@ func (m *Machine) loadMiss(sh *taint.Shadow, op *tcg.Op, instrs, addr uint64, si
 	case sh == nil:
 		return 0, true
 	case size == 8:
-		mask = memMask64(sh, addr)
+		mask = sh.MemMask64(addr)
 	default:
 		mask = uint64(sh.MemMask8(addr))
 	}

@@ -69,9 +69,18 @@ const tlbSize = 8
 // bit set (0 matches no base): read, which loads probe, and write, which
 // stores probe. A private page is cached under both. A sealed page is cached
 // under its read tag only, so a store to it misses and copies it on write.
+//
+// An entry also keeps the page's shadow for the taint copy of the
+// interpreter: shadow is what the machine's taint.Shadow held for the page
+// (nil: no tainted byte) when its stamp was stamp. Filling an entry zeroes
+// both; zero is the stamp of no shadow but the zero Shadow (noTaint), which
+// holds no page, so the next tainted access to a filled entry reads the
+// shadow's page table again.
 type tlbEntry struct {
 	read, write uint64
 	page        *memPage
+	stamp       uint64
+	shadow      *taint.Page
 }
 
 // tlbTag is the tag of the page at base.
@@ -138,6 +147,18 @@ func (m *Memory) lookup(base uint64) *memPage {
 		return e.page
 	}
 	return nil
+}
+
+// shadowPage returns sh's shadow page for the page at base (nil: none), whose
+// TLB entry has just hit: the one the entry keeps while sh's stamp is the one
+// it was read under, otherwise read again from sh. An entry filled since, a
+// page table changed since and another shadow all show another stamp.
+func (m *Memory) shadowPage(base uint64, sh *taint.Shadow) *taint.Page {
+	e := &m.tlb[(base/PageSize)%tlbSize]
+	if e.stamp != sh.Stamp() {
+		e.shadow, e.stamp = sh.PageAt(base), sh.Stamp()
+	}
+	return e.shadow
 }
 
 // lookupWrite returns the cached page for an aligned page base, to be
