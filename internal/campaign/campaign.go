@@ -962,7 +962,7 @@ func (p *pool) feed(w *walk, carried heldRung) heldRung {
 	var reps *repeats
 	if !w.cfg.NoFork {
 		sortBySite(pending)
-		rungs = newLadder(w.base, w.cfg.Trace, w.cfg.Obs, &p.res, p.room, carried)
+		rungs = newLadder(w.base, w.cfg.Trace, w.cfg.Hub, w.cfg.Obs, &p.res, p.room, carried)
 		if w.cfg.RunObserver == nil {
 			reps = newRepeats(w.cfg.Prog, w.bits)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"chaser/internal/core"
 	"chaser/internal/obs"
+	"chaser/internal/tainthub"
 )
 
 // The checkpoint ladder: every run of a campaign executes the golden run up
@@ -55,7 +56,8 @@ import (
 // touches a ladder and its residency, so they carry no lock.
 type ladder struct {
 	base  *Baseline
-	trace bool // which of the Baseline's spines: Config.Trace
+	trace bool         // which of the Baseline's spines: Config.Trace
+	hub   tainthub.Hub // Config.Hub, which prefix runs run on (Baseline.rungAt)
 	reg   *obs.Registry
 	res   *residency
 	// room waits until the feeder may build a rung; false: the feed stopped.
@@ -88,10 +90,11 @@ var errStopped = errors.New("campaign: feed stopped")
 
 // newLadder starts a walk on base; carried is the last rung of the walk
 // before over the same task list (ws nil: none), already charged to res.
-func newLadder(base *Baseline, trace bool, reg *obs.Registry, res *residency, room func() bool, carried heldRung) *ladder {
+func newLadder(base *Baseline, trace bool, hub tainthub.Hub, reg *obs.Registry, res *residency, room func() bool, carried heldRung) *ladder {
 	return &ladder{
 		base:    base,
 		trace:   trace,
+		hub:     hub,
 		reg:     reg,
 		res:     res,
 		room:    room,
@@ -130,7 +133,7 @@ func (l *ladder) headOn(rank int) *core.WorldSnapshot {
 func (l *ladder) rung(tk task, rest []task, seq int) (*core.WorldSnapshot, error) {
 	site := core.ForkSite{Rank: tk.rank, N: tk.n}
 	from := l.headOn(tk.rank)
-	below, next, err := l.base.spineRung(site, l.trace, l.reg, from)
+	below, next, err := l.base.spineRung(site, l.trace, l.hub, l.reg, from)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +154,7 @@ func (l *ladder) rung(tk task, rest []task, seq int) (*core.WorldSnapshot, error
 				return nil, errStopped
 			}
 			l.res.settle()
-			if own.ws, err = l.base.rungAt(from, site, l.trace, l.reg); err != nil {
+			if own.ws, err = l.base.rungAt(from, site, l.trace, l.hub, l.reg); err != nil {
 				return nil, err
 			}
 			l.res.charge(own.ws.FreshBytes())

@@ -7,6 +7,7 @@ import (
 
 	"chaser/internal/core"
 	"chaser/internal/obs"
+	"chaser/internal/tainthub"
 )
 
 // spineIntervals is how many stretches a rank's golden run is cut into by the
@@ -49,17 +50,20 @@ func newSpine(total uint64) *spine {
 }
 
 // rungAt advances from to site: the prefix run of the spine and of the chain
-// alike. It replays the golden run under its budget, with no watchdog, hub or
+// alike. It replays the golden run under its budget, with no watchdog or
 // events — the golden run had none — and reads of the spec only the target,
-// ops and trace flag. The golden run finished within that budget and every
+// ops and trace flag. It calls no hub, but runs on the campaign's hub so
+// that it draws its session from those of the campaign's runs
+// (core.PrefixRunFrom). The golden run finished within that budget and every
 // site it reaches pauses, so only a simulator bug fails it: the campaign's
 // failure.
-func (b *Baseline) rungAt(from *core.WorldSnapshot, site core.ForkSite, trace bool, reg *obs.Registry) (*core.WorldSnapshot, error) {
+func (b *Baseline) rungAt(from *core.WorldSnapshot, site core.ForkSite, trace bool, hub tainthub.Hub, reg *obs.Registry) (*core.WorldSnapshot, error) {
 	reg.Counter("campaign_prefix_runs_total").Inc()
 	ws, err := core.PrefixRunFrom(core.RunConfig{
 		Prog:            b.prog,
 		WorldSize:       b.world,
 		BaseCache:       b.cache,
+		Hub:             hub,
 		MaxInstructions: b.maxInstr,
 		NoFastPath:      b.noFastPath,
 		Obs:             reg,
@@ -83,7 +87,7 @@ func (b *Baseline) rungAt(from *core.WorldSnapshot, site core.ForkSite, trace bo
 // so a dense walk that has just executed a stretch does not replay it for the
 // spine. A prefix run that fails leaves the spine as it was and fails the
 // caller's campaign; a panic in one goes on to the caller.
-func (b *Baseline) spineRung(site core.ForkSite, trace bool, reg *obs.Registry, head *core.WorldSnapshot) (below *core.WorldSnapshot, next uint64, err error) {
+func (b *Baseline) spineRung(site core.ForkSite, trace bool, hub tainthub.Hub, reg *obs.Registry, head *core.WorldSnapshot) (below *core.WorldSnapshot, next uint64, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	key := spineKey{site.Rank, trace}
@@ -105,7 +109,7 @@ func (b *Baseline) spineRung(site core.ForkSite, trace bool, reg *obs.Registry, 
 		if head != nil && head.Site().N <= at.N && (from == nil || from.Site().N < head.Site().N) {
 			from = head
 		}
-		ws, err := b.rungAt(from, at, trace, reg)
+		ws, err := b.rungAt(from, at, trace, hub, reg)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -255,7 +255,7 @@ func TestWarmSpineBuildsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := obs.NewRegistry()
-	base.spineRung(core.ForkSite{Rank: 0, N: base.totals[0]}, cfg.Trace, warm, nil)
+	base.spineRung(core.ForkSite{Rank: 0, N: base.totals[0]}, cfg.Trace, nil, warm, nil)
 	sp := base.spines[spineKey{0, cfg.Trace}]
 	if s := spineOf(base); s.rungs != len(sp.pos) {
 		t.Fatalf("warming built %+v of %d positions", s, len(sp.pos))
@@ -324,7 +324,7 @@ func TestSpineSizeIsTheHeapItKeeps(t *testing.T) {
 		whole := func(trace bool) {
 			for r, total := range base.totals {
 				if total > 0 && (cfg.TargetRank < 0 || r == cfg.TargetRank) {
-					base.spineRung(core.ForkSite{Rank: r, N: total}, trace, nil, nil)
+					base.spineRung(core.ForkSite{Rank: r, N: total}, trace, nil, nil, nil)
 				}
 			}
 		}

@@ -64,7 +64,7 @@ func TestAccessLogTalliesMatchCounters(t *testing.T) {
 }
 
 func checkAccessLogTallies(t *testing.T, cfg RunConfig, from *WorldSnapshot, maxEvents int, chunk uint64) {
-	s := new(session)
+	s := arenas.New().(*session)
 	ch, err := s.open(cfg, cfg.WorldSize)
 	if err != nil {
 		t.Fatal(err)

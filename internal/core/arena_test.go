@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -279,9 +280,9 @@ func (panicHub) Publish(tainthub.ReqID, tainthub.Key, uint64, []uint8) error {
 }
 
 // TestArenaNotReturnedByAbortedRuns: a run whose watchdog fired may still
-// have its callback aborting its machines, and a run that panicked left them
-// wherever the panic did; neither puts its arena back, and the runs after
-// them are their cold twins.
+// have its callback aborting its machines — a prefix run's as well — and a
+// run that panicked left them wherever the panic did; none puts its arena
+// back, and the runs after them are their cold twins.
 func TestArenaNotReturnedByAbortedRuns(t *testing.T) {
 	cases := arenaCases(t)
 	cold := coldRuns(t, cases)
@@ -298,6 +299,15 @@ func TestArenaNotReturnedByAbortedRuns(t *testing.T) {
 				return fmt.Errorf("a 1 ns deadline let the guest end with %v", res.Terms[0])
 			}
 			return err
+		},
+		"prefix watchdog fired": func() error {
+			_, err := PrefixRun(RunConfig{Prog: spin, Timeout: time.Nanosecond, Spec: &Spec{
+				Target: "spin", Ops: []isa.Op{isa.OpJmp},
+			}}, ForkSite{Rank: 0, N: 1 << 40})
+			if err == nil || !strings.Contains(err.Error(), "timeout") {
+				return fmt.Errorf("a 1 ns deadline ended the prefix run with %v", err)
+			}
+			return nil
 		},
 		"hub panicked": func() (err error) {
 			defer func() {

@@ -43,9 +43,12 @@ type Spec struct {
 	// propagation log, and TaintHub coordination).
 	Trace bool
 
-	// resume carries per-rank injector bookkeeping into a forked run
-	// (fork-point multiplexing); set only by RunForked, never by callers.
+	// resume carries per-rank injector bookkeeping into a run from a world
+	// snapshot (fork-point multiplexing); set only by the session.
 	resume *resumeState
+	// pause makes the spec a prefix run's: when the condition fires, the
+	// target pauses instead of being injected (PrefixRunFrom).
+	pause bool
 }
 
 // Validate reports configuration errors a campaign would otherwise only
@@ -572,6 +575,12 @@ func (st *armState) faultInjector(m *vm.Machine, op *tcg.Op) {
 	}
 	st.execCount++
 	if !st.spec.Cond.ShouldInject(st.execCount, st.rng) {
+		return
+	}
+	if st.spec.pause {
+		// Resuming re-executes the instruction, and a forked run's injector
+		// fires on it with the identical dynamic context.
+		m.PauseAt(op.GuestPC)
 		return
 	}
 	ins, ok := m.Prog.InstrAt(op.GuestPC)

@@ -269,7 +269,7 @@ func TestReceiverAppliesTheHubsMasks(t *testing.T) {
 				hub, _ = servedHub(t, faulty, tainthub.ClientConfig{})
 			}
 			cfg := tracedCrossConfig(t, hub, HubFailRun, nil)
-			s := new(session)
+			s := arenas.New().(*session)
 			ch, err := s.open(cfg, cfg.WorldSize)
 			if err != nil {
 				t.Fatal(err)

@@ -2,29 +2,31 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"chaser/internal/isa"
 	"chaser/internal/mpi"
+	"chaser/internal/tainthub"
 	"chaser/internal/trace"
 	"chaser/internal/vm"
 )
 
 // Fork-point run multiplexing: every run of a fault-injection campaign
 // executes the golden run up to its injection trigger, then diverges. Instead
-// of replaying that prefix per run, PrefixRun executes it once — the world
-// stops where the baton is when the target reaches a fork site — and captures
-// a WorldSnapshot; RunForked then resumes any number of injected
+// of replaying that prefix per run, PrefixRun executes it once — a run like
+// any other, whose spec stops the world in front of the trigger instead of
+// injecting there, the other ranks wherever the baton left them — and
+// captures a WorldSnapshot; RunForked then resumes any number of injected
 // continuations from it via copy-on-write machine snapshots, for any trigger
-// at or after the site. PrefixRunFrom
-// advances an existing snapshot to a later site, so a ladder of snapshots
-// over many sites costs one pass over the golden run, consecutive rungs
-// sharing every page the guest did not write in between (checkpoint-restore
-// as in CHAOS). A forked run is bitwise equivalent to a from-scratch
-// run (registers, memory, counters, outputs, taint) except for translation-
-// block cache statistics (TBsExecuted/ChainedTBs/FastPathTBs), which depend
-// on block boundaries and chain-table warmth and appear in no outcome
-// classification.
+// at or after the site. PrefixRunFrom advances an existing snapshot to a
+// later site, so a ladder of snapshots over many sites costs one pass over
+// the golden run, consecutive rungs sharing every page the guest did not
+// write in between (checkpoint-restore as in CHAOS). A forked run is bitwise
+// equivalent to a from-scratch run (registers, memory, counters, outputs,
+// taint) except for translation-block cache statistics
+// (TBsExecuted/ChainedTBs/FastPathTBs), which depend on block boundaries and
+// chain-table warmth and appear in no outcome classification.
 
 // ForkSite identifies an injection trigger: the site.N-th dynamic execution
 // of a targeted instruction on rank site.Rank.
@@ -79,21 +81,6 @@ func (ws *WorldSnapshot) Bytes() int64 { return ws.bytes }
 // keeping it resident beside its predecessor costs.
 func (ws *WorldSnapshot) FreshBytes() int64 { return ws.fresh }
 
-// errPaused is returned by the pause injector so the Chaser records nothing
-// and detaches nothing: the pause is infrastructure, not an injection.
-var errPaused = fmt.Errorf("core: fork-point pause")
-
-// pauseInjector suspends the machine at the trigger instead of corrupting
-// it. The helper runs in front of the target instruction, so the pause pc is
-// the instruction's own address and resuming re-executes it — at which point
-// the forked run's real injector fires with the identical dynamic context.
-type pauseInjector struct{}
-
-func (pauseInjector) Inject(ctx *Context) (InjectionRecord, error) {
-	ctx.Machine.PauseAt(ctx.Op.GuestPC)
-	return InjectionRecord{}, errPaused
-}
-
 // PrefixRun executes the golden prefix of cfg from program entry up to the
 // fork site and captures the paused world; see PrefixRunFrom.
 func PrefixRun(cfg RunConfig, site ForkSite) (*WorldSnapshot, error) {
@@ -117,6 +104,12 @@ func PrefixRun(cfg RunConfig, site ForkSite) (*WorldSnapshot, error) {
 // replays a golden run which reached the site under the same budget and no
 // deadline — a campaign's ladder — therefore sees a failure only on a
 // simulator bug. `from` is never modified.
+//
+// The prefix is a run on a pooled session whose spec pauses at the site
+// instead of injecting. No taint exists before the trigger, so it calls no
+// hub and logs no access: it runs on the base of cfg's hub with no access
+// log, of the session shape of the runs that fork from it. Events and
+// tracing belong to real runs only.
 func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSnapshot, error) {
 	if cfg.Prog == nil {
 		return nil, fmt.Errorf("core: prefix run has no program")
@@ -153,49 +146,39 @@ func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSna
 		Ops:        cfg.Spec.Ops,
 		TargetRank: site.Rank,
 		Cond:       Deterministic{N: site.N},
-		Inj:        pauseInjector{},
 		Trace:      cfg.Spec.Trace,
+		pause:      true,
 	}
-	// The prefix publishes nothing (no taint exists before the trigger), so
-	// a private hub keeps per-run namespaced hubs identical to from-scratch
-	// runs; events and tracing belong to real runs only.
-	prefix.Hub = nil
-	prefix.Events = nil
-	prefix.Tracer = nil
-	prefix.ExecTraceDepth = 0
-
-	s := new(session) // no arena, never pooled
-	ch, err := s.open(prefix, size)
+	prefix.Hub = tainthub.Base(cfg.Hub)
+	prefix.NoAccessLog = true
+	prefix.Events, prefix.Tracer, prefix.ExecTraceDepth = nil, nil, 0
+	s := arenas.Get().(*session)
+	res, quiet, err := s.run(prefix, from)
 	if err != nil {
 		return nil, err
 	}
-	if from != nil {
-		prefix.Spec.resume = from.resume
-		ch.collector.SeedTimeline(from.samples)
+	ws, err := s.capture(cfg.Prog, site, res.Terms)
+	if quiet {
+		s.release()
 	}
-	ch.Arm(prefix.Spec)
-	world, err := s.newWorld(prefix, size, from)
-	if err != nil {
-		return nil, err
-	}
-	stopWatchdog := armTimeout(world, prefix.Timeout)
-	terms := world.Run()
-	stopWatchdog()
+	return ws, err
+}
 
+// capture snapshots the session's world, stopped by a prefix run to site
+// with terminations terms. The session's next run reuses everything of the
+// world and its Chaser, so the snapshot keeps copies.
+func (s *session) capture(prog *isa.Program, site ForkSite, terms []vm.Termination) (*WorldSnapshot, error) {
 	// A pause stops the world before any rank ends abnormally, and any such
-	// end stops the world before the target can pause.
+	// end stops the world before the target can pause. Only the target's
+	// helper pauses it, when its count reaches site.N.
 	if terms[site.Rank].Reason != vm.ReasonPaused {
 		return nil, fmt.Errorf("core: fork site (rank %d, n %d) did not pause: target %s",
 			site.Rank, site.N, terms[site.Rank])
 	}
-	st := ch.state(world.Machine(site.Rank))
-	if st == nil || st.execCount != site.N {
-		return nil, fmt.Errorf("core: fork site trigger mismatch (helper count %v, want %d)",
-			stateCount(st), site.N)
-	}
 
+	size := s.world.Size()
 	ws := &WorldSnapshot{
-		prog:      cfg.Prog,
+		prog:      prog,
 		worldSize: size,
 		site:      site,
 		machines:  make([]*vm.Snapshot, size),
@@ -206,7 +189,7 @@ func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSna
 		},
 	}
 	for r := 0; r < size; r++ {
-		m := world.Machine(r)
+		m := s.world.Machine(r)
 		snap, err := m.Snapshot()
 		if err != nil {
 			return nil, fmt.Errorf("core: rank %d: %w", r, err)
@@ -215,20 +198,20 @@ func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSna
 		ws.bytes += snap.Bytes()
 		ws.fresh += snap.FreshBytes()
 
-		// The world runs no further, so its sequence numbers are the
-		// snapshot's to keep; forks copy them.
-		rst := ch.state(m)
+		// The rank's state keeps the storage of its sequence numbers for the
+		// session's next run; forks copy the snapshot's.
+		rst := s.ch.state(m)
 		ws.resume.execCount[r] = rst.execCount
-		ws.resume.sendSeq[r] = rst.sendSeq
-		ws.resume.recvSeq[r] = rst.recvSeq
+		ws.resume.sendSeq[r] = slices.Clone(rst.sendSeq)
+		ws.resume.recvSeq[r] = slices.Clone(rst.recvSeq)
 		// The pause rewound the helper's trigger execution on the target: the
 		// re-executed instruction re-counts it.
 		if r == site.Rank {
 			ws.resume.execCount[r]--
 		}
 	}
-	ws.world = world.State()
-	ws.samples = ch.collector.Timeline()
+	ws.world = s.world.State()
+	ws.samples = s.ch.collector.Timeline()
 	// Everything but the machines' shared pages is the snapshot's own, queued
 	// payloads included: a few messages, and a rung may well outlive the one
 	// it shares them with.
@@ -250,13 +233,6 @@ func (ws *WorldSnapshot) ownBytes() int64 {
 		n += int64(cap(rs.sendSeq[r])+cap(rs.recvSeq[r])) * int64(unsafe.Sizeof(flowSeq{}))
 	}
 	return n
-}
-
-func stateCount(st *armState) interface{} {
-	if st == nil {
-		return "unarmed"
-	}
-	return st.execCount
 }
 
 // compatible reports whether the snapshot can seed a world of prog at the

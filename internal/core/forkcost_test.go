@@ -191,7 +191,7 @@ func forkedRunCost(t *testing.T, conf func(seed int64) RunConfig, run func(RunCo
 func armedWorld(t *testing.T, cfg RunConfig, ws *WorldSnapshot) (*Chaser, *mpi.World) {
 	t.Helper()
 	size := max(cfg.WorldSize, 1)
-	s := new(session)
+	s := arenas.New().(*session)
 	ch, err := s.open(cfg, size)
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func TestLiveReadersOfATracedWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := new(session)
+	s := arenas.New().(*session)
 	ch, err := s.open(cfg, cfg.WorldSize)
 	if err != nil {
 		t.Fatal(err)

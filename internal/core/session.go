@@ -195,7 +195,7 @@ func (l Loan) Own() *RunResult {
 // worldBuilder makes the machines of a run's world, as mpi.Config's Machine,
 // NewMachine and Setup: restored from the run's snapshot (fork-point
 // multiplexing) or fresh at the program entry, built on what the arena
-// recycled (nil: on nothing), each handed to the platform.
+// recycled, each handed to the platform.
 type worldBuilder struct {
 	cfg      RunConfig
 	snap     *WorldSnapshot
@@ -257,8 +257,6 @@ func (b *worldBuilder) setup(rank int, m *vm.Machine) {
 // world size. A run of another shape builds them afresh, as a run that found
 // the pool empty does; the arena, the spec and the result serve any run.
 type session struct {
-	// arena is nil in a session of PrefixRunFrom's, whose worlds become
-	// rungs: their pages are sealed and shared by every fork.
 	arena    *vm.Arena
 	shape    sessionShape
 	platform *decaf.Platform
@@ -298,11 +296,11 @@ func (a sessionShape) same(b sessionShape) (same bool) {
 // back only once nothing can reach what it recycles but the session: the
 // run's lent result has been returned (Loan.Return) — and an owned one is a
 // copy, which took the run's collector with it (Loan.own) — its hub flights
-// are drained, and no watchdog callback is running or left to run. A run
-// that panics, fails or whose watchdog fired drops its session to the garbage
-// collector instead. PrefixRunFrom takes none: it runs on a session of its
-// own with no arena, never pooled, because its worlds become rungs, whose
-// pages are sealed and shared by every fork.
+// are drained, and no watchdog callback is running or left to run — for a
+// prefix run, once its world is captured: the snapshot sealed the pages it
+// shares, which the arena never keeps, and copied the rest. A run that
+// panics, fails or whose watchdog fired drops its session to the garbage
+// collector instead.
 var arenas = sync.Pool{New: func() any { return &session{arena: new(vm.Arena)} }}
 
 // open readies the session's platform and Chaser for a run of cfg in a
@@ -372,8 +370,9 @@ func armTimeout(world *mpi.World, deadline time.Duration) func() bool {
 	return watchdog.Stop
 }
 
-// execute is every run's one path: it runs cfg on a pooled session, restored
-// from snap when it is not nil, and lends the result.
+// execute is every lent run's path: it runs cfg on a pooled session, restored
+// from snap when it is not nil, and lends the result. A prefix run, which
+// lends nothing, calls session.run itself (PrefixRunFrom).
 func execute(cfg RunConfig, snap *WorldSnapshot) (Loan, error) {
 	if cfg.Prog == nil {
 		return Loan{}, fmt.Errorf("core: no program")

@@ -190,7 +190,7 @@ func TestChaserResetIsNew(t *testing.T) {
 		}
 	}
 	c.cfg.SampleInterval = 1000
-	s := new(session)
+	s := arenas.New().(*session)
 	res, quiet, err := s.run(c.cfg, c.ws)
 	if err != nil || !quiet {
 		t.Fatalf("run: %v (quiet %v)", err, quiet)
