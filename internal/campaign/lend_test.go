@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"chaser/internal/core"
 	"chaser/internal/obs"
 	"chaser/internal/tainthub"
 )
@@ -71,8 +72,10 @@ func TestLentResultsNeverLeak(t *testing.T) {
 // session shape on the pool its runs draw from, so a 200-run campaign on two
 // workers builds a session per goroutine that runs one, not one per rung —
 // lud and clamr_mpi, with a private hub a run and with one shared
-// tainthub.Local. Under -race sync.Pool drops what it is given at random, and
-// the bound is not checked.
+// tainthub.Local, and with a run observer (its runs keep the access log, the
+// prefix runs do not) or an event sink (the prefix runs emit nothing). Under
+// -race sync.Pool drops what it is given at random, and the bound is not
+// checked.
 func TestCampaignSessionsReused(t *testing.T) {
 	// sync.Pool keeps a session per P where no other P can take it, so the
 	// count grows with GOMAXPROCS: the campaigns run on at most two Ps, one
@@ -80,28 +83,42 @@ func TestCampaignSessionsReused(t *testing.T) {
 	if runtime.GOMAXPROCS(0) > 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
+	check := func(t *testing.T, cfg Config) {
+		t.Helper()
+		cfg.Runs, cfg.KeepRunOutcomes = 200, false
+		cfg.Obs = obs.NewRegistry()
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		built := cfg.Obs.Counter("core_sessions_built_total").Value()
+		prefixes := cfg.Obs.Counter("campaign_prefix_runs_total").Value()
+		t.Logf("%d runs and %d prefix runs built %d sessions", cfg.Runs, prefixes, built)
+		if prefixes == 0 {
+			t.Fatal("the campaign ran no prefix: nothing to share sessions with")
+		}
+		if built > 16 && !raceEnabled {
+			t.Errorf("%d runs and %d prefix runs built %d sessions, want at most 16", cfg.Runs, prefixes, built)
+		}
+	}
 	for _, name := range []string{"lud", "clamr_mpi"} {
 		for _, shared := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/shared=%v", name, shared), func(t *testing.T) {
 				cfg := appConfig(t, name)
-				cfg.Runs, cfg.KeepRunOutcomes = 200, false
-				cfg.Obs = obs.NewRegistry()
 				if shared {
 					cfg.Hub = tainthub.NewLocal()
 				}
-				if _, err := Run(cfg); err != nil {
-					t.Fatal(err)
-				}
-				built := cfg.Obs.Counter("core_sessions_built_total").Value()
-				prefixes := cfg.Obs.Counter("campaign_prefix_runs_total").Value()
-				t.Logf("%d runs and %d prefix runs built %d sessions", cfg.Runs, prefixes, built)
-				if prefixes == 0 {
-					t.Fatal("the campaign ran no prefix: nothing to share sessions with")
-				}
-				if built > 16 && !raceEnabled {
-					t.Errorf("%d runs and %d prefix runs built %d sessions, want at most 16", cfg.Runs, prefixes, built)
-				}
+				check(t, cfg)
 			})
 		}
+		t.Run(name+"/observer", func(t *testing.T) {
+			cfg := appConfig(t, name)
+			cfg.RunObserver = func(int, int, RunOutcome, *core.RunResult) {}
+			check(t, cfg)
+		})
+		t.Run(name+"/events", func(t *testing.T) {
+			cfg := appConfig(t, name)
+			cfg.Events = obs.NewSink(1 << 10)
+			check(t, cfg)
+		})
 	}
 }

@@ -123,7 +123,6 @@ type Chaser struct {
 	// collector is the run's; reset empties it for the next run unless a
 	// result took it (nil).
 	collector *trace.Collector
-	noLog     bool
 	events    *obs.Sink
 
 	// Injection telemetry (nil without a registry; all uses are nil-safe).
@@ -265,7 +264,6 @@ func New(opts Options) *Chaser {
 	c := &Chaser{
 		hubClient:    tainthub.NewClientID(),
 		collector:    newCollector(opts.NoAccessLog),
-		noLog:        opts.NoAccessLog,
 		events:       opts.Events,
 		obsArmed:     opts.Obs.Counter("core_injectors_armed_total"),
 		obsFired:     opts.Obs.Counter("core_faults_fired_total"),
@@ -287,15 +285,16 @@ func newCollector(noLog bool) *trace.Collector {
 }
 
 // reset makes c, whose world has run, been drained and stopped for good, the
-// Chaser New builds from the options c was built with — but for the hub,
-// which is hub, of the same base as c's (see worldHub.reset) — loaded into
-// the same platform: unarmed, with no record, hub error or hub count, an
-// empty collector and a hub client ID of its own, for the next run of its
+// Chaser New builds from Options{Hub: hub, Obs: the registry c was built
+// with, Events: events, NoAccessLog: noLog} — hub of the same base as c's
+// (see worldHub.reset) — loaded into the same platform: unarmed, with no
+// record, hub error or hub count, an empty collector that keeps the access
+// log unless noLog, and a hub client ID of its own, for the next run of its
 // session. It keeps its rank states, idle, and the storage of its records,
 // flight table and collector. Nothing may hold what the finished run left in
 // them: a result that outlives the run holds copies, and its own collector,
 // which it took from c (Loan.Own).
-func (c *Chaser) reset(hub tainthub.Hub) {
+func (c *Chaser) reset(hub tainthub.Hub, events *obs.Sink, noLog bool) {
 	clear(c.records)
 	for _, st := range c.armed {
 		if st != nil {
@@ -305,9 +304,9 @@ func (c *Chaser) reset(hub tainthub.Hub) {
 	c.view.reset(hub)
 	col := c.collector
 	if col == nil {
-		col = newCollector(c.noLog)
+		col = newCollector(noLog)
 	} else {
-		col.Reset()
+		col.Reset(noLog)
 	}
 	*c = Chaser{
 		platform:     c.platform,
@@ -315,8 +314,7 @@ func (c *Chaser) reset(hub tainthub.Hub) {
 		hubClient:    tainthub.NewClientID(),
 		records:      c.records[:0],
 		collector:    col,
-		noLog:        c.noLog,
-		events:       c.events,
+		events:       events,
 		obsArmed:     c.obsArmed,
 		obsFired:     c.obsFired,
 		obsBits:      c.obsBits,

@@ -48,11 +48,11 @@ var pinnedDispatch = map[string][]dispatchCounts{
 		{5282, 425, 401, 0, 0x49b00637343974c8},
 		{5282, 425, 401, 0, 0x49b00637343974c8},
 		{5282, 425, 401, 0, 0x49b00637343974c8},
-		{20574, 1338, 1290, 124, 0x9447acc79c17e2cd},
+		{20574, 1338, 1290, 1337, 0x9447acc79c17e2cd},
 		{5282, 425, 401, 425, 0x49b00637343974c8},
 		{5282, 425, 401, 425, 0x49b00637343974c8},
 		{5282, 425, 401, 425, 0x49b00637343974c8},
-		{20574, 1339, 1283, 125, 0x9447acc79c17e2cd},
+		{20574, 1339, 1283, 1338, 0x9447acc79c17e2cd},
 		{5282, 425, 401, 425, 0x49b00637343974c8},
 		{5282, 425, 401, 425, 0x49b00637343974c8},
 		{5282, 425, 401, 425, 0x49b00637343974c8},
@@ -60,8 +60,8 @@ var pinnedDispatch = map[string][]dispatchCounts{
 	"bfs": {
 		{86070, 9865, 9822, 9865, 0x52bee70e51740236},
 		{86070, 9865, 9822, 0, 0x52bee70e51740236},
-		{86070, 9865, 9815, 893, 0x52bee70e51740236},
-		{86070, 9866, 9808, 894, 0x52bee70e51740236},
+		{86070, 9865, 9815, 9864, 0x52bee70e51740236},
+		{86070, 9866, 9808, 9865, 0x52bee70e51740236},
 	},
 	"clamr_mpi": {
 		{57008, 3158, 3059, 3158, 0xd522549571e5621d},

@@ -128,16 +128,16 @@ func TestLogLessChaserBuildsOneCollector(t *testing.T) {
 			if taken {
 				ch.collector = nil
 			}
-			ch.reset(nil)
+			ch.reset(nil, nil, noLog)
 			if ch.Trace().AccessLogKept() == noLog {
 				t.Errorf("NoAccessLog %v, collector taken %v: after a reset the collector keeps the log: %v",
 					noLog, taken, ch.Trace().AccessLogKept())
 			}
 		}
-		if n := testing.AllocsPerRun(50, func() { ch.reset(nil) }); n != 0 {
+		if n := testing.AllocsPerRun(50, func() { ch.reset(nil, nil, noLog) }); n != 0 {
 			t.Errorf("NoAccessLog %v: a reset makes %v allocations, want 0", noLog, n)
 		}
-		if n := testing.AllocsPerRun(50, func() { ch.collector = nil; ch.reset(nil) }); n != 1 {
+		if n := testing.AllocsPerRun(50, func() { ch.collector = nil; ch.reset(nil, nil, noLog) }); n != 1 {
 			t.Errorf("NoAccessLog %v: a reset after a result took the collector makes %v allocations, want 1 (the collector)", noLog, n)
 		}
 	}

@@ -253,8 +253,10 @@ func (b *worldBuilder) setup(rank int, m *vm.Machine) {
 //
 // The platform, the Chaser and the world shell serve runs of one shape: the
 // same base hub (two namespaces of one hub are one shape, the Chaser's view
-// pointed at each run's), Obs registry, Events sink, Tracer, NoAccessLog and
-// world size. A run of another shape builds them afresh, as a run that found
+// pointed at each run's), Obs registry, Tracer and world size. The Events
+// sink and NoAccessLog are not part of it: the reset Chaser takes both per
+// run, so a campaign's log-less, event-less prefix runs share sessions with
+// its runs. A run of another shape builds them afresh, as a run that found
 // the pool empty does; the arena, the spec and the result serve any run.
 type session struct {
 	arena    *vm.Arena
@@ -275,9 +277,7 @@ type session struct {
 type sessionShape struct {
 	hub    tainthub.Hub
 	obs    *obs.Registry
-	events *obs.Sink
 	tracer *obs.Tracer
-	noLog  bool
 	size   int
 }
 
@@ -307,10 +307,10 @@ var arenas = sync.Pool{New: func() any { return &session{arena: new(vm.Arena)} }
 // world of size: reset when the session served a run of that shape last,
 // built afresh otherwise. The Chaser is not yet armed and no process exists.
 func (s *session) open(cfg RunConfig, size int) (*Chaser, error) {
-	shape := sessionShape{hub: tainthub.Base(cfg.Hub), obs: cfg.Obs, events: cfg.Events, tracer: cfg.Tracer, noLog: cfg.NoAccessLog, size: size}
+	shape := sessionShape{hub: tainthub.Base(cfg.Hub), obs: cfg.Obs, tracer: cfg.Tracer, size: size}
 	if s.ch != nil && s.shape.same(shape) {
 		s.platform.Reset()
-		s.ch.reset(cfg.Hub)
+		s.ch.reset(cfg.Hub, cfg.Events, cfg.NoAccessLog)
 		return s.ch, nil
 	}
 	cfg.Obs.Counter("core_sessions_built_total").Inc()

@@ -180,8 +180,10 @@ func namespacesAlternate(t *testing.T) {
 // that injected, published through its private hub, sampled its timeline and
 // numbered its flows — is, field by field, the Chaser New builds and a new
 // platform loads, but for the hub client ID, which is minted anew, and the
-// storage it keeps. A field a later change adds without resetting it fails
-// this test as soon as a run writes it.
+// storage it keeps. So it is across a switch of the access log and the event
+// sink, which are not part of the session's shape: reset for a log-less run
+// with a sink, then for the first kind again. A field a later change adds
+// without resetting it fails this test as soon as a run writes it.
 func TestChaserResetIsNew(t *testing.T) {
 	var c arenaCase
 	for _, ac := range arenaCases(t) {
@@ -199,26 +201,31 @@ func TestChaserResetIsNew(t *testing.T) {
 		t.Fatalf("the run injected %d faults, published %d messages and sampled %d points: it leaves too little to reset",
 			len(res.Records), res.HubStats.Published, len(res.Trace.Timeline()))
 	}
-	ch, client := s.ch, s.ch.hubClient
-	if got, err := s.open(c.cfg, c.cfg.WorldSize); err != nil || got != ch {
-		t.Fatalf("a run of the same shape did not reset the session's Chaser (%v)", err)
-	}
-
-	fresh := New(Options{Hub: c.cfg.Hub, Obs: c.cfg.Obs, Events: c.cfg.Events, NoAccessLog: c.cfg.NoAccessLog})
-	if err := decaf.NewPlatform().LoadPlugin(fresh); err != nil {
-		t.Fatal(err)
-	}
-	// The reset Chaser keeps its rank states, idle; a new one makes them
-	// when its ranks are created.
-	for r := range ch.armed {
-		fresh.rankState(r)
-	}
-	if ch.hubClient == client || ch.hubClient == fresh.hubClient || ch.hubClient == 0 {
-		t.Errorf("hub client ID %d after reset (%d before, %d for a new Chaser): not minted anew", ch.hubClient, client, fresh.hubClient)
-	}
-	fresh.hubClient = ch.hubClient
-	for _, diff := range differences("Chaser", reflect.ValueOf(ch).Elem(), reflect.ValueOf(fresh).Elem(), map[[2]uintptr]bool{}) {
-		t.Error("reset and new Chasers differ at " + diff)
+	switched := c.cfg
+	switched.NoAccessLog, switched.Events = true, obs.NewSink(64)
+	ch := s.ch
+	for _, cfg := range []RunConfig{c.cfg, switched, c.cfg} {
+		client := ch.hubClient
+		if got, err := s.open(cfg, cfg.WorldSize); err != nil || got != ch {
+			t.Fatalf("NoAccessLog %v, events %v: a run of the same shape did not reset the session's Chaser (%v)",
+				cfg.NoAccessLog, cfg.Events != nil, err)
+		}
+		fresh := New(Options{Hub: cfg.Hub, Obs: cfg.Obs, Events: cfg.Events, NoAccessLog: cfg.NoAccessLog})
+		if err := decaf.NewPlatform().LoadPlugin(fresh); err != nil {
+			t.Fatal(err)
+		}
+		// The reset Chaser keeps its rank states, idle; a new one makes them
+		// when its ranks are created.
+		for r := range ch.armed {
+			fresh.rankState(r)
+		}
+		if ch.hubClient == client || ch.hubClient == fresh.hubClient || ch.hubClient == 0 {
+			t.Errorf("hub client ID %d after reset (%d before, %d for a new Chaser): not minted anew", ch.hubClient, client, fresh.hubClient)
+		}
+		fresh.hubClient = ch.hubClient
+		for _, diff := range differences("Chaser", reflect.ValueOf(ch).Elem(), reflect.ValueOf(fresh).Elem(), map[[2]uintptr]bool{}) {
+			t.Errorf("NoAccessLog %v, events %v: reset and new Chasers differ at %s", cfg.NoAccessLog, cfg.Events != nil, diff)
+		}
 	}
 }
 

@@ -248,10 +248,11 @@ func (s *Shadow) SetRegMask(r tcg.MReg, mask uint64) {
 // register r, as in tcg.Op.Regs) carries taint.
 func (s *Shadow) RegsTainted(set uint64) bool { return s.taintedRegs&set != 0 }
 
-// Live reports whether any taint exists anywhere — registers or memory. It
-// is the O(1) emptiness check the execution engine performs at TB entry to
-// select its taint-free copy (DECAF++-style elastic tainting: a run with
-// taint enabled but nothing yet tainted pays nothing for the machinery).
+// Live reports whether any taint exists anywhere — registers or memory: the
+// O(1) emptiness check of snapshots (Pristine), output hooks and the
+// first-taint callback. The execution engine asks a finer question at each
+// block — TaintedBytes, and RegsTainted of the block's footprint — so that a
+// block that can touch no taint runs on its taint-free copy.
 func (s *Shadow) Live() bool {
 	return s.taintedRegs != 0 || s.taintedBytes > 0
 }

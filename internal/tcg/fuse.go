@@ -11,8 +11,9 @@ import "chaser/internal/isa"
 //   - KAddI T0-style addressing + KLd64/KSt64 within ONE guest instruction
 //     fuses to KLdD/KStD. The fused op keeps the address temporary as an
 //     explicit operand and the engine still writes the computed address into
-//     it, so architectural (and taint) state stays bitwise identical to the
-//     unfused sequence.
+//     it, so architectural state stays bitwise identical to the unfused
+//     sequence, and so does taint state: a T0 temporary carries no taint in
+//     either, and any other (push's SP) takes its base's, as KAddI gives it.
 //   - KSetc + KBrCond across TWO adjacent guest instructions fuses to KCmpBr.
 //     The branch's guest identity moves into GuestPC2/GuestOp2 and the engine
 //     retires the second instruction explicitly, so instruction counters,

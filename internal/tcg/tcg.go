@@ -216,10 +216,15 @@ type Op struct {
 	GuestPC2 uint64
 	GuestOp2 isa.Op
 
-	// Regs is the op's register footprint: bit r is set for every
-	// micro-register r the op reads or writes, the flags register included.
-	// The translator fills it in on a block's final schedule; the taint-aware
-	// loop asks the shadow about the whole set in one test.
+	// Regs is the op's taint footprint: bit r is set for every
+	// micro-register r whose shadow mask the op's taint rule reads or writes,
+	// the flags register included. An address is not data — no rule reads its
+	// taint — so a memory op leaves its address operand out, and T0, which
+	// only addressing writes and only an access reads, carries no taint: an
+	// op that writes it has no footprint, and a fused access through it has
+	// only its data register's. The translator fills Regs in on a block's
+	// final schedule; the taint-aware loop asks the shadow about the whole set
+	// in one test.
 	Regs uint64
 }
 
@@ -234,9 +239,11 @@ const (
 	usesA0A1A2 = usesA0 | usesA1 | usesA2
 )
 
-// kindOperands says which operand fields each kind reads or writes (see the
-// kind list: A0 <- A1 op A2). Control, syscall and helper kinds touch
-// registers only outside the operand fields and have no entry.
+// kindOperands says which operand fields each kind reads or writes as data
+// (see the kind list: A0 <- A1 op A2): a plain access's address (A1) is not
+// data, while a fused access's base (A1) feeds its address temporary. Control,
+// syscall and helper kinds touch registers only outside the operand fields
+// and have no entry.
 var kindOperands = [kindMax]uint8{
 	KMovI: usesA0,
 	KMov:  usesA0A1, KAddI: usesA0A1, KMulI: usesA0A1, KNot: usesA0A1,
@@ -244,28 +251,41 @@ var kindOperands = [kindMax]uint8{
 	KAdd: usesA0A1A2, KSub: usesA0A1A2, KMul: usesA0A1A2, KDiv: usesA0A1A2, KMod: usesA0A1A2,
 	KAnd: usesA0A1A2, KOr: usesA0A1A2, KXor: usesA0A1A2, KShl: usesA0A1A2, KShr: usesA0A1A2,
 	KFAdd: usesA0A1A2, KFSub: usesA0A1A2, KFMul: usesA0A1A2, KFDiv: usesA0A1A2,
-	KLd64: usesA0A1, KLd8: usesA0A1,
-	KSt64: usesA1 | usesA2, KSt8: usesA1 | usesA2,
+	KLd64: usesA0, KLd8: usesA0,
+	KSt64: usesA2, KSt8: usesA2,
 	KLdD: usesA0A1A2, KStD: usesA0A1A2,
 	KSetc: usesA1 | usesA2 | usesFlags, KFSetc: usesA1 | usesA2 | usesFlags, KCmpBr: usesA1 | usesA2 | usesFlags,
 	KSetcI: usesA1 | usesFlags, KCmpBrI: usesA1 | usesFlags,
 	KBrCond: usesFlags,
 }
 
-// setRegs fills in the Regs of every op of a final schedule.
-func setRegs(ops []Op) {
+// setRegs fills in the Regs of every op of a final schedule and returns
+// their union, the block's footprint.
+func setRegs(ops []Op) uint64 {
+	var all uint64
 	for i := range ops {
 		op := &ops[i]
 		op.Regs = 0
 		if op.Kind >= kindMax {
 			continue // a hook's op the engine will refuse
 		}
+		uses := kindOperands[op.Kind]
+		switch {
+		case op.Kind == KLdD && op.A2 == T0:
+			uses = usesA0 // the base only feeds T0
+		case op.Kind == KStD && op.A0 == T0:
+			uses = usesA2
+		case uses&usesA0 != 0 && op.A0 == T0:
+			uses = 0 // addressing
+		}
 		for j, r := range [...]MReg{op.A0, op.A1, op.A2, FlagsReg} {
-			if kindOperands[op.Kind]&(1<<j) != 0 {
+			if uses&(1<<j) != 0 {
 				op.Regs |= 1 << r
 			}
 		}
+		all |= op.Regs
 	}
+	return all
 }
 
 // String renders the micro-op for debugging and TB dumps.
@@ -330,6 +350,11 @@ type TB struct {
 	// counts, letting the interpreter credit per-opcode statistics once per
 	// block instead of once per instruction.
 	OpCounts []OpCount
+	// Regs is the block's taint footprint, the union of its ops' Regs: while
+	// no memory byte is tainted, a block none of whose registers carries
+	// taint can neither create nor move any, and runs on the taint-free copy
+	// of the loop.
+	Regs uint64
 }
 
 // OpCount is one entry of a TB's precomputed guest-opcode histogram.

@@ -649,10 +649,13 @@ func TestExpandAllOpcodes(t *testing.T) {
 	}
 }
 
-// TestRegsFootprint pins Op.Regs, which the taint-aware loop trusts: a
+// TestRegsFootprint pins Op.Regs and TB.Regs, which the interpreter trusts: a
 // register missing from an op's footprint is taint silently not propagated.
 // Each instruction is translated alone, fused and unfused, and the footprints
-// of its micro-ops are compared with the registers it is known to touch.
+// of its micro-ops are compared with the registers whose taint it is known to
+// read or write — an access's address is not among them, T0 never is, and a
+// push's fused store, whose temporary is SP, keeps SP — and the block's with
+// their union.
 func TestRegsFootprint(t *testing.T) {
 	set := func(regs ...MReg) uint64 {
 		var s uint64
@@ -680,13 +683,22 @@ func TestRegsFootprint(t *testing.T) {
 		{ins: isa.Instr{Op: isa.OpCvtIF, Rd: isa.F1, Rs1: isa.R1}, fused: []uint64{set(f1, r1)}},
 		{ins: isa.Instr{Op: isa.OpCvtFI, Rd: isa.R1, Rs1: isa.F1}, fused: []uint64{set(f1, r1)}},
 		{ins: isa.Instr{Op: isa.OpLd, Rd: isa.R1, Rs1: isa.R2, Imm: 8},
-			fused: []uint64{set(r1, r2, T0)}, unfused: []uint64{set(r2, T0), set(r1, T0)}},
+			fused: []uint64{set(r1)}, unfused: []uint64{0, set(r1)}},
+		// Zero displacement: unfused, the peephole turns the addressing
+		// into a KMov to T0.
+		{ins: isa.Instr{Op: isa.OpLd, Rd: isa.R2, Rs1: isa.R2},
+			fused: []uint64{set(r2)}, unfused: []uint64{0, set(r2)}},
 		{ins: isa.Instr{Op: isa.OpFSt, Rs1: isa.R2, Rs2: isa.F1, Imm: 8},
-			fused: []uint64{set(f1, r2, T0)}, unfused: []uint64{set(r2, T0), set(f1, T0)}},
-		{ins: isa.Instr{Op: isa.OpLdB, Rd: isa.R1, Rs1: isa.R2, Imm: 8}, fused: []uint64{set(r2, T0), set(r1, T0)}},
-		{ins: isa.Instr{Op: isa.OpStB, Rs1: isa.R2, Rs2: isa.R1, Imm: 8}, fused: []uint64{set(r2, T0), set(r1, T0)}},
+			fused: []uint64{set(f1)}, unfused: []uint64{0, set(f1)}},
+		{ins: isa.Instr{Op: isa.OpSt, Rs1: isa.R2, Rs2: isa.R1},
+			fused: []uint64{set(r1)}, unfused: []uint64{0, set(r1)}},
+		{ins: isa.Instr{Op: isa.OpLdB, Rd: isa.R1, Rs1: isa.R2, Imm: 8}, fused: []uint64{0, set(r1)}},
+		{ins: isa.Instr{Op: isa.OpStB, Rs1: isa.R2, Rs2: isa.R1, Imm: 8}, fused: []uint64{0, set(r1)}},
 		{ins: isa.Instr{Op: isa.OpPush, Rs1: isa.R1},
-			fused: []uint64{set(SPReg, r1)}, unfused: []uint64{set(SPReg), set(SPReg, r1)}},
+			fused: []uint64{set(SPReg, r1)}, unfused: []uint64{set(SPReg), set(r1)}},
+		{ins: isa.Instr{Op: isa.OpFPush, Rs1: isa.F1},
+			fused: []uint64{set(SPReg, f1)}, unfused: []uint64{set(SPReg), set(f1)}},
+		{ins: isa.Instr{Op: isa.OpPop, Rd: isa.R1}, fused: []uint64{set(r1), set(SPReg)}},
 		{ins: isa.Instr{Op: isa.OpCmp, Rs1: isa.R1, Rs2: isa.R2}, fused: []uint64{set(r1, r2, FlagsReg)}},
 		{ins: isa.Instr{Op: isa.OpCmpI, Rs1: isa.R1, Imm: 3}, fused: []uint64{set(r1, FlagsReg)}},
 		{ins: isa.Instr{Op: isa.OpFCmp, Rs1: isa.F1, Rs2: isa.F2}, fused: []uint64{set(f1, f2, FlagsReg)}},
@@ -706,10 +718,15 @@ func TestRegsFootprint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var all uint64
 			for i, w := range want {
+				all |= w
 				if i >= len(tb.Ops) || tb.Ops[i].Regs != w {
 					t.Errorf("%v (fusion %v): op %d footprint wrong, want %#x\n%s", tc.ins, fusion, i, w, tb.Dump())
 				}
+			}
+			if tb.Regs != all {
+				t.Errorf("%v (fusion %v): block footprint %#x, want %#x", tc.ins, fusion, tb.Regs, all)
 			}
 		}
 	}

@@ -262,7 +262,7 @@ func (t *Translator) Block(pc uint64) (*TB, error) {
 		t.stats.OptRewrites += optimize(tb.Ops)
 	}
 	tb.OpCounts = countOps(tb.Ops)
-	setRegs(tb.Ops)
+	tb.Regs = setRegs(tb.Ops)
 	t.stats.Translations++
 	// Publish what does not depend on this translator. The base returns the
 	// canonical block, so machines that raced on the same miss share one *TB.

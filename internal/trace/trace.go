@@ -210,15 +210,21 @@ func NewCollectorNoAccessLog() *Collector {
 	return &Collector{noLog: true}
 }
 
-// Reset empties the collector for another run: it then holds what the
-// constructor that made it returns, and keeps the storage of its cross-rank,
-// send and output records. Nothing may read or add to it meanwhile; what its
-// accessors returned before are copies, and stay as they were.
-func (c *Collector) Reset() {
+// Reset empties the collector for another run, one that keeps its access log
+// unless noLog: it then holds what NewCollector returns, or under noLog what
+// NewCollectorNoAccessLog does, whichever constructor made it, and keeps the
+// storage of its cross-rank, send and output records. Nothing may read or add
+// to it meanwhile; what its accessors returned before are copies, and stay as
+// they were.
+func (c *Collector) Reset(noLog bool) {
 	clear(c.outputs) // their masks
+	maxEvents := DefaultMaxEvents
+	if noLog {
+		maxEvents = 0
+	}
 	*c = Collector{
-		maxEvents: c.maxEvents,
-		noLog:     c.noLog,
+		maxEvents: maxEvents,
+		noLog:     noLog,
 		crossRank: c.crossRank[:0],
 		sends:     c.sends[:0],
 		outputs:   c.outputs[:0],

@@ -240,21 +240,28 @@ func (m *Machine) killSegv(addr uint64, write bool) {
 }
 
 // execTB runs a block on one of execLoop's two copies: the taint-free one
-// while taint tracking is off or the shadow is provably empty (golden runs
-// and every injected run's pre-fault prefix), the taint copy otherwise and
+// while taint tracking is off or the block can touch no taint (golden runs,
+// every injected run's pre-fault prefix, and after the fault every block
+// whose registers are clean while memory is), the taint copy otherwise and
 // under NoFastPath. The copies are observationally identical; the taint-free
 // one merely skips work that is provably a no-op.
 func (m *Machine) execTB(node *chainNode, chain bool) *chainNode {
-	if !m.tainting() {
+	if !m.tainting(node.tb) {
 		m.counters.FastPathTBs++
 		return execLoop[fastLoop](m, node, 0, chain)
 	}
 	return execLoop[taintLoop](m, node, 0, chain)
 }
 
-// tainting reports whether the next block runs on the taint copy of the loop.
-func (m *Machine) tainting() bool {
-	return m.noFastPath || (m.TaintEnabled && m.Shadow.Live())
+// tainting reports whether tb runs on the taint copy of the loop: under
+// NoFastPath, and while tracking is on, when a memory byte or a register of
+// tb's footprint (tcg.TB.Regs) is tainted. Otherwise no op of tb can create
+// or move taint: every register it reads or writes as data is clean, so are
+// the bytes it loads, stores and pushes, and an address's taint reaches
+// nothing. Syscall hooks run on both copies, and a helper that seeds taint
+// hands the rest of the block over.
+func (m *Machine) tainting(tb *tcg.TB) bool {
+	return m.noFastPath || (m.TaintEnabled && (m.Shadow.TaintedBytes() > 0 || m.Shadow.RegsTainted(tb.Regs)))
 }
 
 // loopMode selects a copy of execLoop. Go compiles one body per GC shape and
@@ -287,8 +294,9 @@ type taintLoop struct{ _ byte }
 // page it read the old mask from; misses take the shadow's own accessors.
 // The taint-free copy keeps the sampler, which fires with zero tainted bytes
 // before the fault so sample timelines stay identical, and hands the rest of
-// a block to the taint copy when a helper seeds taint (Chaser's
-// fault_injector), so the first tainted micro-op already propagates.
+// a block to the taint copy when a helper seeds taint the block can touch
+// (Chaser's fault_injector), so the first tainted micro-op already
+// propagates.
 //
 // Hot state lives in locals (stores through regs alias m for all the compiler
 // knows). The instruction counter is written back before anything that reads
@@ -511,10 +519,10 @@ nextBlock:
 			}
 		case tcg.KLdD:
 			// KLdD is the fused KAddI+KLd64: the address temporary (A2) is
-			// still written — value and taint — so machine state matches the
-			// unfused pair.
+			// still written, so machine state matches the unfused pair — its
+			// taint too, unless it is T0, which carries none.
 			addr := regs[op.A1] + uint64(op.Imm)
-			if tainting && sh.RegsTainted(op.Regs) {
+			if tainting && op.A2 != tcg.T0 && sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(op.A2, taint.ImmBinaryMask(tcg.KLdD, sh.RegMask(op.A1), op.Imm))
 			}
 			regs[op.A2] = addr
@@ -561,9 +569,10 @@ nextBlock:
 		case tcg.KStD:
 			// KStD is the fused KAddI+KSt64. The temp (A0) must be written
 			// before the source (A2) is read: for push they are both SP and
-			// the unfused sequence stores the decremented value.
+			// the unfused sequence stores the decremented value. As in KLdD,
+			// a T0 temp takes no taint.
 			addr := regs[op.A1] + uint64(op.Imm)
-			if tainting && sh.RegsTainted(op.Regs) {
+			if tainting && op.A0 != tcg.T0 && sh.RegsTainted(op.Regs) {
 				sh.SetRegMask(op.A0, taint.ImmBinaryMask(tcg.KStD, sh.RegMask(op.A1), op.Imm))
 			}
 			regs[op.A0] = addr
@@ -774,7 +783,7 @@ nextBlock:
 				// enabled tracking; the rest of the block must propagate it.
 				if tainting {
 					sh = m.propagating()
-				} else if m.TaintEnabled && m.Shadow.Live() {
+				} else if m.tainting(tb) {
 					return execLoop[taintLoop](m, node, i+1, chain)
 				}
 			}
@@ -790,12 +799,17 @@ nextBlock:
 chainTry:
 	// The guard order matches step(): pending aborts first, then the overlay
 	// generation (a helper may have flushed translations mid-block, severing
-	// every chain), then the dispatch condition execTB would apply.
-	if !chain || m.abort.p.Load() != nil || m.Trans.Gen() != m.chains.gen || m.tainting() != tainting {
+	// every chain), then the edge, and then the dispatch condition execTB
+	// would apply to its target; a target the other copy runs goes back to
+	// step(), which follows the edge and counts it.
+	if !chain || m.abort.p.Load() != nil || m.Trans.Gen() != m.chains.gen {
 		return node
 	}
 	for k := range node.out {
 		if e := node.out[k]; e.to != nil && e.pc == m.pc {
+			if m.tainting(e.to.tb) != tainting {
+				return node
+			}
 			node.lastHit = k
 			node = e.to
 			m.counters.ChainedTBs++

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -107,9 +108,29 @@ loop:
     syscall exit
 `
 
+// frameSrc counts down through a stack slot: its loop block uses SP as an
+// address only. The tests below insert one instruction at the loop's head
+// (%[1]s) and one in front of the exit (%[2]s).
+const frameSrc = `
+main:
+    movi r1, 50
+loop:
+    %[1]s
+    st [sp-8], r1
+    ld r2, [sp-8]
+    addi r1, r1, -1
+    cmpi r1, 0
+    jg loop
+    %[2]s
+    syscall exit
+`
+
 // TestFastPathSelection pins down exactly when the specialized loop runs:
-// always while no taint exists, never once the shadow is live at TB entry,
-// and never under the NoFastPath ablation switch.
+// always while no taint exists; while it does, for every block whose
+// registers are clean while memory is — a register tainted at entry and only
+// ever used as an address keeps every block there — never for a block that
+// reads or writes a tainted register as data nor while a memory byte is
+// tainted; and never under the NoFastPath ablation switch.
 func TestFastPathSelection(t *testing.T) {
 	t.Run("taint off", func(t *testing.T) {
 		m, term := run(t, fastCountSrc)
@@ -138,21 +159,94 @@ func TestFastPathSelection(t *testing.T) {
 		}
 	})
 	t.Run("live shadow", func(t *testing.T) {
-		p, err := asm.Assemble("test", fastCountSrc)
-		if err != nil {
-			t.Fatal(err)
+		// The frame program runs 51 blocks: main's (through the first
+		// iteration), the loop's 49 times and the exit block.
+		const blocks = 51
+		for _, tc := range []struct {
+			name       string
+			head, exit string
+			reg        isa.Reg // tainted at entry
+			memory     bool    // a stack byte below the slot is tainted at entry
+			fast       uint64
+		}{
+			{name: "address only", head: "nop", exit: "nop", reg: isa.SP, fast: blocks},
+			{name: "read as data", head: "mov r3, sp", exit: "nop", reg: isa.SP, fast: 1},
+			{name: "written as data", head: "nop", exit: "movi r5, 7", reg: isa.R5, fast: blocks - 1},
+			{name: "tainted memory", head: "nop", exit: "nop", reg: isa.SP, memory: true, fast: 0},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				p, err := asm.Assemble("test", fmt.Sprintf(frameSrc, tc.head, tc.exit))
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := New(p, Config{})
+				m.TaintEnabled = true
+				m.Shadow.SetRegMask(tcg.GPR(tc.reg), 1)
+				if tc.memory {
+					m.Shadow.SetMemMask8(m.GPR(isa.SP)-64, 1)
+				}
+				if term := m.Run(); term.Reason != ReasonExited {
+					t.Fatalf("term = %v", term)
+				}
+				c := m.Counters()
+				if c.TBsExecuted != blocks || c.FastPathTBs != tc.fast {
+					t.Errorf("FastPathTBs = %d of %d, want %d of %d", c.FastPathTBs, c.TBsExecuted, tc.fast, blocks)
+				}
+				if c.TaintedMemWrites != 0 || c.TaintedMemReads != 0 {
+					t.Errorf("%d tainted reads and %d writes: the stored counter is clean", c.TaintedMemReads, c.TaintedMemWrites)
+				}
+				if mask := m.Shadow.RegMask(tcg.T0); mask != 0 {
+					t.Errorf("T0 carries taint %#x: an address's taint reached it", mask)
+				}
+			})
 		}
-		m := New(p, Config{})
-		m.TaintEnabled = true
-		// Seed a register the program never overwrites so the shadow stays
-		// live for the whole run.
-		m.Shadow.SetRegMask(tcg.GPR(isa.R9), 1)
-		if term := m.Run(); term.Reason != ReasonExited {
-			t.Fatalf("term = %v", term)
-		}
-		if c := m.Counters(); c.FastPathTBs != 0 {
-			t.Errorf("FastPathTBs = %d with live shadow, want 0", c.FastPathTBs)
-		}
+		t.Run("seeded between chained blocks", func(t *testing.T) {
+			// The loop block and the data block chain to each other. A helper
+			// in the loop block taints R5, which only the data block reads, in
+			// the tenth iteration: the loop block goes on on the taint-free copy,
+			// and each chained edge into the data block, or back, changes copy
+			// through step(). 101 blocks: main's, the loop's 49 times, the data
+			// block's 50 times — 9 of them before the seed — and the exit block.
+			p, err := asm.Assemble("test", `
+main:
+    movi r1, 50
+    movi r6, 0
+loop:
+    addi r1, r1, -1
+    jmp data
+data:
+    add r6, r6, r5
+    cmpi r1, 0
+    jg loop
+    syscall exit
+`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := New(p, Config{})
+			m.TaintEnabled = true
+			fires := 0
+			id := m.RegisterHelper(func(mm *Machine, _ *tcg.Op) {
+				if fires++; fires == 10 {
+					mm.Shadow.SetRegMask(tcg.GPR(isa.R5), 1)
+				}
+			})
+			m.Trans.AddHook(func(ins isa.Instr, _ uint64) []tcg.Op {
+				if ins.Op == isa.OpAddI {
+					return []tcg.Op{{Kind: tcg.KHelper, Helper: id}}
+				}
+				return nil
+			})
+			if term := m.Run(); term.Reason != ReasonExited {
+				t.Fatalf("term = %v", term)
+			}
+			if c := m.Counters(); c.TBsExecuted != 101 || c.FastPathTBs != 60 || c.ChainedTBs == 0 {
+				t.Errorf("FastPathTBs = %d of %d (%d chained), want 60 of 101", c.FastPathTBs, c.TBsExecuted, c.ChainedTBs)
+			}
+			if m.Shadow.RegMask(tcg.GPR(isa.R6)) == 0 {
+				t.Error("R6 is clean: a chained edge ran the data block on the taint-free copy")
+			}
+		})
 	})
 	t.Run("NoFastPath", func(t *testing.T) {
 		m, term := runCfg(t, fastCountSrc, Config{NoFastPath: true})
