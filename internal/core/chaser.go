@@ -556,7 +556,9 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 	// Register the fault_injector helper and instrument only the targeted
 	// instructions (just-in-time fault injection, Fig. 3). Only the helper
 	// draws from the rank's random stream, so only target ranks hold one.
-	c.obsArmed.Inc()
+	if !c.view.rechecking() {
+		c.obsArmed.Inc()
+	}
 	st.rng = st.seedStream(spec.Seed)
 	m.Trans.SetProbe(tcg.Probe{Ops: tcg.OpSetOf(spec.Ops...), Helper: m.RegisterHelper(st.injectHook)})
 	// Flush the code translation cache to trigger the next round of binary
@@ -605,8 +607,10 @@ func (st *armState) faultInjector(m *vm.Machine, op *tcg.Op) {
 	if st.ch.events != nil {
 		st.ch.events.Emit("inject", -1, rec.Rank, rec.PC, rec.Mask, rec.GuestOpS+" "+rec.Target)
 	}
-	st.ch.obsFired.Inc()
-	st.ch.obsBits.Add(uint64(bits.OnesCount64(rec.Mask)))
+	if !st.ch.view.rechecking() {
+		st.ch.obsFired.Inc()
+		st.ch.obsBits.Add(uint64(bits.OnesCount64(rec.Mask)))
+	}
 	st.injected++
 	if st.injected >= st.spec.MaxInjections {
 		// fi_clean_cb: stop screening and detach the injector. The flush

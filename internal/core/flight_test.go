@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"chaser/internal/apps"
 	"chaser/internal/decaf"
@@ -415,5 +417,210 @@ func TestHubFailureSchedule(t *testing.T) {
 				t.Errorf("%s: HubFailRun verdict %v, want the run failed with %q", label, err, tc.firstHubErr)
 			}
 		}
+	}
+}
+
+// earlyCase runs clamrFault on a new faulty hub, reached as reach says, once
+// under HubDegrade and once under HubFailRun, and renders what a run reports
+// of its hub: its propagation log's digest, its own hub count, its first hub
+// error and the HubFailRun verdict.
+func earlyCase(t *testing.T, reg *obs.Registry, newHub func() *faultyHub, reach string) string {
+	t.Helper()
+	hub := func() tainthub.Hub {
+		faulty := newHub()
+		switch reach {
+		case "collected-late":
+			return lazyHub{faulty}
+		case "tcp":
+			client, _ := servedHub(t, faulty, tainthub.ClientConfig{MaxAttempts: 2})
+			return client
+		}
+		return faulty
+	}
+	cfg := clamrFault(t)
+	cfg.Hub, cfg.Obs = hub(), reg
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", reach, err)
+	}
+	var log bytes.Buffer
+	if _, err := res.Trace.WriteTo(&log); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Hub, cfg.HubPolicy = hub(), HubFailRun
+	_, verdict := Run(cfg)
+	return fmt.Sprintf("log %x stats %+v err %v verdict %v",
+		sha256.Sum256(log.Bytes()), res.HubStats, res.HubErr, verdict)
+}
+
+// TestEarlyReceiveMatchesSync: a run whose receives do not wait for the hub
+// reports what a run whose receives wait reported — its propagation log byte
+// for byte, its own hub count, its first hub error and its HubFailRun
+// verdict, pinned at the commit before receives stopped waiting — on four
+// faulty hubs (poll masks flipped, publishes dropped, acks lost, publishes 3,
+// 7 and 40 refused), each asked in place, collected late and over TCP. On a
+// hub that answers only when collected every one of those runs is rechecked;
+// on a healthy durable hub over TCP none is.
+func TestEarlyReceiveMatchesSync(t *testing.T) {
+	faults := []struct {
+		name string
+		hub  func() *faultyHub
+	}{
+		{"poll-flipped", func() *faultyHub { return &faultyHub{Local: tainthub.NewLocal(), flipPoll: true} }},
+		{"publishes-dropped", func() *faultyHub { return &faultyHub{Local: tainthub.NewLocal(), dropPublishes: true} }},
+		{"acks-lost", func() *faultyHub { return &faultyHub{Local: tainthub.NewLocal(), publishErr: true} }},
+		{"refused-3-7-40", func() *faultyHub {
+			return &faultyHub{Local: tainthub.NewLocal(), failPublish: map[int64]bool{3: true, 7: true, 40: true}}
+		}},
+	}
+	want := map[string]string{
+		"poll-flipped/in-place":            "3c5b86f340d8",
+		"poll-flipped/collected-late":      "3c5b86f340d8",
+		"poll-flipped/tcp":                 "3c5b86f340d8",
+		"publishes-dropped/in-place":       "cab35e4000e8",
+		"publishes-dropped/collected-late": "cab35e4000e8",
+		"publishes-dropped/tcp":            "cab35e4000e8",
+		"acks-lost/in-place":               "223892d072d0",
+		"acks-lost/collected-late":         "223892d072d0",
+		"acks-lost/tcp":                    "90a6d5016c7f", // the error crossed the wire: "tainthub: ack lost"
+		"refused-3-7-40/in-place":          "92caca35cbe4",
+		"refused-3-7-40/collected-late":    "92caca35cbe4",
+		"refused-3-7-40/tcp":               "7c9320c922cf", // likewise
+	}
+	for _, fault := range faults {
+		for _, reach := range []string{"in-place", "collected-late", "tcp"} {
+			label := fault.name + "/" + reach
+			reg := obs.NewRegistry()
+			got := earlyCase(t, reg, fault.hub, reach)
+			digest := fmt.Sprintf("%x", sha256.Sum256([]byte(got)))[:12]
+			if digest != want[label] {
+				t.Errorf("%s: digest %s, want %s; the run reported %s", label, digest, want[label], got)
+			}
+			wantRechecked := uint64(2)
+			if reach == "in-place" {
+				wantRechecked = 0
+			}
+			if n := reg.Counter("core_hub_rechecked_runs_total").Value(); n != wantRechecked {
+				t.Errorf("%s: %d of 2 runs rechecked, want %d", label, n, wantRechecked)
+			}
+		}
+	}
+
+	client, _ := servedHub(t, openDurable(t), tainthub.ClientConfig{})
+	reg := obs.NewRegistry()
+	for i := 0; i < 20; i++ {
+		cfg := clamrFault(t)
+		cfg.Hub, cfg.Obs = tainthub.WithNamespace(client, i), reg
+		cfg.Spec.Seed = int64(i)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.HubStats.Published == 0 || res.HubErr != nil {
+			t.Fatalf("seed %d: the run published %d messages (hub error %v)", i, res.HubStats.Published, res.HubErr)
+		}
+	}
+	if n := reg.Counter("core_hub_rechecked_runs_total").Value(); n != 0 {
+		t.Errorf("a healthy hub had %d of 20 runs rechecked", n)
+	}
+}
+
+// spinningReceiverProg is crossProg whose receiver, once it has received,
+// spins until its watchdog stops it.
+func spinningReceiverProg(t *testing.T) *isa.Program {
+	t.Helper()
+	I, V, B := lang.I, lang.V, lang.Block
+	prog, err := lang.Compile(&lang.Program{Name: "cross_app", Funcs: []*lang.Func{{
+		Name: "main",
+		Body: B(
+			lang.Let("buf", lang.Alloc(I(1))),
+			lang.If{
+				Cond: lang.Eq(lang.RankExpr{}, I(0)),
+				Then: B(
+					lang.Let("s", lang.F(0)),
+					lang.For{Var: "i", From: I(0), To: I(8), Body: B(
+						lang.Set("s", lang.Add(V("s"), lang.F(0.25))),
+					)},
+					lang.SetAt(V("buf"), I(0), V("s")),
+					lang.MPISend{Buf: V("buf"), Count: I(1), Dtype: int64(isa.TypeFloat64),
+						Dest: I(1), Tag: I(3)},
+				),
+				Else: B(
+					lang.MPIRecv{Buf: V("buf"), Count: I(1), Dtype: int64(isa.TypeFloat64),
+						Source: I(0), Tag: I(3)},
+					lang.While{Cond: I(1)},
+				),
+			},
+		),
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// interruptedHub answers like lazyHub, but a flight's Collect waits until
+// the world_interrupt event of a watchdog is in the sink (or a few seconds
+// pass): the answer a drain checks comes in behind a fired watchdog.
+type interruptedHub struct {
+	lazyHub
+	sink *obs.Sink
+}
+
+func (h interruptedHub) StartFlight(publish, poll tainthub.ReqID, k tainthub.Key, seq uint64, masks []uint8) tainthub.Flight {
+	f := h.lazyHub.StartFlight(publish, poll, k, seq, masks)
+	return lazyFlight(func() tainthub.FlightResult {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			events, _ := h.sink.Since(0, 1<<10)
+			if slices.ContainsFunc(events, func(ev obs.Event) bool { return ev.Type == "world_interrupt" }) {
+				break
+			}
+		}
+		return f.Collect()
+	})
+}
+
+// TestRecheckAfterWatchdog: a run whose first attempt's watchdog fired and
+// whose drain then finds an answer that does not confirm a receive (the hub
+// flips the masks of every poll) is rechecked on a fresh session — the
+// watchdog's callback may still be aborting the first attempt's world — and
+// ends, as its first attempt did, with its timeout termination. Neither
+// session goes back to the pool.
+func TestRecheckAfterWatchdog(t *testing.T) {
+	sink := obs.NewSink(1 << 10)
+	reg := obs.NewRegistry()
+	faulty := &faultyHub{Local: tainthub.NewLocal(), flipPoll: true}
+	cfg := RunConfig{
+		Prog: spinningReceiverProg(t), WorldSize: 2,
+		Hub:     interruptedHub{lazyHub{faulty}, sink},
+		Timeout: 20 * time.Millisecond,
+		Obs:     reg, Events: sink,
+		Spec: &Spec{
+			Target: "cross_app", Ops: []isa.Op{isa.OpFAdd}, TargetRank: 0,
+			Cond: Deterministic{N: 4}, Bits: 1, Trace: true, Seed: 11,
+		},
+	}
+	made := countNewArenas(t)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("core_hub_rechecked_runs_total").Value(); n != 1 {
+		t.Fatalf("%d runs rechecked, want 1", n)
+	}
+	if res.Terms[1].Reason != vm.ReasonTimeout {
+		t.Errorf("the receiver ended with %v, want its timeout", res.Terms[1])
+	}
+	if !res.Trace.Propagated() || len(res.Trace.CrossRank()) != 1 {
+		t.Errorf("the recheck received %d tainted messages, want 1", len(res.Trace.CrossRank()))
+	}
+	if n := made.Load(); n != 2 {
+		t.Errorf("the run and its recheck took %d sessions, want 2", n)
+	}
+	if _, err := Run(RunConfig{Prog: crossProg(t), WorldSize: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if n := made.Load(); n != 3 {
+		t.Errorf("the rechecked run put a session back")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"chaser/internal/decaf"
@@ -23,12 +24,14 @@ import (
 // on without waiting for the hub.
 //
 // Receiver side (after MPI_Recv returns): extract (buf, count, datatype,
-// source, tag) and collect the flight; when the hub's poll found a status,
-// mark the received bytes tainted with the masks it returned, so propagation
+// source, tag) and take the message's taint — the masks its sender published
+// on a run's first attempt over a hub that starts flights, which the drain
+// checks against the hub's poll, and the masks the hub's poll returned
+// otherwise — and mark the received bytes tainted with it, so propagation
 // continues in this rank.
 //
-// After the world has run, the flights nobody collected — their receiver
-// ended first — are drained.
+// After the world has run, the flights are drained: those nobody collected —
+// their receiver ended first — and, on a first attempt, every one.
 //
 // Both sides of a world go through one worldHub, so only the messages the
 // world published cost the hub anything: a clean message costs nothing on
@@ -92,11 +95,27 @@ type flight struct {
 	// the send hook saw it; it is recorded once the publish is known to have
 	// been acknowledged.
 	send trace.SendRecord
+	// masks are the published masks.
+	masks []uint8
 	// inflight is the flight while the hub's answer has not been asked for;
 	// res is the answer afterwards.
 	inflight tainthub.Flight
 	res      tainthub.FlightResult
 }
+
+// confirmed reports whether the hub's answer is what an early receive
+// applied: the publish and the poll succeeded, and the poll found the masks
+// that were published.
+func (f *flight) confirmed() bool {
+	r := &f.res
+	return r.PublishErr == nil && r.PollErr == nil && r.Found && bytes.Equal(r.Masks, f.masks)
+}
+
+// answered is a flight whose answer is already in: a recheck's recorded one.
+type answered tainthub.FlightResult
+
+// Collect implements tainthub.Flight.
+func (a *answered) Collect() tainthub.FlightResult { return tainthub.FlightResult(*a) }
 
 // msg names the flight's message.
 func (f *flight) msg() flowSeq {
@@ -110,16 +129,30 @@ func (f *flight) msg() flowSeq {
 // receive answers "clean" itself, at no cost to the hub, for any
 // flow-sequence that was never recorded. The record is kept when the publish
 // fails — the hub may have applied it before the error — so the set is a
-// superset of what the hub can hold for this world, and the hub stays
-// authoritative for every message in it: the masks a receiver applies are the
-// ones the hub's poll returned, never the sender's copy.
+// superset of what the hub can hold for this world.
 //
 // A hub that can start a flight (a tainthub.Client, namespaced or not) is
 // handed both calls in one frame and answers while the guest runs; any other
 // hub — in process, where a call costs less than the hand-over would — is
-// asked in place, inside start. Either way the publish side is settled in
-// publish order: a flight's send record is appended, or its failure counted,
-// before those of any flight started after it.
+// asked in place, inside start, and its poll's masks are the ones applied.
+// Either way the publish side is settled in publish order: a flight's send
+// record is appended, or its failure counted, before those of any flight
+// started after it.
+//
+// One rank runs at a time, so a message's receiver nearly always runs next
+// after its sender: waiting for the poll at the receive would stop the world
+// for a round trip a message. A run's first attempt over a hub that starts
+// flights (early) therefore does not wait. Its receive applies the masks the
+// sender published, and the drain collects every flight and checks each such
+// receive against the hub's answer before it records anything. When every
+// answer confirms the masks applied, the run is the one a waiting receive
+// would have produced, and the drain records it. When one does not — the
+// publish or the poll failed, the poll found nothing or other masks — the
+// drain records nothing and keeps the flights as the run's answers: the run
+// goes again, and its recheck waits at every receive, taking a recorded
+// answer wherever it publishes the same masks for the same flow-sequence
+// (session.run). The hub sees each publish once and the answers its polls
+// gave are the ones applied, as if every receive had waited.
 //
 // The contract this rests on is one publisher per flow: nothing but this
 // Chaser publishes into the keys its world polls. A stale entry another
@@ -139,6 +172,16 @@ type worldHub struct {
 	// those of them still in flight, in publish order.
 	flights   map[flowSeq]*flight
 	unsettled []*flight
+
+	// early marks a first attempt over a hub that starts flights; applied
+	// holds the flights its receives applied without waiting, and rechecked
+	// is set by a drain that found one of them unconfirmed.
+	early     bool
+	applied   []*flight
+	rechecked bool
+	// answers are the flights of the first attempt a recheck goes again
+	// for, by the message they carried.
+	answers map[flowSeq]*flight
 
 	// obsLocal counts the receives answered without the hub.
 	obsLocal *obs.Counter
@@ -181,7 +224,34 @@ func (w *worldHub) reset(hub tainthub.Hub) {
 	}
 	clear(flights)
 	clear(w.unsettled)
-	*w = worldHub{c: w.c, hub: w.hub, starter: starter, own: w.own, flights: flights, unsettled: w.unsettled[:0], obsLocal: w.obsLocal}
+	clear(w.applied)
+	*w = worldHub{c: w.c, hub: w.hub, starter: starter, own: w.own, flights: flights,
+		unsettled: w.unsettled[:0], applied: w.applied[:0], obsLocal: w.obsLocal}
+}
+
+// begin readies the view for its world: a run's first attempt when answers
+// is nil — over a hub that starts flights, its receives do not wait — or the
+// recheck of a first attempt whose drain found an unconfirmed receive, with
+// that attempt's flights: every receive waits, and a flight that publishes
+// what the first attempt published for its flow-sequence takes that answer.
+func (w *worldHub) begin(answers map[flowSeq]*flight) {
+	w.early = answers == nil && w.starter != nil
+	w.answers = answers
+}
+
+// rechecking reports whether the view's world is a recheck, whose first
+// attempt counted the run's injections.
+func (w *worldHub) rechecking() bool { return w.answers != nil }
+
+// takeAnswers returns the flights of a drained first attempt that must be
+// rechecked, and nil when it need not: the view keeps none of them.
+func (w *worldHub) takeAnswers() map[flowSeq]*flight {
+	if !w.rechecked {
+		return nil
+	}
+	answers := w.flights
+	w.flights = nil
+	return answers
 }
 
 // event emits one hub event about a message.
@@ -194,13 +264,18 @@ func (w *worldHub) event(typ string, rank int, msg flowSeq, masks []uint8) {
 // start hands the hub a tainted message — its publish, and the poll the
 // receive hook will want answered — named by the send record.
 func (w *worldHub) start(masks []uint8, send trace.SendRecord) {
-	f := &flight{send: send}
+	f := &flight{send: send, masks: masks}
 	msg := f.msg()
 	if w.flights == nil {
 		w.flights = make(map[flowSeq]*flight)
 	}
 	w.flights[msg] = f
 	w.event("hub_publish", send.Src, msg, masks)
+	if a := w.answers[msg]; a != nil && bytes.Equal(a.masks, masks) {
+		f.inflight = (*answered)(&a.res)
+		w.unsettled = append(w.unsettled, f)
+		return
+	}
 	publish, poll := w.c.hubReqID(), w.c.hubReqID()
 	if w.starter != nil {
 		f.inflight = w.starter.StartFlight(publish, poll, msg.key, msg.seq, masks)
@@ -211,13 +286,16 @@ func (w *worldHub) start(masks []uint8, send trace.SendRecord) {
 	w.published(f)
 }
 
-// settle collects the flights still in flight, in publish order, up to and
-// including the given one (nil: all of them), and records their publish side.
+// settle records the publish side of the unsettled flights, in publish
+// order, up to and including the given one (nil: all of them), collecting
+// each answer that is not yet in.
 func (w *worldHub) settle(through *flight) {
 	for len(w.unsettled) > 0 {
 		f := w.unsettled[0]
 		w.unsettled = w.unsettled[1:]
-		f.res, f.inflight = f.inflight.Collect(), nil
+		if f.inflight != nil {
+			f.res, f.inflight = f.inflight.Collect(), nil
+		}
 		w.published(f)
 		if f == through {
 			return
@@ -238,21 +316,42 @@ func (w *worldHub) published(f *flight) {
 	w.c.countHub(1, 1, f.res.Found)
 }
 
-// drain settles the flights no receive collected.
-func (w *worldHub) drain() { w.settle(nil) }
+// drain settles the flights no receive collected — on an early world, every
+// flight, once the hub's answers confirm what its receives applied — and
+// counts the world's clean receives.
+func (w *worldHub) drain() {
+	if w.early {
+		for _, f := range w.unsettled {
+			f.res, f.inflight = f.inflight.Collect(), nil
+		}
+		for _, f := range w.applied {
+			if !f.confirmed() {
+				w.rechecked = true
+				return
+			}
+		}
+	}
+	w.settle(nil)
+	w.obsLocal.Add(w.c.pollsLocal.Load())
+}
 
 // receive answers the receive hook: the hub's poll of the seq-th message of
-// the flow, collected from its flight. A poll behind an acknowledged publish
-// that found nothing is a cross-rank taint the hub dropped: it is reported
-// through Chaser.taintLost.
+// the flow, collected from its flight — on an early world, the masks its
+// sender published, which the drain checks. A poll behind an acknowledged
+// publish that found nothing is a cross-rank taint the hub dropped: it is
+// reported through Chaser.taintLost.
 func (w *worldHub) receive(k tainthub.Key, seq uint64) (masks []uint8, found bool, err error) {
 	msg := flowSeq{key: k, seq: seq}
 	f := w.flights[msg]
 	if f == nil {
-		w.obsLocal.Inc()
 		w.c.pollsLocal.Add(1)
 		w.event("hub_poll_miss", k.Dst, msg, nil)
 		return nil, false, nil
+	}
+	if w.early {
+		w.applied = append(w.applied, f)
+		w.event("hub_poll_hit", k.Dst, msg, f.masks)
+		return f.masks, true, nil
 	}
 	if f.inflight != nil {
 		w.settle(f)

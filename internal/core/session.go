@@ -398,46 +398,43 @@ func execute(cfg RunConfig, snap *WorldSnapshot) (Loan, error) {
 
 // run executes one run of cfg on the session, restored from snap when it is
 // not nil, and reports whether its watchdog never fired (see armTimeout). The
-// result is the session's own.
+// result is the session's own — or, for a run rechecked after its watchdog
+// fired, that of the fresh session the recheck ran on, which nothing puts
+// back.
+//
+// A run whose first attempt took taint from senders it did not wait for and
+// whose drain found a hub answer that does not confirm it (worldHub) goes
+// again from the same start, its receives waiting and its flights taking the
+// first attempt's answers. The first attempt's world is recycled for the
+// recheck — unless its watchdog fired: a callback may still abort it.
 func (s *session) run(cfg RunConfig, snap *WorldSnapshot) (res *RunResult, quiet bool, err error) {
 	size := cfg.WorldSize
 	if size == 0 {
 		size = 1
 	}
-	ch, err := s.open(cfg, size)
+	terms, quiet, err := s.attempt(cfg, size, snap, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	if cfg.Spec != nil {
-		s.spec = *cfg.Spec
-		s.spec.setDefaults()
-		if snap != nil {
-			s.spec.resume = snap.resume
+	if answers := s.ch.view.takeAnswers(); answers != nil {
+		cfg.Obs.Counter("core_hub_rechecked_runs_total").Inc()
+		if quiet {
+			s.recycle()
+		} else {
+			s = arenas.Get().(*session)
 		}
-		ch.arm(&s.spec)
-		if cfg.Spec.Trace && !cfg.NoAccessLog {
-			cfg.Obs.Counter("core_runs_access_log_kept_total").Inc()
+		var settled bool
+		if terms, settled, err = s.attempt(cfg, size, snap, answers); err != nil {
+			return nil, false, err
 		}
+		// A watchdog that fired on either attempt keeps the caller's session
+		// out of the pool.
+		quiet = quiet && settled
 	}
-	if snap != nil {
-		// Seed the propagation timeline with the prefix's samples so the
-		// forked run's curve spans the whole execution, as a from-scratch
-		// run's would.
-		ch.collector.SeedTimeline(snap.samples)
-	}
-	world, err := s.newWorld(cfg, size, snap)
-	if err != nil {
-		return nil, false, err
-	}
-	stopWatchdog := armTimeout(world, cfg.Timeout)
-	wsp := cfg.Tracer.StartSpan("world.run")
-	terms := world.Run()
-	wsp.End()
-	quiet = stopWatchdog()
-	// Flights whose receiver ended before it received them are settled here,
-	// before anyone reads the collector, the hub error or, a shard later, the
-	// namespace's retirement.
-	ch.view.drain()
+	ch := s.ch
+	// The drain settled every flight — those whose receiver ended before it
+	// received them too — before anyone reads the collector, the hub error
+	// or, a shard later, the namespace's retirement.
 	herr := ch.HubErr()
 	if herr != nil && cfg.HubPolicy == HubFailRun {
 		return nil, false, fmt.Errorf("core: taint hub failed (HubFailRun policy): %w", herr)
@@ -458,7 +455,7 @@ func (s *session) run(cfg RunConfig, snap *WorldSnapshot) (res *RunResult, quiet
 		HubErr:   herr,
 	}
 	for r := 0; r < size; r++ {
-		m := world.Machine(r)
+		m := s.world.Machine(r)
 		console, output := m.Buffers()
 		res.Outputs = append(res.Outputs, output)
 		res.Consoles = append(res.Consoles, unsafe.String(unsafe.SliceData(console), len(console)))
@@ -468,6 +465,46 @@ func (s *session) run(cfg RunConfig, snap *WorldSnapshot) (res *RunResult, quiet
 		}
 	}
 	return res, quiet, nil
+}
+
+// attempt runs cfg's world once on the session, restored from snap when it
+// is not nil, and drains its flights: a run's first attempt when answers is
+// nil, its recheck with the first attempt's answers otherwise. It returns
+// the world's terminations and whether its watchdog never fired.
+func (s *session) attempt(cfg RunConfig, size int, snap *WorldSnapshot, answers map[flowSeq]*flight) ([]vm.Termination, bool, error) {
+	ch, err := s.open(cfg, size)
+	if err != nil {
+		return nil, false, err
+	}
+	ch.view.begin(answers)
+	if cfg.Spec != nil {
+		s.spec = *cfg.Spec
+		s.spec.setDefaults()
+		if snap != nil {
+			s.spec.resume = snap.resume
+		}
+		ch.arm(&s.spec)
+		if cfg.Spec.Trace && !cfg.NoAccessLog && answers == nil {
+			cfg.Obs.Counter("core_runs_access_log_kept_total").Inc()
+		}
+	}
+	if snap != nil {
+		// Seed the propagation timeline with the prefix's samples so the
+		// forked run's curve spans the whole execution, as a from-scratch
+		// run's would.
+		ch.collector.SeedTimeline(snap.samples)
+	}
+	world, err := s.newWorld(cfg, size, snap)
+	if err != nil {
+		return nil, false, err
+	}
+	stopWatchdog := armTimeout(world, cfg.Timeout)
+	wsp := cfg.Tracer.StartSpan("world.run")
+	terms := world.Run()
+	wsp.End()
+	quiet := stopWatchdog()
+	ch.view.drain()
+	return terms, quiet, nil
 }
 
 // Golden runs the program uninstrumented and returns the result; campaigns

@@ -140,11 +140,15 @@ type Flight interface {
 
 // FlightStarter is the optional operation of a hub that can put a tainted
 // message's publish and poll on their way without waiting for either: the
-// sender's hook starts the flight and runs on, the receiver's collects it.
+// sender's hook starts the flight and runs on, and the receiver's either
+// collects it or — on a run's first attempt in core — applies the published
+// masks at once and leaves the flight to be collected when the run ends.
 // The poll is executed after the publish, so it reads what the publish
-// stored — the hub, not the caller, still says what the receiver's taint is.
-// Client implements it, and WithNamespace forwards it; a hub that does not is
-// asked in place (SettleFlight).
+// stored: the hub, not the caller, still says what the receiver's taint is,
+// and a run whose receive applied anything other than the poll's answer is
+// run again on the answers collected. Client implements it, and
+// WithNamespace forwards it; a hub that does not is asked in place
+// (SettleFlight).
 type FlightStarter interface {
 	StartFlight(publish, poll ReqID, k Key, seq uint64, masks []uint8) Flight
 }
