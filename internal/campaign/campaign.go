@@ -201,12 +201,9 @@ type OpOutcomes struct {
 // under mu, each rung immutable once appended, gone with the Baseline). So any
 // number of campaigns may run on one Baseline at the same time.
 type Baseline struct {
-	// What the baseline was prepared for; Run refuses a Config that differs.
-	prog          *isa.Program
-	ops           []isa.Op
-	budget        uint64 // Config.MaxInstructions as given, 0 = derive
-	noFastPath    bool
-	noSharedCache bool
+	// What the baseline was prepared for; Run refuses a Config of another key.
+	key baselineKey
+	ops []isa.Op
 
 	cache    *tcg.BaseCache
 	outputs  [][]byte // the golden run's per-rank output files
@@ -294,16 +291,13 @@ func prepare(cfg Config) (*Baseline, error) {
 		}
 	}
 	return &Baseline{
-		prog:          cfg.Prog,
-		ops:           slices.Clone(cfg.Ops),
-		budget:        cfg.MaxInstructions,
-		noFastPath:    cfg.NoFastPath,
-		noSharedCache: cfg.NoSharedCache,
-		cache:         cache,
-		outputs:       golden.Outputs,
-		maxInstr:      maxInstr,
-		totals:        totals,
-		world:         world,
+		key:      keyOf(cfg),
+		ops:      slices.Clone(cfg.Ops),
+		cache:    cache,
+		outputs:  golden.Outputs,
+		maxInstr: maxInstr,
+		totals:   totals,
+		world:    world,
 	}, nil
 }
 
@@ -336,18 +330,10 @@ func (b *Baseline) checkTarget(rank int) error {
 // check refuses a Config the baseline was not prepared for: its golden run
 // and translations describe another program, world, op set, budget or loop.
 func (b *Baseline) check(cfg Config) error {
-	switch {
-	case cfg.Prog != b.prog:
-		return fmt.Errorf("campaign: baseline was prepared for another program")
-	case worldSize(cfg) != b.world:
-		return fmt.Errorf("campaign: baseline was prepared for %d ranks, not %d", b.world, worldSize(cfg))
-	case !slices.Equal(cfg.Ops, b.ops):
-		return fmt.Errorf("campaign: baseline was prepared for ops %v, not %v", b.ops, cfg.Ops)
-	case cfg.MaxInstructions != b.budget:
-		return fmt.Errorf("campaign: baseline was prepared for an instruction budget of %d, not %d", b.budget, cfg.MaxInstructions)
-	case cfg.NoFastPath != b.noFastPath || cfg.NoSharedCache != b.noSharedCache:
-		return fmt.Errorf("campaign: baseline was prepared with NoFastPath=%v NoSharedCache=%v", b.noFastPath, b.noSharedCache)
-	case cfg.Runs <= 0:
+	if k := keyOf(cfg); k != b.key {
+		return fmt.Errorf("campaign: baseline was prepared for %v, not %v", b.key, k)
+	}
+	if cfg.Runs <= 0 {
 		return fmt.Errorf("campaign: need a positive run count")
 	}
 	return b.checkTarget(cfg.TargetRank)
@@ -477,7 +463,8 @@ const feedDepth = 64
 // walk is one campaign window on a pool: its task list and the state its runs
 // record into. The feeder hands its tasks out (pool.feed), workers run them,
 // and whichever goroutine lets go of the walk last — the worker finishing its
-// last job, or the feeder when no job is left — completes it.
+// last job, or the feeder when no job is left — completes it. A sweep's
+// entries are walks over one task list (entry).
 type walk struct {
 	cfg      Config
 	base     *Baseline
@@ -522,10 +509,6 @@ func newWalk(cfg Config, base *Baseline) (*walk, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &walk{cfg: cfg, base: base, bits: cfg.Bits, lo: lo, hi: hi, start: time.Now()}
-	if w.bits == 0 {
-		w.bits = 1
-	}
 	tasks, err := planTasks(cfg, base.totals)
 	if err != nil {
 		return nil, err
@@ -535,20 +518,21 @@ func newWalk(cfg Config, base *Baseline) (*walk, error) {
 	// cfg.Seed and the golden baseline, so skipping journaled runs and
 	// re-executing only the missing ones reproduces the uninterrupted
 	// campaign exactly.
+	var journal *Journal
 	resumed := map[int]RunOutcome{}
 	switch {
 	case cfg.Resume != "":
-		if w.journal, resumed, err = ResumeJournal(cfg.Resume, cfg); err != nil {
+		if journal, resumed, err = ResumeJournal(cfg.Resume, cfg); err != nil {
 			return nil, err
 		}
 	case cfg.Journal != "":
-		if w.journal, err = CreateJournal(cfg.Journal, cfg); err != nil {
+		if journal, err = CreateJournal(cfg.Journal, cfg); err != nil {
 			return nil, err
 		}
 	}
 
-	w.outcomes = make([]RunOutcome, cfg.Runs)
-	w.errs = make([]error, cfg.Runs)
+	w := (&walk{base: base, lo: lo, hi: hi}).entry(cfg)
+	w.journal = journal
 	for idx, o := range resumed {
 		if idx < lo || idx >= hi {
 			// A re-enqueued shard can inherit a journal holding entries from
@@ -568,37 +552,50 @@ func newWalk(cfg Config, base *Baseline) (*walk, error) {
 			w.pending = append(w.pending, tk)
 		}
 	}
-	w.started = cfg.Obs.Counter("campaign_runs_started_total")
-	w.forked = cfg.Obs.Counter("campaign_forked_runs_total")
-	w.repeated = cfg.Obs.Counter("campaign_runs_repeated_total")
-	w.panics = cfg.Obs.Counter("campaign_runs_panic_total")
-	w.timeouts = cfg.Obs.Counter("campaign_runs_timeout_total")
-	w.left.Store(1)
+	return w, nil
+}
 
-	w.reportStop = make(chan struct{})
+// entry is a new walk for cfg over w's window and task list — a sweep's next
+// entry, whose Config differs from w's in Bits, Name and hub namespaces alone
+// and journals nothing — with its outcome slots, counters and holds, and its
+// progress reporter started.
+func (w *walk) entry(cfg Config) *walk {
+	e := &walk{cfg: cfg, base: w.base, bits: cfg.Bits, lo: w.lo, hi: w.hi, pending: w.pending, start: time.Now()}
+	if e.bits == 0 {
+		e.bits = 1
+	}
+	e.outcomes = make([]RunOutcome, cfg.Runs)
+	e.errs = make([]error, cfg.Runs)
+	e.started = cfg.Obs.Counter("campaign_runs_started_total")
+	e.forked = cfg.Obs.Counter("campaign_forked_runs_total")
+	e.repeated = cfg.Obs.Counter("campaign_runs_repeated_total")
+	e.panics = cfg.Obs.Counter("campaign_runs_panic_total")
+	e.timeouts = cfg.Obs.Counter("campaign_runs_timeout_total")
+	e.left.Store(1)
+	e.reportStop = make(chan struct{})
 	if cfg.Progress != nil {
 		interval := cfg.ProgressInterval
 		if interval <= 0 {
 			interval = time.Second
 		}
-		w.reportWG.Add(1)
+		e.reportWG.Add(1)
 		go func() {
-			defer w.reportWG.Done()
+			defer e.reportWG.Done()
 			ticker := time.NewTicker(interval)
 			defer ticker.Stop()
 			for {
 				select {
-				case <-w.reportStop:
+				case <-e.reportStop:
 					return
 				case <-ticker.C:
-					p := w.live.snapshot(hi-lo, time.Since(w.start))
+					p := e.live.snapshot(e.hi-e.lo, time.Since(e.start))
 					cfg.Progress(p)
 					cfg.Obs.Gauge("campaign_runs_per_second").Set(p.RunsPerSec)
 				}
 			}
 		}()
 	}
-	return w, nil
+	return e
 }
 
 // runConfig is the supervised run of one task.
@@ -774,12 +771,10 @@ func (w *walk) failure() error {
 }
 
 // pool is a campaign's workers and the queue its feeder keeps ahead of them.
-// Run feeds one walk through it and BitSweep every entry's, one after the
-// other: an entry's feed starts once the one before has handed out its last
-// task, so an entry's planning, first rung, drain and summary overlap the
-// runs of the entries beside it.
+// Run feeds one walk through it and BitSweep every entry's at once: each task
+// goes out once per entry, back to back, so the entries share every rung.
 //
-// The feeder is the only goroutine that touches a walk's ladder and repeats
+// The feeder is the only goroutine that touches the pool's ladder and repeats
 // index. The queue is FIFO, so a repeat reaches a worker after its first run.
 // Once Stop closes or a prefix run fails, workers drop what is queued and
 // only the runs in flight finish and journal: a worker that lost its lease
@@ -796,7 +791,8 @@ type pool struct {
 	// sent counts the jobs queued so far, so it is the feed sequence number
 	// of the next. Feeder only.
 	sent int
-	res  residency
+	// rungs is the feed's ladder (nil: NoFork).
+	rungs *ladder
 	// wait is campaign_worker_wait_seconds: a worker's receives that found
 	// the queue empty.
 	wait *obs.Histogram
@@ -810,22 +806,20 @@ func newPool(cfg Config, jobs int) *pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &pool{
+	return &pool{
 		q:       make(chan job, min(jobs, feedDepth)),
 		workers: workers,
 		stop:    cfg.Stop,
 		roomy:   make(chan struct{}, 1),
 		wait:    cfg.Obs.Histogram("campaign_worker_wait_seconds", obs.LatencyBuckets...),
 	}
-	p.res = residency{reg: cfg.Obs, queued: func(seq int) bool { return seq >= p.sent-len(p.q) }}
-	return p
 }
 
-// drive starts the workers and runs feed, the feeder, on the calling
-// goroutine. Once feed returns — or panics, which goes on to the caller — the
-// queue closes and drive waits for the workers to finish or drop what is
-// queued, so every walk fed has completed when it returns.
-func (p *pool) drive(feed func()) {
+// drive starts the workers and feeds them the walks on the calling
+// goroutine. Once the feed returns — or panics, which goes on to the caller —
+// the queue closes and drive waits for the workers to finish or drop what is
+// queued, so every walk has completed when it returns.
+func (p *pool) drive(walks []*walk) {
 	p.wg.Add(p.workers)
 	for i := 0; i < p.workers; i++ {
 		go p.work(i)
@@ -837,9 +831,11 @@ func (p *pool) drive(feed func()) {
 		}
 		close(p.q)
 		p.wg.Wait()
-		p.res.settle()
+		if p.rungs != nil {
+			p.rungs.settle()
+		}
 	}()
-	feed()
+	p.feed(walks)
 	fed = true
 }
 
@@ -918,7 +914,7 @@ func (p *pool) settle(worker int, rp job, reuse bool) {
 		w.execute(worker, rp)
 	default:
 		w.repeated.Inc()
-		w.finish(rp.task, w.outcomes[rp.first.idx], nil)
+		w.finish(rp.task, rp.first.w.outcomes[rp.first.idx], nil)
 	}
 	w.leave()
 }
@@ -951,69 +947,100 @@ func (p *pool) room() bool {
 	return true
 }
 
-// feed queues w's tasks for the workers in walk order, each with the rung it
-// forks from and its fault's first run, and returns the rung the walk ended
-// on, which the next walk over the same task list carries. It stops at Stop
-// and at a failed prefix run, which halts the pool.
-func (p *pool) feed(w *walk, carried heldRung) heldRung {
-	defer w.leave() // the feed's own hold on the walk
-	pending := w.pending
-	var rungs *ladder
+// feed queues the walks' one task list for the workers in walk order, each
+// task once per walk, back to back, with the rung it forks from and its
+// fault's first run. It stops at Stop and at a failed prefix run, which fails
+// every walk and halts the pool.
+func (p *pool) feed(walks []*walk) {
+	defer func() {
+		for _, w := range walks {
+			w.leave() // the feed's own hold on the walk
+		}
+	}()
+	cfg, pending := walks[0].cfg, walks[0].pending
 	var reps *repeats
-	if !w.cfg.NoFork {
+	if !cfg.NoFork {
 		sortBySite(pending)
-		rungs = newLadder(w.base, w.cfg.Trace, w.cfg.Hub, w.cfg.Obs, &p.res, p.room, carried)
-		if w.cfg.RunObserver == nil {
-			reps = newRepeats(w.cfg.Prog, w.bits)
+		queued := func(seq int) bool { return seq >= p.sent-len(p.q) }
+		p.rungs = newLadder(walks[0].base, cfg.Trace, cfg.Hub, cfg.Obs, queued, p.room)
+		if cfg.RunObserver == nil {
+			reps = newRepeats(cfg.Prog)
 		}
 	}
 	for i, tk := range pending {
-		if p.halted() {
-			return heldRung{}
-		}
-		j := job{task: tk, w: w}
-		if rungs != nil {
-			var err error
-			if j.ws, err = rungs.rung(tk, pending[i+1:], p.sent); err == errStopped {
-				return heldRung{}
-			} else if err != nil {
-				w.prefixErr = err
-				p.failed.Store(true)
-				return heldRung{}
+		for k, w := range walks {
+			if p.halted() {
+				return
 			}
-			if reps != nil {
-				j.first, j.repeat = reps.of(tk, j.ws)
+			j := job{task: tk, w: w}
+			if p.rungs != nil {
+				// The next walk's copy of tk follows every copy but the last.
+				rest := pending[i+1:]
+				if k < len(walks)-1 {
+					rest = pending[i:]
+				}
+				var err error
+				if j.ws, err = p.rungs.rung(tk, rest, p.sent); err == errStopped {
+					return
+				} else if err != nil {
+					for _, w := range walks {
+						w.prefixErr = err
+					}
+					p.failed.Store(true)
+					return
+				}
+				if reps != nil {
+					j.first, j.repeat = reps.of(tk, w, j.ws)
+				}
 			}
-		}
-		// Held before the send: a worker may finish the job before the
-		// send returns.
-		w.left.Add(1)
-		select {
-		case <-p.stop:
-			w.left.Add(-1)
-			return heldRung{}
-		case p.q <- j:
-			p.sent++
+			// Held before the send: a worker may finish the job before the
+			// send returns.
+			w.left.Add(1)
+			select {
+			case <-p.stop:
+				w.left.Add(-1)
+				return
+			case p.q <- j:
+				p.sent++
+			}
 		}
 	}
-	w.fed = true
-	if rungs == nil {
-		return heldRung{}
+	for _, w := range walks {
+		w.fed = true
 	}
-	return rungs.end()
+}
+
+// runWalks runs one walk per Config on base through one pool — a campaign's
+// one, or a sweep's entries, which differ in Bits, Name and hub namespaces
+// alone and share the first's task list — and returns them completed and reported: each holds
+// its summary or why there is none.
+func runWalks(base *Baseline, cfgs []Config) ([]*walk, error) {
+	if len(cfgs) == 0 {
+		return nil, nil
+	}
+	first, err := newWalk(cfgs[0], base)
+	if err != nil {
+		return nil, err
+	}
+	walks := []*walk{first}
+	for _, c := range cfgs[1:] {
+		walks = append(walks, first.entry(c))
+	}
+	newPool(cfgs[0], len(first.pending)*len(walks)).drive(walks)
+	for _, w := range walks {
+		w.finalize()
+	}
+	return walks, nil
 }
 
 // runPrepared executes the injection runs of a campaign against a prepared
 // baseline, on a pool of its own.
 func runPrepared(cfg Config, base *Baseline) (*Summary, error) {
-	w, err := newWalk(cfg, base)
+	walks, err := runWalks(base, []Config{cfg})
 	if err != nil {
 		return nil, err
 	}
-	p := newPool(cfg, len(w.pending))
-	p.drive(func() { p.feed(w, heldRung{}) })
-	w.finalize()
-	return w.sum, w.err
+	return walks[0].sum, walks[0].err
 }
 
 // retireWindow drops the hub entries of a completed window: its namespaces

@@ -149,14 +149,13 @@ func TestCampaignForkConcurrent(t *testing.T) {
 }
 
 // TestBitSweepForkShared: sweep entries share one baseline and with it the
-// spine and the snapshot cache. A pinned site is one rung for the whole sweep
-// — built by the first entry, found resident by every later one; a
-// random-site sweep walks one ladder per entry over the one spine. Either way
-// the results must be identical to a no-fork sweep's — entries share one
-// pool, and each is summarized when its last run finishes, whatever is
-// queued behind it: with more workers than the feed queues jobs ahead of
-// them, more tasks than it queues on one worker, and every goroutine on one
-// P.
+// spine, and one walk and with it the ladder: each task goes out to every
+// entry in turn, so a site the entries share is one rung for the whole
+// sweep, pinned or random. Either way the results must be identical to a
+// no-fork sweep's — entries share one pool, and each is summarized when its
+// last run finishes, whatever is queued behind it: with more workers than the
+// feed queues jobs ahead of them, more tasks than it queues on one worker,
+// and every goroutine on one P.
 func TestBitSweepForkShared(t *testing.T) {
 	bitCounts := []int{1, 2, 4}
 	for _, shape := range []struct {
@@ -219,13 +218,13 @@ func sweepMatchesNoFork(t *testing.T, cfg Config, bitCounts []int, pinned bool) 
 	if a, b := SweepTable(scratch), SweepTable(forked); a != b {
 		t.Errorf("sweep tables differ:\n%s\n%s", a, b)
 	}
-	// What the ladder's rules give for the planned sites: the spine's
-	// positions cost one prefix run each for the whole sweep; a site a later
-	// task shares a stretch with costs an entry one more, less the last rung
-	// of the entry before, found resident again; a run alone below the first
-	// position has no snapshot and runs from program entry. The pinned site
-	// is the spine's middle position itself: 4 positions, no rung beyond,
-	// nothing from entry.
+	// What the ladder's rules give for the sweep's one list, every task
+	// handed to each entry in turn: the spine's positions cost one prefix
+	// run each; a site a later copy or task shares a stretch with costs one
+	// more, for the whole sweep; a run alone below the first position has
+	// no snapshot and runs from program entry. The pinned site is the
+	// spine's middle position itself: 4 positions, no rung beyond, nothing
+	// from entry.
 	base, err := Prepare(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -234,25 +233,27 @@ func sweepMatchesNoFork(t *testing.T, cfg Config, bitCounts []int, pinned bool) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, entries := expectedWalk(tasks, base.totals), len(bitCounts)
-	wantPrefix := want.spine + entries*want.own
-	if want.own > 0 {
-		wantPrefix -= entries - 1
+	var list []task
+	for _, tk := range tasks {
+		for range bitCounts {
+			list = append(list, tk)
+		}
 	}
+	want := expectedWalk(list, base.totals)
 	if pinned && (want != walkCounts{spine: spineIntervals / 2}) {
 		t.Fatalf("the pinned site is not the middle position: %+v", want)
 	}
-	if got := reg.Counter("campaign_prefix_runs_total").Value(); got != uint64(wantPrefix) {
-		t.Errorf("%d prefix runs, want %d (%+v)", got, wantPrefix, want)
+	if got := reg.Counter("campaign_prefix_runs_total").Value(); got != uint64(want.spine+want.own) {
+		t.Errorf("%d prefix runs, want %d (%+v)", got, want.spine+want.own, want)
 	}
 	// A run forks, repeats an earlier run's fault at its site or, nothing
 	// resident below its site, starts at program entry; a handful of runs
 	// repeats nothing.
 	fr, rep := reg.Counter("campaign_forked_runs_total").Value(), reg.Counter("campaign_runs_repeated_total").Value()
-	if w := uint64(entries * (cfg.Runs - want.entry)); fr+rep != w || cfg.Runs <= 6 && rep != 0 {
+	if w := uint64(len(list) - want.entry); fr+rep != w || cfg.Runs <= 6 && rep != 0 {
 		t.Errorf("%d forked + %d repeated runs, want %d (%+v)", fr, rep, w, want)
 	}
-	if got, w := reg.Counter("campaign_snapshot_cache_misses_total").Value(), uint64(entries*want.misses); got != w {
+	if got, w := reg.Counter("campaign_snapshot_cache_misses_total").Value(), uint64(want.misses); got != w {
 		t.Errorf("%d snapshot cache misses, want %d (%+v)", got, w, want)
 	}
 }

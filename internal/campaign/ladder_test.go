@@ -618,7 +618,7 @@ func TestFeedHoldsFewRungs(t *testing.T) {
 	}
 	sortBySite(tasks)
 	walk := obs.NewRegistry()
-	l := newLadder(base, cfg.Trace, nil, walk, &residency{reg: walk, queued: func(int) bool { return false }}, func() bool { return true }, heldRung{})
+	l := newLadder(base, cfg.Trace, nil, walk, func(int) bool { return false }, func() bool { return true })
 	var largest int64
 	for i, tk := range tasks {
 		if _, err := l.rung(tk, tasks[i+1:], i); err != nil {

@@ -28,22 +28,25 @@ import (
 // with a RunObserver dedupes nothing: the observer is promised every run's
 // result.
 
-// repeats is the feeder's index of the first runs at the current site.
+// repeats is the feeder's index of the first runs at the current site, of
+// every walk the pool feeds: a sweep's entries take each task back to back,
+// so the index keeps the site's faults of every bit count. Masks of different
+// bit counts never collide (core.RandomBitMask sets exactly bits bits), and
+// entries of one bit count share their first runs.
 type repeats struct {
 	prog   *isa.Program
-	bits   int
 	site   core.ForkSite
 	firsts map[core.OperandFault]*firstRun
 }
 
-func newRepeats(prog *isa.Program, bits int) *repeats {
-	return &repeats{prog: prog, bits: bits, firsts: make(map[core.OperandFault]*firstRun)}
+func newRepeats(prog *isa.Program) *repeats {
+	return &repeats{prog: prog, firsts: make(map[core.OperandFault]*firstRun)}
 }
 
-// of returns the first run of tk's fault at its site, and whether that is an
-// earlier task's (tk repeats it) or tk's own; nil when tk has no key: ws, the
-// rung tk forks from, is not at tk's site.
-func (r *repeats) of(tk task, ws *core.WorldSnapshot) (first *firstRun, repeat bool) {
+// of returns the first run of tk's fault at its site, as walk w flips it, and
+// whether that is an earlier task's (tk repeats it) or tk's own; nil when tk
+// has no key: ws, the rung tk forks from, is not at tk's site.
+func (r *repeats) of(tk task, w *walk, ws *core.WorldSnapshot) (first *firstRun, repeat bool) {
 	site := core.ForkSite{Rank: tk.rank, N: tk.n}
 	if ws == nil || ws.Site() != site {
 		return nil, false
@@ -56,11 +59,11 @@ func (r *repeats) of(tk task, ws *core.WorldSnapshot) (first *firstRun, repeat b
 		r.site = site
 		clear(r.firsts)
 	}
-	key := core.PlanOperandFault(tk.seed, tk.rank, r.bits, ins)
+	key := core.PlanOperandFault(tk.seed, tk.rank, w.bits, ins)
 	if f := r.firsts[key]; f != nil {
 		return f, true
 	}
-	f := &firstRun{idx: tk.idx}
+	f := &firstRun{w: w, idx: tk.idx}
 	r.firsts[key] = f
 	return f, false
 }
@@ -85,7 +88,8 @@ func reusable(res *core.RunResult) bool {
 // firstRun is the first task of a fault at a site, as the tasks repeating it
 // find it in the worker pool.
 type firstRun struct {
-	idx int // the task's index: its outcome's slot
+	w   *walk // the walk whose outcome slots hold the run's
+	idx int   // the task's index: its outcome's slot
 	mu  sync.Mutex
 	// done is set once the run's outcome is in its slot, and reuse says
 	// whether the repeats may take it.

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 
 	"chaser/internal/isa"
@@ -38,6 +39,13 @@ type baselineKey struct {
 	budget        uint64
 	noFastPath    bool
 	noSharedCache bool
+}
+
+// String names the key in an error: the program by address, which tells
+// apart two compilations of one source, and the ops by number.
+func (k baselineKey) String() string {
+	return fmt.Sprintf("{program %p, %d ranks, ops %v, budget %d, NoFastPath=%v, NoSharedCache=%v}",
+		k.prog, k.world, []byte(k.ops), k.budget, k.noFastPath, k.noSharedCache)
 }
 
 func keyOf(cfg Config) baselineKey {

@@ -60,14 +60,14 @@ func newSpine(total uint64) *spine {
 func (b *Baseline) rungAt(from *core.WorldSnapshot, site core.ForkSite, trace bool, hub tainthub.Hub, reg *obs.Registry) (*core.WorldSnapshot, error) {
 	reg.Counter("campaign_prefix_runs_total").Inc()
 	ws, err := core.PrefixRunFrom(core.RunConfig{
-		Prog:            b.prog,
+		Prog:            b.key.prog,
 		WorldSize:       b.world,
 		BaseCache:       b.cache,
 		Hub:             hub,
 		MaxInstructions: b.maxInstr,
-		NoFastPath:      b.noFastPath,
+		NoFastPath:      b.key.noFastPath,
 		Obs:             reg,
-		Spec:            &core.Spec{Target: b.prog.Name, Ops: b.ops, Trace: trace},
+		Spec:            &core.Spec{Target: b.key.prog.Name, Ops: b.ops, Trace: trace},
 	}, from, site)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: prefix run to (rank %d, n %d): %w", site.Rank, site.N, err)

@@ -22,58 +22,41 @@ type SweepResult struct {
 // campaign baseline — golden execution counts, the derived instruction
 // budget, the shared translation base cache and the spine — the process's
 // resident one for cfg, as Run's campaigns do: a sweep after another campaign
-// on the same program executes no golden run. A sweep that fails drops it.
+// on the same program executes no golden run. The task list is identical too,
+// so the entries are one walk through one pool: each task goes out to every
+// entry in turn, back to back, and a site's gap is executed once for the
+// whole sweep. Each entry keeps its own outcomes and summary, which the
+// worker finishing its last run makes. A sweep that fails drops the Baseline.
 func BitSweep(cfg Config, bitCounts []int) ([]SweepResult, error) {
 	e, err := residents.acquire(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: sweep golden run: %w", err)
 	}
+	// A single journal path cannot checkpoint several campaigns, so
+	// journaling is per-campaign only.
+	cfg.Journal, cfg.Resume = "", ""
+	cfgs := make([]Config, len(bitCounts))
+	for i, bits := range bitCounts {
+		cfgs[i] = cfg
+		cfgs[i].Bits = bits
+		cfgs[i].Name = fmt.Sprintf("%s/bits=%d", cfg.Name, bits)
+		// The entries run a task at once: on a shared hub each takes
+		// namespaces of its own.
+		cfgs[i].HubNamespaceBase = cfg.HubNamespaceBase + i*cfg.Runs
+	}
 	out := make([]SweepResult, 0, len(bitCounts))
 	err = residents.run(e, cfg.Obs, func(base *Baseline) error {
-		// One pool runs every entry: an entry's feed starts as soon as the
-		// one before has handed out its last task, and each entry is
-		// summarized by the worker that finishes its last run. Entries share
-		// the task list and so the fork points: each is handed the rung the
-		// one before ended on, and finds it again at its site.
-		var walks []*walk
-		var setupErr error
-		p := newPool(cfg, cfg.Runs*len(bitCounts))
-		p.drive(func() {
-			var carried heldRung
-			for _, bits := range bitCounts {
-				c := cfg
-				c.Bits = bits
-				c.Name = fmt.Sprintf("%s/bits=%d", cfg.Name, bits)
-				// A sweep reuses one Config for several campaigns; a single
-				// journal path cannot checkpoint them all, so journaling is
-				// per-campaign only.
-				c.Journal, c.Resume = "", ""
-				w, err := newWalk(c, base)
-				if err != nil {
-					setupErr = fmt.Errorf("campaign: sweep bits=%d: %w", bits, err)
-					return
-				}
-				walks = append(walks, w)
-				if carried = p.feed(w, carried); !w.fed {
-					return
-				}
-			}
-		})
-		for _, w := range walks {
-			w.finalize()
+		walks, err := runWalks(base, cfgs)
+		if err != nil {
+			return fmt.Errorf("campaign: sweep bits=%d: %w", bitCounts[0], err)
 		}
 		for _, w := range walks {
 			if w.err != nil {
-				// A failed prefix run ends the sweep at the entry it fed and
-				// drops the runs of the entries before it still queued.
-				if last := walks[len(walks)-1]; last.prefixErr != nil {
-					w = last
-				}
 				return fmt.Errorf("campaign: sweep bits=%d: %w", w.cfg.Bits, w.err)
 			}
 			out = append(out, SweepResult{Bits: w.cfg.Bits, Summary: w.sum})
 		}
-		return setupErr
+		return nil
 	})
 	if err != nil {
 		return nil, err

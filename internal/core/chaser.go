@@ -105,9 +105,9 @@ type Chaser struct {
 	hubClient uint64
 	hubReq    uint64
 
-	// mu guards what other goroutines read of a live run (chaser_status, the
-	// Observatory) while the world's goroutine writes it; the hooks themselves
-	// need no lock.
+	// mu guards what another goroutine reads of a live run (chaser_status)
+	// while the world's goroutine writes it; the Observatory reads a run's
+	// result only after the run. The hooks themselves need no lock.
 	mu      sync.Mutex
 	spec    *Spec
 	records []InjectionRecord

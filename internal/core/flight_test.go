@@ -525,6 +525,48 @@ func TestEarlyReceiveMatchesSync(t *testing.T) {
 	}
 }
 
+// TestEventOrderOnFaultyHub pins the order of the events of a traced
+// clamr_mpi run on a hub that refuses publishes 3, 7 and 40: the sequence of
+// event types, as this commit emits it. Asked in place, the hub's answers
+// come at the hooks: 538 events, each hub_publish_error right behind its
+// hub_publish. Over TCP the run's first attempt applies every receive's
+// masks without waiting, emits hub_poll_hit where a refused publish left the
+// hub nothing, and its drain, finding a receive the hub does not confirm,
+// emits nothing more; the recheck's 538 events follow, in which two of the
+// three hub_publish_error events come later, where the message's receive
+// hook learned the failure, not at its send hook.
+func TestEventOrderOnFaultyHub(t *testing.T) {
+	want := map[string]struct {
+		events int
+		digest string
+	}{
+		"in-place": {538, "208c41b2ff20"},
+		"tcp":      {1073, "92dd4d9dfe43"},
+	}
+	for _, reach := range []string{"in-place", "tcp"} {
+		faulty := &faultyHub{Local: tainthub.NewLocal(), failPublish: map[int64]bool{3: true, 7: true, 40: true}}
+		var hub tainthub.Hub = faulty
+		if reach == "tcp" {
+			hub, _ = servedHub(t, faulty, tainthub.ClientConfig{MaxAttempts: 2})
+		}
+		cfg := clamrFault(t)
+		cfg.Hub, cfg.Events = hub, obs.NewSink(1<<14)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		events, _ := cfg.Events.Since(0, 1<<14)
+		var types strings.Builder
+		for _, ev := range events {
+			types.WriteString(ev.Type)
+			types.WriteByte('\n')
+		}
+		digest := fmt.Sprintf("%x", sha256.Sum256([]byte(types.String())))[:12]
+		if w := want[reach]; len(events) != w.events || digest != w.digest {
+			t.Errorf("%s: %d events, type sequence digest %s; want %d, %s", reach, len(events), digest, w.events, w.digest)
+		}
+	}
+}
+
 // spinningReceiverProg is crossProg whose receiver, once it has received,
 // spins until its watchdog stops it.
 func spinningReceiverProg(t *testing.T) *isa.Program {
