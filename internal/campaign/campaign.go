@@ -588,9 +588,7 @@ func (w *walk) entry(cfg Config) *walk {
 				case <-e.reportStop:
 					return
 				case <-ticker.C:
-					p := e.live.snapshot(e.hi-e.lo, time.Since(e.start))
-					cfg.Progress(p)
-					cfg.Obs.Gauge("campaign_runs_per_second").Set(p.RunsPerSec)
+					cfg.Progress(e.live.snapshot(e.hi-e.lo, time.Since(e.start)))
 				}
 			}
 		}()
@@ -743,7 +741,7 @@ func (w *walk) finalize() {
 	if cfg.Progress != nil {
 		cfg.Progress(w.live.snapshot(w.hi-w.lo, time.Since(w.start)))
 	}
-	w.live.flushObs(cfg.Obs, time.Since(w.start))
+	w.live.flushObs(cfg.Obs)
 	if cfg.Obs != nil && w.base.cache != nil {
 		st := w.base.cache.Stats()
 		cfg.Obs.Gauge("campaign_base_cache_blocks").Set(float64(st.Blocks + st.Probed))
@@ -1026,11 +1024,54 @@ func runWalks(base *Baseline, cfgs []Config) ([]*walk, error) {
 	for _, c := range cfgs[1:] {
 		walks = append(walks, first.entry(c))
 	}
+	defer runsPerSecond(cfgs[0], first.start, walks)()
 	newPool(cfgs[0], len(first.pending)*len(walks)).drive(walks)
 	for _, w := range walks {
 		w.finalize()
 	}
 	return walks, nil
+}
+
+// runsPerSecond keeps campaign_runs_per_second at the pool's throughput —
+// the runs all its walks completed over the time since start — at every
+// progress interval while it runs (when the walks report progress) and once
+// more when the returned function is called, as runWalks returns.
+func runsPerSecond(cfg Config, start time.Time, walks []*walk) (end func()) {
+	gauge := cfg.Obs.Gauge("campaign_runs_per_second")
+	set := func() {
+		var done int64
+		for _, w := range walks {
+			done += w.live.done.Load()
+		}
+		if s := time.Since(start).Seconds(); s > 0 {
+			gauge.Set(float64(done) / s)
+		}
+	}
+	if gauge == nil || cfg.Progress == nil {
+		return set
+	}
+	interval := cfg.ProgressInterval
+	if interval <= 0 {
+		interval = time.Second
+	}
+	ticker, stop, stopped := time.NewTicker(interval), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-ticker.C:
+				set()
+			}
+		}
+	}()
+	return func() {
+		ticker.Stop()
+		close(stop)
+		<-stopped
+		set()
+	}
 }
 
 // runPrepared executes the injection runs of a campaign against a prepared

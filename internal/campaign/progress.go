@@ -65,8 +65,9 @@ func (t *tally) snapshot(total int, elapsed time.Duration) ProgressInfo {
 	}
 }
 
-// flushObs publishes the campaign's final tallies into the registry.
-func (t *tally) flushObs(reg *obs.Registry, elapsed time.Duration) {
+// flushObs publishes the campaign's final tallies into the registry; the
+// pool publishes the throughput (runsPerSecond).
+func (t *tally) flushObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
@@ -75,7 +76,4 @@ func (t *tally) flushObs(reg *obs.Registry, elapsed time.Duration) {
 	reg.Counter("campaign_runs_sdc_total").Add(uint64(t.sdc.Load()))
 	reg.Counter("campaign_runs_detected_total").Add(uint64(t.detected.Load()))
 	reg.Counter("campaign_runs_terminated_total").Add(uint64(t.terminated.Load()))
-	if s := elapsed.Seconds(); s > 0 {
-		reg.Gauge("campaign_runs_per_second").Set(float64(t.done.Load()) / s)
-	}
 }

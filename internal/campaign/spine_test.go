@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -343,5 +344,39 @@ func TestSpineSizeIsTheHeapItKeeps(t *testing.T) {
 			t.Errorf("%s: %d rungs keep %d bytes of heap, SpineSize reports %d", name, rungs, kept, bytes)
 		}
 		runtime.KeepAlive(base)
+	}
+}
+
+// TestSpineRungsMatchTheirEntryTwins: every rung of every bundled app's
+// spine — each advanced from the one before, or from a campaign's head — is
+// the world a prefix run from program entry to its position captures:
+// core.Diff finds nothing between them. Traced and untraced, on the app's
+// target rank.
+func TestSpineRungsMatchTheirEntryTwins(t *testing.T) {
+	for _, name := range apps.Names() {
+		for _, trace := range []bool{false, true} {
+			cfg := appConfig(t, name)
+			base, err := Prepare(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rank := cfg.TargetRank
+			if _, _, err := base.spineRung(core.ForkSite{Rank: rank, N: math.MaxUint64}, trace, nil, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			sp := base.spines[spineKey{rank, trace}]
+			if len(sp.rungs) != len(sp.pos) || len(sp.rungs) == 0 {
+				t.Fatalf("%s: %d rungs at %d positions", name, len(sp.rungs), len(sp.pos))
+			}
+			for i, rung := range sp.rungs {
+				twin, err := base.rungAt(nil, rung.Site(), trace, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := core.Diff(rung, twin); len(d) != 0 {
+					t.Errorf("%s trace=%v: rung %d at %d differs from its twin: %+v", name, trace, i, rung.Site().N, d)
+				}
+			}
+		}
 	}
 }

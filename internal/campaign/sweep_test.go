@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
+
+	"chaser/internal/obs"
 )
 
 // TestBitSweepEntriesMatchRuns: every entry of a sweep — its tasks handed out
@@ -61,5 +65,36 @@ func TestBitSweepEntriesMatchRuns(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSweepGaugeIsThePools: a sweep's entries are one pool, and
+// campaign_runs_per_second is that pool's throughput — every entry's runs
+// over the pool's elapsed time, within 10% of what the caller measures —
+// not the share of one entry, which each entry's progress is.
+func TestSweepGaugeIsThePools(t *testing.T) {
+	cfg := appConfig(t, "clamr")
+	cfg.Runs, cfg.Trace, cfg.Parallel, cfg.KeepRunOutcomes = 600, false, 2, false
+	if _, err := BitSweep(cfg, []int{1, 2}); err != nil { // the resident Baseline and its spine
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg.Obs, cfg.ProgressInterval = reg, 5*time.Millisecond
+	var mu sync.Mutex
+	var entryRate float64
+	cfg.Progress = func(p ProgressInfo) {
+		mu.Lock()
+		entryRate = p.RunsPerSec
+		mu.Unlock()
+	}
+	start := time.Now()
+	if _, err := BitSweep(cfg, []int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	want := float64(2*cfg.Runs) / time.Since(start).Seconds()
+	got := reg.Gauge("campaign_runs_per_second").Value()
+	t.Logf("campaign_runs_per_second %.0f, pool's runs over the sweep's time %.0f, an entry's last progress %.0f", got, want, entryRate)
+	if got < 0.9*want || got > 1.1*want {
+		t.Errorf("campaign_runs_per_second = %.0f, want the pool's %.0f within 10%%", got, want)
 	}
 }

@@ -66,9 +66,9 @@ func runInert(t *testing.T, cfg RunConfig, noFast, noFuse bool) inertRun {
 	sink := obs.NewSink(1 << 16)
 	cfg.Events = sink
 	s := arenas.New().(*session)
-	res, quiet, err := s.run(cfg, nil)
-	if err != nil || !quiet {
-		t.Fatalf("run: %v (quiet %v)", err, quiet)
+	l, err := s.run(cfg, nil)
+	if err != nil || !l.quiet {
+		t.Fatalf("run: %v (quiet %v)", err, l.quiet)
 	}
 	var out inertRun
 	for r := 0; r < s.world.Size(); r++ {
@@ -82,7 +82,7 @@ func runInert(t *testing.T, cfg RunConfig, noFast, noFuse bool) inertRun {
 		}
 		out.shadows = append(out.shadows, st)
 	}
-	out.res = Loan{res: res, s: s}.Own()
+	out.res = l.Own()
 	if sink.Dropped() != 0 {
 		t.Fatalf("the event sink dropped %d events", sink.Dropped())
 	}

@@ -46,9 +46,9 @@ type Spec struct {
 	// resume carries per-rank injector bookkeeping into a run from a world
 	// snapshot (fork-point multiplexing); set only by the session.
 	resume *resumeState
-	// pause makes the spec a prefix run's: when the condition fires, the
-	// target pauses instead of being injected (PrefixRunFrom).
-	pause bool
+	// pauses are the target's stops, ascending, counted as ForkSite.N counts:
+	// it pauses in front of each before its condition is asked.
+	pauses []uint64
 }
 
 // Validate reports configuration errors a campaign would otherwise only
@@ -150,6 +150,7 @@ type armState struct {
 	execCount uint64
 	injected  int
 	detached  bool
+	pauses    []uint64 // the spec's pauses not yet reached
 
 	sendSeq flowSeqs
 	recvSeq flowSeqs
@@ -518,7 +519,7 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 	if spec == nil {
 		return
 	}
-	st.m, st.spec = m, spec
+	st.m, st.spec, st.pauses = m, spec, spec.pauses
 	if spec.Trace {
 		// Tracing must be on for every rank so incoming tainted messages
 		// keep propagating (the "incoming errors behave like injected
@@ -567,20 +568,26 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 }
 
 // faultInjector runs before every targeted instruction: it updates the
-// executed counter, checks the injection condition, and performs the
-// injection when the condition is met.
+// executed counter, pauses the target at its next pause, and otherwise checks
+// the injection condition and performs the injection when it is met.
 func (st *armState) faultInjector(m *vm.Machine, op *tcg.Op) {
 	if st.detached {
 		return
 	}
 	st.execCount++
-	if !st.spec.Cond.ShouldInject(st.execCount, st.rng) {
-		return
+	if len(st.pauses) > 0 {
+		if st.execCount == st.pauses[0] {
+			// Not executed: the resumed instruction, or a fork's, counts again.
+			st.pauses, st.execCount = st.pauses[1:], st.execCount-1
+			st.detachIfDone(m)
+			m.PauseAt(op.GuestPC)
+			return
+		}
+		if st.injected >= st.spec.MaxInjections {
+			return
+		}
 	}
-	if st.spec.pause {
-		// Resuming re-executes the instruction, and a forked run's injector
-		// fires on it with the identical dynamic context.
-		m.PauseAt(op.GuestPC)
+	if !st.spec.Cond.ShouldInject(st.execCount, st.rng) {
 		return
 	}
 	ins, ok := m.Prog.InstrAt(op.GuestPC)
@@ -612,16 +619,21 @@ func (st *armState) faultInjector(m *vm.Machine, op *tcg.Op) {
 		st.ch.obsBits.Add(uint64(bits.OnesCount64(rec.Mask)))
 	}
 	st.injected++
-	if st.injected >= st.spec.MaxInjections {
-		// fi_clean_cb: stop screening and detach the injector. The flush
-		// drops the instrumented translations (Fig. 4), so the rest of the
-		// run executes the clean shared blocks and never calls the helper
-		// again. Only the injector's own probe is disarmed: hooks other
-		// plugins placed on the machine stay.
-		st.detached = true
-		m.Trans.SetProbe(tcg.Probe{})
-		m.Trans.Flush()
+	st.detachIfDone(m)
+}
+
+// detachIfDone is fi_clean_cb, once the injections are spent and no pause is
+// left: it stops screening and detaches the injector. The flush drops the
+// instrumented translations (Fig. 4), so the rest of the run executes the
+// clean shared blocks and never calls the helper again. Only the injector's
+// own probe is disarmed: hooks other plugins placed on the machine stay.
+func (st *armState) detachIfDone(m *vm.Machine) {
+	if st.injected < st.spec.MaxInjections || len(st.pauses) > 0 {
+		return
 	}
+	st.detached = true
+	m.Trans.SetProbe(tcg.Probe{})
+	m.Trans.Flush()
 }
 
 // injectFaultCmd parses the inject_fault terminal command.

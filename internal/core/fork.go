@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"unsafe"
 
@@ -15,11 +16,10 @@ import (
 // Fork-point run multiplexing: every run of a fault-injection campaign
 // executes the golden run up to its injection trigger, then diverges. Instead
 // of replaying that prefix per run, PrefixRun executes it once — a run like
-// any other, whose spec stops the world in front of the trigger instead of
-// injecting there, the other ranks wherever the baton left them — and
-// captures a WorldSnapshot; RunForked then resumes any number of injected
-// continuations from it via copy-on-write machine snapshots, for any trigger
-// at or after the site. PrefixRunFrom advances an existing snapshot to a
+// any other, whose only stop is a pause in front of the trigger, the other
+// ranks wherever the baton left them — and captures a WorldSnapshot;
+// RunForked then resumes any number of injected continuations from it via
+// copy-on-write machine snapshots, for any trigger at or after the site. PrefixRunFrom advances an existing snapshot to a
 // later site, so a ladder of snapshots over many sites costs one pass over
 // the golden run, consecutive rungs sharing every page the guest did not
 // write in between (checkpoint-restore as in CHAOS). A forked run is bitwise
@@ -105,80 +105,51 @@ func PrefixRun(cfg RunConfig, site ForkSite) (*WorldSnapshot, error) {
 // deadline — a campaign's ladder — therefore sees a failure only on a
 // simulator bug. `from` is never modified.
 //
-// The prefix is a run on a pooled session whose spec pauses at the site
-// instead of injecting. No taint exists before the trigger, so it calls no
-// hub and logs no access: it runs on the base of cfg's hub with no access
-// log, of the session shape of the runs that fork from it. Events and
-// tracing belong to real runs only.
+// The prefix is Lend of a spec whose only stop is a pause at the site and
+// whose condition never fires, and a snapshot of the lent world. No taint
+// exists before the trigger, so it calls no hub and logs no access: it runs
+// on the base of cfg's hub with no access log, of the session shape of the
+// runs that fork from it. Events and tracing belong to real runs only.
 func PrefixRunFrom(cfg RunConfig, from *WorldSnapshot, site ForkSite) (*WorldSnapshot, error) {
-	if cfg.Prog == nil {
-		return nil, fmt.Errorf("core: prefix run has no program")
-	}
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("core: prefix run has no spec")
 	}
-	size := cfg.WorldSize
-	if size == 0 {
-		size = 1
-	}
-	if site.Rank < 0 || site.Rank >= size {
-		return nil, fmt.Errorf("core: fork site rank %d out of world [0,%d)", site.Rank, size)
-	}
-	if site.N == 0 {
-		return nil, fmt.Errorf("core: fork site N must be >= 1")
-	}
-	if from != nil {
-		if err := from.compatible(cfg.Prog, size); err != nil {
-			return nil, err
-		}
-		if from.site.Rank != site.Rank || from.site.N > site.N {
-			return nil, fmt.Errorf("core: fork site (rank %d, n %d) is not downstream of snapshot (rank %d, n %d)",
-				site.Rank, site.N, from.site.Rank, from.site.N)
-		}
-		if from.site.N == site.N {
-			return from, nil
-		}
-	}
-
 	prefix := cfg
-	prefix.Spec = &Spec{
-		Target:     cfg.Spec.Target,
-		Ops:        cfg.Spec.Ops,
-		TargetRank: site.Rank,
-		Cond:       Deterministic{N: site.N},
-		Trace:      cfg.Spec.Trace,
-		pause:      true,
-	}
+	prefix.Spec = &Spec{Target: cfg.Spec.Target, Ops: cfg.Spec.Ops, TargetRank: site.Rank,
+		Cond: noTrigger, Trace: cfg.Spec.Trace, pauses: []uint64{site.N}}
 	prefix.Hub = tainthub.Base(cfg.Hub)
 	prefix.NoAccessLog = true
 	prefix.Events, prefix.Tracer, prefix.ExecTraceDepth = nil, nil, 0
-	s := arenas.Get().(*session)
-	res, quiet, err := s.run(prefix, from)
+	if from != nil && from.site == site {
+		if err := refuse(prefix, from); err != nil {
+			return nil, err
+		}
+		return from, nil
+	}
+	l, err := Lend(prefix, from)
 	if err != nil {
 		return nil, err
 	}
-	ws, err := s.capture(cfg.Prog, site, res.Terms)
-	if quiet {
-		s.release()
-	}
-	return ws, err
+	defer l.Return()
+	return l.capture(site)
 }
 
-// capture snapshots the session's world, stopped by a prefix run to site
-// with terminations terms. The session's next run reuses everything of the
-// world and its Chaser, so the snapshot keeps copies.
-func (s *session) capture(prog *isa.Program, site ForkSite, terms []vm.Termination) (*WorldSnapshot, error) {
-	// A pause stops the world before any rank ends abnormally, and any such
-	// end stops the world before the target can pause. Only the target's
-	// helper pauses it, when its count reaches site.N.
-	if terms[site.Rank].Reason != vm.ReasonPaused {
-		return nil, fmt.Errorf("core: fork site (rank %d, n %d) did not pause: target %s",
-			site.Rank, site.N, terms[site.Rank])
-	}
+// noTrigger is a prefix run's condition: it fires at no count a run reaches.
+var noTrigger = Deterministic{N: math.MaxUint64}
 
+// capture snapshots the lent world, which its target's pause at site stopped.
+// The session's next run reuses everything of the world and its Chaser, so
+// the snapshot keeps copies.
+func (l Loan) capture(site ForkSite) (*WorldSnapshot, error) {
+	// A pause stops the world before any rank ends abnormally, and any such
+	// end stops the world before the target can pause.
+	if t := l.res.Terms[site.Rank]; t.Reason != vm.ReasonPaused {
+		return nil, fmt.Errorf("core: fork site (rank %d, n %d) did not pause: target %s", site.Rank, site.N, t)
+	}
+	s := l.s
 	size := s.world.Size()
 	ws := &WorldSnapshot{
-		prog:      prog,
+		prog:      s.build.cfg.Prog,
 		worldSize: size,
 		site:      site,
 		machines:  make([]*vm.Snapshot, size),
@@ -199,16 +170,12 @@ func (s *session) capture(prog *isa.Program, site ForkSite, terms []vm.Terminati
 		ws.fresh += snap.FreshBytes()
 
 		// The rank's state keeps the storage of its sequence numbers for the
-		// session's next run; forks copy the snapshot's.
+		// session's next run; forks copy the snapshot's. The pause rewound
+		// the target's count.
 		rst := s.ch.state(m)
 		ws.resume.execCount[r] = rst.execCount
 		ws.resume.sendSeq[r] = slices.Clone(rst.sendSeq)
 		ws.resume.recvSeq[r] = slices.Clone(rst.recvSeq)
-		// The pause rewound the helper's trigger execution on the target: the
-		// re-executed instruction re-counts it.
-		if r == site.Rank {
-			ws.resume.execCount[r]--
-		}
 	}
 	ws.world = s.world.State()
 	ws.samples = s.ch.collector.Timeline()
@@ -235,18 +202,6 @@ func (ws *WorldSnapshot) ownBytes() int64 {
 	return n
 }
 
-// compatible reports whether the snapshot can seed a world of prog at the
-// given size.
-func (ws *WorldSnapshot) compatible(prog *isa.Program, size int) error {
-	if prog != ws.prog {
-		return fmt.Errorf("core: snapshot belongs to a different program")
-	}
-	if size != ws.worldSize {
-		return fmt.Errorf("core: world size %d != snapshot world %d", size, ws.worldSize)
-	}
-	return nil
-}
-
 // RunForked executes one injected continuation from a world snapshot. The
 // spec must trigger at or after the snapshot's fork site (same target rank,
 // a deterministic condition with N no smaller than the site's): the restored
@@ -265,26 +220,56 @@ func RunForked(cfg RunConfig, ws *WorldSnapshot) (*RunResult, error) {
 	return l.Own(), nil
 }
 
-// forkable refuses a run of cfg that cannot continue from the snapshot (see
-// RunForked).
-func (ws *WorldSnapshot) forkable(cfg RunConfig) error {
-	size := cfg.WorldSize
-	if size == 0 {
-		size = 1
+// refuse is every run's check (execute): it reports why cfg cannot run from
+// ws — from program entry when ws is nil — and nil when it can. A run from a
+// snapshot triggers at or after the snapshot's site (see RunForked), and a
+// spec's pauses lie on its target rank, at or after where the run starts.
+// Over a hub that starts flights they lie before the first count at which
+// the condition may fire: a run that took taint early can only be rechecked
+// from its start (session.run), which a leg resumed from a pause cannot be.
+func refuse(cfg RunConfig, ws *WorldSnapshot) error {
+	spec, size := cfg.Spec, max(cfg.WorldSize, 1)
+	switch {
+	case cfg.Prog == nil:
+		return fmt.Errorf("core: no program")
+	case ws != nil && cfg.Prog != ws.prog:
+		return fmt.Errorf("core: snapshot belongs to a different program")
+	case ws != nil && size != ws.worldSize:
+		return fmt.Errorf("core: world size %d != snapshot world %d", size, ws.worldSize)
+	case spec == nil && ws != nil:
+		return fmt.Errorf("core: forked run has no spec")
+	case spec == nil:
+		return nil
 	}
-	if err := ws.compatible(cfg.Prog, size); err != nil {
+	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if cfg.Spec == nil {
-		return fmt.Errorf("core: forked run has no spec")
+	d, det := spec.Cond.(Deterministic)
+	trigger := uint64(1)
+	if det {
+		trigger = d.N
 	}
-	if cfg.Spec.TargetRank != ws.site.Rank {
-		return fmt.Errorf("core: spec targets rank %d, snapshot paused rank %d",
-			cfg.Spec.TargetRank, ws.site.Rank)
+	_, flights := cfg.Hub.(tainthub.FlightStarter)
+	switch p, n := spec.pauses, len(spec.pauses); {
+	case n == 0:
+	case spec.TargetRank < 0 || spec.TargetRank >= size:
+		return fmt.Errorf("core: fork site rank %d out of world [0,%d)", spec.TargetRank, size)
+	case p[0] == 0:
+		return fmt.Errorf("core: fork site N must be >= 1")
+	case ws != nil && (ws.site.Rank != spec.TargetRank || ws.site.N > p[0]):
+		return fmt.Errorf("core: fork site (rank %d, n %d) is not downstream of snapshot (rank %d, n %d)",
+			spec.TargetRank, p[0], ws.site.Rank, ws.site.N)
+	case flights && p[n-1] >= trigger:
+		return fmt.Errorf("core: pause at n=%d is not before the trigger %v, over a hub that starts flights",
+			p[n-1], spec.Cond)
 	}
-	if d, ok := cfg.Spec.Cond.(Deterministic); !ok || d.N < ws.site.N {
-		return fmt.Errorf("core: spec condition %v cannot fire after fork site n=%d",
-			cfg.Spec.Cond, ws.site.N)
+	switch {
+	case ws == nil:
+		return nil
+	case spec.TargetRank != ws.site.Rank:
+		return fmt.Errorf("core: spec targets rank %d, snapshot paused rank %d", spec.TargetRank, ws.site.Rank)
+	case !det || d.N < ws.site.N:
+		return fmt.Errorf("core: spec condition %v cannot fire after fork site n=%d", spec.Cond, ws.site.N)
 	}
 	return nil
 }

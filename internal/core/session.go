@@ -126,9 +126,11 @@ func Run(cfg RunConfig) (*RunResult, error) {
 // in place, and the session waits for them before it serves another run.
 type Loan struct {
 	res *RunResult
-	// s is the session to hand back, nil when the run dropped it (its
-	// watchdog fired): then nothing reuses what res holds.
-	s *session
+	// s is the session the run's world and result live in. quiet reports
+	// that the run's watchdog never fired: only then does Return hand s back,
+	// and otherwise nothing reuses what res holds.
+	s     *session
+	quiet bool
 }
 
 // Lend executes one run — Run's when ws is nil, RunForked's from ws
@@ -140,13 +142,9 @@ type Loan struct {
 //
 // A run that errors lends nothing, and one whose watchdog fired lends a
 // result its session is dropped with. Run and RunForked are Lend, and a copy
-// of the result made before it is returned.
+// of the result made before it is returned; PrefixRunFrom is Lend of a spec
+// that pauses, and a snapshot of the lent world.
 func Lend(cfg RunConfig, ws *WorldSnapshot) (Loan, error) {
-	if ws != nil {
-		if err := ws.forkable(cfg); err != nil {
-			return Loan{}, err
-		}
-	}
 	return execute(cfg, ws)
 }
 
@@ -156,7 +154,7 @@ func (l Loan) Result() *RunResult { return l.res }
 // Return hands the result back to its session, which may then serve another
 // run.
 func (l Loan) Return() {
-	if l.s != nil {
+	if l.quiet {
 		l.s.release()
 	}
 }
@@ -185,11 +183,24 @@ func (l Loan) Own() *RunResult {
 	if r.ExecTraces != nil {
 		res.ExecTraces = slices.Clone(r.ExecTraces)
 	}
-	if l.s != nil {
-		l.s.ch.collector = nil
-		l.s.release()
-	}
+	l.s.ch.collector = nil
+	l.Return()
 	return res
+}
+
+// resume runs the lent world on from its pause, on the same session, to its
+// next pause or its end, and refills the result; the loan must not have been
+// returned. Each leg has the run's watchdog deadline. A resumed leg's
+// receives wait for the hub, since only a whole run can go again
+// (session.run). Telemetry stops at the first pause (vm.Machine.Resume).
+func (l *Loan) resume() error {
+	s := l.s
+	cfg := s.build.cfg
+	s.world.Resume()
+	s.ch.view.early = false
+	terms, quiet := s.leg(cfg)
+	l.quiet = l.quiet && quiet
+	return s.fill(cfg, terms)
 }
 
 // worldBuilder makes the machines of a run's world, as mpi.Config's Machine,
@@ -296,9 +307,9 @@ func (a sessionShape) same(b sessionShape) (same bool) {
 // back only once nothing can reach what it recycles but the session: the
 // run's lent result has been returned (Loan.Return) — and an owned one is a
 // copy, which took the run's collector with it (Loan.own) — its hub flights
-// are drained, and no watchdog callback is running or left to run — for a
-// prefix run, once its world is captured: the snapshot sealed the pages it
-// shares, which the arena never keeps, and copied the rest. A run that
+// are drained, and no watchdog callback is running or left to run. A prefix
+// run returns its loan once its world is captured: the snapshot sealed the
+// pages it shares, which the arena never keeps, and copied the rest. A run that
 // panics, fails or whose watchdog fired drops its session to the garbage
 // collector instead.
 var arenas = sync.Pool{New: func() any { return &session{arena: new(vm.Arena)} }}
@@ -370,51 +381,32 @@ func armTimeout(world *mpi.World, deadline time.Duration) func() bool {
 	return watchdog.Stop
 }
 
-// execute is every lent run's path: it runs cfg on a pooled session, restored
-// from snap when it is not nil, and lends the result. A prefix run, which
-// lends nothing, calls session.run itself (PrefixRunFrom).
+// execute is every run's path, a prefix run's too: it refuses what cannot
+// run (refuse), runs cfg on a pooled session, restored from snap when it is
+// not nil, and lends the result.
 func execute(cfg RunConfig, snap *WorldSnapshot) (Loan, error) {
-	if cfg.Prog == nil {
-		return Loan{}, fmt.Errorf("core: no program")
-	}
-	if cfg.Spec != nil {
-		if err := cfg.Spec.Validate(); err != nil {
-			return Loan{}, err
-		}
+	if err := refuse(cfg, snap); err != nil {
+		return Loan{}, err
 	}
 	sp := cfg.Tracer.StartSpan("core.run")
 	defer sp.End()
-	s := arenas.Get().(*session)
-	res, quiet, err := s.run(cfg, snap)
-	if err != nil {
-		return Loan{}, err
-	}
-	l := Loan{res: res}
-	if quiet {
-		l.s = s
-	}
-	return l, nil
+	return arenas.Get().(*session).run(cfg, snap)
 }
 
 // run executes one run of cfg on the session, restored from snap when it is
-// not nil, and reports whether its watchdog never fired (see armTimeout). The
-// result is the session's own — or, for a run rechecked after its watchdog
-// fired, that of the fresh session the recheck ran on, which nothing puts
-// back.
+// not nil, and lends its result: this session's — or, for a run rechecked
+// after its watchdog fired, that of the fresh session the recheck ran on.
 //
 // A run whose first attempt took taint from senders it did not wait for and
 // whose drain found a hub answer that does not confirm it (worldHub) goes
 // again from the same start, its receives waiting and its flights taking the
 // first attempt's answers. The first attempt's world is recycled for the
 // recheck — unless its watchdog fired: a callback may still abort it.
-func (s *session) run(cfg RunConfig, snap *WorldSnapshot) (res *RunResult, quiet bool, err error) {
-	size := cfg.WorldSize
-	if size == 0 {
-		size = 1
-	}
+func (s *session) run(cfg RunConfig, snap *WorldSnapshot) (Loan, error) {
+	size := max(cfg.WorldSize, 1)
 	terms, quiet, err := s.attempt(cfg, size, snap, nil)
 	if err != nil {
-		return nil, false, err
+		return Loan{}, err
 	}
 	if answers := s.ch.view.takeAnswers(); answers != nil {
 		cfg.Obs.Counter("core_hub_rechecked_runs_total").Inc()
@@ -425,25 +417,30 @@ func (s *session) run(cfg RunConfig, snap *WorldSnapshot) (res *RunResult, quiet
 		}
 		var settled bool
 		if terms, settled, err = s.attempt(cfg, size, snap, answers); err != nil {
-			return nil, false, err
+			return Loan{}, err
 		}
 		// A watchdog that fired on either attempt keeps the caller's session
 		// out of the pool.
 		quiet = quiet && settled
 	}
+	if err := s.fill(cfg, terms); err != nil {
+		return Loan{}, err
+	}
+	return Loan{res: &s.res, s: s, quiet: quiet}, nil
+}
+
+// fill refills the session's result from its world, stopped and drained by a
+// leg (terms): the drain settled every flight before anyone reads the
+// collector, the hub error or, a shard later, the namespace's retirement.
+// The result reads the machines' buffers and the Chaser's records in place,
+// which nothing writes before the session's next run or the world's next leg.
+func (s *session) fill(cfg RunConfig, terms []vm.Termination) error {
 	ch := s.ch
-	// The drain settled every flight — those whose receiver ended before it
-	// received them too — before anyone reads the collector, the hub error
-	// or, a shard later, the namespace's retirement.
 	herr := ch.HubErr()
 	if herr != nil && cfg.HubPolicy == HubFailRun {
-		return nil, false, fmt.Errorf("core: taint hub failed (HubFailRun policy): %w", herr)
+		return fmt.Errorf("core: taint hub failed (HubFailRun policy): %w", herr)
 	}
-
-	// The result reads the machines' buffers and the Chaser's records in
-	// place; the world has stopped for good, so nothing writes them before
-	// the session's next run.
-	res = &s.res
+	res := &s.res
 	*res = RunResult{
 		Terms:    terms,
 		Outputs:  res.Outputs[:0],
@@ -454,7 +451,7 @@ func (s *session) run(cfg RunConfig, snap *WorldSnapshot) (res *RunResult, quiet
 		HubStats: ch.HubStats(),
 		HubErr:   herr,
 	}
-	for r := 0; r < size; r++ {
+	for r := range terms {
 		m := s.world.Machine(r)
 		console, output := m.Buffers()
 		res.Outputs = append(res.Outputs, output)
@@ -464,7 +461,7 @@ func (s *session) run(cfg RunConfig, snap *WorldSnapshot) (res *RunResult, quiet
 			res.ExecTraces = append(res.ExecTraces, m.FormatExecTrace())
 		}
 	}
-	return res, quiet, nil
+	return nil
 }
 
 // attempt runs cfg's world once on the session, restored from snap when it
@@ -494,17 +491,23 @@ func (s *session) attempt(cfg RunConfig, size int, snap *WorldSnapshot, answers 
 		// run's would.
 		ch.collector.SeedTimeline(snap.samples)
 	}
-	world, err := s.newWorld(cfg, size, snap)
-	if err != nil {
+	if _, err := s.newWorld(cfg, size, snap); err != nil {
 		return nil, false, err
 	}
-	stopWatchdog := armTimeout(world, cfg.Timeout)
+	terms, quiet := s.leg(cfg)
+	return terms, quiet, nil
+}
+
+// leg runs the session's world under cfg's watchdog to its next pause or its
+// end, drains its flights, and reports whether the watchdog never fired.
+func (s *session) leg(cfg RunConfig) ([]vm.Termination, bool) {
+	stopWatchdog := armTimeout(s.world, cfg.Timeout)
 	wsp := cfg.Tracer.StartSpan("world.run")
-	terms := world.Run()
+	terms := s.world.Run()
 	wsp.End()
 	quiet := stopWatchdog()
-	ch.view.drain()
-	return terms, quiet, nil
+	s.ch.view.drain()
+	return terms, quiet
 }
 
 // Golden runs the program uninstrumented and returns the result; campaigns

@@ -141,10 +141,11 @@ func namespacesAlternate(t *testing.T) {
 		for _, c := range cases {
 			for _, ns := range []int{1, 2} {
 				c := in(c, hub, ns)
-				res, quiet, err := s.run(c.cfg, c.ws)
-				if err != nil || !quiet {
-					t.Fatalf("%s: %v (quiet %v)", c.label, err, quiet)
+				l, err := s.run(c.cfg, c.ws)
+				if err != nil || !l.quiet {
+					t.Fatalf("%s: %v (quiet %v)", c.label, err, l.quiet)
 				}
+				res := l.res
 				if ch == nil {
 					ch = s.ch
 				} else if s.ch != ch {
@@ -166,7 +167,7 @@ func namespacesAlternate(t *testing.T) {
 					t.Errorf("%s: namespace 2 holds a message before any run in it", c.label)
 				}
 				first = false
-				got := Loan{res: res}.Own()
+				got := Loan{res: res, s: s}.Own()
 				s.ch.collector = nil
 				s.recycle()
 				memtest.Drain()
@@ -193,10 +194,11 @@ func TestChaserResetIsNew(t *testing.T) {
 	}
 	c.cfg.SampleInterval = 1000
 	s := arenas.New().(*session)
-	res, quiet, err := s.run(c.cfg, c.ws)
-	if err != nil || !quiet {
-		t.Fatalf("run: %v (quiet %v)", err, quiet)
+	l, err := s.run(c.cfg, c.ws)
+	if err != nil || !l.quiet {
+		t.Fatalf("run: %v (quiet %v)", err, l.quiet)
 	}
+	res := l.res
 	if len(res.Records) == 0 || res.HubStats.Published == 0 || len(res.Trace.Timeline()) == 0 {
 		t.Fatalf("the run injected %d faults, published %d messages and sampled %d points: it leaves too little to reset",
 			len(res.Records), res.HubStats.Published, len(res.Trace.Timeline()))

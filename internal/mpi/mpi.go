@@ -283,6 +283,19 @@ func (w *World) runRank(rs *rankState) {
 	}
 }
 
+// Resume lets a world stopped by a fork-point pause go on: the paused rank's
+// machine resumes, and the next Run hands the baton to the lowest runnable
+// rank, which is the paused one (sched.go).
+func (w *World) Resume() {
+	for r := range w.ranks {
+		if rs := &w.ranks[r]; rs.term.Reason == vm.ReasonPaused {
+			rs.m.Resume()
+			rs.term = vm.Termination{}
+		}
+	}
+	w.paused = false
+}
+
 // Interrupt force-terminates every rank with the given termination. The
 // per-run wall-clock deadline (core's RunTimeout) is enforced with it, and it
 // is the one call into a running world that may come from another goroutine:
@@ -415,4 +428,36 @@ func (w *World) deadlock() {
 		}
 		w.events.Emit("world_deadlock", -1, -1, 0, 0, msg)
 	}
+}
+
+// Compare reports to diff each way st differs from o, a state of as many
+// ranks: a rank's place in the schedule ("schedule"), its MPI call in
+// progress ("call") or its queued messages ("mailbox", "pending"), and the
+// barrier (rank -1).
+func (st *State) Compare(o *State, diff func(rank int, what string)) {
+	if st.arrived != o.arrived || st.barrierGen != o.barrierGen {
+		diff(-1, "barrier")
+	}
+	for r := range st.ranks {
+		a, b := &st.ranks[r], &o.ranks[r]
+		if a.place != b.place {
+			diff(r, "schedule")
+		}
+		if a.step != b.step || a.gen != b.gen || !bytes.Equal(a.acc, b.acc) {
+			diff(r, "call")
+		}
+		if !sameMessages(a.mailbox, b.mailbox) {
+			diff(r, "mailbox")
+		}
+		if !sameMessages(a.pending, b.pending) {
+			diff(r, "pending")
+		}
+	}
+}
+
+func sameMessages(a, b []Message) bool {
+	return slices.EqualFunc(a, b, func(x, y Message) bool {
+		return x.Src == y.Src && x.Dst == y.Dst && x.Tag == y.Tag && x.Dtype == y.Dtype &&
+			x.Count == y.Count && bytes.Equal(x.Data, y.Data)
+	})
 }

@@ -590,3 +590,53 @@ func (s *Shadow) TaintedAddrs(limit int) []uint64 {
 	}
 	return out
 }
+
+// Compare reports where shadows a and b hold different taint: it returns the
+// micro-registers whose masks differ, bit r for register r, and calls mem
+// with each run of guest bytes whose masks differ. A nil shadow is a clean
+// one.
+func Compare(a, b *Shadow, mem func(addr, n uint64)) (regs uint64) {
+	if a == nil {
+		a = &Shadow{}
+	}
+	if b == nil {
+		b = &Shadow{}
+	}
+	for r := range a.regs {
+		if a.regs[r] != b.regs[r] {
+			regs |= 1 << r
+		}
+	}
+	for base, p := range a.pages {
+		q := b.pages[base]
+		if q == nil {
+			q = &cleanPage
+		}
+		runs(&p.masks, &q.masks, base, mem)
+	}
+	for base, q := range b.pages {
+		if a.pages[base] == nil {
+			runs(&cleanPage.masks, &q.masks, base, mem)
+		}
+	}
+	return regs
+}
+
+// cleanPage is the shadow of a page with no tainted byte, never written.
+var cleanPage Page
+
+// runs calls fn with each run of bytes that differ between a and b, the
+// masks of the page at base.
+func runs(a, b *[PageSize]uint8, base uint64, fn func(addr, n uint64)) {
+	for i := 0; i < PageSize; i++ {
+		if a[i] == b[i] {
+			continue
+		}
+		j := i + 1
+		for j < PageSize && a[j] != b[j] {
+			j++
+		}
+		fn(base+uint64(i), uint64(j-i))
+		i = j
+	}
+}

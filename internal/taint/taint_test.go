@@ -289,10 +289,15 @@ func sameShadow(t *testing.T, label string, got, want *Shadow) {
 	if len(got.pages) != len(want.pages) {
 		t.Fatalf("%s: %d shadow pages, want %d", label, len(got.pages), len(want.pages))
 	}
+	if regs := Compare(got, want, func(addr, n uint64) {
+		t.Fatalf("%s: shadow bytes [%#x,+%d) differ", label, addr, n)
+	}); regs != 0 {
+		t.Fatalf("%s: shadow registers %#x differ", label, regs)
+	}
+	// Equal masks: each page's count of tainted bytes must agree too.
 	for base, wp := range want.pages {
-		gp := got.pages[base]
-		if gp == nil || *gp != *wp {
-			t.Fatalf("%s: shadow page %#x differs", label, base)
+		if got.pages[base].count != wp.count {
+			t.Fatalf("%s: shadow page %#x counts %d tainted bytes, want %d", label, base, got.pages[base].count, wp.count)
 		}
 	}
 }

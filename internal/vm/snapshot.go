@@ -26,6 +26,15 @@ func (m *Machine) PauseAt(pc uint64) {
 	m.end(Termination{Reason: ReasonPaused, PC: pc, Msg: "fork-point pause"})
 }
 
+// Resume clears a pause: the machine's next RunSlice goes on in front of the
+// instruction it paused at. The machine published its telemetry when it
+// paused and does not publish it again.
+func (m *Machine) Resume() {
+	if m.term != nil && m.term.Reason == ReasonPaused {
+		m.term = nil
+	}
+}
+
 // Snapshot is an immutable capture of one machine, shareable across any
 // number of forks. A checkpoint ladder keeps many, so it holds what the
 // machine has and no more: the micro-registers that exist, per-op counts for
