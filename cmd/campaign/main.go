@@ -663,7 +663,7 @@ func fig10(out io.Writer, o options) error {
 		}
 		res, err := campaign.MeasureOverhead(campaign.OverheadConfig{
 			Prog: app.Prog, WorldSize: app.WorldSize, Ops: ops,
-			N: 1000, Reps: 5, Seed: o.seed, TargetRank: rank,
+			N: 1000, Reps: 201, Seed: o.seed, TargetRank: rank,
 		})
 		if err != nil {
 			return err

@@ -196,10 +196,11 @@ type OpOutcomes struct {
 // every bit count of a sweep, every shard a chaserd worker runs, every
 // campaign of cmd/campaign's experiments. What Prepare derived is immutable
 // once it returns; what grows afterwards synchronises itself — the base cache,
-// and the spines: the checkpoints along the golden run that the campaigns run
-// on a Baseline leave behind for the ones after them (spine.go; append-only
-// under mu, each rung immutable once appended, gone with the Baseline). So any
-// number of campaigns may run on one Baseline at the same time.
+// and the spines: the rungs pinned at the cuts along the golden run, which
+// the campaigns run on a Baseline leave behind for the ones after them
+// (ladder.go; append-only under mu, each immutable once pinned, gone with the
+// Baseline). So any number of campaigns may run on one Baseline at the same
+// time.
 type Baseline struct {
 	// What the baseline was prepared for; Run refuses a Config of another key.
 	key baselineKey
@@ -212,9 +213,15 @@ type Baseline struct {
 	// injection points are drawn from them.
 	totals []uint64
 	world  int
+	// cuts are each rank's spine positions (cutsOf its total).
+	cuts [][]uint64
 
-	mu     sync.Mutex
-	spines map[spineKey]*spine
+	// spines are the rungs pinned so far, per spine: spines[k][i] is rank
+	// k.rank's golden world at cuts[k.rank][i]. pinned and pinnedBytes are
+	// what they hold (SpineSize).
+	mu                  sync.Mutex
+	spines              map[spineKey][]*core.WorldSnapshot
+	pinned, pinnedBytes atomic.Int64
 }
 
 // Prepare executes the golden run (building and warming the shared base
@@ -248,7 +255,7 @@ func validate(cfg Config) error {
 
 // prepare is Prepare on a validated Config, for any target rank.
 func prepare(cfg Config) (*Baseline, error) {
-	world := worldSize(cfg)
+	world := worldSize(cfg.WorldSize)
 	var cache *tcg.BaseCache
 	if !cfg.NoSharedCache {
 		cache = tcg.NewBaseCache(cfg.Prog)
@@ -285,10 +292,12 @@ func prepare(cfg Config) (*Baseline, error) {
 		maxInstr = peak * 64
 	}
 	totals := make([]uint64, world)
+	cuts := make([][]uint64, world)
 	for r := 0; r < world; r++ {
 		for _, op := range cfg.Ops {
 			totals[r] += golden.Counters[r].PerOp[op]
 		}
+		cuts[r] = cutsOf(totals[r])
 	}
 	return &Baseline{
 		key:      keyOf(cfg),
@@ -298,14 +307,17 @@ func prepare(cfg Config) (*Baseline, error) {
 		maxInstr: maxInstr,
 		totals:   totals,
 		world:    world,
+		cuts:     cuts,
+		spines:   make(map[spineKey][]*core.WorldSnapshot),
 	}, nil
 }
 
-func worldSize(cfg Config) int {
-	if cfg.WorldSize == 0 {
+// worldSize is a rank count as configured: 0 means one rank.
+func worldSize(n int) int {
+	if n == 0 {
 		return 1
 	}
-	return cfg.WorldSize
+	return n
 }
 
 // checkTarget refuses a target rank no injection point can be drawn for.
@@ -381,7 +393,7 @@ func Run(cfg Config) (*Summary, error) {
 	}
 	var sum *Summary
 	err = residents.run(e, cfg.Obs, func(base *Baseline) (err error) {
-		sum, err = runPrepared(cfg, base)
+		sum, err = base.Run(cfg)
 		return err
 	})
 	return sum, err
@@ -391,9 +403,13 @@ func Run(cfg Config) (*Summary, error) {
 // been prepared for cfg's program, world size, ops, instruction budget and
 // ablation switches; everything else — seed, bits, runs, shard, journal, hub,
 // telemetry — is cfg's own. The runs fork from the baseline's spine and extend
-// it as far as their sites reach.
+// it as far as their sites reach, on a pool of their own.
 func (b *Baseline) Run(cfg Config) (*Summary, error) {
-	return runPrepared(cfg, b)
+	walks, err := runWalks(b, []Config{cfg})
+	if err != nil {
+		return nil, err
+	}
+	return walks[0].sum, walks[0].err
 }
 
 // task is one injection run: fault the n-th execution of the targeted ops on
@@ -437,13 +453,15 @@ func planTasks(cfg Config, totals []uint64) ([]task, error) {
 }
 
 // job is one task queued for the worker pool: w is the walk it belongs to, ws
-// the rung it forks from (nil: none), first its fault's first run at its site
-// (nil: it has no key; see repeat.go) and repeat whether that is an earlier
-// task's.
+// the rung it forks from (nil: none) and held the chain rung that is, which
+// the job holds while it is queued (nil: a pinned rung or none), first its
+// fault's first run at its site (nil: it has no key; see repeat.go) and
+// repeat whether that is an earlier task's.
 type job struct {
 	task
 	w      *walk
 	ws     *core.WorldSnapshot
+	held   *rung
 	first  *firstRun
 	repeat bool
 }
@@ -476,9 +494,8 @@ type walk struct {
 	journal  *Journal
 	live     tally
 	start    time.Time
-
-	reportStop chan struct{}
-	reportWG   sync.WaitGroup
+	// stopReport stops the progress reporter and waits for it.
+	stopReport func()
 
 	started, forked, repeated, panics, timeouts *obs.Counter
 
@@ -572,26 +589,11 @@ func (w *walk) entry(cfg Config) *walk {
 	e.panics = cfg.Obs.Counter("campaign_runs_panic_total")
 	e.timeouts = cfg.Obs.Counter("campaign_runs_timeout_total")
 	e.left.Store(1)
-	e.reportStop = make(chan struct{})
+	e.stopReport = func() {}
 	if cfg.Progress != nil {
-		interval := cfg.ProgressInterval
-		if interval <= 0 {
-			interval = time.Second
-		}
-		e.reportWG.Add(1)
-		go func() {
-			defer e.reportWG.Done()
-			ticker := time.NewTicker(interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-e.reportStop:
-					return
-				case <-ticker.C:
-					cfg.Progress(e.live.snapshot(e.hi-e.lo, time.Since(e.start)))
-				}
-			}
-		}()
+		e.stopReport = tick(cfg.ProgressInterval, func() {
+			cfg.Progress(e.live.snapshot(e.hi-e.lo, time.Since(e.start)))
+		})
 	}
 	return e
 }
@@ -724,8 +726,7 @@ func (w *walk) leave() {
 // the last progress report, the hub's retire — is finalize's, on the caller's
 // goroutine, so a panic there goes on to the caller.
 func (w *walk) complete() {
-	close(w.reportStop)
-	w.reportWG.Wait()
+	w.stopReport()
 	if w.journal != nil {
 		w.journal.Close()
 	}
@@ -783,12 +784,12 @@ type pool struct {
 	stop    <-chan struct{}
 	// failed: a prefix run failed, or the feed panicked.
 	failed atomic.Bool
-	// roomy is signalled by a worker whose receive left at most one job per
-	// worker queued: the throttle's wake-up (room).
-	roomy chan struct{}
-	// sent counts the jobs queued so far, so it is the feed sequence number
-	// of the next. Feeder only.
-	sent int
+	// untaken counts the jobs sent that no worker has taken up yet: the
+	// queued ones, and those handed straight to a waiting worker that has not
+	// run since. roomy is signalled by a worker whose receive left at most
+	// one per worker: the throttle's wake-up (room).
+	untaken atomic.Int64
+	roomy   chan struct{}
 	// rungs is the feed's ladder (nil: NoFork).
 	rungs *ladder
 	// wait is campaign_worker_wait_seconds: a worker's receives that found
@@ -830,7 +831,7 @@ func (p *pool) drive(walks []*walk) {
 		close(p.q)
 		p.wg.Wait()
 		if p.rungs != nil {
-			p.rungs.settle()
+			p.rungs.end()
 		}
 	}()
 	p.feed(walks)
@@ -877,8 +878,9 @@ func (p *pool) work(worker int) {
 	}
 }
 
-// next receives a worker's next job. Only a receive that finds the queue
-// empty is timed, so a worker the feeder keeps ahead of pays nothing.
+// next receives a worker's next job and drops the job's hold on its rung.
+// Only a receive that finds the queue empty is timed, so a worker the feeder
+// keeps ahead of pays nothing.
 func (p *pool) next() (j job, ok bool) {
 	select {
 	case j, ok = <-p.q:
@@ -891,13 +893,17 @@ func (p *pool) next() (j job, ok bool) {
 		j, ok = <-p.q
 		p.wait.Observe(time.Since(t).Seconds())
 	}
-	if ok && len(p.q) <= p.workers {
+	if !ok {
+		return j, false
+	}
+	j.held.drop()
+	if p.untaken.Add(-1) <= int64(p.workers) {
 		select {
 		case p.roomy <- struct{}{}:
 		default:
 		}
 	}
-	return j, ok
+	return j, true
 }
 
 // settle finishes a repeat whose first run is done: it takes the first run's
@@ -931,11 +937,11 @@ func drop(j job) {
 }
 
 // room is the throttle the ladder calls before it builds a rung: it waits
-// until at most one job per worker is queued, so queued jobs hold at most
+// until at most one job per worker is untaken, so untaken jobs hold at most
 // that many chain rungs the head has moved past; repeats and tasks on the
 // head or a spine rung flow at full depth. False if Stop closed meanwhile.
 func (p *pool) room() bool {
-	for len(p.q) > p.workers {
+	for p.untaken.Load() > int64(p.workers) {
 		select {
 		case <-p.roomy:
 		case <-p.stop:
@@ -959,8 +965,7 @@ func (p *pool) feed(walks []*walk) {
 	var reps *repeats
 	if !cfg.NoFork {
 		sortBySite(pending)
-		queued := func(seq int) bool { return seq >= p.sent-len(p.q) }
-		p.rungs = newLadder(walks[0].base, cfg.Trace, cfg.Hub, cfg.Obs, queued, p.room)
+		p.rungs = newLadder(walks[0].base, cfg.Trace, cfg.Hub, cfg.Obs, p.room)
 		if cfg.RunObserver == nil {
 			reps = newRepeats(cfg.Prog)
 		}
@@ -978,7 +983,7 @@ func (p *pool) feed(walks []*walk) {
 					rest = pending[i:]
 				}
 				var err error
-				if j.ws, err = p.rungs.rung(tk, rest, p.sent); err == errStopped {
+				if j.ws, j.held, err = p.rungs.rung(tk, rest); err == errStopped {
 					return
 				} else if err != nil {
 					for _, w := range walks {
@@ -994,12 +999,15 @@ func (p *pool) feed(walks []*walk) {
 			// Held before the send: a worker may finish the job before the
 			// send returns.
 			w.left.Add(1)
+			p.untaken.Add(1)
+			j.held.hold()
 			select {
 			case <-p.stop:
 				w.left.Add(-1)
+				p.untaken.Add(-1)
+				j.held.drop()
 				return
 			case p.q <- j:
-				p.sent++
 			}
 		}
 	}
@@ -1050,38 +1058,11 @@ func runsPerSecond(cfg Config, start time.Time, walks []*walk) (end func()) {
 	if gauge == nil || cfg.Progress == nil {
 		return set
 	}
-	interval := cfg.ProgressInterval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	ticker, stop, stopped := time.NewTicker(interval), make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(stopped)
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				set()
-			}
-		}
-	}()
+	stop := tick(cfg.ProgressInterval, set)
 	return func() {
-		ticker.Stop()
-		close(stop)
-		<-stopped
+		stop()
 		set()
 	}
-}
-
-// runPrepared executes the injection runs of a campaign against a prepared
-// baseline, on a pool of its own.
-func runPrepared(cfg Config, base *Baseline) (*Summary, error) {
-	walks, err := runWalks(base, []Config{cfg})
-	if err != nil {
-		return nil, err
-	}
-	return walks[0].sum, walks[0].err
 }
 
 // retireWindow drops the hub entries of a completed window: its namespaces

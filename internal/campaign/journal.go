@@ -54,7 +54,7 @@ func headerFor(cfg Config) journalHeader {
 		Runs:  cfg.Runs,
 		Seed:  cfg.Seed,
 		Bits:  bits,
-		World: worldSize(cfg),
+		World: worldSize(cfg.WorldSize),
 		Trace: cfg.Trace,
 		Site:  cfg.InjectExec,
 	}

@@ -53,6 +53,8 @@ type bucketJSON struct {
 	Count uint64  `json:"count"`
 }
 
+// histToJSON encodes h; infinite bucket bounds become +/-1e308 (JSON has no
+// infinity).
 func histToJSON(h *stats.Histogram) *histJSON {
 	if h == nil || h.Total() == 0 {
 		return nil
@@ -65,15 +67,14 @@ func histToJSON(h *stats.Histogram) *histJSON {
 		P95:   h.Quantile(0.95),
 	}
 	for _, b := range h.Buckets() {
-		out.Buckets = append(out.Buckets, bucketJSON{Lo: b.Lo, Hi: b.Hi, Count: b.Count})
+		out.Buckets = append(out.Buckets, bucketJSON{Lo: max(b.Lo, -1e308), Hi: min(b.Hi, 1e308), Count: b.Count})
 	}
 	return out
 }
 
-// MarshalJSON serializes the summary for external tools. Infinite bucket
-// bounds are encoded as +/-1e308 (JSON has no infinity).
+// MarshalJSON serializes the summary for external tools.
 func (s *Summary) MarshalJSON() ([]byte, error) {
-	j := summaryJSON{
+	return json.Marshal(summaryJSON{
 		Name: s.Name, Runs: s.Runs, Injected: s.Injected,
 		Benign: s.Benign, SDC: s.SDC, Detected: s.Detected, Terminated: s.Terminated,
 		TermOS: s.TermOS, TermMPI: s.TermMPI, TermSlave: s.TermSlave, TermHang: s.TermHang,
@@ -82,21 +83,5 @@ func (s *Summary) MarshalJSON() ([]byte, error) {
 		ReadOnlyRuns: s.ReadOnlyRuns, WriteOnlyRuns: s.WriteOnlyRuns, ReadHeavyRuns: s.ReadHeavyRuns,
 		Reads:  histToJSON(s.ReadsHist),
 		Writes: histToJSON(s.WritesHist),
-	}
-	clampInf := func(h *histJSON) {
-		if h == nil {
-			return
-		}
-		for i := range h.Buckets {
-			if h.Buckets[i].Lo < -1e308 {
-				h.Buckets[i].Lo = -1e308
-			}
-			if h.Buckets[i].Hi > 1e308 {
-				h.Buckets[i].Hi = 1e308
-			}
-		}
-	}
-	clampInf(j.Reads)
-	clampInf(j.Writes)
-	return json.Marshal(j)
+	})
 }

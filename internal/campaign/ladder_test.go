@@ -312,7 +312,7 @@ func TestLadderChainsOnePassPerRank(t *testing.T) {
 	}
 	want := expectedWalk(tasks, base.totals)
 	t.Logf("24 sites: %+v", want)
-	if want.spine < len(newSpine(base.totals[0]).pos)/2 || want.own == 0 {
+	if want.spine < len(base.cuts[0])/2 || want.own == 0 {
 		t.Fatalf("the plan neither reaches half the spine nor chains a rung: %+v", want)
 	}
 	c := countsOf(reg)
@@ -380,13 +380,13 @@ func TestPrefixFailureFailsTheShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	base.maxInstr = 1
-	sp := newSpine(base.totals[0])
+	sp := base.cuts[0]
 	for _, tc := range []struct {
 		name     string
 		num, den uint64
 		site     uint64
 	}{
-		{"spine position", 1, 2, sp.pos[0]},
+		{"spine position", 1, 2, sp[0]},
 		{"chain rung", 1, 4 * spineIntervals, base.totals[0] / (4 * spineIntervals)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -612,23 +612,7 @@ func TestFeedHoldsFewRungs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks, err := planTasks(cfg, base.totals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortBySite(tasks)
-	walk := obs.NewRegistry()
-	l := newLadder(base, cfg.Trace, nil, walk, func(int) bool { return false }, func() bool { return true })
-	var largest int64
-	for i, tk := range tasks {
-		if _, err := l.rung(tk, tasks[i+1:], i); err != nil {
-			t.Fatal(err)
-		}
-		if h := l.head.ws; h != nil && h.FreshBytes() > largest {
-			largest = h.FreshBytes()
-		}
-	}
-	alone := walk.Gauge("campaign_snapshot_cache_bytes_high_water").Value()
+	alone, largest := walkAlone(t, base, cfg)
 
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
@@ -643,4 +627,28 @@ func TestFeedHoldsFewRungs(t *testing.T) {
 		t.Errorf("queued jobs held %.0f B of rungs beyond the walk's own %.0f B, more than %d rungs of %d B",
 			got-alone, alone, cfg.Parallel, largest)
 	}
+}
+
+// walkAlone drives cfg's walk on base through a ladder of its own with
+// nothing queued and returns its campaign_snapshot_cache_bytes_high_water —
+// what the walk alone keeps — and the largest of its chain rungs.
+func walkAlone(t *testing.T, base *Baseline, cfg Config) (highWater float64, largest int64) {
+	t.Helper()
+	tasks, err := planTasks(cfg, base.totals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortBySite(tasks)
+	walk := obs.NewRegistry()
+	l := newLadder(base, cfg.Trace, nil, walk, func() bool { return true })
+	for i, tk := range tasks {
+		if _, _, err := l.rung(tk, tasks[i+1:]); err != nil {
+			t.Fatal(err)
+		}
+		if h := l.head; h != nil && h.ws.FreshBytes() > largest {
+			largest = h.ws.FreshBytes()
+		}
+	}
+	l.end()
+	return walk.Gauge("campaign_snapshot_cache_bytes_high_water").Value(), largest
 }

@@ -77,3 +77,28 @@ func (t *tally) flushObs(reg *obs.Registry) {
 	reg.Counter("campaign_runs_detected_total").Add(uint64(t.detected.Load()))
 	reg.Counter("campaign_runs_terminated_total").Add(uint64(t.terminated.Load()))
 }
+
+// tick calls f every interval (0: a second) on a goroutine of its own until
+// the returned stop is called; stop waits for the goroutine to return.
+func tick(interval time.Duration, f func()) (stop func()) {
+	if interval <= 0 {
+		interval = time.Second
+	}
+	ticker, done, stopped := time.NewTicker(interval), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-done:
+				return
+			case <-ticker.C:
+				f()
+			}
+		}
+	}()
+	return func() {
+		ticker.Stop()
+		close(done)
+		<-stopped
+	}
+}

@@ -55,7 +55,7 @@ func keyOf(cfg Config) baselineKey {
 	}
 	return baselineKey{
 		prog:          cfg.Prog,
-		world:         worldSize(cfg),
+		world:         worldSize(cfg.WorldSize),
 		ops:           string(ops),
 		budget:        cfg.MaxInstructions,
 		noFastPath:    cfg.NoFastPath,
@@ -174,22 +174,18 @@ func (r *registry) reportSpines(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
+	var rungs int
+	var bytes int64
 	r.mu.Lock()
-	var bases []*Baseline
 	for _, e := range r.entries {
 		select {
 		case <-e.ready:
-			bases = append(bases, e.base)
+			n, sz := e.base.SpineSize()
+			rungs, bytes = rungs+n, bytes+sz
 		default:
 		}
 	}
 	r.mu.Unlock()
-	var rungs int
-	var bytes int64
-	for _, b := range bases {
-		n, sz := b.SpineSize()
-		rungs, bytes = rungs+n, bytes+sz
-	}
 	reg.Gauge("campaign_spine_rungs").Set(float64(rungs))
 	reg.Gauge("campaign_spine_bytes").Set(float64(bytes))
 }

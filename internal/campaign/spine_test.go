@@ -39,7 +39,7 @@ func expectedWalk(tasks []task, totals []uint64) walkCounts {
 	sortBySite(tasks)
 	var w walkCounts
 	for i, tk := range tasks {
-		sp := newSpine(totals[tk.rank])
+		sp := cutsOf(totals[tk.rank])
 		st := stretchOf(sp, tk.n)
 		var before, after *task
 		if i > 0 && tasks[i-1].rank == tk.rank {
@@ -52,7 +52,7 @@ func expectedWalk(tasks []task, totals []uint64) walkCounts {
 			w.spine += st
 		}
 		shared := after != nil && stretchOf(sp, after.n) == st
-		resident := before != nil && before.n == tk.n || st > 0 && sp.pos[st-1] == tk.n
+		resident := before != nil && before.n == tk.n || st > 0 && sp[st-1] == tk.n
 		if shared && !resident {
 			w.own++
 		}
@@ -179,9 +179,9 @@ func pinnedAt(base *Baseline, cfg Config, num, den uint64) Config {
 }
 
 // onPosition reports whether site is one of the spine's positions.
-func onPosition(sp *spine, site uint64) bool {
+func onPosition(sp []uint64, site uint64) bool {
 	st := stretchOf(sp, site)
-	return st > 0 && sp.pos[st-1] == site
+	return st > 0 && sp[st-1] == site
 }
 
 // TestSpineIsLazy: a spine reaches as far as the sites asked of it. A campaign
@@ -195,10 +195,10 @@ func TestSpineIsLazy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := newSpine(base.totals[0])
+	sp := base.cuts[0]
 	first := pinnedAt(base, cfg, 1, 2*spineIntervals)
 	if stretchOf(sp, first.InjectExec) != 0 {
-		t.Fatalf("site %d is not in the first stretch (first position %d)", first.InjectExec, sp.pos[0])
+		t.Fatalf("site %d is not in the first stretch (first position %d)", first.InjectExec, sp[0])
 	}
 	if _, err := base.Run(first); err != nil {
 		t.Fatal(err)
@@ -234,9 +234,9 @@ func TestSpineIsLazy(t *testing.T) {
 }
 
 // stretchOf is the index of the spine stretch a site lies in.
-func stretchOf(sp *spine, n uint64) int {
+func stretchOf(sp []uint64, n uint64) int {
 	i := 0
-	for i < len(sp.pos) && sp.pos[i] <= n {
+	for i < len(sp) && sp[i] <= n {
 		i++
 	}
 	return i
@@ -257,9 +257,9 @@ func TestWarmSpineBuildsNothing(t *testing.T) {
 	}
 	warm := obs.NewRegistry()
 	base.spineRung(core.ForkSite{Rank: 0, N: base.totals[0]}, cfg.Trace, nil, warm, nil)
-	sp := base.spines[spineKey{0, cfg.Trace}]
-	if s := spineOf(base); s.rungs != len(sp.pos) {
-		t.Fatalf("warming built %+v of %d positions", s, len(sp.pos))
+	sp := base.cuts[0]
+	if s := spineOf(base); s.rungs != len(sp) {
+		t.Fatalf("warming built %+v of %d positions", s, len(sp))
 	}
 	// The task list is a function of the seed: find one that spreads its
 	// sites over as many stretches, one of them the first.
@@ -364,11 +364,11 @@ func TestSpineRungsMatchTheirEntryTwins(t *testing.T) {
 			if _, _, err := base.spineRung(core.ForkSite{Rank: rank, N: math.MaxUint64}, trace, nil, nil, nil); err != nil {
 				t.Fatal(err)
 			}
-			sp := base.spines[spineKey{rank, trace}]
-			if len(sp.rungs) != len(sp.pos) || len(sp.rungs) == 0 {
-				t.Fatalf("%s: %d rungs at %d positions", name, len(sp.rungs), len(sp.pos))
+			rungs, cuts := base.spines[spineKey{rank, trace}], base.cuts[rank]
+			if len(rungs) != len(cuts) || len(rungs) == 0 {
+				t.Fatalf("%s: %d rungs at %d positions", name, len(rungs), len(cuts))
 			}
-			for i, rung := range sp.rungs {
+			for i, rung := range rungs {
 				twin, err := base.rungAt(nil, rung.Site(), trace, nil, nil)
 				if err != nil {
 					t.Fatal(err)

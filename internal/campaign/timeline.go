@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"chaser/internal/core"
@@ -31,13 +32,9 @@ type TimelineConfig struct {
 // Timeline runs one traced injection and returns the tainted-bytes samples
 // in execution order, together with the classified outcome.
 func Timeline(cfg TimelineConfig) ([]trace.TimelinePoint, *core.RunResult, error) {
-	world := cfg.WorldSize
-	if world == 0 {
-		world = 1
-	}
 	res, err := core.Run(core.RunConfig{
 		Prog:           cfg.Prog,
-		WorldSize:      world,
+		WorldSize:      worldSize(cfg.WorldSize),
 		SampleInterval: cfg.SampleInterval,
 		Spec: &core.Spec{
 			Target:     cfg.Prog.Name,
@@ -96,32 +93,28 @@ func pctOver(a, b time.Duration) float64 {
 	return 100 * (float64(a) - float64(b)) / float64(b)
 }
 
-// MeasureOverhead times the four Fig. 10 configurations and returns mean
-// per-run durations.
+// MeasureOverhead times the four Fig. 10 configurations and returns each
+// one's median per-run duration. The configurations take turns, one run each
+// per rep, and the one that goes first rotates from rep to rep, so a drift of
+// the host's speed over the measurement lands on all four alike; the median
+// drops the runs a descheduling or a collection stretched.
 func MeasureOverhead(cfg OverheadConfig) (OverheadResult, error) {
 	if cfg.Reps <= 0 {
 		cfg.Reps = 3
 	}
-	world := cfg.WorldSize
-	if world == 0 {
-		world = 1
-	}
+	world := worldSize(cfg.WorldSize)
 	timeIt := func(spec *core.Spec) (time.Duration, error) {
-		var total time.Duration
-		for i := 0; i < cfg.Reps; i++ {
-			start := time.Now()
-			res, err := core.Run(core.RunConfig{Prog: cfg.Prog, WorldSize: world, Spec: spec})
-			if err != nil {
-				return 0, err
-			}
-			for r, t := range res.Terms {
-				if t.Abnormal() {
-					return 0, fmt.Errorf("campaign: overhead run rank %d: %s", r, t)
-				}
-			}
-			total += time.Since(start)
+		start := time.Now()
+		res, err := core.Run(core.RunConfig{Prog: cfg.Prog, WorldSize: world, Spec: spec})
+		if err != nil {
+			return 0, err
 		}
-		return total / time.Duration(cfg.Reps), nil
+		for r, t := range res.Terms {
+			if t.Abnormal() {
+				return 0, fmt.Errorf("campaign: overhead run rank %d: %s", r, t)
+			}
+		}
+		return time.Since(start), nil
 	}
 	mkSpec := func(inject, traceOn bool) *core.Spec {
 		if !inject && !traceOn {
@@ -144,19 +137,22 @@ func MeasureOverhead(cfg OverheadConfig) (OverheadResult, error) {
 			Trace:      traceOn,
 		}
 	}
-	var out OverheadResult
-	var err error
-	if out.Baseline, err = timeIt(nil); err != nil {
-		return out, err
+	// In OverheadResult's order.
+	specs := []*core.Spec{nil, mkSpec(true, false), mkSpec(false, true), mkSpec(true, true)}
+	times := make([][]time.Duration, len(specs))
+	for i := 0; i < cfg.Reps; i++ {
+		for k := range specs {
+			c := (i + k) % len(specs)
+			d, err := timeIt(specs[c])
+			if err != nil {
+				return OverheadResult{}, err
+			}
+			times[c] = append(times[c], d)
+		}
 	}
-	if out.InjectOnly, err = timeIt(mkSpec(true, false)); err != nil {
-		return out, err
+	median := func(ds []time.Duration) time.Duration {
+		slices.Sort(ds)
+		return ds[len(ds)/2]
 	}
-	if out.TraceOnly, err = timeIt(mkSpec(false, true)); err != nil {
-		return out, err
-	}
-	if out.InjectAndTrace, err = timeIt(mkSpec(true, true)); err != nil {
-		return out, err
-	}
-	return out, nil
+	return OverheadResult{median(times[0]), median(times[1]), median(times[2]), median(times[3])}, nil
 }
