@@ -64,8 +64,8 @@ import (
 // whose site shares its stretch with no other pending task forks from the cut
 // below it. Finer cuts shorten the gap a run replays and leave fewer tasks
 // sharing a stretch; what they cost is memory, a rung per cut. Measured at 8,
-// 16 and 32 (docs/PERFORMANCE.md, "Rungs that outlive the shard" and "One
-// spine per process"): 32 takes 9% off a run's CPU on small_campaign_mix
+// 16 and 32 (docs/PERFORMANCE.md, "Fork, ladder and pinned rungs"): 32
+// takes 9% off a run's CPU on small_campaign_mix
 // against 8, and holds the resident set where 8 had it because a rung keeps
 // little beyond the pages the guest changed and a process keeps one spine per
 // app, not one per worker.
