@@ -361,6 +361,9 @@ func table3(out io.Writer, o options) error {
 
 // fig6 runs the outcome campaign for every application.
 func fig6(out io.Writer, o options) error {
+	if fi, err := os.Stat(o.csvDir); o.csvDir != "" && (err != nil || !fi.IsDir()) {
+		return fmt.Errorf("-csv %s: not a directory", o.csvDir)
+	}
 	fmt.Fprintln(out, "=== Fig. 6: fault injection results ===")
 	for _, app := range apps.All() {
 		sum, err := campaign.Run(o.instrument(campaign.Config{

@@ -140,6 +140,16 @@ func TestRunBadHubPolicy(t *testing.T) {
 	}
 }
 
+// TestFig6CSVDirCheckedFirst: a -csv directory that does not exist fails
+// the experiment before any campaign runs, with nothing printed.
+func TestFig6CSVDirCheckedFirst(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{"-experiment", "fig6", "-runs", "6", "-csv", filepath.Join(t.TempDir(), "missing")}, &sb)
+	if err == nil || sb.Len() > 0 {
+		t.Fatalf("fig6 with a missing -csv directory: %v, printed %q; want an error and no report", err, sb.String())
+	}
+}
+
 func TestFig6CSVExport(t *testing.T) {
 	dir := t.TempDir()
 	out := runExp(t, "-experiment", "fig6", "-runs", "6", "-csv", dir)

@@ -28,10 +28,6 @@
 //	    -advertise http://127.0.0.1:7071 -addr 127.0.0.1:7071 -role follower
 //	chaserd -worker -connect http://127.0.0.1:7070,http://127.0.0.1:7071
 //
-// The -chaos flag (or CHASERD_CHAOS) arms the deterministic self-chaos
-// harness: seeded fault injection at named sites inside the WAL and the
-// fencer clock (see docs/ROBUSTNESS.md).
-//
 // SIGTERM/SIGINT shut either mode down gracefully: the server drains HTTP
 // and closes its store (campaign state is durable); a worker finishes its
 // current shard first — or, killed harder, simply stops heartbeating and
@@ -78,7 +74,6 @@ func run(args []string) error {
 	role := fs.String("role", "", "startup role bias: leader contends immediately, follower yields one TTL first")
 	leaderTTL := fs.Duration("leader-ttl", 3*time.Second, "fence lease duration; a leader silent this long is deposed")
 	fsync := fs.Bool("fsync", false, "fsync the WAL on every append")
-	chaosSpec := fs.String("chaos", os.Getenv("CHASERD_CHAOS"), "self-chaos spec, e.g. seed=42,rate=0.05,sites=wal.short_write+clock.freeze (default $CHASERD_CHAOS)")
 	// Worker mode.
 	worker := fs.Bool("worker", false, "run as a worker instead of a server")
 	connect := fs.String("connect", "", "chaserd URL to claim shards from (worker mode)")
@@ -101,7 +96,7 @@ func run(args []string) error {
 		leaseTTL: *leaseTTL, maxRetries: *maxRetries, defaultShards: *defaultShards,
 		maxActive: *maxActive, ratePerSec: *ratePerSec, burst: *burst,
 		fenceFile: *fenceFile, advertise: *advertise,
-		role: *role, leaderTTL: *leaderTTL, fsync: *fsync, chaos: *chaosSpec,
+		role: *role, leaderTTL: *leaderTTL, fsync: *fsync,
 	}, sigc)
 }
 
@@ -114,7 +109,7 @@ type serverOpts struct {
 	leaseTTL                 time.Duration
 
 	fenceFile, advertise string
-	role, chaos          string
+	role                 string
 	leaderTTL            time.Duration
 	fsync                bool
 }
@@ -130,10 +125,6 @@ func runServer(o serverOpts, sigc <-chan os.Signal) error {
 				hubList = append(hubList, h)
 			}
 		}
-	}
-	chaos, err := server.ParseChaos(o.chaos)
-	if err != nil {
-		return err
 	}
 	srv, err := server.NewServer(server.ServerConfig{
 		Addr:     o.addr,
@@ -155,7 +146,6 @@ func runServer(o serverOpts, sigc <-chan os.Signal) error {
 		LeaderTTL:      o.leaderTTL,
 		RolePreference: o.role,
 		Fsync:          o.fsync,
-		Chaos:          chaos,
 	})
 	if err != nil {
 		return err

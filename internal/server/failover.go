@@ -82,8 +82,8 @@ type Fencer struct {
 }
 
 // NewFencer builds a fencer for one node. self is the node's advertise
-// URL (it doubles as the holder identity in the fence file); now may be
-// chaos-wrapped.
+// URL (it doubles as the holder identity in the fence file); now is its
+// clock (nil = time.Now).
 func NewFencer(path, self string, ttl time.Duration, now func() time.Time) *Fencer {
 	if now == nil {
 		now = time.Now
@@ -183,9 +183,10 @@ func (f *Fencer) TryAcquire() (uint64, bool, fenceDoc, error) {
 // may not write".
 func (e *DeposedError) Is(target error) bool { return target == ErrFenced }
 
-// Renew extends the held lease. A fence showing another holder or epoch
-// returns *DeposedError and drops leadership locally.
-func (f *Fencer) Renew() error {
+// holding runs fn on the fence while it shows this node's lease. A fence
+// showing another holder or epoch drops the lease and returns
+// *DeposedError; holding no lease is ErrFenced.
+func (f *Fencer) holding(fn func(cur fenceDoc) (*fenceDoc, error)) error {
 	f.mu.Lock()
 	mine := f.epoch
 	f.mu.Unlock()
@@ -198,27 +199,22 @@ func (f *Fencer) Renew() error {
 			f.dropLease()
 			return nil, &DeposedError{Epoch: mine, Seen: cur.Epoch, Holder: cur.Holder}
 		}
-		doc := cur
-		doc.Expires = f.now().Add(f.ttl).UnixNano()
-		return &doc, nil
+		return fn(cur)
+	})
+}
+
+// Renew extends the held lease.
+func (f *Fencer) Renew() error {
+	return f.holding(func(cur fenceDoc) (*fenceDoc, error) {
+		cur.Expires = f.now().Add(f.ttl).UnixNano()
+		return &cur, nil
 	})
 }
 
 // Validate confirms the lease is still ours and live — called before every
 // local WAL append. Failure means fenced: no write may proceed.
 func (f *Fencer) Validate() error {
-	f.mu.Lock()
-	mine := f.epoch
-	f.mu.Unlock()
-	if mine == 0 {
-		return ErrFenced
-	}
-	return f.withFence(func(cur fenceDoc) (*fenceDoc, error) {
-		f.noteEpoch(cur.Epoch)
-		if cur.Holder != f.self || cur.Epoch != mine {
-			f.dropLease()
-			return nil, &DeposedError{Epoch: mine, Seen: cur.Epoch, Holder: cur.Holder}
-		}
+	return f.holding(func(cur fenceDoc) (*fenceDoc, error) {
 		if f.now().UnixNano() >= cur.Expires {
 			// Our own lease expired un-renewed (stalled process, frozen
 			// clock). Nobody else claimed yet, but writing now would race
@@ -244,21 +240,15 @@ func (f *Fencer) Observe() (fenceDoc, error) {
 // Release voluntarily gives the lease up (graceful shutdown): the expiry
 // is zeroed so a standby promotes immediately instead of waiting a TTL.
 func (f *Fencer) Release() error {
-	f.mu.Lock()
-	mine := f.epoch
-	f.epoch = 0
-	f.mu.Unlock()
-	if mine == 0 {
-		return nil
-	}
-	return f.withFence(func(cur fenceDoc) (*fenceDoc, error) {
-		if cur.Holder != f.self || cur.Epoch != mine {
-			return nil, nil // already superseded; nothing to release
-		}
-		doc := cur
-		doc.Expires = 0
-		return &doc, nil
+	err := f.holding(func(cur fenceDoc) (*fenceDoc, error) {
+		f.dropLease()
+		cur.Expires = 0
+		return &cur, nil
 	})
+	if errors.Is(err, ErrFenced) {
+		return nil // not held, or already superseded: nothing to release
+	}
+	return err
 }
 
 // Epoch returns the lease epoch this fencer holds (0 = not leader).

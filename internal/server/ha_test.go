@@ -245,12 +245,9 @@ func TestDeposedLeaderCannotReachSharedLog(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("A acquire: ok=%v err=%v", ok, err)
 	}
-	// Armed at rate 0; A's short write below raises it to 1 for one append.
-	chaos, err := ParseChaos("seed=1,rate=0,sites=" + ChaosWALShortWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	storeA, _, err := OpenStore(storeDir, StoreOptions{Chaos: chaos})
+	// A's short write below sets fail for one append.
+	fail := false
+	storeA, _, err := OpenStore(storeDir, StoreOptions{fault: func(site string) bool { return fail && site == wal.FaultShortWrite }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +282,11 @@ func TestDeposedLeaderCannotReachSharedLog(t *testing.T) {
 	// A validated before B took over and appends late, past its guard:
 	// first a short write that A repairs by truncating to its own end of
 	// the log, then a whole record.
-	chaos.rate = 1
+	fail = true
 	if err := storeA.append(walRecord{T: "done", C: "c000001", Shard: 2, Epoch: epochA}); !errors.Is(err, wal.ErrInjected) {
 		t.Fatalf("A's short write: %v, want the injected failure", err)
 	}
-	chaos.rate = 0
+	fail = false
 	if err := storeA.append(walRecord{T: "done", C: "c000001", Shard: 3, Epoch: epochA}); err != nil {
 		t.Fatalf("A's late append: %v", err)
 	}

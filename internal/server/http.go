@@ -46,6 +46,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
+	if errors.Is(err, ErrFenced) {
+		status = http.StatusServiceUnavailable // refused unwritten: try the other peer
+	}
 	writeJSON(w, status, httpError{Error: err.Error()})
 }
 

@@ -223,6 +223,12 @@ func (s *Scheduler) replay(recs []walRecord) error {
 			if rec.Spec == nil {
 				return fmt.Errorf("server: wal: campaign record %s without spec", rec.C)
 			}
+			if old := s.campaigns[rec.C]; old != nil {
+				// The earlier record is a submit whose fsync failed; the
+				// submit that reused its ID supersedes it.
+				s.open = slices.DeleteFunc(s.open, func(c *campaignState) bool { return c == old })
+				s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == rec.C })
+			}
 			s.addCampaignLocked(rec.C, *rec.Spec, rec.Hub, rec.NSBase)
 		case "done":
 			if c := s.campaigns[rec.C]; c != nil && rec.Shard < len(c.shards) {
@@ -417,12 +423,13 @@ func (s *Scheduler) Complete(token string) error {
 	c := s.campaigns[l.cid]
 	sh := c.shards[l.shard]
 	s.releaseLocked(l)
-	sh.state = shardDone
-	sh.lastErr = ""
 	if err := s.store.Append(walRecord{T: "done", C: c.id, Shard: sh.idx}); err != nil {
+		sh.state = shardPending // not recorded, so not done: rerun from its journal
 		s.mu.Unlock()
 		return err
 	}
+	sh.state = shardDone
+	sh.lastErr = ""
 	s.cfg.Obs.Counter("server_shards_completed_total").Inc()
 	terminal := s.maybeFinishLocked(c)
 	tenant := c.tenant

@@ -48,8 +48,10 @@ type ServerConfig struct {
 	RolePreference string
 	// Fsync syncs the WAL on every append.
 	Fsync bool
-	// Chaos arms the self-chaos harness (nil = off).
-	Chaos *Chaos
+	// now is the fencer's clock and fault the store's WAL fault hook
+	// (tests; nil = time.Now and none).
+	now   func() time.Time
+	fault func(site string) bool
 }
 
 // Server is one chaserd instance: store + scheduler + tenant table behind
@@ -69,7 +71,6 @@ type Server struct {
 	reg     *obs.Registry
 	tenants *Tenants
 	logf    func(format string, args ...any)
-	chaos   *Chaos
 
 	hsrv *http.Server
 	ln   net.Listener
@@ -108,13 +109,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.LeaderTTL <= 0 {
 		cfg.LeaderTTL = 3 * time.Second
 	}
-	cfg.Chaos.SetObs(reg)
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
 		tenants: NewTenants(cfg.Tenants),
 		logf:    logf,
-		chaos:   cfg.Chaos,
 		haStop:  make(chan struct{}),
 	}
 	if cfg.FenceFile == "" {
@@ -131,7 +130,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // and an HA node on promotion. Every append is stamped with epoch and
 // must pass guard (nil = none).
 func (s *Server) lead(epoch uint64, guard func() error) error {
-	store, recs, err := OpenStore(s.cfg.StoreDir, StoreOptions{Fsync: s.cfg.Fsync, Chaos: s.chaos})
+	store, recs, err := OpenStore(s.cfg.StoreDir, StoreOptions{Fsync: s.cfg.Fsync, fault: s.cfg.fault})
 	if err != nil {
 		return err
 	}
@@ -243,7 +242,7 @@ func (s *Server) Start() error {
 	s.advertise = adv
 	s.roleMu.Unlock()
 	if s.cfg.FenceFile != "" {
-		s.fencer = NewFencer(s.cfg.FenceFile, adv, s.cfg.LeaderTTL, s.chaos.Clock(time.Now))
+		s.fencer = NewFencer(s.cfg.FenceFile, adv, s.cfg.LeaderTTL, s.cfg.now)
 		s.reg.Gauge("server_role").Set(0)
 		cur, err := s.fencer.Observe()
 		if err != nil {

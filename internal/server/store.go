@@ -73,8 +73,8 @@ type StoreOptions struct {
 	// re-derivable from worker journals — but a deployment that wants every
 	// acknowledged transition to survive a power cut can turn it on.
 	Fsync bool
-	// Chaos arms fault injection at the store's chaos sites (nil = off).
-	Chaos *Chaos
+	// fault is the log's wal.Options.Fault hook (tests; nil = none).
+	fault func(site string) bool
 }
 
 // Store owns chaserd's durable control-plane state, all under one
@@ -140,7 +140,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, []walRecord, error) {
 func (s *Store) walPath() string { return filepath.Join(s.dir, "wal", "control.log") }
 
 func (s *Store) walOptions() wal.Options {
-	return wal.Options{MaxPayload: maxWALRecord, Sync: s.opts.Fsync, Fault: s.opts.Chaos.Hit}
+	return wal.Options{MaxPayload: maxWALRecord, Sync: s.opts.Fsync, Fault: s.opts.fault}
 }
 
 // replaceLog atomically replaces the WAL with exactly recs: one file

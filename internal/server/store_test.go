@@ -5,7 +5,6 @@ import (
 	"os"
 	"testing"
 
-	"chaser/internal/obs"
 	"chaser/internal/wal"
 )
 
@@ -106,20 +105,15 @@ func TestStoreCorruptMiddleStopsReplay(t *testing.T) {
 	}
 }
 
-// TestStoreChaosSitesFireInTheLog: the wal.short_write and wal.fsync chaos
-// sites are consulted from inside the log's append. An injected failure
-// fails the append, admits nothing to the logical log, counts into the
-// chaos metrics, and leaves a log the next append and open can use.
-func TestStoreChaosSitesFireInTheLog(t *testing.T) {
-	for _, site := range []string{ChaosWALShortWrite, ChaosWALFsync} {
-		chaos, err := ParseChaos("seed=1,rate=1,sites=" + site)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		chaos.SetObs(reg)
+// TestStoreWALFaultsLeaveAUsableLog: the store's fault hook reaches the
+// log's append at both of its sites. An injected failure fails the append,
+// admits nothing to the logical log, and leaves a log the next append and
+// open can use.
+func TestStoreWALFaultsLeaveAUsableLog(t *testing.T) {
+	for _, site := range []string{wal.FaultShortWrite, wal.FaultSync} {
 		dir := t.TempDir()
-		store, _, err := OpenStore(dir, StoreOptions{Fsync: true, Chaos: chaos})
+		armed := true
+		store, _, err := OpenStore(dir, StoreOptions{Fsync: true, fault: func(s string) bool { return armed && s == site }})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,8 +124,9 @@ func TestStoreChaosSitesFireInTheLog(t *testing.T) {
 		if store.Seq() != 0 {
 			t.Errorf("%s: failed append admitted to the logical log", site)
 		}
-		if got := reg.Counter("server_chaos_injected_total").Value(); got != 1 {
-			t.Errorf("%s: server_chaos_injected_total = %d, want 1", site, got)
+		armed = false
+		if err := store.Append(walRecord{T: "done", C: "c000001"}); err != nil || store.Seq() != 1 {
+			t.Errorf("%s: next append = %v, seq %d, want it admitted", site, err, store.Seq())
 		}
 		store.Close()
 		store2, recs, err := OpenStore(dir, StoreOptions{})
@@ -140,7 +135,7 @@ func TestStoreChaosSitesFireInTheLog(t *testing.T) {
 		}
 		// The short write left nothing; the record whose fsync failed is
 		// whole on disk and replays (records are idempotent to replay).
-		if want := map[string]int{ChaosWALShortWrite: 0, ChaosWALFsync: 1}[site]; len(recs) != want {
+		if want := map[string]int{wal.FaultShortWrite: 1, wal.FaultSync: 2}[site]; len(recs) != want {
 			t.Errorf("%s: reopen replayed %d records, want %d", site, len(recs), want)
 		}
 		store2.Close()

@@ -102,6 +102,15 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 }
 
+func siteHash(site string) uint64 {
+	var h uint64 = 1469598103934665603 // FNV-1a
+	for i := 0; i < len(site); i++ {
+		h ^= uint64(site[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 // jitter scales base by a uniform draw from [lo, lo+spread).
 func (w *Worker) jitter(base time.Duration, lo, spread float64) time.Duration {
 	w.rngMu.Lock()

@@ -1,11 +1,12 @@
 #!/bin/sh
-# chaserd_ha_smoke.sh — end-to-end HA failover + fencing smoke test against
-# the real binaries and a real SIGKILL (the in-process equivalent lives in
-# internal/server/ha_test.go; this exercises cmd/chaserd's HA flags, the
+# chaserd_ha_smoke.sh — end-to-end HA failover smoke test against the real
+# binaries and a real SIGKILL. It exercises cmd/chaserd's HA flags, the
 # cross-process fence file, two processes sharing one store directory, and
-# the failover-aware client in cmd/campaign).
+# the failover-aware client in cmd/campaign. The in-process HA tests live in
+# internal/server/ha_test.go; fencing a deposed-but-alive leader (a frozen
+# fencer clock) is TestControlPlaneSchedule in
+# internal/server/schedule_test.go.
 #
-# Phase 1 — failover over a torn log:
 #   1. Run an uninterrupted standalone campaign, capture its report.
 #   2. Start a leader + standby pair sharing one -store directory (the
 #      fence file lives beside it), plus 2 worker processes pointed at
@@ -15,15 +16,6 @@
 #   4. The standby must promote (server_failovers_total >= 1) from the
 #      leader's own log and the watched report must match the baseline bit
 #      for bit.
-#
-# Phase 2 — fencing a deposed-but-alive leader:
-#   5. Start a fresh pair whose leader runs under clock.freeze chaos: its
-#      fencer clock pins, it misses renewals, and the follower deposes it
-#      while it still believes it leads.
-#   6. A submit loop hammers the frozen leader directly; every write it
-#      attempts while deposed must be fenced (server_fenced_appends_total
-#      >= 1, server_demotions_total >= 1), and the new leader must have
-#      promoted over a live process (server_failovers_total >= 1).
 #
 # Usage: scripts/chaserd_ha_smoke.sh
 set -eu
@@ -148,56 +140,4 @@ echo "chaserd_ha_smoke: phase 1 OK — report identical across leader kill -9 an
 for p in $w1pid $w2pid $bpid; do kill "$p" 2>/dev/null || true; done
 wait "$w1pid" "$w2pid" "$bpid" 2>/dev/null || true
 pids=""
-
-# ---- Phase 2: fence a deposed-but-alive leader (frozen fencer clock) ----
-
-echo "chaserd_ha_smoke: starting pair 2 (clock.freeze chaos on the leader)"
-# The frozen leader renews at leader-ttl/3 wall time, so after the standby
-# deposes it there is a window of up to 2s before it notices. Raised tenant
-# limits keep the submit loop from dying at the rate limiter before it can
-# reach the append guard inside that window.
-"$work/chaserd" -addr 127.0.0.1:0 -store "$work/shared2" \
-    -fence-file "$work/fence2" -role leader -leader-ttl 6s \
-    -tenant-max-active 100000 -tenant-rate 1000 -tenant-burst 1000 \
-    -chaos "seed=3,rate=1,sites=clock.freeze" >"$work/a2.log" 2>&1 &
-a2pid=$!
-pids="$a2pid"
-wait_log "$work/a2.log" "^chaserd listening on " "frozen leader startup"
-addra2="$(sed -n 's/^chaserd listening on //p' "$work/a2.log")"
-wait_log "$work/a2.log" "leading at epoch" "frozen leader election"
-
-"$work/chaserd" -addr 127.0.0.1:0 -store "$work/shared2" \
-    -fence-file "$work/fence2" -role follower \
-    -leader-ttl 3s >"$work/b2.log" 2>&1 &
-b2pid=$!
-pids="$a2pid $b2pid"
-wait_log "$work/b2.log" "^chaserd listening on " "standby 2 startup"
-addrb2="$(sed -n 's/^chaserd listening on //p' "$work/b2.log")"
-
-wait_metric "$addrb2" server_failovers_total 1 \
-    "standby promoted over the live-but-frozen leader"
-
-# The deposed leader stays unaware until its next renewal (up to
-# leader-ttl/3 away). Hammer it with direct submits inside that window:
-# each one must die at the append guard — fenced, zero bytes written — and
-# be counted. The hammer must not start earlier: every append validates
-# the fence through the chaos clock, and those reads would drain the
-# freeze window and let the leader renew with fresh timestamps.
-(
-    while :; do
-        curl -s -o /dev/null -X POST "http://$addra2/api/v1/campaigns" \
-            -d '{"app":"kmeans","runs":2,"seed":1}' || true
-        sleep 0.05
-    done
-) &
-subpid=$!
-pids="$a2pid $b2pid $subpid"
-
-wait_metric "$addra2" server_fenced_appends_total 1 \
-    "deposed leader's writes were fenced"
-wait_metric "$addra2" server_demotions_total 1 "deposed leader demoted itself"
-
-kill "$subpid" 2>/dev/null || true
-wait "$subpid" 2>/dev/null || true
-echo "chaserd_ha_smoke: phase 2 OK — zero writes accepted from the deposed epoch"
-echo "chaserd_ha_smoke: OK — failover preserved the report bit-for-bit and fencing held"
+echo "chaserd_ha_smoke: OK — failover preserved the report bit-for-bit"
