@@ -65,7 +65,6 @@ type options struct {
 	// Fields of the fault-tolerant "run" experiment.
 	app        string
 	journal    string
-	resume     string
 	runTimeout time.Duration
 	hubAddr    string
 	hubPolicy  core.HubPolicy
@@ -159,8 +158,7 @@ func run(args []string, out io.Writer) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile on exit to this file")
 	appName := fs.String("app", "matvec", "application for -experiment run")
-	journal := fs.String("journal", "", "checkpoint journal for -experiment run (written as runs complete)")
-	resume := fs.String("resume", "", "resume -experiment run from this journal, skipping completed runs")
+	journal := fs.String("journal", "", "checkpoint journal for -experiment run (written as runs complete; an existing one is resumed)")
 	runTimeout := fs.Duration("run-timeout", 0, "wall-clock watchdog per run (0 = no watchdog)")
 	injectExec := fs.Uint64("inject-exec", 0, "pin every run's injection to this execution count of the targeted ops (0 = random per run)")
 	noFork := fs.Bool("no-fork", false, "replay the golden prefix in every run instead of forking from the checkpoint ladder (reference path; same output)")
@@ -214,7 +212,7 @@ func run(args []string, out io.Writer) error {
 	o := options{
 		runs: *runs, seed: *seed, parallel: *parallel, bits: *bits, csvDir: *csvDir,
 		progress: *progress,
-		app:      *appName, journal: *journal, resume: *resume,
+		app:      *appName, journal: *journal,
 		runTimeout: *runTimeout, hubAddr: *hubAddr, hubPolicy: policy, hubWire: wireFmt,
 		injectExec: *injectExec, noFork: *noFork,
 		chaserd: *chaserdAddr, campaignID: *campaignID, shards: *shards, tenant: *tenant,
@@ -528,8 +526,8 @@ func sweep(out io.Writer, o options) error {
 // runResumable runs one fault-tolerant campaign: a single application with the
 // robustness features wired up — per-run wall-clock watchdog, optional
 // shared TaintHub over TCP with retry/reconnect, a checkpoint journal, and
-// SIGINT/SIGTERM-triggered graceful interruption that can later be resumed
-// with -resume.
+// SIGINT/SIGTERM-triggered graceful interruption that the same command
+// resumes from the journal.
 func runResumable(out io.Writer, o options) error {
 	app, err := apps.ByName(o.app)
 	if err != nil {
@@ -540,7 +538,7 @@ func runResumable(out io.Writer, o options) error {
 		Ops: app.DefaultOps, TargetRank: app.TargetRank,
 		Runs: o.runs, Bits: o.bits, Seed: o.seed, Trace: true, Parallel: o.parallel,
 		RunTimeout: o.runTimeout, HubPolicy: o.hubPolicy,
-		Journal: o.journal, Resume: o.resume,
+		Journal:    o.journal,
 		InjectExec: o.injectExec, NoFork: o.noFork,
 	}
 	if o.hubAddr != "" {
@@ -579,17 +577,13 @@ func runResumable(out io.Writer, o options) error {
 
 	sum, err := campaign.Run(o.instrument(cfg))
 	if errors.Is(err, campaign.ErrInterrupted) {
-		journal := cfg.Journal
-		if journal == "" {
-			journal = cfg.Resume
-		}
-		if journal == "" {
+		if cfg.Journal == "" {
 			fmt.Fprintln(out, "campaign interrupted; no -journal was set, completed runs are lost")
 			return nil
 		}
-		fmt.Fprintf(out, "campaign interrupted; completed runs journaled to %s\n", journal)
-		fmt.Fprintf(out, "resume with: campaign -experiment run -app %s -runs %d -seed %d -resume %s\n",
-			o.app, o.runs, o.seed, journal)
+		fmt.Fprintf(out, "campaign interrupted; completed runs journaled to %s\n", cfg.Journal)
+		fmt.Fprintf(out, "resume with: campaign -experiment run -app %s -runs %d -seed %d -journal %s\n",
+			o.app, o.runs, o.seed, cfg.Journal)
 		return nil
 	}
 	if err != nil {

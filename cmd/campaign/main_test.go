@@ -124,10 +124,10 @@ func TestRunJournalAndResume(t *testing.T) {
 	if !strings.Contains(full, "benign") {
 		t.Fatalf("no summary:\n%s", full)
 	}
-	// Resuming from a complete journal re-executes nothing and reprints the
-	// identical summary.
+	// The same command again resumes from the complete journal: it
+	// re-executes nothing and reprints the identical summary.
 	resumed := runExp(t, "-experiment", "run", "-app", "kmeans", "-runs", "12",
-		"-seed", "77", "-resume", journal)
+		"-seed", "77", "-journal", journal)
 	if resumed != full {
 		t.Errorf("resumed summary differs:\n--- full ---\n%s--- resumed ---\n%s", full, resumed)
 	}

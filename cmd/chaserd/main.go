@@ -157,8 +157,8 @@ func runServer(o serverOpts, sigc <-chan os.Signal) error {
 
 	workers := make([]*server.Worker, o.pool)
 	for i := range workers {
-		// Over HTTP (not LocalControl) so pool workers survive this node
-		// being an HA follower and follow redirects to the leader.
+		// LocalControl; with -fence-file over HTTP, so pool workers survive
+		// this node being an HA follower and follow redirects to the leader.
 		control := server.Control(server.LocalControl{Sched: srv.Scheduler()})
 		if o.fenceFile != "" {
 			control = server.NewClient(srv.Advertise())

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -55,15 +56,11 @@ type Config struct {
 	// HubPolicy selects how runs treat TaintHub failures after the
 	// client's retries are exhausted (default core.HubDegrade).
 	HubPolicy core.HubPolicy
-	// Journal, when non-empty, writes an append-only checkpoint log of
-	// completed run outcomes to this path (see journal.go); a killed
-	// campaign can then be resumed.
+	// Journal, when non-empty, is the path of an append-only checkpoint log
+	// of completed run outcomes (see journal.go), created if missing. An
+	// existing one is resumed: its header must match this campaign, and only
+	// the runs it lacks execute, their outcomes appended to it.
 	Journal string
-	// Resume, when non-empty, resumes from the journal at this path:
-	// already-completed runs are loaded instead of re-executed and new
-	// completions are appended to the same file. Takes precedence over
-	// Journal.
-	Resume string
 	// Stop, when non-nil, interrupts the campaign when closed: no new runs
 	// start, in-flight runs finish (and are journaled), and Run returns
 	// ErrInterrupted.
@@ -537,13 +534,13 @@ func newWalk(cfg Config, base *Baseline) (*walk, error) {
 	// campaign exactly.
 	var journal *Journal
 	resumed := map[int]RunOutcome{}
-	switch {
-	case cfg.Resume != "":
-		if journal, resumed, err = ResumeJournal(cfg.Resume, cfg); err != nil {
-			return nil, err
+	if cfg.Journal != "" {
+		if _, serr := os.Stat(cfg.Journal); serr == nil {
+			journal, resumed, err = ResumeJournal(cfg.Journal, cfg)
+		} else {
+			journal, err = CreateJournal(cfg.Journal, cfg)
 		}
-	case cfg.Journal != "":
-		if journal, err = CreateJournal(cfg.Journal, cfg); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}

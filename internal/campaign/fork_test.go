@@ -291,7 +291,7 @@ func TestCampaignForkInterruptAndResume(t *testing.T) {
 	}
 
 	rcfg := cfg
-	rcfg.Resume = path
+	rcfg.Journal = path
 	res, err := Run(rcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -311,8 +311,7 @@ func TestJournalSiteMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := cfg
-	bad.Journal = ""
-	bad.Resume = path
+	bad.Journal = path
 	bad.InjectExec = 0
 	if _, err := Run(bad); err == nil {
 		t.Error("pinned-site journal resumed a sampling campaign")

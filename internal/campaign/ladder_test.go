@@ -444,7 +444,11 @@ func TestLadderInterruptAndResume(t *testing.T) {
 		case errors.Is(err, ErrInterrupted):
 			interrupted = true
 		case err == nil:
-			// The whole campaign outran the interrupt; try again.
+			// The whole campaign outran the interrupt; try again from an
+			// empty journal (a finished one would be resumed).
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
 		default:
 			t.Fatal(err)
 		}
@@ -455,7 +459,7 @@ func TestLadderInterruptAndResume(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	rcfg := cfg
-	rcfg.Resume = path
+	rcfg.Journal = path
 	rcfg.Obs = reg
 	res, err := Run(rcfg)
 	if err != nil {
@@ -546,7 +550,7 @@ func interruptQueued(t *testing.T, cfg Config, k int, arm func(c *Config, stop f
 	}
 
 	rcfg := cfg
-	rcfg.Resume = icfg.Journal
+	rcfg.Journal = icfg.Journal
 	res, err := Run(rcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -142,7 +142,7 @@ func TestResumeDedupesDuplicateEntries(t *testing.T) {
 	f.Close()
 	reg := obs.NewRegistry()
 	cfg2 := cfg
-	cfg2.Resume = path
+	cfg2.Journal = path
 	cfg2.Obs = reg
 	res, err := Run(cfg2)
 	if err != nil {

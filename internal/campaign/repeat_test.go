@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -312,7 +313,11 @@ func TestRepeatsInterruptAndResume(t *testing.T) {
 		case err == nil && sum == nil:
 			t.Fatal("Run after Stop returned neither a summary nor an error")
 		case err == nil:
-			// The whole campaign outran the interrupt; try again.
+			// The whole campaign outran the interrupt; try again from an
+			// empty journal (a finished one would be resumed).
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
 		default:
 			t.Fatal(err)
 		}
@@ -322,7 +327,7 @@ func TestRepeatsInterruptAndResume(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	rcfg := cfg
-	rcfg.Resume = path
+	rcfg.Journal = path
 	rcfg.Obs = reg
 	res, err := Run(rcfg)
 	if err != nil {

@@ -58,7 +58,7 @@ func TestRetireOnlyWhenWindowCompletes(t *testing.T) {
 	}
 
 	rcfg := cfg
-	rcfg.Resume = path
+	rcfg.Journal = path
 	got, err := Run(rcfg)
 	if err != nil {
 		t.Fatal(err)

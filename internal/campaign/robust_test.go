@@ -65,8 +65,7 @@ func TestJournalResumeSkipsCompletedRuns(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	rcfg := cfg
-	rcfg.Journal = ""
-	rcfg.Resume = path
+	rcfg.Journal = path
 	rcfg.Obs = reg
 	res, err := Run(rcfg)
 	if err != nil {
@@ -112,8 +111,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 
 	rcfg := cfg
-	rcfg.Journal = ""
-	rcfg.Resume = path
+	rcfg.Journal = path
 	reg := obs.NewRegistry()
 	rcfg.Obs = reg
 	res, err := Run(rcfg)
@@ -165,7 +163,7 @@ func TestJournalBitFlipNotMerged(t *testing.T) {
 		t.Fatalf("merge over a flipped record = %v, want runs reported missing", err)
 	}
 	rcfg := mcfg
-	rcfg.Resume = path
+	rcfg.Journal = path
 	reg := obs.NewRegistry()
 	rcfg.Obs = reg
 	res, err := Run(rcfg)
@@ -237,8 +235,7 @@ func TestJournalHeaderMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := cfg
-	bad.Journal = ""
-	bad.Resume = path
+	bad.Journal = path
 	bad.Seed++
 	if _, err := Run(bad); err == nil {
 		t.Error("journal with different seed accepted")
@@ -280,7 +277,11 @@ func TestCampaignInterruptAndResume(t *testing.T) {
 		case errors.Is(err, ErrInterrupted):
 			interrupted = true
 		case err == nil:
-			// The whole campaign outran the interrupt; try again.
+			// The whole campaign outran the interrupt; try again from an
+			// empty journal (a finished one would be resumed).
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
 		default:
 			t.Fatal(err)
 		}
@@ -290,7 +291,7 @@ func TestCampaignInterruptAndResume(t *testing.T) {
 	}
 
 	rcfg := cfg
-	rcfg.Resume = path
+	rcfg.Journal = path
 	res, err := Run(rcfg)
 	if err != nil {
 		t.Fatal(err)

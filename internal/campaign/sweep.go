@@ -34,7 +34,7 @@ func BitSweep(cfg Config, bitCounts []int) ([]SweepResult, error) {
 	}
 	// A single journal path cannot checkpoint several campaigns, so
 	// journaling is per-campaign only.
-	cfg.Journal, cfg.Resume = "", ""
+	cfg.Journal = ""
 	cfgs := make([]Config, len(bitCounts))
 	for i, bits := range bitCounts {
 		cfgs[i] = cfg

@@ -327,11 +327,11 @@ type SummaryDoc struct {
 // summary document. It re-polls indefinitely while the campaign is active
 // and rides out failovers: each poll has the failover budget to itself, so
 // a leader crash mid-watch costs one promotion, not the watch. A 404 is
-// waited out under that budget too before it is returned. The one record a
-// failover can lose is an append the deposed leader validated just before
-// its lease ran out: it lands in the log file the new leader had already
-// replaced, so a campaign submitted that way is unknown to the new leader,
-// which is indistinguishable from a bad ID.
+// waited out under that budget too before it is returned. An append the
+// deposed leader validated just before its lease ran out lands in the log
+// file the new leader had already replaced; for a submit, the deposed
+// leader's second guard check answers 503 rather than the lost ID, so
+// Submit fails over and a 404 here means a bad ID.
 func (c *Client) WaitSummary(id string) (*SummaryDoc, error) {
 	unknown := func(err error) bool {
 		var re *RemoteError

@@ -354,6 +354,12 @@ func (s *Scheduler) Submit(sp Spec) (string, error) {
 	s.addCampaignLocked(id, sp, hub, nsBase)
 	s.cfg.Obs.Counter("server_campaigns_submitted_total").Inc()
 	s.cfg.Obs.Counter("server_shards_total").Add(uint64(sp.Shards))
+	// An append stalled past the guard may have landed in a log a successor
+	// replaced: pass the guard again, so a deposed leader answers ErrFenced
+	// and the client fails over (at worst to one extra, correct campaign).
+	if _, err := s.store.leading(); err != nil {
+		return "", fmt.Errorf("%w: %v", ErrFenced, err)
+	}
 	return id, nil
 }
 

@@ -290,8 +290,9 @@ func runSchedule(t *testing.T, s schedule, want []byte) {
 	}
 
 	var epochA uint64
+	var stale staleSubmits
 	if s.takeover > 0 {
-		epochA = takeover(t, s, a, b, lead, complete, func() { start("A'", a.Addr(), "follower", nil) })
+		epochA = takeover(t, s, a, b, lead, complete, func() { stale.send(a.Addr()) }, func() { start("A'", a.Addr(), "follower", nil) })
 	}
 
 	waitUntil(t, scheduleWait, "campaign completion", complete)
@@ -335,26 +336,63 @@ func runSchedule(t *testing.T, s schedule, want []byte) {
 	if got := sched.List(""); len(got) != 1 || got[0].ID != id || got[0].Status != StatusComplete {
 		t.Errorf("the reopened store holds %+v, want campaign %s complete", got, id)
 	}
+	// No 201 of the first leader names a campaign the log lacks.
+	stale.wg.Wait()
+	for _, ans := range stale.answers {
+		t.Logf("stale submit: %s", ans.status)
+		if ans.id != "" && sched.Status(ans.id) == nil {
+			t.Errorf("the deposed leader answered %s for %s, which the final leader lacks", ans.status, ans.id)
+		}
+	}
+}
+
+// staleSubmits are the submits sent to the first leader at its takeover.
+type staleSubmits struct {
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	answers []staleAnswer
+}
+
+// staleAnswer is one stale submit's outcome: the response status or the
+// transport error, and the ID of a 201.
+type staleAnswer struct{ status, id string }
+
+// send posts a small campaign to addr without following redirects.
+func (s *staleSubmits) send(addr string) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		noFollow := &http.Client{Timeout: scheduleWait, CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+		var ans staleAnswer
+		resp, err := noFollow.Post("http://"+addr+"/api/v1/campaigns", "application/json", strings.NewReader(`{"app":"kmeans","runs":2,"seed":1}`))
+		if err != nil {
+			ans.status = err.Error()
+		} else {
+			ans.status = resp.Status
+			var created struct {
+				ID string `json:"id"`
+			}
+			if resp.StatusCode == http.StatusCreated && json.NewDecoder(resp.Body).Decode(&created) == nil {
+				ans.id = created.ID
+			}
+			resp.Body.Close()
+		}
+		s.mu.Lock()
+		s.answers = append(s.answers, ans)
+		s.mu.Unlock()
+	}()
 }
 
 // takeover hands the lead from a to b as the schedule says and returns the
 // epoch a led at. A late append stalls first: the leader stalls holding
-// the scheduler, so a submit sent to it queues behind the stalled append
-// and reaches the append guard only after b has opened the log.
-func takeover(t *testing.T, s schedule, a, b *Server, lead *firstLeader, complete func() bool, restart func()) uint64 {
+// the scheduler, so a submit sent to it (submitToA) queues behind the
+// stalled append and reaches the append guard only after b has opened the
+// log.
+func takeover(t *testing.T, s schedule, a, b *Server, lead *firstLeader, complete func() bool, submitToA, restart func()) uint64 {
 	waitUntil(t, scheduleWait, fmt.Sprintf("the leader's append %d", s.takeover), func() bool {
 		return lead.appendCount() >= s.takeover || complete()
 	})
 	epochA := a.currentEpoch()
-	noFollow := &http.Client{Timeout: scheduleWait, CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
-	submitToA := func() {
-		go func() {
-			resp, err := noFollow.Post("http://"+a.Addr()+"/api/v1/campaigns", "application/json", strings.NewReader(`{"app":"kmeans","runs":2,"seed":1}`))
-			if err == nil {
-				resp.Body.Close()
-			}
-		}()
-	}
 	if s.late {
 		lead.mu.Lock()
 		lead.stall = true

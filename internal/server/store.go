@@ -218,19 +218,24 @@ func (s *Store) SetGuard(g func() error) {
 // Appends pass the leadership guard first — a deposed leader's writes fail
 // here, with no bytes on disk.
 func (s *Store) Append(rec walRecord) error {
-	s.mu.Lock()
-	guard := s.guard
-	epoch := s.epoch
-	s.mu.Unlock()
-	// The guard reads the fence file; keep it outside the store lock so a
-	// slow fence check cannot stall a concurrent append.
-	if guard != nil {
-		if err := guard(); err != nil {
-			return err
-		}
+	epoch, err := s.leading()
+	if err != nil {
+		return err
 	}
 	rec.Epoch = epoch
 	return s.append(rec)
+}
+
+// leading passes the leadership guard, outside the store lock so a slow
+// fence check cannot stall a concurrent append, and returns the epoch.
+func (s *Store) leading() (uint64, error) {
+	s.mu.Lock()
+	guard, epoch := s.guard, s.epoch
+	s.mu.Unlock()
+	if guard == nil {
+		return epoch, nil
+	}
+	return epoch, guard()
 }
 
 func (s *Store) append(rec walRecord) error {

@@ -284,11 +284,7 @@ func executeShard(a *Assignment, stop <-chan struct{}, reg *obs.Registry, run fu
 	cfg.Shard = &campaign.ShardRange{Lo: a.Lo, Hi: a.Hi}
 	cfg.Stop = stop
 	cfg.Obs = reg
-	if _, err := os.Stat(a.Journal); err == nil {
-		cfg.Resume = a.Journal
-	} else {
-		cfg.Journal = a.Journal
-	}
+	cfg.Journal = a.Journal
 	if a.Hub != "" {
 		client, err := tainthub.DialConfig(a.Hub, tainthub.ClientConfig{MaxAttempts: 12})
 		if err != nil {

@@ -16,11 +16,12 @@ import (
 // defect a test was once proved against, and the gate keeps that proof. A
 // patch is a unified diff against the module root behind a header that names
 // the defect, the package and the -run pattern of the tests that must catch
-// it:
+// it, and optionally the build tags those tests need:
 //
 //	Mutant: what the defect does
 //	Package: ./internal/campaign
 //	Run: ^TestCacheGaugeReadsZeroWhenNoPoolRuns$
+//	Tags: smoke
 //
 // For each patch the gate copies the module into a temporary directory,
 // applies the patch with git apply and runs the named tests with -count=1.
@@ -48,9 +49,10 @@ func TestMutants(t *testing.T) {
 			if out, err := inDir(dir, "git", "apply", patch); err != nil {
 				t.Fatalf("the patch no longer applies: %v\n%s", err, out)
 			}
-			out, err := inDir(dir, "go", "test", "-count=1", "-run", hdr["Run"], hdr["Package"])
+			args := []string{"test", "-count=1", "-tags", hdr["Tags"], "-run", hdr["Run"], hdr["Package"]}
+			out, err := inDir(dir, "go", args...)
 			if err == nil || !strings.Contains(out, "--- FAIL") {
-				t.Errorf("mutant survived: %s\ngo test -count=1 -run '%s' %s: %v\n%s", hdr["Mutant"], hdr["Run"], hdr["Package"], err, out)
+				t.Errorf("mutant survived: %s\ngo %s: %v\n%s", hdr["Mutant"], strings.Join(args, " "), err, out)
 			}
 		})
 	}
