@@ -51,6 +51,9 @@ func main() {
 }
 
 type options struct {
+	// args are the invocation's own arguments: an interrupted run prints
+	// them as its resume command.
+	args     []string
 	runs     int
 	seed     int64
 	parallel int
@@ -210,6 +213,7 @@ func run(args []string, out io.Writer) error {
 		}()
 	}
 	o := options{
+		args: args,
 		runs: *runs, seed: *seed, parallel: *parallel, bits: *bits, csvDir: *csvDir,
 		progress: *progress,
 		app:      *appName, journal: *journal,
@@ -582,8 +586,7 @@ func runResumable(out io.Writer, o options) error {
 			return nil
 		}
 		fmt.Fprintf(out, "campaign interrupted; completed runs journaled to %s\n", cfg.Journal)
-		fmt.Fprintf(out, "resume with: campaign -experiment run -app %s -runs %d -seed %d -journal %s\n",
-			o.app, o.runs, o.seed, cfg.Journal)
+		fmt.Fprintf(out, "resume with: campaign %s\n", strings.Join(o.args, " "))
 		return nil
 	}
 	if err != nil {

@@ -65,10 +65,7 @@ func TestAccessLogTalliesMatchCounters(t *testing.T) {
 
 func checkAccessLogTallies(t *testing.T, cfg RunConfig, from *WorldSnapshot, maxEvents int, chunk uint64) {
 	s := arenas.New().(*session)
-	ch, err := s.open(cfg, cfg.WorldSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := s.open(cfg, cfg.WorldSize)
 	ch.collector = trace.NewCollectorCap(maxEvents)
 	spec := *cfg.Spec
 	if from != nil {
@@ -97,11 +94,15 @@ func checkAccessLogTallies(t *testing.T, cfg RunConfig, from *WorldSnapshot, max
 			}
 		}
 	}
-	s.platform.RegisterReadTaintCB(check)
-	s.platform.RegisterWriteTaintCB(check)
 	world, err := s.newWorld(cfg, cfg.WorldSize, from)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for r := 0; r < world.Size(); r++ {
+		h := &world.Machine(r).Hooks
+		read, write := h.TaintedMemRead, h.TaintedMemWrite
+		h.TaintedMemRead = func(ev *vm.MemTaintEvent) { read(ev); check(ev) }
+		h.TaintedMemWrite = func(ev *vm.MemTaintEvent) { write(ev); check(ev) }
 	}
 
 	stop, reading := make(chan struct{}), make(chan struct{})

@@ -6,7 +6,6 @@ import (
 
 	"chaser/internal/apps"
 	"chaser/internal/asm"
-	"chaser/internal/decaf"
 	"chaser/internal/isa"
 	"chaser/internal/memtest"
 	"chaser/internal/tcg"
@@ -68,9 +67,9 @@ func TestTracedRunAllocBudget(t *testing.T) {
 // BenchmarkTaintedAccess prices the emission path: what one tainted load or
 // store costs between the interpreter's memTaintEvent and the record in the
 // propagation log, chunk growth included. A guest loop of one tainted load
-// and one tainted store runs with Chaser's callbacks installed by the
-// platform, as in a traced run, and again with none; the difference per
-// logged access is reported as ns/access.
+// and one tainted store runs with Chaser's callbacks attached, as in a
+// traced run, and again with none; the difference per logged access is
+// reported as ns/access.
 func BenchmarkTaintedAccess(b *testing.B) {
 	const iters = 4096 // 8,192 accesses a run, under the log's cap
 	prog, err := asm.Assemble("access", `
@@ -96,11 +95,7 @@ loop:
 		m.Shadow.SetMemMask64(addr, 0xff)
 		ch := New(Options{})
 		if hooked {
-			platform := decaf.NewPlatform()
-			if err := platform.LoadPlugin(ch); err != nil {
-				b.Fatal(err)
-			}
-			platform.CreateProcess(m)
+			ch.attach(m)
 		}
 		start := time.Now()
 		if term := m.Run(); term.Reason != vm.ReasonExited {

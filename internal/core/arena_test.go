@@ -251,9 +251,9 @@ func copyResult(t *testing.T, r *RunResult) resultCopy {
 // TestRetainedResultSurvivesReuse: a result holds copies, never a recycled
 // machine's memory, and its collector is its run's own, never the one a
 // recycled session hands the next run. Results kept while 200 later runs
-// recycle the sessions they were made on — their machines, platform, Chaser
-// and world — read as they did when they were returned: the access log, the
-// timeline and every other section of the collector.
+// recycle the sessions they were made on — their machines, Chaser and world
+// — read as they did when they were returned: the access log, the timeline
+// and every other section of the collector.
 func TestRetainedResultSurvivesReuse(t *testing.T) {
 	cases := arenaCases(t)
 	kept := make([]*RunResult, len(cases))

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
-	"chaser/internal/decaf"
 	"chaser/internal/isa"
 	"chaser/internal/obs"
 	"chaser/internal/tainthub"
@@ -90,13 +87,14 @@ func (s *Spec) setDefaults() {
 	}
 }
 
-// Chaser is the fault-injection plugin. Load it into a decaf.Platform, arm
-// it with a Spec (programmatically via Arm or through the inject_fault
-// terminal command), then create the target processes.
+// Chaser is the fault injector. Arm it with a Spec, then attach the
+// machines of a world to it before they run.
 type Chaser struct {
-	platform *decaf.Platform
 	// view is what the MPI hooks reach the TaintHub through.
 	view *worldHub
+	// preHook and postHook are preSyscall and postSyscall, bound once: attach
+	// puts them on every machine.
+	preHook, postHook func(*vm.Machine, isa.Sys)
 
 	// hubClient identifies this Chaser to the hub; hubReq mints one request
 	// ID per logical Publish/Poll (only the hooks do, on the world's one
@@ -105,9 +103,10 @@ type Chaser struct {
 	hubClient uint64
 	hubReq    uint64
 
-	// mu guards what another goroutine reads of a live run (chaser_status)
-	// while the world's goroutine writes it; the Observatory reads a run's
-	// result only after the run. The hooks themselves need no lock.
+	// mu guards what another goroutine reads of a live run (Records, Spec,
+	// HubStats and HubErr) while the world's goroutine writes it; the
+	// Observatory reads a run's result only after the run. The hooks
+	// themselves need no lock.
 	mu      sync.Mutex
 	spec    *Spec
 	records []InjectionRecord
@@ -134,10 +133,10 @@ type Chaser struct {
 	obsTaintLost *obs.Counter
 
 	// armed is each rank's injection state, indexed by rank: nil, or idle
-	// (no machine), for a rank no process was created for or whose process
-	// was created with no spec armed. It is written
-	// only during process creation (before guests run) and read without
-	// locking afterwards; reset idles the states for the next run.
+	// (no machine), for a rank no machine was attached for or whose machine
+	// was attached with no spec armed. It is written only by attach (before
+	// guests run) and read without locking afterwards; reset idles the
+	// states for the next run.
 	armed []*armState
 }
 
@@ -243,8 +242,6 @@ func (f *flowSeqs) take(k tainthub.Key) uint64 {
 	return 0
 }
 
-var _ decaf.Plugin = (*Chaser)(nil)
-
 // Options parameterize Chaser construction.
 type Options struct {
 	// Hub coordinates cross-rank message taint; nil creates a private
@@ -273,6 +270,7 @@ func New(opts Options) *Chaser {
 		obsTaintLost: opts.Obs.Counter("core_hub_taint_lost_total"),
 	}
 	c.view = newWorldHub(c, opts.Hub, opts.Obs)
+	c.preHook, c.postHook = c.preSyscall, c.postSyscall
 	return c
 }
 
@@ -288,11 +286,11 @@ func newCollector(noLog bool) *trace.Collector {
 // reset makes c, whose world has run, been drained and stopped for good, the
 // Chaser New builds from Options{Hub: hub, Obs: the registry c was built
 // with, Events: events, NoAccessLog: noLog} — hub of the same base as c's
-// (see worldHub.reset) — loaded into the same platform: unarmed, with no
-// record, hub error or hub count, an empty collector that keeps the access
-// log unless noLog, and a hub client ID of its own, for the next run of its
-// session. It keeps its rank states, idle, and the storage of its records,
-// flight table and collector. Nothing may hold what the finished run left in
+// (see worldHub.reset): unarmed, with no record, hub error or hub count, an
+// empty collector that keeps the access log unless noLog, and a hub client
+// ID of its own, for the next run of its session. It keeps its rank states,
+// idle, its bound syscall hooks, and the storage of its records, flight
+// table and collector. Nothing may hold what the finished run left in
 // them: a result that outlives the run holds copies, and its own collector,
 // which it took from c (Loan.Own).
 func (c *Chaser) reset(hub tainthub.Hub, events *obs.Sink, noLog bool) {
@@ -310,8 +308,9 @@ func (c *Chaser) reset(hub tainthub.Hub, events *obs.Sink, noLog bool) {
 		col.Reset(noLog)
 	}
 	*c = Chaser{
-		platform:     c.platform,
 		view:         c.view,
+		preHook:      c.preHook,
+		postHook:     c.postHook,
 		hubClient:    tainthub.NewClientID(),
 		records:      c.records[:0],
 		collector:    col,
@@ -325,78 +324,7 @@ func (c *Chaser) reset(hub tainthub.Hub, events *obs.Sink, noLog bool) {
 	}
 }
 
-// Init implements decaf.Plugin (plugin_init): it exports the inject_fault
-// terminal command and registers the process-creation callback that arms
-// target processes — and hands each the tainted-access callback that writes
-// its rank's log, when the log is kept — plus the MPI-syscall callbacks used
-// for propagation tracing.
-func (c *Chaser) Init(p *decaf.Platform) (*decaf.Interface, error) {
-	c.platform = p
-	p.RegisterProcCreateCB(c.creationCB)
-	p.RegisterPreSyscallCB(c.preSyscall)
-	p.RegisterPostSyscallCB(c.postSyscall)
-	return &decaf.Interface{
-		Name: "chaser",
-		Commands: []decaf.Command{
-			{
-				Name:    "inject_fault",
-				Usage:   "inject_fault <app> <ops> <prob p|det n|group start:every> <bits> [trace] [rank=K]",
-				Handler: c.injectFaultCmd,
-			},
-			{
-				Name:    "chaser_status",
-				Usage:   "chaser_status",
-				Handler: c.statusCmd,
-			},
-		},
-	}, nil
-}
-
-// statusCmd reports the armed spec, performed injections, propagation
-// counters, and hub activity.
-func (c *Chaser) statusCmd(_ []string) (string, error) {
-	c.mu.Lock()
-	var spec *Spec
-	if c.spec != nil {
-		armed := *c.spec
-		spec = &armed
-	}
-	nRec := len(c.records)
-	recs := append([]InjectionRecord(nil), c.records...)
-	hs := c.hubStats
-	c.mu.Unlock()
-	local := c.pollsLocal.Load()
-
-	var sb strings.Builder
-	if spec == nil {
-		sb.WriteString("spec: (not armed)\n")
-	} else {
-		ops := make([]string, len(spec.Ops))
-		for i, op := range spec.Ops {
-			ops[i] = op.String()
-		}
-		fmt.Fprintf(&sb, "spec: target=%s ops=%s cond=%v bits=%d trace=%v rank=%d\n",
-			spec.Target, strings.Join(ops, ","), spec.Cond, spec.Bits, spec.Trace, spec.TargetRank)
-	}
-	fmt.Fprintf(&sb, "injections: %d\n", nRec)
-	for _, r := range recs {
-		fmt.Fprintf(&sb, "  %s\n", r)
-	}
-	if c.collector.AccessLogKept() {
-		fmt.Fprintf(&sb, "propagation: %d tainted reads, %d tainted writes, %d cross-rank messages\n",
-			c.collector.TotalReads(), c.collector.TotalWrites(), len(c.collector.CrossRank()))
-	} else {
-		fmt.Fprintf(&sb, "propagation: access log not kept, %d cross-rank messages\n", len(c.collector.CrossRank()))
-	}
-	fmt.Fprintf(&sb, "tainthub: published=%d polls=%d hits=%d pending=%d (clean receives answered without the hub: %d)\n",
-		hs.Published, hs.Polls, hs.Hits, hs.Pending, local)
-	return sb.String(), nil
-}
-
-// Cleanup implements decaf.Plugin.
-func (c *Chaser) Cleanup() error { return nil }
-
-// Arm installs a spec. Processes created afterwards whose name matches
+// Arm installs a spec. Machines attached afterwards whose name matches
 // spec.Target are instrumented.
 func (c *Chaser) Arm(spec *Spec) {
 	armed := *spec
@@ -405,7 +333,7 @@ func (c *Chaser) Arm(spec *Spec) {
 }
 
 // arm installs spec, whose defaults are filled in, as it is: the caller keeps
-// it unchanged while processes created since may use it.
+// it unchanged while machines attached since may use it.
 func (c *Chaser) arm(spec *Spec) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -498,14 +426,16 @@ func (c *Chaser) hubReqID() tainthub.ReqID {
 	return tainthub.ReqID{Client: c.hubClient, Seq: c.hubReq}
 }
 
-// creationCB is fi_creation_cb: called for every created process; arms the
-// injector when the process is the designated target.
-func (c *Chaser) creationCB(info decaf.ProcInfo) {
+// attach is fi_creation_cb: called for every machine of a world before it
+// runs. It puts the MPI syscall hooks on the machine, and the rank's log
+// when the run keeps one, and arms the injector when the machine is the
+// designated target.
+func (c *Chaser) attach(m *vm.Machine) {
 	c.mu.Lock()
 	spec := c.spec
-	st := c.rankState(info.Rank)
+	st := c.rankState(m.Rank)
 	c.mu.Unlock()
-	m := info.Machine
+	m.Hooks.PreSyscall, m.Hooks.PostSyscall = c.preHook, c.postHook
 	if c.collector.AccessLogKept() {
 		// The rank's own tainted-access callbacks (DECAF_READ_TAINTMEM_CB and
 		// DECAF_WRITE_TAINTMEM_CB): the rank's appender, which packs the
@@ -528,13 +458,13 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 		c.collector.ShareAmong(m.WorldSize)
 		m.Hooks.Sample = st.sampleHook
 		if c.events != nil {
-			rank := info.Rank
+			rank := m.Rank
 			m.Shadow.OnFirstTaint(func() {
 				c.events.Emit("taint_seed", -1, rank, m.PC(), 0, "")
 			})
 		}
 	}
-	if rs := spec.resume; rs != nil && info.Rank < len(rs.execCount) {
+	if rs := spec.resume; rs != nil && m.Rank < len(rs.execCount) {
 		// A forked run resumes mid-execution: restore the injector's dynamic
 		// counters so the trigger fires at the same global execution count a
 		// from-scratch run would see. The RNG needs no restoration — a
@@ -542,15 +472,15 @@ func (c *Chaser) creationCB(info decaf.ProcInfo) {
 		// fresh stream seeded below is positioned exactly as in a full run.
 		// The sequence numbers are copied into the rank's own: concurrent
 		// forks share one snapshot.
-		st.execCount = rs.execCount[info.Rank]
-		st.sendSeq = append(st.sendSeq, rs.sendSeq[info.Rank]...)
-		st.recvSeq = append(st.recvSeq, rs.recvSeq[info.Rank]...)
+		st.execCount = rs.execCount[m.Rank]
+		st.sendSeq = append(st.sendSeq, rs.sendSeq[m.Rank]...)
+		st.recvSeq = append(st.recvSeq, rs.recvSeq[m.Rank]...)
 	}
 
 	if m.Name != spec.Target {
 		return
 	}
-	if spec.TargetRank >= 0 && info.Rank != spec.TargetRank {
+	if spec.TargetRank >= 0 && m.Rank != spec.TargetRank {
 		return
 	}
 
@@ -626,7 +556,8 @@ func (st *armState) faultInjector(m *vm.Machine, op *tcg.Op) {
 // left: it stops screening and detaches the injector. The flush drops the
 // instrumented translations (Fig. 4), so the rest of the run executes the
 // clean shared blocks and never calls the helper again. Only the injector's
-// own probe is disarmed: hooks other plugins placed on the machine stay.
+// own probe is disarmed: hooks others placed on the machine's translator
+// stay.
 func (st *armState) detachIfDone(m *vm.Machine) {
 	if st.injected < st.spec.MaxInjections || len(st.pauses) > 0 {
 		return
@@ -634,76 +565,4 @@ func (st *armState) detachIfDone(m *vm.Machine) {
 	st.detached = true
 	m.Trans.SetProbe(tcg.Probe{})
 	m.Trans.Flush()
-}
-
-// injectFaultCmd parses the inject_fault terminal command.
-func (c *Chaser) injectFaultCmd(args []string) (string, error) {
-	if len(args) < 4 {
-		return "", fmt.Errorf("usage: inject_fault <app> <ops> <prob p|det n|group s:e> <bits> [trace] [rank=K]")
-	}
-	spec := &Spec{Target: args[0], TargetRank: -1}
-	for _, name := range strings.Split(args[1], ",") {
-		op := isa.OpByName(name)
-		if op == isa.OpInvalid {
-			return "", fmt.Errorf("inject_fault: unknown opcode %q", name)
-		}
-		spec.Ops = append(spec.Ops, op)
-	}
-	rest := args[2:]
-	switch rest[0] {
-	case "prob":
-		p, err := strconv.ParseFloat(rest[1], 64)
-		if err != nil || p < 0 || p > 1 {
-			return "", fmt.Errorf("inject_fault: bad probability %q", rest[1])
-		}
-		spec.Cond = Probabilistic{P: p}
-		rest = rest[2:]
-	case "det":
-		n, err := strconv.ParseUint(rest[1], 10, 64)
-		if err != nil || n == 0 {
-			return "", fmt.Errorf("inject_fault: bad execution count %q", rest[1])
-		}
-		spec.Cond = Deterministic{N: n}
-		rest = rest[2:]
-	case "group":
-		se := strings.SplitN(rest[1], ":", 2)
-		if len(se) != 2 {
-			return "", fmt.Errorf("inject_fault: group wants start:every")
-		}
-		start, err1 := strconv.ParseUint(se[0], 10, 64)
-		every, err2 := strconv.ParseUint(se[1], 10, 64)
-		if err1 != nil || err2 != nil {
-			return "", fmt.Errorf("inject_fault: bad group %q", rest[1])
-		}
-		spec.Cond = Group{Start: start, Every: every}
-		spec.MaxInjections = 1 << 30
-		rest = rest[2:]
-	default:
-		return "", fmt.Errorf("inject_fault: unknown model %q", rest[0])
-	}
-	if len(rest) < 1 {
-		return "", fmt.Errorf("inject_fault: missing bit count")
-	}
-	bits, err := strconv.Atoi(rest[0])
-	if err != nil || bits < 1 || bits > 64 {
-		return "", fmt.Errorf("inject_fault: bad bit count %q", rest[0])
-	}
-	spec.Bits = bits
-	for _, extra := range rest[1:] {
-		switch {
-		case extra == "trace":
-			spec.Trace = true
-		case strings.HasPrefix(extra, "rank="):
-			r, err := strconv.Atoi(strings.TrimPrefix(extra, "rank="))
-			if err != nil {
-				return "", fmt.Errorf("inject_fault: bad rank %q", extra)
-			}
-			spec.TargetRank = r
-		default:
-			return "", fmt.Errorf("inject_fault: unknown option %q", extra)
-		}
-	}
-	c.Arm(spec)
-	return fmt.Sprintf("armed: target=%s ops=%v cond=%v bits=%d trace=%v rank=%d",
-		spec.Target, args[1], spec.Cond, spec.Bits, spec.Trace, spec.TargetRank), nil
 }

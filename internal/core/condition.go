@@ -1,6 +1,7 @@
 // Package core implements Chaser itself: a fine-grained, accountable,
 // flexible, and efficient soft-error fault injection and propagation-tracing
-// framework, built as a plugin on the decaf platform.
+// framework that attaches its hooks to the machines of every world it runs
+// (the paper's DECAF plugin, with the one plugin in one process).
 //
 //   - Fine-grained: faults target a designated application, instruction
 //     opcode, and injection condition (execution count, probability, group).

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"chaser/internal/asm"
-	"chaser/internal/decaf"
 	"chaser/internal/isa"
 	"chaser/internal/lang"
 	"chaser/internal/tcg"
@@ -318,67 +317,6 @@ func TestTracingProducesEventsAndSamples(t *testing.T) {
 	}
 }
 
-func TestInjectFaultTerminalCommand(t *testing.T) {
-	platform := decaf.NewPlatform()
-	ch := New(Options{})
-	if err := platform.LoadPlugin(ch); err != nil {
-		t.Fatal(err)
-	}
-	out, err := platform.Exec("inject_fault fp_app fadd,fmul det 100 2 trace rank=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "armed") {
-		t.Errorf("out = %q", out)
-	}
-	spec := ch.Spec()
-	if spec == nil {
-		t.Fatal("no spec armed")
-	}
-	if spec.Target != "fp_app" || len(spec.Ops) != 2 || spec.Bits != 2 ||
-		!spec.Trace || spec.TargetRank != 0 {
-		t.Errorf("spec = %+v", spec)
-	}
-	if d, ok := spec.Cond.(Deterministic); !ok || d.N != 100 {
-		t.Errorf("cond = %+v", spec.Cond)
-	}
-}
-
-func TestInjectFaultCommandErrors(t *testing.T) {
-	platform := decaf.NewPlatform()
-	ch := New(Options{})
-	if err := platform.LoadPlugin(ch); err != nil {
-		t.Fatal(err)
-	}
-	bad := []string{
-		"inject_fault",
-		"inject_fault app",
-		"inject_fault app bogusop det 1 1",
-		"inject_fault app fadd det 0 1",
-		"inject_fault app fadd prob 2.0 1",
-		"inject_fault app fadd nosuch 1 1",
-		"inject_fault app fadd group 5 1",
-		"inject_fault app fadd det 5 99",
-		"inject_fault app fadd det 5 1 wat",
-		"inject_fault app fadd det 5 1 rank=x",
-		"inject_fault app fadd det 5",
-	}
-	for _, cmd := range bad {
-		if _, err := platform.Exec(cmd); err == nil {
-			t.Errorf("command %q accepted", cmd)
-		}
-	}
-	// Valid prob and group forms are accepted.
-	for _, cmd := range []string{
-		"inject_fault app fadd prob 0.001 1",
-		"inject_fault app fadd group 10:5 1",
-	} {
-		if _, err := platform.Exec(cmd); err != nil {
-			t.Errorf("command %q rejected: %v", cmd, err)
-		}
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	if _, err := Run(RunConfig{}); err == nil {
 		t.Error("Run without program succeeded")
@@ -455,33 +393,6 @@ func TestRegisterFileInjectorEndToEnd(t *testing.T) {
 	}
 	if !strings.HasPrefix(res.Records[0].Target, "regfile f") {
 		t.Errorf("target = %q", res.Records[0].Target)
-	}
-}
-
-func TestChaserStatusCommand(t *testing.T) {
-	platform := decaf.NewPlatform()
-	ch := New(Options{})
-	if err := platform.LoadPlugin(ch); err != nil {
-		t.Fatal(err)
-	}
-	out, err := platform.Exec("chaser_status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "not armed") {
-		t.Errorf("unarmed status = %q", out)
-	}
-	if _, err := platform.Exec("inject_fault fp_app fadd det 2 1 trace"); err != nil {
-		t.Fatal(err)
-	}
-	out, err = platform.Exec("chaser_status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"target=fp_app", "injections: 0", "tainthub:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("status missing %q:\n%s", want, out)
-		}
 	}
 }
 
@@ -577,14 +488,10 @@ loop:
 	// the first fault.
 	helperOpsAfterFirstFault := func(spec *Spec) (after int, records int) {
 		t.Helper()
-		platform := decaf.NewPlatform()
 		ch := New(Options{})
-		if err := platform.LoadPlugin(ch); err != nil {
-			t.Fatal(err)
-		}
 		ch.Arm(spec)
 		m := vm.New(prog, vm.Config{})
-		platform.CreateProcess(m)
+		ch.attach(m)
 		for m.Terminated() == nil {
 			fired := len(ch.Records()) > 0
 			tb, err := m.Trans.Block(m.PC())
@@ -655,11 +562,7 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	platform := decaf.NewPlatform()
 	ch := New(Options{})
-	if err := platform.LoadPlugin(ch); err != nil {
-		t.Fatal(err)
-	}
 	ch.Arm(&Spec{
 		Target: "t", Ops: []isa.Op{isa.OpAdd}, Cond: Deterministic{N: 5},
 		Inj: IdentityInjector{Bits: 1}, MaxInjections: 1, Seed: 3,
@@ -673,7 +576,7 @@ loop:
 		}
 		return nil
 	})
-	platform.CreateProcess(m)
+	ch.attach(m)
 	if term := m.Run(); term.Reason != vm.ReasonExited {
 		t.Fatalf("term = %v", term)
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"chaser/internal/apps"
-	"chaser/internal/decaf"
 	"chaser/internal/isa"
 	"chaser/internal/lang"
 	"chaser/internal/obs"
@@ -272,22 +271,24 @@ func TestReceiverAppliesTheHubsMasks(t *testing.T) {
 			}
 			cfg := tracedCrossConfig(t, hub, HubFailRun, nil)
 			s := arenas.New().(*session)
-			ch, err := s.open(cfg, cfg.WorldSize)
+			ch := s.open(cfg, cfg.WorldSize)
+			ch.Arm(cfg.Spec)
+			world, err := s.newWorld(cfg, cfg.WorldSize, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The receiver's shadow is read right behind its receive hook,
 			// before the guest overwrites the buffer.
 			var received []uint8
-			s.platform.RegisterPostSyscallCB(func(_ decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
-				if sys == isa.SysMPIRecv {
-					received = m.Shadow.MemRangeMasks(m.GPR(isa.R1), 8)
+			for r := 0; r < world.Size(); r++ {
+				h := &world.Machine(r).Hooks
+				post := h.PostSyscall
+				h.PostSyscall = func(m *vm.Machine, sys isa.Sys) {
+					post(m, sys)
+					if sys == isa.SysMPIRecv {
+						received = m.Shadow.MemRangeMasks(m.GPR(isa.R1), 8)
+					}
 				}
-			})
-			ch.Arm(cfg.Spec)
-			world, err := s.newWorld(cfg, cfg.WorldSize, nil)
-			if err != nil {
-				t.Fatal(err)
 			}
 			world.Run()
 			ch.view.drain()

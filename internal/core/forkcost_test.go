@@ -51,17 +51,17 @@ func sweepFork(tb testing.TB) (func(seed int64) RunConfig, *WorldSnapshot) {
 // instructions, so the median forked run is the fixed cost alone: what the
 // caller keeps — the result, which RunForked copies out of the session's,
 // and the collector. The machine, its pages, shadow, translator and helpers,
-// the platform, the Chaser with its injector streams and access-log
-// appenders, the world shell, the spec copy and the result the session lends
-// come from the run's recycled session, and a crash's text is formatted only
-// when it is read. It allocated 119 KB when every rank's mailbox was buffered
-// for 1,024 messages and every fork retranslated the block at its site,
-// 19,664 B while every run built its machine afresh and seeded math/rand's
-// 607-word table, 5,904 B while every run built its platform, Chaser and
-// world, and 2,152 B (29 allocations) while every run built its result,
-// translator, injector stream and spec copy; a tail that runs on allocates
-// with its length (log chunks, the result's copy of the output) on top. No
-// fork after the campaign's first translates anything.
+// the Chaser with its injector streams and access-log appenders, the world
+// shell, the spec copy and the result the session lends come from the run's
+// recycled session, and a crash's text is formatted only when it is read.
+// It allocated 119 KB when every rank's mailbox was buffered for 1,024
+// messages and every fork retranslated the block at its site, 19,664 B while
+// every run built its machine afresh and seeded math/rand's 607-word table,
+// 5,904 B while every run built its platform, Chaser and world, and 2,152 B
+// (29 allocations) while every run built its result, translator, injector
+// stream and spec copy; a tail that runs on allocates with its length (log
+// chunks, the result's copy of the output) on top. No fork after the
+// campaign's first translates anything.
 func TestForkedRunAllocBudget(t *testing.T) {
 	budget := uint64(1056)
 	// maxAllocs bounds the allocations of a forked run that ends at its
@@ -192,10 +192,7 @@ func armedWorld(t *testing.T, cfg RunConfig, ws *WorldSnapshot) (*Chaser, *mpi.W
 	t.Helper()
 	size := max(cfg.WorldSize, 1)
 	s := arenas.New().(*session)
-	ch, err := s.open(cfg, size)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := s.open(cfg, size)
 	spec := *cfg.Spec
 	if ws != nil {
 		spec.resume = ws.resume

@@ -2,7 +2,6 @@ package core
 
 import (
 	"io"
-	"strings"
 	"sync"
 	"testing"
 
@@ -12,8 +11,8 @@ import (
 
 // TestLiveReadersOfATracedWorld runs a traced four-rank guest while another
 // goroutine does what an operator and the Observatory do to a live run: the
-// chaser_status terminal command, the count and region accessors, a copy of
-// the log, its serialization and a provenance graph. Each rank appends to its
+// Chaser's spec, records, hub count and hub error, the log's count and region
+// accessors, a copy of the log, its serialization and a provenance graph. Each rank appends to its
 // own log without the others' lock; under -race this is the proof that
 // readers still see a consistent prefix. The finished log must be the one an
 // unobserved run produces.
@@ -35,10 +34,7 @@ func TestLiveReadersOfATracedWorld(t *testing.T) {
 	}
 
 	s := arenas.New().(*session)
-	ch, err := s.open(cfg, cfg.WorldSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := s.open(cfg, cfg.WorldSize)
 	ch.Arm(cfg.Spec)
 	world, err := s.newWorld(cfg, cfg.WorldSize, nil)
 	if err != nil {
@@ -51,6 +47,8 @@ func TestLiveReadersOfATracedWorld(t *testing.T) {
 	go func() {
 		defer readers.Done()
 		log := ch.Trace()
+		var faults int
+		var published uint64
 		close(reading)
 		for {
 			select {
@@ -58,9 +56,18 @@ func TestLiveReadersOfATracedWorld(t *testing.T) {
 				return
 			default:
 			}
-			status, err := s.platform.Exec("chaser_status")
-			if err != nil || !strings.Contains(status, "propagation:") {
-				t.Errorf("chaser_status: %q, %v", status, err)
+			if spec := ch.Spec(); spec == nil || spec.Target != app.Name {
+				t.Errorf("a live reader found the spec %+v armed", spec)
+				return
+			}
+			n, hs := len(ch.Records()), ch.HubStats()
+			if n < faults || hs.Published < published || hs.Hits > hs.Published {
+				t.Errorf("%d records and hub count %+v after %d records and %d publishes", n, hs, faults, published)
+				return
+			}
+			faults, published = n, hs.Published
+			if err := ch.HubErr(); err != nil {
+				t.Errorf("hub error %v", err)
 				return
 			}
 			stored := log.Stored()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"chaser/internal/decaf"
 	"chaser/internal/isa"
 	"chaser/internal/obs"
 	"chaser/internal/tainthub"
@@ -400,7 +399,7 @@ func (c *Chaser) state(m *vm.Machine) *armState {
 	return nil
 }
 
-func (c *Chaser) preSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
+func (c *Chaser) preSyscall(m *vm.Machine, sys isa.Sys) {
 	if sys != isa.SysMPISend {
 		return
 	}
@@ -432,7 +431,7 @@ func (c *Chaser) preSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
 	})
 }
 
-func (c *Chaser) postSyscall(info decaf.ProcInfo, m *vm.Machine, sys isa.Sys) {
+func (c *Chaser) postSyscall(m *vm.Machine, sys isa.Sys) {
 	st := c.state(m)
 	if st == nil || !st.spec.Trace {
 		return

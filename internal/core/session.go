@@ -8,7 +8,6 @@ import (
 	"time"
 	"unsafe"
 
-	"chaser/internal/decaf"
 	"chaser/internal/isa"
 	"chaser/internal/mpi"
 	"chaser/internal/obs"
@@ -109,10 +108,10 @@ func (r *RunResult) FirstAbnormal() int {
 	return -1
 }
 
-// Run executes one supervised run: on a decaf platform with a Chaser loaded
-// (a session's, reset, when an earlier run of the same shape left one), it
-// arms the Chaser with cfg.Spec, creates the world (firing VMI events that
-// arm the injector on target ranks), runs all ranks, and gathers results.
+// Run executes one supervised run: it arms a Chaser (a session's, reset,
+// when an earlier run of the same shape left one) with cfg.Spec, creates the
+// world (attaching each machine to the Chaser, which arms the injector on
+// target ranks), runs all ranks, and gathers results.
 func Run(cfg RunConfig) (*RunResult, error) {
 	l, err := execute(cfg, nil)
 	if err != nil {
@@ -206,12 +205,12 @@ func (l *Loan) resume() error {
 // worldBuilder makes the machines of a run's world, as mpi.Config's Machine,
 // NewMachine and Setup: restored from the run's snapshot (fork-point
 // multiplexing) or fresh at the program entry, built on what the arena
-// recycled, each handed to the platform.
+// recycled, each attached to the Chaser.
 type worldBuilder struct {
-	cfg      RunConfig
-	snap     *WorldSnapshot
-	platform *decaf.Platform
-	arena    *vm.Arena
+	cfg   RunConfig
+	snap  *WorldSnapshot
+	ch    *Chaser
+	arena *vm.Arena
 	// hooks is the mpi.Config of b's three methods, bound once.
 	hooks mpi.Config
 }
@@ -253,29 +252,27 @@ func (b *worldBuilder) setup(rank int, m *vm.Machine) {
 	if b.cfg.ExecTraceDepth > 0 {
 		m.EnableExecTrace(b.cfg.ExecTraceDepth)
 	}
-	b.platform.CreateProcess(m)
+	b.ch.attach(m)
 }
 
 // session is everything execute builds around a run's guest — the machines'
-// vm.Arena, a decaf.Platform with a Chaser loaded, and the mpi.World shell —
-// and what the run hands its caller — the armed spec and the result — kept
-// from one run to the next, so that a run resets its world and refills its
-// result rather than allocating them. Sessions live in arenas.
+// vm.Arena, the Chaser and the mpi.World shell — and what the run hands its
+// caller — the armed spec and the result — kept from one run to the next, so
+// that a run resets its world and refills its result rather than allocating
+// them. Sessions live in arenas.
 //
-// The platform, the Chaser and the world shell serve runs of one shape: the
-// same base hub (two namespaces of one hub are one shape, the Chaser's view
-// pointed at each run's), Obs registry, Tracer and world size. The Events
-// sink and NoAccessLog are not part of it: the reset Chaser takes both per
-// run, so a campaign's log-less, event-less prefix runs share sessions with
-// its runs. A run of another shape builds them afresh, as a run that found
+// The Chaser and the world shell serve runs of one shape: the same base hub
+// (two namespaces of one hub are one shape, the Chaser's view pointed at
+// each run's), Obs registry, Tracer and world size. The Events sink and
+// NoAccessLog are not part of it: the reset Chaser takes both per run, so a
+// campaign's log-less, event-less prefix runs share sessions with its runs. A run of another shape builds them afresh, as a run that found
 // the pool empty does; the arena, the spec and the result serve any run.
 type session struct {
-	arena    *vm.Arena
-	shape    sessionShape
-	platform *decaf.Platform
-	ch       *Chaser
-	world    *mpi.World
-	build    worldBuilder
+	arena *vm.Arena
+	shape sessionShape
+	ch    *Chaser
+	world *mpi.World
+	build worldBuilder
 	// spec is the Chaser's armed copy of the run's spec: its defaults filled
 	// in, and the resume state of the snapshot a forked run starts from.
 	spec Spec
@@ -283,7 +280,7 @@ type session struct {
 	res RunResult
 }
 
-// sessionShape is what a session's platform, Chaser and world were built
+// sessionShape is what a session's Chaser and world were built
 // for. hub is the base of the run's hub (tainthub.Base).
 type sessionShape struct {
 	hub    tainthub.Hub
@@ -314,30 +311,26 @@ func (a sessionShape) same(b sessionShape) (same bool) {
 // collector instead.
 var arenas = sync.Pool{New: func() any { return &session{arena: new(vm.Arena)} }}
 
-// open readies the session's platform and Chaser for a run of cfg in a
-// world of size: reset when the session served a run of that shape last,
-// built afresh otherwise. The Chaser is not yet armed and no process exists.
-func (s *session) open(cfg RunConfig, size int) (*Chaser, error) {
+// open readies the session's Chaser for a run of cfg in a world of size
+// (plugin_init): reset when the session served a run of that shape last,
+// built afresh otherwise. The Chaser is not yet armed and no machine is
+// attached.
+func (s *session) open(cfg RunConfig, size int) *Chaser {
 	shape := sessionShape{hub: tainthub.Base(cfg.Hub), obs: cfg.Obs, tracer: cfg.Tracer, size: size}
 	if s.ch != nil && s.shape.same(shape) {
-		s.platform.Reset()
 		s.ch.reset(cfg.Hub, cfg.Events, cfg.NoAccessLog)
-		return s.ch, nil
+		return s.ch
 	}
 	cfg.Obs.Counter("core_sessions_built_total").Inc()
-	platform := decaf.NewPlatform()
 	ch := New(Options{Hub: cfg.Hub, Obs: cfg.Obs, Events: cfg.Events, NoAccessLog: cfg.NoAccessLog})
-	if err := platform.LoadPlugin(ch); err != nil {
-		return nil, err
-	}
-	s.shape, s.platform, s.ch, s.world = shape, platform, ch, new(mpi.World)
-	s.build.platform, s.build.arena = platform, s.arena
-	return ch, nil
+	s.shape, s.ch, s.world = shape, ch, new(mpi.World)
+	s.build.ch, s.build.arena = ch, s.arena
+	return ch
 }
 
 // newWorld resets the session's world shell into the run's world, restored
-// from snap when it is not nil, its machines built on the arena and handed to
-// the platform.
+// from snap when it is not nil, its machines built on the arena and attached
+// to the Chaser.
 func (s *session) newWorld(cfg RunConfig, size int, snap *WorldSnapshot) (*mpi.World, error) {
 	if err := s.world.Reset(cfg.Prog, s.build.config(cfg, size, snap)); err != nil {
 		return nil, err
@@ -469,10 +462,7 @@ func (s *session) fill(cfg RunConfig, terms []vm.Termination) error {
 // nil, its recheck with the first attempt's answers otherwise. It returns
 // the world's terminations and whether its watchdog never fired.
 func (s *session) attempt(cfg RunConfig, size int, snap *WorldSnapshot, answers map[flowSeq]*flight) ([]vm.Termination, bool, error) {
-	ch, err := s.open(cfg, size)
-	if err != nil {
-		return nil, false, err
-	}
+	ch := s.open(cfg, size)
 	ch.view.begin(answers)
 	if cfg.Spec != nil {
 		s.spec = *cfg.Spec

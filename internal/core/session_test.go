@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"chaser/internal/decaf"
 	"chaser/internal/memtest"
 	"chaser/internal/obs"
 	"chaser/internal/tainthub"
@@ -57,9 +56,8 @@ func sessionCases(t *testing.T) []sessionCase {
 }
 
 // TestSessionRunsMatchColdRuns: a run on a session that runs of other shapes
-// and of its own used before it — its platform and Chaser reset or rebuilt,
-// its world shell reset, its machines recycled — is the run it is on a fresh
-// session: terminations, outputs, consoles, counters, injection records, hub
+// and of its own used before it — its Chaser reset or rebuilt, its world
+// shell reset, its machines recycled — is the run it is on a fresh session: terminations, outputs, consoles, counters, injection records, hub
 // statistics and the propagation log byte for byte. The runs interleave every
 // shape (traced, untraced and log-less; a private hub and one passed in; a
 // registry or none; one rank and four; scratch and forked; four guests), on
@@ -118,9 +116,9 @@ func TestSessionRunsMatchColdRuns(t *testing.T) {
 
 // namespacesAlternate: two namespaces of one hub, as a campaign's runs get
 // them (tainthub.WithNamespace), alternate on one session. The session's
-// platform and Chaser are reset for each run, not rebuilt; the run publishes
-// into its own namespace; and it is the run a fresh session makes in that
-// namespace of a fresh hub.
+// Chaser is reset for each run, not rebuilt; the run publishes into its own
+// namespace; and it is the run a fresh session makes in that namespace of a
+// fresh hub.
 func namespacesAlternate(t *testing.T) {
 	var cases []arenaCase
 	for _, c := range arenaCases(t) {
@@ -179,9 +177,8 @@ func namespacesAlternate(t *testing.T) {
 
 // TestChaserResetIsNew: a Chaser reset after a run — a traced clamr_mpi fork
 // that injected, published through its private hub, sampled its timeline and
-// numbered its flows — is, field by field, the Chaser New builds and a new
-// platform loads, but for the hub client ID, which is minted anew, and the
-// storage it keeps. So it is across a switch of the access log and the event
+// numbered its flows — is, field by field, the Chaser New builds, but for
+// the hub client ID, which is minted anew, and the storage it keeps. So it is across a switch of the access log and the event
 // sink, which are not part of the session's shape: reset for a log-less run
 // with a sink, then for the first kind again. A field a later change adds
 // without resetting it fails this test as soon as a run writes it.
@@ -208,14 +205,11 @@ func TestChaserResetIsNew(t *testing.T) {
 	ch := s.ch
 	for _, cfg := range []RunConfig{c.cfg, switched, c.cfg} {
 		client := ch.hubClient
-		if got, err := s.open(cfg, cfg.WorldSize); err != nil || got != ch {
-			t.Fatalf("NoAccessLog %v, events %v: a run of the same shape did not reset the session's Chaser (%v)",
-				cfg.NoAccessLog, cfg.Events != nil, err)
+		if got := s.open(cfg, cfg.WorldSize); got != ch {
+			t.Fatalf("NoAccessLog %v, events %v: a run of the same shape did not reset the session's Chaser",
+				cfg.NoAccessLog, cfg.Events != nil)
 		}
 		fresh := New(Options{Hub: cfg.Hub, Obs: cfg.Obs, Events: cfg.Events, NoAccessLog: cfg.NoAccessLog})
-		if err := decaf.NewPlatform().LoadPlugin(fresh); err != nil {
-			t.Fatal(err)
-		}
 		// The reset Chaser keeps its rank states, idle; a new one makes them
 		// when its ranks are created.
 		for r := range ch.armed {

@@ -6,9 +6,9 @@ import "runtime"
 
 // Drain empties every sync.Pool of the process. A pool keeps what it holds
 // through one collection, in its victim cache, and drops it in the next, so it
-// takes two: after one, pooled run sessions — a platform, a Chaser and a
-// world shell each — still count as live heap, and the next collection, in
-// the middle of whatever a test weighs, frees them.
+// takes two: after one, pooled run sessions — a Chaser and a world shell
+// each — still count as live heap, and the next collection, in the middle of
+// whatever a test weighs, frees them.
 func Drain() {
 	runtime.GC()
 	runtime.GC()

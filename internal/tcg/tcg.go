@@ -5,10 +5,10 @@
 // Guest instructions are translated into architecture-independent micro-ops
 // grouped into translation blocks (TBs). TBs are cached by guest program
 // counter; the cache can be flushed to force retranslation — which is how
-// Chaser arms its just-in-time fault injector when a target process is
-// created. Instrumentation hooks run at translation time and may prepend
-// helper-call micro-ops in front of any guest instruction, exactly like the
-// DECAF_inject_fault callback insertion shown in Fig. 3 of the paper.
+// Chaser arms its just-in-time fault injector when it attaches to a target
+// machine. Instrumentation hooks run at translation time and may prepend
+// helper-call micro-ops in front of any guest instruction, as the paper's
+// DECAF plugin inserts its fault-injection callback (Fig. 3).
 package tcg
 
 import (

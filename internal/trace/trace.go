@@ -311,10 +311,10 @@ func (c *Collector) addEvent(ev *Event) error {
 	return nil
 }
 
-// Appender returns rank's end of the access log, as the two callbacks a
-// traced run hands the rank's machine. add stores and counts an access of the
-// rank, as AddEvent does, but leaves it to the log's next publication point:
-// the end of a chunk, or publish. publish makes every access added so far
+// Appender is a rank's end of an access log, as the two callbacks a traced
+// run hands the rank's machine. Add stores and counts an access of the rank,
+// as AddEvent does, but leaves it to the log's next publication point: the
+// end of a chunk, or Publish. Publish makes every access added so far
 // visible; a traced run calls it whenever the rank's machine stops running —
 // it steps aside for another rank or its run ends. So a reader of a running
 // rank sees a prefix at most one chunk behind, and one of a rank that waits
@@ -324,22 +324,15 @@ func (c *Collector) addEvent(ev *Event) error {
 // on to it, where AddEvent looks it up for every event; it allocates nothing
 // in the log before, so a rank that never adds leaves no trace in it. ev.Rank
 // is not read. An access inside the current chunk, to a region the rank has
-// accessed before, is the whole of add's fast path: a few compares, the
+// accessed before, is the whole of Add's fast path: a few compares, the
 // record and the tally — no lock, no call, no publication. One goroutine at a
 // time adds through the appenders of a rank, as with AddEvent.
-func (c *Collector) Appender(rank int) (add func(ev *Event), publish func()) {
-	x := new(Appender)
-	x.Attach(c, rank)
-	return x.Add, x.Publish
-}
-
-// Appender is a rank's end of an access log, as Collector.Appender hands it
-// out, that can be moved from one collector to another: a rank that logs into
-// a new collector every run keeps one Appender, and its callbacks, across
-// runs. The zero Appender is attached to nothing.
+//
+// An Appender can be moved from one collector to another: a rank that logs
+// into a new collector every run keeps one Appender, and its callbacks,
+// across runs. The zero Appender is attached to nothing.
 type Appender struct {
-	// Add and Publish are Collector.Appender's add and publish. Attach binds
-	// them, once.
+	// Add and Publish are bound by Attach, once.
 	Add     func(ev *Event)
 	Publish func()
 	a       appender

@@ -509,8 +509,9 @@ func TestCollectorWithoutAccessLog(t *testing.T) {
 				t.Error("an appender added to a collector that keeps no log")
 			}
 		}()
-		add, _ := c.Appender(0)
-		add(&Event{})
+		var x Appender
+		x.Attach(c, 0)
+		x.Add(&Event{})
 	}()
 	if c.Stored() != 0 || c.Dropped() != 0 || c.TotalReads() != 0 || c.TotalWrites() != 0 || len(c.Regions()) != 0 {
 		t.Errorf("stored %d dropped %d totals %d/%d regions %v, want nothing",
@@ -576,23 +577,21 @@ func TestAppenderMatchesAddEvent(t *testing.T) {
 		want, got := NewCollector(), NewCollector()
 		want.ShareAmong(2)
 		got.ShareAmong(2)
-		var adds []func(*Event)
-		var publishes []func()
-		for rank := 0; rank < 3; rank++ {
-			add, publish := got.Appender(rank)
-			adds, publishes = append(adds, add), append(publishes, publish)
+		appenders := make([]Appender, 3)
+		for rank := range appenders {
+			appenders[rank].Attach(got, rank)
 		}
 		for _, ev := range events(fresh) {
 			want.AddEvent(&ev)
-			adds[ev.Rank](&ev)
+			appenders[ev.Rank].Add(&ev)
 		}
 		// Each rank added 384 accesses and last crossed a chunk boundary at
 		// its 256th.
 		if n, evs := got.TotalReads()+got.TotalWrites(), got.Events(); n != 2*chunkEvents || !reflect.DeepEqual(evs, append(want.Events()[:chunkEvents:chunkEvents], want.Events()[3*chunkEvents/2:5*chunkEvents/2]...)) {
 			t.Errorf("fresh names %v: before publish readers see %d accesses and %d records, want each rank's first %d", fresh, n, len(evs), chunkEvents)
 		}
-		for _, publish := range publishes {
-			publish()
+		for i := range appenders {
+			appenders[i].Publish()
 		}
 		if !reflect.DeepEqual(want.Events(), got.Events()) {
 			t.Errorf("fresh names %v: the appenders' log differs from AddEvent's", fresh)

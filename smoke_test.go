@@ -89,22 +89,28 @@ func (sm *smoke) output(t *testing.T, name string, args ...string) []byte {
 	return p.stdout()
 }
 
-// resume: a campaign interrupted by SIGINT mid-flight exits 0, and the same
-// command run again resumes from its journal to the uninterrupted report.
+// resume: a campaign interrupted by SIGINT mid-flight exits 0, and the
+// resume command it prints resumes from its journal to the uninterrupted
+// report. The campaign flips two bits a run, which the journal's header
+// records: a resume command that left -bits out would be refused.
 func (sm *smoke) resume(t *testing.T) {
-	full := sm.baseline(t, "kmeans", 1000, 77)
+	run := append(runArgs("kmeans", 1000, 77), "-bits", "2")
+	full := sm.output(t, "campaign", run...)
 	journal := filepath.Join(t.TempDir(), "run.journal")
-	args := append(runArgs("kmeans", 1000, 77), "-journal", journal)
+	args := append(run, "-journal", journal)
 	p := sm.start(t, "campaign", args...)
 	waitJournaled(t, journal)
 	p.cmd.Process.Signal(os.Interrupt)
 	if err := p.wait(smokeWait); err != nil {
 		t.Fatalf("the interrupted campaign: %v\n%s", err, p.text())
 	}
-	if !bytes.Contains(p.stdout(), []byte("campaign interrupted")) {
+	resume := args
+	if m := regexp.MustCompile(`(?m)^resume with: campaign (.+)$`).FindSubmatch(p.stdout()); m != nil {
+		resume = strings.Fields(string(m[1]))
+	} else {
 		t.Log("the campaign completed before SIGINT: the resume replays a complete journal")
 	}
-	sameReport(t, full, sm.output(t, "campaign", args...))
+	sameReport(t, full, sm.output(t, "campaign", resume...))
 }
 
 // hubCrash: a -hub-policy fail campaign rides out a kill -9 of its durable
