@@ -45,7 +45,12 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", err)
+		// Errors from internal/campaign carry the prefix already.
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "campaign: ") {
+			msg = "campaign: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(1)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"chaser/internal/isa"
 	"chaser/internal/obs"
@@ -89,6 +87,18 @@ func (s *Spec) setDefaults() {
 
 // Chaser is the fault injector. Arm it with a Spec, then attach the
 // machines of a world to it before they run.
+//
+// A Chaser is owned by one run at a time, and read after it returns: its
+// hooks run on the world's one goroutine (internal/mpi runs one rank at a
+// time), and its spec, records, hub count and hub error are read by that
+// goroutine once the world has run and drained. It takes no lock. The other
+// goroutines that can reach a live world leave it alone: the watchdog's
+// World.Interrupt touches only the machines' abort pointers; a TaintHub
+// flight (tainthub.Client) hands its answer back through worldHub.drain or
+// the receive hook, on the world's goroutine; the session pool hands a
+// Chaser from one run to the next, and each campaign worker runs on a session
+// of its own. Only the obs counters and Sink it writes are shared — with
+// /metrics and the Observatory — and they keep their own synchronisation.
 type Chaser struct {
 	// view is what the MPI hooks reach the TaintHub through.
 	view *worldHub
@@ -103,11 +113,6 @@ type Chaser struct {
 	hubClient uint64
 	hubReq    uint64
 
-	// mu guards what another goroutine reads of a live run (Records, Spec,
-	// HubStats and HubErr) while the world's goroutine writes it; the
-	// Observatory reads a run's result only after the run. The hooks
-	// themselves need no lock.
-	mu      sync.Mutex
 	spec    *Spec
 	records []InjectionRecord
 	hubErr  error // first hub failure observed by the MPI hooks
@@ -115,9 +120,8 @@ type Chaser struct {
 	// acknowledged, polls that reached it, polls that found a status.
 	hubStats tainthub.Stats
 
-	// pollsLocal counts the receives answered without the hub: every clean
-	// receive, so it is counted without mu.
-	pollsLocal atomic.Uint64
+	// pollsLocal counts the receives answered without the hub.
+	pollsLocal uint64
 
 	// collector is the run's; reset empties it for the next run unless a
 	// result took it (nil).
@@ -135,8 +139,7 @@ type Chaser struct {
 	// armed is each rank's injection state, indexed by rank: nil, or idle
 	// (no machine), for a rank no machine was attached for or whose machine
 	// was attached with no spec armed. It is written only by attach (before
-	// guests run) and read without locking afterwards; reset idles the
-	// states for the next run.
+	// guests run); reset idles the states for the next run.
 	armed []*armState
 }
 
@@ -169,7 +172,7 @@ type armState struct {
 }
 
 // rankState returns rank's injection state, idle: the one the rank had in an
-// earlier run of the Chaser, or a new one. It is called with mu held.
+// earlier run of the Chaser, or a new one.
 func (c *Chaser) rankState(rank int) *armState {
 	if rank >= len(c.armed) {
 		c.armed = append(c.armed, make([]*armState, rank+1-len(c.armed))...)
@@ -334,23 +337,13 @@ func (c *Chaser) Arm(spec *Spec) {
 
 // arm installs spec, whose defaults are filled in, as it is: the caller keeps
 // it unchanged while machines attached since may use it.
-func (c *Chaser) arm(spec *Spec) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.spec = spec
-}
+func (c *Chaser) arm(spec *Spec) { c.spec = spec }
 
 // Spec returns the armed spec, or nil.
-func (c *Chaser) Spec() *Spec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.spec
-}
+func (c *Chaser) Spec() *Spec { return c.spec }
 
 // Records returns the injections performed so far.
 func (c *Chaser) Records() []InjectionRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]InjectionRecord(nil), c.records...)
 }
 
@@ -361,16 +354,10 @@ func (c *Chaser) Trace() *trace.Collector { return c.collector }
 // hub's, which may serve many worlds: the publishes the hub acknowledged, the
 // polls that reached it and those that found a status. Pending is what was
 // published and not found by a poll.
-func (c *Chaser) HubStats() tainthub.Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hubStats
-}
+func (c *Chaser) HubStats() tainthub.Stats { return c.hubStats }
 
 // countHub adds hub calls the world has learned the outcome of.
 func (c *Chaser) countHub(published, polls uint64, hit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.hubStats.Published += published
 	c.hubStats.Polls += polls
 	if hit {
@@ -382,11 +369,7 @@ func (c *Chaser) countHub(published, polls uint64, hit bool) {
 // HubErr returns the first TaintHub failure observed by the MPI hooks, or
 // nil. Under the default HubDegrade policy the failure only degrades
 // tracing; under HubFailRun the session turns it into a run error.
-func (c *Chaser) HubErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hubErr
-}
+func (c *Chaser) HubErr() error { return c.hubErr }
 
 // hubFailure records one degraded hub interaction: the taint of a message
 // is dropped, the degradation is counted, and the first error is retained
@@ -399,11 +382,9 @@ func (c *Chaser) hubFailure(op string, err error) {
 // retainHubErr keeps the first error the HubFailRun policy should fail the
 // run with.
 func (c *Chaser) retainHubErr(err error) {
-	c.mu.Lock()
 	if c.hubErr == nil {
 		c.hubErr = err
 	}
-	c.mu.Unlock()
 }
 
 // taintLost records a cross-rank taint the hub dropped: the publish of the
@@ -431,20 +412,17 @@ func (c *Chaser) hubReqID() tainthub.ReqID {
 // when the run keeps one, and arms the injector when the machine is the
 // designated target.
 func (c *Chaser) attach(m *vm.Machine) {
-	c.mu.Lock()
 	spec := c.spec
 	st := c.rankState(m.Rank)
-	c.mu.Unlock()
 	m.Hooks.PreSyscall, m.Hooks.PostSyscall = c.preHook, c.postHook
 	if c.collector.AccessLogKept() {
 		// The rank's own tainted-access callbacks (DECAF_READ_TAINTMEM_CB and
 		// DECAF_WRITE_TAINTMEM_CB): the rank's appender, which packs the
-		// machine's record, a trace.Event, as is, and publishes what it holds
-		// whenever the machine stops running. A run that keeps no log
+		// machine's record, a trace.Event, as is. A run that keeps no log
 		// installs none, and its machines count their tainted accesses
 		// without describing them.
 		log := st.appender()
-		m.Hooks.TaintedMemRead, m.Hooks.TaintedMemWrite, m.Hooks.Stopped = log.Add, log.Add, log.Publish
+		m.Hooks.TaintedMemRead, m.Hooks.TaintedMemWrite = log.Add, log.Add
 	}
 	if spec == nil {
 		return
@@ -538,9 +516,7 @@ func (st *armState) faultInjector(m *vm.Machine, op *tcg.Op) {
 		// record nothing and keep running.
 		return
 	}
-	st.ch.mu.Lock()
 	st.ch.records = append(st.ch.records, rec)
-	st.ch.mu.Unlock()
 	if st.ch.events != nil {
 		st.ch.events.Emit("inject", -1, rec.Rank, rec.PC, rec.Mask, rec.GuestOpS+" "+rec.Target)
 	}

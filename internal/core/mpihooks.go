@@ -331,7 +331,7 @@ func (w *worldHub) drain() {
 		}
 	}
 	w.settle(nil)
-	w.obsLocal.Add(w.c.pollsLocal.Load())
+	w.obsLocal.Add(w.c.pollsLocal)
 }
 
 // receive answers the receive hook: the hub's poll of the seq-th message of
@@ -343,7 +343,7 @@ func (w *worldHub) receive(k tainthub.Key, seq uint64) (masks []uint8, found boo
 	msg := flowSeq{key: k, seq: seq}
 	f := w.flights[msg]
 	if f == nil {
-		w.c.pollsLocal.Add(1)
+		w.c.pollsLocal++
 		w.event("hub_poll_miss", k.Dst, msg, nil)
 		return nil, false, nil
 	}

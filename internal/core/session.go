@@ -300,13 +300,16 @@ func (a sessionShape) same(b sessionShape) (same bool) {
 	return a == b
 }
 
-// arenas holds the sessions of finished runs. A run takes one and puts it
-// back only once nothing can reach what it recycles but the session: the
-// run's lent result has been returned (Loan.Return) — and an owned one is a
-// copy, which took the run's collector with it (Loan.own) — its hub flights
-// are drained, and no watchdog callback is running or left to run. A prefix
-// run returns its loan once its world is captured: the snapshot sealed the
-// pages it shares, which the arena never keeps, and copied the rest. A run that
+// arenas holds the sessions of finished runs. Every goroutine that runs
+// worlds shares it — a session one campaign worker put back may serve
+// another worker's next run — and it hands each session from one goroutine
+// to the next, never to two at once. A run takes one and puts it back only
+// once nothing can reach what it recycles but the session: the run's lent
+// result has been returned (Loan.Return) — and an owned one is a copy, which
+// took the run's collector with it (Loan.own) — its hub flights are drained,
+// and no watchdog callback is running or left to run. A prefix run returns
+// its loan once its world is captured: the snapshot sealed the pages it
+// shares, which the arena never keeps, and copied the rest. A run that
 // panics, fails or whose watchdog fired drops its session to the garbage
 // collector instead.
 var arenas = sync.Pool{New: func() any { return &session{arena: new(vm.Arena)} }}

@@ -43,7 +43,8 @@ type Message struct {
 
 // World is a set of ranks executing the same guest program (SPMD). One rank
 // runs at a time, on the goroutine that called Run (sched.go), so everything
-// below Interrupt's reach is plain data.
+// below Interrupt's reach is plain data, and so is what the machines' hooks
+// write.
 type World struct {
 	size  int
 	ranks []rankState
@@ -100,7 +101,7 @@ type Config struct {
 	// snapshots.
 	State *State
 	// Setup runs after each machine is created and before it starts; Chaser
-	// instruments target ranks here (the VMI process-creation event).
+	// attaches to each machine and instruments target ranks here.
 	Setup func(rank int, m *vm.Machine)
 	// Obs, when non-nil, receives runtime telemetry (message counts, wait
 	// times, aborts). Nil disables it.
@@ -176,7 +177,6 @@ func (w *World) Reset(prog *isa.Program, cfg Config) error {
 		} else {
 			rs.m = vm.New(prog, mc)
 		}
-		rs.m.PID = 1000 + r
 		if cfg.State != nil {
 			s := &cfg.State.ranks[r]
 			rs.place, rs.env.callState = s.place, s.callState

@@ -151,7 +151,6 @@ func BuildGraphCap(c *Collector, sites []InjectionSite, maxNodes int) *Graph {
 	if c == nil {
 		return g
 	}
-	views := c.views()
 	sends := c.Sends()
 	crosses := c.CrossRank()
 	outputs := c.Outputs()
@@ -168,20 +167,19 @@ func BuildGraphCap(c *Collector, sites []InjectionSite, maxNodes int) *Graph {
 	for i := range sites {
 		push(sites[i].Rank, item{instr: sites[i].InstrNum, kind: KindInjection, idx: i})
 	}
-	logs := make(map[int]*rankView, len(views))
-	for i := range views {
-		v := &views[i]
-		logs[v.rank] = v
-		items := slices.Grow(perRank[v.rank], v.stored)
-		for j := 0; j < v.stored; j++ {
-			p := v.at(j)
+	logs := make(map[int]*rankLog, len(c.logs))
+	for _, l := range c.logged() {
+		logs[l.rank] = l
+		items := slices.Grow(perRank[l.rank], l.stored())
+		for j := 0; j < l.stored(); j++ {
+			p := l.record(j)
 			k := KindRead
 			if p.write {
 				k = KindWrite
 			}
 			items = append(items, item{instr: p.instr, kind: k, idx: j})
 		}
-		perRank[v.rank] = items
+		perRank[l.rank] = items
 	}
 	for i := range sends {
 		push(sends[i].Src, item{instr: sends[i].InstrNum, kind: KindSend, idx: i})

@@ -11,8 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -42,11 +40,10 @@ type TimelinePoint struct {
 const DefaultMaxEvents = 1 << 16
 
 // chunkEvents is how many records one log chunk holds. A log grows by whole
-// chunks and never rewrites a stored record, so a reader may walk the stored
-// prefix while the rank keeps appending. Only the first chunk starts smaller,
-// at firstChunkEvents, and is copied to four times the size as it fills —
-// most injection runs crash within a few accesses of the fault and should
-// not pay for 256 records — so beyond 256 records appending copies nothing.
+// chunks. Only the first chunk starts smaller, at firstChunkEvents, and is
+// copied to four times the size as it fills — most injection runs crash
+// within a few accesses of the fault and should not pay for 256 records — so
+// beyond 256 records appending copies nothing.
 const (
 	chunkEvents      = 256
 	firstChunkEvents = 16
@@ -67,55 +64,46 @@ type packedEvent struct {
 	write                                 bool
 }
 
-// rankLog is one rank's access log and tallies. Only the rank's own
-// goroutine appends. It keeps its tallies to itself and publishes them, under
-// the mutex, only where a reader could next look: at a chunk boundary, where
-// it takes the mutex anyway — past the share, at every chunk's worth of
-// accesses — and when the rank's machine stops running (Appender's publish).
-// The published tallies are the log's length — every access is counted once
-// and the first share of them are stored, so a reader that sums counts to n
-// may read the first min(n, share) records, each of which was complete before
-// the publication that covers it. A reader holds the mutex while it takes its
-// view; an append inside a chunk, to a region the rank has seen, takes no
-// lock and publishes nothing.
+// rankLog is one rank's access log and tallies. Every access is counted
+// once and the first share of them are stored, so the log holds the first
+// min(n, share) records of its n accesses.
 type rankLog struct {
-	mu     sync.Mutex
 	rank   int
 	share  int // stored-event cap of this rank
 	chunks [][]packedEvent
-	// names[i] is the region name interned as i, counts[i] the published
-	// tally of the rank's accesses to it, stored or not. names[0] is "":
-	// accesses outside every region are tallied there, so the counts sum to
-	// the rank's totals.
+	// names[i] is the region name interned as i, counts[i] the tally of the
+	// rank's accesses to it, stored or not. names[0] is "": accesses outside
+	// every region are tallied there, so the counts sum to n.
 	names  []string
 	counts []RegionCounts
 
-	// The appender's side, which only the appending goroutine touches: n
-	// accesses so far, stored or not; cur, the chunk being filled, cut at the
-	// share, and at, the slot of the next record in it; own, the tallies as
-	// of the last access, and pub, the n they were last published at.
-	n, pub int
-	cur    []packedEvent
-	at     int
-	own    []RegionCounts
+	// n counts the accesses so far, stored or not; cur is the chunk being
+	// filled, cut at the share, and at the slot of the next record in it.
+	n   int
+	cur []packedEvent
+	at  int
 }
 
-// Collector accumulates propagation data for one run. It is safe for
-// concurrent use by multiple rank goroutines, provided the accesses of one
-// rank are added by one goroutine at a time.
+// Collector accumulates propagation data for one run. It is owned by the
+// goroutine that runs the run's world — one rank at a time (internal/mpi) —
+// and read after the run returns, by that goroutine or by one it hands the
+// result to; nothing reads it while the run is live, and it takes no lock.
+// The goroutines that can reach a live world leave it alone: the watchdog's
+// World.Interrupt touches only the machines' abort pointers, a TaintHub
+// flight hands its answer back through the hooks on the world's goroutine,
+// and the session pool and campaign workers hand a collector from one
+// goroutine to the next, never share it.
 type Collector struct {
 	maxEvents int
+	// ranks is how many ranks share maxEvents (0 = not declared); an int32,
+	// so that it and noLog share a word of a struct made for every run.
+	ranks int32
 	// noLog marks the collector of a run that was told nobody will read its
 	// access log: no access reaches it, and what it serializes says so.
 	noLog bool
 	// logs is the per-rank table, indexed by rank (nil where a rank has
-	// logged nothing). It is replaced, never modified, under mu, so the
-	// append path reads it without locking.
-	logs atomic.Pointer[[]*rankLog]
-
-	mu sync.Mutex
-	// ranks is how many ranks share maxEvents (0 = not declared).
-	ranks int
+	// logged nothing).
+	logs []*rankLog
 	// declared counts drops a log read back says its writer incurred.
 	declared  uint64
 	timeline  []TimelinePoint
@@ -236,21 +224,15 @@ func (c *Collector) AccessLogKept() bool { return !c.noLog }
 
 // ShareAmong declares how many ranks log into the collector. Each rank then
 // stores at most its share of the cap, so which events survive a truncated
-// run depends on the run alone and not on how the rank goroutines
-// interleaved. It must be called before the first event of the run; a
-// collector never told shares nothing and lets every rank fill the cap.
-func (c *Collector) ShareAmong(ranks int) {
-	c.mu.Lock()
-	c.ranks = ranks
-	c.mu.Unlock()
-}
+// run depends on the run alone and not on how the ranks interleaved. It must
+// be called before the first event of the run; a collector never told shares
+// nothing and lets every rank fill the cap.
+func (c *Collector) ShareAmong(ranks int) { c.ranks = int32(ranks) }
 
 // log returns rank's log, creating it at the rank's first access.
 func (c *Collector) log(rank int) (*rankLog, error) {
-	if t := c.logs.Load(); t != nil && uint(rank) < uint(len(*t)) {
-		if l := (*t)[rank]; l != nil {
-			return l, nil
-		}
+	if uint(rank) < uint(len(c.logs)) && c.logs[rank] != nil {
+		return c.logs[rank], nil
 	}
 	if c.noLog {
 		return nil, errors.New("trace: access logged to a collector that keeps no access log")
@@ -258,41 +240,23 @@ func (c *Collector) log(rank int) (*rankLog, error) {
 	if rank < 0 || rank >= maxRanks {
 		return nil, fmt.Errorf("trace: rank %d out of range [0,%d)", rank, maxRanks)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var table []*rankLog
-	if t := c.logs.Load(); t != nil {
-		table = *t
+	if rank >= len(c.logs) {
+		c.logs = append(c.logs, make([]*rankLog, rank+1-len(c.logs))...)
 	}
-	if rank < len(table) && table[rank] != nil {
-		return table[rank], nil
-	}
-	grown := make([]*rankLog, max(len(table), rank+1))
-	copy(grown, table)
 	// Room for "" and a guest's three regions, so interning seldom regrows.
 	l := &rankLog{rank: rank, share: c.maxEvents, names: append(make([]string, 0, 4), ""),
-		counts: make([]RegionCounts, 1, 4), own: make([]RegionCounts, 1, 4)}
+		counts: make([]RegionCounts, 1, 4)}
 	if c.ranks > 1 {
-		l.share = c.maxEvents / c.ranks
+		l.share = c.maxEvents / int(c.ranks)
 	}
-	grown[rank] = l
-	c.logs.Store(&grown)
+	c.logs[rank] = l
 	return l, nil
 }
 
-// table returns the current per-rank table.
-func (c *Collector) table() []*rankLog {
-	if t := c.logs.Load(); t != nil {
-		return *t
-	}
-	return nil
-}
-
-// AddEvent records one tainted-memory access and publishes it: readers see
-// it when AddEvent returns. The event is read during the call only; the
-// caller may reuse it. A rank or width outside [0,65536) and more region
-// names on one rank than maxRegions are bugs in the caller and panic; Read
-// reports them as errors.
+// AddEvent records one tainted-memory access. The event is read during the
+// call only; the caller may reuse it. A rank or width outside [0,65536) and
+// more region names on one rank than maxRegions are bugs in the caller and
+// panic; Read reports them as errors.
 func (c *Collector) AddEvent(ev *Event) {
 	if err := c.addEvent(ev); err != nil {
 		panic(err)
@@ -304,38 +268,27 @@ func (c *Collector) addEvent(ev *Event) error {
 	if err != nil {
 		return err
 	}
-	if err := l.add(ev); err != nil {
-		return err
-	}
-	l.publish()
-	return nil
+	return l.add(ev)
 }
 
-// Appender is a rank's end of an access log, as the two callbacks a traced
-// run hands the rank's machine. Add stores and counts an access of the rank,
-// as AddEvent does, but leaves it to the log's next publication point: the
-// end of a chunk, or Publish. Publish makes every access added so far
-// visible; a traced run calls it whenever the rank's machine stops running —
-// it steps aside for another rank or its run ends. So a reader of a running
-// rank sees a prefix at most one chunk behind, and one of a rank that waits
-// or has ended sees it whole.
+// Appender is a rank's end of an access log, as the callback a traced run
+// hands the rank's machine. Add stores and counts an access of the rank, as
+// AddEvent does.
 //
 // The appender looks the rank's log up at the rank's first access and holds
 // on to it, where AddEvent looks it up for every event; it allocates nothing
 // in the log before, so a rank that never adds leaves no trace in it. ev.Rank
 // is not read. An access inside the current chunk, to a region the rank has
 // accessed before, is the whole of Add's fast path: a few compares, the
-// record and the tally — no lock, no call, no publication. One goroutine at a
-// time adds through the appenders of a rank, as with AddEvent.
+// record and the tally — no call.
 //
 // An Appender can be moved from one collector to another: a rank that logs
-// into a new collector every run keeps one Appender, and its callbacks,
+// into a new collector every run keeps one Appender, and its callback,
 // across runs. The zero Appender is attached to nothing.
 type Appender struct {
-	// Add and Publish are bound by Attach, once.
-	Add     func(ev *Event)
-	Publish func()
-	a       appender
+	// Add is bound by Attach, once.
+	Add func(ev *Event)
+	a   appender
 }
 
 // Attach points the appender at rank's log in c, which it looks up at the
@@ -362,19 +315,14 @@ func (x *Appender) Attach(c *Collector, rank int) {
 				l.at++
 				l.n++
 				if ev.Write {
-					l.own[i].Writes++
+					l.counts[i].Writes++
 				} else {
-					l.own[i].Reads++
+					l.counts[i].Reads++
 				}
 				return
 			}
 		}
 		a.add(ev)
-	}
-	x.Publish = func() {
-		if a.l != nil {
-			a.l.publish()
-		}
 	}
 }
 
@@ -401,8 +349,7 @@ func (a *appender) add(ev *Event) {
 }
 
 // put stores an access to the region interned as region in the next slot of
-// the current chunk, which a reader does not look at until a publication
-// covers it, and counts it.
+// the current chunk, and counts it.
 func (l *rankLog) put(ev *Event, region uint8) {
 	p := &l.cur[l.at]
 	p.eip, p.vaddr, p.paddr, p.value, p.mask, p.instr = ev.EIP, ev.VAddr, ev.PAddr, ev.Value, ev.Mask, ev.InstrNum
@@ -415,9 +362,9 @@ func (l *rankLog) put(ev *Event, region uint8) {
 func (l *rankLog) count(write bool, region uint8) {
 	l.n++
 	if write {
-		l.own[region].Writes++
+		l.counts[region].Writes++
 	} else {
-		l.own[region].Reads++
+		l.counts[region].Reads++
 	}
 }
 
@@ -435,12 +382,7 @@ func (l *rankLog) add(ev *Event) error {
 	}
 	if l.at == len(l.cur) {
 		if l.n >= l.share {
-			// Past the share the access is counted, not stored, and the
-			// tallies are published as often as a chunk's worth of stores
-			// would publish them.
-			if l.n%chunkEvents == 0 {
-				l.publish()
-			}
+			// Past the share the access is counted, not stored.
 			l.count(ev.Write, uint8(region))
 			return nil
 		}
@@ -450,12 +392,9 @@ func (l *rankLog) add(ev *Event) error {
 	return nil
 }
 
-// grow makes room for the next record — a new chunk, or the first chunk
-// replaced by one four times its size — and, every record before it being
-// complete, publishes the tallies.
+// grow makes room for the next record: a new chunk, or the first chunk, full
+// below chunkEvents, copied to one four times its size.
 func (l *rankLog) grow() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.n%chunkEvents == 0 {
 		size := chunkEvents
 		if l.n == 0 {
@@ -463,31 +402,13 @@ func (l *rankLog) grow() {
 		}
 		l.chunks = append(l.chunks, make([]packedEvent, size))
 	} else {
-		// The first chunk is full below chunkEvents. A view may still be
-		// reading it, so it is replaced, table and all, not extended.
 		grown := make([]packedEvent, min(4*l.n, chunkEvents))
 		copy(grown, l.chunks[0])
-		l.chunks = [][]packedEvent{grown}
+		l.chunks[0] = grown
 	}
 	start := (len(l.chunks) - 1) * chunkEvents
 	chunk := l.chunks[len(l.chunks)-1]
 	l.cur, l.at = chunk[:min(len(chunk), l.share-start)], l.n-start
-	l.publishLocked()
-}
-
-// publish publishes the tallies, if anything was added since they last were.
-func (l *rankLog) publish() {
-	if l.n != l.pub {
-		l.mu.Lock()
-		l.publishLocked()
-		l.mu.Unlock()
-	}
-}
-
-// publishLocked publishes the tallies; the caller holds l.mu.
-func (l *rankLog) publishLocked() {
-	copy(l.counts, l.own)
-	l.pub = l.n
 }
 
 // maxRegions is how many distinct region names, "" among them, one rank's
@@ -527,69 +448,43 @@ func (l *rankLog) intern(name string) int {
 	if len(l.names) == maxRegions {
 		return -1
 	}
-	l.mu.Lock()
 	l.names = append(l.names, name)
 	l.counts = append(l.counts, RegionCounts{})
-	l.mu.Unlock()
-	l.own = append(l.own, RegionCounts{})
 	return len(l.names) - 1
 }
 
-// published returns how many records a reader may read and how many accesses
-// the cap dropped, both from the sum of the published tallies. The caller
-// holds l.mu.
-func (l *rankLog) published() (stored int, dropped uint64) {
-	var total uint64
-	for _, rc := range l.counts {
-		total += rc.Reads + rc.Writes
+// stored returns how many records the log holds.
+func (l *rankLog) stored() int { return min(l.n, l.share) }
+
+// dropped returns how many accesses the cap kept out of the log.
+func (l *rankLog) dropped() uint64 { return uint64(l.n - l.stored()) }
+
+// record returns the i-th stored record.
+func (l *rankLog) record(i int) *packedEvent { return &l.chunks[i/chunkEvents][i%chunkEvents] }
+
+// event unpacks the i-th stored record.
+func (l *rankLog) event(i int) Event {
+	p := l.record(i)
+	return Event{
+		Rank: l.rank, Write: p.write, EIP: p.eip, VAddr: p.vaddr, PAddr: p.paddr,
+		Value: p.value, Mask: p.mask, InstrNum: p.instr, Size: int(p.size),
+		Region: l.names[p.region],
 	}
-	stored = int(min(total, uint64(l.share)))
-	return stored, total - uint64(stored)
 }
 
-// rankView is a stable prefix of one rank's log, taken under the log's lock:
-// stored records and interned names are never rewritten, so the view can be
-// read without holding it.
-type rankView struct {
-	rank    int
-	chunks  [][]packedEvent
-	stored  int
-	dropped uint64
-	names   []string
-}
-
-// views snapshots every rank's log, in rank order.
-func (c *Collector) views() []rankView {
-	var out []rankView
-	for rank, l := range c.table() {
-		if l == nil {
-			continue
+// logged returns the logs of the ranks that logged, in rank order.
+func (c *Collector) logged() []*rankLog {
+	var out []*rankLog
+	for _, l := range c.logs {
+		if l != nil {
+			out = append(out, l)
 		}
-		l.mu.Lock()
-		stored, dropped := l.published()
-		out = append(out, rankView{rank: rank, chunks: l.chunks, stored: stored, dropped: dropped, names: l.names})
-		l.mu.Unlock()
 	}
 	return out
 }
 
-// at returns the i-th stored record.
-func (v *rankView) at(i int) *packedEvent { return &v.chunks[i/chunkEvents][i%chunkEvents] }
-
-// event unpacks the i-th stored record.
-func (v *rankView) event(i int) Event {
-	p := v.at(i)
-	return Event{
-		Rank: v.rank, Write: p.write, EIP: p.eip, VAddr: p.vaddr, PAddr: p.paddr,
-		Value: p.value, Mask: p.mask, InstrNum: p.instr, Size: int(p.size),
-		Region: v.names[p.region],
-	}
-}
-
 // AddSample records one tainted-bytes timeline point.
 func (c *Collector) AddSample(p TimelinePoint) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.timeline = append(c.timeline, p)
 }
 
@@ -598,47 +493,35 @@ func (c *Collector) AddSample(p TimelinePoint) {
 // shares ps rather than copying it, and never writes to it: the run's own
 // samples go to storage of their own. ps must not change afterwards.
 func (c *Collector) SeedTimeline(ps []TimelinePoint) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.timeline = append(ps[:len(ps):len(ps)], c.timeline...)
 }
 
 // AddCrossRank records a tainted message crossing rank boundaries.
 func (c *Collector) AddCrossRank(r CrossRankRecord) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.crossRank = append(c.crossRank, r)
 }
 
 // AddSend records the publish side of a tainted MPI send.
 func (c *Collector) AddSend(r SendRecord) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.sends = append(c.sends, r)
 }
 
 // AddOutput records tainted bytes written to the guest output file.
 func (c *Collector) AddOutput(r OutputRecord) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.outputs = append(c.outputs, r)
 }
 
 // Events returns a copy of the stored events: rank by rank, each rank's in
 // the order it executed them.
 func (c *Collector) Events() []Event {
-	views := c.views()
-	total := 0
-	for i := range views {
-		total += views[i].stored
-	}
+	total := c.Stored()
 	if total == 0 {
 		return nil
 	}
 	out := make([]Event, 0, total)
-	for i := range views {
-		for j := 0; j < views[i].stored; j++ {
-			out = append(out, views[i].event(j))
+	for _, l := range c.logged() {
+		for j := 0; j < l.stored(); j++ {
+			out = append(out, l.event(j))
 		}
 	}
 	return out
@@ -647,48 +530,38 @@ func (c *Collector) Events() []Event {
 // Stored returns how many events the log holds, without copying it.
 func (c *Collector) Stored() int {
 	n := 0
-	for _, v := range c.views() {
-		n += v.stored
+	for _, l := range c.logged() {
+		n += l.stored()
 	}
 	return n
 }
 
 // Dropped returns how many events exceeded the cap.
 func (c *Collector) Dropped() uint64 {
-	c.mu.Lock()
 	n := c.declared
-	c.mu.Unlock()
-	for _, v := range c.views() {
-		n += v.dropped
+	for _, l := range c.logged() {
+		n += l.dropped()
 	}
 	return n
 }
 
 // Timeline returns a copy of the tainted-bytes samples.
 func (c *Collector) Timeline() []TimelinePoint {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]TimelinePoint(nil), c.timeline...)
 }
 
 // CrossRank returns a copy of the cross-rank records.
 func (c *Collector) CrossRank() []CrossRankRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]CrossRankRecord(nil), c.crossRank...)
 }
 
 // Sends returns a copy of the tainted-send records.
 func (c *Collector) Sends() []SendRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]SendRecord(nil), c.sends...)
 }
 
 // Outputs returns a copy of the tainted-output records.
 func (c *Collector) Outputs() []OutputRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]OutputRecord(nil), c.outputs...)
 }
 
@@ -696,18 +569,13 @@ func (c *Collector) Outputs() []OutputRecord {
 // guest memory (heap / stack / data) the fault footprint lives.
 func (c *Collector) Regions() map[string]RegionCounts {
 	out := make(map[string]RegionCounts)
-	for _, l := range c.table() {
-		if l == nil {
-			continue
-		}
-		l.mu.Lock()
+	for _, l := range c.logged() {
 		for i, name := range l.names[1:] {
 			rc := out[name]
 			rc.Reads += l.counts[i+1].Reads
 			rc.Writes += l.counts[i+1].Writes
 			out[name] = rc
 		}
-		l.mu.Unlock()
 	}
 	return out
 }
@@ -716,12 +584,10 @@ func (c *Collector) Regions() map[string]RegionCounts {
 func tallies(table []*rankLog) (reads, writes uint64) {
 	for _, l := range table {
 		if l != nil {
-			l.mu.Lock()
 			for _, rc := range l.counts {
 				reads += rc.Reads
 				writes += rc.Writes
 			}
-			l.mu.Unlock()
 		}
 	}
 	return reads, writes
@@ -729,8 +595,8 @@ func tallies(table []*rankLog) (reads, writes uint64) {
 
 // one returns the part of the table holding rank alone.
 func (c *Collector) one(rank int) []*rankLog {
-	if t := c.table(); rank >= 0 && rank < len(t) {
-		return t[rank : rank+1]
+	if rank >= 0 && rank < len(c.logs) {
+		return c.logs[rank : rank+1]
 	}
 	return nil
 }
@@ -749,20 +615,18 @@ func (c *Collector) Writes(rank int) uint64 {
 
 // TotalReads sums tainted reads across all ranks.
 func (c *Collector) TotalReads() uint64 {
-	reads, _ := tallies(c.table())
+	reads, _ := tallies(c.logs)
 	return reads
 }
 
 // TotalWrites sums tainted writes across all ranks.
 func (c *Collector) TotalWrites() uint64 {
-	_, writes := tallies(c.table())
+	_, writes := tallies(c.logs)
 	return writes
 }
 
 // Propagated reports whether any taint crossed a rank boundary.
 func (c *Collector) Propagated() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.crossRank) > 0
 }
 
@@ -818,16 +682,8 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // truncation marker follows the last stored event. It returns the number of
 // bytes written to w.
 func (c *Collector) WriteTo(w io.Writer) (int64, error) {
-	views := c.views()
-	c.mu.Lock()
-	dropped := c.declared
-	timeline, crossRank, sends, outputs := c.timeline, c.crossRank, c.sends, c.outputs
-	c.mu.Unlock()
-	stored := 0
-	for i := range views {
-		stored += views[i].stored
-		dropped += views[i].dropped
-	}
+	logs := c.logged()
+	stored, dropped := c.Stored(), c.Dropped()
 
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
@@ -836,9 +692,9 @@ func (c *Collector) WriteTo(w io.Writer) (int64, error) {
 	if err := write(record{Kind: "meta", Meta: &MetaRecord{Stored: stored, Dropped: dropped, NoAccessLog: c.noLog}}); err != nil {
 		return cw.n, err
 	}
-	for i := range views {
-		for j := 0; j < views[i].stored; j++ {
-			ev := views[i].event(j)
+	for _, l := range logs {
+		for j := 0; j < l.stored(); j++ {
+			ev := l.event(j)
 			if err := write(record{Kind: "event", Event: &ev}); err != nil {
 				return cw.n, err
 			}
@@ -849,23 +705,23 @@ func (c *Collector) WriteTo(w io.Writer) (int64, error) {
 			return cw.n, err
 		}
 	}
-	for i := range timeline {
-		if err := write(record{Kind: "sample", Sample: &timeline[i]}); err != nil {
+	for i := range c.timeline {
+		if err := write(record{Kind: "sample", Sample: &c.timeline[i]}); err != nil {
 			return cw.n, err
 		}
 	}
-	for i := range crossRank {
-		if err := write(record{Kind: "cross", Cross: &crossRank[i]}); err != nil {
+	for i := range c.crossRank {
+		if err := write(record{Kind: "cross", Cross: &c.crossRank[i]}); err != nil {
 			return cw.n, err
 		}
 	}
-	for i := range sends {
-		if err := write(record{Kind: "send", Send: &sends[i]}); err != nil {
+	for i := range c.sends {
+		if err := write(record{Kind: "send", Send: &c.sends[i]}); err != nil {
 			return cw.n, err
 		}
 	}
-	for i := range outputs {
-		if err := write(record{Kind: "output", Output: &outputs[i]}); err != nil {
+	for i := range c.outputs {
+		if err := write(record{Kind: "output", Output: &c.outputs[i]}); err != nil {
 			return cw.n, err
 		}
 	}
@@ -885,9 +741,7 @@ func Read(r io.Reader) (*Collector, error) {
 		var rec record
 		err := dec.Decode(&rec)
 		if err == io.EOF {
-			c.mu.Lock()
 			c.declared += declared
-			c.mu.Unlock()
 			return c, nil
 		}
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -224,9 +223,7 @@ func TestReadAccumulatesReaderDrops(t *testing.T) {
 			case "event":
 				back.AddEvent(rec.Event)
 			case "meta":
-				back.mu.Lock()
 				back.declared += rec.Meta.Dropped
-				back.mu.Unlock()
 			}
 		}
 		return back
@@ -273,24 +270,31 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// interleavings are the fixed orders in which the multi-rank tests below take
+// turns among four ranks, one access each: round-robin and reversed.
+var interleavings = map[string][]int{"round-robin": {0, 1, 2, 3}, "reversed": {3, 2, 1, 0}}
+
+// TestCollectorConcurrency: four ranks that take turns in one collector each
+// keep their own count, whatever the order of their turns.
 func TestCollectorConcurrency(t *testing.T) {
-	c := NewCollector()
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
+	for name, order := range interleavings {
+		c := NewCollector()
+		for i := 0; i < 1000; i++ {
+			for _, r := range order {
 				c.AddEvent(&Event{Rank: r, Write: i%2 == 0})
 				if i%100 == 0 {
 					c.AddSample(TimelinePoint{Rank: r, Instrs: uint64(i)})
 				}
 			}
-		}(r)
-	}
-	wg.Wait()
-	if c.TotalReads()+c.TotalWrites() != 4000 {
-		t.Errorf("total events = %d", c.TotalReads()+c.TotalWrites())
+		}
+		if c.TotalReads()+c.TotalWrites() != 4000 {
+			t.Errorf("%s: total events = %d", name, c.TotalReads()+c.TotalWrites())
+		}
+		for r := 0; r < 4; r++ {
+			if c.Reads(r) != 500 || c.Writes(r) != 500 {
+				t.Errorf("%s: rank %d tallies %d reads and %d writes, want 500 each", name, r, c.Reads(r), c.Writes(r))
+			}
+		}
 	}
 }
 
@@ -392,34 +396,32 @@ func (w *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestCapShareIgnoresInterleaving runs four ranks past a shared cap from
-// four goroutines: whatever the schedule, each rank keeps exactly the first
+// TestCapShareIgnoresInterleaving runs four ranks past a shared cap, taking
+// turns in two orders: whatever the order, each rank keeps exactly the first
 // quarter-cap accesses it made.
 func TestCapShareIgnoresInterleaving(t *testing.T) {
-	c := NewCollectorCap(400)
-	c.ShareAmong(4)
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < 50+100*r; i++ {
-				c.AddEvent(&Event{Rank: r, InstrNum: uint64(i)})
-			}
-		}(r)
-	}
-	wg.Wait()
 	var want []Event
 	for r := 0; r < 4; r++ {
 		for i := 0; i < min(50+100*r, 100); i++ {
 			want = append(want, Event{Rank: r, InstrNum: uint64(i)})
 		}
 	}
-	if got := c.Events(); !reflect.DeepEqual(got, want) {
-		t.Errorf("stored %d events, want each rank's first min(n, 100): %d", len(got), len(want))
-	}
-	if c.Dropped() != 50+150+250 {
-		t.Errorf("dropped = %d, want 450", c.Dropped())
+	for name, order := range interleavings {
+		c := NewCollectorCap(400)
+		c.ShareAmong(4)
+		for i := 0; i < 50+100*3; i++ {
+			for _, r := range order {
+				if i < 50+100*r {
+					c.AddEvent(&Event{Rank: r, InstrNum: uint64(i)})
+				}
+			}
+		}
+		if got := c.Events(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stored %d events, want each rank's first min(n, 100): %d", name, len(got), len(want))
+		}
+		if c.Dropped() != 50+150+250 {
+			t.Errorf("%s: dropped = %d, want 450", name, c.Dropped())
+		}
 	}
 }
 
@@ -446,19 +448,21 @@ func TestReadRejectsUnstorableEvents(t *testing.T) {
 }
 
 // TestFirstChunkGrows: a log's first chunk starts small and is regrown to the
-// full chunk size; every record must read back in order at every length, a
-// view taken before a regrowth must keep reading its prefix, and a short log
-// must not have paid for a full chunk.
+// full chunk size; every record must read back in order at every length, and
+// a short log must not have paid for a full chunk.
 func TestFirstChunkGrows(t *testing.T) {
 	c := NewCollector()
-	var early []rankView
 	for i := 0; i < 3*chunkEvents; i++ {
 		c.AddEvent(&Event{Rank: 0, EIP: uint64(i), InstrNum: uint64(i), Size: 8, Region: "heap"})
 		if n := i + 1; n == firstChunkEvents-1 || n == firstChunkEvents+1 || n == chunkEvents-1 {
-			early = append(early, c.views()[0])
+			for j, ev := range c.Events() {
+				if ev.InstrNum != uint64(j) {
+					t.Fatalf("a log of %d events reads event %d as %d", n, j, ev.InstrNum)
+				}
+			}
 		}
 		if i == firstChunkEvents/2 {
-			if got := cap(c.table()[0].chunks[0]); got != firstChunkEvents {
+			if got := cap(c.logs[0].chunks[0]); got != firstChunkEvents {
 				t.Fatalf("a log of %d events holds a chunk of %d records, want %d", i+1, got, firstChunkEvents)
 			}
 		}
@@ -472,14 +476,7 @@ func TestFirstChunkGrows(t *testing.T) {
 			t.Fatalf("event %d reads back as %+v", i, ev)
 		}
 	}
-	for _, v := range early {
-		for i := 0; i < v.stored; i++ {
-			if got := v.event(i).InstrNum; got != uint64(i) {
-				t.Fatalf("a view of %d events reads event %d as %d after the log grew", v.stored, i, got)
-			}
-		}
-	}
-	for i, ch := range c.table()[0].chunks {
+	for i, ch := range c.logs[0].chunks {
 		if len(ch) != chunkEvents {
 			t.Errorf("chunk %d of the grown log holds %d records, want %d", i, len(ch), chunkEvents)
 		}
@@ -558,8 +555,7 @@ func TestCollectorWithoutAccessLog(t *testing.T) {
 // — records, tallies, region table — whether a region's name keeps arriving
 // in the storage it first came in (a machine's region table) or in storage
 // of its own each time (a decoded log), and a rank that never adds stays out
-// of the log. Until its publish, readers see each rank as of its last chunk
-// boundary.
+// of the log.
 func TestAppenderMatchesAddEvent(t *testing.T) {
 	regions := []string{"heap", "stack", "", "data", "heap"}
 	events := func(fresh bool) []Event {
@@ -585,14 +581,6 @@ func TestAppenderMatchesAddEvent(t *testing.T) {
 			want.AddEvent(&ev)
 			appenders[ev.Rank].Add(&ev)
 		}
-		// Each rank added 384 accesses and last crossed a chunk boundary at
-		// its 256th.
-		if n, evs := got.TotalReads()+got.TotalWrites(), got.Events(); n != 2*chunkEvents || !reflect.DeepEqual(evs, append(want.Events()[:chunkEvents:chunkEvents], want.Events()[3*chunkEvents/2:5*chunkEvents/2]...)) {
-			t.Errorf("fresh names %v: before publish readers see %d accesses and %d records, want each rank's first %d", fresh, n, len(evs), chunkEvents)
-		}
-		for i := range appenders {
-			appenders[i].Publish()
-		}
 		if !reflect.DeepEqual(want.Events(), got.Events()) {
 			t.Errorf("fresh names %v: the appenders' log differs from AddEvent's", fresh)
 		}
@@ -600,10 +588,10 @@ func TestAppenderMatchesAddEvent(t *testing.T) {
 			t.Errorf("fresh names %v: tallies differ: %v %d/%d, want %v %d/%d", fresh,
 				got.Regions(), got.TotalReads(), got.TotalWrites(), want.Regions(), want.TotalReads(), want.TotalWrites())
 		}
-		if n := len(got.views()); n != 2 {
+		if n := len(got.logged()); n != 2 {
 			t.Errorf("fresh names %v: %d ranks in the log, want the 2 that added", fresh, n)
 		}
-		for _, l := range got.table() {
+		for _, l := range got.logged() {
 			if len(l.names) != 4 {
 				t.Errorf("fresh names %v: region table %q, want each name once", fresh, l.names)
 			}

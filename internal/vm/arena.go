@@ -104,7 +104,6 @@ func (a *Arena) build(prog *isa.Program, cfg Config, pages int) *Machine {
 	mem.arena = a
 	*m = Machine{
 		Name:       prog.Name,
-		PID:        cfg.PID,
 		Rank:       cfg.Rank,
 		WorldSize:  cfg.WorldSize,
 		Prog:       prog,

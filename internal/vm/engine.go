@@ -99,7 +99,6 @@ func (m *Machine) Run() Termination {
 		m.step(true)
 	}
 	m.flushObs()
-	m.stopped()
 	return *m.term
 }
 
@@ -122,20 +121,12 @@ func (m *Machine) RunSlice() *Termination {
 	if m.term != nil {
 		m.flushObs()
 	}
-	m.stopped()
 	return m.term
 }
 
 // Yield makes the RunSlice in progress return after the MPI call Yield is made
 // from (a syscall ends its block) and that call's post-syscall hooks.
 func (m *Machine) Yield() { m.yielded = true }
-
-// stopped fires the Stopped hook.
-func (m *Machine) stopped() {
-	if m.Hooks.Stopped != nil {
-		m.Hooks.Stopped()
-	}
-}
 
 // step performs one engine iteration: observe pending asynchronous aborts,
 // resolve the next block through the chain table (or the translator on a
@@ -225,7 +216,6 @@ func (m *Machine) Step() *Termination {
 	if m.term == nil {
 		m.step(false)
 	}
-	m.stopped()
 	return m.term
 }
 

@@ -42,8 +42,8 @@ type Helper func(m *Machine, op *tcg.Op)
 // log's own record, so the log takes the one the machine filled in as is.
 type MemTaintEvent = trace.Event
 
-// Hooks collects the optional callbacks a platform (DECAF/Chaser) installs
-// on a machine. Nil members are skipped.
+// Hooks collects the optional callbacks Chaser installs on a machine. They
+// run on the goroutine that runs the machine. Nil members are skipped.
 type Hooks struct {
 	// TaintedMemRead fires when a load reads tainted bytes
 	// (DECAF_READ_TAINTMEM_CB). The event is the machine's own record,
@@ -53,11 +53,6 @@ type Hooks struct {
 	// TaintedMemWrite fires when a store writes tainted bytes
 	// (DECAF_WRITE_TAINTMEM_CB), on the same terms.
 	TaintedMemWrite func(ev *MemTaintEvent)
-	// Stopped fires whenever the machine stops running: Run, RunSlice or
-	// Step is about to return, because the guest ended or the machine steps
-	// aside for another rank. It is where a callback that batches what the
-	// machine hands it makes that visible.
-	Stopped func()
 	// PreSyscall fires before a syscall dispatches; Chaser uses it to hook
 	// MPI sends (publish taint to the hub).
 	PreSyscall func(m *Machine, sys isa.Sys)
@@ -133,9 +128,6 @@ type Config struct {
 	WorldSize int
 	// MPI supplies the MPI runtime; nil machines fail MPI syscalls.
 	MPI MPIEnv
-	// PID is the guest process id reported through VMI; 0 lets the platform
-	// assign one.
-	PID int
 	// BaseCache, when non-nil, is the shared translation cache the machine's
 	// translator serves clean blocks from (and publishes them into). All
 	// machines of a campaign share one cache so the guest program is
@@ -161,9 +153,8 @@ type Config struct {
 
 // Machine is one guest process.
 type Machine struct {
-	// Name and PID identify the process for VMI.
+	// Name is the guest program's name: what a fault spec's Target names.
 	Name string
-	PID  int
 	// Rank and WorldSize locate the process in its MPI world.
 	Rank      int
 	WorldSize int

@@ -92,7 +92,8 @@ func (sm *smoke) output(t *testing.T, name string, args ...string) []byte {
 // resume: a campaign interrupted by SIGINT mid-flight exits 0, and the
 // resume command it prints resumes from its journal to the uninterrupted
 // report. The campaign flips two bits a run, which the journal's header
-// records: a resume command that left -bits out would be refused.
+// records: a resume command that left -bits out would be refused, with one
+// "campaign:" prefix on the message.
 func (sm *smoke) resume(t *testing.T) {
 	run := append(runArgs("kmeans", 1000, 77), "-bits", "2")
 	full := sm.output(t, "campaign", run...)
@@ -111,6 +112,15 @@ func (sm *smoke) resume(t *testing.T) {
 		t.Log("the campaign completed before SIGINT: the resume replays a complete journal")
 	}
 	sameReport(t, full, sm.output(t, "campaign", resume...))
+
+	other := sm.start(t, "campaign", append(runArgs("kmeans", 1000, 77), "-journal", journal)...)
+	if err := other.wait(smokeWait); err == nil {
+		t.Fatal("a one-bit campaign resumed a two-bit journal")
+	}
+	want := "campaign: journal " + journal + " was written by a different campaign ("
+	if text := other.text(); !strings.Contains(text, "\n"+want) && !strings.HasPrefix(text, want) {
+		t.Errorf("the refusal reads:\n%s\nwant a line that begins %q", text, want)
+	}
 }
 
 // hubCrash: a -hub-policy fail campaign rides out a kill -9 of its durable
