@@ -579,7 +579,7 @@ var (
 )
 
 // pathExts are the file extensions that make a span a path.
-var pathExts = []string{".go", ".md", ".sh", ".json", ".jsonl", ".yml", ".patch", ".mod", ".sha256"}
+var pathExts = []string{".go", ".md", ".sh", ".json", ".jsonl", ".yml", ".mod", ".sha256"}
 
 // checkDoc checks one doc's spans and cross-references. It returns the
 // number of reference spans that resolved and a line per one that did not.

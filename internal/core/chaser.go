@@ -339,9 +339,6 @@ func (c *Chaser) Arm(spec *Spec) {
 // it unchanged while machines attached since may use it.
 func (c *Chaser) arm(spec *Spec) { c.spec = spec }
 
-// Spec returns the armed spec, or nil.
-func (c *Chaser) Spec() *Spec { return c.spec }
-
 // Records returns the injections performed so far.
 func (c *Chaser) Records() []InjectionRecord {
 	return append([]InjectionRecord(nil), c.records...)

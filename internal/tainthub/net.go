@@ -113,12 +113,6 @@ func NewServer(hub Hub, addr string) (*Server, error) {
 	return NewServerConfig(hub, addr, ServerConfig{})
 }
 
-// NewServerObs is NewServer with a metrics registry attached (nil disables
-// telemetry).
-func NewServerObs(hub Hub, addr string, reg *obs.Registry) (*Server, error) {
-	return NewServerConfig(hub, addr, ServerConfig{Obs: reg})
-}
-
 // NewServerConfig is NewServer with full tuning.
 func NewServerConfig(hub Hub, addr string, cfg ServerConfig) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)

@@ -91,9 +91,6 @@ type Node struct {
 	kind NodeKind
 }
 
-// NodeKindOf returns the typed kind (the JSON export carries the string).
-func (n *Node) NodeKindOf() NodeKind { return n.kind }
-
 // Edge is one provenance edge. Kind is "data" for intra-rank dataflow and
 // "message" for cross-rank edges stitched from TaintHub pairs.
 type Edge struct {
@@ -469,18 +466,6 @@ func (g *Graph) PathFrom(id int) ([]Node, bool) {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev, len(rev) > 0 && rev[0].kind == KindInjection
-}
-
-// OutputNodes returns the output-sink nodes of one rank (all ranks when rank
-// is negative), in instruction order.
-func (g *Graph) OutputNodes(rank int) []Node {
-	var out []Node
-	for i := range g.Nodes {
-		if g.Nodes[i].kind == KindOutput && (rank < 0 || g.Nodes[i].Rank == rank) {
-			out = append(out, g.Nodes[i])
-		}
-	}
-	return out
 }
 
 // WriteJSON serializes the graph. Empty node/edge sets serialize as [] (not
